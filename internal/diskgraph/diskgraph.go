@@ -11,9 +11,7 @@ package diskgraph
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -224,37 +222,42 @@ func writeClusterFile(path string, g *graph.Graph, clustering *cluster.Clusterin
 	return f.Close()
 }
 
-// readClusterFile loads one cluster's adjacency lists.
+// readClusterFile loads one cluster's adjacency lists. A cluster fault is on
+// the query path, so the file is read in one call and decoded in place.
 func readClusterFile(path string) (map[graph.NodeID][]graph.NodeID, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	adj := make(map[graph.NodeID][]graph.NodeID, count)
-	for i := uint32(0); i < count; i++ {
-		var node, deg uint32
-		if err := binary.Read(br, binary.LittleEndian, &node); err != nil {
-			return nil, err
+	truncated := func() error { return fmt.Errorf("diskgraph: truncated cluster file %s", path) }
+	// next consumes n little-endian uint32 words.
+	next := func(n uint32) ([]byte, bool) {
+		if uint64(len(buf)) < 4*uint64(n) {
+			return nil, false
 		}
-		if err := binary.Read(br, binary.LittleEndian, &deg); err != nil {
-			return nil, err
+		words := buf[:4*n]
+		buf = buf[4*n:]
+		return words, true
+	}
+	head, ok := next(1)
+	if !ok {
+		return nil, truncated()
+	}
+	count := binary.LittleEndian.Uint32(head)
+	adj := make(map[graph.NodeID][]graph.NodeID, min(count, uint32(len(buf)/8)))
+	for i := uint32(0); i < count; i++ {
+		head, ok := next(2)
+		if !ok {
+			return nil, truncated()
+		}
+		node, deg := binary.LittleEndian.Uint32(head), binary.LittleEndian.Uint32(head[4:])
+		words, ok := next(deg)
+		if !ok {
+			return nil, truncated()
 		}
 		targets := make([]graph.NodeID, deg)
-		for j := uint32(0); j < deg; j++ {
-			var t uint32
-			if err := binary.Read(br, binary.LittleEndian, &t); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil, fmt.Errorf("diskgraph: truncated cluster file %s", path)
-				}
-				return nil, err
-			}
-			targets[j] = graph.NodeID(t)
+		for j := range targets {
+			targets[j] = graph.NodeID(binary.LittleEndian.Uint32(words[4*j:]))
 		}
 		adj[graph.NodeID(node)] = targets
 	}

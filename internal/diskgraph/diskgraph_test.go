@@ -1,6 +1,8 @@
 package diskgraph
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"fastppv/internal/cluster"
@@ -54,6 +56,34 @@ func TestViewMatchesInMemoryGraph(t *testing.T) {
 	}
 	if view.NumNodes() != g.NumNodes() {
 		t.Errorf("NumNodes = %d, want %d", view.NumNodes(), g.NumNodes())
+	}
+}
+
+// TestViewReportsTruncatedClusterFile cuts a cluster file inside its count,
+// inside a node header and inside an adjacency list: the fault fails with the
+// truncation error instead of serving a partial cluster.
+func TestViewReportsTruncatedClusterFile(t *testing.T) {
+	_, store := buildStore(t, 4)
+	path := clusterFileName(store.dir, 0)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var member graph.NodeID
+	for store.ClusterOf(member) != 0 {
+		member++
+	}
+	for _, size := range []int{2, 4 + 6, 4 + 8 + 2, len(whole) - 1} {
+		if err := os.WriteFile(path, whole[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		view := store.NewView(0)
+		if nbrs := view.OutNeighbors(member); nbrs != nil || view.Faults() != 0 {
+			t.Errorf("cut at %d: served %d neighbours and counted %d faults from a truncated file", size, len(nbrs), view.Faults())
+		}
+		if err := view.Err(); err == nil || !strings.Contains(err.Error(), "truncated cluster file") {
+			t.Errorf("cut at %d: view error = %v, want the truncated-cluster-file error", size, err)
+		}
 	}
 }
 

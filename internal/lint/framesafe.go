@@ -9,13 +9,15 @@ import (
 )
 
 // framesafePackages hold the decoders of the framed binary formats: the FPS1
-// stream frames (internal/api), the FPL1 update log, FPG1 graph log and the
-// disk-index record format (internal/ppvindex), and the FPQ1 query log
-// (internal/querylog). Their shared contract: corrupt, torn or truncated
+// stream frames (internal/api), the header and frame replay shared by the
+// three logs (internal/frame), the FPL1 update-log and FPG1 graph-log payloads
+// and the disk-index record format (internal/ppvindex), and the FPQ1
+// query-log records (internal/querylog). Their shared contract: corrupt, torn or truncated
 // input must surface as a structured error (ErrBadFrame / ErrBadIndexFormat /
 // ErrBadFormat), never as a panic or an over-read.
 var framesafePackages = []string{
 	"internal/api",
+	"internal/frame",
 	"internal/ppvindex",
 	"internal/querylog",
 }

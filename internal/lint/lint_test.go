@@ -84,7 +84,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestFrameSafe(t *testing.T) {
-	runAnalyzerTest(t, FrameSafe, "framesafe/internal/api")
+	runAnalyzerTest(t, FrameSafe, "framesafe/internal/api", "framesafe/internal/frame")
 }
 
 func TestPoolHygiene(t *testing.T) {

@@ -3,6 +3,7 @@ package ppvindex
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,8 +145,11 @@ func TestBlockCacheSingleflight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the one permitted load is in flight, then release it.
-	for inner.gets.Load() == 0 {
+	// Wait until the one permitted load is in flight and every other caller
+	// has joined it (released any earlier, late starters find the block
+	// cached and count as hits), then release it.
+	for inner.gets.Load() == 0 || bc.Stats().Coalesced < callers-1 {
+		runtime.Gosched()
 	}
 	close(inner.gate)
 	wg.Wait()

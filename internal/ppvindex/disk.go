@@ -12,9 +12,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
@@ -206,21 +206,7 @@ func (d *DiskWriter) Close() error {
 	// caller takes any dependent step (compaction resets the update log right
 	// after this; a power loss must not surface the log reset without the
 	// rename, or the folded updates would be lost with the old base).
-	return syncDir(filepath.Dir(d.path))
-}
-
-// syncDir fsyncs a directory, making previously performed renames in it
-// durable. Filesystems that cannot sync a directory handle are ignored.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	if err := df.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
-		return err
-	}
-	return nil
+	return frame.SyncDir(filepath.Dir(d.path))
 }
 
 // Abort discards the writer without publishing anything: the temporary file

@@ -1,34 +1,29 @@
 package ppvindex
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 )
 
-// Graph-mutation log layout (little endian):
+// Graph-mutation log layout: a framed log (internal/frame) whose header is
 //
-//	header (32 bytes):
-//	  magic    uint32 'F','P','G','1'
-//	  version  uint32 (currently 1)
-//	  nodes    uint64 node count of the base graph the mutations apply to
-//	  edges    uint64 edge count of that base graph
-//	  flags    uint32 bit 0: base graph is directed
-//	  reserved uint32
-//	frames (zero or more, appended in commit order):
-//	  payloadLen uint32  bytes of payload
-//	  crc        uint32  CRC-32 (IEEE) of the payload
-//	  payload:
-//	    numNodes     uint32  GraphMutation.NumNodes (0 = unchanged)
-//	    addedCount   uint32
-//	    removedCount uint32
-//	    addedCount   x { from uint32, to uint32 }
-//	    removedCount x { from uint32, to uint32 }
+//	magic    uint32 'F','P','G','1'
+//	version  uint32 (currently 1)
+//	nodes    uint64 node count of the base graph the mutations apply to
+//	edges    uint64 edge count of that base graph
+//	flags    uint32 bit 0: base graph is directed
+//	reserved uint32
+//
+// and whose frame payload is one update batch:
+//
+//	numNodes     uint32  GraphMutation.NumNodes (0 = unchanged)
+//	addedCount   uint32
+//	removedCount uint32
+//	addedCount   x { from uint32, to uint32 }
+//	removedCount x { from uint32, to uint32 }
 //
 // The log is the durability side of incremental *graph* maintenance, the
 // counterpart of the update log's durable PPVs: the update log persists the
@@ -41,17 +36,13 @@ import (
 // frame is one epoch bump, the exact index epoch — the process served before
 // it stopped.
 //
-// The header binds the log to the base graph it was started against (node and
-// edge counts plus directedness, the cheap identity available without hashing
-// the whole edge set): a log found next to a different graph is reset instead
-// of replayed, so swapping the -graph file does not replay foreign mutations
+// The binding is the base graph the log was started against (node and edge
+// counts plus directedness, the cheap identity available without hashing the
+// whole edge set): a log found next to a different graph is reset instead of
+// replayed, so swapping the -graph file does not replay foreign mutations
 // onto it. Unlike the update log, this log is never folded away by index
 // compaction — the graph file on disk stays the original, so the mutations
 // remain the only durable record of the current graph.
-//
-// A torn tail (a crash mid-append) is truncated away on open, the same WAL
-// semantics as the update log: frames before the tear are kept, nothing after
-// an invalid frame is trusted.
 const (
 	graphLogMagic       = uint32('F') | uint32('P')<<8 | uint32('G')<<16 | uint32('1')<<24
 	graphLogVersion     = 1
@@ -59,6 +50,11 @@ const (
 	graphEdgeBytes      = 8
 	graphFrameMinBytes  = 12 // numNodes + addedCount + removedCount
 )
+
+var graphLogFormat = frame.Format{
+	Name: "graph log", Magic: graphLogMagic, Version: graphLogVersion,
+	HeaderBytes: graphLogHeaderBytes, BadHeader: ErrBadIndexFormat,
+}
 
 // GraphMutation is one logged batch of graph changes, mirroring
 // core.GraphUpdate without importing it (core depends on this package).
@@ -75,21 +71,22 @@ type GraphLogBinding struct {
 	Directed bool
 }
 
+// encode serializes the binding as the header bytes after magic and version.
+func (b GraphLogBinding) encode() []byte {
+	buf := make([]byte, 20)
+	binary.LittleEndian.PutUint64(buf[0:], uint64(b.Nodes))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(b.Edges))
+	if b.Directed {
+		buf[16] = 1
+	}
+	return buf
+}
+
 // GraphLog is an append-only, CRC-framed log of graph-update batches kept
 // alongside a disk index. Append buffers frames; Commit flushes and fsyncs
 // them. Like UpdateLog it is not safe for concurrent use; the disk store's
 // mutex serializes access.
-type GraphLog struct {
-	f       *os.File
-	w       *bufio.Writer
-	size    int64
-	records int64
-	// committedSize trails size until Commit runs; the gap is the in-flight
-	// batch (dropped again by a crash, exactly like the update log).
-	committedSize    int64
-	committedRecords int64
-	bind             GraphLogBinding
-}
+type GraphLog struct{ log *frame.Log }
 
 // OpenGraphLog opens (or creates) the graph-mutation log at path and replays
 // every valid frame through replay, in append order. bind identifies the base
@@ -97,99 +94,20 @@ type GraphLog struct {
 // instead of replayed. A torn tail is truncated; a foreign or corrupt header
 // fails with ErrBadIndexFormat. The returned log is positioned for appending.
 func OpenGraphLog(path string, bind GraphLogBinding, replay func(GraphMutation) error) (*GraphLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := frame.Open(frame.OS{}, path, graphLogFormat, bind.encode(), func(payload []byte) error {
+		m, err := decodeMutation(payload)
+		if err != nil {
+			return frame.ErrTorn
+		}
+		if replay == nil {
+			return nil
+		}
+		return replay(m)
+	})
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &GraphLog{f: f, bind: bind}
-	if st.Size() < graphLogHeaderBytes {
-		if err := l.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else {
-		header := make([]byte, graphLogHeaderBytes)
-		if _, err := f.ReadAt(header, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if binary.LittleEndian.Uint32(header[0:]) != graphLogMagic {
-			f.Close()
-			return nil, fmt.Errorf("%w: graph log %s has a foreign magic", ErrBadIndexFormat, path)
-		}
-		if v := binary.LittleEndian.Uint32(header[4:]); v != graphLogVersion {
-			f.Close()
-			return nil, fmt.Errorf("%w: graph log %s has unsupported version %d", ErrBadIndexFormat, path, v)
-		}
-		bound := GraphLogBinding{
-			Nodes:    int(binary.LittleEndian.Uint64(header[8:])),
-			Edges:    int(binary.LittleEndian.Uint64(header[16:])),
-			Directed: binary.LittleEndian.Uint32(header[24:])&1 != 0,
-		}
-		if bound != bind {
-			// The mutations apply to a different base graph than the one being
-			// served; replaying them here would corrupt it. Start fresh.
-			if err := l.writeHeader(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		} else {
-			end, records, err := l.replayFrames(st.Size(), replay)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			if end < st.Size() {
-				if err := f.Truncate(end); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-			if _, err := f.Seek(end, io.SeekStart); err != nil {
-				f.Close()
-				return nil, err
-			}
-			l.size, l.records = end, records
-			l.committedSize, l.committedRecords = end, records
-		}
-	}
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	return l, nil
-}
-
-// writeHeader truncates the file and writes a fresh header carrying the
-// current graph binding, leaving the write offset right after it.
-func (l *GraphLog) writeHeader() error {
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	header := make([]byte, graphLogHeaderBytes)
-	binary.LittleEndian.PutUint32(header[0:], graphLogMagic)
-	binary.LittleEndian.PutUint32(header[4:], graphLogVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(l.bind.Nodes))
-	binary.LittleEndian.PutUint64(header[16:], uint64(l.bind.Edges))
-	var flags uint32
-	if l.bind.Directed {
-		flags |= 1
-	}
-	binary.LittleEndian.PutUint32(header[24:], flags)
-	if _, err := l.f.WriteAt(header, 0); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(graphLogHeaderBytes, io.SeekStart); err != nil {
-		return err
-	}
-	l.size, l.records = graphLogHeaderBytes, 0
-	l.committedSize, l.committedRecords = graphLogHeaderBytes, 0
-	return nil
+	return &GraphLog{log}, nil
 }
 
 // encodeMutation serializes one batch as a frame payload.
@@ -242,108 +160,27 @@ func decodeMutation(buf []byte) (GraphMutation, error) {
 	return m, nil
 }
 
-// replayFrames scans frames from the header to fileSize, calling replay for
-// each valid one, and returns the end offset of the last valid frame plus the
-// number of frames replayed. Scanning stops at the first truncated or
-// CRC-mismatching frame.
-func (l *GraphLog) replayFrames(fileSize int64, replay func(GraphMutation) error) (int64, int64, error) {
-	off := int64(graphLogHeaderBytes)
-	var records int64
-	frameHeader := make([]byte, logFrameOverhead)
-	for off+logFrameOverhead <= fileSize {
-		if _, err := l.f.ReadAt(frameHeader, off); err != nil {
-			return 0, 0, err
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(frameHeader[0:]))
-		wantCRC := binary.LittleEndian.Uint32(frameHeader[4:])
-		if payloadLen < graphFrameMinBytes || (payloadLen-graphFrameMinBytes)%graphEdgeBytes != 0 ||
-			off+logFrameOverhead+payloadLen > fileSize {
-			break
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := l.f.ReadAt(payload, off+logFrameOverhead); err != nil {
-			return 0, 0, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break
-		}
-		m, err := decodeMutation(payload)
-		if err != nil {
-			break
-		}
-		if replay != nil {
-			if err := replay(m); err != nil {
-				return 0, 0, err
-			}
-		}
-		off += logFrameOverhead + payloadLen
-		records++
-	}
-	return off, records, nil
-}
-
 // Append buffers one mutation frame. It does not hit the disk until Commit.
-func (l *GraphLog) Append(m GraphMutation) error {
-	payload := encodeMutation(m)
-	var frameHeader [logFrameOverhead]byte
-	binary.LittleEndian.PutUint32(frameHeader[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frameHeader[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(frameHeader[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	l.size += logFrameOverhead + int64(len(payload))
-	l.records++
-	return nil
-}
+func (l *GraphLog) Append(m GraphMutation) error { return l.log.Append(encodeMutation(m)) }
 
 // Commit flushes every appended frame and fsyncs the file: one durable batch
 // per graph update.
-func (l *GraphLog) Commit() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.committedSize, l.committedRecords = l.size, l.records
-	return nil
-}
+func (l *GraphLog) Commit() error { return l.log.Commit() }
 
 // SizeBytes returns the log size in bytes, including the header and any
 // still-buffered frames.
-func (l *GraphLog) SizeBytes() int64 { return l.size }
+func (l *GraphLog) SizeBytes() int64 { return l.log.Size() }
 
 // Records returns the number of frames in the log, including buffered ones.
 // After a clean open this equals the index epoch of the replayed state.
-func (l *GraphLog) Records() int64 { return l.records }
+func (l *GraphLog) Records() int64 { return l.log.Frames() }
 
-// Close discards any frames appended since the last Commit, fsyncs and closes
-// the log file. The discard matters: frames still buffered at Close belong to
-// an update batch whose commit never completed (its failure is why the store
-// is shutting down), and flushing them would hand the restarted replica a
-// graph — and an epoch — whose PPV half was never made durable. That is the
-// one mismatch direction the commit order exists to prevent (a replica
-// claiming a newer epoch than its index), so the tail is rolled back to the
-// last committed frame instead.
-func (l *GraphLog) Close() error {
-	l.w.Reset(l.f)
-	var firstErr error
-	if l.size != l.committedSize {
-		// Part of the uncommitted batch may have auto-flushed out of the
-		// buffer; truncate the file back to the committed prefix.
-		if err := l.f.Truncate(l.committedSize); err != nil {
-			firstErr = err
-		}
-		l.size, l.records = l.committedSize, l.committedRecords
-	}
-	if err := l.f.Sync(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := l.f.Close(); firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
+// Close discards any frames appended since the last Commit and closes the log
+// file. The discard matters: frames still buffered at Close belong to an
+// update batch whose commit never completed (its failure is why the store is
+// shutting down), and flushing them would hand the restarted replica a graph
+// — and an epoch — whose PPV half was never made durable. That is the one
+// mismatch direction the commit order exists to prevent (a replica claiming a
+// newer epoch than its index), so the tail is rolled back to the last
+// committed frame instead.
+func (l *GraphLog) Close() error { return l.log.Close() }

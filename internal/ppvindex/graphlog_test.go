@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 )
 
@@ -94,7 +95,7 @@ func TestGraphLogTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := make([]byte, logFrameOverhead+7) // header + 7 of the promised 20 bytes
+	torn := make([]byte, frame.Overhead+7) // header + 7 of the promised 20 bytes
 	binary.LittleEndian.PutUint32(torn[0:], 20)
 	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestGraphLogStopsAtCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[firstEnd+logFrameOverhead+3] ^= 0xFF
+	raw[firstEnd+frame.Overhead+3] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,24 @@
 package ppvindex
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
 
-// Update-log layout (little endian):
+// Update-log layout: a framed log (internal/frame) whose header is
 //
-//	header (24 bytes):
-//	  magic     uint32 'F','P','L','1'
-//	  version   uint32 (currently 1)
-//	  baseBytes uint64 size of the base index file this log belongs to
-//	  baseHubs  uint32 hub count of that base file
-//	  reserved  uint32
-//	frames (zero or more, appended in commit order):
-//	  payloadLen uint32  bytes of payload
-//	  crc        uint32  CRC-32 (IEEE) of the payload
-//	  payload            one hub record: hub, count, count x { node, score }
+//	magic     uint32 'F','P','L','1'
+//	version   uint32 (currently 1)
+//	baseBytes uint64 size of the base index file this log belongs to
+//	baseHubs  uint32 hub count of that base file
+//	reserved  uint32
+//
+// and whose frame payload is one hub record: hub, count, count x { node,
+// score }, the disk index's record layout.
 //
 // The log is the durability side-channel of a finalized disk index: every
 // post-finalize Put (an incremental update recomputing a hub's prime PPV)
@@ -34,21 +28,20 @@ import (
 // which is what makes the compaction commit protocol (rename the rewritten
 // base first, reset the log second) crash-consistent at every point.
 //
-// The header binds the log to one specific base file (its size and hub
-// count): opening a log whose binding does not match the base being served
-// resets it instead of replaying, so a log left behind by a crashed rebuild
-// or an interrupted compaction can never replay foreign records onto a base
-// they do not belong to.
-//
-// A torn tail (a crash mid-append leaves a truncated frame or one whose CRC
-// does not match) is truncated away on open, standard WAL semantics: frames
-// before the tear are kept, nothing after an invalid frame is trusted.
+// The binding (size and hub count) ties the log to one specific base file:
+// a log left behind by a crashed rebuild or an interrupted compaction is reset
+// on open instead of replaying foreign records onto a base they do not belong
+// to.
 const (
-	logMagic         = uint32('F') | uint32('P')<<8 | uint32('L')<<16 | uint32('1')<<24
-	logVersion       = 1
-	logHeaderBytes   = 24
-	logFrameOverhead = 8 // payloadLen + crc
+	logMagic       = uint32('F') | uint32('P')<<8 | uint32('L')<<16 | uint32('1')<<24
+	logVersion     = 1
+	logHeaderBytes = 24
 )
+
+var updateLogFormat = frame.Format{
+	Name: "update log", Magic: logMagic, Version: logVersion,
+	HeaderBytes: logHeaderBytes, BadHeader: ErrBadIndexFormat,
+}
 
 // ErrCompactionInProgress reports that a compaction of a disk index is
 // already running; at most one runs at a time.
@@ -64,19 +57,15 @@ var ErrUpdateInFlight = errors.New("ppvindex: update batch in flight, retry comp
 // Append buffers frames; Commit flushes and fsyncs them as one batch. It is
 // not safe for concurrent use; callers serialize access (the disk store's
 // mutex).
-type UpdateLog struct {
-	f       *os.File
-	w       *bufio.Writer
-	size    int64 // header + all appended frames, committed or buffered
-	records int64
-	// committedSize/committedRecords trail size/records until Commit runs;
-	// the gap between them is the in-flight (not yet durable) batch.
-	committedSize    int64
-	committedRecords int64
-	// baseBytes/baseHubs identify the base index file the logged records
-	// apply to; they are written into the header and re-stamped by Reset.
-	baseBytes int64
-	baseHubs  int
+type UpdateLog struct{ log *frame.Log }
+
+// updateLogBinding encodes the identity of the base index file the logged
+// records apply to.
+func updateLogBinding(baseBytes int64, baseHubs int) []byte {
+	b := make([]byte, 12)
+	binary.LittleEndian.PutUint64(b[0:], uint64(baseBytes))
+	binary.LittleEndian.PutUint32(b[8:], uint32(baseHubs))
+	return b
 }
 
 // OpenUpdateLog opens (or creates) the update log at path and replays every
@@ -87,214 +76,58 @@ type UpdateLog struct {
 // of replayed. A torn tail is truncated; a foreign or corrupt header fails
 // with ErrBadIndexFormat. The returned log is positioned for appending.
 func OpenUpdateLog(path string, baseBytes int64, baseHubs int, replay func(h graph.NodeID, ppv sparse.Vector) error) (*UpdateLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &UpdateLog{f: f, baseBytes: baseBytes, baseHubs: baseHubs}
-	if st.Size() < logHeaderBytes {
-		// New log, or a crash tore the header itself before any frame could
-		// have been committed: (re)write a fresh header.
-		if err := l.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else {
-		header := make([]byte, logHeaderBytes)
-		if _, err := f.ReadAt(header, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if binary.LittleEndian.Uint32(header[0:]) != logMagic {
-			f.Close()
-			return nil, fmt.Errorf("%w: update log %s has a foreign magic", ErrBadIndexFormat, path)
-		}
-		if v := binary.LittleEndian.Uint32(header[4:]); v != logVersion {
-			f.Close()
-			return nil, fmt.Errorf("%w: update log %s has unsupported version %d", ErrBadIndexFormat, path, v)
-		}
-		boundBytes := int64(binary.LittleEndian.Uint64(header[8:]))
-		boundHubs := int(binary.LittleEndian.Uint32(header[16:]))
-		if boundBytes != baseBytes || boundHubs != baseHubs {
-			// The log belongs to a different base file than the one being
-			// served; its records must not replay here. Start fresh, bound to
-			// the current base.
-			if err := l.writeHeader(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		} else {
-			end, records, err := l.replayFrames(st.Size(), replay)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			// Drop the torn tail (if any) so appends continue from the last
-			// valid frame.
-			if end < st.Size() {
-				if err := f.Truncate(end); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-			if _, err := f.Seek(end, io.SeekStart); err != nil {
-				f.Close()
-				return nil, err
-			}
-			l.size, l.records = end, records
-			l.committedSize, l.committedRecords = end, records
-		}
-	}
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	return l, nil
-}
-
-// writeHeader truncates the file and writes a fresh header carrying the
-// current base binding, leaving the write offset right after it.
-func (l *UpdateLog) writeHeader() error {
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	header := make([]byte, logHeaderBytes)
-	binary.LittleEndian.PutUint32(header[0:], logMagic)
-	binary.LittleEndian.PutUint32(header[4:], logVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(l.baseBytes))
-	binary.LittleEndian.PutUint32(header[16:], uint32(l.baseHubs))
-	if _, err := l.f.WriteAt(header, 0); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(logHeaderBytes, io.SeekStart); err != nil {
-		return err
-	}
-	l.size, l.records = logHeaderBytes, 0
-	l.committedSize, l.committedRecords = logHeaderBytes, 0
-	return nil
-}
-
-// replayFrames scans frames from the header to fileSize, calling replay for
-// each valid one, and returns the end offset of the last valid frame plus the
-// number of frames replayed. Scanning stops at the first truncated or
-// CRC-mismatching frame.
-func (l *UpdateLog) replayFrames(fileSize int64, replay func(h graph.NodeID, ppv sparse.Vector) error) (int64, int64, error) {
-	off := int64(logHeaderBytes)
-	var records int64
-	frameHeader := make([]byte, logFrameOverhead)
-	for off+logFrameOverhead <= fileSize {
-		if _, err := l.f.ReadAt(frameHeader, off); err != nil {
-			return 0, 0, err
-		}
-		payloadLen := int64(binary.LittleEndian.Uint32(frameHeader[0:]))
-		wantCRC := binary.LittleEndian.Uint32(frameHeader[4:])
-		// A frame that cannot hold a record header, does not cover whole
-		// entries, or runs past the file is a torn append; stop before it.
-		if payloadLen < 8 || (payloadLen-8)%entryBytes != 0 || off+logFrameOverhead+payloadLen > fileSize {
-			break
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := l.f.ReadAt(payload, off+logFrameOverhead); err != nil {
-			return 0, 0, err
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break
-		}
+	log, err := frame.Open(frame.OS{}, path, updateLogFormat, updateLogBinding(baseBytes, baseHubs), func(payload []byte) error {
 		h, ppv, err := decodeRecordPayload(payload)
 		if err != nil {
-			break
+			return frame.ErrTorn
 		}
-		if replay != nil {
-			if err := replay(h, ppv); err != nil {
-				return 0, 0, err
-			}
+		if replay == nil {
+			return nil
 		}
-		off += logFrameOverhead + payloadLen
-		records++
+		return replay(h, ppv)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return off, records, nil
+	return &UpdateLog{log}, nil
 }
 
 // Append buffers one update frame. It does not hit the disk until Commit.
 func (l *UpdateLog) Append(h graph.NodeID, ppv sparse.Vector) error {
-	payload := encodeRecord(h, ppv)
-	var frameHeader [logFrameOverhead]byte
-	binary.LittleEndian.PutUint32(frameHeader[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frameHeader[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(frameHeader[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	l.size += logFrameOverhead + int64(len(payload))
-	l.records++
-	return nil
+	return l.log.Append(encodeRecord(h, ppv))
 }
 
 // Commit flushes every appended frame and fsyncs the file: one durable batch
 // per incremental update, however many hubs it recomputed.
-func (l *UpdateLog) Commit() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.committedSize, l.committedRecords = l.size, l.records
-	return nil
-}
+func (l *UpdateLog) Commit() error { return l.log.Commit() }
 
 // Uncommitted reports whether frames have been appended since the last
 // Commit (or Reset): an update batch is mid-flight and a compaction must not
 // fold its already-appended half into the base.
-func (l *UpdateLog) Uncommitted() bool { return l.size != l.committedSize }
+func (l *UpdateLog) Uncommitted() bool { return l.log.Uncommitted() }
 
 // Reset empties the log back to a bare header (fsync'd), re-bound to the
 // given base file. Compaction calls it after the rewritten base index has
 // been renamed into place: from that point the base owns every logged update,
 // and an empty log bound to the new base is the durable record of that fact.
 func (l *UpdateLog) Reset(baseBytes int64, baseHubs int) error {
-	l.w.Reset(l.f) // drop any uncommitted buffered frames
-	l.baseBytes, l.baseHubs = baseBytes, baseHubs
-	return l.writeHeader()
+	return l.log.Reset(updateLogBinding(baseBytes, baseHubs))
 }
 
 // SizeBytes returns the log size in bytes, including the header and any
 // still-buffered frames.
-func (l *UpdateLog) SizeBytes() int64 { return l.size }
+func (l *UpdateLog) SizeBytes() int64 { return l.log.Size() }
 
 // Records returns the number of frames in the log, including buffered ones.
-func (l *UpdateLog) Records() int64 { return l.records }
+func (l *UpdateLog) Records() int64 { return l.log.Frames() }
 
-// Close discards any frames appended since the last Commit, fsyncs and closes
-// the log file. Frames still uncommitted at Close belong to an update batch
-// that never committed (ApplyUpdate reports failure exactly when the commit
-// does not complete); persisting them would replay half a batch — hub PPVs of
-// a graph change that officially never happened — so the tail rolls back to
-// the last committed frame instead.
-func (l *UpdateLog) Close() error {
-	l.w.Reset(l.f)
-	var firstErr error
-	if l.size != l.committedSize {
-		if err := l.f.Truncate(l.committedSize); err != nil {
-			firstErr = err
-		}
-		l.size, l.records = l.committedSize, l.committedRecords
-	}
-	if err := l.f.Sync(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := l.f.Close(); firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
+// Close discards any frames appended since the last Commit and closes the log
+// file. Frames still uncommitted at Close belong to an update batch that
+// never committed (ApplyUpdate reports failure exactly when the commit does
+// not complete); persisting them would replay half a batch — hub PPVs of a
+// graph change that officially never happened — so the tail rolls back to the
+// last committed frame instead.
+func (l *UpdateLog) Close() error { return l.log.Close() }
 
 // DurabilityStats summarizes the durable-update machinery of a disk-backed
 // index store: the in-memory overlay of rewritten hubs and the update log

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
@@ -151,7 +152,7 @@ func TestUpdateLogStopsAtCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[firstEnd+logFrameOverhead+3] ^= 0xFF
+	raw[firstEnd+frame.Overhead+3] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

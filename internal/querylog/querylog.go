@@ -5,31 +5,28 @@
 // (frequency-decayed top sources → their hub dependencies), and cmd/ppvlog
 // aggregates or replays it offline.
 //
-// The on-disk format follows the same torn-tail-truncating, header-bound
-// idiom as the PPV write-ahead update log and the graph-mutation log: a small
-// magic+version header followed by CRC-framed records. A crash can only tear
-// the tail, which Open truncates away; a foreign or incompatible file is
-// rejected rather than silently overwritten. Appends go through a buffered
-// writer with batched fsync (a background flusher), so the per-query cost on
-// the serving hot path is one short critical section and a small memcpy.
-// Rotation by size keeps the log bounded: the active file is renamed to
-// <path>.1 (replacing the previous generation) and a fresh header started, so
-// replay sees at most two generations, oldest first.
+// The file is a framed log (internal/frame), the mechanism of the PPV update
+// log and the graph-mutation log: a 16-byte header (magic 'F','P','Q','1',
+// version 1, 8 reserved bytes, no binding) followed by CRC-framed records. A
+// crash can only tear the tail, which Open truncates away; a foreign or
+// incompatible file is rejected rather than silently overwritten. What is
+// specific to this log is its policy: appends are committed by a background
+// flusher (batched fsync), so the per-query cost on the serving hot path is
+// one short critical section and a small memcpy, and rotation by size keeps
+// the log bounded — the active file is renamed to <path>.1 (replacing the
+// previous generation) and a fresh one started, so replay sees at most two
+// generations, oldest first.
 package querylog
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 )
 
@@ -113,8 +110,6 @@ const (
 	logVersion = 1
 	// headerBytes is magic + version + reserved.
 	headerBytes = 16
-	// frameOverhead is payloadLen + crc.
-	frameOverhead = 8
 	// recordFixedBytes is the fixed-width prefix of an encoded record.
 	recordFixedBytes = 32
 	// maxRecordBytes bounds one frame payload; anything larger during replay
@@ -125,6 +120,11 @@ const (
 	defaultFlushInterval = 100 * time.Millisecond
 	defaultHalfLife      = 8192
 )
+
+var logFormat = frame.Format{
+	Name: "query log", Magic: logMagic, Version: logVersion,
+	HeaderBytes: headerBytes, MaxPayload: maxRecordBytes, BadHeader: ErrBadFormat,
+}
 
 // Options tunes a Log. The zero value is a sensible serving default.
 type Options struct {
@@ -172,18 +172,12 @@ type Stats struct {
 // Log is an append-only query log. It is safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
-	path      string
+	log       *frame.Log
 	opts      Options
-	size      int64
 	replayed  int64
 	appended  int64
 	rotations int64
-	truncated int64
-	dirty     bool
 	closed    bool
-	err       error // sticky write/rotate error
 
 	agg *SourceAggregator
 
@@ -199,44 +193,35 @@ type Log struct {
 // and to the internal source aggregator. A file whose header is not a
 // compatible query log is rejected with ErrBadFormat.
 func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
+	return open(frame.OS{}, path, opts, replay)
+}
+
+func open(fs frame.FS, path string, opts Options, replay func(Record) error) (*Log, error) {
 	opts = opts.withDefaults()
 	l := &Log{
-		path: path,
 		opts: opts,
 		agg:  NewSourceAggregator(opts.HalfLife),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	feed := func(r Record) error {
+	feed := decodeInto(func(r Record) error {
 		l.agg.Add(r.Source)
 		l.replayed++
 		if replay != nil {
 			return replay(r)
 		}
 		return nil
-	}
-	// Previous generation: read-only, tolerate a torn tail (it was the
-	// active file once; stop at the tear).
-	if prev, err := os.Open(path + ".1"); err == nil {
-		_, _, rerr := scanLog(prev, feed)
-		prev.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-	} else if !os.IsNotExist(err) {
+	})
+	// Previous generation: read-only; it was the active file once, so a torn
+	// tail is tolerated (the scan stops at the tear).
+	if _, err := frame.Scan(fs, path+".1", logFormat, feed); err != nil {
 		return nil, err
 	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := frame.Open(fs, path, logFormat, nil, feed)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.recover(f, feed); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
+	l.log = log
 	if opts.FlushInterval > 0 {
 		go l.flushLoop()
 	} else {
@@ -245,107 +230,18 @@ func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
 	return l, nil
 }
 
-// recover validates the header (writing a fresh one into an empty or
-// sub-header file), replays intact frames, and truncates the torn tail so
-// appends resume at the last valid record.
-func (l *Log) recover(f *os.File, feed func(Record) error) error {
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() < headerBytes {
-		// Empty or torn before the header finished: start fresh.
-		if err := f.Truncate(0); err != nil {
-			return err
-		}
-		if err := writeHeader(f); err != nil {
-			return err
-		}
-		l.size = headerBytes
-		return f.Sync()
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	valid, _, err := scanLog(f, feed)
-	if err != nil {
-		return err
-	}
-	if valid < st.Size() {
-		l.truncated = st.Size() - valid
-		if err := f.Truncate(valid); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return err
-	}
-	l.size = valid
-	return nil
-}
-
-func writeHeader(w io.Writer) error {
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// scanLog reads a header + frames from r, feeding decoded records to fn, and
-// returns the byte offset after the last intact frame. A short, CRC-bad or
-// undecodable frame ends the scan (torn tail) without error; a foreign or
-// version-mismatched header is ErrBadFormat.
-func scanLog(r io.Reader, fn func(Record) error) (valid int64, records int64, err error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, nil // sub-header tail; caller rewrites
-		}
-		return 0, 0, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != logMagic {
-		return 0, 0, fmt.Errorf("%w: magic %x", ErrBadFormat, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != logVersion {
-		return 0, 0, fmt.Errorf("%w: version %d", ErrBadFormat, v)
-	}
-	valid = headerBytes
-	var fh [frameOverhead]byte
-	payload := make([]byte, 0, 256)
-	for {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			return valid, records, nil
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		if n == 0 || n > maxRecordBytes {
-			return valid, records, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return valid, records, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:8]) {
-			return valid, records, nil
-		}
+// decodeInto adapts a record callback to a frame payload callback; a payload
+// that is not a record ends the replay as a torn tail.
+func decodeInto(fn func(Record) error) func([]byte) error {
+	return func(payload []byte) error {
 		rec, ok := decodeRecord(payload)
 		if !ok {
-			return valid, records, nil
+			return frame.ErrTorn
 		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return valid, records, err
-			}
+		if fn == nil {
+			return nil
 		}
-		valid += int64(frameOverhead) + int64(n)
-		records++
+		return fn(rec)
 	}
 }
 
@@ -424,85 +320,30 @@ func decodeRecord(p []byte) (Record, bool) {
 // Append writes one record. The frame lands in the write buffer immediately;
 // durability follows at the next batched flush (or synchronously when
 // FlushInterval < 0). Append never blocks on disk in the batched mode unless
-// the buffer fills.
+// the buffer fills. After a failed write or rotation every Append returns
+// that first error.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if l.err != nil {
-		return l.err
-	}
-	l.encBuf = l.encBuf[:0]
-	l.encBuf = encodeRecord(l.encBuf, r)
-	frameLen := int64(frameOverhead + len(l.encBuf))
-	if l.opts.MaxBytes > 0 && l.size+frameLen > l.opts.MaxBytes && l.size > headerBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.err = err
+	l.encBuf = encodeRecord(l.encBuf[:0], r)
+	size := l.log.Size()
+	if l.opts.MaxBytes > 0 && size+frame.Overhead+int64(len(l.encBuf)) > l.opts.MaxBytes && size > headerBytes {
+		if err := l.log.Rotate(); err != nil {
 			return err
 		}
+		l.rotations++
 	}
-	var fh [frameOverhead]byte
-	binary.LittleEndian.PutUint32(fh[0:4], uint32(len(l.encBuf)))
-	binary.LittleEndian.PutUint32(fh[4:8], crc32.ChecksumIEEE(l.encBuf))
-	if _, err := l.w.Write(fh[:]); err != nil {
-		l.err = err
+	if err := l.log.Append(l.encBuf); err != nil {
 		return err
 	}
-	if _, err := l.w.Write(l.encBuf); err != nil {
-		l.err = err
-		return err
-	}
-	l.size += frameLen
 	l.appended++
-	l.dirty = true
 	l.agg.Add(r.Source)
 	if l.opts.FlushInterval < 0 {
-		return l.syncLocked()
+		return l.log.Commit()
 	}
-	return nil
-}
-
-// rotateLocked flushes the active generation, renames it to <path>.1
-// (replacing the previous generation) and starts a fresh header.
-func (l *Log) rotateLocked() error {
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(l.path, l.path+".1"); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := writeHeader(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.size = headerBytes
-	l.rotations++
-	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.dirty = false
 	return nil
 }
 
@@ -513,10 +354,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.err != nil {
-		return l.err
-	}
-	return l.syncLocked()
+	return l.log.Commit()
 }
 
 func (l *Log) flushLoop() {
@@ -529,10 +367,10 @@ func (l *Log) flushLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed && l.err == nil && l.dirty {
-				if err := l.syncLocked(); err != nil {
-					l.err = err
-				}
+			if !l.closed {
+				// A failure stays with the frame log, which hands it to the
+				// next Append, Sync or Close.
+				_ = l.log.Commit()
 			}
 			l.mu.Unlock()
 		}
@@ -548,12 +386,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	var err error
-	if l.err == nil {
-		err = l.syncLocked()
-	}
-	cerr := l.f.Close()
-	if err == nil {
+	err := l.log.Commit()
+	if cerr := l.log.Close(); err == nil {
 		err = cerr
 	}
 	l.mu.Unlock()
@@ -569,9 +403,9 @@ func (l *Log) Stats() Stats {
 	return Stats{
 		Replayed:       l.replayed,
 		Appended:       l.appended,
-		ActiveBytes:    l.size,
+		ActiveBytes:    l.log.Size(),
 		Rotations:      l.rotations,
-		TruncatedBytes: l.truncated,
+		TruncatedBytes: l.log.Truncated(),
 	}
 }
 
@@ -598,20 +432,7 @@ func (l *Log) TopSources(k int) []graph.NodeID {
 func Replay(path string, fn func(Record) error) (int64, error) {
 	var total int64
 	for _, p := range []string{path + ".1", path} {
-		f, err := os.Open(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return total, err
-		}
-		st, serr := f.Stat()
-		if serr == nil && st.Size() < headerBytes {
-			f.Close()
-			continue
-		}
-		_, n, err := scanLog(f, fn)
-		f.Close()
+		n, err := frame.Scan(frame.OS{}, p, logFormat, decodeInto(fn))
 		total += n
 		if err != nil {
 			return total, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fastppv/internal/frame"
 	"fastppv/internal/graph"
 )
 
@@ -360,5 +361,63 @@ func TestConcurrentAppend(t *testing.T) {
 	// Whatever survives rotation must replay cleanly.
 	if _, err := Replay(path, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// renameFails is the real file system with a rename that always fails.
+type renameFails struct{ frame.OS }
+
+var errRename = errors.New("injected rename failure")
+
+func (renameFails) Rename(string, string) error { return errRename }
+
+// TestRotationFailureIsSticky: when the rename of a rotation fails the active
+// file is already closed; every later Append, and Close, must report that
+// rename error rather than "file already closed".
+func TestRotationFailureIsSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.qlog")
+	l, err := open(renameFails{}, path, Options{FlushInterval: -1, MaxBytes: 200}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first error
+	for i := 0; first == nil; i++ {
+		if i > 10 {
+			t.Fatal("no rotation attempted within 10 appends of ~40 bytes")
+		}
+		first = l.Append(testRecord(1, i))
+	}
+	if !errors.Is(first, errRename) {
+		t.Fatalf("Append at the rotation point = %v, want the rename failure", first)
+	}
+	if err := l.Append(testRecord(1, 99)); !errors.Is(err, errRename) {
+		t.Fatalf("Append after the failed rotation = %v, want the rename failure", err)
+	}
+	if err := l.Close(); !errors.Is(err, errRename) {
+		t.Fatalf("Close after the failed rotation = %v, want the rename failure", err)
+	}
+	// Everything appended before the rotation was committed by it.
+	if n, err := Replay(path, nil); err != nil || n == 0 {
+		t.Fatalf("Replay after the failed rotation = %d, %v", n, err)
+	}
+}
+
+// TestAppendSteadyStateAllocs: in batched mode an Append on a source seen
+// before encodes into the log's reused buffers and touches no file.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.qlog")
+	l, err := Open(path, Options{FlushInterval: time.Hour, MaxBytes: -1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecord(7, 1)
+	for i := 0; i < 4096; i++ { // past the first 64 KiB flush: the buffers have their final size
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.Append(rec) }); allocs != 0 {
+		t.Fatalf("steady-state Append allocates %v objects per call, want 0", allocs)
 	}
 }

@@ -146,8 +146,14 @@ func TestStreamRawProtocol(t *testing.T) {
 		t.Fatalf("expansion reply id=%d err=%v", id, err)
 	}
 
-	// Stats report the stream and its traffic.
+	// Stats report the stream and its traffic. The shard counts a partial
+	// after writing its reply, so the second one may land a moment after the
+	// reply was read here.
 	st := shardStatsOf(t, ts)
+	for deadline := time.Now().Add(2 * time.Second); st.Streams != nil && st.Streams.Partials < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = shardStatsOf(t, ts)
+	}
 	if st.Streams == nil || st.Streams.Open != 1 || st.Streams.Partials < 2 {
 		t.Fatalf("stream stats = %+v, want 1 open with >=2 partials", st.Streams)
 	}
