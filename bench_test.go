@@ -13,17 +13,12 @@ package fastppv
 //
 // Additional micro-benchmarks cover the primitive operations (prime PPV
 // computation, a single online query, exact PPV as the naive baseline) and
-// the ablations called out in DESIGN.md §4.
+// the ablations called out in DESIGN.md §4. The serving stack is measured by
+// the bench/ module (BENCHMARK.json), not here.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"fastppv/internal/core"
@@ -33,8 +28,6 @@ import (
 	"fastppv/internal/hub"
 	"fastppv/internal/pagerank"
 	"fastppv/internal/prime"
-	"fastppv/internal/querylog"
-	"fastppv/internal/server"
 	"fastppv/internal/workload"
 )
 
@@ -318,82 +311,6 @@ func BenchmarkPrimePPV(b *testing.B) {
 	}
 }
 
-// BenchmarkServerThroughput measures end-to-end HTTP serving throughput of
-// the query subsystem under a Zipfian-skewed workload: parallel clients hit
-// the cache, coalesce, or compute through the admission gate. Cache hit rate
-// and computation count are reported as custom metrics.
-func BenchmarkServerThroughput(b *testing.B) {
-	benchServerThroughput(b, server.Config{})
-}
-
-// BenchmarkServerThroughputQueryLog is the same workload with the persistent
-// query log appending one record per completed query — the comparison against
-// BenchmarkServerThroughput bounds the logging overhead on the serving path
-// (the PR 9 budget is <5% on the median).
-func BenchmarkServerThroughputQueryLog(b *testing.B) {
-	qlog, err := querylog.Open(filepath.Join(b.TempDir(), "queries.qlog"), querylog.Options{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer qlog.Close()
-	benchServerThroughput(b, server.Config{QueryLog: qlog})
-}
-
-func benchServerThroughput(b *testing.B, cfg server.Config) {
-	g := benchGraph(b)
-	engine := benchEngine(b, g)
-	srv, err := server.New(engine, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
-	client.Transport = &http.Transport{MaxIdleConnsPerHost: 256}
-
-	var seed atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		sampler, err := workload.NewZipfSampler(g.NumNodes(), workload.ZipfOptions{
-			Seed: seed.Add(1),
-		})
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pb.Next() {
-			url := fmt.Sprintf("%s/v1/ppv?node=%d&eta=2&top=10", ts.URL, sampler.Next())
-			resp, err := client.Get(url)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Errorf("status %d", resp.StatusCode)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	// Report how much work the cache absorbed via the stats endpoint.
-	resp, err := client.Get(ts.URL + "/v1/stats")
-	if err == nil {
-		var st struct {
-			Cache *struct {
-				Hits   float64 `json:"hits"`
-				Misses float64 `json:"misses"`
-			} `json:"cache"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&st) == nil && st.Cache != nil &&
-			st.Cache.Hits+st.Cache.Misses > 0 {
-			b.ReportMetric(st.Cache.Hits/(st.Cache.Hits+st.Cache.Misses), "hit-rate")
-		}
-		resp.Body.Close()
-	}
-}
-
 // BenchmarkOfflinePrecompute measures the full offline phase (hub selection
 // plus prime PPVs for every hub).
 func BenchmarkOfflinePrecompute(b *testing.B) {
@@ -412,76 +329,4 @@ func BenchmarkOfflinePrecompute(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDiskServing compares hub-block reads from the on-disk index when
-// every read costs a positioned disk read + record decode (cold: block cache
-// disabled) against reads served from the hub-block cache (warm). The warm
-// path is the steady state of a skewed serving workload; the acceptance bar
-// for the disk-serving PR is warm >= 5x faster than cold. A third
-// sub-benchmark times full engine queries through the cached disk index.
-func BenchmarkDiskServing(b *testing.B) {
-	g := buildTestGraph(b, 3000, 6, 42)
-	dir := b.TempDir()
-	path := dir + "/index.ppv"
-	build, closeBuild, err := NewWithDiskIndex(g, Options{NumHubs: 300}, path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := build.Precompute(); err != nil {
-		b.Fatal(err)
-	}
-	if err := closeBuild(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold-hub-read", func(b *testing.B) {
-		store, err := openDiskStore(path, diskStoreConfig{cacheBytes: -1}) // no cache: raw Sect. 6.3 cost model
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close()
-		hubs := store.Hubs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := store.Get(hubs[i%len(hubs)]); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		}
-	})
-
-	b.Run("warm-hub-read", func(b *testing.B) {
-		store, err := openDiskStore(path, diskStoreConfig{cacheBytes: 64 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close()
-		hubs := store.Hubs()
-		for _, h := range hubs { // fill the cache
-			if _, ok, err := store.Get(h); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := store.Get(hubs[i%len(hubs)]); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		}
-	})
-
-	b.Run("query-warm-cache", func(b *testing.B) {
-		engine, closeIndex, err := OpenDiskIndex(g, Options{NumHubs: 300}, path, 64<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer closeIndex()
-		hubs := engine.Index().Hubs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Query(hubs[i%len(hubs)], DefaultStop()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

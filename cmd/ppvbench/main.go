@@ -8,12 +8,7 @@
 //	ppvbench -exp fig6 -scale small
 //	ppvbench -exp all  -scale tiny
 //
-// With -serve, ppvbench instead runs the standing serving benchmark (see
-// serve.go): it boots the full HTTP serving stack in-process, replays a
-// Zipfian workload against it, measures warm and cold disk-index read costs,
-// and writes a BENCH_*.json report:
-//
-//	ppvbench -serve -scale tiny -out BENCH_6.json
+// The serving benchmark is the separate bench/ module (BENCHMARK.json).
 package main
 
 import (
@@ -25,7 +20,6 @@ import (
 	"time"
 
 	"fastppv/internal/experiments"
-	"fastppv/internal/workload"
 )
 
 // experimentNames in presentation order.
@@ -41,46 +35,8 @@ func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", ")+" or all")
 		scaleStr = flag.String("scale", "small", "dataset scale: tiny, small or medium")
-
-		serveMode   = flag.Bool("serve", false, "run the standing serving benchmark instead of the paper experiments")
-		out         = flag.String("out", "BENCH.json", "-serve: output path for the benchfmt report (\"-\" for stdout)")
-		requests    = flag.Int("requests", 2000, "-serve: queries to send")
-		concurrency = flag.Int("concurrency", 8, "-serve: concurrent client workers")
-		zipfS       = flag.Float64("zipf", workload.DefaultZipfS, "-serve: Zipf exponent of the query skew (>1)")
-		eta         = flag.Int("eta", 2, "-serve: online iterations per query")
-		top         = flag.Int("top", 10, "-serve: ranked results per query")
-		seed        = flag.Int64("seed", 1, "-serve: graph and workload seed")
-		diskReads   = flag.Int("disk-reads", 4000, "-serve: hub-block reads per warm/cold timing pass")
-		mmap        = flag.Bool("mmap", true, "-serve: serve the read-cost index from a memory mapping (zero-copy views); falls back to pread when unsupported")
-		logFormat   = flag.String("log-format", "text", "-serve: log output format, text or json")
-		logLevel    = flag.String("log-level", "info", "-serve: minimum log level")
-
-		clusterTransport = flag.String("cluster-transport", "binary",
-			"-serve: shard transport of the cluster pass, binary or json (empty skips the pass)")
 	)
 	flag.Parse()
-
-	if *serveMode {
-		if err := runServe(serveConfig{
-			scale:       *scaleStr,
-			out:         *out,
-			requests:    *requests,
-			concurrency: *concurrency,
-			zipfS:       *zipfS,
-			eta:         *eta,
-			top:         *top,
-			seed:        *seed,
-			diskReads:   *diskReads,
-			mmap:        *mmap,
-			logFormat:   *logFormat,
-			logLevel:    *logLevel,
-
-			clusterTransport: *clusterTransport,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	scale, err := experiments.ParseScale(*scaleStr)
 	if err != nil {

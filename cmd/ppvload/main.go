@@ -27,10 +27,9 @@
 // X-Fastppv-Trace response header) is printed ready to paste into
 // GET /v1/debug/trace/{id}.
 //
-// -json FILE additionally writes a machine-readable report in the shared
-// BENCH_*.json schema (internal/benchfmt), so ad-hoc runs are directly
-// comparable with the standing CI benchmark artifacts; "-json -" writes the
-// report to stdout and moves the human-readable summary to stderr.
+// -json FILE additionally writes a machine-readable report
+// (internal/benchfmt); "-json -" writes the report to stdout and moves the
+// human-readable summary to stderr.
 package main
 
 import (
@@ -131,7 +130,7 @@ func run(args []string) error {
 	updateEvery := fs.Int("update-every", 0, "make every Nth request a one-edge graph update posted to the first target (0 disables)")
 	slowMS := fs.Float64("slow-ms", 250, "client-side latency past which a query counts as slow in the summary and JSON report (negative disables)")
 	seed := fs.Int64("seed", 1, "workload seed")
-	jsonOut := fs.String("json", "", "write a BENCH_*.json-schema report (internal/benchfmt) to this file; \"-\" writes it to stdout")
+	jsonOut := fs.String("json", "", "write a machine-readable report (internal/benchfmt) to this file; \"-\" writes it to stdout")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	fs.Parse(args)

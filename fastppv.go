@@ -440,8 +440,8 @@ type diskStore struct {
 // ErrIndexClosed and retries on the current state.
 type diskReadState struct {
 	// src is where reads come from: the block cache when enabled, the raw
-	// reader otherwise.
-	src ppvindex.Index
+	// reader otherwise. Both serve views as well as decoded vectors.
+	src ppvindex.ViewIndex
 	// overlay holds hubs rewritten after finalization; it only ever contains
 	// hubs that are also in the on-disk directory, so membership queries can
 	// keep delegating to src.
@@ -450,9 +450,6 @@ type diskReadState struct {
 	// fronting it (nil when caching is disabled).
 	reader *ppvindex.DiskIndex
 	cache  *ppvindex.BlockCache
-	// viewSrc is src's view interface, asserted once at state construction so
-	// the per-query GetView hot path skips the dynamic type check.
-	viewSrc ppvindex.ViewGetter
 }
 
 // newDiskStore creates a store in write mode: Puts stream to a fresh index
@@ -626,10 +623,7 @@ func (s *diskStore) GetView(h NodeID) (ppvindex.HubRecordView, bool, error) {
 		if st.overlay.Has(h) {
 			return ppvindex.HubRecordView{}, false, nil
 		}
-		if st.viewSrc == nil {
-			return ppvindex.HubRecordView{}, false, nil
-		}
-		view, ok, err := st.viewSrc.GetView(h)
+		view, ok, err := st.src.GetView(h)
 		if err != nil && errors.Is(err, ppvindex.ErrIndexClosed) && s.state.Load() != st {
 			// The state was retired under us (compaction swap, or Close);
 			// retry against the current one.
@@ -691,7 +685,9 @@ func (s *diskStore) WarmHubs(hubs []NodeID) int {
 	}
 	warmed := 0
 	for _, h := range hubs {
-		if _, ok, err := st.src.Get(h); err == nil && ok {
+		// The cache fill is the wanted side effect; nothing is decoded.
+		if view, ok, err := st.src.GetView(h); err == nil && ok {
+			view.Release()
 			warmed++
 		}
 	}
@@ -820,12 +816,11 @@ func (s *diskStore) ensureReaderLocked() error {
 // newReadState builds a read-side view over r, wiring the block cache when
 // configured. Callers must hold s.mu.
 func (s *diskStore) newReadState(r *ppvindex.DiskIndex) *diskReadState {
-	st := &diskReadState{src: ppvindex.Index(r), overlay: ppvindex.NewMemIndex(), reader: r}
+	st := &diskReadState{src: r, overlay: ppvindex.NewMemIndex(), reader: r}
 	if s.cfg.cacheBytes >= 0 {
 		st.cache = ppvindex.NewBlockCache(r, s.cfg.cacheBytes, 0)
 		st.src = st.cache
 	}
-	st.viewSrc, _ = st.src.(ppvindex.ViewGetter)
 	return st
 }
 

@@ -1,9 +1,7 @@
-// Package benchfmt defines the BENCH_*.json schema shared by the standing
-// benchmark harness (ppvbench -serve) and the ad-hoc load generator
-// (ppvload -json). Every PR leaves a BENCH_<n>.json at the repo root in this
-// format, so the performance trajectory of the serving stack — throughput,
-// tail latency, warm-read cost, reported error bounds — is a diffable series
-// rather than a claim in a PR description.
+// Package benchfmt defines the JSON report the ad-hoc load generator writes
+// (ppvload -json) and the percentile summary it shares with ppvlog. The
+// repo benchmark proper is the bench/ module; this is the client-side view
+// of one load run against a running daemon.
 package benchfmt
 
 import (
@@ -17,12 +15,10 @@ import (
 // Schema is the format identifier stamped into every report.
 const Schema = "fastppv-bench/v1"
 
-// Report is one benchmark run. Fields that a given harness cannot measure are
-// zero and omitted: ppvload has no disk-store access, so it leaves the
-// read-cost fields empty; a pure engine run has no cluster section.
+// Report is one load run.
 type Report struct {
 	Schema string `json:"schema"`
-	// Source names the producing harness: "ppvbench-serve" or "ppvload".
+	// Source names the producing tool ("ppvload").
 	Source string `json:"source"`
 	// Mode is "engine" or "router", matching the trace block's mode.
 	Mode      string    `json:"mode"`
@@ -43,57 +39,10 @@ type Report struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	Failures     int     `json:"failures"`
 
-	// WarmReadNS / ColdReadNS are mean per-hub-block read costs against the
-	// on-disk index with the block cache warm and disabled respectively
-	// (ppvbench -serve only). The read goes through the same path the query
-	// hot loop uses: a zero-copy record view when the store supports it, a
-	// decoded vector otherwise.
-	WarmReadNS float64 `json:"warm_read_ns,omitempty"`
-	ColdReadNS float64 `json:"cold_read_ns,omitempty"`
-
-	// AllocsPerQuery is the mean number of heap allocations per successful
-	// request, measured process-wide across the in-process client+server
-	// stack (ppvbench -serve only). Additive field of fastppv-bench/v1:
-	// older reports simply omit it.
-	AllocsPerQuery float64 `json:"allocs_per_query,omitempty"`
-	// PoolHitRate is the cumulative query-buffer pool reuse rate at the end
-	// of the run (hits/gets; ~1 at steady state). Additive.
-	PoolHitRate float64 `json:"pool_hit_rate,omitempty"`
-	// MmapActive reports whether the disk read-cost passes served the index
-	// from a memory mapping (zero-copy views) rather than pread. Additive.
-	MmapActive bool `json:"mmap_active,omitempty"`
-
-	// ClusterP50MS is the warm p50 latency of the same workload replayed
-	// through a 2-shard router over the binary streaming transport, and
-	// ClusterVsSingleRatio divides it by the single-node warm p50 (the ISSUE-8
-	// target is <= 2.0). Additive fields of the cluster pass (ppvbench -serve
-	// only); older reports omit them.
-	ClusterP50MS         float64 `json:"cluster_p50_ms,omitempty"`
-	ClusterVsSingleRatio float64 `json:"cluster_vs_single_ratio,omitempty"`
-	// ClusterTransport names the shard transport the cluster pass used
-	// ("binary" or "json").
-	ClusterTransport string `json:"cluster_transport,omitempty"`
-	// SpeculationHitRate is consumed pre-sent iterations / pre-sent iterations
-	// across the cluster pass (1.0 when no query stops early).
-	SpeculationHitRate float64 `json:"speculation_hit_rate,omitempty"`
-	// WireBytesPerQuery is the mean bytes on the shard wire (both directions)
-	// per routed query in the cluster pass.
-	WireBytesPerQuery float64 `json:"wire_bytes_per_query,omitempty"`
-
-	// WarmSource names what chose the hubs of the startup warming pass:
-	// "querylog" (replayed persistent query log) or "heuristic" (hottest hubs
-	// by out-degree). Additive field of the warming pass (ppvbench -serve
-	// only); older reports omit it.
-	WarmSource string `json:"warm_source,omitempty"`
-	// WarmHitRate is the block-cache hit rate of the measured workload served
-	// right after warming (result cache disabled, so every request exercises
-	// the block cache). Additive.
-	WarmHitRate float64 `json:"warm_hit_rate,omitempty"`
-
 	// SlowQueries counts requests over the client-side slow threshold
 	// (ppvload -slow-ms) and WorstTraceID is the server-retained trace id of
 	// the slowest of them (from the X-Fastppv-Trace response header), ready
-	// for GET /v1/debug/trace/{id}. Additive; ppvload only.
+	// for GET /v1/debug/trace/{id}.
 	SlowQueries  int    `json:"slow_queries,omitempty"`
 	WorstTraceID string `json:"worst_trace_id,omitempty"`
 }

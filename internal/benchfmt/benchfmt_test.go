@@ -39,7 +39,7 @@ func TestWriteFileRoundtrip(t *testing.T) {
 		Mode:       "router",
 		QPS:        123.5,
 		LatencyMS:  Percentiles{P50: 1, P99: 9, Max: 11, N: 100},
-		WarmReadNS: 250,
+		ErrorBound: Percentiles{P50: 0.25, N: 100},
 	}
 	if err := WriteFile(path, in); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestWriteFileRoundtrip(t *testing.T) {
 	if out.Schema != Schema {
 		t.Fatalf("schema not stamped: %q", out.Schema)
 	}
-	if out.QPS != in.QPS || out.LatencyMS != in.LatencyMS || out.WarmReadNS != in.WarmReadNS {
+	if out.QPS != in.QPS || out.LatencyMS != in.LatencyMS || out.ErrorBound != in.ErrorBound {
 		t.Fatalf("roundtrip mismatch: %+v", out)
 	}
 }

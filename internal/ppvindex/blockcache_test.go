@@ -2,7 +2,6 @@ package ppvindex
 
 import (
 	"errors"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,35 +11,55 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// countingIndex wraps an Index and counts Gets, with an optional gate that
-// holds loads open so tests can pile up concurrent requests.
+// countingIndex wraps a DiskIndex and counts GetViews — the only inner read
+// a BlockCache performs — with an optional gate that holds loads open so
+// tests can pile up concurrent requests. The record is read before the gate,
+// so a gated load returns what was on disk when it started. rewrite swaps in
+// a new index file, which is what an update plus compaction does to the
+// reader under a live cache.
 type countingIndex struct {
-	Index
-	gets atomic.Int64
-	gate chan struct{} // when non-nil, Get blocks until it is closed
+	cur   atomic.Pointer[DiskIndex]
+	views atomic.Int64
+	gate  chan struct{} // when non-nil, GetView blocks until it is closed
 }
 
-func (c *countingIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	c.gets.Add(1)
+func (c *countingIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
+	c.views.Add(1)
+	view, ok, err := c.cur.Load().GetView(h)
 	if c.gate != nil {
 		<-c.gate
 	}
-	return c.Index.Get(h)
+	return view, ok, err
 }
 
-func memIndexWith(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *MemIndex {
+func (c *countingIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
+	return c.cur.Load().Get(h)
+}
+func (c *countingIndex) Has(h graph.NodeID) bool { return c.cur.Load().Has(h) }
+func (c *countingIndex) Hubs() []graph.NodeID    { return c.cur.Load().Hubs() }
+func (c *countingIndex) Len() int                { return c.cur.Load().Len() }
+func (c *countingIndex) SizeBytes() int64        { return c.cur.Load().SizeBytes() }
+
+// rewrite publishes a freshly written pread index holding vectors.
+func (c *countingIndex) rewrite(t *testing.T, vectors map[graph.NodeID]sparse.Vector) {
 	t.Helper()
-	idx := NewMemIndex()
-	for h, v := range vectors {
-		if err := idx.Put(h, v); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
+	idx, err := OpenDisk(writeIndexFile(t, vectors))
+	if err != nil {
+		t.Fatalf("OpenDisk: %v", err)
 	}
-	return idx
+	t.Cleanup(func() { idx.Close() })
+	c.cur.Store(idx)
+}
+
+func countingDiskIndex(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *countingIndex {
+	t.Helper()
+	c := &countingIndex{}
+	c.rewrite(t, vectors)
+	return c
 }
 
 func TestBlockCacheHitsAvoidInnerReads(t *testing.T) {
-	inner := &countingIndex{Index: memIndexWith(t, sampleVectors())}
+	inner := countingDiskIndex(t, sampleVectors())
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	for i := 0; i < 5; i++ {
@@ -52,7 +71,7 @@ func TestBlockCacheHitsAvoidInnerReads(t *testing.T) {
 			t.Fatalf("Get(3)[2] = %v, want 0.25", v.Get(2))
 		}
 	}
-	if got := inner.gets.Load(); got != 1 {
+	if got := inner.views.Load(); got != 1 {
 		t.Errorf("inner reads = %d, want 1 (first miss only)", got)
 	}
 	st := bc.Stats()
@@ -70,6 +89,21 @@ func TestBlockCacheHitsAvoidInnerReads(t *testing.T) {
 	if bc.Stats().Entries != 1 {
 		t.Errorf("missing hub must not be cached")
 	}
+
+	// View hits alias the retained payload: no inner read, no allocation.
+	allocs := testing.AllocsPerRun(100, func() {
+		view, ok, err := bc.GetView(3)
+		if err != nil || !ok || view.Len() != 3 {
+			t.Fatalf("GetView(3) hit: len=%d ok=%v err=%v", view.Len(), ok, err)
+		}
+		view.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("GetView hit allocates %v times, want 0", allocs)
+	}
+	if got := inner.views.Load(); got != 1 {
+		t.Errorf("inner reads after view hits = %d, want 1", got)
+	}
 }
 
 func TestBlockCacheBudgetEviction(t *testing.T) {
@@ -77,10 +111,17 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 	for h := graph.NodeID(0); h < 8; h++ {
 		vectors[h] = sparse.Vector{h: 0.5, h + 100: 0.25}
 	}
-	inner := &countingIndex{Index: memIndexWith(t, vectors)}
-	// One shard so LRU order is global; budget fits ~3 two-entry blocks
-	// (128 fixed + 2*48 = 224 bytes each).
-	bc := NewBlockCache(inner, 700, 1)
+	// A block larger than the whole budget, read last.
+	huge := sparse.New(64)
+	for i := 0; i < 64; i++ {
+		huge[graph.NodeID(1000+i)] = 0.001
+	}
+	vectors[200] = huge
+	inner := countingDiskIndex(t, vectors)
+	// One shard so LRU order is global; the budget fits 3 two-entry blocks
+	// (128 fixed + 2*12 = 152 bytes each) and not a fourth.
+	const budget = 500
+	bc := NewBlockCache(inner, budget, 1)
 
 	for h := graph.NodeID(0); h < 8; h++ {
 		if _, ok, err := bc.Get(h); !ok || err != nil {
@@ -88,47 +129,43 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 		}
 	}
 	st := bc.Stats()
-	if st.Bytes > 700 {
-		t.Errorf("cache holds %d bytes, budget 700", st.Bytes)
+	if st.Bytes > budget {
+		t.Errorf("cache holds %d bytes, budget %d", st.Bytes, budget)
 	}
-	if st.Evictions == 0 {
-		t.Error("expected evictions after exceeding the budget")
-	}
-	if st.Entries >= 8 {
-		t.Errorf("entries = %d, want fewer than the 8 inserted", st.Entries)
+	if st.Evictions != 5 || st.Entries != 3 {
+		t.Errorf("evictions = %d entries = %d, want 5 and 3 (8 blocks of 152 bytes under %d)", st.Evictions, st.Entries, budget)
 	}
 
 	// The most recently used hub must still be cached; re-reading it must not
 	// touch the inner index again.
-	before := inner.gets.Load()
+	before := inner.views.Load()
 	if _, ok, _ := bc.Get(7); !ok {
 		t.Fatal("Get(7) after fill")
 	}
-	if inner.gets.Load() != before {
+	if inner.views.Load() != before {
 		t.Error("most recently used block should still be cached")
 	}
+	// The least recently used one was evicted and costs an inner read.
+	if _, ok, _ := bc.Get(0); !ok {
+		t.Fatal("Get(0) after fill")
+	}
+	if inner.views.Load() != before+1 {
+		t.Error("least recently used block should have been evicted")
+	}
 
-	// A block larger than the whole budget is served but not retained.
-	huge := sparse.New(64)
-	for i := 0; i < 64; i++ {
-		huge[graph.NodeID(1000+i)] = 0.001
+	// The oversized block (128 + 64*12 = 896 bytes) is served, not retained.
+	v, ok, err := bc.Get(200)
+	if !ok || err != nil || v.NonZeros() != 64 {
+		t.Fatalf("Get(200) = %d entries, %v, %v", v.NonZeros(), ok, err)
 	}
-	if err := inner.Index.(*MemIndex).Put(200, huge); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := bc.Get(200); !ok || err != nil {
-		t.Fatalf("Get(200) = %v, %v", ok, err)
-	}
-	if st := bc.Stats(); st.Bytes > 700 {
-		t.Errorf("oversized block retained: %d bytes held", st.Bytes)
+	if st := bc.Stats(); st.Bytes > budget || st.Entries != 3 {
+		t.Errorf("oversized block retained: %d bytes in %d entries", st.Bytes, st.Entries)
 	}
 }
 
 func TestBlockCacheSingleflight(t *testing.T) {
-	inner := &countingIndex{
-		Index: memIndexWith(t, sampleVectors()),
-		gate:  make(chan struct{}),
-	}
+	inner := countingDiskIndex(t, sampleVectors())
+	inner.gate = make(chan struct{})
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	const callers = 16
@@ -148,13 +185,13 @@ func TestBlockCacheSingleflight(t *testing.T) {
 	// Wait until the one permitted load is in flight and every other caller
 	// has joined it (released any earlier, late starters find the block
 	// cached and count as hits), then release it.
-	for inner.gets.Load() == 0 || bc.Stats().Coalesced < callers-1 {
+	for inner.views.Load() == 0 || bc.Stats().Coalesced < callers-1 {
 		runtime.Gosched()
 	}
 	close(inner.gate)
 	wg.Wait()
 
-	if got := inner.gets.Load(); got != 1 {
+	if got := inner.views.Load(); got != 1 {
 		t.Errorf("inner reads = %d, want 1 (singleflight)", got)
 	}
 	st := bc.Stats()
@@ -169,8 +206,7 @@ func TestBlockCacheSingleflight(t *testing.T) {
 }
 
 func TestBlockCacheInvalidate(t *testing.T) {
-	mem := memIndexWith(t, sampleVectors())
-	inner := &countingIndex{Index: mem}
+	inner := countingDiskIndex(t, sampleVectors())
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	for h := range sampleVectors() {
@@ -181,9 +217,9 @@ func TestBlockCacheInvalidate(t *testing.T) {
 
 	// Simulate ApplyUpdate: hub 3's prime PPV is recomputed, its block must
 	// be dropped so the next Get sees the new record.
-	if err := mem.Put(3, sparse.Vector{5: 0.9}); err != nil {
-		t.Fatal(err)
-	}
+	updated := sampleVectors()
+	updated[3] = sparse.Vector{5: 0.9}
+	inner.rewrite(t, updated)
 	if dropped := bc.Invalidate([]graph.NodeID{3, 12345}); dropped != 1 {
 		t.Errorf("Invalidate dropped %d blocks, want 1", dropped)
 	}
@@ -195,11 +231,11 @@ func TestBlockCacheInvalidate(t *testing.T) {
 		t.Errorf("Get(3) returned the stale block: %v", v)
 	}
 	// Untouched hubs stay cached.
-	before := inner.gets.Load()
+	before := inner.views.Load()
 	if _, ok, _ := bc.Get(7); !ok {
 		t.Fatal("Get(7)")
 	}
-	if inner.gets.Load() != before {
+	if inner.views.Load() != before {
 		t.Error("invalidation of hub 3 must not evict hub 7")
 	}
 	if st := bc.Stats(); st.Invalidations != 1 {
@@ -208,8 +244,9 @@ func TestBlockCacheInvalidate(t *testing.T) {
 }
 
 func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
-	mem := memIndexWith(t, sampleVectors())
-	inner := &countingIndex{Index: mem, gate: make(chan struct{})}
+	inner := countingDiskIndex(t, sampleVectors())
+	gate := make(chan struct{})
+	inner.gate = gate
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	done := make(chan sparse.Vector, 1)
@@ -217,18 +254,21 @@ func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
 		v, _, _ := bc.Get(7)
 		done <- v
 	}()
-	for inner.gets.Load() == 0 {
+	for inner.views.Load() == 0 {
+		runtime.Gosched()
 	}
 	// The load of the old record is in flight; the update lands now.
-	if err := mem.Put(7, sparse.Vector{8: 0.7}); err != nil {
-		t.Fatal(err)
-	}
+	updated := sampleVectors()
+	updated[7] = sparse.Vector{8: 0.7}
+	inner.rewrite(t, updated)
 	bc.Invalidate([]graph.NodeID{7})
-	close(inner.gate)
-	<-done
+	close(gate)
+	if v := <-done; v.Get(8) == 0.7 {
+		t.Fatalf("the raced load should have read the old record, got %v", v)
+	}
 
-	// Whatever the raced load returned, the cache must not serve the
-	// pre-invalidation block afterwards.
+	// The raced load returned the pre-update record; the cache must not
+	// serve it afterwards.
 	v, ok, err := bc.Get(7)
 	if !ok || err != nil {
 		t.Fatalf("Get(7) = %v, %v", ok, err)
@@ -239,20 +279,7 @@ func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
 }
 
 func TestBlockCacheOverDiskIndex(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "index.ppv")
-	w, err := CreateDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h, v := range sampleVectors() {
-		if err := w.Put(h, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := OpenDisk(path)
+	idx, err := OpenDisk(writeSampleIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,20 +318,27 @@ func TestBlockCachePropagatesErrors(t *testing.T) {
 	if _, _, err := bc.Get(1); !errors.Is(err, errBoom) {
 		t.Fatalf("retry err = %v, want errBoom", err)
 	}
-	if inner.gets != 2 {
-		t.Errorf("inner gets = %d, want 2 (errors are not cached)", inner.gets)
+	if _, _, err := bc.GetView(1); !errors.Is(err, errBoom) {
+		t.Fatalf("GetView err = %v, want errBoom", err)
+	}
+	if inner.views != 3 {
+		t.Errorf("inner reads = %d, want 3 (errors are not cached)", inner.views)
+	}
+	if st := bc.Stats(); st.Entries != 0 {
+		t.Errorf("a failed load left %d entries", st.Entries)
 	}
 }
 
 var errBoom = errors.New("boom")
 
-type erroringIndex struct{ gets int }
+type erroringIndex struct{ views int }
 
-func (e *erroringIndex) Get(graph.NodeID) (sparse.Vector, bool, error) {
-	e.gets++
-	return nil, false, errBoom
+func (e *erroringIndex) GetView(graph.NodeID) (HubRecordView, bool, error) {
+	e.views++
+	return HubRecordView{}, false, errBoom
 }
-func (e *erroringIndex) Has(graph.NodeID) bool { return true }
-func (e *erroringIndex) Hubs() []graph.NodeID  { return nil }
-func (e *erroringIndex) Len() int              { return 0 }
-func (e *erroringIndex) SizeBytes() int64      { return 0 }
+func (e *erroringIndex) Get(graph.NodeID) (sparse.Vector, bool, error) { return nil, false, errBoom }
+func (e *erroringIndex) Has(graph.NodeID) bool                         { return true }
+func (e *erroringIndex) Hubs() []graph.NodeID                          { return nil }
+func (e *erroringIndex) Len() int                                      { return 0 }
+func (e *erroringIndex) SizeBytes() int64                              { return 0 }

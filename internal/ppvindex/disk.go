@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -388,15 +387,6 @@ func (d *DiskIndex) pin() bool {
 
 func (d *DiskIndex) unpin() { d.inflight.Add(-1) }
 
-// readBuf holds the per-read scratch buffers of the pread path, pooled so the
-// non-mmap fallback does not allocate a header and payload buffer per record.
-type readBuf struct {
-	header  [8]byte
-	payload []byte
-}
-
-var readBufPool = sync.Pool{New: func() any { return new(readBuf) }}
-
 // recordBounds validates the directory offset's record header for hub h and
 // returns the payload offset and length. checkedHeader is the 8-byte header
 // already read from offset off.
@@ -419,9 +409,10 @@ func (d *DiskIndex) recordBounds(h graph.NodeID, off uint64, header []byte) (int
 // the view aliases the mapping and pins this index generation until Release;
 // in pread mode the entries are read into a freshly owned buffer (callers
 // that want pooling across reads should layer a BlockCache on top, which
-// retains these buffers). Bounds and hub-id checks mirror Get, so a corrupt
-// or truncated record surfaces as ErrBadIndexFormat rather than an
-// out-of-bounds view.
+// retains these buffers). A record that does not fit inside the file's
+// record region — a truncated file, or a corrupt count that would drive a
+// huge allocation — fails with ErrBadIndexFormat rather than yielding an
+// out-of-bounds or zero-filled view.
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	off, ok := d.directory[h]
 	if !ok {
@@ -441,20 +432,21 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return NewHubRecordView(h, d.data[payloadOff:payloadOff+int64(payloadLen)], d.release), true, nil
 	}
 	defer d.unpin()
-	rb := readBufPool.Get().(*readBuf)
-	defer readBufPool.Put(rb)
-	if _, err := d.f.ReadAt(rb.header[:], int64(off)); err != nil {
+	var header [8]byte
+	if _, err := d.f.ReadAt(header[:], int64(off)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return HubRecordView{}, false, fmt.Errorf("%w: truncated record header of hub %d at offset %d", ErrBadIndexFormat, h, off)
 		}
 		return HubRecordView{}, false, err
 	}
-	payloadOff, payloadLen, err := d.recordBounds(h, off, rb.header[:])
+	payloadOff, payloadLen, err := d.recordBounds(h, off, header[:])
 	if err != nil {
 		return HubRecordView{}, false, err
 	}
 	buf := make([]byte, payloadLen)
 	if _, err := d.f.ReadAt(buf, payloadOff); err != nil {
+		// ReadAt returns a non-nil error on every short read; after the
+		// bounds check above, any EOF here means the file shrank under us.
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return HubRecordView{}, false, fmt.Errorf("%w: truncated record of hub %d at offset %d", ErrBadIndexFormat, h, off)
 		}
@@ -464,66 +456,18 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	return NewHubRecordView(h, buf, nil), true, nil
 }
 
-// Get reads the prime PPV of h from disk. A record that does not fit inside
-// the file's record region — a truncated file, or a corrupt count that would
-// drive a huge allocation — fails with ErrBadIndexFormat instead of decoding
-// zero-filled bytes into a silently wrong vector.
+// Get reads the prime PPV of h from disk and decodes it into a map Vector:
+// GetView plus the boundary conversion, so every bounds, hub-id and
+// truncation check lives in one place and a corrupt record fails with
+// ErrBadIndexFormat here too. The decode copies everything out before the
+// view's pin is returned.
 func (d *DiskIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	off, ok := d.directory[h]
-	if !ok {
-		return nil, false, nil
+	view, ok, err := d.GetView(h)
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	if !d.pin() {
-		return nil, false, ErrIndexClosed
-	}
-	defer d.unpin()
-	if d.data != nil {
-		payloadOff, payloadLen, err := d.recordBounds(h, off, d.data[off:off+8])
-		if err != nil {
-			return nil, false, err
-		}
-		d.reads.Add(1)
-		return decodeEntries(d.data[payloadOff : payloadOff+int64(payloadLen)]), true, nil
-	}
-	rb := readBufPool.Get().(*readBuf)
-	defer readBufPool.Put(rb)
-	if _, err := d.f.ReadAt(rb.header[:], int64(off)); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, fmt.Errorf("%w: truncated record header of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
-		return nil, false, err
-	}
-	payloadOff, payloadLen, err := d.recordBounds(h, off, rb.header[:])
-	if err != nil {
-		return nil, false, err
-	}
-	if cap(rb.payload) < payloadLen {
-		rb.payload = make([]byte, payloadLen)
-	}
-	buf := rb.payload[:payloadLen]
-	if _, err := d.f.ReadAt(buf, payloadOff); err != nil {
-		// ReadAt returns a non-nil error on every short read; after the
-		// bounds check above, any EOF here means the file shrank under us.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, fmt.Errorf("%w: truncated record of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
-		return nil, false, err
-	}
-	d.reads.Add(1)
-	return decodeEntries(buf), true, nil
-}
-
-// decodeEntries materializes a flat encoded entry payload as a map Vector.
-// The input is fully copied out, so pooled and mapped buffers never escape.
-func decodeEntries(buf []byte) sparse.Vector {
-	count := len(buf) / entryBytes
-	v := sparse.New(count)
-	for i := 0; i < count; i++ {
-		node := graph.NodeID(binary.LittleEndian.Uint32(buf[i*entryBytes:]))
-		score := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*entryBytes+4:]))
-		v[node] = score
-	}
-	return v
+	defer view.Release()
+	return view.Vector(), true, nil
 }
 
 // Has reports whether h is indexed.

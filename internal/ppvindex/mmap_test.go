@@ -9,18 +9,25 @@ import (
 	"testing"
 
 	"fastppv/internal/graph"
+	"fastppv/internal/sparse"
 )
 
 // writeSampleIndex builds an index file with the sample vectors and returns
 // its path.
 func writeSampleIndex(t *testing.T) string {
 	t.Helper()
+	return writeIndexFile(t, sampleVectors())
+}
+
+// writeIndexFile builds an index file holding vectors and returns its path.
+func writeIndexFile(t *testing.T, vectors map[graph.NodeID]sparse.Vector) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.ppv")
 	w, err := CreateDisk(path)
 	if err != nil {
 		t.Fatalf("CreateDisk: %v", err)
 	}
-	for h, v := range sampleVectors() {
+	for h, v := range vectors {
 		if err := w.Put(h, v); err != nil {
 			t.Fatalf("Put: %v", err)
 		}

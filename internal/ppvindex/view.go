@@ -74,3 +74,10 @@ func (v HubRecordView) Release() {
 type ViewGetter interface {
 	GetView(h graph.NodeID) (HubRecordView, bool, error)
 }
+
+// ViewIndex is an Index that also serves its records as views. BlockCache
+// requires it of its inner index: the cache retains flat payloads only.
+type ViewIndex interface {
+	Index
+	ViewGetter
+}

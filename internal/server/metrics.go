@@ -68,7 +68,7 @@ func newServerMetrics(reg *telemetry.Registry, latencyBuckets []float64) *server
 }
 
 // observeQuery records the end-of-computation metrics shared by the engine
-// and router paths of compute/computeTraced.
+// and router paths of compute.
 func (m *serverMetrics) observeQuery(iterations int, bound float64, hubsExpanded, hubsSkipped int, degraded bool) {
 	m.queriesComputed.Inc()
 	if degraded {
@@ -108,11 +108,9 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 			e.Gauge("fastppv_cache_bytes", "Result-cache bytes resident.", float64(cs.Bytes))
 			e.Gauge("fastppv_cache_budget_bytes", "Result-cache byte budget.", float64(cs.BudgetBytes))
 		}
-		if s.traces != nil {
-			e.Counter("fastppv_traces_retained_total",
-				"Traces retained by the always-on capturer (slow, degraded, sampled or explicit).",
-				float64(s.traces.captured()))
-		}
+		e.Counter("fastppv_traces_retained_total",
+			"Traces retained by the always-on capturer (slow, degraded, sampled or explicit).",
+			float64(s.traces.captured()))
 		if s.qlog != nil {
 			qst := s.qlog.Stats()
 			e.Counter("fastppv_querylog_records_total",

@@ -18,7 +18,6 @@ import (
 
 	"fastppv/internal/api"
 	"fastppv/internal/cluster"
-	"fastppv/internal/graph"
 	"fastppv/internal/querylog"
 )
 
@@ -98,62 +97,44 @@ func (r *traceRing) find(id string) *RetainedTrace {
 }
 
 // captureCompute decides, at the end of one computation, whether its trace is
-// retained: unconditionally when the computation exceeded the slow threshold
-// or ended degraded, and on the sampling cadence otherwise (every
-// TraceSampleEvery-th computation). spans is only invoked when the trace is
-// actually kept, so the hot path pays one atomic increment and two compares.
-// It returns the minted trace id ("" when not retained) and the slow verdict.
-func (s *Server) captureCompute(mode string, node graph.NodeID, eta int, dur time.Duration, bound float64, degraded bool, spans func() []TraceSpan) (traceID string, slow bool) {
-	if s.traces == nil {
-		return "", false
+// retained: unconditionally when the computation exceeded the slow threshold,
+// ended degraded or was explicitly traced (explicitID, the caller's trace id,
+// is then the retained id), and on the sampling cadence otherwise (every
+// TraceSampleEvery-th untraced computation). spans is only invoked when the
+// trace is actually kept, so the hot path pays one atomic increment and two
+// compares. It records the verdict on ans (traceID, slow) and returns the
+// retained trace, nil when none was kept.
+func (s *Server) captureCompute(mode string, eta int, ans *cachedAnswer, explicitID string, spans func() []TraceSpan) *RetainedTrace {
+	dur := ans.result.Duration
+	explicit := explicitID != ""
+	ans.slow = s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold
+	if ans.slow {
+		s.metrics.slowQueries.Inc()
 	}
-	slow = s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold
-	sampled := s.cfg.TraceSampleEvery > 0 && s.sampleCtr.Add(1)%uint64(s.cfg.TraceSampleEvery) == 0
-	if !slow && !degraded && !sampled {
-		return "", slow
+	sampled := !explicit && s.cfg.TraceSampleEvery > 0 && s.sampleCtr.Add(1)%uint64(s.cfg.TraceSampleEvery) == 0
+	if !ans.slow && !ans.degraded && !sampled && !explicit {
+		return nil
+	}
+	ans.traceID = explicitID
+	if !explicit {
+		ans.traceID = newTraceID()
 	}
 	t := &RetainedTrace{
-		TraceID:      newTraceID(),
+		TraceID:      ans.traceID,
 		Time:         time.Now(),
-		Node:         int(node),
+		Node:         int(ans.result.Query),
 		Eta:          eta,
 		Mode:         mode,
 		DurationMS:   float64(dur) / 1e6,
-		Slow:         slow,
-		Degraded:     degraded,
-		Sampled:      sampled && !slow && !degraded,
-		L1ErrorBound: bound,
+		Slow:         ans.slow,
+		Degraded:     ans.degraded,
+		Sampled:      sampled && !ans.slow && !ans.degraded,
+		Explicit:     explicit,
+		L1ErrorBound: ans.result.L1ErrorBound,
 		Iterations:   spans(),
 	}
 	s.traces.add(t)
-	if slow {
-		s.metrics.slowQueries.Inc()
-	}
-	return t.TraceID, slow
-}
-
-// retainExplicit keeps a ?trace=1 trace in the ring so explicitly traced
-// queries show up on the debug surface alongside captured ones.
-func (s *Server) retainExplicit(req queryRequest, ans *cachedAnswer, tb *TraceBlock) {
-	if s.traces == nil {
-		return
-	}
-	slow := s.cfg.SlowThreshold > 0 && ans.result.Duration >= s.cfg.SlowThreshold
-	s.traces.add(&RetainedTrace{
-		TraceID:      tb.TraceID,
-		Time:         time.Now(),
-		Node:         int(req.node),
-		Eta:          req.eta,
-		Mode:         tb.Mode,
-		DurationMS:   tb.DurationMS,
-		Slow:         slow,
-		Degraded:     ans.degraded,
-		Explicit:     true,
-		L1ErrorBound: ans.result.L1ErrorBound,
-		Iterations:   tb.Iterations,
-	})
-	ans.traceID = tb.TraceID
-	ans.slow = slow
+	return t
 }
 
 // legSummaries folds router-mode iteration spans into one per-shard summary

@@ -170,6 +170,32 @@ func TestSlowQueryCapturedWithoutTraceParam(t *testing.T) {
 	}
 }
 
+// TestSlowTracedQueryCounted: an explicitly traced query over the slow
+// threshold is a slow computation like any other — it bumps
+// fastppv_slow_queries_total, not only the Slow flag of its retained trace.
+func TestSlowTracedQueryCounted(t *testing.T) {
+	srv, err := New(testEngine(t, socialGraph(t, 300), 30), Config{SlowThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if got := srv.metrics.slowQueries.Value(); got != 0 {
+		t.Fatalf("slow counter starts at %v", got)
+	}
+	status, hdr, _ := get(t, ts, "/v1/ppv?node=7&eta=3&trace=1")
+	if status != http.StatusOK {
+		t.Fatalf("traced ppv: %d", status)
+	}
+	if got := srv.metrics.slowQueries.Value(); got != 1 {
+		t.Errorf("slow counter after one slow traced query = %v, want 1", got)
+	}
+	if tr := srv.traces.find(hdr.Get(api.TraceHeader)); tr == nil || !tr.Slow || !tr.Explicit {
+		t.Errorf("retained trace = %+v, want slow and explicit", tr)
+	}
+}
+
 // TestSampledCaptureCadence checks the every-Nth sampling path retains fast,
 // healthy queries too, marked Sampled rather than Slow.
 func TestSampledCaptureCadence(t *testing.T) {

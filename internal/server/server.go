@@ -605,7 +605,8 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 		}
 	}
 	ans, shared, err := s.flights.Do(key, func(unregister func()) (*cachedAnswer, error) {
-		return s.compute(key, unregister)
+		ans, _, err := s.compute(key, unregister, "")
+		return ans, err
 	})
 	if err != nil {
 		return nil, cacheMiss, err
@@ -626,10 +627,20 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 // request is shed with 503. In engine mode the flight is unregistered while
 // the engine read lock is still held, so a request arriving after a graph
 // update can never join a pre-update computation.
-func (s *Server) compute(key CacheKey, unregister func()) (*cachedAnswer, error) {
+//
+// A non-empty explicitID makes this an explicit (?trace=1) computation: the
+// id travels to every shard leg, the trace is retained under it whatever the
+// outcome and returned, and the answer is not cached — its caller has
+// bypassed the cache and the flight group, so unregister is a no-op. The
+// returned trace is nil when the always-on capturer did not retain one.
+func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*cachedAnswer, *RetainedTrace, error) {
+	explicit := explicitID != ""
+	if explicit {
+		s.metrics.tracedQueries.Inc()
+	}
 	level := s.adm.acquire()
 	if level == svcShed {
-		return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
+		return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
 			msg: "overloaded: admission and degradation pools are full"}
 	}
 	defer s.adm.release(level)
@@ -642,7 +653,7 @@ func (s *Server) compute(key CacheKey, unregister func()) (*cachedAnswer, error)
 	stop := core.StopCondition{MaxIterations: eta, TargetL1Error: key.TargetError}
 
 	if s.router != nil {
-		cres, err := s.router.Query(key.Node, stop)
+		cres, err := s.router.QueryTrace(key.Node, stop, explicitID)
 		if err != nil {
 			// A shard answering bad_request (e.g. an out-of-range node the
 			// router could not pre-validate before graph-size discovery) is a
@@ -650,9 +661,9 @@ func (s *Server) compute(key CacheKey, unregister func()) (*cachedAnswer, error)
 			// could answer.
 			var aerr *api.Error
 			if errors.As(err, &aerr) && aerr.Code == api.CodeBadRequest {
-				return nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
+				return nil, nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
 			}
-			return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
+			return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
 		}
 		ans := &cachedAnswer{
 			result: &core.Result{
@@ -670,27 +681,25 @@ func (s *Server) compute(key CacheKey, unregister func()) (*cachedAnswer, error)
 			legs:         legSummaries(cres.Spans),
 		}
 		s.metrics.observeQuery(cres.Iterations, cres.L1ErrorBound, cres.HubsExpanded, cres.HubsSkipped, ans.degraded)
-		// The router always collects per-iteration spans (Query is QueryTrace
-		// with an empty id), so retaining a slow/degraded/sampled trace here
-		// is free of extra computation.
-		ans.traceID, ans.slow = s.captureCompute("router", key.Node, eta, cres.Duration,
-			cres.L1ErrorBound, ans.degraded, func() []TraceSpan { return spansFromCluster(cres.Spans) })
+		// The router always collects per-iteration spans, so retaining a
+		// slow/degraded/sampled trace here is free of extra computation.
+		rt := s.captureCompute("router", eta, ans, explicitID, func() []TraceSpan { return spansFromCluster(cres.Spans) })
 		// Cluster-degraded answers carry a bound widened by lost shards; they
 		// must not outlive the outage in the cache. An answer evaluated at a
 		// newer epoch than the key's (an update raced this query) is left
 		// uncached too: no future lookup would use the outdated key.
-		if s.cache != nil && !ans.degraded && cres.Epoch == key.Epoch {
+		if s.cache != nil && !explicit && !ans.degraded && cres.Epoch == key.Epoch {
 			s.cache.Put(key, ans)
 		}
 		unregister()
-		return ans, nil
+		return ans, rt, nil
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	qs, err := s.engine.NewQuery(key.Node)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := qs.Run(stop)
 	deps := qs.HubDeps()
@@ -698,16 +707,20 @@ func (s *Server) compute(key CacheKey, unregister func()) (*cachedAnswer, error)
 	// a steady serving workload answers without per-query allocations.
 	qs.Close()
 	ans := &cachedAnswer{result: res, deps: deps, degraded: degraded, epoch: s.engine.Epoch()}
-	s.observeEngineResult(res, degraded)
+	expanded, skipped := 0, 0
+	for _, st := range res.PerIteration {
+		expanded += st.HubsExpanded
+		skipped += st.HubsSkipped
+	}
+	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped, degraded)
 	// The engine keeps per-iteration stats on every result, so span assembly
 	// only happens when the capturer decides to retain this computation.
-	ans.traceID, ans.slow = s.captureCompute("engine", key.Node, eta, res.Duration,
-		res.L1ErrorBound, degraded, func() []TraceSpan { return spansFromCore(res.PerIteration) })
-	if s.cache != nil && !degraded {
+	rt := s.captureCompute("engine", eta, ans, explicitID, func() []TraceSpan { return spansFromCore(res.PerIteration) })
+	if s.cache != nil && !explicit && !degraded {
 		s.cache.Put(key, ans)
 	}
 	unregister()
-	return ans, nil
+	return ans, rt, nil
 }
 
 // render builds the deterministic response body from an answer. Node labels
@@ -759,28 +772,32 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantTrace(r) {
+		// An explicit trace is the ordinary computation with a caller-chosen
+		// id and forced retention, outside the result cache and the flight
+		// group: the trace must describe the computation this request
+		// performed, and its volatile timing never enters a cacheable body.
 		traceID := r.Header.Get(api.TraceHeader)
 		if traceID == "" {
 			traceID = newTraceID()
 		}
-		ans, tb, err := s.computeTraced(req, traceID)
+		key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError}
+		ans, rt, err := s.compute(key, func() {}, traceID)
 		if err != nil {
 			s.finishQuery(req, nil, cacheBypass, start, true, err)
 			writeError(w, err)
 			return
 		}
-		s.retainExplicit(req, ans, tb)
 		w.Header().Set(api.TraceHeader, traceID)
 		w.Header().Set("X-Fastppv-Cache", string(cacheBypass))
 		w.Header().Set("X-Fastppv-Compute-Ms",
 			strconv.FormatFloat(float64(ans.result.Duration)/1e6, 'f', 3, 64))
 		resp := s.render(req, ans)
-		resp.Trace = tb
+		resp.Trace = &TraceBlock{TraceID: traceID, Mode: rt.Mode, DurationMS: rt.DurationMS, Iterations: rt.Iterations}
 		s.finishQuery(req, ans, cacheBypass, start, true, nil)
 		s.logger.Info("traced query",
 			"trace_id", traceID, "node", resp.Node, "iterations", resp.Iterations,
 			"l1_error_bound", resp.L1ErrorBound, "degraded", resp.Degraded,
-			"mode", tb.Mode, "duration_ms", tb.DurationMS)
+			"mode", rt.Mode, "duration_ms", rt.DurationMS)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}

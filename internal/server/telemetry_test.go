@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +186,54 @@ func TestTraceRoutedQuery(t *testing.T) {
 	if strings.Contains(string(body2), `"trace"`) {
 		t.Error("trace block leaked into a cached body")
 	}
+
+	checkTraceEquivalence(t, routerTS, "/v1/ppv?node=21&eta=3&top=5")
+}
+
+// checkTraceEquivalence asks path (not queried before on ts) with ?trace=1
+// and checks the one-builder guarantees: the response's spans are the spans
+// retained under its id, the traced answer equals the untraced one, and the
+// traced answer was not cached (the untraced follow-up is a miss).
+func checkTraceEquivalence(t *testing.T, ts *httptest.Server, path string) {
+	t.Helper()
+	st, hdr, body := get(t, ts, path+"&trace=1")
+	if st != http.StatusOK {
+		t.Fatalf("traced query = %d: %s", st, body)
+	}
+	var traced QueryResponse
+	if err := json.Unmarshal(body, &traced); err != nil {
+		t.Fatal(err)
+	}
+	if traced.Trace == nil || len(traced.Trace.Iterations) == 0 {
+		t.Fatalf("no trace block in %s", body)
+	}
+	id := hdr.Get(api.TraceHeader)
+	st, _, body = get(t, ts, "/v1/debug/trace/"+id)
+	if st != http.StatusOK {
+		t.Fatalf("debug/trace/%s = %d: %s", id, st, body)
+	}
+	var retained RetainedTrace
+	if err := json.Unmarshal(body, &retained); err != nil {
+		t.Fatal(err)
+	}
+	if !retained.Explicit || retained.Mode != traced.Trace.Mode || retained.DurationMS != traced.Trace.DurationMS {
+		t.Errorf("retained trace %+v does not describe the traced response %+v", retained, traced.Trace)
+	}
+	if !reflect.DeepEqual(retained.Iterations, traced.Trace.Iterations) {
+		t.Errorf("retained spans differ from the response's:\n%+v\n%+v", retained.Iterations, traced.Trace.Iterations)
+	}
+
+	_, hdr, body = get(t, ts, path)
+	if got := hdr.Get("X-Fastppv-Cache"); got != string(cacheMiss) {
+		t.Errorf("untraced follow-up = %q, want miss (a traced answer must not be cached)", got)
+	}
+	var plain QueryResponse
+	if err := json.Unmarshal(body, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Results, traced.Results) || plain.L1ErrorBound != traced.L1ErrorBound {
+		t.Errorf("traced and untraced answers diverge: %+v vs %+v", traced, plain)
+	}
 }
 
 // TestTraceIDPropagation verifies the client-supplied trace ID travels
@@ -328,6 +377,8 @@ func TestTraceEngineMode(t *testing.T) {
 		plainResp.L1ErrorBound != resp.L1ErrorBound {
 		t.Error("traced and untraced answers diverge")
 	}
+
+	checkTraceEquivalence(t, ts, "/v1/ppv?node=23&eta=3&top=5")
 }
 
 // TestInstrumentAllowlist verifies unknown endpoint names are refused at

@@ -1,24 +1,18 @@
-// trace.go implements per-query tracing: a request ID minted here (or taken
-// from an incoming X-Fastppv-Trace header), propagated to every shard leg by
-// the cluster router, and a per-iteration span report returned in the
-// response's "trace" block when the client asks with ?trace=1.
-//
-// Traced requests bypass the result cache and the flight group — a trace must
-// describe the computation this request performed, not one some earlier
-// request performed — and their answers are never cached, so the cacheable
-// response bodies stay a deterministic function of the query parameters.
+// trace.go holds the trace vocabulary: request IDs minted here (or taken from
+// an incoming X-Fastppv-Trace header and propagated to every shard leg by the
+// cluster router), the per-iteration span type, and the "trace" block a
+// ?trace=1 response carries. The spans themselves are built in one place,
+// Server.compute via captureCompute (observe.go); ?trace=1 only forces their
+// retention.
 package server
 
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
-	"fastppv/internal/api"
 	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 )
@@ -101,89 +95,4 @@ func spansFromCluster(spans []cluster.IterationSpan) []TraceSpan {
 		})
 	}
 	return out
-}
-
-// computeTraced computes one traced answer fresh, under the same admission
-// gate as compute but outside the cache and the flight group. The answer is
-// never cached (its body carries volatile timing data) and never shared with
-// concurrent identical requests.
-func (s *Server) computeTraced(req queryRequest, traceID string) (*cachedAnswer, *TraceBlock, error) {
-	s.metrics.tracedQueries.Inc()
-	level := s.adm.acquire()
-	if level == svcShed {
-		return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
-			msg: "overloaded: admission and degradation pools are full"}
-	}
-	defer s.adm.release(level)
-	eta := req.eta
-	degraded := false
-	if level == svcDegraded && s.cfg.DegradedEta < eta {
-		eta = s.cfg.DegradedEta
-		degraded = true
-	}
-	stop := core.StopCondition{MaxIterations: eta, TargetL1Error: req.targetError}
-
-	if s.router != nil {
-		cres, err := s.router.QueryTrace(req.node, stop, traceID)
-		if err != nil {
-			var aerr *api.Error
-			if errors.As(err, &aerr) && aerr.Code == api.CodeBadRequest {
-				return nil, nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
-			}
-			return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
-		}
-		ans := &cachedAnswer{
-			result: &core.Result{
-				Query:        cres.Query,
-				Estimate:     cres.Estimate,
-				Iterations:   cres.Iterations,
-				L1ErrorBound: cres.L1ErrorBound,
-				Duration:     cres.Duration,
-			},
-			degraded:     degraded || cres.Degraded,
-			shardsDown:   cres.ShardsDown,
-			shardsBehind: cres.ShardsBehind,
-			lostMass:     cres.LostFrontierMass,
-			epoch:        cres.Epoch,
-			legs:         legSummaries(cres.Spans),
-		}
-		s.metrics.observeQuery(cres.Iterations, cres.L1ErrorBound, cres.HubsExpanded, cres.HubsSkipped, ans.degraded)
-		tb := &TraceBlock{
-			TraceID:    traceID,
-			Mode:       "router",
-			DurationMS: float64(cres.Duration) / 1e6,
-			Iterations: spansFromCluster(cres.Spans),
-		}
-		return ans, tb, nil
-	}
-
-	start := time.Now()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	qs, err := s.engine.NewQuery(req.node)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := qs.Run(stop)
-	deps := qs.HubDeps()
-	qs.Close()
-	ans := &cachedAnswer{result: res, deps: deps, degraded: degraded, epoch: s.engine.Epoch()}
-	s.observeEngineResult(res, degraded)
-	tb := &TraceBlock{
-		TraceID:    traceID,
-		Mode:       "engine",
-		DurationMS: float64(time.Since(start)) / 1e6,
-		Iterations: spansFromCore(res.PerIteration),
-	}
-	return ans, tb, nil
-}
-
-// observeEngineResult records the query metrics of one local computation.
-func (s *Server) observeEngineResult(res *core.Result, degraded bool) {
-	expanded, skipped := 0, 0
-	for _, st := range res.PerIteration {
-		expanded += st.HubsExpanded
-		skipped += st.HubsSkipped
-	}
-	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped, degraded)
 }

@@ -54,7 +54,7 @@ const extensionEpsilon = 1e-15
 type Accumulator struct {
 	entries []Entry // invariant: sorted by ascending Node, no duplicates
 	scratch []Entry // merge destination, swapped with entries after each fold
-	tmp     []Entry // staging area for unsorted (map) inputs
+	tmp     []Entry // Combine folds the sorted staged entries into here
 	staged  []Entry // contributions staged by Stage* since the last Combine
 }
 
@@ -274,44 +274,6 @@ func (a *Accumulator) Combine() {
 			i++
 		} else {
 			out = append(out, e)
-		}
-	}
-	out = append(out, a.entries[i:]...)
-	a.entries, a.scratch = out, a.entries
-}
-
-// AccumulateVectorExtension is AccumulateEncodedExtension for a map-based
-// prime PPV: the fallback when a hub record is only available as a decoded
-// Vector (in-memory indexes, overlay records, recompute-on-miss). The input
-// is staged and sorted into an internal buffer before the merge.
-func (a *Accumulator) AccumulateVectorExtension(v Vector, scale float64, owner graph.NodeID, alpha float64) {
-	if len(v) == 0 {
-		return
-	}
-	a.tmp = a.tmp[:0]
-	//lint:ordered collect-then-sort: tmp is sorted by node id before merging
-	for id, s := range v {
-		if id == owner {
-			s -= alpha
-			if s <= extensionEpsilon {
-				continue
-			}
-		}
-		a.tmp = append(a.tmp, Entry{Node: id, Score: s})
-	}
-	sort.Slice(a.tmp, func(i, j int) bool { return a.tmp[i].Node < a.tmp[j].Node })
-	out := a.scratch[:0]
-	i := 0
-	for _, e := range a.tmp {
-		for i < len(a.entries) && a.entries[i].Node < e.Node {
-			out = append(out, a.entries[i])
-			i++
-		}
-		if i < len(a.entries) && a.entries[i].Node == e.Node {
-			out = append(out, Entry{Node: e.Node, Score: a.entries[i].Score + scale*e.Score})
-			i++
-		} else {
-			out = append(out, Entry{Node: e.Node, Score: scale * e.Score})
 		}
 	}
 	out = append(out, a.entries[i:]...)

@@ -75,7 +75,7 @@ func TestAccumulatorSetAndSum(t *testing.T) {
 
 // TestAccumulatorMatchesMapPath is the core equivalence check: a randomized
 // sequence of hub-extension folds must produce bit-identical scores via the
-// flat kernel (both encoded and map inputs) and via the legacy map-based
+// flat kernel (encoded inputs) and via the reference map-based
 // clone-then-AddScaled composition.
 func TestAccumulatorMatchesMapPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -84,8 +84,6 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 		ref := randomVector(rng, 200, 30)
 		accEnc := &Accumulator{}
 		accEnc.SetVector(ref)
-		accMap := &Accumulator{}
-		accMap.SetVector(ref)
 		mapRef := ref.Clone()
 
 		for step := 0; step < 8; step++ {
@@ -113,10 +111,9 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 			mapRef.AddScaled(ext, scale)
 
 			accEnc.AccumulateEncodedExtension(encodeVector(hubPPV), scale, owner, alpha)
-			accMap.AccumulateVectorExtension(hubPPV, scale, owner, alpha)
 		}
 
-		for _, acc := range []*Accumulator{accEnc, accMap} {
+		for _, acc := range []*Accumulator{accEnc} {
 			got := acc.ToVector()
 			for id, want := range mapRef {
 				if got.Get(id) != want {
@@ -185,7 +182,7 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 func TestAccumulatorResetReuse(t *testing.T) {
 	acc := &Accumulator{}
 	acc.SetVector(Vector{1: 1, 2: 2})
-	acc.AccumulateVectorExtension(Vector{3: 3}, 1, 99, 0.15)
+	acc.AccumulateEncodedExtension(encodeVector(Vector{3: 3}), 1, 99, 0.15)
 	acc.Reset()
 	if acc.Len() != 0 || acc.Sum() != 0 {
 		t.Fatalf("Reset left entries behind: len=%d sum=%v", acc.Len(), acc.Sum())
