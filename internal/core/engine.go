@@ -276,12 +276,9 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 	)
 	worker := func() {
 		defer wg.Done()
+		var scratch prime.Scratch // one per worker, reused for every hub it draws
 		for h := range jobs {
-			ppv, pstats, err := prime.ComputePPV(e.g, h, e.hubs, e.opts.primeOptions())
-			var clipped int
-			if err == nil && e.opts.Clip > 0 {
-				clipped = ppv.Clip(e.opts.Clip)
-			}
+			ppv, pstats, err := e.primeVector(e.g, &scratch, h, e.opts.Clip)
 			mu.Lock()
 			if err != nil {
 				if firstErr == nil {
@@ -292,7 +289,7 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 					firstErr = fmt.Errorf("core: indexing hub %d: %w", h, err)
 				}
 				stats.Pushes += int64(pstats.Pushes)
-				stats.ClippedEntries += int64(clipped)
+				stats.ClippedEntries += int64(pstats.Clipped)
 			}
 			mu.Unlock()
 		}
@@ -310,6 +307,18 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 		return stats, firstErr
 	}
 	return stats, nil
+}
+
+// primeVector pushes the prime PPV of hub h over g on scratch and copies the
+// entries that survive clip into a right-sized map, the form Index.Put and
+// StageVectorExtension take. The map owns its storage; the scratch is free
+// for the next push.
+func (e *Engine) primeVector(g prime.Adjacency, scratch *prime.Scratch, h graph.NodeID, clip float64) (sparse.Vector, prime.Stats, error) {
+	entries, stats, err := scratch.Push(g, h, e.hubs, e.opts.primeOptions(), clip)
+	if err != nil {
+		return nil, stats, err
+	}
+	return sparse.FromEntries(entries), stats, nil
 }
 
 // ExactPPV computes the exact PPV of q on the engine's graph with the

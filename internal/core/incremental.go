@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fastppv/internal/graph"
-	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
@@ -138,17 +137,16 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	}
 
 	// Stage every recomputation against the new graph before mutating any
-	// engine state, so a ComputePPV failure leaves the engine fully on the
-	// old graph and old index (the common failure; only an index write error
-	// during the commit below can still leave a partial update).
+	// engine state, so a failed push leaves the engine fully on the old graph
+	// and old index (the common failure; only an index write error during the
+	// commit below can still leave a partial update).
+	b := getQueryBufs()
+	defer putQueryBufs(b)
 	staged := make(map[graph.NodeID]sparse.Vector, len(affected))
 	for _, h := range affected {
-		ppv, _, err := prime.ComputePPV(newGraph, h, e.hubs, e.opts.primeOptions())
+		ppv, _, err := e.primeVector(newGraph, &b.scratch, h, e.opts.Clip)
 		if err != nil {
 			return stats, fmt.Errorf("core: recomputing prime PPV of hub %d: %w", h, err)
-		}
-		if e.opts.Clip > 0 {
-			ppv.Clip(e.opts.Clip)
 		}
 		staged[h] = ppv
 	}

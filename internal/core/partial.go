@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"fastppv/internal/graph"
-	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
@@ -126,7 +125,7 @@ func (e *Engine) PartialExpand(frontier map[graph.NodeID]float64) (*PartialIncre
 			return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
 		}
 		if !ok {
-			if hubPPV, _, err = prime.ComputePPV(e.g, h, e.hubs, e.opts.primeOptions()); err != nil {
+			if hubPPV, _, err = e.primeVector(e.g, &b.scratch, h, 0); err != nil {
 				out.HubsSkipped++
 				continue
 			}

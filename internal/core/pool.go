@@ -1,9 +1,11 @@
 // pool.go holds the pooled per-query working set of the online hot loop.
-// Every query needs two accumulators (running estimate + per-step increment)
-// and two frontier slices (current + next); recycling them via sync.Pool
-// means a steady-state serving workload runs the scheduled-approximation loop
-// without allocating per query. The pool hands out whole bundles, not
-// individual buffers, so a query can never mix generations.
+// Every query needs two accumulators (running estimate + per-step increment),
+// two frontier slices (current + next) and — when the query node is not a hub
+// — the dense scratch of the prime push; recycling them via sync.Pool means a
+// steady-state serving workload runs iteration 0 and the
+// scheduled-approximation loop without allocating per query. The pool hands
+// out whole bundles, not individual buffers, so a query can never mix
+// generations.
 package core
 
 import (
@@ -11,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"fastppv/internal/graph"
+	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
@@ -30,6 +33,10 @@ type queryBufs struct {
 	inc          sparse.Accumulator // per-step increment
 	frontier     []frontierEntry
 	nextFrontier []frontierEntry
+	// scratch serves every prime push made on behalf of this bundle's holder.
+	// It resets itself per push and grows to the largest graph it has seen,
+	// so a bundle is safe to hand between engines of different sizes.
+	scratch prime.Scratch
 }
 
 func (b *queryBufs) reset() {

@@ -148,7 +148,7 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 	)
 	// Iteration 0: the query node's prime PPV. Prefer the zero-copy view
 	// path; fall back to the map Get (which also covers overlay records) and
-	// finally to computing the prime PPV on the fly for non-hub queries.
+	// finally to pushing the prime PPV on the fly for non-hub queries.
 	if e.viewIndex != nil {
 		if view, ok, verr := e.viewIndex.GetView(q); verr == nil && ok {
 			b.acc.SetEncoded(view.EntryBytes())
@@ -163,12 +163,12 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 		} else if ok {
 			b.acc.SetVector(stored)
 		} else {
-			queryPPV, _, err := prime.ComputePPV(adj, q, e.hubs, e.opts.primeOptions())
+			queryPPV, _, err := b.scratch.Push(adj, q, e.hubs, e.opts.primeOptions(), 0)
 			if err != nil {
 				putQueryBufs(b)
 				return nil, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
 			}
-			b.acc.SetVector(queryPPV)
+			b.acc.SetEntries(queryPPV) // born sorted: a copy, no sort
 			computed = true
 		}
 	}
@@ -330,7 +330,7 @@ func (qs *QueryState) Step() IterationStat {
 			// A hub missing from the index (or an I/O error) is recovered by
 			// computing its prime PPV on the fly; this keeps queries usable
 			// with partially built indexes at the cost of extra work.
-			hubPPV, _, err = prime.ComputePPV(e.g, fe.hub, e.hubs, e.opts.primeOptions())
+			hubPPV, _, err = e.primeVector(e.g, &b.scratch, fe.hub, 0)
 			if err != nil {
 				stat.HubsSkipped++
 				continue

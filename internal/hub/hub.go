@@ -73,30 +73,42 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Set is a hub set with O(1) membership queries plus the selection order.
+// Membership is a bitset sized from the largest hub id: the prime push probes
+// it once per pop and the query loop once per estimate entry, so a probe is a
+// shift and a mask, not a hash.
 type Set struct {
-	members map[graph.NodeID]struct{}
+	bits    []uint64
 	ordered []graph.NodeID
 }
 
-// NewSet builds a Set from an ordered list of hubs.
+// NewSet builds a Set from an ordered list of hubs. Negative ids are kept in
+// the selection order but can never be members.
 func NewSet(hubs []graph.NodeID) *Set {
-	s := &Set{
-		members: make(map[graph.NodeID]struct{}, len(hubs)),
-		ordered: append([]graph.NodeID(nil), hubs...),
-	}
+	s := &Set{ordered: append([]graph.NodeID(nil), hubs...)}
+	maxID := graph.NodeID(-1)
 	for _, h := range hubs {
-		s.members[h] = struct{}{}
+		if h > maxID {
+			maxID = h
+		}
+	}
+	s.bits = make([]uint64, (int(maxID)+64)/64)
+	for _, h := range hubs {
+		if h >= 0 {
+			s.bits[h>>6] |= 1 << (uint(h) & 63)
+		}
 	}
 	return s
 }
 
-// Contains reports whether v is a hub.
+// Contains reports whether v is a hub. It is nil-safe and false for ids that
+// are negative or beyond the largest hub (shards and serving engines probe
+// ids that come off the wire or out of an index file).
 func (s *Set) Contains(v graph.NodeID) bool {
-	if s == nil {
+	if s == nil || v < 0 {
 		return false
 	}
-	_, ok := s.members[v]
-	return ok
+	w := int(v >> 6)
+	return w < len(s.bits) && s.bits[w]&(1<<(uint(v)&63)) != 0
 }
 
 // Size returns the number of hubs.

@@ -168,3 +168,41 @@ func TestSuggestHubCount(t *testing.T) {
 		t.Errorf("SuggestHubCount with huge budget = %d, want the minimum 4", got)
 	}
 }
+
+// TestContainsEdgeCases: ids that come off the wire or out of an index file
+// are probed before anyone validates them, so Contains must answer false —
+// not panic — for a nil set and for ids outside the bitset on either side.
+func TestContainsEdgeCases(t *testing.T) {
+	set := NewSet([]graph.NodeID{0, 63, 64, 200})
+	var nilSet *Set
+	cases := []struct {
+		name string
+		set  *Set
+		id   graph.NodeID
+		want bool
+	}{
+		{"nil set", nilSet, 0, false},
+		{"nil set, negative id", nilSet, -1, false},
+		{"empty set", NewSet(nil), 0, false},
+		{"negative id", set, -1, false},
+		{"most negative id", set, -1 << 31, false},
+		{"first bit", set, 0, true},
+		{"last bit of the first word", set, 63, true},
+		{"first bit of the second word", set, 64, true},
+		{"non-member between members", set, 65, false},
+		{"largest hub", set, 200, true},
+		{"one past the largest hub", set, 201, false},
+		{"same word as the largest hub, unset", set, 255, false},
+		{"first id beyond the bitset", set, 256, false},
+		{"far beyond the bitset", set, 1<<31 - 1, false},
+		{"negative hub is never a member", NewSet([]graph.NodeID{-5, 2}), -5, false},
+	}
+	for _, tc := range cases {
+		if got := tc.set.Contains(tc.id); got != tc.want {
+			t.Errorf("%s: Contains(%d) = %v, want %v", tc.name, tc.id, got, tc.want)
+		}
+	}
+	if s := NewSet([]graph.NodeID{-5, 2}); s.Size() != 2 || !s.Contains(2) {
+		t.Errorf("a negative id must not disturb the rest of the set: size %d, Contains(2) %v", s.Size(), s.Contains(2))
+	}
+}

@@ -7,13 +7,15 @@ import (
 
 // maporderPackages are the answer-affecting packages: everything that feeds
 // the byte-identical determinism contract (the query hot loop, the sparse
-// kernels, and the cluster fold paths). A `for range` over a map there
-// executes in a random order per run, so any order-sensitive work inside it
-// (floating-point accumulation, first-wins selection, append-without-sort)
-// silently breaks reproducibility across processes and replicas.
+// kernels, the prime push, and the cluster fold paths). A `for range` over a
+// map there executes in a random order per run, so any order-sensitive work
+// inside it (floating-point accumulation, first-wins selection,
+// append-without-sort) silently breaks reproducibility across processes and
+// replicas.
 var maporderPackages = []string{
 	"internal/core",
 	"internal/sparse",
+	"internal/prime",
 	"internal/cluster",
 }
 

@@ -1,22 +1,31 @@
-// Package prime implements prime subgraphs and prime PPVs (Definition 2 of
-// the paper). The prime PPV of a node v is the reachability from v to every
-// node through hub-free tours only: tours whose interior traverses no hub.
-// Prime PPVs of hub nodes are the precomputed building blocks of FastPPV's
-// offline phase, and the prime PPV of the query node is iteration 0 of the
-// online phase.
+// Package prime implements prime PPVs (Definition 2 of the paper). The prime
+// PPV of a node v is the reachability from v to every node through hub-free
+// tours only: tours whose interior traverses no hub. Prime PPVs of hub nodes
+// are the precomputed building blocks of FastPPV's offline phase, and the
+// prime PPV of the query node is iteration 0 of the online phase.
 //
 // Rather than first materializing the prime subgraph and then running power
-// iteration on it, ComputePPV uses an equivalent localized forward-push that
+// iteration on it, the package runs an equivalent localized forward push that
 // expands tours outward from the source, backtracking at hub nodes (border
 // hubs of the prime subgraph) and at "faraway" nodes whose reachability falls
 // below the Epsilon threshold, exactly as the depth-first search of Sect. 5.1
 // prescribes. Transition probabilities always use the out-degree of the full
 // graph, so the resulting scores are reachabilities in the sense of Eq. 2.
+//
+// There is one kernel, Scratch.Push: it runs the push over a reusable dense
+// per-node scratch and emits the result as []sparse.Entry sorted by node id —
+// the same flat form the index record, the query accumulator and the wire
+// use — so neither precompute nor iteration 0 builds a map or sorts. The
+// engine calls it directly; ComputePPV is a convenience wrapper for callers
+// that want a map.
 package prime
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
@@ -84,35 +93,99 @@ type Stats struct {
 	BorderHubs int
 	// Truncated reports whether MaxPushes stopped the expansion early.
 	Truncated bool
+	// Clipped is the number of entries the storage clip dropped at emit.
+	Clipped int
 }
 
-// ComputePPV computes the prime PPV of src with respect to the hub set. The
-// returned vector includes the src self-entry contributed by the empty tour
-// (score alpha), plus the reachability of every node on hub-free tours from
-// src. Entries at hub nodes are the "border hub" entries used to extend tours
-// in later FastPPV iterations.
-func ComputePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (sparse.Vector, Stats, error) {
+// cell is the per-node push state. One node's settled mass, pending mass,
+// epoch stamp and in-queue flag share a 24-byte cell so a touch is one cache
+// line; a cell whose stamp differs from the scratch's epoch is logically zero.
+type cell struct {
+	// reach accumulates the settled reachability mass of hub-free tours from
+	// the source (without the trailing alpha stop factor).
+	reach float64
+	// residual holds mass that still has to be either settled or expanded.
+	residual float64
+	epoch    uint32
+	inQueue  bool
+}
+
+// Scratch is the reusable working set of the push: a dense cell per node, a
+// touched-node bitmap and the FIFO worklist. It costs 24 B + 1 bit per node
+// of the largest graph it has served and is reset in O(touched) — the epoch
+// stamp invalidates the cells, emit clears the bitmap — so a warmed scratch
+// pushes without allocating. The zero value is ready to use; a Scratch may be
+// reused across graphs of any size but not concurrently.
+type Scratch struct {
+	cells   []cell
+	touched []uint64 // bit v set: cells[v] carries this push's epoch
+	queue   []graph.NodeID
+	out     []sparse.Entry
+	epoch   uint32
+	// dirty is set while a push is between its first touch and the end of
+	// emit; a push that finds it set (its predecessor panicked, e.g. on an
+	// adjacency that returned an out-of-range neighbour) clears the bitmap.
+	dirty bool
+}
+
+// begin sizes the scratch for n nodes and opens a new epoch.
+func (s *Scratch) begin(n int) {
+	if len(s.cells) < n {
+		s.cells = make([]cell, n)
+		s.touched = make([]uint64, (n+63)/64)
+	} else if s.dirty {
+		clear(s.touched)
+	}
+	s.dirty = true
+	s.queue = s.queue[:0]
+	if s.epoch == math.MaxUint32 {
+		// Stamp wraparound: stale cells could alias the restarted counter.
+		clear(s.cells)
+		s.epoch = 0
+	}
+	s.epoch++
+}
+
+// spread adds share to the residual of every neighbour, enqueueing the ones
+// not already waiting.
+func (s *Scratch) spread(neighbors []graph.NodeID, share float64) {
+	cells, epoch, queue := s.cells, s.epoch, s.queue
+	for _, v := range neighbors {
+		c := &cells[v]
+		if c.epoch != epoch {
+			*c = cell{epoch: epoch}
+			s.touched[v>>6] |= 1 << (uint(v) & 63)
+		}
+		c.residual += share
+		if !c.inQueue {
+			c.inQueue = true
+			queue = append(queue, v)
+		}
+	}
+	s.queue = queue
+}
+
+// Push computes the prime PPV of src with respect to the hub set and returns
+// it as entries sorted by strictly ascending node id. The result includes the
+// src self-entry contributed by the empty tour (score alpha), plus the
+// reachability of every node on hub-free tours from src; entries at hub nodes
+// are the "border hub" entries used to extend tours in later FastPPV
+// iterations. Entries scoring below clip are dropped (and counted in
+// Stats.Clipped); pass 0 to keep everything.
+//
+// The returned entries alias the scratch and are invalid after its next Push:
+// fold or copy them first.
+func (s *Scratch) Push(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options, clip float64) ([]sparse.Entry, Stats, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if src < 0 || int(src) >= g.NumNodes() {
+	n := g.NumNodes()
+	if src < 0 || int(src) >= n {
 		return nil, Stats{}, fmt.Errorf("prime: %w: source %d", graph.ErrNodeOutOfRange, src)
 	}
-
-	// reach[u] accumulates the settled reachability mass of hub-free tours
-	// from src to u (without the trailing alpha stop factor). residual[u]
-	// holds mass that still has to be either settled or expanded.
-	//
-	// The worklist is processed in FIFO order: breadth-first processing keeps
-	// the residual arriving at a node batched into few expansions, so the
-	// number of pushes stays near (prime-subgraph size) x (decay rounds) even
-	// for very small Epsilon. Depth-first order would degenerate into
-	// enumerating individual tours.
-	reach := make(map[graph.NodeID]float64)
-	residual := make(map[graph.NodeID]float64)
-	var queue []graph.NodeID
-	inQueue := make(map[graph.NodeID]bool)
+	s.begin(n)
+	cells := s.cells
 	var stats Stats
 
 	// The walk starts at src: the empty tour contributes mass 1 at src, and
@@ -122,37 +195,38 @@ func ComputePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (spa
 	// returns to it, that interior occurrence counts towards hub length and
 	// must not be expanded further (Definition 1 excludes only the start and
 	// end positions, not every occurrence of the start node).
-	reach[src] = 1
+	cells[src] = cell{reach: 1, epoch: s.epoch}
+	s.touched[src>>6] |= 1 << (uint(src) & 63)
 	stats.Pushes++
 	if deg := g.OutDegree(src); deg > 0 {
-		share := (1 - opts.Alpha) / float64(deg)
-		for _, v := range g.OutNeighbors(src) {
-			residual[v] += share
-			if !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
+		s.spread(g.OutNeighbors(src), (1-opts.Alpha)/float64(deg))
 	}
 
-	for head := 0; head < len(queue); head++ {
+	// The worklist is processed in FIFO order: breadth-first processing keeps
+	// the residual arriving at a node batched into few expansions, so the
+	// number of pushes stays near (prime-subgraph size) x (decay rounds) even
+	// for very small Epsilon. Depth-first order would degenerate into
+	// enumerating individual tours. The order is also what fixes each node's
+	// floating-point addition sequence, i.e. the answer bits.
+	for head := 0; head < len(s.queue); head++ {
 		if stats.Pushes >= opts.MaxPushes {
 			stats.Truncated = true
 			break
 		}
-		if head > 1<<16 && head*2 > len(queue) {
+		if head > 1<<16 && head*2 > len(s.queue) {
 			// Reclaim the consumed prefix of the worklist.
-			queue = append(queue[:0], queue[head:]...)
+			s.queue = append(s.queue[:0], s.queue[head:]...)
 			head = 0
 		}
-		u := queue[head]
-		inQueue[u] = false
-		r := residual[u]
+		u := s.queue[head]
+		c := &cells[u]
+		c.inQueue = false
+		r := c.residual
 		if r == 0 {
 			continue
 		}
-		delete(residual, u)
-		reach[u] += r
+		c.residual = 0
+		c.reach += r
 		stats.Pushes++
 
 		// Tours may not be extended through an interior hub.
@@ -167,160 +241,48 @@ func ComputePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (spa
 		if deg == 0 {
 			continue // dangling: the walk is absorbed
 		}
-		share := r * (1 - opts.Alpha) / float64(deg)
-		for _, v := range g.OutNeighbors(u) {
-			residual[v] += share
-			if !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
+		s.spread(g.OutNeighbors(u), r*(1-opts.Alpha)/float64(deg))
+	}
+
+	// Emit in ascending node order by scanning the bitmap, clearing it on the
+	// way. Whatever residual is left (nodes reached below the expansion
+	// threshold, or left over after truncation) is settled here.
+	out := s.out[:0]
+	for w, word := range s.touched[:(n+63)/64] {
+		if word == 0 {
+			continue
+		}
+		s.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			u := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
+			c := &cells[u]
+			stats.NodesTouched++
+			if u != src && hubs.Contains(u) {
+				stats.BorderHubs++
+			}
+			if score := opts.Alpha * (c.reach + c.residual); score < clip {
+				stats.Clipped++
+			} else {
+				out = append(out, sparse.Entry{Node: u, Score: score})
 			}
 		}
 	}
-	// Settle whatever residual mass is left (nodes reached below the
-	// expansion threshold, or left over after truncation).
-	for u, r := range residual {
-		reach[u] += r
-	}
-
-	out := sparse.New(len(reach))
-	for u, w := range reach {
-		out[u] = opts.Alpha * w
-	}
-	stats.NodesTouched = len(reach)
-	for u := range reach {
-		if u != src && hubs.Contains(u) {
-			stats.BorderHubs++
-		}
-	}
+	s.out = out
+	s.dirty = false
 	return out, stats, nil
 }
 
-// BorderHubs extracts the border hub nodes H'(src) from a prime PPV: the hubs
-// (other than the source) reachable through hub-free tours.
-func BorderHubs(primePPV sparse.Vector, src graph.NodeID, hubs *hub.Set) []graph.NodeID {
-	var out []graph.NodeID
-	for u := range primePPV {
-		if u != src && hubs.Contains(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// ExtensionVector returns the prime PPV of a hub as used when extending a
-// tour through that hub (Theorem 4): identical to the prime PPV except that
-// the empty tour's self-entry (alpha at the hub itself) is removed, because an
-// extension through a hub must advance the walk by at least one edge. Without
-// this correction, tours ending at a hub would be double counted across
-// consecutive iterations. The input is not modified.
-func ExtensionVector(primePPV sparse.Vector, owner graph.NodeID, alpha float64) sparse.Vector {
-	self, ok := primePPV[owner]
-	if !ok {
-		return primePPV
-	}
-	out := primePPV.Clone()
-	corrected := self - alpha
-	if corrected <= 1e-15 {
-		delete(out, owner)
-	} else {
-		out[owner] = corrected
-	}
-	return out
-}
-
-// Subgraph is an explicitly materialized prime subgraph, used by tests and by
-// the disk-based experiments to reason about prime-subgraph size.
-type Subgraph struct {
-	// Source is the root of the prime subgraph.
-	Source graph.NodeID
-	// Nodes are all nodes reached through hub-free tours, including border
-	// hubs and the source.
-	Nodes []graph.NodeID
-	// Border are the border hub nodes H'(Source).
-	Border []graph.NodeID
-	// Edges are the arcs of the prime subgraph (arcs leaving a border hub or
-	// a faraway node are excluded).
-	Edges []graph.Edge
-}
-
-// Extract materializes the prime subgraph of src by the same traversal rule
-// as ComputePPV. It is more expensive than ComputePPV (it records edges) and
-// exists for inspection, testing and the disk-based working-set measurements.
-func Extract(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (*Subgraph, error) {
-	opts, err := opts.withDefaults()
+// ComputePPV is Push on a pooled scratch, copied into a right-sized map. The
+// serving engine does not use it — it keeps the flat entries — but tests, the
+// experiments and the benchmark's layer ledger want a sparse.Vector.
+func ComputePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (sparse.Vector, Stats, error) {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	entries, stats, err := s.Push(g, src, hubs, opts, 0)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
-	if src < 0 || int(src) >= g.NumNodes() {
-		return nil, fmt.Errorf("prime: %w: source %d", graph.ErrNodeOutOfRange, src)
-	}
-	residual := make(map[graph.NodeID]float64)
-	var queue []graph.NodeID
-	inQueue := make(map[graph.NodeID]bool)
-	seen := map[graph.NodeID]bool{src: true}
-	expanded := map[graph.NodeID]bool{}
-	sub := &Subgraph{Source: src}
-
-	// Initial expansion of the source (see ComputePPV for why the source's
-	// starting occurrence is handled separately).
-	if deg := g.OutDegree(src); deg > 0 {
-		expanded[src] = true
-		share := (1 - opts.Alpha) / float64(deg)
-		for _, v := range g.OutNeighbors(src) {
-			sub.Edges = append(sub.Edges, graph.Edge{From: src, To: v})
-			seen[v] = true
-			residual[v] += share
-			if !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-
-	pushes := 1
-	for head := 0; head < len(queue) && pushes < opts.MaxPushes; head++ {
-		u := queue[head]
-		inQueue[u] = false
-		r := residual[u]
-		if r == 0 {
-			continue
-		}
-		delete(residual, u)
-		pushes++
-		if hubs.Contains(u) {
-			continue
-		}
-		if r < opts.Epsilon {
-			continue
-		}
-		deg := g.OutDegree(u)
-		if deg == 0 {
-			continue
-		}
-		share := r * (1 - opts.Alpha) / float64(deg)
-		if !expanded[u] {
-			expanded[u] = true
-			for _, v := range g.OutNeighbors(u) {
-				sub.Edges = append(sub.Edges, graph.Edge{From: u, To: v})
-			}
-		}
-		for _, v := range g.OutNeighbors(u) {
-			seen[v] = true
-			residual[v] += share
-			if !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	for u := range residual {
-		seen[u] = true
-	}
-	for u := range seen {
-		sub.Nodes = append(sub.Nodes, u)
-		if u != src && hubs.Contains(u) {
-			sub.Border = append(sub.Border, u)
-		}
-	}
-	return sub, nil
+	return sparse.FromEntries(entries), stats, nil
 }

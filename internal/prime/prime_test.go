@@ -1,13 +1,17 @@
 package prime
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
 	"fastppv/internal/pagerank"
+	"fastppv/internal/sparse"
 )
 
 const alpha = pagerank.DefaultAlpha
@@ -159,45 +163,10 @@ func TestComputePPVMaxPushesTruncates(t *testing.T) {
 	}
 }
 
-func TestExtensionVector(t *testing.T) {
-	g, hubs := chainWithHub(t)
-	ppv, _, err := ComputePPV(g, 1, hubs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := ExtensionVector(ppv, 1, alpha)
-	// The empty-tour self entry is removed...
-	if got := ext.Get(1); got != 0 {
-		t.Errorf("extension self entry = %v, want 0", got)
-	}
-	// ...but the original vector is untouched and other entries are kept.
-	if got := ppv.Get(1); math.Abs(got-alpha) > 1e-12 {
-		t.Errorf("original prime PPV was modified: %v", got)
-	}
-	if got := ext.Get(2); math.Abs(got-ppv.Get(2)) > 1e-12 {
-		t.Errorf("extension changed a non-self entry: %v vs %v", got, ppv.Get(2))
-	}
-	// A vector without a self entry is returned unchanged (same map).
-	noSelf := ppv.Clone()
-	delete(noSelf, 1)
-	if out := ExtensionVector(noSelf, 1, alpha); out.Get(2) != noSelf.Get(2) || len(out) != len(noSelf) {
-		t.Error("ExtensionVector should be a no-op without a self entry")
-	}
-}
-
-func TestBorderHubsHelper(t *testing.T) {
-	g, hubs := chainWithHub(t)
-	ppv, _, err := ComputePPV(g, 0, hubs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	border := BorderHubs(ppv, 0, hubs)
-	if len(border) != 1 || border[0] != 1 {
-		t.Errorf("BorderHubs = %v, want [1]", border)
-	}
-}
-
-func TestExtractMatchesComputePPVSupport(t *testing.T) {
+// TestPrimeSubgraphStats reads the prime subgraph's size and border off the
+// kernel's Stats: every node hub-free tours reach is touched, nodes behind the
+// border hub are not.
+func TestPrimeSubgraphStats(t *testing.T) {
 	b := graph.NewBuilder(true)
 	b.EnsureNodes(7)
 	edges := [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {2, 6}}
@@ -207,36 +176,28 @@ func TestExtractMatchesComputePPVSupport(t *testing.T) {
 	g := b.Finalize()
 	hubs := hub.NewSet([]graph.NodeID{3})
 
-	ppv, _, err := ComputePPV(g, 0, hubs, Options{})
+	ppv, stats, err := ComputePPV(g, 0, hubs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := Extract(g, 0, hubs, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// The prime subgraph of 0 is {0, 1, 2, 3, 6}; 3 is its only border hub.
+	if stats.NodesTouched != 5 || len(ppv) != 5 {
+		t.Errorf("NodesTouched = %d over %d entries, want 5", stats.NodesTouched, len(ppv))
 	}
-	if sub.Source != 0 {
-		t.Errorf("Source = %d, want 0", sub.Source)
-	}
-	// Every node with positive prime-PPV mass appears in the subgraph.
-	inSub := make(map[graph.NodeID]bool)
-	for _, n := range sub.Nodes {
-		inSub[n] = true
-	}
-	for node := range ppv {
-		if !inSub[node] {
-			t.Errorf("node %d has prime PPV mass but is missing from the extracted subgraph", node)
+	for _, node := range []graph.NodeID{0, 1, 2, 3, 6} {
+		if ppv.Get(node) <= 0 {
+			t.Errorf("node %d is in the prime subgraph but has no mass", node)
 		}
 	}
 	// Nodes behind the hub (4, 5) are excluded.
-	if inSub[4] || inSub[5] {
-		t.Errorf("nodes behind the border hub leaked into the prime subgraph: %v", sub.Nodes)
+	if _, ok := ppv[4]; ok {
+		t.Error("node 4 behind the border hub leaked into the prime PPV")
 	}
-	if len(sub.Border) != 1 || sub.Border[0] != 3 {
-		t.Errorf("Border = %v, want [3]", sub.Border)
+	if _, ok := ppv[5]; ok {
+		t.Error("node 5 behind the border hub leaked into the prime PPV")
 	}
-	if _, err := Extract(g, 99, hubs, Options{}); err == nil {
-		t.Error("out-of-range source should fail")
+	if stats.BorderHubs != 1 {
+		t.Errorf("BorderHubs = %d, want 1", stats.BorderHubs)
 	}
 }
 
@@ -265,5 +226,380 @@ func TestQuickPrimePPVBoundedAndHubBlocked(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referencePPV is the map-based push the dense kernel replaced, kept verbatim
+// as the oracle: the kernel must reproduce its processing order exactly, so
+// every score is compared with ==, never a tolerance.
+func referencePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (sparse.Vector, Stats, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if src < 0 || int(src) >= g.NumNodes() {
+		return nil, Stats{}, fmt.Errorf("prime: %w: source %d", graph.ErrNodeOutOfRange, src)
+	}
+
+	reach := make(map[graph.NodeID]float64)
+	residual := make(map[graph.NodeID]float64)
+	var queue []graph.NodeID
+	inQueue := make(map[graph.NodeID]bool)
+	var stats Stats
+
+	reach[src] = 1
+	stats.Pushes++
+	if deg := g.OutDegree(src); deg > 0 {
+		share := (1 - opts.Alpha) / float64(deg)
+		for _, v := range g.OutNeighbors(src) {
+			residual[v] += share
+			if !inQueue[v] {
+				inQueue[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+
+	for head := 0; head < len(queue); head++ {
+		if stats.Pushes >= opts.MaxPushes {
+			stats.Truncated = true
+			break
+		}
+		if head > 1<<16 && head*2 > len(queue) {
+			queue = append(queue[:0], queue[head:]...)
+			head = 0
+		}
+		u := queue[head]
+		inQueue[u] = false
+		r := residual[u]
+		if r == 0 {
+			continue
+		}
+		delete(residual, u)
+		reach[u] += r
+		stats.Pushes++
+
+		if hubs.Contains(u) {
+			continue
+		}
+		if r < opts.Epsilon {
+			continue
+		}
+		deg := g.OutDegree(u)
+		if deg == 0 {
+			continue
+		}
+		share := r * (1 - opts.Alpha) / float64(deg)
+		for _, v := range g.OutNeighbors(u) {
+			residual[v] += share
+			if !inQueue[v] {
+				inQueue[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	for u, r := range residual {
+		reach[u] += r
+	}
+
+	out := sparse.New(len(reach))
+	for u, w := range reach {
+		out[u] = opts.Alpha * w
+	}
+	stats.NodesTouched = len(reach)
+	for u := range reach {
+		if u != src && hubs.Contains(u) {
+			stats.BorderHubs++
+		}
+	}
+	return out, stats, nil
+}
+
+// checkAgainstReference pushes src on s and on the map oracle and requires
+// equal key sets, == scores, strictly ascending emit order and equal Stats.
+func checkAgainstReference(t *testing.T, s *Scratch, g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) {
+	t.Helper()
+	want, wantStats, err := referencePPV(g, src, hubs, opts)
+	if err != nil {
+		t.Fatalf("referencePPV(%d): %v", src, err)
+	}
+	got, gotStats, err := s.Push(g, src, hubs, opts, 0)
+	if err != nil {
+		t.Fatalf("Push(%d): %v", src, err)
+	}
+	if gotStats != wantStats {
+		t.Errorf("source %d: Stats = %+v, reference %+v", src, gotStats, wantStats)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("source %d: %d entries, reference has %d", src, len(got), len(want))
+	}
+	for i, e := range got {
+		if i > 0 && got[i-1].Node >= e.Node {
+			t.Fatalf("source %d: entries not strictly ascending at %d: %d then %d", src, i, got[i-1].Node, e.Node)
+		}
+		ref, ok := want[e.Node]
+		if !ok {
+			t.Fatalf("source %d: node %d emitted but absent from the reference", src, e.Node)
+		}
+		if e.Score != ref {
+			t.Fatalf("source %d: node %d = %v, reference %v (must be ==)", src, e.Node, e.Score, ref)
+		}
+	}
+}
+
+func socialGraph(t testing.TB, nodes int, seed int64) (*graph.Graph, *hub.Set) {
+	t.Helper()
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: nodes, OutDegreeMean: 6, Attachment: 0.8, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs, err := hub.Select(g, hub.Options{Policy: hub.ByOutDegree, Count: nodes / 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, hubs
+}
+
+func buildGraph(nodes int, edges [][2]graph.NodeID) *graph.Graph {
+	b := graph.NewBuilder(true)
+	b.EnsureNodes(nodes)
+	for _, e := range edges {
+		b.MustAddEdge(e[0], e[1])
+	}
+	return b.Finalize()
+}
+
+func TestKernelBitIdenticalToReferenceOnSocialGraph(t *testing.T) {
+	g, hubs := socialGraph(t, 3000, 11)
+	var s Scratch
+	for src := 0; src < g.NumNodes(); src += 23 { // hub and non-hub sources alike
+		checkAgainstReference(t, &s, g, graph.NodeID(src), hubs, Options{})
+	}
+}
+
+func TestKernelBitIdenticalToReferenceOnEdgeCases(t *testing.T) {
+	// 0 -> {1,2}, 1 -> 3; 2 and 3 absorb the walk.
+	dangling := buildGraph(4, [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}})
+	selfLoops := buildGraph(3, [][2]graph.NodeID{{0, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 0}})
+	cycle := buildGraph(3, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 0}})
+	isolated := buildGraph(3, [][2]graph.NodeID{{1, 2}})
+	// A two-lane ladder: mass reaches node k along many paths and decays
+	// geometrically, so a far node first strands below Epsilon and — at
+	// alpha 0.5, where halving the smallest denormal rounds to zero — finally
+	// receives a residual of exactly 0 (which still makes it a touched node).
+	const rungs = 8000
+	var ladderEdges [][2]graph.NodeID
+	for i := 0; i+2 < rungs; i++ {
+		ladderEdges = append(ladderEdges, [2]graph.NodeID{graph.NodeID(i), graph.NodeID(i + 1)}, [2]graph.NodeID{graph.NodeID(i), graph.NodeID(i + 2)})
+	}
+	ladder := buildGraph(rungs, ladderEdges)
+
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		hubs []graph.NodeID
+		opts Options
+		srcs []graph.NodeID
+	}{
+		{"dangling", dangling, nil, Options{}, []graph.NodeID{0, 1, 2, 3}},
+		{"dangling hub", dangling, []graph.NodeID{1, 3}, Options{}, []graph.NodeID{0, 1}},
+		{"self-loops", selfLoops, nil, Options{}, []graph.NodeID{0, 1, 2}},
+		{"self-loop on a hub source", selfLoops, []graph.NodeID{0}, Options{}, []graph.NodeID{0, 1}},
+		{"hub source re-entered by a cycle", cycle, []graph.NodeID{0}, Options{Epsilon: 1e-15}, []graph.NodeID{0, 1, 2}},
+		{"isolated source", isolated, []graph.NodeID{1}, Options{}, []graph.NodeID{0}},
+		{"MaxPushes truncation settles the leftover residual", ladder, nil, Options{MaxPushes: 40}, []graph.NodeID{0, 5}},
+		{"MaxPushes of one", cycle, nil, Options{MaxPushes: 1}, []graph.NodeID{0}},
+		{"Epsilon strands faraway mass", ladder, nil, Options{Epsilon: 0.01}, []graph.NodeID{0}},
+		{"residual underflows to zero", ladder, nil, Options{Alpha: 0.5, Epsilon: math.SmallestNonzeroFloat64}, []graph.NodeID{0}},
+	}
+	var s Scratch // shared on purpose: every case also follows a different graph
+	for _, tc := range cases {
+		hubs := hub.NewSet(tc.hubs)
+		for _, src := range tc.srcs {
+			checkAgainstReference(t, &s, tc.g, src, hubs, tc.opts)
+		}
+	}
+
+	// The cases above must actually reach the branches they are named for.
+	_, stats, _ := s.Push(ladder, 0, nil, Options{MaxPushes: 40}, 0)
+	if !stats.Truncated || stats.NodesTouched <= stats.Pushes/2 {
+		t.Errorf("truncation case: %+v, want Truncated with unsettled nodes beyond the pushed ones", stats)
+	}
+	got, stats, _ := s.Push(ladder, 0, nil, Options{Alpha: 0.5, Epsilon: math.SmallestNonzeroFloat64}, 0)
+	if last := got[len(got)-1]; last.Score != 0 || stats.NodesTouched == rungs {
+		t.Errorf("underflow case: last entry %+v of %d touched, want a zero-score entry short of the ladder's end", last, stats.NodesTouched)
+	}
+}
+
+func TestComputePPVWrapperMatchesKernel(t *testing.T) {
+	g, hubs := socialGraph(t, 1500, 3)
+	var s Scratch
+	for _, src := range []graph.NodeID{0, 1, 17, 700, 1499} {
+		entries, kstats, err := s.Push(g, src, hubs, Options{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec, wstats, err := ComputePPV(g, src, hubs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wstats != kstats || len(vec) != len(entries) {
+			t.Fatalf("source %d: wrapper %+v over %d entries, kernel %+v over %d", src, wstats, len(vec), kstats, len(entries))
+		}
+		for _, e := range entries {
+			if got, ok := vec[e.Node]; !ok || got != e.Score {
+				t.Fatalf("source %d: wrapper has %v at node %d, kernel %v", src, got, e.Node, e.Score)
+			}
+		}
+	}
+}
+
+func TestClipAtEmitMatchesVectorClip(t *testing.T) {
+	g, hubs := socialGraph(t, 3000, 11)
+	var s Scratch
+	for _, clip := range []float64{1e-4, 1e-2, 1} {
+		for src := 0; src < g.NumNodes(); src += 97 {
+			want, wantStats, err := ComputePPV(g, graph.NodeID(src), hubs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			removed := want.Clip(clip)
+			got, stats, err := s.Push(g, graph.NodeID(src), hubs, Options{}, clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Clipped != removed || len(got) != len(want) {
+				t.Fatalf("source %d clip %g: kept %d dropped %d, Vector.Clip kept %d dropped %d",
+					src, clip, len(got), stats.Clipped, len(want), removed)
+			}
+			// The clip filters the emit; it does not change what the push did.
+			stats.Clipped = 0
+			if stats != wantStats {
+				t.Fatalf("source %d clip %g: Stats %+v, unclipped %+v", src, clip, stats, wantStats)
+			}
+			for _, e := range got {
+				if ref, ok := want[e.Node]; !ok || ref != e.Score {
+					t.Fatalf("source %d clip %g: node %d = %v, Vector.Clip kept %v (present %v)", src, clip, e.Node, e.Score, ref, ok)
+				}
+			}
+		}
+	}
+}
+
+func TestScratchReuseAcrossGraphSizes(t *testing.T) {
+	mid, midHubs := socialGraph(t, 2000, 5)
+	small := buildGraph(7, [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {2, 6}})
+	smallHubs := hub.NewSet([]graph.NodeID{3})
+	big, bigHubs := socialGraph(t, 4000, 6)
+
+	var s Scratch
+	for round := 0; round < 2; round++ {
+		for _, src := range []graph.NodeID{0, 13, 1999} { // grow
+			checkAgainstReference(t, &s, mid, src, midHubs, Options{})
+		}
+		for src := graph.NodeID(0); src < 7; src++ { // shrink: stale cells beyond node 6 stay stamped
+			checkAgainstReference(t, &s, small, src, smallHubs, Options{})
+		}
+		for _, src := range []graph.NodeID{3999, 2500, 6} { // grow past the first size
+			checkAgainstReference(t, &s, big, src, bigHubs, Options{})
+		}
+	}
+}
+
+func TestScratchEpochWraparound(t *testing.T) {
+	g, hubs := socialGraph(t, 2000, 5)
+	var s Scratch
+	// Leave a few thousand cells stamped with epoch 1, then jump to the last
+	// epoch: the next push restarts the counter at 1 and must not mistake
+	// those cells for its own.
+	checkAgainstReference(t, &s, g, 0, hubs, Options{})
+	s.epoch = math.MaxUint32
+	checkAgainstReference(t, &s, g, 1000, hubs, Options{})
+	if s.epoch != 1 {
+		t.Fatalf("epoch after wraparound = %d, want 1", s.epoch)
+	}
+	checkAgainstReference(t, &s, g, 0, hubs, Options{})
+}
+
+// brokenAdjacency hands the push a neighbour outside the graph.
+type brokenAdjacency struct{ *graph.Graph }
+
+func (b brokenAdjacency) OutNeighbors(u graph.NodeID) []graph.NodeID {
+	// Copy first: the graph's slice has spare capacity inside the CSR array.
+	return append(append([]graph.NodeID(nil), b.Graph.OutNeighbors(u)...), graph.NodeID(b.NumNodes()+5))
+}
+
+func TestScratchCleanAfterFailedPush(t *testing.T) {
+	g, hubs := socialGraph(t, 2000, 5)
+	var s Scratch
+	checkAgainstReference(t, &s, g, 3, hubs, Options{})
+
+	if _, _, err := s.Push(g, graph.NodeID(g.NumNodes()), hubs, Options{}, 0); !errors.Is(err, graph.ErrNodeOutOfRange) {
+		t.Fatalf("out-of-range source: err = %v, want ErrNodeOutOfRange", err)
+	}
+	if _, _, err := s.Push(g, -1, hubs, Options{}, 0); err == nil {
+		t.Fatal("negative source should fail")
+	}
+	if _, _, err := s.Push(g, 3, hubs, Options{Alpha: 3}, 0); err == nil {
+		t.Fatal("invalid options should fail")
+	}
+	checkAgainstReference(t, &s, g, 4, hubs, Options{})
+
+	// A push that dies half way (a bug in an Adjacency, not input) leaves
+	// touched bits behind; the next push must not emit them.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an out-of-range neighbour should have panicked")
+			}
+		}()
+		s.Push(brokenAdjacency{g}, 5, hubs, Options{}, 0)
+	}()
+	checkAgainstReference(t, &s, g, 1500, hubs, Options{})
+}
+
+// TestKernelSteadyStateAllocatesNothing is the deterministic gate on the
+// kernel: once a scratch has served a graph, a push on it allocates no object.
+func TestKernelSteadyStateAllocatesNothing(t *testing.T) {
+	g, hubs := socialGraph(t, 3000, 11)
+	var s Scratch
+	srcs := []graph.NodeID{1, 500, 1500, 2999}
+	for _, src := range srcs { // warm: cells, bitmap, worklist and emit buffer reach their sizes
+		if _, _, err := s.Push(g, src, hubs, Options{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(40, func() {
+		s.Push(g, srcs[i%len(srcs)], hubs, Options{}, 1e-4)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a push on a warmed scratch allocated %v objects, want 0", allocs)
+	}
+}
+
+func BenchmarkPush(b *testing.B) {
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 60000, OutDegreeMean: 8, Attachment: 0.85, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hubs, err := hub.Select(g, hub.Options{Count: 6000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var srcs []graph.NodeID
+	for q := graph.NodeID(0); len(srcs) < 256; q += 211 {
+		if !hubs.Contains(q) {
+			srcs = append(srcs, q)
+		}
+	}
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Push(g, srcs[i%len(srcs)], hubs, Options{}, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

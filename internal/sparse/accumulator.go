@@ -1,13 +1,13 @@
 // accumulator.go implements the flat sorted-slice accumulator used by the
 // query inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds
 // scaled prime PPVs into a running estimate; doing that over map-based
-// Vectors costs a hash probe per entry plus a defensive clone per hub
-// (ExtensionVector). The Accumulator instead keeps entries as a []Entry
-// sorted by node id and folds each hub record in with a single linear merge,
-// reading the hub's entries either from a decoded Vector or directly from
-// the 12-byte on-disk record encoding (see EncodedEntrySize) without
-// materializing an intermediate map. Results convert back to the public
-// map-based Vector only at the API boundary.
+// Vectors costs a hash probe per entry plus a defensive clone per hub (the
+// self-loop-corrected extension vector of Theorem 4). The Accumulator instead
+// keeps entries as a []Entry sorted by node id and folds hub records in with
+// linear merges, reading the hub's entries either from a decoded Vector or
+// directly from the 12-byte on-disk record encoding (see EncodedEntrySize)
+// without materializing an intermediate map. Results convert back to the
+// public map-based Vector only at the API boundary.
 package sparse
 
 import (
@@ -40,7 +40,7 @@ func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
 }
 
 // extensionEpsilon is the threshold below which the self-loop-corrected score
-// of a hub's own entry is dropped, matching prime.ExtensionVector.
+// of a hub's own entry is dropped from its extension vector.
 const extensionEpsilon = 1e-15
 
 // Accumulator is a sparse score vector stored as a slice of entries sorted by
@@ -93,6 +93,13 @@ func (a *Accumulator) SetVector(v Vector) {
 	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].Node < a.entries[j].Node })
 }
 
+// SetEntries replaces the accumulator's contents with a copy of entries, which
+// must already be sorted by strictly ascending node id (as the prime push
+// emits them) — no sort happens here.
+func (a *Accumulator) SetEntries(entries []Entry) {
+	a.entries = append(a.entries[:0], entries...)
+}
+
 // SetEncoded replaces the accumulator's contents with the entries of an
 // encoded record payload (len(data) must be a multiple of EncodedEntrySize;
 // entries must be sorted by ascending node id, as written by the index).
@@ -121,13 +128,7 @@ func (a *Accumulator) Sum() float64 {
 }
 
 // ToVector materializes the accumulator as a public map-based Vector.
-func (a *Accumulator) ToVector() Vector {
-	out := New(len(a.entries))
-	for _, e := range a.entries {
-		out[e.Node] = e.Score
-	}
-	return out
-}
+func (a *Accumulator) ToVector() Vector { return FromEntries(a.entries) }
 
 // AddAccumulator folds other into a entry-wise (a += other) with a single
 // linear merge. It is the sorted-slice analogue of Vector.AddVector.
@@ -153,51 +154,16 @@ func (a *Accumulator) AddAccumulator(other *Accumulator) {
 	a.entries, a.scratch = out, a.entries
 }
 
-// AccumulateEncodedExtension folds scale times the extension vector of an
-// encoded hub record into the accumulator: a += scale * ext(record), where
-// ext applies the Theorem 4 self-loop correction inline — the owner hub's own
-// entry contributes (score − alpha), and is dropped entirely when the
-// corrected score falls below a small epsilon. This fuses
-// prime.ExtensionVector (which clones the prime PPV) and Vector.AddScaled
-// into one allocation-free pass over the record bytes. The per-node
-// floating-point operation is identical (old + scale*score), so results are
-// bit-equal to the map-based path.
-func (a *Accumulator) AccumulateEncodedExtension(data []byte, scale float64, owner graph.NodeID, alpha float64) {
-	n := len(data) / EncodedEntrySize
-	if n == 0 {
-		return
-	}
-	out := a.scratch[:0]
-	i := 0
-	for j := 0; j < n; j++ {
-		node, score := EncodedEntryAt(data, j)
-		if node == owner {
-			score -= alpha
-			if score <= extensionEpsilon {
-				continue
-			}
-		}
-		for i < len(a.entries) && a.entries[i].Node < node {
-			out = append(out, a.entries[i])
-			i++
-		}
-		if i < len(a.entries) && a.entries[i].Node == node {
-			out = append(out, Entry{Node: node, Score: a.entries[i].Score + scale*score})
-			i++
-		} else {
-			out = append(out, Entry{Node: node, Score: scale * score})
-		}
-	}
-	out = append(out, a.entries[i:]...)
-	a.entries, a.scratch = out, a.entries
-}
-
 // StageEncodedExtension appends scale times the extension vector of an
 // encoded hub record to the staging buffer without merging: a Step expands
 // many hubs, and merging each record into the growing increment immediately
 // costs O(|increment|) per hub. Staging is O(|record|) per hub; Combine then
-// folds everything staged with one stable sort. The owner self-loop
-// correction is applied here, identically to AccumulateEncodedExtension.
+// folds everything staged with one stable sort. The Theorem 4 self-loop
+// correction is applied here: the owner hub's own entry contributes
+// (score − alpha) — an extension through a hub must advance the walk by at
+// least one edge, or tours ending at the hub would be counted twice across
+// consecutive iterations — and is dropped entirely when the corrected score
+// falls below a small epsilon.
 //
 // Callers must stage hubs in ascending owner order and call Combine before
 // reading the accumulator: the stable sort keys on node id only, so the

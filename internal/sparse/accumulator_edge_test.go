@@ -17,18 +17,23 @@ func encodeEntries(entries ...Entry) []byte {
 	return buf
 }
 
+// foldEncoded folds one record into a by itself: stage it, then Combine. A
+// sequence of foldEncoded calls is the hub-by-hub merge that staging many
+// records before one Combine must reproduce bit for bit.
+func foldEncoded(a *Accumulator, data []byte, scale float64, owner graph.NodeID, alpha float64) {
+	a.StageEncodedExtension(data, scale, owner, alpha)
+	a.Combine()
+}
+
 // TestAccumulateEmptyEncodedExtension checks that an empty record is a
-// no-op for both the merging and the staging path, on empty and non-empty
-// accumulators alike.
+// no-op, on empty and non-empty accumulators alike.
 func TestAccumulateEmptyEncodedExtension(t *testing.T) {
 	var a Accumulator
 	a.SetVector(Vector{3: 0.5, 7: 0.25})
 	before := append([]Entry(nil), a.Entries()...)
 
-	a.AccumulateEncodedExtension(nil, 0.5, 3, 0.2)
-	a.AccumulateEncodedExtension([]byte{}, 0.5, 3, 0.2)
-	a.StageEncodedExtension(nil, 0.5, 3, 0.2)
-	a.Combine()
+	foldEncoded(&a, nil, 0.5, 3, 0.2)
+	foldEncoded(&a, []byte{}, 0.5, 3, 0.2)
 
 	got := a.Entries()
 	if len(got) != len(before) {
@@ -41,8 +46,7 @@ func TestAccumulateEmptyEncodedExtension(t *testing.T) {
 	}
 
 	var empty Accumulator
-	empty.AccumulateEncodedExtension(nil, 1, 0, 0.2)
-	empty.Combine()
+	foldEncoded(&empty, nil, 1, 0, 0.2)
 	if empty.Len() != 0 {
 		t.Fatalf("empty extension on empty accumulator produced %d entries", empty.Len())
 	}
@@ -58,19 +62,14 @@ func TestSingleNodeVectorExtension(t *testing.T) {
 	rec := encodeEntries(Entry{Node: owner, Score: alpha})
 
 	var a Accumulator
-	a.AccumulateEncodedExtension(rec, 1.0, owner, alpha)
+	foldEncoded(&a, rec, 1.0, owner, alpha)
 	if a.Len() != 0 {
 		t.Fatalf("self-only record left %d entries, want 0", a.Len())
-	}
-	a.StageEncodedExtension(rec, 1.0, owner, alpha)
-	a.Combine()
-	if a.Len() != 0 {
-		t.Fatalf("staged self-only record left %d entries, want 0", a.Len())
 	}
 
 	// A single non-owner node must survive with the scaled score.
 	other := encodeEntries(Entry{Node: 9, Score: 0.5})
-	a.AccumulateEncodedExtension(other, 0.5, owner, alpha)
+	foldEncoded(&a, other, 0.5, owner, alpha)
 	if a.Len() != 1 || a.Get(9) != 0.25 {
 		t.Fatalf("single-node record: got %d entries, score %v; want 1 entry of 0.25", a.Len(), a.Get(9))
 	}
@@ -78,8 +77,8 @@ func TestSingleNodeVectorExtension(t *testing.T) {
 
 // TestDuplicateIDStagingOrder stages two records sharing a node and checks
 // that Combine folds the duplicates in staging order, bit-identically to
-// merging the same records sequentially through the non-staging path — the
-// reproducibility contract Combine documents.
+// folding the same records one at a time — the reproducibility contract
+// Combine documents.
 func TestDuplicateIDStagingOrder(t *testing.T) {
 	const alpha = 0.2
 	// Scores chosen so floating-point addition order is observable.
@@ -92,8 +91,8 @@ func TestDuplicateIDStagingOrder(t *testing.T) {
 	staged.Combine()
 
 	var seq Accumulator
-	seq.AccumulateEncodedExtension(recA, 1.0, 1, alpha)
-	seq.AccumulateEncodedExtension(recB, 1.0, 2, alpha)
+	foldEncoded(&seq, recA, 1.0, 1, alpha)
+	foldEncoded(&seq, recB, 1.0, 2, alpha)
 
 	if staged.Len() != seq.Len() {
 		t.Fatalf("staged path kept %d entries, sequential %d", staged.Len(), seq.Len())

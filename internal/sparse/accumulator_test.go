@@ -71,6 +71,20 @@ func TestAccumulatorSetAndSum(t *testing.T) {
 	if acc2.ToVector().L1Distance(v) != 0 {
 		t.Fatalf("SetEncoded round trip mismatch")
 	}
+
+	// SetEntries copies: the caller's slice (the push scratch) is reused for
+	// the next source while the accumulator keeps folding.
+	sorted := []Entry{{2, 0.2}, {5, 0.3}, {9, 0.1}}
+	acc3 := &Accumulator{}
+	acc3.SetVector(Vector{1: 1}) // replaced, not merged
+	acc3.SetEntries(sorted)
+	sorted[0].Score = 99
+	if acc3.Len() != 3 || acc3.Get(2) != 0.2 || acc3.Sum() != acc.Sum() {
+		t.Fatalf("SetEntries = %v, want a private copy of {2:0.2 5:0.3 9:0.1}", acc3.Entries())
+	}
+	if got := FromEntries(acc3.Entries()); got.L1Distance(v) != 0 || len(got) != 3 {
+		t.Fatalf("FromEntries = %v, want %v", got, v)
+	}
 }
 
 // TestAccumulatorMatchesMapPath is the core equivalence check: a randomized
@@ -110,7 +124,7 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 			}
 			mapRef.AddScaled(ext, scale)
 
-			accEnc.AccumulateEncodedExtension(encodeVector(hubPPV), scale, owner, alpha)
+			foldEncoded(accEnc, encodeVector(hubPPV), scale, owner, alpha)
 		}
 
 		for _, acc := range []*Accumulator{accEnc} {
@@ -161,19 +175,19 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 	// Owner entry exactly alpha: the corrected score is zero and the entry
 	// must be dropped, not stored as an explicit zero.
 	acc := &Accumulator{}
-	acc.AccumulateEncodedExtension(encodeVector(Vector{4: alpha, 7: 0.5}), 2, 4, alpha)
+	foldEncoded(acc, encodeVector(Vector{4: alpha, 7: 0.5}), 2, 4, alpha)
 	if got := acc.ToVector(); got.Get(4) != 0 || got.Get(7) != 1.0 || len(got) != 1 {
 		t.Fatalf("self-correction drop: got %v, want {7:1}", got)
 	}
 	// Owner absent from the record: no correction applies.
 	acc.Reset()
-	acc.AccumulateEncodedExtension(encodeVector(Vector{7: 0.5}), 1, 4, alpha)
+	foldEncoded(acc, encodeVector(Vector{7: 0.5}), 1, 4, alpha)
 	if got := acc.ToVector(); got.Get(7) != 0.5 || len(got) != 1 {
 		t.Fatalf("no-self-entry: got %v, want {7:0.5}", got)
 	}
 	// Owner entry above alpha: corrected score survives.
 	acc.Reset()
-	acc.AccumulateEncodedExtension(encodeVector(Vector{4: alpha + 0.25}), 1, 4, alpha)
+	foldEncoded(acc, encodeVector(Vector{4: alpha + 0.25}), 1, 4, alpha)
 	if got := acc.ToVector().Get(4); math.Abs(got-0.25) > 0 {
 		t.Fatalf("self-correction keep: got %v, want 0.25", got)
 	}
@@ -182,7 +196,7 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 func TestAccumulatorResetReuse(t *testing.T) {
 	acc := &Accumulator{}
 	acc.SetVector(Vector{1: 1, 2: 2})
-	acc.AccumulateEncodedExtension(encodeVector(Vector{3: 3}), 1, 99, 0.15)
+	foldEncoded(acc, encodeVector(Vector{3: 3}), 1, 99, 0.15)
 	acc.Reset()
 	if acc.Len() != 0 || acc.Sum() != 0 {
 		t.Fatalf("Reset left entries behind: len=%d sum=%v", acc.Len(), acc.Sum())

@@ -197,6 +197,15 @@ type Entry struct {
 	Score float64
 }
 
+// FromEntries builds a Vector sized for exactly the given entries.
+func FromEntries(entries []Entry) Vector {
+	v := make(Vector, len(entries))
+	for _, e := range entries {
+		v[e.Node] = e.Score
+	}
+	return v
+}
+
 // Entries returns all entries sorted by descending score, breaking ties by
 // ascending node id so that rankings are deterministic.
 func (v Vector) Entries() []Entry {
