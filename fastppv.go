@@ -172,7 +172,7 @@ const DefaultCompactThresholdBytes = 64 << 20
 // update log at <index path>.log with the default compaction threshold and no
 // block cache restrictions beyond the package defaults.
 type DiskIndexOptions struct {
-	// BlockCacheBytes budgets an in-memory cache of decoded hub blocks
+	// BlockCacheBytes budgets an in-memory cache of hub records
 	// between the engine and the disk: 0 means a 64 MiB default, negative
 	// disables caching (every fetched hub costs one random disk access, the
 	// raw Sect. 6.3 cost model).
@@ -264,7 +264,7 @@ type BlockCacheStats = ppvindex.BlockCacheStats
 // without redoing the offline phase: the hub set is recovered from the index
 // directory and the engine is immediately query-ready.
 //
-// blockCacheBytes budgets an in-memory cache of decoded hub blocks between
+// blockCacheBytes budgets an in-memory cache of hub records between
 // the engine and the disk: 0 means a 64 MiB default, negative disables
 // caching (every fetched hub costs one random disk access, the raw Sect. 6.3
 // cost model). opts must match the options used at precompute time.
@@ -378,15 +378,16 @@ type diskStoreConfig struct {
 }
 
 // diskStore adapts the disk index writer/reader pair to the engine's
-// IndexStore interface. During precompute, Put streams to the writer; the
-// first Get finalizes the writer and opens the index for reading (guarded by
-// mu — concurrent first Gets from parallel queries must not race the
-// transition). Reads optionally go through a ppvindex.BlockCache, and Puts
+// IndexStore interface. During precompute, PutEncoded streams to the writer;
+// the first read finalizes the writer and opens the index for reading (guarded
+// by mu — concurrent first reads from parallel queries must not race the
+// transition). Reads optionally go through a ppvindex.BlockCache, and writes
 // after finalization (incremental updates recomputing a hub) land in an
 // in-memory overlay that shadows the on-disk record, with the hub's cached
-// block invalidated.
+// block invalidated. Whichever of the three a record is served from, it is the
+// same flat payload behind a HubRecordView.
 //
-// When an update log is configured, every post-finalize Put is also appended
+// When an update log is configured, every post-finalize write is also appended
 // to it and CommitUpdates (the engine's update-commit hook) fsyncs the batch,
 // so incremental updates survive a restart: opening the store replays the log
 // back into the overlay. Compact folds log + overlay into a rewritten base
@@ -439,9 +440,9 @@ type diskStore struct {
 // was unpublished either completes against the still-open descriptor or gets
 // ErrIndexClosed and retries on the current state.
 type diskReadState struct {
-	// src is where reads come from: the block cache when enabled, the raw
-	// reader otherwise. Both serve views as well as decoded vectors.
-	src ppvindex.ViewIndex
+	// src is where reads of hubs the overlay does not shadow come from: the
+	// block cache when enabled, the raw reader otherwise.
+	src ppvindex.Index
 	// overlay holds hubs rewritten after finalization; it only ever contains
 	// hubs that are also in the on-disk directory, so membership queries can
 	// keep delegating to src.
@@ -452,8 +453,8 @@ type diskReadState struct {
 	cache  *ppvindex.BlockCache
 }
 
-// newDiskStore creates a store in write mode: Puts stream to a fresh index
-// file at path until the first Get finalizes it. A leftover update log from a
+// newDiskStore creates a store in write mode: records stream to a fresh index
+// file at path until the first read finalizes it. A leftover update log from a
 // previous index at the same path is left alone until the new index is
 // actually published (finalize time) — if this rebuild fails or crashes, the
 // old index and its durable updates remain fully intact.
@@ -487,18 +488,20 @@ func openDiskStore(path string, cfg diskStoreConfig) (*diskStore, error) {
 	return s, nil
 }
 
-func (s *diskStore) Put(h NodeID, ppv Vector) error {
+// PutEncoded implements ppvindex.Writer; the payload ends up owned by the
+// overlay, or copied into the writer's buffer while the store is being built.
+func (s *diskStore) PutEncoded(h NodeID, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
 	if s.writer != nil {
-		return s.writer.Put(h, ppv)
+		return s.writer.PutEncoded(h, payload)
 	}
 	// Finalized: the rewrite (an incremental update recomputing this hub) is
 	// logged first — write-ahead discipline — then shadows the on-disk record
-	// and evicts the stale cached block. The overlay Put below never errors.
+	// and evicts the stale cached block. The overlay write below never errors.
 	if err := s.ensureReaderLocked(); err != nil {
 		return err
 	}
@@ -506,14 +509,14 @@ func (s *diskStore) Put(h NodeID, ppv Vector) error {
 		if s.logWedged {
 			return fmt.Errorf("fastppv: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
 		}
-		if err := s.log.Append(h, ppv); err != nil {
+		if err := s.log.AppendEncoded(h, payload); err != nil {
 			return fmt.Errorf("fastppv: appending hub %d to the update log: %w", h, err)
 		}
 		s.logBytes.Store(s.log.SizeBytes())
 		s.logRecords.Store(s.log.Records())
 	}
 	st := s.state.Load()
-	if err := st.overlay.Put(h, ppv); err != nil {
+	if err := st.overlay.PutEncoded(h, payload); err != nil {
 		return err
 	}
 	if st.cache != nil {
@@ -588,45 +591,29 @@ func (s *diskStore) CommitUpdates() error {
 	return nil
 }
 
-func (s *diskStore) Get(h NodeID) (Vector, bool, error) {
-	for {
-		st, err := s.reading()
-		if err != nil {
-			return nil, false, err
-		}
-		if v, ok, _ := st.overlay.Get(h); ok {
-			return v, true, nil
-		}
-		v, ok, err := st.src.Get(h)
-		if err != nil && errors.Is(err, ppvindex.ErrIndexClosed) && s.state.Load() != st {
-			// The state was retired under us (compaction swap, or Close);
-			// retry against the current one — reading() reports ErrClosed
-			// when the whole store is gone.
-			continue
-		}
-		return v, ok, err
-	}
-}
+// Get decodes the record of h into a fresh map (ppvindex.Index's boundary
+// helper; the engine reads through GetView).
+func (s *diskStore) Get(h NodeID) (Vector, bool, error) { return ppvindex.VectorOf(s, h) }
 
-// GetView implements ppvindex.ViewGetter: it serves a hub record as a
-// zero-copy (mmap) or single-copy (pread / cached payload) view, which the
-// engine's hot loop folds straight into its estimate accumulator. A hub
-// shadowed by the overlay (rewritten by an incremental update) reports a miss
-// so the caller falls back to Get, which serves the fresh overlay version —
-// a view of the stale base record must never win over a newer rewrite.
+// GetView implements ppvindex.ViewGetter: the overlay's record when an
+// incremental update rewrote the hub since the last compaction — a view of
+// the stale base record must never win over a newer rewrite — and otherwise
+// the base record as a zero-copy (mmap) or single-copy (pread / cached
+// payload) view.
 func (s *diskStore) GetView(h NodeID) (ppvindex.HubRecordView, bool, error) {
 	for {
 		st, err := s.reading()
 		if err != nil {
 			return ppvindex.HubRecordView{}, false, err
 		}
-		if st.overlay.Has(h) {
-			return ppvindex.HubRecordView{}, false, nil
+		if view, ok, _ := st.overlay.GetView(h); ok {
+			return view, true, nil
 		}
 		view, ok, err := st.src.GetView(h)
 		if err != nil && errors.Is(err, ppvindex.ErrIndexClosed) && s.state.Load() != st {
 			// The state was retired under us (compaction swap, or Close);
-			// retry against the current one.
+			// retry against the current one — reading() reports ErrClosed
+			// when the whole store is gone.
 			continue
 		}
 		return view, ok, err
@@ -641,37 +628,23 @@ func (s *diskStore) MmapActive() bool {
 	return st != nil && st.reader != nil && st.reader.MmapActive()
 }
 
-func (s *diskStore) Has(h NodeID) bool {
-	st, err := s.reading()
-	if err != nil {
-		return false
+// closedIndex is what a store that cannot be read answers directory questions
+// from: no hubs, no bytes.
+var closedIndex = ppvindex.NewMemIndex()
+
+// directory returns the index that answers membership and size questions: the
+// overlay only ever shadows hubs of the base, so the base directory suffices.
+func (s *diskStore) directory() ppvindex.Index {
+	if st, err := s.reading(); err == nil {
+		return st.src
 	}
-	return st.src.Has(h)
+	return closedIndex
 }
 
-func (s *diskStore) Hubs() []NodeID {
-	st, err := s.reading()
-	if err != nil {
-		return nil
-	}
-	return st.src.Hubs()
-}
-
-func (s *diskStore) Len() int {
-	st, err := s.reading()
-	if err != nil {
-		return 0
-	}
-	return st.src.Len()
-}
-
-func (s *diskStore) SizeBytes() int64 {
-	st, err := s.reading()
-	if err != nil {
-		return 0
-	}
-	return st.src.SizeBytes()
-}
+func (s *diskStore) Has(h NodeID) bool { return s.directory().Has(h) }
+func (s *diskStore) Hubs() []NodeID    { return s.directory().Hubs() }
+func (s *diskStore) Len() int          { return s.directory().Len() }
+func (s *diskStore) SizeBytes() int64  { return s.directory().SizeBytes() }
 
 // WarmHubs preloads the given hubs' records through the block cache and
 // returns how many of them are now cached, so a freshly started shard can
@@ -790,7 +763,7 @@ func (s *diskStore) ensureReaderLocked() error {
 				return err
 			}
 		}
-		lg, err := ppvindex.OpenUpdateLog(s.cfg.logPath, r.SizeBytes(), r.Len(), func(h NodeID, ppv Vector) error {
+		lg, err := ppvindex.OpenUpdateLog(s.cfg.logPath, r.SizeBytes(), r.Len(), func(h NodeID, payload []byte) error {
 			// A logged hub missing from the base directory means the log does
 			// not belong to this index file; refusing keeps the overlay
 			// invariant (overlay ⊆ directory) and surfaces the mismatch.
@@ -798,7 +771,9 @@ func (s *diskStore) ensureReaderLocked() error {
 				return fmt.Errorf("%w: update log %s has a record for hub %d not present in %s",
 					ErrBadIndexFormat, s.cfg.logPath, h, s.path)
 			}
-			return st.overlay.Put(h, ppv)
+			// The payload aliases the log's replay buffer, which the next
+			// frame overwrites; the overlay keeps its own copy.
+			return st.overlay.PutEncoded(h, append([]byte(nil), payload...))
 		})
 		if err != nil {
 			r.Close()
@@ -871,23 +846,24 @@ func (s *diskStore) Compact() (CompactionResult, error) {
 	if err != nil {
 		return res, err
 	}
+	defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
 	for _, h := range st.reader.Hubs() {
-		v, ok, err := st.overlay.Get(h)
+		// The overlay's version when there is one; otherwise the base record,
+		// straight from the descriptor and not through the block cache: a
+		// full-index sweep would evict the hot set.
+		view, ok, err := st.overlay.GetView(h)
 		if ok {
 			res.RewrittenHubs++
-		} else {
-			// Read the base record straight from the descriptor, not through
-			// the block cache: a full-index sweep would evict the hot set.
-			if v, ok, err = st.reader.Get(h); err != nil {
-				w.Abort()
-				return res, fmt.Errorf("fastppv: compaction reading hub %d: %w", h, err)
-			} else if !ok {
-				w.Abort()
-				return res, fmt.Errorf("fastppv: compaction: hub %d vanished from the base index", h)
-			}
+		} else if view, ok, err = st.reader.GetView(h); err != nil {
+			return res, fmt.Errorf("fastppv: compaction reading hub %d: %w", h, err)
+		} else if !ok {
+			return res, fmt.Errorf("fastppv: compaction: hub %d vanished from the base index", h)
 		}
-		if err := w.Put(h, v); err != nil {
-			w.Abort()
+		// The record moves as bytes: the writer copies the payload into its
+		// buffer before the view is released.
+		err = w.PutEncoded(h, view.EntryBytes())
+		view.Release()
+		if err != nil {
 			return res, fmt.Errorf("fastppv: compaction writing hub %d: %w", h, err)
 		}
 	}

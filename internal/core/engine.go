@@ -16,8 +16,10 @@ import (
 )
 
 // IndexStore is the combination of read and write access the engine needs for
-// its PPV index. Both ppvindex.MemIndex and the pair DiskWriter/DiskIndex
-// satisfy the relevant halves; NewEngine defaults to an in-memory index.
+// its PPV index: hub records read as views (GetView) and written as encoded
+// payloads (PutEncoded). ppvindex.MemIndex is one; fastppv's disk store builds
+// one from the pair DiskWriter/DiskIndex. NewEngine defaults to an in-memory
+// index.
 type IndexStore interface {
 	ppvindex.Index
 	ppvindex.Writer
@@ -54,11 +56,6 @@ type Engine struct {
 	opts  Options
 	hubs  *hub.Set
 	index IndexStore
-	// viewIndex is non-nil when index can serve hub records as zero-copy
-	// views (disk-backed stores); the query hot loop then folds record bytes
-	// straight into the estimate accumulator, falling back to index.Get for
-	// overlay/missing hubs.
-	viewIndex ppvindex.ViewGetter
 
 	offline     OfflineStats
 	precomputed bool
@@ -88,7 +85,6 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 		index = ppvindex.NewMemIndex()
 	}
 	e := &Engine{g: g, opts: opts, index: index}
-	e.viewIndex, _ = index.(ppvindex.ViewGetter)
 	e.epoch.Store(opts.InitialEpoch)
 	return e, nil
 }
@@ -98,7 +94,7 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 // Sect. 5.3, where the offline phase ran in a separate process and the daemon
 // only opens the index file. The hub set is recovered from the index
 // directory, the engine is immediately query-ready (Precomputed reports
-// true), and ApplyUpdate maintains the index through its Put method.
+// true), and ApplyUpdate maintains the index through its PutEncoded method.
 //
 // opts must match the options the index was precomputed with (Alpha in
 // particular — the stored prime PPVs embed it); the index format does not
@@ -150,7 +146,6 @@ func NewServingEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, 
 		index:       index,
 		precomputed: true,
 	}
-	e.viewIndex, _ = index.(ppvindex.ViewGetter)
 	e.epoch.Store(opts.InitialEpoch)
 	e.offline = OfflineStats{
 		Hubs:         len(hubNodes),
@@ -278,14 +273,17 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 		defer wg.Done()
 		var scratch prime.Scratch // one per worker, reused for every hub it draws
 		for h := range jobs {
-			ppv, pstats, err := e.primeVector(e.g, &scratch, h, e.opts.Clip)
+			// The push emits the entries that survive the storage clip in
+			// ascending node order; encoded once, they are the stored record.
+			entries, pstats, err := scratch.Push(e.g, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
+			record := sparse.AppendEncoded(nil, entries)
 			mu.Lock()
 			if err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("core: prime PPV of hub %d: %w", h, err)
 				}
 			} else if firstErr == nil {
-				if err := e.index.Put(h, ppv); err != nil && firstErr == nil {
+				if err := e.index.PutEncoded(h, record); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: indexing hub %d: %w", h, err)
 				}
 				stats.Pushes += int64(pstats.Pushes)
@@ -307,18 +305,6 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 		return stats, firstErr
 	}
 	return stats, nil
-}
-
-// primeVector pushes the prime PPV of hub h over g on scratch and copies the
-// entries that survive clip into a right-sized map, the form Index.Put and
-// StageVectorExtension take. The map owns its storage; the scratch is free
-// for the next push.
-func (e *Engine) primeVector(g prime.Adjacency, scratch *prime.Scratch, h graph.NodeID, clip float64) (sparse.Vector, prime.Stats, error) {
-	entries, stats, err := scratch.Push(g, h, e.hubs, e.opts.primeOptions(), clip)
-	if err != nil {
-		return nil, stats, err
-	}
-	return sparse.FromEntries(entries), stats, nil
 }
 
 // ExactPPV computes the exact PPV of q on the engine's graph with the

@@ -113,7 +113,7 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		if !e.opts.Partition.Owns(h) {
 			continue
 		}
-		ppv, ok, err := e.index.Get(h)
+		view, ok, err := e.index.GetView(h)
 		if err != nil {
 			return stats, fmt.Errorf("core: reading prime PPV of hub %d: %w", h, err)
 		}
@@ -124,11 +124,12 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		hit := false
 		//lint:ordered membership OR over a set; the result is order-free
 		for t := range touched {
-			if _, reachable := ppv[t]; reachable || t == h {
+			if t == h || view.Contains(t) {
 				hit = true
 				break
 			}
 		}
+		view.Release()
 		if hit {
 			affected = append(affected, h)
 		} else {
@@ -142,16 +143,16 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	// commit below can still leave a partial update).
 	b := getQueryBufs()
 	defer putQueryBufs(b)
-	staged := make(map[graph.NodeID]sparse.Vector, len(affected))
-	for _, h := range affected {
-		ppv, _, err := e.primeVector(newGraph, &b.scratch, h, e.opts.Clip)
+	staged := make([][]byte, len(affected))
+	for i, h := range affected {
+		entries, _, err := b.scratch.Push(newGraph, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
 		if err != nil {
 			return stats, fmt.Errorf("core: recomputing prime PPV of hub %d: %w", h, err)
 		}
-		staged[h] = ppv
+		staged[i] = sparse.AppendEncoded(nil, entries)
 	}
-	for _, h := range affected {
-		if err := e.index.Put(h, staged[h]); err != nil {
+	for i, h := range affected {
+		if err := e.index.PutEncoded(h, staged[i]); err != nil {
 			return stats, fmt.Errorf("core: re-indexing hub %d: %w", h, err)
 		}
 	}

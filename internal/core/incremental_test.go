@@ -8,7 +8,6 @@ import (
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
 	"fastppv/internal/ppvindex"
-	"fastppv/internal/sparse"
 )
 
 func TestApplyUpdateMatchesFullRebuild(t *testing.T) {
@@ -206,9 +205,9 @@ type committingStore struct {
 	failCommit      bool
 }
 
-func (c *committingStore) Put(h graph.NodeID, ppv sparse.Vector) error {
+func (c *committingStore) PutEncoded(h graph.NodeID, payload []byte) error {
 	c.uncommittedPuts++
-	return c.MemIndex.Put(h, ppv)
+	return c.MemIndex.PutEncoded(h, payload)
 }
 
 func (c *committingStore) CommitUpdates() error {

@@ -184,7 +184,7 @@ func totalAlloc() uint64 {
 
 // TestAllocationCeilings is the tier-1 gate that holds the flat kernel's
 // allocation cut in place. The ceilings sit ~25 % above what this commit
-// measures on a 5 000-node SocialGraph with 500 hubs (54.3 KB a query, 1.51 MB
+// measures on a 5 000-node SocialGraph with 500 hubs (54.3 KB a query, 1.09 MB
 // a Precompute); the map-based push measured 407 KB and 147 MB.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
@@ -192,7 +192,7 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 	const (
 		queryCeiling      = 68_000    // bytes per non-hub query at eta=2
-		precomputeCeiling = 1_900_000 // bytes per Precompute
+		precomputeCeiling = 1_360_000 // bytes per Precompute
 	)
 	before := totalAlloc()
 	e := socialEngine(t, 5000, 17)
@@ -228,4 +228,57 @@ func TestAllocationCeilings(t *testing.T) {
 	if precompute > precomputeCeiling {
 		t.Errorf("Precompute allocates %d B, ceiling %d B", precompute, precomputeCeiling)
 	}
+}
+
+// heapAlloc returns the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestMemIndexHeapAndViewCost is the gate on what the flat in-memory index
+// buys: after a Precompute on the 5 000-node SocialGraph everything the engine
+// retains — the index above all, plus the hub set and the engine itself — is
+// at most twice the index's serialized size (1.06 times, measured), and
+// reading a record back as a view allocates nothing.
+func TestMemIndexHeapAndViewCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are charged to the heap")
+	}
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 5000, OutDegreeMean: 6, Attachment: 0.8, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapAlloc()
+	e, err := NewEngine(g, nil, Options{NumHubs: 500, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	after := heapAlloc()
+	retained := int64(after) - int64(before)
+	size := e.Index().SizeBytes()
+	t.Logf("engine retains %d B for an index of %d B (%.2fx)", retained, size, float64(retained)/float64(size))
+	if retained > 2*size {
+		t.Errorf("the precomputed engine retains %d B of heap, more than twice its index's %d B", retained, size)
+	}
+
+	hubs := e.Index().Hubs()
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		view, ok, err := e.Index().GetView(hubs[i%len(hubs)])
+		if err != nil || !ok || view.Len() == 0 {
+			t.Fatalf("GetView(%d): ok=%v err=%v", hubs[i%len(hubs)], ok, err)
+		}
+		view.Release()
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a MemIndex.GetView hit allocates %v times, want 0", allocs)
+	}
+	runtime.KeepAlive(g)
 }

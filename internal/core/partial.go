@@ -108,29 +108,17 @@ func (e *Engine) PartialExpand(frontier map[graph.NodeID]float64) (*PartialIncre
 			continue
 		}
 		scale := prefix / e.opts.Alpha
-		if e.viewIndex != nil {
-			view, ok, err := e.viewIndex.GetView(h)
-			if err != nil {
-				return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
-			}
-			if ok {
-				inc.StageEncodedExtension(view.EntryBytes(), scale, h, e.opts.Alpha)
-				view.Release()
-				out.HubsExpanded++
-				continue
-			}
-		}
-		hubPPV, ok, err := e.index.Get(h)
+		view, ok, err := e.index.GetView(h)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
 		}
-		if !ok {
-			if hubPPV, _, err = e.primeVector(e.g, &b.scratch, h, 0); err != nil {
-				out.HubsSkipped++
-				continue
-			}
+		if ok {
+			inc.StageEncodedExtension(view.EntryBytes(), scale, h, e.opts.Alpha)
+			view.Release()
+		} else if !e.stageRecomputed(b, inc, h, scale) {
+			out.HubsSkipped++
+			continue
 		}
-		inc.StageVectorExtension(hubPPV, scale, h, e.opts.Alpha)
 		out.HubsExpanded++
 	}
 	inc.Combine()

@@ -37,6 +37,10 @@ type queryBufs struct {
 	// It resets itself per push and grows to the largest graph it has seen,
 	// so a bundle is safe to hand between engines of different sizes.
 	scratch prime.Scratch
+	// record holds the encoded payload of a hub whose record was missing or
+	// unreadable and had to be pushed on the fly, between the push and the
+	// staging call that folds it.
+	record []byte
 }
 
 func (b *queryBufs) reset() {
@@ -44,6 +48,7 @@ func (b *queryBufs) reset() {
 	b.inc.Reset()
 	b.frontier = b.frontier[:0]
 	b.nextFrontier = b.nextFrontier[:0]
+	b.record = b.record[:0]
 }
 
 var (

@@ -78,9 +78,9 @@ func (e *Engine) Query(q graph.NodeID, stop StopCondition) (*Result, error) {
 // (the "accuracy-aware" property of Sect. 3).
 //
 // The working state — the running estimate, the per-step increment and the
-// frontier — lives in a pooled flat-slice bundle, not in maps: Step folds hub
-// records (zero-copy views when the index provides them) into a sorted
-// accumulator with linear merges, and the map-based Result.Estimate is
+// frontier — lives in a pooled flat-slice bundle, not in maps: Step reads each
+// hub record as a view of the index's flat payload and folds its bytes into a
+// sorted accumulator with linear merges, and the map-based Result.Estimate is
 // materialized lazily at the API boundary (Result, Run, Close). Callers that
 // drive QueryState directly should Close it when done to recycle the bundle;
 // a state that is never Closed is still correct, just not pooled.
@@ -142,36 +142,25 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 	started := time.Now()
 
 	b := getQueryBufs()
-	var (
-		computed  bool
-		fromIndex bool
-	)
-	// Iteration 0: the query node's prime PPV. Prefer the zero-copy view
-	// path; fall back to the map Get (which also covers overlay records) and
-	// finally to pushing the prime PPV on the fly for non-hub queries.
-	if e.viewIndex != nil {
-		if view, ok, verr := e.viewIndex.GetView(q); verr == nil && ok {
-			b.acc.SetEncoded(view.EntryBytes())
-			view.Release()
-			fromIndex = true
-		}
+	// Iteration 0: the query node's prime PPV, from its index record when q
+	// is an indexed hub and pushed on the fly otherwise.
+	view, fromIndex, err := e.index.GetView(q)
+	if err != nil {
+		putQueryBufs(b)
+		return nil, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
 	}
-	if !fromIndex {
-		if stored, ok, err := e.index.Get(q); err != nil {
+	if fromIndex {
+		b.acc.SetEncoded(view.EntryBytes())
+		view.Release()
+	} else {
+		queryPPV, _, err := b.scratch.Push(adj, q, e.hubs, e.opts.primeOptions(), 0)
+		if err != nil {
 			putQueryBufs(b)
-			return nil, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
-		} else if ok {
-			b.acc.SetVector(stored)
-		} else {
-			queryPPV, _, err := b.scratch.Push(adj, q, e.hubs, e.opts.primeOptions(), 0)
-			if err != nil {
-				putQueryBufs(b)
-				return nil, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
-			}
-			b.acc.SetEntries(queryPPV) // born sorted: a copy, no sort
-			computed = true
+			return nil, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
 		}
+		b.acc.SetEntries(queryPPV) // born sorted: a copy, no sort
 	}
+	computed := !fromIndex
 
 	qs := &QueryState{
 		engine:        e,
@@ -316,27 +305,16 @@ func (qs *QueryState) Step() IterationStat {
 		// self-correction is applied inline by the accumulate kernel — no
 		// per-hub clone of the prime PPV.
 		scale := fe.prefix / e.opts.Alpha
-		if e.viewIndex != nil {
-			if view, ok, verr := e.viewIndex.GetView(fe.hub); verr == nil && ok {
-				inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
-				view.Release()
-				qs.deps[fe.hub] = struct{}{}
-				stat.HubsExpanded++
-				continue
-			}
+		// A hub missing from the index (or an I/O error) is recovered by
+		// computing its prime PPV on the fly; this keeps queries usable with
+		// partially built indexes at the cost of extra work.
+		if view, ok, err := e.index.GetView(fe.hub); err == nil && ok {
+			inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
+			view.Release()
+		} else if !e.stageRecomputed(b, inc, fe.hub, scale) {
+			stat.HubsSkipped++
+			continue
 		}
-		hubPPV, ok, err := e.index.Get(fe.hub)
-		if err != nil || !ok {
-			// A hub missing from the index (or an I/O error) is recovered by
-			// computing its prime PPV on the fly; this keeps queries usable
-			// with partially built indexes at the cost of extra work.
-			hubPPV, _, err = e.primeVector(e.g, &b.scratch, fe.hub, 0)
-			if err != nil {
-				stat.HubsSkipped++
-				continue
-			}
-		}
-		inc.StageVectorExtension(hubPPV, scale, fe.hub, e.opts.Alpha)
 		qs.deps[fe.hub] = struct{}{}
 		stat.HubsExpanded++
 	}
@@ -366,6 +344,20 @@ func (qs *QueryState) Step() IterationStat {
 	qs.result.PerIteration = append(qs.result.PerIteration, stat)
 	qs.result.Duration = time.Since(qs.started)
 	return stat
+}
+
+// stageRecomputed is the fallback of Step and PartialExpand for a hub whose
+// record the index could not serve: its prime PPV is pushed on the fly,
+// unclipped, encoded into the bundle's record buffer and staged as a stored
+// record would be. It reports false when the push failed (nothing staged).
+func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, scale float64) bool {
+	entries, _, err := b.scratch.Push(e.g, h, e.hubs, e.opts.primeOptions(), 0)
+	if err != nil {
+		return false
+	}
+	b.record = sparse.AppendEncoded(b.record[:0], entries)
+	inc.StageEncodedExtension(b.record, scale, h, e.opts.Alpha)
+	return true
 }
 
 // Run keeps stepping until the stopping condition is met and returns the

@@ -80,7 +80,7 @@ func runAnalyzerTest(t *testing.T, a *Analyzer, pkgDirs ...string) {
 }
 
 func TestMapOrder(t *testing.T) {
-	runAnalyzerTest(t, MapOrder, "maporder/internal/sparse", "maporder/internal/prime", "maporder/other")
+	runAnalyzerTest(t, MapOrder, "maporder/internal/sparse", "maporder/internal/prime", "maporder/internal/ppvindex", "maporder/other")
 }
 
 func TestFrameSafe(t *testing.T) {

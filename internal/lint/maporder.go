@@ -7,7 +7,8 @@ import (
 
 // maporderPackages are the answer-affecting packages: everything that feeds
 // the byte-identical determinism contract (the query hot loop, the sparse
-// kernels, the prime push, and the cluster fold paths). A `for range` over a
+// kernels, the prime push, the cluster fold paths, and the index package
+// that fixes the byte order of every stored hub record). A `for range` over a
 // map there executes in a random order per run, so any order-sensitive work
 // inside it (floating-point accumulation, first-wins selection,
 // append-without-sort) silently breaks reproducibility across processes and
@@ -17,6 +18,7 @@ var maporderPackages = []string{
 	"internal/sparse",
 	"internal/prime",
 	"internal/cluster",
+	"internal/ppvindex",
 }
 
 // MapOrder flags `for range` statements over map types inside the

@@ -9,7 +9,7 @@ import (
 )
 
 // BlockCache is a sharded, byte-budgeted LRU cache of prime-PPV records
-// layered over a slower ViewIndex (in practice a DiskIndex). It is the
+// layered over a slower Index (in practice a DiskIndex). It is the
 // serving-side answer to the paper's Sect. 5.3/6.3 disk-resident
 // configuration: the full hub index stays on disk and each fetched hub costs
 // one random access, but a skewed online workload re-fetches a small set of
@@ -36,7 +36,7 @@ import (
 // decodes the retained payload per call; it is the boundary path, not the
 // query hot loop.
 type BlockCache struct {
-	inner  ViewIndex
+	inner  Index
 	shards []*blockShard
 	budget int64
 }
@@ -92,7 +92,7 @@ const blockFixedBytes = 128
 // NewBlockCache wraps inner with a cache of budgetBytes total budget split
 // evenly across numShards shards. Non-positive budget or shard count fall
 // back to defaults (64 MiB, 16 shards).
-func NewBlockCache(inner ViewIndex, budgetBytes int64, numShards int) *BlockCache {
+func NewBlockCache(inner Index, budgetBytes int64, numShards int) *BlockCache {
 	if budgetBytes <= 0 {
 		budgetBytes = 64 << 20
 	}
@@ -128,19 +128,13 @@ func (c *BlockCache) shardFor(h graph.NodeID) *blockShard {
 	return c.shards[(x>>32)%uint64(len(c.shards))]
 }
 
-// Get returns the prime PPV of h decoded from its cached payload. On a miss
-// the block is loaded from the inner index exactly once, no matter how many
-// concurrent reads race for it, then retained under the byte budget.
-func (c *BlockCache) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	view, ok, err := c.GetView(h)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return view.Vector(), true, nil
-}
+// Get decodes the record of h, cached or loaded, into a fresh map.
+func (c *BlockCache) Get(h graph.NodeID) (sparse.Vector, bool, error) { return VectorOf(c, h) }
 
 // GetView returns a zero-copy view of the record of h, from cache when
-// possible. Cache hits are allocation-free: the view aliases the retained
+// possible. On a miss the block is loaded from the inner index exactly once,
+// no matter how many concurrent reads race for it, then retained under the
+// byte budget. Cache hits are allocation-free: the view aliases the retained
 // payload copy, which stays valid even if the entry is later evicted,
 // invalidated, or the inner index generation is compacted away.
 func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {

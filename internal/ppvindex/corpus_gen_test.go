@@ -20,7 +20,7 @@ func TestRegenLogCorpora(t *testing.T) {
 
 	// FPL1 update log: two committed records plus one uncommitted (torn).
 	upath := filepath.Join(dir, "update.log")
-	ul, err := OpenUpdateLog(upath, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, sparse.Vector) error { return nil })
+	ul, err := OpenUpdateLog(upath, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func headerLen(t *testing.T) int {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "empty.log")
-	l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, sparse.Vector) error { return nil })
+	l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

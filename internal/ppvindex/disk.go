@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,8 +49,8 @@ var ErrIndexClosed = errors.New("ppvindex: disk index is closed")
 
 // DiskWriter streams prime PPVs into an index file. It buffers only the
 // directory in memory, so precomputing indexes much larger than RAM is
-// possible. Entries must be written with Put and the writer must be closed to
-// finalize the directory.
+// possible. Records are written with PutEncoded and the writer must be closed
+// to finalize the directory.
 //
 // The writer streams into <path>.tmp and Close atomically renames the
 // finished file into place, so a crash mid-precompute can never leave a
@@ -65,6 +64,7 @@ type DiskWriter struct {
 	offset  uint64
 	entries []dirEntry
 	seen    map[graph.NodeID]struct{}
+	rec     []byte // the record being written, reused from Put to Put
 	closed  bool
 }
 
@@ -90,54 +90,43 @@ func CreateDisk(path string) (*DiskWriter, error) {
 	}, nil
 }
 
-// encodeRecord serializes one hub record in the shared binary layout (hub,
-// count, count x {node, score}), entries in ascending node order for
-// determinism. The disk index records and the update-log payloads use the
-// same encoding.
-func encodeRecord(h graph.NodeID, ppv sparse.Vector) []byte {
-	nodes := make([]graph.NodeID, 0, len(ppv))
-	for n := range ppv {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	buf := make([]byte, 8+len(nodes)*entryBytes)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(h))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(nodes)))
-	at := 8
-	for _, n := range nodes {
-		binary.LittleEndian.PutUint32(buf[at:], uint32(n))
-		binary.LittleEndian.PutUint64(buf[at+4:], math.Float64bits(ppv[n]))
-		at += entryBytes
-	}
-	return buf
+// appendRecord appends one hub record in the shared binary layout (hub, count,
+// payload) to dst. The disk index records and the update-log frames use the
+// same encoding; payload is stored as handed in.
+func appendRecord(dst []byte, h graph.NodeID, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)/entryBytes))
+	return append(dst, payload...)
 }
 
-// decodeRecordPayload parses a buffer produced by encodeRecord. The declared
-// entry count must exactly cover the buffer, otherwise the payload is corrupt.
-func decodeRecordPayload(buf []byte) (graph.NodeID, sparse.Vector, error) {
-	if len(buf) < 8 {
+// parseRecord validates a record that arrives from outside the process (an
+// update-log frame) and returns its hub and entry payload, which aliases buf.
+// The count must exactly cover the buffer and node ids must strictly ascend:
+// views are folded and binary-searched as they are, so this is the gate.
+func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
+	if len(buf) < perHubOverheadBytes {
 		return 0, nil, fmt.Errorf("%w: record payload of %d bytes is shorter than its header", ErrBadIndexFormat, len(buf))
 	}
 	h := graph.NodeID(binary.LittleEndian.Uint32(buf[0:]))
-	count := int(binary.LittleEndian.Uint32(buf[4:]))
-	if count < 0 || 8+count*entryBytes != len(buf) {
+	count := int64(binary.LittleEndian.Uint32(buf[4:]))
+	payload := buf[perHubOverheadBytes:]
+	if count*entryBytes != int64(len(payload)) {
 		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d entries in a %d-byte payload", ErrBadIndexFormat, h, count, len(buf))
 	}
-	v := sparse.New(count)
-	for i := 0; i < count; i++ {
-		node := graph.NodeID(binary.LittleEndian.Uint32(buf[8+i*entryBytes:]))
-		score := math.Float64frombits(binary.LittleEndian.Uint64(buf[8+i*entryBytes+4:]))
-		v[node] = score
+	for i := 1; i < int(count); i++ {
+		prev, _ := sparse.EncodedEntryAt(payload, i-1)
+		if node, _ := sparse.EncodedEntryAt(payload, i); node <= prev {
+			return 0, nil, fmt.Errorf("%w: record of hub %d is not in ascending node order (entry %d: node %d after %d)", ErrBadIndexFormat, h, i, node, prev)
+		}
 	}
-	return h, v, nil
+	return h, payload, nil
 }
 
-// Put appends the prime PPV of hub h to the index file. Entries are written
-// in node order for determinism. A hub may be written only once: a duplicate
-// would produce a file whose directory OpenDisk rejects as corrupt, so the
-// mistake is reported here, at write time, instead.
-func (d *DiskWriter) Put(h graph.NodeID, ppv sparse.Vector) error {
+// PutEncoded appends the record of hub h to the index file; payload is copied
+// into the write buffer, not retained. A hub may be written only once: a duplicate would produce a file whose
+// directory OpenDisk rejects as corrupt, so the mistake is reported here, at
+// write time, instead.
+func (d *DiskWriter) PutEncoded(h graph.NodeID, payload []byte) error {
 	if d.closed {
 		return errors.New("ppvindex: Put on closed DiskWriter")
 	}
@@ -147,12 +136,17 @@ func (d *DiskWriter) Put(h graph.NodeID, ppv sparse.Vector) error {
 	d.seen[h] = struct{}{}
 	d.entries = append(d.entries, dirEntry{hub: h, offset: d.offset})
 
-	buf := encodeRecord(h, ppv)
-	if _, err := d.w.Write(buf); err != nil {
+	d.rec = appendRecord(d.rec[:0], h, payload)
+	if _, err := d.w.Write(d.rec); err != nil {
 		return err
 	}
-	d.offset += uint64(len(buf))
+	d.offset += uint64(len(d.rec))
 	return nil
+}
+
+// Put encodes ppv and appends it (boundary helper, see encodeVector).
+func (d *DiskWriter) Put(h graph.NodeID, ppv sparse.Vector) error {
+	return d.PutEncoded(h, encodeVector(ppv))
 }
 
 // Close finalizes the index: it flushes the records, appends the directory
@@ -233,8 +227,8 @@ type DiskIndex struct {
 	size      int64
 	// data is the read-only memory mapping of the whole file when the index
 	// was opened with DiskOptions.Mmap and the platform supports it; nil in
-	// pread mode. With a mapping, Get decodes straight out of it and GetView
-	// returns record views aliasing it with zero copies.
+	// pread mode. With a mapping, GetView returns record views aliasing it
+	// with zero copies.
 	data []byte
 	// recordsEnd is the first byte past the record region (the directory
 	// start); every record, header and payload, must fit below it.
@@ -456,19 +450,8 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	return NewHubRecordView(h, buf, nil), true, nil
 }
 
-// Get reads the prime PPV of h from disk and decodes it into a map Vector:
-// GetView plus the boundary conversion, so every bounds, hub-id and
-// truncation check lives in one place and a corrupt record fails with
-// ErrBadIndexFormat here too. The decode copies everything out before the
-// view's pin is returned.
-func (d *DiskIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	view, ok, err := d.GetView(h)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	defer view.Release()
-	return view.Vector(), true, nil
-}
+// Get reads the record of h and decodes it into a fresh map.
+func (d *DiskIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) { return VectorOf(d, h) }
 
 // Has reports whether h is indexed.
 func (d *DiskIndex) Has(h graph.NodeID) bool {

@@ -1,9 +1,10 @@
 // Package ppvindex stores the precomputed building blocks of FastPPV's
 // offline phase: the prime PPV of every hub node (Algorithm 1 of the paper).
-// Two implementations are provided: an in-memory index for memory-resident
-// graphs and a disk-backed index with random access for the disk-based
-// configuration of Sect. 5.3, where fetching the prime PPV of a hub during
-// online query processing costs one random read.
+// A stored prime PPV has one form, the hub record: its (node, score) entries
+// in the flat 12-byte encoding of package sparse, in strictly ascending node
+// order. The in-memory index, the disk file (Sect. 5.3: one random read per
+// fetched hub), the update log and the block cache all hold those same bytes,
+// and the query loop folds them through a HubRecordView without decoding.
 package ppvindex
 
 import (
@@ -16,13 +17,14 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// Index is the read interface used by online query processing.
+// Index is the read interface used by online query processing; GetView
+// (ViewGetter) is the record read.
 type Index interface {
-	// Get returns the stored prime PPV of hub h. The boolean is false when h
-	// is not indexed. Implementations may return shared data; callers must
-	// not modify the returned vector.
+	ViewGetter
+	// Get decodes the record of hub h into a fresh map (VectorOf). A boundary
+	// helper for tests and the bench harness; the serving path never calls it.
 	Get(h graph.NodeID) (sparse.Vector, bool, error)
-	// Has reports whether h is indexed without materializing the vector.
+	// Has reports whether h is indexed without reading the record.
 	Has(h graph.NodeID) bool
 	// Hubs returns the indexed hub nodes in ascending order.
 	Hubs() []graph.NodeID
@@ -33,63 +35,85 @@ type Index interface {
 	SizeBytes() int64
 }
 
-// Writer is the write interface used by offline precomputation.
+// Writer is the write interface of precomputation and incremental updates.
 type Writer interface {
-	// Put stores the prime PPV of hub h, replacing any previous entry.
-	Put(h graph.NodeID, ppv sparse.Vector) error
+	// PutEncoded stores payload — sparse.AppendEncoded over a prime push's
+	// output, strictly ascending node ids, not checked again — as the record
+	// of hub h, replacing any previous one. Ownership passes to the index.
+	PutEncoded(h graph.NodeID, payload []byte) error
 }
 
 // entryBytes is the storage cost per (node, score) pair: a uint32 node id and
 // a float64 score, matching the binary disk layout.
-const entryBytes = 4 + 8
+const entryBytes = sparse.EncodedEntrySize
 
 // perHubOverheadBytes is the fixed per-hub cost in the binary layout: the hub
 // id and the entry count.
 const perHubOverheadBytes = 4 + 4
 
-// MemIndex is an in-memory PPV index. It is safe for concurrent use.
+// encodeVector is the boundary encoder behind every Put(h, Vector): sort by
+// node id, then the one encoder. The engine's payloads never pass through it.
+func encodeVector(ppv sparse.Vector) []byte {
+	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
+}
+
+// MemIndex is an in-memory PPV index: one owned payload buffer per hub. A
+// stored buffer is replaced, never written, so views alias it without a pin
+// and outlive a rewrite of their hub. It is safe for concurrent use.
 type MemIndex struct {
-	mu   sync.RWMutex
-	ppvs map[graph.NodeID]sparse.Vector
-	// count mirrors len(ppvs) so Has can answer "empty" without taking the
-	// read lock. MemIndex doubles as the overlay of a disk store, where the
-	// serving hot path probes it once per record read and it is empty except
-	// in the window between an incremental update and the next compaction.
+	mu      sync.RWMutex
+	records map[graph.NodeID][]byte
+	size    int64 // SizeBytes of what records holds
+	// count mirrors len(records) so a probe can answer "empty" without taking
+	// the read lock: as the overlay of a disk store MemIndex is probed once
+	// per record read and is empty except between an update and a compaction.
 	count atomic.Int64
 }
 
 // NewMemIndex returns an empty in-memory index.
 func NewMemIndex() *MemIndex {
-	return &MemIndex{ppvs: make(map[graph.NodeID]sparse.Vector)}
+	return &MemIndex{records: make(map[graph.NodeID][]byte)}
 }
 
-// Put stores the prime PPV of hub h. The vector is stored by reference; the
-// caller must not modify it afterwards.
-func (m *MemIndex) Put(h graph.NodeID, ppv sparse.Vector) error {
+// PutEncoded stores payload as the record of hub h and takes ownership of it.
+func (m *MemIndex) PutEncoded(h graph.NodeID, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ppvs[h] = ppv
-	m.count.Store(int64(len(m.ppvs)))
+	if old, ok := m.records[h]; ok {
+		m.size -= perHubOverheadBytes + int64(len(old))
+	}
+	m.records[h] = payload
+	m.size += perHubOverheadBytes + int64(len(payload))
+	m.count.Store(int64(len(m.records)))
 	return nil
 }
 
-// Get returns the stored prime PPV of h.
-func (m *MemIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.ppvs[h]
-	return v, ok, nil
+// Put encodes ppv and stores it (boundary helper, see encodeVector).
+func (m *MemIndex) Put(h graph.NodeID, ppv sparse.Vector) error {
+	return m.PutEncoded(h, encodeVector(ppv))
 }
 
-// Has reports whether h is indexed. An empty index answers from the atomic
-// count alone, keeping the common empty-overlay probe off the lock.
-func (m *MemIndex) Has(h graph.NodeID) bool {
+// GetView returns a view of the stored record of h; it allocates nothing, and
+// an empty index answers from the atomic count alone.
+func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	if m.count.Load() == 0 {
-		return false
+		return HubRecordView{}, false, nil
 	}
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.ppvs[h]
+	rec, ok := m.records[h]
+	m.mu.RUnlock()
+	if !ok {
+		return HubRecordView{}, false, nil
+	}
+	return NewHubRecordView(h, rec, nil), true, nil
+}
+
+// Get decodes the stored record of h into a fresh map.
+func (m *MemIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) { return VectorOf(m, h) }
+
+// Has reports whether h is indexed.
+func (m *MemIndex) Has(h graph.NodeID) bool {
+	_, ok, _ := m.GetView(h)
 	return ok
 }
 
@@ -97,8 +121,9 @@ func (m *MemIndex) Has(h graph.NodeID) bool {
 func (m *MemIndex) Hubs() []graph.NodeID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]graph.NodeID, 0, len(m.ppvs))
-	for h := range m.ppvs {
+	out := make([]graph.NodeID, 0, len(m.records))
+	//lint:ordered collect-then-sort: hubs are sorted by id on the next line
+	for h := range m.records {
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -106,34 +131,14 @@ func (m *MemIndex) Hubs() []graph.NodeID {
 }
 
 // Len returns the number of indexed hubs.
-func (m *MemIndex) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.ppvs)
-}
+func (m *MemIndex) Len() int { return int(m.count.Load()) }
 
-// SizeBytes estimates the payload size as if it were serialized to the binary
-// disk layout, so that in-memory and on-disk experiments report comparable
-// space numbers.
+// SizeBytes returns the size of the records in the binary disk layout, so
+// in-memory and on-disk experiments report comparable space numbers.
 func (m *MemIndex) SizeBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var total int64
-	for _, v := range m.ppvs {
-		total += perHubOverheadBytes + int64(v.NonZeros())*entryBytes
-	}
-	return total
-}
-
-// TotalEntries returns the total number of stored (node, score) pairs.
-func (m *MemIndex) TotalEntries() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	for _, v := range m.ppvs {
-		total += int64(v.NonZeros())
-	}
-	return total
+	return m.size
 }
 
 // Stats summarizes an index for experiment reports.
@@ -143,13 +148,11 @@ type Stats struct {
 	SizeBytes    int64
 }
 
-// StatsOf computes Stats for any Index. For disk indexes the entry count is
-// derived from the payload size.
+// StatsOf computes Stats for any Index; the entry count is derived from the
+// payload size.
 func StatsOf(idx Index) Stats {
 	s := Stats{Hubs: idx.Len(), SizeBytes: idx.SizeBytes()}
-	if m, ok := idx.(*MemIndex); ok {
-		s.TotalEntries = m.TotalEntries()
-	} else if s.Hubs > 0 {
+	if s.Hubs > 0 {
 		s.TotalEntries = (s.SizeBytes - int64(s.Hubs)*perHubOverheadBytes) / entryBytes
 	}
 	return s

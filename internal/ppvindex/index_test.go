@@ -72,6 +72,64 @@ func TestMemIndexPutReplaces(t *testing.T) {
 	}
 }
 
+// TestMemIndexViewsSurviveReplacement: a stored payload is replaced, never
+// written, so a view taken before the hub is rewritten keeps reading the old
+// record, and SizeBytes follows the replacement.
+func TestMemIndexViewsSurviveReplacement(t *testing.T) {
+	idx := NewMemIndex()
+	first := rawEntries(2, 5, 9)
+	if err := idx.PutEncoded(1, first); err != nil {
+		t.Fatal(err)
+	}
+	old, ok, err := idx.GetView(1)
+	if err != nil || !ok || &old.EntryBytes()[0] != &first[0] {
+		t.Fatalf("GetView(1) ok=%v err=%v; the view must alias the stored payload", ok, err)
+	}
+	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+3*entryBytes); got != want {
+		t.Errorf("SizeBytes = %d, want %d", got, want)
+	}
+	if err := idx.PutEncoded(1, rawEntries(4)); err != nil {
+		t.Fatal(err)
+	}
+	if old.Len() != 3 || !old.Contains(9) || old.Contains(4) {
+		t.Error("the view taken before the rewrite changed under its holder")
+	}
+	if cur, _, _ := idx.GetView(1); cur.Len() != 1 || !cur.Contains(4) {
+		t.Error("GetView after the rewrite does not serve the new record")
+	}
+	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+entryBytes); got != want || idx.Len() != 1 {
+		t.Errorf("after the rewrite SizeBytes = %d (want %d), Len = %d (want 1)", got, want, idx.Len())
+	}
+	if stats := StatsOf(idx); stats.TotalEntries != 1 {
+		t.Errorf("StatsOf counts %d entries, want 1", stats.TotalEntries)
+	}
+}
+
+func TestHubRecordViewContains(t *testing.T) {
+	full := NewHubRecordView(7, rawEntries(3, 8, 9, 40), nil)
+	for _, c := range []struct {
+		name string
+		view HubRecordView
+		id   graph.NodeID
+		want bool
+	}{
+		{"empty record", NewHubRecordView(7, nil, nil), 3, false},
+		{"zero view", HubRecordView{}, 0, false},
+		{"first entry", full, 3, true},
+		{"last entry", full, 40, true},
+		{"middle entry", full, 9, true},
+		{"below the first", full, 2, false},
+		{"absent between two present", full, 10, false},
+		{"above the max", full, 41, false},
+		{"single entry hit", NewHubRecordView(7, rawEntries(5), nil), 5, true},
+		{"single entry miss", NewHubRecordView(7, rawEntries(5), nil), 6, false},
+	} {
+		if got := c.view.Contains(c.id); got != c.want {
+			t.Errorf("%s: Contains(%d) = %v, want %v", c.name, c.id, got, c.want)
+		}
+	}
+}
+
 func TestDiskIndexRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "index.ppv")
 	w, err := CreateDisk(path)

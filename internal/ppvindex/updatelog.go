@@ -75,16 +75,21 @@ func updateLogBinding(baseBytes int64, baseHubs int) []byte {
 // base but died before the log reset) is discarded — reset to empty — instead
 // of replayed. A torn tail is truncated; a foreign or corrupt header fails
 // with ErrBadIndexFormat. The returned log is positioned for appending.
-func OpenUpdateLog(path string, baseBytes int64, baseHubs int, replay func(h graph.NodeID, ppv sparse.Vector) error) (*UpdateLog, error) {
-	log, err := frame.Open(frame.OS{}, path, updateLogFormat, updateLogBinding(baseBytes, baseHubs), func(payload []byte) error {
-		h, ppv, err := decodeRecordPayload(payload)
+//
+// Frames are where records enter from outside the process, so each is
+// validated here (parseRecord): a CRC-valid frame that is not a well-formed
+// record ends the replay like any other bad frame. The entry payload handed
+// to replay aliases the replay buffer; a callback that keeps it must copy it.
+func OpenUpdateLog(path string, baseBytes int64, baseHubs int, replay func(h graph.NodeID, payload []byte) error) (*UpdateLog, error) {
+	log, err := frame.Open(frame.OS{}, path, updateLogFormat, updateLogBinding(baseBytes, baseHubs), func(rec []byte) error {
+		h, payload, err := parseRecord(rec)
 		if err != nil {
 			return frame.ErrTorn
 		}
 		if replay == nil {
 			return nil
 		}
-		return replay(h, ppv)
+		return replay(h, payload)
 	})
 	if err != nil {
 		return nil, err
@@ -92,9 +97,15 @@ func OpenUpdateLog(path string, baseBytes int64, baseHubs int, replay func(h gra
 	return &UpdateLog{log}, nil
 }
 
-// Append buffers one update frame. It does not hit the disk until Commit.
+// AppendEncoded buffers one update frame holding payload as the record of h.
+// It does not hit the disk until Commit, and does not retain payload.
+func (l *UpdateLog) AppendEncoded(h graph.NodeID, payload []byte) error {
+	return l.log.Append(appendRecord(nil, h, payload))
+}
+
+// Append encodes ppv and buffers it (boundary helper, see encodeVector).
 func (l *UpdateLog) Append(h graph.NodeID, ppv sparse.Vector) error {
-	return l.log.Append(encodeRecord(h, ppv))
+	return l.AppendEncoded(h, encodeVector(ppv))
 }
 
 // Commit flushes every appended frame and fsyncs the file: one durable batch

@@ -16,12 +16,13 @@ import (
 func collectReplay(dst *[]struct {
 	hub graph.NodeID
 	ppv sparse.Vector
-}) func(graph.NodeID, sparse.Vector) error {
-	return func(h graph.NodeID, ppv sparse.Vector) error {
+}) func(graph.NodeID, []byte) error {
+	return func(h graph.NodeID, payload []byte) error {
+		// Vector copies the entries out of the replay buffer.
 		*dst = append(*dst, struct {
 			hub graph.NodeID
 			ppv sparse.Vector
-		}{h, ppv})
+		}{h, NewHubRecordView(h, payload, nil).Vector()})
 		return nil
 	}
 }
@@ -175,6 +176,42 @@ func TestUpdateLogStopsAtCorruptFrame(t *testing.T) {
 	}
 }
 
+// TestUpdateLogReplayStopsAtUnsortedRecord: a frame that passes its CRC but
+// does not hold a record — node ids out of order or repeated, or a count that
+// does not cover the frame — is a bad frame. Replay stops there, keeps what
+// came before and truncates the rest, as it does for a checksum mismatch.
+func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
+	good := encodeRecord(1, sparse.Vector{4: 0.5, 6: 0.25})
+	for name, bad := range map[string][]byte{
+		"descending ids": appendRecord(nil, 2, rawEntries(9, 5)),
+		"repeated id":    appendRecord(nil, 2, rawEntries(5, 5)),
+		"short count":    append(appendRecord(nil, 2, rawEntries(5, 9)), make([]byte, entryBytes)...),
+		"long count":     appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+entryBytes],
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "idx.log")
+			if err := os.WriteFile(path, updateLogBytes(t, good, bad, good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var replayed []struct {
+				hub graph.NodeID
+				ppv sparse.Vector
+			}
+			l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, collectReplay(&replayed))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer l.Close()
+			if len(replayed) != 1 || replayed[0].hub != 1 || replayed[0].ppv[6] != 0.25 {
+				t.Fatalf("replayed %v, want just the frame before the bad one", replayed)
+			}
+			if want := int64(logHeaderBytes + frame.Overhead + len(good)); l.Records() != 1 || l.SizeBytes() != want {
+				t.Errorf("log holds %d records in %d bytes, want 1 in %d", l.Records(), l.SizeBytes(), want)
+			}
+		})
+	}
+}
+
 // TestUpdateLogCloseDiscardsUncommitted: frames appended by a batch whose
 // commit never ran (the update failed) must not survive Close — replaying
 // them would restore half a batch for a graph change that never happened.
@@ -273,7 +310,7 @@ func TestUpdateLogTornHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte{0x46, 0x50}, 0o644); err != nil { // 2 of 24 header bytes
 		t.Fatal(err)
 	}
-	l, err := OpenUpdateLog(path, 1000, 30, func(graph.NodeID, sparse.Vector) error {
+	l, err := OpenUpdateLog(path, 1000, 30, func(graph.NodeID, []byte) error {
 		t.Fatal("nothing should replay from a torn header")
 		return nil
 	})
@@ -311,7 +348,7 @@ func TestUpdateLogDiscardsMismatchedBinding(t *testing.T) {
 		bytes int64
 		hubs  int
 	}{{1000, 31}, {2000, 30}} {
-		l2, err := OpenUpdateLog(path, bind.bytes, bind.hubs, func(graph.NodeID, sparse.Vector) error {
+		l2, err := OpenUpdateLog(path, bind.bytes, bind.hubs, func(graph.NodeID, []byte) error {
 			t.Fatalf("record replayed despite binding mismatch %+v", bind)
 			return nil
 		})

@@ -1,16 +1,18 @@
 package ppvindex
 
 import (
+	"sort"
+
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
 
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
 // the record's entry payload in the flat 12-byte (node uint32, score float64)
-// encoding, sorted by ascending node id. In mmap mode the view aliases the
-// mapped file bytes directly; in pread mode (and for cache-retained views) it
-// wraps an owned heap buffer. Either way no map is materialized — the query
-// inner loop folds the entries straight into a sparse.Accumulator.
+// encoding, in strictly ascending node order. An mmap view aliases the mapped
+// file, a MemIndex view the immutable buffer the index owns, a pread or
+// cache-retained view an owned heap buffer. No map is materialized — the
+// query inner loop folds the entries straight into a sparse.Accumulator.
 //
 // Lifetime rules: a view is valid only for the index generation that produced
 // it and must not outlive it. Views that alias an mmap'd index pin the
@@ -46,9 +48,21 @@ func (v HubRecordView) Entry(i int) (graph.NodeID, float64) {
 // view's backing storage and follows the same lifetime rules as the view.
 func (v HubRecordView) EntryBytes() []byte { return v.data }
 
-// Vector decodes the view into a freshly allocated map-based Vector. It is
-// the boundary conversion for callers that need random access; the hot path
-// should use EntryBytes with sparse.Accumulator instead.
+// Contains reports whether the record has an entry for id (binary search).
+func (v HubRecordView) Contains(id graph.NodeID) bool {
+	i := sort.Search(v.Len(), func(i int) bool {
+		node, _ := v.Entry(i)
+		return node >= id
+	})
+	if i == v.Len() {
+		return false
+	}
+	node, _ := v.Entry(i)
+	return node == id
+}
+
+// Vector decodes the view into a freshly allocated map-based Vector: the
+// boundary conversion for callers outside the serving path.
 func (v HubRecordView) Vector() sparse.Vector {
 	out := sparse.New(v.Len())
 	for i := 0; i < v.Len(); i++ {
@@ -67,17 +81,18 @@ func (v HubRecordView) Release() {
 	}
 }
 
-// ViewGetter is implemented by indexes that can serve hub records as
-// zero-copy views. GetView mirrors Index.Get: the boolean is false when h is
-// not indexed (callers then fall back to Get, which also covers overlay and
-// recompute paths).
+// ViewGetter is the record read of an Index. The boolean is false when h is
+// not indexed; an error means the record exists but could not be read.
 type ViewGetter interface {
 	GetView(h graph.NodeID) (HubRecordView, bool, error)
 }
 
-// ViewIndex is an Index that also serves its records as views. BlockCache
-// requires it of its inner index: the cache retains flat payloads only.
-type ViewIndex interface {
-	Index
-	ViewGetter
+// VectorOf is every Index.Get: GetView, decode into a map, Release.
+func VectorOf(idx ViewGetter, h graph.NodeID) (sparse.Vector, bool, error) {
+	view, ok, err := idx.GetView(h)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	defer view.Release()
+	return view.Vector(), true, nil
 }

@@ -1,18 +1,16 @@
-// accumulator.go implements the flat sorted-slice accumulator used by the
-// query inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds
-// scaled prime PPVs into a running estimate; doing that over map-based
-// Vectors costs a hash probe per entry plus a defensive clone per hub (the
-// self-loop-corrected extension vector of Theorem 4). The Accumulator instead
-// keeps entries as a []Entry sorted by node id and folds hub records in with
-// linear merges, reading the hub's entries either from a decoded Vector or
-// directly from the 12-byte on-disk record encoding (see EncodedEntrySize)
-// without materializing an intermediate map. Results convert back to the
-// public map-based Vector only at the API boundary.
+// accumulator.go implements the flat sorted-slice accumulator of the query
+// inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds scaled
+// prime PPVs into a running estimate. A prime PPV has one stored form, the
+// flat record encoding below (12 bytes an entry, ascending node id), written
+// by AppendEncoded; the Accumulator folds such payloads with linear merges
+// into a []Entry sorted by node id. No map is built between the prime push
+// and the estimate; results become a map-based Vector only at the API boundary.
 package sparse
 
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"fastppv/internal/graph"
@@ -31,6 +29,19 @@ func PutEncodedEntry(b []byte, id graph.NodeID, score float64) {
 	binary.LittleEndian.PutUint64(b[4:12], math.Float64bits(score))
 }
 
+// AppendEncoded appends the flat record encoding of entries to dst: the one
+// encoder of hub-record payloads. Entries must be in strictly ascending node
+// order, as the prime push emits them; they are written as they come.
+func AppendEncoded(dst []byte, entries []Entry) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, len(entries)*EncodedEntrySize)[:at+len(entries)*EncodedEntrySize]
+	for _, e := range entries {
+		PutEncodedEntry(dst[at:], e.Node, e.Score)
+		at += EncodedEntrySize
+	}
+	return dst
+}
+
 // EncodedEntryAt decodes the i-th entry of an encoded record payload.
 func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
 	off := i * EncodedEntrySize
@@ -44,8 +55,7 @@ func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
 const extensionEpsilon = 1e-15
 
 // Accumulator is a sparse score vector stored as a slice of entries sorted by
-// ascending node id. It is the zero-copy counterpart of Vector for the query
-// hot loop: merges are linear scans, the deterministic ordered sum is a plain
+// ascending node id, the working form of the query loop: merges are linear scans, the deterministic ordered sum is a plain
 // loop (entries are already in ascending node order), and no per-hub maps or
 // clones are allocated. An Accumulator is not safe for concurrent use.
 //
@@ -83,15 +93,10 @@ func (a *Accumulator) Get(id graph.NodeID) float64 {
 	return 0
 }
 
-// SetVector replaces the accumulator's contents with the entries of v.
-func (a *Accumulator) SetVector(v Vector) {
-	a.entries = a.entries[:0]
-	//lint:ordered collect-then-sort: entries are sorted by node id on the next line
-	for id, s := range v {
-		a.entries = append(a.entries, Entry{Node: id, Score: s})
-	}
-	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].Node < a.entries[j].Node })
-}
+// SetVector replaces the accumulator's contents with the entries of v. It and
+// StageVectorExtension serve callers holding a decoded map (the bench
+// harness); the engine sets and stages encoded payloads only.
+func (a *Accumulator) SetVector(v Vector) { a.entries = v.AppendSorted(a.entries[:0]) }
 
 // SetEntries replaces the accumulator's contents with a copy of entries, which
 // must already be sorted by strictly ascending node id (as the prime push
@@ -183,21 +188,10 @@ func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner gr
 	}
 }
 
-// StageVectorExtension is StageEncodedExtension for a map-based prime PPV.
-// Map iteration order does not matter here: a single hub record holds each
-// node at most once, so the cross-hub per-node contribution order is fixed by
-// the staging order of whole hubs, not by the order within one record.
+// StageVectorExtension is StageEncodedExtension for a map-based prime PPV:
+// sort, encode, stage.
 func (a *Accumulator) StageVectorExtension(v Vector, scale float64, owner graph.NodeID, alpha float64) {
-	//lint:ordered each node occurs once per staged record; Combine stable-sorts by node id, so duplicates fold in record order, not map order
-	for id, s := range v {
-		if id == owner {
-			s -= alpha
-			if s <= extensionEpsilon {
-				continue
-			}
-		}
-		a.staged = append(a.staged, Entry{Node: id, Score: scale * s})
-	}
+	a.StageEncodedExtension(AppendEncoded(nil, v.AppendSorted(nil)), scale, owner, alpha)
 }
 
 // Combine folds every staged contribution into the accumulator. Duplicated

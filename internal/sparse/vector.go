@@ -1,8 +1,10 @@
 // Package sparse provides the sparse score vectors used throughout the
 // FastPPV reproduction. A Personalized PageRank Vector (PPV) over a large
 // graph typically has mass concentrated on a small neighbourhood of the query
-// node, so PPVs, PPV increments and prime PPVs are all represented as sparse
-// maps from node id to score.
+// node, so nothing here is dense. Vector, a map from node id to score, is the
+// public form: query results, exact PPVs, the baselines and the experiments.
+// The serving path builds one only when its answer is complete: stored prime
+// PPVs are flat payloads sorted by node id, folded as slices (accumulator.go).
 package sparse
 
 import (
@@ -195,6 +197,18 @@ func (v Vector) Equal(other Vector, tol float64) bool {
 type Entry struct {
 	Node  graph.NodeID
 	Score float64
+}
+
+// AppendSorted appends the entries of v to dst in ascending node order: the
+// one place a map-form PPV becomes the sorted form the rest of the tree uses.
+func (v Vector) AppendSorted(dst []Entry) []Entry {
+	at := len(dst)
+	//lint:ordered collect-then-sort: the appended entries are sorted by node id below
+	for id, s := range v {
+		dst = append(dst, Entry{Node: id, Score: s})
+	}
+	sort.Slice(dst[at:], func(i, j int) bool { return dst[at+i].Node < dst[at+j].Node })
+	return dst
 }
 
 // FromEntries builds a Vector sized for exactly the given entries.
