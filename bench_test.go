@@ -1,7 +1,7 @@
 package fastppv
 
 // Benchmark harness: one testing.B benchmark per table/figure of the paper's
-// evaluation section (see DESIGN.md §3 for the experiment index). Every
+// evaluation section (see README.md, "Experiment index"). Every
 // benchmark runs the corresponding experiment driver and, on the first
 // iteration, prints the regenerated table so that
 //
@@ -13,7 +13,7 @@ package fastppv
 //
 // Additional micro-benchmarks cover the primitive operations (prime PPV
 // computation, a single online query, exact PPV as the naive baseline) and
-// the ablations called out in DESIGN.md §4. The serving stack is measured by
+// the ablations listed under that index. The serving stack is measured by
 // the bench/ module (BENCHMARK.json), not here.
 
 import (
@@ -224,8 +224,8 @@ func BenchmarkTheorem2Bound(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDeltaClip runs the delta-prune / storage-clip ablations of
-// DESIGN.md §4.
+// BenchmarkAblationDeltaClip runs the delta-prune / storage-clip ablations
+// (README.md, "Experiment index").
 func BenchmarkAblationDeltaClip(b *testing.B) {
 	scale := benchScale(b)
 	printed := false

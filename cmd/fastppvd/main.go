@@ -26,11 +26,12 @@
 // -compact-threshold-bytes, or on demand via POST /v1/compact.
 //
 // Cluster mode splits the hub index horizontally across processes. A shard
-// serves one hash partition of the hub set (-shard i/n) and exposes the
-// partial-query endpoint the cluster protocol needs; a router fronts the
-// shards (-router url1,url2,...) and scatter-gathers every query across them,
-// composing the exact error bound from the partial answers — with a down
-// shard, answers degrade to a wider reported bound instead of failing:
+// serves one hash partition of the hub set (-shard i/n) and answers partial
+// queries as binary frames on the stream a router opens to it (GET
+// /v1/stream, upgraded); a router fronts the shards (-router url1,url2,...)
+// and scatter-gathers every query across them, composing the exact error
+// bound from the partial answers — with a shard down or its stream
+// unavailable, answers degrade to a wider reported bound instead of failing:
 //
 //	fastppvd -graph g.txt -shard 0/2 -addr :8081
 //	fastppvd -graph g.txt -shard 1/2 -addr :8082
@@ -71,7 +72,7 @@
 //
 //	GET  /v1/ppv?node=&eta=&target-error=&top=   answer one query
 //	POST /v1/ppv/batch                           answer a batch of queries
-//	POST /v1/partial                             cluster sub-query (shards only)
+//	GET  /v1/stream                              cluster sub-query stream (upgrade; shards only)
 //	POST /v1/update                              apply a graph update
 //	POST /v1/compact                             fold the update log into the index
 //	GET  /v1/stats                               serving + offline + cluster statistics
@@ -118,7 +119,6 @@ func run(args []string) error {
 	hubs := fs.Int("hubs", 0, "number of hubs (0 = choose automatically)")
 	shardSpec := fs.String("shard", "", "serve one hub partition, as \"i/n\" (shard i of n)")
 	routerTargets := fs.String("router", "", "run as a cluster router over these comma-separated shard URLs (no local engine)")
-	clusterTransport := fs.String("cluster-transport", "binary", "-router shard transport: binary (persistent streams, JSON fallback) or json")
 	warmHubs := fs.Int("warm-hubs", 0, "preload this many of the hottest hub blocks into the block cache at startup")
 	indexPath := fs.String("index", "", "serve from this on-disk index file (opened if present, precomputed into it otherwise)")
 	blockCacheBytes := fs.Int64("block-cache-bytes", 0, "hub-block cache budget for -index mode (0 = 64 MiB default, negative disables)")
@@ -199,10 +199,9 @@ func run(args []string) error {
 		}
 		targets := strings.Split(*routerTargets, ",")
 		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Targets:   targets,
-			Transport: *clusterTransport,
-			Registry:  registry,
-			Logger:    logger,
+			Targets:  targets,
+			Registry: registry,
+			Logger:   logger,
 		})
 		if err != nil {
 			return err
@@ -210,8 +209,7 @@ func run(args []string) error {
 		defer rt.Close()
 		st := rt.Stats()
 		logger.Info("routing across shards",
-			"shards", len(st.Shards), "healthy", st.ShardsHealthy,
-			"transport", st.Transport, "nodes", st.Nodes)
+			"shards", len(st.Shards), "healthy", st.ShardsHealthy, "nodes", st.Nodes)
 		srv, err := server.NewRouter(rt, srvCfg)
 		if err != nil {
 			return err

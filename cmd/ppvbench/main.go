@@ -1,7 +1,7 @@
 // Command ppvbench regenerates the tables and figures of the paper's
 // evaluation section (Sect. 6) from the experiment drivers in
-// internal/experiments. Each -exp value corresponds to one experiment id of
-// DESIGN.md; "all" runs the full suite.
+// internal/experiments. Each -exp value corresponds to one row of the
+// experiment index in README.md; "all" runs the full suite.
 //
 // Usage:
 //

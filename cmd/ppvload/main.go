@@ -77,12 +77,11 @@ type serverStats struct {
 		Bytes   int64 `json:"bytes"`
 	} `json:"block_cache"`
 	Cluster *struct {
-		ShardsHealthy    int    `json:"shards_healthy"`
-		Transport        string `json:"transport"`
-		SpeculationsSent int64  `json:"speculations_sent"`
-		SpeculationHits  int64  `json:"speculation_hits"`
-		WireBytesSent    int64  `json:"wire_bytes_sent"`
-		WireBytesRecv    int64  `json:"wire_bytes_received"`
+		ShardsHealthy    int   `json:"shards_healthy"`
+		SpeculationsSent int64 `json:"speculations_sent"`
+		SpeculationHits  int64 `json:"speculation_hits"`
+		WireBytesSent    int64 `json:"wire_bytes_sent"`
+		WireBytesRecv    int64 `json:"wire_bytes_received"`
 		Shards           []struct {
 			Shard         int     `json:"shard"`
 			Target        string  `json:"target"`
@@ -91,10 +90,8 @@ type serverStats struct {
 			Failures      int64   `json:"failures"`
 			MeanLatencyMS float64 `json:"mean_latency_ms"`
 			Transport     struct {
-				Kind             string `json:"kind"`
-				StreamConnected  bool   `json:"stream_connected"`
-				Reconnects       int64  `json:"reconnects"`
-				FallbackRequests int64  `json:"fallback_requests"`
+				StreamConnected bool  `json:"stream_connected"`
+				Reconnects      int64 `json:"reconnects"`
 			} `json:"transport"`
 		} `json:"shards"`
 	} `json:"cluster"`
@@ -504,18 +501,13 @@ func reportTarget(out io.Writer, tgt string, before *serverStats, prefix bool) e
 		if c.SpeculationsSent > 0 {
 			specRate = float64(c.SpeculationHits) / float64(c.SpeculationsSent)
 		}
-		fmt.Fprintf(out, "%scluster: %d/%d shards healthy, %s transport, %.1f%% speculation hit rate, %.2f MB on the wire (lifetime)\n",
-			pfx, c.ShardsHealthy, len(c.Shards), c.Transport, specRate*100,
+		fmt.Fprintf(out, "%scluster: %d/%d shards healthy, %.1f%% speculation hit rate, %.2f MB on the wire (lifetime)\n",
+			pfx, c.ShardsHealthy, len(c.Shards), specRate*100,
 			float64(c.WireBytesSent+c.WireBytesRecv)/(1<<20))
 		for _, sh := range c.Shards {
-			link := sh.Transport.Kind
+			link := "stream down"
 			if sh.Transport.StreamConnected {
 				link = "stream up"
-			} else if sh.Transport.Kind == "binary" {
-				link = "stream down"
-			}
-			if sh.Transport.FallbackRequests > 0 {
-				link += fmt.Sprintf(", %d JSON fallbacks", sh.Transport.FallbackRequests)
 			}
 			if sh.Transport.Reconnects > 0 {
 				link += fmt.Sprintf(", %d reconnects", sh.Transport.Reconnects)

@@ -291,7 +291,9 @@ func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (
 // starts at the replayed batch count: a restarted daemon serves the same
 // graph, the same PPVs and the same epoch as the process that applied the
 // updates live, instead of reverting non-hub answers to the original graph
-// file.
+// file. g itself must be the graph the index was precomputed on: a sharded
+// engine recovers its full hub set by selecting on g, not on the replayed
+// graph, because updates never change the hub set.
 func OpenDiskIndexWithOptions(g *Graph, opts Options, path string, dio DiskIndexOptions) (*Engine, func() error, error) {
 	cfg := dio.storeConfig(path)
 	served := g
@@ -322,7 +324,7 @@ func OpenDiskIndexWithOptions(g *Graph, opts Options, path string, dio DiskIndex
 		}
 		return nil, nil, err
 	}
-	engine, err := core.NewServingEngine(served, store, opts)
+	engine, err := core.NewServingEngine(g, served, store, opts)
 	if err != nil {
 		store.Close()
 		return nil, nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -1124,5 +1125,94 @@ func TestPublicAPIShardedDiskIndex(t *testing.T) {
 	}
 	if totalOwned != full.Index().Len() {
 		t.Errorf("shards own %d hubs in total, full index has %d", totalOwned, full.Index().Len())
+	}
+}
+
+// TestPublicAPIShardedRestartKeepsHubSet: a sharded disk index restarted with
+// the graph log on must come back with the hub set it was precomputed with.
+// Updates keep the hub set fixed, so recovering the full set by selecting on
+// the replayed graph either fails to open or silently serves a different set.
+func TestPublicAPIShardedRestartKeepsHubSet(t *testing.T) {
+	g := buildTestGraph(t, 900, 5, 31)
+	opts := Options{NumHubs: 80, Partition: Partition{Shard: 0, Shards: 2}}
+	path := filepath.Join(t.TempDir(), "shard0.ppv")
+	build, closeBuild, err := NewWithDiskIndex(g, opts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeBuild(); err != nil {
+		t.Fatal(err)
+	}
+
+	live, closeLive, err := OpenDiskIndexWithOptions(g, opts, path, DiskIndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Turn a non-hub into the best-connected node of the graph: popular and
+	// high out-degree, so any selection on the updated graph ranks it in.
+	star := nonHubNode(t, live, 500)
+	var upd GraphUpdate
+	for u := NodeID(0); u < 300; u++ {
+		if u != star {
+			upd.AddedEdges = append(upd.AddedEdges, Edge{From: star, To: u}, Edge{From: u, To: star})
+		}
+	}
+	if _, err := live.ApplyUpdate(upd); err != nil {
+		t.Fatal(err)
+	}
+	reselected, err := New(live.Graph(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reselected.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if !reselected.Hubs().Contains(star) {
+		t.Fatal("the update did not change the selection ranking; the test proves nothing")
+	}
+	wantHubs := append([]NodeID(nil), live.Hubs().Hubs()...)
+	queries := []NodeID{star, 3, 777, wantHubs[0]}
+	stop := StopCondition{MaxIterations: 3}
+	want := make([]Vector, len(queries))
+	for i, q := range queries {
+		res, err := live.Query(q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Estimate.Clone()
+	}
+	if err := closeLive(); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Restart": the original graph file, the graph log replayed on top.
+	reopened, closeReopened, err := OpenDiskIndexWithOptions(g, opts, path, DiskIndexOptions{})
+	if err != nil {
+		t.Fatalf("reopening the sharded index after an update: %v", err)
+	}
+	defer closeReopened()
+	if got := reopened.Epoch(); got != 1 {
+		t.Errorf("epoch after replay = %d, want 1", got)
+	}
+	if got := reopened.Hubs().Hubs(); !reflect.DeepEqual(got, wantHubs) {
+		t.Fatalf("restart changed the hub set: %d hubs, star a hub: %v; want the %d precomputed hubs",
+			len(got), reopened.Hubs().Contains(star), len(wantHubs))
+	}
+	for i, q := range queries {
+		res, err := reopened.Query(q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Estimate) != len(want[i]) {
+			t.Fatalf("query %d: %d entries after restart, %d live", q, len(res.Estimate), len(want[i]))
+		}
+		for n, s := range want[i] {
+			if res.Estimate[n] != s {
+				t.Fatalf("query %d entry %d = %v after restart, live engine answered %v", q, n, res.Estimate[n], s)
+			}
+		}
 	}
 }

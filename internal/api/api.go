@@ -1,10 +1,11 @@
-// Package api defines the HTTP wire contract shared by the serving daemon,
-// the cluster router and the load-generation tooling: the partial-query
-// protocol that shards speak among themselves, the sparse-vector encoding it
-// uses, and the structured error envelope every endpoint returns on failure.
+// Package api defines the wire contract shared by the serving daemon, the
+// cluster router and the load-generation tooling: the partial-query protocol
+// the router speaks to shards (request and response types here, their binary
+// frames in binary.go), the sparse-vector form it uses, and the structured
+// error envelope every HTTP endpoint returns on failure.
 //
 // It deliberately contains no behaviour beyond encoding: both internal/server
-// (the shard side of /v1/partial) and internal/cluster (the router side)
+// (the shard side of /v1/stream) and internal/cluster (the router side)
 // import it, so it must not depend on either.
 package api
 
@@ -17,11 +18,11 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// TraceHeader carries the per-query trace ID across the cluster: the serving
-// layer mints one per traced request, the router forwards it on every
-// /v1/partial leg, and shards echo it back (and key their structured logs on
-// it), so one routed query can be followed end to end through the logs of
-// every process it touched.
+// TraceHeader carries the per-query trace ID between a client and the serving
+// layer, which mints one per traced request when the client sent none. The
+// router forwards the ID inside every shard leg's request frame and shards key
+// their structured logs on it, so one routed query can be followed end to end
+// through the logs of every process it touched.
 const TraceHeader = "X-Fastppv-Trace"
 
 // NormalizeTarget canonicalizes a shard/daemon address as accepted by the
@@ -147,8 +148,9 @@ func (w Vector) DecodeMap() (map[graph.NodeID]float64, error) {
 	return map[graph.NodeID]float64(v), nil
 }
 
-// PartialRequest is the body of POST /v1/partial, the shard-side sub-query of
-// a distributed PPV evaluation. Exactly one of Query and Frontier is set:
+// PartialRequest is the shard-side sub-query of a distributed PPV evaluation,
+// carried in a FramePartialRequest on the shard's stream. Exactly one of Query
+// and Frontier is set:
 //
 //   - Query asks for iteration 0 — the prime PPV of the query node, served
 //     from the shard's index when it owns that hub and computed on the fly
@@ -156,50 +158,48 @@ func (w Vector) DecodeMap() (map[graph.NodeID]float64, error) {
 //   - Frontier asks for one expansion iteration over the given hub->prefix
 //     weights, which must all be hubs this shard owns.
 type PartialRequest struct {
-	Query    *graph.NodeID `json:"query,omitempty"`
-	Frontier *Vector       `json:"frontier,omitempty"`
+	Query    *graph.NodeID
+	Frontier *Vector
 	// Iteration is the router's iteration number for this expansion; it only
 	// feeds shard-side logging and stats.
-	Iteration int `json:"iteration,omitempty"`
+	Iteration int
 	// Speculative marks an expansion the router pre-sent before committing to
 	// the iteration: the shard may discard it (answering CodeStaleSpeculation)
-	// if a cancel for FrontierHash arrives before it starts computing. The
-	// fields ride along in JSON too, so speculation works — minus the
-	// cancel fast-path — over the fallback transport.
-	Speculative bool `json:"speculative,omitempty"`
+	// if a cancel for FrontierHash arrives before it starts computing.
+	Speculative bool
 	// FrontierHash identifies the frontier of a speculative expansion
 	// (api.Vector.Hash); the cancel protocol matches on it.
-	FrontierHash uint64 `json:"frontier_hash,omitempty"`
+	FrontierHash uint64
 }
 
-// PartialResponse is the body answering a partial request.
+// PartialResponse answers a partial request, in a FramePartialResponse.
 type PartialResponse struct {
 	// Shard and Shards echo the answering shard's partition, letting the
 	// router detect a misconfigured target list.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
+	Shard  int
+	Shards int
 	// Epoch is the answering shard's index epoch: the number of graph-update
 	// batches folded into the state this partial was evaluated against. The
 	// router compares epochs across the shards of one query and folds an
 	// epoch-divergent shard's mass into the error bound instead of merging
 	// answers computed on different graphs.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Increment is the partial PPV mass this sub-query contributed.
-	Increment Vector `json:"increment"`
+	Increment Vector
 	// Frontier holds the hub entries of Increment: prefix weights for the
 	// next iteration, including hubs owned by other shards.
-	Frontier Vector `json:"frontier"`
+	Frontier Vector
 	// HubsExpanded and HubsSkipped count assembled and delta-pruned hubs.
-	HubsExpanded int `json:"hubs_expanded"`
-	HubsSkipped  int `json:"hubs_skipped"`
+	HubsExpanded int
+	HubsSkipped  int
 	// Unowned lists requested hubs the shard refused because its partition
 	// does not own them; their mass was not expanded.
-	Unowned []graph.NodeID `json:"unowned,omitempty"`
+	Unowned []graph.NodeID
 	// FromIndex reports, for a root request, whether the query node's prime
 	// PPV came from the stored index.
-	FromIndex bool `json:"from_index,omitempty"`
+	FromIndex bool
 	// ComputeMS is the shard-side evaluation time in milliseconds.
-	ComputeMS float64 `json:"compute_ms"`
+	ComputeMS float64
 }
 
 // UpdateRequest is the body of POST /v1/update: batches of edges to add and

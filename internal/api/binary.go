@@ -1,7 +1,5 @@
-// Binary framing for the streaming shard transport.
-//
-// The JSON types in api.go remain the fallback and debug surface; this file
-// defines the compact binary encoding the router and shards speak over a
+// Binary framing for the shard transport: the compact encoding of the
+// partial-query types in api.go that the router and shards speak over a
 // persistent stream. Every message is one frame:
 //
 //	magic "FPS1" (4) | type (1) | payload length uint32 LE (4) | payload | CRC-32 (4)
@@ -10,9 +8,9 @@
 // torn or corrupted frame is detected before any payload field is trusted.
 // Payloads use uvarints for counts and ids, delta-encoded ascending node ids
 // for vectors, and math.Float64bits (little-endian) for scores — float64
-// values round-trip bit-exactly, preserving the 1e-12 differential guarantee
-// against the JSON path. Every payload starts with a uvarint request id so
-// many in-flight sub-queries can multiplex one stream per shard.
+// values round-trip bit-exactly, which is what keeps a routed answer within
+// 1e-12 of the single-node one. Every payload starts with a uvarint request
+// id so many in-flight sub-queries can multiplex one stream per shard.
 package api
 
 import (

@@ -50,8 +50,6 @@ type Report struct {
 // GraphInfo describes the dataset the run was served from.
 type GraphInfo struct {
 	Nodes int `json:"nodes"`
-	Edges int `json:"edges,omitempty"`
-	Hubs  int `json:"hubs,omitempty"`
 }
 
 // WorkloadInfo describes the client side of the run.

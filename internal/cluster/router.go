@@ -7,8 +7,9 @@
 // router distributes exactly that decomposition. Iteration 0 (the query
 // node's prime PPV) is answered by the node's owner shard; every further
 // iteration partitions the border-hub frontier by hub owner, scatters one
-// /v1/partial expansion per owning shard, and merges the returned increments
-// in ascending shard order so responses stay deterministic. The estimate only
+// partial-expansion request per owning shard over that shard's stream
+// (transport.go), and merges the returned increments in ascending shard order
+// so responses stay deterministic. The estimate only
 // accumulates non-negative tour mass, so the accuracy-aware bound
 // 1 - sum(estimate) remains exact under any failure: a down or slow shard
 // simply leaves its share of the mass unexpanded and the answer is returned
@@ -43,18 +44,14 @@ type RouterConfig struct {
 	// Targets are the shard base URLs; Targets[i] must be the shard serving
 	// partition i/len(Targets). The order is part of the partition contract.
 	Targets []string
-	// Client optionally overrides the HTTP client used for shard calls.
+	// Client optionally overrides the HTTP client used for the shards' plain
+	// HTTP surface: health probes, stats reads and update fan-out legs.
 	Client *http.Client
 	// RequestTimeout bounds one partial sub-request; zero means 10s.
 	RequestTimeout time.Duration
-	// Transport selects how partial sub-requests reach shards: TransportBinary
-	// (persistent multiplexed binary streams with per-shard JSON fallback; the
-	// default) or TransportJSON (one HTTP POST per sub-request).
+	// Transport must be "" or TransportBinary. There is one shard transport;
+	// the field survives only because the frozen benchmark harness sets it.
 	Transport string
-	// DisableSpeculation turns off pre-sending the next iteration's frontier
-	// while the current one folds. Mainly for differential testing; the
-	// speculative path never changes answers, only overlaps work.
-	DisableSpeculation bool
 	// HealthInterval is the period of the background shard health probe; zero
 	// means 2s, negative disables the probe (health then only changes
 	// passively, on request outcomes).
@@ -84,12 +81,8 @@ type Router struct {
 	// only thing that can restore them), trading bounded tail latency for
 	// liveness.
 	passive bool
-	// speculate enables pre-sending the next iteration's frontier before the
-	// current estimate fold and stop check run.
-	speculate bool
-	transport string
-	logger    *slog.Logger
-	met       routerMetrics
+	logger  *slog.Logger
+	met     routerMetrics
 
 	specSent atomic.Int64
 	specHits atomic.Int64
@@ -130,8 +123,8 @@ type shardClient struct {
 	// path never touches the registry's label map.
 	leg *telemetry.Histogram
 
-	// tr carries this shard's partial sub-requests (binary stream or JSON).
-	tr Transport
+	// tr carries this shard's partial sub-requests.
+	tr *streamTransport
 }
 
 // setEpoch records the shard's last observed epoch.
@@ -179,9 +172,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	client := cfg.Client
 	if client == nil {
 		// The stdlib zero client has no timeout and keeps only 2 idle
-		// connections per host — one scatter-gather fan-out would re-dial
-		// shards on every iteration. Size the idle pool to the fan-out width
-		// and give the JSON (fallback) path a real deadline too.
+		// connections per host. Size the idle pool to the fan-out width (an
+		// update fan-out and a probe round both touch every shard) and give
+		// every call a real deadline.
 		client = &http.Client{
 			Timeout: cfg.RequestTimeout + time.Second,
 			Transport: &http.Transport{
@@ -195,13 +188,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			},
 		}
 	}
-	switch cfg.Transport {
-	case "", TransportBinary:
-		cfg.Transport = TransportBinary
-	case TransportJSON:
-	default:
-		return nil, fmt.Errorf("cluster: unknown transport %q (want %q or %q)",
-			cfg.Transport, TransportBinary, TransportJSON)
+	if cfg.Transport != "" && cfg.Transport != TransportBinary {
+		return nil, fmt.Errorf("cluster: unknown transport %q (the only transport is %q)",
+			cfg.Transport, TransportBinary)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -216,8 +205,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client:     client,
 		timeout:    cfg.RequestTimeout,
 		passive:    cfg.HealthInterval < 0,
-		speculate:  !cfg.DisableSpeculation,
-		transport:  cfg.Transport,
 		logger:     logger,
 		met:        newRouterMetrics(reg, cfg.LegLatencyBuckets),
 		stopHealth: make(chan struct{}),
@@ -228,13 +215,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard target at position %d: %w", i, err)
 		}
-		s := &shardClient{index: i, target: target, leg: r.met.legLatency.With(strconv.Itoa(i))}
-		s.epoch.Store(-1)
-		if cfg.Transport == TransportBinary {
-			s.tr = newStreamTransport(target, i, client, r.timeout, logger)
-		} else {
-			s.tr = newJSONTransport(target, client, r.timeout)
+		s := &shardClient{
+			index:  i,
+			target: target,
+			leg:    r.met.legLatency.With(strconv.Itoa(i)),
+			tr:     newStreamTransport(target, i, r.timeout, logger),
 		}
+		s.epoch.Store(-1)
 		r.shards = append(r.shards, s)
 	}
 	r.registerCollector(reg)
@@ -514,10 +501,9 @@ func (r *Router) Query(q graph.NodeID, stop core.StopCondition) (*Result, error)
 	return r.QueryTrace(q, stop, "")
 }
 
-// QueryTrace is Query with an end-to-end trace ID: the ID travels to every
-// shard sub-request in the api.TraceHeader header — shards key their logs on
-// it — and the returned result's Spans tie the per-iteration timings back to
-// the same ID. An empty traceID sends no header.
+// QueryTrace is Query with an end-to-end trace ID: the ID travels inside
+// every shard sub-request's frame — shards key their logs on it — and the
+// returned result's Spans tie the per-iteration timings back to the same ID.
 func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID string) (*Result, error) {
 	started := time.Now()
 	res := &Result{Query: q}
@@ -610,7 +596,7 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 		// The next frontier is fully known here, before this iteration's mass
 		// is folded into the estimate: pre-send it now so the shards overlap
 		// their expansion with our fold and stop bookkeeping.
-		if r.speculate && iter+1 <= maxIter && len(nextFrontier) > 0 {
+		if iter+1 <= maxIter && len(nextFrontier) > 0 {
 			sctx, cancel := context.WithCancel(context.Background())
 			spec = &speculation{
 				sc:     r.scatter(sctx, nextFrontier, iter+1, downShards, staleShards, traceID, true),
@@ -1097,9 +1083,8 @@ type ShardStats struct {
 	Retries       int64   `json:"retries"`
 	MeanLatencyMS float64 `json:"mean_latency_ms"`
 	MaxLatencyMS  float64 `json:"max_latency_ms"`
-	// Transport is the shard's wire-level view: effective kind ("binary"
-	// while the stream protocol is in use, "json" otherwise), stream health,
-	// and frame/byte counters.
+	// Transport is the shard's wire-level view: stream health and frame/byte
+	// counters.
 	Transport TransportStats `json:"transport"`
 }
 
@@ -1112,9 +1097,6 @@ type Stats struct {
 	Epoch         uint64 `json:"epoch"`
 	ShardsBehind  int    `json:"shards_behind"`
 	ShardsHealthy int    `json:"shards_healthy"`
-	// Transport is the configured shard transport kind ("binary" or "json");
-	// individual shards may have degraded to JSON, see their Transport stats.
-	Transport string `json:"transport"`
 	// SpeculationsSent counts iterations pre-sent before their go/no-go
 	// decision; SpeculationHits counts pre-sends consumed. The difference is
 	// work cancelled by early stops. WireBytesSent/Received total the bytes
@@ -1130,7 +1112,6 @@ type Stats struct {
 func (r *Router) Stats() Stats {
 	st := Stats{
 		Nodes:            r.NumNodes(),
-		Transport:        r.transport,
 		SpeculationsSent: r.specSent.Load(),
 		SpeculationHits:  r.specHits.Load(),
 	}

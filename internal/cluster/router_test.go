@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,72 +11,13 @@ import (
 	"fastppv/internal/core"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
+	"fastppv/internal/pagerank"
 )
 
-// shardHandler exposes the minimal shard-side surface the router needs:
-// /healthz, the graph size in /v1/stats, and the /v1/partial sub-query
-// endpoint, all backed directly by a (possibly sharded) core engine.
-func shardHandler(t testing.TB, e *core.Engine) http.Handler {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(`{"status":"ok"}`))
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{
-			"graph": map[string]int{"nodes": e.Graph().NumNodes()},
-		})
-	})
-	mux.HandleFunc("/v1/partial", func(w http.ResponseWriter, r *http.Request) {
-		var preq api.PartialRequest
-		if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{Code: api.CodeBadRequest, Message: err.Error()}})
-			return
-		}
-		var (
-			part *core.PartialIncrement
-			err  error
-		)
-		switch {
-		case preq.Query != nil:
-			part, err = e.PartialRoot(*preq.Query)
-		case preq.Frontier != nil:
-			var frontier map[graph.NodeID]float64
-			if frontier, err = preq.Frontier.DecodeMap(); err == nil {
-				part, err = e.PartialExpand(frontier)
-			}
-		default:
-			err = &api.Error{Code: api.CodeBadRequest, Message: "neither query nor frontier"}
-		}
-		if err != nil {
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{Code: api.CodeInternal, Message: err.Error()}})
-			return
-		}
-		p := e.Partition()
-		shards := p.Shards
-		if shards < 2 {
-			shards = 1
-		}
-		json.NewEncoder(w).Encode(api.PartialResponse{
-			Shard:        p.Shard,
-			Shards:       shards,
-			Increment:    api.EncodeVector(part.Increment),
-			Frontier:     api.EncodeMap(part.Frontier),
-			HubsExpanded: part.HubsExpanded,
-			HubsSkipped:  part.HubsSkipped,
-			Unowned:      part.Unowned,
-			FromIndex:    part.FromIndex,
-		})
-	})
-	return mux
-}
-
 // testCluster builds one single-node engine plus n sharded engines over the
-// same graph and returns them with their httptest servers.
-func testCluster(t *testing.T, shards int) (*core.Engine, []*core.Engine, []*httptest.Server) {
+// same graph and returns the single-node engine with one fake shard per
+// sharded engine.
+func testCluster(t *testing.T, shards int) (*core.Engine, []*fakeShard) {
 	t.Helper()
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 700, OutDegreeMean: 6, Attachment: 0.7, Seed: 21})
 	if err != nil {
@@ -93,8 +31,7 @@ func testCluster(t *testing.T, shards int) (*core.Engine, []*core.Engine, []*htt
 	if err := single.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	engines := make([]*core.Engine, shards)
-	servers := make([]*httptest.Server, shards)
+	fakes := make([]*fakeShard, shards)
 	for s := 0; s < shards; s++ {
 		opts := base
 		if shards > 1 {
@@ -107,29 +44,14 @@ func testCluster(t *testing.T, shards int) (*core.Engine, []*core.Engine, []*htt
 		if err := e.Precompute(); err != nil {
 			t.Fatal(err)
 		}
-		engines[s] = e
-		srv := httptest.NewServer(shardHandler(t, e))
-		t.Cleanup(srv.Close)
-		servers[s] = srv
+		fakes[s] = newFakeShard(t, e)
 	}
-	return single, engines, servers
-}
-
-func targetsOf(servers []*httptest.Server) []string {
-	out := make([]string, len(servers))
-	for i, s := range servers {
-		out[i] = s.URL
-	}
-	return out
+	return single, fakes
 }
 
 func TestRouterMatchesSingleNode(t *testing.T) {
-	single, _, servers := testCluster(t, 2)
-	r, err := NewRouter(RouterConfig{Targets: targetsOf(servers), HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	single, shards := testCluster(t, 2)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	if r.NumNodes() != single.Graph().NumNodes() {
 		t.Fatalf("router discovered %d nodes, want %d", r.NumNodes(), single.Graph().NumNodes())
 	}
@@ -164,12 +86,8 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 }
 
 func TestRouterTargetErrorStop(t *testing.T) {
-	single, _, servers := testCluster(t, 2)
-	r, err := NewRouter(RouterConfig{Targets: targetsOf(servers), HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	single, shards := testCluster(t, 2)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	stop := core.StopCondition{MaxIterations: 8, TargetL1Error: 0.25}
 	want, err := single.Query(5, stop)
 	if err != nil {
@@ -188,12 +106,8 @@ func TestRouterTargetErrorStop(t *testing.T) {
 }
 
 func TestRouterShardDownWidensBound(t *testing.T) {
-	_, _, servers := testCluster(t, 2)
-	r, err := NewRouter(RouterConfig{Targets: targetsOf(servers), HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	_, shards := testCluster(t, 2)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 
 	// Pick a query node owned by shard 0 so iteration 0 survives shard 1
 	// going down.
@@ -210,7 +124,7 @@ func TestRouterShardDownWidensBound(t *testing.T) {
 		t.Fatal("healthy cluster reported degraded")
 	}
 
-	servers[1].Close()
+	shards[1].Close()
 	down, err := r.Query(q, stop)
 	if err != nil {
 		t.Fatalf("query with one shard down must degrade, not fail: %v", err)
@@ -238,26 +152,22 @@ func TestRouterShardDownWidensBound(t *testing.T) {
 		t.Error("dead shard came back without a health probe?")
 	}
 
-	servers[0].Close()
+	shards[0].Close()
 	if _, err := r.Query(q, stop); err == nil {
 		t.Error("query must fail when no shard can answer iteration 0")
 	}
 }
 
 func TestRouterRootFallsBackToOtherShard(t *testing.T) {
-	_, _, servers := testCluster(t, 2)
+	_, shards := testCluster(t, 2)
 	// Pick a query node owned by shard 1, then kill shard 1 before the router
 	// ever sees it: iteration 0 must fall back to shard 0.
 	part := core.Partition{Shards: 2}
 	var q graph.NodeID
 	for ; part.Owner(q) != 1; q++ {
 	}
-	servers[1].Close()
-	r, err := NewRouter(RouterConfig{Targets: targetsOf(servers), HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	shards[1].Close()
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	res, err := r.Query(q, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("root fallback failed: %v", err)
@@ -274,25 +184,14 @@ func TestRouterRootFallsBackToOtherShard(t *testing.T) {
 // "retry" code (index descriptor swapped mid-read, e.g. a restart or
 // compaction) is retried once instead of being declared down.
 func TestRouterRetriesTransientErrors(t *testing.T) {
-	_, engines, _ := testCluster(t, 1)
-	inner := shardHandler(t, engines[0])
-	var failures atomic.Int32
-	failures.Store(1)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/partial" && failures.Add(-1) >= 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{Code: api.CodeRetry, Message: "index closed during restart"}})
-			return
+	_, shards := testCluster(t, 1)
+	shards[0].hook = func(n int, _ *api.PartialRequest) fault {
+		if n == 1 {
+			return fault{err: &api.Error{Code: api.CodeRetry, Message: "index closed during restart"}}
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer flaky.Close()
-
-	r, err := NewRouter(RouterConfig{Targets: []string{flaky.URL}, HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+		return fault{}
 	}
-	defer r.Close()
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	res, err := r.Query(3, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("query should survive one transient retry-coded failure: %v", err)
@@ -308,13 +207,9 @@ func TestRouterRetriesTransientErrors(t *testing.T) {
 // TestRouterRejectsMisconfiguredShardMap: a target answering with the wrong
 // partition is treated as failed, not silently merged.
 func TestRouterRejectsMisconfiguredShardMap(t *testing.T) {
-	_, _, servers := testCluster(t, 2)
+	_, shards := testCluster(t, 2)
 	// Swap the targets: shard 1's server listed as shard 0 and vice versa.
-	r, err := NewRouter(RouterConfig{Targets: []string{servers[1].URL, servers[0].URL}, HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards[1], shards[0])
 	res, err := r.Query(1, core.StopCondition{MaxIterations: 2})
 	if err == nil && !res.Degraded {
 		t.Error("swapped shard map must degrade or fail, not answer cleanly")
@@ -325,12 +220,8 @@ func TestRouterRejectsMisconfiguredShardMap(t *testing.T) {
 // merge shard increments in the same order and agree bit-for-bit (run under
 // -race in CI).
 func TestRouterDeterministicUnderConcurrency(t *testing.T) {
-	_, _, servers := testCluster(t, 3)
-	r, err := NewRouter(RouterConfig{Targets: targetsOf(servers), HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	_, shards := testCluster(t, 3)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 
 	const workers = 8
 	results := make([]*Result, workers)
@@ -352,10 +243,20 @@ func TestRouterDeterministicUnderConcurrency(t *testing.T) {
 	if ref == nil {
 		t.Fatal("no reference result")
 	}
+	// The workers raced to a router with no stream yet: each shard is dialled
+	// once and the losers wait for that dial instead of faulting the shard.
+	for i, sh := range shards {
+		if n := sh.upgrades.Load(); n != 1 {
+			t.Errorf("shard %d accepted %d streams under concurrent first use, want 1", i, n)
+		}
+	}
 	for w := 1; w < workers; w++ {
 		got := results[w]
 		if got == nil {
 			continue
+		}
+		if got.Degraded {
+			t.Errorf("worker %d answered degraded on a healthy cluster", w)
 		}
 		if got.L1ErrorBound != ref.L1ErrorBound {
 			t.Errorf("worker %d bound %v differs from %v", w, got.L1ErrorBound, ref.L1ErrorBound)
@@ -372,27 +273,12 @@ func TestRouterDeterministicUnderConcurrency(t *testing.T) {
 }
 
 func TestRouterHealthProbeRecovery(t *testing.T) {
-	_, engines, _ := testCluster(t, 1)
-	inner := shardHandler(t, engines[0])
-	var downFlag atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if downFlag.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	r, err := NewRouter(RouterConfig{Targets: []string{srv.URL}, HealthInterval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	_, shards := testCluster(t, 1)
+	r := routerOver(t, RouterConfig{HealthInterval: 20 * time.Millisecond}, shards...)
 	if !r.Healthy() {
 		t.Fatal("shard should be healthy at start")
 	}
-	downFlag.Store(true)
+	shards[0].httpDown.Store(true)
 	deadline := time.Now().Add(2 * time.Second)
 	for r.Healthy() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -400,7 +286,7 @@ func TestRouterHealthProbeRecovery(t *testing.T) {
 	if r.Healthy() {
 		t.Fatal("health probe never noticed the shard going down")
 	}
-	downFlag.Store(false)
+	shards[0].httpDown.Store(false)
 	for !r.Healthy() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -416,24 +302,15 @@ func TestRouterHealthProbeRecovery(t *testing.T) {
 // that failed once must be re-attempted by later queries and restored on the
 // first success — a transient failure must not disable it forever.
 func TestRouterPassiveModeRecovers(t *testing.T) {
-	_, engines, _ := testCluster(t, 1)
-	inner := shardHandler(t, engines[0])
+	_, shards := testCluster(t, 1)
 	var downFlag atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if downFlag.Load() && r.URL.Path == "/v1/partial" {
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{Code: api.CodeInternal, Message: "boom"}})
-			return
+	shards[0].hook = func(int, *api.PartialRequest) fault {
+		if downFlag.Load() {
+			return fault{err: &api.Error{Code: api.CodeInternal, Message: "boom"}}
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	r, err := NewRouter(RouterConfig{Targets: []string{srv.URL}, HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+		return fault{}
 	}
-	defer r.Close()
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 
 	downFlag.Store(true)
 	if _, err := r.Query(2, core.StopCondition{MaxIterations: 1}); err == nil {
@@ -458,26 +335,16 @@ func TestRouterPassiveModeRecovers(t *testing.T) {
 // TestRouterOverloadDoesNotPoisonHealth: a shard shedding one request under
 // admission pressure stays healthy — only shard faults flip the flag.
 func TestRouterOverloadDoesNotPoisonHealth(t *testing.T) {
-	_, engines, _ := testCluster(t, 1)
-	inner := shardHandler(t, engines[0])
-	var partials atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	_, shards := testCluster(t, 1)
+	shards[0].hook = func(n int, _ *api.PartialRequest) fault {
 		// Shed exactly the second partial: the root succeeds, the first
 		// frontier expansion is rejected by admission.
-		if r.URL.Path == "/v1/partial" && partials.Add(1) == 2 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{Code: api.CodeOverloaded, Message: "pools full"}})
-			return
+		if n == 2 {
+			return fault{err: &api.Error{Code: api.CodeOverloaded, Message: "pools full"}}
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	r, err := NewRouter(RouterConfig{Targets: []string{srv.URL}, HealthInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+		return fault{}
 	}
-	defer r.Close()
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	res, err := r.Query(2, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("a shed expansion must degrade, not fail: %v", err)
@@ -493,11 +360,115 @@ func TestRouterOverloadDoesNotPoisonHealth(t *testing.T) {
 	}
 }
 
+// TestRouterUpgradeRejectedIsShardFault: a shard that answers the stream
+// upgrade with 404 is a shard fault like any other — the query still answers,
+// degraded, and the widened bound still covers the true error.
+func TestRouterUpgradeRejectedIsShardFault(t *testing.T) {
+	single, shards := testCluster(t, 2)
+	shards[1].noStream.Store(true)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+
+	part := core.Partition{Shards: 2}
+	var q graph.NodeID
+	for ; part.Owner(q) != 0; q++ {
+	}
+	res, err := r.Query(q, core.StopCondition{MaxIterations: 3})
+	if err != nil {
+		t.Fatalf("query with one shard refusing the upgrade must degrade, not fail: %v", err)
+	}
+	if !res.Degraded || res.ShardsDown != 1 {
+		t.Errorf("Degraded=%v ShardsDown=%d, want degraded with 1 shard down", res.Degraded, res.ShardsDown)
+	}
+	if shards[1].partials.Load() != 0 {
+		t.Errorf("shard 1 served %d partials without a stream", shards[1].partials.Load())
+	}
+	exact, err := pagerank.ExactPPV(single.Graph(), q, pagerank.Options{Alpha: single.Options().Alpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := exact.L1Distance(res.Estimate); d > res.L1ErrorBound+1e-9 {
+		t.Errorf("true L1 error %.12f exceeds the reported bound %.12f", d, res.L1ErrorBound)
+	}
+}
+
+// TestRouterSlowShardTimesOut: a shard that holds its answers past the request
+// timeout is a fault like a dead one — the query answers within a few
+// timeouts, degraded, with the bound still exactly 1 - sum(estimate).
+func TestRouterSlowShardTimesOut(t *testing.T) {
+	_, shards := testCluster(t, 2)
+	shards[1].hook = func(int, *api.PartialRequest) fault { return fault{delay: 600 * time.Millisecond} }
+	r := routerOver(t, RouterConfig{HealthInterval: -1, RequestTimeout: 50 * time.Millisecond}, shards...)
+
+	part := core.Partition{Shards: 2}
+	var q graph.NodeID
+	for ; part.Owner(q) != 0; q++ {
+	}
+	start := time.Now()
+	res, err := r.Query(q, core.StopCondition{MaxIterations: 3})
+	if err != nil {
+		t.Fatalf("query with one slow shard must degrade, not fail: %v", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("query took %v: it waited for the slow shard instead of timing it out", d)
+	}
+	if !res.Degraded || res.ShardsDown != 1 || res.LostFrontierMass <= 0 {
+		t.Errorf("Degraded=%v ShardsDown=%d lost=%v, want degraded with 1 shard down and its mass lost",
+			res.Degraded, res.ShardsDown, res.LostFrontierMass)
+	}
+	if got := 1 - res.Estimate.SumOrdered(); math.Abs(got-res.L1ErrorBound) > 1e-12 {
+		t.Errorf("reported bound %.15f but 1-mass is %.15f", res.L1ErrorBound, got)
+	}
+}
+
+// TestRouterStreamTornMidRequest: a stream torn under a request is re-dialled
+// once and the request re-sent — the answer is non-degraded and entry-for-entry
+// the unbroken run's.
+func TestRouterStreamTornMidRequest(t *testing.T) {
+	_, shards := testCluster(t, 2)
+	var tearAt atomic.Int64
+	shards[1].hook = func(n int, _ *api.PartialRequest) fault {
+		return fault{tear: int64(n) == tearAt.Load()}
+	}
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+
+	stop := core.StopCondition{MaxIterations: 3}
+	want, err := r.Query(11, stop)
+	if err != nil || want.Degraded {
+		t.Fatalf("unbroken run: res=%+v err=%v", want, err)
+	}
+	tearAt.Store(shards[1].partials.Load() + 2)
+	got, err := r.Query(11, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Degraded || got.ShardsDown != 0 {
+		t.Errorf("torn stream degraded the answer: degraded=%v shards_down=%d", got.Degraded, got.ShardsDown)
+	}
+	if tr := r.Stats().Shards[1].Transport; tr.Reconnects != 1 || !tr.StreamConnected {
+		t.Errorf("shard 1 transport = %+v, want exactly 1 reconnect and a live stream", tr)
+	}
+	if shards[1].upgrades.Load() != 2 {
+		t.Errorf("shard 1 accepted %d streams, want 2 (the first and one re-dial)", shards[1].upgrades.Load())
+	}
+	if got.L1ErrorBound != want.L1ErrorBound || len(got.Estimate) != len(want.Estimate) {
+		t.Fatalf("bound %v / %d entries after the tear, want %v / %d",
+			got.L1ErrorBound, len(got.Estimate), want.L1ErrorBound, len(want.Estimate))
+	}
+	for n, s := range want.Estimate {
+		if got.Estimate[n] != s {
+			t.Fatalf("estimate[%d] = %v after the tear, want bit-identical %v", n, got.Estimate[n], s)
+		}
+	}
+}
+
 func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(RouterConfig{}); err == nil {
 		t.Error("empty target list should be rejected")
 	}
 	if _, err := NewRouter(RouterConfig{Targets: []string{"  "}}); err == nil {
 		t.Error("blank target should be rejected")
+	}
+	if _, err := NewRouter(RouterConfig{Targets: []string{"127.0.0.1:1"}, Transport: "json"}); err == nil {
+		t.Error("a transport other than the binary stream should be rejected")
 	}
 }

@@ -132,15 +132,13 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 			e.Counter("fastppv_shard_stream_reconnects_total",
 				"Binary streams re-established to the shard after a break.", float64(ts.Reconnects), lbl)
 			e.Counter("fastppv_shard_frames_sent_total",
-				"Wire frames (or JSON requests) sent to the shard.", float64(ts.FramesSent), lbl)
+				"Wire frames sent to the shard.", float64(ts.FramesSent), lbl)
 			e.Counter("fastppv_shard_frames_received_total",
-				"Wire frames (or JSON responses) received from the shard.", float64(ts.FramesReceived), lbl)
+				"Wire frames received from the shard.", float64(ts.FramesReceived), lbl)
 			e.Counter("fastppv_shard_wire_bytes_sent_total",
 				"Partial-protocol bytes sent to the shard.", float64(ts.BytesSent), lbl)
 			e.Counter("fastppv_shard_wire_bytes_received_total",
 				"Partial-protocol bytes received from the shard.", float64(ts.BytesReceived), lbl)
-			e.Counter("fastppv_shard_fallback_requests_total",
-				"Sub-requests served over JSON because no stream was available.", float64(ts.FallbackRequests), lbl)
 		}
 	})
 }

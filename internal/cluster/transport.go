@@ -1,24 +1,24 @@
-// transport.go is the router's shard transport layer: how one partial
-// sub-request physically reaches a shard. Two implementations sit behind the
-// Transport interface —
+// transport.go is the router's shard transport: how one partial sub-request
+// physically reaches a shard. There is one wire format — a persistent binary
+// stream per shard (HTTP/1.1 upgrade on GET /v1/stream, then
+// api.ReadFrame/WriteFrame both ways), request-id multiplexed so every
+// in-flight sub-request of every concurrent query shares one connection.
 //
-//   - jsonTransport: one POST /v1/partial per sub-request over the shared
-//     http.Client. The debug surface and universal fallback.
-//   - streamTransport: a persistent binary stream per shard (HTTP/1.1 upgrade
-//     on GET /v1/stream, then api.ReadFrame/WriteFrame both ways), request-id
-//     multiplexed so every in-flight sub-request of every concurrent query
-//     shares one connection. Reconnects with backoff after a break, and
-//     degrades permanently to JSON when the shard answers the upgrade with a
-//     "no such endpoint" class status (an older shard build).
+// Recovery lives here and only here. A request whose stream breaks under it
+// drops the connection, re-dials once immediately and is re-sent. A dial that
+// fails opens a backoff window (doubling from streamBackoffMin to
+// streamBackoffMax); a request that finds no stream inside that window, or
+// whose re-dial fails, returns a transport error. Router.partial classifies
+// that as a shard fault: the shard's health flips, its frontier mass folds
+// into the still-exact bound, and a probe or passive success restores it.
 //
-// The scheduling layer above is transport-agnostic: retries, health flips and
-// epoch bookkeeping stay in Router.partial.
+// The scheduling layer above knows none of this: retries on CodeRetry, health
+// flips and epoch bookkeeping stay in Router.partial.
 package cluster
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,227 +34,142 @@ import (
 	"fastppv/internal/api"
 )
 
-// Transport kinds accepted by RouterConfig.Transport.
-const (
-	// TransportBinary streams CRC-framed binary partials over one persistent
-	// connection per shard, falling back to JSON when a shard cannot upgrade.
-	TransportBinary = "binary"
-	// TransportJSON posts JSON bodies per sub-request, the pre-stream wire
-	// format. Useful for debugging and as a differential baseline.
-	TransportJSON = "json"
-)
+// TransportBinary is the only value RouterConfig.Transport accepts besides
+// "". Both are one-value vestiges kept for the frozen benchmark harness
+// (bench/workload.go), which names them.
+const TransportBinary = "binary"
 
-// Transport performs partial sub-requests against one shard. Implementations
-// must be safe for concurrent use; cancelling the context abandons the
-// request (and, on a stream, withdraws pre-sent speculation shard-side).
-type Transport interface {
-	Partial(ctx context.Context, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error)
-	// Stats returns a point-in-time snapshot of wire-level counters.
-	Stats() TransportStats
-	Close()
-}
-
-// TransportStats is the wire-level view of one shard transport.
+// TransportStats is the wire-level view of one shard's stream.
 type TransportStats struct {
-	// Kind is the transport currently in effect: "binary" while the shard
-	// speaks the stream protocol, "json" for the fallback/plain transport.
-	Kind string `json:"kind"`
 	// StreamConnected reports a currently established stream.
 	StreamConnected bool `json:"stream_connected,omitempty"`
 	// Reconnects counts re-established streams after a break.
 	Reconnects int64 `json:"reconnects,omitempty"`
 	// FramesSent/FramesReceived and BytesSent/BytesReceived count traffic on
-	// the wire. JSON requests count their HTTP bodies as one frame each way.
+	// the wire.
 	FramesSent     int64 `json:"frames_sent"`
 	FramesReceived int64 `json:"frames_received"`
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesReceived  int64 `json:"bytes_received"`
-	// FallbackRequests counts sub-requests a binary transport served over
-	// JSON because no stream was available.
-	FallbackRequests int64 `json:"fallback_requests,omitempty"`
 	// DroppedReplies counts stream replies that arrived after their request
 	// was abandoned (typically discarded speculation).
 	DroppedReplies int64 `json:"dropped_replies,omitempty"`
 }
 
-// jsonTransport posts one JSON /v1/partial request per call.
-type jsonTransport struct {
-	target  string
-	client  *http.Client
-	timeout time.Duration
-
-	requests  atomic.Int64
-	bytesSent atomic.Int64
-	bytesRecv atomic.Int64
-}
-
-func newJSONTransport(target string, client *http.Client, timeout time.Duration) *jsonTransport {
-	return &jsonTransport{target: target, client: client, timeout: timeout}
-}
-
-func (t *jsonTransport) Partial(ctx context.Context, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
-	body, err := json.Marshal(preq)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, t.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.target+"/v1/partial", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(api.TraceHeader, traceID)
-	}
-	t.requests.Add(1)
-	t.bytesSent.Add(int64(len(body)))
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading partial response from %s: %w", t.target, err)
-	}
-	t.bytesRecv.Add(int64(len(respBody)))
-	if resp.StatusCode != http.StatusOK {
-		var eresp api.ErrorResponse
-		if err := json.Unmarshal(respBody, &eresp); err == nil && eresp.Error.Code != "" {
-			return nil, &eresp.Error
-		}
-		return nil, fmt.Errorf("cluster: %s/v1/partial returned status %d", t.target, resp.StatusCode)
-	}
-	var presp api.PartialResponse
-	if err := json.Unmarshal(respBody, &presp); err != nil {
-		return nil, fmt.Errorf("cluster: decoding partial response from %s: %w", t.target, err)
-	}
-	return &presp, nil
-}
-
-func (t *jsonTransport) Stats() TransportStats {
-	n := t.requests.Load()
-	return TransportStats{
-		Kind:           TransportJSON,
-		FramesSent:     n,
-		FramesReceived: n,
-		BytesSent:      t.bytesSent.Load(),
-		BytesReceived:  t.bytesRecv.Load(),
-	}
-}
-
-func (t *jsonTransport) Close() {}
-
-// streamBackoff bounds the reconnect schedule: first retry after min,
-// doubling to max.
+// streamBackoff bounds the re-dial schedule after a failed dial: first retry
+// after min, doubling to max.
 const (
 	streamBackoffMin = 100 * time.Millisecond
 	streamBackoffMax = 5 * time.Second
 )
 
-// streamTransport multiplexes partial sub-requests over one persistent
-// binary stream, with reconnect-on-break and JSON fallback.
+var errTransportClosed = errors.New("cluster: transport closed")
+
+// streamTransport multiplexes one shard's partial sub-requests over one
+// persistent binary stream. It is safe for concurrent use; cancelling a
+// request's context abandons it and withdraws pre-sent speculation shard-side.
 type streamTransport struct {
-	target   string
-	shard    int
-	timeout  time.Duration
-	logger   *slog.Logger
-	fallback *jsonTransport
+	target  string
+	shard   int
+	timeout time.Duration
+	logger  *slog.Logger
+
+	// dialMu admits one dial at a time: concurrent requests that find no
+	// stream wait for the dial in flight and share its outcome (the stream, or
+	// the backoff window its failure opened) instead of each dialing.
+	dialMu sync.Mutex
 
 	mu          sync.Mutex
 	conn        *streamConn
-	nextAttempt time.Time
+	nextAttempt time.Time // end of the backoff window a failed dial opened
 	backoff     time.Duration
-	jsonOnly    bool // shard answered the upgrade with "no such endpoint": stop trying
+	dialErr     error // what the last failed dial returned
 	everOpened  bool
 	closed      bool
 
-	reconnects   atomic.Int64
-	framesSent   atomic.Int64
-	framesRecv   atomic.Int64
-	bytesSent    atomic.Int64
-	bytesRecv    atomic.Int64
-	fallbackReqs atomic.Int64
-	dropped      atomic.Int64
+	reconnects atomic.Int64
+	framesSent atomic.Int64
+	framesRecv atomic.Int64
+	bytesSent  atomic.Int64
+	bytesRecv  atomic.Int64
+	dropped    atomic.Int64
 }
 
-func newStreamTransport(target string, shard int, client *http.Client, timeout time.Duration, logger *slog.Logger) *streamTransport {
+func newStreamTransport(target string, shard int, timeout time.Duration, logger *slog.Logger) *streamTransport {
 	return &streamTransport{
-		target:   target,
-		shard:    shard,
-		timeout:  timeout,
-		logger:   logger,
-		fallback: newJSONTransport(target, client, timeout),
-		backoff:  streamBackoffMin,
+		target:  target,
+		shard:   shard,
+		timeout: timeout,
+		logger:  logger,
+		backoff: streamBackoffMin,
 	}
 }
 
+// Partial sends one sub-request and waits for its reply. An error frame from
+// the shard comes back as *api.Error; anything else is a transport failure.
 func (t *streamTransport) Partial(ctx context.Context, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
-	c := t.acquireConn()
-	if c == nil {
-		t.fallbackReqs.Add(1)
-		return t.fallback.Partial(ctx, preq, traceID)
+	for redialed := false; ; redialed = true {
+		c, err := t.acquireConn()
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.roundTrip(ctx, t, preq, traceID)
+		if err == nil {
+			return resp, nil
+		}
+		var aerr *api.Error
+		if errors.As(err, &aerr) || ctx.Err() != nil {
+			// The shard answered (an error frame), or the caller gave up; either
+			// way the stream itself is fine.
+			return nil, err
+		}
+		// The stream broke under this request. Drop it; the first time, dial a
+		// fresh one and re-send — if only the stream broke that succeeds, if
+		// the shard died the dial fails fast.
+		t.dropConn(c, err)
+		if redialed {
+			return nil, err
+		}
 	}
-	resp, err := c.roundTrip(ctx, t, preq, traceID)
-	if err == nil {
-		return resp, nil
-	}
-	var aerr *api.Error
-	if errors.As(err, &aerr) || ctx.Err() != nil {
-		// The shard answered (an error frame), or the caller gave up; either
-		// way the stream itself is fine.
-		return nil, err
-	}
-	// Transport-level failure: the stream broke under this request. Drop the
-	// connection (the next call reconnects with backoff) and give this
-	// request one immediate chance over JSON — if the shard died entirely the
-	// fallback fails fast on dial, if only the stream broke it succeeds.
-	t.dropConn(c, err)
-	t.fallbackReqs.Add(1)
-	return t.fallback.Partial(ctx, preq, traceID)
 }
 
-// acquireConn returns the established stream, dialing a new one when allowed.
-// nil means "use JSON now": the shard is JSON-only, the transport is closed,
-// or a recent dial failed and the backoff window is still open.
-func (t *streamTransport) acquireConn() *streamConn {
+// acquireConn returns the established stream, dialing one when there is none
+// and no failed dial's backoff window is open.
+func (t *streamTransport) acquireConn() (*streamConn, error) {
 	t.mu.Lock()
-	if t.conn != nil || t.jsonOnly || t.closed {
-		c := t.conn
-		t.mu.Unlock()
-		return c
-	}
-	if time.Now().Before(t.nextAttempt) {
-		t.mu.Unlock()
-		return nil
-	}
-	// Push the next attempt out before releasing the lock, so concurrent
-	// callers fall back to JSON instead of piling up dials.
-	t.nextAttempt = time.Now().Add(t.backoff)
+	c := t.conn
 	t.mu.Unlock()
-
-	c, err := dialStream(t.target, t.timeout)
+	if c != nil {
+		return c, nil
+	}
+	t.dialMu.Lock()
+	defer t.dialMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	switch {
+	case t.closed:
+		return nil, errTransportClosed
+	case t.conn != nil:
+		return t.conn, nil
+	case time.Now().Before(t.nextAttempt):
+		return nil, fmt.Errorf("cluster: no stream to shard %d (%s), next dial in %v: %w",
+			t.shard, t.target, time.Until(t.nextAttempt).Round(time.Millisecond), t.dialErr)
+	}
+	t.mu.Unlock()
+	c, err := dialStream(t.target, t.timeout)
+	t.mu.Lock()
 	if err != nil {
-		var rej *upgradeRejectedError
-		if errors.As(err, &rej) && rej.permanent() {
-			t.jsonOnly = true
-			t.logger.Info("shard does not speak the stream protocol; staying on JSON",
-				"shard", t.shard, "target", t.target, "status", rej.status)
-		} else {
-			if t.backoff *= 2; t.backoff > streamBackoffMax {
-				t.backoff = streamBackoffMax
-			}
-			t.logger.Debug("stream dial failed",
-				"shard", t.shard, "target", t.target, "error", err)
+		t.dialErr = err
+		t.nextAttempt = time.Now().Add(t.backoff)
+		if t.backoff *= 2; t.backoff > streamBackoffMax {
+			t.backoff = streamBackoffMax
 		}
-		return nil
+		t.logger.Debug("stream dial failed", "shard", t.shard, "target", t.target, "error", err)
+		return nil, fmt.Errorf("cluster: dialing stream to shard %d: %w", t.shard, err)
 	}
 	if t.closed {
-		c.fail(errors.New("cluster: transport closed"))
-		return nil
+		c.fail(errTransportClosed)
+		return nil, errTransportClosed
 	}
 	if t.everOpened {
 		t.reconnects.Add(1)
@@ -264,41 +179,34 @@ func (t *streamTransport) acquireConn() *streamConn {
 	t.conn = c
 	go c.readLoop(t)
 	t.logger.Info("shard stream established", "shard", t.shard, "target", t.target)
-	return c
+	return c, nil
 }
 
-// dropConn tears down a broken stream (failing its in-flight requests) and
-// opens the backoff window for the next dial.
+// dropConn tears down a broken stream, failing its in-flight requests. The
+// next request dials a fresh one at once: a break opens no backoff window,
+// only a failed dial does.
 func (t *streamTransport) dropConn(c *streamConn, cause error) {
 	c.fail(cause)
 	t.mu.Lock()
 	if t.conn == c {
 		t.conn = nil
-		t.nextAttempt = time.Now().Add(t.backoff)
 	}
 	t.mu.Unlock()
 }
 
 func (t *streamTransport) Stats() TransportStats {
 	t.mu.Lock()
-	connected, jsonOnly := t.conn != nil, t.jsonOnly
+	connected := t.conn != nil
 	t.mu.Unlock()
-	fb := t.fallback.Stats()
-	st := TransportStats{
-		Kind:             TransportBinary,
-		StreamConnected:  connected,
-		Reconnects:       t.reconnects.Load(),
-		FramesSent:       t.framesSent.Load() + fb.FramesSent,
-		FramesReceived:   t.framesRecv.Load() + fb.FramesReceived,
-		BytesSent:        t.bytesSent.Load() + fb.BytesSent,
-		BytesReceived:    t.bytesRecv.Load() + fb.BytesReceived,
-		FallbackRequests: t.fallbackReqs.Load(),
-		DroppedReplies:   t.dropped.Load(),
+	return TransportStats{
+		StreamConnected: connected,
+		Reconnects:      t.reconnects.Load(),
+		FramesSent:      t.framesSent.Load(),
+		FramesReceived:  t.framesRecv.Load(),
+		BytesSent:       t.bytesSent.Load(),
+		BytesReceived:   t.bytesRecv.Load(),
+		DroppedReplies:  t.dropped.Load(),
 	}
-	if jsonOnly {
-		st.Kind = TransportJSON
-	}
-	return st
 }
 
 func (t *streamTransport) Close() {
@@ -308,27 +216,12 @@ func (t *streamTransport) Close() {
 	t.conn = nil
 	t.mu.Unlock()
 	if c != nil {
-		c.fail(errors.New("cluster: transport closed"))
+		c.fail(errTransportClosed)
 	}
 }
 
-// upgradeRejectedError reports a shard that answered the upgrade request with
-// a plain HTTP status instead of 101.
-type upgradeRejectedError struct{ status int }
-
-func (e *upgradeRejectedError) Error() string {
-	return fmt.Sprintf("cluster: stream upgrade rejected with status %d", e.status)
-}
-
-// permanent reports a "this endpoint does not exist here" class status: the
-// shard build predates the protocol (404/405/501) or rejects it outright
-// (4xx). Transient server-side statuses keep the retry schedule.
-func (e *upgradeRejectedError) permanent() bool {
-	return e.status >= 400 && e.status < 500 || e.status == http.StatusNotImplemented
-}
-
 // dialStream opens a TCP connection to the shard and upgrades it to the
-// binary frame protocol.
+// binary frame protocol. Any answer but 101 is a failed dial.
 func dialStream(target string, timeout time.Duration) (*streamConn, error) {
 	u, err := url.Parse(target)
 	if err != nil {
@@ -359,7 +252,7 @@ func dialStream(target string, timeout time.Duration) (*streamConn, error) {
 		io.CopyN(io.Discard, resp.Body, 4096)
 		resp.Body.Close()
 		conn.Close()
-		return nil, &upgradeRejectedError{status: resp.StatusCode}
+		return nil, fmt.Errorf("cluster: stream upgrade rejected with status %d", resp.StatusCode)
 	}
 	if !strings.EqualFold(resp.Header.Get("Upgrade"), api.StreamProtocol) {
 		conn.Close()
@@ -517,13 +410,7 @@ func (c *streamConn) readLoop(t *streamTransport) {
 	for {
 		ftype, payload, n, err := api.ReadFrame(c.br)
 		if err != nil {
-			c.fail(fmt.Errorf("cluster: stream from %s broke: %w", t.target, err))
-			t.mu.Lock()
-			if t.conn == c {
-				t.conn = nil
-				t.nextAttempt = time.Now().Add(t.backoff)
-			}
-			t.mu.Unlock()
+			t.dropConn(c, fmt.Errorf("cluster: stream from %s broke: %w", t.target, err))
 			// Fail the stragglers (roundTrip also listens on done; this keeps
 			// the map from pinning channels).
 			c.mu.Lock()

@@ -1,13 +1,7 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"net"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,110 +10,35 @@ import (
 	"fastppv/internal/telemetry"
 )
 
-// garbageUpgradeServer accepts the stream upgrade and then writes bytes that
-// are not frames — a malicious or badly broken shard.
-func garbageUpgradeServer(t *testing.T) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br := bufio.NewReader(c)
-				req, err := http.ReadRequest(br)
-				if err != nil {
-					return
-				}
-				if req.URL.Path == api.StreamPath {
-					c.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
-						api.StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n"))
-					c.Write([]byte("%%%% torn garbage, definitely not a frame %%%%"))
-					<-done // hold the conn open so the client sees garbage, not EOF
-					return
-				}
-				// Any other request (the JSON fallback): structured error.
-				body := `{"error":{"code":"internal","message":"fallback shard broken too"}}`
-				c.Write([]byte("HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\nContent-Length: " +
-					strconv.Itoa(len(body)) + "\r\n\r\n" + body))
-			}(conn)
-		}
-	}()
-	return "http://" + ln.Addr().String(), func() { close(done); ln.Close() }
-}
-
-// TestStreamTransportTornFrame feeds the client garbage instead of frames:
-// Partial must return a structured error promptly — never a panic, never a
-// hang — and the transport must stay usable for further calls.
+// TestStreamTransportTornFrame feeds the client torn frames instead of
+// replies: Partial must return an error promptly — never a panic, never a
+// hang — after exactly one re-dial, and the transport must stay usable for
+// further calls.
 func TestStreamTransportTornFrame(t *testing.T) {
-	addr, stop := garbageUpgradeServer(t)
-	defer stop()
+	_, shards := testCluster(t, 1)
+	shards[0].hook = func(int, *api.PartialRequest) fault { return fault{tear: true} }
 
-	tr := newStreamTransport(addr, 0, &http.Client{Timeout: 2 * time.Second},
-		800*time.Millisecond, telemetry.NopLogger())
+	tr := newStreamTransport(shards[0].URL, 0, 800*time.Millisecond, telemetry.NopLogger())
 	defer tr.Close()
 
 	node := graph.NodeID(1)
-	for i := 0; i < 2; i++ {
+	for i := 1; i <= 2; i++ {
 		start := time.Now()
 		_, err := tr.Partial(context.Background(), &api.PartialRequest{Query: &node}, "")
 		if err == nil {
-			t.Fatalf("call %d: garbage stream produced a response", i)
+			t.Fatalf("call %d: torn stream produced a response", i)
 		}
 		if d := time.Since(start); d > 5*time.Second {
 			t.Fatalf("call %d took %v, transport hung on torn frames", i, d)
 		}
+		// A second consecutive failure is a fault: the stream each call found
+		// (or dialled) plus one re-dial, never a third.
+		if got := shards[0].upgrades.Load(); got != int64(2*i) {
+			t.Fatalf("after call %d the shard accepted %d streams, want %d", i, got, 2*i)
+		}
 	}
 	st := tr.Stats()
 	if st.StreamConnected {
-		t.Errorf("transport still claims a live stream after garbage: %+v", st)
-	}
-}
-
-// TestStreamTransportPermanentJSONFallback checks a shard without /v1/stream
-// (an older build) flips the transport to permanent JSON fallback that keeps
-// answering correctly.
-func TestStreamTransportPermanentJSONFallback(t *testing.T) {
-	var streamHits, partialHits int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case api.StreamPath:
-			streamHits++
-			http.NotFound(w, r)
-		case "/v1/partial":
-			partialHits++
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(api.PartialResponse{Shard: 0, Shards: 1, ComputeMS: 0.1})
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer ts.Close()
-
-	tr := newStreamTransport(ts.URL, 0, ts.Client(), time.Second, telemetry.NopLogger())
-	defer tr.Close()
-
-	node := graph.NodeID(0)
-	for i := 0; i < 3; i++ {
-		if _, err := tr.Partial(context.Background(), &api.PartialRequest{Query: &node}, ""); err != nil {
-			t.Fatalf("call %d over fallback failed: %v", i, err)
-		}
-	}
-	if streamHits != 1 {
-		t.Errorf("upgrade attempted %d times, want exactly 1 (rejection is permanent)", streamHits)
-	}
-	if partialHits != 3 {
-		t.Errorf("JSON partial served %d requests, want 3", partialHits)
-	}
-	st := tr.Stats()
-	if st.StreamConnected || st.FallbackRequests != 3 {
-		t.Errorf("fallback stats = %+v, want 3 fallback requests and no stream", st)
+		t.Errorf("transport still claims a live stream after torn frames: %+v", st)
 	}
 }

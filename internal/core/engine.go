@@ -100,32 +100,42 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 // particular — the stored prime PPVs embed it); the index format does not
 // record them, so this cannot be verified here.
 //
+// base is the graph the index was precomputed on; served is the graph queries
+// run on — base with opts.InitialEpoch update batches replayed onto it (a
+// replayed graph-mutation log), or base itself when there are none.
+//
 // When opts.Partition is sharded, the index holds only the hubs this shard
 // owns, but prime-subgraph semantics need the full hub set (stored PPVs block
 // at every hub). Hub selection is therefore re-run — it is deterministic given
 // the graph and options — and every indexed hub is checked to be a selected
 // hub owned by this shard, so opening the wrong shard's file or a file built
 // with different options fails instead of serving silently wrong partials.
-func NewServingEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) {
+// It runs on base, never on served: ApplyUpdate keeps the hub set fixed, so
+// the set the live process served with is the one Precompute selected on base,
+// and selecting on an updated graph would rank a different one.
+func NewServingEngine(base, served *graph.Graph, index IndexStore, opts Options) (*Engine, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if g == nil || g.NumNodes() == 0 {
+	if base == nil || base.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
+	}
+	if served == nil || served.NumNodes() < base.NumNodes() {
+		return nil, fmt.Errorf("core: served graph is not the base graph with updates replayed")
 	}
 	if index == nil || index.Len() == 0 {
 		return nil, fmt.Errorf("core: serving engine needs a non-empty precomputed index")
 	}
 	hubNodes := index.Hubs()
 	for _, h := range hubNodes {
-		if h < 0 || int(h) >= g.NumNodes() {
-			return nil, fmt.Errorf("core: index/graph mismatch: indexed hub %d outside [0,%d)", h, g.NumNodes())
+		if h < 0 || int(h) >= base.NumNodes() {
+			return nil, fmt.Errorf("core: index/graph mismatch: indexed hub %d outside [0,%d)", h, base.NumNodes())
 		}
 	}
 	hubSet := hub.NewSet(hubNodes)
 	if opts.Partition.Enabled() {
-		hubSet, err = selectHubs(g, opts)
+		hubSet, err = selectHubs(base, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: recovering the full hub set for shard %s: %w", opts.Partition, err)
 		}
@@ -140,7 +150,7 @@ func NewServingEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, 
 		}
 	}
 	e := &Engine{
-		g:           g,
+		g:           served,
 		opts:        opts,
 		hubs:        hubSet,
 		index:       index,

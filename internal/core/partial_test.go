@@ -308,12 +308,12 @@ func TestShardedServingEngineValidation(t *testing.T) {
 	}
 	idx := e.index
 
-	if _, err := NewServingEngine(g, idx, opts); err != nil {
+	if _, err := NewServingEngine(g, g, idx, opts); err != nil {
 		t.Fatalf("reopening the right shard failed: %v", err)
 	}
 	wrong := opts
 	wrong.Partition.Shard = 1
-	if _, err := NewServingEngine(g, idx, wrong); err == nil {
+	if _, err := NewServingEngine(g, g, idx, wrong); err == nil {
 		t.Error("opening shard 0's index as shard 1 should fail")
 	}
 }

@@ -25,8 +25,8 @@ type ablationVariant struct {
 	opts core.Options
 }
 
-// Ablations evaluates the design choices called out in DESIGN.md §4 that are
-// not already covered by a paper figure:
+// Ablations evaluates the design choices listed under README.md's experiment
+// index that are not already covered by a paper figure:
 //
 //   - the delta border-hub prune of Algorithm 2 (on at the paper's default vs
 //     disabled),

@@ -1,8 +1,9 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation section (Sect. 6), plus the ablations listed in
-// DESIGN.md. Each driver builds (or reuses) the synthetic datasets standing in
-// for DBLP and LiveJournal, runs the methods under the experiment's
-// parameters, and returns a result that renders as a paper-style table.
+// README.md's experiment index. Each driver builds (or reuses) the synthetic
+// datasets standing in for DBLP and LiveJournal, runs the methods under the
+// experiment's parameters, and returns a result that renders as a paper-style
+// table.
 //
 // The drivers are deliberately deterministic (fixed seeds) so repeated runs
 // produce identical tables, and they are shared between the cmd/ppvbench CLI

@@ -52,7 +52,7 @@ type ConfigResult struct {
 }
 
 // AccuracyModerated runs the four accuracy-moderated configurations (E1-E3 in
-// DESIGN.md, covering Fig. 5, 6 and 7 of the paper).
+// README.md's experiment index, covering Fig. 5, 6 and 7 of the paper).
 func AccuracyModerated(scale Scale) ([]ConfigResult, error) {
 	var out []ConfigResult
 	for _, cfg := range Configurations() {

@@ -16,10 +16,10 @@ type HubPolicyResult struct {
 	Result  MethodResult
 }
 
-// HubPolicies compares hub selection policies (E4/E5 in DESIGN.md, Fig. 8 and
-// 9 of the paper): expected utility (the paper's proposal), PageRank-only,
-// out-degree-only, and — as an ablation the paper mentions but omits from the
-// figures — random selection.
+// HubPolicies compares hub selection policies (E4/E5 in README.md's
+// experiment index, Fig. 8 and 9 of the paper): expected utility (the paper's
+// proposal), PageRank-only, out-degree-only, and — as an ablation the paper
+// mentions but omits from the figures — random selection.
 func HubPolicies(scale Scale, includeRandom bool) ([]HubPolicyResult, error) {
 	policies := []hub.Policy{hub.ExpectedUtility, hub.ByPageRank, hub.ByOutDegree}
 	if includeRandom {

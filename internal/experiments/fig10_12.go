@@ -35,8 +35,8 @@ func hubSweepCounts(d *Dataset) []int {
 	return out
 }
 
-// HubCountSweep evaluates FastPPV across hub counts (E6/E7 in DESIGN.md,
-// Fig. 10 and 11 of the paper).
+// HubCountSweep evaluates FastPPV across hub counts (E6/E7 in README.md's
+// experiment index, Fig. 10 and 11 of the paper).
 func HubCountSweep(scale Scale) ([]HubSweepPoint, error) {
 	var out []HubSweepPoint
 	for _, name := range []DatasetName{DBLP, LiveJournal} {
@@ -95,9 +95,9 @@ type IterationPoint struct {
 }
 
 // IterationSweep evaluates FastPPV for eta = 0..maxEta on both datasets (E8
-// in DESIGN.md, Fig. 12 of the paper). The offline index is built once per
-// dataset and shared across eta values, mirroring the paper's point that eta
-// is a purely online knob.
+// in README.md's experiment index, Fig. 12 of the paper). The offline index
+// is built once per dataset and shared across eta values, mirroring the
+// paper's point that eta is a purely online knob.
 func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 	if maxEta < 0 {
 		maxEta = core.DefaultIterations

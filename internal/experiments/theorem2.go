@@ -18,9 +18,10 @@ type BoundPoint struct {
 }
 
 // Theorem2 measures the error decay of the incremental approximation and
-// compares it with the exponential bound of Theorem 2 (E13 in DESIGN.md).
-// The measured error should always stay below the bound and typically decays
-// considerably faster, as the paper notes after the proof.
+// compares it with the exponential bound of Theorem 2 (E13 in README.md's
+// experiment index). The measured error should always stay below the bound
+// and typically decays considerably faster, as the paper notes after the
+// proof.
 func Theorem2(scale Scale, maxIteration int) ([]BoundPoint, error) {
 	if maxIteration <= 0 {
 		maxIteration = 8

@@ -31,8 +31,8 @@ func (s *testShard) Close() {
 }
 
 // shardedServers precomputes `shards` hub-partitioned engines over g and
-// serves each through a real Server (so /v1/partial and /v1/stream are the
-// production handlers), returning the shard servers.
+// serves each through a real Server (so /v1/stream is the production
+// handler), returning the shard servers.
 func shardedServers(t *testing.T, g *graph.Graph, numHubs, shards int) []*testShard {
 	t.Helper()
 	out := make([]*testShard, shards)
@@ -77,7 +77,7 @@ func routerServer(t *testing.T, shardURLs []string) (*httptest.Server, *cluster.
 }
 
 // TestClusterEndToEndMatchesSingleNode drives the full production stack —
-// shard daemons with the real /v1/partial handler, router, router-fronting
+// shard daemons with the real /v1/stream handler, router, router-fronting
 // server — and checks the answers against a single-node server.
 func TestClusterEndToEndMatchesSingleNode(t *testing.T) {
 	g := socialGraph(t, 600)
@@ -203,17 +203,24 @@ func TestRouterModeUnsupportedEndpoints(t *testing.T) {
 	shards := shardedServers(t, g, 30, 1)
 	routerTS, _ := routerServer(t, []string{shards[0].URL})
 
-	for _, c := range []struct{ path, body string }{
-		{"/v1/compact", ""},
-		{"/v1/partial", `{"query":3}`},
+	// A router has no index to compact and no shard surface: the stream
+	// upgrade is refused before any frame is spoken.
+	compactStatus, compactBody := post(t, routerTS, "/v1/compact", "")
+	streamStatus, _, streamBody := get(t, routerTS, api.StreamPath)
+	for _, c := range []struct {
+		what   string
+		status int
+		body   []byte
+	}{
+		{"POST /v1/compact", compactStatus, compactBody},
+		{"GET " + api.StreamPath, streamStatus, streamBody},
 	} {
-		status, body := post(t, routerTS, c.path, c.body)
-		if status != http.StatusNotImplemented {
-			t.Errorf("POST %s on router = %d, want 501: %s", c.path, status, body)
+		if c.status != http.StatusNotImplemented {
+			t.Errorf("%s on router = %d, want 501: %s", c.what, c.status, c.body)
 		}
 		var eresp api.ErrorResponse
-		if err := json.Unmarshal(body, &eresp); err != nil || eresp.Error.Code != api.CodeUnsupported {
-			t.Errorf("POST %s error code = %q, want %q (%s)", c.path, eresp.Error.Code, api.CodeUnsupported, body)
+		if err := json.Unmarshal(c.body, &eresp); err != nil || eresp.Error.Code != api.CodeUnsupported {
+			t.Errorf("%s error code = %q, want %q (%s)", c.what, eresp.Error.Code, api.CodeUnsupported, c.body)
 		}
 	}
 
@@ -258,23 +265,40 @@ func TestStructuredErrorCodes(t *testing.T) {
 	if e := decode(body); status != http.StatusBadRequest || e.Error.Code != api.CodeBadRequest {
 		t.Errorf("out-of-range node: status %d code %q", status, e.Error.Code)
 	}
-	status, body = post(t, ts, "/v1/partial", `{}`)
-	if e := decode(body); status != http.StatusBadRequest || e.Error.Code != api.CodeBadRequest {
-		t.Errorf("empty partial: status %d code %q", status, e.Error.Code)
-	}
-	status, body = post(t, ts, "/v1/partial", `{"query":1,"frontier":{"nodes":[],"scores":[]}}`)
-	if e := decode(body); status != http.StatusBadRequest || e.Error.Code != api.CodeBadRequest {
-		t.Errorf("ambiguous partial: status %d code %q", status, e.Error.Code)
-	}
 	status, body = post(t, ts, "/v1/compact", "")
 	if e := decode(body); status != http.StatusPreconditionFailed || e.Error.Code != api.CodeUnsupported {
 		t.Errorf("compact on memory index: status %d code %q", status, e.Error.Code)
 	}
+
+	// The partial protocol carries the same codes in error frames. A request
+	// naming neither or both of query and frontier cannot be put on the wire
+	// at all; an out-of-range node can, and is a client mistake.
+	node, empty := graph.NodeID(1), api.Vector{}
+	for name, preq := range map[string]*api.PartialRequest{
+		"empty":     {},
+		"ambiguous": {Query: &node, Frontier: &empty},
+	} {
+		if _, err := api.EncodePartialRequest(1, "", preq); err == nil {
+			t.Errorf("%s partial request encoded into a frame", name)
+		}
+	}
+	defer srv.CloseStreams()
+	conn, br := dialStreamRaw(t, ts.URL)
+	defer conn.Close()
+	far := graph.NodeID(999999)
+	presp, aerr := streamPartial(t, conn, br, 1, "", &api.PartialRequest{Query: &far})
+	if presp != nil || aerr == nil || aerr.Code != api.CodeBadRequest {
+		t.Errorf("out-of-range partial root: response %v, error %v, want code %q", presp, aerr, api.CodeBadRequest)
+	}
+	// The error frame answered one request; the stream keeps serving.
+	if _, aerr := streamPartial(t, conn, br, 2, "", &api.PartialRequest{Query: &node}); aerr != nil {
+		t.Errorf("request after an error frame answered %v", aerr)
+	}
 }
 
-// TestPartialEndpoint exercises the shard-side protocol directly: a root
-// answer must be the query's prime PPV, and an expansion must match the
-// engine's own PartialExpand.
+// TestPartialEndpoint exercises the shard-side protocol directly, over raw
+// frames on /v1/stream: a root answer must be the query's prime PPV, and an
+// expansion must match the engine's own PartialExpand, both bit for bit.
 func TestPartialEndpoint(t *testing.T) {
 	g := socialGraph(t, 300)
 	e := testEngine(t, g, 40)
@@ -284,14 +308,14 @@ func TestPartialEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer srv.CloseStreams()
+	conn, br := dialStreamRaw(t, ts.URL)
+	defer conn.Close()
 
-	status, body := post(t, ts, "/v1/partial", `{"query":5}`)
-	if status != http.StatusOK {
-		t.Fatalf("root partial = %d: %s", status, body)
-	}
-	var root api.PartialResponse
-	if err := json.Unmarshal(body, &root); err != nil {
-		t.Fatal(err)
+	node := graph.NodeID(5)
+	root, aerr := streamPartial(t, conn, br, 1, "", &api.PartialRequest{Query: &node})
+	if aerr != nil {
+		t.Fatalf("root partial answered %v", aerr)
 	}
 	if root.Shard != 0 || root.Shards != 1 {
 		t.Errorf("unsharded engine reports %d/%d, want 0/1", root.Shard, root.Shards)
@@ -316,14 +340,9 @@ func TestPartialEndpoint(t *testing.T) {
 	}
 
 	wire := api.EncodeMap(frontier)
-	reqBody, _ := json.Marshal(api.PartialRequest{Frontier: &wire, Iteration: 1})
-	status, body = post(t, ts, "/v1/partial", string(reqBody))
-	if status != http.StatusOK {
-		t.Fatalf("expand partial = %d: %s", status, body)
-	}
-	var exp api.PartialResponse
-	if err := json.Unmarshal(body, &exp); err != nil {
-		t.Fatal(err)
+	exp, aerr := streamPartial(t, conn, br, 2, "", &api.PartialRequest{Frontier: &wire, Iteration: 1})
+	if aerr != nil {
+		t.Fatalf("expand partial answered %v", aerr)
 	}
 	wantExp, err := e.PartialExpand(frontier)
 	if err != nil {
@@ -658,7 +677,7 @@ func TestServerWarmsHottestHubs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := core.NewServingEngine(g, idx, core.Options{NumHubs: 40})
+	e, err := core.NewServingEngine(g, g, idx, core.Options{NumHubs: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@
 // admission layers:
 //
 //   - a local core.Engine (New) — the single-node and shard configurations;
-//     a sharded engine additionally serves POST /v1/partial, the sub-query
-//     endpoint of the cluster protocol (internal/api);
+//     either also serves GET /v1/stream, the binary partial-query stream of
+//     the cluster protocol (internal/api, stream.go);
 //   - a cluster.Router (NewRouter) — the scatter-gather front of a
 //     hub-partitioned cluster, where each query fans out to the shards and
 //     the exact error bound is composed from their partial answers.
@@ -268,7 +268,6 @@ func newServer(cfg Config) *Server {
 			"update":  {},
 			"stats":   {},
 			"compact": {},
-			"partial": {},
 		},
 		registry: reg,
 		metrics:  newServerMetrics(reg, cfg.LatencyBuckets),
@@ -301,7 +300,7 @@ func New(engine *core.Engine, cfg Config) (*Server, error) {
 
 // NewRouter creates a Server that answers queries by scatter-gathering them
 // across the shards behind rt, reusing the same result cache, coalescing and
-// admission layers as the single-node server. Update, compaction and partial
+// admission layers as the single-node server. The compaction and stream
 // endpoints answer with the structured "unsupported" error in this mode.
 func NewRouter(rt *cluster.Router, cfg Config) (*Server, error) {
 	if rt == nil {
@@ -408,7 +407,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/ppv", s.instrument("ppv", s.handlePPV))
 	mux.HandleFunc("POST /v1/ppv/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/partial", s.instrument("partial", s.handlePartial))
 	mux.HandleFunc("POST /v1/update", s.instrument("update", s.handleUpdate))
 	mux.HandleFunc("POST /v1/compact", s.instrument("compact", s.handleCompact))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
@@ -431,7 +429,7 @@ func (s *Server) Handler() http.Handler {
 // label can never grow unboundedly (e.g. by someone instrumenting a handler
 // with a per-request-derived name).
 var instrumentedEndpoints = map[string]bool{
-	"ppv": true, "batch": true, "partial": true,
+	"ppv": true, "batch": true,
 	"update": true, "compact": true, "stats": true,
 }
 
@@ -906,44 +904,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePartial serves the shard side of the cluster protocol: one
+// evalPartial evaluates one partial sub-request of the cluster protocol — one
 // iteration-0 root or one frontier expansion restricted to the hubs this
-// shard owns (internal/api.PartialRequest). It runs under the same admission
-// gate as full queries — a partial is bounded work (a single iteration), so
-// a degraded-level slot still computes it fully — and under the engine read
-// lock, so graph updates never interleave with a sub-query.
-//
-// A transient index failure (the descriptor closing under a restart or
-// compaction swap) answers 503 with the structured "retry" code; the router
-// retries once before declaring the shard down.
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if s.engine == nil {
-		writeError(w, unsupported("/v1/partial is served by shards, not by the router"))
-		return
-	}
-	var preq api.PartialRequest
-	if err := json.NewDecoder(r.Body).Decode(&preq); err != nil {
-		writeError(w, badRequest("bad partial body: %v", err))
-		return
-	}
-	presp, err := s.evalPartial(&preq, r.Header.Get(api.TraceHeader))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Echo the router's trace ID so a traced routed query can be correlated
-	// with this shard's logs.
-	if tid := r.Header.Get(api.TraceHeader); tid != "" {
-		w.Header().Set(api.TraceHeader, tid)
-	}
-	writeJSON(w, http.StatusOK, presp)
-}
-
-// evalPartial evaluates one partial sub-request: validation, the admission
-// gate (a partial is bounded work, so a degraded-level slot still computes it
-// fully), then the engine under its read lock. It is the shared core of the
-// JSON handler above and the binary stream handler (stream.go); errors come
-// back as *httpError so both surfaces can render code and status.
+// shard owns (internal/api.PartialRequest) — for the stream handler
+// (stream.go): validation, the admission gate (a partial is bounded work, a
+// single iteration, so a degraded-level slot still computes it fully), then
+// the engine under its read lock, so graph updates never interleave with a
+// sub-query. Errors come back as *httpError, whose code travels in the error
+// frame; a transient index failure (the descriptor closing under a restart or
+// compaction swap) carries the "retry" code, and the router retries once
+// before declaring the shard down.
 func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	if (preq.Query == nil) == (preq.Frontier == nil) {
 		return nil, badRequest("exactly one of query and frontier must be set")

@@ -1,9 +1,9 @@
-// stream.go is the shard side of the binary streaming transport: GET
+// stream.go is the shard side of the cluster's shard transport: GET
 // /v1/stream upgrades the connection (101 + Hijack) and then speaks
 // api.ReadFrame/WriteFrame both ways. Requests are multiplexed by id — each
-// one is evaluated by the same evalPartial core as POST /v1/partial, under
-// the same admission gate — and a cancel frame withdraws a speculative
-// request the shard has not started computing yet.
+// one is evaluated by evalPartial, under the same admission gate as full
+// queries — and a cancel frame withdraws a speculative request the shard has
+// not started computing yet.
 package server
 
 import (
@@ -396,7 +396,7 @@ func (st *serverStream) writeErrorFrame(id uint64, e *api.Error) {
 }
 
 // apiErrorOf converts an evalPartial error to the structured wire error,
-// preserving the machine-readable code the JSON surface would have sent.
+// keeping its machine-readable code.
 func apiErrorOf(err error) *api.Error {
 	var he *httpError
 	if errors.As(err, &he) {

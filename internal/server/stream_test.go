@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +17,6 @@ import (
 	"log/slog"
 
 	"fastppv/internal/api"
-	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
 )
@@ -51,8 +49,47 @@ func dialStreamRaw(t *testing.T, tsURL string) (net.Conn, *bufio.Reader) {
 	return conn, br
 }
 
-// TestStreamRawProtocol drives a production shard over raw frames and checks
-// the binary answers are bit-identical to the JSON /v1/partial surface.
+// streamPartial sends one partial request frame under id and reads the one
+// reply frame: the response, or the structured error the shard answered with.
+func streamPartial(t *testing.T, conn net.Conn, br *bufio.Reader, id uint64, traceID string, preq *api.PartialRequest) (*api.PartialResponse, *api.Error) {
+	t.Helper()
+	payload, err := api.EncodePartialRequest(id, traceID, preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.WriteFrame(conn, api.FramePartialRequest, payload); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	ftype, body, _, err := api.ReadFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		gotID uint64
+		presp *api.PartialResponse
+		aerr  *api.Error
+	)
+	switch ftype {
+	case api.FramePartialResponse:
+		gotID, presp, err = api.DecodePartialResponse(body)
+	case api.FrameError:
+		gotID, aerr, err = api.DecodeError(body)
+	default:
+		t.Fatalf("reply frame type = %#x, want a partial response or an error", ftype)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != id {
+		t.Fatalf("reply id = %d, want %d", gotID, id)
+	}
+	return presp, aerr
+}
+
+// TestStreamRawProtocol drives a production shard over raw frames: replies
+// carry their request's id, stray cancels and unknown frame types are
+// tolerated, and the stream's traffic shows up in the stats.
 func TestStreamRawProtocol(t *testing.T) {
 	g := socialGraph(t, 300)
 	srv, err := New(testEngine(t, g, 40), Config{})
@@ -66,55 +103,10 @@ func TestStreamRawProtocol(t *testing.T) {
 	conn, br := dialStreamRaw(t, ts.URL)
 	defer conn.Close()
 
-	// Root request over the stream.
 	node := graph.NodeID(3)
-	preq := &api.PartialRequest{Query: &node}
-	payload, err := api.EncodePartialRequest(7, "raw-trace", preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := api.WriteFrame(conn, api.FramePartialRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ftype, body, _, err := api.ReadFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ftype != api.FramePartialResponse {
-		t.Fatalf("frame type = %#x, want partial response", ftype)
-	}
-	id, streamResp, err := api.DecodePartialResponse(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 7 {
-		t.Fatalf("response id = %d, want 7", id)
-	}
-
-	// The same request over JSON must produce bit-identical vectors.
-	status, jsonBody := post(t, ts, "/v1/partial", `{"query":3}`)
-	if status != http.StatusOK {
-		t.Fatalf("JSON partial = %d: %s", status, jsonBody)
-	}
-	var jsonResp api.PartialResponse
-	if err := json.Unmarshal(jsonBody, &jsonResp); err != nil {
-		t.Fatal(err)
-	}
-	for name, pair := range map[string][2]api.Vector{
-		"increment": {streamResp.Increment, jsonResp.Increment},
-		"frontier":  {streamResp.Frontier, jsonResp.Frontier},
-	} {
-		a, b := pair[0], pair[1]
-		if len(a.Nodes) != len(b.Nodes) {
-			t.Fatalf("%s: %d nodes via stream, %d via JSON", name, len(a.Nodes), len(b.Nodes))
-		}
-		for i := range a.Nodes {
-			if a.Nodes[i] != b.Nodes[i] || a.Scores[i] != b.Scores[i] {
-				t.Fatalf("%s[%d]: stream (%d,%v) != JSON (%d,%v)",
-					name, i, a.Nodes[i], a.Scores[i], b.Nodes[i], b.Scores[i])
-			}
-		}
+	root, aerr := streamPartial(t, conn, br, 7, "raw-trace", &api.PartialRequest{Query: &node})
+	if aerr != nil {
+		t.Fatalf("root request answered %v", aerr)
 	}
 
 	// A cancel for an unknown id is a no-op; the stream keeps serving.
@@ -125,25 +117,8 @@ func TestStreamRawProtocol(t *testing.T) {
 	if _, err := api.WriteFrame(conn, 0x7f, []byte("future")); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = api.EncodePartialRequest(8, "", &api.PartialRequest{
-		Iteration: 1, Frontier: &streamResp.Frontier,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := api.WriteFrame(conn, api.FramePartialRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ftype, body, _, err = api.ReadFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ftype != api.FramePartialResponse {
-		t.Fatalf("expansion frame type = %#x", ftype)
-	}
-	if id, _, err = api.DecodePartialResponse(body); err != nil || id != 8 {
-		t.Fatalf("expansion reply id=%d err=%v", id, err)
+	if _, aerr := streamPartial(t, conn, br, 8, "", &api.PartialRequest{Iteration: 1, Frontier: &root.Frontier}); aerr != nil {
+		t.Fatalf("expansion answered %v", aerr)
 	}
 
 	// Stats report the stream and its traffic. The shard counts a partial
@@ -191,6 +166,26 @@ func TestStreamServerTornFrame(t *testing.T) {
 	if st.Streams.Open != 0 {
 		t.Fatalf("torn stream still counted open: %+v", st.Streams)
 	}
+
+	// A well-framed request whose frontier payload is cut short is the same
+	// event: the protocol has no resync point, so the stream goes.
+	conn2, br2 := dialStreamRaw(t, ts.URL)
+	defer conn2.Close()
+	frontier := api.Vector{Nodes: []graph.NodeID{1, 2}, Scores: []float64{0.1, 0.2}}
+	payload, err := api.EncodePartialRequest(1, "", &api.PartialRequest{Iteration: 1, Frontier: &frontier})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.WriteFrame(conn2, api.FramePartialRequest, payload[:len(payload)-8]); err != nil {
+		t.Fatal(err)
+	}
+	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := br2.ReadByte(); err == nil {
+		t.Fatal("server answered a request with a malformed frontier")
+	}
+	if after := shardStatsOf(t, ts); after.Streams.DecodeErrors <= st.Streams.DecodeErrors {
+		t.Fatalf("malformed frontier not counted as a decode error: %+v", after.Streams)
+	}
 	// The HTTP surface is unaffected.
 	if status, _, _ := get(t, ts, "/v1/ppv?node=1&eta=1"); status != http.StatusOK {
 		t.Fatalf("query after torn stream = %d", status)
@@ -199,8 +194,8 @@ func TestStreamServerTornFrame(t *testing.T) {
 
 // TestStreamTransportAgainstServer runs the binary transport end to end:
 // router -> persistent stream -> shard, asserting the stream is actually
-// used (no JSON fallback), speculation fires and hits, and the trace ID
-// travels inside the request frames to the shard's structured logs.
+// used, speculation fires and hits, and the trace ID travels inside the
+// request frames to the shard's structured logs.
 func TestStreamTransportAgainstServer(t *testing.T) {
 	g := socialGraph(t, 400)
 	var logMu sync.Mutex
@@ -256,19 +251,13 @@ func TestStreamTransportAgainstServer(t *testing.T) {
 	}
 
 	st := rt.Stats()
-	if st.Transport != cluster.TransportBinary {
-		t.Fatalf("router transport = %q, want binary", st.Transport)
-	}
 	for _, ss := range st.Shards {
 		tr := ss.Transport
-		if tr.Kind != cluster.TransportBinary || !tr.StreamConnected {
-			t.Errorf("shard %d transport %+v, want a connected binary stream", ss.Shard, tr)
+		if !tr.StreamConnected || tr.Reconnects != 0 {
+			t.Errorf("shard %d transport %+v, want one connected stream, never re-dialled", ss.Shard, tr)
 		}
 		if tr.FramesSent == 0 || tr.FramesReceived == 0 {
 			t.Errorf("shard %d exchanged no frames: %+v", ss.Shard, tr)
-		}
-		if tr.FallbackRequests != 0 {
-			t.Errorf("shard %d used %d JSON fallbacks with a healthy stream", ss.Shard, tr.FallbackRequests)
 		}
 	}
 	if st.WireBytesSent == 0 || st.WireBytesReceived == 0 {
@@ -297,160 +286,9 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	return lw.w.Write(p)
 }
 
-// TestClusterBinaryMatchesJSONTransport answers the same queries through a
-// binary-transport router and a forced-JSON router and requires byte-identical
-// bodies, both within 1e-12 of the single-node server.
-func TestClusterBinaryMatchesJSONTransport(t *testing.T) {
-	g := socialGraph(t, 500)
-	single, err := New(testEngine(t, g, 70), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleTS := httptest.NewServer(single.Handler())
-	defer singleTS.Close()
-
-	shards := shardedServers(t, g, 70, 2)
-	urls := []string{shards[0].URL, shards[1].URL}
-	fronts := map[string]*httptest.Server{}
-	routers := map[string]*cluster.Router{}
-	for _, transport := range []string{cluster.TransportBinary, cluster.TransportJSON} {
-		rt, err := cluster.NewRouter(cluster.RouterConfig{
-			Targets: urls, HealthInterval: -1, Transport: transport,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		srv, err := NewRouter(rt, Config{CacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		fronts[transport] = ts
-		routers[transport] = rt
-	}
-
-	for _, node := range []int{2, 58, 301, 499} {
-		path := fmt.Sprintf("/v1/ppv?node=%d&eta=3&top=10", node)
-		stB, _, bodyB := get(t, fronts[cluster.TransportBinary], path)
-		stJ, _, bodyJ := get(t, fronts[cluster.TransportJSON], path)
-		stS, _, bodyS := get(t, singleTS, path)
-		if stB != http.StatusOK || stJ != http.StatusOK || stS != http.StatusOK {
-			t.Fatalf("node %d: binary=%d json=%d single=%d", node, stB, stJ, stS)
-		}
-		if string(bodyB) != string(bodyJ) {
-			t.Errorf("node %d: binary and JSON transports disagree:\n%s\n%s", node, bodyB, bodyJ)
-		}
-		var rb, rs QueryResponse
-		if err := json.Unmarshal(bodyB, &rb); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(bodyS, &rs); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(rb.L1ErrorBound-rs.L1ErrorBound) > 1e-12 {
-			t.Errorf("node %d: cluster bound %.15f, single %.15f", node, rb.L1ErrorBound, rs.L1ErrorBound)
-		}
-		if len(rb.Results) != len(rs.Results) {
-			t.Fatalf("node %d: %d results via cluster, %d single", node, len(rb.Results), len(rs.Results))
-		}
-		for i := range rb.Results {
-			if rb.Results[i].Node != rs.Results[i].Node || math.Abs(rb.Results[i].Score-rs.Results[i].Score) > 1e-12 {
-				t.Errorf("node %d rank %d: cluster (%d,%v), single (%d,%v)", node, i,
-					rb.Results[i].Node, rb.Results[i].Score, rs.Results[i].Node, rs.Results[i].Score)
-			}
-		}
-	}
-	// The binary router really streamed; the JSON router really did not.
-	if bst := routers[cluster.TransportBinary].Stats(); bst.WireBytesSent == 0 {
-		t.Error("binary router sent no stream bytes")
-	}
-	for _, ss := range routers[cluster.TransportJSON].Stats().Shards {
-		if ss.Transport.Kind != cluster.TransportJSON {
-			t.Errorf("forced-JSON router shard %d reports transport %q", ss.Shard, ss.Transport.Kind)
-		}
-	}
-}
-
-// TestClusterMixedTransportFallback runs a cluster where one shard does not
-// speak the stream protocol: the router must hold a binary stream to one and
-// fall back to JSON for the other, with answers still matching the single
-// node to 1e-12.
-func TestClusterMixedTransportFallback(t *testing.T) {
-	g := socialGraph(t, 400)
-	single, err := New(testEngine(t, g, 60), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleTS := httptest.NewServer(single.Handler())
-	defer singleTS.Close()
-
-	shards := shardedServers(t, g, 60, 2)
-	// Shard 1 pretends to be an older build: /v1/stream does not exist.
-	noStream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == api.StreamPath {
-			http.NotFound(w, r)
-			return
-		}
-		shards[1].srv.Handler().ServeHTTP(w, r)
-	}))
-	defer noStream.Close()
-
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Targets: []string{shards[0].URL, noStream.URL}, HealthInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	srv, err := NewRouter(rt, Config{CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routerTS := httptest.NewServer(srv.Handler())
-	defer routerTS.Close()
-
-	for _, node := range []int{4, 111, 342} {
-		path := fmt.Sprintf("/v1/ppv?node=%d&eta=3&top=10", node)
-		stC, _, bodyC := get(t, routerTS, path)
-		stS, _, bodyS := get(t, singleTS, path)
-		if stC != http.StatusOK || stS != http.StatusOK {
-			t.Fatalf("node %d: cluster=%d single=%d", node, stC, stS)
-		}
-		var rc, rs QueryResponse
-		if err := json.Unmarshal(bodyC, &rc); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(bodyS, &rs); err != nil {
-			t.Fatal(err)
-		}
-		if rc.Degraded || rc.ShardsDown != 0 {
-			t.Fatalf("node %d: mixed cluster answered degraded: %s", node, bodyC)
-		}
-		if math.Abs(rc.L1ErrorBound-rs.L1ErrorBound) > 1e-12 {
-			t.Errorf("node %d: mixed bound %.15f, single %.15f", node, rc.L1ErrorBound, rs.L1ErrorBound)
-		}
-		for i := range rs.Results {
-			if rc.Results[i].Node != rs.Results[i].Node || math.Abs(rc.Results[i].Score-rs.Results[i].Score) > 1e-12 {
-				t.Errorf("node %d rank %d: mixed (%d,%v), single (%d,%v)", node, i,
-					rc.Results[i].Node, rc.Results[i].Score, rs.Results[i].Node, rs.Results[i].Score)
-			}
-		}
-	}
-
-	st := rt.Stats()
-	if tr := st.Shards[0].Transport; !tr.StreamConnected || tr.FramesSent == 0 {
-		t.Errorf("shard 0 should stream: %+v", tr)
-	}
-	if tr := st.Shards[1].Transport; tr.StreamConnected || tr.FallbackRequests == 0 {
-		t.Errorf("shard 1 should be on permanent JSON fallback: %+v", tr)
-	}
-}
-
 // TestStreamBreakRecovers breaks only the streams (the shard process stays
-// up) and checks the router transparently recovers: the next query still
-// answers non-degraded, and the stream is re-established after backoff.
+// up) and checks the router transparently recovers: the very next query
+// re-dials and answers non-degraded.
 func TestStreamBreakRecovers(t *testing.T) {
 	g := socialGraph(t, 400)
 	shards := shardedServers(t, g, 60, 2)
@@ -477,8 +315,8 @@ func TestStreamBreakRecovers(t *testing.T) {
 		sh.srv.CloseStreams()
 	}
 
-	// The very next query must answer correctly (reconnect or JSON retry),
-	// never hang, and not report shards down.
+	// The very next query must answer correctly over re-dialled streams, never
+	// hang, and not report shards down.
 	st, _, body := get(t, routerTS, "/v1/ppv?node=17&eta=3")
 	if st != http.StatusOK {
 		t.Fatalf("query after stream break = %d: %s", st, body)
@@ -491,14 +329,8 @@ func TestStreamBreakRecovers(t *testing.T) {
 		t.Fatalf("stream break degraded the answer: %s", body)
 	}
 
-	// Streams come back after the reconnect backoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for connectedShards() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("streams never re-established after break")
-		}
-		time.Sleep(50 * time.Millisecond)
-		get(t, routerTS, fmt.Sprintf("/v1/ppv?node=%d&eta=2", 20+int(time.Now().UnixNano()%100)))
+	if connectedShards() == 0 {
+		t.Fatal("no stream re-established by the query after the break")
 	}
 	var reconnects int64
 	for _, ss := range rt.Stats().Shards {

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -236,26 +239,71 @@ func checkTraceEquivalence(t *testing.T, ts *httptest.Server, path string) {
 	}
 }
 
+// frameTap is a TCP proxy in front of one shard that forwards every byte
+// unchanged and reports the trace ID of each partial request frame the router
+// puts on a stream through it.
+func frameTap(t *testing.T, shardURL string, seen func(traceID string)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	shardAddr := strings.TrimPrefix(shardURL, "http://")
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", shardAddr)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go func() {
+				io.Copy(down, up)
+				down.Close()
+			}()
+			go func() {
+				defer up.Close()
+				// Everything read from the router is forwarded by the tee
+				// before it is parsed here.
+				br := bufio.NewReader(io.TeeReader(down, up))
+				req, err := http.ReadRequest(br)
+				if err != nil || req.URL.Path != api.StreamPath {
+					io.Copy(io.Discard, br)
+					return
+				}
+				for {
+					ftype, payload, _, err := api.ReadFrame(br)
+					if err != nil {
+						return
+					}
+					if ftype == api.FramePartialRequest {
+						if _, traceID, _, err := api.DecodePartialRequest(payload); err == nil {
+							seen(traceID)
+						}
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
 // TestTraceIDPropagation verifies the client-supplied trace ID travels
-// router -> shard -> response: every shard leg carries it on the wire and the
-// response echoes it. The router is pinned to the JSON transport because the
-// assertion reads the HTTP trace header off each leg; on the binary transport
-// the trace ID travels inside the request frame instead (covered by
-// TestStreamTransportAgainstServer).
+// router -> shard -> response: every shard leg carries it inside its request
+// frame and the response echoes it.
 func TestTraceIDPropagation(t *testing.T) {
 	g := socialGraph(t, 300)
 
 	var mu sync.Mutex
 	var seen []string
-	record := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/partial" {
-				mu.Lock()
-				seen = append(seen, r.Header.Get(api.TraceHeader))
-				mu.Unlock()
-			}
-			h.ServeHTTP(w, r)
-		})
+	record := func(traceID string) {
+		mu.Lock()
+		seen = append(seen, traceID)
+		mu.Unlock()
 	}
 	shardURLs := make([]string, 2)
 	for i := 0; i < 2; i++ {
@@ -270,15 +318,11 @@ func TestTraceIDPropagation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(record(srv.Handler()))
-		t.Cleanup(ts.Close)
-		shardURLs[i] = ts.URL
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { srv.CloseStreams(); ts.Close() })
+		shardURLs[i] = frameTap(t, ts.URL, record)
 	}
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Targets:        shardURLs,
-		HealthInterval: -1,
-		Transport:      cluster.TransportJSON,
-	})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: shardURLs, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +362,7 @@ func TestTraceIDPropagation(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) == 0 {
-		t.Fatal("no /v1/partial legs observed")
+		t.Fatal("no partial request frames observed")
 	}
 	for i, id := range seen {
 		if id != clientID {
