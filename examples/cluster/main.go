@@ -89,8 +89,12 @@ func main() {
 	}
 	fmt.Printf("\nquery node %d at eta=%d:\n", q, eta)
 	fmt.Printf("  single node: bound=%.6f\n", want.L1ErrorBound)
+	expanded := 0
+	for _, it := range got.PerIteration {
+		expanded += it.HubsExpanded
+	}
 	fmt.Printf("  cluster:     bound=%.6f degraded=%v (expanded %d hubs across shards)\n",
-		got.L1ErrorBound, got.Degraded, got.HubsExpanded)
+		got.L1ErrorBound, got.Degraded, expanded)
 	fmt.Println("  top-5 agreement:")
 	wt, gt := want.TopK(5), got.TopK(5)
 	for i := range wt {

@@ -4,7 +4,9 @@
 //
 // The scheduled approximation of the paper decomposes a PPV query into
 // per-hub sub-queries aggregated in decreasing order of importance; the
-// router distributes exactly that decomposition. Iteration 0 (the query
+// router distributes exactly that decomposition. It does not restate the
+// loop: a routed query is a core.QueryState — the schedule Engine.Query runs —
+// over the router's own core.Source (routedQuery). Iteration 0 (the query
 // node's prime PPV) is answered by the node's owner shard; every further
 // iteration partitions the border-hub frontier by hub owner, scatters one
 // partial-expansion request per owning shard over that shard's stream
@@ -26,6 +28,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -84,6 +87,8 @@ type Router struct {
 	logger  *slog.Logger
 	met     routerMetrics
 
+	// specSent and specHits count speculative pre-sends and the ones a query
+	// consumed; Stats (and through it the scrape-time collector) reads them.
 	specSent atomic.Int64
 	specHits atomic.Int64
 
@@ -432,17 +437,13 @@ func (r *Router) partial(ctx context.Context, s *shardClient, preq *api.PartialR
 	return resp, nil
 }
 
-// Result is the outcome of one routed cluster query. Estimate and
-// L1ErrorBound have the single-node semantics: the bound is the exact L1
-// distance budget 1 - sum(estimate), and it is valid even when shards were
-// lost mid-query — their unexpanded mass is simply part of the bound.
+// Result is the outcome of one routed cluster query: a core.Result — Estimate
+// and L1ErrorBound have the single-node semantics, the bound being the exact
+// L1 distance budget 1 - sum(estimate), valid even when shards were lost
+// mid-query because their unexpanded mass is simply part of it — plus what
+// only a cluster can report.
 type Result struct {
-	Query        graph.NodeID
-	Estimate     sparse.Vector
-	Iterations   int
-	L1ErrorBound float64
-	HubsExpanded int
-	HubsSkipped  int
+	core.Result
 	// Degraded reports that the cluster could not evaluate the full schedule:
 	// at least one shard was down or failed, or the root had to be computed
 	// by a non-owner. The answer is still correct; its bound is just wider
@@ -465,11 +466,9 @@ type Result struct {
 	// LostFrontierMass is the total prefix weight that could not be expanded
 	// because its owning shard was unavailable; it is an upper bound on how
 	// much of the reported error bound is due to degradation rather than the
-	// stopping condition.
+	// stopping condition. It is summed in ascending hub order within
+	// ascending shard order, so equal degraded queries report equal bits.
 	LostFrontierMass float64
-	// RootFromIndex reports whether iteration 0 was served from a stored
-	// prime PPV (the query node is a hub) rather than computed on the fly.
-	RootFromIndex bool
 	// SpeculationsSent counts iterations whose shard requests were pre-sent
 	// before the previous iteration's fold and stop check ran;
 	// SpeculationHits counts how many of those pre-sends the loop actually
@@ -478,22 +477,18 @@ type Result struct {
 	// to what the loop would have sent.
 	SpeculationsSent int
 	SpeculationHits  int
-	// Spans holds one trace span per processed iteration (including iteration
-	// 0), each with one leg entry per shard sub-request. Always collected:
-	// the cost is bounded by iterations x shards, negligible next to the
-	// network round trips themselves.
+	// Spans holds the shard legs of each processed iteration: Spans[i] belongs
+	// to PerIteration[i]. Always collected: the cost is bounded by iterations
+	// x shards, negligible next to the network round trips themselves.
 	Spans []IterationSpan
-	// Duration is the end-to-end routed query time.
-	Duration time.Duration
 }
 
-// TopK returns the k best nodes of the estimate.
-func (res *Result) TopK(k int) []sparse.Entry { return res.Estimate.TopK(k) }
-
 // Query evaluates the PPV of q across the cluster under the stopping
-// condition stop, with the same semantics as core.Engine.Query: iteration 0
-// plus up to eta frontier expansions, stopping early on the target error,
-// the time limit, or an exhausted frontier.
+// condition stop. It is core.Engine.Query with a different Source: the same
+// core.QueryState runs the schedule — iteration 0 plus up to eta frontier
+// expansions, stopping early on the target error, the time limit, or an
+// exhausted frontier — and only where the mass comes from differs (routedQuery
+// below).
 //
 // Failures degrade instead of erroring: the query only fails outright when no
 // shard at all can answer iteration 0.
@@ -505,131 +500,26 @@ func (r *Router) Query(q graph.NodeID, stop core.StopCondition) (*Result, error)
 // every shard sub-request's frame — shards key their logs on it — and the
 // returned result's Spans tie the per-iteration timings back to the same ID.
 func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID string) (*Result, error) {
-	started := time.Now()
-	res := &Result{Query: q}
-	downShards := make(map[int]struct{})
-	staleShards := make(map[int]struct{})
-
-	span := IterationSpan{Iteration: 0}
-	root, rootShard, err := r.root(q, downShards, staleShards, res, traceID, &span)
+	res := &Result{}
+	src := &routedQuery{
+		r: r, res: res, traceID: traceID,
+		down: make(map[int]struct{}), stale: make(map[int]struct{}),
+	}
+	qs, err := core.StartQuery(q, src)
 	if err != nil {
 		return nil, err
 	}
-	res.RootFromIndex = root.FromIndex
-	// The root's epoch is the reference every further increment must match:
-	// merging replies from different epochs would sum PPV mass of two
-	// different graphs into one estimate.
-	res.Epoch = root.Epoch
-	if rootShard != r.part.Owner(q) {
-		// A non-owner answered iteration 0; for a hub query node this means
-		// the estimate starts from a freshly computed (unclipped) prime PPV
-		// instead of the stored one, so the response is flagged degraded even
-		// though the bound is exact.
-		res.Degraded = true
-	}
-	estimate, err := root.Increment.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad root increment: %w", err)
-	}
-	frontier, err := root.Frontier.DecodeMap()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad root frontier: %w", err)
-	}
-	res.Estimate = estimate
-	mass := estimate.SumOrdered()
-	res.L1ErrorBound = 1 - mass
-	span.FrontierSize = len(frontier)
-	span.MassAdded = mass
-	span.L1ErrorBound = res.L1ErrorBound
-	span.DurationMS = float64(time.Since(started)) / 1e6
-	res.Spans = append(res.Spans, span)
-
-	maxIter := stop.EffectiveMaxIterations()
-	// spec holds the one in-flight speculative pre-send: the next iteration's
-	// shard requests, scattered before the loop has decided to run it. When
-	// the stop rules fire first, discardSpec cancels it — the transports
-	// withdraw it shard-side — so early stopping costs at most one wasted
-	// pre-send and never waits on one.
-	var spec *speculation
-	discardSpec := func() {
-		if spec != nil {
-			spec.cancel()
-			spec = nil
-		}
-	}
-	for iter := 1; iter <= maxIter; iter++ {
-		if stop.TargetL1Error > 0 && res.L1ErrorBound <= stop.TargetL1Error {
-			// The residual bound already satisfies the target: stop here and
-			// cancel any pre-sent expansion of this frontier.
-			break
-		}
-		if stop.TimeLimit > 0 && time.Since(started) >= stop.TimeLimit {
-			break
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		iterStart := time.Now()
-		// Consume the pre-send only if it predicted exactly this frontier
-		// (bit-identical by hash) for exactly this iteration; anything else is
-		// stale and cancelled. The O(1) hash compare is the whole decision —
-		// no statistics, per the greedy-beats-optimal idiom.
-		var sc *scatterSet
-		var consumed context.CancelFunc
-		if spec != nil && spec.iter == iter && spec.hash == api.EncodeMap(frontier).Hash() {
-			sc = spec.sc
-			consumed = spec.cancel
-			spec = nil
-			res.SpeculationHits++
-			r.specHits.Add(1)
-			r.met.specHits.Inc()
-		} else {
-			discardSpec()
-			sc = r.scatter(context.Background(), frontier, iter, downShards, staleShards, traceID, false)
-		}
-		merged, nextFrontier, span := r.gather(sc, res, downShards, staleShards)
-		if consumed != nil {
-			// Every leg of the consumed pre-send has answered by now; release
-			// its context.
-			consumed()
-		}
-		// The next frontier is fully known here, before this iteration's mass
-		// is folded into the estimate: pre-send it now so the shards overlap
-		// their expansion with our fold and stop bookkeeping.
-		if iter+1 <= maxIter && len(nextFrontier) > 0 {
-			sctx, cancel := context.WithCancel(context.Background())
-			spec = &speculation{
-				sc:     r.scatter(sctx, nextFrontier, iter+1, downShards, staleShards, traceID, true),
-				cancel: cancel,
-				hash:   api.EncodeMap(nextFrontier).Hash(),
-				iter:   iter + 1,
-			}
-			res.SpeculationsSent++
-			r.specSent.Add(1)
-			r.met.specSent.Inc()
-		}
-		massAdded := merged.SumOrdered()
-		estimate.AddVector(merged)
-		mass += massAdded
-		prev := res.L1ErrorBound
-		res.Iterations = iter
-		res.L1ErrorBound = 1 - mass
-		frontier = nextFrontier
-		span.MassAdded = massAdded
-		span.L1ErrorBound = res.L1ErrorBound
-		span.DurationMS = float64(time.Since(iterStart)) / 1e6
-		res.Spans = append(res.Spans, span)
-		if massAdded == 0 && res.L1ErrorBound >= prev {
-			break
-		}
-	}
-	discardSpec()
-	res.ShardsDown = len(downShards)
-	res.ShardsBehind = len(staleShards)
+	res.Result = *qs.Run(stop)
+	qs.Close()
+	// The stop rules may have fired with the next iteration already pre-sent:
+	// cancel it — the transports withdraw it shard-side — so early stopping
+	// costs at most one wasted pre-send and never waits on one.
+	src.discardSpec()
+	res.ShardsDown = len(src.down)
+	res.ShardsBehind = len(src.stale)
 	if res.ShardsDown > 0 || res.ShardsBehind > 0 {
 		res.Degraded = true
 	}
-	res.Duration = time.Since(started)
 	r.met.observeQuery(res)
 	if traceID != "" {
 		r.logger.Debug("routed query traced",
@@ -641,7 +531,46 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 	return res, nil
 }
 
-// root obtains iteration 0 from the query node's owner shard, falling back to
+// routedQuery is the remote core.Source of one routed query: iteration 0 is
+// one root partial, an expansion is one scatter/gather round over the shards
+// owning the frontier. Everything that makes the leg remote lives here —
+// which shards are down or epoch-divergent for this query, the speculative
+// pre-send, the per-leg spans — and none of the schedule does.
+//
+// The working state is flat, like the engine's: the frontier is a wire vector
+// (parallel slices in ascending hub order), replies fold into sorted
+// accumulators by linear merge straight from their wire vectors, in ascending
+// shard order. Per node that is 0 + s0 (exactly s0), + s1 ..., then one add
+// into the estimate — the float addition order a map-based fold in the same
+// shard order has — so answers are a deterministic function of the cluster
+// state, bit for bit (testdata/query_golden.txt pins them).
+type routedQuery struct {
+	r       *Router
+	res     *Result
+	traceID string
+	// down and stale are the shards that faulted, or answered at an epoch
+	// other than the root's, during this query; both sit out the rest of it.
+	down, stale map[int]struct{}
+	// frontier is the border hubs awaiting expansion; next accumulates the
+	// replies' frontiers into the one after it. The router has no hub set, so
+	// the next frontier is whatever the shards report.
+	frontier api.Vector
+	next     sparse.Accumulator
+	// spec holds the one in-flight speculative pre-send: the next iteration's
+	// shard requests, scattered before the schedule has decided to run it.
+	spec *speculation
+}
+
+func (q *routedQuery) Frontier() int { return len(q.frontier.Nodes) }
+
+func (q *routedQuery) discardSpec() {
+	if q.spec != nil {
+		q.spec.cancel()
+		q.spec = nil
+	}
+}
+
+// Root obtains iteration 0 from the query node's owner shard, falling back to
 // the other shards in ascending order (healthy ones first) — any shard can
 // compute the prime PPV of any node from its graph copy, so a lost owner
 // costs accuracy of the clip, not correctness.
@@ -650,8 +579,33 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 // is serving a graph that has since been updated, so its root is only used as
 // a last resort (the freshest such answer, with the response flagged
 // degraded) when no shard at the current epoch can answer at all.
-func (r *Router) root(q graph.NodeID, down, stale map[int]struct{}, res *Result, traceID string, span *IterationSpan) (*api.PartialResponse, int, error) {
-	owner := r.part.Owner(q)
+func (q *routedQuery) Root(node graph.NodeID, estimate *sparse.Accumulator) (bool, error) {
+	r := q.r
+	span := IterationSpan{}
+	root, rootShard, err := q.rootReply(node, &span)
+	if err != nil {
+		return false, err
+	}
+	// The root's epoch is the reference every further increment must match:
+	// merging replies from different epochs would sum PPV mass of two
+	// different graphs into one estimate.
+	q.res.Epoch = root.Epoch
+	if rootShard != r.part.Owner(node) {
+		// A non-owner answered iteration 0; for a hub query node this means
+		// the estimate starts from a freshly computed (unclipped) prime PPV
+		// instead of the stored one, so the response is flagged degraded even
+		// though the bound is exact.
+		q.res.Degraded = true
+	}
+	estimate.AddSorted(root.Increment.Nodes, root.Increment.Scores)
+	q.frontier = root.Frontier
+	q.res.Spans = append(q.res.Spans, span)
+	return !root.FromIndex, nil
+}
+
+func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.PartialResponse, int, error) {
+	r := q.r
+	owner := r.part.Owner(node)
 	order := make([]*shardClient, 0, len(r.shards))
 	order = append(order, r.shards[owner])
 	for i, s := range r.shards {
@@ -669,7 +623,7 @@ func (r *Router) root(q graph.NodeID, down, stale map[int]struct{}, res *Result,
 	)
 	for _, s := range order {
 		legStart := time.Now()
-		resp, err := r.partial(context.Background(), s, &api.PartialRequest{Query: &q}, traceID)
+		resp, err := r.partial(context.Background(), s, &api.PartialRequest{Query: &node}, q.traceID)
 		leg := ShardLegSpan{Shard: s.index, DurationMS: float64(time.Since(legStart)) / 1e6}
 		if err != nil {
 			leg.Error = err.Error()
@@ -682,7 +636,7 @@ func (r *Router) root(q graph.NodeID, down, stale map[int]struct{}, res *Result,
 			// query; a shed (overloaded) sub-request may well be accepted at
 			// the next iteration.
 			if shardFault(err) {
-				down[s.index] = struct{}{}
+				q.down[s.index] = struct{}{}
 			}
 			lastErr = err
 			continue
@@ -697,7 +651,7 @@ func (r *Router) root(q graph.NodeID, down, stale map[int]struct{}, res *Result,
 		// answered below it is stale for the rest of this query.
 		//lint:ordered per-shard set inserts are independent
 		for i := range behind {
-			stale[i] = struct{}{}
+			q.stale[i] = struct{}{}
 		}
 		return resp, s.index, nil
 	}
@@ -716,22 +670,65 @@ func (r *Router) root(q graph.NodeID, down, stale map[int]struct{}, res *Result,
 		//lint:ordered per-shard epoch comparison with independent set inserts
 		for i, resp := range behind {
 			if resp.Epoch != best.Epoch {
-				stale[i] = struct{}{}
+				q.stale[i] = struct{}{}
 			}
 		}
-		res.Degraded = true
+		q.res.Degraded = true
 		return best, bestShard, nil
 	}
-	return nil, -1, fmt.Errorf("cluster: no shard could answer iteration 0 for node %d: %w", q, lastErr)
+	return nil, -1, fmt.Errorf("cluster: no shard could answer iteration 0 for node %d: %w", node, lastErr)
 }
 
-// speculation is one pre-sent iteration: its in-flight scatter, the hash of
-// the frontier it predicted, and the cancel that withdraws it shard-side.
+// Expand retires the frontier with one scatter/gather round — the pre-sent
+// one when the previous Expand speculated, which it did exactly when the
+// schedule said this iteration may run — and, the next frontier being fully
+// known before this iteration's mass is folded into the estimate, pre-sends it
+// in turn so the shards overlap their expansion with the schedule's fold and
+// stop bookkeeping. The source that pre-sent a frontier is the one holding it,
+// and the schedule's iterations are consecutive, so a pending pre-send is
+// always for exactly this frontier and this iteration: consuming it is no
+// decision at all — no hash compare, no statistics.
+func (q *routedQuery) Expand(iter int, more bool, inc *sparse.Accumulator) (expanded, skipped int) {
+	r := q.r
+	spec := q.spec
+	q.spec = nil
+	var sc *scatterSet
+	if spec != nil {
+		sc = spec.sc
+		q.res.SpeculationHits++
+		r.specHits.Add(1)
+	} else {
+		sc = q.scatter(context.Background(), iter, false)
+	}
+	q.next.Reset()
+	span := IterationSpan{Speculative: sc.speculative}
+	expanded, skipped = q.gather(sc, inc, &span)
+	q.res.Spans = append(q.res.Spans, span)
+	if spec != nil {
+		// Every leg of the consumed pre-send has answered by now; release
+		// its context.
+		spec.cancel()
+	}
+
+	q.frontier.Nodes, q.frontier.Scores = q.frontier.Nodes[:0], q.frontier.Scores[:0]
+	for _, en := range q.next.Entries() {
+		q.frontier.Nodes = append(q.frontier.Nodes, en.Node)
+		q.frontier.Scores = append(q.frontier.Scores, en.Score)
+	}
+	if more && len(q.frontier.Nodes) > 0 {
+		sctx, cancel := context.WithCancel(context.Background())
+		q.spec = &speculation{sc: q.scatter(sctx, iter+1, true), cancel: cancel}
+		q.res.SpeculationsSent++
+		r.specSent.Add(1)
+	}
+	return expanded, skipped
+}
+
+// speculation is one pre-sent iteration: its in-flight scatter and the cancel
+// that withdraws it shard-side.
 type speculation struct {
 	sc     *scatterSet
 	cancel context.CancelFunc
-	hash   uint64
-	iter   int
 }
 
 // legOutcome carries one shard sub-request's result into the fold loop.
@@ -745,72 +742,68 @@ type legOutcome struct {
 // their outcomes arrive on (buffered, so an abandoned scatter never blocks a
 // leg goroutine).
 type scatterSet struct {
-	frontier    map[graph.NodeID]float64
-	groups      []map[graph.NodeID]float64
+	groups      []api.Vector
 	chans       []chan legOutcome
 	attempted   []bool
-	iter        int
 	speculative bool
 }
 
-// scatter partitions one frontier by hub owner and sends each group to its
-// shard. Shards currently marked unhealthy (or already seen failing in this
-// query) are skipped outright: their prefix mass is recorded as lost by the
-// fold and the bound widens, keeping tail latency bounded by one request
-// round instead of one timeout per down shard per iteration. In passive mode
-// (no background probe) an unhealthy shard is attempted anyway — a successful
-// request is then the only path back to healthy.
+// scatter partitions the frontier by hub owner and sends each group to its
+// shard. A group is a filter of the sorted frontier, so it is born in the
+// ascending hub order the wire form requires. Shards currently marked
+// unhealthy (or already seen failing in this query) are skipped outright:
+// their prefix mass is recorded as lost by the fold and the bound widens,
+// keeping tail latency bounded by one request round instead of one timeout per
+// down shard per iteration. In passive mode (no background probe) an unhealthy
+// shard is attempted anyway — a successful request is then the only path back
+// to healthy.
 //
 // A speculative scatter tags every request with the hash of its frontier
 // vector; cancelling ctx withdraws not-yet-computed requests shard-side.
-func (r *Router) scatter(ctx context.Context, frontier map[graph.NodeID]float64, iter int, down, stale map[int]struct{}, traceID string, speculative bool) *scatterSet {
+func (q *routedQuery) scatter(ctx context.Context, iter int, speculative bool) *scatterSet {
+	r := q.r
 	sc := &scatterSet{
-		frontier:    frontier,
-		groups:      make([]map[graph.NodeID]float64, len(r.shards)),
+		groups:      make([]api.Vector, len(r.shards)),
 		chans:       make([]chan legOutcome, len(r.shards)),
 		attempted:   make([]bool, len(r.shards)),
-		iter:        iter,
 		speculative: speculative,
 	}
-	//lint:ordered each hub occurs once and is routed to exactly one owner group; grouping is order-free
-	for h, w := range frontier {
-		owner := r.part.Owner(h)
-		if sc.groups[owner] == nil {
-			sc.groups[owner] = make(map[graph.NodeID]float64)
-		}
-		sc.groups[owner][h] = w
+	for k, h := range q.frontier.Nodes {
+		g := &sc.groups[r.part.Owner(h)]
+		g.Nodes = append(g.Nodes, h)
+		g.Scores = append(g.Scores, q.frontier.Scores[k])
 	}
-	for i, group := range sc.groups {
-		if group == nil {
+	for i := range sc.groups {
+		group := &sc.groups[i]
+		if len(group.Nodes) == 0 {
 			continue
 		}
 		ch := make(chan legOutcome, 1)
 		sc.chans[i] = ch
 		s := r.shards[i]
-		if _, seenStale := stale[i]; seenStale {
+		if _, seenStale := q.stale[i]; seenStale {
 			// Epoch-divergent in this query: no request, its mass is folded
 			// by the gather loop (without marking the shard down — it is
 			// alive, just serving a different graph).
 			ch <- legOutcome{}
 			continue
 		}
-		_, seenDown := down[i]
+		_, seenDown := q.down[i]
 		if seenDown || (!s.healthy.Load() && !r.passive) {
 			ch <- legOutcome{err: fmt.Errorf("cluster: shard %d (%s) is down", i, s.target)}
 			continue
 		}
 		sc.attempted[i] = true
-		wv := api.EncodeMap(group)
-		preq := &api.PartialRequest{Frontier: &wv, Iteration: iter}
+		preq := &api.PartialRequest{Frontier: group, Iteration: iter}
 		if speculative {
 			preq.Speculative = true
-			preq.FrontierHash = wv.Hash()
+			preq.FrontierHash = group.Hash()
 		}
-		go func(i int, s *shardClient) {
+		go func(s *shardClient) {
 			legStart := time.Now()
-			reply, err := r.partial(ctx, s, preq, traceID)
+			reply, err := r.partial(ctx, s, preq, q.traceID)
 			ch <- legOutcome{reply: reply, err: err, dur: time.Since(legStart)}
-		}(i, s)
+		}(s)
 	}
 	return sc
 }
@@ -819,7 +812,8 @@ func (r *Router) scatter(ctx context.Context, frontier map[graph.NodeID]float64,
 // deterministic accumulation, so two routed queries over the same cluster
 // state answer identically. The in-order receive still overlaps expansion
 // with merging — shard i's reply is folded the moment it arrives once shards
-// 0..i-1 are folded, while later shards are still computing.
+// 0..i-1 are folded, while later shards are still computing. Increments merge
+// into inc, the replies' frontiers into q.next.
 //
 // A reply whose index epoch differs from the query's reference epoch
 // (res.Epoch, fixed at the root) is never merged: the shard evaluated against
@@ -827,17 +821,15 @@ func (r *Router) scatter(ctx context.Context, frontier map[graph.NodeID]float64,
 // shard's and the shard is skipped for the rest of this query. Unlike a
 // fault, divergence does not mark the shard unhealthy — it is alive and
 // answering, just inconsistent with the cluster.
-func (r *Router) gather(sc *scatterSet, res *Result, down, stale map[int]struct{}) (sparse.Vector, map[graph.NodeID]float64, IterationSpan) {
-	span := IterationSpan{Iteration: sc.iter, FrontierSize: len(sc.frontier), Speculative: sc.speculative}
-	merged := sparse.New(64)
-	next := make(map[graph.NodeID]float64)
-	for i := range r.shards {
+func (q *routedQuery) gather(sc *scatterSet, inc *sparse.Accumulator, span *IterationSpan) (expanded, skipped int) {
+	res := q.res
+	for i := range sc.groups {
 		group := sc.groups[i]
-		if group == nil {
+		if len(group.Nodes) == 0 {
 			continue
 		}
 		out := <-sc.chans[i]
-		leg := ShardLegSpan{Shard: i, Hubs: len(group), DurationMS: float64(out.dur) / 1e6, Skipped: !sc.attempted[i]}
+		leg := ShardLegSpan{Shard: i, Hubs: len(group.Nodes), DurationMS: float64(out.dur) / 1e6, Skipped: !sc.attempted[i]}
 		if out.err != nil {
 			leg.Error = out.err.Error()
 		} else if out.reply != nil {
@@ -848,68 +840,52 @@ func (r *Router) gather(sc *scatterSet, res *Result, down, stale map[int]struct{
 		span.Legs = append(span.Legs, leg)
 		// foldGroup accounts a sub-request that contributed nothing: its
 		// prefix mass goes unexpanded, the exact bound widens by exactly that
-		// much, and the answer is degraded.
+		// much, and the answer is degraded. The mass is a response field, so
+		// it is summed in the group's ascending hub order.
 		foldGroup := func() {
-			//lint:ordered FP fold into the pessimistic lost-mass bound; rounding-order variance is far below the bound's width and it is never ranking input
-			for _, w := range group {
+			for _, w := range group.Scores {
 				res.LostFrontierMass += w
 			}
 			res.Degraded = true
 		}
-		// loseGroup is foldGroup for a failed sub-request. Only shard faults
-		// exclude the shard from the rest of the query — a shed (overloaded)
-		// sub-request is retried at the next iteration and never reported as
-		// a down shard.
-		loseGroup := func(err error) {
-			if shardFault(err) {
-				down[i] = struct{}{}
-			}
-			foldGroup()
-		}
-		if _, seenStale := stale[i]; seenStale && out.err == nil && out.reply == nil {
+		_, seenStale := q.stale[i]
+		switch {
+		case seenStale && out.err == nil && out.reply == nil:
 			// Skipped as epoch-divergent before the scatter: the bound
 			// widens, health and the down set stay untouched.
 			foldGroup()
-			continue
-		}
-		if out.err != nil || out.reply == nil {
-			loseGroup(out.err)
-			continue
-		}
-		reply := out.reply
-		if reply.Epoch != res.Epoch {
+		case out.err != nil || out.reply == nil:
+			// Only shard faults exclude the shard from the rest of the query
+			// — a shed (overloaded) sub-request is retried at the next
+			// iteration and never reported as a down shard.
+			if shardFault(out.err) {
+				q.down[i] = struct{}{}
+			}
+			foldGroup()
+		case out.reply.Epoch != res.Epoch:
 			// Epoch divergence: the shard answered from a different graph.
 			// Its mass folds into the (still exact) bound and the shard sits
 			// out the rest of this query; health is untouched.
-			stale[i] = struct{}{}
+			q.stale[i] = struct{}{}
 			foldGroup()
-			continue
-		}
-		inc, err := reply.Increment.Decode()
-		if err == nil {
-			merged.AddVector(inc)
-			var front map[graph.NodeID]float64
-			if front, err = reply.Frontier.DecodeMap(); err == nil {
-				//lint:ordered each hub occurs once per reply, so every next[h] sees exactly one add per shard regardless of order
-				for h, w := range front {
-					next[h] += w
+		default:
+			reply := out.reply
+			inc.AddSorted(reply.Increment.Nodes, reply.Increment.Scores)
+			q.next.AddSorted(reply.Frontier.Nodes, reply.Frontier.Scores)
+			expanded += reply.HubsExpanded
+			skipped += reply.HubsSkipped
+			for _, h := range reply.Unowned {
+				// The shard refused mass we routed to it: partition
+				// disagreement. The mass is lost (bound stays exact); surface
+				// it as degradation.
+				if k, ok := slices.BinarySearch(group.Nodes, h); ok {
+					res.LostFrontierMass += group.Scores[k]
 				}
+				res.Degraded = true
 			}
 		}
-		if err != nil {
-			loseGroup(err)
-			continue
-		}
-		res.HubsExpanded += reply.HubsExpanded
-		res.HubsSkipped += reply.HubsSkipped
-		for _, h := range reply.Unowned {
-			// The shard refused mass we routed to it: partition disagreement.
-			// The mass is lost (bound stays exact); surface it as degradation.
-			res.LostFrontierMass += group[h]
-			res.Degraded = true
-		}
 	}
-	return merged, next, span
+	return expanded, skipped
 }
 
 // ClusterUpdate is the outcome of one update fan-out across the cluster.

@@ -23,7 +23,12 @@ func testCluster(t *testing.T, shards int) (*core.Engine, []*fakeShard) {
 	if err != nil {
 		t.Fatalf("SocialGraph: %v", err)
 	}
-	base := core.Options{NumHubs: 90}
+	return clusterOver(t, g, core.Options{NumHubs: 90}, shards)
+}
+
+// clusterOver is testCluster over a given graph and engine options.
+func clusterOver(t *testing.T, g *graph.Graph, base core.Options, shards int) (*core.Engine, []*fakeShard) {
+	t.Helper()
 	single, err := core.NewEngine(g, nil, base)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
-// telemetry.go holds the router's observability surface: per-iteration spans
-// (the routed counterpart of core.IterationStat, with one leg entry per shard
-// sub-request) and the metric families the router records into a shared
-// telemetry.Registry.
+// telemetry.go holds the router's observability surface: the per-shard legs of
+// each iteration (what a routed query adds to its core.IterationStats) and the
+// metric families the router records into a shared telemetry.Registry.
 package cluster
 
 import (
@@ -25,14 +24,10 @@ type ShardLegSpan struct {
 	Skipped bool   `json:"skipped,omitempty"`
 }
 
-// IterationSpan records one iteration of a routed query: the frontier it
-// expanded, the mass it retired, and the per-shard legs it scattered.
+// IterationSpan is what a routed iteration adds to its core.IterationStat
+// (Result.Spans[i] belongs to Result.PerIteration[i]): the per-shard legs it
+// scattered.
 type IterationSpan struct {
-	Iteration    int     `json:"iteration"`
-	FrontierSize int     `json:"frontier_size"`
-	MassAdded    float64 `json:"mass_added"`
-	L1ErrorBound float64 `json:"l1_error_bound"`
-	DurationMS   float64 `json:"duration_ms"`
 	// Speculative marks an iteration whose shard requests were pre-sent
 	// before the previous fold and stop check ran (a consumed speculation).
 	Speculative bool           `json:"speculative,omitempty"`
@@ -50,8 +45,6 @@ type routerMetrics struct {
 	iterations *telemetry.Histogram
 	bound      *telemetry.Histogram
 	legLatency *telemetry.HistogramVec
-	specSent   *telemetry.Counter
-	specHits   *telemetry.Counter
 }
 
 // newRouterMetrics registers the router's hot-path handles. legBuckets
@@ -77,10 +70,6 @@ func newRouterMetrics(reg *telemetry.Registry, legBuckets []float64) routerMetri
 		legLatency: reg.HistogramVec("fastppv_shard_leg_seconds",
 			"Latency of one shard sub-request (partial or update leg).",
 			legBuckets, "shard"),
-		specSent: reg.Counter("fastppv_router_speculations_sent_total",
-			"Iterations pre-sent to shards before their go/no-go decision."),
-		specHits: reg.Counter("fastppv_router_speculation_hits_total",
-			"Pre-sent iterations the query loop consumed (the rest were cancelled by early stops)."),
 	}
 }
 
@@ -111,6 +100,10 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 			"Shards the router fans out to.", float64(len(st.Shards)))
 		e.Gauge("fastppv_cluster_nodes",
 			"Node count of the served graph (0 until discovered).", float64(st.Nodes))
+		e.Counter("fastppv_router_speculations_sent_total",
+			"Iterations pre-sent to shards before their go/no-go decision.", float64(st.SpeculationsSent))
+		e.Counter("fastppv_router_speculation_hits_total",
+			"Pre-sent iterations the query loop consumed (the rest were cancelled by early stops).", float64(st.SpeculationHits))
 		for _, ss := range st.Shards {
 			lbl := telemetry.L("shard", strconv.Itoa(ss.Shard))
 			healthy := 0.0

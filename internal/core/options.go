@@ -151,9 +151,3 @@ func (s StopCondition) maxIterations() int {
 	}
 	return s.MaxIterations
 }
-
-// EffectiveMaxIterations resolves the MaxIterations convention (negative =
-// unbounded) into a concrete iteration cap. Distributed query drivers (the
-// cluster router) use it so routed and local queries stop after the same
-// number of iterations for the same StopCondition.
-func (s StopCondition) EffectiveMaxIterations() int { return s.maxIterations() }

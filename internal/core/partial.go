@@ -9,14 +9,14 @@ import (
 )
 
 // PartialIncrement is the outcome of one shard-local evaluation step of a
-// distributed PPV query. A cluster router drives the scheduled approximation
-// loop itself: iteration 0 is one PartialRoot on the query node's owner, and
-// every further iteration scatters the frontier to the owning shards, gathers
-// their PartialExpand increments, and merges them deterministically. Because
-// the estimate only ever accumulates non-negative tour mass, the exact
-// accuracy-aware bound 1 - sum(estimate) survives the split unchanged: mass a
-// shard fails to contribute (down, slow, or pruned) widens the reported bound
-// instead of corrupting the answer.
+// distributed PPV query. The cluster router runs the scheduled-approximation
+// loop (QueryState, over its own Source): iteration 0 is one PartialRoot on
+// the query node's owner, and every further iteration scatters the frontier to
+// the owning shards, gathers their PartialExpand increments, and merges them
+// deterministically. Because the estimate only ever accumulates non-negative
+// tour mass, the exact accuracy-aware bound 1 - sum(estimate) survives the
+// split unchanged: mass a shard fails to contribute (down, slow, or pruned)
+// widens the reported bound instead of corrupting the answer.
 type PartialIncrement struct {
 	// Increment is the partial PPV mass contributed by this step: the query
 	// node's prime PPV for a root, or the sum of this shard's hub extensions
@@ -69,18 +69,17 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 	return out, nil
 }
 
-// PartialExpand applies one scheduled-approximation iteration restricted to
-// the hubs this engine's partition owns: for every frontier hub above the
-// delta threshold it assembles prefix/alpha times the hub's extension vector,
-// exactly as QueryState.Step does, but stateless — the caller owns the
-// estimate, the frontier merge and the stopping rule.
-//
-// Unlike Step, an index read error is returned instead of silently recomputing
-// the hub: in a cluster the read path failing usually means this shard is
-// restarting or compacting away its descriptor, and the router's retry (or its
-// degradation to a wider bound) is the correct recovery, not a local
-// recomputation racing a dying store. A hub that is merely absent (partially
-// built index) is still recomputed on the fly.
+// PartialExpand applies one expansion restricted to the hubs this engine's
+// partition owns: the same per-hub kernel localSource.Expand runs (stageHub,
+// then foldStaged), but stateless — the caller owns the estimate, the
+// frontier merge and the stopping rule — and with two policies of its own.
+// Frontier hubs outside the partition are refused into Unowned. And an index
+// read error is returned instead of recovered by recomputing the hub: in a
+// cluster the read path failing usually means this shard is restarting or
+// compacting away its descriptor, and the router's retry (or its degradation
+// to a wider bound) is the correct recovery, not a local recomputation racing
+// a dying store. A hub that is merely absent (partially built index) is still
+// recomputed on the fly.
 func (e *Engine) PartialExpand(frontier map[graph.NodeID]float64) (*PartialIncrement, error) {
 	if !e.precomputed {
 		return nil, fmt.Errorf("core: PartialExpand before Precompute")
@@ -90,43 +89,31 @@ func (e *Engine) PartialExpand(frontier map[graph.NodeID]float64) (*PartialIncre
 	}
 	b := getQueryBufs()
 	defer putQueryBufs(b)
-	hubs := make([]graph.NodeID, 0, len(frontier))
-	//lint:ordered collect-then-sort: hubs are sorted by id before expansion
-	for h := range frontier {
-		hubs = append(hubs, h)
+	//lint:ordered collect-then-sort: the frontier is sorted by hub id before expansion
+	for h, w := range frontier {
+		b.frontier = append(b.frontier, frontierEntry{hub: h, prefix: w})
 	}
-	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
+	sort.Slice(b.frontier, func(i, j int) bool { return b.frontier[i].hub < b.frontier[j].hub })
 	inc := &b.inc
-	for _, h := range hubs {
-		if !e.hubs.Contains(h) || !e.opts.Partition.Owns(h) {
-			out.Unowned = append(out.Unowned, h)
+	for _, fe := range b.frontier {
+		if !e.hubs.Contains(fe.hub) || !e.opts.Partition.Owns(fe.hub) {
+			out.Unowned = append(out.Unowned, fe.hub)
 			continue
 		}
-		prefix := frontier[h]
-		if prefix <= e.opts.Delta {
-			out.HubsSkipped++
-			continue
-		}
-		scale := prefix / e.opts.Alpha
-		view, ok, err := e.index.GetView(h)
+		ok, err := e.stageHub(b, inc, fe, false)
 		if err != nil {
-			return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
+			return nil, err
 		}
 		if ok {
-			inc.StageEncodedExtension(view.EntryBytes(), scale, h, e.opts.Alpha)
-			view.Release()
-		} else if !e.stageRecomputed(b, inc, h, scale) {
+			out.HubsExpanded++
+		} else {
 			out.HubsSkipped++
-			continue
 		}
-		out.HubsExpanded++
 	}
-	inc.Combine()
+	b.nextFrontier = e.foldStaged(inc, b.nextFrontier[:0])
+	for _, fe := range b.nextFrontier {
+		out.Frontier[fe.hub] = fe.prefix
+	}
 	out.Increment = inc.ToVector()
-	for _, en := range inc.Entries() {
-		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			out.Frontier[en.Node] = en.Score
-		}
-	}
 	return out, nil
 }

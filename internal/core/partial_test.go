@@ -219,6 +219,67 @@ func TestPartialSingleShardByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPartialExpandThenFoldEqualsStep: PartialExpand and Step run one per-hub
+// kernel, so over a disabled partition a partial expansion of a query's
+// frontier, folded into its estimate, is the next Step entry for entry — the
+// increment, the next frontier and the hub counts, with ==.
+func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.7, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, nil, Options{NumHubs: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := e.NewQuery(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	for iter := 1; iter <= 3; iter++ {
+		frontier := make(map[graph.NodeID]float64)
+		for _, fe := range qs.bufs.frontier {
+			frontier[fe.hub] = fe.prefix
+		}
+		before := qs.Result().Estimate
+		part, err := e.PartialExpand(frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := qs.Step()
+		if part.HubsExpanded != st.HubsExpanded || part.HubsSkipped != st.HubsSkipped || len(part.Unowned) != 0 {
+			t.Fatalf("iteration %d: partial expanded %d skipped %d unowned %v, Step %d and %d",
+				iter, part.HubsExpanded, part.HubsSkipped, part.Unowned, st.HubsExpanded, st.HubsSkipped)
+		}
+		if got := part.Increment.SumOrdered(); got != st.MassAdded {
+			t.Errorf("iteration %d: partial increment sums to %v, Step added %v", iter, got, st.MassAdded)
+		}
+		after := qs.Result().Estimate
+		for n, s := range after {
+			if want := before[n] + part.Increment[n]; s != want {
+				t.Fatalf("iteration %d: estimate[%d] = %v after Step, fold of the partial gives %v", iter, n, s, want)
+			}
+		}
+		for n := range part.Increment {
+			if _, ok := after[n]; !ok {
+				t.Fatalf("iteration %d: partial increment has node %d, Step's estimate does not", iter, n)
+			}
+		}
+		if len(part.Frontier) != len(qs.bufs.frontier) {
+			t.Fatalf("iteration %d: partial frontier has %d hubs, Step's %d", iter, len(part.Frontier), len(qs.bufs.frontier))
+		}
+		for _, fe := range qs.bufs.frontier {
+			if part.Frontier[fe.hub] != fe.prefix {
+				t.Fatalf("iteration %d: frontier[%d] = %v in the partial, %v after Step", iter, fe.hub, part.Frontier[fe.hub], fe.prefix)
+			}
+		}
+	}
+}
+
 // TestPartialExpandRejectsUnownedHubs: mass routed to the wrong shard is
 // refused and reported, never silently dropped or expanded.
 func TestPartialExpandRejectsUnownedHubs(t *testing.T) {

@@ -63,35 +63,53 @@ func (r *Result) TopK(k int) []sparse.Entry { return r.Estimate.TopK(k) }
 // under the stopping condition stop, assembling PPV increments from the
 // precomputed hub prime PPVs.
 func (e *Engine) Query(q graph.NodeID, stop StopCondition) (*Result, error) {
-	qs, err := e.NewQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	res := qs.Run(stop)
-	qs.Close()
-	return res, nil
+	return e.QueryOn(e.g, q, stop)
 }
 
-// QueryState is an in-progress incremental query. It exposes the scheduled
-// approximation directly: Step applies one more PPV increment and returns the
-// updated accuracy bound, so callers can trade accuracy for time dynamically
-// (the "accuracy-aware" property of Sect. 3).
+// Source is where a scheduled-approximation query gets its mass from. The loop
+// itself — fold the increment, tighten phi = 1 - sum(estimate) (Eq. 6), stop
+// on eta, target error, time or an empty frontier — is stated once, in
+// QueryState; a Source only says how iteration 0 and the increment of a
+// frontier are obtained. There are two: the engine's own index (localSource)
+// and a cluster router's scatter/gather over hub-partitioned shards
+// (internal/cluster). A Source holds the frontier between calls and serves
+// one query.
+type Source interface {
+	// Root performs iteration 0: it folds the query node's prime PPV into the
+	// empty estimate and takes the initial border-hub frontier. computed
+	// reports that the prime PPV was pushed on the fly rather than read from a
+	// stored record.
+	Root(q graph.NodeID, estimate *sparse.Accumulator) (computed bool, err error)
+	// Frontier returns the number of border hubs awaiting expansion.
+	Frontier() int
+	// Expand retires the held frontier as iteration iter: it leaves the PPV
+	// increment in inc (empty on entry; sorted and combined on return), holds
+	// the next frontier, and reports the hubs expanded and skipped. more says
+	// the schedule may ask for iteration iter+1 (eta allows it), which is what
+	// lets a remote source pre-send that iteration.
+	Expand(iter int, more bool, inc *sparse.Accumulator) (expanded, skipped int)
+}
+
+// QueryState is an in-progress incremental query: the one
+// scheduled-approximation loop of the tree (Algorithm 2), over a Source. It
+// exposes the schedule directly: Step applies one more PPV increment and
+// returns the updated accuracy bound, so callers can trade accuracy for time
+// dynamically (the "accuracy-aware" property of Sect. 3); Run steps until a
+// StopCondition says stop.
 //
-// The working state — the running estimate, the per-step increment and the
-// frontier — lives in a pooled flat-slice bundle, not in maps: Step reads each
-// hub record as a view of the index's flat payload and folds its bytes into a
-// sorted accumulator with linear merges, and the map-based Result.Estimate is
-// materialized lazily at the API boundary (Result, Run, Close). Callers that
-// drive QueryState directly should Close it when done to recycle the bundle;
-// a state that is never Closed is still correct, just not pooled.
+// The working state — the running estimate and the per-step increment — lives
+// in a pooled flat-slice bundle, not in maps: increments arrive sorted by node
+// id and fold into the estimate with linear merges, and the map-based
+// Result.Estimate is materialized lazily at the API boundary (Result, Run,
+// Close). Callers that drive QueryState directly should Close it when done to
+// recycle the bundle; a state that is never Closed is still correct, just not
+// pooled.
 type QueryState struct {
-	engine *Engine
-	query  graph.NodeID
+	src Source
 
 	// bufs holds the pooled working set: bufs.acc is the running estimate,
-	// bufs.inc the per-step increment, bufs.frontier the border hubs of the
-	// next iteration (sorted by ascending hub, prefix weights of Theorem 4).
-	// nil after Close.
+	// bufs.inc the per-step increment (the rest serves a localSource). nil
+	// after Close.
 	bufs      *queryBufs
 	iteration int
 	result    *Result
@@ -104,10 +122,11 @@ type QueryState struct {
 	// bound 1-mass is byte-reproducible without re-summing the whole estimate
 	// on every Step.
 	mass float64
-	// deps records the hubs whose indexed prime PPV this query consumed
+	// deps records the hubs whose indexed prime PPV a local query consumed
 	// (iteration 0 when the query node is a hub, plus every hub expanded by a
-	// Step). Result caches use it for targeted invalidation after a graph
-	// update: a cached answer is stale once any of these hubs is recomputed.
+	// Step); nil for a remote source. Result caches use it for targeted
+	// invalidation after a graph update: a cached answer is stale once any of
+	// these hubs is recomputed.
 	deps map[graph.NodeID]struct{}
 }
 
@@ -139,47 +158,89 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 	if q < 0 || int(q) >= adj.NumNodes() {
 		return nil, fmt.Errorf("core: %w: query %d", graph.ErrNodeOutOfRange, q)
 	}
-	started := time.Now()
-
 	b := getQueryBufs()
-	// Iteration 0: the query node's prime PPV, from its index record when q
-	// is an indexed hub and pushed on the fly otherwise.
-	view, fromIndex, err := e.index.GetView(q)
+	src := &localSource{e: e, adj: adj, b: b, deps: make(map[graph.NodeID]struct{})}
+	qs, err := startQuery(q, src, b)
+	if err != nil {
+		return nil, err
+	}
+	qs.deps = src.deps
+	return qs, nil
+}
+
+// StartQuery starts a query for q over src and performs iteration 0. It is how
+// a source outside this package (the cluster router's) runs the schedule.
+func StartQuery(q graph.NodeID, src Source) (*QueryState, error) {
+	return startQuery(q, src, getQueryBufs())
+}
+
+func startQuery(q graph.NodeID, src Source, b *queryBufs) (*QueryState, error) {
+	started := time.Now()
+	computed, err := src.Root(q, &b.acc)
 	if err != nil {
 		putQueryBufs(b)
-		return nil, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
+		return nil, err
 	}
-	if fromIndex {
-		b.acc.SetEncoded(view.EntryBytes())
-		view.Release()
-	} else {
-		queryPPV, _, err := b.scratch.Push(adj, q, e.hubs, e.opts.primeOptions(), 0)
-		if err != nil {
-			putQueryBufs(b)
-			return nil, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
-		}
-		b.acc.SetEntries(queryPPV) // born sorted: a copy, no sort
-	}
-	computed := !fromIndex
-
 	qs := &QueryState{
-		engine:        e,
-		query:         q,
+		src:           src,
 		bufs:          b,
-		deps:          make(map[graph.NodeID]struct{}),
 		estimateDirty: true,
 		started:       started,
-		iteration:     0,
+		mass:          b.acc.Sum(),
 	}
-	if !computed {
-		qs.deps[q] = struct{}{}
+	bound := 1 - qs.mass
+	qs.result = &Result{
+		Query:            q,
+		L1ErrorBound:     bound,
+		QueryPPVComputed: computed,
+		PerIteration: []IterationStat{{
+			Iteration:    0,
+			MassAdded:    qs.mass,
+			L1ErrorBound: bound,
+			FrontierSize: src.Frontier(),
+			Duration:     time.Since(started),
+		}},
+	}
+	qs.result.Duration = time.Since(started)
+	return qs, nil
+}
+
+// localSource is the Source over an engine's own index: iteration 0 is the
+// query node's record (or an on-the-fly push), an expansion is the per-hub
+// kernel over every frontier hub. Its frontier lives in the query's pooled
+// bundle.
+type localSource struct {
+	e    *Engine
+	adj  prime.Adjacency
+	b    *queryBufs
+	deps map[graph.NodeID]struct{}
+}
+
+func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, error) {
+	e, b := s.e, s.b
+	// The query node's prime PPV, from its index record when q is an indexed
+	// hub and pushed on the fly otherwise.
+	view, fromIndex, err := e.index.GetView(q)
+	if err != nil {
+		return false, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
+	}
+	if fromIndex {
+		estimate.SetEncoded(view.EntryBytes())
+		view.Release()
+		s.deps[q] = struct{}{}
+	} else {
+		queryPPV, _, err := b.scratch.Push(s.adj, q, e.hubs, e.opts.primeOptions(), 0)
+		if err != nil {
+			return false, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
+		}
+		estimate.SetEntries(queryPPV) // born sorted: a copy, no sort
 	}
 	// The frontier after iteration 0 is the hub entries of the query's prime
 	// PPV. If the query node is itself a hub, its self-entry includes the
 	// empty tour, which must not be extended (the starting node is excluded
 	// from hub length), so subtract alpha from it. Scanning the sorted
 	// accumulator entries yields the frontier already in expansion order.
-	for _, en := range b.acc.Entries() {
+	for _, en := range estimate.Entries() {
 		if !e.hubs.Contains(en.Node) {
 			continue
 		}
@@ -191,22 +252,72 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 			b.frontier = append(b.frontier, frontierEntry{hub: en.Node, prefix: w})
 		}
 	}
-	qs.mass = b.acc.Sum()
-	bound := 1 - qs.mass
-	qs.result = &Result{
-		Query:            q,
-		L1ErrorBound:     bound,
-		QueryPPVComputed: computed,
-		PerIteration: []IterationStat{{
-			Iteration:    0,
-			MassAdded:    qs.mass,
-			L1ErrorBound: bound,
-			FrontierSize: len(b.frontier),
-			Duration:     time.Since(started),
-		}},
+	return !fromIndex, nil
+}
+
+func (s *localSource) Frontier() int { return len(s.b.frontier) }
+
+// Expand runs the kernel over every frontier hub. The frontier slice is
+// sorted by ascending hub id, so hubs are expanded in deterministic order and
+// floating-point accumulation is reproducible: two queries at the same eta
+// return entry-wise identical estimates, which lets serving-layer caches
+// promise byte-identical cached responses. A record the index cannot read is
+// recovered by recomputing the hub; this keeps queries usable with partially
+// built indexes at the cost of extra work.
+func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, skipped int) {
+	b := s.b
+	for _, fe := range b.frontier {
+		if ok, _ := s.e.stageHub(b, inc, fe, true); ok {
+			s.deps[fe.hub] = struct{}{}
+			expanded++
+		} else {
+			skipped++
+		}
 	}
-	qs.result.Duration = time.Since(started)
-	return qs, nil
+	b.frontier, b.nextFrontier = s.e.foldStaged(inc, b.nextFrontier[:0]), b.frontier
+	return expanded, skipped
+}
+
+// stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11): prune by
+// delta, then stage prefix/alpha times the hub's extension vector into inc.
+// Theorem 4 extends the prefix ending at the hub by its prime PPV, excluding
+// the hub's empty tour (an extension must advance the walk); that
+// self-correction is applied inline by the staging call, with no per-hub clone
+// of the prime PPV. It reports whether anything was staged.
+//
+// A hub absent from the index (a partially built one) is pushed on the fly.
+// What a failed read does is the caller's policy: with recompute the hub is
+// pushed on the fly too and err is always nil; without it the read error is
+// returned.
+func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, fe frontierEntry, recompute bool) (bool, error) {
+	if fe.prefix <= e.opts.Delta {
+		return false, nil
+	}
+	scale := fe.prefix / e.opts.Alpha
+	view, ok, err := e.index.GetView(fe.hub)
+	if err != nil && !recompute {
+		return false, fmt.Errorf("core: loading prime PPV of hub %d: %w", fe.hub, err)
+	}
+	if err == nil && ok {
+		inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
+		view.Release()
+		return true, nil
+	}
+	return e.stageRecomputed(b, inc, fe.hub, scale), nil
+}
+
+// foldStaged closes an expansion: one stable-sort fold of everything staged
+// (per-node contributions sum in ascending-hub order, bit-equal to merging hub
+// by hub), then the next frontier — the hub entries of the increment, born
+// sorted because the increment is — appended to next.
+func (e *Engine) foldStaged(inc *sparse.Accumulator, next []frontierEntry) []frontierEntry {
+	inc.Combine()
+	for _, en := range inc.Entries() {
+		if en.Score > 0 && e.hubs.Contains(en.Node) {
+			next = append(next, frontierEntry{hub: en.Node, prefix: en.Score})
+		}
+	}
+	return next
 }
 
 // syncEstimate materializes the accumulator into the public map-based
@@ -266,73 +377,32 @@ func (qs *QueryState) HubDeps() []graph.NodeID {
 // Exhausted reports whether no extendable hubs remain, i.e. further Steps
 // cannot improve the estimate.
 func (qs *QueryState) Exhausted() bool {
-	return qs.bufs == nil || len(qs.bufs.frontier) == 0
+	return qs.bufs == nil || qs.src.Frontier() == 0
 }
 
 // Step applies the next PPV increment (one more iteration of Algorithm 2's
 // while loop) and returns its statistics. Calling Step when Exhausted is a
 // no-op that returns a zero-mass stat.
-func (qs *QueryState) Step() IterationStat {
-	e := qs.engine
+func (qs *QueryState) Step() IterationStat { return qs.step(true) }
+
+// step is Step with the schedule's knowledge of whether another iteration may
+// follow (see Source.Expand).
+func (qs *QueryState) step(more bool) IterationStat {
 	iterStart := time.Now()
 	qs.iteration++
 	stat := IterationStat{Iteration: qs.iteration}
-	b := qs.bufs
-	if b != nil {
-		stat.FrontierSize = len(b.frontier)
-	}
-
-	if b == nil || len(b.frontier) == 0 {
+	if qs.Exhausted() {
 		stat.L1ErrorBound = qs.result.L1ErrorBound
 		qs.result.PerIteration = append(qs.result.PerIteration, stat)
 		return stat
 	}
+	stat.FrontierSize = qs.src.Frontier()
 
-	inc := &b.inc
+	inc := &qs.bufs.inc
 	inc.Reset()
-	// The frontier slice is already sorted by ascending hub id, so hubs are
-	// expanded in deterministic order and floating-point accumulation is
-	// reproducible: two queries at the same eta return entry-wise identical
-	// estimates, which lets serving-layer caches promise byte-identical
-	// cached responses.
-	for _, fe := range b.frontier {
-		if fe.prefix <= e.opts.Delta {
-			stat.HubsSkipped++
-			continue
-		}
-		// Theorem 4: extend the prefix ending at hub h by h's prime PPV,
-		// excluding h's empty tour (an extension must advance the walk). The
-		// self-correction is applied inline by the accumulate kernel — no
-		// per-hub clone of the prime PPV.
-		scale := fe.prefix / e.opts.Alpha
-		// A hub missing from the index (or an I/O error) is recovered by
-		// computing its prime PPV on the fly; this keeps queries usable with
-		// partially built indexes at the cost of extra work.
-		if view, ok, err := e.index.GetView(fe.hub); err == nil && ok {
-			inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
-			view.Release()
-		} else if !e.stageRecomputed(b, inc, fe.hub, scale) {
-			stat.HubsSkipped++
-			continue
-		}
-		qs.deps[fe.hub] = struct{}{}
-		stat.HubsExpanded++
-	}
-	// One stable-sort fold of everything staged: per-node contributions sum
-	// in ascending-hub order, bit-equal to merging hub by hub.
-	inc.Combine()
-
-	b.acc.AddAccumulator(inc)
+	stat.HubsExpanded, stat.HubsSkipped = qs.src.Expand(qs.iteration, more, inc)
+	qs.bufs.acc.AddAccumulator(inc)
 	qs.estimateDirty = true
-	// The next frontier is the hub entries of the increment; the increment is
-	// sorted, so the frontier slice is born sorted.
-	b.nextFrontier = b.nextFrontier[:0]
-	for _, en := range inc.Entries() {
-		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			b.nextFrontier = append(b.nextFrontier, frontierEntry{hub: en.Node, prefix: en.Score})
-		}
-	}
-	b.frontier, b.nextFrontier = b.nextFrontier, b.frontier
 
 	stat.MassAdded = inc.Sum()
 	qs.mass += stat.MassAdded
@@ -346,8 +416,8 @@ func (qs *QueryState) Step() IterationStat {
 	return stat
 }
 
-// stageRecomputed is the fallback of Step and PartialExpand for a hub whose
-// record the index could not serve: its prime PPV is pushed on the fly,
+// stageRecomputed is stageHub's fallback for a hub whose record the index
+// could not serve: its prime PPV is pushed on the fly,
 // unclipped, encoded into the bundle's record buffer and staged as a stored
 // record would be. It reports false when the push failed (nothing staged).
 func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, scale float64) bool {
@@ -361,7 +431,8 @@ func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.
 }
 
 // Run keeps stepping until the stopping condition is met and returns the
-// final result.
+// final result. It is the one statement of the stop schedule: Engine.Query and
+// the cluster router's Query both end here.
 func (qs *QueryState) Run(stop StopCondition) *Result {
 	maxIter := stop.maxIterations()
 	for qs.iteration < maxIter {
@@ -375,7 +446,7 @@ func (qs *QueryState) Run(stop StopCondition) *Result {
 			break
 		}
 		prev := qs.result.L1ErrorBound
-		st := qs.Step()
+		st := qs.step(qs.iteration+1 < maxIter)
 		// Defensive convergence guard: if an iteration added no mass (all
 		// candidate hubs pruned by delta), further iterations cannot help.
 		if st.MassAdded == 0 && st.L1ErrorBound >= prev {

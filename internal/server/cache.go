@@ -6,7 +6,7 @@ import (
 	"math"
 	"sync"
 
-	"fastppv/internal/core"
+	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
 	"fastppv/internal/querylog"
 )
@@ -31,7 +31,9 @@ type CacheKey struct {
 // by coalesced requests. The result (including its estimate) is immutable
 // once stored.
 type cachedAnswer struct {
-	result *core.Result
+	// result is the backend's answer; for a local engine the cluster fields
+	// beyond Epoch are zero.
+	result *cluster.Result
 	// deps are the hubs whose indexed prime PPV the computation consumed, in
 	// ascending order (core.QueryState.HubDeps); invalidation is keyed on them.
 	deps []graph.NodeID
@@ -39,17 +41,6 @@ type cachedAnswer struct {
 	// path or by a cluster that lost shards mid-query; they answer with less
 	// accuracy than a healthy full-service computation and are never cached.
 	degraded bool
-	// shardsDown, shardsBehind and lostMass describe cluster degradation
-	// (router mode only): how many shards were unavailable, how many answered
-	// at a divergent index epoch and were folded out, and how much frontier
-	// mass went unexpanded because of either.
-	shardsDown   int
-	shardsBehind int
-	lostMass     float64
-	// epoch is the index epoch the answer was computed against (the engine's
-	// own locally, the cluster epoch in router mode), recorded in the query
-	// log.
-	epoch uint64
 	// traceID is set when the always-on capturer retained this computation's
 	// trace (slow, degraded, sampled, or explicitly traced); it travels back
 	// in the X-Fastppv-Trace response header so a caller that just saw a slow

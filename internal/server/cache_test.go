@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
@@ -13,7 +14,7 @@ import (
 func fakeAnswer(bytes int64, deps ...graph.NodeID) *cachedAnswer {
 	est := sparse.Vector{1: 0.5}
 	return &cachedAnswer{
-		result: &core.Result{Estimate: est},
+		result: &cluster.Result{Result: core.Result{Estimate: est}},
 		deps:   deps,
 		bytes:  bytes,
 	}

@@ -137,63 +137,67 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 			"Bundle acquisitions served by reuse instead of allocation.", float64(ps.Hits))
 		e.Gauge("fastppv_query_pool_hit_rate",
 			"Cumulative pool reuse rate (hits/gets); converges to ~1 at steady state.", ps.HitRate())
-		if s.engine == nil {
-			return
-		}
-		ss := s.streams.stats()
-		e.Gauge("fastppv_stream_open", "Binary partial streams currently open.", float64(ss.Open))
-		e.Counter("fastppv_stream_accepted_total", "Binary partial streams accepted since start.", float64(ss.Accepted))
-		e.Counter("fastppv_stream_frames_in_total", "Frames read off binary streams.", float64(ss.FramesIn))
-		e.Counter("fastppv_stream_frames_out_total", "Frames written to binary streams.", float64(ss.FramesOut))
-		e.Counter("fastppv_stream_bytes_in_total", "Bytes read off binary streams.", float64(ss.BytesIn))
-		e.Counter("fastppv_stream_bytes_out_total", "Bytes written to binary streams.", float64(ss.BytesOut))
-		e.Counter("fastppv_stream_partials_total", "Partial sub-requests answered over binary streams.", float64(ss.Partials))
-		e.Counter("fastppv_stream_speculative_total", "Speculative (pre-sent) sub-requests received over streams.", float64(ss.Speculative))
-		e.Counter("fastppv_stream_speculation_discarded_total", "Speculative sub-requests withdrawn by cancel before compute.", float64(ss.SpeculationDiscarded))
-		e.Counter("fastppv_stream_shed_total", "Stream sub-requests rejected by the admission gate.", float64(ss.Shed))
-		e.Counter("fastppv_stream_decode_errors_total", "Streams torn down on a corrupt or torn frame.", float64(ss.DecodeErrors))
-		s.mu.RLock()
-		g := s.engine.Graph()
-		nodes, edges := g.NumNodes(), g.NumEdges()
-		epoch := s.engine.Epoch()
-		off := s.engine.OfflineStats()
-		index := s.engine.Index()
-		s.mu.RUnlock()
-		e.Gauge("fastppv_index_epoch", "Index epoch: graph-update batches folded into the served state.", float64(epoch))
-		e.Gauge("fastppv_graph_nodes", "Nodes in the served graph.", float64(nodes))
-		e.Gauge("fastppv_graph_edges", "Edges in the served graph.", float64(edges))
-		e.Gauge("fastppv_index_hubs", "Hubs with a precomputed prime PPV.", float64(off.Hubs))
-		e.Gauge("fastppv_index_bytes", "Estimated bytes of the hub index.", float64(off.IndexBytes))
-		if bcs, ok := index.(blockCacheStatser); ok {
-			if st, enabled := bcs.BlockCacheStats(); enabled {
-				e.Counter("fastppv_block_cache_hits_total", "Hub reads answered from the block cache.", float64(st.Hits))
-				e.Counter("fastppv_block_cache_misses_total", "Hub reads that went to the disk index.", float64(st.Misses))
-				e.Counter("fastppv_block_cache_coalesced_total", "Hub reads that shared another read's in-flight load.", float64(st.Coalesced))
-				e.Counter("fastppv_block_cache_loads_total", "Actual disk-index reads.", float64(st.Loads))
-				e.Counter("fastppv_block_cache_evictions_total", "Cached hub blocks evicted under the byte budget.", float64(st.Evictions))
-				e.Gauge("fastppv_block_cache_entries", "Hub blocks resident in the block cache.", float64(st.Entries))
-				e.Gauge("fastppv_block_cache_bytes", "Bytes resident in the block cache.", float64(st.Bytes))
-			}
-		}
-		if ma, ok := index.(interface{ MmapActive() bool }); ok {
-			active := 0.0
-			if ma.MmapActive() {
-				active = 1
-			}
-			e.Gauge("fastppv_index_mmap_active",
-				"1 when the base index is served from a memory mapping (zero-copy views), 0 on the pread fallback.", active)
-		}
-		if dss, ok := index.(durabilityStatser); ok {
-			if st, enabled := dss.DurabilityStats(); enabled {
-				e.Counter("fastppv_wal_records_total", "Records appended to the index update log.", float64(st.LogRecords))
-				e.Gauge("fastppv_wal_bytes", "Bytes in the index update log.", float64(st.LogBytes))
-				e.Counter("fastppv_graphlog_records_total", "Graph-update batches appended to the graph-mutation log.", float64(st.GraphLogRecords))
-				e.Gauge("fastppv_graphlog_bytes", "Bytes in the graph-mutation log.", float64(st.GraphLogBytes))
-				e.Counter("fastppv_compactions_total", "Completed disk-index compactions.", float64(st.Compactions))
-				e.Gauge("fastppv_overlay_hubs", "Hubs currently served from the in-memory overlay.", float64(st.OverlayHubs))
-			}
-		}
+		s.be.collect(e)
 	})
+}
+
+// collect emits what only a local engine has: the shard-stream surface, the
+// graph and the index.
+func (b engineBackend) collect(e *telemetry.Emitter) {
+	s := b.s
+	ss := s.streams.stats()
+	e.Gauge("fastppv_stream_open", "Binary partial streams currently open.", float64(ss.Open))
+	e.Counter("fastppv_stream_accepted_total", "Binary partial streams accepted since start.", float64(ss.Accepted))
+	e.Counter("fastppv_stream_frames_in_total", "Frames read off binary streams.", float64(ss.FramesIn))
+	e.Counter("fastppv_stream_frames_out_total", "Frames written to binary streams.", float64(ss.FramesOut))
+	e.Counter("fastppv_stream_bytes_in_total", "Bytes read off binary streams.", float64(ss.BytesIn))
+	e.Counter("fastppv_stream_bytes_out_total", "Bytes written to binary streams.", float64(ss.BytesOut))
+	e.Counter("fastppv_stream_partials_total", "Partial sub-requests answered over binary streams.", float64(ss.Partials))
+	e.Counter("fastppv_stream_speculative_total", "Speculative (pre-sent) sub-requests received over streams.", float64(ss.Speculative))
+	e.Counter("fastppv_stream_speculation_discarded_total", "Speculative sub-requests withdrawn by cancel before compute.", float64(ss.SpeculationDiscarded))
+	e.Counter("fastppv_stream_shed_total", "Stream sub-requests rejected by the admission gate.", float64(ss.Shed))
+	e.Counter("fastppv_stream_decode_errors_total", "Streams torn down on a corrupt or torn frame.", float64(ss.DecodeErrors))
+	s.mu.RLock()
+	g := s.engine.Graph()
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	epoch := s.engine.Epoch()
+	off := s.engine.OfflineStats()
+	index := s.engine.Index()
+	s.mu.RUnlock()
+	e.Gauge("fastppv_index_epoch", "Index epoch: graph-update batches folded into the served state.", float64(epoch))
+	e.Gauge("fastppv_graph_nodes", "Nodes in the served graph.", float64(nodes))
+	e.Gauge("fastppv_graph_edges", "Edges in the served graph.", float64(edges))
+	e.Gauge("fastppv_index_hubs", "Hubs with a precomputed prime PPV.", float64(off.Hubs))
+	e.Gauge("fastppv_index_bytes", "Estimated bytes of the hub index.", float64(off.IndexBytes))
+	if bcs, ok := index.(blockCacheStatser); ok {
+		if st, enabled := bcs.BlockCacheStats(); enabled {
+			e.Counter("fastppv_block_cache_hits_total", "Hub reads answered from the block cache.", float64(st.Hits))
+			e.Counter("fastppv_block_cache_misses_total", "Hub reads that went to the disk index.", float64(st.Misses))
+			e.Counter("fastppv_block_cache_coalesced_total", "Hub reads that shared another read's in-flight load.", float64(st.Coalesced))
+			e.Counter("fastppv_block_cache_loads_total", "Actual disk-index reads.", float64(st.Loads))
+			e.Counter("fastppv_block_cache_evictions_total", "Cached hub blocks evicted under the byte budget.", float64(st.Evictions))
+			e.Gauge("fastppv_block_cache_entries", "Hub blocks resident in the block cache.", float64(st.Entries))
+			e.Gauge("fastppv_block_cache_bytes", "Bytes resident in the block cache.", float64(st.Bytes))
+		}
+	}
+	if ma, ok := index.(interface{ MmapActive() bool }); ok {
+		active := 0.0
+		if ma.MmapActive() {
+			active = 1
+		}
+		e.Gauge("fastppv_index_mmap_active",
+			"1 when the base index is served from a memory mapping (zero-copy views), 0 on the pread fallback.", active)
+	}
+	if dss, ok := index.(durabilityStatser); ok {
+		if st, enabled := dss.DurabilityStats(); enabled {
+			e.Counter("fastppv_wal_records_total", "Records appended to the index update log.", float64(st.LogRecords))
+			e.Gauge("fastppv_wal_bytes", "Bytes in the index update log.", float64(st.LogBytes))
+			e.Counter("fastppv_graphlog_records_total", "Graph-update batches appended to the graph-mutation log.", float64(st.GraphLogRecords))
+			e.Gauge("fastppv_graphlog_bytes", "Bytes in the graph-mutation log.", float64(st.GraphLogBytes))
+			e.Counter("fastppv_compactions_total", "Completed disk-index compactions.", float64(st.Compactions))
+			e.Gauge("fastppv_overlay_hubs", "Hubs currently served from the in-memory overlay.", float64(st.OverlayHubs))
+		}
+	}
 }
 
 // statusWriter captures the response status for the per-endpoint request

@@ -100,11 +100,11 @@ func (r *traceRing) find(id string) *RetainedTrace {
 // retained: unconditionally when the computation exceeded the slow threshold,
 // ended degraded or was explicitly traced (explicitID, the caller's trace id,
 // is then the retained id), and on the sampling cadence otherwise (every
-// TraceSampleEvery-th untraced computation). spans is only invoked when the
-// trace is actually kept, so the hot path pays one atomic increment and two
-// compares. It records the verdict on ans (traceID, slow) and returns the
+// TraceSampleEvery-th untraced computation). Spans are only assembled when
+// the trace is actually kept, so the hot path pays one atomic increment and
+// two compares. It records the verdict on ans (traceID, slow) and returns the
 // retained trace, nil when none was kept.
-func (s *Server) captureCompute(mode string, eta int, ans *cachedAnswer, explicitID string, spans func() []TraceSpan) *RetainedTrace {
+func (s *Server) captureCompute(eta int, ans *cachedAnswer, explicitID string) *RetainedTrace {
 	dur := ans.result.Duration
 	explicit := explicitID != ""
 	ans.slow = s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold
@@ -124,14 +124,14 @@ func (s *Server) captureCompute(mode string, eta int, ans *cachedAnswer, explici
 		Time:         time.Now(),
 		Node:         int(ans.result.Query),
 		Eta:          eta,
-		Mode:         mode,
+		Mode:         modeNames[s.be.mode()],
 		DurationMS:   float64(dur) / 1e6,
 		Slow:         ans.slow,
 		Degraded:     ans.degraded,
 		Sampled:      sampled && !ans.slow && !ans.degraded,
 		Explicit:     explicit,
 		L1ErrorBound: ans.result.L1ErrorBound,
-		Iterations:   spans(),
+		Iterations:   traceSpans(ans.result),
 	}
 	s.traces.add(t)
 	return t
@@ -174,10 +174,6 @@ func (s *Server) logQuery(req queryRequest, ans *cachedAnswer, state cacheState,
 	if s.qlog == nil {
 		return
 	}
-	mode := querylog.ModeEngine
-	if s.router != nil {
-		mode = querylog.ModeRouter
-	}
 	var flags uint8
 	if ans.degraded {
 		flags |= querylog.FlagDegraded
@@ -214,10 +210,10 @@ func (s *Server) logQuery(req queryRequest, ans *cachedAnswer, state cacheState,
 		Source:     req.node,
 		Top:        uint16(top),
 		Eta:        uint8(eta),
-		Mode:       mode,
+		Mode:       s.be.mode(),
 		Flags:      flags,
 		Iterations: uint8(iters),
-		Epoch:      ans.epoch,
+		Epoch:      ans.result.Epoch,
 		LatencyUS:  uint32(us),
 		Bound:      ans.result.L1ErrorBound,
 		TraceID:    ans.traceID,

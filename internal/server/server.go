@@ -15,7 +15,8 @@
 //     reported exactly, instead of queueing unboundedly;
 //   - incremental graph updates with targeted cache invalidation driven by
 //     the hub dependencies each cached answer recorded;
-//   - per-endpoint latency histograms and a stats endpoint.
+//   - per-endpoint latency histograms (one family, rendered on /metrics and
+//     summarized on the stats endpoint).
 //
 // Response bodies are a deterministic function of the query parameters and
 // the graph state: the engine expands border hubs in a fixed order, so a
@@ -23,8 +24,8 @@
 // same eta. Volatile serving metadata (cache disposition, compute time)
 // travels in X-Fastppv-* headers, never in the body.
 //
-// A Server fronts one of two backends with the same caching, coalescing and
-// admission layers:
+// A Server fronts one of two backends (backend.go) with the same caching,
+// coalescing and admission layers, and one compute path over either:
 //
 //   - a local core.Engine (New) — the single-node and shard configurations;
 //     either also serves GET /v1/stream, the binary partial-query stream of
@@ -193,6 +194,7 @@ type Server struct {
 	cfg     Config
 	engine  *core.Engine    // nil in router mode
 	router  *cluster.Router // nil in engine mode
+	be      backend         // engine or router, for everything both can answer
 	cache   *Cache
 	flights *flightGroup
 	adm     *admission
@@ -201,11 +203,10 @@ type Server struct {
 	// mu guards the engine: queries hold the read lock, ApplyUpdate holds the
 	// write lock (it swaps the graph and rewrites index entries in place).
 	// Cache fills happen under the read lock too, so an update's invalidation
-	// sweep can never race with a stale fill. Unused in router mode (the
-	// router has no local mutable state).
+	// sweep can never race with a stale fill. Never write-locked in router
+	// mode (the router has no local mutable state).
 	mu sync.RWMutex
 
-	hists    map[string]*Histogram
 	registry *telemetry.Registry
 	metrics  *serverMetrics
 	logger   *slog.Logger
@@ -258,17 +259,10 @@ func newServer(cfg Config) *Server {
 		logger = telemetry.NopLogger()
 	}
 	s := &Server{
-		cfg:     cfg,
-		flights: newFlightGroup(),
-		adm:     newAdmission(cfg.MaxConcurrent, cfg.QueueWait),
-		streams: newStreamSet(),
-		hists: map[string]*Histogram{
-			"ppv":     {},
-			"batch":   {},
-			"update":  {},
-			"stats":   {},
-			"compact": {},
-		},
+		cfg:      cfg,
+		flights:  newFlightGroup(),
+		adm:      newAdmission(cfg.MaxConcurrent, cfg.QueueWait),
+		streams:  newStreamSet(),
 		registry: reg,
 		metrics:  newServerMetrics(reg, cfg.LatencyBuckets),
 		logger:   logger,
@@ -293,6 +287,7 @@ func New(engine *core.Engine, cfg Config) (*Server, error) {
 	}
 	s := newServer(cfg.withDefaults())
 	s.engine = engine
+	s.be = engineBackend{s}
 	s.registerCollectors(s.registry)
 	s.warm()
 	return s, nil
@@ -308,6 +303,7 @@ func NewRouter(rt *cluster.Router, cfg Config) (*Server, error) {
 	}
 	s := newServer(cfg.withDefaults())
 	s.router = rt
+	s.be = routerBackend{rt}
 	s.registerCollectors(s.registry)
 	return s, nil
 }
@@ -433,24 +429,21 @@ var instrumentedEndpoints = map[string]bool{
 	"update": true, "compact": true, "stats": true,
 }
 
-// instrument records per-endpoint latency (into both the legacy /v1/stats
-// histogram and the Prometheus registry) and per-status-class request counts.
-// All metric children are resolved here, at wiring time — the per-request
-// cost is two histogram observations and one counter increment.
+// instrument records per-endpoint latency (the one family /metrics renders and
+// /v1/stats summarizes) and per-status-class request counts. All metric
+// children are resolved here, at wiring time — the per-request cost is one
+// histogram observation and one counter increment.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	if !instrumentedEndpoints[name] {
 		panic(fmt.Sprintf("server: endpoint %q is not in the instrumentation allowlist", name))
 	}
-	hist := s.hists[name]
 	lat := s.metrics.httpLatency.With(name)
 	classes := s.metrics.statusClasses(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
-		d := time.Since(start)
-		hist.Observe(d)
-		lat.ObserveDuration(d)
+		lat.ObserveDuration(time.Since(start))
 		if c := sw.status / 100; c >= 1 && c <= 5 {
 			classes[c].Inc()
 		}
@@ -555,25 +548,13 @@ func (s *Server) parseQuery(q map[string]string) (queryRequest, error) {
 		}
 	}
 
-	n := s.numNodes()
+	n := s.be.numNodes()
 	// n == 0 means a router that has not discovered its graph size yet; the
 	// query is then validated by the shards instead of up front.
 	if req.node < 0 || (n > 0 && int(req.node) >= n) {
 		return req, badRequest("node %d outside [0,%d)", req.node, n)
 	}
 	return req, nil
-}
-
-// numNodes returns the size of the served graph: the engine's graph locally,
-// the discovered shard graph size in router mode (0 until a shard has been
-// reachable).
-func (s *Server) numNodes() int {
-	if s.engine != nil {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.engine.Graph().NumNodes()
-	}
-	return s.router.NumNodes()
 }
 
 // cacheState describes how a request was answered, reported in the
@@ -588,15 +569,9 @@ const (
 )
 
 // answer resolves a query through the cache, the flight group and finally the
-// engine.
+// backend.
 func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
-	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError}
-	if s.router != nil {
-		// Key on the cluster epoch: an accepted update moves every lookup to
-		// the new epoch, so pre-update answers can never be served again and
-		// a post-update request never joins a pre-update flight.
-		key.Epoch, _ = s.router.ClusterEpoch()
-	}
+	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Epoch: s.be.keyEpoch()}
 	if s.cache != nil {
 		if ans, ok := s.cache.Get(key); ok {
 			return ans, cacheHit, nil
@@ -619,12 +594,14 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 	return ans, state, nil
 }
 
-// compute runs one query under admission control. Requests that cannot get a
-// full-service slot are degraded to DegradedEta iterations (degraded answers
-// are returned but never cached); when even the degraded pool is full the
-// request is shed with 503. In engine mode the flight is unregistered while
-// the engine read lock is still held, so a request arriving after a graph
-// update can never join a pre-update computation.
+// compute runs one query under admission control: admit, ask the backend,
+// observe, capture the trace, fill the cache, unregister the flight. Requests
+// that cannot get a full-service slot are degraded to DegradedEta iterations
+// (degraded answers are returned but never cached); when even the degraded
+// pool is full the request is shed with 503. The read lock is held from the
+// query to the unregister, so an engine update's invalidation sweep can never
+// race a stale cache fill and a request arriving after the update can never
+// join a pre-update computation (in router mode nothing ever write-locks it).
 //
 // A non-empty explicitID makes this an explicit (?trace=1) computation: the
 // id travels to every shard leg, the trace is retained under it whatever the
@@ -650,71 +627,33 @@ func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*c
 	}
 	stop := core.StopCondition{MaxIterations: eta, TargetL1Error: key.TargetError}
 
-	if s.router != nil {
-		cres, err := s.router.QueryTrace(key.Node, stop, explicitID)
-		if err != nil {
-			// A shard answering bad_request (e.g. an out-of-range node the
-			// router could not pre-validate before graph-size discovery) is a
-			// client mistake, not an outage; everything else means no shard
-			// could answer.
-			var aerr *api.Error
-			if errors.As(err, &aerr) && aerr.Code == api.CodeBadRequest {
-				return nil, nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
-			}
-			return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
-		}
-		ans := &cachedAnswer{
-			result: &core.Result{
-				Query:        cres.Query,
-				Estimate:     cres.Estimate,
-				Iterations:   cres.Iterations,
-				L1ErrorBound: cres.L1ErrorBound,
-				Duration:     cres.Duration,
-			},
-			degraded:     degraded || cres.Degraded,
-			shardsDown:   cres.ShardsDown,
-			shardsBehind: cres.ShardsBehind,
-			lostMass:     cres.LostFrontierMass,
-			epoch:        cres.Epoch,
-			legs:         legSummaries(cres.Spans),
-		}
-		s.metrics.observeQuery(cres.Iterations, cres.L1ErrorBound, cres.HubsExpanded, cres.HubsSkipped, ans.degraded)
-		// The router always collects per-iteration spans, so retaining a
-		// slow/degraded/sampled trace here is free of extra computation.
-		rt := s.captureCompute("router", eta, ans, explicitID, func() []TraceSpan { return spansFromCluster(cres.Spans) })
-		// Cluster-degraded answers carry a bound widened by lost shards; they
-		// must not outlive the outage in the cache. An answer evaluated at a
-		// newer epoch than the key's (an update raced this query) is left
-		// uncached too: no future lookup would use the outdated key.
-		if s.cache != nil && !explicit && !ans.degraded && cres.Epoch == key.Epoch {
-			s.cache.Put(key, ans)
-		}
-		unregister()
-		return ans, rt, nil
-	}
-
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	qs, err := s.engine.NewQuery(key.Node)
+	res, deps, err := s.be.query(key.Node, stop, explicitID)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := qs.Run(stop)
-	deps := qs.HubDeps()
-	// Run materialized the result; Close recycles the pooled query buffers so
-	// a steady serving workload answers without per-query allocations.
-	qs.Close()
-	ans := &cachedAnswer{result: res, deps: deps, degraded: degraded, epoch: s.engine.Epoch()}
+	ans := &cachedAnswer{
+		result:   res,
+		deps:     deps,
+		degraded: degraded || res.Degraded,
+		legs:     legSummaries(res.Spans),
+	}
 	expanded, skipped := 0, 0
 	for _, st := range res.PerIteration {
 		expanded += st.HubsExpanded
 		skipped += st.HubsSkipped
 	}
-	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped, degraded)
-	// The engine keeps per-iteration stats on every result, so span assembly
-	// only happens when the capturer decides to retain this computation.
-	rt := s.captureCompute("engine", eta, ans, explicitID, func() []TraceSpan { return spansFromCore(res.PerIteration) })
-	if s.cache != nil && !explicit && !degraded {
+	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped, ans.degraded)
+	// Every result carries its per-iteration stats (and a routed one its shard
+	// legs), so retaining a slow/degraded/sampled trace costs no extra
+	// computation; spans are only assembled when one is kept.
+	rt := s.captureCompute(eta, ans, explicitID)
+	// Degraded answers carry a bound widened by admission pressure or lost
+	// shards; they must not outlive the condition in the cache. An answer an
+	// update raced (the key epoch has moved on) is left uncached too: no
+	// future lookup would use the outdated key.
+	if s.cache != nil && !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch {
 		s.cache.Put(key, ans)
 	}
 	unregister()
@@ -730,29 +669,16 @@ func (s *Server) render(req queryRequest, ans *cachedAnswer) QueryResponse {
 		RequestedEta:  req.eta,
 		Iterations:    ans.result.Iterations,
 		Degraded:      ans.degraded,
-		ShardsDown:    ans.shardsDown,
-		ShardsBehind:  ans.shardsBehind,
-		LostErrorMass: ans.lostMass,
+		ShardsDown:    ans.result.ShardsDown,
+		ShardsBehind:  ans.result.ShardsBehind,
+		LostErrorMass: ans.result.LostFrontierMass,
 		L1ErrorBound:  ans.result.L1ErrorBound,
 		Results:       make([]ScoredNode, 0, len(top)),
 	}
-	if s.engine == nil {
-		for _, e := range top {
-			resp.Results = append(resp.Results, ScoredNode{Node: int(e.Node), Score: e.Score})
-		}
-		return resp
-	}
-	s.mu.RLock()
-	g := s.engine.Graph()
-	hasLabels := g.HasLabels()
 	for _, e := range top {
-		sn := ScoredNode{Node: int(e.Node), Score: e.Score}
-		if hasLabels && int(e.Node) < g.NumNodes() {
-			sn.Label = g.Label(e.Node)
-		}
-		resp.Results = append(resp.Results, sn)
+		resp.Results = append(resp.Results, ScoredNode{Node: int(e.Node), Score: e.Score})
 	}
-	s.mu.RUnlock()
+	s.be.labelResults(resp.Results)
 	return resp
 }
 
@@ -1270,11 +1196,41 @@ type StatsResponse struct {
 	QueryLog *querylog.Stats `json:"query_log,omitempty"`
 	// SLO reports good/bad event totals and multi-window burn rates, present
 	// when an objective (-slo-p99-ms / -slo-bound) is set.
-	SLO            *SLOStats                    `json:"slo,omitempty"`
-	Admission      AdmissionStats               `json:"admission"`
-	Coalesced      int64                        `json:"coalesced"`
-	UpdatesApplied int64                        `json:"updates_applied"`
-	Endpoints      map[string]HistogramSnapshot `json:"endpoints"`
+	SLO            *SLOStats                  `json:"slo,omitempty"`
+	Admission      AdmissionStats             `json:"admission"`
+	Coalesced      int64                      `json:"coalesced"`
+	UpdatesApplied int64                      `json:"updates_applied"`
+	Endpoints      map[string]EndpointLatency `json:"endpoints"`
+}
+
+// EndpointLatency summarizes one endpoint's request latency on /v1/stats. It
+// is a rendering of that endpoint's fastppv_http_request_seconds histogram
+// (Count is its _count); quantiles are upper bounds taken from the bucket
+// boundaries.
+type EndpointLatency struct {
+	Count  uint64  `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
+}
+
+// endpointLatency renders one histogram of the request-latency family. A
+// quantile that lands in the overflow bucket is clamped to the largest finite
+// bound, so the JSON encoder never sees +Inf.
+func endpointLatency(h telemetry.HistogramSnapshot) EndpointLatency {
+	out := EndpointLatency{Count: h.Count}
+	if h.Count == 0 {
+		return out
+	}
+	top := 0.0
+	if n := len(h.Buckets); n > 0 {
+		top = h.Buckets[n-1]
+	}
+	quantileMS := func(q float64) float64 { return math.Min(h.Quantile(q), top) * 1e3 }
+	out.MeanMS = h.Sum / float64(h.Count) * 1e3
+	out.P50MS, out.P90MS, out.P99MS = quantileMS(0.50), quantileMS(0.90), quantileMS(0.99)
+	return out
 }
 
 // blockCacheStatser is implemented by index stores that front a hub-block
@@ -1297,48 +1253,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Admission:      s.adm.stats(),
 		Coalesced:      s.flights.Coalesced(),
 		UpdatesApplied: s.updates.Load(),
-		Endpoints:      make(map[string]HistogramSnapshot, len(s.hists)),
+		Endpoints:      make(map[string]EndpointLatency, len(instrumentedEndpoints)),
 	}
-	if s.router != nil {
-		cst := s.router.Stats()
-		resp.Cluster = &cst
-		resp.Graph = GraphInfo{Nodes: cst.Nodes}
-		resp.Epoch = cst.Epoch
-	} else {
-		s.mu.RLock()
-		g := s.engine.Graph()
-		off := s.engine.OfflineStats()
-		resp.Graph = GraphInfo{Nodes: g.NumNodes(), Edges: g.NumEdges(), Directed: g.Directed()}
-		resp.Epoch = s.engine.Epoch()
-		s.mu.RUnlock()
-		resp.Offline = OfflineInfo{
-			Hubs:           off.Hubs,
-			HubSelectionMS: float64(off.HubSelection) / 1e6,
-			PrimePPVMS:     float64(off.PrimePPV) / 1e6,
-			TotalMS:        float64(off.Total) / 1e6,
-			IndexBytes:     off.IndexBytes,
-			IndexEntries:   off.IndexEntries,
-		}
-		if p := s.engine.Partition(); p.Enabled() {
-			resp.Shard = p.String()
-		}
-		if s.cfg.WarmHubs > 0 {
-			warmed := s.warmed
-			resp.Warming = &warmed
-		}
-		if bcs, ok := s.engine.Index().(blockCacheStatser); ok {
-			if st, enabled := bcs.BlockCacheStats(); enabled {
-				resp.BlockCache = &st
-			}
-		}
-		if dss, ok := s.engine.Index().(durabilityStatser); ok {
-			if st, enabled := dss.DurabilityStats(); enabled {
-				resp.Durability = &st
-			}
-		}
-		sst := s.streams.stats()
-		resp.Streams = &sst
-	}
+	s.be.stats(&resp)
 	if s.cache != nil {
 		st := s.cache.Stats()
 		resp.Cache = &st
@@ -1351,8 +1268,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.slo.stats()
 		resp.SLO = &st
 	}
-	for name, h := range s.hists {
-		resp.Endpoints[name] = h.Snapshot()
+	for name := range instrumentedEndpoints {
+		resp.Endpoints[name] = endpointLatency(s.metrics.httpLatency.With(name).Snapshot())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1365,23 +1282,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if s.router != nil {
-		st := s.router.Stats()
-		if st.ShardsHealthy == 0 {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-				"status": "no_shards", "shards_healthy": 0, "shards": len(st.Shards),
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"status": "ok", "shards_healthy": st.ShardsHealthy, "shards": len(st.Shards),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":      "ok",
-		"precomputed": s.engine.Precomputed(),
-	})
+	status, body := s.be.health()
+	writeJSON(w, status, body)
 }
 
 // encodeBufPool recycles response-encoding buffers: encoding into a pooled

@@ -15,6 +15,7 @@ import (
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/ppvindex"
+	"fastppv/internal/telemetry"
 )
 
 // testEngine precomputes a small deterministic engine.
@@ -404,6 +405,29 @@ func TestServerStatsAndHealth(t *testing.T) {
 	}
 	if ppv.P50MS > ppv.P99MS {
 		t.Errorf("histogram quantiles inverted: %+v", ppv)
+	}
+	// The endpoints block is a rendering of the one request-latency family:
+	// its count is that family's _count on /metrics.
+	_, _, scrape := get(t, ts, "/metrics")
+	want := fmt.Sprintf("fastppv_http_request_seconds_count{endpoint=\"ppv\"} %d\n", ppv.Count)
+	if !strings.Contains(string(scrape), want) {
+		t.Errorf("/v1/stats counts %d ppv requests; /metrics has no line %q", ppv.Count, want)
+	}
+}
+
+// TestEndpointLatencyClampsOverflow: a quantile in the overflow bucket renders
+// as the largest finite bound, never +Inf (which encoding/json rejects).
+func TestEndpointLatencyClampsOverflow(t *testing.T) {
+	h := telemetry.NewHistogram([]float64{0.001, 0.01})
+	for i := 0; i < 10; i++ {
+		h.Observe(5) // seconds: past every bound
+	}
+	got := endpointLatency(h.Snapshot())
+	if got.Count != 10 || got.P50MS != 10 || got.P99MS != 10 {
+		t.Errorf("overflowed endpoint = %+v, want count 10 and quantiles clamped to 10ms", got)
+	}
+	if _, err := json.Marshal(got); err != nil {
+		t.Errorf("overflowed endpoint does not encode: %v", err)
 	}
 }
 

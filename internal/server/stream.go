@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,58 +228,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // several protocols.
 func headerContainsToken(h http.Header, key, token string) bool {
 	for _, v := range h.Values(key) {
-		for part := range splitCommaSeq(v) {
-			if equalFold(part, token) {
+		for _, part := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(part), token) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// splitCommaSeq yields the comma-separated, space-trimmed parts of v.
-func splitCommaSeq(v string) func(func(string) bool) {
-	return func(yield func(string) bool) {
-		start := 0
-		for i := 0; i <= len(v); i++ {
-			if i == len(v) || v[i] == ',' {
-				part := trimSpace(v[start:i])
-				if part != "" && !yield(part) {
-					return
-				}
-				start = i + 1
-			}
-		}
-	}
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // serve is the stream's read loop: exactly one goroutine reads frames;

@@ -87,6 +87,32 @@ func streamPartial(t *testing.T, conn net.Conn, br *bufio.Reader, id uint64, tra
 	return presp, aerr
 }
 
+func TestHeaderContainsToken(t *testing.T) {
+	const token = api.StreamProtocol
+	for _, tc := range []struct {
+		name   string
+		values []string
+		want   bool
+	}{
+		{"single token", []string{token}, true},
+		{"one of several", []string{"a, " + token}, true},
+		{"second header line", []string{"websocket", token}, true},
+		{"mixed case", []string{strings.ToUpper(token)}, true},
+		{"tab and space padding", []string{"h2c,\t " + token + " \t"}, true},
+		{"absent", []string{"websocket, h2c"}, false},
+		{"prefix only", []string{token + "x"}, false},
+		{"no header", nil, false},
+	} {
+		h := http.Header{}
+		for _, v := range tc.values {
+			h.Add("Upgrade", v)
+		}
+		if got := headerContainsToken(h, "Upgrade", token); got != tc.want {
+			t.Errorf("%s: headerContainsToken(%q) = %v, want %v", tc.name, tc.values, got, tc.want)
+		}
+	}
+}
+
 // TestStreamRawProtocol drives a production shard over raw frames: replies
 // carry their request's id, stray cancels and unknown frame types are
 // tolerated, and the stream's traffic shows up in the stats.

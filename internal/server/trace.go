@@ -14,11 +14,10 @@ import (
 	"sync/atomic"
 
 	"fastppv/internal/cluster"
-	"fastppv/internal/core"
 )
 
-// TraceSpan is one per-iteration span of a traced query. Engine-mode spans
-// carry hub expansion counts; router-mode spans carry per-shard leg timings.
+// TraceSpan is one per-iteration span of a traced query; router-mode spans
+// also carry per-shard leg timings.
 type TraceSpan struct {
 	Iteration    int     `json:"iteration"`
 	FrontierSize int     `json:"frontier_size"`
@@ -64,11 +63,12 @@ func wantTrace(r *http.Request) bool {
 	return v == "1" || v == "true"
 }
 
-// spansFromCore converts engine per-iteration stats to trace spans.
-func spansFromCore(stats []core.IterationStat) []TraceSpan {
-	out := make([]TraceSpan, 0, len(stats))
-	for _, st := range stats {
-		out = append(out, TraceSpan{
+// traceSpans renders an answer's per-iteration stats — and, for a routed
+// answer, the shard legs of each iteration — as trace spans.
+func traceSpans(res *cluster.Result) []TraceSpan {
+	out := make([]TraceSpan, 0, len(res.PerIteration))
+	for i, st := range res.PerIteration {
+		sp := TraceSpan{
 			Iteration:    st.Iteration,
 			FrontierSize: st.FrontierSize,
 			HubsExpanded: st.HubsExpanded,
@@ -76,23 +76,11 @@ func spansFromCore(stats []core.IterationStat) []TraceSpan {
 			MassAdded:    st.MassAdded,
 			L1ErrorBound: st.L1ErrorBound,
 			DurationMS:   float64(st.Duration) / 1e6,
-		})
-	}
-	return out
-}
-
-// spansFromCluster converts routed per-iteration spans to trace spans.
-func spansFromCluster(spans []cluster.IterationSpan) []TraceSpan {
-	out := make([]TraceSpan, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, TraceSpan{
-			Iteration:    sp.Iteration,
-			FrontierSize: sp.FrontierSize,
-			MassAdded:    sp.MassAdded,
-			L1ErrorBound: sp.L1ErrorBound,
-			DurationMS:   sp.DurationMS,
-			Legs:         sp.Legs,
-		})
+		}
+		if i < len(res.Spans) {
+			sp.Legs = res.Spans[i].Legs
+		}
+		out = append(out, sp)
 	}
 	return out
 }

@@ -137,13 +137,35 @@ func (a *Accumulator) ToVector() Vector { return FromEntries(a.entries) }
 
 // AddAccumulator folds other into a entry-wise (a += other) with a single
 // linear merge. It is the sorted-slice analogue of Vector.AddVector.
-func (a *Accumulator) AddAccumulator(other *Accumulator) {
-	if len(other.entries) == 0 {
+func (a *Accumulator) AddAccumulator(other *Accumulator) { a.merge(other.entries) }
+
+// AddSorted folds a sparse vector held as parallel slices — strictly
+// ascending node ids and their scores, the wire form of api.Vector as the
+// frame decoder guarantees it — into a with one linear merge: no map is built
+// between a shard's reply and the router's estimate.
+func (a *Accumulator) AddSorted(nodes []graph.NodeID, scores []float64) {
+	tmp := a.tmp[:0]
+	for i, id := range nodes {
+		tmp = append(tmp, Entry{Node: id, Score: scores[i]})
+	}
+	a.tmp = tmp
+	a.merge(tmp)
+}
+
+// merge folds other — sorted by ascending node id, no duplicates, not
+// aliasing a.scratch — into the entries: a node present on both sides becomes
+// one entry holding a's score plus other's, in that order.
+func (a *Accumulator) merge(other []Entry) {
+	if len(other) == 0 {
+		return
+	}
+	if len(a.entries) == 0 {
+		a.entries = append(a.entries[:0], other...)
 		return
 	}
 	out := a.scratch[:0]
 	i := 0
-	for _, e := range other.entries {
+	for _, e := range other {
 		for i < len(a.entries) && a.entries[i].Node < e.Node {
 			out = append(out, a.entries[i])
 			i++
@@ -218,24 +240,5 @@ func (a *Accumulator) Combine() {
 	a.tmp = folded
 	a.staged = a.staged[:0]
 
-	if len(a.entries) == 0 {
-		a.entries = append(a.entries[:0], folded...)
-		return
-	}
-	out := a.scratch[:0]
-	i := 0
-	for _, e := range folded {
-		for i < len(a.entries) && a.entries[i].Node < e.Node {
-			out = append(out, a.entries[i])
-			i++
-		}
-		if i < len(a.entries) && a.entries[i].Node == e.Node {
-			out = append(out, Entry{Node: e.Node, Score: a.entries[i].Score + e.Score})
-			i++
-		} else {
-			out = append(out, e)
-		}
-	}
-	out = append(out, a.entries[i:]...)
-	a.entries, a.scratch = out, a.entries
+	a.merge(folded)
 }
