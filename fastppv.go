@@ -74,7 +74,8 @@ type (
 	// L1 error bound, and per-iteration statistics.
 	Result = core.Result
 	// QueryState is an in-progress incremental query; Step applies one more
-	// PPV increment.
+	// PPV increment. Run returns the estimate as the sorted Result.Entries
+	// only (Result.Estimate is nil); Result builds the map view.
 	QueryState = core.QueryState
 	// IterationStat describes one online iteration.
 	IterationStat = core.IterationStat

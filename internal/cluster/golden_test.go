@@ -48,9 +48,21 @@ func TestQueryGolden(t *testing.T) {
 		{MaxIterations: 8, TargetL1Error: 0.25},
 	}
 	got := map[string]uint64{}
-	record := func(backend string, q graph.NodeID, stop core.StopCondition, iterations int, bound float64, est sparse.Vector) {
+	record := func(backend string, q graph.NodeID, stop core.StopCondition, res *core.Result) {
 		key := fmt.Sprintf("%s q=%d eta=%d target=%g", backend, q, stop.MaxIterations, stop.TargetL1Error)
-		got[key] = answerHash(iterations, bound, est)
+		got[key] = answerHash(res.Iterations, res.L1ErrorBound, res.Estimate)
+		// Both public entry points carry the estimate twice: the sorted
+		// entries and the map view, with the same bits.
+		if want := res.Estimate.AppendSorted(nil); len(res.Entries) != len(want) {
+			t.Errorf("%s: %d entries, the estimate map has %d", key, len(res.Entries), len(want))
+		} else {
+			for i, e := range want {
+				if res.Entries[i].Node != e.Node || math.Float64bits(res.Entries[i].Score) != math.Float64bits(e.Score) {
+					t.Errorf("%s: entry %d is %v, the estimate map has %v", key, i, res.Entries[i], e)
+					break
+				}
+			}
+		}
 	}
 	for _, n := range []int{2, 3} {
 		single, shards := testCluster(t, n)
@@ -62,7 +74,7 @@ func TestQueryGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					record("engine", q, stop, res.Iterations, res.L1ErrorBound, res.Estimate)
+					record("engine", q, stop, res)
 				}
 				res, err := r.Query(q, stop)
 				if err != nil {
@@ -71,7 +83,7 @@ func TestQueryGolden(t *testing.T) {
 				if res.Degraded {
 					t.Fatalf("shards=%d q=%d: healthy cluster answered degraded", n, q)
 				}
-				record(fmt.Sprintf("router/%d", n), q, stop, res.Iterations, res.L1ErrorBound, res.Estimate)
+				record(fmt.Sprintf("router/%d", n), q, stop, &res.Result)
 			}
 		}
 	}

@@ -437,11 +437,11 @@ func (r *Router) partial(ctx context.Context, s *shardClient, preq *api.PartialR
 	return resp, nil
 }
 
-// Result is the outcome of one routed cluster query: a core.Result — Estimate
-// and L1ErrorBound have the single-node semantics, the bound being the exact
-// L1 distance budget 1 - sum(estimate), valid even when shards were lost
-// mid-query because their unexpanded mass is simply part of it — plus what
-// only a cluster can report.
+// Result is the outcome of one routed cluster query: a core.Result — Entries
+// (Estimate too, from Query) and L1ErrorBound have the single-node semantics,
+// the bound being the exact L1 distance budget 1 - sum(estimate), valid even
+// when shards were lost mid-query because their unexpanded mass is simply
+// part of it — plus what only a cluster can report.
 type Result struct {
 	core.Result
 	// Degraded reports that the cluster could not evaluate the full schedule:
@@ -493,12 +493,19 @@ type Result struct {
 // Failures degrade instead of erroring: the query only fails outright when no
 // shard at all can answer iteration 0.
 func (r *Router) Query(q graph.NodeID, stop core.StopCondition) (*Result, error) {
-	return r.QueryTrace(q, stop, "")
+	res, err := r.QueryTrace(q, stop, "")
+	if err != nil {
+		return nil, err
+	}
+	res.Estimate = sparse.FromEntries(res.Entries)
+	return res, nil
 }
 
 // QueryTrace is Query with an end-to-end trace ID: the ID travels inside
 // every shard sub-request's frame — shards key their logs on it — and the
 // returned result's Spans tie the per-iteration timings back to the same ID.
+// It is the serving layer's entry point, so it answers with the estimate as
+// the sorted Entries only: Estimate is nil.
 func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID string) (*Result, error) {
 	res := &Result{}
 	src := &routedQuery{

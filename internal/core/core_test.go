@@ -470,3 +470,56 @@ func TestResultTopK(t *testing.T) {
 	}
 	var _ sparse.Entry = top[0]
 }
+
+// sameEntryBits reports whether two entry slices hold the same nodes with
+// bit-identical scores, in the same order.
+func sameEntryBits(a, b []sparse.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Node != b[i].Node || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResultEntriesAndEstimate: a result's sorted Entries are the estimate.
+// The public entry points — Engine.Query and QueryState.Result, before and
+// after a Step and after Close — add the map view holding exactly those bits,
+// while Run, the serving path, builds no map.
+func TestResultEntriesAndEstimate(t *testing.T) {
+	e := socialEngine(t, 1500, 5)
+	stop := StopCondition{MaxIterations: 2}
+	check := func(label string, q graph.NodeID, res *Result) {
+		t.Helper()
+		if res.Estimate == nil || !sameEntryBits(res.Entries, res.Estimate.AppendSorted(nil)) {
+			t.Errorf("q=%d %s: Entries (%d) and Estimate (%d) disagree", q, label, len(res.Entries), len(res.Estimate))
+		}
+	}
+	for _, q := range append(nonHubSources(e, 100, 3), e.Hubs().Hubs()[:2]...) {
+		public, err := e.Query(q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Engine.Query", q, public)
+
+		qs, err := e.NewQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Result at iteration 0", q, qs.Result())
+		qs.Step()
+		check("Result after a Step", q, qs.Result())
+		run := qs.Run(stop)
+		if run.Estimate != nil {
+			t.Errorf("q=%d: Run built the estimate map", q)
+		}
+		if !sameEntryBits(run.Entries, public.Entries) {
+			t.Errorf("q=%d: Run's entries differ from Engine.Query's", q)
+		}
+		qs.Close()
+		check("Result after Close", q, qs.Result())
+	}
+}

@@ -54,18 +54,18 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 	}
 	// Materialize at the boundary: the increment and frontier escape into the
 	// router (and the wire), so they must be copies, not the pooled state
-	// that Close recycles.
-	qs.syncEstimate()
+	// that release recycles. The increment is the map itself; no Entries copy
+	// is taken.
 	frontier := make(map[graph.NodeID]float64, len(qs.bufs.frontier))
 	for _, fe := range qs.bufs.frontier {
 		frontier[fe.hub] = fe.prefix
 	}
 	out := &PartialIncrement{
-		Increment: qs.result.Estimate,
+		Increment: qs.bufs.acc.ToVector(),
 		Frontier:  frontier,
 		FromIndex: !qs.result.QueryPPVComputed,
 	}
-	qs.Close()
+	qs.release()
 	return out, nil
 }
 

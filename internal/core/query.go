@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,8 +38,13 @@ type IterationStat struct {
 type Result struct {
 	// Query is the query node.
 	Query graph.NodeID
-	// Estimate is the approximate PPV accumulated over all processed
-	// iterations.
+	// Entries is the estimate: the approximate PPV accumulated over all
+	// processed iterations, sorted by ascending node id. It is owned by the
+	// Result, and it is what TopK ranks and the serving layer caches.
+	Entries []sparse.Entry
+	// Estimate is the map view of Entries, built only by the public entry
+	// points — Engine.Query/QueryOn, QueryState.Result, cluster.Router.Query —
+	// and nil in what QueryState.Run returns.
 	Estimate sparse.Vector
 	// Iterations is the number of PPV increments applied beyond iteration 0.
 	Iterations int
@@ -57,7 +63,7 @@ type Result struct {
 }
 
 // TopK returns the k best nodes of the estimate.
-func (r *Result) TopK(k int) []sparse.Entry { return r.Estimate.TopK(k) }
+func (r *Result) TopK(k int) []sparse.Entry { return sparse.TopKEntries(r.Entries, k) }
 
 // Query runs online FastPPV query processing (Algorithm 2) for query node q
 // under the stopping condition stop, assembling PPV increments from the
@@ -99,11 +105,11 @@ type Source interface {
 //
 // The working state — the running estimate and the per-step increment — lives
 // in a pooled flat-slice bundle, not in maps: increments arrive sorted by node
-// id and fold into the estimate with linear merges, and the map-based
-// Result.Estimate is materialized lazily at the API boundary (Result, Run,
-// Close). Callers that drive QueryState directly should Close it when done to
-// recycle the bundle; a state that is never Closed is still correct, just not
-// pooled.
+// id and fold into the estimate with linear merges. Run and Close copy the
+// estimate out as the sorted Result.Entries; only Result builds the map view
+// Result.Estimate. Callers that drive QueryState directly should Close it when
+// done to recycle the bundle; a state that is never Closed is still correct,
+// just not pooled.
 type QueryState struct {
 	src Source
 
@@ -113,10 +119,10 @@ type QueryState struct {
 	bufs      *queryBufs
 	iteration int
 	result    *Result
-	// estimateDirty marks that bufs.acc has advanced past the materialized
-	// result.Estimate (or that no materialization happened yet).
-	estimateDirty bool
-	started       time.Time
+	// entriesDirty marks that bufs.acc has advanced past result.Entries (or
+	// that no copy was taken yet).
+	entriesDirty bool
+	started      time.Time
 	// mass is the running total of the estimate, accumulated increment by
 	// increment in deterministic (node-ordered) summation order so the error
 	// bound 1-mass is byte-reproducible without re-summing the whole estimate
@@ -145,9 +151,9 @@ func (e *Engine) QueryOn(adj prime.Adjacency, q graph.NodeID, stop StopCondition
 	if err != nil {
 		return nil, err
 	}
-	res := qs.Run(stop)
+	qs.Run(stop)
 	qs.Close()
-	return res, nil
+	return qs.Result(), nil
 }
 
 // NewQueryOn is NewQuery over an alternative adjacency view (see QueryOn).
@@ -182,11 +188,11 @@ func startQuery(q graph.NodeID, src Source, b *queryBufs) (*QueryState, error) {
 		return nil, err
 	}
 	qs := &QueryState{
-		src:           src,
-		bufs:          b,
-		estimateDirty: true,
-		started:       started,
-		mass:          b.acc.Sum(),
+		src:          src,
+		bufs:         b,
+		entriesDirty: true,
+		started:      started,
+		mass:         b.acc.Sum(),
 	}
 	bound := 1 - qs.mass
 	qs.result = &Result{
@@ -320,38 +326,53 @@ func (e *Engine) foldStaged(inc *sparse.Accumulator, next []frontierEntry) []fro
 	return next
 }
 
-// syncEstimate materializes the accumulator into the public map-based
-// Result.Estimate if it is stale. This is the only place the hot-loop state
-// crosses into the map representation.
-func (qs *QueryState) syncEstimate() {
-	if qs.bufs == nil {
-		return // Closed: the last sync already produced the final estimate.
+// syncEntries copies the accumulator out as result.Entries if it has advanced
+// since the last copy, retiring the map view built from the old copy. Earlier
+// copies and maps stay valid: each sync makes new ones.
+func (qs *QueryState) syncEntries() {
+	if qs.bufs == nil || !qs.entriesDirty {
+		return // Closed (the last sync took the final estimate), or current.
 	}
-	if qs.estimateDirty || qs.result.Estimate == nil {
-		qs.result.Estimate = qs.bufs.acc.ToVector()
-		qs.estimateDirty = false
+	qs.result.Entries = slices.Clone(qs.bufs.acc.Entries())
+	qs.result.Estimate = nil
+	qs.entriesDirty = false
+}
+
+// syncEstimate brings Result.Estimate, the map view of the entries, up to
+// date. It is the one place a query's estimate becomes a map, and only the
+// public entry points reach it.
+func (qs *QueryState) syncEstimate() {
+	qs.syncEntries()
+	if qs.result.Estimate == nil {
+		qs.result.Estimate = sparse.FromEntries(qs.result.Entries)
 	}
 }
 
-// Result returns the current result snapshot. The estimate is shared with the
-// query state; callers that keep iterating should not modify it.
+// Result returns the current result snapshot, Estimate map included. The
+// estimate is shared with the query state; callers that keep iterating should
+// not modify it.
 func (qs *QueryState) Result() *Result {
 	qs.syncEstimate()
 	return qs.result
 }
 
-// Close materializes the final result and returns the query's pooled working
-// buffers for reuse. The returned Result (and everything previously obtained
-// via Result or Run) stays valid; further Steps are no-ops. Close is
-// idempotent. Long-running servers should Close every query they finish so
-// the per-query working set is recycled instead of re-allocated.
+// Close takes the final estimate as Result.Entries and returns the query's
+// pooled working buffers for reuse. The returned Result (and everything
+// previously obtained via Result or Run) stays valid; further Steps are
+// no-ops. Close is idempotent. Long-running servers should Close every query
+// they finish so the per-query working set is recycled instead of
+// re-allocated.
 func (qs *QueryState) Close() {
-	if qs.bufs == nil {
-		return
+	qs.syncEntries()
+	qs.release()
+}
+
+// release returns the pooled bundle without copying the estimate out.
+func (qs *QueryState) release() {
+	if qs.bufs != nil {
+		putQueryBufs(qs.bufs)
+		qs.bufs = nil
 	}
-	qs.syncEstimate()
-	putQueryBufs(qs.bufs)
-	qs.bufs = nil
 }
 
 // L1ErrorBound returns the current accuracy-aware error bound.
@@ -402,7 +423,7 @@ func (qs *QueryState) step(more bool) IterationStat {
 	inc.Reset()
 	stat.HubsExpanded, stat.HubsSkipped = qs.src.Expand(qs.iteration, more, inc)
 	qs.bufs.acc.AddAccumulator(inc)
-	qs.estimateDirty = true
+	qs.entriesDirty = true
 
 	stat.MassAdded = inc.Sum()
 	qs.mass += stat.MassAdded
@@ -433,6 +454,10 @@ func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.
 // Run keeps stepping until the stopping condition is met and returns the
 // final result. It is the one statement of the stop schedule: Engine.Query and
 // the cluster router's Query both end here.
+//
+// The result carries the estimate as the sorted Entries only; its Estimate map
+// is nil (unless Result built one since the last Step). Call Result for the
+// map view.
 func (qs *QueryState) Run(stop StopCondition) *Result {
 	maxIter := stop.maxIterations()
 	for qs.iteration < maxIter {
@@ -454,6 +479,6 @@ func (qs *QueryState) Run(stop StopCondition) *Result {
 		}
 	}
 	qs.result.Duration = time.Since(qs.started)
-	qs.syncEstimate()
+	qs.syncEntries()
 	return qs.result
 }

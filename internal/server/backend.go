@@ -67,8 +67,9 @@ func (b engineBackend) query(node graph.NodeID, stop core.StopCondition, _ strin
 	}
 	res := qs.Run(stop)
 	deps := qs.HubDeps()
-	// Run materialized the result; Close recycles the pooled query buffers so
-	// a steady serving workload answers without per-query allocations.
+	// Run took the estimate out as sorted entries, with no map built; Close
+	// recycles the pooled query buffers so a steady serving workload answers
+	// without re-growing them.
 	qs.Close()
 	return &cluster.Result{Result: *res, Epoch: b.s.engine.Epoch()}, deps, nil
 }

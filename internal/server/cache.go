@@ -9,6 +9,7 @@ import (
 	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
 	"fastppv/internal/querylog"
+	"fastppv/internal/sparse"
 )
 
 // CacheKey identifies one cacheable answer: the query node together with the
@@ -28,12 +29,19 @@ type CacheKey struct {
 }
 
 // cachedAnswer is a fully computed query answer held by the cache and shared
-// by coalesced requests. The result (including its estimate) is immutable
-// once stored.
+// by coalesced requests. The result (including its estimate) and top are
+// immutable once stored.
 type cachedAnswer struct {
 	// result is the backend's answer; for a local engine the cluster fields
-	// beyond Epoch are zero.
+	// beyond Epoch are zero. Its estimate is the sorted Entries only: nothing
+	// on the serving path builds the map view.
 	result *cluster.Result
+	// top is the ranking of the estimate up to Config.DefaultTopK, selected
+	// once when the answer was computed. Every ranking is a prefix of a longer
+	// one (a total order: score descending, node ascending), so render answers
+	// any top it covers by slicing — a cache hit is constant work — and
+	// selects over result.Entries only for a larger top.
+	top []sparse.Entry
 	// deps are the hubs whose indexed prime PPV the computation consumed, in
 	// ascending order (core.QueryState.HubDeps); invalidation is keyed on them.
 	deps []graph.NodeID
@@ -56,16 +64,19 @@ type cachedAnswer struct {
 }
 
 // sizeBytes estimates the footprint of an answer: the sparse estimate and the
-// per-iteration stats dominate; constants cover struct overheads.
+// per-iteration stats dominate; constants cover struct overheads (the top
+// prefix included). The estimate is held as sorted entries, so perEntry is
+// now its real cost; the map it replaced cost ~37 B an entry, which this
+// estimate always undercounted.
 func (a *cachedAnswer) sizeBytes() int64 {
 	const (
 		fixed        = 160 // Result + list/map bookkeeping
-		perEntry     = 16  // map entry: NodeID + float64 + bucket overhead share
+		perEntry     = 16  // sparse.Entry: NodeID + float64
 		perIteration = 64  // IterationStat
 		perDep       = 8
 	)
 	return fixed +
-		int64(a.result.Estimate.NonZeros())*perEntry +
+		int64(len(a.result.Entries))*perEntry +
 		int64(len(a.result.PerIteration))*perIteration +
 		int64(len(a.deps))*perDep
 }

@@ -12,9 +12,8 @@ import (
 // fakeAnswer builds a cachedAnswer with a fixed accounting size and the given
 // hub dependencies.
 func fakeAnswer(bytes int64, deps ...graph.NodeID) *cachedAnswer {
-	est := sparse.Vector{1: 0.5}
 	return &cachedAnswer{
-		result: &cluster.Result{Result: core.Result{Estimate: est}},
+		result: &cluster.Result{Result: core.Result{Entries: []sparse.Entry{{Node: 1, Score: 0.5}}}},
 		deps:   deps,
 		bytes:  bytes,
 	}

@@ -61,6 +61,7 @@ import (
 	"fastppv/internal/graph"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
+	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -506,20 +507,25 @@ func unsupported(format string, args ...interface{}) error {
 	return &httpError{status: http.StatusNotImplemented, code: api.CodeUnsupported, msg: fmt.Sprintf(format, args...)}
 }
 
-func (s *Server) parseQuery(q map[string]string) (queryRequest, error) {
+// rawQuery is a query's parameters as the client sent them; an empty field is
+// an absent parameter, which takes the server default.
+type rawQuery struct {
+	node, eta, targetError, top string
+}
+
+func (s *Server) parseQuery(q rawQuery) (queryRequest, error) {
 	var req queryRequest
-	nodeStr, ok := q["node"]
-	if !ok || nodeStr == "" {
+	if q.node == "" {
 		return req, badRequest("missing node parameter")
 	}
-	node, err := strconv.Atoi(nodeStr)
+	node, err := strconv.Atoi(q.node)
 	if err != nil {
-		return req, badRequest("bad node %q", nodeStr)
+		return req, badRequest("bad node %q", q.node)
 	}
 	req.node = graph.NodeID(node)
 
 	req.eta = s.cfg.DefaultEta
-	if v, ok := q["eta"]; ok && v != "" {
+	if v := q.eta; v != "" {
 		req.eta, err = strconv.Atoi(v)
 		if err != nil || req.eta < 0 {
 			return req, badRequest("bad eta %q", v)
@@ -528,7 +534,7 @@ func (s *Server) parseQuery(q map[string]string) (queryRequest, error) {
 			req.eta = s.cfg.MaxEta
 		}
 	}
-	if v, ok := q["target-error"]; ok && v != "" {
+	if v := q.targetError; v != "" {
 		req.targetError, err = strconv.ParseFloat(v, 64)
 		// Reject NaN explicitly: a NaN inside CacheKey never equals itself,
 		// so it would poison every map the key passes through (cache shards,
@@ -538,7 +544,7 @@ func (s *Server) parseQuery(q map[string]string) (queryRequest, error) {
 		}
 	}
 	req.top = s.cfg.DefaultTopK
-	if v, ok := q["top"]; ok && v != "" {
+	if v := q.top; v != "" {
 		req.top, err = strconv.Atoi(v)
 		if err != nil || req.top < 1 {
 			return req, badRequest("bad top %q", v)
@@ -635,6 +641,7 @@ func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*c
 	}
 	ans := &cachedAnswer{
 		result:   res,
+		top:      res.TopK(s.cfg.DefaultTopK),
 		deps:     deps,
 		degraded: degraded || res.Degraded,
 		legs:     legSummaries(res.Spans),
@@ -661,9 +668,16 @@ func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*c
 }
 
 // render builds the deterministic response body from an answer. Node labels
-// are only available in engine mode; a router answers with bare node ids.
+// are only available in engine mode; a router answers with bare node ids. The
+// ranking is a prefix of the answer's stored top when that covers req.top (or
+// the whole estimate), and a fresh selection over the estimate otherwise.
 func (s *Server) render(req queryRequest, ans *cachedAnswer) QueryResponse {
-	top := ans.result.TopK(req.top)
+	top := ans.top
+	if req.top <= len(top) {
+		top = top[:req.top]
+	} else if len(top) < len(ans.result.Entries) {
+		top = ans.result.TopK(req.top)
+	}
 	resp := QueryResponse{
 		Node:          int(req.node),
 		RequestedEta:  req.eta,
@@ -684,18 +698,18 @@ func (s *Server) render(req queryRequest, ans *cachedAnswer) QueryResponse {
 
 func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	params := map[string]string{}
-	for _, k := range []string{"node", "eta", "target-error", "top"} {
-		if v := r.URL.Query().Get(k); v != "" {
-			params[k] = v
-		}
-	}
-	req, err := s.parseQuery(params)
+	params := r.URL.Query()
+	req, err := s.parseQuery(rawQuery{
+		node:        params.Get("node"),
+		eta:         params.Get("eta"),
+		targetError: params.Get("target-error"),
+		top:         params.Get("top"),
+	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if wantTrace(r) {
+	if wantTrace(params) {
 		// An explicit trace is the ordinary computation with a caller-chosen
 		// id and forced retention, outside the result cache and the flight
 		// group: the trace must describe the computation this request
@@ -802,17 +816,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchResponse{Results: make([]QueryResponse, 0, len(breq.Queries))}
 	for _, bq := range breq.Queries {
-		params := map[string]string{"node": strconv.Itoa(bq.Node)}
+		// Every non-zero knob goes to parseQuery, so a negative one is the
+		// same 400 it is on GET /v1/ppv; zero means the server default.
+		raw := rawQuery{node: strconv.Itoa(bq.Node)}
 		if bq.Eta != nil {
-			params["eta"] = strconv.Itoa(*bq.Eta)
+			raw.eta = strconv.Itoa(*bq.Eta)
 		}
-		if bq.TargetError > 0 {
-			params["target-error"] = strconv.FormatFloat(bq.TargetError, 'g', -1, 64)
+		if bq.TargetError != 0 {
+			raw.targetError = strconv.FormatFloat(bq.TargetError, 'g', -1, 64)
 		}
-		if bq.Top > 0 {
-			params["top"] = strconv.Itoa(bq.Top)
+		if bq.Top != 0 {
+			raw.top = strconv.Itoa(bq.Top)
 		}
-		req, err := s.parseQuery(params)
+		req, err := s.parseQuery(raw)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -1093,19 +1109,21 @@ func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 				return true
 			}
 		}
-		// Estimate-reaches-touched-node check: iterate whichever side is
-		// smaller, so a bulk update against a full cache stays bounded by the
-		// estimate sizes rather than entries x touched nodes.
-		if len(ans.result.Estimate) < len(touched) {
-			for node := range ans.result.Estimate {
-				if _, ok := touched[node]; ok {
+		// Reaches-a-touched-node check (a touched node with a non-zero score in
+		// the sorted estimate): iterate whichever side is smaller, so a bulk
+		// update against a full cache stays bounded by the estimate sizes
+		// rather than entries x touched nodes.
+		entries := ans.result.Entries
+		if len(entries) < len(touched) {
+			for _, en := range entries {
+				if _, ok := touched[en.Node]; ok && en.Score != 0 {
 					return true
 				}
 			}
 			return false
 		}
-		for t := range touched {
-			if ans.result.Estimate.Get(t) != 0 {
+		for _, t := range stats.TouchedNodes {
+			if sparse.Lookup(entries, t) != 0 {
 				return true
 			}
 		}

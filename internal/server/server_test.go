@@ -11,10 +11,12 @@ import (
 	"sync"
 	"testing"
 
+	"fastppv/internal/api"
 	"fastppv/internal/core"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/ppvindex"
+	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -239,6 +241,77 @@ func TestServerUpdateInvalidation(t *testing.T) {
 	}
 }
 
+// TestServerUpdateInvalidatesByEstimate covers the third invalidation rule: a
+// cached answer whose estimate reaches a touched node is dropped even when it
+// is neither for that node nor dependent on a recomputed hub. At eta=0 a
+// non-hub source reads no hub record (its prime PPV is pushed on the fly), so
+// that rule alone decides. A single-edge update exercises the lookup of each
+// touched node in the sorted estimate; a bulk update touching more nodes than
+// the estimate holds exercises the scan of the estimate.
+func TestServerUpdateInvalidatesByEstimate(t *testing.T) {
+	g := twoComponents(t)
+	engine := testEngine(t, g, 6)
+	srv, err := New(engine, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	nonHub := func(from graph.NodeID) graph.NodeID {
+		for q := from; ; q++ {
+			if !engine.Hubs().Contains(q) {
+				return q
+			}
+		}
+	}
+	src, other := nonHub(0), nonHub(10) // one source per component
+	touched := g.OutNeighbors(src)[0]   // in src's estimate, in neither other's nor the key
+	stop := core.StopCondition{MaxIterations: 0}
+	for _, q := range []graph.NodeID{src, other} {
+		qs, err := engine.NewQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := qs.Run(stop)
+		deps := qs.HubDeps()
+		qs.Close()
+		if reaches := sparse.Lookup(res.Entries, touched) != 0; len(deps) != 0 || reaches != (q == src) {
+			t.Fatalf("q=%d: deps %v, estimate reaches %d: %v; the test needs a different graph", q, deps, touched, reaches)
+		}
+	}
+	// Chords touched -> touched+5 and touched+7 are new: each node links to +1
+	// and +3 within its component of ten.
+	chord := func(d graph.NodeID) string {
+		return fmt.Sprintf("[%d,%d]", touched, 10*(touched/10)+(touched+d)%10)
+	}
+	bulk := `{"num_nodes":40,"added_edges":[` + chord(7)
+	for u := 20; u < 39; u++ {
+		bulk += fmt.Sprintf(",[%d,%d]", u, u+1)
+	}
+	bulk += `]}`
+	pathOf := func(q graph.NodeID) string { return fmt.Sprintf("/v1/ppv?node=%d&eta=0", q) }
+	for _, update := range []string{`{"added_edges":[` + chord(5) + `]}`, bulk} {
+		for _, q := range []graph.NodeID{src, other} {
+			get(t, ts, pathOf(q))
+			if _, hdr, _ := get(t, ts, pathOf(q)); hdr.Get("X-Fastppv-Cache") != "hit" {
+				t.Fatalf("node %d did not cache before the update", q)
+			}
+		}
+		if status, out := post(t, ts, "/v1/update", update); status != http.StatusOK {
+			t.Fatalf("update %s: %d %s", update, status, out)
+		}
+		if _, hdr, _ := get(t, ts, pathOf(src)); hdr.Get("X-Fastppv-Cache") != "miss" {
+			t.Errorf("update %s: node %d, whose estimate reaches touched node %d, answered %q, want miss",
+				update, src, touched, hdr.Get("X-Fastppv-Cache"))
+		}
+		if _, hdr, _ := get(t, ts, pathOf(other)); hdr.Get("X-Fastppv-Cache") != "hit" {
+			t.Errorf("update %s: node %d, whose estimate does not reach it, answered %q, want hit",
+				update, other, hdr.Get("X-Fastppv-Cache"))
+		}
+	}
+}
+
 // TestServerDegradation saturates the admission gate and checks the server
 // still answers — with fewer iterations and a strictly positive, honestly
 // reported L1 error bound — instead of queueing.
@@ -360,6 +433,86 @@ func TestServerBatch(t *testing.T) {
 	b, _ := json.Marshal(br.Results[0])
 	if !bytes.Equal(a, b) {
 		t.Fatalf("batch and single answers differ:\n%s\n%s", b, a)
+	}
+
+	// A negative knob is the same client mistake it is on GET /v1/ppv, not a
+	// silent server default.
+	for _, body := range []string{
+		`{"queries":[{"node":5,"top":-1}]}`,
+		`{"queries":[{"node":5,"target_error":-0.5}]}`,
+	} {
+		status, out := post(t, ts, "/v1/ppv/batch", body)
+		var eresp api.ErrorResponse
+		if err := json.Unmarshal(out, &eresp); status != http.StatusBadRequest || err != nil || eresp.Error.Code != api.CodeBadRequest {
+			t.Errorf("batch %s: status %d (%s), want 400 %s", body, status, out, api.CodeBadRequest)
+		}
+	}
+}
+
+// TestServerRenderTopPrefix: an answer is ranked once, at DefaultTopK, when it
+// is computed, and render serves every top from a prefix of that ranking or a
+// fresh selection over the sorted estimate. For tops below, at, just above and
+// well above DefaultTopK and at MaxTopK, the miss body, the hit body and a body
+// built from the public map-based API are byte-identical, in engine and in
+// router mode.
+func TestServerRenderTopPrefix(t *testing.T) {
+	g := socialGraph(t, 600)
+	engine := testEngine(t, g, 80)
+	srv, err := New(engine, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineTS := httptest.NewServer(srv.Handler())
+	defer engineTS.Close()
+	shards := shardedServers(t, g, 80, 2)
+	routerTS, rt := routerServer(t, []string{shards[0].URL, shards[1].URL})
+
+	const eta = 2
+	stop := core.StopCondition{MaxIterations: eta}
+	modes := []struct {
+		name   string
+		ts     *httptest.Server
+		public func(q graph.NodeID) (*core.Result, error)
+	}{
+		{"engine", engineTS, func(q graph.NodeID) (*core.Result, error) { return engine.Query(q, stop) }},
+		{"router", routerTS, func(q graph.NodeID) (*core.Result, error) {
+			res, err := rt.Query(q, stop)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		}},
+	}
+	tops := []int{1, 9, 10, 11, 50, srv.cfg.MaxTopK}
+	for _, m := range modes {
+		for i, top := range tops {
+			q := graph.NodeID(17 + 97*i) // one source per top, so its first request is a miss
+			res, err := m.public(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Estimate); n <= 50 || n >= srv.cfg.MaxTopK {
+				t.Fatalf("%s q=%d: %d-entry estimate; the tops must straddle it", m.name, q, n)
+			}
+			want := QueryResponse{Node: int(q), RequestedEta: eta, Iterations: res.Iterations,
+				L1ErrorBound: res.L1ErrorBound, Results: []ScoredNode{}}
+			for _, e := range res.Estimate.TopK(top) {
+				want.Results = append(want.Results, ScoredNode{Node: int(e.Node), Score: e.Score})
+			}
+			rec := httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, want)
+
+			path := fmt.Sprintf("/v1/ppv?node=%d&eta=%d&top=%d", q, eta, top)
+			for _, state := range []string{"miss", "hit"} {
+				status, hdr, body := get(t, m.ts, path)
+				if status != http.StatusOK || hdr.Get("X-Fastppv-Cache") != state {
+					t.Fatalf("%s %s: status %d, cache %q, want %s", m.name, path, status, hdr.Get("X-Fastppv-Cache"), state)
+				}
+				if !bytes.Equal(body, rec.Body.Bytes()) {
+					t.Errorf("%s %s (%s): body\n%s\nthe public API gives\n%s", m.name, path, state, body, rec.Body.Bytes())
+				}
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 
@@ -57,9 +57,9 @@ func newTraceID() string {
 	return tracePrefix + "-" + strconv.FormatUint(traceSeq.Add(1), 16)
 }
 
-// wantTrace reports whether the request opted into tracing.
-func wantTrace(r *http.Request) bool {
-	v := r.URL.Query().Get("trace")
+// wantTrace reports whether the request's query parameters opt into tracing.
+func wantTrace(params url.Values) bool {
+	v := params.Get("trace")
 	return v == "1" || v == "true"
 }
 

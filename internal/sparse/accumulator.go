@@ -85,10 +85,14 @@ func (a *Accumulator) Len() int { return len(a.entries) }
 func (a *Accumulator) Entries() []Entry { return a.entries }
 
 // Get returns the score of id (zero when absent) via binary search.
-func (a *Accumulator) Get(id graph.NodeID) float64 {
-	i := sort.Search(len(a.entries), func(i int) bool { return a.entries[i].Node >= id })
-	if i < len(a.entries) && a.entries[i].Node == id {
-		return a.entries[i].Score
+func (a *Accumulator) Get(id graph.NodeID) float64 { return Lookup(a.entries, id) }
+
+// Lookup returns the score of id in entries sorted by ascending node id (zero
+// when absent), by binary search.
+func Lookup(entries []Entry, id graph.NodeID) float64 {
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].Node >= id })
+	if i < len(entries) && entries[i].Node == id {
+		return entries[i].Score
 	}
 	return 0
 }

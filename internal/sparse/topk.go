@@ -1,48 +1,67 @@
 package sparse
 
 import (
-	"container/heap"
+	"slices"
 	"sync"
 
 	"fastppv/internal/graph"
 )
 
-// topkHeapPool recycles the bounded min-heap used by TopK across queries so
-// the serving render path does not allocate a fresh heap per response.
-var topkHeapPool = sync.Pool{New: func() any { return new(entryMinHeap) }}
+// topkPool recycles the []Entry scratch of a selection — the bounded heap of
+// TopKEntries, and the entries Vector.TopK collects out of its map — so the
+// serving render path does not allocate one per response.
+var topkPool = sync.Pool{New: func() any { return new([]Entry) }}
 
 // TopK returns the k highest-scoring entries of v in descending score order
-// (ties broken by ascending node id). It runs in O(len(v) log k), avoiding a
-// full sort of potentially large vectors; the accuracy metrics of Sect. 6 only
-// look at the top 10 nodes.
+// (ties broken by ascending node id). It collects the map's entries and runs
+// TopKEntries over them.
 func (v Vector) TopK(k int) []Entry {
 	if k <= 0 || len(v) == 0 {
 		return nil
 	}
-	if k >= len(v) {
-		return v.Entries()
-	}
-	hp := topkHeapPool.Get().(*entryMinHeap)
-	h := (*hp)[:0]
+	bp := topkPool.Get().(*[]Entry)
+	all := (*bp)[:0]
 	//lint:ordered the (score desc, node id asc) total order makes the selected k-set and its final ordering independent of visit order
 	for id, s := range v {
-		e := Entry{Node: id, Score: s}
-		if len(h) < k {
-			heap.Push(&h, e)
-			continue
-		}
-		if entryLess(h[0], e) {
-			h[0] = e
-			heap.Fix(&h, 0)
-		}
+		all = append(all, Entry{Node: id, Score: s})
 	}
-	// Pop in ascending order, then reverse.
-	out := make([]Entry, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Entry)
+	out := TopKEntries(all, k)
+	*bp = all[:0]
+	topkPool.Put(bp)
+	return out
+}
+
+// TopKEntries returns the k best of entries — distinct node ids, in any order;
+// a query's estimate holds them sorted by node (core.Result.Entries) — in
+// descending score order, ties broken by ascending node id. It is the one
+// top-k selection of the tree: a bounded min-heap over one pass, O(n log k),
+// instead of a full sort; the accuracy metrics of Sect. 6 only look at the top
+// 10 nodes. For k >= len(entries) it is every entry in the order of
+// Vector.Entries. The result is a fresh slice.
+func TopKEntries(entries []Entry, k int) []Entry {
+	if k <= 0 || len(entries) == 0 {
+		return nil
 	}
-	*hp = h[:0]
-	topkHeapPool.Put(hp)
+	var out []Entry
+	if k >= len(entries) {
+		out = slices.Clone(entries)
+	} else {
+		hp := topkPool.Get().(*[]Entry)
+		h := entryMinHeap((*hp)[:0])
+		for _, e := range entries {
+			if len(h) < k {
+				h = append(h, e)
+				h.up(len(h) - 1)
+			} else if entryLess(h[0], e) {
+				h[0] = e
+				h.down(0)
+			}
+		}
+		out = slices.Clone(h)
+		*hp = h[:0]
+		topkPool.Put(hp)
+	}
+	slices.SortFunc(out, rankCompare)
 	return out
 }
 
@@ -56,27 +75,54 @@ func (v Vector) TopKNodes(k int) []graph.NodeID {
 	return out
 }
 
-// entryLess orders entries so that "smaller" means worse rank: lower score, or
-// equal score with a larger node id.
-func entryLess(a, b Entry) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+// rankCompare is the total order of every ranking: descending score, ties
+// broken by ascending node id.
+func rankCompare(a, b Entry) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	case a.Node < b.Node:
+		return -1
+	case a.Node > b.Node:
+		return 1
 	}
-	return a.Node > b.Node
+	return 0
 }
+
+// entryLess reports whether a ranks below b: lower score, or equal score with
+// a larger node id.
+func entryLess(a, b Entry) bool { return rankCompare(a, b) > 0 }
 
 // entryMinHeap is a min-heap over Entry keeping the k best entries seen so
 // far: the root is the worst of the kept entries.
 type entryMinHeap []Entry
 
-func (h entryMinHeap) Len() int            { return len(h) }
-func (h entryMinHeap) Less(i, j int) bool  { return entryLess(h[i], h[j]) }
-func (h entryMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryMinHeap) Push(x interface{}) { *h = append(*h, x.(Entry)) }
-func (h *entryMinHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h entryMinHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !entryLess(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h entryMinHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && entryLess(h[r], h[j]) {
+			j = r
+		}
+		if !entryLess(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

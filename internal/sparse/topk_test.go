@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,50 @@ func TestTopKQuickMatchesFullSort(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTopKEntriesMatchesVectorTopK property-tests that the slice form selects
+// exactly what the map form does — same entries in the same order, bit for
+// bit, both equal to a prefix of a full sort — on random vectors whose scores
+// come from four values, so ties are the rule, for k at and around the edges.
+// For k >= len that is every entry in the order of Vector.Entries, and the
+// slice form never writes to its input (render selects over a cached estimate
+// other requests are reading).
+func TestTopKEntriesMatchesVectorTopK(t *testing.T) {
+	f := func(ids []uint16, levels []uint8) bool {
+		v := New(len(ids))
+		for i, id := range ids {
+			level := uint8(i)
+			if i < len(levels) {
+				level = levels[i]
+			}
+			v[graph.NodeID(id)] = float64(level%4+1) / 8
+		}
+		entries := v.AppendSorted(nil)
+		before := slices.Clone(entries)
+		ranked := slices.Clone(entries)
+		sort.Slice(ranked, func(i, j int) bool {
+			if ranked[i].Score != ranked[j].Score {
+				return ranked[i].Score > ranked[j].Score
+			}
+			return ranked[i].Node < ranked[j].Node
+		})
+		n := len(entries)
+		for _, k := range []int{0, 1, n - 1, n, n + 1} {
+			want := ranked[:min(max(k, 0), n)]
+			got := TopKEntries(entries, k)
+			if !slices.Equal(got, want) || !slices.Equal(v.TopK(k), want) {
+				return false
+			}
+			if k >= n && !slices.Equal(got, v.Entries()) {
+				return false
+			}
+		}
+		return slices.Equal(entries, before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -9,6 +9,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"fastppv/internal/graph"
@@ -228,11 +229,6 @@ func (v Vector) Entries() []Entry {
 	for id, s := range v {
 		out = append(out, Entry{Node: id, Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Node < out[j].Node
-	})
+	slices.SortFunc(out, rankCompare)
 	return out
 }
