@@ -1102,7 +1102,7 @@ func TestPublicAPIShardedDiskIndex(t *testing.T) {
 			}
 		}
 		if foreign >= 0 {
-			part, err := engine.PartialExpand(map[NodeID]float64{foreign: 0.5})
+			part, err := engine.PartialExpand([]NodeID{foreign}, []float64{0.5})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,7 +102,11 @@ type Vector struct {
 	Scores []float64      `json:"scores"`
 }
 
-// EncodeVector converts a sparse vector to wire form.
+// EncodeVector converts a sparse vector map to wire form, sorting its ids.
+// Nothing on the shard leg calls it — a shard frames the accumulator's sorted
+// slices as they are — and it stays only because the benchmark harness builds
+// its partial responses from core.Engine.PartialRoot's map view; it is deleted
+// with that view (ROADMAP item 1).
 func EncodeVector(v sparse.Vector) Vector {
 	w := Vector{
 		Nodes:  make([]graph.NodeID, 0, len(v)),
@@ -118,34 +122,15 @@ func EncodeVector(v sparse.Vector) Vector {
 	return w
 }
 
-// EncodeMap converts a hub->weight map (a query frontier) to wire form.
+// EncodeMap converts a hub->weight map (a query frontier) to wire form. Like
+// EncodeVector it serves only the benchmark harness and goes with ROADMAP
+// item 1.
 func EncodeMap(m map[graph.NodeID]float64) Vector {
 	v := make(sparse.Vector, len(m))
 	for id, s := range m {
 		v[id] = s
 	}
 	return EncodeVector(v)
-}
-
-// Decode converts the wire form back to a sparse vector.
-func (w Vector) Decode() (sparse.Vector, error) {
-	if len(w.Nodes) != len(w.Scores) {
-		return nil, fmt.Errorf("api: vector has %d nodes but %d scores", len(w.Nodes), len(w.Scores))
-	}
-	v := sparse.New(len(w.Nodes))
-	for i, id := range w.Nodes {
-		v[id] = w.Scores[i]
-	}
-	return v, nil
-}
-
-// DecodeMap converts the wire form back to a hub->weight map.
-func (w Vector) DecodeMap() (map[graph.NodeID]float64, error) {
-	v, err := w.Decode()
-	if err != nil {
-		return nil, err
-	}
-	return map[graph.NodeID]float64(v), nil
 }
 
 // PartialRequest is the shard-side sub-query of a distributed PPV evaluation,

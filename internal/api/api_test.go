@@ -31,16 +31,12 @@ func TestVectorRoundTripExact(t *testing.T) {
 	if err := json.Unmarshal(body, &back); err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Decode()
-	if err != nil {
-		t.Fatal(err)
+	if len(back.Nodes) != len(w.Nodes) || len(back.Scores) != len(w.Scores) {
+		t.Fatalf("round trip has %d nodes and %d scores, want %d", len(back.Nodes), len(back.Scores), len(w.Nodes))
 	}
-	if len(got) != len(v) {
-		t.Fatalf("round trip has %d entries, want %d", len(got), len(v))
-	}
-	for id, s := range v {
-		if got[id] != s {
-			t.Errorf("entry %d = %v after round trip, want bit-identical %v", id, got[id], s)
+	for i, id := range w.Nodes {
+		if back.Nodes[i] != id || math.Float64bits(back.Scores[i]) != math.Float64bits(v[id]) {
+			t.Errorf("entry %d = (%d, %v) after round trip, want bit-identical (%d, %v)", i, back.Nodes[i], back.Scores[i], id, v[id])
 		}
 	}
 }
@@ -54,24 +50,18 @@ func TestVectorEncodingDeterministic(t *testing.T) {
 	}
 }
 
-func TestVectorDecodeRejectsLengthMismatch(t *testing.T) {
+func TestVectorEncodeRejectsLengthMismatch(t *testing.T) {
 	w := Vector{Nodes: []graph.NodeID{1, 2}, Scores: []float64{0.5}}
-	if _, err := w.Decode(); err == nil {
-		t.Error("mismatched lengths should fail to decode")
-	}
-	if _, err := w.DecodeMap(); err == nil {
-		t.Error("mismatched lengths should fail to decode as map")
+	if _, err := EncodePartialResponse(1, &PartialResponse{Increment: w}); err == nil {
+		t.Error("mismatched lengths should fail to encode into a frame")
 	}
 }
 
 func TestEncodeMap(t *testing.T) {
 	m := map[graph.NodeID]float64{9: 0.75, 4: 0.5}
-	got, err := EncodeMap(m).DecodeMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[9] != 0.75 || got[4] != 0.5 {
-		t.Errorf("EncodeMap round trip = %v, want %v", got, m)
+	got := EncodeMap(m)
+	if len(got.Nodes) != 2 || got.Nodes[0] != 4 || got.Nodes[1] != 9 || got.Scores[0] != 0.5 || got.Scores[1] != 0.75 {
+		t.Errorf("EncodeMap(%v) = %+v, want nodes [4 9] scores [0.5 0.75]", m, got)
 	}
 }
 

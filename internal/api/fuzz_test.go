@@ -112,10 +112,11 @@ func checkPayloadFixedPoint(t *testing.T, ftype byte, payload []byte) {
 }
 
 // FuzzVectorRoundTrip drives the wire-vector codec from raw bytes: the input
-// is chopped into (node, score) entries, encoded, decoded, and compared
-// bit-for-bit. Encoding sorts by node id and a map collapses duplicate ids,
-// so the invariant is the canonical fixed point encode(decode(encode(v))) ==
-// encode(v), plus exact score-bit preservation per surviving node.
+// is chopped into (node, score) entries, encoded to wire form, framed as a
+// partial response's increment, decoded, and compared bit-for-bit. Encoding
+// sorts by node id and a map collapses duplicate ids, so the invariant is that
+// the decoded vector is the encoded one, strictly ascending, with every
+// surviving node's score bits preserved.
 func FuzzVectorRoundTrip(f *testing.F) {
 	seed := make([]byte, 2*sparse.EncodedEntrySize)
 	sparse.PutEncodedEntry(seed, 3, 0.5)
@@ -130,33 +131,35 @@ func FuzzVectorRoundTrip(f *testing.F) {
 			v[id] = s
 		}
 		w := EncodeVector(v)
-		back, err := w.Decode()
+		if len(w.Nodes) != len(v) || len(w.Scores) != len(v) {
+			t.Fatalf("encoding changed entry count: %d nodes, %d scores, want %d", len(w.Nodes), len(w.Scores), len(v))
+		}
+		payload, err := EncodePartialResponse(1, &PartialResponse{Increment: w})
 		if err != nil {
-			t.Fatalf("decoding an encoded vector failed: %v", err)
+			t.Fatalf("framing an encoded vector failed: %v", err)
 		}
-		if len(back) != len(v) {
-			t.Fatalf("round trip changed entry count: %d != %d", len(back), len(v))
+		_, presp, err := DecodePartialResponse(payload)
+		if err != nil {
+			t.Fatalf("decoding a framed vector failed: %v", err)
 		}
-		for id, s := range v {
-			got, ok := back[id]
-			if !ok || math.Float64bits(got) != math.Float64bits(s) {
-				t.Fatalf("node %d: score %x round-tripped to %x (present=%v)",
-					id, math.Float64bits(s), math.Float64bits(got), ok)
+		back := presp.Increment
+		if len(back.Nodes) != len(w.Nodes) || len(back.Scores) != len(w.Scores) {
+			t.Fatalf("frame round trip changed entry count: %d != %d", len(back.Nodes), len(w.Nodes))
+		}
+		for i, id := range w.Nodes {
+			if i > 0 && id <= w.Nodes[i-1] {
+				t.Fatalf("wire nodes not strictly ascending at entry %d", i)
+			}
+			if back.Nodes[i] != id || math.Float64bits(back.Scores[i]) != math.Float64bits(v[id]) {
+				t.Fatalf("node %d: score %x round-tripped to node %d score %x",
+					id, math.Float64bits(v[id]), back.Nodes[i], math.Float64bits(back.Scores[i]))
 			}
 		}
-		w2 := EncodeVector(back)
-		if len(w2.Nodes) != len(w.Nodes) {
-			t.Fatal("re-encoding changed the wire length")
-		}
-		for i := range w.Nodes {
-			if w2.Nodes[i] != w.Nodes[i] || math.Float64bits(w2.Scores[i]) != math.Float64bits(w.Scores[i]) {
-				t.Fatalf("wire entry %d not canonical across re-encode", i)
-			}
-		}
-		// Decode must also reject mismatched parallel slices structurally.
+		// The frame encoder must also reject mismatched parallel slices.
 		if len(w.Nodes) > 0 {
-			if _, err := (Vector{Nodes: w.Nodes, Scores: w.Scores[:len(w.Scores)-1]}).Decode(); err == nil {
-				t.Fatal("Decode accepted mismatched node/score lengths")
+			short := Vector{Nodes: w.Nodes, Scores: w.Scores[:len(w.Scores)-1]}
+			if _, err := EncodePartialResponse(1, &PartialResponse{Increment: short}); err == nil {
+				t.Fatal("EncodePartialResponse accepted mismatched node/score lengths")
 			}
 		}
 	})

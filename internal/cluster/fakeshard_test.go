@@ -14,7 +14,6 @@ import (
 
 	"fastppv/internal/api"
 	"fastppv/internal/core"
-	"fastppv/internal/graph"
 )
 
 // fault is what a fakeShard hook does to one partial request frame instead of
@@ -181,12 +180,9 @@ func (f *fakeShard) eval(preq *api.PartialRequest) (*api.PartialResponse, error)
 	)
 	switch {
 	case preq.Query != nil:
-		part, err = f.e.PartialRoot(*preq.Query)
+		part, err = f.e.PartialRootSorted(*preq.Query)
 	case preq.Frontier != nil:
-		var frontier map[graph.NodeID]float64
-		if frontier, err = preq.Frontier.DecodeMap(); err == nil {
-			part, err = f.e.PartialExpand(frontier)
-		}
+		part, err = f.e.PartialExpand(preq.Frontier.Nodes, preq.Frontier.Scores)
 	default:
 		err = fmt.Errorf("neither query nor frontier")
 	}
@@ -202,8 +198,8 @@ func (f *fakeShard) eval(preq *api.PartialRequest) (*api.PartialResponse, error)
 		Shard:        p.Shard,
 		Shards:       shards,
 		Epoch:        f.e.Epoch(),
-		Increment:    api.EncodeVector(part.Increment),
-		Frontier:     api.EncodeMap(part.Frontier),
+		Increment:    api.Vector{Nodes: part.IncrementNodes, Scores: part.IncrementScores},
+		Frontier:     api.Vector{Nodes: part.FrontierNodes, Scores: part.FrontierScores},
 		HubsExpanded: part.HubsExpanded,
 		HubsSkipped:  part.HubsSkipped,
 		Unowned:      part.Unowned,

@@ -188,8 +188,10 @@ func totalAlloc() uint64 {
 // which builds the estimate both as sorted entries and as the public map;
 // 30.3 KB a query served the way the server runs it (NewQuery, Run, HubDeps,
 // Close, TopK(10) — entries only, where the map-building path measured
-// 55.5 KB); 1.09 MB a Precompute. The map-based push measured 407 KB a query
-// and 147 MB a Precompute.
+// 55.5 KB); 27.7 KB a shard leg (PartialRootSorted on a non-hub node, then
+// PartialExpand of its frontier — sorted slices only, where the map-based
+// PartialRoot/PartialExpand pair measured 70.3 KB); 1.09 MB a Precompute. The
+// map-based push measured 407 KB a query and 147 MB a Precompute.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled bundles at random under the race detector")
@@ -197,6 +199,7 @@ func TestAllocationCeilings(t *testing.T) {
 	const (
 		queryCeiling      = 104_000   // bytes per non-hub Engine.Query at eta=2
 		servingCeiling    = 38_000    // bytes per non-hub served query at eta=2
+		partialCeiling    = 35_000    // bytes per non-hub root partial plus one expansion
 		precomputeCeiling = 1_360_000 // bytes per Precompute
 	)
 	before := totalAlloc()
@@ -244,13 +247,24 @@ func TestAllocationCeilings(t *testing.T) {
 		res.TopK(10)
 		return nil
 	})
+	partial := perQuery(func(q graph.NodeID) error {
+		root, err := e.PartialRootSorted(q)
+		if err != nil {
+			return err
+		}
+		_, err = e.PartialExpand(root.FrontierNodes, root.FrontierScores)
+		return err
+	})
 
-	t.Logf("non-hub Engine.Query: %d B; served query: %d B; precompute: %d B", public, served, precompute)
+	t.Logf("non-hub Engine.Query: %d B; served query: %d B; shard leg: %d B; precompute: %d B", public, served, partial, precompute)
 	if public > queryCeiling {
 		t.Errorf("a non-hub Engine.Query at eta=2 allocates %d B, ceiling %d B", public, queryCeiling)
 	}
 	if served > servingCeiling {
 		t.Errorf("a non-hub served query at eta=2 allocates %d B, ceiling %d B", served, servingCeiling)
+	}
+	if partial > partialCeiling {
+		t.Errorf("a non-hub root partial plus one expansion of its frontier allocates %d B, ceiling %d B", partial, partialCeiling)
 	}
 	if precompute > precomputeCeiling {
 		t.Errorf("Precompute allocates %d B, ceiling %d B", precompute, precomputeCeiling)

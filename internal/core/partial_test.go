@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fastppv/internal/gen"
@@ -67,52 +69,52 @@ func TestPartitionCoversAndBalances(t *testing.T) {
 }
 
 // routeQuery drives the scheduled approximation loop the way a cluster router
-// does: PartialRoot on the owner, then per-iteration scatter of the frontier
-// to owning shards, deterministic merge, and the exact 1-mass bound.
+// does: a root partial on the owner, then per-iteration scatter of the sorted
+// frontier to owning shards, a deterministic merge of their sorted slices in
+// shard order, and the exact 1-mass bound.
 func routeQuery(t *testing.T, engines []*Engine, q graph.NodeID, eta int) *Result {
 	t.Helper()
 	p := Partition{Shards: len(engines)}
-	root, err := engines[p.Owner(q)].PartialRoot(q)
+	root, err := engines[p.Owner(q)].PartialRootSorted(q)
 	if err != nil {
-		t.Fatalf("PartialRoot(%d): %v", q, err)
+		t.Fatalf("PartialRootSorted(%d): %v", q, err)
 	}
-	estimate := root.Increment
-	frontier := root.Frontier
-	mass := estimate.SumOrdered()
-	res := &Result{Query: q, Estimate: estimate, L1ErrorBound: 1 - mass}
-	for iter := 1; iter <= eta && len(frontier) > 0; iter++ {
-		groups := make([]map[graph.NodeID]float64, len(engines))
-		for h, w := range frontier {
-			owner := p.Owner(h)
-			if groups[owner] == nil {
-				groups[owner] = make(map[graph.NodeID]float64)
-			}
-			groups[owner][h] = w
+	var estimate, merged, frontier sparse.Accumulator
+	estimate.AddSorted(root.IncrementNodes, root.IncrementScores)
+	frontier.AddSorted(root.FrontierNodes, root.FrontierScores)
+	mass := estimate.Sum()
+	res := &Result{Query: q, L1ErrorBound: 1 - mass}
+	for iter := 1; iter <= eta && frontier.Len() > 0; iter++ {
+		hubs := make([][]graph.NodeID, len(engines))
+		prefixes := make([][]float64, len(engines))
+		for _, en := range frontier.Entries() {
+			owner := p.Owner(en.Node)
+			hubs[owner] = append(hubs[owner], en.Node)
+			prefixes[owner] = append(prefixes[owner], en.Score)
 		}
-		merged := sparse.New(64)
-		next := make(map[graph.NodeID]float64)
+		merged.Reset()
+		frontier.Reset()
 		for s, e := range engines {
-			if groups[s] == nil {
+			if hubs[s] == nil {
 				continue
 			}
-			part, err := e.PartialExpand(groups[s])
+			part, err := e.PartialExpand(hubs[s], prefixes[s])
 			if err != nil {
 				t.Fatalf("PartialExpand shard %d: %v", s, err)
 			}
 			if len(part.Unowned) > 0 {
 				t.Fatalf("shard %d rejected hubs %v it should own", s, part.Unowned)
 			}
-			merged.AddVector(part.Increment)
-			for h, w := range part.Frontier {
-				next[h] += w
-			}
+			merged.AddSorted(part.IncrementNodes, part.IncrementScores)
+			frontier.AddSorted(part.FrontierNodes, part.FrontierScores)
 		}
-		estimate.AddVector(merged)
-		mass += merged.SumOrdered()
-		frontier = next
+		estimate.AddAccumulator(&merged)
+		mass += merged.Sum()
 		res.Iterations = iter
 		res.L1ErrorBound = 1 - mass
 	}
+	res.Entries = slices.Clone(estimate.Entries())
+	res.Estimate = sparse.FromEntries(res.Entries)
 	return res
 }
 
@@ -222,7 +224,7 @@ func TestPartialSingleShardByteIdentical(t *testing.T) {
 // TestPartialExpandThenFoldEqualsStep: PartialExpand and Step run one per-hub
 // kernel, so over a disabled partition a partial expansion of a query's
 // frontier, folded into its estimate, is the next Step entry for entry — the
-// increment, the next frontier and the hub counts, with ==.
+// increment, the next frontier and the hub counts, with == on the bits.
 func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.7, Seed: 3})
 	if err != nil {
@@ -241,12 +243,10 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 	}
 	defer qs.Close()
 	for iter := 1; iter <= 3; iter++ {
-		frontier := make(map[graph.NodeID]float64)
-		for _, fe := range qs.bufs.frontier {
-			frontier[fe.hub] = fe.prefix
-		}
-		before := qs.Result().Estimate
-		part, err := e.PartialExpand(frontier)
+		hubs, prefixes := splitEntries(qs.bufs.frontier)
+		var folded sparse.Accumulator
+		folded.SetEntries(qs.bufs.acc.Entries())
+		part, err := e.PartialExpand(hubs, prefixes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,33 +255,24 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 			t.Fatalf("iteration %d: partial expanded %d skipped %d unowned %v, Step %d and %d",
 				iter, part.HubsExpanded, part.HubsSkipped, part.Unowned, st.HubsExpanded, st.HubsSkipped)
 		}
-		if got := part.Increment.SumOrdered(); got != st.MassAdded {
+		var inc sparse.Accumulator
+		inc.AddSorted(part.IncrementNodes, part.IncrementScores)
+		if got := inc.Sum(); got != st.MassAdded {
 			t.Errorf("iteration %d: partial increment sums to %v, Step added %v", iter, got, st.MassAdded)
 		}
-		after := qs.Result().Estimate
-		for n, s := range after {
-			if want := before[n] + part.Increment[n]; s != want {
-				t.Fatalf("iteration %d: estimate[%d] = %v after Step, fold of the partial gives %v", iter, n, s, want)
-			}
-		}
-		for n := range part.Increment {
-			if _, ok := after[n]; !ok {
-				t.Fatalf("iteration %d: partial increment has node %d, Step's estimate does not", iter, n)
-			}
-		}
-		if len(part.Frontier) != len(qs.bufs.frontier) {
-			t.Fatalf("iteration %d: partial frontier has %d hubs, Step's %d", iter, len(part.Frontier), len(qs.bufs.frontier))
-		}
-		for _, fe := range qs.bufs.frontier {
-			if part.Frontier[fe.hub] != fe.prefix {
-				t.Fatalf("iteration %d: frontier[%d] = %v in the partial, %v after Step", iter, fe.hub, part.Frontier[fe.hub], fe.prefix)
-			}
-		}
+		folded.AddAccumulator(&inc)
+		sameEntries(t, fmt.Sprintf("iteration %d: estimate after Step vs fold of the partial", iter),
+			qs.bufs.acc.Entries(), folded.Entries())
+		wantHubs, wantPrefixes := splitEntries(qs.bufs.frontier)
+		sameSlices(t, fmt.Sprintf("iteration %d: partial frontier vs Step's", iter),
+			part.FrontierNodes, part.FrontierScores, wantHubs, wantPrefixes)
 	}
 }
 
-// TestPartialExpandRejectsUnownedHubs: mass routed to the wrong shard is
-// refused and reported, never silently dropped or expanded.
+// TestPartialExpandRejectsUnownedHubs: mass routed to the wrong shard, or to
+// an id that is no hub at all, is refused and reported in ascending order,
+// never silently dropped or expanded — and the owned hubs around it in the
+// sorted frontier still expand, exactly as they would alone.
 func TestPartialExpandRejectsUnownedHubs(t *testing.T) {
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 300, OutDegreeMean: 5, Attachment: 0.7, Seed: 5})
 	if err != nil {
@@ -295,28 +286,79 @@ func TestPartialExpandRejectsUnownedHubs(t *testing.T) {
 	if err := e.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	var owned, foreign graph.NodeID = -1, -1
-	for _, h := range e.Hubs().Hubs() {
-		if opts.Partition.Owns(h) && owned < 0 {
-			owned = h
-		}
-		if !opts.Partition.Owns(h) && foreign < 0 {
-			foreign = h
+	var owned, refused []graph.NodeID
+	for n := graph.NodeID(0); int(n) < g.NumNodes(); n++ {
+		if e.Hubs().Contains(n) && opts.Partition.Owns(n) {
+			owned = append(owned, n)
+		} else if len(owned) > 0 {
+			refused = append(refused, n) // a foreign hub or a non-hub after an owned hub
 		}
 	}
-	if owned < 0 || foreign < 0 {
-		t.Skip("partition left a shard empty on this graph")
+	if len(owned) < 2 || len(refused) == 0 {
+		t.Skip("partition left too few owned hubs on this graph")
 	}
-	part, err := e.PartialExpand(map[graph.NodeID]float64{owned: 0.5, foreign: 0.5})
+
+	// Alone: the owned hubs only.
+	ownedPrefixes := make([]float64, len(owned))
+	for i := range ownedPrefixes {
+		ownedPrefixes[i] = 0.5
+	}
+	alone, err := e.PartialExpand(owned, ownedPrefixes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.HubsExpanded != 1 {
-		t.Errorf("expanded %d hubs, want 1", part.HubsExpanded)
+	if alone.HubsExpanded != len(owned) || len(alone.Unowned) != 0 {
+		t.Fatalf("owned hubs alone: expanded %d of %d, unowned %v", alone.HubsExpanded, len(owned), alone.Unowned)
 	}
-	if len(part.Unowned) != 1 || part.Unowned[0] != foreign {
-		t.Errorf("Unowned = %v, want [%d]", part.Unowned, foreign)
+
+	// Mixed: every id from the first owned hub up, owned or not, ascending —
+	// so refused ids sit between owned ones.
+	var hubs []graph.NodeID
+	var prefixes []float64
+	for n := owned[0]; int(n) < g.NumNodes(); n++ {
+		hubs = append(hubs, n)
+		prefixes = append(prefixes, 0.5)
 	}
+	part, err := e.PartialExpand(hubs, prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.HubsExpanded != len(owned) {
+		t.Errorf("expanded %d hubs, want the %d owned ones", part.HubsExpanded, len(owned))
+	}
+	if !slices.Equal(part.Unowned, refused) {
+		t.Errorf("Unowned = %v, want %v", part.Unowned, refused)
+	}
+	sameSlices(t, "mixed frontier increment vs owned hubs alone",
+		part.IncrementNodes, part.IncrementScores, alone.IncrementNodes, alone.IncrementScores)
+	sameSlices(t, "mixed frontier next frontier vs owned hubs alone",
+		part.FrontierNodes, part.FrontierScores, alone.FrontierNodes, alone.FrontierScores)
+
+	// An unsorted frontier is an error, not a silently reordered expansion.
+	if _, err := e.PartialExpand([]graph.NodeID{owned[1], owned[0]}, []float64{0.5, 0.5}); err == nil {
+		t.Error("PartialExpand accepted a descending frontier")
+	}
+}
+
+// sameSlices fails unless two sorted parallel vectors are equal bit for bit.
+func sameSlices(t *testing.T, what string, gotNodes []graph.NodeID, gotScores []float64, wantNodes []graph.NodeID, wantScores []float64) {
+	t.Helper()
+	if !slices.Equal(gotNodes, wantNodes) || len(gotScores) != len(wantScores) {
+		t.Fatalf("%s: nodes %v, want %v", what, gotNodes, wantNodes)
+	}
+	for i := range gotScores {
+		if math.Float64bits(gotScores[i]) != math.Float64bits(wantScores[i]) {
+			t.Fatalf("%s: node %d scores %v, want %v (bit-exact)", what, gotNodes[i], gotScores[i], wantScores[i])
+		}
+	}
+}
+
+// sameEntries fails unless two sorted entry slices are equal bit for bit.
+func sameEntries(t *testing.T, what string, got, want []sparse.Entry) {
+	t.Helper()
+	gotNodes, gotScores := splitEntries(got)
+	wantNodes, wantScores := splitEntries(want)
+	sameSlices(t, what, gotNodes, gotScores, wantNodes, wantScores)
 }
 
 // TestShardedApplyUpdateStaysInPartition: an incremental update on a shard

@@ -12,27 +12,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fastppv/internal/graph"
 	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
-// frontierEntry is one border hub of the next iteration with its prefix
-// reachability weight (Theorem 4). Frontiers are kept as slices sorted by
-// ascending hub id — they are built by scanning the (sorted) increment
-// entries, so the deterministic expansion order of Step comes for free,
-// without the per-iteration map+sort of the old path.
-type frontierEntry struct {
-	hub    graph.NodeID
-	prefix float64
-}
-
 // queryBufs is the reusable working set of one in-flight query.
 type queryBufs struct {
-	acc          sparse.Accumulator // running estimate
-	inc          sparse.Accumulator // per-step increment
-	frontier     []frontierEntry
-	nextFrontier []frontierEntry
+	acc sparse.Accumulator // running estimate
+	inc sparse.Accumulator // per-step increment
+	// frontier and nextFrontier hold this and the next iteration's border hubs
+	// with their prefix weights (Theorem 4), scanned out of the sorted
+	// increment: ascending hub ids give a deterministic order with no sort.
+	frontier     []sparse.Entry
+	nextFrontier []sparse.Entry
 	// scratch serves every prime push made on behalf of this bundle's holder.
 	// It resets itself per push and grows to the largest graph it has seen,
 	// so a bundle is safe to hand between engines of different sizes.

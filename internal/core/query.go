@@ -255,7 +255,7 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 			w -= e.opts.Alpha
 		}
 		if w > 0 {
-			b.frontier = append(b.frontier, frontierEntry{hub: en.Node, prefix: w})
+			b.frontier = append(b.frontier, sparse.Entry{Node: en.Node, Score: w})
 		}
 	}
 	return !fromIndex, nil
@@ -273,8 +273,8 @@ func (s *localSource) Frontier() int { return len(s.b.frontier) }
 func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, skipped int) {
 	b := s.b
 	for _, fe := range b.frontier {
-		if ok, _ := s.e.stageHub(b, inc, fe, true); ok {
-			s.deps[fe.hub] = struct{}{}
+		if ok, _ := s.e.stageHub(b, inc, fe.Node, fe.Score, true); ok {
+			s.deps[fe.Node] = struct{}{}
 			expanded++
 		} else {
 			skipped++
@@ -285,7 +285,7 @@ func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, 
 }
 
 // stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11): prune by
-// delta, then stage prefix/alpha times the hub's extension vector into inc.
+// delta, then stage prefix/alpha times hub h's extension vector into inc.
 // Theorem 4 extends the prefix ending at the hub by its prime PPV, excluding
 // the hub's empty tour (an extension must advance the walk); that
 // self-correction is applied inline by the staging call, with no per-hub clone
@@ -295,32 +295,32 @@ func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, 
 // What a failed read does is the caller's policy: with recompute the hub is
 // pushed on the fly too and err is always nil; without it the read error is
 // returned.
-func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, fe frontierEntry, recompute bool) (bool, error) {
-	if fe.prefix <= e.opts.Delta {
+func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, prefix float64, recompute bool) (bool, error) {
+	if prefix <= e.opts.Delta {
 		return false, nil
 	}
-	scale := fe.prefix / e.opts.Alpha
-	view, ok, err := e.index.GetView(fe.hub)
+	scale := prefix / e.opts.Alpha
+	view, ok, err := e.index.GetView(h)
 	if err != nil && !recompute {
-		return false, fmt.Errorf("core: loading prime PPV of hub %d: %w", fe.hub, err)
+		return false, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
 	}
 	if err == nil && ok {
-		inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
+		inc.StageEncodedExtension(view.EntryBytes(), scale, h, e.opts.Alpha)
 		view.Release()
 		return true, nil
 	}
-	return e.stageRecomputed(b, inc, fe.hub, scale), nil
+	return e.stageRecomputed(b, inc, h, scale), nil
 }
 
 // foldStaged closes an expansion: one stable-sort fold of everything staged
 // (per-node contributions sum in ascending-hub order, bit-equal to merging hub
 // by hub), then the next frontier — the hub entries of the increment, born
 // sorted because the increment is — appended to next.
-func (e *Engine) foldStaged(inc *sparse.Accumulator, next []frontierEntry) []frontierEntry {
+func (e *Engine) foldStaged(inc *sparse.Accumulator, next []sparse.Entry) []sparse.Entry {
 	inc.Combine()
 	for _, en := range inc.Entries() {
 		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			next = append(next, frontierEntry{hub: en.Node, prefix: en.Score})
+			next = append(next, en)
 		}
 	}
 	return next

@@ -94,7 +94,7 @@ func TestFailedRecordReadIsReadOnce(t *testing.T) {
 	}
 
 	store.reads = 0
-	if _, err := failing.PartialExpand(map[graph.NodeID]float64{bad: 0.25}); !errors.Is(err, errRecordRead) {
+	if _, err := failing.PartialExpand([]graph.NodeID{bad}, []float64{0.25}); !errors.Is(err, errRecordRead) {
 		t.Errorf("PartialExpand over the unreadable hub = %v, want the read error", err)
 	}
 	if store.reads != 1 {

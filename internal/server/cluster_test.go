@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"fastppv/internal/api"
@@ -297,8 +298,9 @@ func TestStructuredErrorCodes(t *testing.T) {
 }
 
 // TestPartialEndpoint exercises the shard-side protocol directly, over raw
-// frames on /v1/stream: a root answer must be the query's prime PPV, and an
-// expansion must match the engine's own PartialExpand, both bit for bit.
+// frames on /v1/stream: a root answer must be the engine's root partial and an
+// expansion its PartialExpand, both slice for slice and bit for bit — and
+// PartialRoot's map view must hold exactly the root's slices.
 func TestPartialEndpoint(t *testing.T) {
 	g := socialGraph(t, 300)
 	e := testEngine(t, g, 40)
@@ -320,44 +322,65 @@ func TestPartialEndpoint(t *testing.T) {
 	if root.Shard != 0 || root.Shards != 1 {
 		t.Errorf("unsharded engine reports %d/%d, want 0/1", root.Shard, root.Shards)
 	}
-	want, err := e.PartialRoot(5)
+	want, err := e.PartialRootSorted(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := root.Increment.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := inc.L1Distance(want.Increment); d != 0 {
-		t.Errorf("root increment differs from engine by %v", d)
-	}
-	frontier, err := root.Frontier.DecodeMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frontier) != len(want.Frontier) {
-		t.Errorf("root frontier has %d hubs, want %d", len(frontier), len(want.Frontier))
+	sameWire(t, "root increment", root.Increment, want.IncrementNodes, want.IncrementScores)
+	sameWire(t, "root frontier", root.Frontier, want.FrontierNodes, want.FrontierScores)
+	if len(root.Frontier.Nodes) == 0 {
+		t.Fatal("root frontier is empty; the expansion below would test nothing")
 	}
 
-	wire := api.EncodeMap(frontier)
-	exp, aerr := streamPartial(t, conn, br, 2, "", &api.PartialRequest{Frontier: &wire, Iteration: 1})
+	view, err := e.PartialRoot(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMap(t, "PartialRoot increment view", view.Increment, view.IncrementNodes, view.IncrementScores)
+	sameMap(t, "PartialRoot frontier view", view.Frontier, view.FrontierNodes, view.FrontierScores)
+	sameWire(t, "PartialRoot increment", root.Increment, view.IncrementNodes, view.IncrementScores)
+
+	exp, aerr := streamPartial(t, conn, br, 2, "", &api.PartialRequest{Frontier: &root.Frontier, Iteration: 1})
 	if aerr != nil {
 		t.Fatalf("expand partial answered %v", aerr)
 	}
-	wantExp, err := e.PartialExpand(frontier)
+	wantExp, err := e.PartialExpand(root.Frontier.Nodes, root.Frontier.Scores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotInc, err := exp.Increment.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := gotInc.L1Distance(wantExp.Increment); d != 0 {
-		t.Errorf("expansion increment differs from engine by %v", d)
-	}
+	sameWire(t, "expansion increment", exp.Increment, wantExp.IncrementNodes, wantExp.IncrementScores)
+	sameWire(t, "expansion frontier", exp.Frontier, wantExp.FrontierNodes, wantExp.FrontierScores)
 	if exp.HubsExpanded != wantExp.HubsExpanded || exp.HubsSkipped != wantExp.HubsSkipped {
 		t.Errorf("expanded/skipped = %d/%d, want %d/%d",
 			exp.HubsExpanded, exp.HubsSkipped, wantExp.HubsExpanded, wantExp.HubsSkipped)
+	}
+}
+
+// sameWire fails unless a decoded wire vector equals the engine's sorted
+// slices, id for id and score bit for score bit.
+func sameWire(t *testing.T, what string, got api.Vector, nodes []graph.NodeID, scores []float64) {
+	t.Helper()
+	if !slices.Equal(got.Nodes, nodes) || len(got.Scores) != len(scores) {
+		t.Fatalf("%s: wire nodes %v, engine %v", what, got.Nodes, nodes)
+	}
+	for i := range scores {
+		if math.Float64bits(got.Scores[i]) != math.Float64bits(scores[i]) {
+			t.Fatalf("%s: node %d scores %v on the wire, engine %v", what, nodes[i], got.Scores[i], scores[i])
+		}
+	}
+}
+
+// sameMap fails unless a map view holds exactly the sorted slices' entries,
+// bit for bit.
+func sameMap(t *testing.T, what string, m map[graph.NodeID]float64, nodes []graph.NodeID, scores []float64) {
+	t.Helper()
+	if len(m) != len(nodes) {
+		t.Fatalf("%s: map has %d entries, slices %d", what, len(m), len(nodes))
+	}
+	for i, n := range nodes {
+		if got, ok := m[n]; !ok || math.Float64bits(got) != math.Float64bits(scores[i]) {
+			t.Fatalf("%s: node %d = %v (present %v) in the map, %v in the slices", what, n, got, ok, scores[i])
+		}
 	}
 }
 

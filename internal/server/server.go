@@ -860,6 +860,14 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 	if (preq.Query == nil) == (preq.Frontier == nil) {
 		return nil, badRequest("exactly one of query and frontier must be set")
 	}
+	if preq.Frontier != nil {
+		// A NaN or +Inf prefix would slip past the delta prune into the estimate.
+		for i, w := range preq.Frontier.Scores {
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return nil, badRequest("frontier weight %v of hub %d is not a finite non-negative number", w, preq.Frontier.Nodes[i])
+			}
+		}
+	}
 	level := s.adm.acquire()
 	if level == svcShed {
 		return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
@@ -879,14 +887,9 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 			s.mu.RUnlock()
 			return nil, badRequest("node %d outside [0,%d)", q, s.engine.Graph().NumNodes())
 		}
-		part, err = s.engine.PartialRoot(q)
+		part, err = s.engine.PartialRootSorted(q)
 	} else {
-		var frontier map[graph.NodeID]float64
-		if frontier, err = preq.Frontier.DecodeMap(); err != nil {
-			s.mu.RUnlock()
-			return nil, badRequest("bad frontier: %v", err)
-		}
-		part, err = s.engine.PartialExpand(frontier)
+		part, err = s.engine.PartialExpand(preq.Frontier.Nodes, preq.Frontier.Scores)
 	}
 	p := s.engine.Partition()
 	epoch := s.engine.Epoch()
@@ -912,8 +915,8 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 		Shard:        p.Shard,
 		Shards:       shards,
 		Epoch:        epoch,
-		Increment:    api.EncodeVector(part.Increment),
-		Frontier:     api.EncodeMap(part.Frontier),
+		Increment:    api.Vector{Nodes: part.IncrementNodes, Scores: part.IncrementScores},
+		Frontier:     api.Vector{Nodes: part.FrontierNodes, Scores: part.FrontierScores},
 		HubsExpanded: part.HubsExpanded,
 		HubsSkipped:  part.HubsSkipped,
 		Unowned:      part.Unowned,

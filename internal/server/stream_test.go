@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +162,46 @@ func TestStreamRawProtocol(t *testing.T) {
 	}
 	if st.Streams.BytesIn == 0 || st.Streams.BytesOut == 0 {
 		t.Fatalf("stream stats count no bytes: %+v", st.Streams)
+	}
+}
+
+// TestStreamRejectsNonFiniteFrontier: a frontier weight that is NaN, +Inf or
+// negative would pass the kernel's delta prune and come back as a non-finite
+// or negative increment in the router's estimate and bound. The shard answers
+// each with a bad_request error frame, and the stream keeps serving.
+func TestStreamRejectsNonFiniteFrontier(t *testing.T) {
+	g := socialGraph(t, 300)
+	srv, err := New(testEngine(t, g, 40), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.CloseStreams()
+	conn, br := dialStreamRaw(t, ts.URL)
+	defer conn.Close()
+
+	node := graph.NodeID(3)
+	root, aerr := streamPartial(t, conn, br, 1, "", &api.PartialRequest{Query: &node})
+	if aerr != nil {
+		t.Fatalf("root request answered %v", aerr)
+	}
+	if len(root.Frontier.Nodes) == 0 {
+		t.Fatal("root frontier is empty; nothing to poison")
+	}
+	id := uint64(2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.25} {
+		poisoned := api.Vector{Nodes: root.Frontier.Nodes, Scores: slices.Clone(root.Frontier.Scores)}
+		poisoned.Scores[len(poisoned.Scores)/2] = bad
+		presp, aerr := streamPartial(t, conn, br, id, "", &api.PartialRequest{Iteration: 1, Frontier: &poisoned})
+		if presp != nil || aerr == nil || aerr.Code != api.CodeBadRequest {
+			t.Errorf("frontier weight %v: answered a response (%v) and error %v, want only code %q", bad, presp != nil, aerr, api.CodeBadRequest)
+		}
+		id++
+		if _, aerr := streamPartial(t, conn, br, id, "", &api.PartialRequest{Iteration: 1, Frontier: &root.Frontier}); aerr != nil {
+			t.Errorf("valid expansion after the weight-%v error frame answered %v", bad, aerr)
+		}
+		id++
 	}
 }
 

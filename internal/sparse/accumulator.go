@@ -136,9 +136,6 @@ func (a *Accumulator) Sum() float64 {
 	return total
 }
 
-// ToVector materializes the accumulator as a public map-based Vector.
-func (a *Accumulator) ToVector() Vector { return FromEntries(a.entries) }
-
 // AddAccumulator folds other into a entry-wise (a += other) with a single
 // linear merge. It is the sorted-slice analogue of Vector.AddVector.
 func (a *Accumulator) AddAccumulator(other *Accumulator) { a.merge(other.entries) }

@@ -61,14 +61,14 @@ func TestAccumulatorSetAndSum(t *testing.T) {
 	if got := acc.Get(4); got != 0 {
 		t.Fatalf("Get(missing) = %v, want 0", got)
 	}
-	back := acc.ToVector()
+	back := FromEntries(acc.Entries())
 	if back.L1Distance(v) != 0 {
 		t.Fatalf("ToVector round trip distance = %v", back.L1Distance(v))
 	}
 
 	acc2 := &Accumulator{}
 	acc2.SetEncoded(encodeVector(v))
-	if acc2.ToVector().L1Distance(v) != 0 {
+	if FromEntries(acc2.Entries()).L1Distance(v) != 0 {
 		t.Fatalf("SetEncoded round trip mismatch")
 	}
 
@@ -128,7 +128,7 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 		}
 
 		for _, acc := range []*Accumulator{accEnc} {
-			got := acc.ToVector()
+			got := FromEntries(acc.Entries())
 			for id, want := range mapRef {
 				if got.Get(id) != want {
 					t.Fatalf("trial %d: node %d = %v, want bit-equal %v", trial, id, got.Get(id), want)
@@ -153,7 +153,7 @@ func TestAccumulatorAddAccumulator(t *testing.T) {
 	b.SetVector(Vector{2: 2, 3: 30, 9: 9})
 	a.AddAccumulator(b)
 	want := Vector{1: 1, 2: 2, 3: 33, 5: 5, 9: 9}
-	if got := a.ToVector(); got.L1Distance(want) != 0 {
+	if got := FromEntries(a.Entries()); got.L1Distance(want) != 0 {
 		t.Fatalf("AddAccumulator = %v, want %v", got, want)
 	}
 	// Entries stay sorted after the merge.
@@ -165,7 +165,7 @@ func TestAccumulatorAddAccumulator(t *testing.T) {
 	}
 	empty := &Accumulator{}
 	a.AddAccumulator(empty)
-	if got := a.ToVector(); got.L1Distance(want) != 0 {
+	if got := FromEntries(a.Entries()); got.L1Distance(want) != 0 {
 		t.Fatalf("adding empty accumulator changed contents")
 	}
 }
@@ -176,19 +176,19 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 	// must be dropped, not stored as an explicit zero.
 	acc := &Accumulator{}
 	foldEncoded(acc, encodeVector(Vector{4: alpha, 7: 0.5}), 2, 4, alpha)
-	if got := acc.ToVector(); got.Get(4) != 0 || got.Get(7) != 1.0 || len(got) != 1 {
+	if got := FromEntries(acc.Entries()); got.Get(4) != 0 || got.Get(7) != 1.0 || len(got) != 1 {
 		t.Fatalf("self-correction drop: got %v, want {7:1}", got)
 	}
 	// Owner absent from the record: no correction applies.
 	acc.Reset()
 	foldEncoded(acc, encodeVector(Vector{7: 0.5}), 1, 4, alpha)
-	if got := acc.ToVector(); got.Get(7) != 0.5 || len(got) != 1 {
+	if got := FromEntries(acc.Entries()); got.Get(7) != 0.5 || len(got) != 1 {
 		t.Fatalf("no-self-entry: got %v, want {7:0.5}", got)
 	}
 	// Owner entry above alpha: corrected score survives.
 	acc.Reset()
 	foldEncoded(acc, encodeVector(Vector{4: alpha + 0.25}), 1, 4, alpha)
-	if got := acc.ToVector().Get(4); math.Abs(got-0.25) > 0 {
+	if got := FromEntries(acc.Entries()).Get(4); math.Abs(got-0.25) > 0 {
 		t.Fatalf("self-correction keep: got %v, want 0.25", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestAccumulatorResetReuse(t *testing.T) {
 		t.Fatalf("Reset left entries behind: len=%d sum=%v", acc.Len(), acc.Sum())
 	}
 	acc.SetVector(Vector{8: 0.5})
-	if got := acc.ToVector(); len(got) != 1 || got.Get(8) != 0.5 {
+	if got := FromEntries(acc.Entries()); len(got) != 1 || got.Get(8) != 0.5 {
 		t.Fatalf("reuse after Reset = %v, want {8:0.5}", got)
 	}
 }
