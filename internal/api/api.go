@@ -172,9 +172,12 @@ type PartialResponse struct {
 	// Increment is the partial PPV mass this sub-query contributed.
 	Increment Vector
 	// Frontier holds the hub entries of Increment: prefix weights for the
-	// next iteration, including hubs owned by other shards.
+	// next iteration, including hubs owned by other shards. A root reply's
+	// frontier holds only the hubs whose prefix exceeds delta.
 	Frontier Vector
-	// HubsExpanded and HubsSkipped count assembled and delta-pruned hubs.
+	// HubsExpanded and HubsSkipped count assembled and delta-pruned hubs. For
+	// a root reply HubsSkipped is the number of border hubs pruned from
+	// Frontier; the router counts them as the first expansion's skipped hubs.
 	HubsExpanded int
 	HubsSkipped  int
 	// Unowned lists requested hubs the shard refused because its partition

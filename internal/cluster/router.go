@@ -466,8 +466,12 @@ type Result struct {
 	// LostFrontierMass is the total prefix weight that could not be expanded
 	// because its owning shard was unavailable; it is an upper bound on how
 	// much of the reported error bound is due to degradation rather than the
-	// stopping condition. It is summed in ascending hub order within
-	// ascending shard order, so equal degraded queries report equal bits.
+	// stopping condition. Only routed prefixes count: the root prunes hubs at
+	// or below delta, which no shard would have expanded, so a lost
+	// iteration-1 group is all above-delta mass (a later frontier is the
+	// router's sum of shard frontiers and is routed whole). It is summed in
+	// ascending hub order within ascending shard order, so equal degraded
+	// queries report equal bits.
 	LostFrontierMass float64
 	// SpeculationsSent counts iterations whose shard requests were pre-sent
 	// before the previous iteration's fold and stop check ran;
@@ -563,12 +567,17 @@ type routedQuery struct {
 	// the next frontier is whatever the shards report.
 	frontier api.Vector
 	next     sparse.Accumulator
+	// pruned is the root reply's HubsSkipped: border hubs the root shard
+	// dropped from the frontier under delta. They never cross the wire, but
+	// count as frontier hubs and as the first expansion's skipped hubs, as
+	// they do in the engine.
+	pruned int
 	// spec holds the one in-flight speculative pre-send: the next iteration's
 	// shard requests, scattered before the schedule has decided to run it.
 	spec *speculation
 }
 
-func (q *routedQuery) Frontier() int { return len(q.frontier.Nodes) }
+func (q *routedQuery) Frontier() int { return len(q.frontier.Nodes) + q.pruned }
 
 func (q *routedQuery) discardSpec() {
 	if q.spec != nil {
@@ -605,7 +614,7 @@ func (q *routedQuery) Root(node graph.NodeID, estimate *sparse.Accumulator) (boo
 		q.res.Degraded = true
 	}
 	estimate.AddSorted(root.Increment.Nodes, root.Increment.Scores)
-	q.frontier = root.Frontier
+	q.frontier, q.pruned = root.Frontier, root.HubsSkipped
 	q.res.Spans = append(q.res.Spans, span)
 	return !root.FromIndex, nil
 }
@@ -710,6 +719,8 @@ func (q *routedQuery) Expand(iter int, more bool, inc *sparse.Accumulator) (expa
 	q.next.Reset()
 	span := IterationSpan{Speculative: sc.speculative}
 	expanded, skipped = q.gather(sc, inc, &span)
+	skipped += q.pruned
+	q.pruned = 0
 	q.res.Spans = append(q.res.Spans, span)
 	if spec != nil {
 		// Every leg of the consumed pre-send has answered by now; release

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,14 @@ import (
 
 // TestStopRuleParity: Router.Query and Engine.Query run one schedule
 // (core.QueryState.Run), so for any StopCondition they stop after the same
-// number of iterations and record the same number of iteration stats —
-// whichever rule fires: the eta cap, the target error, the time limit, an
-// emptied frontier or the zero-mass guard.
+// number of iterations and record the same iteration stats — frontier size,
+// hubs expanded and hubs skipped — whichever rule fires: the eta cap, the
+// target error, the time limit, an emptied frontier or the zero-mass guard.
+//
+// The root shard prunes its frontier by delta, so iteration 1's legs carry
+// exactly the hubs that iteration expands; a later frontier is the router's
+// sum of shard frontiers, checked by the kernel on the owning shard, so its
+// legs carry the expanded and the skipped hubs.
 func TestStopRuleParity(t *testing.T) {
 	social, err := gen.SocialGraph(gen.SocialConfig{Nodes: 700, OutDegreeMean: 6, Attachment: 0.7, Seed: 21})
 	if err != nil {
@@ -91,9 +97,167 @@ func TestStopRuleParity(t *testing.T) {
 					if tc.wantIterations >= 0 && want.Iterations != tc.wantIterations {
 						t.Errorf("q=%d %s: engine ran %d iterations, the case is built to stop at %d", q, rl.name, want.Iterations, tc.wantIterations)
 					}
+					for i := 0; i < len(got.PerIteration) && i < len(want.PerIteration); i++ {
+						g, w := got.PerIteration[i], want.PerIteration[i]
+						if g.FrontierSize != w.FrontierSize || g.HubsExpanded != w.HubsExpanded || g.HubsSkipped != w.HubsSkipped {
+							t.Errorf("q=%d %s iteration %d: routed frontier/expanded/skipped %d/%d/%d, engine %d/%d/%d", q, rl.name, i,
+								g.FrontierSize, g.HubsExpanded, g.HubsSkipped, w.FrontierSize, w.HubsExpanded, w.HubsSkipped)
+						}
+						if i == 0 || i >= len(got.Spans) {
+							continue
+						}
+						routed := 0
+						for _, leg := range got.Spans[i].Legs {
+							routed += leg.Hubs
+						}
+						wantRouted := g.HubsExpanded
+						if i > 1 {
+							wantRouted += g.HubsSkipped
+						}
+						if routed != wantRouted {
+							t.Errorf("q=%d %s iteration %d: legs carry %d hubs, want %d (expanded %d, skipped %d)",
+								q, rl.name, i, routed, wantRouted, g.HubsExpanded, g.HubsSkipped)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestSplitSubDeltaPrefixIsExpanded: a shard's expansion frontier is one
+// addend of the router's sum and is not pruned by delta. Here hub 3's prefix
+// after iteration 1 is two sub-delta halves, one from each shard (hub 2 on
+// shard 0 and hub 9 on shard 1, each reaching hub 3 by one of six out-edges),
+// whose sum exceeds delta: the router must route it and the owner expand it,
+// and the routed answer is the engine's, bit for bit.
+func TestSplitSubDeltaPrefixIsExpanded(t *testing.T) {
+	const delta = 0.01
+	b := graph.NewBuilder(true)
+	b.EnsureNodes(21)
+	edges := [][2]graph.NodeID{{0, 2}, {0, 9}, {2, 3}, {9, 3}}
+	for _, leaf := range []graph.NodeID{1, 4, 5, 6, 7} {
+		edges = append(edges, [2]graph.NodeID{2, leaf})
+	}
+	for _, leaf := range []graph.NodeID{8, 10, 11, 12, 13} {
+		edges = append(edges, [2]graph.NodeID{9, leaf})
+	}
+	for leaf := graph.NodeID(14); leaf <= 20; leaf++ {
+		edges = append(edges, [2]graph.NodeID{3, leaf})
+	}
+	for _, e := range edges {
+		b.MustAddEdge(e[0], e[1])
+	}
+	single, shards := clusterOver(t, b.Finalize(), core.Options{NumHubs: 3, HubPolicy: hub.ByOutDegree, Delta: delta}, 2)
+	part := core.Partition{Shards: 2}
+	for _, h := range []graph.NodeID{2, 3, 9} {
+		if !single.Hubs().Contains(h) {
+			t.Fatalf("node %d is not a hub; the graph is built to make 2, 3 and 9 the hubs", h)
+		}
+	}
+	if part.Owner(0) != 0 || part.Owner(2) != 0 || part.Owner(9) != 1 {
+		t.Fatal("the case needs node 0 and hub 2 on shard 0 and hub 9 on shard 1")
+	}
+
+	root, err := shards[0].e.PartialRootSorted(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(root.FrontierNodes, []graph.NodeID{2, 9}) {
+		t.Fatalf("root frontier %v, want hubs 2 and 9", root.FrontierNodes)
+	}
+	var halves []float64
+	for s, h := range []graph.NodeID{2, 9} {
+		exp, err := shards[s].e.PartialExpand([]graph.NodeID{h}, root.FrontierScores[s:s+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, ok := slices.BinarySearch(exp.FrontierNodes, 3)
+		if !ok || exp.FrontierScores[k] <= 0 || exp.FrontierScores[k] > delta {
+			t.Fatalf("shard %d frontier %v %v: want a sub-delta prefix on hub 3", s, exp.FrontierNodes, exp.FrontierScores)
+		}
+		halves = append(halves, exp.FrontierScores[k])
+	}
+	if halves[0]+halves[1] <= delta {
+		t.Fatalf("hub 3's halves %v sum to at most delta %v", halves, delta)
+	}
+
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	stop := core.StopCondition{MaxIterations: 2}
+	want, err := single.Query(0, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Query(0, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Degraded || got.Iterations != 2 || got.PerIteration[2].HubsExpanded != 1 || want.PerIteration[2].HubsExpanded != 1 {
+		t.Fatalf("degraded %v, %d iterations, iteration 2 expanded %d (engine %d): want hub 3 expanded at iteration 2",
+			got.Degraded, got.Iterations, got.PerIteration[2].HubsExpanded, want.PerIteration[2].HubsExpanded)
+	}
+	if math.Float64bits(got.L1ErrorBound) != math.Float64bits(want.L1ErrorBound) || len(got.Entries) != len(want.Entries) {
+		t.Fatalf("routed bound %v over %d entries, engine %v over %d", got.L1ErrorBound, len(got.Entries), want.L1ErrorBound, len(want.Entries))
+	}
+	for k, en := range want.Entries {
+		if g := got.Entries[k]; g.Node != en.Node || math.Float64bits(g.Score) != math.Float64bits(en.Score) {
+			t.Fatalf("entry %d: routed %d=%v, engine %d=%v", k, g.Node, g.Score, en.Node, en.Score)
+		}
+	}
+}
+
+// TestLostFrontierMassCountsExpandableHubs: hubs at or below delta are pruned
+// at the root and never routed, so with shard 1 failing every expansion the
+// lost mass at eta=1 is exactly the ascending-hub sum of the above-delta root
+// prefixes shard 1 owns — less than its share of the unpruned frontier.
+func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
+	single, shards := testCluster(t, 2)
+	shards[1].hook = func(_ int, preq *api.PartialRequest) fault {
+		if preq.Frontier != nil {
+			return fault{err: &api.Error{Code: api.CodeInternal, Message: "boom"}}
+		}
+		return fault{}
+	}
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	part := core.Partition{Shards: 2}
+	checked := 0
+	for q := graph.NodeID(0); checked < 4; q++ {
+		if part.Owner(q) != 0 || single.Hubs().Contains(q) {
+			continue
+		}
+		root, err := shards[0].e.PartialRootSorted(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.HubsSkipped == 0 {
+			continue
+		}
+		want := 0.0
+		for k, h := range root.FrontierNodes {
+			if part.Owner(h) == 1 {
+				want += root.FrontierScores[k]
+			}
+		}
+		unpruned := 0.0
+		for k, n := range root.IncrementNodes {
+			if single.Hubs().Contains(n) && part.Owner(n) == 1 {
+				unpruned += root.IncrementScores[k]
+			}
+		}
+		res, err := r.Query(q, core.StopCondition{MaxIterations: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == 0 || !res.Degraded {
+			t.Fatalf("q=%d: degraded %v with %v above-delta mass routed to shard 1; the case needs both", q, res.Degraded, want)
+		}
+		if math.Float64bits(res.LostFrontierMass) != math.Float64bits(want) {
+			t.Errorf("q=%d: lost mass %v, want the above-delta prefixes on shard 1, %v", q, res.LostFrontierMass, want)
+		}
+		if !(res.LostFrontierMass < unpruned) {
+			t.Errorf("q=%d: lost mass %v is not below shard 1's unpruned frontier mass %v", q, res.LostFrontierMass, unpruned)
+		}
+		checked++
 	}
 }
 

@@ -188,8 +188,9 @@ func totalAlloc() uint64 {
 // which builds the estimate both as sorted entries and as the public map;
 // 30.3 KB a query served the way the server runs it (NewQuery, Run, HubDeps,
 // Close, TopK(10) — entries only, where the map-building path measured
-// 55.5 KB); 27.7 KB a shard leg (PartialRootSorted on a non-hub node, then
-// PartialExpand of its frontier — sorted slices only, where the map-based
+// 55.5 KB); ~23 KB a shard leg (PartialRootSorted on a non-hub node, its
+// frontier pruned by delta, then PartialExpand of that frontier — sorted
+// slices only; 27.7 KB with the unpruned frontier, and the map-based
 // PartialRoot/PartialExpand pair measured 70.3 KB); 1.09 MB a Precompute. The
 // map-based push measured 407 KB a query and 147 MB a Precompute.
 func TestAllocationCeilings(t *testing.T) {
@@ -199,7 +200,7 @@ func TestAllocationCeilings(t *testing.T) {
 	const (
 		queryCeiling      = 104_000   // bytes per non-hub Engine.Query at eta=2
 		servingCeiling    = 38_000    // bytes per non-hub served query at eta=2
-		partialCeiling    = 35_000    // bytes per non-hub root partial plus one expansion
+		partialCeiling    = 26_000    // bytes per non-hub root partial plus one expansion
 		precomputeCeiling = 1_360_000 // bytes per Precompute
 	)
 	before := totalAlloc()

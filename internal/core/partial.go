@@ -36,7 +36,10 @@ type PartialIncrement struct {
 	Increment sparse.Vector
 	Frontier  map[graph.NodeID]float64
 	// HubsExpanded and HubsSkipped count the hubs whose prime PPV was
-	// assembled and the hubs pruned by the delta threshold, respectively.
+	// assembled and the hubs pruned by the delta threshold, respectively. For
+	// a root, HubsSkipped is the number of border hubs pruned from the frontier
+	// (prefix at most delta); they are not in it, and the expansion that
+	// retires the frontier counts them as its skipped hubs.
 	HubsExpanded int
 	HubsSkipped  int
 	// Unowned lists, in ascending order, frontier hubs this shard refused
@@ -51,15 +54,19 @@ type PartialIncrement struct {
 
 // PartialRootSorted performs iteration 0 of a distributed query: the prime PPV
 // of q, loaded from this shard's index when q is a hub it owns and computed on
-// the fly otherwise. The returned frontier is the full initial border-hub
-// frontier (with the empty-tour self-correction already applied), ready to be
-// partitioned across shards by the router. Only the sorted slices are filled.
+// the fly otherwise. The returned frontier is the initial border-hub frontier
+// (with the empty-tour self-correction already applied) pruned by delta, ready
+// to be partitioned across shards by the router; HubsSkipped counts the hubs
+// pruned. Only the sorted slices are filled.
 func (e *Engine) PartialRootSorted(q graph.NodeID) (*PartialIncrement, error) {
 	qs, err := e.NewQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	out := &PartialIncrement{FromIndex: !qs.result.QueryPPVComputed}
+	out := &PartialIncrement{
+		FromIndex:   !qs.result.QueryPPVComputed,
+		HubsSkipped: qs.src.(*localSource).pruned,
+	}
 	out.IncrementNodes, out.IncrementScores = splitEntries(qs.bufs.acc.Entries())
 	out.FrontierNodes, out.FrontierScores = splitEntries(qs.bufs.frontier)
 	qs.release()
@@ -88,8 +95,9 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 // prefix slices, hubs strictly ascending (as the wire decoder delivers them),
 // restricted to the hubs this engine's partition owns: localSource.Expand's
 // per-hub kernel, but stateless — the caller owns the estimate, the frontier
-// merge and the stopping rule. Frontier hubs outside the partition are refused
-// into Unowned. An index read error is returned, not recovered by recomputing
+// merge and the stopping rule. Its next frontier is left unpruned (see
+// pruneFrontier). Frontier hubs outside the partition are refused into
+// Unowned. An index read error is returned, not recovered by recomputing
 // the hub: in a cluster it usually means this shard is restarting or
 // compacting away its descriptor, and the router's retry (or a wider bound) is
 // the correct recovery, not a local recomputation racing a dying store. A hub

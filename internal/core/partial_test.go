@@ -221,10 +221,72 @@ func TestPartialSingleShardByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPartialRootFrontierIsPruned: the root frontier is pruned by delta where
+// it is born. Every weight that leaves PartialRootSorted exceeds delta, and
+// the kept hubs plus HubsSkipped are exactly the positive-weight hub entries
+// of the increment, the query node's own entry less its empty tour.
+func TestPartialRootFrontierIsPruned(t *testing.T) {
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.7, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, nil, Options{NumHubs: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	var sources []graph.NodeID
+	hubSources := 0
+	for q := graph.NodeID(0); len(sources) < 40; q++ {
+		if e.Hubs().Contains(q) {
+			if hubSources == 8 {
+				continue
+			}
+			hubSources++
+		}
+		sources = append(sources, q)
+	}
+	pruned := 0
+	for _, q := range sources {
+		root, err := e.PartialRootSorted(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, w := range root.FrontierScores {
+			if !(w > e.opts.Delta) {
+				t.Errorf("q=%d: frontier hub %d has weight %v, not above delta %v", q, root.FrontierNodes[k], w, e.opts.Delta)
+			}
+		}
+		candidates := 0
+		for k, n := range root.IncrementNodes {
+			w := root.IncrementScores[k]
+			if n == q {
+				w -= e.opts.Alpha
+			}
+			if e.Hubs().Contains(n) && w > 0 {
+				candidates++
+			}
+		}
+		if len(root.FrontierNodes)+root.HubsSkipped != candidates {
+			t.Errorf("q=%d (hub %v): %d kept + %d pruned, the increment has %d positive hub entries",
+				q, e.Hubs().Contains(q), len(root.FrontierNodes), root.HubsSkipped, candidates)
+		}
+		pruned += root.HubsSkipped
+	}
+	if hubSources == 0 || pruned == 0 {
+		t.Fatalf("%d hub sources, %d hubs pruned: the test exercises neither the self-correction nor the prune", hubSources, pruned)
+	}
+}
+
 // TestPartialExpandThenFoldEqualsStep: PartialExpand and Step run one per-hub
 // kernel, so over a disabled partition a partial expansion of a query's
 // frontier, folded into its estimate, is the next Step entry for entry — the
-// increment, the next frontier and the hub counts, with == on the bits.
+// increment, the next frontier and the hub counts, with == on the bits. The
+// query's frontier is pruned by delta where it is born and the partial's is
+// not, so the partial's skips plus the query's pruned count are Step's skips,
+// and the partial's frontier pruned by delta is the query's next one.
 func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.7, Seed: 3})
 	if err != nil {
@@ -242,8 +304,10 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qs.Close()
+	src := qs.src.(*localSource)
 	for iter := 1; iter <= 3; iter++ {
 		hubs, prefixes := splitEntries(qs.bufs.frontier)
+		pruned := src.pruned
 		var folded sparse.Accumulator
 		folded.SetEntries(qs.bufs.acc.Entries())
 		part, err := e.PartialExpand(hubs, prefixes)
@@ -251,9 +315,12 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := qs.Step()
-		if part.HubsExpanded != st.HubsExpanded || part.HubsSkipped != st.HubsSkipped || len(part.Unowned) != 0 {
-			t.Fatalf("iteration %d: partial expanded %d skipped %d unowned %v, Step %d and %d",
-				iter, part.HubsExpanded, part.HubsSkipped, part.Unowned, st.HubsExpanded, st.HubsSkipped)
+		if part.HubsExpanded != st.HubsExpanded || part.HubsSkipped+pruned != st.HubsSkipped || len(part.Unowned) != 0 {
+			t.Fatalf("iteration %d: partial expanded %d skipped %d (+%d pruned) unowned %v, Step %d and %d",
+				iter, part.HubsExpanded, part.HubsSkipped, pruned, part.Unowned, st.HubsExpanded, st.HubsSkipped)
+		}
+		if part.HubsSkipped != 0 {
+			t.Errorf("iteration %d: the pruned frontier still had %d sub-delta hubs", iter, part.HubsSkipped)
 		}
 		var inc sparse.Accumulator
 		inc.AddSorted(part.IncrementNodes, part.IncrementScores)
@@ -263,9 +330,16 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 		folded.AddAccumulator(&inc)
 		sameEntries(t, fmt.Sprintf("iteration %d: estimate after Step vs fold of the partial", iter),
 			qs.bufs.acc.Entries(), folded.Entries())
-		wantHubs, wantPrefixes := splitEntries(qs.bufs.frontier)
-		sameSlices(t, fmt.Sprintf("iteration %d: partial frontier vs Step's", iter),
-			part.FrontierNodes, part.FrontierScores, wantHubs, wantPrefixes)
+		var next []sparse.Entry
+		for k, h := range part.FrontierNodes {
+			next = append(next, sparse.Entry{Node: h, Score: part.FrontierScores[k]})
+		}
+		next, nextPruned := e.pruneFrontier(next)
+		sameEntries(t, fmt.Sprintf("iteration %d: pruned partial frontier vs Step's", iter), next, qs.bufs.frontier)
+		if nextPruned != src.pruned || len(part.FrontierNodes) != qs.src.Frontier() {
+			t.Errorf("iteration %d: partial frontier of %d hubs prunes %d, the query holds %d pruned of %d",
+				iter, len(part.FrontierNodes), nextPruned, src.pruned, qs.src.Frontier())
+		}
 	}
 }
 

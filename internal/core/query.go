@@ -86,7 +86,9 @@ type Source interface {
 	// reports that the prime PPV was pushed on the fly rather than read from a
 	// stored record.
 	Root(q graph.NodeID, estimate *sparse.Accumulator) (computed bool, err error)
-	// Frontier returns the number of border hubs awaiting expansion.
+	// Frontier returns the number of border hubs awaiting expansion,
+	// counting those already pruned by delta: the next Expand reports them
+	// skipped without expanding them.
 	Frontier() int
 	// Expand retires the held frontier as iteration iter: it leaves the PPV
 	// increment in inc (empty on entry; sorted and combined on return), holds
@@ -220,6 +222,9 @@ type localSource struct {
 	adj  prime.Adjacency
 	b    *queryBufs
 	deps map[graph.NodeID]struct{}
+	// pruned counts the border hubs dropped from the held frontier because
+	// their prefix is at most delta; the next Expand reports them skipped.
+	pruned int
 }
 
 func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, error) {
@@ -258,10 +263,11 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 			b.frontier = append(b.frontier, sparse.Entry{Node: en.Node, Score: w})
 		}
 	}
+	b.frontier, s.pruned = e.pruneFrontier(b.frontier)
 	return !fromIndex, nil
 }
 
-func (s *localSource) Frontier() int { return len(s.b.frontier) }
+func (s *localSource) Frontier() int { return len(s.b.frontier) + s.pruned }
 
 // Expand runs the kernel over every frontier hub. The frontier slice is
 // sorted by ascending hub id, so hubs are expanded in deterministic order and
@@ -272,6 +278,7 @@ func (s *localSource) Frontier() int { return len(s.b.frontier) }
 // built indexes at the cost of extra work.
 func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, skipped int) {
 	b := s.b
+	skipped = s.pruned
 	for _, fe := range b.frontier {
 		if ok, _ := s.e.stageHub(b, inc, fe.Node, fe.Score, true); ok {
 			s.deps[fe.Node] = struct{}{}
@@ -281,7 +288,28 @@ func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, 
 		}
 	}
 	b.frontier, b.nextFrontier = s.e.foldStaged(inc, b.nextFrontier[:0]), b.frontier
+	b.frontier, s.pruned = s.e.pruneFrontier(b.frontier)
 	return expanded, skipped
+}
+
+// expandable is Algorithm 2's delta rule: a border hub is extended only when
+// its prefix exceeds delta. stageHub applies it to every hub it is handed, and
+// pruneFrontier applies it once where a complete frontier is born.
+func (e *Engine) expandable(prefix float64) bool { return prefix > e.opts.Delta }
+
+// pruneFrontier filters a complete frontier in place down to the hubs the
+// kernel will expand and returns them with the number dropped. Only a
+// frontier that holds each hub's whole prefix may be pruned: a shard's
+// PartialExpand frontier is one addend of the router's sum, and two sub-delta
+// addends can exceed delta, so that frontier is left to stageHub.
+func (e *Engine) pruneFrontier(frontier []sparse.Entry) (kept []sparse.Entry, pruned int) {
+	kept = frontier[:0]
+	for _, en := range frontier {
+		if e.expandable(en.Score) {
+			kept = append(kept, en)
+		}
+	}
+	return kept, len(frontier) - len(kept)
 }
 
 // stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11): prune by
@@ -296,7 +324,7 @@ func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, 
 // pushed on the fly too and err is always nil; without it the read error is
 // returned.
 func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, prefix float64, recompute bool) (bool, error) {
-	if prefix <= e.opts.Delta {
+	if !e.expandable(prefix) {
 		return false, nil
 	}
 	scale := prefix / e.opts.Alpha
