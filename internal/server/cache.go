@@ -1,13 +1,13 @@
 package server
 
 import (
-	"container/list"
+	"encoding/binary"
 	"hash/maphash"
 	"math"
-	"sync"
 
 	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
+	"fastppv/internal/lru"
 	"fastppv/internal/querylog"
 	"fastppv/internal/sparse"
 )
@@ -59,8 +59,6 @@ type cachedAnswer struct {
 	// legs are the per-shard sub-request summaries of a router-mode answer,
 	// recorded in the query log.
 	legs []querylog.LegSummary
-	// bytes is the estimated memory footprint used for budget accounting.
-	bytes int64
 }
 
 // sizeBytes estimates the footprint of an answer: the sparse estimate and the
@@ -81,7 +79,7 @@ func (a *cachedAnswer) sizeBytes() int64 {
 		int64(len(a.deps))*perDep
 }
 
-// CacheStats is a point-in-time summary of the cache, aggregated over shards.
+// CacheStats is the result cache's block of /v1/stats.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
@@ -93,186 +91,33 @@ type CacheStats struct {
 	BudgetBytes   int64 `json:"budget_bytes"`
 }
 
-// Cache is a sharded LRU over query answers with a global byte budget split
-// evenly across shards. Sharding keeps lock contention off the hot query path
-// under concurrent load; each shard is an independent mutex + LRU list.
-type Cache struct {
-	shards []*cacheShard
-	seed   maphash.Seed
-	budget int64
+func cacheStats(st lru.Stats) CacheStats {
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions,
+		Invalidations: st.Invalidations, Entries: st.Entries, Bytes: st.Bytes, BudgetBytes: st.BudgetBytes}
 }
 
-type cacheShard struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	lru    *list.List // front = most recently used; values are *cacheEntry
-	byKey  map[CacheKey]*list.Element
+// Cache is the result cache: answers by key under a byte budget, with
+// concurrent identical misses coalesced into one computation (Do).
+type Cache = lru.Cache[CacheKey, *cachedAnswer]
 
-	hits, misses, puts, evictions, invalidations int64
-}
+// cacheShards is the server's result-cache shard count.
+const cacheShards = 16
 
-type cacheEntry struct {
-	key CacheKey
-	ans *cachedAnswer
-}
-
-// NewCache creates a cache with the given total byte budget across numShards
-// shards. A non-positive budget or shard count falls back to defaults.
+// NewCache creates a result cache of budgetBytes over numShards shards. A
+// non-positive budget retains nothing, so the cache only coalesces.
 func NewCache(budgetBytes int64, numShards int) *Cache {
-	if budgetBytes <= 0 {
-		budgetBytes = 64 << 20
-	}
-	if numShards <= 0 {
-		numShards = 16
-	}
-	c := &Cache{
-		shards: make([]*cacheShard, numShards),
-		seed:   maphash.MakeSeed(),
-		budget: budgetBytes,
-	}
-	perShard := budgetBytes / int64(numShards)
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			budget: perShard,
-			lru:    list.New(),
-			byKey:  make(map[CacheKey]*list.Element),
-		}
-	}
-	return c
+	seed := maphash.MakeSeed()
+	return lru.New[CacheKey, *cachedAnswer](budgetBytes, numShards, func(k CacheKey) uint64 { return k.hash(seed) })
 }
 
-func (c *Cache) shardFor(k CacheKey) *cacheShard {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteByte(byte(k.Node))
-	h.WriteByte(byte(k.Node >> 8))
-	h.WriteByte(byte(k.Node >> 16))
-	h.WriteByte(byte(k.Node >> 24))
-	h.WriteByte(byte(k.Eta))
-	// TargetError is part of the key, so it must be part of the hash: keys
-	// differing only in target error would otherwise all land on one shard
-	// and serialize on its mutex.
-	te := math.Float64bits(k.TargetError)
-	for i := 0; i < 8; i++ {
-		h.WriteByte(byte(te >> (8 * i)))
-	}
-	for i := 0; i < 8; i++ {
-		h.WriteByte(byte(k.Epoch >> (8 * i)))
-	}
-	return c.shards[h.Sum64()%uint64(len(c.shards))]
-}
-
-// Get returns the cached answer for k, promoting it to most recently used.
-func (c *Cache) Get(k CacheKey) (*cachedAnswer, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byKey[k]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).ans, true
-}
-
-// Put stores the answer for k, replacing any previous entry, and evicts from
-// the least recently used end until the shard is back under budget. Answers
-// larger than a whole shard budget are not cached at all.
-func (c *Cache) Put(k CacheKey, ans *cachedAnswer) {
-	if ans.bytes == 0 {
-		ans.bytes = ans.sizeBytes()
-	}
-	s := c.shardFor(k)
-	if ans.bytes > s.budget {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// puts counts every successful store, replacements included; counting
-	// only inserts would make hit-ratio accounting drift on workloads that
-	// refresh existing keys.
-	s.puts++
-	if el, ok := s.byKey[k]; ok {
-		old := el.Value.(*cacheEntry)
-		s.bytes -= old.ans.bytes
-		old.ans = ans
-		s.bytes += ans.bytes
-		s.lru.MoveToFront(el)
-	} else {
-		el := s.lru.PushFront(&cacheEntry{key: k, ans: ans})
-		s.byKey[k] = el
-		s.bytes += ans.bytes
-	}
-	for s.bytes > s.budget {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		s.removeLocked(back)
-		s.evictions++
-	}
-}
-
-func (s *cacheShard) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	s.lru.Remove(el)
-	delete(s.byKey, ent.key)
-	s.bytes -= ent.ans.bytes
-}
-
-// Invalidate removes every entry for which stale returns true and reports how
-// many were dropped. It is called under the server's update lock, so no new
-// stale entries can be inserted concurrently.
-func (c *Cache) Invalidate(stale func(CacheKey, *cachedAnswer) bool) int {
-	dropped := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		var next *list.Element
-		for el := s.lru.Front(); el != nil; el = next {
-			next = el.Next()
-			ent := el.Value.(*cacheEntry)
-			if stale(ent.key, ent.ans) {
-				s.removeLocked(el)
-				s.invalidations++
-				dropped++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return dropped
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.byKey)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats aggregates the per-shard counters.
-func (c *Cache) Stats() CacheStats {
-	var st CacheStats
-	st.BudgetBytes = c.budget
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Puts += s.puts
-		st.Evictions += s.evictions
-		st.Invalidations += s.invalidations
-		st.Entries += len(s.byKey)
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
+// hash is the shard hash of k. Keys come from clients, so it is seeded: no
+// client can aim its queries at one shard's mutex. Every field is hashed at
+// full width; keys differing in one field only would otherwise share a shard.
+func (k CacheKey) hash(seed maphash.Seed) uint64 {
+	var b [28]byte
+	binary.LittleEndian.PutUint32(b[0:], uint32(k.Node))
+	binary.LittleEndian.PutUint64(b[4:], uint64(k.Eta))
+	binary.LittleEndian.PutUint64(b[12:], math.Float64bits(k.TargetError))
+	binary.LittleEndian.PutUint64(b[20:], k.Epoch)
+	return maphash.Bytes(seed, b[:])
 }

@@ -85,9 +85,10 @@ func (m *serverMetrics) observeQuery(iterations int, bound float64, hubsExpanded
 // computed at scrape time from state the server maintains anyway.
 func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	reg.Collect(func(e *telemetry.Emitter) {
+		cs := s.cache.Stats()
 		e.Counter("fastppv_coalesced_total",
 			"Requests answered by sharing another request's in-flight computation.",
-			float64(s.flights.Coalesced()))
+			float64(cs.Coalesced))
 		e.Counter("fastppv_updates_applied_total",
 			"Graph-update batches accepted by this server.", float64(s.updates.Load()))
 		adm := s.adm.stats()
@@ -97,8 +98,7 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		e.Gauge("fastppv_admission_in_flight", "Full-accuracy computations currently running.", float64(adm.InFlight))
 		e.Gauge("fastppv_admission_in_flight_degraded", "Degraded computations currently running.", float64(adm.InFlightDegraded))
 		e.Gauge("fastppv_admission_max_concurrent", "Full-accuracy slot capacity.", float64(adm.MaxConcurrent))
-		if s.cache != nil {
-			cs := s.cache.Stats()
+		if s.cfg.CacheBytes > 0 {
 			e.Counter("fastppv_cache_hits_total", "Result-cache hits.", float64(cs.Hits))
 			e.Counter("fastppv_cache_misses_total", "Result-cache misses.", float64(cs.Misses))
 			e.Counter("fastppv_cache_puts_total", "Result-cache fills.", float64(cs.Puts))

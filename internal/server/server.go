@@ -59,6 +59,7 @@ import (
 	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
+	"fastppv/internal/lru"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
 	"fastppv/internal/sparse"
@@ -81,10 +82,8 @@ type Config struct {
 	DefaultTopK int
 	MaxTopK     int
 	// CacheBytes is the result cache budget; zero means 64 MiB. Negative
-	// disables caching.
+	// disables caching (concurrent identical queries still coalesce).
 	CacheBytes int64
-	// CacheShards is the number of cache shards; zero means 16.
-	CacheShards int
 	// MaxConcurrent bounds concurrent full-accuracy computations; zero means
 	// GOMAXPROCS.
 	MaxConcurrent int
@@ -158,9 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -197,7 +193,6 @@ type Server struct {
 	router  *cluster.Router // nil in engine mode
 	be      backend         // engine or router, for everything both can answer
 	cache   *Cache
-	flights *flightGroup
 	adm     *admission
 	streams *streamSet // open binary partial streams (engine mode)
 
@@ -261,7 +256,7 @@ func newServer(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		flights:  newFlightGroup(),
+		cache:    NewCache(cfg.CacheBytes, cacheShards),
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.QueueWait),
 		streams:  newStreamSet(),
 		registry: reg,
@@ -271,9 +266,6 @@ func newServer(cfg Config) *Server {
 		qlog:     cfg.QueryLog,
 		traces:   newTraceRing(cfg.TraceRetain),
 		slo:      newSLOTracker(cfg.SLOLatency, cfg.SLOBound),
-	}
-	if cfg.CacheBytes > 0 {
-		s.cache = NewCache(cfg.CacheBytes, cfg.CacheShards)
 	}
 	return s
 }
@@ -538,7 +530,7 @@ func (s *Server) parseQuery(q rawQuery) (queryRequest, error) {
 		req.targetError, err = strconv.ParseFloat(v, 64)
 		// Reject NaN explicitly: a NaN inside CacheKey never equals itself,
 		// so it would poison every map the key passes through (cache shards,
-		// flight group) with unreachable, unremovable entries.
+		// in-flight loads) with unreachable, unremovable entries.
 		if err != nil || math.IsNaN(req.targetError) || math.IsInf(req.targetError, 0) || req.targetError < 0 {
 			return req, badRequest("bad target-error %q", v)
 		}
@@ -574,47 +566,43 @@ const (
 	cacheBypass    cacheState = "bypass"
 )
 
-// answer resolves a query through the cache, the flight group and finally the
-// backend.
+// answer resolves a query through the cache: a retained answer, a computation
+// of the same key already in flight, or finally the backend.
 func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Epoch: s.be.keyEpoch()}
-	if s.cache != nil {
-		if ans, ok := s.cache.Get(key); ok {
-			return ans, cacheHit, nil
-		}
-	}
-	ans, shared, err := s.flights.Do(key, func(unregister func()) (*cachedAnswer, error) {
-		ans, _, err := s.compute(key, unregister, "")
+	ans, outcome, err := s.cache.Do(key, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
+		ans, _, err := s.compute(key, end, "")
 		return ans, err
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, cacheMiss, err
+	case s.cfg.CacheBytes < 0:
+		return ans, cacheBypass, nil
+	case outcome == lru.Hit:
+		return ans, cacheHit, nil
+	case outcome == lru.Shared:
+		return ans, cacheCoalesced, nil
 	}
-	state := cacheMiss
-	if shared {
-		state = cacheCoalesced
-	}
-	if s.cache == nil {
-		state = cacheBypass
-	}
-	return ans, state, nil
+	return ans, cacheMiss, nil
 }
 
 // compute runs one query under admission control: admit, ask the backend,
-// observe, capture the trace, fill the cache, unregister the flight. Requests
-// that cannot get a full-service slot are degraded to DegradedEta iterations
-// (degraded answers are returned but never cached); when even the degraded
-// pool is full the request is shed with 503. The read lock is held from the
-// query to the unregister, so an engine update's invalidation sweep can never
-// race a stale cache fill and a request arriving after the update can never
-// join a pre-update computation (in router mode nothing ever write-locks it).
+// observe, capture the trace, end the cache flight (retaining the answer if
+// it is cacheable). Requests that cannot get a full-service slot are degraded
+// to DegradedEta iterations (degraded answers are returned but never cached);
+// when even the degraded pool is full the request is shed with 503. The read
+// lock is held from the query to the end of the flight, so an engine update's
+// invalidation sweep can never race a stale cache fill and a request arriving
+// after the update can never join a pre-update computation (in router mode
+// nothing ever write-locks it).
 //
 // A non-empty explicitID makes this an explicit (?trace=1) computation: the
 // id travels to every shard leg, the trace is retained under it whatever the
 // outcome and returned, and the answer is not cached — its caller has
-// bypassed the cache and the flight group, so unregister is a no-op. The
-// returned trace is nil when the always-on capturer did not retain one.
-func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*cachedAnswer, *RetainedTrace, error) {
+// bypassed the cache, so end is a no-op. The returned trace is nil when the
+// always-on capturer did not retain one.
+func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), explicitID string) (*cachedAnswer, *RetainedTrace, error) {
 	explicit := explicitID != ""
 	if explicit {
 		s.metrics.tracedQueries.Inc()
@@ -660,10 +648,7 @@ func (s *Server) compute(key CacheKey, unregister func(), explicitID string) (*c
 	// shards; they must not outlive the condition in the cache. An answer an
 	// update raced (the key epoch has moved on) is left uncached too: no
 	// future lookup would use the outdated key.
-	if s.cache != nil && !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch {
-		s.cache.Put(key, ans)
-	}
-	unregister()
+	end(ans, ans.sizeBytes(), !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch)
 	return ans, rt, nil
 }
 
@@ -711,15 +696,15 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 	}
 	if wantTrace(params) {
 		// An explicit trace is the ordinary computation with a caller-chosen
-		// id and forced retention, outside the result cache and the flight
-		// group: the trace must describe the computation this request
+		// id and forced retention, outside the result cache and its
+		// coalescing: the trace must describe the computation this request
 		// performed, and its volatile timing never enters a cacheable body.
 		traceID := r.Header.Get(api.TraceHeader)
 		if traceID == "" {
 			traceID = newTraceID()
 		}
 		key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError}
-		ans, rt, err := s.compute(key, func() {}, traceID)
+		ans, rt, err := s.compute(key, func(*cachedAnswer, int64, bool) {}, traceID)
 		if err != nil {
 			s.finishQuery(req, nil, cacheBypass, start, true, err)
 			writeError(w, err)
@@ -1016,9 +1001,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// answer and fail health checks so a load balancer rotates this
 		// replica out instead of serving silently wrong scores.
 		s.inconsistent.Store(true)
-		if s.cache != nil {
-			invalidated = s.cache.Invalidate(func(CacheKey, *cachedAnswer) bool { return true })
-		}
+		invalidated = s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -1052,11 +1035,10 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, ureq UpdateRequest) 
 		return
 	}
 	// The epoch in the cache key already retires pre-update entries; the
-	// sweep just returns their memory ahead of LRU pressure.
-	invalidated := 0
-	if s.cache != nil {
-		invalidated = s.cache.Invalidate(func(CacheKey, *cachedAnswer) bool { return true })
-	}
+	// sweep just returns their memory ahead of LRU pressure. It runs without
+	// a lock: a pre-update computation ending after it retains its answer
+	// under the old epoch, where no lookup reaches it again.
+	invalidated := s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
 	s.updates.Add(1)
 	writeJSON(w, http.StatusOK, api.ClusterUpdateResponse{
 		Epoch:         cu.Epoch,
@@ -1092,9 +1074,6 @@ func statusForCode(code string) int {
 // (their on-the-fly prime PPV crossed the modified region). Called with the
 // write lock held, so no stale fill can interleave.
 func (s *Server) invalidateLocked(stats core.UpdateStats) int {
-	if s.cache == nil {
-		return 0
-	}
 	recomputed := make(map[graph.NodeID]struct{}, len(stats.Recomputed))
 	for _, h := range stats.Recomputed {
 		recomputed[h] = struct{}{}
@@ -1103,7 +1082,7 @@ func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 	for _, t := range stats.TouchedNodes {
 		touched[t] = struct{}{}
 	}
-	return s.cache.Invalidate(func(k CacheKey, ans *cachedAnswer) bool {
+	return s.cache.InvalidateFunc(func(k CacheKey, ans *cachedAnswer) bool {
 		if _, ok := touched[k.Node]; ok {
 			return true
 		}
@@ -1269,16 +1248,17 @@ type durabilityStatser interface {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	cst := s.cache.Stats()
 	resp := StatsResponse{
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Admission:      s.adm.stats(),
-		Coalesced:      s.flights.Coalesced(),
+		Coalesced:      cst.Coalesced,
 		UpdatesApplied: s.updates.Load(),
 		Endpoints:      make(map[string]EndpointLatency, len(instrumentedEndpoints)),
 	}
 	s.be.stats(&resp)
-	if s.cache != nil {
-		st := s.cache.Stats()
+	if s.cfg.CacheBytes > 0 {
+		st := cacheStats(cst)
 		resp.Cache = &st
 	}
 	if s.qlog != nil {
