@@ -16,13 +16,14 @@
 //
 //	fastppvd -graph g.txt -index idx.ppv -block-cache-bytes 134217728
 //
-// Incremental updates applied to a disk-served index are durable: each
-// update's recomputed hub PPVs are committed to an update log (-update-log,
-// default <index>.log) and the graph mutation itself to a graph-mutation log
-// (-graph-log, default <index>.graphlog) before the update returns, and a
-// restart replays both — the daemon serves the updated graph, PPVs and index
-// epoch even though -graph still names the original file. The update log is
-// folded back into the index by compaction — automatic past
+// Incremental updates applied to a disk-served index are always durable:
+// the index's store (ppvindex.Store) owns both logs and commits each update's
+// recomputed hub PPVs to the update log (-update-log, default <index>.log)
+// and then the graph mutation itself to the graph-mutation log (-graph-log,
+// default <index>.graphlog) before the update returns, and a restart replays
+// both — the daemon serves the updated graph, PPVs and index epoch even
+// though -graph still names the original file. The update log is folded
+// back into the index by compaction — automatic past
 // -compact-threshold-bytes, or on demand via POST /v1/compact.
 //
 // Cluster mode splits the hub index horizontally across processes. A shard
@@ -123,8 +124,8 @@ func run(args []string) error {
 	indexPath := fs.String("index", "", "serve from this on-disk index file (opened if present, precomputed into it otherwise)")
 	blockCacheBytes := fs.Int64("block-cache-bytes", 0, "hub-block cache budget for -index mode (0 = 64 MiB default, negative disables)")
 	mmap := fs.Bool("mmap", false, "serve the -index file from a memory mapping (zero-copy record views); falls back to pread when the platform cannot map it")
-	updateLog := fs.String("update-log", "", "update log for -index mode (empty = <index>.log, \"none\" disables durable updates)")
-	graphLog := fs.String("graph-log", "", "graph-mutation log for -index mode (empty = <index>.graphlog, \"none\" disables graph durability)")
+	updateLog := fs.String("update-log", "", "update log of recomputed hub PPVs for -index mode (empty = <index>.log); replayed on restart")
+	graphLog := fs.String("graph-log", "", "graph-mutation log for -index mode (empty = <index>.graphlog); replayed on restart, committed after the update log")
 	compactThreshold := fs.Int64("compact-threshold-bytes", 0, "auto-compact the update log past this size (0 = 64 MiB default, negative = manual /v1/compact only)")
 	alpha := fs.Float64("alpha", fastppv.DefaultAlpha, "teleporting probability")
 	eta := fs.Int("eta", 2, "default online iterations per query")
@@ -234,20 +235,10 @@ func run(args []string) error {
 	}
 	dio := fastppv.DiskIndexOptions{
 		BlockCacheBytes:       *blockCacheBytes,
+		UpdateLogPath:         *updateLog,
 		CompactThresholdBytes: *compactThreshold,
+		GraphLogPath:          *graphLog,
 		Mmap:                  *mmap,
-	}
-	switch *updateLog {
-	case "none":
-		dio.DisableUpdateLog = true
-	default:
-		dio.UpdateLogPath = *updateLog
-	}
-	switch *graphLog {
-	case "none":
-		dio.DisableGraphLog = true
-	default:
-		dio.GraphLogPath = *graphLog
 	}
 	var engine *fastppv.Engine
 	if *indexPath != "" {
@@ -370,11 +361,8 @@ func openOrBuildDiskIndex(g *fastppv.Graph, opts fastppv.Options, path string, d
 	return fastppv.OpenDiskIndexWithOptions(g, opts, path, dio)
 }
 
-// updateLogDesc renders the update-log configuration for the startup line.
+// updateLogDesc renders the update-log path for the startup line.
 func updateLogDesc(indexPath string, dio fastppv.DiskIndexOptions) string {
-	if dio.DisableUpdateLog {
-		return "disabled"
-	}
 	if dio.UpdateLogPath != "" {
 		return dio.UpdateLogPath
 	}

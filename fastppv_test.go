@@ -480,9 +480,6 @@ func TestPublicAPIDiskUpdateDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := durabilityOf(t, engine)
-	if !ds.LogEnabled {
-		t.Fatal("OpenDiskIndex should enable the update log by default")
-	}
 	if ds.OverlayHubs != ustats.AffectedHubs || ds.LogRecords != int64(ustats.AffectedHubs) {
 		t.Errorf("durability stats %+v do not match the %d recomputed hubs", ds, ustats.AffectedHubs)
 	}
@@ -846,7 +843,7 @@ func TestPublicAPIGraphMutationDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := durabilityOf(t, engine)
-	if !ds.GraphLogEnabled || ds.GraphLogRecords != 1 {
+	if ds.GraphLogRecords != 1 {
 		t.Fatalf("durability stats %+v, want one graph-log record", ds)
 	}
 	if err := closeIndex(); err != nil {
@@ -872,28 +869,101 @@ func TestPublicAPIGraphMutationDurability(t *testing.T) {
 	if d := res2.Estimate.L1Distance(after.Estimate); d > 1e-12 {
 		t.Errorf("post-restart PPV differs from pre-restart one by %v: the graph reverted", d)
 	}
+	assertBoundHolds(t, engine2, 6)
 	if err := closeIndex2(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Control: with the graph log disabled the same reopen reverts to the
-	// original graph — proving the assertion above is load-bearing.
-	engine3, closeIndex3, err := OpenDiskIndexWithOptions(g, Options{NumHubs: 30}, path,
-		DiskIndexOptions{BlockCacheBytes: 8 << 20, DisableGraphLog: true})
+	// Control: an in-memory engine on the original graph answers the
+	// pre-update PPV, and the replayed answer must differ from it — proving
+	// the assertion above is load-bearing.
+	orig, err := New(g, Options{NumHubs: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeIndex3()
-	if got := engine3.Epoch(); got != 0 {
-		t.Errorf("epoch without graph log = %d, want 0", got)
+	if err := orig.Precompute(); err != nil {
+		t.Fatal(err)
 	}
-	res3, err := engine3.Query(from, rootOnly)
+	res3, err := orig.Query(from, rootOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res3.Estimate.L1Distance(after.Estimate); d == 0 {
-		t.Error("reopen without the graph log still served the updated graph; the durability test proves nothing")
+	if d := res3.Estimate.L1Distance(res2.Estimate); d == 0 {
+		t.Error("the replayed answer equals the original graph's; the durability test proves nothing")
 	}
+}
+
+// assertBoundHolds checks Theorem 2 on every node of the graph e serves: at
+// eta iterations the reported L1 error bound covers the distance to the
+// exact PPV of e.Graph().
+func assertBoundHolds(t *testing.T, e *Engine, eta int) {
+	t.Helper()
+	for q := NodeID(0); int(q) < e.Graph().NumNodes(); q++ {
+		res, err := e.Query(q, StopCondition{MaxIterations: eta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ExactPPV(e.Graph(), q, DefaultAlpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trueErr := exact.L1Distance(res.Estimate); trueErr > res.L1ErrorBound+1e-9 {
+			t.Fatalf("node %d: true L1 error %.6f exceeds the reported bound %.6f by %.6f",
+				q, trueErr, res.L1ErrorBound, trueErr-res.L1ErrorBound)
+		}
+	}
+}
+
+// TestPublicAPIBuildEngineUpdateDurability: the engine that precomputed a
+// disk index can take updates before it is closed, and those commit both
+// halves — the recomputed hub PPVs and the graph mutation — so the reopened
+// index serves one graph: the updated one, at the updated epoch, with the
+// error bound holding for every node.
+func TestPublicAPIBuildEngineUpdateDurability(t *testing.T) {
+	g := buildTestGraph(t, 300, 4, 23)
+	path := filepath.Join(t.TempDir(), "index.ppv")
+	opts := Options{NumHubs: 30}
+	build, closeBuild, err := NewWithDiskIndex(g, opts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	from := nonHubNode(t, build, 200)
+	to := nonHubNode(t, build, from+1)
+	upd := GraphUpdate{AddedEdges: []Edge{{From: from, To: to}, {From: 1, To: 2}, {From: 3, To: 4}, {From: 10, To: 250}}}
+	if _, err := build.ApplyUpdate(upd); err != nil {
+		t.Fatal(err)
+	}
+	rootOnly := StopCondition{MaxIterations: 0}
+	before, err := build.Query(from, rootOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closeBuild(); err != nil {
+		t.Fatal(err)
+	}
+
+	engine, closeIndex, err := OpenDiskIndex(g, opts, path, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex()
+	if got := engine.Epoch(); got != 1 {
+		t.Errorf("epoch after reopen = %d, want 1", got)
+	}
+	if ds := durabilityOf(t, engine); ds.GraphLogRecords != 1 {
+		t.Errorf("durability stats %+v, want one graph-log record", ds)
+	}
+	after, err := engine.Query(from, rootOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Entries, before.Entries) {
+		t.Errorf("iteration-0 answer of node %d changed across the restart", from)
+	}
+	assertBoundHolds(t, engine, 6)
 }
 
 // TestPublicAPIGraphLogTornTailReplay mirrors the update-log torn-tail suite

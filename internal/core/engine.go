@@ -17,9 +17,8 @@ import (
 
 // IndexStore is the combination of read and write access the engine needs for
 // its PPV index: hub records read as views (GetView) and written as encoded
-// payloads (PutEncoded). ppvindex.MemIndex is one; fastppv's disk store builds
-// one from the pair DiskWriter/DiskIndex. NewEngine defaults to an in-memory
-// index.
+// payloads (PutEncoded). ppvindex.MemIndex is one; ppvindex.Store, the
+// durable disk store, is the other. NewEngine defaults to an in-memory index.
 type IndexStore interface {
 	ppvindex.Index
 	ppvindex.Writer

@@ -6,23 +6,14 @@ import (
 	"time"
 
 	"fastppv/internal/graph"
+	"fastppv/internal/ppvindex"
 	"fastppv/internal/sparse"
 )
 
 // GraphUpdate describes a batch of edge insertions and deletions applied to
-// the engine's graph. Node identifiers must already exist; adding nodes is
-// expressed by growing NumNodes (new isolated nodes become valid targets of
-// added edges).
-type GraphUpdate struct {
-	// AddedEdges are edges to insert (interpreted as logical edges: a single
-	// entry on an undirected graph adds both orientations).
-	AddedEdges []graph.Edge
-	// RemovedEdges are edges to delete. On an undirected graph either
-	// orientation identifies the edge.
-	RemovedEdges []graph.Edge
-	// NumNodes, when larger than the current node count, grows the node set.
-	NumNodes int
-}
+// the engine's graph; it is the batch the disk store's graph-mutation log
+// persists, declared once in package ppvindex.
+type GraphUpdate = ppvindex.GraphMutation
 
 // UpdateStats reports the cost of an incremental index maintenance pass.
 type UpdateStats struct {
@@ -45,24 +36,16 @@ type UpdateStats struct {
 }
 
 // UpdateCommitter is implemented by index stores that stage incremental
-// update writes durably (e.g. behind a write-ahead log) and need an explicit
-// commit: ApplyUpdate calls CommitUpdates exactly once, after every staged
-// Put of one update has been handed to the store, so the store can make the
-// whole batch durable with a single fsync. Stores without durability concerns
-// (the in-memory index) simply don't implement it.
+// update writes durably (ppvindex.Store, behind its update and graph-mutation
+// logs) and need an explicit commit: ApplyUpdate calls CommitUpdates exactly
+// once, after every staged Put of one update has been handed to the store,
+// with the batch that caused them, so the store can make the recomputed PPVs
+// and the mutation durable in one commit. Reopening such a store replays the
+// logged batches into the graph, so on-the-fly PPVs of non-hub queries do not
+// revert to the original graph after a restart. Stores without durability
+// concerns (the in-memory index) simply don't implement it.
 type UpdateCommitter interface {
-	CommitUpdates() error
-}
-
-// GraphUpdateLogger is implemented by index stores that persist the graph
-// mutations themselves (fastppv's disk store, behind a graph-mutation log):
-// ApplyUpdate hands the batch over after every staged Put and before
-// CommitUpdates, so the store can make the recomputed PPVs and the mutation
-// that caused them durable in the same commit. Reopening such a store replays
-// the logged batches into the graph, so on-the-fly PPVs of non-hub queries do
-// not revert to the original graph after a restart.
-type GraphUpdateLogger interface {
-	AppendGraphUpdate(upd GraphUpdate) error
+	CommitUpdates(upd GraphUpdate) error
 }
 
 // ApplyUpdate implements the dynamic-graph extension sketched in the paper's
@@ -156,21 +139,12 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 			return stats, fmt.Errorf("core: re-indexing hub %d: %w", h, err)
 		}
 	}
-	// Stage the graph mutation itself alongside the PPV rewrites: a store
-	// with a graph-mutation log appends the batch here and fsyncs it in
-	// CommitUpdates below, so a restart replays the same graph this update
-	// produced.
-	if gl, ok := e.index.(GraphUpdateLogger); ok {
-		if err := gl.AppendGraphUpdate(upd); err != nil {
-			return stats, fmt.Errorf("core: logging graph update: %w", err)
-		}
-	}
-	// Commit the staged writes as one durable batch before adopting the new
-	// graph: a store that logs updates fsyncs here, so either the whole batch
-	// is durable or the update reports failure (and the serving layer flips
-	// the replica to inconsistent).
+	// Commit the staged writes and the mutation itself as one durable batch
+	// before adopting the new graph: a store that logs updates fsyncs here,
+	// so either the whole batch is durable or the update reports failure (and
+	// the serving layer flips the replica to inconsistent).
 	if c, ok := e.index.(UpdateCommitter); ok {
-		if err := c.CommitUpdates(); err != nil {
+		if err := c.CommitUpdates(upd); err != nil {
 			return stats, fmt.Errorf("core: committing index update: %w", err)
 		}
 	}

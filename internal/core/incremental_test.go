@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"fastppv/internal/gen"
@@ -197,11 +198,13 @@ func TestApplyUpdateGrowsNodeSet(t *testing.T) {
 }
 
 // committingStore wraps a MemIndex and records UpdateCommitter calls: puts
-// since the last commit and how often CommitUpdates ran.
+// since the last commit, how often CommitUpdates ran and the batches it was
+// handed.
 type committingStore struct {
 	*ppvindex.MemIndex
 	uncommittedPuts int
 	commits         int
+	committed       []GraphUpdate
 	failCommit      bool
 }
 
@@ -210,18 +213,19 @@ func (c *committingStore) PutEncoded(h graph.NodeID, payload []byte) error {
 	return c.MemIndex.PutEncoded(h, payload)
 }
 
-func (c *committingStore) CommitUpdates() error {
+func (c *committingStore) CommitUpdates(upd GraphUpdate) error {
 	if c.failCommit {
 		return errors.New("commit failed")
 	}
 	c.commits++
+	c.committed = append(c.committed, upd)
 	c.uncommittedPuts = 0
 	return nil
 }
 
 // TestApplyUpdateCommitsStagedWrites: an index store implementing
 // UpdateCommitter must see exactly one CommitUpdates call per ApplyUpdate,
-// after every staged Put of the batch.
+// after every staged Put of the batch, carrying that batch.
 func TestApplyUpdateCommitsStagedWrites(t *testing.T) {
 	g, err := gen.RandomDirected(60, 3, 9)
 	if err != nil {
@@ -240,12 +244,16 @@ func TestApplyUpdateCommitsStagedWrites(t *testing.T) {
 	}
 	store.uncommittedPuts = 0
 
-	stats, err := e.ApplyUpdate(GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}})
+	upd := GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}, NumNodes: 61}
+	stats, err := e.ApplyUpdate(upd)
 	if err != nil {
 		t.Fatalf("ApplyUpdate: %v", err)
 	}
 	if store.commits != 1 {
 		t.Errorf("ApplyUpdate ran %d commits, want exactly 1", store.commits)
+	}
+	if len(store.committed) != 1 || !reflect.DeepEqual(store.committed[0], upd) {
+		t.Errorf("CommitUpdates received %+v, want the batch %+v", store.committed, upd)
 	}
 	if store.uncommittedPuts != 0 {
 		t.Errorf("%d staged puts left uncommitted after ApplyUpdate (affected %d hubs)",

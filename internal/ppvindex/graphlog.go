@@ -56,12 +56,20 @@ var graphLogFormat = frame.Format{
 	HeaderBytes: graphLogHeaderBytes, BadHeader: ErrBadIndexFormat,
 }
 
-// GraphMutation is one logged batch of graph changes, mirroring
-// core.GraphUpdate without importing it (core depends on this package).
+// GraphMutation describes a batch of edge insertions and deletions applied to
+// a graph: what core.ApplyUpdate takes (core.GraphUpdate is this type) and
+// what one graph-log frame holds. Node identifiers must already exist; adding
+// nodes is expressed by growing NumNodes (new isolated nodes become valid
+// targets of added edges).
 type GraphMutation struct {
-	AddedEdges   []graph.Edge
+	// AddedEdges are edges to insert (interpreted as logical edges: a single
+	// entry on an undirected graph adds both orientations).
+	AddedEdges []graph.Edge
+	// RemovedEdges are edges to delete. On an undirected graph either
+	// orientation identifies the edge.
 	RemovedEdges []graph.Edge
-	NumNodes     int
+	// NumNodes, when larger than the current node count, grows the node set.
+	NumNodes int
 }
 
 // GraphLogBinding identifies the base graph a mutation log belongs to.
@@ -84,8 +92,8 @@ func (b GraphLogBinding) encode() []byte {
 
 // GraphLog is an append-only, CRC-framed log of graph-update batches kept
 // alongside a disk index. Append buffers frames; Commit flushes and fsyncs
-// them. Like UpdateLog it is not safe for concurrent use; the disk store's
-// mutex serializes access.
+// them. Like UpdateLog it is not safe for concurrent use; the Store's mutex
+// serializes access.
 type GraphLog struct{ log *frame.Log }
 
 // OpenGraphLog opens (or creates) the graph-mutation log at path and replays

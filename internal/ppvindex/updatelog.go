@@ -55,8 +55,7 @@ var ErrUpdateInFlight = errors.New("ppvindex: update batch in flight, retry comp
 
 // UpdateLog is an append-only, CRC-framed record log alongside a disk index.
 // Append buffers frames; Commit flushes and fsyncs them as one batch. It is
-// not safe for concurrent use; callers serialize access (the disk store's
-// mutex).
+// not safe for concurrent use; callers serialize access (the Store's mutex).
 type UpdateLog struct{ log *frame.Log }
 
 // updateLogBinding encodes the identity of the base index file the logged
@@ -140,14 +139,10 @@ func (l *UpdateLog) Records() int64 { return l.log.Frames() }
 // last committed frame instead.
 func (l *UpdateLog) Close() error { return l.log.Close() }
 
-// DurabilityStats summarizes the durable-update machinery of a disk-backed
-// index store: the in-memory overlay of rewritten hubs and the update log
-// behind it. The serving layer's /v1/stats exposes these.
+// DurabilityStats summarizes the durable-update machinery of a Store: the
+// in-memory overlay of rewritten hubs, the update log behind it and the
+// graph-mutation log. The serving layer's /v1/stats exposes these.
 type DurabilityStats struct {
-	// LogEnabled reports whether post-finalize Puts are persisted to an
-	// update log (false means the overlay is volatile, the pre-durability
-	// behaviour).
-	LogEnabled bool `json:"log_enabled"`
 	// OverlayHubs is the number of hubs whose current prime PPV lives in the
 	// in-memory overlay rather than the base file.
 	OverlayHubs int `json:"overlay_hubs"`
@@ -155,11 +150,6 @@ type DurabilityStats struct {
 	// 24-byte file header).
 	LogBytes   int64 `json:"log_bytes"`
 	LogRecords int64 `json:"log_records"`
-	// GraphLogEnabled reports whether committed graph updates themselves are
-	// persisted to a graph-mutation log (false means a restart reverts the
-	// graph to the original -graph file even though the updated hub PPVs
-	// replay from the update log).
-	GraphLogEnabled bool `json:"graph_log_enabled"`
 	// GraphLogBytes and GraphLogRecords size the graph-mutation log;
 	// GraphLogRecords equals the index epoch the store would replay to.
 	GraphLogBytes   int64 `json:"graph_log_bytes,omitempty"`

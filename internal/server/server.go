@@ -302,7 +302,7 @@ func NewRouter(rt *cluster.Router, cfg Config) (*Server, error) {
 }
 
 // hubWarmer is implemented by index stores that can preload hub blocks into
-// a cache (fastppv's disk store).
+// a cache (ppvindex.Store).
 type hubWarmer interface {
 	WarmHubs(hubs []graph.NodeID) int
 }
@@ -1114,7 +1114,7 @@ func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 }
 
 // compactor is implemented by disk-backed index stores that can fold their
-// update log and overlay back into the base file (fastppv's disk store); the
+// update log and overlay back into the base file (ppvindex.Store); the
 // /v1/compact admin endpoint drives it.
 type compactor interface {
 	Compact() (ppvindex.CompactionResult, error)
@@ -1234,15 +1234,15 @@ func endpointLatency(h telemetry.HistogramSnapshot) EndpointLatency {
 }
 
 // blockCacheStatser is implemented by index stores that front a hub-block
-// cache (the disk-backed store of fastppv.OpenDiskIndex); the stats endpoint
+// cache (ppvindex.Store, behind fastppv.OpenDiskIndex); the stats endpoint
 // reports their counters when present.
 type blockCacheStatser interface {
 	BlockCacheStats() (ppvindex.BlockCacheStats, bool)
 }
 
 // durabilityStatser is implemented by index stores that persist incremental
-// updates behind an update log; the stats endpoint reports overlay and log
-// counters when present.
+// updates behind an update log and a graph-mutation log; the stats endpoint
+// reports overlay and log counters when present.
 type durabilityStatser interface {
 	DurabilityStats() (ppvindex.DurabilityStats, bool)
 }

@@ -585,7 +585,7 @@ func TestEndpointLatencyClampsOverflow(t *testing.T) {
 }
 
 // blockCachedIndex is an IndexStore that pretends to front a hub-block cache,
-// standing in for the disk-backed store of fastppv.OpenDiskIndex.
+// standing in for ppvindex.Store.
 type blockCachedIndex struct {
 	*ppvindex.MemIndex
 }
@@ -684,7 +684,7 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 // durableIndex is an IndexStore that pretends to persist updates behind an
-// update log, standing in for fastppv's disk-backed store: Compact empties
+// update log, standing in for ppvindex.Store: Compact empties
 // the pretend log and reports what it folded.
 type durableIndex struct {
 	*ppvindex.MemIndex
@@ -700,7 +700,6 @@ func (d *durableIndex) DurabilityStats() (ppvindex.DurabilityStats, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return ppvindex.DurabilityStats{
-		LogEnabled:  true,
 		LogRecords:  d.logRecords,
 		LogBytes:    d.logBytes,
 		Compactions: d.compactions,

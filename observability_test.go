@@ -45,9 +45,7 @@ func TestLogDrivenWarmingBeatsHeuristic(t *testing.T) {
 
 	// The block cache holds the whole index, so the hit-rate difference
 	// between restarts reflects only what warming preloaded.
-	dio := DiskIndexOptions{
-		DisableUpdateLog: true, DisableGraphLog: true, BlockCacheBytes: 256 << 20,
-	}
+	dio := DiskIndexOptions{BlockCacheBytes: 256 << 20}
 	const warmBudget = 32
 	runWorkload := func(qlog *querylog.Log, warmHubs int) (source string, hitRate float64) {
 		eng, closeIdx, err := OpenDiskIndexWithOptions(g, Options{NumHubs: numHubs}, path, dio)
