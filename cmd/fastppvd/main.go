@@ -17,14 +17,14 @@
 //	fastppvd -graph g.txt -index idx.ppv -block-cache-bytes 134217728
 //
 // Incremental updates applied to a disk-served index are always durable:
-// the index's store (ppvindex.Store) owns both logs and commits each update's
-// recomputed hub PPVs to the update log (-update-log, default <index>.log)
-// and then the graph mutation itself to the graph-mutation log (-graph-log,
-// default <index>.graphlog) before the update returns, and a restart replays
-// both — the daemon serves the updated graph, PPVs and index epoch even
-// though -graph still names the original file. The update log is folded
-// back into the index by compaction — automatic past
-// -compact-threshold-bytes, or on demand via POST /v1/compact.
+// the index's store (ppvindex.Store) commits each update batch — the graph
+// mutation and the hub PPVs it recomputed — as one frame of its update log
+// (-update-log, default <index>.log) before the update returns, and a
+// restart replays the batches — the daemon serves the updated graph, PPVs
+// and index epoch even though -graph still names the original file.
+// Compaction folds the logged hub PPVs back into the index and keeps the
+// mutations — automatic past -compact-threshold-bytes of logged records, or
+// on demand via POST /v1/compact.
 //
 // Cluster mode splits the hub index horizontally across processes. A shard
 // serves one hash partition of the hub set (-shard i/n) and answers partial
@@ -75,7 +75,7 @@
 //	POST /v1/ppv/batch                           answer a batch of queries
 //	GET  /v1/stream                              cluster sub-query stream (upgrade; shards only)
 //	POST /v1/update                              apply a graph update
-//	POST /v1/compact                             fold the update log into the index
+//	POST /v1/compact                             fold the logged hub records into the index
 //	GET  /v1/stats                               serving + offline + cluster statistics
 //	GET  /v1/debug/slow                          retained slow/degraded/sampled traces
 //	GET  /v1/debug/trace/{id}                    one retained trace by id
@@ -124,9 +124,8 @@ func run(args []string) error {
 	indexPath := fs.String("index", "", "serve from this on-disk index file (opened if present, precomputed into it otherwise)")
 	blockCacheBytes := fs.Int64("block-cache-bytes", 0, "hub-block cache budget for -index mode (0 = 64 MiB default, negative disables)")
 	mmap := fs.Bool("mmap", false, "serve the -index file from a memory mapping (zero-copy record views); falls back to pread when the platform cannot map it")
-	updateLog := fs.String("update-log", "", "update log of recomputed hub PPVs for -index mode (empty = <index>.log); replayed on restart")
-	graphLog := fs.String("graph-log", "", "graph-mutation log for -index mode (empty = <index>.graphlog); replayed on restart, committed after the update log")
-	compactThreshold := fs.Int64("compact-threshold-bytes", 0, "auto-compact the update log past this size (0 = 64 MiB default, negative = manual /v1/compact only)")
+	updateLog := fs.String("update-log", "", "update log for -index mode: one frame per update batch, its graph mutation and recomputed hub PPVs (empty = <index>.log); replayed on restart")
+	compactThreshold := fs.Int64("compact-threshold-bytes", 0, "auto-compact once the update log holds this many bytes of hub records (0 = 64 MiB default, negative = manual /v1/compact only)")
 	alpha := fs.Float64("alpha", fastppv.DefaultAlpha, "teleporting probability")
 	eta := fs.Int("eta", 2, "default online iterations per query")
 	maxEta := fs.Int("max-eta", 8, "largest eta a client may request")
@@ -237,7 +236,6 @@ func run(args []string) error {
 		BlockCacheBytes:       *blockCacheBytes,
 		UpdateLogPath:         *updateLog,
 		CompactThresholdBytes: *compactThreshold,
-		GraphLogPath:          *graphLog,
 		Mmap:                  *mmap,
 	}
 	var engine *fastppv.Engine

@@ -159,22 +159,21 @@ func SaveBinaryFile(path string, g *Graph) error { return graph.SaveBinaryFile(p
 // Precompute before Query.
 func New(g *Graph, opts Options) (*Engine, error) { return core.NewEngine(g, nil, opts) }
 
-// DefaultCompactThresholdBytes is the update-log size at which a disk-served
-// index compacts itself in the background, unless configured otherwise.
+// DefaultCompactThresholdBytes is how many bytes of hub records the update
+// log of a disk-served index may hold before it compacts itself in the
+// background, unless configured otherwise.
 const DefaultCompactThresholdBytes = ppvindex.DefaultCompactThresholdBytes
 
 // DiskIndexOptions tune the durable-update machinery of a disk-backed index
-// (OpenDiskIndexWithOptions): block cache budget, update-log and
-// graph-mutation-log paths, compaction threshold and mmap. The zero value
-// logs updates to <index path>.log and graph mutations to
-// <index path>.graphlog, with the default compaction threshold and block
-// cache.
+// (OpenDiskIndexWithOptions): block cache budget, update-log path,
+// compaction threshold and mmap. The zero value logs update batches to
+// <index path>.log, with the default compaction threshold and block cache.
 type DiskIndexOptions = ppvindex.StoreOptions
 
-// graphBinding names the base graph a disk store's graph-mutation log
-// belongs to.
-func graphBinding(g *Graph) ppvindex.GraphLogBinding {
-	return ppvindex.GraphLogBinding{Nodes: g.NumNodes(), Edges: g.NumEdges(), Directed: g.Directed()}
+// graphBinding names the base graph the mutations in a disk store's update
+// log apply to.
+func graphBinding(g *Graph) ppvindex.GraphBinding {
+	return ppvindex.GraphBinding{Nodes: g.NumNodes(), Edges: g.NumEdges(), Directed: g.Directed()}
 }
 
 // NewWithDiskIndex creates a FastPPV engine whose hub prime PPVs are written
@@ -184,9 +183,9 @@ func graphBinding(g *Graph) ppvindex.GraphLogBinding {
 // read, or by the close function after a successful Precompute), so a crash
 // or failure mid-precompute never leaves a partial file at path.
 //
-// Publishing the index starts its update log and graph-mutation log fresh,
-// so updates the engine applies after Precompute are as durable as those of
-// an engine from OpenDiskIndex: a later OpenDiskIndex replays both.
+// Publishing the index starts its update log fresh, so updates the engine
+// applies after Precompute are as durable as those of an engine from
+// OpenDiskIndex: a later OpenDiskIndex replays them.
 //
 // The returned close function releases the file handles and must be called
 // when the engine is no longer needed; if Precompute never succeeded it
@@ -223,14 +222,14 @@ type BlockCacheStats = ppvindex.BlockCacheStats
 // caching (every fetched hub costs one random disk access, the raw Sect. 6.3
 // cost model). opts must match the options used at precompute time.
 //
-// Incremental updates applied through the engine are durable: each batch of
-// recomputed hub PPVs is committed to <path>.log, then the batch itself to
-// <path>.graphlog, before the update returns, and reopening the index
-// replays both, so updates survive a restart. The update log is folded back
-// into the base file by compaction (automatic past
-// DefaultCompactThresholdBytes, or on demand through the store's Compact
-// method / the daemon's /v1/compact endpoint). Use OpenDiskIndexWithOptions
-// to tune this.
+// Incremental updates applied through the engine are durable: each batch —
+// the graph mutation and the hub PPVs it recomputed — is committed to
+// <path>.log as one frame before the update returns, and reopening the index
+// replays the batches, so updates survive a restart. Compaction folds the
+// logged hub PPVs back into the base file and keeps the mutations (automatic
+// past DefaultCompactThresholdBytes of logged records, or on demand through
+// the store's Compact method / the daemon's /v1/compact endpoint). Use
+// OpenDiskIndexWithOptions to tune this.
 //
 // The returned close function releases the file handles; afterwards queries
 // fail with ErrClosed (wrapped).
@@ -239,21 +238,21 @@ func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (
 }
 
 // OpenDiskIndexWithOptions is OpenDiskIndex with explicit control over the
-// log paths, compaction threshold, block cache and mmap.
+// log path, compaction threshold, block cache and mmap.
 //
-// The batches the graph-mutation log holds are replayed onto g before the
-// engine is created, and the engine's index epoch starts at the replayed
-// batch count: a restarted daemon serves the same graph, the same PPVs and
-// the same epoch as the process that applied the updates live, instead of
-// reverting non-hub answers to the original graph file. g itself must be the graph the index was precomputed on: a sharded
-// engine recovers its full hub set by selecting on g, not on the replayed
-// graph, because updates never change the hub set.
+// The mutations of the logged batches are replayed onto g before the engine
+// is created, and the engine's index epoch starts at the replayed batch
+// count: a restarted daemon serves the same graph, PPVs and epoch as the
+// process that applied the updates live. g itself must be the graph the index
+// was precomputed on: the log is bound to it (beside another graph it is
+// discarded), and a sharded engine recovers its full hub set by selecting on
+// g, because updates never change the hub set.
 func OpenDiskIndexWithOptions(g *Graph, opts Options, path string, dio DiskIndexOptions) (*Engine, func() error, error) {
 	served, replayed := g, uint64(0)
 	store, err := ppvindex.OpenStore(path, graphBinding(g), dio, func(upd GraphUpdate) error {
 		next, err := core.ReplayGraphUpdate(served, upd)
 		if err != nil {
-			return fmt.Errorf("fastppv: replaying the graph-mutation log: %w", err)
+			return fmt.Errorf("fastppv: replaying the update log: %w", err)
 		}
 		served, replayed = next, replayed+1
 		return nil

@@ -491,9 +491,9 @@ func TestPublicAPIDiskUpdateDurability(t *testing.T) {
 		t.Fatalf("update log missing or empty after close: %v", err)
 	}
 
-	// "Restart": reopen the index against the post-update graph.
-	g2 := graphWithEdge(t, g, Edge{From: from, To: target})
-	engine2, closeIndex2, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 8<<20)
+	// "Restart": reopen the index against the original graph, as a restarted
+	// daemon does; the logged batch replays its mutation and its records.
+	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
 	if err != nil {
 		t.Fatalf("OpenDiskIndex after restart: %v", err)
 	}
@@ -584,10 +584,70 @@ func TestPublicAPICompaction(t *testing.T) {
 	}
 }
 
+// TestPublicAPICompactionKeepsGraph: compaction folds the logged hub records
+// into the base but not the mutations, which no file but the log holds. A
+// restart on the original graph after a compaction must replay the batch —
+// epoch 1, no record left to replay — and answer bit-identically to the live
+// engine, at eta 0 (a pure function of the served graph for a non-hub root)
+// and at the default stop.
+func TestPublicAPICompactionKeepsGraph(t *testing.T) {
+	g := buildTestGraph(t, 300, 4, 19)
+	path := filepath.Join(t.TempDir(), "index.ppv")
+	buildDiskIndex(t, g, 30, path)
+
+	engine, closeIndex, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := engine.Hubs().Hubs()[0]
+	u := nonHubNode(t, engine, 200)
+	v := nonHubNode(t, engine, u+1)
+	if _, err := engine.ApplyUpdate(GraphUpdate{AddedEdges: []Edge{{From: hub, To: 250}, {From: u, To: v}}}); err != nil {
+		t.Fatal(err)
+	}
+	stops := []StopCondition{{MaxIterations: 0}, DefaultStop()}
+	answers := func(e *Engine) []*Result {
+		t.Helper()
+		var out []*Result
+		for _, q := range []NodeID{u, hub} {
+			for _, stop := range stops {
+				res, err := e.Query(q, stop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	live := answers(engine)
+	if res := compactIndex(t, engine); res.LogRecordsFolded == 0 {
+		t.Fatal("the update logged no hub record to fold")
+	}
+	if err := closeIndex(); err != nil {
+		t.Fatal(err)
+	}
+
+	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex2()
+	if ds := durabilityOf(t, engine2); engine2.Epoch() != 1 || ds.LogBatches != 1 || ds.LogRecords != 0 || ds.OverlayHubs != 0 {
+		t.Fatalf("restart after compaction: epoch %d, %+v; want epoch 1, one batch, no record", engine2.Epoch(), ds)
+	}
+	for i, res := range answers(engine2) {
+		if !reflect.DeepEqual(res.Entries, live[i].Entries) || res.L1ErrorBound != live[i].L1ErrorBound {
+			t.Errorf("answer %d changed across compaction and restart", i)
+		}
+	}
+}
+
 // TestPublicAPICompactionCrashRecovery simulates the two crash points of the
 // compaction commit protocol: before the atomic rename (a stale .tmp file is
-// left behind) and after the rename but before the log reset (the old log
-// replays idempotently onto the already-rewritten base).
+// left behind) and after the rename but before the log rewrite (the old log,
+// bound to the replaced base, replays its mutation and skips its records,
+// which the rewritten base already holds).
 func TestPublicAPICompactionCrashRecovery(t *testing.T) {
 	g := buildTestGraph(t, 300, 4, 13)
 	path := filepath.Join(t.TempDir(), "index.ppv")
@@ -614,7 +674,6 @@ func TestPublicAPICompactionCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := graphWithEdge(t, g, Edge{From: from, To: target})
 
 	// Crash point 1: the rewrite died before the rename — a partial .tmp
 	// exists, base and log are untouched. Recovery must ignore the leftovers
@@ -622,7 +681,7 @@ func TestPublicAPICompactionCrashRecovery(t *testing.T) {
 	if err := os.WriteFile(path+".tmp", []byte("partial compaction output"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	engine2, closeIndex2, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 8<<20)
+	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
 	if err != nil {
 		t.Fatalf("OpenDiskIndex with a stale .tmp: %v", err)
 	}
@@ -643,26 +702,22 @@ func TestPublicAPICompactionCrashRecovery(t *testing.T) {
 	}
 
 	// Crash point 2: ... and pretend the crash hit between the rename and
-	// the log reset by restoring the pre-compaction log. The log's header is
-	// bound to the pre-compaction base file, so the open either discards it
-	// (binding mismatch — the records already live in the rewritten base) or,
-	// if the rewritten base happens to bind identically, replays the same
-	// values idempotently. Both ways the answers must be unchanged.
+	// the log rewrite by restoring the pre-compaction log. Its header is
+	// bound to the original graph and to the pre-compaction base file, so the
+	// open replays the batch's mutation (no base holds it) and skips its
+	// records (the rewritten base does hold them).
 	if err := os.WriteFile(path+".log", preCompactionLog, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	engine3, closeIndex3, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 8<<20)
+	engine3, closeIndex3, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
 	if err != nil {
 		t.Fatalf("OpenDiskIndex after a post-rename crash: %v", err)
 	}
 	defer closeIndex3()
 	ds := durabilityOf(t, engine3)
-	if ds.LogRecords != 0 && ds.LogRecords != int64(ustats.AffectedHubs) {
-		t.Errorf("restored log must be discarded or fully replayed, got %+v (update recomputed %d hubs)",
-			ds, ustats.AffectedHubs)
-	}
-	if int64(ds.OverlayHubs) != ds.LogRecords {
-		t.Errorf("overlay (%d hubs) out of sync with replayed records (%d)", ds.OverlayHubs, ds.LogRecords)
+	if engine3.Epoch() != 1 || ds.LogBatches != 1 || ds.LogRecords != 0 || ds.OverlayHubs != 0 {
+		t.Errorf("restored log: epoch %d, %+v; want the mutation replayed (epoch 1, one batch) and the %d records skipped",
+			engine3.Epoch(), ds, ustats.AffectedHubs)
 	}
 	res3, err := engine3.Query(from, DefaultStop())
 	if err != nil {
@@ -727,13 +782,16 @@ func TestPublicAPICompactionDuringQueries(t *testing.T) {
 		}(w)
 	}
 
+	before := durabilityOf(t, engine)
 	res := compactIndex(t, engine)
 	if res.LogRecordsFolded == 0 {
 		t.Error("compaction under load should have folded the update log")
 	}
+	// What stays is the one batch's mutation.
 	ds := durabilityOf(t, engine)
-	if ds.LogRecords != 0 || ds.LogBytes > 24 /* bare header */ || ds.OverlayHubs != 0 {
-		t.Errorf("log not shrunk to empty under concurrent queries: %+v", ds)
+	if ds.LogRecords != 0 || ds.LogBatches != 1 || ds.OverlayHubs != 0 ||
+		res.LogBytesFreed <= 0 || ds.LogBytes != before.LogBytes-res.LogBytesFreed {
+		t.Errorf("log not shrunk to its mutation under concurrent queries: %+v (before %+v, freed %d)", ds, before, res.LogBytesFreed)
 	}
 
 	close(stop)
@@ -809,10 +867,10 @@ func nonHubNode(t testing.TB, e *Engine, from NodeID) NodeID {
 
 // TestPublicAPIGraphMutationDurability is the graph half of restart
 // durability: a daemon restart reloads the original -graph file, so without
-// the graph-mutation log every answer computed on the fly (non-hub queries in
-// particular) silently reverts even though the updated hub PPVs replay from
-// the update log. Reopening against the ORIGINAL graph must serve the
-// post-update answers, at the post-update epoch.
+// the logged mutations every answer computed on the fly (non-hub queries in
+// particular) would silently revert even though the updated hub PPVs replay.
+// Reopening against the ORIGINAL graph must serve the post-update answers,
+// at the post-update epoch.
 func TestPublicAPIGraphMutationDurability(t *testing.T) {
 	g := buildTestGraph(t, 300, 4, 23)
 	path := filepath.Join(t.TempDir(), "index.ppv")
@@ -826,7 +884,7 @@ func TestPublicAPIGraphMutationDurability(t *testing.T) {
 		t.Fatalf("fresh index at epoch %d, want 0", got)
 	}
 	// An edge between two non-hub nodes: the graph changes in a way only the
-	// mutation log can preserve.
+	// logged mutation can preserve.
 	from := nonHubNode(t, engine, 200)
 	to := nonHubNode(t, engine, from+1)
 	if _, err := engine.ApplyUpdate(GraphUpdate{AddedEdges: []Edge{{From: from, To: to}}}); err != nil {
@@ -843,14 +901,11 @@ func TestPublicAPIGraphMutationDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := durabilityOf(t, engine)
-	if ds.GraphLogRecords != 1 {
-		t.Fatalf("durability stats %+v, want one graph-log record", ds)
+	if ds.LogBatches != 1 {
+		t.Fatalf("durability stats %+v, want one logged batch", ds)
 	}
 	if err := closeIndex(); err != nil {
 		t.Fatal(err)
-	}
-	if st, err := os.Stat(path + ".graphlog"); err != nil || st.Size() == 0 {
-		t.Fatalf("graph-mutation log missing or empty after close: %v", err)
 	}
 
 	// "Restart": reopen against the ORIGINAL graph, as a restarted daemon
@@ -915,8 +970,8 @@ func assertBoundHolds(t *testing.T, e *Engine, eta int) {
 }
 
 // TestPublicAPIBuildEngineUpdateDurability: the engine that precomputed a
-// disk index can take updates before it is closed, and those commit both
-// halves — the recomputed hub PPVs and the graph mutation — so the reopened
+// disk index can take updates before it is closed, and those commit the whole
+// batch — the recomputed hub PPVs and the graph mutation — so the reopened
 // index serves one graph: the updated one, at the updated epoch, with the
 // error bound holding for every node.
 func TestPublicAPIBuildEngineUpdateDurability(t *testing.T) {
@@ -953,8 +1008,8 @@ func TestPublicAPIBuildEngineUpdateDurability(t *testing.T) {
 	if got := engine.Epoch(); got != 1 {
 		t.Errorf("epoch after reopen = %d, want 1", got)
 	}
-	if ds := durabilityOf(t, engine); ds.GraphLogRecords != 1 {
-		t.Errorf("durability stats %+v, want one graph-log record", ds)
+	if ds := durabilityOf(t, engine); ds.LogBatches != 1 {
+		t.Errorf("durability stats %+v, want one logged batch", ds)
 	}
 	after, err := engine.Query(from, rootOnly)
 	if err != nil {
@@ -968,7 +1023,8 @@ func TestPublicAPIBuildEngineUpdateDurability(t *testing.T) {
 
 // TestPublicAPIGraphLogTornTailReplay mirrors the update-log torn-tail suite
 // at the public API: a crash mid-append of the second batch must replay
-// cleanly up to the first batch — graph and epoch from before the torn batch.
+// cleanly up to the first batch — graph, hub PPVs and epoch from before the
+// torn batch.
 func TestPublicAPIGraphLogTornTailReplay(t *testing.T) {
 	g := buildTestGraph(t, 300, 4, 29)
 	path := filepath.Join(t.TempDir(), "index.ppv")
@@ -1006,7 +1062,7 @@ func TestPublicAPIGraphLogTornTailReplay(t *testing.T) {
 	}
 
 	// Tear the second batch's frame: chop a few bytes off the log tail.
-	logPath := path + ".graphlog"
+	logPath := path + ".log"
 	st, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -1017,15 +1073,15 @@ func TestPublicAPIGraphLogTornTailReplay(t *testing.T) {
 
 	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
 	if err != nil {
-		t.Fatalf("OpenDiskIndex with a torn graph log: %v", err)
+		t.Fatalf("OpenDiskIndex with a torn update log: %v", err)
 	}
 	defer closeIndex2()
 	if got := engine2.Epoch(); got != 1 {
 		t.Errorf("epoch after torn-tail replay = %d, want 1 (the complete batch only)", got)
 	}
 	ds := durabilityOf(t, engine2)
-	if ds.GraphLogRecords != 1 {
-		t.Errorf("graph log reports %d records after truncation, want 1", ds.GraphLogRecords)
+	if ds.LogBatches != 1 {
+		t.Errorf("update log reports %d batches after truncation, want 1", ds.LogBatches)
 	}
 	res, err := engine2.Query(u, rootOnly)
 	if err != nil {
@@ -1071,7 +1127,7 @@ func TestPublicAPIRebuildPreservesOrDiscardsLog(t *testing.T) {
 	if err := closeAborted(); err != nil {
 		t.Fatal(err)
 	}
-	engine2, closeIndex2, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 0)
+	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 0)
 	if err != nil {
 		t.Fatalf("OpenDiskIndex after an aborted rebuild: %v", err)
 	}
@@ -1199,7 +1255,8 @@ func TestPublicAPIShardedDiskIndex(t *testing.T) {
 }
 
 // TestPublicAPIShardedRestartKeepsHubSet: a sharded disk index restarted with
-// the graph log on must come back with the hub set it was precomputed with.
+// its logged mutations replayed must come back with the hub set it was
+// precomputed with.
 // Updates keep the hub set fixed, so recovering the full set by selecting on
 // the replayed graph either fails to open or silently serves a different set.
 func TestPublicAPIShardedRestartKeepsHubSet(t *testing.T) {
@@ -1258,7 +1315,7 @@ func TestPublicAPIShardedRestartKeepsHubSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": the original graph file, the graph log replayed on top.
+	// "Restart": the original graph file, the logged mutations replayed on top.
 	reopened, closeReopened, err := OpenDiskIndexWithOptions(g, opts, path, DiskIndexOptions{})
 	if err != nil {
 		t.Fatalf("reopening the sharded index after an update: %v", err)

@@ -61,7 +61,7 @@ type Engine struct {
 
 	// epoch counts the graph-update batches folded into the engine's state:
 	// it starts at Options.InitialEpoch (the batches already replayed into the
-	// supplied graph, e.g. from a graph-mutation log) and ApplyUpdate bumps it
+	// supplied graph, e.g. from a disk index's update log) and ApplyUpdate bumps it
 	// once per committed batch. Two replicas that applied the same update
 	// sequence report the same epoch, which is what lets a cluster router
 	// detect a replica serving a different graph. Atomic so stats and the
@@ -100,8 +100,8 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 // record them, so this cannot be verified here.
 //
 // base is the graph the index was precomputed on; served is the graph queries
-// run on — base with opts.InitialEpoch update batches replayed onto it (a
-// replayed graph-mutation log), or base itself when there are none.
+// run on — base with opts.InitialEpoch update batches replayed onto it (the
+// mutations of a replayed update log), or base itself when there are none.
 //
 // When opts.Partition is sharded, the index holds only the hubs this shard
 // owns, but prime-subgraph semantics need the full hub set (stored PPVs block

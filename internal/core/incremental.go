@@ -11,8 +11,8 @@ import (
 )
 
 // GraphUpdate describes a batch of edge insertions and deletions applied to
-// the engine's graph; it is the batch the disk store's graph-mutation log
-// persists, declared once in package ppvindex.
+// the engine's graph; it is the mutation each frame of the disk store's
+// update log persists, declared once in package ppvindex.
 type GraphUpdate = ppvindex.GraphMutation
 
 // UpdateStats reports the cost of an incremental index maintenance pass.
@@ -36,11 +36,11 @@ type UpdateStats struct {
 }
 
 // UpdateCommitter is implemented by index stores that stage incremental
-// update writes durably (ppvindex.Store, behind its update and graph-mutation
-// logs) and need an explicit commit: ApplyUpdate calls CommitUpdates exactly
-// once, after every staged Put of one update has been handed to the store,
-// with the batch that caused them, so the store can make the recomputed PPVs
-// and the mutation durable in one commit. Reopening such a store replays the
+// update writes durably (ppvindex.Store, behind its update log) and need an
+// explicit commit: ApplyUpdate calls CommitUpdates exactly once, after every
+// staged Put of one update has been handed to the store, with the batch that
+// caused them, so the store can make the recomputed PPVs and the mutation
+// durable in one commit. Reopening such a store replays the
 // logged batches into the graph, so on-the-fly PPVs of non-hub queries do not
 // revert to the original graph after a restart. Stores without durability
 // concerns (the in-memory index) simply don't implement it.
@@ -165,8 +165,8 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 
 // ReplayGraphUpdate applies one update batch to g and returns the resulting
 // graph, without touching any index: it is the pure graph half of ApplyUpdate,
-// used to replay a graph-mutation log on open (the recomputed hub PPVs are
-// replayed separately, from the index update log).
+// used to replay the mutation of each logged batch when a disk index opens
+// (the store replays the batch's recomputed hub PPVs into its overlay).
 func ReplayGraphUpdate(g *graph.Graph, upd GraphUpdate) (*graph.Graph, error) {
 	return rebuildGraph(g, upd)
 }

@@ -69,7 +69,7 @@ type Options struct {
 	Partition Partition
 	// InitialEpoch is the index epoch the engine starts at: the number of
 	// graph-update batches already folded into the supplied graph. Openers
-	// that replay a graph-mutation log set it to the replayed batch count, so
+	// that replay a disk index's update log set it to the replayed batch count, so
 	// a restarted replica reports the same epoch as one that applied the
 	// batches live.
 	InitialEpoch uint64

@@ -1,5 +1,5 @@
-// Package frame is the one framed-log mechanism under the update WAL (FPL1),
-// the graph-mutation log (FPG1) and the query log (FPQ1). A log file is
+// Package frame is the one framed-log mechanism under the update WAL (FPL1)
+// and the query log (FPQ1). A log file is
 //
 //	header (Format.HeaderBytes, little endian):
 //	  magic    uint32
@@ -12,16 +12,23 @@
 //	  payload
 //
 // and the rules every such log shares live here once: a file shorter than its
-// header gets a fresh one; a foreign magic or version is an error that leaves
-// the file untouched; a header bound to something else resets the log instead
-// of replaying it; replay stops at the first short, oversized, CRC-bad or
+// header that starts like one (torn by a crash) gets a fresh one; a foreign
+// magic or version, in a file of any size, is an error that leaves the file
+// untouched; a header bound to something else resets the log instead of
+// replaying it; replay stops at the first short, oversized, CRC-bad or
 // undecodable frame and the torn tail is truncated, so nothing after an
 // invalid frame is ever trusted; appends are buffered and become durable in
-// batches (Commit: one write, one fsync); Close rolls back to the last
-// Commit; creating or renaming a file fsyncs its directory before the
-// operation is reported done. What a payload means, how large one may be and
-// who serializes access stay with the caller. A Log is not safe for
-// concurrent use.
+// batches (Commit: one write, one fsync); creating or renaming a file fsyncs
+// its directory before the operation is reported done.
+//
+// The unit of atomicity is the frame, not the batch. Close rolls back to the
+// last Commit, but a crash does not: frames written out ahead of Commit (past
+// 64 KiB buffered) survive it and replay though their batch was never
+// acknowledged. A format whose batches must be atomic writes each batch as
+// one frame, as the update WAL does; the query log's records stand alone.
+//
+// What a payload means, how large one may be and who serializes access stay
+// with the caller. A Log is not safe for concurrent use.
 package frame
 
 import (
@@ -147,8 +154,8 @@ type Log struct {
 	committedSize, committedFrames int64
 	truncated                      int64
 	// err is the first failed write, sync, truncate or rename. The file may
-	// then hold anything past committedSize, so every later Append, Commit
-	// and Rotate reports it; only a successful Reset clears it.
+	// then hold anything past committedSize, so every later Append, Commit,
+	// Rotate and Close reports it.
 	err error
 }
 
@@ -175,7 +182,11 @@ func (l *Log) recover(decode func([]byte) error) error {
 	if err != nil {
 		return err
 	}
-	if size < int64(l.format.HeaderBytes) {
+	bound, err := l.format.readHeader(l.f, size, l.path)
+	if err != nil {
+		return err
+	}
+	if bound == nil {
 		// A new file, or a crash tore the header before any frame could have
 		// been committed. Either way the directory entry may not be durable
 		// yet, and the first Commit must not be acknowledged on a file a power
@@ -184,10 +195,6 @@ func (l *Log) recover(decode func([]byte) error) error {
 			return err
 		}
 		return l.fs.SyncDir(filepath.Dir(l.path))
-	}
-	bound, err := l.format.readHeader(l.f, l.path)
-	if err != nil {
-		return err
 	}
 	if !bytes.Equal(bound[:len(l.binding)], l.binding) {
 		return l.writeHeader()
@@ -209,18 +216,23 @@ func (l *Log) recover(decode func([]byte) error) error {
 	return nil
 }
 
-// readHeader validates magic and version and returns the header bytes after
-// them (binding, then padding).
-func (ft Format) readHeader(f File, path string) ([]byte, error) {
-	hdr := make([]byte, ft.HeaderBytes)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+// readHeader returns what follows magic and version in the header of a file
+// of size bytes (binding, then padding): nil for a file shorter than the
+// header that starts like one (new, or torn by a crash), BadHeader for a
+// foreign magic or version however short, never mistaken for a torn header.
+func (ft Format) readHeader(f File, size int64, path string) ([]byte, error) {
+	hdr := make([]byte, min(size, int64(ft.HeaderBytes)))
+	if _, err := f.ReadAt(hdr, 0); len(hdr) > 0 && err != nil {
 		return nil, err
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != ft.Magic {
-		return nil, fmt.Errorf("%w: %s %s has a foreign magic %#x", ft.BadHeader, ft.Name, path, m)
+	var want [8]byte
+	binary.LittleEndian.PutUint32(want[0:], ft.Magic)
+	binary.LittleEndian.PutUint32(want[4:], ft.Version)
+	if n := min(len(hdr), len(want)); !bytes.Equal(hdr[:n], want[:n]) {
+		return nil, fmt.Errorf("%w: %s %s has a foreign magic or an unsupported version (want %#x, version %d)", ft.BadHeader, ft.Name, path, ft.Magic, ft.Version)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != ft.Version {
-		return nil, fmt.Errorf("%w: %s %s has unsupported version %d", ft.BadHeader, ft.Name, path, v)
+	if len(hdr) < ft.HeaderBytes {
+		return nil, nil
 	}
 	return hdr[8:], nil
 }
@@ -268,22 +280,40 @@ func (ft Format) scan(f File, size int64, decode func([]byte) error) (end, frame
 // missing file, or one shorter than its header, holds zero frames.
 func Scan(fs FS, path string, format Format, decode func(payload []byte) error) (int64, error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	} else if err != nil {
 		return 0, err
 	}
 	defer f.Close()
 	size, err := f.Size()
-	if err != nil || size < int64(format.HeaderBytes) {
+	if err != nil {
 		return 0, err
 	}
-	if _, err := format.readHeader(f, path); err != nil {
+	if bound, err := format.readHeader(f, size, path); bound == nil {
 		return 0, err
 	}
 	_, frames, err := format.scan(f, size, decode)
 	return frames, err
+}
+
+// ReadBinding returns the binding (and padding) in the header of the log at
+// path without modifying the file, so a caller can act on a log bound to
+// something else before Open resets it; nil for a missing file or a torn
+// header, the format's BadHeader error for a foreign magic or version.
+func ReadBinding(fs FS, path string, format Format) ([]byte, error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	return format.readHeader(f, size, path)
 }
 
 // writeHeader empties the file and writes a fresh fsync'd header carrying the
@@ -317,7 +347,8 @@ func (l *Log) fail(err error) error {
 }
 
 // Append buffers one frame. It reaches the file at the next Commit, or
-// earlier once 64 KiB are pending, and is durable only after Commit.
+// earlier once 64 KiB are pending, and is durable only after Commit; a frame
+// written out early survives a crash whether or not its batch commits.
 func (l *Log) Append(payload []byte) error {
 	if l.err != nil {
 		return l.err
@@ -354,7 +385,7 @@ func (l *Log) Commit() error {
 	if l.err != nil {
 		return l.err
 	}
-	if !l.Uncommitted() {
+	if !l.uncommitted() {
 		return nil
 	}
 	if err := l.flush(); err != nil {
@@ -367,20 +398,9 @@ func (l *Log) Commit() error {
 	return nil
 }
 
-// Uncommitted reports whether frames have been appended since the last
-// Commit, Reset or Rotate.
-func (l *Log) Uncommitted() bool { return l.size != l.committedSize }
-
-// Reset drops everything, committed or not, and leaves a bare fsync'd header
-// carrying the new binding.
-func (l *Log) Reset(binding []byte) error {
-	if l.f == nil {
-		return l.err
-	}
-	l.binding = bytes.Clone(binding)
-	l.err = nil
-	return l.fail(l.writeHeader())
-}
+// uncommitted reports whether frames have been appended since the last
+// Commit or Rotate.
+func (l *Log) uncommitted() bool { return l.size != l.committedSize }
 
 // Rotate commits, renames the file to <path>.1 (replacing what was there) and
 // continues in a fresh file with the same binding. On failure the log is
@@ -431,7 +451,7 @@ func (l *Log) Close() error {
 	}
 	l.f, l.buf = nil, nil
 	err := l.err
-	if l.Uncommitted() {
+	if l.uncommitted() {
 		// Part of the batch may already have been flushed out of the buffer.
 		if terr := f.Truncate(l.committedSize); err == nil {
 			err = terr

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -208,9 +209,9 @@ type crashModel struct {
 	closedClean bool
 }
 
-// runCrashScript drives Open, Append x3, Commit, Append, Reset, Append x2,
-// Commit, Rotate, Append, Commit, Append, Close against fs, carrying on past
-// errors the way a caller that only logs them would.
+// runCrashScript drives Open, Append x3, Commit, Append x3, Commit, Rotate,
+// Append, Commit, Append, Close against fs, carrying on past errors the way a
+// caller that only logs them would.
 func runCrashScript(fs FS) crashModel {
 	m := crashModel{binding: []byte("bind-one")}
 	l, err := Open(fs, testPath, testFormat, m.binding, nil)
@@ -232,12 +233,7 @@ func runCrashScript(fs FS) crashModel {
 	}
 	add(3)
 	commit()
-	add(1)
-	// From the moment the caller decides to re-bind, the old frames must
-	// never replay under the new binding.
-	m.binding, m.appended, m.committed = []byte("bind-two"), nil, 0
-	l.Reset(m.binding)
-	add(2)
+	add(3)
 	commit()
 	if l.Rotate() == nil {
 		m.committed = len(m.appended)
@@ -276,7 +272,7 @@ func (m crashModel) check(t *testing.T, fs *memFS, world string) {
 func TestFrameCrashPoints(t *testing.T) {
 	clean := newMemFS()
 	model := runCrashScript(clean)
-	if !model.closedClean || model.committed != 3 || len(model.appended) != 4 {
+	if !model.closedClean || model.committed != 7 || len(model.appended) != 8 {
 		t.Fatalf("fault-free run: %+v", model)
 	}
 	model.check(t, clean.restart(false), "fault-free, process restart")
@@ -454,7 +450,7 @@ func TestFrameRotateFailureIsSticky(t *testing.T) {
 	}
 	for name, err := range map[string]error{
 		"Append": l.Append(payload(1)), "Commit": l.Commit(), "Rotate": l.Rotate(),
-		"Reset": l.Reset(nil), "Close": l.Close(), "second Close": l.Close(),
+		"Close": l.Close(), "second Close": l.Close(),
 	} {
 		if !errors.Is(err, errInjected) {
 			t.Errorf("%s after the failed rotation = %v, want the rename failure", name, err)
@@ -518,8 +514,18 @@ func TestFrameOnDisk(t *testing.T) {
 			t.Errorf("Scan(%s) = %d, %v, want %d frames", filepath.Base(p), n, err, want)
 		}
 	}
-	if _, err := Open(OS{}, path, Format{Name: "other log", Magic: 1, Version: 1, HeaderBytes: 16, BadHeader: errBadHeader}, nil, nil); !errors.Is(err, errBadHeader) {
+	if b, err := ReadBinding(OS{}, path, testFormat); err != nil || !bytes.HasPrefix(b, []byte("bind-one")) || len(b) != testFormat.HeaderBytes-8 {
+		t.Errorf("ReadBinding = %q, %v, want bind-one and its padding", b, err)
+	}
+	if b, err := ReadBinding(OS{}, path+".missing", testFormat); b != nil || err != nil {
+		t.Errorf("ReadBinding of a missing log = %q, %v, want nothing", b, err)
+	}
+	foreign := Format{Name: "other log", Magic: 1, Version: 1, HeaderBytes: 16, BadHeader: errBadHeader}
+	if _, err := Open(OS{}, path, foreign, nil, nil); !errors.Is(err, errBadHeader) {
 		t.Fatalf("opening under a foreign format = %v, want the format's bad-header error", err)
+	}
+	if _, err := ReadBinding(OS{}, path, foreign); !errors.Is(err, errBadHeader) {
+		t.Fatalf("reading the binding under a foreign format = %v, want the format's bad-header error", err)
 	}
 }
 
@@ -534,7 +540,26 @@ func TestFrameAppendRejectsUnreplayable(t *testing.T) {
 	if l.Append(nil) == nil || l.Append(make([]byte, testFormat.MaxPayload+1)) == nil {
 		t.Fatal("Append accepted a payload replay would reject")
 	}
-	if l.Uncommitted() {
+	if l.uncommitted() {
 		t.Fatal("a rejected payload was buffered")
+	}
+}
+
+// TestFrameShortForeignFile: a file shorter than the header is a torn header
+// only when it starts like one. Another version's shorter header, or any other
+// short file, is rejected and left as it is.
+func TestFrameShortForeignFile(t *testing.T) {
+	older := make([]byte, testFormat.HeaderBytes-4)
+	binary.LittleEndian.PutUint32(older[0:], testFormat.Magic)
+	binary.LittleEndian.PutUint32(older[4:], testFormat.Version+1)
+	for name, data := range map[string][]byte{"other version": older, "text": []byte("not a log")} {
+		fs := newMemFS()
+		fs.files[testPath] = &memFile{data: bytes.Clone(data)}
+		if _, err := Open(fs, testPath, testFormat, nil, nil); !errors.Is(err, errBadHeader) {
+			t.Errorf("%s: Open = %v, want the format's bad-header error", name, err)
+		}
+		if !bytes.Equal(fs.files[testPath].data, data) {
+			t.Errorf("%s: the rejected file was modified", name)
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // framesafePackages hold the decoders of the framed binary formats: the FPS1
 // stream frames (internal/api), the header and frame replay shared by the
-// three logs (internal/frame), the FPL1 update-log and FPG1 graph-log payloads
-// and the disk-index record format (internal/ppvindex), and the FPQ1
-// query-log records (internal/querylog). Their shared contract: corrupt, torn or truncated
+// two logs (internal/frame), the FPL1 update-log batches and the disk-index
+// record format (internal/ppvindex), and the FPQ1 query-log records
+// (internal/querylog). Their shared contract: corrupt, torn or truncated
 // input must surface as a structured error (ErrBadFrame / ErrBadIndexFormat /
 // ErrBadFormat), never as a panic or an over-read.
 var framesafePackages = []string{
@@ -36,7 +36,7 @@ var framesafeEntryPrefixes = []string{"Decode", "Read", "Open", "Replay", "Scan"
 var FrameSafe = &Analyzer{
 	Name: "framesafe",
 	Doc: "flags unchecked fixed-width reads and reachable panics in the " +
-		"decode paths of the framed formats (FPS1/FPL1/FPG1/FPQ1/disk records)",
+		"decode paths of the framed formats (FPS1/FPL1/FPQ1/disk records)",
 	Run: runFrameSafe,
 }
 

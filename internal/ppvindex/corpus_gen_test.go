@@ -1,8 +1,7 @@
 package ppvindex
 
 import (
-	"os"
-	"path/filepath"
+	"encoding/binary"
 	"testing"
 
 	"fastppv/internal/corpus"
@@ -11,76 +10,45 @@ import (
 )
 
 // TestRegenLogCorpora writes the committed seed corpora of the ppvindex fuzz
-// targets, building the valid seeds with the real log writers (same bindings
-// as the fuzz targets) and deriving the corrupt ones from them. Gated behind
+// targets, building the valid seeds with the real log writer (same binding as
+// the fuzz target) and deriving the corrupt ones from them. Gated behind
 // PPV_REGEN_CORPUS=1.
 func TestRegenLogCorpora(t *testing.T) {
 	corpus.SkipUnlessRegen(t)
-	dir := t.TempDir()
 
-	// FPL1 update log: two committed records plus one uncommitted (torn).
-	upath := filepath.Join(dir, "update.log")
-	ul, err := OpenUpdateLog(upath, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, []byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ul.Append(3, sparse.Vector{1: 0.5, 8: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ul.Append(9, sparse.Vector{2: 1e-9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ul.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ul.Close(); err != nil {
-		t.Fatal(err)
-	}
-	uvalid, err := os.ReadFile(upath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ubadcrc := append([]byte(nil), uvalid...)
-	ubadcrc[len(ubadcrc)-1] ^= 0xFF
-	corpus.Write(t, "FuzzUpdateLogReplay",
-		uvalid,
-		uvalid[:len(uvalid)-5], // torn tail mid-frame
-		ubadcrc,                // checksum mismatch on the last frame
-		uvalid[:headerLen(t)],  // bare header, zero records
-		[]byte("NOPE"),         // foreign magic
-	)
-
-	// FPG1 graph log: one mutation batch.
-	gpath := filepath.Join(dir, "graph.log")
-	gl, err := OpenGraphLog(gpath, fuzzGraphBinding, func(GraphMutation) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = gl.Append(GraphMutation{
+	// Update log: one seed per batch shape, each a whole committed log.
+	mutation := GraphMutation{
 		AddedEdges:   []graph.Edge{{From: 1, To: 2}, {From: 2, To: 3}},
 		RemovedEdges: []graph.Edge{{From: 3, To: 1}},
 		NumNodes:     100,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if err := gl.Commit(); err != nil {
-		t.Fatal(err)
+	batch := func(bind []byte, m GraphMutation, withRecords bool) []byte {
+		return logBytes(t, bind, func(l *UpdateLog) error {
+			if withRecords {
+				l.AppendEncoded(3, encodeVector(sparse.Vector{1: 0.5, 8: 0.25}))
+				l.AppendEncoded(9, encodeVector(sparse.Vector{2: 1e-9}))
+			}
+			return l.CommitBatch(m)
+		})
 	}
-	if err := gl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gvalid, err := os.ReadFile(gpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gbadcrc := append([]byte(nil), gvalid...)
-	gbadcrc[len(gbadcrc)-1] ^= 0xFF
-	corpus.Write(t, "FuzzGraphLogReplay",
-		gvalid,
-		gvalid[:len(gvalid)-5],
-		gbadcrc,
-		[]byte("NOPE"),
+	both := batch(fuzzBind, mutation, true)
+	badcrc := append([]byte(nil), both...)
+	badcrc[len(badcrc)-1] ^= 0xFF
+	otherBase := logBinding(124, 7, GraphBinding{Nodes: 100, Edges: 50, Directed: true})
+	// The layout before batches were frames: version 1, a 24-byte header
+	// bound to the base file alone, one hub record per frame.
+	v1 := make([]byte, 24)
+	binary.LittleEndian.PutUint32(v1[0:], logMagic)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	copy(v1[8:], fuzzBind[:12]) // base size and hub count
+	corpus.Write(t, "FuzzUpdateLogReplay",
+		both,                                   // records and a mutation
+		batch(fuzzBind, GraphMutation{}, true), // records only
+		batch(fuzzBind, mutation, false),       // mutation only
+		both[:len(both)-5],                     // torn batch
+		badcrc,                                 // checksum mismatch on the batch
+		batch(otherBase, mutation, true),       // bound to another base: records skipped
+		v1,                                     // a version-1 header, rejected
 	)
 
 	// Disk hub records: a canonical record, a truncated one, and one whose
@@ -94,23 +62,4 @@ func TestRegenLogCorpora(t *testing.T) {
 		badcount,
 		encodeRecord(0, nil),
 	)
-}
-
-// headerLen returns the update log's header size by writing an empty log.
-func headerLen(t *testing.T) int {
-	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.log")
-	l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(graph.NodeID, []byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return int(st.Size())
 }

@@ -5,22 +5,17 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
 
-// fuzzUpdateBinding is the (baseBytes, baseHubs) binding both the fuzz target
-// and the corpus generator open update logs with, so committed seeds replay
-// instead of being reset as foreign.
-const (
-	fuzzUpdateBaseBytes = 123
-	fuzzUpdateBaseHubs  = 7
-)
-
-// fuzzGraphBinding is the shared graph-log binding of target and seeds.
-var fuzzGraphBinding = GraphLogBinding{Nodes: 100, Edges: 50, Directed: true}
+// fuzzBind is the binding both the fuzz target and the corpus generator open
+// update logs with, so committed seeds replay instead of being reset as
+// foreign.
+var fuzzBind = logBinding(123, 7, GraphBinding{Nodes: 100, Edges: 50, Directed: true})
 
 // encodeRecord is the whole record (hub, count, payload) of a map-form PPV,
 // as the disk file and an update-log frame hold it.
@@ -49,21 +44,30 @@ func strictlyAscending(payload []byte) bool {
 	return true
 }
 
-// updateLogBytes writes a log holding the given raw frame payloads — valid
-// records or not, each gets a correct CRC — and returns the file's bytes.
-func updateLogBytes(t testing.TB, records ...[]byte) []byte {
+// updateLogBytes writes a log holding the given raw batch frame payloads —
+// valid batches or not, each gets a correct CRC — and returns the file's bytes.
+func updateLogBytes(t testing.TB, batches ...[]byte) []byte {
+	t.Helper()
+	return logBytes(t, fuzzBind, func(l *UpdateLog) error {
+		for _, batch := range batches {
+			if err := l.log.Append(batch); err != nil {
+				return err
+			}
+		}
+		return l.log.Commit()
+	})
+}
+
+// logBytes writes a log bound to bind through fill and returns the file's
+// bytes.
+func logBytes(t testing.TB, bind []byte, fill func(*UpdateLog) error) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "raw.log")
-	l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, nil)
+	l, err := openUpdateLog(path, bind, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range records {
-		if err := l.log.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
+	if err := fill(l); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -76,38 +80,54 @@ func updateLogBytes(t testing.TB, records ...[]byte) []byte {
 	return data
 }
 
-// FuzzUpdateLogReplay opens arbitrary bytes as an FPL1 update log. The
-// contract: OpenUpdateLog either succeeds (truncating a torn tail, resetting
-// a foreign binding) or fails with an error wrapping ErrBadIndexFormat —
-// never a panic — and a file it accepted replays identically on reopen.
-// Whatever it replays is strictly ascending, and writing the replayed records
-// back through AppendEncoded reproduces the repaired file's frames byte for
-// byte: nothing is normalized on the way in, so nothing unsorted can hide.
+// fuzzBatch is one replayed batch with its records whole (hub, count,
+// payload), copied out of the replay buffer.
+type fuzzBatch struct {
+	m       GraphMutation
+	records [][]byte
+}
+
+// FuzzUpdateLogReplay opens arbitrary bytes as an update log of batch frames.
+// The contract: the open either succeeds (truncating a torn tail, resetting a
+// foreign graph binding, rewriting a foreign base binding down to its
+// mutations) or fails with an error wrapping ErrBadIndexFormat and leaves the
+// file as it was — never a panic — and a file it accepted replays identically
+// on reopen. Every replayed record is strictly ascending, and committing the
+// replayed batches again through AppendEncoded and CommitBatch reproduces the
+// repaired file's frames byte for byte: nothing is normalized on the way in,
+// so nothing unsorted can hide.
 func FuzzUpdateLogReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FPL1garbage"))
-	// CRC-valid frames that are not records: descending ids, a repeated id,
-	// a count that does not cover the frame. Each follows a good frame.
-	good := encodeRecord(3, sparse.Vector{1: 0.5, 8: 0.25})
-	f.Add(updateLogBytes(f, good, appendRecord(nil, 4, rawEntries(9, 2)), good))
-	f.Add(updateLogBytes(f, good, appendRecord(nil, 4, rawEntries(5, 5))))
-	f.Add(updateLogBytes(f, good, append(appendRecord(nil, 4, rawEntries(5, 6)), 0, 0, 0)))
+	// CRC-valid frames that are not batches: descending ids, a repeated id,
+	// a count that does not cover the record. Each follows a good frame.
+	good := recordBatch(encodeRecord(3, sparse.Vector{1: 0.5, 8: 0.25}))
+	f.Add(updateLogBytes(f, good, recordBatch(appendRecord(nil, 4, rawEntries(9, 2))), good))
+	f.Add(updateLogBytes(f, good, recordBatch(appendRecord(nil, 4, rawEntries(5, 5)))))
+	f.Add(updateLogBytes(f, good, recordBatch(append(appendRecord(nil, 4, rawEntries(5, 6)), 0, 0, 0))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "update.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var replayed [][]byte // whole records, copied out of the replay buffer
-		l, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(h graph.NodeID, payload []byte) error {
+		var replayed []fuzzBatch
+		l, err := openUpdateLog(path, fuzzBind, func(m GraphMutation) error {
+			replayed = append(replayed, fuzzBatch{m: m})
+			return nil
+		}, func(h graph.NodeID, payload []byte) error {
 			if !strictlyAscending(payload) {
 				t.Fatalf("replay accepted a record of hub %d that is not strictly ascending", h)
 			}
-			replayed = append(replayed, appendRecord(nil, h, payload))
+			last := &replayed[len(replayed)-1]
+			last.records = append(last.records, appendRecord(nil, h, payload))
 			return nil
 		})
 		if err != nil {
 			if !errors.Is(err, ErrBadIndexFormat) {
-				t.Fatalf("OpenUpdateLog returned unstructured error %v", err)
+				t.Fatalf("openUpdateLog returned unstructured error %v", err)
+			}
+			if kept, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(kept, data) {
+				t.Fatalf("a rejected log was modified (err=%v)", rerr)
 			}
 			return
 		}
@@ -115,67 +135,45 @@ func FuzzUpdateLogReplay(f *testing.F) {
 			t.Fatalf("closing an accepted update log failed: %v", err)
 		}
 		// The first open repaired the file (torn tail truncated, foreign
-		// binding reset); a reopen must be clean and replay the same records.
-		again := 0
-		l2, err := OpenUpdateLog(path, fuzzUpdateBaseBytes, fuzzUpdateBaseHubs, func(h graph.NodeID, payload []byte) error {
-			if again < len(replayed) && !bytes.Equal(appendRecord(nil, h, payload), replayed[again]) {
-				t.Fatalf("reopen replayed a different record %d", again)
-			}
-			again++
+		// binding reset or rewritten); a reopen must be clean and replay the
+		// same batches.
+		var again []fuzzBatch
+		l2, err := openUpdateLog(path, fuzzBind, func(m GraphMutation) error {
+			again = append(again, fuzzBatch{m: m})
+			return nil
+		}, func(h graph.NodeID, payload []byte) error {
+			last := &again[len(again)-1]
+			last.records = append(last.records, appendRecord(nil, h, payload))
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("reopening a repaired update log failed: %v", err)
 		}
 		defer l2.Close()
-		if again != len(replayed) {
-			t.Fatalf("reopen replayed %d records, first open replayed %d", again, len(replayed))
+		if !reflect.DeepEqual(again, replayed) {
+			t.Fatalf("reopen replayed %d batches that differ from the %d of the first open", len(again), len(replayed))
 		}
 		repaired, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The header's reserved bytes are the file's own; the frames are not.
-		if rewritten := updateLogBytes(t, replayed...); !bytes.Equal(repaired[logHeaderBytes:], rewritten[logHeaderBytes:]) {
-			t.Fatalf("re-appending the %d replayed records gives different frames than the accepted file holds", len(replayed))
-		}
-	})
-}
-
-// FuzzGraphLogReplay is FuzzUpdateLogReplay for the FPG1 graph-mutation log.
-func FuzzGraphLogReplay(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("FPG1garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "graph.log")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		replayed := 0
-		l, err := OpenGraphLog(path, fuzzGraphBinding, func(m GraphMutation) error {
-			replayed++
-			return nil
-		})
-		if err != nil {
-			if !errors.Is(err, ErrBadIndexFormat) {
-				t.Fatalf("OpenGraphLog returned unstructured error %v", err)
+		recommitted := logBytes(t, fuzzBind, func(l *UpdateLog) error {
+			for _, b := range replayed {
+				for _, rec := range b.records {
+					h, payload, err := parseRecord(rec)
+					if err != nil {
+						return err
+					}
+					l.AppendEncoded(h, payload)
+				}
+				if err := l.CommitBatch(b.m); err != nil {
+					return err
+				}
 			}
-			return
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("closing an accepted graph log failed: %v", err)
-		}
-		again := 0
-		l2, err := OpenGraphLog(path, fuzzGraphBinding, func(m GraphMutation) error {
-			again++
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("reopening a repaired graph log failed: %v", err)
-		}
-		defer l2.Close()
-		if again != replayed {
-			t.Fatalf("reopen replayed %d records, first open replayed %d", again, replayed)
+		if !bytes.Equal(repaired, recommitted) {
+			t.Fatalf("committing the %d replayed batches again gives a different file than the accepted one", len(replayed))
 		}
 	})
 }

@@ -12,8 +12,9 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// DefaultCompactThresholdBytes is the update-log size at which a Store
-// compacts itself in the background, unless configured otherwise.
+// DefaultCompactThresholdBytes is how many bytes of hub records the update
+// log may hold before a Store compacts itself in the background, unless
+// configured otherwise.
 const DefaultCompactThresholdBytes = 64 << 20
 
 // ErrClosed reports an operation on a Store whose Close (or Abort) has
@@ -22,27 +23,24 @@ const DefaultCompactThresholdBytes = 64 << 20
 var ErrClosed = errors.New("ppvindex: disk index store is closed")
 
 // StoreOptions tune a Store beyond its index path. The zero value logs
-// updates to <index path>.log and graph mutations to <index path>.graphlog,
-// compacts past DefaultCompactThresholdBytes and fronts reads with a
-// default-sized block cache.
+// update batches to <index path>.log, compacts past
+// DefaultCompactThresholdBytes and fronts reads with a default-sized block
+// cache.
 type StoreOptions struct {
 	// BlockCacheBytes budgets an in-memory cache of hub records
 	// between the engine and the disk: 0 means a 64 MiB default, negative
 	// disables caching (every fetched hub costs one random disk access, the
 	// raw Sect. 6.3 cost model).
 	BlockCacheBytes int64
-	// UpdateLogPath overrides where post-finalize index updates are logged;
-	// empty means <index path>.log.
+	// UpdateLogPath overrides where post-finalize update batches (graph
+	// mutation and rewritten hub records) are logged; empty means
+	// <index path>.log.
 	UpdateLogPath string
-	// CompactThresholdBytes triggers a background compaction once the update
-	// log grows past it; 0 means DefaultCompactThresholdBytes, negative
-	// disables automatic compaction (manual Compact still works).
+	// CompactThresholdBytes triggers a background compaction once the hub
+	// records in the update log pass it; 0 means
+	// DefaultCompactThresholdBytes, negative disables automatic compaction
+	// (manual Compact still works).
 	CompactThresholdBytes int64
-	// GraphLogPath overrides where committed graph updates themselves are
-	// logged; empty means <index path>.graphlog. Replayed on open, so the
-	// served graph (and the index epoch) survive a restart instead of
-	// reverting to the graph file the daemon was started with.
-	GraphLogPath string
 	// Mmap maps the index file into memory and serves hub records as
 	// zero-copy views instead of pread-ing them into fresh buffers. Falls
 	// back to pread silently when the platform (or the file) cannot be
@@ -50,13 +48,10 @@ type StoreOptions struct {
 	Mmap bool
 }
 
-// withDefaults fills the empty paths and the zero threshold.
+// withDefaults fills the empty path and the zero threshold.
 func (o StoreOptions) withDefaults(path string) StoreOptions {
 	if o.UpdateLogPath == "" {
 		o.UpdateLogPath = path + ".log"
-	}
-	if o.GraphLogPath == "" {
-		o.GraphLogPath = path + ".graphlog"
 	}
 	if o.CompactThresholdBytes == 0 {
 		o.CompactThresholdBytes = DefaultCompactThresholdBytes
@@ -64,35 +59,31 @@ func (o StoreOptions) withDefaults(path string) StoreOptions {
 	return o
 }
 
-// Store is the durable disk-backed PPV index: the base index file, the
-// update log of rewritten hub records and the graph-mutation log of the
-// batches that rewrote them, owned together from create to close so that
-// no configuration commits one half of an update without the other.
+// Store is the durable disk-backed PPV index: the base index file and its
+// update log, one frame per committed update batch (see updatelog.go).
 //
 // A store built by CreateStore starts in write mode: PutEncoded streams to
 // a DiskWriter, and the first read finalizes the writer (guarded by mu —
 // concurrent first reads from parallel queries must not race the
-// transition), publishing the index and starting both logs fresh. A store
-// opened by OpenStore replays the graph-mutation log through the caller and
-// the update log into the overlay, then serves.
+// transition), publishing the index and starting the log fresh. A store
+// opened by OpenStore replays the log, each batch's mutation through the
+// caller and its records into the overlay, then serves.
 //
-// Reads optionally go through a BlockCache, and writes after finalization
-// (incremental updates recomputing a hub) are appended to the update log and
-// land in an in-memory overlay that shadows the on-disk record, with the
-// hub's cached block invalidated. Whichever of the three a record is served
-// from, it is the same flat payload behind a HubRecordView. CommitUpdates
-// appends the batch's graph mutation and fsyncs both logs, update log first.
+// Reads optionally go through a BlockCache. Writes after finalization
+// (incremental updates recomputing a hub) are staged in the log and land in
+// an in-memory overlay that shadows the on-disk record, with the hub's cached
+// block invalidated; whichever of the three serves a record, it is the same
+// flat payload behind a HubRecordView. CommitUpdates writes the batch as one
+// frame with one fsync.
 //
-// Compact folds log + overlay into a rewritten base file (built in
-// <path>.tmp, atomically renamed over <path>) and resets the update log;
-// in-flight reads drain on the old file descriptor before it is closed,
-// while new reads move to the freshly published state.
+// Compact folds the logged records and the overlay into a rewritten base file
+// and rewrites the log down to its mutations; in-flight reads drain on the
+// old file descriptor, new reads move to the freshly published state.
 type Store struct {
 	path string
 	opts StoreOptions
-	// bind identifies the base graph; a fresh store binds its new graph log
-	// to it.
-	bind GraphLogBinding
+	// graph identifies the base graph the logged mutations apply to.
+	graph GraphBinding
 
 	// state is the published read-side view. It is swapped atomically: once
 	// at the writer->reader transition, and again by every compaction. The
@@ -100,29 +91,26 @@ type Store struct {
 	// serialize on a store-wide lock.
 	state atomic.Pointer[storeState]
 
-	mu       sync.Mutex
-	writer   *DiskWriter
-	reader   *DiskIndex
-	log      *UpdateLog
-	graphLog *GraphLog
-	closed   bool
+	mu     sync.Mutex
+	writer *DiskWriter
+	reader *DiskIndex
+	log    *UpdateLog
+	closed bool
 	// logWedged flips when a compaction renamed the rewritten base into
-	// place but failed before re-binding the log to it: frames appended from
-	// then on would be bound to the replaced base and silently discarded on
+	// place but failed before re-binding the log to it: records committed
+	// from then on would be bound to the replaced base and skipped on
 	// restart, so Puts fail instead until a retried compaction (which
 	// re-binds the log) or a restart recovers.
 	logWedged bool
 
 	compacting  atomic.Bool
 	compactions atomic.Int64
-	// logBytes/logRecords mirror the log counters so DurabilityStats can
-	// report them without taking mu (which compaction holds for its whole
-	// rewrite). Updated under mu, read atomically. graphLogBytes/-Records do
-	// the same for the graph-mutation log.
-	logBytes        atomic.Int64
-	logRecords      atomic.Int64
-	graphLogBytes   atomic.Int64
-	graphLogRecords atomic.Int64
+	// logBytes/logRecords/logBatches mirror the log counters so
+	// DurabilityStats can report them without taking mu (which compaction
+	// holds for its whole rewrite). Updated under mu, read atomically.
+	logBytes   atomic.Int64
+	logRecords atomic.Int64
+	logBatches atomic.Int64
 }
 
 // storeState is one immutable read-side view of a finalized store. The
@@ -147,55 +135,46 @@ type storeState struct {
 }
 
 // CreateStore creates a store in write mode: records stream to a fresh index
-// file at path until the first read finalizes it. bind identifies the graph
-// being precomputed; the graph-mutation log started at finalize time is
-// bound to it. Logs left by a previous index at the same path are left alone
-// until the new index is actually published — if this rebuild fails or
-// crashes, the old index and its durable updates remain fully intact.
-func CreateStore(path string, bind GraphLogBinding, opts StoreOptions) (*Store, error) {
+// file at path until the first read finalizes it. graph identifies the graph
+// being precomputed; the update log started at finalize time is bound to it.
+// A log left by a previous index at the same path is left alone until the new
+// index is actually published — if this rebuild fails or crashes, the old
+// index and its durable updates remain fully intact.
+func CreateStore(path string, graph GraphBinding, opts StoreOptions) (*Store, error) {
 	w, err := CreateDisk(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{path: path, opts: opts.withDefaults(path), bind: bind, writer: w}, nil
+	return &Store{path: path, opts: opts.withDefaults(path), graph: graph, writer: w}, nil
 }
 
-// OpenStore opens an existing index file in read mode. The graph-mutation
-// log bound to bind is replayed first, every batch through replay in commit
-// order (the caller owns the graph and applies them); then the update log is
-// replayed into the overlay. A stale <path>.tmp from a crashed precompute or
-// compaction is removed: whatever it held either never completed or was
-// already renamed into place.
-func OpenStore(path string, bind GraphLogBinding, opts StoreOptions, replay func(GraphMutation) error) (*Store, error) {
-	if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
-		return nil, err
+// OpenStore opens an existing index file in read mode and replays its update
+// log, bound to graph: every batch's mutation through replay, in commit order
+// (the caller owns the graph and applies them), and its records into the
+// overlay. A stale <path>.tmp from a crashed precompute or compaction, and a
+// stale <log>.tmp from a crashed log rewrite, are removed: whatever they held
+// either never completed or was already renamed into place.
+func OpenStore(path string, graph GraphBinding, opts StoreOptions, replay func(GraphMutation) error) (*Store, error) {
+	s := &Store{path: path, opts: opts.withDefaults(path), graph: graph}
+	for _, tmp := range []string{path + ".tmp", s.opts.UpdateLogPath + ".tmp"} {
+		if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
-	s := &Store{path: path, opts: opts.withDefaults(path), bind: bind}
-	gl, err := OpenGraphLog(s.opts.GraphLogPath, bind, replay)
-	if err != nil {
-		return nil, err
-	}
-	s.graphLog = gl
-	s.mirrorGraphLog()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureReaderLocked(); err != nil {
-		gl.Close()
+	if err := s.openLocked(replay); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// mirrorLog and mirrorGraphLog publish the log counters to the atomics
-// DurabilityStats reads. Callers hold mu (or own the store exclusively).
+// mirrorLog publishes the log counters to the atomics DurabilityStats reads.
+// Callers hold mu (or own the store exclusively).
 func (s *Store) mirrorLog() {
 	s.logBytes.Store(s.log.SizeBytes())
 	s.logRecords.Store(s.log.Records())
-}
-
-func (s *Store) mirrorGraphLog() {
-	s.graphLogBytes.Store(s.graphLog.SizeBytes())
-	s.graphLogRecords.Store(s.graphLog.Records())
+	s.logBatches.Store(s.log.Batches())
 }
 
 // PutEncoded implements Writer; the payload ends up owned by the overlay, or
@@ -210,17 +189,16 @@ func (s *Store) PutEncoded(h graph.NodeID, payload []byte) error {
 		return s.writer.PutEncoded(h, payload)
 	}
 	// Finalized: the rewrite (an incremental update recomputing this hub) is
-	// logged first — write-ahead discipline — then shadows the on-disk record
-	// and evicts the stale cached block. The overlay write below never errors.
+	// staged in the log for the batch's commit, then shadows the on-disk
+	// record and evicts the stale cached block. The overlay write below never
+	// errors.
 	if err := s.ensureReaderLocked(); err != nil {
 		return err
 	}
 	if s.logWedged {
 		return fmt.Errorf("ppvindex: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
 	}
-	if err := s.log.AppendEncoded(h, payload); err != nil {
-		return fmt.Errorf("ppvindex: appending hub %d to the update log: %w", h, err)
-	}
+	s.log.AppendEncoded(h, payload)
 	s.mirrorLog()
 	st := s.state.Load()
 	if err := st.overlay.PutEncoded(h, payload); err != nil {
@@ -232,16 +210,11 @@ func (s *Store) PutEncoded(h graph.NodeID, payload []byte) error {
 	return nil
 }
 
-// CommitUpdates implements the engine's update-commit hook: it appends the
-// batch's graph mutation beside the hub records PutEncoded already staged
-// and makes both durable, then kicks off a background compaction when the
-// update log has outgrown its threshold.
-//
-// The PPV half commits first: a crash between the two fsyncs then leaves a
-// replica whose graph (and epoch) are one batch behind its hub PPVs — it
-// reports the older epoch and a router folds it out. The opposite order would
-// let a replica claim the new epoch while serving the old PPVs, which no
-// epoch check could catch.
+// CommitUpdates implements the engine's update-commit hook: it writes the
+// batch's graph mutation and the hub records PutEncoded staged as one log
+// frame and fsyncs it, so the batch is durable whole or not at all, then
+// kicks off a background compaction when the logged records have outgrown
+// their threshold.
 func (s *Store) CommitUpdates(m GraphMutation) error {
 	compact, err := s.commit(m)
 	if compact && !s.compacting.Load() {
@@ -254,25 +227,22 @@ func (s *Store) CommitUpdates(m GraphMutation) error {
 	return err
 }
 
-// commit is CommitUpdates under mu; compact reports that the update log has
-// outgrown its threshold.
+// commit is CommitUpdates under mu; compact reports that the hub records in
+// the log have outgrown the threshold. The mutations are not counted: no
+// compaction folds them away, so a log whose mutations alone pass the
+// threshold must not compact on every commit.
 func (s *Store) commit(m GraphMutation) (compact bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensureReaderLocked(); err != nil {
 		return false, err
 	}
-	if err := s.graphLog.Append(m); err != nil {
-		return false, fmt.Errorf("ppvindex: appending to the graph-mutation log: %w", err)
-	}
-	s.mirrorGraphLog()
-	if err := s.log.Commit(); err != nil {
+	err = s.log.CommitBatch(m)
+	s.mirrorLog()
+	if err != nil {
 		return false, fmt.Errorf("ppvindex: committing the update log: %w", err)
 	}
-	if err := s.graphLog.Commit(); err != nil {
-		return false, fmt.Errorf("ppvindex: committing the graph-mutation log: %w", err)
-	}
-	return s.opts.CompactThresholdBytes > 0 && s.log.SizeBytes() >= s.opts.CompactThresholdBytes, nil
+	return s.opts.CompactThresholdBytes > 0 && s.log.recordBytes >= s.opts.CompactThresholdBytes, nil
 }
 
 // Get decodes the record of h into a fresh map (Index's boundary helper; the
@@ -371,12 +341,11 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		return DurabilityStats{}, false
 	}
 	return DurabilityStats{
-		OverlayHubs:     st.overlay.Len(),
-		LogBytes:        s.logBytes.Load(),
-		LogRecords:      s.logRecords.Load(),
-		GraphLogBytes:   s.graphLogBytes.Load(),
-		GraphLogRecords: s.graphLogRecords.Load(),
-		Compactions:     s.compactions.Load(),
+		OverlayHubs: st.overlay.Len(),
+		LogBytes:    s.logBytes.Load(),
+		LogRecords:  s.logRecords.Load(),
+		LogBatches:  s.logBatches.Load(),
+		Compactions: s.compactions.Load(),
 	}, true
 }
 
@@ -394,14 +363,10 @@ func (s *Store) reading() (*storeState, error) {
 	return s.state.Load(), nil
 }
 
-// ensureReaderLocked finalizes the writer (if still open), opens the index
-// for reading and both logs, replays the update log into the overlay and
-// publishes the read state. Callers must hold s.mu.
-//
-// Finalizing publishes a fresh base, precomputed over the graph bind names:
-// logs from a previous index at this path would replay updates and mutations
-// the new PPVs were never computed against, so both are removed and started
-// empty — the update log bound to the new base, the graph log to bind.
+// ensureReaderLocked finalizes the writer (if still open) and opens the
+// store for reading (openLocked). Callers must hold s.mu. Finalizing
+// publishes a fresh base: a log from a previous index at this path would
+// replay batches the new PPVs were never computed against, so it is removed.
 func (s *Store) ensureReaderLocked() error {
 	if s.closed {
 		return ErrClosed
@@ -414,26 +379,26 @@ func (s *Store) ensureReaderLocked() error {
 			return err
 		}
 		s.writer = nil
-		for _, p := range []string{s.opts.UpdateLogPath, s.opts.GraphLogPath} {
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-	}
-	if s.graphLog == nil {
-		gl, err := OpenGraphLog(s.opts.GraphLogPath, s.bind, nil)
-		if err != nil {
+		if err := os.Remove(s.opts.UpdateLogPath); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		s.graphLog = gl
-		s.mirrorGraphLog()
 	}
+	return s.openLocked(nil)
+}
+
+// bindingFor is what the update log of a store serving r is bound to.
+func (s *Store) bindingFor(r *DiskIndex) []byte { return logBinding(r.SizeBytes(), r.Len(), s.graph) }
+
+// openLocked opens the index for reading and the update log, replays the
+// log's mutations through replay (nil skips them) and its records into the
+// overlay, and publishes the read state. Callers must hold s.mu.
+func (s *Store) openLocked(replay func(GraphMutation) error) error {
 	r, err := OpenDiskWithOptions(s.path, DiskOptions{Mmap: s.opts.Mmap})
 	if err != nil {
 		return err
 	}
 	st := s.newReadState(r)
-	lg, err := OpenUpdateLog(s.opts.UpdateLogPath, r.SizeBytes(), r.Len(), func(h graph.NodeID, payload []byte) error {
+	lg, err := openUpdateLog(s.opts.UpdateLogPath, s.bindingFor(r), replay, func(h graph.NodeID, payload []byte) error {
 		// A logged hub missing from the base directory means the log does
 		// not belong to this index file; refusing keeps the overlay
 		// invariant (overlay ⊆ directory) and surfaces the mismatch.
@@ -467,14 +432,14 @@ func (s *Store) newReadState(r *DiskIndex) *storeState {
 	return st
 }
 
-// Compact folds the update log and overlay into a rewritten base index:
+// Compact folds the logged records and overlay into a rewritten base index:
 // every hub record is streamed into <path>.tmp (overlay version when present,
 // base record otherwise), the finished file is fsync'd and atomically renamed
-// over <path>, the log is reset, and a fresh read state over the new file is
-// published. Queries are served throughout — the hot path keeps reading the
-// old state, whose descriptor stays open until in-flight reads drain — while
-// Puts wait on mu for the duration. At most one compaction runs at a time.
-// The graph-mutation log is never folded: the graph file stays the original.
+// over <path>, the log is rewritten down to its mutations, which no file
+// folds, bound to the new base (rewriteLog), and a fresh read state over the
+// new file is published. Queries are served throughout — the hot path keeps
+// reading the old state until its in-flight reads drain — while Puts wait on
+// mu. At most one compaction runs at a time.
 func (s *Store) Compact() (CompactionResult, error) {
 	var res CompactionResult
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -490,11 +455,10 @@ func (s *Store) Compact() (CompactionResult, error) {
 	}
 	st := s.state.Load()
 	res.TotalHubs = st.reader.Len()
-	// An update batch between its first Put and its CommitUpdates has
-	// appended-but-undurable frames; folding its overlay entries now would
-	// make half the batch durable. Bail and let the trigger retry after the
-	// commit.
-	if s.log.Uncommitted() {
+	// An update batch between its first Put and its CommitUpdates has staged,
+	// undurable records; folding its overlay entries now would make half the
+	// batch durable. Bail and let the trigger retry after the commit.
+	if s.log.stagedRecords > 0 {
 		return res, ErrUpdateInFlight
 	}
 	logBytes, logRecords := s.log.SizeBytes(), s.log.Records()
@@ -531,10 +495,9 @@ func (s *Store) Compact() (CompactionResult, error) {
 		}
 	}
 	// Close fsyncs the file and its directory, then atomically renames the
-	// rewritten file over s.path. From here the durable on-disk base owns
-	// every logged update, so resetting the log is safe; a crash before the
-	// reset leaves old log frames whose base binding no longer matches the
-	// new file, so the next open discards instead of replaying them.
+	// rewritten file over s.path. From here the base owns every logged
+	// record; a crash before the log rewrite leaves a log bound to the old
+	// base, which the next open rewrites itself.
 	if err := w.Close(); err != nil {
 		return res, fmt.Errorf("ppvindex: compaction finalizing rewritten index: %w", err)
 	}
@@ -543,18 +506,17 @@ func (s *Store) Compact() (CompactionResult, error) {
 		// The old state keeps serving: its overlay still shadows the base
 		// records the rewrite folded in, so answers stay correct, and the
 		// rewritten file on disk already holds the merged data for recovery.
-		// The log, however, is still bound to the replaced base — frames
-		// appended now would be discarded on restart — so wedge updates
+		// The log, however, is still bound to the replaced base — records
+		// committed now would be skipped on restart — so wedge updates
 		// until a retried compaction re-binds it.
 		s.logWedged = true
 		return res, fmt.Errorf("ppvindex: compaction reopening rewritten index: %w", err)
 	}
-	if err := s.log.Reset(r.SizeBytes(), r.Len()); err != nil {
+	if err := s.rebindLogLocked(r); err != nil {
 		r.Close()
 		s.logWedged = true
-		return res, fmt.Errorf("ppvindex: compaction resetting the update log: %w", err)
+		return res, fmt.Errorf("ppvindex: compaction rewriting the update log: %w", err)
 	}
-	s.mirrorLog()
 	old := s.state.Swap(s.newReadState(r))
 	s.reader = r
 	// DiskIndex.Close drains in-flight record reads before releasing the
@@ -565,17 +527,35 @@ func (s *Store) Compact() (CompactionResult, error) {
 	s.compactions.Add(1)
 
 	res.LogRecordsFolded = logRecords
-	res.LogBytesFreed = logBytes
+	res.LogBytesFreed = logBytes - s.log.SizeBytes()
 	res.IndexBytes = r.SizeBytes()
 	res.DurationMS = float64(time.Since(start)) / 1e6
 	return res, nil
+}
+
+// rebindLogLocked rewrites the update log down to its mutations, bound to
+// the base r, and switches to it. Callers must hold s.mu and have checked
+// that nothing is staged.
+func (s *Store) rebindLogLocked(r *DiskIndex) error {
+	bind := s.bindingFor(r)
+	if err := rewriteLog(s.opts.UpdateLogPath, bind); err != nil {
+		return err
+	}
+	lg, err := openUpdateLog(s.opts.UpdateLogPath, bind, nil, nil)
+	if err != nil {
+		return err
+	}
+	_ = s.log.Close() // its file was renamed over and it has nothing staged
+	s.log = lg
+	s.mirrorLog()
+	return nil
 }
 
 // Close releases the underlying file handles. The published read state is
 // cleared first, so late reads fail with ErrClosed instead of reading a
 // closed descriptor or serving stale overlay hits; in-flight reads drain
 // before the descriptor goes away. A store still in write mode is finalized
-// first (the index file is published, its logs started fresh) — use Abort to
+// first (the index file is published, its log started fresh) — use Abort to
 // discard instead.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -617,9 +597,6 @@ func (s *Store) closeLocked(discard bool) error {
 	}
 	if s.log != nil {
 		keep(s.log.Close())
-	}
-	if s.graphLog != nil {
-		keep(s.graphLog.Close())
 	}
 	return firstErr
 }

@@ -6,7 +6,7 @@
 // aggregates or replays it offline.
 //
 // The file is a framed log (internal/frame), the mechanism of the PPV update
-// log and the graph-mutation log: a 16-byte header (magic 'F','P','Q','1',
+// log too: a 16-byte header (magic 'F','P','Q','1',
 // version 1, 8 reserved bytes, no binding) followed by CRC-framed records. A
 // crash can only tear the tail, which Open truncates away; a foreign or
 // incompatible file is rejected rather than silently overwritten. What is

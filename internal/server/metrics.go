@@ -190,10 +190,9 @@ func (b engineBackend) collect(e *telemetry.Emitter) {
 	}
 	if dss, ok := index.(durabilityStatser); ok {
 		if st, enabled := dss.DurabilityStats(); enabled {
-			e.Counter("fastppv_wal_records_total", "Records appended to the index update log.", float64(st.LogRecords))
+			e.Counter("fastppv_wal_records_total", "Hub records in the index update log.", float64(st.LogRecords))
 			e.Gauge("fastppv_wal_bytes", "Bytes in the index update log.", float64(st.LogBytes))
-			e.Counter("fastppv_graphlog_records_total", "Graph-update batches appended to the graph-mutation log.", float64(st.GraphLogRecords))
-			e.Gauge("fastppv_graphlog_bytes", "Bytes in the graph-mutation log.", float64(st.GraphLogBytes))
+			e.Counter("fastppv_wal_batches_total", "Committed update batches in the index update log.", float64(st.LogBatches))
 			e.Counter("fastppv_compactions_total", "Completed disk-index compactions.", float64(st.Compactions))
 			e.Gauge("fastppv_overlay_hubs", "Hubs currently served from the in-memory overlay.", float64(st.OverlayHubs))
 		}

@@ -1113,9 +1113,9 @@ func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 	})
 }
 
-// compactor is implemented by disk-backed index stores that can fold their
-// update log and overlay back into the base file (ppvindex.Store); the
-// /v1/compact admin endpoint drives it.
+// compactor is implemented by disk-backed index stores that can fold the hub
+// records of their update log and overlay back into the base file
+// (ppvindex.Store); the /v1/compact admin endpoint drives it.
 type compactor interface {
 	Compact() (ppvindex.CompactionResult, error)
 }
@@ -1241,8 +1241,8 @@ type blockCacheStatser interface {
 }
 
 // durabilityStatser is implemented by index stores that persist incremental
-// updates behind an update log and a graph-mutation log; the stats endpoint
-// reports overlay and log counters when present.
+// updates behind an update log; the stats endpoint reports overlay and log
+// counters when present.
 type durabilityStatser interface {
 	DurabilityStats() (ppvindex.DurabilityStats, bool)
 }

@@ -132,7 +132,7 @@ func TestRewrittenRecordIsServedAsAView(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Restart on the original graph file: both logs replay.
+			// Restart on the original graph file: the logged batch replays.
 			engine, closeIndex, err = OpenDiskIndexWithOptions(g, opts, path, dio)
 			if err != nil {
 				t.Fatal(err)
