@@ -13,7 +13,15 @@
 // rebuilding its caches from yesterday's workload, or reproducing the traffic
 // that preceded an incident:
 //
-//	ppvlog -log queries.qlog -replay -addr http://localhost:8080 -limit 10000
+//	ppvlog -log queries.qlog -replay -addr localhost:8080 -limit 10000
+//
+// Replay plays the records' (source, eta, top) triples in order over one
+// connection through the internal/workload driver, and prints its report.
+// The eta is the one the daemon logged: the requested eta after its MaxEta
+// clamp, not a degraded one. Replay reads the whole sequence (up to -limit)
+// before it sends the first query, so its memory grows with the number of
+// replayed records, about 32 bytes each. With -limit the scan stops at the
+// limit.
 //
 // Both modes read the previous generation (<path>.1) before the active file
 // and tolerate a torn tail, exactly like the daemon's replay-on-open.
@@ -21,27 +29,27 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"time"
 
-	"fastppv/internal/benchfmt"
 	"fastppv/internal/graph"
 	"fastppv/internal/querylog"
+	"fastppv/internal/workload"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ppvlog: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ppvlog", flag.ExitOnError)
 	logPath := fs.String("log", "", "query log to read (required)")
 	topN := fs.Int("top", 20, "top sources to print, ranked by frequency-decayed weight")
@@ -57,9 +65,9 @@ func run(args []string) error {
 		return fmt.Errorf("-log is required")
 	}
 	if *replay {
-		return replayLog(*logPath, *addr, *limit)
+		return replayLog(out, *logPath, *addr, *limit, *slowMS)
 	}
-	return summarize(*logPath, *topN, *slowMS, *show, *jsonOut)
+	return summarize(out, *logPath, *topN, *slowMS, *show, *jsonOut)
 }
 
 // sourceWeight is one entry of the top-sources ranking.
@@ -91,8 +99,8 @@ type summary struct {
 	Slow       int                  `json:"slow"`
 	Traced     int                  `json:"traced"`
 	Epochs     int                  `json:"epochs"`
-	LatencyMS  benchfmt.Percentiles `json:"latency_ms"`
-	ErrorBound benchfmt.Percentiles `json:"error_bound"`
+	LatencyMS  workload.Percentiles `json:"latency_ms"`
+	ErrorBound workload.Percentiles `json:"error_bound"`
 	TopSources []sourceWeight       `json:"top_sources"`
 	Flagged    []flagged            `json:"flagged"`
 }
@@ -104,7 +112,7 @@ func modeName(m uint8) string {
 	return "engine"
 }
 
-func summarize(path string, topN int, slowMS float64, show int, jsonOut bool) error {
+func summarize(out io.Writer, path string, topN int, slowMS float64, show int, jsonOut bool) error {
 	var (
 		sum     summary
 		lats    []float64
@@ -160,8 +168,8 @@ func summarize(path string, topN int, slowMS float64, show int, jsonOut bool) er
 		return fmt.Errorf("no records in %s", path)
 	}
 	sum.Epochs = len(epochs)
-	sum.LatencyMS = benchfmt.Summarize(lats)
-	sum.ErrorBound = benchfmt.Summarize(bounds)
+	sum.LatencyMS = workload.Summarize(lats)
+	sum.ErrorBound = workload.Summarize(bounds)
 	for _, src := range agg.TopSources(topN) {
 		sum.TopSources = append(sum.TopSources, sourceWeight{
 			Node: int(src), Count: counts[src],
@@ -175,24 +183,23 @@ func summarize(path string, topN int, slowMS float64, show int, jsonOut bool) er
 	sum.Flagged = flags
 
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(sum)
 	}
-	fmt.Printf("%s: %d records (%d engine, %d router), %d epoch(s)\n",
+	fmt.Fprintf(out, "%s: %d records (%d engine, %d router), %d epoch(s)\n",
 		path, sum.Records, sum.Engine, sum.Router, sum.Epochs)
-	fmt.Printf("outcomes: %d cache hits, %d coalesced, %d degraded, %d slow, %d traced\n",
+	fmt.Fprintf(out, "outcomes: %d cache hits, %d coalesced, %d degraded, %d slow, %d traced\n",
 		sum.CacheHits, sum.Coalesced, sum.Degraded, sum.Slow, sum.Traced)
-	fmt.Printf("latency ms: p50=%.3f p90=%.3f p99=%.3f max=%.3f\n",
-		sum.LatencyMS.P50, sum.LatencyMS.P90, sum.LatencyMS.P99, sum.LatencyMS.Max)
-	fmt.Printf("error bound: p50=%.4g p99=%.4g max=%.4g\n",
+	fmt.Fprintf(out, "latency ms: %v\n", sum.LatencyMS)
+	fmt.Fprintf(out, "error bound: p50=%.4g p99=%.4g max=%.4g\n",
 		sum.ErrorBound.P50, sum.ErrorBound.P99, sum.ErrorBound.Max)
-	fmt.Printf("top %d sources (decay-ranked, the warming order):\n", len(sum.TopSources))
+	fmt.Fprintf(out, "top %d sources (decay-ranked, the warming order):\n", len(sum.TopSources))
 	for i, s := range sum.TopSources {
-		fmt.Printf("  %2d. node %-8d %6d queries  %5.1f%%\n", i+1, s.Node, s.Count, 100*s.Share)
+		fmt.Fprintf(out, "  %2d. node %-8d %6d queries  %5.1f%%\n", i+1, s.Node, s.Count, 100*s.Share)
 	}
 	if len(sum.Flagged) > 0 {
-		fmt.Printf("slow/degraded (slowest %d):\n", len(sum.Flagged))
+		fmt.Fprintf(out, "slow/degraded (slowest %d):\n", len(sum.Flagged))
 		for _, f := range sum.Flagged {
 			kind := ""
 			if f.Slow {
@@ -205,50 +212,39 @@ func summarize(path string, topN int, slowMS float64, show int, jsonOut bool) er
 			if tid == "" {
 				tid = "-"
 			}
-			fmt.Printf("  node %-8d %9.3fms  %-7s %sbound=%.4g trace=%s\n",
+			fmt.Fprintf(out, "  node %-8d %9.3fms  %-7s %sbound=%.4g trace=%s\n",
 				f.Node, f.LatencyMS, f.Mode, kind, f.Bound, tid)
 		}
 	}
 	return nil
 }
 
+// errLimit stops the log scan once -limit records are collected.
+var errLimit = errors.New("replay limit reached")
+
 // replayLog re-issues the logged queries in order against a live daemon.
-func replayLog(path, addr string, limit int) error {
-	client := &http.Client{Timeout: 30 * time.Second}
-	var sent, failed int
-	var lats []float64
-	start := time.Now()
-	_, err := querylog.Replay(path, func(r querylog.Record) error {
-		if limit > 0 && sent >= limit {
-			return nil
+func replayLog(out io.Writer, path, addr string, limit int, slowMS float64) error {
+	d, err := workload.NewDriver([]string{addr})
+	if err != nil {
+		return fmt.Errorf("-addr: %w", err)
+	}
+	var seq []workload.Request
+	_, err = querylog.Replay(path, func(r querylog.Record) error {
+		seq = append(seq, workload.Request{Node: r.Source, Eta: int(r.Eta), Top: int(r.Top)})
+		if len(seq) == limit {
+			return errLimit
 		}
-		sent++
-		url := fmt.Sprintf("%s/v1/ppv?node=%d&eta=%d&top=%d", addr, r.Source, r.Eta, r.Top)
-		q0 := time.Now()
-		resp, err := client.Get(url)
-		if err != nil {
-			failed++
-			return nil
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			failed++
-			return nil
-		}
-		lats = append(lats, float64(time.Since(q0))/1e6)
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errLimit) {
 		return err
 	}
-	if sent == 0 {
+	if len(seq) == 0 {
 		return fmt.Errorf("no records in %s", path)
 	}
-	wall := time.Since(start).Seconds()
-	p := benchfmt.Summarize(lats)
-	fmt.Printf("replayed %d queries against %s in %.2fs (%.0f qps), %d failed\n",
-		sent, addr, wall, float64(len(lats))/wall, failed)
-	fmt.Printf("latency ms: p50=%.3f p90=%.3f p99=%.3f max=%.3f\n", p.P50, p.P90, p.P99, p.Max)
+	r := d.Run(seq, 1, time.Duration(slowMS*float64(time.Millisecond)))
+	fmt.Fprintf(out, "replayed %d queries against %s in %.2fs (%.0f qps), %d failed\n",
+		r.Requests, d.Targets()[0], r.ElapsedS, r.QPS, r.Failures)
+	r.Print(out)
 	return nil
 }

@@ -39,7 +39,9 @@ type Record struct {
 	Source graph.NodeID
 	// Top is the requested k (top-k result size).
 	Top uint16
-	// Eta is the effective accuracy level the answer was computed at.
+	// Eta is the requested accuracy level after the server's MaxEta clamp,
+	// not the lower one a degraded answer was computed at; replay re-issues
+	// it as given.
 	Eta uint8
 	// Mode is ModeEngine or ModeRouter.
 	Mode uint8

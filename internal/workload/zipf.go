@@ -28,8 +28,9 @@ const DefaultZipfS = 1.2
 // ZipfSampler draws node ids with Zipfian popularity: rank r is drawn with
 // probability proportional to 1/r^S, and ranks are mapped to node ids through
 // a seed-determined permutation so the popular nodes are spread over the id
-// space. It is not safe for concurrent use; give each goroutine its own
-// sampler (distinct seeds give distinct streams).
+// space. It is not safe for concurrent use. Distinct seeds give distinct
+// popularity rankings, not just distinct streams, so concurrent players of one
+// workload should share one drawn sequence (see ZipfSequence).
 type ZipfSampler struct {
 	zipf *rand.Zipf
 	perm []graph.NodeID
