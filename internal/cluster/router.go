@@ -29,7 +29,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -619,19 +618,36 @@ func (q *routedQuery) Root(node graph.NodeID, estimate *sparse.Accumulator) (boo
 	return !root.FromIndex, nil
 }
 
-func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.PartialResponse, int, error) {
-	r := q.r
-	owner := r.part.Owner(node)
-	order := make([]*shardClient, 0, len(r.shards))
-	order = append(order, r.shards[owner])
-	for i, s := range r.shards {
-		if i != owner {
-			order = append(order, s)
+// rootOrder is the order in which Root asks shards for iteration 0: the
+// owner, then the others by ascending index, healthy shards ahead of the rest
+// with each group keeping that order. Healthy shards fill the slice from the
+// front and the others from the back, so each shard's health is read once;
+// reversing the back restores its order.
+func (r *Router) rootOrder(owner int) []*shardClient {
+	order := make([]*shardClient, len(r.shards))
+	front, back := 0, len(order)
+	place := func(s *shardClient) {
+		if s.healthy.Load() {
+			order[front] = s
+			front++
+		} else {
+			back--
+			order[back] = s
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].healthy.Load() && !order[j].healthy.Load()
-	})
+	place(r.shards[owner])
+	for i, s := range r.shards {
+		if i != owner {
+			place(s)
+		}
+	}
+	slices.Reverse(order[back:])
+	return order
+}
+
+func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.PartialResponse, int, error) {
+	r := q.r
+	order := r.rootOrder(r.part.Owner(node))
 	clusterEpoch, epochKnown := r.ClusterEpoch()
 	var (
 		lastErr error

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,6 +189,42 @@ func TestRouterRootFallsBackToOtherShard(t *testing.T) {
 // TestRouterRetriesTransientErrors: a shard answering with the structured
 // "retry" code (index descriptor swapped mid-read, e.g. a restart or
 // compaction) is retried once instead of being declared down.
+// TestRootOrderMatchesStableSort checks rootOrder against the order it
+// replaced — owner first, then ascending index, stable-sorted healthy first —
+// for every owner and every health mask of a four-shard router.
+func TestRootOrderMatchesStableSort(t *testing.T) {
+	const n = 4
+	r := &Router{}
+	for i := 0; i < n; i++ {
+		r.shards = append(r.shards, &shardClient{index: i})
+	}
+	for mask := 0; mask < 1<<n; mask++ {
+		for i, s := range r.shards {
+			s.healthy.Store(mask&(1<<i) != 0)
+		}
+		for owner := 0; owner < n; owner++ {
+			want := []*shardClient{r.shards[owner]}
+			for i, s := range r.shards {
+				if i != owner {
+					want = append(want, s)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				return want[i].healthy.Load() && !want[j].healthy.Load()
+			})
+			got := r.rootOrder(owner)
+			if len(got) != n {
+				t.Fatalf("mask %04b owner %d: %d shards, want %d", mask, owner, len(got), n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("mask %04b owner %d: position %d is shard %d, want %d", mask, owner, i, got[i].index, want[i].index)
+				}
+			}
+		}
+	}
+}
+
 func TestRouterRetriesTransientErrors(t *testing.T) {
 	_, shards := testCluster(t, 1)
 	shards[0].hook = func(n int, _ *api.PartialRequest) fault {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"fastppv/internal/graph"
@@ -130,12 +129,6 @@ type QueryState struct {
 	// bound 1-mass is byte-reproducible without re-summing the whole estimate
 	// on every Step.
 	mass float64
-	// deps records the hubs whose indexed prime PPV a local query consumed
-	// (iteration 0 when the query node is a hub, plus every hub expanded by a
-	// Step); nil for a remote source. Result caches use it for targeted
-	// invalidation after a graph update: a cached answer is stale once any of
-	// these hubs is recomputed.
-	deps map[graph.NodeID]struct{}
 }
 
 // NewQuery starts incremental query processing for q and performs iteration 0
@@ -167,13 +160,7 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 		return nil, fmt.Errorf("core: %w: query %d", graph.ErrNodeOutOfRange, q)
 	}
 	b := getQueryBufs()
-	src := &localSource{e: e, adj: adj, b: b, deps: make(map[graph.NodeID]struct{})}
-	qs, err := startQuery(q, src, b)
-	if err != nil {
-		return nil, err
-	}
-	qs.deps = src.deps
-	return qs, nil
+	return startQuery(q, &localSource{e: e, adj: adj, b: b}, b)
 }
 
 // StartQuery starts a query for q over src and performs iteration 0. It is how
@@ -218,10 +205,9 @@ func startQuery(q graph.NodeID, src Source, b *queryBufs) (*QueryState, error) {
 // kernel over every frontier hub. Its frontier lives in the query's pooled
 // bundle.
 type localSource struct {
-	e    *Engine
-	adj  prime.Adjacency
-	b    *queryBufs
-	deps map[graph.NodeID]struct{}
+	e   *Engine
+	adj prime.Adjacency
+	b   *queryBufs
 	// pruned counts the border hubs dropped from the held frontier because
 	// their prefix is at most delta; the next Expand reports them skipped.
 	pruned int
@@ -238,7 +224,7 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 	if fromIndex {
 		estimate.SetEncoded(view.EntryBytes())
 		view.Release()
-		s.deps[q] = struct{}{}
+		b.deps = append(b.deps, q)
 	} else {
 		queryPPV, _, err := b.scratch.Push(s.adj, q, e.hubs, e.opts.primeOptions(), 0)
 		if err != nil {
@@ -279,14 +265,16 @@ func (s *localSource) Frontier() int { return len(s.b.frontier) + s.pruned }
 func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, skipped int) {
 	b := s.b
 	skipped = s.pruned
+	consumed := len(b.deps)
 	for _, fe := range b.frontier {
 		if ok, _ := s.e.stageHub(b, inc, fe.Node, fe.Score, true); ok {
-			s.deps[fe.Node] = struct{}{}
+			b.deps = append(b.deps, fe.Node)
 			expanded++
 		} else {
 			skipped++
 		}
 	}
+	b.mergeDeps(consumed)
 	b.frontier, b.nextFrontier = s.e.foldStaged(inc, b.nextFrontier[:0]), b.frontier
 	b.frontier, s.pruned = s.e.pruneFrontier(b.frontier)
 	return expanded, skipped
@@ -340,10 +328,10 @@ func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID,
 	return e.stageRecomputed(b, inc, h, scale), nil
 }
 
-// foldStaged closes an expansion: one stable-sort fold of everything staged
-// (per-node contributions sum in ascending-hub order, bit-equal to merging hub
-// by hub), then the next frontier — the hub entries of the increment, born
-// sorted because the increment is — appended to next.
+// foldStaged closes an expansion: one merge of the staged records' sorted
+// runs (per-node contributions sum in ascending-hub order, bit-equal to
+// merging hub by hub), then the next frontier — the hub entries of the
+// increment, born sorted because the increment is — appended to next.
 func (e *Engine) foldStaged(inc *sparse.Accumulator, next []sparse.Entry) []sparse.Entry {
 	inc.Combine()
 	for _, en := range inc.Entries() {
@@ -410,17 +398,18 @@ func (qs *QueryState) L1ErrorBound() float64 { return qs.result.L1ErrorBound }
 // NewQuery). Serving layers use it to report how far a degraded answer got.
 func (qs *QueryState) Iteration() int { return qs.iteration }
 
-// HubDeps returns, in ascending order, the hubs whose indexed prime PPV this
-// query has consumed so far. A cached result derived from this state must be
-// invalidated when any of these hubs' prime PPVs is recomputed.
+// HubDeps returns a copy, in ascending order, of the hubs whose indexed prime
+// PPV this local query has consumed so far (iteration 0 when the query node is
+// a hub, plus every hub a Step expanded); a remote source consumes none.
+// Result caches use it for targeted invalidation after a graph update: a
+// cached answer derived from this state is stale once any of these hubs is
+// recomputed. The list lives in the pooled bundle, so call HubDeps before
+// Close; after Close it returns nil.
 func (qs *QueryState) HubDeps() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(qs.deps))
-	//lint:ordered collect-then-sort: deps are sorted by id before returning
-	for h := range qs.deps {
-		out = append(out, h)
+	if qs.bufs == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(qs.bufs.deps)
 }
 
 // Exhausted reports whether no extendable hubs remain, i.e. further Steps

@@ -64,8 +64,9 @@ const extensionEpsilon = 1e-15
 type Accumulator struct {
 	entries []Entry // invariant: sorted by ascending Node, no duplicates
 	scratch []Entry // merge destination, swapped with entries after each fold
-	tmp     []Entry // Combine folds the sorted staged entries into here
+	tmp     []Entry // AddSorted's entries; Combine's merge buffer beside staged
 	staged  []Entry // contributions staged by Stage* since the last Combine
+	runs    []int   // start of each ascending run in staged, in staging order
 }
 
 // Reset truncates the accumulator to empty, retaining capacity.
@@ -74,6 +75,7 @@ func (a *Accumulator) Reset() {
 	a.scratch = a.scratch[:0]
 	a.tmp = a.tmp[:0]
 	a.staged = a.staged[:0]
+	a.runs = a.runs[:0]
 }
 
 // Len returns the number of stored entries.
@@ -186,17 +188,20 @@ func (a *Accumulator) merge(other []Entry) {
 // encoded hub record to the staging buffer without merging: a Step expands
 // many hubs, and merging each record into the growing increment immediately
 // costs O(|increment|) per hub. Staging is O(|record|) per hub; Combine then
-// folds everything staged with one stable sort. The Theorem 4 self-loop
-// correction is applied here: the owner hub's own entry contributes
+// folds everything staged with one merge of the staged runs. The Theorem 4
+// self-loop correction is applied here: the owner hub's own entry contributes
 // (score − alpha) — an extension through a hub must advance the walk by at
 // least one edge, or tours ending at the hub would be counted twice across
 // consecutive iterations — and is dropped entirely when the corrected score
 // falls below a small epsilon.
 //
+// Staging records where each ascending run starts: an entry whose node id is
+// below the one staged before it opens a new run, so a stored record (strictly
+// ascending) extends at most one run, and a corrupt one splits into several.
+//
 // Callers must stage hubs in ascending owner order and call Combine before
-// reading the accumulator: the stable sort keys on node id only, so the
-// per-node contribution order (and with it bit-reproducibility against the
-// sequential merge) is the staging order.
+// reading the accumulator: Combine sums each node's contributions in staging
+// order, and with that order it is bit-identical to the sequential merge.
 func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner graph.NodeID, alpha float64) {
 	n := len(data) / EncodedEntrySize
 	for j := 0; j < n; j++ {
@@ -206,6 +211,9 @@ func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner gr
 			if score <= extensionEpsilon {
 				continue
 			}
+		}
+		if last := len(a.staged) - 1; last < 0 || node < a.staged[last].Node {
+			a.runs = append(a.runs, len(a.staged))
 		}
 		a.staged = append(a.staged, Entry{Node: node, Score: scale * score})
 	}
@@ -217,29 +225,80 @@ func (a *Accumulator) StageVectorExtension(v Vector, scale float64, owner graph.
 	a.StageEncodedExtension(AppendEncoded(nil, v.AppendSorted(nil)), scale, owner, alpha)
 }
 
-// Combine folds every staged contribution into the accumulator. Duplicated
-// nodes are summed in staging order (stable sort), which reproduces the
-// floating-point addition sequence of merging the staged hubs one at a time —
-// the bit-reproducibility contract — at O(E log E) for E staged entries
-// instead of O(hubs x |accumulator|).
+// Combine folds every staged contribution into the accumulator. It merges the
+// staged runs pairwise, bottom-up, in O(E log k) for E entries in k runs; on
+// equal node ids a merge takes the left (earlier staged) run first, so the
+// merged order is the stable order by node id, and duplicates are then summed
+// left to right. That is the floating-point addition sequence of merging the
+// staged hubs one at a time — the bit-reproducibility contract — without the
+// O(hubs x |accumulator|) of doing so. Combine reuses the accumulator's
+// buffers and allocates nothing once they have grown.
 func (a *Accumulator) Combine() {
 	if len(a.staged) == 0 {
 		return
 	}
-	sort.SliceStable(a.staged, func(i, j int) bool { return a.staged[i].Node < a.staged[j].Node })
-	folded := a.tmp[:0]
-	cur := a.staged[0]
-	for _, e := range a.staged[1:] {
-		if e.Node == cur.Node {
-			cur.Score += e.Score
+	sorted := a.mergeRuns()
+	w := 0
+	for _, e := range sorted[1:] {
+		if e.Node == sorted[w].Node {
+			sorted[w].Score += e.Score
 		} else {
-			folded = append(folded, cur)
-			cur = e
+			w++
+			sorted[w] = e
 		}
 	}
-	folded = append(folded, cur)
-	a.tmp = folded
+	a.merge(sorted[:w+1])
 	a.staged = a.staged[:0]
+	a.runs = a.runs[:0]
+}
 
-	a.merge(folded)
+// mergeRuns merges the staged runs into one ascending run, ping-ponging
+// between staged and tmp, and returns it; it leaves the result in a.staged's
+// storage and a.tmp holding the other buffer.
+func (a *Accumulator) mergeRuns() []Entry {
+	src, runs := a.staged, a.runs
+	if len(runs) < 2 {
+		return src
+	}
+	dst := slices.Grow(a.tmp[:0], len(src))[:len(src)]
+	for len(runs) > 1 {
+		next := runs[:0] // runs[i] is read before next[i/2] is written
+		for i := 0; i < len(runs); i += 2 {
+			lo, mid, hi := runs[i], len(src), len(src)
+			if i+1 < len(runs) {
+				mid = runs[i+1]
+			}
+			if i+2 < len(runs) {
+				hi = runs[i+2]
+			}
+			mergeStable(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, lo)
+		}
+		runs = next
+		src, dst = dst, src
+	}
+	a.staged, a.tmp = src, dst[:0]
+	return src
+}
+
+// mergeStable merges the ascending runs x and y into dst, which has room for
+// both; on equal node ids the entry of x comes first.
+func mergeStable(dst, x, y []Entry) {
+	if len(x) == 0 || len(y) == 0 || x[len(x)-1].Node <= y[0].Node {
+		copy(dst[copy(dst, x):], y)
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if y[j].Node < x[i].Node {
+			dst[k] = y[j]
+			j++
+		} else {
+			dst[k] = x[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }

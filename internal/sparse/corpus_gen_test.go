@@ -28,3 +28,33 @@ func TestRegenEncodedCorpus(t *testing.T) {
 		nil,
 	)
 }
+
+// TestRegenCombineCorpus writes the committed seed corpus of FuzzCombineRuns:
+// header-framed records (see FuzzCombineRuns) built with the real encoder.
+// Gated behind PPV_REGEN_CORPUS=1.
+func TestRegenCombineCorpus(t *testing.T) {
+	corpus.SkipUnlessRegen(t)
+	record := func(head byte, entries ...Entry) []byte {
+		return append([]byte{head | byte(len(entries))}, encodeEntries(entries...)...)
+	}
+	join := func(records ...[]byte) []byte {
+		var out []byte
+		for _, r := range records {
+			out = append(out, r...)
+		}
+		return out
+	}
+	corpus.Write(t, "FuzzCombineRuns",
+		// Two ascending records sharing node 4, the owner dropped by the
+		// self-correction in the first.
+		join(record(0x80, Entry{Node: 1, Score: 0.15}, Entry{Node: 4, Score: 0.1}),
+			record(0, Entry{Node: 4, Score: 0.3}, Entry{Node: 8, Score: 1e-17})),
+		// A descending record: three runs in one.
+		record(0, Entry{Node: 9, Score: 1}, Entry{Node: 5, Score: 2}, Entry{Node: 1, Score: 3}),
+		// Empty records between, a NaN and a repeated id.
+		join(record(0), record(0, Entry{Node: 3, Score: math.NaN()}, Entry{Node: 3, Score: 1}),
+			record(0), record(0, Entry{Node: 3, Score: -0.0})),
+		// A header promising more entries than the input holds.
+		record(0, Entry{Node: 2, Score: 0.5})[:EncodedEntrySize-3],
+	)
+}

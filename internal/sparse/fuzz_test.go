@@ -53,3 +53,30 @@ func FuzzEncodedRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCombineRuns splits the input into records and checks Combine against
+// the stable-sort-then-left-fold reference, bit for bit. Each record is a
+// header byte — its entry count in the low four bits, and in the high bit
+// whether its first entry's node is the owner hub — followed by that many
+// encoded entries (fewer if the input runs out). Ids and scores are
+// arbitrary, so records may be out of order, repeat ids or hold NaNs.
+func FuzzCombineRuns(f *testing.F) {
+	f.Add([]byte{}) // more seeds: testdata/fuzz, from TestRegenCombineCorpus
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []stagedRecord
+		for len(data) > 0 {
+			head := data[0]
+			n := min(int(head&0x0f)*EncodedEntrySize, (len(data)-1)/EncodedEntrySize*EncodedEntrySize)
+			rec := stagedRecord{data: data[1 : 1+n], scale: 1, owner: -1}
+			if head&0x80 != 0 && n > 0 {
+				rec.owner, _ = EncodedEntryAt(rec.data, 0)
+			}
+			recs = append(recs, rec)
+			data = data[1+n:]
+		}
+		var a Accumulator
+		stageAll(&a, recs)
+		a.Combine()
+		sameBits(t, "Combine", a.Entries(), referenceCombine(nil, recs))
+	})
+}
