@@ -47,6 +47,7 @@ func main() {
 	// only its own partition — half the offline cost and index size apiece.
 	const shards = 2
 	httpSrvs := make([]*http.Server, shards)
+	shardSrvs := make([]*server.Server, shards)
 	targets := make([]string, shards)
 	for s := 0; s < shards; s++ {
 		opts := fastppv.Options{NumHubs: 300, Partition: fastppv.Partition{Shard: s, Shards: shards}}
@@ -65,6 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		shardSrvs[s] = srv
 		httpSrvs[s] = &http.Server{Handler: srv.Handler()}
 		go httpSrvs[s].Serve(ln)
 		targets[s] = "http://" + ln.Addr().String()
@@ -126,10 +128,12 @@ func main() {
 	fmt.Printf("  post-update: single bound=%.6f cluster bound=%.6f (epoch %d, degraded=%v)\n",
 		want.L1ErrorBound, got.L1ErrorBound, got.Epoch, got.Degraded)
 
-	// Kill shard 1 (connections included): the router keeps answering, with
-	// the unexpandable frontier mass reflected in a wider (still exact)
-	// error bound.
+	// Kill shard 1 (connections included — the router's binary stream is a
+	// hijacked connection http.Server.Close does not track): the router keeps
+	// answering, with the unexpandable frontier mass reflected in a wider
+	// (still exact) error bound.
 	httpSrvs[1].Close()
+	shardSrvs[1].CloseStreams()
 	degraded, err := rt.Query(q, core.StopCondition{MaxIterations: eta})
 	if err != nil {
 		log.Fatal(err)

@@ -70,19 +70,6 @@ type Clustering struct {
 // NumClusters returns the number of clusters.
 func (c *Clustering) NumClusters() int { return len(c.Anchors) }
 
-// LargestClusterSize returns the node count of the largest cluster: the
-// minimum working set of the disk-based online processing (Fig. 16's "memory
-// need" column is LargestClusterSize / NumNodes).
-func (c *Clustering) LargestClusterSize() int {
-	max := 0
-	for _, s := range c.Sizes {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // Members returns the nodes assigned to cluster id.
 func (c *Clustering) Members(id int) []graph.NodeID {
 	var out []graph.NodeID

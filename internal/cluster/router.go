@@ -46,9 +46,6 @@ type RouterConfig struct {
 	// Targets are the shard base URLs; Targets[i] must be the shard serving
 	// partition i/len(Targets). The order is part of the partition contract.
 	Targets []string
-	// Client optionally overrides the HTTP client used for the shards' plain
-	// HTTP surface: health probes, stats reads and update fan-out legs.
-	Client *http.Client
 	// RequestTimeout bounds one partial sub-request; zero means 10s.
 	RequestTimeout time.Duration
 	// Transport must be "" or TransportBinary. There is one shard transport;
@@ -59,13 +56,9 @@ type RouterConfig struct {
 	// passively, on request outcomes).
 	HealthInterval time.Duration
 	// Registry optionally receives the router's metrics (per-shard leg
-	// latency, query outcomes, and a scrape-time collector for epochs and
-	// health); nil records into a private, unexported registry.
+	// latency, degraded answers and lost mass, and a scrape-time collector for
+	// epochs and health); nil records into a private, unexported registry.
 	Registry *telemetry.Registry
-	// LegLatencyBuckets overrides the bucket bounds of the shard-leg latency
-	// histogram family; nil means telemetry.DefLatencyBuckets. Bounds must be
-	// strictly ascending.
-	LegLatencyBuckets []float64
 	// Logger optionally receives structured router logs (health transitions,
 	// epoch raises, update fan-outs, traced queries); nil discards them.
 	Logger *slog.Logger
@@ -117,14 +110,12 @@ type shardClient struct {
 	// epoch is the shard's last observed index epoch; -1 while unknown.
 	epoch atomic.Int64
 
-	requests  atomic.Int64
-	failures  atomic.Int64
-	retries   atomic.Int64
-	latencyUS atomic.Int64
-	maxUS     atomic.Int64
+	failures atomic.Int64
+	retries  atomic.Int64
 
 	// leg is the shard's pre-resolved latency histogram child, so the hot
-	// path never touches the registry's label map.
+	// path never touches the registry's label map. Its count and sum are the
+	// shard's request total and latency total.
 	leg *telemetry.Histogram
 
 	// tr carries this shard's partial sub-requests.
@@ -144,19 +135,10 @@ func (s *shardClient) knownEpoch() (uint64, bool) {
 }
 
 func (s *shardClient) observe(d time.Duration, failed bool) {
-	s.requests.Add(1)
 	if failed {
 		s.failures.Add(1)
 	}
 	s.leg.ObserveDuration(d)
-	us := d.Microseconds()
-	s.latencyUS.Add(us)
-	for {
-		old := s.maxUS.Load()
-		if us <= old || s.maxUS.CompareAndSwap(old, us) {
-			break
-		}
-	}
 }
 
 // NewRouter creates a router over the given shard targets, probes each shard
@@ -173,24 +155,22 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		// The stdlib zero client has no timeout and keeps only 2 idle
-		// connections per host. Size the idle pool to the fan-out width (an
-		// update fan-out and a probe round both touch every shard) and give
-		// every call a real deadline.
-		client = &http.Client{
-			Timeout: cfg.RequestTimeout + time.Second,
-			Transport: &http.Transport{
-				DialContext: (&net.Dialer{
-					Timeout:   5 * time.Second,
-					KeepAlive: 30 * time.Second,
-				}).DialContext,
-				MaxIdleConns:        32 * len(cfg.Targets),
-				MaxIdleConnsPerHost: 32,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
+	// The client serves the shards' plain HTTP surface: health probes, stats
+	// reads and update fan-out legs. The stdlib zero client has no timeout and
+	// keeps only 2 idle connections per host. Size the idle pool to the
+	// fan-out width (an update fan-out and a probe round both touch every
+	// shard) and give every call a real deadline.
+	client := &http.Client{
+		Timeout: cfg.RequestTimeout + time.Second,
+		Transport: &http.Transport{
+			DialContext: (&net.Dialer{
+				Timeout:   5 * time.Second,
+				KeepAlive: 30 * time.Second,
+			}).DialContext,
+			MaxIdleConns:        32 * len(cfg.Targets),
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		},
 	}
 	if cfg.Transport != "" && cfg.Transport != TransportBinary {
 		return nil, fmt.Errorf("cluster: unknown transport %q (the only transport is %q)",
@@ -210,7 +190,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		timeout:    cfg.RequestTimeout,
 		passive:    cfg.HealthInterval < 0,
 		logger:     logger,
-		met:        newRouterMetrics(reg, cfg.LegLatencyBuckets),
+		met:        newRouterMetrics(reg),
 		stopHealth: make(chan struct{}),
 	}
 	r.clusterEpoch.Store(-1)
@@ -259,9 +239,6 @@ func (r *Router) Close() {
 	})
 	r.healthWG.Wait()
 }
-
-// Shards returns the number of shards the router fans out to.
-func (r *Router) Shards() int { return len(r.shards) }
 
 // NumNodes returns the node count of the served graph, discovered from shard
 // stats; zero while no shard has been reachable yet.
@@ -1086,13 +1063,15 @@ type ShardStats struct {
 	Healthy bool   `json:"healthy"`
 	// Epoch is the shard's last observed index epoch; EpochKnown is false
 	// until the router has seen any response from it.
-	Epoch         uint64  `json:"epoch"`
-	EpochKnown    bool    `json:"epoch_known"`
+	Epoch      uint64 `json:"epoch"`
+	EpochKnown bool   `json:"epoch_known"`
+	// Requests and MeanLatencyMS are read off the shard's
+	// fastppv_shard_leg_seconds histogram child: its count, and its sum over
+	// its count in milliseconds.
 	Requests      int64   `json:"requests"`
 	Failures      int64   `json:"failures"`
 	Retries       int64   `json:"retries"`
 	MeanLatencyMS float64 `json:"mean_latency_ms"`
-	MaxLatencyMS  float64 `json:"max_latency_ms"`
 	// Transport is the shard's wire-level view: stream health and frame/byte
 	// counters.
 	Transport TransportStats `json:"transport"`
@@ -1132,7 +1111,7 @@ func (r *Router) Stats() Stats {
 			Shard:     s.index,
 			Target:    s.target,
 			Healthy:   s.healthy.Load(),
-			Requests:  s.requests.Load(),
+			Requests:  int64(s.leg.Count()),
 			Failures:  s.failures.Load(),
 			Retries:   s.retries.Load(),
 			Transport: s.tr.Stats(),
@@ -1144,23 +1123,12 @@ func (r *Router) Stats() Stats {
 			st.ShardsBehind++
 		}
 		if ss.Requests > 0 {
-			ss.MeanLatencyMS = float64(s.latencyUS.Load()) / float64(ss.Requests) / 1e3
+			ss.MeanLatencyMS = s.leg.Sum() / float64(ss.Requests) * 1e3
 		}
-		ss.MaxLatencyMS = float64(s.maxUS.Load()) / 1e3
 		if ss.Healthy {
 			st.ShardsHealthy++
 		}
 		st.Shards = append(st.Shards, ss)
 	}
 	return st
-}
-
-// Healthy reports whether at least one shard is currently reachable.
-func (r *Router) Healthy() bool {
-	for _, s := range r.shards {
-		if s.healthy.Load() {
-			return true
-		}
-	}
-	return false
 }

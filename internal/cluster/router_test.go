@@ -314,25 +314,28 @@ func TestRouterDeterministicUnderConcurrency(t *testing.T) {
 	}
 }
 
+// anyHealthy reports whether the router sees at least one healthy shard.
+func anyHealthy(r *Router) bool { return r.Stats().ShardsHealthy > 0 }
+
 func TestRouterHealthProbeRecovery(t *testing.T) {
 	_, shards := testCluster(t, 1)
 	r := routerOver(t, RouterConfig{HealthInterval: 20 * time.Millisecond}, shards...)
-	if !r.Healthy() {
+	if !anyHealthy(r) {
 		t.Fatal("shard should be healthy at start")
 	}
 	shards[0].httpDown.Store(true)
 	deadline := time.Now().Add(2 * time.Second)
-	for r.Healthy() && time.Now().Before(deadline) {
+	for anyHealthy(r) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if r.Healthy() {
+	if anyHealthy(r) {
 		t.Fatal("health probe never noticed the shard going down")
 	}
 	shards[0].httpDown.Store(false)
-	for !r.Healthy() && time.Now().Before(deadline) {
+	for !anyHealthy(r) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !r.Healthy() {
+	if !anyHealthy(r) {
 		t.Fatal("health probe never restored the shard")
 	}
 	if res, err := r.Query(2, core.StopCondition{MaxIterations: 2}); err != nil || res.Degraded {
@@ -358,7 +361,7 @@ func TestRouterPassiveModeRecovers(t *testing.T) {
 	if _, err := r.Query(2, core.StopCondition{MaxIterations: 1}); err == nil {
 		t.Fatal("query against the failing single shard should error (no root)")
 	}
-	if r.Healthy() {
+	if anyHealthy(r) {
 		t.Fatal("shard fault should have marked the shard unhealthy")
 	}
 	downFlag.Store(false)
@@ -369,7 +372,7 @@ func TestRouterPassiveModeRecovers(t *testing.T) {
 	if res.Degraded {
 		t.Error("recovered shard answered the whole query; result must not be degraded")
 	}
-	if !r.Healthy() {
+	if !anyHealthy(r) {
 		t.Error("a successful request must restore shard health in passive mode")
 	}
 }
@@ -397,7 +400,7 @@ func TestRouterOverloadDoesNotPoisonHealth(t *testing.T) {
 	if res.ShardsDown != 0 {
 		t.Errorf("ShardsDown = %d: an admission-shed sub-request is not a shard outage", res.ShardsDown)
 	}
-	if !r.Healthy() {
+	if !anyHealthy(r) {
 		t.Error("one admission rejection must not mark the shard unhealthy")
 	}
 }

@@ -35,57 +35,41 @@ type IterationSpan struct {
 }
 
 // routerMetrics are the hot-path metric handles, resolved once at NewRouter.
-// Everything derivable from the router's existing atomic counters (per-shard
-// request/failure/retry totals, epochs, health) is exported by a scrape-time
-// collector instead, at zero per-request cost.
+// They record only what the router alone knows: a routed answer's count,
+// iterations and bound are recorded once, by the serving layer that asked for
+// it, and a shard's request count and mean latency are its leg histogram's
+// count and sum. Everything derivable from the router's existing atomic
+// counters (per-shard failure/retry totals, epochs, health) is exported by a
+// scrape-time collector instead, at zero per-request cost.
 type routerMetrics struct {
-	queries    *telemetry.Counter
 	degraded   *telemetry.Counter
 	lostMass   *telemetry.Counter
-	iterations *telemetry.Histogram
-	bound      *telemetry.Histogram
 	legLatency *telemetry.HistogramVec
 }
 
-// newRouterMetrics registers the router's hot-path handles. legBuckets
-// optionally overrides the shard-leg latency family's bucket bounds
-// (RouterConfig.LegLatencyBuckets); nil takes the shared default.
-func newRouterMetrics(reg *telemetry.Registry, legBuckets []float64) routerMetrics {
-	if legBuckets == nil {
-		legBuckets = telemetry.DefLatencyBuckets
-	}
+// newRouterMetrics registers the router's hot-path handles.
+func newRouterMetrics(reg *telemetry.Registry) routerMetrics {
 	return routerMetrics{
-		queries: reg.Counter("fastppv_router_queries_total",
-			"Routed cluster queries answered (including degraded answers)."),
 		degraded: reg.Counter("fastppv_router_degraded_queries_total",
 			"Routed queries answered degraded: a shard was down, epoch-divergent, or a non-owner served the root."),
 		lostMass: reg.Counter("fastppv_router_lost_error_mass_total",
 			"Total frontier mass folded into error bounds because its owning shard was unavailable or epoch-divergent."),
-		iterations: reg.Histogram("fastppv_router_query_iterations",
-			"Expansion iterations per routed query (0 = root only).",
-			telemetry.LinearBuckets(0, 1, 9)),
-		bound: reg.Histogram("fastppv_router_l1_error_bound",
-			"Exact L1 error bound of routed answers at stop.",
-			telemetry.DefBoundBuckets),
 		legLatency: reg.HistogramVec("fastppv_shard_leg_seconds",
 			"Latency of one shard sub-request (partial or update leg).",
-			legBuckets, "shard"),
+			telemetry.DefLatencyBuckets, "shard"),
 	}
 }
 
 // observeQuery records the end-of-query metrics for one routed result.
 func (m *routerMetrics) observeQuery(res *Result) {
-	m.queries.Inc()
 	if res.Degraded {
 		m.degraded.Inc()
 	}
 	m.lostMass.Add(res.LostFrontierMass)
-	m.iterations.Observe(float64(res.Iterations))
-	m.bound.Observe(res.L1ErrorBound)
 }
 
 // registerCollector exports the router's point-in-time view — cluster epoch,
-// shard health, per-shard request totals — off the existing atomics at scrape
+// shard health, per-shard failure totals — off the existing atomics at scrape
 // time.
 func (r *Router) registerCollector(reg *telemetry.Registry) {
 	reg.Collect(func(e *telemetry.Emitter) {
@@ -112,7 +96,6 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 			}
 			e.Gauge("fastppv_shard_healthy", "Whether the shard passes health checks (1/0).", healthy, lbl)
 			e.Gauge("fastppv_shard_epoch", "Last index epoch observed on the shard.", float64(ss.Epoch), lbl)
-			e.Counter("fastppv_shard_requests_total", "Sub-requests sent to the shard.", float64(ss.Requests), lbl)
 			e.Counter("fastppv_shard_failures_total", "Failed sub-requests to the shard.", float64(ss.Failures), lbl)
 			e.Counter("fastppv_shard_retries_total", "Sub-requests retried after a transient shard condition.", float64(ss.Retries), lbl)
 			ts := ss.Transport

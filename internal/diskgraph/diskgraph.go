@@ -66,82 +66,6 @@ func Build(g *graph.Graph, clustering *cluster.Clustering, dir string) (*Store, 
 	}, nil
 }
 
-// Open loads a Store previously written by Build from dir. The graph itself
-// is not read into memory; only the metadata file is.
-func Open(dir string) (*Store, error) {
-	f, err := os.Open(filepath.Join(dir, "meta.bin"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var numNodes, numFiles uint64
-	if err := binary.Read(br, binary.LittleEndian, &numNodes); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &numFiles); err != nil {
-		return nil, err
-	}
-	s := &Store{
-		dir:        dir,
-		numNodes:   int(numNodes),
-		numFiles:   int(numFiles),
-		assignment: make([]int32, numNodes),
-		outDegree:  make([]int32, numNodes),
-	}
-	for i := range s.assignment {
-		if err := binary.Read(br, binary.LittleEndian, &s.assignment[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range s.outDegree {
-		if err := binary.Read(br, binary.LittleEndian, &s.outDegree[i]); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// SaveMeta persists the store metadata so the store can be reopened with Open.
-func (s *Store) SaveMeta() error {
-	f, err := os.Create(filepath.Join(s.dir, "meta.bin"))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := binary.Write(bw, binary.LittleEndian, uint64(s.numNodes)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(s.numFiles)); err != nil {
-		f.Close()
-		return err
-	}
-	for _, a := range s.assignment {
-		if err := binary.Write(bw, binary.LittleEndian, a); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	for _, d := range s.outDegree {
-		if err := binary.Write(bw, binary.LittleEndian, d); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// NumNodes returns the number of nodes of the underlying graph.
-func (s *Store) NumNodes() int { return s.numNodes }
-
-// NumClusters returns the number of cluster files.
-func (s *Store) NumClusters() int { return s.numFiles }
-
 // ClusterOf returns the cluster a node belongs to.
 func (s *Store) ClusterOf(u graph.NodeID) int { return int(s.assignment[u]) }
 

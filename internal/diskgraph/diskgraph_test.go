@@ -110,12 +110,13 @@ func TestViewCountsFaultsOnlyOnClusterSwitch(t *testing.T) {
 }
 
 func TestViewFaultCapTruncatesTraversal(t *testing.T) {
-	g, store := buildStore(t, 8)
+	const clusters = 8
+	g, store := buildStore(t, clusters)
 	capped := store.NewView(1)
 	// Touch one node per cluster: after the first fault the budget is spent
 	// and out-of-cluster nodes return empty adjacency.
 	seenEmpty := false
-	for c := 0; c < store.NumClusters(); c++ {
+	for c := 0; c < clusters; c++ {
 		for u := 0; u < g.NumNodes(); u++ {
 			if store.ClusterOf(graph.NodeID(u)) == c {
 				nbrs := capped.OutNeighbors(graph.NodeID(u))
@@ -146,36 +147,6 @@ func TestStoreSizes(t *testing.T) {
 	}
 	if largest <= 0 || total < largest {
 		t.Errorf("sizes look wrong: largest %d total %d", largest, total)
-	}
-}
-
-func TestSaveMetaAndOpen(t *testing.T) {
-	g, err := gen.RandomDirected(200, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustering, err := cluster.Partition(g, cluster.Options{NumClusters: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	store, err := Build(g, clustering, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveMeta(); err != nil {
-		t.Fatalf("SaveMeta: %v", err)
-	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if reopened.NumNodes() != g.NumNodes() || reopened.NumClusters() != 3 {
-		t.Fatalf("reopened store has %d nodes / %d clusters", reopened.NumNodes(), reopened.NumClusters())
-	}
-	view := reopened.NewView(0)
-	if got, want := view.OutNeighbors(5), g.OutNeighbors(5); len(got) != len(want) {
-		t.Errorf("reopened adjacency of node 5 has %d entries, want %d", len(got), len(want))
 	}
 }
 

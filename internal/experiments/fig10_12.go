@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"fastppv/internal/core"
-	"fastppv/internal/graph"
 	"fastppv/internal/metrics"
-	"fastppv/internal/sparse"
 	"fastppv/internal/workload"
 )
 
@@ -151,21 +149,4 @@ func Fig12Table(points []IterationPoint) *workload.Table {
 			p.AvgL1Bound, float64(p.AvgQueryTime.Microseconds())/1000.0)
 	}
 	return t
-}
-
-// queryEstimates is a small helper used by ablation drivers: it runs the
-// engine over the workload and returns the per-query estimates.
-func queryEstimates(d *Dataset, engine *core.Engine, stop core.StopCondition) (map[graph.NodeID]sparse.Vector, time.Duration, error) {
-	out := make(map[graph.NodeID]sparse.Vector, len(d.Queries))
-	var total time.Duration
-	for _, q := range d.Queries {
-		start := time.Now()
-		r, err := engine.Query(q, stop)
-		total += time.Since(start)
-		if err != nil {
-			return nil, 0, err
-		}
-		out[q] = r.Estimate
-	}
-	return out, total / time.Duration(len(d.Queries)), nil
 }

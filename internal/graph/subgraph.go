@@ -1,52 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"sort"
-)
-
-// InducedSubgraph returns the subgraph induced by keep (a set of original node
-// identifiers) together with a mapping from new node ids back to the original
-// ids. Nodes keep their labels. Edges with either endpoint outside keep are
-// dropped.
-func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, []NodeID) {
-	sorted := append([]NodeID(nil), keep...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Deduplicate.
-	uniq := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	remap := make(map[NodeID]NodeID, len(uniq))
-	for newID, oldID := range uniq {
-		remap[oldID] = NodeID(newID)
-	}
-
-	b := NewBuilder(g.Directed())
-	for _, oldID := range uniq {
-		if g.HasLabels() {
-			b.AddLabeledNode(g.Label(oldID))
-		} else {
-			b.AddNode()
-		}
-	}
-	for _, oldU := range uniq {
-		newU := remap[oldU]
-		for _, oldV := range g.OutNeighbors(oldU) {
-			newV, ok := remap[oldV]
-			if !ok {
-				continue
-			}
-			if !g.Directed() && newU > newV {
-				continue // add each undirected edge once
-			}
-			b.MustAddEdge(newU, newV)
-		}
-	}
-	return b.Finalize(), uniq
-}
+import "math/rand"
 
 // SampleEdges returns a new graph over the same node set containing a uniform
 // random sample of numEdges logical edges (without replacement), reproducibly
@@ -87,52 +41,4 @@ func collectLogicalEdges(g *Graph) []Edge {
 		return true
 	})
 	return edges
-}
-
-// LargestComponentNodes returns the nodes of the largest weakly connected
-// component. Experiment drivers use it to avoid querying isolated nodes in
-// sparse samples.
-func LargestComponentNodes(g *Graph) []NodeID {
-	n := g.NumNodes()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	g.BuildReverse()
-	var best []NodeID
-	var queue []NodeID
-	next := int32(0)
-	for start := 0; start < n; start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		id := next
-		next++
-		queue = queue[:0]
-		queue = append(queue, NodeID(start))
-		comp[start] = id
-		var members []NodeID
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			members = append(members, u)
-			for _, v := range g.OutNeighbors(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.InNeighbors(u) {
-				if comp[v] == -1 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
-		}
-		if len(members) > len(best) {
-			best = members
-		}
-	}
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
-	return best
 }

@@ -7,35 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestInducedSubgraph(t *testing.T) {
-	b := NewBuilder(true)
-	b.EnsureNodes(6)
-	b.MustAddEdge(0, 1)
-	b.MustAddEdge(1, 2)
-	b.MustAddEdge(2, 3)
-	b.MustAddEdge(3, 4)
-	b.MustAddEdge(4, 5)
-	b.MustAddEdge(5, 0)
-	g := b.Finalize()
-
-	sub, mapping := InducedSubgraph(g, []NodeID{0, 1, 2, 2}) // duplicate on purpose
-	if sub.NumNodes() != 3 {
-		t.Fatalf("induced subgraph has %d nodes, want 3", sub.NumNodes())
-	}
-	if len(mapping) != 3 {
-		t.Fatalf("mapping has %d entries, want 3", len(mapping))
-	}
-	// Edges 0->1 and 1->2 survive; 2->3 does not.
-	if sub.NumEdges() != 2 {
-		t.Errorf("induced subgraph has %d edges, want 2", sub.NumEdges())
-	}
-	for newID, oldID := range mapping {
-		if oldID != NodeID(newID) {
-			t.Errorf("mapping[%d] = %d, want identity here", newID, oldID)
-		}
-	}
-}
-
 func TestSampleEdgesKeepsNodeSetAndBounds(t *testing.T) {
 	b := NewBuilder(true)
 	b.EnsureNodes(20)
@@ -75,27 +46,6 @@ func TestSampleEdgesKeepsNodeSetAndBounds(t *testing.T) {
 	for i, e := range s.EdgeList() {
 		if again.EdgeList()[i] != e {
 			t.Fatal("sampling is not deterministic for a fixed seed")
-		}
-	}
-}
-
-func TestLargestComponentNodes(t *testing.T) {
-	// Two components: {0,1,2,3} connected, {4,5} connected.
-	b := NewBuilder(true)
-	b.EnsureNodes(6)
-	b.MustAddEdge(0, 1)
-	b.MustAddEdge(1, 2)
-	b.MustAddEdge(2, 3)
-	b.MustAddEdge(4, 5)
-	g := b.Finalize()
-	got := LargestComponentNodes(g)
-	if len(got) != 4 {
-		t.Fatalf("largest component has %d nodes, want 4: %v", len(got), got)
-	}
-	for i, v := range got {
-		if v != NodeID(i) {
-			t.Errorf("largest component = %v, want [0 1 2 3]", got)
-			break
 		}
 	}
 }

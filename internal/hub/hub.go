@@ -54,24 +54,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts a string (as accepted by the CLIs) into a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "expected-utility", "eu":
-		return ExpectedUtility, nil
-	case "pagerank", "pr":
-		return ByPageRank, nil
-	case "out-degree", "outdeg":
-		return ByOutDegree, nil
-	case "in-degree", "indeg":
-		return ByInDegree, nil
-	case "random":
-		return Random, nil
-	default:
-		return 0, fmt.Errorf("hub: unknown policy %q", s)
-	}
-}
-
 // Set is a hub set with O(1) membership queries plus the selection order.
 // Membership is a bitset sized from the largest hub id: the prime push probes
 // it once per pop and the query loop once per estimate entry, so a probe is a

@@ -136,20 +136,13 @@ func TestSetMembership(t *testing.T) {
 	}
 }
 
-func TestPolicyStringAndParse(t *testing.T) {
-	for _, p := range []Policy{ExpectedUtility, ByPageRank, ByOutDegree, ByInDegree, Random} {
-		s := p.String()
-		parsed, err := ParsePolicy(s)
-		if err != nil {
-			t.Errorf("ParsePolicy(%q): %v", s, err)
-			continue
+func TestPolicyString(t *testing.T) {
+	want := map[Policy]string{ExpectedUtility: "expected-utility", ByPageRank: "pagerank",
+		ByOutDegree: "out-degree", ByInDegree: "in-degree", Random: "random", Policy(99): "policy(99)"}
+	for p, w := range want {
+		if got := p.String(); got != w {
+			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, w)
 		}
-		if parsed != p {
-			t.Errorf("ParsePolicy(%q) = %v, want %v", s, parsed, p)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy should reject unknown names")
 	}
 }
 

@@ -130,16 +130,6 @@ func (p *Pass) hatchFor(name string, file *ast.File, pos token.Pos) (hatch, bool
 	return hatch{}, false
 }
 
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // pathHasSuffix reports whether the package import path ends in one of the
 // given path suffixes (on a path-segment boundary).
 func pathHasSuffix(path string, suffixes ...string) bool {

@@ -14,7 +14,6 @@ var metricFuncs = map[string]bool{
 	"Gauge":        true,
 	"Histogram":    true,
 	"CounterVec":   true,
-	"GaugeVec":     true,
 	"HistogramVec": true,
 	"L":            true,
 }

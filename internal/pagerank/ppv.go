@@ -74,22 +74,3 @@ func ExactPPV(g *graph.Graph, q graph.NodeID, opts Options) (sparse.Vector, erro
 	}
 	return sparse.FromDense(cur), nil
 }
-
-// ExactPPVMulti computes the exact PPV for a multi-node query by the Linearity
-// Theorem: the PPV of a uniform teleport set is the average of the single-node
-// PPVs.
-func ExactPPVMulti(g *graph.Graph, qs []graph.NodeID, opts Options) (sparse.Vector, error) {
-	if len(qs) == 0 {
-		return sparse.New(0), nil
-	}
-	total := sparse.New(0)
-	w := 1.0 / float64(len(qs))
-	for _, q := range qs {
-		v, err := ExactPPV(g, q, opts)
-		if err != nil {
-			return nil, err
-		}
-		total.AddScaled(v, w)
-	}
-	return total, nil
-}

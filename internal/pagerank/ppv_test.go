@@ -88,44 +88,6 @@ func TestExactPPVIsQuerySpecific(t *testing.T) {
 	}
 }
 
-func TestExactPPVMultiLinearity(t *testing.T) {
-	b := graph.NewBuilder(true)
-	b.EnsureNodes(6)
-	for i := 0; i < 6; i++ {
-		b.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%6))
-		b.MustAddEdge(graph.NodeID(i), graph.NodeID((i+3)%6))
-	}
-	g := b.Finalize()
-	single0, err := ExactPPV(g, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single2, err := ExactPPV(g, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := ExactPPVMulti(g, []graph.NodeID{0, 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Linearity Theorem: the multi-node PPV is the average of the
-	// single-node PPVs.
-	combined := single0.Clone()
-	combined.Scale(0.5)
-	combined.AddScaled(single2, 0.5)
-	if d := combined.L1Distance(multi); d > 1e-9 {
-		t.Errorf("multi-node PPV differs from the linear combination by %v", d)
-	}
-
-	empty, err := ExactPPVMulti(g, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.NonZeros() != 0 {
-		t.Errorf("PPV of an empty query should be empty")
-	}
-}
-
 func TestExactPPVErrors(t *testing.T) {
 	b := graph.NewBuilder(true)
 	b.EnsureNodes(2)

@@ -110,7 +110,7 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	if err != nil || raw == nil {
 		return HubRecordView{}, false, err
 	}
-	return NewHubRecordView(h, raw, nil), true, nil
+	return NewHubRecordView(raw, nil), true, nil
 }
 
 // Invalidate evicts the blocks of the given hubs (typically the hubs an

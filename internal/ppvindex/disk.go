@@ -423,7 +423,7 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		}
 		d.reads.Add(1)
 		// The pin transfers to the view; Release returns it.
-		return NewHubRecordView(h, d.data[payloadOff:payloadOff+int64(payloadLen)], d.release), true, nil
+		return NewHubRecordView(d.data[payloadOff:payloadOff+int64(payloadLen)], d.release), true, nil
 	}
 	defer d.unpin()
 	var header [8]byte
@@ -447,7 +447,7 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return HubRecordView{}, false, err
 	}
 	d.reads.Add(1)
-	return NewHubRecordView(h, buf, nil), true, nil
+	return NewHubRecordView(buf, nil), true, nil
 }
 
 // Get reads the record of h and decodes it into a fresh map.

@@ -202,7 +202,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 		if !bytes.Equal(appendRecord(nil, h, payload), data) {
 			t.Fatalf("re-framing the accepted record of hub %d does not give the input back", h)
 		}
-		v := NewHubRecordView(h, payload, nil).Vector()
+		v := NewHubRecordView(payload, nil).Vector()
 		if len(v) != len(payload)/entryBytes {
 			t.Fatalf("decoding %d entries gave a map of %d", len(payload)/entryBytes, len(v))
 		}

@@ -105,7 +105,7 @@ func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	if !ok {
 		return HubRecordView{}, false, nil
 	}
-	return NewHubRecordView(h, rec, nil), true, nil
+	return NewHubRecordView(rec, nil), true, nil
 }
 
 // Get decodes the stored record of h into a fresh map.

@@ -106,14 +106,14 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 }
 
 func TestHubRecordViewContains(t *testing.T) {
-	full := NewHubRecordView(7, rawEntries(3, 8, 9, 40), nil)
+	full := NewHubRecordView(rawEntries(3, 8, 9, 40), nil)
 	for _, c := range []struct {
 		name string
 		view HubRecordView
 		id   graph.NodeID
 		want bool
 	}{
-		{"empty record", NewHubRecordView(7, nil, nil), 3, false},
+		{"empty record", NewHubRecordView(nil, nil), 3, false},
 		{"zero view", HubRecordView{}, 0, false},
 		{"first entry", full, 3, true},
 		{"last entry", full, 40, true},
@@ -121,8 +121,8 @@ func TestHubRecordViewContains(t *testing.T) {
 		{"below the first", full, 2, false},
 		{"absent between two present", full, 10, false},
 		{"above the max", full, 41, false},
-		{"single entry hit", NewHubRecordView(7, rawEntries(5), nil), 5, true},
-		{"single entry miss", NewHubRecordView(7, rawEntries(5), nil), 6, false},
+		{"single entry hit", NewHubRecordView(rawEntries(5), nil), 5, true},
+		{"single entry miss", NewHubRecordView(rawEntries(5), nil), 6, false},
 	} {
 		if got := c.view.Contains(c.id); got != c.want {
 			t.Errorf("%s: Contains(%d) = %v, want %v", c.name, c.id, got, c.want)

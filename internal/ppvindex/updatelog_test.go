@@ -59,7 +59,7 @@ func collectReplay(dst *[]struct {
 		*dst = append(*dst, struct {
 			hub graph.NodeID
 			ppv sparse.Vector
-		}{h, NewHubRecordView(h, payload, nil).Vector()})
+		}{h, NewHubRecordView(payload, nil).Vector()})
 		return nil
 	}
 }

@@ -22,19 +22,15 @@ import (
 // immutable and must not be retained across calls that may close or compact
 // the index.
 type HubRecordView struct {
-	hub     graph.NodeID
 	data    []byte // len is a multiple of sparse.EncodedEntrySize
 	release func()
 }
 
 // NewHubRecordView wraps an encoded entry payload as a view. The data slice
 // is aliased, not copied; release (optional) is invoked by Release.
-func NewHubRecordView(hub graph.NodeID, data []byte, release func()) HubRecordView {
-	return HubRecordView{hub: hub, data: data, release: release}
+func NewHubRecordView(data []byte, release func()) HubRecordView {
+	return HubRecordView{data: data, release: release}
 }
-
-// Hub returns the hub whose record this view exposes.
-func (v HubRecordView) Hub() graph.NodeID { return v.hub }
 
 // Len returns the number of (node, score) entries.
 func (v HubRecordView) Len() int { return len(v.data) / sparse.EncodedEntrySize }

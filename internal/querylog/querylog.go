@@ -136,10 +136,6 @@ type Options struct {
 	// FlushInterval is the batched fsync period; zero means 100ms, negative
 	// flushes and syncs on every append (tests, tools).
 	FlushInterval time.Duration
-	// HalfLife is the decay horizon of the source-frequency aggregator, in
-	// records: a query HalfLife records old counts half as much as a fresh
-	// one. Zero means 8192.
-	HalfLife int
 }
 
 func (o Options) withDefaults() Options {
@@ -148,9 +144,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FlushInterval == 0 {
 		o.FlushInterval = defaultFlushInterval
-	}
-	if o.HalfLife <= 0 {
-		o.HalfLife = defaultHalfLife
 	}
 	return o
 }
@@ -202,7 +195,7 @@ func open(fs frame.FS, path string, opts Options, replay func(Record) error) (*L
 	opts = opts.withDefaults()
 	l := &Log{
 		opts: opts,
-		agg:  NewSourceAggregator(opts.HalfLife),
+		agg:  NewSourceAggregator(defaultHalfLife),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -349,16 +342,6 @@ func (l *Log) Append(r Record) error {
 	return nil
 }
 
-// Sync flushes buffered frames and fsyncs the active file.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.log.Commit()
-}
-
 func (l *Log) flushLoop() {
 	defer close(l.done)
 	t := time.NewTicker(l.opts.FlushInterval)
@@ -371,7 +354,7 @@ func (l *Log) flushLoop() {
 			l.mu.Lock()
 			if !l.closed {
 				// A failure stays with the frame log, which hands it to the
-				// next Append, Sync or Close.
+				// next Append or Close.
 				_ = l.log.Commit()
 			}
 			l.mu.Unlock()
@@ -450,7 +433,6 @@ func Replay(path string, fn func(Record) error) (int64, error) {
 // the per-source totals is retained.
 type SourceAggregator struct {
 	w        map[graph.NodeID]float64
-	n        int64
 	halfLife float64
 	// next is the weight the next Add contributes; it grows geometrically
 	// and is renormalized (all totals scaled down) before it can overflow.
@@ -473,7 +455,6 @@ func NewSourceAggregator(halfLife int) *SourceAggregator {
 // Add records one query for src.
 func (a *SourceAggregator) Add(src graph.NodeID) {
 	a.w[src] += a.next
-	a.n++
 	a.next *= math.Exp2(1 / a.halfLife)
 	if a.next > 1e300 {
 		inv := 1 / a.next
@@ -483,9 +464,6 @@ func (a *SourceAggregator) Add(src graph.NodeID) {
 		a.next = 1
 	}
 }
-
-// Records returns the number of records folded in.
-func (a *SourceAggregator) Records() int64 { return a.n }
 
 // TopSources returns up to k sources by decayed weight (descending), ties
 // broken by ascending node id for determinism.

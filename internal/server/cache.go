@@ -36,7 +36,7 @@ type cachedAnswer struct {
 	// beyond Epoch are zero. Its estimate is the sorted Entries only: nothing
 	// on the serving path builds the map view.
 	result *cluster.Result
-	// top is the ranking of the estimate up to Config.DefaultTopK, selected
+	// top is the ranking of the estimate up to defaultTopK, selected
 	// once when the answer was computed. Every ranking is a prefix of a longer
 	// one (a total order: score descending, node ascending), so render answers
 	// any top it covers by slicing — a cache hit is constant work — and
@@ -57,7 +57,7 @@ type cachedAnswer struct {
 	traceID string
 	slow    bool
 	// legs are the per-shard sub-request summaries of a router-mode answer,
-	// recorded in the query log.
+	// recorded in the query log; nil when no query log is configured.
 	legs []querylog.LegSummary
 }
 

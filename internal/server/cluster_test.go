@@ -194,7 +194,7 @@ func TestClusterShardDownDegrades(t *testing.T) {
 	if hdr.Get("X-Fastppv-Cache") == "hit" {
 		t.Error("degraded answer was cached")
 	}
-	if !rt.Healthy() {
+	if rt.Stats().ShardsHealthy == 0 {
 		t.Error("one live shard left; router should still be healthy")
 	}
 }

@@ -35,16 +35,11 @@ type serverMetrics struct {
 	slowQueries     *telemetry.Counter
 }
 
-// newServerMetrics registers the hot-path handles. latencyBuckets optionally
-// overrides the HTTP latency family's bucket bounds (Config.LatencyBuckets);
-// nil takes the shared default.
-func newServerMetrics(reg *telemetry.Registry, latencyBuckets []float64) *serverMetrics {
-	if latencyBuckets == nil {
-		latencyBuckets = telemetry.DefLatencyBuckets
-	}
+// newServerMetrics registers the hot-path handles.
+func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return &serverMetrics{
 		httpLatency: reg.HistogramVec("fastppv_http_request_seconds",
-			"HTTP request latency by endpoint.", latencyBuckets, "endpoint"),
+			"HTTP request latency by endpoint.", telemetry.DefLatencyBuckets, "endpoint"),
 		httpRequests: reg.CounterVec("fastppv_http_requests_total",
 			"HTTP requests by endpoint and status class.", "endpoint", "code"),
 		queriesComputed: reg.Counter("fastppv_queries_computed_total",

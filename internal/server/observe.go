@@ -21,8 +21,9 @@ import (
 	"fastppv/internal/querylog"
 )
 
-// RetainedTrace is one trace kept by the always-on capturer: the same span
-// data a ?trace=1 response carries, plus why it was retained.
+// RetainedTrace is one trace kept by the always-on capturer, and why it was
+// retained. It is also the "trace" member of a ?trace=1 response, so that
+// response and GET /v1/debug/trace/{id} return one shape.
 type RetainedTrace struct {
 	TraceID string    `json:"trace_id"`
 	Time    time.Time `json:"time"`
@@ -139,32 +140,34 @@ func (s *Server) captureCompute(eta int, ans *cachedAnswer, explicitID string) *
 
 // legSummaries folds router-mode iteration spans into one per-shard summary
 // (sub-request count and summed latency), the compact form the query log
-// records. Skipped legs (down shards) are excluded — they carry no timing.
+// records, in ascending shard order. Skipped legs (down shards) are excluded —
+// they carry no timing — and a shard with no other leg gets no summary.
 func legSummaries(spans []cluster.IterationSpan) []querylog.LegSummary {
-	var out []querylog.LegSummary
-	idx := map[int]int{}
+	var out []querylog.LegSummary // indexed by shard until the final compaction
 	for _, it := range spans {
 		for _, leg := range it.Legs {
 			if leg.Skipped {
 				continue
 			}
-			j, ok := idx[leg.Shard]
-			if !ok {
-				j = len(out)
-				idx[leg.Shard] = j
-				out = append(out, querylog.LegSummary{Shard: uint16(leg.Shard)})
+			for len(out) <= leg.Shard {
+				out = append(out, querylog.LegSummary{Shard: uint16(len(out))})
 			}
-			out[j].Legs++
-			us := out[j].DurationUS + uint32(leg.DurationMS*1e3)
-			if us < out[j].DurationUS { // clamp on overflow
+			sum := &out[leg.Shard]
+			sum.Legs++
+			us := sum.DurationUS + uint32(leg.DurationMS*1e3)
+			if us < sum.DurationUS { // clamp on overflow
 				us = ^uint32(0)
 			}
-			out[j].DurationUS = us
+			sum.DurationUS = us
 		}
 	}
-	// Leg spans arrive in ascending shard order per iteration, so first-seen
-	// order is already sorted by shard.
-	return out
+	kept := out[:0]
+	for _, sum := range out {
+		if sum.Legs > 0 {
+			kept = append(kept, sum)
+		}
+	}
+	return kept
 }
 
 // logQuery appends one completed query to the persistent log. Append is a

@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"fastppv/internal/api"
+	"fastppv/internal/cluster"
 	"fastppv/internal/querylog"
 )
 
@@ -382,5 +384,23 @@ func TestQueryLogOnServingPath(t *testing.T) {
 	}
 	if st2.Warming.Sources == 0 || st2.Warming.Requested == 0 {
 		t.Errorf("warming = %+v, want replayed sources and requested hub deps", st2.Warming)
+	}
+}
+
+// TestLegSummariesShardOrder: the query log's per-shard summaries come out in
+// ascending shard order even when the root leg ran on a higher shard than a
+// later iteration's first leg, and skipped legs neither count nor open a
+// summary of their own.
+func TestLegSummariesShardOrder(t *testing.T) {
+	spans := []cluster.IterationSpan{
+		{Legs: []cluster.ShardLegSpan{{Shard: 1, DurationMS: 2}}},
+		{Legs: []cluster.ShardLegSpan{{Shard: 0, DurationMS: 0.5}, {Shard: 1, DurationMS: 1}, {Shard: 3, Skipped: true}}},
+	}
+	want := []querylog.LegSummary{{Shard: 0, Legs: 1, DurationUS: 500}, {Shard: 1, Legs: 2, DurationUS: 3000}}
+	if got := legSummaries(spans); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legSummaries = %+v, want %+v", got, want)
+	}
+	if got := legSummaries(nil); got != nil {
+		t.Fatalf("legSummaries of an engine answer = %+v, want nil", got)
 	}
 }

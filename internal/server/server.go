@@ -66,6 +66,14 @@ import (
 	"fastppv/internal/telemetry"
 )
 
+// defaultTopK and maxTopK bound the number of ranked results returned: a
+// request without top gets defaultTopK, and a larger top is clamped to
+// maxTopK.
+const (
+	defaultTopK = 10
+	maxTopK     = 1000
+)
+
 // Config tunes the serving layers. The zero value serves with sensible
 // defaults for a mid-sized graph.
 type Config struct {
@@ -77,10 +85,6 @@ type Config struct {
 	// DegradedEta is the eta served on the degradation path under overload;
 	// it should be small (the default 0 serves iteration 0 only).
 	DegradedEta int
-	// DefaultTopK and MaxTopK bound the number of ranked results returned;
-	// zero means 10 and 1000.
-	DefaultTopK int
-	MaxTopK     int
 	// CacheBytes is the result cache budget; zero means 64 MiB. Negative
 	// disables caching (concurrent identical queries still coalesce).
 	CacheBytes int64
@@ -118,10 +122,6 @@ type Config struct {
 	// if both are zero, SLO accounting entirely) off.
 	SLOLatency time.Duration
 	SLOBound   float64
-	// LatencyBuckets overrides the bucket bounds of the HTTP request-latency
-	// histogram family; nil means telemetry.DefLatencyBuckets. Bounds must be
-	// strictly ascending.
-	LatencyBuckets []float64
 	// Registry optionally receives the server's metrics and is served on
 	// GET /metrics; nil creates a private registry (the endpoint still works).
 	// In router mode, pass the same registry to the cluster.RouterConfig so
@@ -147,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DegradedEta > c.MaxEta {
 		c.DegradedEta = c.MaxEta
-	}
-	if c.DefaultTopK == 0 {
-		c.DefaultTopK = 10
-	}
-	if c.MaxTopK == 0 {
-		c.MaxTopK = 1000
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
@@ -260,7 +254,7 @@ func newServer(cfg Config) *Server {
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.QueueWait),
 		streams:  newStreamSet(),
 		registry: reg,
-		metrics:  newServerMetrics(reg, cfg.LatencyBuckets),
+		metrics:  newServerMetrics(reg),
 		logger:   logger,
 		started:  time.Now(),
 		qlog:     cfg.QueryLog,
@@ -468,11 +462,12 @@ type QueryResponse struct {
 	LostErrorMass float64      `json:"lost_error_mass,omitempty"`
 	L1ErrorBound  float64      `json:"l1_error_bound"`
 	Results       []ScoredNode `json:"results"`
-	// Trace carries the per-iteration spans of a ?trace=1 request. It is the
-	// one deliberately volatile member of the body: traced answers are
-	// computed fresh, never cached and never coalesced, so the determinism
-	// promise for cacheable bodies is unaffected.
-	Trace *TraceBlock `json:"trace,omitempty"`
+	// Trace is the retained trace of a ?trace=1 request, the same object
+	// GET /v1/debug/trace/{id} serves. It is the one deliberately volatile
+	// member of the body: traced answers are computed fresh, never cached and
+	// never coalesced, so the determinism promise for cacheable bodies is
+	// unaffected.
+	Trace *RetainedTrace `json:"trace,omitempty"`
 }
 
 // queryRequest is one parsed and clamped query.
@@ -535,15 +530,13 @@ func (s *Server) parseQuery(q rawQuery) (queryRequest, error) {
 			return req, badRequest("bad target-error %q", v)
 		}
 	}
-	req.top = s.cfg.DefaultTopK
+	req.top = defaultTopK
 	if v := q.top; v != "" {
 		req.top, err = strconv.Atoi(v)
 		if err != nil || req.top < 1 {
 			return req, badRequest("bad top %q", v)
 		}
-		if req.top > s.cfg.MaxTopK {
-			req.top = s.cfg.MaxTopK
-		}
+		req.top = min(req.top, maxTopK)
 	}
 
 	n := s.be.numNodes()
@@ -629,10 +622,12 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	}
 	ans := &cachedAnswer{
 		result:   res,
-		top:      res.TopK(s.cfg.DefaultTopK),
+		top:      res.TopK(defaultTopK),
 		deps:     deps,
 		degraded: degraded || res.Degraded,
-		legs:     legSummaries(res.Spans),
+	}
+	if s.qlog != nil {
+		ans.legs = legSummaries(res.Spans)
 	}
 	expanded, skipped := 0, 0
 	for _, st := range res.PerIteration {
@@ -715,7 +710,7 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Fastppv-Compute-Ms",
 			strconv.FormatFloat(float64(ans.result.Duration)/1e6, 'f', 3, 64))
 		resp := s.render(req, ans)
-		resp.Trace = &TraceBlock{TraceID: traceID, Mode: rt.Mode, DurationMS: rt.DurationMS, Iterations: rt.Iterations}
+		resp.Trace = rt
 		s.finishQuery(req, ans, cacheBypass, start, true, nil)
 		s.logger.Info("traced query",
 			"trace_id", traceID, "node", resp.Node, "iterations", resp.Iterations,

@@ -449,10 +449,10 @@ func TestServerBatch(t *testing.T) {
 	}
 }
 
-// TestServerRenderTopPrefix: an answer is ranked once, at DefaultTopK, when it
+// TestServerRenderTopPrefix: an answer is ranked once, at defaultTopK, when it
 // is computed, and render serves every top from a prefix of that ranking or a
 // fresh selection over the sorted estimate. For tops below, at, just above and
-// well above DefaultTopK and at MaxTopK, the miss body, the hit body and a body
+// well above defaultTopK and at maxTopK, the miss body, the hit body and a body
 // built from the public map-based API are byte-identical, in engine and in
 // router mode.
 func TestServerRenderTopPrefix(t *testing.T) {
@@ -483,7 +483,7 @@ func TestServerRenderTopPrefix(t *testing.T) {
 			return &res.Result, nil
 		}},
 	}
-	tops := []int{1, 9, 10, 11, 50, srv.cfg.MaxTopK}
+	tops := []int{1, 9, 10, 11, 50, maxTopK}
 	for _, m := range modes {
 		for i, top := range tops {
 			q := graph.NodeID(17 + 97*i) // one source per top, so its first request is a miss
@@ -491,7 +491,7 @@ func TestServerRenderTopPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(res.Estimate); n <= 50 || n >= srv.cfg.MaxTopK {
+			if n := len(res.Estimate); n <= 50 || n >= maxTopK {
 				t.Fatalf("%s q=%d: %d-entry estimate; the tops must straddle it", m.name, q, n)
 			}
 			want := QueryResponse{Node: int(q), RequestedEta: eta, Iterations: res.Iterations,

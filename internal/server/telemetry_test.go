@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"fastppv/internal/api"
 	"fastppv/internal/cluster"
 	"fastppv/internal/core"
+	"fastppv/internal/graph"
 	"fastppv/internal/telemetry"
 )
 
@@ -72,11 +75,10 @@ func TestMetricsEndpointEngineMode(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointRouterMode shares one registry between a router and its
-// fronting server and checks the shard-leg and epoch families appear on the
-// router's /metrics.
-func TestMetricsEndpointRouterMode(t *testing.T) {
-	g := socialGraph(t, 300)
+// routerWithRegistry serves a router over two in-process shards of g behind a
+// server that shares the router's registry, as fastppvd does.
+func routerWithRegistry(t *testing.T, g *graph.Graph) (*httptest.Server, *cluster.Router) {
+	t.Helper()
 	shards := shardedServers(t, g, 40, 2)
 	reg := telemetry.NewRegistry()
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
@@ -93,8 +95,15 @@ func TestMetricsEndpointRouterMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts, rt
+}
 
+// TestMetricsEndpointRouterMode shares one registry between a router and its
+// fronting server and checks the shard-leg and epoch families appear on the
+// router's /metrics.
+func TestMetricsEndpointRouterMode(t *testing.T) {
+	ts, _ := routerWithRegistry(t, socialGraph(t, 300))
 	if st, _, body := get(t, ts, "/v1/ppv?node=7&eta=2"); st != http.StatusOK {
 		t.Fatalf("routed query failed: %d %s", st, body)
 	}
@@ -109,12 +118,91 @@ func TestMetricsEndpointRouterMode(t *testing.T) {
 		"fastppv_cluster_epoch 0",
 		"fastppv_cluster_shards_behind 0",
 		"fastppv_cluster_shards_healthy 2",
-		"fastppv_router_queries_total 1",
-		`fastppv_shard_requests_total{shard="0"}`,
+		"fastppv_queries_computed_total 1",
+		`fastppv_shard_failures_total{shard="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("router /metrics missing %q", want)
 		}
+	}
+}
+
+// scrapeValue returns the value of the one sample of series (name plus its
+// label set, exactly as rendered) in a /metrics body.
+func scrapeValue(t *testing.T, out, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", series)
+	return 0
+}
+
+// TestNoExportedNumberIsACopy: in router mode every served number has one
+// producer. A shard's request count and mean latency on /v1/stats are read
+// off its leg-latency histogram, and the families that re-exported the
+// serving layer's per-query counts or the histogram's count are gone.
+func TestNoExportedNumberIsACopy(t *testing.T) {
+	ts, _ := routerWithRegistry(t, socialGraph(t, 300))
+	for _, node := range []int{3, 7, 11, 19, 42} {
+		if st, _, body := get(t, ts, fmt.Sprintf("/v1/ppv?node=%d&eta=3", node)); st != http.StatusOK {
+			t.Fatalf("routed query of %d failed: %d %s", node, st, body)
+		}
+	}
+	if st, body := post(t, ts, "/v1/update", `{"added_edges":[[1,2],[3,4]]}`); st != http.StatusOK {
+		t.Fatalf("update failed: %d %s", st, body)
+	}
+	if st, _, body := get(t, ts, "/v1/ppv?node=3&eta=3"); st != http.StatusOK {
+		t.Fatalf("post-update query failed: %d %s", st, body)
+	}
+
+	var stats StatsResponse
+	_, _, statsBody := get(t, ts, "/v1/stats")
+	if err := json.Unmarshal(statsBody, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(statsBody), "max_latency_ms") {
+		t.Error("/v1/stats still serves max_latency_ms")
+	}
+	_, _, body := get(t, ts, "/metrics")
+	out := string(body)
+	if stats.Cluster == nil || len(stats.Cluster.Shards) != 2 {
+		t.Fatalf("stats cluster block = %+v, want two shards", stats.Cluster)
+	}
+	for i, ss := range stats.Cluster.Shards {
+		lbl := fmt.Sprintf(`{shard="%d"}`, i)
+		count := scrapeValue(t, out, "fastppv_shard_leg_seconds_count"+lbl)
+		sum := scrapeValue(t, out, "fastppv_shard_leg_seconds_sum"+lbl)
+		if count == 0 || float64(ss.Requests) != count {
+			t.Errorf("shard %d: stats requests %d, leg histogram count %v", i, ss.Requests, count)
+		}
+		if want := sum / count * 1e3; math.Abs(ss.MeanLatencyMS-want) > 1e-12*want {
+			t.Errorf("shard %d: stats mean_latency_ms %v, leg histogram sum/count %v", i, ss.MeanLatencyMS, want)
+		}
+	}
+	for _, gone := range []string{
+		"fastppv_router_queries_total",
+		"fastppv_router_query_iterations",
+		"fastppv_router_l1_error_bound",
+		"fastppv_shard_requests_total",
+	} {
+		if strings.Contains(out, gone) {
+			t.Errorf("/metrics still exports %s", gone)
+		}
+	}
+	// The per-query numbers are recorded once, by the serving layer: six
+	// computations (the post-update query misses the retired cache entry).
+	if got := scrapeValue(t, out, "fastppv_queries_computed_total"); got != 6 {
+		t.Errorf("fastppv_queries_computed_total = %v, want 6", got)
+	}
+	if got := scrapeValue(t, out, "fastppv_query_iterations_count"); got != 6 {
+		t.Errorf("fastppv_query_iterations_count = %v, want 6", got)
 	}
 }
 
@@ -194,7 +282,7 @@ func TestTraceRoutedQuery(t *testing.T) {
 }
 
 // checkTraceEquivalence asks path (not queried before on ts) with ?trace=1
-// and checks the one-builder guarantees: the response's spans are the spans
+// and checks the one-builder guarantees: the response's trace is the trace
 // retained under its id, the traced answer equals the untraced one, and the
 // traced answer was not cached (the untraced follow-up is a miss).
 func checkTraceEquivalence(t *testing.T, ts *httptest.Server, path string) {
@@ -219,11 +307,9 @@ func checkTraceEquivalence(t *testing.T, ts *httptest.Server, path string) {
 	if err := json.Unmarshal(body, &retained); err != nil {
 		t.Fatal(err)
 	}
-	if !retained.Explicit || retained.Mode != traced.Trace.Mode || retained.DurationMS != traced.Trace.DurationMS {
-		t.Errorf("retained trace %+v does not describe the traced response %+v", retained, traced.Trace)
-	}
-	if !reflect.DeepEqual(retained.Iterations, traced.Trace.Iterations) {
-		t.Errorf("retained spans differ from the response's:\n%+v\n%+v", retained.Iterations, traced.Trace.Iterations)
+	// One shape: the response's trace is the retained trace, field for field.
+	if !retained.Explicit || !reflect.DeepEqual(retained, *traced.Trace) {
+		t.Errorf("retained trace differs from the response's:\n%+v\n%+v", retained, *traced.Trace)
 	}
 
 	_, hdr, body = get(t, ts, path)

@@ -1,9 +1,9 @@
 // trace.go holds the trace vocabulary: request IDs minted here (or taken from
 // an incoming X-Fastppv-Trace header and propagated to every shard leg by the
-// cluster router), the per-iteration span type, and the "trace" block a
-// ?trace=1 response carries. The spans themselves are built in one place,
-// Server.compute via captureCompute (observe.go); ?trace=1 only forces their
-// retention.
+// cluster router) and the per-iteration span type. A trace is built in one
+// place, Server.compute via captureCompute (observe.go), as a RetainedTrace;
+// ?trace=1 only forces its retention and returns that same trace as the
+// response's "trace" member.
 package server
 
 import (
@@ -28,15 +28,6 @@ type TraceSpan struct {
 	DurationMS   float64 `json:"duration_ms"`
 	// Legs are the shard sub-requests of this iteration (router mode only).
 	Legs []cluster.ShardLegSpan `json:"legs,omitempty"`
-}
-
-// TraceBlock is the "trace" member of a ?trace=1 query response.
-type TraceBlock struct {
-	TraceID string `json:"trace_id"`
-	// Mode is "engine" (local computation) or "router" (scatter-gather).
-	Mode       string      `json:"mode"`
-	DurationMS float64     `json:"duration_ms"`
-	Iterations []TraceSpan `json:"iterations"`
 }
 
 // Trace IDs are a per-process random prefix plus an atomic counter: unique

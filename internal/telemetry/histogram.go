@@ -12,9 +12,7 @@ import (
 // deliberately wide at both ends — at tiny benchmark scale warm cache hits
 // land well under 100µs and everything past the top bound collapses into the
 // +Inf bucket, clamping the reported p99 at the last finite edge, so the
-// bottom reaches 10µs and the top 60s. Families with a tighter known range
-// can pass their own layout (server.Config.LatencyBuckets,
-// cluster.RouterConfig.LegLatencyBuckets).
+// bottom reaches 10µs and the top 60s.
 var DefLatencyBuckets = []float64{
 	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
@@ -112,19 +110,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += s.Counts[i]
 	}
 	return s
-}
-
-// Merge adds other's counts into s (same bucket layout required); used to
-// combine per-worker histograms into one report.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	if len(s.Counts) != len(other.Counts) {
-		panic("telemetry: merging histogram snapshots with different bucket layouts")
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Sum += other.Sum
-	s.Count += other.Count
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1)

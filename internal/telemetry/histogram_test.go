@@ -105,40 +105,6 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	a.Observe(1.5)
-	b.Observe(1.5)
-	b.Observe(10)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 4 {
-		t.Fatalf("merged count = %d, want 4", sa.Count)
-	}
-	wantCounts := []uint64{1, 2, 1}
-	for i, w := range wantCounts {
-		if sa.Counts[i] != w {
-			t.Fatalf("merged bucket %d = %d, want %d", i, sa.Counts[i], w)
-		}
-	}
-	if sa.Sum != 13.5 {
-		t.Fatalf("merged sum = %v, want 13.5", sa.Sum)
-	}
-}
-
-func TestHistogramMergeLayoutMismatchPanics(t *testing.T) {
-	a := NewHistogram([]float64{1}).Snapshot()
-	b := NewHistogram([]float64{1, 2}).Snapshot()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("layout mismatch should panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	for i := 0; i < 90; i++ {

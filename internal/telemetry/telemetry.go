@@ -1,7 +1,8 @@
 // Package telemetry is the dependency-free metrics and structured-logging
-// layer of the FastPPV serving stack: a registry of counters, gauges and
-// fixed-bucket histograms exposed in the Prometheus text exposition format,
-// plus the shared log/slog setup every command uses.
+// layer of the FastPPV serving stack: a registry of counters and fixed-bucket
+// histograms, plus scrape-time collectors that emit counters and gauges read
+// off existing stats, exposed in the Prometheus text exposition format; and
+// the shared log/slog setup every command uses.
 //
 // The paper's core contract — scheduled approximation with an exact error
 // bound at any stopping point — makes the interesting behaviour of this
@@ -13,8 +14,8 @@
 // it, and the engine-side query statistics (iterations, hubs expanded,
 // residual at stop) land in histograms.
 //
-// Hot-path cost is a handful of atomic adds per observation: counters and
-// gauges are single atomics, histograms are an atomic add per bucket + sum +
+// Hot-path cost is a handful of atomic adds per observation: counters are
+// single atomics, histograms are an atomic add per bucket + sum +
 // count, and Vec children are resolved once at wiring time, not per request.
 // Snapshotting (a /metrics scrape) reads the atomics individually — under
 // concurrent writers the view is approximate by at most the writes in
@@ -63,7 +64,6 @@ func (f *atomicFloat) add(v float64) {
 	}
 }
 
-func (f *atomicFloat) set(v float64)  { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) value() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value. The zero value is ready to use.
@@ -81,18 +81,6 @@ func (c *Counter) Add(v float64) {
 
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v.value() }
-
-// Gauge is a value that can go up and down. The zero value is ready to use.
-type Gauge struct{ v atomicFloat }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.set(v) }
-
-// Add adjusts the value by v.
-func (g *Gauge) Add(v float64) { g.v.add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.value() }
 
 // family is one registered metric name with its help, kind and children.
 type family struct {
@@ -112,7 +100,6 @@ type family struct {
 type child struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -159,12 +146,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.child(nil).c
 }
 
-// Gauge registers (or fetches) an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil)
-	return f.child(nil).g
-}
-
 // Histogram registers (or fetches) an unlabelled fixed-bucket histogram.
 // buckets must be sorted ascending; the +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -176,11 +157,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // CounterVec registers a counter family with the given label names.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, kindCounter, labelNames)}
-}
-
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, kindGauge, labelNames)}
 }
 
 // HistogramVec registers a histogram family with the given label names; every
@@ -217,13 +193,7 @@ func (f *family) child(values []string) *child {
 	if ch, ok := f.children[key]; ok {
 		return ch
 	}
-	ch = &child{labels: zipLabels(f.labelNames, values)}
-	switch f.kind {
-	case kindCounter:
-		ch.c = &Counter{}
-	case kindGauge:
-		ch.g = &Gauge{}
-	}
+	ch = &child{labels: zipLabels(f.labelNames, values), c: &Counter{}}
 	f.children[key] = ch
 	f.order = append(f.order, key)
 	return ch
@@ -268,12 +238,6 @@ type CounterVec struct{ f *family }
 // order), creating it on first use. Resolve handles once at wiring time:
 // the lookup takes a read lock.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).c }
-
-// GaugeVec is a gauge family indexed by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).g }
 
 // HistogramVec is a histogram family indexed by label values; all children
 // share one bucket layout.
@@ -389,8 +353,6 @@ func writeFamily(b *strings.Builder, f *family) {
 		switch {
 		case ch.c != nil:
 			writeSample(b, f.name, "", ch.labels, ch.c.Value())
-		case ch.g != nil:
-			writeSample(b, f.name, "", ch.labels, ch.g.Value())
 		case ch.h != nil:
 			writeHistogram(b, f.name, ch.labels, ch.h.Snapshot())
 		}

@@ -18,11 +18,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter value = %v, want 3.5", got)
 	}
-	g := r.Gauge("fastppv_test_gauge", "a gauge")
-	g.Set(4)
-	g.Add(-1.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge value = %v, want 2.5", got)
+	// Gauges are scrape-time samples: the collector reads the current value
+	// on every scrape.
+	level := 4.0
+	r.Collect(func(e *Emitter) { e.Gauge("fastppv_test_gauge", "a gauge", level) })
+	level -= 1.5
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if out := sb.String(); !strings.Contains(out, "# TYPE fastppv_test_gauge gauge\nfastppv_test_gauge 2.5\n") {
+		t.Fatalf("gauge not rendered at its scrape-time value:\n%s", out)
 	}
 }
 
@@ -34,7 +38,7 @@ func TestRegisterConflictPanics(t *testing.T) {
 			t.Fatal("re-registering with a different kind should panic")
 		}
 	}()
-	r.Gauge("fastppv_conflict", "second")
+	r.Histogram("fastppv_conflict", "second", nil)
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -80,7 +84,7 @@ func TestVecWrongLabelCountPanics(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fastppv_a_total", "counts things").Add(3)
-	r.Gauge("fastppv_b", "measures things").Set(1.5)
+	r.Collect(func(e *Emitter) { e.Gauge("fastppv_b", "measures things", 1.5) })
 	v := r.CounterVec("fastppv_c_total", "labelled", "endpoint")
 	v.With("ppv").Inc()
 	v.With("batch").Add(2)
@@ -125,9 +129,11 @@ func TestWritePrometheusEscaping(t *testing.T) {
 
 func TestWritePrometheusSpecialFloats(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("fastppv_pinf", "h").Set(math.Inf(1))
-	r.Gauge("fastppv_ninf", "h").Set(math.Inf(-1))
-	r.Gauge("fastppv_nan", "h").Set(math.NaN())
+	r.Collect(func(e *Emitter) {
+		e.Gauge("fastppv_pinf", "h", math.Inf(1))
+		e.Gauge("fastppv_ninf", "h", math.Inf(-1))
+		e.Gauge("fastppv_nan", "h", math.NaN())
+	})
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)

@@ -17,9 +17,6 @@ type ZipfOptions struct {
 	S float64
 	// Seed makes the sampler deterministic: same seed, same sequence.
 	Seed int64
-	// RequireOutEdges, when sampling from a graph, restricts the popular set
-	// to nodes with at least one out-edge.
-	RequireOutEdges bool
 }
 
 // DefaultZipfS is the default Zipf exponent.
@@ -45,26 +42,6 @@ func NewZipfSampler(numNodes int, opts ZipfOptions) (*ZipfSampler, error) {
 	for i := range ids {
 		ids[i] = graph.NodeID(i)
 	}
-	return newZipfOver(ids, opts)
-}
-
-// NewZipfQueries samples query nodes from g, honouring RequireOutEdges.
-func NewZipfQueries(g *graph.Graph, opts ZipfOptions) (*ZipfSampler, error) {
-	eligible := make([]graph.NodeID, 0, g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		id := graph.NodeID(u)
-		if opts.RequireOutEdges && g.OutDegree(id) == 0 {
-			continue
-		}
-		eligible = append(eligible, id)
-	}
-	if len(eligible) == 0 {
-		return nil, fmt.Errorf("workload: no eligible query nodes")
-	}
-	return newZipfOver(eligible, opts)
-}
-
-func newZipfOver(ids []graph.NodeID, opts ZipfOptions) (*ZipfSampler, error) {
 	s := opts.S
 	if s == 0 {
 		s = DefaultZipfS
@@ -84,13 +61,4 @@ func newZipfOver(ids []graph.NodeID, opts ZipfOptions) (*ZipfSampler, error) {
 // Next draws the next query node.
 func (zs *ZipfSampler) Next() graph.NodeID {
 	return zs.perm[zs.zipf.Uint64()]
-}
-
-// Draw returns count samples.
-func (zs *ZipfSampler) Draw(count int) []graph.NodeID {
-	out := make([]graph.NodeID, count)
-	for i := range out {
-		out[i] = zs.Next()
-	}
-	return out
 }
