@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
@@ -13,8 +14,9 @@ import (
 )
 
 // CacheKey identifies one cacheable answer: the query node together with the
-// accuracy knobs that shaped it. Two requests with the same key are
-// exchangeable, so the cached answer is byte-identical to recomputing.
+// accuracy knobs that shaped it and the length of ranking it holds. Two
+// requests with the same key are exchangeable, so the cached answer is
+// byte-identical to recomputing.
 type CacheKey struct {
 	Node        graph.NodeID
 	Eta         int
@@ -26,22 +28,45 @@ type CacheKey struct {
 	// age out — and keeps a post-update request from coalescing onto a
 	// pre-update flight.
 	Epoch uint64
+	// Top is the prefix class of the request's top (topClass): the length of
+	// the ranking the answer holds. Every top of one class is served from
+	// the same answer; a larger top is a different key, computed once.
+	Top int
 }
 
-// cachedAnswer is a fully computed query answer held by the cache and shared
-// by coalesced requests. The result (including its estimate) and top are
-// immutable once stored.
+// topClass is the ranking length an answer for a request of top holds:
+// defaultTopK up to defaultTopK, otherwise the smallest power of two at or
+// above top, capped at maxTopK. A few classes keep the keys of a workload
+// few, and a class at most doubles the ranking a request needs.
+func topClass(top int) int {
+	if top <= defaultTopK {
+		return defaultTopK
+	}
+	return min(1<<bits.Len(uint(top-1)), maxTopK)
+}
+
+// cachedAnswer is a computed query answer held by the cache and shared by
+// coalesced requests. It holds what render serves and what invalidation
+// reads, never the estimate itself: at bench scale a non-hub estimate is
+// ~4 400 entries (70 KB), its reach list ~4 KB and a 10-entry ranking 160 B.
+// Every field is immutable once stored.
 type cachedAnswer struct {
-	// result is the backend's answer; for a local engine the cluster fields
-	// beyond Epoch are zero. Its estimate is the sorted Entries only: nothing
-	// on the serving path builds the map view.
+	// result is the backend's answer without its estimate and shard spans
+	// (Entries and Spans are nil): the bound, iteration count and
+	// per-iteration stats render, the query log and /v1/stats read. For a
+	// local engine the cluster fields beyond Epoch are zero.
 	result *cluster.Result
-	// top is the ranking of the estimate up to defaultTopK, selected
-	// once when the answer was computed. Every ranking is a prefix of a longer
-	// one (a total order: score descending, node ascending), so render answers
-	// any top it covers by slicing — a cache hit is constant work — and
-	// selects over result.Entries only for a larger top.
+	// top is the ranking of the estimate up to the key's prefix class (or
+	// the whole estimate, when shorter), selected once when the answer was
+	// computed. Every ranking is a prefix of a longer one (a total order:
+	// score descending, node ascending), so render answers any top of the
+	// class by slicing — a cache hit is constant work.
 	top []sparse.Entry
+	// reach lists the nodes with a non-zero score in the estimate, ascending,
+	// as uvarint deltas (appendReach): what the touched-node invalidation
+	// rule reads. It is built only for an engine answer the cache retains;
+	// nil otherwise.
+	reach []byte
 	// deps are the hubs whose indexed prime PPV the computation consumed, in
 	// ascending order (core.QueryState.HubDeps); invalidation is keyed on them.
 	deps []graph.NodeID
@@ -61,22 +86,83 @@ type cachedAnswer struct {
 	legs []querylog.LegSummary
 }
 
-// sizeBytes estimates the footprint of an answer: the sparse estimate and the
-// per-iteration stats dominate; constants cover struct overheads (the top
-// prefix included). The estimate is held as sorted entries, so perEntry is
-// now its real cost; the map it replaced cost ~37 B an entry, which this
-// estimate always undercounted.
+// sizeBytes is the footprint of a retained answer: every slice it holds at
+// its capacity, plus a fixed share for the structs and the cache's own
+// bookkeeping.
 func (a *cachedAnswer) sizeBytes() int64 {
 	const (
-		fixed        = 160 // Result + list/map bookkeeping
-		perEntry     = 16  // sparse.Entry: NodeID + float64
-		perIteration = 64  // IterationStat
-		perDep       = 8
+		// fixed covers cachedAnswer (144 B), its cluster.Result (176 B), the
+		// LRU entry (80 B) and its slot in the shard map (~70 B).
+		fixed        = 470
+		perEntry     = 16 // sparse.Entry: NodeID + float64
+		perIteration = 56 // core.IterationStat
+		perDep       = 4  // graph.NodeID
+		perLeg       = 8  // querylog.LegSummary
 	)
 	return fixed +
-		int64(len(a.result.Entries))*perEntry +
-		int64(len(a.result.PerIteration))*perIteration +
-		int64(len(a.deps))*perDep
+		int64(cap(a.top))*perEntry +
+		int64(cap(a.reach)) +
+		int64(cap(a.result.PerIteration))*perIteration +
+		int64(cap(a.deps))*perDep +
+		int64(cap(a.legs))*perLeg +
+		int64(len(a.traceID))
+}
+
+// appendReach encodes the nodes with a non-zero score in entries (sorted by
+// ascending node) as the reach list: the first id plus one, then ascending
+// deltas, each a uvarint — the node-id layout of api.appendVector, about one
+// byte a node on a dense estimate. The list is sized exactly.
+func appendReach(entries []sparse.Entry) []byte {
+	n, prev := 0, int64(-1)
+	for _, e := range entries {
+		if e.Score != 0 {
+			n += (bits.Len64(uint64(int64(e.Node)-prev)) + 6) / 7
+			prev = int64(e.Node)
+		}
+	}
+	out, prev := make([]byte, 0, n), int64(-1)
+	for _, e := range entries {
+		if e.Score != 0 {
+			out = binary.AppendUvarint(out, uint64(int64(e.Node)-prev))
+			prev = int64(e.Node)
+		}
+	}
+	return out
+}
+
+// reachesAny reports whether the reach list holds any of touched (sorted
+// ascending). It decodes the list in one merge pass against touched and stops
+// at the first common node or once the list passes the last touched one.
+func reachesAny(reach []byte, touched []graph.NodeID) bool {
+	if len(touched) == 0 {
+		return false
+	}
+	j, next, node := 0, int64(touched[0]), int64(-1)
+	for i := 0; i < len(reach); {
+		d := uint64(reach[i])
+		if d < 0x80 {
+			i++
+		} else {
+			var w int
+			if d, w = binary.Uvarint(reach[i:]); w <= 0 {
+				return true // appendReach writes no such list; invalidate rather than guess
+			}
+			i += w
+		}
+		if node += int64(d); node < next {
+			continue
+		}
+		for next < node {
+			if j++; j == len(touched) {
+				return false
+			}
+			next = int64(touched[j])
+		}
+		if next == node {
+			return true
+		}
+	}
+	return false
 }
 
 // CacheStats is the result cache's block of /v1/stats.
@@ -114,10 +200,11 @@ func NewCache(budgetBytes int64, numShards int) *Cache {
 // client can aim its queries at one shard's mutex. Every field is hashed at
 // full width; keys differing in one field only would otherwise share a shard.
 func (k CacheKey) hash(seed maphash.Seed) uint64 {
-	var b [28]byte
+	var b [36]byte
 	binary.LittleEndian.PutUint32(b[0:], uint32(k.Node))
 	binary.LittleEndian.PutUint64(b[4:], uint64(k.Eta))
 	binary.LittleEndian.PutUint64(b[12:], math.Float64bits(k.TargetError))
 	binary.LittleEndian.PutUint64(b[20:], k.Epoch)
+	binary.LittleEndian.PutUint64(b[28:], uint64(k.Top))
 	return maphash.Bytes(seed, b[:])
 }

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/maphash"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"testing"
 
 	"fastppv/internal/cluster"
@@ -15,7 +20,8 @@ import (
 // fakeAnswer builds a cachedAnswer with the given hub dependencies.
 func fakeAnswer(deps ...graph.NodeID) *cachedAnswer {
 	return &cachedAnswer{
-		result: &cluster.Result{Result: core.Result{Entries: []sparse.Entry{{Node: 1, Score: 0.5}}}},
+		result: &cluster.Result{},
+		top:    []sparse.Entry{{Node: 1, Score: 0.5}},
 		deps:   deps,
 	}
 }
@@ -97,29 +103,167 @@ func TestCacheOversizedAnswerNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheSizeEstimate checks that a computed answer is retained at its
-// estimated size, and that the estimate grows with the estimate it holds.
+// TestCacheSizeEstimate checks what a retained answer holds and costs: it is
+// keyed by its top's prefix class, holds that class's ranking and the reach
+// list of its estimate but not the estimate, and is accounted at sizeBytes,
+// which follows the ranking and the reach list.
 func TestCacheSizeEstimate(t *testing.T) {
-	srv, err := New(testEngine(t, socialGraph(t, 300), 30), Config{})
+	engine := testEngine(t, socialGraph(t, 300), 30)
+	srv, err := New(engine, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if status, _, body := get(t, ts, "/v1/ppv?node=17&eta=2"); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
+	res, err := engine.Query(17, core.StopCondition{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, ok := srv.cache.Get(CacheKey{Node: 17, Eta: 2})
-	if !ok {
-		t.Fatal("computed answer was not retained")
+	var nonZero []graph.NodeID
+	for _, e := range res.Entries {
+		if e.Score != 0 {
+			nonZero = append(nonZero, e.Node)
+		}
 	}
-	if st := srv.cache.Stats(); st.Bytes != a.sizeBytes() || st.Entries != 1 {
-		t.Fatalf("accounted %d bytes in %d entries, want one of %d", st.Bytes, st.Entries, a.sizeBytes())
+	var total int64
+	var sizes []int64
+	for _, top := range []int{3, 100} {
+		if status, _, body := get(t, ts, fmt.Sprintf("/v1/ppv?node=17&eta=2&top=%d", top)); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
+		}
+		class := topClass(top)
+		a, ok := srv.cache.Get(CacheKey{Node: 17, Eta: 2, Top: class})
+		if !ok {
+			t.Fatalf("top=%d: computed answer was not retained under class %d", top, class)
+		}
+		if a.result.Entries != nil || a.result.Spans != nil {
+			t.Fatalf("top=%d: the retained answer holds the estimate (%d entries) or spans", top, len(a.result.Entries))
+		}
+		if want := min(class, len(res.Entries)); len(a.top) != want {
+			t.Fatalf("top=%d: holds a %d-entry ranking, want %d", top, len(a.top), want)
+		}
+		if got := decodeReach(t, a.reach); !slices.Equal(got, nonZero) {
+			t.Fatalf("top=%d: reach decodes to %d nodes, want the estimate's %d non-zero ones", top, len(got), len(nonZero))
+		}
+		total += a.sizeBytes()
+		sizes = append(sizes, a.sizeBytes())
+	}
+	if st := srv.cache.Stats(); st.Bytes != total || st.Entries != 2 {
+		t.Fatalf("accounted %d bytes in %d entries, want two of %d", st.Bytes, st.Entries, total)
+	}
+	if est := int64(len(res.Entries)) * 16; sizes[0] >= est {
+		t.Fatalf("a 10-entry answer costs %d bytes, no less than its %d-entry estimate (%d bytes)", sizes[0], len(res.Entries), est)
+	}
+	if sizes[1] <= sizes[0] {
+		t.Fatalf("a %d-entry ranking costs %d bytes, a 10-entry one %d", topClass(100), sizes[1], sizes[0])
 	}
 	small := fakeAnswer()
 	if big := fakeAnswer(7, 8); big.sizeBytes() <= small.sizeBytes() || small.sizeBytes() <= 0 {
 		t.Fatalf("sizeBytes %d (2 deps) vs %d (none)", big.sizeBytes(), small.sizeBytes())
 	}
+}
+
+// TestCacheSizeMatchesHeap retains 2 000 answers and checks that the live
+// heap grows by 0.5x to 2x of the bytes the cache accounts for them.
+func TestCacheSizeMatchesHeap(t *testing.T) {
+	engine := testEngine(t, socialGraph(t, 1000), 50)
+	srv, err := New(engine, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		// Two collections: the first moves pooled buffers to the victim
+		// cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for _, top := range []int{defaultTopK, 40} {
+		for q := 0; q < 1000; q++ {
+			if _, _, err := srv.answer(queryRequest{node: graph.NodeID(q), eta: 2, top: top}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	grown := float64(heap()) - float64(before)
+	st := srv.cache.Stats()
+	if st.Entries != 2000 {
+		t.Fatalf("%d answers retained, want 2000", st.Entries)
+	}
+	if ratio := grown / float64(st.Bytes); ratio < 0.5 || ratio > 2 {
+		t.Fatalf("heap grew %.0f bytes for %d accounted (ratio %.2f), want 0.5x to 2x", grown, st.Bytes, ratio)
+	}
+}
+
+// TestReachMatchesEstimateRule checks the reach list against the rule it
+// replaces: for 200 sources and random touched sets of 1 to 8 nodes,
+// reachesAny on the decoded list decides as a lookup of every touched node in
+// the full sorted estimate does (a touched node with a non-zero score).
+func TestReachMatchesEstimateRule(t *testing.T) {
+	const nodes = 300
+	engine := testEngine(t, socialGraph(t, nodes), 30)
+	rng := rand.New(rand.NewSource(11))
+	var hits, misses int
+	for src := 0; src < 200; src++ {
+		qs, err := engine.NewQuery(graph.NodeID(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := qs.Run(core.StopCondition{MaxIterations: rng.Intn(3)}).Entries
+		qs.Close()
+		// Zero the score of a few entries: the rule counts only non-zero ones.
+		for i := range entries {
+			if rng.Intn(10) == 0 {
+				entries[i].Score = 0
+			}
+		}
+		reach := appendReach(entries)
+		for trial := 0; trial < 20; trial++ {
+			touched := make([]graph.NodeID, 1+rng.Intn(8))
+			for i := range touched {
+				touched[i] = graph.NodeID(rng.Intn(nodes))
+			}
+			slices.Sort(touched)
+			touched = slices.Compact(touched)
+			want := false
+			for _, n := range touched {
+				if sparse.Lookup(entries, n) != 0 {
+					want = true
+				}
+			}
+			if got := reachesAny(reach, touched); got != want {
+				t.Fatalf("source %d, touched %v: reach says %v, the estimate %v", src, touched, got, want)
+			}
+			if want {
+				hits++
+			} else {
+				misses++
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d reaching and %d missing touched sets: the property needs both", hits, misses)
+	}
+}
+
+// decodeReach decodes a reach list into its ascending node ids.
+func decodeReach(t *testing.T, reach []byte) []graph.NodeID {
+	t.Helper()
+	var out []graph.NodeID
+	node := int64(-1)
+	for len(reach) > 0 {
+		d, w := binary.Uvarint(reach)
+		if w <= 0 {
+			t.Fatalf("malformed reach list at %x", reach)
+		}
+		node += int64(d)
+		out = append(out, graph.NodeID(node))
+		reach = reach[w:]
+	}
+	return out
 }
 
 func TestCachePutCountsReplacements(t *testing.T) {
@@ -150,6 +294,7 @@ func TestCacheShardForSpreadsTargetError(t *testing.T) {
 		// one shard.
 		"eta":   func(k *CacheKey, i int) { k.Eta = 2 + 256*i },
 		"epoch": func(k *CacheKey, i int) { k.Epoch = uint64(i) << 8 },
+		"top":   func(k *CacheKey, i int) { k.Top = defaultTopK + 256*i },
 	} {
 		shards := make(map[uint64]struct{})
 		for i := 0; i < 64; i++ {

@@ -4,9 +4,9 @@
 // The engine answers one query at a time as fast as scheduled approximation
 // allows; this package adds the layers a production deployment needs on top:
 //
-//   - a sharded LRU result cache with a byte budget, keyed by the query node
-//     and the accuracy knobs (eta, target error), so skewed workloads are
-//     served from memory;
+//   - a sharded LRU result cache with a byte budget, keyed by the query node,
+//     the accuracy knobs (eta, target error) and the prefix class of top, so
+//     skewed workloads are served from memory;
 //   - request coalescing, so concurrent identical queries share a single
 //     engine computation instead of stampeding;
 //   - admission control with graceful degradation: at most MaxConcurrent
@@ -49,6 +49,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,7 +63,6 @@ import (
 	"fastppv/internal/lru"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
-	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -562,7 +562,7 @@ const (
 // answer resolves a query through the cache: a retained answer, a computation
 // of the same key already in flight, or finally the backend.
 func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
-	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Epoch: s.be.keyEpoch()}
+	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Epoch: s.be.keyEpoch(), Top: topClass(req.top)}
 	ans, outcome, err := s.cache.Do(key, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
 		ans, _, err := s.compute(key, end, "")
 		return ans, err
@@ -622,7 +622,7 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	}
 	ans := &cachedAnswer{
 		result:   res,
-		top:      res.TopK(defaultTopK),
+		top:      res.TopK(key.Top),
 		deps:     deps,
 		degraded: degraded || res.Degraded,
 	}
@@ -643,21 +643,25 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	// shards; they must not outlive the condition in the cache. An answer an
 	// update raced (the key epoch has moved on) is left uncached too: no
 	// future lookup would use the outdated key.
-	end(ans, ans.sizeBytes(), !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch)
+	retain := !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch
+	// Only engine-mode invalidation reads the reach list (a router retires
+	// answers by epoch), and only of an answer the cache keeps.
+	if retain && s.engine != nil && s.cfg.CacheBytes > 0 {
+		ans.reach = appendReach(res.Entries)
+	}
+	// The answer keeps what it serves: the estimate and the shard spans have
+	// been ranked, reached and traced, and go with the request.
+	res.Entries, res.Spans = nil, nil
+	end(ans, ans.sizeBytes(), retain)
 	return ans, rt, nil
 }
 
 // render builds the deterministic response body from an answer. Node labels
 // are only available in engine mode; a router answers with bare node ids. The
-// ranking is a prefix of the answer's stored top when that covers req.top (or
-// the whole estimate), and a fresh selection over the estimate otherwise.
+// ranking is a prefix of the answer's top, which holds req.top's whole class
+// (or the whole estimate, when shorter).
 func (s *Server) render(req queryRequest, ans *cachedAnswer) QueryResponse {
-	top := ans.top
-	if req.top <= len(top) {
-		top = top[:req.top]
-	} else if len(top) < len(ans.result.Entries) {
-		top = ans.result.TopK(req.top)
-	}
+	top := ans.top[:min(req.top, len(ans.top))]
 	resp := QueryResponse{
 		Node:          int(req.node),
 		RequestedEta:  req.eta,
@@ -698,7 +702,7 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 		if traceID == "" {
 			traceID = newTraceID()
 		}
-		key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError}
+		key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Top: topClass(req.top)}
 		ans, rt, err := s.compute(key, func(*cachedAnswer, int64, bool) {}, traceID)
 		if err != nil {
 			s.finishQuery(req, nil, cacheBypass, start, true, err)
@@ -1066,19 +1070,16 @@ func statusForCode(code string) int {
 // invalidateLocked drops exactly the cached answers an update can have made
 // stale: answers that expanded a recomputed hub, answers for a query node
 // whose out-edges changed, and answers whose estimate reaches a touched node
-// (their on-the-fly prime PPV crossed the modified region). Called with the
-// write lock held, so no stale fill can interleave.
+// (their on-the-fly prime PPV crossed the modified region), read from the
+// answer's reach list. Called with the write lock held, so no stale fill can
+// interleave.
 func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 	recomputed := make(map[graph.NodeID]struct{}, len(stats.Recomputed))
 	for _, h := range stats.Recomputed {
 		recomputed[h] = struct{}{}
 	}
-	touched := make(map[graph.NodeID]struct{}, len(stats.TouchedNodes))
-	for _, t := range stats.TouchedNodes {
-		touched[t] = struct{}{}
-	}
 	return s.cache.InvalidateFunc(func(k CacheKey, ans *cachedAnswer) bool {
-		if _, ok := touched[k.Node]; ok {
+		if _, ok := slices.BinarySearch(stats.TouchedNodes, k.Node); ok {
 			return true
 		}
 		for _, h := range ans.deps {
@@ -1086,25 +1087,7 @@ func (s *Server) invalidateLocked(stats core.UpdateStats) int {
 				return true
 			}
 		}
-		// Reaches-a-touched-node check (a touched node with a non-zero score in
-		// the sorted estimate): iterate whichever side is smaller, so a bulk
-		// update against a full cache stays bounded by the estimate sizes
-		// rather than entries x touched nodes.
-		entries := ans.result.Entries
-		if len(entries) < len(touched) {
-			for _, en := range entries {
-				if _, ok := touched[en.Node]; ok && en.Score != 0 {
-					return true
-				}
-			}
-			return false
-		}
-		for _, t := range stats.TouchedNodes {
-			if sparse.Lookup(entries, t) != 0 {
-				return true
-			}
-		}
-		return false
+		return reachesAny(ans.reach, stats.TouchedNodes)
 	})
 }
 

@@ -89,6 +89,11 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
 
 // TestServerCachedResponseIdenticalToCold is the core serving guarantee: a
 // cached response and a cold computation at the same eta are byte-identical.
+// An answer holds the ranking of its top's prefix class, so the guarantee is
+// checked at tops below, at and across the class boundaries, ascending (the
+// first request of a class misses, the rest hit) and then descending (all
+// hit), against a server that retains nothing. Node 17's estimate is shorter
+// than the 1 000 class: its answer holds the whole ranking.
 func TestServerCachedResponseIdenticalToCold(t *testing.T) {
 	g := socialGraph(t, 500)
 	engine := testEngine(t, g, 50)
@@ -99,41 +104,47 @@ func TestServerCachedResponseIdenticalToCold(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	const path = "/v1/ppv?node=17&eta=2&top=10"
-	status, hdr, first := get(t, ts, path)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, first)
-	}
-	if got := hdr.Get("X-Fastppv-Cache"); got != "miss" {
-		t.Fatalf("first request cache state = %q, want miss", got)
-	}
-	status, hdr, second := get(t, ts, path)
-	if status != http.StatusOK {
-		t.Fatal("second request failed")
-	}
-	if got := hdr.Get("X-Fastppv-Cache"); got != "hit" {
-		t.Fatalf("second request cache state = %q, want hit", got)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("cached response differs from original:\n%s\n%s", first, second)
-	}
-
-	// A completely cold server over the same engine must produce the same
-	// bytes: the engine's deterministic hub expansion order makes the answer
-	// a pure function of (node, eta, graph state).
-	coldSrv, err := New(engine, Config{})
+	// A cache-off server over the same engine must produce the same bytes:
+	// the engine's deterministic hub expansion order makes the answer a pure
+	// function of (node, eta, graph state).
+	coldSrv, err := New(engine, Config{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldTS := httptest.NewServer(coldSrv.Handler())
 	defer coldTS.Close()
-	status, _, cold := get(t, coldTS, path)
-	if status != http.StatusOK {
-		t.Fatal("cold request failed")
+
+	res, err := engine.Query(17, core.StopCondition{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(first, cold) {
-		t.Fatalf("cold recomputation differs from cached response:\n%s\n%s", first, cold)
+	if n := len(res.Entries); n <= 100 || n >= topClass(1000) {
+		t.Fatalf("node 17 has a %d-entry estimate; the tops must reach past it from below", n)
+	}
+	tops := []int{1, 5, 10, 11, 16, 17, 100, 1000}
+	seen := map[int]bool{}
+	for i := range 2 * len(tops) {
+		top := tops[min(i, 2*len(tops)-1-i)]
+		path := fmt.Sprintf("/v1/ppv?node=17&eta=2&top=%d", top)
+		want := "hit"
+		if class := topClass(top); !seen[class] {
+			seen[class] = true
+			want = "miss"
+		}
+		status, hdr, body := get(t, ts, path)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, status, body)
+		}
+		if got := hdr.Get("X-Fastppv-Cache"); got != want {
+			t.Fatalf("%s (request %d): cache state %q, want %s", path, i+1, got, want)
+		}
+		status, hdr, cold := get(t, coldTS, path)
+		if status != http.StatusOK || hdr.Get("X-Fastppv-Cache") != "bypass" {
+			t.Fatalf("%s on the cache-off server: status %d, cache %q", path, status, hdr.Get("X-Fastppv-Cache"))
+		}
+		if !bytes.Equal(body, cold) {
+			t.Fatalf("%s (%s) differs from the cache-off server:\n%s\n%s", path, want, body, cold)
+		}
 	}
 }
 
@@ -449,12 +460,12 @@ func TestServerBatch(t *testing.T) {
 	}
 }
 
-// TestServerRenderTopPrefix: an answer is ranked once, at defaultTopK, when it
-// is computed, and render serves every top from a prefix of that ranking or a
-// fresh selection over the sorted estimate. For tops below, at, just above and
-// well above defaultTopK and at maxTopK, the miss body, the hit body and a body
-// built from the public map-based API are byte-identical, in engine and in
-// router mode.
+// TestServerRenderTopPrefix: an answer is ranked once, at its top's prefix
+// class, when it is computed, and render serves every top of the class from a
+// prefix of that ranking. For tops below, at, just above and well above
+// defaultTopK and at maxTopK, the miss body, the hit body and a body built
+// from the public map-based API are byte-identical, in engine and in router
+// mode.
 func TestServerRenderTopPrefix(t *testing.T) {
 	g := socialGraph(t, 600)
 	engine := testEngine(t, g, 80)
