@@ -1,7 +1,7 @@
 // Command fastppvd is the FastPPV serving daemon: it loads (or generates) a
 // graph, precomputes the hub index, and serves Personalized PageRank queries
 // over an HTTP JSON API with result caching, request coalescing and
-// accuracy-aware admission control.
+// admission control.
 //
 //	fastppvd -graph g.txt -hubs 20000 -addr :8080
 //	fastppvd -social 60000 -addr :8080            # synthetic social graph
@@ -129,10 +129,9 @@ func run(args []string) error {
 	alpha := fs.Float64("alpha", fastppv.DefaultAlpha, "teleporting probability")
 	eta := fs.Int("eta", 2, "default online iterations per query")
 	maxEta := fs.Int("max-eta", 8, "largest eta a client may request")
-	degradedEta := fs.Int("degraded-eta", 0, "eta served under overload")
 	cacheMB := fs.Int64("cache-mb", 64, "result cache budget in MiB (0 disables)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent full-accuracy computations (0 = GOMAXPROCS)")
-	queueWait := fs.Duration("queue-wait", 25*time.Millisecond, "max wait for a computation slot before degrading")
+	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent computations (0 = GOMAXPROCS; with -router, GOMAXPROCS + max(8, 4·GOMAXPROCS))")
+	queueWait := fs.Duration("queue-wait", 25*time.Millisecond, "max wait for a computation slot before shedding with 503")
 	queryLogPath := fs.String("query-log", "", "persistent query log: one binary record per completed query, replayed on startup to drive log-based cache warming (empty disables)")
 	queryLogMaxMB := fs.Int64("query-log-max-mb", 64, "rotate the query log past this size (negative = never rotate)")
 	slowMS := fs.Float64("slow-ms", 250, "compute time past which a query's trace is retained unconditionally in /v1/debug/slow (negative disables)")
@@ -178,7 +177,6 @@ func run(args []string) error {
 	srvCfg := server.Config{
 		DefaultEta:       *eta,
 		MaxEta:           *maxEta,
-		DegradedEta:      *degradedEta,
 		CacheBytes:       cacheBytes,
 		MaxConcurrent:    *maxConcurrent,
 		QueueWait:        *queueWait,

@@ -190,8 +190,8 @@ func reportTarget(out io.Writer, pfx string, before, after *server.StatsResponse
 				pfx, sh.Shard, sh.Target, sh.Healthy, link, sh.Requests, sh.Failures, sh.MeanLatencyMS)
 		}
 	}
-	fmt.Fprintf(out, "%sserver admission: admitted=%d degraded=%d coalesced=%d (lifetime)\n",
-		pfx, after.Admission.Admitted, after.Admission.Degraded, after.Coalesced)
+	fmt.Fprintf(out, "%sserver admission: admitted=%d shed=%d coalesced=%d (lifetime)\n",
+		pfx, after.Admission.Admitted, after.Admission.Shed, after.Coalesced)
 }
 
 // hitRate is hits / (hits + misses) as a percentage, 0 when neither happened.

@@ -18,10 +18,9 @@
 // Replay plays the records' (source, eta, top) triples in order over one
 // connection through the internal/workload driver, and prints its report.
 // The eta is the one the daemon logged: the requested eta after its MaxEta
-// clamp, not a degraded one. Replay reads the whole sequence (up to -limit)
-// before it sends the first query, so its memory grows with the number of
-// replayed records, about 32 bytes each. With -limit the scan stops at the
-// limit.
+// clamp. Replay reads the whole sequence (up to -limit) before it sends the
+// first query, so its memory grows with the number of replayed records, about
+// 32 bytes each. With -limit the scan stops at the limit.
 //
 // Both modes read the previous generation (<path>.1) before the active file
 // and tolerate a torn tail, exactly like the daemon's replay-on-open.

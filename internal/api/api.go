@@ -48,8 +48,8 @@ const (
 	// CodeBadRequest is a malformed or out-of-range request; retrying is
 	// pointless.
 	CodeBadRequest = "bad_request"
-	// CodeOverloaded reports admission rejection: both the full-accuracy and
-	// the degraded pools were saturated. Back off before retrying.
+	// CodeOverloaded reports admission rejection: no computation slot freed
+	// within the server's queue wait. Back off before retrying.
 	CodeOverloaded = "overloaded"
 	// CodeRetry reports a transient server condition — typically an index
 	// descriptor closing mid-read while the shard restarts or compacts — that

@@ -39,9 +39,8 @@ type Record struct {
 	Source graph.NodeID
 	// Top is the requested k (top-k result size).
 	Top uint16
-	// Eta is the requested accuracy level after the server's MaxEta clamp,
-	// not the lower one a degraded answer was computed at; replay re-issues
-	// it as given.
+	// Eta is the requested accuracy level after the server's MaxEta clamp;
+	// replay re-issues it as given.
 	Eta uint8
 	// Mode is ModeEngine or ModeRouter.
 	Mode uint8
@@ -85,8 +84,8 @@ const (
 
 // Flag bits for Record.Flags.
 const (
-	// FlagDegraded marks an answer served at reduced accuracy (admission
-	// degrade, shard loss, or epoch divergence).
+	// FlagDegraded marks a router answer served at reduced accuracy (shards
+	// down or behind, or a non-owner serving the root).
 	FlagDegraded uint8 = 1 << iota
 	// FlagCacheHit marks an answer served from the result cache.
 	FlagCacheHit

@@ -5,34 +5,15 @@ import (
 	"time"
 )
 
-// serviceLevel is the admission decision for one computation.
-type serviceLevel int
-
-const (
-	// svcFull grants a full-accuracy computation slot.
-	svcFull serviceLevel = iota
-	// svcDegraded grants a slot on the cheap degradation path.
-	svcDegraded
-	// svcShed admits nothing: even the degraded pool is saturated and the
-	// request is rejected so the server's work stays bounded.
-	svcShed
-)
-
-// admission is the bounded worker pool in front of the engine. At most
-// maxConcurrent full-accuracy computations run at once; a request that cannot
-// get a slot within queueWait is downgraded to the degradation pool (a
-// low-eta answer whose L1 error bound is still reported exactly). The
-// degradation pool is itself bounded — iteration 0 of a cold non-hub query
-// still computes a prime PPV, so unbounded degraded work would defeat the
-// gate — and when both pools are full the request is shed with 503 instead of
-// queueing.
+// admission is the bounded worker pool in front of the backend. At most
+// maxConcurrent computations run at once, each at the eta it asked for; a
+// request that cannot get a slot within queueWait is shed (503 overloaded)
+// instead of queueing, so the server's work stays bounded.
 type admission struct {
-	slots         chan struct{}
-	degradedSlots chan struct{}
-	queueWait     time.Duration
+	slots     chan struct{}
+	queueWait time.Duration
 
 	admitted atomic.Int64
-	degraded atomic.Int64
 	shed     atomic.Int64
 }
 
@@ -40,24 +21,19 @@ func newAdmission(maxConcurrent int, queueWait time.Duration) *admission {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 1
 	}
-	degradedCap := 4 * maxConcurrent
-	if degradedCap < 8 {
-		degradedCap = 8
-	}
 	return &admission{
-		slots:         make(chan struct{}, maxConcurrent),
-		degradedSlots: make(chan struct{}, degradedCap),
-		queueWait:     queueWait,
+		slots:     make(chan struct{}, maxConcurrent),
+		queueWait: queueWait,
 	}
 }
 
-// acquire decides the service level for one computation; the caller must
-// release the returned level (svcShed holds nothing).
-func (a *admission) acquire() serviceLevel {
+// acquire reports whether a computation slot was granted; the caller must
+// release a granted slot.
+func (a *admission) acquire() bool {
 	select {
 	case a.slots <- struct{}{}:
 		a.admitted.Add(1)
-		return svcFull
+		return true
 	default:
 	}
 	if a.queueWait > 0 {
@@ -66,48 +42,29 @@ func (a *admission) acquire() serviceLevel {
 		select {
 		case a.slots <- struct{}{}:
 			a.admitted.Add(1)
-			return svcFull
+			return true
 		case <-t.C:
 		}
 	}
-	select {
-	case a.degradedSlots <- struct{}{}:
-		a.degraded.Add(1)
-		return svcDegraded
-	default:
-	}
 	a.shed.Add(1)
-	return svcShed
+	return false
 }
 
-func (a *admission) release(level serviceLevel) {
-	switch level {
-	case svcFull:
-		<-a.slots
-	case svcDegraded:
-		<-a.degradedSlots
-	}
-}
+func (a *admission) release() { <-a.slots }
 
 // AdmissionStats is a point-in-time summary of the admission gate.
 type AdmissionStats struct {
-	MaxConcurrent    int   `json:"max_concurrent"`
-	MaxDegraded      int   `json:"max_degraded"`
-	InFlight         int   `json:"in_flight"`
-	InFlightDegraded int   `json:"in_flight_degraded"`
-	Admitted         int64 `json:"admitted"`
-	Degraded         int64 `json:"degraded"`
-	Shed             int64 `json:"shed"`
+	MaxConcurrent int   `json:"max_concurrent"`
+	InFlight      int   `json:"in_flight"`
+	Admitted      int64 `json:"admitted"`
+	Shed          int64 `json:"shed"`
 }
 
 func (a *admission) stats() AdmissionStats {
 	return AdmissionStats{
-		MaxConcurrent:    cap(a.slots),
-		MaxDegraded:      cap(a.degradedSlots),
-		InFlight:         len(a.slots),
-		InFlightDegraded: len(a.degradedSlots),
-		Admitted:         a.admitted.Load(),
-		Degraded:         a.degraded.Load(),
-		Shed:             a.shed.Load(),
+		MaxConcurrent: cap(a.slots),
+		InFlight:      len(a.slots),
+		Admitted:      a.admitted.Load(),
+		Shed:          a.shed.Load(),
 	}
 }

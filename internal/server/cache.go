@@ -70,10 +70,6 @@ type cachedAnswer struct {
 	// deps are the hubs whose indexed prime PPV the computation consumed, in
 	// ascending order (core.QueryState.HubDeps); invalidation is keyed on them.
 	deps []graph.NodeID
-	// degraded marks answers produced by the admission-control degradation
-	// path or by a cluster that lost shards mid-query; they answer with less
-	// accuracy than a healthy full-service computation and are never cached.
-	degraded bool
 	// traceID is set when the always-on capturer retained this computation's
 	// trace (slow, degraded, sampled, or explicitly traced); it travels back
 	// in the X-Fastppv-Trace response header so a caller that just saw a slow
@@ -91,9 +87,9 @@ type cachedAnswer struct {
 // bookkeeping.
 func (a *cachedAnswer) sizeBytes() int64 {
 	const (
-		// fixed covers cachedAnswer (144 B), its cluster.Result (176 B), the
+		// fixed covers cachedAnswer (128 B), its cluster.Result (176 B), the
 		// LRU entry (80 B) and its slot in the shard map (~70 B).
-		fixed        = 470
+		fixed        = 454
 		perEntry     = 16 // sparse.Entry: NodeID + float64
 		perIteration = 56 // core.IterationStat
 		perDep       = 4  // graph.NodeID

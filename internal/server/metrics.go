@@ -26,7 +26,6 @@ type serverMetrics struct {
 	httpRequests *telemetry.CounterVec
 
 	queriesComputed *telemetry.Counter
-	queriesDegraded *telemetry.Counter
 	queryIterations *telemetry.Histogram
 	queryBound      *telemetry.Histogram
 	hubsExpanded    *telemetry.Counter
@@ -44,8 +43,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"HTTP requests by endpoint and status class.", "endpoint", "code"),
 		queriesComputed: reg.Counter("fastppv_queries_computed_total",
 			"Queries that reached the engine or router (cache misses and traced queries)."),
-		queriesDegraded: reg.Counter("fastppv_queries_degraded_total",
-			"Computed queries answered on the degradation path (admission pressure or cluster faults)."),
 		queryIterations: reg.Histogram("fastppv_query_iterations",
 			"Expansion iterations per computed query (0 = iteration 0 only).",
 			telemetry.LinearBuckets(0, 1, 9)),
@@ -64,11 +61,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 
 // observeQuery records the end-of-computation metrics shared by the engine
 // and router paths of compute.
-func (m *serverMetrics) observeQuery(iterations int, bound float64, hubsExpanded, hubsSkipped int, degraded bool) {
+func (m *serverMetrics) observeQuery(iterations int, bound float64, hubsExpanded, hubsSkipped int) {
 	m.queriesComputed.Inc()
-	if degraded {
-		m.queriesDegraded.Inc()
-	}
 	m.queryIterations.Observe(float64(iterations))
 	m.queryBound.Observe(bound)
 	m.hubsExpanded.Add(float64(hubsExpanded))
@@ -87,12 +81,10 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		e.Counter("fastppv_updates_applied_total",
 			"Graph-update batches accepted by this server.", float64(s.updates.Load()))
 		adm := s.adm.stats()
-		e.Counter("fastppv_admission_admitted_total", "Computations granted a full-accuracy slot.", float64(adm.Admitted))
-		e.Counter("fastppv_admission_degraded_total", "Computations downgraded to the degradation pool.", float64(adm.Degraded))
-		e.Counter("fastppv_admission_shed_total", "Requests rejected with 503: both pools full.", float64(adm.Shed))
-		e.Gauge("fastppv_admission_in_flight", "Full-accuracy computations currently running.", float64(adm.InFlight))
-		e.Gauge("fastppv_admission_in_flight_degraded", "Degraded computations currently running.", float64(adm.InFlightDegraded))
-		e.Gauge("fastppv_admission_max_concurrent", "Full-accuracy slot capacity.", float64(adm.MaxConcurrent))
+		e.Counter("fastppv_admission_admitted_total", "Computations granted a slot.", float64(adm.Admitted))
+		e.Counter("fastppv_admission_shed_total", "Requests rejected with 503: no slot freed within the queue wait.", float64(adm.Shed))
+		e.Gauge("fastppv_admission_in_flight", "Computations currently running.", float64(adm.InFlight))
+		e.Gauge("fastppv_admission_max_concurrent", "Computation slot capacity.", float64(adm.MaxConcurrent))
 		if s.cfg.CacheBytes > 0 {
 			e.Counter("fastppv_cache_hits_total", "Result-cache hits.", float64(cs.Hits))
 			e.Counter("fastppv_cache_misses_total", "Result-cache misses.", float64(cs.Misses))

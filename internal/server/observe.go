@@ -113,7 +113,8 @@ func (s *Server) captureCompute(eta int, ans *cachedAnswer, explicitID string) *
 		s.metrics.slowQueries.Inc()
 	}
 	sampled := !explicit && s.cfg.TraceSampleEvery > 0 && s.sampleCtr.Add(1)%uint64(s.cfg.TraceSampleEvery) == 0
-	if !ans.slow && !ans.degraded && !sampled && !explicit {
+	degraded := ans.result.Degraded
+	if !ans.slow && !degraded && !sampled && !explicit {
 		return nil
 	}
 	ans.traceID = explicitID
@@ -128,8 +129,8 @@ func (s *Server) captureCompute(eta int, ans *cachedAnswer, explicitID string) *
 		Mode:         modeNames[s.be.mode()],
 		DurationMS:   float64(dur) / 1e6,
 		Slow:         ans.slow,
-		Degraded:     ans.degraded,
-		Sampled:      sampled && !ans.slow && !ans.degraded,
+		Degraded:     degraded,
+		Sampled:      sampled && !ans.slow && !degraded,
 		Explicit:     explicit,
 		L1ErrorBound: ans.result.L1ErrorBound,
 		Iterations:   traceSpans(ans.result),
@@ -178,7 +179,7 @@ func (s *Server) logQuery(req queryRequest, ans *cachedAnswer, state cacheState,
 		return
 	}
 	var flags uint8
-	if ans.degraded {
+	if ans.result.Degraded {
 		flags |= querylog.FlagDegraded
 	}
 	switch state {

@@ -9,10 +9,10 @@
 //     skewed workloads are served from memory;
 //   - request coalescing, so concurrent identical queries share a single
 //     engine computation instead of stampeding;
-//   - admission control with graceful degradation: at most MaxConcurrent
-//     full-accuracy computations run at once, and an overloaded server
-//     answers with a cheaper low-eta estimate whose L1 error bound is still
-//     reported exactly, instead of queueing unboundedly;
+//   - admission control: at most MaxConcurrent computations run at once,
+//     each at the eta it asked for, and a request that finds no slot within
+//     QueueWait is shed with the retryable 503 "overloaded" instead of
+//     queueing unboundedly;
 //   - incremental graph updates with targeted cache invalidation driven by
 //     the hub dependencies each cached answer recorded;
 //   - per-endpoint latency histograms (one family, rendered on /metrics and
@@ -82,17 +82,16 @@ type Config struct {
 	DefaultEta int
 	// MaxEta caps the eta a client may request; zero means 8.
 	MaxEta int
-	// DegradedEta is the eta served on the degradation path under overload;
-	// it should be small (the default 0 serves iteration 0 only).
-	DegradedEta int
 	// CacheBytes is the result cache budget; zero means 64 MiB. Negative
 	// disables caching (concurrent identical queries still coalesce).
 	CacheBytes int64
-	// MaxConcurrent bounds concurrent full-accuracy computations; zero means
-	// GOMAXPROCS.
+	// MaxConcurrent bounds concurrent computations; zero means GOMAXPROCS
+	// for an engine (its work is CPU-bound) and GOMAXPROCS + max(8,
+	// 4·GOMAXPROCS) for a router (its work is mostly waiting on shard legs).
 	MaxConcurrent int
 	// QueueWait is how long a request waits for a computation slot before
-	// being served degraded; zero means 25ms. Negative means no waiting.
+	// being shed with 503 overloaded; zero means 25ms. Negative means no
+	// waiting.
 	QueueWait time.Duration
 	// WarmHubs, when positive, preloads the prime PPVs of the K hottest hubs
 	// (by out-degree, the cheap popularity proxy available in every mode)
@@ -141,12 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultEta > c.MaxEta {
 		c.DefaultEta = c.MaxEta
-	}
-	if c.DegradedEta < 0 {
-		c.DegradedEta = 0
-	}
-	if c.DegradedEta > c.MaxEta {
-		c.DegradedEta = c.MaxEta
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
@@ -287,6 +280,10 @@ func New(engine *core.Engine, cfg Config) (*Server, error) {
 func NewRouter(rt *cluster.Router, cfg Config) (*Server, error) {
 	if rt == nil {
 		return nil, errors.New("server: nil router")
+	}
+	if cfg.MaxConcurrent == 0 {
+		procs := runtime.GOMAXPROCS(0)
+		cfg.MaxConcurrent = procs + max(8, 4*procs)
 	}
 	s := newServer(cfg.withDefaults())
 	s.router = rt
@@ -486,6 +483,11 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
+// errOverloaded sheds a computation that found no admission slot within
+// QueueWait.
+var errOverloaded = &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
+	msg: "overloaded: no computation slot freed within the queue wait"}
+
 func badRequest(format string, args ...interface{}) error {
 	return &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
@@ -582,9 +584,7 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 
 // compute runs one query under admission control: admit, ask the backend,
 // observe, capture the trace, end the cache flight (retaining the answer if
-// it is cacheable). Requests that cannot get a full-service slot are degraded
-// to DegradedEta iterations (degraded answers are returned but never cached);
-// when even the degraded pool is full the request is shed with 503. The read
+// it is cacheable). A request that gets no slot is shed with 503. The read
 // lock is held from the query to the end of the flight, so an engine update's
 // invalidation sweep can never race a stale cache fill and a request arriving
 // after the update can never join a pre-update computation (in router mode
@@ -600,19 +600,11 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	if explicit {
 		s.metrics.tracedQueries.Inc()
 	}
-	level := s.adm.acquire()
-	if level == svcShed {
-		return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
-			msg: "overloaded: admission and degradation pools are full"}
+	if !s.adm.acquire() {
+		return nil, nil, errOverloaded
 	}
-	defer s.adm.release(level)
-	eta := key.Eta
-	degraded := false
-	if level == svcDegraded && s.cfg.DegradedEta < eta {
-		eta = s.cfg.DegradedEta
-		degraded = true
-	}
-	stop := core.StopCondition{MaxIterations: eta, TargetL1Error: key.TargetError}
+	defer s.adm.release()
+	stop := core.StopCondition{MaxIterations: key.Eta, TargetL1Error: key.TargetError}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -621,10 +613,9 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 		return nil, nil, err
 	}
 	ans := &cachedAnswer{
-		result:   res,
-		top:      res.TopK(key.Top),
-		deps:     deps,
-		degraded: degraded || res.Degraded,
+		result: res,
+		top:    res.TopK(key.Top),
+		deps:   deps,
 	}
 	if s.qlog != nil {
 		ans.legs = legSummaries(res.Spans)
@@ -634,16 +625,16 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 		expanded += st.HubsExpanded
 		skipped += st.HubsSkipped
 	}
-	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped, ans.degraded)
+	s.metrics.observeQuery(res.Iterations, res.L1ErrorBound, expanded, skipped)
 	// Every result carries its per-iteration stats (and a routed one its shard
 	// legs), so retaining a slow/degraded/sampled trace costs no extra
 	// computation; spans are only assembled when one is kept.
-	rt := s.captureCompute(eta, ans, explicitID)
-	// Degraded answers carry a bound widened by admission pressure or lost
-	// shards; they must not outlive the condition in the cache. An answer an
+	rt := s.captureCompute(key.Eta, ans, explicitID)
+	// Degraded answers carry a bound widened by lost or lagging shards; they
+	// must not outlive the condition in the cache. An answer an
 	// update raced (the key epoch has moved on) is left uncached too: no
 	// future lookup would use the outdated key.
-	retain := !explicit && !ans.degraded && s.be.keyEpoch() == key.Epoch
+	retain := !explicit && !res.Degraded && s.be.keyEpoch() == key.Epoch
 	// Only engine-mode invalidation reads the reach list (a router retires
 	// answers by epoch), and only of an answer the cache keeps.
 	if retain && s.engine != nil && s.cfg.CacheBytes > 0 {
@@ -666,7 +657,7 @@ func (s *Server) render(req queryRequest, ans *cachedAnswer) QueryResponse {
 		Node:          int(req.node),
 		RequestedEta:  req.eta,
 		Iterations:    ans.result.Iterations,
-		Degraded:      ans.degraded,
+		Degraded:      ans.result.Degraded,
 		ShardsDown:    ans.result.ShardsDown,
 		ShardsBehind:  ans.result.ShardsBehind,
 		LostErrorMass: ans.result.LostFrontierMass,
@@ -798,8 +789,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("batch of %d exceeds limit %d", len(breq.Queries), maxBatchQueries))
 		return
 	}
-	resp := BatchResponse{Results: make([]QueryResponse, 0, len(breq.Queries))}
-	for _, bq := range breq.Queries {
+	// Every query is validated before any is computed, so a bad one rejects
+	// the batch without computing, caching or logging the others.
+	reqs := make([]queryRequest, len(breq.Queries))
+	for i, bq := range breq.Queries {
 		// Every non-zero knob goes to parseQuery, so a negative one is the
 		// same 400 it is on GET /v1/ppv; zero means the server default.
 		raw := rawQuery{node: strconv.Itoa(bq.Node)}
@@ -817,6 +810,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		reqs[i] = req
+	}
+	resp := BatchResponse{Results: make([]QueryResponse, 0, len(reqs))}
+	for _, req := range reqs {
 		qstart := time.Now()
 		ans, state, err := s.answer(req)
 		if err != nil {
@@ -833,13 +830,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // evalPartial evaluates one partial sub-request of the cluster protocol — one
 // iteration-0 root or one frontier expansion restricted to the hubs this
 // shard owns (internal/api.PartialRequest) — for the stream handler
-// (stream.go): validation, the admission gate (a partial is bounded work, a
-// single iteration, so a degraded-level slot still computes it fully), then
-// the engine under its read lock, so graph updates never interleave with a
-// sub-query. Errors come back as *httpError, whose code travels in the error
-// frame; a transient index failure (the descriptor closing under a restart or
-// compaction swap) carries the "retry" code, and the router retries once
-// before declaring the shard down.
+// (stream.go): validation, the admission gate, then the engine under its read
+// lock, so graph updates never interleave with a sub-query. Errors come back
+// as *httpError, whose code travels in the error frame; a transient index
+// failure (the descriptor closing under a restart or compaction swap) carries
+// the "retry" code, and the router retries once before declaring the shard
+// down.
 func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	if (preq.Query == nil) == (preq.Frontier == nil) {
 		return nil, badRequest("exactly one of query and frontier must be set")
@@ -852,12 +848,10 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 			}
 		}
 	}
-	level := s.adm.acquire()
-	if level == svcShed {
-		return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeOverloaded,
-			msg: "overloaded: admission and degradation pools are full"}
+	if !s.adm.acquire() {
+		return nil, errOverloaded
 	}
-	defer s.adm.release(level)
+	defer s.adm.release()
 
 	start := time.Now()
 	s.mu.RLock()

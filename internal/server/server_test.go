@@ -3,19 +3,25 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fastppv/internal/api"
+	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/ppvindex"
+	"fastppv/internal/querylog"
 	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
@@ -184,7 +190,7 @@ func TestServerConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("response %d differs from response 0:\n%s\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	computations := srv.adm.stats().Admitted + srv.adm.stats().Degraded
+	computations := srv.adm.stats().Admitted
 	if computations >= clients {
 		t.Fatalf("engine computed %d times for %d identical requests; caching/coalescing is not working", computations, clients)
 	}
@@ -323,18 +329,17 @@ func TestServerUpdateInvalidatesByEstimate(t *testing.T) {
 	}
 }
 
-// TestServerDegradation saturates the admission gate and checks the server
-// still answers — with fewer iterations and a strictly positive, honestly
-// reported L1 error bound — instead of queueing.
+// TestServerDegradation checks the overload contract: a computation that
+// finds no admission slot within QueueWait is shed with the retryable 503
+// "overloaded", on /v1/ppv and on the partial protocol alike, and is never
+// answered at fewer iterations; once the slot frees, the same request answers
+// at full accuracy. A router with no MaxConcurrent gets the slots of a
+// leg-waiting workload.
 func TestServerDegradation(t *testing.T) {
 	g := socialGraph(t, 500)
 	engine := testEngine(t, g, 50)
-	srv, err := New(engine, Config{
-		DefaultEta:    3,
-		MaxConcurrent: 1,
-		QueueWait:     -1, // degrade immediately when saturated
-		DegradedEta:   0,
-	})
+	const wait = 20 * time.Millisecond
+	srv, err := New(engine, Config{DefaultEta: 3, MaxConcurrent: 1, QueueWait: wait})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,66 +347,67 @@ func TestServerDegradation(t *testing.T) {
 	defer ts.Close()
 
 	// Occupy the only computation slot, as a long-running query would.
-	if srv.adm.acquire() != svcFull {
+	if !srv.adm.acquire() {
 		t.Fatal("could not take the slot on an idle server")
 	}
+	start := time.Now()
+	status, _, body := get(t, ts, "/v1/ppv?node=33&eta=3")
+	waited := time.Since(start)
+	var eresp api.ErrorResponse
+	if err := json.Unmarshal(body, &eresp); status != http.StatusServiceUnavailable || err != nil || eresp.Error.Code != api.CodeOverloaded {
+		t.Fatalf("saturated server answered %d (%s), want 503 %s", status, body, api.CodeOverloaded)
+	}
+	if waited < wait {
+		t.Errorf("shed after %v, before the %v queue wait", waited, wait)
+	}
+	if st := srv.adm.stats(); st.Shed != 1 {
+		t.Errorf("admission stats %+v, want one shed request", st)
+	}
+	node := graph.NodeID(33)
+	var herr *httpError
+	if _, err := srv.evalPartial(&api.PartialRequest{Query: &node}, ""); !errors.As(err, &herr) ||
+		herr.status != http.StatusServiceUnavailable || herr.code != api.CodeOverloaded {
+		t.Fatalf("saturated shard answered a partial with %v, want 503 %s", err, api.CodeOverloaded)
+	}
 
-	var qr QueryResponse
+	// Once the slot frees, the same request is computed at the eta it asked
+	// for: nothing was cached or cut short while the server was saturated.
+	srv.adm.release()
+	want, err := engine.Query(node, core.StopCondition{MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	status, hdr, body := get(t, ts, "/v1/ppv?node=33&eta=3")
 	if status != http.StatusOK {
-		t.Fatalf("saturated server returned %d: %s", status, body)
+		t.Fatalf("request after release answered %d: %s", status, body)
 	}
+	var qr QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if !qr.Degraded {
-		t.Fatal("saturated server served a non-degraded answer")
-	}
-	if qr.Iterations >= 3 {
-		t.Fatalf("degraded answer ran %d iterations, want < 3", qr.Iterations)
-	}
-	if qr.L1ErrorBound <= 0 {
-		t.Fatalf("degraded answer reports error bound %v, want > 0", qr.L1ErrorBound)
-	}
-	if hdr.Get("X-Fastppv-Cache") != "miss" {
-		t.Fatalf("degraded answer state %q", hdr.Get("X-Fastppv-Cache"))
+	if hdr.Get("X-Fastppv-Cache") != "miss" || qr.Degraded || qr.Iterations != want.Iterations {
+		t.Fatalf("after release: cache %q, degraded %v, %d iterations; want a miss at full accuracy, %d iterations",
+			hdr.Get("X-Fastppv-Cache"), qr.Degraded, qr.Iterations, want.Iterations)
 	}
 
-	// When even the degradation pool is full, the request is shed with 503
-	// instead of queueing.
-	for i := 0; i < cap(srv.adm.degradedSlots); i++ {
-		srv.adm.degradedSlots <- struct{}{}
-	}
-	status, _, body = get(t, ts, "/v1/ppv?node=34&eta=3")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("fully saturated server returned %d (%s), want 503", status, body)
-	}
-	if st := srv.adm.stats(); st.Shed == 0 {
-		t.Errorf("admission stats did not count the shed request: %+v", st)
-	}
-	for i := 0; i < cap(srv.adm.degradedSlots); i++ {
-		<-srv.adm.degradedSlots
-	}
-
-	// Degraded answers must not poison the cache: the same query after the
-	// slot frees is computed fully.
-	srv.adm.release(svcFull)
-	status, _, body = get(t, ts, "/v1/ppv?node=33&eta=3")
-	if status != http.StatusOK {
-		t.Fatal("request after release failed")
-	}
-	qr = QueryResponse{}
-	if err := json.Unmarshal(body, &qr); err != nil {
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{ts.URL}, HealthInterval: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if qr.Degraded {
-		t.Fatal("idle server served a degraded answer")
+	defer rt.Close()
+	rsrv, err := NewRouter(rt, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qr.Iterations == 0 {
-		t.Fatal("full answer ran zero iterations")
+	rts := httptest.NewServer(rsrv.Handler())
+	defer rts.Close()
+	var st StatsResponse
+	if _, _, body := get(t, rts, "/v1/stats"); json.Unmarshal(body, &st) != nil {
+		t.Fatalf("router stats: %s", body)
 	}
-	if st := srv.adm.stats(); st.Degraded == 0 {
-		t.Errorf("admission stats did not count the degraded request: %+v", st)
+	procs := runtime.GOMAXPROCS(0)
+	if want := procs + max(8, 4*procs); st.Admission.MaxConcurrent != want {
+		t.Errorf("router admission.max_concurrent = %d, want %d at GOMAXPROCS %d", st.Admission.MaxConcurrent, want, procs)
 	}
 }
 
@@ -457,6 +463,30 @@ func TestServerBatch(t *testing.T) {
 		if err := json.Unmarshal(out, &eresp); status != http.StatusBadRequest || err != nil || eresp.Error.Code != api.CodeBadRequest {
 			t.Errorf("batch %s: status %d (%s), want 400 %s", body, status, out, api.CodeBadRequest)
 		}
+	}
+
+	// A bad query anywhere in a batch rejects it before any query is
+	// computed, cached or logged.
+	qlog, err := querylog.Open(filepath.Join(t.TempDir(), "batch.qlog"), querylog.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qlog.Close()
+	logged, err := New(engine, Config{QueryLog: qlog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(logged.Handler())
+	defer lts.Close()
+	if status, out := post(t, lts, "/v1/ppv/batch", `{"queries":[{"node":5},{"node":8},{"node":-1}]}`); status != http.StatusBadRequest {
+		t.Fatalf("batch with a bad last query: status %d (%s), want 400", status, out)
+	}
+	_, _, metrics := get(t, lts, "/metrics")
+	if got := scrapeValue(t, string(metrics), "fastppv_queries_computed_total"); got != 0 {
+		t.Errorf("a rejected batch computed %v queries, want 0", got)
+	}
+	if st := qlog.Stats(); st.Appended != 0 {
+		t.Errorf("a rejected batch logged %d queries, want 0", st.Appended)
 	}
 }
 
