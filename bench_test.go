@@ -294,18 +294,24 @@ func BenchmarkExactPPV(b *testing.B) {
 }
 
 // BenchmarkPrimePPV measures computing a single prime PPV, the unit of work
-// of both offline precomputation and iteration 0 of a non-hub query.
+// of both offline precomputation and iteration 0 of a non-hub query, at the
+// push precision an engine with default options derives from its clip.
 func BenchmarkPrimePPV(b *testing.B) {
 	g := benchGraph(b)
 	hubs, err := hub.Select(g, hub.Options{Policy: hub.ExpectedUtility, Count: 2000})
 	if err != nil {
 		b.Fatal(err)
 	}
+	engine, err := core.NewEngine(g, nil, core.Options{NumHubs: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := prime.Options{Alpha: engine.Options().Alpha, Epsilon: engine.Options().Epsilon}
 	queries := workload.QuerySet(g, workload.QueryOptions{Count: 256, Seed: 2, RequireOutEdges: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := prime.ComputePPV(g, q, hubs, prime.Options{}); err != nil {
+		if _, _, err := prime.ComputePPV(g, q, hubs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,11 +16,12 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// goldenFile holds one FNV-64a hash per (backend, source, stop) answer. It was
-// generated before Engine.Query and Router.Query were moved onto one
-// scheduled-approximation loop (PPV_REGEN_GOLDEN=1 go test -run
-// TestQueryGolden ./internal/cluster), so a change to either that moves a
-// single bit of any estimate, bound or iteration count fails here.
+// goldenFile holds one FNV-64a hash per (backend, source, stop) answer. It is
+// regenerated (PPV_REGEN_GOLDEN=1 go test -run TestQueryGolden
+// ./internal/cluster) only by a change that moves answers on purpose, last by
+// deriving the push precision from the storage clip; any other change to
+// Engine.Query or Router.Query that moves a single bit of any estimate, bound
+// or iteration count fails here.
 const goldenFile = "testdata/query_golden.txt"
 
 // answerHash folds (Iterations, bits(L1ErrorBound), ascending (node,

@@ -9,6 +9,7 @@ import (
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
+	"fastppv/internal/prime"
 )
 
 func socialEngine(t testing.TB, nodes int, seed int64) *Engine {
@@ -183,25 +184,25 @@ func totalAlloc() uint64 {
 }
 
 // TestAllocationCeilings is the tier-1 gate that holds the flat kernel's
-// allocation cut in place. The ceilings sit ~25 % above what this commit
-// measures on a 5 000-node SocialGraph with 500 hubs: ~84 KB an Engine.Query,
-// which builds the estimate both as sorted entries and as the public map;
-// 30.3 KB a query served the way the server runs it (NewQuery, Run, HubDeps,
-// Close, TopK(10) — entries only, where the map-building path measured
-// 55.5 KB); ~23 KB a shard leg (PartialRootSorted on a non-hub node, its
-// frontier pruned by delta, then PartialExpand of that frontier — sorted
-// slices only; 27.7 KB with the unpruned frontier, and the map-based
-// PartialRoot/PartialExpand pair measured 70.3 KB); 1.09 MB a Precompute. The
-// map-based push measured 407 KB a query and 147 MB a Precompute.
+// allocation cut, and the push precision rule's, in place. The ceilings sit
+// ~25 % above what this commit measures on a 5 000-node SocialGraph with 500
+// hubs: ~41 KB an Engine.Query, which builds the estimate both as sorted
+// entries and as the public map; 15.8 KB a query served the way the server
+// runs it (NewQuery, Run, HubDeps, Close, TopK(10) — entries only); 12.9 KB
+// a shard leg (PartialRootSorted on a non-hub node, its frontier pruned by
+// delta, then PartialExpand of that frontier — sorted slices only); 0.90 MB a
+// Precompute. With every push at epsilon = 1e-8 rather than Clip/100 the
+// same four measured ~84 KB, 30.3 KB, ~23 KB and 1.09 MB; the map-based push
+// measured 407 KB a query and 147 MB a Precompute.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled bundles at random under the race detector")
 	}
 	const (
-		queryCeiling      = 104_000   // bytes per non-hub Engine.Query at eta=2
-		servingCeiling    = 38_000    // bytes per non-hub served query at eta=2
-		partialCeiling    = 26_000    // bytes per non-hub root partial plus one expansion
-		precomputeCeiling = 1_360_000 // bytes per Precompute
+		queryCeiling      = 52_000    // bytes per non-hub Engine.Query at eta=2
+		servingCeiling    = 19_500    // bytes per non-hub served query at eta=2
+		partialCeiling    = 16_000    // bytes per non-hub root partial plus one expansion
+		precomputeCeiling = 1_140_000 // bytes per Precompute
 	)
 	before := totalAlloc()
 	e := socialEngine(t, 5000, 17)
@@ -323,4 +324,28 @@ func TestMemIndexHeapAndViewCost(t *testing.T) {
 		t.Errorf("a MemIndex.GetView hit allocates %v times, want 0", allocs)
 	}
 	runtime.KeepAlive(g)
+}
+
+// TestNonHubPushCeiling holds the push precision rule in place: a non-hub
+// query's own push at the default options on the 5 000-node SocialGraph
+// expands at most pushCeiling nodes on average (~25 % above this commit's
+// mean of 1 258; at epsilon = 1e-8 the same pushes averaged 4 241).
+func TestNonHubPushCeiling(t *testing.T) {
+	const pushCeiling = 1_575
+	e := socialEngine(t, 5000, 17)
+	srcs := nonHubSources(e, 2000, 64)
+	var s prime.Scratch
+	pushes := 0
+	for _, q := range srcs {
+		_, st, err := s.Push(e.Graph(), q, e.Hubs(), e.opts.primeOptions(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushes += st.Pushes
+	}
+	mean := pushes / len(srcs)
+	t.Logf("mean pushes per non-hub push: %d", mean)
+	if mean > pushCeiling {
+		t.Errorf("a non-hub push at the default options expands %d nodes on average, ceiling %d", mean, pushCeiling)
+	}
 }

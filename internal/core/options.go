@@ -26,6 +26,10 @@ const (
 	DefaultClip = 1e-4
 	// DefaultIterations is the default number of online iterations eta.
 	DefaultIterations = 2
+	// clipToEpsilon is the ratio of the storage clip to the default push
+	// threshold epsilon. At /10 the eta=2 bound on a uniform out-degree-6
+	// graph loosens ~3 % against epsilon = 1e-8; at /100 it loosens ~0.3 %.
+	clipToEpsilon = 100
 )
 
 // Options configure an Engine. The zero value, passed through withDefaults,
@@ -34,8 +38,12 @@ const (
 type Options struct {
 	// Alpha is the teleporting probability; zero means pagerank.DefaultAlpha.
 	Alpha float64
-	// Epsilon is the faraway-node threshold for prime subgraph growth; zero
-	// means prime.DefaultEpsilon.
+	// Epsilon is the faraway-node threshold of every prime push: precompute,
+	// iteration 0 of a non-hub query and the recomputes of ApplyUpdate. Zero
+	// derives it from the storage clip as Clip/100 (prime.DefaultEpsilon when
+	// clipping is disabled): mass a push leaves unpushed is absent from the
+	// estimate and charged to phi, exactly like the entries the clip drops,
+	// so a push much finer than the clip buys almost nothing.
 	Epsilon float64
 	// Delta is the border-hub expansion threshold; zero means DefaultDelta.
 	// Set to a negative value to disable the prune entirely (used by the
@@ -82,9 +90,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Alpha <= 0 || o.Alpha >= 1 {
 		return o, fmt.Errorf("core: alpha %v outside (0,1)", o.Alpha)
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = prime.DefaultEpsilon
-	}
 	if o.Delta == 0 {
 		o.Delta = DefaultDelta
 	}
@@ -96,6 +101,12 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Clip < 0 {
 		o.Clip = 0
+	}
+	if o.Epsilon == 0 {
+		o.Epsilon = prime.DefaultEpsilon
+		if o.Clip > 0 {
+			o.Epsilon = o.Clip / clipToEpsilon
+		}
 	}
 	if o.NumHubs < 0 {
 		return o, errors.New("core: negative NumHubs")
