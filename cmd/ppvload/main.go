@@ -171,12 +171,8 @@ func reportTarget(out io.Writer, pfx string, before, after *server.StatsResponse
 			pfx, hitRate(hits, misses), bc.Entries, float64(bc.Bytes)/(1<<20), bc.Loads)
 	}
 	if c := after.Cluster; c != nil {
-		specRate := 0.0
-		if c.SpeculationsSent > 0 {
-			specRate = float64(c.SpeculationHits) / float64(c.SpeculationsSent)
-		}
-		fmt.Fprintf(out, "%scluster: %d/%d shards healthy, %.1f%% speculation hit rate, %.2f MB on the wire (lifetime)\n",
-			pfx, c.ShardsHealthy, len(c.Shards), specRate*100,
+		fmt.Fprintf(out, "%scluster: %d/%d shards healthy, %.2f MB on the wire (lifetime)\n",
+			pfx, c.ShardsHealthy, len(c.Shards),
 			float64(c.WireBytesSent+c.WireBytesReceived)/(1<<20))
 		for _, sh := range c.Shards {
 			link := "stream down"

@@ -148,13 +148,6 @@ type PartialRequest struct {
 	// Iteration is the router's iteration number for this expansion; it only
 	// feeds shard-side logging and stats.
 	Iteration int
-	// Speculative marks an expansion the router pre-sent before committing to
-	// the iteration: the shard may discard it (answering CodeStaleSpeculation)
-	// if a cancel for FrontierHash arrives before it starts computing.
-	Speculative bool
-	// FrontierHash identifies the frontier of a speculative expansion
-	// (api.Vector.Hash); the cancel protocol matches on it.
-	FrontierHash uint64
 }
 
 // PartialResponse answers a partial request, in a FramePartialResponse.

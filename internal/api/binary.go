@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 
@@ -26,15 +25,17 @@ import (
 )
 
 // StreamPath is the endpoint a client upgrades to open a binary partial-query
-// stream: GET /v1/stream with "Upgrade: fastppv-stream/1" answers 101
+// stream: GET /v1/stream with "Upgrade: fastppv-stream/2" answers 101
 // Switching Protocols and hands the raw connection to the frame protocol.
 const StreamPath = "/v1/stream"
 
 // StreamProtocol is the value of the Upgrade header both sides must present.
-const StreamProtocol = "fastppv-stream/1"
+// Its version names the payload layouts: a peer speaking another version is
+// refused at upgrade rather than misreading frames.
+const StreamProtocol = "fastppv-stream/2"
 
-// Frame types. Requests and cancels travel router->shard; responses and
-// errors travel shard->router.
+// Frame types. Requests travel router->shard; responses and errors travel
+// shard->router.
 const (
 	// FramePartialRequest carries one PartialRequest (root or expansion).
 	FramePartialRequest byte = 0x01
@@ -42,16 +43,7 @@ const (
 	FramePartialResponse byte = 0x02
 	// FrameError carries a structured Error answering a request id.
 	FrameError byte = 0x03
-	// FrameCancel withdraws a speculative request by id + frontier hash: a
-	// shard that has not started computing it discards the work and answers
-	// CodeStaleSpeculation.
-	FrameCancel byte = 0x04
 )
-
-// CodeStaleSpeculation reports a speculative expansion the router cancelled
-// before the shard computed it (the predicted frontier was superseded). It is
-// an expected protocol outcome, not a shard fault.
-const CodeStaleSpeculation = "stale_speculation"
 
 // frameMagic opens every frame; a stream that yields anything else is
 // corrupt or not speaking the protocol.
@@ -118,24 +110,6 @@ func ReadFrame(r io.Reader) (byte, []byte, int, error) {
 		return 0, nil, 0, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrBadFrame, crc, want)
 	}
 	return ftype, payload, frameOverhead + int(n), nil
-}
-
-// Hash returns a deterministic identity for a wire vector: FNV-1a 64 over
-// the entry count, node ids and score bits in ascending-node order. The
-// router tags speculative expansions with the hash of the frontier it
-// predicted; equal hashes mean bit-identical frontiers.
-func (w Vector) Hash() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(w.Nodes)))
-	h.Write(b[:])
-	for i, id := range w.Nodes {
-		binary.LittleEndian.PutUint64(b[:], uint64(uint32(id)))
-		h.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(w.Scores[i]))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // appendVector encodes a wire vector: count, first node id absolute then
@@ -259,10 +233,7 @@ func (r *payloadReader) vector() Vector {
 }
 
 // Request payload flag bits.
-const (
-	reqFlagRoot        = 1 << 0
-	reqFlagSpeculative = 1 << 1
-)
+const reqFlagRoot = 1 << 0
 
 // Response payload flag bits.
 const respFlagFromIndex = 1 << 0
@@ -272,7 +243,7 @@ const maxTraceLen = 256
 
 // EncodePartialRequest encodes a request frame payload:
 //
-//	id | flags | trace | root? query-node : (iteration | frontier-hash | frontier)
+//	id | flags | trace | root? query-node : (iteration | frontier)
 func EncodePartialRequest(id uint64, traceID string, preq *PartialRequest) ([]byte, error) {
 	if (preq.Query == nil) == (preq.Frontier == nil) {
 		return nil, fmt.Errorf("api: partial request needs exactly one of query and frontier")
@@ -286,9 +257,6 @@ func EncodePartialRequest(id uint64, traceID string, preq *PartialRequest) ([]by
 	if preq.Query != nil {
 		flags |= reqFlagRoot
 	}
-	if preq.Speculative {
-		flags |= reqFlagSpeculative
-	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(traceID)))
 	buf = append(buf, traceID...)
@@ -297,7 +265,6 @@ func EncodePartialRequest(id uint64, traceID string, preq *PartialRequest) ([]by
 		return buf, nil
 	}
 	buf = binary.AppendUvarint(buf, uint64(preq.Iteration))
-	buf = binary.LittleEndian.AppendUint64(buf, preq.FrontierHash)
 	return appendVector(buf, *preq.Frontier)
 }
 
@@ -315,13 +282,12 @@ func DecodePartialRequest(payload []byte) (id uint64, traceID string, preq *Part
 		}
 	}
 	traceID = r.str(maxTraceLen)
-	preq = &PartialRequest{Speculative: flags&reqFlagSpeculative != 0}
+	preq = &PartialRequest{}
 	if flags&reqFlagRoot != 0 {
 		q := graph.NodeID(int32(uint32(r.uvarint())))
 		preq.Query = &q
 	} else {
 		preq.Iteration = int(r.uvarint())
-		preq.FrontierHash = r.u64()
 		v := r.vector()
 		preq.Frontier = &v
 	}
@@ -417,23 +383,4 @@ func DecodeError(payload []byte) (id uint64, e *Error, err error) {
 		return 0, nil, r.err
 	}
 	return id, e, nil
-}
-
-// EncodeCancel encodes a cancel frame payload: id | frontier hash. The hash
-// lets the shard verify it is withdrawing the speculation the router meant.
-func EncodeCancel(id, frontierHash uint64) []byte {
-	buf := make([]byte, 0, 18)
-	buf = binary.AppendUvarint(buf, id)
-	return binary.LittleEndian.AppendUint64(buf, frontierHash)
-}
-
-// DecodeCancel decodes a cancel frame payload.
-func DecodeCancel(payload []byte) (id, frontierHash uint64, err error) {
-	r := &payloadReader{b: payload}
-	id = r.uvarint()
-	frontierHash = r.u64()
-	if r.err != nil {
-		return 0, 0, r.err
-	}
-	return id, frontierHash, nil
 }

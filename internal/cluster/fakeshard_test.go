@@ -123,7 +123,7 @@ func (f *fakeShard) serveStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ftype != api.FramePartialRequest {
-			continue // cancels: the reply is sent anyway and dropped router-side
+			continue // unknown frame types are tolerated, as by the shard
 		}
 		id, _, preq, err := api.DecodePartialRequest(payload)
 		if err != nil {

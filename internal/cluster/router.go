@@ -79,11 +79,6 @@ type Router struct {
 	logger  *slog.Logger
 	met     routerMetrics
 
-	// specSent and specHits count speculative pre-sends and the ones a query
-	// consumed; Stats (and through it the scrape-time collector) reads them.
-	specSent atomic.Int64
-	specHits atomic.Int64
-
 	numNodes atomic.Int64
 	// clusterEpoch is the highest index epoch the router has observed on any
 	// shard (from partial responses, update fan-outs and stats probes); -1
@@ -369,8 +364,7 @@ func shardFault(err error) bool {
 	var aerr *api.Error
 	if errors.As(err, &aerr) {
 		switch aerr.Code {
-		case api.CodeBadRequest, api.CodeOverloaded, api.CodeConflict, api.CodeUnsupported,
-			api.CodeStaleSpeculation:
+		case api.CodeBadRequest, api.CodeOverloaded, api.CodeConflict, api.CodeUnsupported:
 			return false
 		}
 	}
@@ -382,18 +376,13 @@ func shardFault(err error) bool {
 // condition (its index descriptor was swapped mid-read, e.g. by a compaction
 // or restart). A shard-fault failure marks the shard unhealthy (the
 // background probe restores it); a success marks it healthy, which is what
-// brings a shard back in passive mode. A cancelled context (an abandoned
-// speculative pre-send) is not a shard outcome at all: neither latency nor
-// health is recorded for it.
-func (r *Router) partial(ctx context.Context, s *shardClient, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
+// brings a shard back in passive mode.
+func (r *Router) partial(s *shardClient, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	start := time.Now()
-	resp, err := s.tr.Partial(ctx, preq, traceID)
+	resp, err := s.tr.Partial(preq, traceID)
 	if aerr, ok := err.(*api.Error); ok && aerr.Code == api.CodeRetry {
 		s.retries.Add(1)
-		resp, err = s.tr.Partial(ctx, preq, traceID)
-	}
-	if err != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
+		resp, err = s.tr.Partial(preq, traceID)
 	}
 	s.observe(time.Since(start), err != nil)
 	if err != nil {
@@ -449,14 +438,6 @@ type Result struct {
 	// ascending hub order within ascending shard order, so equal degraded
 	// queries report equal bits.
 	LostFrontierMass float64
-	// SpeculationsSent counts iterations whose shard requests were pre-sent
-	// before the previous iteration's fold and stop check ran;
-	// SpeculationHits counts how many of those pre-sends the loop actually
-	// consumed (the rest were cancelled by an early stop). Speculation never
-	// changes the answer — a consumed pre-send carries bit-identical requests
-	// to what the loop would have sent.
-	SpeculationsSent int
-	SpeculationHits  int
 	// Spans holds the shard legs of each processed iteration: Spans[i] belongs
 	// to PerIteration[i]. Always collected: the cost is bounded by iterations
 	// x shards, negligible next to the network round trips themselves.
@@ -498,10 +479,6 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 	}
 	res.Result = *qs.Run(stop)
 	qs.Close()
-	// The stop rules may have fired with the next iteration already pre-sent:
-	// cancel it — the transports withdraw it shard-side — so early stopping
-	// costs at most one wasted pre-send and never waits on one.
-	src.discardSpec()
 	res.ShardsDown = len(src.down)
 	res.ShardsBehind = len(src.stale)
 	if res.ShardsDown > 0 || res.ShardsBehind > 0 {
@@ -521,8 +498,8 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 // routedQuery is the remote core.Source of one routed query: iteration 0 is
 // one root partial, an expansion is one scatter/gather round over the shards
 // owning the frontier. Everything that makes the leg remote lives here —
-// which shards are down or epoch-divergent for this query, the speculative
-// pre-send, the per-leg spans — and none of the schedule does.
+// which shards are down or epoch-divergent for this query, the per-leg spans
+// — and none of the schedule does.
 //
 // The working state is flat, like the engine's: the frontier is a wire vector
 // (parallel slices in ascending hub order), replies fold into sorted
@@ -548,19 +525,9 @@ type routedQuery struct {
 	// count as frontier hubs and as the first expansion's skipped hubs, as
 	// they do in the engine.
 	pruned int
-	// spec holds the one in-flight speculative pre-send: the next iteration's
-	// shard requests, scattered before the schedule has decided to run it.
-	spec *speculation
 }
 
 func (q *routedQuery) Frontier() int { return len(q.frontier.Nodes) + q.pruned }
-
-func (q *routedQuery) discardSpec() {
-	if q.spec != nil {
-		q.spec.cancel()
-		q.spec = nil
-	}
-}
 
 // Root obtains iteration 0 from the query node's owner shard, falling back to
 // the other shards in ascending order (healthy ones first) — any shard can
@@ -632,7 +599,7 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 	)
 	for _, s := range order {
 		legStart := time.Now()
-		resp, err := r.partial(context.Background(), s, &api.PartialRequest{Query: &node}, q.traceID)
+		resp, err := r.partial(s, &api.PartialRequest{Query: &node}, q.traceID)
 		leg := ShardLegSpan{Shard: s.index, DurationMS: float64(time.Since(legStart)) / 1e6}
 		if err != nil {
 			leg.Error = err.Error()
@@ -688,58 +655,24 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 	return nil, -1, fmt.Errorf("cluster: no shard could answer iteration 0 for node %d: %w", node, lastErr)
 }
 
-// Expand retires the frontier with one scatter/gather round — the pre-sent
-// one when the previous Expand speculated, which it did exactly when the
-// schedule said this iteration may run — and, the next frontier being fully
-// known before this iteration's mass is folded into the estimate, pre-sends it
-// in turn so the shards overlap their expansion with the schedule's fold and
-// stop bookkeeping. The source that pre-sent a frontier is the one holding it,
-// and the schedule's iterations are consecutive, so a pending pre-send is
-// always for exactly this frontier and this iteration: consuming it is no
-// decision at all — no hash compare, no statistics.
-func (q *routedQuery) Expand(iter int, more bool, inc *sparse.Accumulator) (expanded, skipped int) {
-	r := q.r
-	spec := q.spec
-	q.spec = nil
-	var sc *scatterSet
-	if spec != nil {
-		sc = spec.sc
-		q.res.SpeculationHits++
-		r.specHits.Add(1)
-	} else {
-		sc = q.scatter(context.Background(), iter, false)
-	}
+// Expand retires the frontier with one scatter/gather round: each owning
+// shard expands its share, the replies fold in ascending shard order, and
+// their frontiers become the next one.
+func (q *routedQuery) Expand(iter int, inc *sparse.Accumulator) (expanded, skipped int) {
+	sc := q.scatter(iter)
 	q.next.Reset()
-	span := IterationSpan{Speculative: sc.speculative}
+	var span IterationSpan
 	expanded, skipped = q.gather(sc, inc, &span)
 	skipped += q.pruned
 	q.pruned = 0
 	q.res.Spans = append(q.res.Spans, span)
-	if spec != nil {
-		// Every leg of the consumed pre-send has answered by now; release
-		// its context.
-		spec.cancel()
-	}
 
 	q.frontier.Nodes, q.frontier.Scores = q.frontier.Nodes[:0], q.frontier.Scores[:0]
 	for _, en := range q.next.Entries() {
 		q.frontier.Nodes = append(q.frontier.Nodes, en.Node)
 		q.frontier.Scores = append(q.frontier.Scores, en.Score)
 	}
-	if more && len(q.frontier.Nodes) > 0 {
-		sctx, cancel := context.WithCancel(context.Background())
-		q.spec = &speculation{sc: q.scatter(sctx, iter+1, true), cancel: cancel}
-		q.res.SpeculationsSent++
-		r.specSent.Add(1)
-	}
 	return expanded, skipped
-}
-
-// speculation is one pre-sent iteration: its in-flight scatter and the cancel
-// that withdraws it shard-side.
-type speculation struct {
-	sc     *scatterSet
-	cancel context.CancelFunc
 }
 
 // legOutcome carries one shard sub-request's result into the fold loop.
@@ -750,13 +683,11 @@ type legOutcome struct {
 }
 
 // scatterSet is one scattered frontier: per-shard hub groups and the channels
-// their outcomes arrive on (buffered, so an abandoned scatter never blocks a
-// leg goroutine).
+// their outcomes arrive on.
 type scatterSet struct {
-	groups      []api.Vector
-	chans       []chan legOutcome
-	attempted   []bool
-	speculative bool
+	groups    []api.Vector
+	chans     []chan legOutcome
+	attempted []bool
 }
 
 // scatter partitions the frontier by hub owner and sends each group to its
@@ -768,16 +699,12 @@ type scatterSet struct {
 // down shard per iteration. In passive mode (no background probe) an unhealthy
 // shard is attempted anyway — a successful request is then the only path back
 // to healthy.
-//
-// A speculative scatter tags every request with the hash of its frontier
-// vector; cancelling ctx withdraws not-yet-computed requests shard-side.
-func (q *routedQuery) scatter(ctx context.Context, iter int, speculative bool) *scatterSet {
+func (q *routedQuery) scatter(iter int) *scatterSet {
 	r := q.r
 	sc := &scatterSet{
-		groups:      make([]api.Vector, len(r.shards)),
-		chans:       make([]chan legOutcome, len(r.shards)),
-		attempted:   make([]bool, len(r.shards)),
-		speculative: speculative,
+		groups:    make([]api.Vector, len(r.shards)),
+		chans:     make([]chan legOutcome, len(r.shards)),
+		attempted: make([]bool, len(r.shards)),
 	}
 	for k, h := range q.frontier.Nodes {
 		g := &sc.groups[r.part.Owner(h)]
@@ -806,13 +733,9 @@ func (q *routedQuery) scatter(ctx context.Context, iter int, speculative bool) *
 		}
 		sc.attempted[i] = true
 		preq := &api.PartialRequest{Frontier: group, Iteration: iter}
-		if speculative {
-			preq.Speculative = true
-			preq.FrontierHash = group.Hash()
-		}
 		go func(s *shardClient) {
 			legStart := time.Now()
-			reply, err := r.partial(ctx, s, preq, q.traceID)
+			reply, err := r.partial(s, preq, q.traceID)
 			ch <- legOutcome{reply: reply, err: err, dur: time.Since(legStart)}
 		}(s)
 	}
@@ -1086,12 +1009,14 @@ type Stats struct {
 	Epoch         uint64 `json:"epoch"`
 	ShardsBehind  int    `json:"shards_behind"`
 	ShardsHealthy int    `json:"shards_healthy"`
-	// SpeculationsSent counts iterations pre-sent before their go/no-go
-	// decision; SpeculationHits counts pre-sends consumed. The difference is
-	// work cancelled by early stops. WireBytesSent/Received total the bytes
-	// on the wire across all shard transports, both directions.
-	SpeculationsSent  int64        `json:"speculations_sent"`
-	SpeculationHits   int64        `json:"speculation_hits"`
+	// SpeculationsSent and SpeculationHits are always zero: the router sends
+	// each iteration once, after the previous one is folded. The fields
+	// survive only because the frozen benchmark harness reads them
+	// (bench/run.go:422).
+	SpeculationsSent int64 `json:"-"`
+	SpeculationHits  int64 `json:"-"`
+	// WireBytesSent/Received total the bytes on the wire across all shard
+	// transports, both directions.
 	WireBytesSent     int64        `json:"wire_bytes_sent"`
 	WireBytesReceived int64        `json:"wire_bytes_received"`
 	Shards            []ShardStats `json:"shards"`
@@ -1099,11 +1024,7 @@ type Stats struct {
 
 // Stats returns a point-in-time snapshot of shard health, epochs and latency.
 func (r *Router) Stats() Stats {
-	st := Stats{
-		Nodes:            r.NumNodes(),
-		SpeculationsSent: r.specSent.Load(),
-		SpeculationHits:  r.specHits.Load(),
-	}
+	st := Stats{Nodes: r.NumNodes()}
 	clusterEpoch, epochKnown := r.ClusterEpoch()
 	st.Epoch = clusterEpoch
 	for _, s := range r.shards {

@@ -111,6 +111,51 @@ func TestRouterTargetErrorStop(t *testing.T) {
 	}
 }
 
+// sentLegs counts the shard requests a routed answer records: the legs of
+// every iteration's span the router did not skip.
+func sentLegs(res *Result, shard int) int {
+	n := 0
+	for _, span := range res.Spans {
+		for _, leg := range span.Legs {
+			if !leg.Skipped && (shard < 0 || leg.Shard == shard) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestRouterOneFramePerLeg: a routed query sends the shards exactly the
+// request frames its spans record — nothing ahead of the schedule's decision,
+// so a query that stops on its target error with hubs still on the frontier
+// leaves no request behind, not even one that reaches a shard after the
+// answer.
+func TestRouterOneFramePerLeg(t *testing.T) {
+	_, shards := testCluster(t, 2)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	legs := 0
+	for _, stop := range []core.StopCondition{
+		{MaxIterations: 2},
+		{MaxIterations: 8, TargetL1Error: 0.6},
+	} {
+		for _, q := range []graph.NodeID{0, 5, 42, 311} {
+			res, err := r.Query(q, stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stop.TargetL1Error > 0 && (res.L1ErrorBound > stop.TargetL1Error || res.Iterations >= stop.MaxIterations) {
+				t.Fatalf("q=%d: bound %.4f after %d iterations: the case must stop on its target", q, res.L1ErrorBound, res.Iterations)
+			}
+			legs += sentLegs(res, -1)
+		}
+	}
+	// A frame sent ahead of the schedule can reach its shard after the answer.
+	time.Sleep(100 * time.Millisecond)
+	if frames := shards[0].partials.Load() + shards[1].partials.Load(); frames != int64(legs) {
+		t.Errorf("shards read %d request frames for %d legs", frames, legs)
+	}
+}
+
 func TestRouterShardDownWidensBound(t *testing.T) {
 	_, shards := testCluster(t, 2)
 	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
@@ -438,7 +483,8 @@ func TestRouterUpgradeRejectedIsShardFault(t *testing.T) {
 
 // TestRouterSlowShardTimesOut: a shard that holds its answers past the request
 // timeout is a fault like a dead one — the query answers within a few
-// timeouts, degraded, with the bound still exactly 1 - sum(estimate).
+// timeouts, degraded, with the bound still exactly 1 - sum(estimate) — and a
+// timed-out leg is sent once, not re-sent on a fresh stream.
 func TestRouterSlowShardTimesOut(t *testing.T) {
 	_, shards := testCluster(t, 2)
 	shards[1].hook = func(int, *api.PartialRequest) fault { return fault{delay: 600 * time.Millisecond} }
@@ -462,6 +508,9 @@ func TestRouterSlowShardTimesOut(t *testing.T) {
 	}
 	if got := 1 - res.Estimate.SumOrdered(); math.Abs(got-res.L1ErrorBound) > 1e-12 {
 		t.Errorf("reported bound %.15f but 1-mass is %.15f", res.L1ErrorBound, got)
+	}
+	if got, want := shards[1].partials.Load(), int64(sentLegs(res, 1)); got != want {
+		t.Errorf("slow shard read %d request frames for %d attempted legs", got, want)
 	}
 }
 

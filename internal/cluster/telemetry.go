@@ -28,10 +28,7 @@ type ShardLegSpan struct {
 // (Result.Spans[i] belongs to Result.PerIteration[i]): the per-shard legs it
 // scattered.
 type IterationSpan struct {
-	// Speculative marks an iteration whose shard requests were pre-sent
-	// before the previous fold and stop check ran (a consumed speculation).
-	Speculative bool           `json:"speculative,omitempty"`
-	Legs        []ShardLegSpan `json:"legs,omitempty"`
+	Legs []ShardLegSpan `json:"legs,omitempty"`
 }
 
 // routerMetrics are the hot-path metric handles, resolved once at NewRouter.
@@ -84,10 +81,6 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 			"Shards the router fans out to.", float64(len(st.Shards)))
 		e.Gauge("fastppv_cluster_nodes",
 			"Node count of the served graph (0 until discovered).", float64(st.Nodes))
-		e.Counter("fastppv_router_speculations_sent_total",
-			"Iterations pre-sent to shards before their go/no-go decision.", float64(st.SpeculationsSent))
-		e.Counter("fastppv_router_speculation_hits_total",
-			"Pre-sent iterations the query loop consumed (the rest were cancelled by early stops).", float64(st.SpeculationHits))
 		for _, ss := range st.Shards {
 			lbl := telemetry.L("shard", strconv.Itoa(ss.Shard))
 			healthy := 0.0

@@ -5,12 +5,14 @@
 // in-flight sub-request of every concurrent query shares one connection.
 //
 // Recovery lives here and only here. A request whose stream breaks under it
-// drops the connection, re-dials once immediately and is re-sent. A dial that
-// fails opens a backoff window (doubling from streamBackoffMin to
-// streamBackoffMax); a request that finds no stream inside that window, or
-// whose re-dial fails, returns a transport error. Router.partial classifies
-// that as a shard fault: the shard's health flips, its frontier mass folds
-// into the still-exact bound, and a probe or passive success restores it.
+// drops the connection, re-dials once immediately and is re-sent. A request
+// that times out is not re-sent — the shard had its whole RequestTimeout — but
+// its stream is dropped too, in case it is wedged. A dial that fails opens a
+// backoff window (doubling from streamBackoffMin to streamBackoffMax). A
+// request that times out, finds no stream inside that window, or whose re-dial
+// fails returns a transport error. Router.partial classifies that as a shard
+// fault: the shard's health flips, its frontier mass folds into the
+// still-exact bound, and a probe or passive success restores it.
 //
 // The scheduling layer above knows none of this: retries on CodeRetry, health
 // flips and epoch bookkeeping stay in Router.partial.
@@ -18,7 +20,6 @@ package cluster
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ type TransportStats struct {
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesReceived  int64 `json:"bytes_received"`
 	// DroppedReplies counts stream replies that arrived after their request
-	// was abandoned (typically discarded speculation).
+	// had timed out.
 	DroppedReplies int64 `json:"dropped_replies,omitempty"`
 }
 
@@ -65,9 +66,12 @@ const (
 
 var errTransportClosed = errors.New("cluster: transport closed")
 
+// errRequestTimeout is wrapped by the error of a request that got no reply
+// within the transport's timeout.
+var errRequestTimeout = errors.New("cluster: stream request timed out")
+
 // streamTransport multiplexes one shard's partial sub-requests over one
-// persistent binary stream. It is safe for concurrent use; cancelling a
-// request's context abandons it and withdraws pre-sent speculation shard-side.
+// persistent binary stream. It is safe for concurrent use.
 type streamTransport struct {
 	target  string
 	shard   int
@@ -107,20 +111,25 @@ func newStreamTransport(target string, shard int, timeout time.Duration, logger 
 
 // Partial sends one sub-request and waits for its reply. An error frame from
 // the shard comes back as *api.Error; anything else is a transport failure.
-func (t *streamTransport) Partial(ctx context.Context, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
+func (t *streamTransport) Partial(preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	for redialed := false; ; redialed = true {
 		c, err := t.acquireConn()
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.roundTrip(ctx, t, preq, traceID)
+		resp, err := c.roundTrip(t, preq, traceID)
 		if err == nil {
 			return resp, nil
 		}
 		var aerr *api.Error
-		if errors.As(err, &aerr) || ctx.Err() != nil {
-			// The shard answered (an error frame), or the caller gave up; either
-			// way the stream itself is fine.
+		if errors.As(err, &aerr) {
+			// The shard answered with an error frame; the stream is fine.
+			return nil, err
+		}
+		if errors.Is(err, errRequestTimeout) {
+			// A re-send would make this leg wait twice RequestTimeout. The
+			// stream's other requests see it dropped and are re-sent.
+			t.dropConn(c, fmt.Errorf("cluster: stream to %s dropped after a request timed out", t.target))
 			return nil, err
 		}
 		// The stream broke under this request. Drop it; the first time, dial a
@@ -333,7 +342,7 @@ func (c *streamConn) writeFrame(t *streamTransport, ftype byte, payload []byte) 
 }
 
 // roundTrip sends one partial request and waits for its multiplexed reply.
-func (c *streamConn) roundTrip(ctx context.Context, t *streamTransport, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
+func (c *streamConn) roundTrip(t *streamTransport, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -361,35 +370,24 @@ func (c *streamConn) roundTrip(ctx context.Context, t *streamTransport, preq *ap
 	select {
 	case rep := <-ch:
 		return rep.resp, rep.err
-	case <-ctx.Done():
-		// Abandoned (typically discarded speculation): withdraw it shard-side
-		// so a not-yet-started expansion is dropped instead of computed.
-		if c.unregister(id) {
-			c.writeFrame(t, api.FrameCancel, api.EncodeCancel(id, preq.FrontierHash))
-		}
-		return nil, ctx.Err()
 	case <-timer.C:
 		c.unregister(id)
-		return nil, fmt.Errorf("cluster: stream request to %s timed out after %v", t.target, t.timeout)
+		return nil, fmt.Errorf("%w: no reply from %s after %v", errRequestTimeout, t.target, t.timeout)
 	case <-c.done:
 		c.unregister(id)
 		return nil, c.brokenErr()
 	}
 }
 
-// unregister removes a pending request, reporting whether it was still
-// pending (false: the reply already arrived or the conn failed it).
-func (c *streamConn) unregister(id uint64) bool {
+// unregister removes a pending request; a reply that arrives for it later is
+// dropped.
+func (c *streamConn) unregister(id uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.pending[id]; !ok {
-		return false
-	}
 	delete(c.pending, id)
-	return true
+	c.mu.Unlock()
 }
 
-// deliver routes one reply to its waiter; replies for abandoned requests are
+// deliver routes one reply to its waiter; replies for timed-out requests are
 // counted and dropped.
 func (c *streamConn) deliver(t *streamTransport, id uint64, rep streamReply) {
 	c.mu.Lock()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -24,7 +23,7 @@ func TestStreamTransportTornFrame(t *testing.T) {
 	node := graph.NodeID(1)
 	for i := 1; i <= 2; i++ {
 		start := time.Now()
-		_, err := tr.Partial(context.Background(), &api.PartialRequest{Query: &node}, "")
+		_, err := tr.Partial(&api.PartialRequest{Query: &node}, "")
 		if err == nil {
 			t.Fatalf("call %d: torn stream produced a response", i)
 		}

@@ -91,10 +91,8 @@ type Source interface {
 	Frontier() int
 	// Expand retires the held frontier as iteration iter: it leaves the PPV
 	// increment in inc (empty on entry; sorted and combined on return), holds
-	// the next frontier, and reports the hubs expanded and skipped. more says
-	// the schedule may ask for iteration iter+1 (eta allows it), which is what
-	// lets a remote source pre-send that iteration.
-	Expand(iter int, more bool, inc *sparse.Accumulator) (expanded, skipped int)
+	// the next frontier, and reports the hubs expanded and skipped.
+	Expand(iter int, inc *sparse.Accumulator) (expanded, skipped int)
 }
 
 // QueryState is an in-progress incremental query: the one
@@ -262,7 +260,7 @@ func (s *localSource) Frontier() int { return len(s.b.frontier) + s.pruned }
 // promise byte-identical cached responses. A record the index cannot read is
 // recovered by recomputing the hub; this keeps queries usable with partially
 // built indexes at the cost of extra work.
-func (s *localSource) Expand(_ int, _ bool, inc *sparse.Accumulator) (expanded, skipped int) {
+func (s *localSource) Expand(_ int, inc *sparse.Accumulator) (expanded, skipped int) {
 	b := s.b
 	skipped = s.pruned
 	consumed := len(b.deps)
@@ -421,11 +419,7 @@ func (qs *QueryState) Exhausted() bool {
 // Step applies the next PPV increment (one more iteration of Algorithm 2's
 // while loop) and returns its statistics. Calling Step when Exhausted is a
 // no-op that returns a zero-mass stat.
-func (qs *QueryState) Step() IterationStat { return qs.step(true) }
-
-// step is Step with the schedule's knowledge of whether another iteration may
-// follow (see Source.Expand).
-func (qs *QueryState) step(more bool) IterationStat {
+func (qs *QueryState) Step() IterationStat {
 	iterStart := time.Now()
 	qs.iteration++
 	stat := IterationStat{Iteration: qs.iteration}
@@ -438,7 +432,7 @@ func (qs *QueryState) step(more bool) IterationStat {
 
 	inc := &qs.bufs.inc
 	inc.Reset()
-	stat.HubsExpanded, stat.HubsSkipped = qs.src.Expand(qs.iteration, more, inc)
+	stat.HubsExpanded, stat.HubsSkipped = qs.src.Expand(qs.iteration, inc)
 	qs.bufs.acc.AddAccumulator(inc)
 	qs.entriesDirty = true
 
@@ -488,7 +482,7 @@ func (qs *QueryState) Run(stop StopCondition) *Result {
 			break
 		}
 		prev := qs.result.L1ErrorBound
-		st := qs.step(qs.iteration+1 < maxIter)
+		st := qs.Step()
 		// Defensive convergence guard: if an iteration added no mass (all
 		// candidate hubs pruned by delta), further iterations cannot help.
 		if st.MassAdded == 0 && st.L1ErrorBound >= prev {

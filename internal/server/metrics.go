@@ -140,8 +140,6 @@ func (b engineBackend) collect(e *telemetry.Emitter) {
 	e.Counter("fastppv_stream_bytes_in_total", "Bytes read off binary streams.", float64(ss.BytesIn))
 	e.Counter("fastppv_stream_bytes_out_total", "Bytes written to binary streams.", float64(ss.BytesOut))
 	e.Counter("fastppv_stream_partials_total", "Partial sub-requests answered over binary streams.", float64(ss.Partials))
-	e.Counter("fastppv_stream_speculative_total", "Speculative (pre-sent) sub-requests received over streams.", float64(ss.Speculative))
-	e.Counter("fastppv_stream_speculation_discarded_total", "Speculative sub-requests withdrawn by cancel before compute.", float64(ss.SpeculationDiscarded))
 	e.Counter("fastppv_stream_shed_total", "Stream sub-requests rejected by the admission gate.", float64(ss.Shed))
 	e.Counter("fastppv_stream_decode_errors_total", "Streams torn down on a corrupt or torn frame.", float64(ss.DecodeErrors))
 	s.mu.RLock()

@@ -885,7 +885,7 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 	if traceID != "" {
 		s.logger.Debug("partial served",
 			"trace_id", traceID, "shard", p.Shard, "iteration", preq.Iteration,
-			"speculative", preq.Speculative, "epoch", epoch,
+			"epoch", epoch,
 			"hubs_expanded", part.HubsExpanded,
 			"duration_ms", float64(time.Since(start))/1e6)
 	}

@@ -2,8 +2,7 @@
 // /v1/stream upgrades the connection (101 + Hijack) and then speaks
 // api.ReadFrame/WriteFrame both ways. Requests are multiplexed by id — each
 // one is evaluated by evalPartial, under the same admission gate as full
-// queries — and a cancel frame withdraws a speculative request the shard has
-// not started computing yet.
+// queries.
 package server
 
 import (
@@ -31,16 +30,14 @@ type streamSet struct {
 	mu   sync.Mutex
 	open map[*serverStream]struct{}
 
-	accepted      atomic.Int64
-	framesIn      atomic.Int64
-	framesOut     atomic.Int64
-	bytesIn       atomic.Int64
-	bytesOut      atomic.Int64
-	partials      atomic.Int64
-	speculative   atomic.Int64
-	specDiscarded atomic.Int64
-	shed          atomic.Int64
-	decodeErrors  atomic.Int64
+	accepted     atomic.Int64
+	framesIn     atomic.Int64
+	framesOut    atomic.Int64
+	bytesIn      atomic.Int64
+	bytesOut     atomic.Int64
+	partials     atomic.Int64
+	shed         atomic.Int64
+	decodeErrors atomic.Int64
 }
 
 func newStreamSet() *streamSet {
@@ -66,11 +63,9 @@ type StreamConnStats struct {
 	Remote     string  `json:"remote"`
 	AgeSeconds float64 `json:"age_seconds"`
 	// Partials counts sub-requests this stream got answered; Shed the ones
-	// its peer had rejected by the admission gate; SpeculationDiscarded the
-	// speculative ones withdrawn before compute.
-	Partials             int64 `json:"partials"`
-	Shed                 int64 `json:"shed"`
-	SpeculationDiscarded int64 `json:"speculation_discarded"`
+	// its peer had rejected by the admission gate.
+	Partials int64 `json:"partials"`
+	Shed     int64 `json:"shed"`
 }
 
 // StreamStats reports the binary stream surface in GET /v1/stats.
@@ -83,13 +78,10 @@ type StreamStats struct {
 	FramesOut int64 `json:"frames_out"`
 	BytesIn   int64 `json:"bytes_in"`
 	BytesOut  int64 `json:"bytes_out"`
-	// Partials counts stream sub-requests answered (Speculative of them were
-	// pre-sent by the router); SpeculationDiscarded counts speculative
-	// requests cancelled before compute; Shed counts admission rejections.
-	Partials             int64 `json:"partials"`
-	Speculative          int64 `json:"speculative"`
-	SpeculationDiscarded int64 `json:"speculation_discarded"`
-	Shed                 int64 `json:"shed"`
+	// Partials counts stream sub-requests answered; Shed counts admission
+	// rejections.
+	Partials int64 `json:"partials"`
+	Shed     int64 `json:"shed"`
 	// DecodeErrors counts streams torn down on a corrupt or torn frame.
 	DecodeErrors int64             `json:"decode_errors"`
 	Conns        []StreamConnStats `json:"conns,omitempty"`
@@ -97,26 +89,23 @@ type StreamStats struct {
 
 func (set *streamSet) stats() StreamStats {
 	st := StreamStats{
-		Accepted:             set.accepted.Load(),
-		FramesIn:             set.framesIn.Load(),
-		FramesOut:            set.framesOut.Load(),
-		BytesIn:              set.bytesIn.Load(),
-		BytesOut:             set.bytesOut.Load(),
-		Partials:             set.partials.Load(),
-		Speculative:          set.speculative.Load(),
-		SpeculationDiscarded: set.specDiscarded.Load(),
-		Shed:                 set.shed.Load(),
-		DecodeErrors:         set.decodeErrors.Load(),
+		Accepted:     set.accepted.Load(),
+		FramesIn:     set.framesIn.Load(),
+		FramesOut:    set.framesOut.Load(),
+		BytesIn:      set.bytesIn.Load(),
+		BytesOut:     set.bytesOut.Load(),
+		Partials:     set.partials.Load(),
+		Shed:         set.shed.Load(),
+		DecodeErrors: set.decodeErrors.Load(),
 	}
 	set.mu.Lock()
 	st.Open = len(set.open)
 	for s := range set.open {
 		st.Conns = append(st.Conns, StreamConnStats{
-			Remote:               s.remote,
-			AgeSeconds:           time.Since(s.opened).Seconds(),
-			Partials:             s.partials.Load(),
-			Shed:                 s.shed.Load(),
-			SpeculationDiscarded: s.specDiscarded.Load(),
+			Remote:     s.remote,
+			AgeSeconds: time.Since(s.opened).Seconds(),
+			Partials:   s.partials.Load(),
+			Shed:       s.shed.Load(),
 		})
 	}
 	set.mu.Unlock()
@@ -157,18 +146,8 @@ type serverStream struct {
 
 	wmu sync.Mutex
 
-	mu   sync.Mutex
-	reqs map[uint64]*streamReq
-
-	partials      atomic.Int64
-	shed          atomic.Int64
-	specDiscarded atomic.Int64
-}
-
-// streamReq is one in-flight request's cancel slot.
-type streamReq struct {
-	hash      uint64
-	cancelled atomic.Bool
+	partials atomic.Int64
+	shed     atomic.Int64
 }
 
 // handleStream upgrades the connection and serves frames until it breaks. It
@@ -210,7 +189,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		br:     buf.Reader,
 		remote: r.RemoteAddr,
 		opened: time.Now(),
-		reqs:   map[uint64]*streamReq{},
 	}
 	s.streams.add(st)
 	s.logger.Info("stream opened", "remote", st.remote)
@@ -219,7 +197,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	conn.Close()
 	s.logger.Info("stream closed", "remote", st.remote,
 		"partials", st.partials.Load(), "shed", st.shed.Load(),
-		"speculation_discarded", st.specDiscarded.Load(),
 		"age_seconds", time.Since(st.opened).Seconds())
 }
 
@@ -264,51 +241,16 @@ func (st *serverStream) serve() {
 				st.s.logger.Warn("stream torn down on bad request payload", "remote", st.remote, "error", derr)
 				return
 			}
-			rq := &streamReq{hash: preq.FrontierHash}
-			st.mu.Lock()
-			st.reqs[id] = rq
-			st.mu.Unlock()
-			go st.servePartial(id, traceID, preq, rq)
-		case api.FrameCancel:
-			id, hash, derr := api.DecodeCancel(payload)
-			if derr != nil {
-				set.decodeErrors.Add(1)
-				return
-			}
-			st.mu.Lock()
-			rq := st.reqs[id]
-			st.mu.Unlock()
-			// The hash must match the request being withdrawn: a cancel that
-			// raced a reused id must not kill an unrelated request.
-			if rq != nil && rq.hash == hash {
-				rq.cancelled.Store(true)
-			}
+			go st.servePartial(id, traceID, preq)
 		default:
 			// Unknown frame type: tolerated for forward compatibility.
 		}
 	}
 }
 
-// servePartial answers one multiplexed request. A request cancelled before
-// this point (withdrawn speculation) is discarded without touching the
-// engine and answered with the structured stale-speculation code.
-func (st *serverStream) servePartial(id uint64, traceID string, preq *api.PartialRequest, rq *streamReq) {
-	defer func() {
-		st.mu.Lock()
-		delete(st.reqs, id)
-		st.mu.Unlock()
-	}()
+// servePartial answers one multiplexed request.
+func (st *serverStream) servePartial(id uint64, traceID string, preq *api.PartialRequest) {
 	set := st.s.streams
-	if preq.Speculative {
-		set.speculative.Add(1)
-	}
-	if rq.cancelled.Load() {
-		set.specDiscarded.Add(1)
-		st.specDiscarded.Add(1)
-		st.writeErrorFrame(id, &api.Error{Code: api.CodeStaleSpeculation,
-			Message: "speculative expansion withdrawn before compute"})
-		return
-	}
 	presp, err := st.s.evalPartial(preq, traceID)
 	if err != nil {
 		ae := apiErrorOf(err)
