@@ -295,7 +295,9 @@ func BenchmarkExactPPV(b *testing.B) {
 
 // BenchmarkPrimePPV measures computing a single prime PPV, the unit of work
 // of both offline precomputation and iteration 0 of a non-hub query, at the
-// push precision an engine with default options derives from its clip.
+// push precision an engine with default options derives from its clip. It
+// pushes on one reused scratch and keeps the flat entries, as iteration 0
+// does.
 func BenchmarkPrimePPV(b *testing.B) {
 	g := benchGraph(b)
 	hubs, err := hub.Select(g, hub.Options{Policy: hub.ExpectedUtility, Count: 2000})
@@ -308,10 +310,12 @@ func BenchmarkPrimePPV(b *testing.B) {
 	}
 	opts := prime.Options{Alpha: engine.Options().Alpha, Epsilon: engine.Options().Epsilon}
 	queries := workload.QuerySet(g, workload.QueryOptions{Count: 256, Seed: 2, RequireOutEdges: true})
+	var s prime.Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := prime.ComputePPV(g, q, hubs, opts); err != nil {
+		if _, _, err := s.Push(g, q, hubs, opts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

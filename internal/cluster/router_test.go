@@ -94,7 +94,10 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 func TestRouterTargetErrorStop(t *testing.T) {
 	single, shards := testCluster(t, 2)
 	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
-	stop := core.StopCondition{MaxIterations: 8, TargetL1Error: 0.25}
+	// Node 5's bound is ~0.70 after iteration 0 and ~0.57 after iteration 1,
+	// and it flattens above 0.5 before the frontier runs out: 0.6 is met by
+	// one step, which a lower target would never be.
+	stop := core.StopCondition{MaxIterations: 8, TargetL1Error: 0.6}
 	want, err := single.Query(5, stop)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +105,16 @@ func TestRouterTargetErrorStop(t *testing.T) {
 	got, err := r.Query(5, stop)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, res := range []*core.Result{want, &got.Result} {
+		per := res.PerIteration
+		if len(per) < 2 || res.Iterations >= stop.MaxIterations {
+			t.Fatalf("stopped after %d iterations over %d steps: the query must take a step and stop before eta", res.Iterations, len(per))
+		}
+		if before, after := per[len(per)-2].L1ErrorBound, per[len(per)-1].L1ErrorBound; before <= stop.TargetL1Error || after > stop.TargetL1Error || after != res.L1ErrorBound {
+			t.Errorf("bound %.4f before the last step, %.4f after it (answer %.4f): the target %.2f must be what stopped it",
+				before, after, res.L1ErrorBound, stop.TargetL1Error)
+		}
 	}
 	if got.Iterations != want.Iterations {
 		t.Errorf("router stopped after %d iterations, single node after %d", got.Iterations, want.Iterations)

@@ -26,9 +26,10 @@ type queryBufs struct {
 	// increment: ascending hub ids give a deterministic order with no sort.
 	frontier     []sparse.Entry
 	nextFrontier []sparse.Entry
-	// scratch serves every prime push made on behalf of this bundle's holder.
-	// It resets itself per push and grows to the largest graph it has seen,
-	// so a bundle is safe to hand between engines of different sizes.
+	// scratch serves every prime push made on behalf of this bundle's holder:
+	// 16 B + 1 bit per node of the largest graph it has seen. It resets itself
+	// per push in O(touched nodes), so a bundle is safe to hand between
+	// engines of different sizes.
 	scratch prime.Scratch
 	// record holds the encoded payload of a hub whose record was missing or
 	// unreadable and had to be pushed on the fly, between the push and the

@@ -13,11 +13,11 @@
 // graph, so the resulting scores are reachabilities in the sense of Eq. 2.
 //
 // There is one kernel, Scratch.Push: it runs the push over a reusable dense
-// per-node scratch and emits the result as []sparse.Entry sorted by node id —
-// the same flat form the index record, the query accumulator and the wire
-// use — so neither precompute nor iteration 0 builds a map or sorts. The
-// engine calls it directly; ComputePPV is a convenience wrapper for callers
-// that want a map.
+// scratch of one 16-byte cell per node and emits the result as []sparse.Entry
+// sorted by node id — the same flat form the index record, the query
+// accumulator and the wire use — so neither precompute nor iteration 0 builds
+// a map or sorts. The engine calls it directly; ComputePPV is a convenience
+// wrapper for callers that want a map.
 package prime
 
 import (
@@ -89,46 +89,50 @@ type Stats struct {
 	// NodesTouched is the number of distinct nodes that received mass, i.e.
 	// the size of the prime subgraph (including border hubs).
 	NodesTouched int
-	// BorderHubs is the number of distinct hub nodes reached, |H'(v)|.
-	BorderHubs int
 	// Truncated reports whether MaxPushes stopped the expansion early.
 	Truncated bool
 	// Clipped is the number of entries the storage clip dropped at emit.
 	Clipped int
 }
 
-// cell is the per-node push state. One node's settled mass, pending mass,
-// epoch stamp and in-queue flag share a 24-byte cell so a touch is one cache
-// line; a cell whose stamp differs from the scratch's epoch is logically zero.
+// cell is the per-node push state: 16 bytes, so four cells share a cache
+// line. A cell belongs to the current push only while the node's touched bit
+// is set; a push's first touch of a node overwrites whatever an earlier push
+// left there, so cells are never cleared in bulk.
 type cell struct {
 	// reach accumulates the settled reachability mass of hub-free tours from
 	// the source (without the trailing alpha stop factor).
 	reach float64
 	// residual holds mass that still has to be either settled or expanded.
+	// Its sign bit says whether the node waits in the worklist: every share
+	// is +0 or more, so a waiting node's residual is too, even when only
+	// shares that underflowed to 0 reached it; a node not waiting holds idle,
+	// which is -0. Nothing adds to idle (the next share replaces it) except
+	// emit, where reach + -0 == reach bit for bit.
 	residual float64
-	epoch    uint32
-	inQueue  bool
 }
 
+// idle is the residual of a touched node that is not in the worklist.
+var idle = math.Copysign(0, -1)
+
 // Scratch is the reusable working set of the push: a dense cell per node, a
-// touched-node bitmap and the FIFO worklist. It costs 24 B + 1 bit per node
-// of the largest graph it has served and is reset in O(touched) — the epoch
-// stamp invalidates the cells, emit clears the bitmap — so a warmed scratch
-// pushes without allocating. The zero value is ready to use; a Scratch may be
-// reused across graphs of any size but not concurrently.
+// touched-node bitmap and the FIFO worklist. It costs 16 B + 1 bit per node of
+// the largest graph it has served and is reset in O(touched) — emit clears the
+// bitmap, and a cell is reset when a push first touches it — so a warmed
+// scratch pushes without allocating. The zero value is ready to use; a Scratch
+// may be reused across graphs of any size but not concurrently.
 type Scratch struct {
 	cells   []cell
-	touched []uint64 // bit v set: cells[v] carries this push's epoch
+	touched []uint64 // bit v set: cells[v] belongs to this push
 	queue   []graph.NodeID
 	out     []sparse.Entry
-	epoch   uint32
 	// dirty is set while a push is between its first touch and the end of
 	// emit; a push that finds it set (its predecessor panicked, e.g. on an
 	// adjacency that returned an out-of-range neighbour) clears the bitmap.
 	dirty bool
 }
 
-// begin sizes the scratch for n nodes and opens a new epoch.
+// begin sizes the scratch for n nodes.
 func (s *Scratch) begin(n int) {
 	if len(s.cells) < n {
 		s.cells = make([]cell, n)
@@ -138,29 +142,25 @@ func (s *Scratch) begin(n int) {
 	}
 	s.dirty = true
 	s.queue = s.queue[:0]
-	if s.epoch == math.MaxUint32 {
-		// Stamp wraparound: stale cells could alias the restarted counter.
-		clear(s.cells)
-		s.epoch = 0
-	}
-	s.epoch++
 }
 
 // spread adds share to the residual of every neighbour, enqueueing the ones
 // not already waiting.
 func (s *Scratch) spread(neighbors []graph.NodeID, share float64) {
-	cells, epoch, queue := s.cells, s.epoch, s.queue
+	cells, touched, queue := s.cells, s.touched, s.queue
 	for _, v := range neighbors {
 		c := &cells[v]
-		if c.epoch != epoch {
-			*c = cell{epoch: epoch}
-			s.touched[v>>6] |= 1 << (uint(v) & 63)
+		switch w, bit := v>>6, uint64(1)<<(uint(v)&63); {
+		case touched[w]&bit == 0:
+			touched[w] |= bit
+			*c = cell{residual: share}
+		case math.Signbit(c.residual):
+			c.residual = share
+		default:
+			c.residual += share
+			continue
 		}
-		c.residual += share
-		if !c.inQueue {
-			c.inQueue = true
-			queue = append(queue, v)
-		}
+		queue = append(queue, v)
 	}
 	s.queue = queue
 }
@@ -195,7 +195,7 @@ func (s *Scratch) Push(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Option
 	// returns to it, that interior occurrence counts towards hub length and
 	// must not be expanded further (Definition 1 excludes only the start and
 	// end positions, not every occurrence of the start node).
-	cells[src] = cell{reach: 1, epoch: s.epoch}
+	cells[src] = cell{reach: 1, residual: idle}
 	s.touched[src>>6] |= 1 << (uint(src) & 63)
 	stats.Pushes++
 	if deg := g.OutDegree(src); deg > 0 {
@@ -220,12 +220,11 @@ func (s *Scratch) Push(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Option
 		}
 		u := s.queue[head]
 		c := &cells[u]
-		c.inQueue = false
 		r := c.residual
+		c.residual = idle
 		if r == 0 {
 			continue
 		}
-		c.residual = 0
 		c.reach += r
 		stats.Pushes++
 
@@ -257,9 +256,6 @@ func (s *Scratch) Push(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Option
 			u := graph.NodeID(w<<6 | bits.TrailingZeros64(word))
 			c := &cells[u]
 			stats.NodesTouched++
-			if u != src && hubs.Contains(u) {
-				stats.BorderHubs++
-			}
 			if score := opts.Alpha * (c.reach + c.residual); score < clip {
 				stats.Clipped++
 			} else {
