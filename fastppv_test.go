@@ -325,6 +325,59 @@ func TestPublicAPIOpenDiskIndex(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateBypassesBlockCache: an update tests every hub's record for
+// the touched nodes, and that scan reads past the block cache, so it neither
+// loads blocks nor evicts the ones the queries warmed. (Only the recomputed
+// hubs' blocks are invalidated, by their rewrite.)
+func TestApplyUpdateBypassesBlockCache(t *testing.T) {
+	g := buildTestGraph(t, 2000, 4, 9)
+	path := filepath.Join(t.TempDir(), "index.ppv")
+	build, closeBuild, err := NewWithDiskIndex(g, Options{NumHubs: 200}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeBuild(); err != nil {
+		t.Fatal(err)
+	}
+	// A cache a quarter of the index: a scan through it would evict.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, closeIndex, err := OpenDiskIndex(g, Options{NumHubs: 200}, path, fi.Size()/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex()
+	stats := engine.Index().(interface {
+		BlockCacheStats() (BlockCacheStats, bool)
+	})
+	for q := NodeID(0); q < 10; q++ {
+		if _, err := engine.Query(q, DefaultStop()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := stats.BlockCacheStats()
+	if before.Loads == 0 || before.Entries == 0 {
+		t.Fatalf("the queries should have loaded blocks into the cache: %+v", before)
+	}
+	upd, err := engine.ApplyUpdate(GraphUpdate{AddedEdges: []Edge{{From: 0, To: 1500}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.UnaffectedHubs == 0 {
+		t.Fatalf("the update should leave some hubs unaffected: %+v", upd)
+	}
+	after, _ := stats.BlockCacheStats()
+	if after.Loads != before.Loads || after.Evictions != before.Evictions ||
+		after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("the update's hub scan went through the block cache: before %+v, after %+v", before, after)
+	}
+}
+
 // TestPublicAPIOpenDiskIndexRejectsTruncated is the acceptance check that a
 // truncated index file fails loudly with ErrBadIndexFormat instead of serving
 // corrupt scores.

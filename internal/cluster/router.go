@@ -454,20 +454,22 @@ type Result struct {
 // Failures degrade instead of erroring: the query only fails outright when no
 // shard at all can answer iteration 0.
 func (r *Router) Query(q graph.NodeID, stop core.StopCondition) (*Result, error) {
-	res, err := r.QueryTrace(q, stop, "")
+	var entries []sparse.Entry
+	res, err := r.QueryTrace(q, stop, "", func(estimate []sparse.Entry) { entries = slices.Clone(estimate) })
 	if err != nil {
 		return nil, err
 	}
-	res.Estimate = sparse.FromEntries(res.Entries)
+	res.Entries, res.Estimate = entries, sparse.FromEntries(entries)
 	return res, nil
 }
 
 // QueryTrace is Query with an end-to-end trace ID: the ID travels inside
 // every shard sub-request's frame — shards key their logs on it — and the
 // returned result's Spans tie the per-iteration timings back to the same ID.
-// It is the serving layer's entry point, so it answers with the estimate as
-// the sorted Entries only: Estimate is nil.
-func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID string) (*Result, error) {
+// It is the serving layer's entry point, so it lends the final estimate
+// (sorted by node id, pooled) to take, as core.QueryState.Serve does, and
+// answers without it: Entries and Estimate are nil.
+func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID string, take func(estimate []sparse.Entry)) (*Result, error) {
 	res := &Result{}
 	src := &routedQuery{
 		r: r, res: res, traceID: traceID,
@@ -477,8 +479,7 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 	if err != nil {
 		return nil, err
 	}
-	res.Result = *qs.Run(stop)
-	qs.Close()
+	res.Result = *qs.Serve(stop, take)
 	res.ShardsDown = len(src.down)
 	res.ShardsBehind = len(src.stale)
 	if res.ShardsDown > 0 || res.ShardsBehind > 0 {

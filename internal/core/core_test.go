@@ -458,6 +458,42 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectNonFinite: a NaN compares false with everything, so a
+// bound check written as "x <= 0 || x >= 1" lets it through. NaN and the
+// infinities are refused for every float option; a negative delta or clip
+// still means "disabled".
+func TestOptionsRejectNonFinite(t *testing.T) {
+	g, _ := toyGraph(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"defaults", Options{}, true},
+		{"NaN alpha", Options{Alpha: nan}, false},
+		{"+Inf alpha", Options{Alpha: inf}, false},
+		{"-Inf alpha", Options{Alpha: -inf}, false},
+		{"NaN epsilon", Options{Epsilon: nan}, false},
+		{"+Inf epsilon", Options{Epsilon: inf}, false},
+		{"-Inf epsilon", Options{Epsilon: -inf}, false},
+		{"NaN delta", Options{Delta: nan}, false},
+		{"+Inf delta", Options{Delta: inf}, false},
+		{"-Inf delta", Options{Delta: -inf}, false},
+		{"negative delta disables the prune", Options{Delta: -1}, true},
+		{"NaN clip", Options{Clip: nan}, false},
+		{"+Inf clip", Options{Clip: inf}, false},
+		{"-Inf clip", Options{Clip: -inf}, false},
+		{"negative clip disables clipping", Options{Clip: -1}, true},
+	}
+	for _, tc := range cases {
+		_, err := NewEngine(g, nil, tc.opts)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewEngine error %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestEstimateMassNeverExceedsOne(t *testing.T) {
 	// The estimate is a lower approximation of a probability vector; its mass
 	// must never exceed 1 (this is what the naive, uncorrected assembly would

@@ -48,6 +48,12 @@ type UpdateCommitter interface {
 	CommitUpdates(upd GraphUpdate) error
 }
 
+// uncachedViewer is implemented by indexes that can read a record past their
+// block cache (ppvindex.Store).
+type uncachedViewer interface {
+	GetViewUncached(h graph.NodeID) (ppvindex.HubRecordView, bool, error)
+}
+
 // ApplyUpdate implements the dynamic-graph extension sketched in the paper's
 // future work (Sect. 7): when the graph changes, only the prime PPVs whose
 // prime subgraph can reach a modified node are recomputed, the rest of the
@@ -86,6 +92,13 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		}
 	}
 
+	// The scan reads every owned hub's record once; a store with a block
+	// cache serves it past the cache, so an update does not evict the
+	// records the queries are using.
+	read := e.index.GetView
+	if u, ok := e.index.(uncachedViewer); ok {
+		read = u.GetViewUncached
+	}
 	var affected []graph.NodeID
 	for _, h := range e.hubs.Hubs() {
 		// A sharded engine maintains only the hubs its partition owns: an
@@ -96,7 +109,7 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		if !e.opts.Partition.Owns(h) {
 			continue
 		}
-		view, ok, err := e.index.GetView(h)
+		view, ok, err := read(h)
 		if err != nil {
 			return stats, fmt.Errorf("core: reading prime PPV of hub %d: %w", h, err)
 		}

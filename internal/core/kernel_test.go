@@ -10,6 +10,7 @@ import (
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
 	"fastppv/internal/prime"
+	"fastppv/internal/sparse"
 )
 
 func socialEngine(t testing.TB, nodes int, seed int64) *Engine {
@@ -187,8 +188,10 @@ func totalAlloc() uint64 {
 // allocation cut, and the push precision rule's, in place. The ceilings sit
 // ~25 % above what this commit measures on a 5 000-node SocialGraph with 500
 // hubs: ~41 KB an Engine.Query, which builds the estimate both as sorted
-// entries and as the public map; 15.8 KB a query served the way the server
-// runs it (NewQuery, Run, HubDeps, Close, TopK(10) — entries only); 12.9 KB
+// entries and as the public map; 0.82 KB a query served the way the server
+// runs it (NewQuery, then Serve ranking TopKEntries(10) and taking HubDeps
+// from the pooled estimate — no copy of it; the ceiling leaves ~45 %, far
+// below the 15.8 KB of the Run, Close and TopK(10) it replaced); 12.9 KB
 // a shard leg (PartialRootSorted on a non-hub node, its frontier pruned by
 // delta, then PartialExpand of that frontier — sorted slices only); 0.90 MB a
 // Precompute. With every push at epsilon = 1e-8 rather than Clip/100 the
@@ -200,7 +203,7 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 	const (
 		queryCeiling      = 52_000    // bytes per non-hub Engine.Query at eta=2
-		servingCeiling    = 19_500    // bytes per non-hub served query at eta=2
+		servingCeiling    = 1_200     // bytes per non-hub served query at eta=2
 		partialCeiling    = 16_000    // bytes per non-hub root partial plus one expansion
 		precomputeCeiling = 1_140_000 // bytes per Precompute
 	)
@@ -243,10 +246,10 @@ func TestAllocationCeilings(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		res := qs.Run(stop)
-		qs.HubDeps()
-		qs.Close()
-		res.TopK(10)
+		qs.Serve(stop, func(estimate []sparse.Entry) {
+			sparse.TopKEntries(estimate, 10)
+			qs.HubDeps()
+		})
 		return nil
 	})
 	partial := perQuery(func(q graph.NodeID) error {

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"fastppv/internal/hub"
@@ -87,8 +88,19 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Alpha == 0 {
 		o.Alpha = pagerank.DefaultAlpha
 	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
+	// Each check is written to fail on NaN, which compares false with
+	// everything: a NaN alpha would make every score NaN, a NaN epsilon run
+	// every push to MaxPushes, and a NaN delta expand nothing.
+	if !(o.Alpha > 0 && o.Alpha < 1) {
 		return o, fmt.Errorf("core: alpha %v outside (0,1)", o.Alpha)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"epsilon", o.Epsilon}, {"delta", o.Delta}, {"clip", o.Clip}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return o, fmt.Errorf("core: %s %v is not finite", f.name, f.v)
+		}
 	}
 	if o.Delta == 0 {
 		o.Delta = DefaultDelta

@@ -96,7 +96,7 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 // restricted to the hubs this engine's partition owns: localSource.Expand's
 // per-hub kernel, but stateless — the caller owns the estimate, the frontier
 // merge and the stopping rule. Its next frontier is left unpruned (see
-// pruneFrontier). Frontier hubs outside the partition are refused into
+// frontierOf). Frontier hubs outside the partition are refused into
 // Unowned. An index read error is returned, not recovered by recomputing
 // the hub: in a cluster it usually means this shard is restarting or
 // compacting away its descriptor, and the router's retry (or a wider bound) is
@@ -131,9 +131,17 @@ func (e *Engine) PartialExpand(hubs []graph.NodeID, prefixes []float64) (*Partia
 			out.HubsSkipped++
 		}
 	}
-	b.nextFrontier = e.foldStaged(inc, b.nextFrontier[:0])
+	// One merge of the staged records' sorted runs (per-node contributions
+	// sum in ascending-hub order, bit-equal to merging hub by hub), then the
+	// next frontier: every hub entry of the increment, unpruned.
+	inc.Combine()
+	for _, en := range inc.Entries() {
+		if en.Score > 0 && e.hubs.Contains(en.Node) {
+			b.frontier = append(b.frontier, en)
+		}
+	}
 	out.IncrementNodes, out.IncrementScores = splitEntries(inc.Entries())
-	out.FrontierNodes, out.FrontierScores = splitEntries(b.nextFrontier)
+	out.FrontierNodes, out.FrontierScores = splitEntries(b.frontier)
 	return out, nil
 }
 

@@ -334,7 +334,7 @@ func TestPartialExpandThenFoldEqualsStep(t *testing.T) {
 		for k, h := range part.FrontierNodes {
 			next = append(next, sparse.Entry{Node: h, Score: part.FrontierScores[k]})
 		}
-		next, nextPruned := e.pruneFrontier(next)
+		next, nextPruned := e.frontierOf(next, -1, nil)
 		sameEntries(t, fmt.Sprintf("iteration %d: pruned partial frontier vs Step's", iter), next, qs.bufs.frontier)
 		if nextPruned != src.pruned || len(part.FrontierNodes) != qs.src.Frontier() {
 			t.Errorf("iteration %d: partial frontier of %d hubs prunes %d, the query holds %d pruned of %d",

@@ -1,6 +1,6 @@
 // pool.go holds the pooled per-query working set of the online hot loop.
 // Every query needs two accumulators (running estimate + per-step increment),
-// two frontier slices (current + next) and — when the query node is not a hub
+// a frontier slice and — when the query node is not a hub
 // — the dense scratch of the prime push; recycling them via sync.Pool means a
 // steady-state serving workload runs iteration 0 and the
 // scheduled-approximation loop without allocating per query. The pool hands
@@ -21,11 +21,11 @@ import (
 type queryBufs struct {
 	acc sparse.Accumulator // running estimate
 	inc sparse.Accumulator // per-step increment
-	// frontier and nextFrontier hold this and the next iteration's border hubs
-	// with their prefix weights (Theorem 4), scanned out of the sorted
-	// increment: ascending hub ids give a deterministic order with no sort.
-	frontier     []sparse.Entry
-	nextFrontier []sparse.Entry
+	// frontier holds the border hubs awaiting expansion with their prefix
+	// weights (Theorem 4), scanned out of the sorted estimate or increment:
+	// ascending hub ids give a deterministic order with no sort. An
+	// expansion reads it to the end before its storage takes the next one.
+	frontier []sparse.Entry
 	// scratch serves every prime push made on behalf of this bundle's holder:
 	// 16 B + 1 bit per node of the largest graph it has seen. It resets itself
 	// per push in O(touched nodes), so a bundle is safe to hand between
@@ -45,7 +45,6 @@ func (b *queryBufs) reset() {
 	b.acc.Reset()
 	b.inc.Reset()
 	b.frontier = b.frontier[:0]
-	b.nextFrontier = b.nextFrontier[:0]
 	b.record = b.record[:0]
 	b.deps = b.deps[:0]
 }

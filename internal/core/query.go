@@ -39,7 +39,8 @@ type Result struct {
 	Query graph.NodeID
 	// Entries is the estimate: the approximate PPV accumulated over all
 	// processed iterations, sorted by ascending node id. It is owned by the
-	// Result, and it is what TopK ranks and the serving layer caches.
+	// Result and is what TopK ranks. It is nil in what QueryState.Serve
+	// returns: a serving layer ranks the pooled estimate instead.
 	Entries []sparse.Entry
 	// Estimate is the map view of Entries, built only by the public entry
 	// points — Engine.Query/QueryOn, QueryState.Result, cluster.Router.Query —
@@ -106,9 +107,10 @@ type Source interface {
 // in a pooled flat-slice bundle, not in maps: increments arrive sorted by node
 // id and fold into the estimate with linear merges. Run and Close copy the
 // estimate out as the sorted Result.Entries; only Result builds the map view
-// Result.Estimate. Callers that drive QueryState directly should Close it when
-// done to recycle the bundle; a state that is never Closed is still correct,
-// just not pooled.
+// Result.Estimate; Serve lends the pooled estimate to its caller and copies
+// nothing. Callers that drive QueryState directly should Close it when done
+// to recycle the bundle; a state that is never Closed is still correct, just
+// not pooled.
 type QueryState struct {
 	src Source
 
@@ -230,24 +232,7 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 		}
 		estimate.SetEntries(queryPPV) // born sorted: a copy, no sort
 	}
-	// The frontier after iteration 0 is the hub entries of the query's prime
-	// PPV. If the query node is itself a hub, its self-entry includes the
-	// empty tour, which must not be extended (the starting node is excluded
-	// from hub length), so subtract alpha from it. Scanning the sorted
-	// accumulator entries yields the frontier already in expansion order.
-	for _, en := range estimate.Entries() {
-		if !e.hubs.Contains(en.Node) {
-			continue
-		}
-		w := en.Score
-		if en.Node == q {
-			w -= e.opts.Alpha
-		}
-		if w > 0 {
-			b.frontier = append(b.frontier, sparse.Entry{Node: en.Node, Score: w})
-		}
-	}
-	b.frontier, s.pruned = e.pruneFrontier(b.frontier)
+	b.frontier, s.pruned = e.frontierOf(estimate.Entries(), q, b.frontier)
 	return !fromIndex, nil
 }
 
@@ -273,29 +258,57 @@ func (s *localSource) Expand(_ int, inc *sparse.Accumulator) (expanded, skipped 
 		}
 	}
 	b.mergeDeps(consumed)
-	b.frontier, b.nextFrontier = s.e.foldStaged(inc, b.nextFrontier[:0]), b.frontier
-	b.frontier, s.pruned = s.e.pruneFrontier(b.frontier)
+	// One merge of the staged records' sorted runs (per-node contributions
+	// sum in ascending-hub order, bit-equal to merging hub by hub); the
+	// retired frontier's storage then takes the next one.
+	inc.Combine()
+	b.frontier, s.pruned = s.e.frontierOf(inc.Entries(), -1, b.frontier[:0])
 	return expanded, skipped
 }
 
 // expandable is Algorithm 2's delta rule: a border hub is extended only when
 // its prefix exceeds delta. stageHub applies it to every hub it is handed, and
-// pruneFrontier applies it once where a complete frontier is born.
+// frontierOf applies it once where a complete frontier is born.
 func (e *Engine) expandable(prefix float64) bool { return prefix > e.opts.Delta }
 
-// pruneFrontier filters a complete frontier in place down to the hubs the
-// kernel will expand and returns them with the number dropped. Only a
-// frontier that holds each hub's whole prefix may be pruned: a shard's
-// PartialExpand frontier is one addend of the router's sum, and two sub-delta
-// addends can exceed delta, so that frontier is left to stageHub.
-func (e *Engine) pruneFrontier(frontier []sparse.Entry) (kept []sparse.Entry, pruned int) {
-	kept = frontier[:0]
-	for _, en := range frontier {
-		if e.expandable(en.Score) {
-			kept = append(kept, en)
+// frontierOf takes a complete frontier out of an estimate or increment
+// (sorted by node id) in one pass: the hub entries whose prefix exceeds delta
+// are appended to dst, ascending, and the hub entries with a positive prefix
+// at most delta are only counted as pruned. Only a frontier that holds each
+// hub's whole prefix may be pruned: a shard's PartialExpand frontier is one
+// addend of the router's sum, and two sub-delta addends can exceed delta, so
+// that frontier is left to stageHub.
+//
+// self is the query node of iteration 0 (-1 for an expansion). If it is a
+// hub, its entry includes the empty tour, which must not be extended (the
+// starting node is excluded from hub length), so alpha is subtracted from its
+// prefix. Every other entry at or below delta — most of an estimate — costs a
+// hub bit added to the count, with no branch on the bit.
+func (e *Engine) frontierOf(entries []sparse.Entry, self graph.NodeID, dst []sparse.Entry) (kept []sparse.Entry, pruned int) {
+	hubs, delta := e.hubs, e.opts.Delta
+	for _, en := range entries {
+		if en.Score <= delta && en.Node != self {
+			positive := 0
+			if en.Score > 0 {
+				positive = 1
+			}
+			pruned += hubs.Bit(en.Node) & positive
+			continue
+		}
+		if !hubs.Contains(en.Node) {
+			continue
+		}
+		w := en.Score
+		if en.Node == self {
+			w -= e.opts.Alpha
+		}
+		if w > delta {
+			dst = append(dst, sparse.Entry{Node: en.Node, Score: w})
+		} else if w > 0 {
+			pruned++
 		}
 	}
-	return kept, len(frontier) - len(kept)
+	return dst, pruned
 }
 
 // stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11): prune by
@@ -324,20 +337,6 @@ func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID,
 		return true, nil
 	}
 	return e.stageRecomputed(b, inc, h, scale), nil
-}
-
-// foldStaged closes an expansion: one merge of the staged records' sorted
-// runs (per-node contributions sum in ascending-hub order, bit-equal to
-// merging hub by hub), then the next frontier — the hub entries of the
-// increment, born sorted because the increment is — appended to next.
-func (e *Engine) foldStaged(inc *sparse.Accumulator, next []sparse.Entry) []sparse.Entry {
-	inc.Combine()
-	for _, en := range inc.Entries() {
-		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			next = append(next, en)
-		}
-	}
-	return next
 }
 
 // syncEntries copies the accumulator out as result.Entries if it has advanced
@@ -463,13 +462,36 @@ func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.
 }
 
 // Run keeps stepping until the stopping condition is met and returns the
-// final result. It is the one statement of the stop schedule: Engine.Query and
-// the cluster router's Query both end here.
+// final result. It is the one statement of the stop schedule: Engine.Query,
+// Serve and the cluster router's query all end here.
 //
 // The result carries the estimate as the sorted Entries only; its Estimate map
 // is nil (unless Result built one since the last Step). Call Result for the
 // map view.
 func (qs *QueryState) Run(stop StopCondition) *Result {
+	qs.run(stop)
+	qs.syncEntries()
+	return qs.result
+}
+
+// Serve is Run for a caller that keeps only what it derives from the
+// estimate — a serving layer's ranked prefix and reach list: it steps until
+// stop says stop, hands the final estimate (sorted by node id, still in the
+// pooled bundle) to take, and then recycles the bundle without copying the
+// estimate out, so the returned Result has no Entries. take must not retain
+// the slice; HubDeps may be called inside it. The state is closed on return.
+func (qs *QueryState) Serve(stop StopCondition, take func(estimate []sparse.Entry)) *Result {
+	qs.run(stop)
+	if qs.bufs != nil {
+		take(qs.bufs.acc.Entries())
+	} else {
+		take(qs.result.Entries) // closed earlier: the last sync holds the estimate
+	}
+	qs.release()
+	return qs.result
+}
+
+func (qs *QueryState) run(stop StopCondition) {
 	maxIter := stop.maxIterations()
 	for qs.iteration < maxIter {
 		if stop.TargetL1Error > 0 && qs.result.L1ErrorBound <= stop.TargetL1Error {
@@ -490,6 +512,4 @@ func (qs *QueryState) Run(stop StopCondition) *Result {
 		}
 	}
 	qs.result.Duration = time.Since(qs.started)
-	qs.syncEntries()
-	return qs.result
 }

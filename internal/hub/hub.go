@@ -56,8 +56,8 @@ func (p Policy) String() string {
 
 // Set is a hub set with O(1) membership queries plus the selection order.
 // Membership is a bitset sized from the largest hub id: the prime push probes
-// it once per pop and the query loop once per estimate entry, so a probe is a
-// shift and a mask, not a hash.
+// it once per pop and the query loop's frontier scan once per estimate entry,
+// so a probe is a shift and a mask, not a hash.
 type Set struct {
 	bits    []uint64
 	ordered []graph.NodeID
@@ -91,6 +91,18 @@ func (s *Set) Contains(v graph.NodeID) bool {
 	}
 	w := int(v >> 6)
 	return w < len(s.bits) && s.bits[w]&(1<<(uint(v)&63)) != 0
+}
+
+// Bit is Contains as 0 or 1, for counting hubs without a branch on
+// membership: the only branch is the range check of the word index, which an
+// id below the largest hub always passes. Negative ids read as 0. Unlike
+// Contains it needs a non-nil Set.
+func (s *Set) Bit(v graph.NodeID) int {
+	w := uint(v) >> 6
+	if w >= uint(len(s.bits)) {
+		return 0
+	}
+	return int(s.bits[w] >> (uint(v) & 63) & 1)
 }
 
 // Size returns the number of hubs.

@@ -164,7 +164,8 @@ func TestSuggestHubCount(t *testing.T) {
 
 // TestContainsEdgeCases: ids that come off the wire or out of an index file
 // are probed before anyone validates them, so Contains must answer false —
-// not panic — for a nil set and for ids outside the bitset on either side.
+// not panic — for a nil set and for ids outside the bitset on either side,
+// and Bit must answer the same as 0 or 1.
 func TestContainsEdgeCases(t *testing.T) {
 	set := NewSet([]graph.NodeID{0, 63, 64, 200})
 	var nilSet *Set
@@ -193,6 +194,16 @@ func TestContainsEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.set.Contains(tc.id); got != tc.want {
 			t.Errorf("%s: Contains(%d) = %v, want %v", tc.name, tc.id, got, tc.want)
+		}
+		if tc.set == nil {
+			continue // Bit needs a set
+		}
+		want := 0
+		if tc.want {
+			want = 1
+		}
+		if got := tc.set.Bit(tc.id); got != want {
+			t.Errorf("%s: Bit(%d) = %d, want %d", tc.name, tc.id, got, want)
 		}
 	}
 	if s := NewSet([]graph.NodeID{-5, 2}); s.Size() != 2 || !s.Contains(2) {

@@ -253,7 +253,16 @@ func (s *Store) Get(h graph.NodeID) (sparse.Vector, bool, error) { return Vector
 // update rewrote the hub since the last compaction — a view of the stale
 // base record must never win over a newer rewrite — and otherwise the base
 // record as a zero-copy (mmap) or single-copy (pread / cached payload) view.
-func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) {
+func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) { return s.view(h, false) }
+
+// GetViewUncached is GetView past the block cache: the overlay's record,
+// else the base record read straight from the file. The bytes are the same;
+// no block is filled or evicted, so a maintenance scan over every hub (the
+// affected-hub test of core.Engine.ApplyUpdate) leaves the blocks the queries
+// are using in place.
+func (s *Store) GetViewUncached(h graph.NodeID) (HubRecordView, bool, error) { return s.view(h, true) }
+
+func (s *Store) view(h graph.NodeID, uncached bool) (HubRecordView, bool, error) {
 	for {
 		st, err := s.reading()
 		if err != nil {
@@ -262,7 +271,11 @@ func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		if view, ok, _ := st.overlay.GetView(h); ok {
 			return view, true, nil
 		}
-		view, ok, err := st.src.GetView(h)
+		src := st.src
+		if uncached {
+			src = st.reader
+		}
+		view, ok, err := src.GetView(h)
 		if err != nil && errors.Is(err, ErrIndexClosed) && s.state.Load() != st {
 			// The state was retired under us (compaction swap, or Close);
 			// retry against the current one — reading() reports ErrClosed

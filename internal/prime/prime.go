@@ -63,14 +63,16 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Alpha == 0 {
 		o.Alpha = pagerank.DefaultAlpha
 	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
+	// Each check is written to fail on NaN, which compares false with
+	// everything.
+	if !(o.Alpha > 0 && o.Alpha < 1) {
 		return o, fmt.Errorf("prime: alpha %v outside (0,1)", o.Alpha)
 	}
 	if o.Epsilon == 0 {
 		o.Epsilon = DefaultEpsilon
 	}
-	if o.Epsilon < 0 {
-		return o, errors.New("prime: negative epsilon")
+	if !(o.Epsilon >= 0) || math.IsInf(o.Epsilon, 1) {
+		return o, fmt.Errorf("prime: epsilon %v is not a finite non-negative number", o.Epsilon)
 	}
 	if o.MaxPushes == 0 {
 		o.MaxPushes = 50_000_000

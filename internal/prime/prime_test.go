@@ -139,6 +139,36 @@ func TestComputePPVValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectNonFinite: a NaN compares false with everything, so a
+// check written as "x <= 0 || x >= 1" or "x < 0" lets it through — a NaN
+// epsilon would run the push to MaxPushes, a NaN alpha give NaN scores. Both
+// are refused, as are the infinities.
+func TestOptionsRejectNonFinite(t *testing.T) {
+	g, hubs := chainWithHub(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"defaults", Options{}, true},
+		{"NaN alpha", Options{Alpha: nan}, false},
+		{"+Inf alpha", Options{Alpha: inf}, false},
+		{"-Inf alpha", Options{Alpha: -inf}, false},
+		{"NaN epsilon", Options{Epsilon: nan}, false},
+		{"+Inf epsilon", Options{Epsilon: inf}, false},
+		{"-Inf epsilon", Options{Epsilon: -inf}, false},
+		{"smallest epsilon", Options{Epsilon: math.SmallestNonzeroFloat64}, true},
+	}
+	var s Scratch
+	for _, tc := range cases {
+		_, _, err := s.Push(g, 0, hubs, tc.opts, 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Push error %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestComputePPVMaxPushesTruncates(t *testing.T) {
 	// A long chain with a tiny push budget gets truncated but still returns
 	// a (partial) result.

@@ -16,6 +16,7 @@ import (
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
 	"fastppv/internal/querylog"
+	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -29,10 +30,13 @@ type backend interface {
 	// keyEpoch is the epoch component of result-cache keys (see
 	// CacheKey.Epoch).
 	keyEpoch() uint64
-	// query answers one query as a cluster.Result — a local engine's answer
-	// is the no-shard case of one — plus the hub records it depends on. The
-	// caller holds Server.mu for reading.
-	query(node graph.NodeID, stop core.StopCondition, traceID string) (*cluster.Result, []graph.NodeID, error)
+	// query answers key's query under stop. The answer's result is a
+	// cluster.Result without its estimate — a local engine's answer is the
+	// no-shard case of one — and its ranking of key.Top entries is taken from
+	// the pooled estimate before it is recycled, with the reach list when
+	// reach is set (an engine answer only) and the hub records it depends on.
+	// The caller holds Server.mu for reading.
+	query(key CacheKey, stop core.StopCondition, traceID string, reach bool) (*cachedAnswer, error)
 	// labelResults fills in node labels where the backend has them.
 	labelResults(results []ScoredNode)
 	// stats fills the backend's part of the /v1/stats body.
@@ -60,18 +64,24 @@ func (b engineBackend) numNodes() int {
 // keyEpoch is constant: engine mode invalidates by hub dependency instead.
 func (engineBackend) keyEpoch() uint64 { return 0 }
 
-func (b engineBackend) query(node graph.NodeID, stop core.StopCondition, _ string) (*cluster.Result, []graph.NodeID, error) {
-	qs, err := b.s.engine.NewQuery(node)
+func (b engineBackend) query(key CacheKey, stop core.StopCondition, _ string, reach bool) (*cachedAnswer, error) {
+	qs, err := b.s.engine.NewQuery(key.Node)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res := qs.Run(stop)
-	deps := qs.HubDeps()
-	// Run took the estimate out as sorted entries, with no map built; Close
-	// recycles the pooled query buffers so a steady serving workload answers
-	// without re-growing them.
-	qs.Close()
-	return &cluster.Result{Result: *res, Epoch: b.s.engine.Epoch()}, deps, nil
+	ans := &cachedAnswer{}
+	// Serve ranks and reaches the estimate in its pooled bundle and recycles
+	// the bundle without copying it out, so a steady serving workload answers
+	// without re-growing it.
+	res := qs.Serve(stop, func(estimate []sparse.Entry) {
+		ans.top = sparse.TopKEntries(estimate, key.Top)
+		if reach {
+			ans.reach = appendReach(estimate)
+		}
+		ans.deps = qs.HubDeps()
+	})
+	ans.result = &cluster.Result{Result: *res, Epoch: b.s.engine.Epoch()}
+	return ans, nil
 }
 
 func (b engineBackend) labelResults(results []ScoredNode) {
@@ -146,19 +156,25 @@ func (b routerBackend) keyEpoch() uint64 {
 	return epoch
 }
 
-func (b routerBackend) query(node graph.NodeID, stop core.StopCondition, traceID string) (*cluster.Result, []graph.NodeID, error) {
-	res, err := b.rt.QueryTrace(node, stop, traceID)
+// query ignores reach: a router retires answers by epoch, never by the nodes
+// they reach.
+func (b routerBackend) query(key CacheKey, stop core.StopCondition, traceID string, _ bool) (*cachedAnswer, error) {
+	ans := &cachedAnswer{}
+	res, err := b.rt.QueryTrace(key.Node, stop, traceID, func(estimate []sparse.Entry) {
+		ans.top = sparse.TopKEntries(estimate, key.Top)
+	})
 	if err != nil {
 		// A shard answering bad_request (e.g. an out-of-range node the router
 		// could not pre-validate before graph-size discovery) is a client
 		// mistake, not an outage; everything else means no shard could answer.
 		var aerr *api.Error
 		if errors.As(err, &aerr) && aerr.Code == api.CodeBadRequest {
-			return nil, nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
+			return nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: aerr.Message}
 		}
-		return nil, nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
+		return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()}
 	}
-	return res, nil, nil
+	ans.result = res
+	return ans, nil
 }
 
 // labelResults is a no-op: a router answers with bare node ids.

@@ -41,7 +41,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -608,15 +607,14 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res, deps, err := s.be.query(key.Node, stop, explicitID)
+	// Only engine-mode invalidation reads the reach list (a router retires
+	// answers by epoch), and only of an answer the cache keeps: an engine
+	// answer is kept unless it was explicitly traced.
+	ans, err := s.be.query(key, stop, explicitID, !explicit && s.cfg.CacheBytes > 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	ans := &cachedAnswer{
-		result: res,
-		top:    res.TopK(key.Top),
-		deps:   deps,
-	}
+	res := ans.result
 	if s.qlog != nil {
 		ans.legs = legSummaries(res.Spans)
 	}
@@ -635,14 +633,9 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	// update raced (the key epoch has moved on) is left uncached too: no
 	// future lookup would use the outdated key.
 	retain := !explicit && !res.Degraded && s.be.keyEpoch() == key.Epoch
-	// Only engine-mode invalidation reads the reach list (a router retires
-	// answers by epoch), and only of an answer the cache keeps.
-	if retain && s.engine != nil && s.cfg.CacheBytes > 0 {
-		ans.reach = appendReach(res.Entries)
-	}
-	// The answer keeps what it serves: the estimate and the shard spans have
-	// been ranked, reached and traced, and go with the request.
-	res.Entries, res.Spans = nil, nil
+	// The answer keeps what it serves: the shard spans have been traced and
+	// go with the request.
+	res.Spans = nil
 	end(ans, ans.sizeBytes(), retain)
 	return ans, rt, nil
 }
@@ -711,7 +704,7 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 			"trace_id", traceID, "node", resp.Node, "iterations", resp.Iterations,
 			"l1_error_bound", resp.L1ErrorBound, "degraded", resp.Degraded,
 			"mode", rt.Mode, "duration_ms", rt.DurationMS)
-		writeJSON(w, http.StatusOK, resp)
+		writeBody(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendQueryResponse(b, &resp) })
 		return
 	}
 	ans, state, err := s.answer(req)
@@ -730,7 +723,8 @@ func (s *Server) handlePPV(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Fastppv-Compute-Ms",
 		strconv.FormatFloat(float64(ans.result.Duration)/1e6, 'f', 3, 64))
 	s.finishQuery(req, ans, state, start, false, nil)
-	writeJSON(w, http.StatusOK, s.render(req, ans))
+	resp := s.render(req, ans)
+	writeBody(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendQueryResponse(b, &resp) })
 }
 
 // finishQuery is the one place a completed /v1/ppv or batch query lands: it
@@ -824,7 +818,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.finishQuery(req, ans, state, qstart, false, nil)
 		resp.Results = append(resp.Results, s.render(req, ans))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendBatchResponse(b, &resp) })
 }
 
 // evalPartial evaluates one partial sub-request of the cluster protocol — one
@@ -1257,38 +1251,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	status, body := s.be.health()
 	writeJSON(w, status, body)
-}
-
-// encodeBufPool recycles response-encoding buffers: encoding into a pooled
-// buffer first (instead of straight into the ResponseWriter) sets an exact
-// Content-Length, avoids chunked framing, and keeps the encoder's scratch out
-// of the per-request allocation bill. Buffers that ballooned on a huge top-k
-// response are dropped instead of pinned in the pool.
-var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledEncodeBuf = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		encodeBufPool.Put(buf)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		return
-	}
-	// Encode terminates the body with a newline for stream framing; with an
-	// exact Content-Length it is dead weight on every response.
-	buf.Truncate(buf.Len() - 1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledEncodeBuf {
-		encodeBufPool.Put(buf)
-	}
 }
 
 // writeError renders the structured error envelope: every failure carries a

@@ -52,7 +52,11 @@ func TopKEntries(entries []Entry, k int) []Entry {
 			if len(h) < k {
 				h = append(h, e)
 				h.up(len(h) - 1)
-			} else if entryLess(h[0], e) {
+			} else if !(e.Score < h[0].Score) && entryLess(h[0], e) {
+				// Most entries score below the worst kept one and are
+				// rejected on that one comparison. The test is negated so a
+				// NaN on either side falls through to the full compare: the
+				// selection is the one the total order makes.
 				h[0] = e
 				h.down(0)
 			}

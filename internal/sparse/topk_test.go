@@ -131,3 +131,73 @@ func TestTopKEntriesMatchesVectorTopK(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// topKFullCompare is TopKEntries' selection without the score-only reject:
+// every entry past the first k is compared with the heap root by the full
+// rank order. TestTopKScoreRejectMatchesFullCompare holds the two equal.
+func topKFullCompare(entries []Entry, k int) []Entry {
+	if k >= len(entries) {
+		out := slices.Clone(entries)
+		slices.SortFunc(out, rankCompare)
+		return out
+	}
+	var h entryMinHeap
+	for _, e := range entries {
+		if len(h) < k {
+			h = append(h, e)
+			h.up(len(h) - 1)
+		} else if entryLess(h[0], e) {
+			h[0] = e
+			h.down(0)
+		}
+	}
+	slices.SortFunc(h, rankCompare)
+	return h
+}
+
+// TestTopKScoreRejectMatchesFullCompare property-tests the reject on score
+// alone: over entries in any order whose scores come from a few values — so
+// ties are the rule — and include NaN, both zeros and both infinities, the
+// selection and its order are bit for bit those of the full compare. A NaN
+// never orders below anything, so only a negated comparison keeps this.
+func TestTopKScoreRejectMatchesFullCompare(t *testing.T) {
+	levels := []float64{math.NaN(), 0, math.Copysign(0, -1), 0.25, 0.5, 0.5, 1, math.Inf(1), math.Inf(-1)}
+	same := func(a, b []Entry) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Node != b[i].Node || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(ids []uint16, picks []uint8, kRaw uint8) bool {
+		seen := make(map[uint16]bool, len(ids))
+		var entries []Entry
+		for i, id := range ids {
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			pick := uint8(i)
+			if i < len(picks) {
+				pick = picks[i]
+			}
+			entries = append(entries, Entry{Node: graph.NodeID(id), Score: levels[int(pick)%len(levels)]})
+		}
+		for _, k := range []int{1, int(kRaw%12) + 1, len(entries) - 1} {
+			if k <= 0 {
+				continue
+			}
+			if !same(TopKEntries(entries, k), topKFullCompare(entries, k)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
