@@ -166,7 +166,9 @@ type PartialResponse struct {
 	Increment Vector
 	// Frontier holds the hub entries of Increment: prefix weights for the
 	// next iteration, including hubs owned by other shards. A root reply's
-	// frontier holds only the hubs whose prefix exceeds delta.
+	// frontier holds only the hubs whose prefix exceeds delta. An expansion
+	// reply's frontier is unpruned, since it is one addend of the router's
+	// sum; the router prunes the sum by the root reply's Delta.
 	Frontier Vector
 	// HubsExpanded and HubsSkipped count assembled and delta-pruned hubs. For
 	// a root reply HubsSkipped is the number of border hubs pruned from
@@ -181,6 +183,10 @@ type PartialResponse struct {
 	FromIndex bool
 	// ComputeMS is the shard-side evaluation time in milliseconds.
 	ComputeMS float64
+	// Delta is, in a root reply, the shard engine's delta threshold: a border
+	// hub is expanded only when its summed prefix exceeds it. Zero in an
+	// expansion reply.
+	Delta float64
 }
 
 // UpdateRequest is the body of POST /v1/update: batches of edges to add and

@@ -25,14 +25,14 @@ import (
 )
 
 // StreamPath is the endpoint a client upgrades to open a binary partial-query
-// stream: GET /v1/stream with "Upgrade: fastppv-stream/2" answers 101
+// stream: GET /v1/stream with "Upgrade: fastppv-stream/3" answers 101
 // Switching Protocols and hands the raw connection to the frame protocol.
 const StreamPath = "/v1/stream"
 
 // StreamProtocol is the value of the Upgrade header both sides must present.
 // Its version names the payload layouts: a peer speaking another version is
 // refused at upgrade rather than misreading frames.
-const StreamProtocol = "fastppv-stream/2"
+const StreamProtocol = "fastppv-stream/3"
 
 // Frame types. Requests travel router->shard; responses and errors travel
 // shard->router.
@@ -300,7 +300,7 @@ func DecodePartialRequest(payload []byte) (id uint64, traceID string, preq *Part
 // EncodePartialResponse encodes a response frame payload:
 //
 //	id | flags | shard | shards | epoch | expanded | skipped | compute-ms |
-//	increment | frontier | unowned
+//	delta | increment | frontier | unowned
 func EncodePartialResponse(id uint64, presp *PartialResponse) ([]byte, error) {
 	buf := make([]byte, 0, 64+9*(len(presp.Increment.Nodes)+len(presp.Frontier.Nodes)))
 	buf = binary.AppendUvarint(buf, id)
@@ -315,6 +315,7 @@ func EncodePartialResponse(id uint64, presp *PartialResponse) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(presp.HubsExpanded))
 	buf = binary.AppendUvarint(buf, uint64(presp.HubsSkipped))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(presp.ComputeMS))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(presp.Delta))
 	var err error
 	if buf, err = appendVector(buf, presp.Increment); err != nil {
 		return nil, err
@@ -346,6 +347,7 @@ func DecodePartialResponse(payload []byte) (id uint64, presp *PartialResponse, e
 		HubsExpanded: int(r.uvarint()),
 		HubsSkipped:  int(r.uvarint()),
 		ComputeMS:    math.Float64frombits(r.u64()),
+		Delta:        math.Float64frombits(r.u64()),
 	}
 	presp.Increment = r.vector()
 	presp.Frontier = r.vector()

@@ -99,6 +99,7 @@ func TestBinaryPartialResponseRoundTrip(t *testing.T) {
 		Unowned:   []graph.NodeID{4, 7, 1000000},
 		FromIndex: true,
 		ComputeMS: 1.25e-3,
+		Delta:     0.005,
 	}
 	payload, err := EncodePartialResponse(42, presp)
 	if err != nil {
@@ -113,7 +114,7 @@ func TestBinaryPartialResponseRoundTrip(t *testing.T) {
 	}
 	if got.Shard != 1 || got.Shards != 2 || got.Epoch != 99 ||
 		got.HubsExpanded != 12 || got.HubsSkipped != 3 || !got.FromIndex ||
-		got.ComputeMS != presp.ComputeMS {
+		got.ComputeMS != presp.ComputeMS || got.Delta != presp.Delta {
 		t.Fatalf("scalar mismatch: %+v", got)
 	}
 	assertVectorExact(t, got.Increment, presp.Increment)

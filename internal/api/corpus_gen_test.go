@@ -44,6 +44,7 @@ func TestRegenBinaryFrameCorpus(t *testing.T) {
 		Epoch:     9,
 		Increment: EncodeVector(sparse.Vector{1: 0.125, 5: 0.0625}),
 		Frontier:  EncodeVector(sparse.Vector{5: 0.03125}),
+		Delta:     0.005,
 	})
 	if err != nil {
 		t.Fatal(err)

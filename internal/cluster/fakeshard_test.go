@@ -204,6 +204,7 @@ func (f *fakeShard) eval(preq *api.PartialRequest) (*api.PartialResponse, error)
 		HubsSkipped:  part.HubsSkipped,
 		Unowned:      part.Unowned,
 		FromIndex:    part.FromIndex,
+		Delta:        part.Delta,
 	}, nil
 }
 

@@ -11,7 +11,12 @@
 // iteration partitions the border-hub frontier by hub owner, scatters one
 // partial-expansion request per owning shard over that shard's stream
 // (transport.go), and merges the returned increments in ascending shard order
-// so responses stay deterministic. The estimate only
+// so responses stay deterministic. The frontier is pruned by delta before it is
+// routed, as the engine prunes its own: the root shard prunes iteration 1's,
+// and the router prunes each later one, the sum of the shards' frontiers, by
+// the delta the root reply carries. A hub the owner's kernel would skip never
+// crosses the wire, and a round with no hub above delta sends no leg. The
+// estimate only
 // accumulates non-negative tour mass, so the accuracy-aware bound
 // 1 - sum(estimate) remains exact under any failure: a down or slow shard
 // simply leaves its share of the mass unexpanded and the answer is returned
@@ -431,10 +436,10 @@ type Result struct {
 	// LostFrontierMass is the total prefix weight that could not be expanded
 	// because its owning shard was unavailable; it is an upper bound on how
 	// much of the reported error bound is due to degradation rather than the
-	// stopping condition. Only routed prefixes count: the root prunes hubs at
-	// or below delta, which no shard would have expanded, so a lost
-	// iteration-1 group is all above-delta mass (a later frontier is the
-	// router's sum of shard frontiers and is routed whole). It is summed in
+	// stopping condition. Only routed prefixes count, and every routed frontier
+	// is pruned by delta (the root's by the root shard, each later one, the
+	// router's sum of shard frontiers, by the router), so a lost group is all
+	// above-delta mass that its owner would have expanded. It is summed in
 	// ascending hub order within ascending shard order, so equal degraded
 	// queries report equal bits.
 	LostFrontierMass float64
@@ -518,13 +523,16 @@ type routedQuery struct {
 	down, stale map[int]struct{}
 	// frontier is the border hubs awaiting expansion; next accumulates the
 	// replies' frontiers into the one after it. The router has no hub set, so
-	// the next frontier is whatever the shards report.
+	// the next frontier is whatever the shards report, pruned by delta.
 	frontier api.Vector
 	next     sparse.Accumulator
-	// pruned is the root reply's HubsSkipped: border hubs the root shard
-	// dropped from the frontier under delta. They never cross the wire, but
-	// count as frontier hubs and as the first expansion's skipped hubs, as
-	// they do in the engine.
+	// delta is the root reply's delta threshold, the one the shards' kernels
+	// apply.
+	delta float64
+	// pruned counts the border hubs dropped from the held frontier under
+	// delta: by the root shard (its reply's HubsSkipped) for iteration 1, by
+	// Expand for a later one. They never cross the wire, but count as frontier
+	// hubs and as the next expansion's skipped hubs, as they do in the engine.
 	pruned int
 }
 
@@ -558,7 +566,7 @@ func (q *routedQuery) Root(node graph.NodeID, estimate *sparse.Accumulator) (boo
 		q.res.Degraded = true
 	}
 	estimate.AddSorted(root.Increment.Nodes, root.Increment.Scores)
-	q.frontier, q.pruned = root.Frontier, root.HubsSkipped
+	q.frontier, q.pruned, q.delta = root.Frontier, root.HubsSkipped, root.Delta
 	q.res.Spans = append(q.res.Spans, span)
 	return !root.FromIndex, nil
 }
@@ -657,21 +665,28 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 }
 
 // Expand retires the frontier with one scatter/gather round: each owning
-// shard expands its share, the replies fold in ascending shard order, and
-// their frontiers become the next one.
+// shard expands its share, the replies fold in ascending shard order, and the
+// sum of their frontiers becomes the next one. That sum holds each hub's whole
+// prefix, so it is pruned by delta as Engine.frontierOf prunes the engine's:
+// prefixes above delta are kept, the positive rest only counted.
 func (q *routedQuery) Expand(iter int, inc *sparse.Accumulator) (expanded, skipped int) {
-	sc := q.scatter(iter)
 	q.next.Reset()
 	var span IterationSpan
-	expanded, skipped = q.gather(sc, inc, &span)
+	if len(q.frontier.Nodes) > 0 {
+		expanded, skipped = q.gather(q.scatter(iter), inc, &span)
+	}
 	skipped += q.pruned
 	q.pruned = 0
 	q.res.Spans = append(q.res.Spans, span)
 
 	q.frontier.Nodes, q.frontier.Scores = q.frontier.Nodes[:0], q.frontier.Scores[:0]
 	for _, en := range q.next.Entries() {
-		q.frontier.Nodes = append(q.frontier.Nodes, en.Node)
-		q.frontier.Scores = append(q.frontier.Scores, en.Score)
+		if en.Score > q.delta {
+			q.frontier.Nodes = append(q.frontier.Nodes, en.Node)
+			q.frontier.Scores = append(q.frontier.Scores, en.Score)
+		} else if en.Score > 0 {
+			q.pruned++
+		}
 	}
 	return expanded, skipped
 }

@@ -22,10 +22,10 @@ import (
 // hubs expanded and hubs skipped — whichever rule fires: the eta cap, the
 // target error, the time limit, an emptied frontier or the zero-mass guard.
 //
-// The root shard prunes its frontier by delta, so iteration 1's legs carry
-// exactly the hubs that iteration expands; a later frontier is the router's
-// sum of shard frontiers, checked by the kernel on the owning shard, so its
-// legs carry the expanded and the skipped hubs.
+// Every routed frontier is pruned by delta before it is scattered — the root
+// shard prunes iteration 1's, the router each later sum of shard frontiers —
+// so at every iteration the legs carry exactly the hubs that iteration
+// expands, and an iteration that expands none sends no leg.
 func TestStopRuleParity(t *testing.T) {
 	social, err := gen.SocialGraph(gen.SocialConfig{Nodes: 700, OutDegreeMean: 6, Attachment: 0.7, Seed: 21})
 	if err != nil {
@@ -110,13 +110,9 @@ func TestStopRuleParity(t *testing.T) {
 						for _, leg := range got.Spans[i].Legs {
 							routed += leg.Hubs
 						}
-						wantRouted := g.HubsExpanded
-						if i > 1 {
-							wantRouted += g.HubsSkipped
-						}
-						if routed != wantRouted {
-							t.Errorf("q=%d %s iteration %d: legs carry %d hubs, want %d (expanded %d, skipped %d)",
-								q, rl.name, i, routed, wantRouted, g.HubsExpanded, g.HubsSkipped)
+						if routed != g.HubsExpanded {
+							t.Errorf("q=%d %s iteration %d: legs carry %d hubs, want the %d expanded (skipped %d)",
+								q, rl.name, i, routed, g.HubsExpanded, g.HubsSkipped)
 						}
 					}
 				}
@@ -206,10 +202,12 @@ func TestSplitSubDeltaPrefixIsExpanded(t *testing.T) {
 	}
 }
 
-// TestLostFrontierMassCountsExpandableHubs: hubs at or below delta are pruned
-// at the root and never routed, so with shard 1 failing every expansion the
-// lost mass at eta=1 is exactly the ascending-hub sum of the above-delta root
-// prefixes shard 1 owns — less than its share of the unpruned frontier.
+// TestLostFrontierMassCountsExpandableHubs: every routed frontier is pruned
+// by delta, so with shard 1 failing every expansion the lost mass is exactly
+// the above-delta prefixes shard 1 owns, summed in ascending hub order: at
+// eta=1 those of the root's frontier (less than shard 1's share of the
+// unpruned frontier), and at eta=2 those plus the above-delta prefixes shard
+// 1 owns in the frontier shard 0's expansion alone produced.
 func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 	single, shards := testCluster(t, 2)
 	shards[1].hook = func(_ int, preq *api.PartialRequest) fault {
@@ -220,8 +218,29 @@ func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 	}
 	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
 	part := core.Partition{Shards: 2}
-	checked := 0
-	for q := graph.NodeID(0); checked < 4; q++ {
+	delta := single.Options().Delta
+	// lostOn sums, in ascending hub order onto sum, the prefixes above delta
+	// of the hubs shard 1 owns; group collects those shard 0 owns.
+	lostOn := func(sum float64, nodes []graph.NodeID, scores []float64) (float64, []graph.NodeID, []float64) {
+		var gNodes []graph.NodeID
+		var gScores []float64
+		for k, h := range nodes {
+			if scores[k] <= delta {
+				continue
+			}
+			if part.Owner(h) == 1 {
+				sum += scores[k]
+			} else {
+				gNodes, gScores = append(gNodes, h), append(gScores, scores[k])
+			}
+		}
+		return sum, gNodes, gScores
+	}
+	checked, checked2 := 0, 0
+	for q := graph.NodeID(0); checked < 4 || checked2 < 2; q++ {
+		if int(q) >= single.Graph().NumNodes() {
+			t.Fatalf("only %d queries with pruned root hubs and %d with lost mass at iteration 2", checked, checked2)
+		}
 		if part.Owner(q) != 0 || single.Hubs().Contains(q) {
 			continue
 		}
@@ -232,12 +251,7 @@ func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 		if root.HubsSkipped == 0 {
 			continue
 		}
-		want := 0.0
-		for k, h := range root.FrontierNodes {
-			if part.Owner(h) == 1 {
-				want += root.FrontierScores[k]
-			}
-		}
+		want, group0, scores0 := lostOn(0, root.FrontierNodes, root.FrontierScores)
 		unpruned := 0.0
 		for k, n := range root.IncrementNodes {
 			if single.Hubs().Contains(n) && part.Owner(n) == 1 {
@@ -252,10 +266,95 @@ func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 			t.Fatalf("q=%d: degraded %v with %v above-delta mass routed to shard 1; the case needs both", q, res.Degraded, want)
 		}
 		if math.Float64bits(res.LostFrontierMass) != math.Float64bits(want) {
-			t.Errorf("q=%d: lost mass %v, want the above-delta prefixes on shard 1, %v", q, res.LostFrontierMass, want)
+			t.Errorf("q=%d eta=1: lost mass %v, want the above-delta prefixes on shard 1, %v", q, res.LostFrontierMass, want)
 		}
 		if !(res.LostFrontierMass < unpruned) {
 			t.Errorf("q=%d: lost mass %v is not below shard 1's unpruned frontier mass %v", q, res.LostFrontierMass, unpruned)
+		}
+		checked++
+
+		// Iteration 2's frontier is shard 0's expansion frontier alone.
+		exp, err := shards[0].e.PartialExpand(group0, scores0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want2, _, _ := lostOn(want, exp.FrontierNodes, exp.FrontierScores)
+		res2, err := r.Query(q, core.StopCondition{MaxIterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res2.LostFrontierMass) != math.Float64bits(want2) {
+			t.Errorf("q=%d eta=2: lost mass %v, want %v: iteration 1's plus shard 1's above-delta prefixes of shard 0's frontier", q, res2.LostFrontierMass, want2)
+		}
+		if want2 > want {
+			checked2++
+		}
+	}
+}
+
+// TestSubDeltaRoundSendsNoLeg: when no hub of iteration 2's summed frontier
+// is above delta, the router prunes them all and sends no leg — the shards
+// read as many request frames for the query at eta=2 as at eta=1 — and the
+// answer, the bound and the iteration stats are still the engine's, bit for
+// bit. The queries are ones whose iteration 1 expands hubs of one shard only,
+// so the router's per-node fold is 0 + s0, which is exactly the engine's sum.
+func TestSubDeltaRoundSendsNoLeg(t *testing.T) {
+	single, shards := testCluster(t, 2)
+	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	frames := func() (n int64) {
+		for _, sh := range shards {
+			n += sh.partials.Load()
+		}
+		return n
+	}
+	stop := core.StopCondition{MaxIterations: 2}
+	checked := 0
+	for q := graph.NodeID(0); checked < 3; q++ {
+		if int(q) >= single.Graph().NumNodes() {
+			t.Fatalf("only %d queries expand nothing at iteration 2", checked)
+		}
+		want, err := single.Query(q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Iterations != 2 || want.PerIteration[1].HubsExpanded == 0 ||
+			want.PerIteration[2].HubsExpanded != 0 || want.PerIteration[2].HubsSkipped == 0 {
+			continue
+		}
+		before := frames()
+		if _, err := r.Query(q, core.StopCondition{MaxIterations: 1}); err != nil {
+			t.Fatal(err)
+		}
+		eta1 := frames() - before
+		got, err := r.Query(q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eta2 := frames() - before - eta1; eta2 != eta1 {
+			t.Errorf("q=%d: %d request frames at eta=2, %d at eta=1: iteration 2 expands nothing and must send no leg", q, eta2, eta1)
+		}
+		if len(got.Spans) != 3 || len(got.Spans[2].Legs) != 0 {
+			t.Fatalf("q=%d: spans %+v, want three with no leg at iteration 2", q, got.Spans)
+		}
+		if len(got.Spans[1].Legs) != 1 {
+			continue // iteration 1 expanded hubs on both shards
+		}
+		if got.Degraded || got.Iterations != want.Iterations {
+			t.Errorf("q=%d: degraded %v after %d iterations, engine %d", q, got.Degraded, got.Iterations, want.Iterations)
+		}
+		for i, w := range want.PerIteration {
+			if g := got.PerIteration[i]; g.FrontierSize != w.FrontierSize || g.HubsExpanded != w.HubsExpanded || g.HubsSkipped != w.HubsSkipped {
+				t.Errorf("q=%d iteration %d: routed frontier/expanded/skipped %d/%d/%d, engine %d/%d/%d", q, i,
+					g.FrontierSize, g.HubsExpanded, g.HubsSkipped, w.FrontierSize, w.HubsExpanded, w.HubsSkipped)
+			}
+		}
+		if math.Float64bits(got.L1ErrorBound) != math.Float64bits(want.L1ErrorBound) || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("q=%d: routed bound %v over %d entries, engine %v over %d", q, got.L1ErrorBound, len(got.Entries), want.L1ErrorBound, len(want.Entries))
+		}
+		for k, en := range want.Entries {
+			if g := got.Entries[k]; g.Node != en.Node || math.Float64bits(g.Score) != math.Float64bits(en.Score) {
+				t.Fatalf("q=%d entry %d: routed %d=%v, engine %d=%v", q, k, g.Node, g.Score, en.Node, en.Score)
+			}
 		}
 		checked++
 	}

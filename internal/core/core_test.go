@@ -335,6 +335,48 @@ func TestStopConditionMaxIterations(t *testing.T) {
 	}
 }
 
+// TestPerIterationSizedOnce: a query that runs its eta records its stats into
+// one slice sized from the stop, so a retained answer is charged for exactly
+// the stats it holds.
+func TestPerIterationSizedOnce(t *testing.T) {
+	g, err := gen.RandomDirected(200, 5, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := exactOptions(40)
+	e, err := NewEngine(g, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	for eta := 0; eta <= 3; eta++ {
+		stop := StopCondition{MaxIterations: eta}
+		res, err := e.Query(3, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := e.NewQuery(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := qs.Serve(stop, func([]sparse.Entry) {})
+		for _, c := range []struct {
+			name string
+			r    *Result
+		}{{"Query", res}, {"Serve", served}} {
+			name, r := c.name, c.r
+			if r.Iterations != eta {
+				t.Fatalf("%s eta=%d: ran %d iterations; the case needs all of them", name, eta, r.Iterations)
+			}
+			if n, c := len(r.PerIteration), cap(r.PerIteration); n != eta+1 || c != n {
+				t.Errorf("%s eta=%d: PerIteration len %d cap %d, want both %d", name, eta, n, c, eta+1)
+			}
+		}
+	}
+}
+
 func TestDeltaPruningSkipsLowMassHubs(t *testing.T) {
 	g, err := gen.RandomDirected(200, 5, 17)
 	if err != nil {

@@ -50,6 +50,10 @@ type PartialIncrement struct {
 	// from the stored index (true exactly when the query node is a hub this
 	// shard owns).
 	FromIndex bool
+	// Delta is, for a root, this engine's Options.Delta: the threshold the
+	// router applies to the frontiers it sums, so a hub the owner's kernel
+	// would skip is never routed. Zero for an expansion.
+	Delta float64
 }
 
 // PartialRootSorted performs iteration 0 of a distributed query: the prime PPV
@@ -57,7 +61,8 @@ type PartialIncrement struct {
 // the fly otherwise. The returned frontier is the initial border-hub frontier
 // (with the empty-tour self-correction already applied) pruned by delta, ready
 // to be partitioned across shards by the router; HubsSkipped counts the hubs
-// pruned. Only the sorted slices are filled.
+// pruned, and Delta carries the threshold for the router's later frontiers.
+// Only the sorted slices are filled.
 func (e *Engine) PartialRootSorted(q graph.NodeID) (*PartialIncrement, error) {
 	qs, err := e.NewQuery(q)
 	if err != nil {
@@ -66,6 +71,7 @@ func (e *Engine) PartialRootSorted(q graph.NodeID) (*PartialIncrement, error) {
 	out := &PartialIncrement{
 		FromIndex:   !qs.result.QueryPPVComputed,
 		HubsSkipped: qs.src.(*localSource).pruned,
+		Delta:       e.opts.Delta,
 	}
 	out.IncrementNodes, out.IncrementScores = splitEntries(qs.bufs.acc.Entries())
 	out.FrontierNodes, out.FrontierScores = splitEntries(qs.bufs.frontier)
@@ -95,7 +101,8 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 // prefix slices, hubs strictly ascending (as the wire decoder delivers them),
 // restricted to the hubs this engine's partition owns: localSource.Expand's
 // per-hub kernel, but stateless — the caller owns the estimate, the frontier
-// merge and the stopping rule. Its next frontier is left unpruned (see
+// merge and the stopping rule. Its next frontier is left unpruned: it is one
+// addend of the router's sum, which the router prunes by the root's Delta (see
 // frontierOf). Frontier hubs outside the partition are refused into
 // Unowned. An index read error is returned, not recovered by recomputing
 // the hub: in a cluster it usually means this shard is restarting or

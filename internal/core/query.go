@@ -129,6 +129,9 @@ type QueryState struct {
 	// bound 1-mass is byte-reproducible without re-summing the whole estimate
 	// on every Step.
 	mass float64
+	// root is iteration 0's stat. It opens result.PerIteration, which is made
+	// only once the stop, and so the number of stats, is known (makeStats).
+	root IterationStat
 }
 
 // NewQuery starts incremental query processing for q and performs iteration 0
@@ -184,20 +187,34 @@ func startQuery(q graph.NodeID, src Source, b *queryBufs) (*QueryState, error) {
 		mass:         b.acc.Sum(),
 	}
 	bound := 1 - qs.mass
+	qs.root = IterationStat{
+		Iteration:    0,
+		MassAdded:    qs.mass,
+		L1ErrorBound: bound,
+		FrontierSize: src.Frontier(),
+		Duration:     time.Since(started),
+	}
 	qs.result = &Result{
 		Query:            q,
 		L1ErrorBound:     bound,
 		QueryPPVComputed: computed,
-		PerIteration: []IterationStat{{
-			Iteration:    0,
-			MassAdded:    qs.mass,
-			L1ErrorBound: bound,
-			FrontierSize: src.Frontier(),
-			Duration:     time.Since(started),
-		}},
+		Duration:         time.Since(started),
 	}
-	qs.result.Duration = time.Since(started)
 	return qs, nil
+}
+
+// maxPresizedIterations clamps the iterations makeStats sizes
+// Result.PerIteration for, so an unbounded (or huge) eta does not reserve
+// stats it will likely never record: the serving layer's default eta cap.
+const maxPresizedIterations = 8
+
+// makeStats makes result.PerIteration, iteration 0's stat first, with room
+// for n stats, unless it is made already. run sizes it from the stop, so a
+// query that runs its eta records into one exactly sized slice.
+func (qs *QueryState) makeStats(n int) {
+	if qs.result.PerIteration == nil {
+		qs.result.PerIteration = append(make([]IterationStat, 0, n), qs.root)
+	}
 }
 
 // localSource is the Source over an engine's own index: iteration 0 is the
@@ -277,7 +294,7 @@ func (e *Engine) expandable(prefix float64) bool { return prefix > e.opts.Delta 
 // at most delta are only counted as pruned. Only a frontier that holds each
 // hub's whole prefix may be pruned: a shard's PartialExpand frontier is one
 // addend of the router's sum, and two sub-delta addends can exceed delta, so
-// that frontier is left to stageHub.
+// that frontier is left whole and the router prunes the sum by the same rule.
 //
 // self is the query node of iteration 0 (-1 for an expansion). If it is a
 // hub, its entry includes the empty tour, which must not be extended (the
@@ -365,6 +382,7 @@ func (qs *QueryState) syncEstimate() {
 // estimate is shared with the query state; callers that keep iterating should
 // not modify it.
 func (qs *QueryState) Result() *Result {
+	qs.makeStats(1)
 	qs.syncEstimate()
 	return qs.result
 }
@@ -420,6 +438,7 @@ func (qs *QueryState) Exhausted() bool {
 // no-op that returns a zero-mass stat.
 func (qs *QueryState) Step() IterationStat {
 	iterStart := time.Now()
+	qs.makeStats(2)
 	qs.iteration++
 	stat := IterationStat{Iteration: qs.iteration}
 	if qs.Exhausted() {
@@ -493,6 +512,7 @@ func (qs *QueryState) Serve(stop StopCondition, take func(estimate []sparse.Entr
 
 func (qs *QueryState) run(stop StopCondition) {
 	maxIter := stop.maxIterations()
+	qs.makeStats(1 + min(maxIter, maxPresizedIterations))
 	for qs.iteration < maxIter {
 		if stop.TargetL1Error > 0 && qs.result.L1ErrorBound <= stop.TargetL1Error {
 			break

@@ -16,22 +16,34 @@ import (
 )
 
 // bodyPool recycles response buffers: encoding into a pooled buffer first
-// (instead of straight into the ResponseWriter) sets an exact Content-Length,
-// avoids chunked framing, and keeps the encoder's scratch out of the
-// per-request allocation bill. Buffers that ballooned on a huge top-k
+// (instead of straight into the ResponseWriter) gives every body an exact
+// Content-Length, avoids chunked framing, and keeps the encoder's scratch out
+// of the per-request allocation bill. Buffers that ballooned on a huge top-k
 // response are dropped instead of pinned in the pool.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 1 << 20
+
+// contentTypeJSON is every body's Content-Type value, assigned into the header
+// map as is: Header().Set would allocate a fresh value slice per response.
+var contentTypeJSON = []string{"application/json"}
+
+// netHTTPBuffer is the size of net/http's per-response buffer
+// (bufferBeforeChunkingSize). A body written in one Write that fits it is still
+// buffered when the handler returns, and net/http then sets its exact
+// Content-Length itself; a larger body needs the header from writeBody, or it
+// goes out chunked.
+const netHTTPBuffer = 2048
 
 // writeBody writes the body encode appends to an empty pooled buffer. If
 // encode fails (a non-finite float), the status goes out with an empty body.
 func writeBody(w http.ResponseWriter, status int, encode func(b []byte) ([]byte, error)) {
 	bp := bodyPool.Get().(*[]byte)
 	b, err := encode((*bp)[:0])
-	w.Header().Set("Content-Type", "application/json")
-	if err == nil {
-		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	if err == nil && len(b) > netHTTPBuffer {
+		h.Set("Content-Length", strconv.Itoa(len(b)))
 	}
 	w.WriteHeader(status)
 	if err == nil {

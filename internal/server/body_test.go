@@ -3,7 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -195,4 +199,36 @@ func TestRegenQueryResponseCorpus(t *testing.T) {
 		encodeFuzzResponse(fuzzBatch, QueryResponse{Node: 8, RequestedEta: 1, Iterations: 1, L1ErrorBound: 0.5,
 			Results: []ScoredNode{{Node: 8, Label: "x\ty", Score: 0.5}, {Node: -1, Score: 1e-300}}}, "", 0),
 	)
+}
+
+// TestWriteBodyFraming: a body that fits net/http's response buffer and one
+// that does not both go out with the JSON Content-Type and an exact
+// Content-Length, never chunked: net/http sets the length of the first, and
+// writeBody the length of the second.
+func TestWriteBodyFraming(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		writeBody(w, http.StatusOK, func(b []byte) ([]byte, error) {
+			return append(b, bytes.Repeat([]byte{'7'}, n)...), nil
+		})
+	}))
+	defer srv.Close()
+	for _, n := range []int{1, 300, netHTTPBuffer, netHTTPBuffer + 1, 5000} {
+		resp, err := http.Get(srv.URL + "/?n=" + strconv.Itoa(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%d-byte body: Content-Type %q", n, ct)
+		}
+		if resp.ContentLength != int64(n) || len(resp.TransferEncoding) != 0 || len(body) != n {
+			t.Errorf("%d-byte body: Content-Length %d, transfer encoding %v, %d bytes read",
+				n, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
 }

@@ -894,6 +894,7 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 		Unowned:      part.Unowned,
 		FromIndex:    part.FromIndex,
 		ComputeMS:    float64(time.Since(start)) / 1e6,
+		Delta:        part.Delta,
 	}, nil
 }
 
