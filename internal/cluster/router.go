@@ -16,11 +16,10 @@
 // and the router prunes each later one, the sum of the shards' frontiers, by
 // the delta the root reply carries. A hub the owner's kernel would skip never
 // crosses the wire, and a round with no hub above delta sends no leg. The
-// estimate only
-// accumulates non-negative tour mass, so the accuracy-aware bound
-// 1 - sum(estimate) remains exact under any failure: a down or slow shard
-// simply leaves its share of the mass unexpanded and the answer is returned
-// with a correctly widened error bound instead of an error.
+// estimate only accumulates non-negative tour mass, so the accuracy-aware
+// bound 1 - sum(estimate) remains exact under any failure: a down or slow
+// shard simply leaves its share of the mass unexpanded and the answer is
+// returned with a correctly widened error bound instead of an error.
 package cluster
 
 import (
@@ -245,8 +244,9 @@ func (r *Router) Close() {
 func (r *Router) NumNodes() int { return int(r.numNodes.Load()) }
 
 // ClusterEpoch returns the highest index epoch observed on any shard, and
-// whether any epoch has been observed yet. The serving layer keys its result
-// cache on it, so an accepted update instantly retires every pre-update entry.
+// whether any epoch has been observed yet. The serving layer serves a cached
+// answer only at the epoch it was computed at, so an accepted update instantly
+// retires every pre-update answer.
 func (r *Router) ClusterEpoch() (uint64, bool) {
 	e := r.clusterEpoch.Load()
 	if e < 0 {

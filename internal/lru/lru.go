@@ -229,9 +229,8 @@ func (c *Cache[K, V]) Invalidate(k K) bool {
 
 // InvalidateFunc drops every retained value for which stale reports true and
 // returns how many it dropped. Loads in flight have no value to judge and are
-// left alone: a caller that must keep a load begun before the sweep from
-// being retained after it either holds a lock across that load and its end,
-// or keys values so that such a fill is never looked up again.
+// left alone: a caller whose load begun before the sweep may end after it
+// tags values, so that a lookup can refuse such a fill.
 func (c *Cache[K, V]) InvalidateFunc(stale func(K, V) bool) int {
 	dropped := 0
 	for i := range c.shards {

@@ -27,9 +27,9 @@ type backend interface {
 	// numNodes returns the size of the served graph, 0 while it is not known
 	// (a router that has not reached a shard yet).
 	numNodes() int
-	// keyEpoch is the epoch component of result-cache keys (see
-	// CacheKey.Epoch).
-	keyEpoch() uint64
+	// epoch is the index epoch answers are served at: a cached answer is
+	// current only while its own epoch equals it.
+	epoch() uint64
 	// query answers key's query under stop. The answer's result is a
 	// cluster.Result without its estimate — a local engine's answer is the
 	// no-shard case of one — and its ranking of key.Top entries is taken from
@@ -61,8 +61,7 @@ func (b engineBackend) numNodes() int {
 	return b.s.engine.Graph().NumNodes()
 }
 
-// keyEpoch is constant: engine mode invalidates by hub dependency instead.
-func (engineBackend) keyEpoch() uint64 { return 0 }
+func (b engineBackend) epoch() uint64 { return b.s.engine.Epoch() }
 
 func (b engineBackend) query(key CacheKey, stop core.StopCondition, _ string, reach bool) (*cachedAnswer, error) {
 	qs, err := b.s.engine.NewQuery(key.Node)
@@ -148,16 +147,15 @@ func (routerBackend) mode() uint8 { return querylog.ModeRouter }
 
 func (b routerBackend) numNodes() int { return b.rt.NumNodes() }
 
-// keyEpoch is the cluster epoch: an accepted update moves every lookup to the
-// new epoch, so pre-update answers can never be served again and a post-update
-// request never joins a pre-update flight.
-func (b routerBackend) keyEpoch() uint64 {
+// epoch is the cluster epoch, which moves as soon as one shard accepts an
+// update: from then on no pre-update answer is served.
+func (b routerBackend) epoch() uint64 {
 	epoch, _ := b.rt.ClusterEpoch()
 	return epoch
 }
 
-// query ignores reach: a router retires answers by epoch, never by the nodes
-// they reach.
+// query ignores reach: a router's update carries no batch to test it against,
+// so its sweep retires every pre-update answer.
 func (b routerBackend) query(key CacheKey, stop core.StopCondition, traceID string, _ bool) (*cachedAnswer, error) {
 	ans := &cachedAnswer{}
 	res, err := b.rt.QueryTrace(key.Node, stop, traceID, func(estimate []sparse.Entry) {

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
@@ -14,20 +15,13 @@ import (
 )
 
 // CacheKey identifies one cacheable answer: the query node together with the
-// accuracy knobs that shaped it and the length of ranking it holds. Two
-// requests with the same key are exchangeable, so the cached answer is
-// byte-identical to recomputing.
+// accuracy knobs that shaped it and the length of ranking it holds. At one
+// epoch (cachedAnswer.epoch), two requests with the same key are
+// exchangeable, so the cached answer is byte-identical to recomputing.
 type CacheKey struct {
 	Node        graph.NodeID
 	Eta         int
 	TargetError float64
-	// Epoch is the cluster index epoch the answer belongs to (router mode
-	// only; engine mode invalidates by hub dependency instead and leaves it
-	// zero). Keying on it makes an accepted update instantly retire every
-	// pre-update answer — lookups move to the new epoch and the old entries
-	// age out — and keeps a post-update request from coalescing onto a
-	// pre-update flight.
-	Epoch uint64
 	// Top is the prefix class of the request's top (topClass): the length of
 	// the ranking the answer holds. Every top of one class is served from
 	// the same answer; a larger top is a different key, computed once.
@@ -48,9 +42,13 @@ func topClass(top int) int {
 // cachedAnswer is a computed query answer held by the cache and shared by
 // coalesced requests. It holds what render serves and what invalidation
 // reads, never the estimate itself: at bench scale a non-hub estimate is
-// ~4 400 entries (70 KB), its reach list ~4 KB and a 10-entry ranking 160 B.
-// Every field is immutable once stored.
+// ~1 100 entries (18 KB), its reach list ~1.2 KB and a 10-entry ranking 160 B.
+// Every field but epoch is immutable once stored.
 type cachedAnswer struct {
+	// epoch is the index epoch the answer is current at: the backend's when
+	// its computation began, moved on by Server.retire past each update that
+	// leaves it valid. Server.answer serves it only at the backend's epoch.
+	epoch atomic.Uint64
 	// result is the backend's answer without its estimate and shard spans
 	// (Entries and Spans are nil): the bound, iteration count and
 	// per-iteration stats render, the query log and /v1/stats read. For a
@@ -87,9 +85,9 @@ type cachedAnswer struct {
 // bookkeeping.
 func (a *cachedAnswer) sizeBytes() int64 {
 	const (
-		// fixed covers cachedAnswer (128 B), its cluster.Result (176 B), the
-		// LRU entry (80 B) and its slot in the shard map (~70 B).
-		fixed        = 454
+		// fixed covers cachedAnswer (144 B), its cluster.Result (160 B), the
+		// LRU entry (64 B) and its slot in the shard map (~62 B).
+		fixed        = 430
 		perEntry     = 16 // sparse.Entry: NodeID + float64
 		perIteration = 56 // core.IterationStat
 		perDep       = 4  // graph.NodeID
@@ -196,11 +194,10 @@ func NewCache(budgetBytes int64, numShards int) *Cache {
 // client can aim its queries at one shard's mutex. Every field is hashed at
 // full width; keys differing in one field only would otherwise share a shard.
 func (k CacheKey) hash(seed maphash.Seed) uint64 {
-	var b [36]byte
+	var b [28]byte
 	binary.LittleEndian.PutUint32(b[0:], uint32(k.Node))
 	binary.LittleEndian.PutUint64(b[4:], uint64(k.Eta))
 	binary.LittleEndian.PutUint64(b[12:], math.Float64bits(k.TargetError))
-	binary.LittleEndian.PutUint64(b[20:], k.Epoch)
-	binary.LittleEndian.PutUint64(b[28:], uint64(k.Top))
+	binary.LittleEndian.PutUint64(b[20:], uint64(k.Top))
 	return maphash.Bytes(seed, b[:])
 }

@@ -292,9 +292,8 @@ func TestCacheShardForSpreadsTargetError(t *testing.T) {
 		"target error": func(k *CacheKey, i int) { k.TargetError = 0.001 * float64(i+1) },
 		// Etas 256 apart: hashing only the low byte of eta puts them all on
 		// one shard.
-		"eta":   func(k *CacheKey, i int) { k.Eta = 2 + 256*i },
-		"epoch": func(k *CacheKey, i int) { k.Epoch = uint64(i) << 8 },
-		"top":   func(k *CacheKey, i int) { k.Top = defaultTopK + 256*i },
+		"eta": func(k *CacheKey, i int) { k.Eta = 2 + 256*i },
+		"top": func(k *CacheKey, i int) { k.Top = defaultTopK + 256*i },
 	} {
 		shards := make(map[uint64]struct{})
 		for i := 0; i < 64; i++ {

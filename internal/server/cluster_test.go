@@ -534,7 +534,7 @@ func TestClusterDirectShardUpdateDiverges(t *testing.T) {
 		t.Fatalf("direct update left shard at epoch %d, want 1", ur.Epoch)
 	}
 
-	// A different eta dodges the router's (epoch-0-keyed) cached answer.
+	// A different eta dodges the router's (epoch-0-tagged) cached answer.
 	divergedPath := fmt.Sprintf("/v1/ppv?node=%d&eta=4&top=5", node)
 	st, hdr, divergedBody := get(t, routerTS, divergedPath)
 	if st != http.StatusOK {

@@ -184,9 +184,9 @@ type Server struct {
 
 	// mu guards the engine: queries hold the read lock, ApplyUpdate holds the
 	// write lock (it swaps the graph and rewrites index entries in place).
-	// Cache fills happen under the read lock too, so an update's invalidation
-	// sweep can never race with a stale fill. Never write-locked in router
-	// mode (the router has no local mutable state).
+	// Cache fills happen under the read lock too, so an answer computed before
+	// an update is retained before it commits, for the update's retire sweep
+	// to find. Never write-locked in router mode (no local mutable state).
 	mu sync.RWMutex
 
 	registry *telemetry.Registry
@@ -506,7 +506,8 @@ func (s *Server) parseQuery(q rawQuery) (queryRequest, error) {
 	if q.node == "" {
 		return req, badRequest("missing node parameter")
 	}
-	node, err := strconv.Atoi(q.node)
+	// Node ids are 32-bit: a wider id must not wrap onto a valid node.
+	node, err := strconv.ParseInt(q.node, 10, 32)
 	if err != nil {
 		return req, badRequest("bad node %q", q.node)
 	}
@@ -561,9 +562,11 @@ const (
 )
 
 // answer resolves a query through the cache: a retained answer, a computation
-// of the same key already in flight, or finally the backend.
+// of the same key already in flight, or finally the backend. A retained or
+// shared answer is served only if it is current at the backend's epoch;
+// otherwise it is dropped and the query computed again.
 func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
-	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Epoch: s.be.keyEpoch(), Top: topClass(req.top)}
+	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Top: topClass(req.top)}
 	ans, outcome, err := s.cache.Do(key, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
 		ans, _, err := s.compute(key, end, "")
 		return ans, err
@@ -571,6 +574,9 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 	switch {
 	case err != nil:
 		return nil, cacheMiss, err
+	case outcome != lru.Loaded && ans.epoch.Load() != s.be.epoch():
+		s.cache.Invalidate(key)
+		return s.answer(req)
 	case s.cfg.CacheBytes < 0:
 		return ans, cacheBypass, nil
 	case outcome == lru.Hit:
@@ -583,11 +589,10 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 
 // compute runs one query under admission control: admit, ask the backend,
 // observe, capture the trace, end the cache flight (retaining the answer if
-// it is cacheable). A request that gets no slot is shed with 503. The read
-// lock is held from the query to the end of the flight, so an engine update's
-// invalidation sweep can never race a stale cache fill and a request arriving
-// after the update can never join a pre-update computation (in router mode
-// nothing ever write-locks it).
+// it is cacheable, tagged with the epoch it began at). A request that
+// gets no slot is shed with 503. The read lock is held from the query to the
+// end of the flight, so an engine answer is retained before any later update
+// commits (in router mode nothing ever write-locks it).
 //
 // A non-empty explicitID makes this an explicit (?trace=1) computation: the
 // id travels to every shard leg, the trace is retained under it whatever the
@@ -607,9 +612,13 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Only engine-mode invalidation reads the reach list (a router retires
-	// answers by epoch), and only of an answer the cache keeps: an engine
-	// answer is kept unless it was explicitly traced.
+	// The answer is current at the epoch its computation began at, not its
+	// result's: a router answer degraded by a behind root is all any
+	// computation at this epoch gives, so it may be shared.
+	epoch := s.be.epoch()
+	// Only engine-mode invalidation reads the reach list (a router's sweep
+	// retires every pre-update answer), and only of an answer the cache keeps:
+	// an engine answer is kept unless it was explicitly traced.
 	ans, err := s.be.query(key, stop, explicitID, !explicit && s.cfg.CacheBytes > 0)
 	if err != nil {
 		return nil, nil, err
@@ -629,13 +638,12 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	// computation; spans are only assembled when one is kept.
 	rt := s.captureCompute(key.Eta, ans, explicitID)
 	// Degraded answers carry a bound widened by lost or lagging shards; they
-	// must not outlive the condition in the cache. An answer an
-	// update raced (the key epoch has moved on) is left uncached too: no
-	// future lookup would use the outdated key.
-	retain := !explicit && !res.Degraded && s.be.keyEpoch() == key.Epoch
+	// must not outlive the condition in the cache.
+	retain := !explicit && !res.Degraded
 	// The answer keeps what it serves: the shard spans have been traced and
 	// go with the request.
 	res.Spans = nil
+	ans.epoch.Store(epoch)
 	end(ans, ans.sizeBytes(), retain)
 	return ans, rt, nil
 }
@@ -942,9 +950,27 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.handleClusterUpdate(w, ureq)
 		return
 	}
-	upd := core.GraphUpdate{NumNodes: ureq.NumNodes}
+	stats, err := s.applyUpdate(ureq)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	s.updates.Add(1)
+	writeJSON(w, http.StatusOK, UpdateResponse{
+		AffectedHubs:   stats.AffectedHubs,
+		UnaffectedHubs: stats.UnaffectedHubs,
+		Invalidated:    s.retire(stats.Epoch, &stats),
+		DurationMS:     float64(stats.Duration) / 1e6,
+		Epoch:          stats.Epoch,
+	})
+}
 
+// applyUpdate is the locked half of an engine update. The retire sweep runs
+// after it, outside the write lock, so readers wait only for ApplyUpdate.
+func (s *Server) applyUpdate(ureq UpdateRequest) (core.UpdateStats, error) {
+	upd := core.GraphUpdate{NumNodes: ureq.NumNodes}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// A replica that failed an update past its commit point may mix old and
 	// new state; applying further batches on top would compound the damage
 	// and hand divergent state a newer epoch. Refuse until an operator
@@ -952,61 +978,37 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// the write lock: an update queued behind the one that failed must see
 	// the flag it set, not the pre-failure value.
 	if s.inconsistent.Load() {
-		s.mu.Unlock()
-		writeError(w, &httpError{status: http.StatusConflict, code: api.CodeConflict,
-			msg: "engine is inconsistent after a failed update; restart or re-precompute before updating again"})
-		return
+		return core.UpdateStats{}, &httpError{status: http.StatusConflict, code: api.CodeConflict,
+			msg: "engine is inconsistent after a failed update; restart or re-precompute before updating again"}
 	}
-	if ureq.IfEpoch != nil && *ureq.IfEpoch != s.engine.Epoch() {
-		epoch := s.engine.Epoch()
-		s.mu.Unlock()
-		writeError(w, &httpError{status: http.StatusConflict, code: api.CodeEpochMismatch,
-			msg: fmt.Sprintf("engine is at epoch %d, not %d", epoch, *ureq.IfEpoch)})
-		return
+	if epoch := s.engine.Epoch(); ureq.IfEpoch != nil && *ureq.IfEpoch != epoch {
+		return core.UpdateStats{}, &httpError{status: http.StatusConflict, code: api.CodeEpochMismatch,
+			msg: fmt.Sprintf("engine is at epoch %d, not %d", epoch, *ureq.IfEpoch)}
 	}
-	numNodes := s.engine.Graph().NumNodes()
-	if ureq.NumNodes > numNodes {
-		numNodes = ureq.NumNodes
-	}
+	numNodes := max(s.engine.Graph().NumNodes(), ureq.NumNodes)
 	var err error
 	if upd.AddedEdges, err = parseEdges("added_edges", ureq.AddedEdges, numNodes); err == nil {
 		upd.RemovedEdges, err = parseEdges("removed_edges", ureq.RemovedEdges, numNodes)
 	}
 	if err != nil {
-		s.mu.Unlock()
-		writeError(w, err)
-		return
+		return core.UpdateStats{}, err
 	}
 	stats, err := s.engine.ApplyUpdate(upd)
-	var invalidated int
-	if err == nil {
-		invalidated = s.invalidateLocked(stats)
-		s.updates.Add(1)
-	} else {
+	if err != nil {
 		// ApplyUpdate stages recomputation before committing, so most errors
 		// leave the engine untouched — but an index write error during the
 		// commit can leave it mixing old and new state. Drop every cached
 		// answer and fail health checks so a load balancer rotates this
 		// replica out instead of serving silently wrong scores.
 		s.inconsistent.Store(true)
-		invalidated = s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
+		s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
+		return stats, fmt.Errorf("update failed: %w", err)
 	}
-	s.mu.Unlock()
-	if err != nil {
-		writeError(w, fmt.Errorf("update failed: %w", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, UpdateResponse{
-		AffectedHubs:   stats.AffectedHubs,
-		UnaffectedHubs: stats.UnaffectedHubs,
-		Invalidated:    invalidated,
-		DurationMS:     float64(stats.Duration) / 1e6,
-		Epoch:          stats.Epoch,
-	})
+	return stats, nil
 }
 
 // handleClusterUpdate fans a validated update out to every shard through the
-// router and invalidates the router-side result cache once any shard has
+// router and retires the router-side result cache once any shard has
 // accepted it. The response lists the per-shard outcomes: a partially applied
 // batch answers 200 with degraded:true — the update is live on the shards
 // that took it, and the stragglers' stale epochs fold them out of query
@@ -1022,11 +1024,9 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, ureq UpdateRequest) 
 		writeError(w, &httpError{status: http.StatusServiceUnavailable, code: api.CodeUnavailable, msg: err.Error()})
 		return
 	}
-	// The epoch in the cache key already retires pre-update entries; the
-	// sweep just returns their memory ahead of LRU pressure. It runs without
-	// a lock: a pre-update computation ending after it retains its answer
-	// under the old epoch, where no lookup reaches it again.
-	invalidated := s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
+	// The cluster epoch moved when the first shard accepted, so lookups
+	// already refuse pre-update answers; retire counts them and returns
+	// their memory ahead of LRU pressure.
 	s.updates.Add(1)
 	writeJSON(w, http.StatusOK, api.ClusterUpdateResponse{
 		Epoch:         cu.Epoch,
@@ -1034,7 +1034,7 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, ureq UpdateRequest) 
 		ShardsFailed:  len(cu.Results) - cu.Applied,
 		Degraded:      cu.Degraded(),
 		Shards:        cu.Results,
-		Invalidated:   invalidated,
+		Invalidated:   s.retire(cu.Epoch, nil),
 		DurationMS:    float64(cu.Duration) / 1e6,
 	})
 }
@@ -1056,27 +1056,31 @@ func statusForCode(code string) int {
 	}
 }
 
-// invalidateLocked drops exactly the cached answers an update can have made
-// stale: answers that expanded a recomputed hub, answers for a query node
-// whose out-edges changed, and answers whose estimate reaches a touched node
-// (their on-the-fly prime PPV crossed the modified region), read from the
-// answer's reach list. Called with the write lock held, so no stale fill can
-// interleave.
-func (s *Server) invalidateLocked(stats core.UpdateStats) int {
-	recomputed := make(map[graph.NodeID]struct{}, len(stats.Recomputed))
-	for _, h := range stats.Recomputed {
-		recomputed[h] = struct{}{}
+// retire brings the cached answers up to epoch e, just committed by batch (nil
+// for a router's update), and returns how many it dropped. An answer current
+// at e or later stays; one current at e-1 moves on to e unless it expanded a
+// recomputed hub, its query node's out-edges changed, or its reach list holds
+// a touched node (its on-the-fly prime PPV crossed the modified region). The
+// rest are dropped. It runs outside the write lock: an epoch moves only from
+// e-1 to e and lookups serve only the current one, so in any interleaving of
+// sweeps and lookups nothing stale is served.
+func (s *Server) retire(e uint64, batch *core.UpdateStats) int {
+	in := func(sorted []graph.NodeID, n graph.NodeID) bool {
+		_, ok := slices.BinarySearch(sorted, n)
+		return ok
 	}
 	return s.cache.InvalidateFunc(func(k CacheKey, ans *cachedAnswer) bool {
-		if _, ok := slices.BinarySearch(stats.TouchedNodes, k.Node); ok {
+		tag := ans.epoch.Load()
+		if tag >= e {
+			return false
+		}
+		if tag+1 < e || batch == nil || in(batch.TouchedNodes, k.Node) ||
+			slices.ContainsFunc(ans.deps, func(h graph.NodeID) bool { return in(batch.Recomputed, h) }) ||
+			reachesAny(ans.reach, batch.TouchedNodes) {
 			return true
 		}
-		for _, h := range ans.deps {
-			if _, ok := recomputed[h]; ok {
-				return true
-			}
-		}
-		return reachesAny(ans.reach, stats.TouchedNodes)
+		ans.epoch.Store(e)
+		return false
 	})
 }
 

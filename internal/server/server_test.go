@@ -724,6 +724,26 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerNodeIDBeyondInt32 checks that a node id outside the 32-bit range
+// is refused on both query endpoints instead of wrapping onto a valid node
+// (4294967298 is 2 modulo 2^32).
+func TestServerNodeIDBeyondInt32(t *testing.T) {
+	srv, err := New(testEngine(t, socialGraph(t, 100), 10), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, node := range []string{"4294967298", "2147483648", "-4294967294"} {
+		if status, _, body := get(t, ts, "/v1/ppv?node="+node); status != http.StatusBadRequest {
+			t.Errorf("GET node %s: status %d (%s), want 400", node, status, body)
+		}
+		if status, body := post(t, ts, "/v1/ppv/batch", `{"queries":[{"node":`+node+`}]}`); status != http.StatusBadRequest {
+			t.Errorf("batch node %s: status %d (%s), want 400", node, status, body)
+		}
+	}
+}
+
 // durableIndex is an IndexStore that pretends to persist updates behind an
 // update log, standing in for ppvindex.Store: Compact empties
 // the pretend log and reports what it folded.
