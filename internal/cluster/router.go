@@ -83,6 +83,8 @@ type Router struct {
 	logger  *slog.Logger
 	met     routerMetrics
 
+	// numNodes is the node count of the served graph: 0 until discovered,
+	// then only raised (raiseNodes).
 	numNodes atomic.Int64
 	// clusterEpoch is the highest index epoch the router has observed on any
 	// shard (from partial responses, update fan-outs and stats probes); -1
@@ -240,8 +242,20 @@ func (r *Router) Close() {
 }
 
 // NumNodes returns the node count of the served graph, discovered from shard
-// stats; zero while no shard has been reachable yet.
+// stats and raised by every update fan-out that adds nodes; zero while no
+// shard has been reachable yet.
 func (r *Router) NumNodes() int { return int(r.numNodes.Load()) }
+
+// raiseNodes raises the node count to n if n is larger. An update may add
+// nodes and none removes them, so the count never lowers.
+func (r *Router) raiseNodes(n int) {
+	for {
+		old := r.numNodes.Load()
+		if int64(n) <= old || r.numNodes.CompareAndSwap(old, int64(n)) {
+			return
+		}
+	}
+}
 
 // ClusterEpoch returns the highest index epoch observed on any shard, and
 // whether any epoch has been observed yet. The serving layer serves a cached
@@ -299,7 +313,7 @@ func (r *Router) probeAll() {
 				continue
 			}
 			if n, _, ok := r.fetchShardStats(s); ok && n > 0 {
-				r.numNodes.Store(int64(n))
+				r.raiseNodes(n)
 				break
 			}
 		}
@@ -930,6 +944,7 @@ func (r *Router) Update(req api.UpdateRequest) (*ClusterUpdate, error) {
 			} else {
 				s.setEpoch(resp.Epoch)
 				r.observeEpoch(resp.Epoch)
+				r.raiseNodes(req.NumNodes)
 				out.Applied = true
 				out.Epoch = resp.Epoch
 				out.AffectedHubs = resp.AffectedHubs

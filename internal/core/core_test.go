@@ -430,43 +430,6 @@ func TestDeltaPruningSkipsLowMassHubs(t *testing.T) {
 	}
 }
 
-// TestHubDepsSortedUnion checks that HubDeps is the union, ascending and
-// without repeats, of the query node when it is a hub and every frontier hub a
-// Step expanded — hubs recur across iterations, so the per-Step merge must drop
-// repeats — and that it is nil once the query is Closed.
-func TestHubDepsSortedUnion(t *testing.T) {
-	e := socialEngine(t, 2000, 5)
-	for q := graph.NodeID(0); q < 80; q++ {
-		qs, err := e.NewQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[graph.NodeID]bool{}
-		if e.Hubs().Contains(q) {
-			want[q] = true
-		}
-		for i := 0; i < 4 && !qs.Exhausted(); i++ {
-			for _, fe := range qs.bufs.frontier {
-				want[fe.Node] = true
-			}
-			qs.Step()
-		}
-		got := qs.HubDeps()
-		if len(got) != len(want) {
-			t.Fatalf("q=%d: %d deps, want %d", q, len(got), len(want))
-		}
-		for i, h := range got {
-			if !want[h] || (i > 0 && h <= got[i-1]) {
-				t.Fatalf("q=%d: deps %v not the ascending union of the expanded hubs", q, got)
-			}
-		}
-		qs.Close()
-		if deps := qs.HubDeps(); deps != nil {
-			t.Fatalf("q=%d: HubDeps after Close = %v, want nil", q, deps)
-		}
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
 	g, _ := toyGraph(t)
 	e, err := NewEngine(g, nil, exactOptions(2))

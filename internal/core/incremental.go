@@ -21,13 +21,14 @@ type UpdateStats struct {
 	AffectedHubs int
 	// UnaffectedHubs is the number of hubs whose indexed prime PPV was kept.
 	UnaffectedHubs int
-	// Recomputed lists the recomputed hubs in ascending order; result caches
-	// invalidate every cached answer that depends on one of them.
+	// Recomputed lists the recomputed hubs in ascending order.
 	Recomputed []graph.NodeID
 	// TouchedNodes lists, in ascending order, the nodes whose outgoing
 	// transition behaviour changed. A cached answer whose estimate reaches one
-	// of these nodes may be stale even if it expanded no recomputed hub (its
-	// own prime PPV was computed on the fly over the old graph).
+	// of these nodes may be stale. One that reaches none is not: a hub is
+	// recomputed only when it is touched or its record holds a touched node,
+	// so an estimate that expanded it has a positive entry at a touched node,
+	// and an on-the-fly prime PPV has one at every node it pushed from.
 	TouchedNodes []graph.NodeID
 	// Epoch is the engine's index epoch after this update committed.
 	Epoch uint64

@@ -188,10 +188,11 @@ func totalAlloc() uint64 {
 // allocation cut, and the push precision rule's, in place. The ceilings sit
 // ~25 % above what this commit measures on a 5 000-node SocialGraph with 500
 // hubs: ~41 KB an Engine.Query, which builds the estimate both as sorted
-// entries and as the public map; 0.82 KB a query served the way the server
-// runs it (NewQuery, then Serve ranking TopKEntries(10) and taking HubDeps
-// from the pooled estimate — no copy of it; the ceiling leaves ~45 %, far
-// below the 15.8 KB of the Run, Close and TopK(10) it replaced); 12.9 KB
+// entries and as the public map; 0.62 KB a query served the way the server
+// runs it (NewQuery, then Serve ranking TopKEntries(10) from the pooled
+// estimate — no copy of it; the ceiling was set at 0.82 KB, when the query
+// also cloned the list of hubs it expanded, and is far below the 15.8 KB of
+// the Run, Close and TopK(10) it replaced); 12.9 KB
 // a shard leg (PartialRootSorted on a non-hub node, its frontier pruned by
 // delta, then PartialExpand of that frontier — sorted slices only); 0.90 MB a
 // Precompute. With every push at epsilon = 1e-8 rather than Clip/100 the
@@ -248,7 +249,6 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 		qs.Serve(stop, func(estimate []sparse.Entry) {
 			sparse.TopKEntries(estimate, 10)
-			qs.HubDeps()
 		})
 		return nil
 	})

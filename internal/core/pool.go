@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fastppv/internal/graph"
 	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
@@ -35,10 +34,6 @@ type queryBufs struct {
 	// unreadable and had to be pushed on the fly, between the push and the
 	// staging call that folds it.
 	record []byte
-	// deps holds the hubs whose indexed prime PPV a local query consumed,
-	// ascending and without duplicates (QueryState.HubDeps); depsMerge is the
-	// destination of the merge that folds in each Step's hubs.
-	deps, depsMerge []graph.NodeID
 }
 
 func (b *queryBufs) reset() {
@@ -46,31 +41,6 @@ func (b *queryBufs) reset() {
 	b.inc.Reset()
 	b.frontier = b.frontier[:0]
 	b.record = b.record[:0]
-	b.deps = b.deps[:0]
-}
-
-// mergeDeps folds the hubs appended to deps from index at — one Step's
-// expanded hubs, ascending because the frontier is — into the sorted prefix
-// with one linear merge that drops repeats.
-func (b *queryBufs) mergeDeps(at int) {
-	old, step := b.deps[:at], b.deps[at:]
-	if len(step) == 0 || len(old) == 0 || old[len(old)-1] < step[0] {
-		return
-	}
-	out := b.depsMerge[:0]
-	i := 0
-	for _, h := range step {
-		for i < len(old) && old[i] < h {
-			out = append(out, old[i])
-			i++
-		}
-		if i < len(old) && old[i] == h {
-			i++
-		}
-		out = append(out, h)
-	}
-	out = append(out, old[i:]...)
-	b.deps, b.depsMerge = out, b.deps
 }
 
 var (

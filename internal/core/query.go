@@ -241,7 +241,6 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 	if fromIndex {
 		estimate.SetEncoded(view.EntryBytes())
 		view.Release()
-		b.deps = append(b.deps, q)
 	} else {
 		queryPPV, _, err := b.scratch.Push(s.adj, q, e.hubs, e.opts.primeOptions(), 0)
 		if err != nil {
@@ -265,16 +264,13 @@ func (s *localSource) Frontier() int { return len(s.b.frontier) + s.pruned }
 func (s *localSource) Expand(_ int, inc *sparse.Accumulator) (expanded, skipped int) {
 	b := s.b
 	skipped = s.pruned
-	consumed := len(b.deps)
 	for _, fe := range b.frontier {
 		if ok, _ := s.e.stageHub(b, inc, fe.Node, fe.Score, true); ok {
-			b.deps = append(b.deps, fe.Node)
 			expanded++
 		} else {
 			skipped++
 		}
 	}
-	b.mergeDeps(consumed)
 	// One merge of the staged records' sorted runs (per-node contributions
 	// sum in ascending-hub order, bit-equal to merging hub by hub); the
 	// retired frontier's storage then takes the next one.
@@ -413,20 +409,6 @@ func (qs *QueryState) L1ErrorBound() float64 { return qs.result.L1ErrorBound }
 // NewQuery). Serving layers use it to report how far a degraded answer got.
 func (qs *QueryState) Iteration() int { return qs.iteration }
 
-// HubDeps returns a copy, in ascending order, of the hubs whose indexed prime
-// PPV this local query has consumed so far (iteration 0 when the query node is
-// a hub, plus every hub a Step expanded); a remote source consumes none.
-// Result caches use it for targeted invalidation after a graph update: a
-// cached answer derived from this state is stale once any of these hubs is
-// recomputed. The list lives in the pooled bundle, so call HubDeps before
-// Close; after Close it returns nil.
-func (qs *QueryState) HubDeps() []graph.NodeID {
-	if qs.bufs == nil {
-		return nil
-	}
-	return slices.Clone(qs.bufs.deps)
-}
-
 // Exhausted reports whether no extendable hubs remain, i.e. further Steps
 // cannot improve the estimate.
 func (qs *QueryState) Exhausted() bool {
@@ -498,7 +480,7 @@ func (qs *QueryState) Run(stop StopCondition) *Result {
 // stop says stop, hands the final estimate (sorted by node id, still in the
 // pooled bundle) to take, and then recycles the bundle without copying the
 // estimate out, so the returned Result has no Entries. take must not retain
-// the slice; HubDeps may be called inside it. The state is closed on return.
+// the slice. The state is closed on return.
 func (qs *QueryState) Serve(stop StopCondition, take func(estimate []sparse.Entry)) *Result {
 	qs.run(stop)
 	if qs.bufs != nil {

@@ -53,19 +53,17 @@ func TestFailedRecordReadIsReadOnce(t *testing.T) {
 	}
 	healthy, failing := engines[0], engines[1]
 
-	// A non-hub source and a hub its first Step expands.
+	// A non-hub source and a hub its first Step expands: one of its root's
+	// frontier, which is pruned by delta as Step prunes it.
 	src := nonHubSources(healthy, 0, 1)[0]
-	qs, err := healthy.NewQuery(src)
+	root, err := healthy.PartialRootSorted(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs.Step()
-	deps := qs.HubDeps()
-	qs.Close()
-	if len(deps) == 0 {
+	if len(root.FrontierNodes) == 0 {
 		t.Fatalf("source %d expands no hub in one step; the test needs a different graph", src)
 	}
-	bad := deps[0]
+	bad := root.FrontierNodes[0]
 	store.bad = bad
 
 	if _, err := failing.NewQuery(bad); !errors.Is(err, errRecordRead) {

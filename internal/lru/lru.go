@@ -60,10 +60,11 @@ const (
 )
 
 // Stats is a point-in-time summary, aggregated over shards. Misses counts
-// every lookup that found no entry; in Do each miss either shares a flight
-// (Coalesced) or starts one (Loads). Puts counts every retained store,
-// replacements included; Invalidations counts entries dropped by Invalidate
-// and InvalidateFunc.
+// every lookup that found no entry, or one that failed Do's freshness test;
+// in Do each miss shares a flight (Coalesced) or starts one (Loads), and a
+// shared value that fails the test is followed by another of the two. Puts
+// counts every retained store, replacements included; Invalidations counts
+// entries dropped by Invalidate, InvalidateFunc and a failed freshness test.
 type Stats struct {
 	Hits, Misses, Coalesced, Loads int64
 	Puts, Evictions, Invalidations int64
@@ -97,11 +98,18 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.getLocked(k)
+	return s.getLocked(k, nil)
 }
 
-func (s *shard[K, V]) getLocked(k K) (V, bool) {
+// getLocked is a lookup of k: a retained value that fails fresh (unless nil)
+// is dropped, and counted as an invalidation and a miss.
+func (s *shard[K, V]) getLocked(k K, fresh func(V) bool) (V, bool) {
 	e, ok := s.items[k]
+	if ok && fresh != nil && !fresh(e.val) {
+		s.removeLocked(e)
+		s.st.Invalidations++
+		ok = false
+	}
 	if !ok {
 		s.st.Misses++
 		var zero V
@@ -167,24 +175,37 @@ func (s *shard[K, V]) removeLocked(e *entry[K, V]) {
 // result current — and Do ends the flight without retaining when load
 // returns, panics included. Callers that joined the flight get load's return
 // values, or ErrLoadPanicked.
-func (c *Cache[K, V]) Do(k K, load func(end func(v V, size int64, retain bool)) (V, error)) (V, Outcome, error) {
+//
+// fresh, unless nil, is the test a value must pass to be served. A retained
+// value that fails it is dropped, and the lookup counts as a miss and an
+// invalidation; a shared flight whose value fails it is not served, and Do
+// loads again. fresh runs under the shard's lock on a lookup, so it must be
+// quick and must not call the cache.
+func (c *Cache[K, V]) Do(k K, fresh func(V) bool, load func(end func(v V, size int64, retain bool)) (V, error)) (V, Outcome, error) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if v, ok := s.getLocked(k); ok {
+	if v, ok := s.getLocked(k, fresh); ok {
 		s.mu.Unlock()
 		return v, Hit, nil
 	}
-	return s.miss(k, load)
+	return s.miss(k, fresh, load)
 }
 
 // miss is Do past a failed lookup, entered with s.mu held. It is kept out of
 // Do so that the hit path stays a small frame with no defer.
-func (s *shard[K, V]) miss(k K, load func(end func(v V, size int64, retain bool)) (V, error)) (V, Outcome, error) {
-	if fl, ok := s.flights[k]; ok {
+func (s *shard[K, V]) miss(k K, fresh func(V) bool, load func(end func(v V, size int64, retain bool)) (V, error)) (V, Outcome, error) {
+	for {
+		fl, ok := s.flights[k]
+		if !ok {
+			break
+		}
 		s.st.Coalesced++
 		s.mu.Unlock()
 		<-fl.done
-		return fl.val, Shared, fl.err
+		if fl.err != nil || fresh == nil || fresh(fl.val) {
+			return fl.val, Shared, fl.err
+		}
+		s.mu.Lock()
 	}
 	fl := &flight[V]{done: make(chan struct{}), err: ErrLoadPanicked}
 	s.flights[k] = fl

@@ -33,7 +33,7 @@ func mustGet(t *testing.T, c *Cache[int, int], k int, want bool) {
 
 func mustDo(t *testing.T, c *Cache[int, int], k int, load func(func(int, int64, bool)) (int, error), want Outcome) {
 	t.Helper()
-	v, got, err := c.Do(k, load)
+	v, got, err := c.Do(k, nil, load)
 	if err != nil || v != value(k) || got != want {
 		t.Errorf("Do(%d) = %d, %v, %v; want %d, %v", k, v, got, err, value(k), want)
 	}
@@ -155,7 +155,7 @@ func TestCache(t *testing.T) {
 		run: func(t *testing.T, c *Cache[int, int]) {
 			boom := errors.New("boom")
 			for i := 0; i < 2; i++ {
-				if _, _, err := c.Do(1, func(func(int, int64, bool)) (int, error) { return 0, boom }); err != boom {
+				if _, _, err := c.Do(1, nil, func(func(int, int64, bool)) (int, error) { return 0, boom }); err != boom {
 					t.Errorf("Do err = %v, want boom", err)
 				}
 			}
@@ -172,7 +172,7 @@ func TestCache(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if v, _, err := c.Do(7, func(end func(int, int64, bool)) (int, error) {
+					if v, _, err := c.Do(7, nil, func(end func(int, int64, bool)) (int, error) {
 						<-gate
 						return retaining(7, 100)(end)
 					}); err != nil || v != value(7) {
@@ -225,9 +225,9 @@ func TestDoPanickingLoad(t *testing.T) {
 	leader := make(chan any, 1)
 	go func() {
 		defer func() { leader <- recover() }()
-		c.Do(1, func(func(int, int64, bool)) (int, error) {
+		c.Do(1, nil, func(func(int, int64, bool)) (int, error) {
 			go func() {
-				_, _, err := c.Do(1, retaining(1, 100))
+				_, _, err := c.Do(1, nil, retaining(1, 100))
 				follower <- err
 			}()
 			for c.Stats().Coalesced == 0 {
@@ -241,7 +241,7 @@ func TestDoPanickingLoad(t *testing.T) {
 		if got := <-leader; got != "load failed" {
 			t.Errorf("leader recovered %v, want the load's panic", got)
 		}
-		_, out, _ := c.Do(1, retaining(1, 100))
+		_, out, _ := c.Do(1, nil, retaining(1, 100))
 		second <- out
 	}()
 	timeout := time.After(10 * time.Second)
@@ -260,6 +260,52 @@ func TestDoPanickingLoad(t *testing.T) {
 		}
 	case <-timeout:
 		t.Fatal("Do of a key whose load panicked never returned")
+	}
+}
+
+// TestDoStale checks Do's freshness test: a retained value that fails it is
+// dropped and the lookup is a miss, not a hit, and a caller that shared a
+// flight whose value fails it loads again instead of returning that value.
+func TestDoStale(t *testing.T) {
+	c := New[int, int](1<<20, 1, identity)
+	never := func(int) bool { return false }
+	c.Put(1, value(1), 100)
+	if v, out, err := c.Do(1, never, retaining(1, 100)); err != nil || v != value(1) || out != Loaded {
+		t.Errorf("Do of a stale retained value = %d, %v, %v; want a load", v, out, err)
+	}
+	want := Stats{Misses: 1, Loads: 1, Puts: 2, Invalidations: 1, Entries: 1, Bytes: 100, BudgetBytes: 1 << 20}
+	if st := c.Stats(); st != want {
+		t.Errorf("stats after a stale lookup = %+v\n                           want %+v", st, want)
+	}
+
+	gate := make(chan struct{})
+	led := make(chan struct{})
+	go func() {
+		defer close(led)
+		c.Do(2, nil, func(func(int, int64, bool)) (int, error) {
+			<-gate
+			return value(2), nil // served, not retained
+		})
+	}()
+	for c.Stats().Loads < 2 {
+		runtime.Gosched()
+	}
+	follower := make(chan Outcome, 1)
+	calls := 0
+	go func() {
+		_, out, _ := c.Do(2, func(int) bool { calls++; return calls > 1 }, retaining(2, 100))
+		follower <- out
+	}()
+	for c.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+	<-led
+	if out := <-follower; out != Loaded {
+		t.Errorf("a caller sharing a stale flight: outcome %v, want its own load", out)
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Coalesced != 1 || st.Loads != 3 || st.Hits != 0 {
+		t.Errorf("stats after a stale shared flight = %+v, want 3 misses, 1 coalesced, 3 loads, no hit", st)
 	}
 }
 
@@ -284,7 +330,10 @@ func TestCacheConcurrentAccounting(t *testing.T) {
 						t.Errorf("Get(%d) = %d", k, v)
 					}
 				case op < 16:
-					if v, _, err := c.Do(k, retaining(k, size(k))); err != nil || v != value(k) {
+					// A quarter of the values Do is handed, retained or
+					// shared, fail its freshness test.
+					fresh := func(int) bool { return rng.Intn(4) != 0 }
+					if v, _, err := c.Do(k, fresh, retaining(k, size(k))); err != nil || v != value(k) {
 						t.Errorf("Do(%d) = %d, %v", k, v, err)
 					}
 				case op < 18:

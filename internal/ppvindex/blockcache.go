@@ -95,7 +95,7 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	if !c.inner.Has(h) {
 		return HubRecordView{}, false, nil
 	}
-	raw, _, err := c.blocks.Do(h, func(end func([]byte, int64, bool)) ([]byte, error) {
+	raw, _, err := c.blocks.Do(h, nil, func(end func([]byte, int64, bool)) ([]byte, error) {
 		// The payload is copied while the inner view's pin is held, so it
 		// never dangles into an unmapped generation.
 		view, ok, err := c.inner.GetView(h)

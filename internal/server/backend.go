@@ -34,8 +34,8 @@ type backend interface {
 	// cluster.Result without its estimate — a local engine's answer is the
 	// no-shard case of one — and its ranking of key.Top entries is taken from
 	// the pooled estimate before it is recycled, with the reach list when
-	// reach is set (an engine answer only) and the hub records it depends on.
-	// The caller holds Server.mu for reading.
+	// reach is set (an engine answer only). The caller holds Server.mu for
+	// reading.
 	query(key CacheKey, stop core.StopCondition, traceID string, reach bool) (*cachedAnswer, error)
 	// labelResults fills in node labels where the backend has them.
 	labelResults(results []ScoredNode)
@@ -77,7 +77,6 @@ func (b engineBackend) query(key CacheKey, stop core.StopCondition, _ string, re
 		if reach {
 			ans.reach = appendReach(estimate)
 		}
-		ans.deps = qs.HubDeps()
 	})
 	ans.result = &cluster.Result{Result: *res, Epoch: b.s.engine.Epoch()}
 	return ans, nil

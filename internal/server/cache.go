@@ -40,7 +40,7 @@ func topClass(top int) int {
 }
 
 // cachedAnswer is a computed query answer held by the cache and shared by
-// coalesced requests. It holds what render serves and what invalidation
+// coalesced requests. It holds what render serves and what Server.retire
 // reads, never the estimate itself: at bench scale a non-hub estimate is
 // ~1 100 entries (18 KB), its reach list ~1.2 KB and a 10-entry ranking 160 B.
 // Every field but epoch is immutable once stored.
@@ -61,13 +61,11 @@ type cachedAnswer struct {
 	// class by slicing — a cache hit is constant work.
 	top []sparse.Entry
 	// reach lists the nodes with a non-zero score in the estimate, ascending,
-	// as uvarint deltas (appendReach): what the touched-node invalidation
-	// rule reads. It is built only for an engine answer the cache retains;
-	// nil otherwise.
+	// as uvarint deltas (appendReach): the one record of what the answer
+	// depends on, which Server.retire tests against an update's touched
+	// nodes. It is built only for an engine answer the cache retains; nil
+	// otherwise.
 	reach []byte
-	// deps are the hubs whose indexed prime PPV the computation consumed, in
-	// ascending order (core.QueryState.HubDeps); invalidation is keyed on them.
-	deps []graph.NodeID
 	// traceID is set when the always-on capturer retained this computation's
 	// trace (slow, degraded, sampled, or explicitly traced); it travels back
 	// in the X-Fastppv-Trace response header so a caller that just saw a slow
@@ -85,19 +83,17 @@ type cachedAnswer struct {
 // bookkeeping.
 func (a *cachedAnswer) sizeBytes() int64 {
 	const (
-		// fixed covers cachedAnswer (144 B), its cluster.Result (160 B), the
+		// fixed covers cachedAnswer (112 B), its cluster.Result (160 B), the
 		// LRU entry (64 B) and its slot in the shard map (~62 B).
-		fixed        = 430
+		fixed        = 398
 		perEntry     = 16 // sparse.Entry: NodeID + float64
 		perIteration = 56 // core.IterationStat
-		perDep       = 4  // graph.NodeID
 		perLeg       = 8  // querylog.LegSummary
 	)
 	return fixed +
 		int64(cap(a.top))*perEntry +
 		int64(cap(a.reach)) +
 		int64(cap(a.result.PerIteration))*perIteration +
-		int64(cap(a.deps))*perDep +
 		int64(cap(a.legs))*perLeg +
 		int64(len(a.traceID))
 }

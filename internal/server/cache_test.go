@@ -18,11 +18,15 @@ import (
 )
 
 // fakeAnswer builds a cachedAnswer with the given hub dependencies.
-func fakeAnswer(deps ...graph.NodeID) *cachedAnswer {
+func fakeAnswer(reach ...graph.NodeID) *cachedAnswer {
+	entries := make([]sparse.Entry, len(reach))
+	for i, n := range reach {
+		entries[i] = sparse.Entry{Node: n, Score: 0.1}
+	}
 	return &cachedAnswer{
 		result: &cluster.Result{},
 		top:    []sparse.Entry{{Node: 1, Score: 0.5}},
-		deps:   deps,
+		reach:  appendReach(entries),
 	}
 }
 
@@ -159,7 +163,7 @@ func TestCacheSizeEstimate(t *testing.T) {
 	}
 	small := fakeAnswer()
 	if big := fakeAnswer(7, 8); big.sizeBytes() <= small.sizeBytes() || small.sizeBytes() <= 0 {
-		t.Fatalf("sizeBytes %d (2 deps) vs %d (none)", big.sizeBytes(), small.sizeBytes())
+		t.Fatalf("sizeBytes %d (a 2-node reach list) vs %d (none)", big.sizeBytes(), small.sizeBytes())
 	}
 }
 
@@ -317,12 +321,7 @@ func TestCacheInvalidate(t *testing.T) {
 	c.Put(key(3), fakeAnswer(7, 9), 100)
 
 	dropped := c.InvalidateFunc(func(_ CacheKey, ans *cachedAnswer) bool {
-		for _, d := range ans.deps {
-			if d == 7 {
-				return true
-			}
-		}
-		return false
+		return reachesAny(ans.reach, []graph.NodeID{7})
 	})
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)

@@ -616,6 +616,35 @@ func TestClusterUpdateSkipsBehindShard(t *testing.T) {
 	}
 }
 
+// TestClusterUpdateAddsNodes checks that a router serves the nodes an update
+// fan-out added: its node count follows the update's num_nodes on /v1/stats
+// and /metrics, a query for a new node is answered rather than refused, and a
+// later update naming fewer nodes does not lower the count.
+func TestClusterUpdateAddsNodes(t *testing.T) {
+	routerTS, rt := routerWithRegistry(t, socialGraph(t, 300))
+	if n := rt.NumNodes(); n != 300 {
+		t.Fatalf("router discovered %d nodes, want 300", n)
+	}
+	for _, update := range []string{
+		`{"num_nodes":310,"added_edges":[[5,305],[305,6]]}`,
+		`{"num_nodes":305,"added_edges":[[7,8]]}`,
+	} {
+		if status, out := post(t, routerTS, "/v1/update", update); status != http.StatusOK {
+			t.Fatalf("router update %s = %d: %s", update, status, out)
+		}
+		if status, _, body := get(t, routerTS, "/v1/ppv?node=305&eta=2"); status != http.StatusOK {
+			t.Errorf("after %s: query for added node 305 = %d: %s", update, status, body)
+		}
+		if st := shardStatsOf(t, routerTS); st.Graph.Nodes != 310 || st.Cluster == nil || st.Cluster.Nodes != 310 {
+			t.Errorf("after %s: router stats report %d nodes (cluster %+v), want 310", update, st.Graph.Nodes, st.Cluster)
+		}
+		_, _, metrics := get(t, routerTS, "/metrics")
+		if n := scrapeValue(t, string(metrics), "fastppv_cluster_nodes"); n != 310 {
+			t.Errorf("after %s: fastppv_cluster_nodes %v, want 310", update, n)
+		}
+	}
+}
+
 // TestUpdateConflictWhenInconsistent covers the failed-past-commit-point
 // satellite: once a server is flagged inconsistent, further updates must be
 // refused with the structured conflict code instead of stacking new batches

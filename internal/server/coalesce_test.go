@@ -52,7 +52,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ans, _, err := c.Do(key(1), blockingFn(leaderIn))
+		ans, _, err := c.Do(key(1), nil, blockingFn(leaderIn))
 		if err != nil || ans != want {
 			t.Errorf("leader: ans=%v err=%v", ans, err)
 		}
@@ -65,7 +65,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			entered <- struct{}{}
-			ans, outcome, err := c.Do(key(1), blockingFn(nil))
+			ans, outcome, err := c.Do(key(1), nil, blockingFn(nil))
 			if err != nil || ans != want {
 				t.Errorf("follower %d: ans=%v err=%v", i, ans, err)
 			}
@@ -110,7 +110,7 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fakeAnswer()
-			ans, outcome, err := c.Do(key(i), noRetain(want))
+			ans, outcome, err := c.Do(key(i), nil, noRetain(want))
 			if err != nil || outcome != lru.Loaded {
 				t.Errorf("key %d: err=%v outcome=%v", i, err, outcome)
 			}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"fastppv/internal/api"
 	"fastppv/internal/cluster"
 	"fastppv/internal/core"
+	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 )
 
@@ -119,16 +122,22 @@ func TestFreshUntouchedAcrossUpdates(t *testing.T) {
 
 // TestFreshLookupBeforeSweep drives an update's two halves apart: a lookup
 // made after the commit but before the retire sweep is not served the
-// pre-update answer, and the sweep then keeps both the answer that lookup
-// computed and the untouched component's.
+// pre-update answer, and counts as one miss and one invalidation, not as a
+// hit. The sweep then keeps both the answer that lookup computed and the
+// untouched component's.
 func TestFreshLookupBeforeSweep(t *testing.T) {
 	srv, ts, cold := freshServers(t, testEngine(t, twoComponents(t), 6))
 	before := expectCache(t, ts, cold, touchedPath, "miss")
 	expectCache(t, ts, cold, untouchedPath, "miss")
 
 	stats := applyOrFail(t, srv, []int{2, 7})
+	was := srv.cache.Stats()
 	if after := expectCache(t, ts, cold, touchedPath, "miss"); bytes.Equal(before, after) {
 		t.Fatalf("adding 2->7 left node 2's answer unchanged; the test needs an update that changes it")
+	}
+	if st := srv.cache.Stats(); st.Hits != was.Hits || st.Misses != was.Misses+1 || st.Invalidations != was.Invalidations+1 {
+		t.Errorf("the stale lookup counted %d hits, %d misses and %d invalidations; want 0, 1 and 1",
+			st.Hits-was.Hits, st.Misses-was.Misses, st.Invalidations-was.Invalidations)
 	}
 	expectCache(t, ts, cold, touchedPath, "hit")
 
@@ -267,7 +276,7 @@ func holdFlight(t *testing.T, srv *Server, key CacheKey) (release, done chan str
 	go func() {
 		defer close(done)
 		defer markComputed() // a failed computation never reaches end
-		_, _, err := srv.cache.Do(key, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
+		_, _, err := srv.cache.Do(key, srv.fresh, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
 			ans, _, err := srv.compute(key, func(a *cachedAnswer, size int64, retain bool) {
 				markComputed()
 				<-release
@@ -432,4 +441,116 @@ func TestFreshRouterDegradedFlightShared(t *testing.T) {
 	if got := r.hdr.Get("X-Fastppv-Cache"); got != "coalesced" {
 		t.Errorf("%s joined a degraded flight at the cluster epoch: cache state %q, want coalesced", path, got)
 	}
+}
+
+// TestFreshRetireMatchesRecompute is the oracle of retire's one rule. On
+// random and social graphs with a tenth or three tenths of the nodes as hubs,
+// at the default options and with the storage clip or the delta prune off, it
+// fills the cache, applies seeded random batches of one or two edge changes
+// and sweeps; every answer the sweep keeps must rank and bound exactly as
+// computing it again at the new epoch does.
+func TestFreshRetireMatchesRecompute(t *testing.T) {
+	// A random graph is an expander: at any size the tests can afford, nearly
+	// every estimate reaches nearly every node, so it is kept small.
+	graphs := map[string]func() (*graph.Graph, error){
+		"random": func() (*graph.Graph, error) { return gen.RandomDirected(120, 4, 11) },
+		"social": func() (*graph.Graph, error) {
+			return gen.SocialGraph(gen.SocialConfig{Nodes: 200, OutDegreeMean: 6, Attachment: 0.8, Seed: 11})
+		},
+	}
+	options := map[string]core.Options{"default": {}, "no clip": {Clip: -1}, "no delta": {Delta: -1}}
+	kept, dropped := 0, 0
+	for gname, build := range graphs {
+		for _, share := range []int{1, 3} {
+			for oname, opts := range options {
+				t.Run(fmt.Sprintf("%s/%d%% hubs/%s", gname, 10*share, oname), func(t *testing.T) {
+					g, err := build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.NumHubs = share * g.NumNodes() / 10
+					engine, err := core.NewEngine(g, nil, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := engine.Precompute(); err != nil {
+						t.Fatal(err)
+					}
+					srv, err := New(engine, Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					k, d := checkRetireAgainstRecompute(t, srv, rand.New(rand.NewSource(int64(share))))
+					kept, dropped = kept+k, dropped+d
+				})
+			}
+		}
+	}
+	t.Logf("%d answers kept across a batch and checked, %d dropped", kept, dropped)
+	if kept == 0 || dropped == 0 {
+		t.Errorf("%d answers kept and %d dropped; the oracle needs both", kept, dropped)
+	}
+}
+
+// checkRetireAgainstRecompute runs five batches on srv's engine, checks every
+// answer each sweep keeps against a recomputation, and returns how many
+// answers the sweeps kept and dropped.
+func checkRetireAgainstRecompute(t *testing.T, srv *Server, rng *rand.Rand) (kept, dropped int) {
+	t.Helper()
+	var reqs []queryRequest
+	for q := graph.NodeID(0); q < graph.NodeID(srv.engine.Graph().NumNodes()); q += 13 {
+		for _, eta := range []int{1, 3} {
+			reqs = append(reqs, queryRequest{node: q, eta: eta, top: defaultTopK})
+		}
+	}
+	for batch := 0; batch < 5; batch++ {
+		for _, req := range reqs {
+			if _, _, err := srv.answer(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One or two edge changes from distinct nodes; a third of them remove
+		// an edge.
+		g := srv.engine.Graph()
+		var ureq UpdateRequest
+		for size, from := 1+rng.Intn(2), map[int]bool{}; len(from) < size; {
+			u, v := rng.Intn(g.NumNodes()), rng.Intn(g.NumNodes())
+			if from[u] {
+				continue
+			}
+			if out := g.OutNeighbors(graph.NodeID(u)); rng.Intn(3) == 0 && len(out) > 1 {
+				ureq.RemovedEdges = append(ureq.RemovedEdges, []int{u, int(out[rng.Intn(len(out))])})
+				from[u] = true
+			} else if u != v && !g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
+				ureq.AddedEdges = append(ureq.AddedEdges, []int{u, v})
+				from[u] = true
+			}
+		}
+		stats, err := srv.applyUpdate(ureq)
+		if err != nil {
+			t.Fatalf("batch %+v: %v", ureq, err)
+		}
+		dropped += srv.retire(stats.Epoch, &stats)
+		retained := map[CacheKey]*cachedAnswer{}
+		srv.cache.InvalidateFunc(func(k CacheKey, ans *cachedAnswer) bool {
+			retained[k] = ans
+			return false
+		})
+		kept += len(retained)
+		for k, ans := range retained {
+			stop := core.StopCondition{MaxIterations: k.Eta, TargetL1Error: k.TargetError}
+			want, err := srv.be.query(k, stop, "", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tag := ans.epoch.Load(); tag != stats.Epoch {
+				t.Fatalf("batch %d: node %d eta %d kept at epoch %d, want %d", batch, k.Node, k.Eta, tag, stats.Epoch)
+			}
+			if ans.result.L1ErrorBound != want.result.L1ErrorBound || !slices.Equal(ans.top, want.top) {
+				t.Fatalf("batch %d (%+v): node %d eta %d kept with bound %v, top %v; recomputed: bound %v, top %v",
+					batch, ureq, k.Node, k.Eta, ans.result.L1ErrorBound, ans.top, want.result.L1ErrorBound, want.top)
+			}
+		}
+	}
+	return kept, dropped
 }

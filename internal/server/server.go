@@ -14,7 +14,7 @@
 //     QueueWait is shed with the retryable 503 "overloaded" instead of
 //     queueing unboundedly;
 //   - incremental graph updates with targeted cache invalidation driven by
-//     the hub dependencies each cached answer recorded;
+//     the reach list each cached answer recorded;
 //   - per-endpoint latency histograms (one family, rendered on /metrics and
 //     summarized on the stats endpoint).
 //
@@ -48,7 +48,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,6 +61,7 @@ import (
 	"fastppv/internal/lru"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
+	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -211,21 +211,20 @@ type Server struct {
 
 // WarmStats reports the startup block-cache warming pass.
 type WarmStats struct {
-	// Requested is the number of hubs warming was asked to preload
-	// (Config.WarmHubs clamped to the hubs this index actually holds; in
-	// querylog mode, the distinct hub dependencies of the replayed top
-	// sources).
+	// Requested is the number of hub blocks warming asked for: in heuristic
+	// mode Config.WarmHubs clamped to the hubs this index actually holds, in
+	// querylog mode the block loads the replayed queries made.
 	Requested int `json:"requested"`
-	// Warmed is how many hub blocks actually landed in the block cache; it is
-	// zero when the index has no cache to warm (in-memory, or caching
-	// disabled).
+	// Warmed is how many hub blocks the block cache holds after the pass (in
+	// heuristic mode, of the requested hubs); zero when the index has no
+	// cache to warm (in-memory, or caching disabled).
 	Warmed     int     `json:"warmed"`
 	DurationMS float64 `json:"duration_ms"`
 	// Source says what chose the hubs: "querylog" (frequency-decayed top
-	// sources replayed from the persistent query log, mapped to the hub
-	// dependencies their queries actually consume) or "heuristic" (hottest
-	// hubs by out-degree — the fallback when no log is configured or the log
-	// is empty).
+	// sources replayed from the persistent query log and run as queries,
+	// which load the blocks they read) or "heuristic" (hottest hubs by
+	// out-degree — the fallback when no log is configured, the log is empty,
+	// or the index has no block cache to fill).
 	Source string `json:"source,omitempty"`
 	// Sources is how many replayed top sources drove the querylog pass.
 	Sources int `json:"sources,omitempty"`
@@ -298,12 +297,12 @@ type hubWarmer interface {
 }
 
 // warm preloads hub prime PPVs through the index's block cache at startup.
-// When a replayed query log is available it is the workload oracle: the
-// frequency-decayed top sources are run through the engine (at the default
-// eta) and the hub dependencies those queries actually consume are what gets
-// warmed — the observed workload, not a guess. Without a log (or with an
-// empty one) it falls back to the static heuristic: the Config.WarmHubs
-// hottest hubs by out-degree, ties broken by id for determinism.
+// When the index has a block cache and a replayed query log is available, the
+// log is the workload oracle: the frequency-decayed top sources are run
+// through the engine (at the default eta), loading exactly the blocks the
+// observed workload reads. Otherwise it falls back to the static heuristic:
+// the Config.WarmHubs hottest hubs by out-degree, ties broken by id for
+// determinism.
 func (s *Server) warm() {
 	if s.cfg.WarmHubs <= 0 {
 		return
@@ -336,15 +335,21 @@ func (s *Server) warm() {
 	s.warmed.DurationMS = float64(time.Since(start)) / 1e6
 }
 
-// warmFromLog runs the top replayed sources as real queries — pulling exactly
-// the hub blocks the workload needs through the block cache — and then asks
-// the store to pin their union of hub dependencies, which also yields the
-// comparable Warmed count. Returns ok=false when no replayed source is still
-// a valid node (e.g. the log belongs to another graph), in which case the
-// caller falls back to the heuristic.
+// warmFromLog runs the top replayed sources as queries, keeping nothing: they
+// pull the blocks the workload reads through the block cache, whose counters
+// then say what the pass did. Returns ok=false when the index has no block
+// cache or no replayed source is still a valid node (e.g. the log belongs to
+// another graph), in which case the caller falls back to the heuristic.
 func (s *Server) warmFromLog(sources []graph.NodeID) (WarmStats, bool) {
+	bcs, ok := s.engine.Index().(blockCacheStatser)
+	if !ok {
+		return WarmStats{}, false
+	}
+	before, enabled := bcs.BlockCacheStats()
+	if !enabled {
+		return WarmStats{}, false
+	}
 	g := s.engine.Graph()
-	depSet := make(map[graph.NodeID]struct{})
 	ran := 0
 	stop := core.StopCondition{MaxIterations: s.cfg.DefaultEta}
 	for _, src := range sources {
@@ -355,26 +360,14 @@ func (s *Server) warmFromLog(sources []graph.NodeID) (WarmStats, bool) {
 		if err != nil {
 			continue
 		}
-		qs.Run(stop)
-		for _, h := range qs.HubDeps() {
-			depSet[h] = struct{}{}
-		}
-		qs.Close()
+		qs.Serve(stop, func([]sparse.Entry) {})
 		ran++
 	}
 	if ran == 0 {
 		return WarmStats{}, false
 	}
-	deps := make([]graph.NodeID, 0, len(depSet))
-	for h := range depSet {
-		deps = append(deps, h)
-	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-	st := WarmStats{Source: "querylog", Sources: ran, Requested: len(deps)}
-	if w, ok := s.engine.Index().(hubWarmer); ok {
-		st.Warmed = w.WarmHubs(deps)
-	}
-	return st, true
+	after, _ := bcs.BlockCacheStats()
+	return WarmStats{Source: "querylog", Sources: ran, Requested: int(after.Loads - before.Loads), Warmed: after.Entries}, true
 }
 
 // Handler returns the HTTP handler exposing the API. GET /metrics and
@@ -563,20 +556,17 @@ const (
 
 // answer resolves a query through the cache: a retained answer, a computation
 // of the same key already in flight, or finally the backend. A retained or
-// shared answer is served only if it is current at the backend's epoch;
-// otherwise it is dropped and the query computed again.
+// shared answer is served only if it is fresh; otherwise the cache drops it
+// and the query is computed again.
 func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 	key := CacheKey{Node: req.node, Eta: req.eta, TargetError: req.targetError, Top: topClass(req.top)}
-	ans, outcome, err := s.cache.Do(key, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
+	ans, outcome, err := s.cache.Do(key, s.fresh, func(end func(*cachedAnswer, int64, bool)) (*cachedAnswer, error) {
 		ans, _, err := s.compute(key, end, "")
 		return ans, err
 	})
 	switch {
 	case err != nil:
 		return nil, cacheMiss, err
-	case outcome != lru.Loaded && ans.epoch.Load() != s.be.epoch():
-		s.cache.Invalidate(key)
-		return s.answer(req)
 	case s.cfg.CacheBytes < 0:
 		return ans, cacheBypass, nil
 	case outcome == lru.Hit:
@@ -586,6 +576,10 @@ func (s *Server) answer(req queryRequest) (*cachedAnswer, cacheState, error) {
 	}
 	return ans, cacheMiss, nil
 }
+
+// fresh reports whether ans is current at the backend's epoch, the only one
+// a retained or shared answer is served at.
+func (s *Server) fresh(ans *cachedAnswer) bool { return ans.epoch.Load() == s.be.epoch() }
 
 // compute runs one query under admission control: admit, ask the backend,
 // observe, capture the trace, end the cache flight (retaining the answer if
@@ -1058,25 +1052,18 @@ func statusForCode(code string) int {
 
 // retire brings the cached answers up to epoch e, just committed by batch (nil
 // for a router's update), and returns how many it dropped. An answer current
-// at e or later stays; one current at e-1 moves on to e unless it expanded a
-// recomputed hub, its query node's out-edges changed, or its reach list holds
-// a touched node (its on-the-fly prime PPV crossed the modified region). The
-// rest are dropped. It runs outside the write lock: an epoch moves only from
-// e-1 to e and lookups serve only the current one, so in any interleaving of
-// sweeps and lookups nothing stale is served.
+// at e or later stays; one current at e-1 moves on to e unless its reach list
+// holds a node the batch touched (see core.UpdateStats.TouchedNodes for why
+// no other test is needed). The rest are dropped. It runs outside the write
+// lock: an epoch moves only from e-1 to e and lookups serve only the current
+// one, so in any interleaving of sweeps and lookups nothing stale is served.
 func (s *Server) retire(e uint64, batch *core.UpdateStats) int {
-	in := func(sorted []graph.NodeID, n graph.NodeID) bool {
-		_, ok := slices.BinarySearch(sorted, n)
-		return ok
-	}
-	return s.cache.InvalidateFunc(func(k CacheKey, ans *cachedAnswer) bool {
+	return s.cache.InvalidateFunc(func(_ CacheKey, ans *cachedAnswer) bool {
 		tag := ans.epoch.Load()
 		if tag >= e {
 			return false
 		}
-		if tag+1 < e || batch == nil || in(batch.TouchedNodes, k.Node) ||
-			slices.ContainsFunc(ans.deps, func(h graph.NodeID) bool { return in(batch.Recomputed, h) }) ||
-			reachesAny(ans.reach, batch.TouchedNodes) {
+		if tag+1 < e || batch == nil || reachesAny(ans.reach, batch.TouchedNodes) {
 			return true
 		}
 		ans.epoch.Store(e)
