@@ -74,7 +74,7 @@ func main() {
 			s, shards, engine.Index().Len(), targets[s])
 	}
 
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: targets, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: targets})
 	if err != nil {
 		log.Fatal(err)
 	}

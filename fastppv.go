@@ -248,19 +248,20 @@ func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (
 // discarded), and a sharded engine recovers its full hub set by selecting on
 // g, because updates never change the hub set.
 func OpenDiskIndexWithOptions(g *Graph, opts Options, path string, dio DiskIndexOptions) (*Engine, func() error, error) {
-	served, replayed := g, uint64(0)
+	var logged []GraphUpdate
 	store, err := ppvindex.OpenStore(path, graphBinding(g), dio, func(upd GraphUpdate) error {
-		next, err := core.ReplayGraphUpdate(served, upd)
-		if err != nil {
-			return fmt.Errorf("fastppv: replaying the update log: %w", err)
-		}
-		served, replayed = next, replayed+1
+		logged = append(logged, upd)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.InitialEpoch = replayed
+	served, err := core.ReplayGraphUpdates(g, logged...)
+	if err != nil {
+		store.Close()
+		return nil, nil, fmt.Errorf("fastppv: replaying the update log: %w", err)
+	}
+	opts.InitialEpoch = uint64(len(logged))
 	engine, err := core.NewServingEngine(g, served, store, opts)
 	if err != nil {
 		store.Close()

@@ -28,9 +28,9 @@ type fault struct {
 }
 
 // fakeShard is a frame-level stand-in for a fastppvd shard, so the router is
-// tested over the wire it ships with: /healthz and /v1/stats over plain HTTP,
-// and api.StreamPath upgraded to the binary frame protocol, every partial
-// answered from a (possibly sharded) core engine.
+// tested over the wire it ships with: /v1/stats over plain HTTP, and
+// api.StreamPath upgraded to the binary frame protocol, every partial answered
+// from a (possibly sharded) core engine.
 type fakeShard struct {
 	*httptest.Server
 	e *core.Engine
@@ -43,10 +43,11 @@ type fakeShard struct {
 	// upgrade 404.
 	httpDown, noStream atomic.Bool
 
-	// upgrades counts accepted streams, partials the request frames read on
-	// them; onPartial (set by routerOver) runs once per request frame.
-	upgrades, partials atomic.Int64
-	onPartial          func()
+	// requests counts HTTP requests (stream dials included), upgrades
+	// accepted streams, partials the request frames read on them; onPartial
+	// (set by routerOver) runs once per request frame.
+	requests, upgrades, partials atomic.Int64
+	onPartial                    func()
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -56,9 +57,6 @@ func newFakeShard(t testing.TB, e *core.Engine) *fakeShard {
 	t.Helper()
 	f := &fakeShard{e: e, conns: map[net.Conn]struct{}{}}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"status":"ok"}`))
-	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{
 			"graph": map[string]int{"nodes": e.Graph().NumNodes()},
@@ -67,6 +65,7 @@ func newFakeShard(t testing.TB, e *core.Engine) *fakeShard {
 	})
 	mux.HandleFunc(api.StreamPath, f.serveStream)
 	f.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.requests.Add(1)
 		switch {
 		case f.httpDown.Load():
 			w.WriteHeader(http.StatusServiceUnavailable)

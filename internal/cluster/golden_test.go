@@ -67,7 +67,7 @@ func TestQueryGolden(t *testing.T) {
 	}
 	for _, n := range []int{2, 3} {
 		single, shards := testCluster(t, n)
-		r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+		r := routerOver(t, RouterConfig{}, shards...)
 		for _, q := range sources {
 			for _, stop := range stops {
 				if n == 2 {

@@ -19,7 +19,9 @@
 // estimate only accumulates non-negative tour mass, so the accuracy-aware
 // bound 1 - sum(estimate) remains exact under any failure: a down or slow
 // shard simply leaves its share of the mass unexpanded and the answer is
-// returned with a correctly widened error bound instead of an error.
+// returned with a correctly widened error bound instead of an error. So the
+// router treats a suspect shard as down at no cost to correctness: a shard is
+// down exactly while its backoff window (transport.go) is open.
 package cluster
 
 import (
@@ -55,16 +57,17 @@ type RouterConfig struct {
 	// Transport must be "" or TransportBinary. There is one shard transport;
 	// the field survives only because the frozen benchmark harness sets it.
 	Transport string
-	// HealthInterval is the period of the background shard health probe; zero
-	// means 2s, negative disables the probe (health then only changes
-	// passively, on request outcomes).
+	// HealthInterval is ignored: a shard's backoff window is the only liveness
+	// rule and nothing probes in the background. The field survives only
+	// because the frozen benchmark harness sets it.
 	HealthInterval time.Duration
 	// Registry optionally receives the router's metrics (per-shard leg
 	// latency, degraded answers and lost mass, and a scrape-time collector for
 	// epochs and health); nil records into a private, unexported registry.
 	Registry *telemetry.Registry
-	// Logger optionally receives structured router logs (health transitions,
-	// epoch raises, update fan-outs, traced queries); nil discards them.
+	// Logger optionally receives structured router logs (backoff windows
+	// opening and closing, epoch raises, update fan-outs, traced queries); nil
+	// discards them.
 	Logger *slog.Logger
 }
 
@@ -75,11 +78,6 @@ type Router struct {
 	shards  []*shardClient
 	client  *http.Client
 	timeout time.Duration
-	// passive is set when the background health probe is disabled: unhealthy
-	// shards are then still attempted by expand (a request outcome is the
-	// only thing that can restore them), trading bounded tail latency for
-	// liveness.
-	passive bool
 	logger  *slog.Logger
 	met     routerMetrics
 
@@ -97,17 +95,12 @@ type Router struct {
 	// in one deterministic order, so every shard sees the same sequence and
 	// equal epochs imply equal graphs.
 	updateMu sync.Mutex
-
-	stopHealth chan struct{}
-	healthWG   sync.WaitGroup
-	closeOnce  sync.Once
 }
 
 // shardClient is the router's view of one shard.
 type shardClient struct {
-	index   int
-	target  string
-	healthy atomic.Bool
+	index  int
+	target string
 	// epoch is the shard's last observed index epoch; -1 while unknown.
 	epoch atomic.Int64
 
@@ -119,7 +112,8 @@ type shardClient struct {
 	// shard's request total and latency total.
 	leg *telemetry.Histogram
 
-	// tr carries this shard's partial sub-requests.
+	// tr carries this shard's partial sub-requests and holds its backoff
+	// window.
 	tr *streamTransport
 }
 
@@ -142,10 +136,11 @@ func (s *shardClient) observe(d time.Duration, failed bool) {
 	s.leg.ObserveDuration(d)
 }
 
-// NewRouter creates a router over the given shard targets, probes each shard
-// once to seed its health state, and starts the background health loop. Call
-// Close when done. Shards that are still starting are fine: they are marked
-// unhealthy now and picked up by the next probe.
+// NewRouter creates a router over the given shard targets and reads the
+// shards' stats for their epochs and the graph's node count. It leaves no
+// goroutine running; call Close when done. Shards that are still starting are fine: the first
+// leg that reaches one connects it, and the first answered root teaches the
+// router the node count if no shard answered here.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard target")
@@ -153,14 +148,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
-	// The client serves the shards' plain HTTP surface: health probes, stats
-	// reads and update fan-out legs. The stdlib zero client has no timeout and
-	// keeps only 2 idle connections per host. Size the idle pool to the
-	// fan-out width (an update fan-out and a probe round both touch every
-	// shard) and give every call a real deadline.
+	// The client serves the shards' plain HTTP surface: stats reads and update
+	// fan-out legs. The stdlib zero client has no timeout and keeps only 2
+	// idle connections per host. Size the idle pool to the fan-out width (an
+	// update fan-out touches every shard) and give every call a real deadline.
 	client := &http.Client{
 		Timeout: cfg.RequestTimeout + time.Second,
 		Transport: &http.Transport{
@@ -186,13 +177,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		logger = telemetry.NopLogger()
 	}
 	r := &Router{
-		part:       core.Partition{Shards: len(cfg.Targets)},
-		client:     client,
-		timeout:    cfg.RequestTimeout,
-		passive:    cfg.HealthInterval < 0,
-		logger:     logger,
-		met:        newRouterMetrics(reg),
-		stopHealth: make(chan struct{}),
+		part:    core.Partition{Shards: len(cfg.Targets)},
+		client:  client,
+		timeout: cfg.RequestTimeout,
+		logger:  logger,
+		met:     newRouterMetrics(reg),
 	}
 	r.clusterEpoch.Store(-1)
 	for i, t := range cfg.Targets {
@@ -210,40 +199,30 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.shards = append(r.shards, s)
 	}
 	r.registerCollector(reg)
-	r.probeAll()
-	if cfg.HealthInterval > 0 {
-		r.healthWG.Add(1)
+	// Read every shard's stats at once: silent shards cost one timeout
+	// together, not one each.
+	var wg sync.WaitGroup
+	for _, s := range r.shards {
+		wg.Add(1)
 		go func() {
-			defer r.healthWG.Done()
-			tick := time.NewTicker(cfg.HealthInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-r.stopHealth:
-					return
-				case <-tick.C:
-					r.probeAll()
-				}
-			}
+			defer wg.Done()
+			r.fetchShardStats(s)
 		}()
 	}
+	wg.Wait()
 	return r, nil
 }
 
-// Close stops the background health loop and tears down shard transports.
+// Close tears down the shard transports.
 func (r *Router) Close() {
-	r.closeOnce.Do(func() {
-		close(r.stopHealth)
-		for _, s := range r.shards {
-			s.tr.Close()
-		}
-	})
-	r.healthWG.Wait()
+	for _, s := range r.shards {
+		s.tr.Close()
+	}
 }
 
-// NumNodes returns the node count of the served graph, discovered from shard
-// stats and raised by every update fan-out that adds nodes; zero while no
-// shard has been reachable yet.
+// NumNodes returns the node count of the served graph, read off shard stats
+// and raised by every update fan-out that adds nodes; zero while no shard has
+// answered yet.
 func (r *Router) NumNodes() int { return int(r.numNodes.Load()) }
 
 // raiseNodes raises the node count to n if n is larger. An update may add
@@ -285,79 +264,24 @@ func (r *Router) observeEpoch(e uint64) {
 	}
 }
 
-// setShardHealth flips a shard's health state, logging the transition (only
-// actual transitions: steady-state probes are silent).
-func (r *Router) setShardHealth(s *shardClient, healthy bool) {
-	if s.healthy.Swap(healthy) != healthy {
-		r.logger.Info("shard health changed",
-			"shard", s.index, "target", s.target, "healthy", healthy)
-	}
-}
-
-// probeAll health-checks every shard concurrently (a down shard costs one
-// probe timeout, not one per shard per round) and, while the graph size is
-// still unknown, discovers it from the first healthy shard's stats.
-func (r *Router) probeAll() {
-	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		wg.Add(1)
-		go func(s *shardClient) {
-			defer wg.Done()
-			r.setShardHealth(s, r.probe(s))
-		}(s)
-	}
-	wg.Wait()
-	if r.numNodes.Load() == 0 {
-		for _, s := range r.shards {
-			if !s.healthy.Load() {
-				continue
-			}
-			if n, _, ok := r.fetchShardStats(s); ok && n > 0 {
-				r.raiseNodes(n)
-				break
-			}
-		}
-	}
-}
-
-// probe reports whether the shard answers its health endpoint.
-func (r *Router) probe(s *shardClient) bool {
-	timeout := r.timeout
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.target+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
 // fetchShardStats reads the shard's /v1/stats for the graph size and index
-// epoch, recording the epoch on the shard (and raising the cluster epoch).
-func (r *Router) fetchShardStats(s *shardClient) (nodes int, epoch uint64, ok bool) {
+// epoch, recording the epoch on the shard (and raising the cluster epoch) and
+// raising the node count.
+func (r *Router) fetchShardStats(s *shardClient) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.target+"/v1/stats", nil)
 	if err != nil {
-		return 0, 0, false
+		return
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return 0, 0, false
+		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return 0, 0, false
+		return
 	}
 	var st struct {
 		Graph struct {
@@ -366,19 +290,18 @@ func (r *Router) fetchShardStats(s *shardClient) (nodes int, epoch uint64, ok bo
 		Epoch uint64 `json:"epoch"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, 0, false
+		return
 	}
 	s.setEpoch(st.Epoch)
 	r.observeEpoch(st.Epoch)
-	return st.Graph.Nodes, st.Epoch, true
+	r.raiseNodes(st.Graph.Nodes)
 }
 
-// shardFault reports whether a failed partial call indicates the shard
-// itself is unusable (transport failure, internal error, persistent retry
-// condition) rather than a property of this one request. Admission rejection
-// (overloaded) and client-class errors must not flip shard health: one shed
-// sub-request under a load spike would otherwise disable the shard for every
-// query until the next probe.
+// shardFault reports whether a failed shard call indicates the shard itself
+// is unusable (transport failure, internal error, persistent retry condition)
+// rather than a property of this one request. Admission rejection
+// (overloaded) and client-class errors open no backoff window: one shed
+// sub-request under a load spike must not take the shard out of every query.
 func shardFault(err error) bool {
 	var aerr *api.Error
 	if errors.As(err, &aerr) {
@@ -393,9 +316,7 @@ func shardFault(err error) bool {
 // partial performs one partial sub-request against shard s over its
 // transport, retrying once when the shard reports the transient CodeRetry
 // condition (its index descriptor was swapped mid-read, e.g. by a compaction
-// or restart). A shard-fault failure marks the shard unhealthy (the
-// background probe restores it); a success marks it healthy, which is what
-// brings a shard back in passive mode.
+// or restart). Its outcome settles the shard's backoff window.
 func (r *Router) partial(s *shardClient, preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	start := time.Now()
 	resp, err := s.tr.Partial(preq, traceID)
@@ -404,21 +325,23 @@ func (r *Router) partial(s *shardClient, preq *api.PartialRequest, traceID strin
 		resp, err = s.tr.Partial(preq, traceID)
 	}
 	s.observe(time.Since(start), err != nil)
-	if err != nil {
-		if shardFault(err) {
-			r.setShardHealth(s, false)
-		}
-		return nil, err
-	}
-	if resp.Shards != len(r.shards) || resp.Shard != s.index {
-		r.setShardHealth(s, false)
-		return nil, fmt.Errorf("cluster: target %s answers as shard %d/%d, expected %d/%d: shard map misconfigured",
+	if err == nil && (resp.Shards != len(r.shards) || resp.Shard != s.index) {
+		err = fmt.Errorf("cluster: target %s answers as shard %d/%d, expected %d/%d: shard map misconfigured",
 			s.target, resp.Shard, resp.Shards, s.index, len(r.shards))
+	}
+	s.tr.settle(start, err)
+	if err != nil {
+		return nil, err
 	}
 	s.setEpoch(resp.Epoch)
 	r.observeEpoch(resp.Epoch)
-	r.setShardHealth(s, true)
 	return resp, nil
+}
+
+// errDown is the error of a leg not sent because the shard is inside its
+// backoff window.
+func errDown(s *shardClient) error {
+	return fmt.Errorf("cluster: shard %d (%s) is down", s.index, s.target)
 }
 
 // Result is the outcome of one routed cluster query: a core.Result — Entries
@@ -553,7 +476,8 @@ type routedQuery struct {
 func (q *routedQuery) Frontier() int { return len(q.frontier.Nodes) + q.pruned }
 
 // Root obtains iteration 0 from the query node's owner shard, falling back to
-// the other shards in ascending order (healthy ones first) — any shard can
+// the other shards in ascending order (shards inside their backoff window
+// last, and skipped) — any shard can
 // compute the prime PPV of any node from its graph copy, so a lost owner
 // costs accuracy of the clip, not correctness.
 //
@@ -586,15 +510,15 @@ func (q *routedQuery) Root(node graph.NodeID, estimate *sparse.Accumulator) (boo
 }
 
 // rootOrder is the order in which Root asks shards for iteration 0: the
-// owner, then the others by ascending index, healthy shards ahead of the rest
-// with each group keeping that order. Healthy shards fill the slice from the
-// front and the others from the back, so each shard's health is read once;
-// reversing the back restores its order.
+// owner, then the others by ascending index, shards outside their backoff
+// window ahead of the rest with each group keeping that order. The former fill
+// the slice from the front and the others from the back, so each shard's
+// window is read once; reversing the back restores its order.
 func (r *Router) rootOrder(owner int) []*shardClient {
 	order := make([]*shardClient, len(r.shards))
 	front, back := 0, len(order)
 	place := func(s *shardClient) {
-		if s.healthy.Load() {
+		if !s.tr.down() {
 			order[front] = s
 			front++
 		} else {
@@ -621,6 +545,12 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 		behind  = make(map[int]*api.PartialResponse)
 	)
 	for _, s := range order {
+		if !s.tr.admit() {
+			lastErr = errDown(s)
+			span.Legs = append(span.Legs, ShardLegSpan{Shard: s.index, Error: lastErr.Error(), Skipped: true})
+			q.down[s.index] = struct{}{}
+			continue
+		}
 		legStart := time.Now()
 		resp, err := r.partial(s, &api.PartialRequest{Query: &node}, q.traceID)
 		leg := ShardLegSpan{Shard: s.index, DurationMS: float64(time.Since(legStart)) / 1e6}
@@ -651,6 +581,9 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 		//lint:ordered per-shard set inserts are independent
 		for i := range behind {
 			q.stale[i] = struct{}{}
+		}
+		if r.numNodes.Load() == 0 {
+			r.fetchShardStats(s)
 		}
 		return resp, s.index, nil
 	}
@@ -722,13 +655,11 @@ type scatterSet struct {
 
 // scatter partitions the frontier by hub owner and sends each group to its
 // shard. A group is a filter of the sorted frontier, so it is born in the
-// ascending hub order the wire form requires. Shards currently marked
-// unhealthy (or already seen failing in this query) are skipped outright:
-// their prefix mass is recorded as lost by the fold and the bound widens,
-// keeping tail latency bounded by one request round instead of one timeout per
-// down shard per iteration. In passive mode (no background probe) an unhealthy
-// shard is attempted anyway — a successful request is then the only path back
-// to healthy.
+// ascending hub order the wire form requires. Shards inside their backoff
+// window (or already seen failing in this query) are skipped outright: their
+// prefix mass is recorded as lost by the fold and the bound widens, keeping
+// tail latency bounded by one request round instead of one timeout per down
+// shard per iteration.
 func (q *routedQuery) scatter(iter int) *scatterSet {
 	r := q.r
 	sc := &scatterSet{
@@ -756,9 +687,8 @@ func (q *routedQuery) scatter(iter int) *scatterSet {
 			ch <- legOutcome{}
 			continue
 		}
-		_, seenDown := q.down[i]
-		if seenDown || (!s.healthy.Load() && !r.passive) {
-			ch <- legOutcome{err: fmt.Errorf("cluster: shard %d (%s) is down", i, s.target)}
+		if _, seenDown := q.down[i]; seenDown || !s.tr.admit() {
+			ch <- legOutcome{err: errDown(s)}
 			continue
 		}
 		sc.attempted[i] = true
@@ -783,7 +713,7 @@ func (q *routedQuery) scatter(iter int) *scatterSet {
 // (res.Epoch, fixed at the root) is never merged: the shard evaluated against
 // a different graph, so its mass folds into the bound exactly like a down
 // shard's and the shard is skipped for the rest of this query. Unlike a
-// fault, divergence does not mark the shard unhealthy — it is alive and
+// fault, divergence opens no backoff window — the shard is alive and
 // answering, just inconsistent with the cluster.
 func (q *routedQuery) gather(sc *scatterSet, inc *sparse.Accumulator, span *IterationSpan) (expanded, skipped int) {
 	res := q.res
@@ -816,7 +746,7 @@ func (q *routedQuery) gather(sc *scatterSet, inc *sparse.Accumulator, span *Iter
 		switch {
 		case seenStale && out.err == nil && out.reply == nil:
 			// Skipped as epoch-divergent before the scatter: the bound
-			// widens, health and the down set stay untouched.
+			// widens, the window and the down set stay untouched.
 			foldGroup()
 		case out.err != nil || out.reply == nil:
 			// Only shard faults exclude the shard from the rest of the query
@@ -829,7 +759,7 @@ func (q *routedQuery) gather(sc *scatterSet, inc *sparse.Accumulator, span *Iter
 		case out.reply.Epoch != res.Epoch:
 			// Epoch divergence: the shard answered from a different graph.
 			// Its mass folds into the (still exact) bound and the shard sits
-			// out the rest of this query; health is untouched.
+			// out the rest of this query; its window is untouched.
 			q.stale[i] = struct{}{}
 			foldGroup()
 		default:
@@ -894,12 +824,10 @@ func (r *Router) Update(req api.UpdateRequest) (*ClusterUpdate, error) {
 	defer r.updateMu.Unlock()
 	start := time.Now()
 
-	// Establish the target epoch: every shard whose epoch is unknown (no
-	// query has touched it yet) is asked directly.
+	// Establish the target epoch from every shard's current stats: a shard
+	// updated directly since the router last saw it must not pass as current.
 	for _, s := range r.shards {
-		if _, known := s.knownEpoch(); !known {
-			r.fetchShardStats(s)
-		}
+		r.fetchShardStats(s)
 	}
 	clusterEpoch, epochKnown := r.ClusterEpoch()
 	if !epochKnown {
@@ -938,9 +866,6 @@ func (r *Router) Update(req api.UpdateRequest) (*ClusterUpdate, error) {
 					out.ErrorCode = api.CodeUnavailable
 					out.Error = err.Error()
 				}
-				if shardFault(err) {
-					r.setShardHealth(s, false)
-				}
 			} else {
 				s.setEpoch(resp.Epoch)
 				r.observeEpoch(resp.Epoch)
@@ -973,13 +898,18 @@ func (r *Router) Update(req api.UpdateRequest) (*ClusterUpdate, error) {
 	return cu, nil
 }
 
-// postUpdate performs one /v1/update call against shard s.
-func (r *Router) postUpdate(s *shardClient, ureq *api.UpdateRequest) (*api.UpdateResponse, error) {
+// postUpdate performs one /v1/update call against shard s. Like a partial,
+// the leg is observed and settles the shard's backoff window.
+func (r *Router) postUpdate(s *shardClient, ureq *api.UpdateRequest) (_ *api.UpdateResponse, err error) {
 	body, err := json.Marshal(ureq)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
+	defer func() {
+		s.observe(time.Since(start), err != nil)
+		s.tr.settle(start, err)
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.target+"/v1/update", bytes.NewReader(body))
@@ -989,12 +919,10 @@ func (r *Router) postUpdate(s *shardClient, ureq *api.UpdateRequest) (*api.Updat
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		s.observe(time.Since(start), true)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		s.observe(time.Since(start), true)
 		var eresp api.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&eresp); err == nil && eresp.Error.Code != "" {
 			return nil, &eresp.Error
@@ -1003,18 +931,17 @@ func (r *Router) postUpdate(s *shardClient, ureq *api.UpdateRequest) (*api.Updat
 	}
 	var uresp api.UpdateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&uresp); err != nil {
-		s.observe(time.Since(start), true)
 		return nil, fmt.Errorf("cluster: decoding update response from %s: %w", s.target, err)
 	}
-	s.observe(time.Since(start), false)
 	return &uresp, nil
 }
 
 // ShardStats is the router's view of one shard, for stats endpoints.
 type ShardStats struct {
-	Shard   int    `json:"shard"`
-	Target  string `json:"target"`
-	Healthy bool   `json:"healthy"`
+	Shard  int    `json:"shard"`
+	Target string `json:"target"`
+	// Healthy is false while the shard is inside its backoff window.
+	Healthy bool `json:"healthy"`
 	// Epoch is the shard's last observed index epoch; EpochKnown is false
 	// until the router has seen any response from it.
 	Epoch      uint64 `json:"epoch"`
@@ -1062,7 +989,7 @@ func (r *Router) Stats() Stats {
 		ss := ShardStats{
 			Shard:     s.index,
 			Target:    s.target,
-			Healthy:   s.healthy.Load(),
+			Healthy:   !s.tr.down(),
 			Requests:  int64(s.leg.Count()),
 			Failures:  s.failures.Load(),
 			Retries:   s.retries.Load(),

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -57,7 +58,7 @@ func clusterOver(t *testing.T, g *graph.Graph, base core.Options, shards int) (*
 
 func TestRouterMatchesSingleNode(t *testing.T) {
 	single, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	if r.NumNodes() != single.Graph().NumNodes() {
 		t.Fatalf("router discovered %d nodes, want %d", r.NumNodes(), single.Graph().NumNodes())
 	}
@@ -93,7 +94,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 
 func TestRouterTargetErrorStop(t *testing.T) {
 	single, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	// Node 5's bound is ~0.70 after iteration 0 and ~0.57 after iteration 1,
 	// and it flattens above 0.5 before the frontier runs out: 0.6 is met by
 	// one step, which a lower target would never be.
@@ -138,6 +139,14 @@ func sentLegs(res *Result, shard int) int {
 	return n
 }
 
+// outcome summarises a routed answer for a failure message.
+func outcome(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprintf("degraded=%v shards_down=%d legs to shard 1=%d", res.Degraded, res.ShardsDown, sentLegs(res, 1))
+}
+
 // TestRouterOneFramePerLeg: a routed query sends the shards exactly the
 // request frames its spans record — nothing ahead of the schedule's decision,
 // so a query that stops on its target error with hubs still on the frontier
@@ -145,7 +154,7 @@ func sentLegs(res *Result, shard int) int {
 // answer.
 func TestRouterOneFramePerLeg(t *testing.T) {
 	_, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	legs := 0
 	for _, stop := range []core.StopCondition{
 		{MaxIterations: 2},
@@ -171,7 +180,7 @@ func TestRouterOneFramePerLeg(t *testing.T) {
 
 func TestRouterShardDownWidensBound(t *testing.T) {
 	_, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 
 	// Pick a query node owned by shard 0 so iteration 0 survives shard 1
 	// going down.
@@ -206,14 +215,15 @@ func TestRouterShardDownWidensBound(t *testing.T) {
 	if got := 1 - down.Estimate.SumOrdered(); math.Abs(got-down.L1ErrorBound) > 1e-12 {
 		t.Errorf("reported bound %.15f but 1-mass is %.15f", down.L1ErrorBound, got)
 	}
-	// Subsequent queries (passive mode re-attempts the dead shard and fails
-	// fast on the refused connection) stay degraded, not erroring.
+	// Subsequent queries (the dead shard is skipped inside its backoff
+	// window, and a probe after it fails fast on the refused connection) stay
+	// degraded, not erroring.
 	again, err := r.Query(q, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Degraded {
-		t.Error("dead shard came back without a health probe?")
+		t.Error("dead shard answered again?")
 	}
 
 	shards[0].Close()
@@ -231,7 +241,7 @@ func TestRouterRootFallsBackToOtherShard(t *testing.T) {
 	for ; part.Owner(q) != 1; q++ {
 	}
 	shards[1].Close()
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	res, err := r.Query(q, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("root fallback failed: %v", err)
@@ -244,21 +254,23 @@ func TestRouterRootFallsBackToOtherShard(t *testing.T) {
 	}
 }
 
-// TestRouterRetriesTransientErrors: a shard answering with the structured
-// "retry" code (index descriptor swapped mid-read, e.g. a restart or
-// compaction) is retried once instead of being declared down.
 // TestRootOrderMatchesStableSort checks rootOrder against the order it
-// replaced — owner first, then ascending index, stable-sorted healthy first —
-// for every owner and every health mask of a four-shard router.
+// replaced — owner first, then ascending index, stable-sorted with shards
+// outside their backoff window first — for every owner and every mask of open
+// windows of a four-shard router.
 func TestRootOrderMatchesStableSort(t *testing.T) {
 	const n = 4
 	r := &Router{}
 	for i := 0; i < n; i++ {
-		r.shards = append(r.shards, &shardClient{index: i})
+		r.shards = append(r.shards, &shardClient{index: i, tr: &streamTransport{}})
 	}
+	open := monotonic() + int64(time.Hour)
 	for mask := 0; mask < 1<<n; mask++ {
 		for i, s := range r.shards {
-			s.healthy.Store(mask&(1<<i) != 0)
+			s.tr.until.Store(0)
+			if mask&(1<<i) == 0 {
+				s.tr.until.Store(open)
+			}
 		}
 		for owner := 0; owner < n; owner++ {
 			want := []*shardClient{r.shards[owner]}
@@ -268,7 +280,7 @@ func TestRootOrderMatchesStableSort(t *testing.T) {
 				}
 			}
 			sort.SliceStable(want, func(i, j int) bool {
-				return want[i].healthy.Load() && !want[j].healthy.Load()
+				return !want[i].tr.down() && want[j].tr.down()
 			})
 			got := r.rootOrder(owner)
 			if len(got) != n {
@@ -283,6 +295,9 @@ func TestRootOrderMatchesStableSort(t *testing.T) {
 	}
 }
 
+// TestRouterRetriesTransientErrors: a shard answering with the structured
+// "retry" code (index descriptor swapped mid-read, e.g. a restart or
+// compaction) is retried once instead of being declared down.
 func TestRouterRetriesTransientErrors(t *testing.T) {
 	_, shards := testCluster(t, 1)
 	shards[0].hook = func(n int, _ *api.PartialRequest) fault {
@@ -291,7 +306,7 @@ func TestRouterRetriesTransientErrors(t *testing.T) {
 		}
 		return fault{}
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	res, err := r.Query(3, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("query should survive one transient retry-coded failure: %v", err)
@@ -309,7 +324,7 @@ func TestRouterRetriesTransientErrors(t *testing.T) {
 func TestRouterRejectsMisconfiguredShardMap(t *testing.T) {
 	_, shards := testCluster(t, 2)
 	// Swap the targets: shard 1's server listed as shard 0 and vice versa.
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards[1], shards[0])
+	r := routerOver(t, RouterConfig{}, shards[1], shards[0])
 	res, err := r.Query(1, core.StopCondition{MaxIterations: 2})
 	if err == nil && !res.Degraded {
 		t.Error("swapped shard map must degrade or fail, not answer cleanly")
@@ -321,7 +336,7 @@ func TestRouterRejectsMisconfiguredShardMap(t *testing.T) {
 // -race in CI).
 func TestRouterDeterministicUnderConcurrency(t *testing.T) {
 	_, shards := testCluster(t, 3)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 
 	const workers = 8
 	results := make([]*Result, workers)
@@ -375,63 +390,86 @@ func TestRouterDeterministicUnderConcurrency(t *testing.T) {
 // anyHealthy reports whether the router sees at least one healthy shard.
 func anyHealthy(r *Router) bool { return r.Stats().ShardsHealthy > 0 }
 
-func TestRouterHealthProbeRecovery(t *testing.T) {
-	_, shards := testCluster(t, 1)
-	r := routerOver(t, RouterConfig{HealthInterval: 20 * time.Millisecond}, shards...)
-	if !anyHealthy(r) {
-		t.Fatal("shard should be healthy at start")
+// TestRouterPassiveModeRecovers: a shard that faulted — an internal error
+// frame, or a refused stream dial — is skipped inside its backoff window, and
+// the first query after the window recovers it. Nothing reaches the shard in
+// between: no goroutine probes it.
+func TestRouterPassiveModeRecovers(t *testing.T) {
+	cases := []struct {
+		name string
+		// inject arms the fault on sh and returns its switch.
+		inject func(sh *fakeShard) func(on bool)
+	}{
+		{"internal error", func(sh *fakeShard) func(bool) {
+			var failing atomic.Bool
+			sh.hook = func(int, *api.PartialRequest) fault {
+				if failing.Load() {
+					return fault{err: &api.Error{Code: api.CodeInternal, Message: "boom"}}
+				}
+				return fault{}
+			}
+			return failing.Store
+		}},
+		{"dial refused", func(sh *fakeShard) func(bool) { return sh.noStream.Store }},
 	}
-	shards[0].httpDown.Store(true)
-	deadline := time.Now().Add(2 * time.Second)
-	for anyHealthy(r) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if anyHealthy(r) {
-		t.Fatal("health probe never noticed the shard going down")
-	}
-	shards[0].httpDown.Store(false)
-	for !anyHealthy(r) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !anyHealthy(r) {
-		t.Fatal("health probe never restored the shard")
-	}
-	if res, err := r.Query(2, core.StopCondition{MaxIterations: 2}); err != nil || res.Degraded {
-		t.Errorf("recovered shard should serve cleanly: res=%+v err=%v", res, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, shards := testCluster(t, 2)
+			fail := tc.inject(shards[1])
+			r := routerOver(t, RouterConfig{}, shards...)
+			part := core.Partition{Shards: 2}
+			var q graph.NodeID
+			for ; part.Owner(q) != 0; q++ {
+			}
+			stop := core.StopCondition{MaxIterations: 2}
+
+			fail(true)
+			res, err := r.Query(q, stop)
+			if err != nil || res.ShardsDown != 1 {
+				t.Fatalf("faulting shard: %s, want a degraded answer with 1 shard down", outcome(res, err))
+			}
+			if r.Stats().Shards[1].Healthy {
+				t.Fatal("a shard fault must open the shard's backoff window")
+			}
+			fail(false)
+			requests, frames := shards[1].requests.Load(), shards[1].partials.Load()
+			res, err = r.Query(q, stop)
+			if err != nil || res.ShardsDown != 1 || sentLegs(res, 1) != 0 {
+				t.Fatalf("inside the window: %s, want shard 1 down and skipped", outcome(res, err))
+			}
+			time.Sleep(streamBackoffMin + 20*time.Millisecond)
+			if dr, df := shards[1].requests.Load()-requests, shards[1].partials.Load()-frames; dr != 0 || df != 0 {
+				t.Fatalf("shard 1 got %d HTTP requests and %d frames inside its window, want none", dr, df)
+			}
+			if !r.Stats().Shards[1].Healthy {
+				t.Error("an elapsed window must count the shard healthy again")
+			}
+			res, err = r.Query(q, stop)
+			if err != nil || res.Degraded {
+				t.Fatalf("first query after the window: %s, want a clean answer", outcome(res, err))
+			}
+			if sentLegs(res, 1) == 0 {
+				t.Error("the first query after the window sent shard 1 no leg")
+			}
+		})
 	}
 }
 
-// TestRouterPassiveModeRecovers: with the background probe disabled, a shard
-// that failed once must be re-attempted by later queries and restored on the
-// first success — a transient failure must not disable it forever.
-func TestRouterPassiveModeRecovers(t *testing.T) {
-	_, shards := testCluster(t, 1)
-	var downFlag atomic.Bool
-	shards[0].hook = func(int, *api.PartialRequest) fault {
-		if downFlag.Load() {
-			return fault{err: &api.Error{Code: api.CodeInternal, Message: "boom"}}
-		}
-		return fault{}
+// TestRouterLearnsNodeCountFromFirstAnswer: a router whose shard is not up yet
+// at NewRouter learns the node count from the first answer.
+func TestRouterLearnsNodeCountFromFirstAnswer(t *testing.T) {
+	single, shards := testCluster(t, 1)
+	shards[0].httpDown.Store(true)
+	r := routerOver(t, RouterConfig{}, shards...)
+	if n := r.NumNodes(); n != 0 {
+		t.Fatalf("NumNodes = %d before any shard answered, want 0", n)
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
-
-	downFlag.Store(true)
-	if _, err := r.Query(2, core.StopCondition{MaxIterations: 1}); err == nil {
-		t.Fatal("query against the failing single shard should error (no root)")
+	shards[0].httpDown.Store(false)
+	if _, err := r.Query(2, core.StopCondition{MaxIterations: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if anyHealthy(r) {
-		t.Fatal("shard fault should have marked the shard unhealthy")
-	}
-	downFlag.Store(false)
-	res, err := r.Query(2, core.StopCondition{MaxIterations: 2})
-	if err != nil {
-		t.Fatalf("passive mode never recovered the shard: %v", err)
-	}
-	if res.Degraded {
-		t.Error("recovered shard answered the whole query; result must not be degraded")
-	}
-	if !anyHealthy(r) {
-		t.Error("a successful request must restore shard health in passive mode")
+	if got, want := r.NumNodes(), single.Graph().NumNodes(); got != want {
+		t.Errorf("NumNodes = %d after the first answer, want %d", got, want)
 	}
 }
 
@@ -447,7 +485,7 @@ func TestRouterOverloadDoesNotPoisonHealth(t *testing.T) {
 		}
 		return fault{}
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	res, err := r.Query(2, core.StopCondition{MaxIterations: 2})
 	if err != nil {
 		t.Fatalf("a shed expansion must degrade, not fail: %v", err)
@@ -469,7 +507,7 @@ func TestRouterOverloadDoesNotPoisonHealth(t *testing.T) {
 func TestRouterUpgradeRejectedIsShardFault(t *testing.T) {
 	single, shards := testCluster(t, 2)
 	shards[1].noStream.Store(true)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 
 	part := core.Partition{Shards: 2}
 	var q graph.NodeID
@@ -497,23 +535,27 @@ func TestRouterUpgradeRejectedIsShardFault(t *testing.T) {
 // TestRouterSlowShardTimesOut: a shard that holds its answers past the request
 // timeout is a fault like a dead one — the query answers within a few
 // timeouts, degraded, with the bound still exactly 1 - sum(estimate) — and a
-// timed-out leg is sent once, not re-sent on a fresh stream.
+// timed-out leg is sent once, not re-sent on a fresh stream. The timeout opens
+// the shard's backoff window, so the queries right after it answer degraded
+// at once, without a leg to that shard: it reads one request frame in all.
 func TestRouterSlowShardTimesOut(t *testing.T) {
 	_, shards := testCluster(t, 2)
 	shards[1].hook = func(int, *api.PartialRequest) fault { return fault{delay: 600 * time.Millisecond} }
-	r := routerOver(t, RouterConfig{HealthInterval: -1, RequestTimeout: 50 * time.Millisecond}, shards...)
+	const timeout = 50 * time.Millisecond
+	r := routerOver(t, RouterConfig{RequestTimeout: timeout}, shards...)
 
 	part := core.Partition{Shards: 2}
 	var q graph.NodeID
 	for ; part.Owner(q) != 0; q++ {
 	}
+	stop := core.StopCondition{MaxIterations: 3}
 	start := time.Now()
-	res, err := r.Query(q, core.StopCondition{MaxIterations: 3})
+	res, err := r.Query(q, stop)
 	if err != nil {
 		t.Fatalf("query with one slow shard must degrade, not fail: %v", err)
 	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Errorf("query took %v: it waited for the slow shard instead of timing it out", d)
+	if d := time.Since(start); d < timeout || d > 500*time.Millisecond {
+		t.Errorf("query took %v: it must wait out the %v timeout, not the slow shard", d, timeout)
 	}
 	if !res.Degraded || res.ShardsDown != 1 || res.LostFrontierMass <= 0 {
 		t.Errorf("Degraded=%v ShardsDown=%d lost=%v, want degraded with 1 shard down and its mass lost",
@@ -522,8 +564,17 @@ func TestRouterSlowShardTimesOut(t *testing.T) {
 	if got := 1 - res.Estimate.SumOrdered(); math.Abs(got-res.L1ErrorBound) > 1e-12 {
 		t.Errorf("reported bound %.15f but 1-mass is %.15f", res.L1ErrorBound, got)
 	}
-	if got, want := shards[1].partials.Load(), int64(sentLegs(res, 1)); got != want {
-		t.Errorf("slow shard read %d request frames for %d attempted legs", got, want)
+	if got, want := shards[1].partials.Load(), int64(sentLegs(res, 1)); got != 1 || want != 1 {
+		t.Errorf("slow shard read %d request frames for %d attempted legs, want 1", got, want)
+	}
+	for i := 1; i < 5; i++ {
+		res, err := r.Query(q, stop)
+		if err != nil || !res.Degraded || res.ShardsDown != 1 || sentLegs(res, 1) != 0 {
+			t.Fatalf("query %d inside the window: %s, want degraded with shard 1 down and skipped", i, outcome(res, err))
+		}
+	}
+	if got := shards[1].partials.Load(); got != 1 {
+		t.Errorf("slow shard read %d request frames over five queries, want 1", got)
 	}
 }
 
@@ -536,7 +587,7 @@ func TestRouterStreamTornMidRequest(t *testing.T) {
 	shards[1].hook = func(n int, _ *api.PartialRequest) fault {
 		return fault{tear: int64(n) == tearAt.Load()}
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 
 	stop := core.StopCondition{MaxIterations: 3}
 	want, err := r.Query(11, stop)

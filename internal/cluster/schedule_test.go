@@ -73,7 +73,7 @@ func TestStopRuleParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			single, shards := clusterOver(t, tc.g, tc.opts, 2)
-			r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+			r := routerOver(t, RouterConfig{}, shards...)
 			for _, q := range tc.sources {
 				for _, rl := range tc.rules {
 					want, err := single.Query(q, rl.stop)
@@ -178,7 +178,7 @@ func TestSplitSubDeltaPrefixIsExpanded(t *testing.T) {
 		t.Fatalf("hub 3's halves %v sum to at most delta %v", halves, delta)
 	}
 
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	stop := core.StopCondition{MaxIterations: 2}
 	want, err := single.Query(0, stop)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 		}
 		return fault{}
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	part := core.Partition{Shards: 2}
 	delta := single.Options().Delta
 	// lostOn sums, in ascending hub order onto sum, the prefixes above delta
@@ -300,7 +300,7 @@ func TestLostFrontierMassCountsExpandableHubs(t *testing.T) {
 // so the router's per-node fold is 0 + s0, which is exactly the engine's sum.
 func TestSubDeltaRoundSendsNoLeg(t *testing.T) {
 	single, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	frames := func() (n int64) {
 		for _, sh := range shards {
 			n += sh.partials.Load()
@@ -372,7 +372,7 @@ func TestDegradedAnswerIsBitStable(t *testing.T) {
 		}
 		return fault{}
 	}
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	part := core.Partition{Shards: 2}
 	var q graph.NodeID
 	for ; part.Owner(q) != 0; q++ {
@@ -421,7 +421,7 @@ func TestRoutedQueryAllocationCeiling(t *testing.T) {
 	}
 	const ceiling = 184_000 // bytes per routed query
 	single, shards := testCluster(t, 2)
-	r := routerOver(t, RouterConfig{HealthInterval: -1}, shards...)
+	r := routerOver(t, RouterConfig{}, shards...)
 	var srcs []graph.NodeID
 	for q := graph.NodeID(0); len(srcs) < 32; q++ {
 		if !single.Hubs().Contains(q) {

@@ -36,8 +36,8 @@ type IterationSpan struct {
 // iterations and bound are recorded once, by the serving layer that asked for
 // it, and a shard's request count and mean latency are its leg histogram's
 // count and sum. Everything derivable from the router's existing atomic
-// counters (per-shard failure/retry totals, epochs, health) is exported by a
-// scrape-time collector instead, at zero per-request cost.
+// counters (per-shard failure/retry totals, epochs, backoff windows) is
+// exported by a scrape-time collector instead, at zero per-request cost.
 type routerMetrics struct {
 	degraded   *telemetry.Counter
 	lostMass   *telemetry.Counter
@@ -76,7 +76,7 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 		e.Gauge("fastppv_cluster_shards_behind",
 			"Shards whose last observed epoch is below the cluster epoch.", float64(st.ShardsBehind))
 		e.Gauge("fastppv_cluster_shards_healthy",
-			"Shards currently passing health checks.", float64(st.ShardsHealthy))
+			"Shards currently outside their backoff window.", float64(st.ShardsHealthy))
 		e.Gauge("fastppv_cluster_shards",
 			"Shards the router fans out to.", float64(len(st.Shards)))
 		e.Gauge("fastppv_cluster_nodes",
@@ -87,7 +87,7 @@ func (r *Router) registerCollector(reg *telemetry.Registry) {
 			if ss.Healthy {
 				healthy = 1
 			}
-			e.Gauge("fastppv_shard_healthy", "Whether the shard passes health checks (1/0).", healthy, lbl)
+			e.Gauge("fastppv_shard_healthy", "Whether the shard is outside its backoff window (1/0).", healthy, lbl)
 			e.Gauge("fastppv_shard_epoch", "Last index epoch observed on the shard.", float64(ss.Epoch), lbl)
 			e.Counter("fastppv_shard_failures_total", "Failed sub-requests to the shard.", float64(ss.Failures), lbl)
 			e.Counter("fastppv_shard_retries_total", "Sub-requests retried after a transient shard condition.", float64(ss.Retries), lbl)

@@ -4,18 +4,19 @@
 // api.ReadFrame/WriteFrame both ways), request-id multiplexed so every
 // in-flight sub-request of every concurrent query shares one connection.
 //
-// Recovery lives here and only here. A request whose stream breaks under it
-// drops the connection, re-dials once immediately and is re-sent. A request
-// that times out is not re-sent — the shard had its whole RequestTimeout — but
-// its stream is dropped too, in case it is wedged. A dial that fails opens a
-// backoff window (doubling from streamBackoffMin to streamBackoffMax). A
-// request that times out, finds no stream inside that window, or whose re-dial
-// fails returns a transport error. Router.partial classifies that as a shard
-// fault: the shard's health flips, its frontier mass folds into the
-// still-exact bound, and a probe or passive success restores it.
+// A request whose stream breaks under it drops the connection, re-dials once
+// immediately and is re-sent. A request that times out is not re-sent — the
+// shard had its whole RequestTimeout — but its stream is dropped too, in case
+// it is wedged.
 //
-// The scheduling layer above knows none of this: retries on CodeRetry, health
-// flips and epoch bookkeeping stay in Router.partial.
+// The transport also holds the shard's one liveness rule, its backoff window.
+// Every shard fault of a leg opens it: 100ms after a success, then twice the
+// last window up to 5s. Inside it the shard is down for the whole router: no
+// leg is sent, its frontier mass folds into the still-exact bound, and Stats
+// counts it unhealthy. After it the next leg is the probe, and a leg the shard
+// answers closes it. Nothing runs in the background. Which errors are faults
+// is shardFault's call; retries on CodeRetry and epoch bookkeeping stay in
+// Router.partial.
 package cluster
 
 import (
@@ -57,8 +58,8 @@ type TransportStats struct {
 	DroppedReplies int64 `json:"dropped_replies,omitempty"`
 }
 
-// streamBackoff bounds the re-dial schedule after a failed dial: first retry
-// after min, doubling to max.
+// streamBackoff bounds the backoff window: the first after a success lasts
+// min, each further one twice the last, up to max.
 const (
 	streamBackoffMin = 100 * time.Millisecond
 	streamBackoffMax = 5 * time.Second
@@ -78,18 +79,25 @@ type streamTransport struct {
 	timeout time.Duration
 	logger  *slog.Logger
 
+	// until is the end of the shard's backoff window on the monotonic clock,
+	// 0 while the window is closed, so a healthy shard costs one atomic load.
+	until atomic.Int64
+
 	// dialMu admits one dial at a time: concurrent requests that find no
-	// stream wait for the dial in flight and share its outcome (the stream, or
-	// the backoff window its failure opened) instead of each dialing.
+	// stream wait for the dial in flight and share its outcome instead of each
+	// dialing.
 	dialMu sync.Mutex
 
 	mu          sync.Mutex
 	conn        *streamConn
-	nextAttempt time.Time // end of the backoff window a failed dial opened
-	backoff     time.Duration
+	failedDials int   // dials that failed so far
 	dialErr     error // what the last failed dial returned
 	everOpened  bool
 	closed      bool
+	// backoff is the length of the next window; opened is when the current
+	// one opened. Both change only under mu.
+	backoff time.Duration
+	opened  time.Time
 
 	reconnects atomic.Int64
 	framesSent atomic.Int64
@@ -142,11 +150,10 @@ func (t *streamTransport) Partial(preq *api.PartialRequest, traceID string) (*ap
 	}
 }
 
-// acquireConn returns the established stream, dialing one when there is none
-// and no failed dial's backoff window is open.
+// acquireConn returns the established stream, dialing one when there is none.
 func (t *streamTransport) acquireConn() (*streamConn, error) {
 	t.mu.Lock()
-	c := t.conn
+	c, failed := t.conn, t.failedDials
 	t.mu.Unlock()
 	if c != nil {
 		return c, nil
@@ -160,21 +167,19 @@ func (t *streamTransport) acquireConn() (*streamConn, error) {
 		return nil, errTransportClosed
 	case t.conn != nil:
 		return t.conn, nil
-	case time.Now().Before(t.nextAttempt):
-		return nil, fmt.Errorf("cluster: no stream to shard %d (%s), next dial in %v: %w",
-			t.shard, t.target, time.Until(t.nextAttempt).Round(time.Millisecond), t.dialErr)
+	case t.failedDials != failed:
+		// The dial this request waited for failed; its outcome is this
+		// request's too.
+		return nil, t.dialErr
 	}
 	t.mu.Unlock()
 	c, err := dialStream(t.target, t.timeout)
 	t.mu.Lock()
 	if err != nil {
-		t.dialErr = err
-		t.nextAttempt = time.Now().Add(t.backoff)
-		if t.backoff *= 2; t.backoff > streamBackoffMax {
-			t.backoff = streamBackoffMax
-		}
+		t.failedDials++
+		t.dialErr = fmt.Errorf("cluster: dialing stream to shard %d: %w", t.shard, err)
 		t.logger.Debug("stream dial failed", "shard", t.shard, "target", t.target, "error", err)
-		return nil, fmt.Errorf("cluster: dialing stream to shard %d: %w", t.shard, err)
+		return nil, t.dialErr
 	}
 	if t.closed {
 		c.fail(errTransportClosed)
@@ -184,16 +189,66 @@ func (t *streamTransport) acquireConn() (*streamConn, error) {
 		t.reconnects.Add(1)
 	}
 	t.everOpened = true
-	t.backoff = streamBackoffMin
 	t.conn = c
 	go c.readLoop(t)
 	t.logger.Info("shard stream established", "shard", t.shard, "target", t.target)
 	return c, nil
 }
 
+// monotonic is the clock of the backoff windows: nanoseconds since
+// clockStart, which unlike the wall clock never jump.
+func monotonic() int64 { return int64(time.Since(clockStart)) }
+
+var clockStart = time.Now()
+
+// down reports whether the shard is inside its backoff window.
+func (t *streamTransport) down() bool {
+	end := t.until.Load()
+	return end != 0 && monotonic() < end
+}
+
+// admit reports whether a leg may be sent to the shard now: always while the
+// window is closed, never inside it. Once the window has elapsed the first leg
+// to ask is the probe. It pushes the window out by one request timeout, so the
+// legs that ask while it is in flight stay out, and its outcome closes the
+// window or opens the next one.
+func (t *streamTransport) admit() bool {
+	end := t.until.Load()
+	if end == 0 {
+		return true
+	}
+	now := monotonic()
+	return now >= end && t.until.CompareAndSwap(end, now+int64(t.timeout))
+}
+
+// settle moves the backoff window on the outcome of a leg sent at sent: a
+// shard fault opens it, anything else closes it. The outcome of a leg sent
+// before the window last opened belongs to the outage that opened it and
+// moves nothing, so concurrent legs failing together open one window.
+func (t *streamTransport) settle(sent time.Time, err error) {
+	fault := err != nil && shardFault(err)
+	if !fault && t.until.Load() == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if sent.Before(t.opened) {
+		return
+	}
+	if !fault {
+		t.until.Store(0)
+		t.backoff = streamBackoffMin
+		t.logger.Info("shard back up", "shard", t.shard, "target", t.target)
+		return
+	}
+	t.opened = time.Now()
+	t.until.Store(monotonic() + int64(t.backoff))
+	t.logger.Info("shard down", "shard", t.shard, "target", t.target, "window", t.backoff, "error", err)
+	t.backoff = min(2*t.backoff, streamBackoffMax)
+}
+
 // dropConn tears down a broken stream, failing its in-flight requests. The
-// next request dials a fresh one at once: a break opens no backoff window,
-// only a failed dial does.
+// next request dials a fresh one.
 func (t *streamTransport) dropConn(c *streamConn, cause error) {
 	c.fail(cause)
 	t.mu.Lock()

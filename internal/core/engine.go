@@ -261,16 +261,7 @@ func (e *Engine) Precompute() error {
 func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 	var stats OfflineStats
 
-	workers := e.opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(hubNodes) {
-		workers = len(hubNodes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(hubNodes)))
 
 	jobs := make(chan graph.NodeID)
 	var (

@@ -73,7 +73,7 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	}
 	start := time.Now()
 
-	newGraph, err := rebuildGraph(e.g, upd)
+	newGraph, err := ReplayGraphUpdates(e.g, upd)
 	if err != nil {
 		return stats, err
 	}
@@ -177,49 +177,69 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	return stats, nil
 }
 
-// ReplayGraphUpdate applies one update batch to g and returns the resulting
-// graph, without touching any index: it is the pure graph half of ApplyUpdate,
-// used to replay the mutation of each logged batch when a disk index opens
-// (the store replays the batch's recomputed hub PPVs into its overlay).
-func ReplayGraphUpdate(g *graph.Graph, upd GraphUpdate) (*graph.Graph, error) {
-	return rebuildGraph(g, upd)
-}
-
-// rebuildGraph applies the update to a copy of g and returns the new graph.
-func rebuildGraph(g *graph.Graph, upd GraphUpdate) (*graph.Graph, error) {
+// ReplayGraphUpdates applies update batches to g in order and returns the
+// resulting graph, without touching any index: it is the pure graph half of
+// ApplyUpdate, also used to replay the mutations of the logged batches when a
+// disk index opens (the store replays the batches' recomputed hub PPVs into
+// its overlay). However many batches there are, the graph is built once, and
+// each batch keeps its own semantics:
+//   - a removal takes away one copy of an edge present before the batch's
+//     additions, and is ignored when there is none;
+//   - parallel edges keep their counts, and self loops are dropped;
+//   - the node count grows to the largest NumNodes seen so far, and an added
+//     edge must lie within it;
+//   - node labels are kept, and added nodes have none.
+//
+// With no batches it returns g itself.
+func ReplayGraphUpdates(g *graph.Graph, upds ...GraphUpdate) (*graph.Graph, error) {
+	if len(upds) == 0 {
+		return g, nil
+	}
 	numNodes := g.NumNodes()
-	if upd.NumNodes > numNodes {
-		numNodes = upd.NumNodes
-	}
+	// added lists the edges the batches add, and live counts the copies of
+	// each still present after the later batches' removals. removed counts the
+	// removals left over for g's edges; the build takes away at most the
+	// copies g has, so a removal of an absent edge is ignored there.
 	removed := make(map[graph.Edge]int)
-	for _, ed := range upd.RemovedEdges {
-		key := canonicalEdge(g, ed)
-		removed[key]++
+	live := make(map[graph.Edge]int)
+	var added []graph.Edge
+	for _, upd := range upds {
+		numNodes = max(numNodes, upd.NumNodes)
+		for _, ed := range upd.RemovedEdges {
+			if key := canonicalEdge(g, ed); live[key] > 0 {
+				live[key]--
+			} else {
+				removed[key]++
+			}
+		}
+		for _, ed := range upd.AddedEdges {
+			if ed.From < 0 || int(ed.From) >= numNodes || ed.To < 0 || int(ed.To) >= numNodes {
+				return nil, fmt.Errorf("%w: edge (%d,%d) with %d nodes", graph.ErrNodeOutOfRange, ed.From, ed.To, numNodes)
+			}
+			key := canonicalEdge(g, ed)
+			added = append(added, key)
+			live[key]++
+		}
 	}
+
 	b := graph.NewBuilder(g.Directed())
 	b.EnsureNodes(numNodes)
-	var buildErr error
+	b.CopyLabels(g)
 	g.Edges(func(ed graph.Edge) bool {
 		if !g.Directed() && ed.From > ed.To {
 			return true // visit each undirected edge once
 		}
-		key := canonicalEdge(g, ed)
-		if removed[key] > 0 {
+		if key := canonicalEdge(g, ed); removed[key] > 0 {
 			removed[key]--
 			return true
 		}
-		if err := b.AddEdge(ed.From, ed.To); err != nil {
-			buildErr = err
-			return false
-		}
+		_ = b.AddEdge(ed.From, ed.To) // cannot fail: ed is an edge of g
 		return true
 	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	for _, ed := range upd.AddedEdges {
-		if err := b.AddEdge(ed.From, ed.To); err != nil {
-			return nil, err
+	for _, key := range added {
+		if live[key] > 0 {
+			live[key]--
+			_ = b.AddEdge(key.From, key.To) // cannot fail: checked in range above
 		}
 	}
 	return b.Finalize(), nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -279,5 +281,128 @@ func TestApplyUpdateCommitFailureIsReported(t *testing.T) {
 	store.failCommit = true
 	if _, err := e.ApplyUpdate(GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}}); err == nil {
 		t.Error("ApplyUpdate with a failing commit should report the error")
+	}
+}
+
+// labelledRing builds a directed ring over n labelled nodes, "a", "b", ...
+func labelledRing(n int) *graph.Graph {
+	b := graph.NewBuilder(true)
+	for u := 0; u < n; u++ {
+		b.AddLabeledNode(string(rune('a' + u)))
+	}
+	for u := 0; u < n; u++ {
+		b.MustAddEdge(graph.NodeID(u), graph.NodeID((u+1)%n))
+	}
+	return b.Finalize()
+}
+
+// TestApplyUpdateKeepsLabels: an update keeps the graph's node labels, and a
+// node it adds has none.
+func TestApplyUpdateKeepsLabels(t *testing.T) {
+	e, err := NewEngine(labelledRing(6), nil, exactOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ApplyUpdate(GraphUpdate{AddedEdges: []graph.Edge{{From: 3, To: 6}}, NumNodes: 7}); err != nil {
+		t.Fatal(err)
+	}
+	g := e.Graph()
+	if !g.HasLabels() {
+		t.Fatal("the updated graph lost its labels")
+	}
+	for u, want := range []string{"a", "b", "c", "d", "e", "f", ""} {
+		if got := g.Label(graph.NodeID(u)); got != want {
+			t.Errorf("node %d labelled %q after the update, want %q", u, got, want)
+		}
+	}
+}
+
+// TestReplayGraphUpdatesFoldsBatches: replaying many batches in one pass
+// builds the graph that folding them one batch at a time builds, edge for edge
+// and label for label, on directed and undirected graphs. The batches remove
+// edges of the base graph, of earlier batches, of their own additions (which
+// they must not touch) and edges that are absent; they add parallel edges and
+// self loops, and grow the node set.
+func TestReplayGraphUpdatesFoldsBatches(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			b := graph.NewBuilder(directed)
+			for u := 0; u < 12; u++ {
+				b.AddLabeledNode(fmt.Sprintf("n%d", u))
+			}
+			for i := 0; i < 30; i++ {
+				b.MustAddEdge(graph.NodeID(rng.Intn(12)), graph.NodeID(rng.Intn(12)))
+			}
+			base := b.Finalize()
+
+			folded := base
+			var batches []GraphUpdate
+			for i := 0; i < 6; i++ {
+				var upd GraphUpdate
+				n := folded.NumNodes()
+				if rng.Intn(3) == 0 {
+					n += 1 + rng.Intn(3)
+					upd.NumNodes = n
+				}
+				edge := func(limit int) graph.Edge {
+					return graph.Edge{From: graph.NodeID(rng.Intn(limit)), To: graph.NodeID(rng.Intn(limit))}
+				}
+				for j := 0; j < 5; j++ {
+					upd.AddedEdges = append(upd.AddedEdges, edge(n))
+				}
+				if arcs := folded.EdgeList(); len(arcs) > 0 {
+					for j := 0; j < 4; j++ {
+						ed := arcs[rng.Intn(len(arcs))]
+						if !directed && rng.Intn(2) == 0 {
+							ed.From, ed.To = ed.To, ed.From
+						}
+						upd.RemovedEdges = append(upd.RemovedEdges, ed)
+					}
+				}
+				upd.RemovedEdges = append(upd.RemovedEdges, upd.AddedEdges[0], edge(n))
+				next, err := ReplayGraphUpdates(folded, upd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				folded, batches = next, append(batches, upd)
+			}
+
+			got, err := ReplayGraphUpdates(base, batches...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumNodes() != folded.NumNodes() || got.Directed() != directed {
+				t.Fatalf("directed=%v seed %d: %d nodes (directed=%v), folding gives %d", directed, seed,
+					got.NumNodes(), got.Directed(), folded.NumNodes())
+			}
+			if !reflect.DeepEqual(got.EdgeList(), folded.EdgeList()) {
+				t.Fatalf("directed=%v seed %d: edges differ from folding batch by batch:\n%v\n%v",
+					directed, seed, got.EdgeList(), folded.EdgeList())
+			}
+			for u := 0; u < got.NumNodes(); u++ {
+				if got.Label(graph.NodeID(u)) != folded.Label(graph.NodeID(u)) {
+					t.Fatalf("directed=%v seed %d: node %d labelled %q, folding gives %q", directed, seed,
+						u, got.Label(graph.NodeID(u)), folded.Label(graph.NodeID(u)))
+				}
+			}
+		}
+	}
+}
+
+// TestReplayGraphUpdatesChecksEachBatchNodeCount: an added edge must lie
+// within its own batch's node count, not one a later batch grows to.
+func TestReplayGraphUpdatesChecksEachBatchNodeCount(t *testing.T) {
+	base := labelledRing(4)
+	early := GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 5}}}
+	grow := GraphUpdate{NumNodes: 6}
+	if _, err := ReplayGraphUpdates(base, early, grow); !errors.Is(err, graph.ErrNodeOutOfRange) {
+		t.Errorf("edge to node 5 before the node set grows: err = %v, want ErrNodeOutOfRange", err)
+	}
+	if _, err := ReplayGraphUpdates(base, grow, early); err != nil {
+		t.Errorf("edge to node 5 after the node set grows: %v", err)
 	}
 }

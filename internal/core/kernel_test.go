@@ -19,9 +19,7 @@ func socialEngine(t testing.TB, nodes int, seed int64) *Engine {
 	if err != nil {
 		t.Fatalf("SocialGraph: %v", err)
 	}
-	// Two workers whatever the host: each owns one push scratch, and the
-	// precompute ceiling below counts them.
-	e, err := NewEngine(g, nil, Options{NumHubs: nodes / 10, Workers: 2})
+	e, err := NewEngine(g, nil, Options{NumHubs: nodes / 10})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -208,9 +206,13 @@ func TestAllocationCeilings(t *testing.T) {
 		partialCeiling    = 16_000    // bytes per non-hub root partial plus one expansion
 		precomputeCeiling = 1_140_000 // bytes per Precompute
 	)
+	// Precompute runs a worker per GOMAXPROCS, each owning one push scratch;
+	// the precompute ceiling counts two, whatever the host.
+	procs := runtime.GOMAXPROCS(2)
 	before := totalAlloc()
 	e := socialEngine(t, 5000, 17)
 	precompute := totalAlloc() - before
+	runtime.GOMAXPROCS(procs)
 	// socialEngine's graph generation is inside the window; measure it alone.
 	before = totalAlloc()
 	if _, err := gen.SocialGraph(gen.SocialConfig{Nodes: 5000, OutDegreeMean: 6, Attachment: 0.8, Seed: 17}); err != nil {
@@ -298,7 +300,7 @@ func TestMemIndexHeapAndViewCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := heapAlloc()
-	e, err := NewEngine(g, nil, Options{NumHubs: 500, Workers: 2})
+	e, err := NewEngine(g, nil, Options{NumHubs: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,6 @@ type Options struct {
 	// selection, so that experiments sweeping |H| or the policy do not
 	// recompute them.
 	PageRank []float64
-	// Workers is the number of goroutines used for offline precomputation;
-	// zero means a small multiple of GOMAXPROCS chosen by the engine.
-	Workers int
 	// MaxPushes caps the per-prime-PPV expansion work; zero uses the prime
 	// package default.
 	MaxPushes int
@@ -122,9 +119,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.NumHubs < 0 {
 		return o, errors.New("core: negative NumHubs")
-	}
-	if o.Workers < 0 {
-		return o, errors.New("core: negative Workers")
 	}
 	if err := o.Partition.validate(); err != nil {
 		return o, err

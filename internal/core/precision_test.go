@@ -122,7 +122,7 @@ func TestBoundSoundAtDefaultPrecision(t *testing.T) {
 		g    *graph.Graph
 	}{{"social", social}, {"uniform", uniform}} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{NumHubs: 100, Workers: 2}
+			opts := Options{NumHubs: 100}
 			e, err := NewEngine(tc.g, nil, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -45,6 +46,10 @@ func (b *Builder) AddLabeledNode(label string) NodeID {
 	b.labels = append(b.labels, label)
 	return id
 }
+
+// CopyLabels gives the builder's nodes the labels of g's nodes; nodes beyond
+// g's have none.
+func (b *Builder) CopyLabels(g *Graph) { b.labels = slices.Clip(g.labels) }
 
 // EnsureNodes grows the node set so that at least n nodes exist.
 func (b *Builder) EnsureNodes(n int) {

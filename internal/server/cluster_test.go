@@ -63,7 +63,7 @@ func shardedServers(t *testing.T, g *graph.Graph, numHubs, shards int) []*testSh
 
 func routerServer(t *testing.T, shardURLs []string) (*httptest.Server, *cluster.Router) {
 	t.Helper()
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: shardURLs, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: shardURLs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +579,17 @@ func TestClusterDirectShardUpdateDiverges(t *testing.T) {
 func TestClusterUpdateSkipsBehindShard(t *testing.T) {
 	g := socialGraph(t, 300)
 	shards := shardedServers(t, g, 40, 2)
-	routerTS, _ := routerServer(t, []string{shards[0].URL, shards[1].URL})
+	routerTS, rt := routerServer(t, []string{shards[0].URL, shards[1].URL})
+	// A routed query first: the router has seen both shards at epoch 0, so
+	// the fan-out must not trust what it saw.
+	if status, _, body := get(t, routerTS, "/v1/ppv?node=1&eta=2"); status != http.StatusOK {
+		t.Fatalf("routed query = %d: %s", status, body)
+	}
+	for _, ss := range rt.Stats().Shards {
+		if !ss.EpochKnown || ss.Epoch != 0 {
+			t.Fatalf("shard %d: epoch %d known=%v before the direct updates, want 0", ss.Shard, ss.Epoch, ss.EpochKnown)
+		}
+	}
 
 	// Diverge shard 1 by two direct updates; the cluster epoch becomes 2 and
 	// shard 0 (epoch 0) is now "behind".

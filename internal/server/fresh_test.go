@@ -328,7 +328,7 @@ func TestFreshRouterPreUpdateFlight(t *testing.T) {
 	g := socialGraph(t, 500)
 	hub := testEngine(t, g, 70).Hubs().Hubs()[0]
 	shards := shardedServers(t, g, 70, 2)
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{shards[0].URL, shards[1].URL}, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{shards[0].URL, shards[1].URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFreshRouterPreUpdateFlight(t *testing.T) {
 func TestFreshRouterDegradedFlightShared(t *testing.T) {
 	g := socialGraph(t, 400)
 	shards := shardedServers(t, g, 60, 2)
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{shards[0].URL, shards[1].URL}, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{shards[0].URL, shards[1].URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

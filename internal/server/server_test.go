@@ -258,6 +258,48 @@ func TestServerUpdateInvalidation(t *testing.T) {
 	}
 }
 
+// TestServerLabelsSurviveUpdate: a labelled engine still answers with node
+// labels after POST /v1/update, and a node the update adds has none.
+func TestServerLabelsSurviveUpdate(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for u := 0; u < 6; u++ {
+		b.AddLabeledNode(fmt.Sprintf("n%d", u))
+	}
+	for u := 0; u < 6; u++ {
+		b.MustAddEdge(graph.NodeID(u), graph.NodeID((u+1)%6))
+	}
+	srv, err := New(testEngine(t, b.Finalize(), 2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if status, out := post(t, ts, "/v1/update", `{"added_edges":[[3,6]],"num_nodes":7}`); status != http.StatusOK {
+		t.Fatalf("update failed: %d %s", status, out)
+	}
+	status, _, body := get(t, ts, "/v1/ppv?node=3&eta=2&top=7")
+	if status != http.StatusOK {
+		t.Fatalf("query after the update: %d %s", status, body)
+	}
+	var resp QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) < 2 {
+		t.Fatalf("node 3 ranks %d nodes after the update, want the new node among several: %s", len(resp.Results), body)
+	}
+	for _, r := range resp.Results {
+		want := fmt.Sprintf("n%d", r.Node)
+		if r.Node == 6 {
+			want = ""
+		}
+		if r.Label != want {
+			t.Errorf("node %d labelled %q after the update, want %q", r.Node, r.Label, want)
+		}
+	}
+}
+
 // TestServerUpdateInvalidatesByEstimate covers the invalidation rule: a
 // cached answer whose estimate reaches a touched node is dropped even when it
 // is not for that node. At eta=0 a non-hub source reads no hub record (its
@@ -389,7 +431,7 @@ func TestServerDegradation(t *testing.T) {
 			hdr.Get("X-Fastppv-Cache"), qr.Degraded, qr.Iterations, want.Iterations)
 	}
 
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{ts.URL}, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,8 @@ func routerWithRegistry(t *testing.T, g *graph.Graph) (*httptest.Server, *cluste
 	shards := shardedServers(t, g, 40, 2)
 	reg := telemetry.NewRegistry()
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Targets:        []string{shards[0].URL, shards[1].URL},
-		HealthInterval: -1,
-		Registry:       reg,
+		Targets:  []string{shards[0].URL, shards[1].URL},
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +407,7 @@ func TestTraceIDPropagation(t *testing.T) {
 		t.Cleanup(func() { srv.CloseStreams(); ts.Close() })
 		shardURLs[i] = frameTap(t, ts.URL, record)
 	}
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: shardURLs, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Targets: shardURLs})
 	if err != nil {
 		t.Fatal(err)
 	}
