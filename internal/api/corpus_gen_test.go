@@ -69,12 +69,12 @@ func TestRegenBinaryFrameCorpus(t *testing.T) {
 		[]byte{'F', 'P', 'S', '1', 0x01, 0xFF, 0xFF, 0xFF, 0x7F},
 	)
 
-	entries := make([]byte, 3*sparse.EncodedEntrySize)
-	sparse.PutEncodedEntry(entries, 1, 0.5)
-	sparse.PutEncodedEntry(entries[sparse.EncodedEntrySize:], 1, 0.25) // duplicate id
-	sparse.PutEncodedEntry(entries[2*sparse.EncodedEntrySize:], 7, -0.0)
+	entries := make([]byte, 3*wireEntrySize)
+	putWireEntry(entries, 1, 0.5)
+	putWireEntry(entries[wireEntrySize:], 1, 0.25) // duplicate id
+	putWireEntry(entries[2*wireEntrySize:], 7, -0.0)
 	corpus.Write(t, "FuzzVectorRoundTrip",
 		entries,
-		entries[:sparse.EncodedEntrySize+5], // ragged tail
+		entries[:wireEntrySize+5], // ragged tail
 	)
 }

@@ -2,11 +2,13 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"testing"
 
+	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
 
@@ -103,6 +105,25 @@ func checkPayloadFixedPoint(t *testing.T, ftype byte, payload []byte) {
 	}
 }
 
+// wireEntrySize is the size of one fuzz-input entry of FuzzVectorRoundTrip:
+// a uint32 node id and the float64 bits of its score, little-endian. The wire
+// carries float64 scores, so the input does too; the hub-record encoding of
+// package sparse keeps only a float32 of each and would never reach the bits
+// below it.
+const wireEntrySize = 12
+
+// putWireEntry writes one fuzz-input entry at the start of b.
+func putWireEntry(b []byte, id graph.NodeID, score float64) {
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	binary.LittleEndian.PutUint64(b[4:], math.Float64bits(score))
+}
+
+// wireEntryAt decodes the i-th fuzz-input entry of b.
+func wireEntryAt(b []byte, i int) (graph.NodeID, float64) {
+	b = b[i*wireEntrySize:]
+	return graph.NodeID(binary.LittleEndian.Uint32(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+}
+
 // FuzzVectorRoundTrip drives the wire-vector codec from raw bytes: the input
 // is chopped into (node, score) entries, encoded to wire form, framed as a
 // partial response's increment, decoded, and compared bit-for-bit. Encoding
@@ -110,16 +131,16 @@ func checkPayloadFixedPoint(t *testing.T, ftype byte, payload []byte) {
 // the decoded vector is the encoded one, strictly ascending, with every
 // surviving node's score bits preserved.
 func FuzzVectorRoundTrip(f *testing.F) {
-	seed := make([]byte, 2*sparse.EncodedEntrySize)
-	sparse.PutEncodedEntry(seed, 3, 0.5)
-	sparse.PutEncodedEntry(seed[sparse.EncodedEntrySize:], 9, math.SmallestNonzeroFloat64)
+	seed := make([]byte, 2*wireEntrySize)
+	putWireEntry(seed, 3, 0.5)
+	putWireEntry(seed[wireEntrySize:], 9, math.SmallestNonzeroFloat64)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / sparse.EncodedEntrySize
+		n := len(data) / wireEntrySize
 		v := sparse.New(n)
 		for i := 0; i < n; i++ {
-			id, s := sparse.EncodedEntryAt(data[:n*sparse.EncodedEntrySize], i)
+			id, s := wireEntryAt(data, i)
 			v[id] = s
 		}
 		w := EncodeVector(v)

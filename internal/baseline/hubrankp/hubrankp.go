@@ -81,7 +81,10 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// OfflineStats reports the cost of Precompute.
+// OfflineStats reports the cost of Precompute. IndexBytes charges the hub
+// PPVs in FastPPV's record layout (an 8-byte hub header, then
+// sparse.EncodedEntrySize an entry), so that the offline-space figures
+// (13-15) compare the algorithms, not two encodings.
 type OfflineStats struct {
 	Hubs         int
 	Total        time.Duration
@@ -179,7 +182,7 @@ func (r *Ranker) Precompute() error {
 	}
 	for _, v := range r.hubPPVs {
 		r.offline.IndexEntries += int64(v.NonZeros())
-		r.offline.IndexBytes += 8 + int64(v.NonZeros())*12
+		r.offline.IndexBytes += 8 + int64(v.NonZeros())*sparse.EncodedEntrySize
 	}
 	return nil
 }

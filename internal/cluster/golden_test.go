@@ -25,7 +25,9 @@ import (
 const goldenFile = "testdata/query_golden.txt"
 
 // answerHash folds (Iterations, bits(L1ErrorBound), ascending (node,
-// bits(score))) into one FNV-64a value.
+// bits(score))) into one FNV-64a value. Scores are hashed as their full
+// float64 bits, not through the hub-record encoder, which keeps only a
+// float32 of each and so would hide a move below float32 precision.
 func answerHash(iterations int, bound float64, estimate sparse.Vector) uint64 {
 	h := fnv.New64a()
 	var b [12]byte
@@ -34,7 +36,8 @@ func answerHash(iterations int, bound float64, estimate sparse.Vector) uint64 {
 	binary.LittleEndian.PutUint64(b[:8], math.Float64bits(bound))
 	h.Write(b[:8])
 	for _, e := range estimate.AppendSorted(nil) {
-		sparse.PutEncodedEntry(b[:], e.Node, e.Score)
+		binary.LittleEndian.PutUint32(b[:4], uint32(e.Node))
+		binary.LittleEndian.PutUint64(b[4:], math.Float64bits(e.Score))
 		h.Write(b[:])
 	}
 	return h.Sum64()

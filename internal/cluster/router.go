@@ -200,13 +200,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r.registerCollector(reg)
 	// Read every shard's stats at once: silent shards cost one timeout
-	// together, not one each.
+	// together, not one each, and that timeout is short. Nothing here needs
+	// the answer: a shard not read now is connected by its first leg, and
+	// the first answered root teaches the node count.
 	var wg sync.WaitGroup
 	for _, s := range r.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.fetchShardStats(s)
+			r.fetchShardStats(s, min(r.timeout, startupStatsTimeout))
 		}()
 	}
 	wg.Wait()
@@ -264,11 +266,15 @@ func (r *Router) observeEpoch(e uint64) {
 	}
 }
 
+// startupStatsTimeout caps NewRouter's stats read, so that a shard that
+// accepts connections but never answers holds start-up for at most this long.
+const startupStatsTimeout = 2 * time.Second
+
 // fetchShardStats reads the shard's /v1/stats for the graph size and index
-// epoch, recording the epoch on the shard (and raising the cluster epoch) and
-// raising the node count.
-func (r *Router) fetchShardStats(s *shardClient) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
+// epoch within timeout, recording the epoch on the shard (and raising the
+// cluster epoch) and raising the node count.
+func (r *Router) fetchShardStats(s *shardClient, timeout time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.target+"/v1/stats", nil)
 	if err != nil {
@@ -583,7 +589,7 @@ func (q *routedQuery) rootReply(node graph.NodeID, span *IterationSpan) (*api.Pa
 			q.stale[i] = struct{}{}
 		}
 		if r.numNodes.Load() == 0 {
-			r.fetchShardStats(s)
+			r.fetchShardStats(s, r.timeout)
 		}
 		return resp, s.index, nil
 	}
@@ -827,7 +833,7 @@ func (r *Router) Update(req api.UpdateRequest) (*ClusterUpdate, error) {
 	// Establish the target epoch from every shard's current stats: a shard
 	// updated directly since the router last saw it must not pass as current.
 	for _, s := range r.shards {
-		r.fetchShardStats(s)
+		r.fetchShardStats(s, r.timeout)
 	}
 	clusterEpoch, epochKnown := r.ClusterEpoch()
 	if !epochKnown {

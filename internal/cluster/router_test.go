@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -470,6 +471,55 @@ func TestRouterLearnsNodeCountFromFirstAnswer(t *testing.T) {
 	}
 	if got, want := r.NumNodes(), single.Graph().NumNodes(); got != want {
 		t.Errorf("NumNodes = %d after the first answer, want %d", got, want)
+	}
+}
+
+// TestNewRouterSilentShardsDoNotHoldStartup: shards that accept connections
+// but never answer hold NewRouter for the capped start-up read, not for the
+// full request timeout.
+func TestNewRouterSilentShardsDoNotHoldStartup(t *testing.T) {
+	var (
+		targets []string
+		mu      sync.Mutex
+		conns   []net.Conn
+	)
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	for range 3 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				conns = append(conns, c)
+				mu.Unlock()
+			}
+		}()
+		targets = append(targets, "http://"+ln.Addr().String())
+	}
+	start := time.Now()
+	r, err := NewRouter(RouterConfig{Targets: targets, RequestTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("NewRouter over three silent shards took %v, want under 3s", took)
+	}
+	if n := r.NumNodes(); n != 0 {
+		t.Errorf("NumNodes = %d with no shard answering, want 0", n)
 	}
 }
 

@@ -229,6 +229,9 @@ func (ft Format) readHeader(f File, size int64, path string) ([]byte, error) {
 	binary.LittleEndian.PutUint32(want[0:], ft.Magic)
 	binary.LittleEndian.PutUint32(want[4:], ft.Version)
 	if n := min(len(hdr), len(want)); !bytes.Equal(hdr[:n], want[:n]) {
+		if n == len(want) && bytes.Equal(hdr[:4], want[:4]) {
+			return nil, fmt.Errorf("%w: %s %s is version %d, this build reads version %d only", ft.BadHeader, ft.Name, path, binary.LittleEndian.Uint32(hdr[4:]), ft.Version)
+		}
 		return nil, fmt.Errorf("%w: %s %s has a foreign magic or an unsupported version (want %#x, version %d)", ft.BadHeader, ft.Name, path, ft.Magic, ft.Version)
 	}
 	if len(hdr) < ft.HeaderBytes {

@@ -22,7 +22,7 @@ import (
 // and detaches a read of it in flight — so the next read sees the fresh
 // record.
 //
-// Blocks are retained as the raw 12-byte encoded entry payload — the same
+// Blocks are retained as the raw 8-byte-an-entry encoded payload — the same
 // flat layout as the disk record — and GetView serves cache hits as
 // zero-copy, zero-allocation views over the retained buffer. The retained
 // buffer is an owned copy, never an alias of the inner index's mapping, so
@@ -56,7 +56,7 @@ type BlockCacheStats struct {
 }
 
 // blockFixedBytes is the per-block overhead charged on top of the flat
-// payload (12 bytes/entry): the cache entry with its LRU links and map slot.
+// payload (8 bytes/entry): the cache entry with its LRU links and map slot.
 const blockFixedBytes = 128
 
 // NewBlockCache wraps inner with a cache of budgetBytes total budget split

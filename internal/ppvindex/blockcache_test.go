@@ -227,7 +227,7 @@ func TestBlockCacheInvalidate(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("Get(3) after invalidate = %v, %v", ok, err)
 	}
-	if v.Get(5) != 0.9 {
+	if v.Get(5) != float64(sparse.StoredScore(0.9)) {
 		t.Errorf("Get(3) returned the stale block: %v", v)
 	}
 	// Untouched hubs stay cached.
@@ -263,7 +263,7 @@ func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
 	inner.rewrite(t, updated)
 	bc.Invalidate([]graph.NodeID{7})
 	close(gate)
-	if v := <-done; v.Get(8) == 0.7 {
+	if v := <-done; v.Get(8) == float64(sparse.StoredScore(0.7)) {
 		t.Fatalf("the raced load should have read the old record, got %v", v)
 	}
 
@@ -273,7 +273,7 @@ func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("Get(7) = %v, %v", ok, err)
 	}
-	if v.Get(8) != 0.7 {
+	if v.Get(8) != float64(sparse.StoredScore(0.7)) {
 		t.Errorf("stale block survived invalidation: %v", v)
 	}
 }
@@ -292,7 +292,7 @@ func TestBlockCacheOverDiskIndex(t *testing.T) {
 			if !ok || err != nil {
 				t.Fatalf("Get(%d) = %v, %v", h, ok, err)
 			}
-			if d := got.L1Distance(want); d > 1e-12 {
+			if d := got.L1Distance(storedVector(want)); d != 0 {
 				t.Errorf("Get(%d) differs by %v", h, d)
 			}
 		}

@@ -2,6 +2,7 @@ package ppvindex
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"fastppv/internal/corpus"
@@ -41,6 +42,9 @@ func TestRegenLogCorpora(t *testing.T) {
 	binary.LittleEndian.PutUint32(v1[0:], logMagic)
 	binary.LittleEndian.PutUint32(v1[4:], 1)
 	copy(v1[8:], fuzzBind[:12]) // base size and hub count
+	// The layout before float32 scores: version 2, 12-byte entries.
+	v2 := append([]byte(nil), both...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
 	corpus.Write(t, "FuzzUpdateLogReplay",
 		both,                                   // records and a mutation
 		batch(fuzzBind, GraphMutation{}, true), // records only
@@ -49,11 +53,12 @@ func TestRegenLogCorpora(t *testing.T) {
 		badcrc,                                 // checksum mismatch on the batch
 		batch(otherBase, mutation, true),       // bound to another base: records skipped
 		v1,                                     // a version-1 header, rejected
+		v2,                                     // a version-2 log, rejected
 	)
 
-	// Disk hub records: a canonical record, a truncated one, and one whose
-	// declared count disagrees with its length.
-	rec := encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-12, 11: -0.5})
+	// Disk hub records: a canonical record, a truncated one, one whose
+	// declared count disagrees with its length, and scores the gate refuses.
+	rec := encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-12, 11: 0.5})
 	badcount := append([]byte(nil), rec...)
 	badcount[4] ^= 0x01
 	corpus.Write(t, "FuzzDiskRecordDecode",
@@ -61,5 +66,7 @@ func TestRegenLogCorpora(t *testing.T) {
 		rec[:len(rec)-4],
 		badcount,
 		encodeRecord(0, nil),
+		encodeRecord(7, sparse.Vector{3: 0.25, 9: -0.5}),
+		encodeRecord(7, sparse.Vector{3: math.NaN(), 9: math.Inf(1)}),
 	)
 }

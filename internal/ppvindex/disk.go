@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,12 +23,12 @@ import (
 //	records (one per hub, written first, streamed in Put order):
 //	  hub    uint32
 //	  count  uint32
-//	  count * { node uint32, score float64 }
+//	  count * { node uint32, score float32 }   (sparse.PutEncodedEntry)
 //	directory (hubs entries, appended after the last record):
 //	  hub    uint32
 //	  offset uint64   byte offset of the hub's record from the file start
 //	footer (the final 16 bytes of the file):
-//	  magic    uint32 'F','P','I','1'
+//	  magic    uint32 'F','P','I','2'
 //	  hubs     uint32
 //	  dirStart uint64  byte offset of the directory
 //
@@ -37,7 +38,13 @@ import (
 // directory, and keeps the directory in memory; each Get performs a single
 // positioned read of the record, which models the "one random access to the
 // disk" per fetched hub of Sect. 6.3.1.
-const diskMagic = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('1')<<24
+//
+// FPI1, the previous layout, stored 12-byte (node uint32, score float64)
+// entries. It is not migrated: opening one fails with ErrBadIndexFormat.
+const (
+	diskMagic   = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('2')<<24
+	diskMagicV1 = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('1')<<24
+)
 
 // ErrBadIndexFormat reports a corrupt or foreign index file.
 var ErrBadIndexFormat = errors.New("ppvindex: bad index file format")
@@ -101,8 +108,11 @@ func appendRecord(dst []byte, h graph.NodeID, payload []byte) []byte {
 
 // parseRecord validates a record that arrives from outside the process (an
 // update-log frame) and returns its hub and entry payload, which aliases buf.
-// The count must exactly cover the buffer and node ids must strictly ascend:
-// views are folded and binary-searched as they are, so this is the gate.
+// The count must exactly cover the buffer, node ids must strictly ascend and
+// every score must be finite and non-negative: views are folded and
+// binary-searched as they are, a negative score would break the estimate's
+// lower-bound argument, and a NaN is not bit-stable through float64 (a
+// signalling NaN comes back quiet), so this is the gate.
 func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 	if len(buf) < perHubOverheadBytes {
 		return 0, nil, fmt.Errorf("%w: record payload of %d bytes is shorter than its header", ErrBadIndexFormat, len(buf))
@@ -113,11 +123,16 @@ func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 	if count*entryBytes != int64(len(payload)) {
 		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d entries in a %d-byte payload", ErrBadIndexFormat, h, count, len(buf))
 	}
-	for i := 1; i < int(count); i++ {
-		prev, _ := sparse.EncodedEntryAt(payload, i-1)
-		if node, _ := sparse.EncodedEntryAt(payload, i); node <= prev {
+	var prev graph.NodeID
+	for i := 0; i < int(count); i++ {
+		node, score := sparse.EncodedEntryAt(payload, i)
+		if score < 0 || math.IsNaN(score) || math.IsInf(score, 1) {
+			return 0, nil, fmt.Errorf("%w: record of hub %d holds score %v at node %d (entry %d)", ErrBadIndexFormat, h, score, node, i)
+		}
+		if i > 0 && node <= prev {
 			return 0, nil, fmt.Errorf("%w: record of hub %d is not in ascending node order (entry %d: node %d after %d)", ErrBadIndexFormat, h, i, node, prev)
 		}
+		prev = node
 	}
 	return h, payload, nil
 }
@@ -283,7 +298,12 @@ func OpenDiskWithOptions(path string, opts DiskOptions) (*DiskIndex, error) {
 		f.Close()
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(footer[0:]) != diskMagic {
+	switch binary.LittleEndian.Uint32(footer[0:]) {
+	case diskMagic:
+	case diskMagicV1:
+		f.Close()
+		return nil, fmt.Errorf("%w: %s is an FPI1 index (12-byte entries), which this build no longer reads; rebuild it as FPI2", ErrBadIndexFormat, path)
+	default:
 		f.Close()
 		return nil, ErrBadIndexFormat
 	}

@@ -3,6 +3,7 @@ package ppvindex
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,6 +39,17 @@ func strictlyAscending(payload []byte) bool {
 	for i := 1; i < len(payload)/entryBytes; i++ {
 		prev, _ := sparse.EncodedEntryAt(payload, i-1)
 		if node, _ := sparse.EncodedEntryAt(payload, i); node <= prev {
+			return false
+		}
+	}
+	return true
+}
+
+// scoresSound reports whether every score of an entry payload is finite and
+// non-negative: what the lower-bound argument of the stored records needs.
+func scoresSound(payload []byte) bool {
+	for i := 0; i < len(payload)/entryBytes; i++ {
+		if _, s := sparse.EncodedEntryAt(payload, i); s < 0 || math.IsNaN(s) || math.IsInf(s, 1) {
 			return false
 		}
 	}
@@ -92,10 +104,10 @@ type fuzzBatch struct {
 // foreign graph binding, rewriting a foreign base binding down to its
 // mutations) or fails with an error wrapping ErrBadIndexFormat and leaves the
 // file as it was — never a panic — and a file it accepted replays identically
-// on reopen. Every replayed record is strictly ascending, and committing the
-// replayed batches again through AppendEncoded and CommitBatch reproduces the
-// repaired file's frames byte for byte: nothing is normalized on the way in,
-// so nothing unsorted can hide.
+// on reopen. Every replayed record is strictly ascending with every score
+// finite and non-negative, and committing the replayed batches again through
+// AppendEncoded and CommitBatch reproduces the repaired file's frames byte
+// for byte: nothing is normalized on the way in, so nothing unsorted can hide.
 func FuzzUpdateLogReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FPL1garbage"))
@@ -117,6 +129,9 @@ func FuzzUpdateLogReplay(f *testing.F) {
 		}, func(h graph.NodeID, payload []byte) error {
 			if !strictlyAscending(payload) {
 				t.Fatalf("replay accepted a record of hub %d that is not strictly ascending", h)
+			}
+			if !scoresSound(payload) {
+				t.Fatalf("replay accepted a record of hub %d with a negative, NaN or infinite score", h)
 			}
 			last := &replayed[len(replayed)-1]
 			last.records = append(last.records, appendRecord(nil, h, payload))
@@ -180,14 +195,17 @@ func FuzzUpdateLogReplay(f *testing.F) {
 
 // FuzzDiskRecordDecode drives the hub-record validator with arbitrary bytes.
 // Rejections must wrap ErrBadIndexFormat. Whatever is accepted is strictly
-// ascending, is returned as the very bytes that came in (re-framing them gives
-// the input back), and survives the boundary round trip view -> map -> encoder
-// byte for byte, every score bit-identical.
+// ascending with every score finite and non-negative, is returned as the very
+// bytes that came in (re-framing them gives the input back), and survives the
+// boundary round trip view -> map -> encoder byte for byte, every score
+// bit-identical.
 func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-12}))
 	f.Add(appendRecord(nil, 7, rawEntries(9, 3)))
 	f.Add(appendRecord(nil, 7, rawEntries(3, 3)))
+	f.Add(encodeRecord(7, sparse.Vector{3: 0.25, 9: -0.5}))
+	f.Add(encodeRecord(7, sparse.Vector{3: math.NaN()}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := parseRecord(data)
 		if err != nil {
@@ -198,6 +216,9 @@ func FuzzDiskRecordDecode(f *testing.F) {
 		}
 		if !strictlyAscending(payload) {
 			t.Fatalf("accepted a record of hub %d that is not strictly ascending", h)
+		}
+		if !scoresSound(payload) {
+			t.Fatalf("accepted a record of hub %d with a negative, NaN or infinite score", h)
 		}
 		if !bytes.Equal(appendRecord(nil, h, payload), data) {
 			t.Fatalf("re-framing the accepted record of hub %d does not give the input back", h)

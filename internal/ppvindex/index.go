@@ -1,7 +1,8 @@
 // Package ppvindex stores the precomputed building blocks of FastPPV's
 // offline phase: the prime PPV of every hub node (Algorithm 1 of the paper).
 // A stored prime PPV has one form, the hub record: its (node, score) entries
-// in the flat 12-byte encoding of package sparse, in strictly ascending node
+// in the flat 8-byte encoding of package sparse (each score a float32 rounded
+// toward zero, so a stored record never overstates the push), in strictly ascending node
 // order. The in-memory index, the disk file (Sect. 5.3: one random read per
 // fetched hub), the update log and the block cache all hold those same bytes,
 // and the query loop folds them through a HubRecordView without decoding.
@@ -44,7 +45,7 @@ type Writer interface {
 }
 
 // entryBytes is the storage cost per (node, score) pair: a uint32 node id and
-// a float64 score, matching the binary disk layout.
+// a float32 score, matching the binary disk layout.
 const entryBytes = sparse.EncodedEntrySize
 
 // perHubOverheadBytes is the fixed per-hub cost in the binary layout: the hub

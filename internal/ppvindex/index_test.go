@@ -3,9 +3,9 @@ package ppvindex
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fastppv/internal/graph"
@@ -18,6 +18,16 @@ func sampleVectors() map[graph.NodeID]sparse.Vector {
 		7:  {7: 0.15, 9: 0.01},
 		11: {0: 1e-3},
 	}
+}
+
+// storedVector is v as a record gives it back: every score a float32 rounded
+// toward zero (sparse.StoredScore), widened again.
+func storedVector(v sparse.Vector) sparse.Vector {
+	out := sparse.New(len(v))
+	for id, s := range v {
+		out[id] = float64(sparse.StoredScore(s))
+	}
+	return out
 }
 
 func TestMemIndexRoundTrip(t *testing.T) {
@@ -165,7 +175,7 @@ func TestDiskIndexRoundTrip(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Get(%d) = %v, %v, %v", h, got, ok, err)
 		}
-		if d := got.L1Distance(wantVec); d > 1e-12 {
+		if d := got.L1Distance(storedVector(wantVec)); d != 0 {
 			t.Errorf("Get(%d) differs from stored vector by %v", h, d)
 		}
 	}
@@ -246,6 +256,24 @@ func TestOpenDiskRejectsBitFlippedMagic(t *testing.T) {
 	}
 }
 
+// TestOpenDiskRejectsFPI1: a file of the previous layout (FPI1, 12-byte
+// entries with float64 scores) is refused, not migrated, with an error that
+// names its version.
+func TestOpenDiskRejectsFPI1(t *testing.T) {
+	dir := t.TempDir()
+	_, data := buildValidIndex(t, dir)
+	old := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(old[len(old)-16:], diskMagicV1)
+	path := filepath.Join(dir, "v1.ppv")
+	if err := writeFile(path, old); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenDisk(path)
+	if !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "FPI1") {
+		t.Fatalf("OpenDisk on an FPI1 file = %v, want ErrBadIndexFormat naming FPI1", err)
+	}
+}
+
 func TestOpenDiskRejectsShortDirectory(t *testing.T) {
 	dir := t.TempDir()
 	_, data := buildValidIndex(t, dir)
@@ -317,10 +345,8 @@ func TestDiskIndexGetRejectsTruncatedLastRecord(t *testing.T) {
 	record := make([]byte, 8+2*entryBytes) // claims 3 entries, holds 2
 	binary.LittleEndian.PutUint32(record[0:], 5)
 	binary.LittleEndian.PutUint32(record[4:], 3)
-	binary.LittleEndian.PutUint32(record[8:], 10)
-	binary.LittleEndian.PutUint64(record[12:], math.Float64bits(0.5))
-	binary.LittleEndian.PutUint32(record[8+entryBytes:], 11)
-	binary.LittleEndian.PutUint64(record[12+entryBytes:], math.Float64bits(0.25))
+	sparse.PutEncodedEntry(record[8:], 10, 0.5)
+	sparse.PutEncodedEntry(record[8+entryBytes:], 11, 0.25)
 	buf = append(buf, record...)
 	dirStart := uint64(len(buf))
 	dirEntry := make([]byte, 12)

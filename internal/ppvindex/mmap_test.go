@@ -65,8 +65,8 @@ func TestMmapMatchesPread(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("%s Get(%d): ok=%v err=%v", name, h, ok, err)
 			}
-			if got.L1Distance(want) != 0 {
-				t.Fatalf("%s Get(%d) = %v, want %v", name, h, got, want)
+			if got.L1Distance(storedVector(want)) != 0 {
+				t.Fatalf("%s Get(%d) = %v, want %v", name, h, got, storedVector(want))
 			}
 			view, ok, err := idx.GetView(h)
 			if err != nil || !ok {
@@ -75,8 +75,8 @@ func TestMmapMatchesPread(t *testing.T) {
 			if view.Len() != want.NonZeros() {
 				t.Fatalf("%s view of %d: len=%d, want %d", name, h, view.Len(), want.NonZeros())
 			}
-			if view.Vector().L1Distance(want) != 0 {
-				t.Fatalf("%s view of %d decodes to %v, want %v", name, h, view.Vector(), want)
+			if view.Vector().L1Distance(storedVector(want)) != 0 {
+				t.Fatalf("%s view of %d decodes to %v, want %v", name, h, view.Vector(), storedVector(want))
 			}
 			// Entries are sorted ascending.
 			for i := 1; i < view.Len(); i++ {
@@ -147,7 +147,7 @@ func TestMmapCorruptCount(t *testing.T) {
 			t.Fatalf("GetView with corrupt count (mmap=%v) = %v, want ErrBadIndexFormat", mmap, err)
 		}
 		// The sibling record is untouched and still readable.
-		if v, ok, err := idx.Get(7); err != nil || !ok || v.Get(9) != 0.01 {
+		if v, ok, err := idx.Get(7); err != nil || !ok || v.Get(9) != float64(sparse.StoredScore(0.01)) {
 			t.Fatalf("Get(7) after corruption (mmap=%v) = %v ok=%v err=%v", mmap, v, ok, err)
 		}
 		idx.Close()
@@ -217,7 +217,7 @@ func TestBlockCacheViewMode(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetView through cache: ok=%v err=%v", ok, err)
 	}
-	want := sampleVectors()[3]
+	want := storedVector(sampleVectors()[3])
 	if view.Vector().L1Distance(want) != 0 {
 		t.Fatalf("cached view decodes wrong: %v", view.Vector())
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fastppv/internal/frame"
@@ -209,6 +210,37 @@ func TestStoreRejectsVersion1Log(t *testing.T) {
 		if kept, err := os.ReadFile(path + ".log"); err != nil || !bytes.Equal(kept, data) {
 			t.Errorf("%s: the version-1 log was modified (err=%v)", name, err)
 		}
+	}
+}
+
+// TestStoreRejectsVersion2Log: a log of the layout before float32 scores
+// (version 2, 12-byte entries) is not migrated either. Opening a store beside
+// one fails with ErrBadIndexFormat, names the version, and leaves the log as
+// it is.
+func TestStoreRejectsVersion2Log(t *testing.T) {
+	path := writeIndexFile(t, sampleVectors())
+	s := openTestStore(t, path, StoreOptions{}, nil)
+	if err := s.PutEncoded(3, encodeVector(sparse.Vector{2: 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitUpdates(GraphMutation{}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	data, err := os.ReadFile(path + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:], 2)
+	if err := os.WriteFile(path+".log", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenStore(path, testGraph, StoreOptions{}, nil)
+	if !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("OpenStore beside a version-2 log = %v, want ErrBadIndexFormat naming version 2", err)
+	}
+	if kept, err := os.ReadFile(path + ".log"); err != nil || !bytes.Equal(kept, data) {
+		t.Errorf("the version-2 log was modified (err=%v)", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // (internal/frame) whose header is
 //
 //	magic     uint32 'F','P','L','1'
-//	version   uint32 (currently 2)
+//	version   uint32 (currently 3)
 //	baseBytes uint64 size of the base index file the records apply to
 //	baseHubs  uint32 hub count of that base file
 //	flags     uint32 bit 0: the base graph is directed
@@ -32,7 +32,7 @@ import (
 //	removedCount uint32
 //	addedCount   x { from uint32, to uint32 }
 //	removedCount x { from uint32, to uint32 }
-//	records      zero or more { hub uint32, count uint32, count x { node, score } }
+//	records      zero or more { hub uint32, count uint32, count x { node uint32, score float32 } }
 //
 // One batch is one frame, so a batch torn by a crash, or never acknowledged,
 // is a torn frame, which replay discards. Replaying the frames in order
@@ -42,11 +42,12 @@ import (
 // but another base file is what a compaction leaves when it crashes between
 // renaming the rewritten base into place and rewriting the log: its records
 // already live in the new base and are skipped, its mutations still replay.
-// Version 1 (one frame per hub record, beside a separate graph-mutation log)
-// is not migrated: opening such a log fails with ErrBadIndexFormat.
+// Older versions are not migrated: opening one fails with ErrBadIndexFormat.
+// Version 1 held one frame per hub record, beside a separate graph-mutation
+// log; version 2 held 12-byte (node uint32, score float64) entries.
 const (
 	logMagic            = uint32('F') | uint32('P')<<8 | uint32('L')<<16 | uint32('1')<<24
-	logVersion          = 2
+	logVersion          = 3
 	logHeaderBytes      = 40
 	graphBindingAt      = 12 // where the binding's graph half starts, after baseHubs
 	mutationHeaderBytes = 12 // numNodes + addedCount + removedCount

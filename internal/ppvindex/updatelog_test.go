@@ -3,6 +3,7 @@ package ppvindex
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -218,8 +219,9 @@ func TestUpdateLogStopsAtCorruptFrame(t *testing.T) {
 
 // TestUpdateLogReplayStopsAtUnsortedRecord: a frame that passes its CRC but
 // does not hold a batch of records — node ids out of order or repeated, a
-// count that does not cover the record, or a bad record behind a good one in
-// the same batch — is a bad frame. Replay stops there, keeps what came before
+// count that does not cover the record, a score that is negative, NaN or
+// infinite, or a bad record behind a good one in the same batch — is a bad
+// frame. Replay stops there, keeps what came before
 // and truncates the rest, as it does for a checksum mismatch; no record of the
 // bad batch replays.
 func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
@@ -227,9 +229,12 @@ func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"descending ids":      recordBatch(appendRecord(nil, 2, rawEntries(9, 5))),
 		"repeated id":         recordBatch(appendRecord(nil, 2, rawEntries(5, 5))),
-		"short count":         recordBatch(append(appendRecord(nil, 2, rawEntries(5, 9)), make([]byte, entryBytes)...)),
+		"short count":         recordBatch(append(appendRecord(nil, 2, rawEntries(5, 9)), rawEntries(11)...)),
 		"long count":          recordBatch(appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+entryBytes]),
 		"bad behind good one": recordBatch(encodeRecord(3, sparse.Vector{1: 0.5}), appendRecord(nil, 2, rawEntries(9, 5))),
+		"negative score":      recordBatch(encodeRecord(2, sparse.Vector{5: 0.5, 9: -1e-9})),
+		"NaN score":           recordBatch(encodeRecord(2, sparse.Vector{5: math.NaN()})),
+		"infinite score":      recordBatch(encodeRecord(2, sparse.Vector{5: 0.5, 9: math.Inf(1)})),
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "idx.log")

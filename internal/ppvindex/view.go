@@ -8,8 +8,8 @@ import (
 )
 
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
-// the record's entry payload in the flat 12-byte (node uint32, score float64)
-// encoding, in strictly ascending node order. An mmap view aliases the mapped
+// the record's entry payload in the flat 8-byte (node uint32, score float32
+// rounded toward zero) encoding, in strictly ascending node order. An mmap view aliases the mapped
 // file, a MemIndex view the immutable buffer the index owns, a pread or
 // cache-retained view an owned heap buffer. No map is materialized — the
 // query inner loop folds the entries straight into a sparse.Accumulator.

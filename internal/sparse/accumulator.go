@@ -1,10 +1,11 @@
 // accumulator.go implements the flat sorted-slice accumulator of the query
 // inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds scaled
 // prime PPVs into a running estimate. A prime PPV has one stored form, the
-// flat record encoding below (12 bytes an entry, ascending node id), written
-// by AppendEncoded; the Accumulator folds such payloads with linear merges
-// into a []Entry sorted by node id. No map is built between the prime push
-// and the estimate; results become a map-based Vector only at the API boundary.
+// flat record encoding below (8 bytes an entry, ascending node id, each score
+// a float32 rounded toward zero), written by AppendEncoded; the Accumulator
+// folds such payloads with linear merges into a []Entry sorted by node id. No
+// map is built between the prime push and the estimate; results become a
+// map-based Vector only at the API boundary.
 package sparse
 
 import (
@@ -18,15 +19,28 @@ import (
 
 // EncodedEntrySize is the size of one (node, score) entry in the flat record
 // encoding shared with the on-disk index format: node id as uint32 followed
-// by the IEEE-754 bits of the score as uint64, both little-endian. Entries in
-// an encoded record are sorted by ascending node id.
-const EncodedEntrySize = 12
+// by the IEEE-754 bits of the score as a float32, both little-endian. Entries
+// in an encoded record are sorted by ascending node id.
+const EncodedEntrySize = 8
+
+// StoredScore is the score an encoded entry holds for s: s as a float32,
+// rounded toward zero. For s >= 0 the stored score is never above s, so a
+// fold of stored records stays a pointwise lower bound of the exact PPV and
+// the Theorem 2 bound 1 - sum(estimate) stays sound; re-encoding a stored
+// score gives it back bit for bit. NaN stays NaN.
+func StoredScore(s float64) float32 {
+	f := float32(s)
+	if math.Abs(float64(f)) > math.Abs(s) {
+		f = math.Nextafter32(f, 0)
+	}
+	return f
+}
 
 // PutEncodedEntry writes one encoded entry at the start of b, which must be
-// at least EncodedEntrySize bytes long.
+// at least EncodedEntrySize bytes long. The score is stored as StoredScore.
 func PutEncodedEntry(b []byte, id graph.NodeID, score float64) {
 	binary.LittleEndian.PutUint32(b[0:4], uint32(id))
-	binary.LittleEndian.PutUint64(b[4:12], math.Float64bits(score))
+	binary.LittleEndian.PutUint32(b[4:8], math.Float32bits(StoredScore(score)))
 }
 
 // AppendEncoded appends the flat record encoding of entries to dst: the one
@@ -42,11 +56,12 @@ func AppendEncoded(dst []byte, entries []Entry) []byte {
 	return dst
 }
 
-// EncodedEntryAt decodes the i-th entry of an encoded record payload.
+// EncodedEntryAt decodes the i-th entry of an encoded record payload; the
+// score widens to float64 exactly.
 func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
 	off := i * EncodedEntrySize
 	id := graph.NodeID(binary.LittleEndian.Uint32(b[off : off+4]))
-	score := math.Float64frombits(binary.LittleEndian.Uint64(b[off+4 : off+12]))
+	score := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off+4 : off+8])))
 	return id, score
 }
 

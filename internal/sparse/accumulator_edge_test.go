@@ -104,8 +104,8 @@ func TestDuplicateIDStagingOrder(t *testing.T) {
 				i, se[i].Node, math.Float64bits(se[i].Score), qe[i].Node, math.Float64bits(qe[i].Score))
 		}
 	}
-	if got := staged.Get(4); got != 0.1+0.3 {
-		t.Fatalf("duplicate node folded to %v, want %v", got, 0.1+0.3)
+	if got, want := staged.Get(4), stored(0.1)+stored(0.3); got != want {
+		t.Fatalf("duplicate node folded to %v, want %v", got, want)
 	}
 }
 

@@ -17,7 +17,7 @@ func randomVector(rng *rand.Rand, n, entries int) Vector {
 	return v
 }
 
-// encodeVector flattens v into the 12-byte encoded record layout, sorted by
+// encodeVector flattens v into the 8-byte encoded record layout, sorted by
 // ascending node id, the same layout ppvindex writes to disk.
 func encodeVector(v Vector) []byte {
 	acc := &Accumulator{}
@@ -29,6 +29,19 @@ func encodeVector(v Vector) []byte {
 	return buf
 }
 
+// stored is what an encoded entry gives back for x: x as a float32 rounded
+// toward zero, widened again.
+func stored(x float64) float64 { return float64(StoredScore(x)) }
+
+// storedVector is v with every score replaced by its stored value.
+func storedVector(v Vector) Vector {
+	out := New(len(v))
+	for id, s := range v {
+		out[id] = stored(s)
+	}
+	return out
+}
+
 func TestEncodedEntryRoundTrip(t *testing.T) {
 	buf := make([]byte, 2*EncodedEntrySize)
 	PutEncodedEntry(buf, 7, 0.125)
@@ -38,6 +51,38 @@ func TestEncodedEntryRoundTrip(t *testing.T) {
 	}
 	if id, s := EncodedEntryAt(buf, 1); id != 2_000_000_000 || s != -1.5 {
 		t.Fatalf("entry 1 = (%d, %v), want (4000000000, -1.5)", id, s)
+	}
+}
+
+// TestStoredScoreRoundsTowardZero holds the soundness contract of the record
+// encoding: a stored score is never farther from zero than the pushed one,
+// lies within one float32 ulp of it, and re-encoding it is the identity.
+func TestStoredScoreRoundsTowardZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := []float64{0, 1, 0.15, 0.1, 1.0 / 3, 1e-300, math.SmallestNonzeroFloat32, math.MaxFloat32, 1e300, math.Inf(1), -0.1, -1e300}
+	for i := 0; i < 10000; i++ {
+		xs = append(xs, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(140)))
+	}
+	for _, x := range xs {
+		f := StoredScore(x)
+		got := float64(f)
+		if math.Abs(got) > math.Abs(x) || math.Signbit(got) != math.Signbit(x) && got != 0 {
+			t.Fatalf("StoredScore(%v) = %v, not toward zero", x, got)
+		}
+		if away := math.Nextafter32(f, float32(math.Copysign(math.Inf(1), x))); !math.IsInf(x, 0) && math.Abs(float64(away)) <= math.Abs(x) {
+			t.Fatalf("StoredScore(%v) = %v, but %v is closer and still not above", x, got, away)
+		}
+		if again := StoredScore(got); math.Float32bits(again) != math.Float32bits(f) {
+			t.Fatalf("re-encoding %v gave %v", got, again)
+		}
+		var b [EncodedEntrySize]byte
+		PutEncodedEntry(b[:], 1, x)
+		if _, s := EncodedEntryAt(b[:], 0); math.Float64bits(s) != math.Float64bits(got) {
+			t.Fatalf("entry of %v decodes to %v, want %v", x, s, got)
+		}
+	}
+	if !math.IsNaN(float64(StoredScore(math.NaN()))) {
+		t.Fatal("NaN did not stay NaN")
 	}
 }
 
@@ -68,7 +113,7 @@ func TestAccumulatorSetAndSum(t *testing.T) {
 
 	acc2 := &Accumulator{}
 	acc2.SetEncoded(encodeVector(v))
-	if FromEntries(acc2.Entries()).L1Distance(v) != 0 {
+	if FromEntries(acc2.Entries()).L1Distance(storedVector(v)) != 0 {
 		t.Fatalf("SetEncoded round trip mismatch")
 	}
 
@@ -109,6 +154,8 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 			if rng.Intn(4) == 0 { // sometimes the correction zeroes the self entry
 				hubPPV[owner] = alpha
 			}
+			// The encoded path folds stored scores; so does the reference.
+			hubPPV = storedVector(hubPPV)
 			scale := rng.Float64() * 3
 
 			// Legacy path: clone-corrected extension vector, then AddScaled.
@@ -185,11 +232,12 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 	if got := FromEntries(acc.Entries()); got.Get(7) != 0.5 || len(got) != 1 {
 		t.Fatalf("no-self-entry: got %v, want {7:0.5}", got)
 	}
-	// Owner entry above alpha: corrected score survives.
+	// Owner entry above alpha: the corrected stored score survives, and it
+	// is at most the corrected exact one.
 	acc.Reset()
 	foldEncoded(acc, encodeVector(Vector{4: alpha + 0.25}), 1, 4, alpha)
-	if got := FromEntries(acc.Entries()).Get(4); math.Abs(got-0.25) > 0 {
-		t.Fatalf("self-correction keep: got %v, want 0.25", got)
+	if got, want := FromEntries(acc.Entries()).Get(4), stored(alpha+0.25)-alpha; got != want || got > 0.25 {
+		t.Fatalf("self-correction keep: got %v, want %v (<= 0.25)", got, want)
 	}
 }
 

@@ -2,11 +2,14 @@ package fastppv
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"fastppv/internal/gen"
 	"fastppv/internal/hub"
 	"fastppv/internal/ppvindex"
+	"fastppv/internal/sparse"
 )
 
 // recordBytes reads the record of h through idx and returns a copy of its
@@ -70,6 +73,46 @@ func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != int64(len(hubs)) || st.Loads != int64(len(hubs)) {
 		t.Errorf("block cache stats %+v, want %d loads and %d hits", st, len(hubs), len(hubs))
+	}
+}
+
+// TestHubRecordLayoutSize is the gate on the record layout's size: a record
+// costs 8 bytes (hub id, entry count) plus 8 an entry (a uint32 node id and a
+// float32 score) in memory, and the disk file adds a 12-byte directory slot
+// a hub and the 16-byte footer.
+func TestHubRecordLayoutSize(t *testing.T) {
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 3000, OutDegreeMean: 6, Attachment: 0.8, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{NumHubs: 300}
+	mem, err := New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	if sparse.EncodedEntrySize != 8 {
+		t.Fatalf("an encoded entry is %d bytes, want 8", sparse.EncodedEntrySize)
+	}
+	hubs := int64(mem.Index().Len())
+	var entries int64
+	for _, h := range mem.Index().Hubs() {
+		entries += int64(len(recordBytes(t, "mem", mem.Index(), h)) / sparse.EncodedEntrySize)
+	}
+	want := 8*hubs + 8*entries
+	if got := mem.Index().SizeBytes(); hubs != int64(opts.NumHubs) || got != want {
+		t.Fatalf("MemIndex of %d hubs and %d entries is %d bytes, want %d", hubs, entries, got, want)
+	}
+	path := filepath.Join(t.TempDir(), "index.ppv")
+	buildDiskIndex(t, g, opts.NumHubs, path)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Size(); got != want+12*hubs+16 {
+		t.Fatalf("the index file is %d bytes, want %d", got, want+12*hubs+16)
 	}
 }
 
