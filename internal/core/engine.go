@@ -244,6 +244,12 @@ func (e *Engine) Precompute() error {
 	if err != nil {
 		return err
 	}
+	// The records arrived one by one in the in-memory index's overlay. Pack
+	// them into its arena here, before the engine serves: the first query
+	// must not pay the copy, and the overlay's per-record buffers are freed.
+	if m, ok := e.index.(*ppvindex.MemIndex); ok {
+		m.Pack()
+	}
 
 	e.offline = stats
 	e.offline.Hubs = len(toCompute)

@@ -233,13 +233,16 @@ func ReplayGraphUpdates(g *graph.Graph, upds ...GraphUpdate) (*graph.Graph, erro
 			removed[key]--
 			return true
 		}
-		_ = b.AddEdge(ed.From, ed.To) // cannot fail: ed is an edge of g
+		_ = b.AddEdge(ed.From, ed.To) // cannot fail: ed is an edge of g, which is within the arc limit
 		return true
 	})
 	for _, key := range added {
 		if live[key] > 0 {
 			live[key]--
-			_ = b.AddEdge(key.From, key.To) // cannot fail: checked in range above
+			// In range (checked above), but the batch may pass the arc limit.
+			if err := b.AddEdge(key.From, key.To); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return b.Finalize(), nil

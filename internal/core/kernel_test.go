@@ -9,6 +9,7 @@ import (
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
+	"fastppv/internal/ppvindex"
 	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
@@ -278,19 +279,24 @@ func TestAllocationCeilings(t *testing.T) {
 	}
 }
 
-// heapAlloc returns the live heap after a full collection.
+// heapAlloc returns the live heap after two full collections: the second
+// frees what the first only moved to sync.Pool's victim cache, so pooled
+// buffers an earlier test left behind count on neither side.
 func heapAlloc() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
 
-// TestMemIndexHeapAndViewCost is the gate on what the flat in-memory index
+// TestMemIndexHeapAndViewCost is the gate on what the packed in-memory index
 // buys: after a Precompute on the 5 000-node SocialGraph everything the engine
-// retains — the index above all, plus the hub set and the engine itself — is
-// at most twice the index's serialized size (1.07 times, measured), and
-// reading a record back as a view allocates nothing.
+// retains — the index's arena and sorted directory above all, plus the hub set
+// and the engine itself — is at most 1.12 times the index's serialized size
+// (1.06 times, measured; 1.25 times when every record was its own buffer in a
+// map), and reading a record back as a view allocates nothing, whether the
+// record sits in the packed base or in the overlay a rewrite put it in.
 func TestMemIndexHeapAndViewCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are charged to the heap")
@@ -311,22 +317,30 @@ func TestMemIndexHeapAndViewCost(t *testing.T) {
 	retained := int64(after) - int64(before)
 	size := e.Index().SizeBytes()
 	t.Logf("engine retains %d B for an index of %d B (%.2fx)", retained, size, float64(retained)/float64(size))
-	if retained > 2*size {
-		t.Errorf("the precomputed engine retains %d B of heap, more than twice its index's %d B", retained, size)
+	if retained*100 > 112*size {
+		t.Errorf("the precomputed engine retains %d B of heap, more than 1.12 times its index's %d B", retained, size)
 	}
 
-	hubs := e.Index().Hubs()
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		view, ok, err := e.Index().GetView(hubs[i%len(hubs)])
-		if err != nil || !ok || view.Len() == 0 {
-			t.Fatalf("GetView(%d): ok=%v err=%v", hubs[i%len(hubs)], ok, err)
+	// Rewrite one hub with its own record: it moves to the overlay, far
+	// below the share that would repack.
+	mem := e.Index().(*ppvindex.MemIndex)
+	hubs := mem.Hubs()
+	rewritten, packed := hubs[0], hubs[1]
+	view, _, _ := mem.GetView(rewritten)
+	if err := mem.PutEncoded(rewritten, append([]byte(nil), view.EntryBytes()...)); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []graph.NodeID{packed, rewritten} {
+		allocs := testing.AllocsPerRun(200, func() {
+			view, ok, err := mem.GetView(h)
+			if err != nil || !ok || view.Len() == 0 {
+				t.Fatalf("GetView(%d): ok=%v err=%v", h, ok, err)
+			}
+			view.Release()
+		})
+		if allocs != 0 {
+			t.Errorf("a MemIndex.GetView hit on hub %d allocates %v times, want 0", h, allocs)
 		}
-		view.Release()
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("a MemIndex.GetView hit allocates %v times, want 0", allocs)
 	}
 	runtime.KeepAlive(g)
 }

@@ -16,6 +16,7 @@ type Builder struct {
 	directed bool
 	numNodes int
 	edges    []Edge
+	arcs     int64 // arcs Finalize will materialize from edges, at most maxArcs
 	labels   []string
 	selfLoop bool
 }
@@ -67,7 +68,8 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // AddEdge records an edge between two already-added nodes. For an undirected
 // builder the edge is logically {u,v}; both orientations are materialized by
-// Finalize. Self loops are dropped unless AllowSelfLoops(true) was called.
+// Finalize. Self loops are dropped unless AllowSelfLoops(true) was called. An
+// edge whose arcs would take the graph past maxArcs fails with ErrTooManyArcs.
 func (b *Builder) AddEdge(u, v NodeID) error {
 	if int(u) >= b.numNodes || u < 0 || int(v) >= b.numNodes || v < 0 {
 		return fmt.Errorf("%w: edge (%d,%d) with %d nodes", ErrNodeOutOfRange, u, v, b.numNodes)
@@ -75,8 +77,22 @@ func (b *Builder) AddEdge(u, v NodeID) error {
 	if u == v && !b.selfLoop {
 		return nil
 	}
+	arcs := b.arcsOf(Edge{From: u, To: v})
+	if b.arcs > maxArcs-arcs {
+		return fmt.Errorf("%w: edge (%d,%d) after %d arcs", ErrTooManyArcs, u, v, b.arcs)
+	}
 	b.edges = append(b.edges, Edge{From: u, To: v})
+	b.arcs += arcs
 	return nil
+}
+
+// arcsOf is the number of arcs Finalize materializes for e: two for an
+// undirected edge between distinct nodes, one otherwise.
+func (b *Builder) arcsOf(e Edge) int64 {
+	if !b.directed && e.From != e.To {
+		return 2
+	}
+	return 1
 }
 
 // MustAddEdge is AddEdge that panics on error; intended for tests and
@@ -104,6 +120,10 @@ func (b *Builder) DedupEdges() {
 		out = append(out, e)
 	}
 	b.edges = out
+	b.arcs = 0
+	for _, e := range out {
+		b.arcs += b.arcsOf(e)
+	}
 }
 
 // Finalize builds the immutable CSR graph. The Builder can be reused
@@ -113,7 +133,7 @@ func (b *Builder) Finalize() *Graph {
 	arcs := b.edges
 	if !b.directed {
 		// Materialize both orientations.
-		doubled := make([]Edge, 0, 2*len(b.edges))
+		doubled := make([]Edge, 0, b.arcs)
 		for _, e := range b.edges {
 			doubled = append(doubled, e)
 			if e.From != e.To {
@@ -123,18 +143,18 @@ func (b *Builder) Finalize() *Graph {
 		arcs = doubled
 	}
 
-	outDeg := make([]int64, n)
+	outDeg := make([]uint32, n)
 	inDeg := make([]int32, n)
 	for _, e := range arcs {
 		outDeg[e.From]++
 		inDeg[e.To]++
 	}
-	offsets := make([]int64, n+1)
+	offsets := make([]uint32, n+1)
 	for u := 0; u < n; u++ {
 		offsets[u+1] = offsets[u] + outDeg[u]
 	}
 	targets := make([]NodeID, len(arcs))
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, offsets[:n])
 	for _, e := range arcs {
 		targets[cursor[e.From]] = e.To

@@ -3,14 +3,19 @@
 // incremental builder, text and binary serialization, induced subgraphs and
 // edge sampling.
 //
-// Node identifiers are dense int32 indices in [0, NumNodes). Optional string
-// labels can be attached to nodes, which the synthetic dataset generators use
-// to mark node kinds (author/paper/venue, user ...).
+// Node identifiers are dense int32 indices in [0, NumNodes). The CSR offsets
+// are 32-bit, so a graph holds at most math.MaxUint32 arcs (an undirected
+// edge is two): the resident graph costs 4 bytes per arc plus 8 per node (the
+// out-offset and the in-degree), and the Builder refuses the arc past the
+// limit with ErrTooManyArcs. Optional string labels can be attached to nodes,
+// which the synthetic dataset generators use to mark node kinds
+// (author/paper/venue, user ...).
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node. IDs are dense indices in [0, Graph.NumNodes()).
@@ -36,8 +41,9 @@ type Graph struct {
 	directed bool
 
 	// CSR over out-edges: the out-neighbours of node u are
-	// outTargets[outOffsets[u]:outOffsets[u+1]].
-	outOffsets []int64
+	// outTargets[outOffsets[u]:outOffsets[u+1]]. Offsets fit in 32 bits
+	// because a graph holds at most maxArcs arcs.
+	outOffsets []uint32
 	outTargets []NodeID
 
 	// In-degrees are kept for policy computations (e.g. in-degree hub
@@ -46,7 +52,7 @@ type Graph struct {
 
 	// inOffsets/inTargets form the reverse CSR; nil until BuildReverse or
 	// the first call to InNeighbors.
-	inOffsets []int64
+	inOffsets []uint32
 	inTargets []NodeID
 
 	labels       []string
@@ -56,6 +62,12 @@ type Graph struct {
 
 // ErrNodeOutOfRange reports a node identifier outside [0, NumNodes).
 var ErrNodeOutOfRange = errors.New("graph: node id out of range")
+
+// maxArcs is the most arcs a graph holds: its CSR offsets are uint32.
+const maxArcs = math.MaxUint32
+
+// ErrTooManyArcs reports an edge that would take a graph past maxArcs arcs.
+var ErrTooManyArcs = errors.New("graph: more than 2^32-1 arcs")
 
 // Directed reports whether the graph is directed. In an undirected graph every
 // edge {u,v} appears as both u->v and v->u in the adjacency structure.
@@ -116,12 +128,12 @@ func (g *Graph) BuildReverse() {
 		return
 	}
 	n := g.NumNodes()
-	offsets := make([]int64, n+1)
+	offsets := make([]uint32, n+1)
 	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + int64(g.inDegree[u])
+		offsets[u+1] = offsets[u] + uint32(g.inDegree[u])
 	}
 	targets := make([]NodeID, len(g.outTargets))
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, offsets[:n])
 	for u := 0; u < n; u++ {
 		for _, v := range g.OutNeighbors(NodeID(u)) {
@@ -239,7 +251,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: offsets not monotone at node %d", u)
 		}
 	}
-	if n > 0 && g.outOffsets[n] != int64(len(g.outTargets)) {
+	if n > 0 && int(g.outOffsets[n]) != len(g.outTargets) {
 		return fmt.Errorf("graph: last offset %d does not match %d targets", g.outOffsets[n], len(g.outTargets))
 	}
 	for _, v := range g.outTargets {

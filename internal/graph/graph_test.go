@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"errors"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -211,5 +214,81 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if g.MaxOutDegree() != 0 {
 		t.Error("MaxOutDegree of empty graph should be 0")
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCSRFootprint holds the resident graph at its 32-bit layout: a finalized
+// graph without its lazy reverse CSR retains 4 bytes per arc (the target)
+// plus 8 per node (the out-offset and the in-degree), within a page-rounding
+// slack. With 64-bit offsets the same graph retains 4 bytes a node more.
+func TestCSRFootprint(t *testing.T) {
+	const nodes, degree, slack = 100_000, 3, 64 << 10
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]Edge, 0, nodes*degree)
+	for u := 0; u < nodes; u++ {
+		for i := 0; i < degree; i++ {
+			edges = append(edges, Edge{From: NodeID(u), To: NodeID(rng.Intn(nodes))})
+		}
+	}
+	before := liveHeap()
+	g, err := FromEdges(nodes, true, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := int64(liveHeap()) - int64(before)
+	want := int64(4*g.NumEdges() + 8*g.NumNodes())
+	t.Logf("a graph of %d nodes and %d arcs retains %d B (4 B/arc + 8 B/node = %d B)", g.NumNodes(), g.NumEdges(), retained, want)
+	if retained > want+slack {
+		t.Errorf("the graph retains %d B, more than 4 B per arc + 8 B per node (%d B) + %d B", retained, want, slack)
+	}
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(edges)
+}
+
+// TestBuilderArcLimit starts the builder's arc count just under maxArcs (no
+// test builds four billion arcs): the arc that would pass the limit is
+// refused with ErrTooManyArcs, an undirected edge counts as two arcs and an
+// undirected self loop as one, and DedupEdges recounts.
+func TestBuilderArcLimit(t *testing.T) {
+	directed := NewBuilder(true)
+	directed.EnsureNodes(3)
+	directed.arcs = maxArcs - 1
+	if err := directed.AddEdge(0, 1); err != nil {
+		t.Fatalf("the last arc under the limit was refused: %v", err)
+	}
+	if err := directed.AddEdge(1, 2); !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("AddEdge past maxArcs = %v, want ErrTooManyArcs", err)
+	}
+
+	undirected := NewBuilder(false)
+	undirected.EnsureNodes(3)
+	undirected.AllowSelfLoops(true)
+	undirected.arcs = maxArcs - 1
+	if err := undirected.AddEdge(0, 1); !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("an undirected edge one arc under maxArcs = %v, want ErrTooManyArcs", err)
+	}
+	if err := undirected.AddEdge(2, 2); err != nil {
+		t.Fatalf("an undirected self loop (one arc) one arc under maxArcs was refused: %v", err)
+	}
+	if undirected.NumEdges() != 1 || undirected.arcs != maxArcs {
+		t.Fatalf("after the refusal: %d edges and %d arcs, want 1 and %d", undirected.NumEdges(), undirected.arcs, int64(maxArcs))
+	}
+
+	b := NewBuilder(false)
+	b.EnsureNodes(3)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(1, 0)
+	b.MustAddEdge(1, 2)
+	b.DedupEdges()
+	if g := b.Finalize(); b.arcs != 4 || g.NumEdges() != 4 {
+		t.Fatalf("after DedupEdges the builder counts %d arcs and the graph holds %d, want 4 and 4", b.arcs, g.NumEdges())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -218,63 +219,80 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary parses the binary format produced by WriteBinary and validates
-// the resulting graph.
+// the resulting graph. The header is not trusted: a node count past
+// math.MaxInt32 or an arc count past maxArcs fails with ErrBadBinaryFormat,
+// and every array grows only as its data arrives, so a forged count costs no
+// more memory than the bytes the file actually holds. A file that ends early
+// fails with ErrBadBinaryFormat too.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic, flags uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	var word [8]byte
+	read := func(n int) ([]byte, error) {
+		if _, err := io.ReadFull(br, word[:n]); err != nil {
+			return nil, truncated(err)
+		}
+		return word[:n], nil
+	}
+	b, err := read(4)
+	if err != nil {
 		return nil, err
 	}
-	if magic != binaryMagic {
+	if binary.LittleEndian.Uint32(b) != binaryMagic {
 		return nil, ErrBadBinaryFormat
 	}
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
+	if b, err = read(4); err != nil {
 		return nil, err
 	}
-	var nodes, arcs uint64
-	if err := binary.Read(br, binary.LittleEndian, &nodes); err != nil {
+	flags := binary.LittleEndian.Uint32(b)
+	if b, err = read(8); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &arcs); err != nil {
+	nodes := binary.LittleEndian.Uint64(b)
+	if b, err = read(8); err != nil {
 		return nil, err
 	}
-	offsets := make([]int64, nodes+1)
-	for i := range offsets {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+	arcs := binary.LittleEndian.Uint64(b)
+	if nodes > math.MaxInt32 || arcs > maxArcs {
+		return nil, fmt.Errorf("%w: header declares %d nodes and %d arcs, past the limits of %d and %d",
+			ErrBadBinaryFormat, nodes, arcs, math.MaxInt32, uint64(maxArcs))
+	}
+	offsets := make([]uint32, 0, min(nodes+1, readChunk))
+	for i := uint64(0); i <= nodes; i++ {
+		if b, err = read(8); err != nil {
 			return nil, err
 		}
-		offsets[i] = int64(v)
+		off := binary.LittleEndian.Uint64(b)
+		if off > arcs {
+			return nil, fmt.Errorf("%w: offset %d of node %d past the %d arcs", ErrBadBinaryFormat, off, i, arcs)
+		}
+		offsets = append(offsets, uint32(off))
 	}
-	targets := make([]NodeID, arcs)
-	for i := range targets {
-		var v uint32
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+	targets := make([]NodeID, 0, min(arcs, readChunk))
+	inDeg := make([]int32, nodes) // the nodes+1 offsets before it have arrived
+	for i := uint64(0); i < arcs; i++ {
+		if b, err = read(4); err != nil {
 			return nil, err
 		}
-		targets[i] = NodeID(v)
+		t := binary.LittleEndian.Uint32(b)
+		if uint64(t) >= nodes {
+			return nil, fmt.Errorf("%w: target %d out of range", ErrBadBinaryFormat, t)
+		}
+		targets = append(targets, NodeID(t))
+		inDeg[t]++
 	}
 	var labels []string
 	if flags&flagHasLabels != 0 {
-		labels = make([]string, nodes)
-		for i := range labels {
-			var l uint32
-			if err := binary.Read(br, binary.LittleEndian, &l); err != nil {
+		labels = make([]string, 0, min(nodes, readChunk))
+		for i := uint64(0); i < nodes; i++ {
+			if b, err = read(4); err != nil {
 				return nil, err
 			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			l, err := readString(br, binary.LittleEndian.Uint32(b))
+			if err != nil {
 				return nil, err
 			}
-			labels[i] = string(buf)
+			labels = append(labels, l)
 		}
-	}
-	inDeg := make([]int32, nodes)
-	for _, t := range targets {
-		if t < 0 || uint64(t) >= nodes {
-			return nil, fmt.Errorf("%w: target %d out of range", ErrBadBinaryFormat, t)
-		}
-		inDeg[t]++
 	}
 	g := &Graph{
 		directed:   flags&flagDirected != 0,
@@ -287,6 +305,39 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadBinaryFormat, err)
 	}
 	return g, nil
+}
+
+// readChunk caps what ReadBinary allocates for an array before its data
+// arrives; past it the array grows by append.
+const readChunk = 1 << 16
+
+// readString reads an n-byte label. Up to readChunk bytes are read into one
+// buffer; a longer label is read as it arrives.
+func readString(r io.Reader, n uint32) (string, error) {
+	if n <= readChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return "", truncated(err)
+		}
+		return string(buf), nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return "", err
+	}
+	if len(buf) < int(n) {
+		return "", truncated(io.ErrUnexpectedEOF)
+	}
+	return string(buf), nil
+}
+
+// truncated reports a file that ends before its header says it should as
+// ErrBadBinaryFormat; other read errors pass through.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: file ends early", ErrBadBinaryFormat)
+	}
+	return err
 }
 
 // SaveBinaryFile writes g to a binary graph file on disk.

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -169,5 +172,31 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// TestBinaryRejectsForgedHeader: ReadBinary does not trust its header. Counts
+// past the node or arc limit fail with ErrBadBinaryFormat before anything is
+// allocated for them, and a count within the limits that the file does not
+// hold fails at the end of the data, having allocated only for what arrived.
+func TestBinaryRejectsForgedHeader(t *testing.T) {
+	data := binaryOf(t, smallDirected(t))
+	for name, forged := range map[string][]byte{
+		"2^62 nodes":            withHeader(data, 1<<62, 4),
+		"past MaxInt32":         withHeader(data, math.MaxInt32+1, 4),
+		"past maxArcs":          withHeader(data, 4, math.MaxUint32+1),
+		"2^30 nodes, few bytes": withHeader(data, 1<<30, 4),
+		"2^31 arcs, few bytes":  withHeader(data, 4, 1<<31),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(forged))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadBinaryFormat) {
+			t.Errorf("%s: ReadBinary = %v, want ErrBadBinaryFormat", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("%s: ReadBinary allocated %d B for a %d-byte file", name, alloc, len(forged))
+		}
 	}
 }

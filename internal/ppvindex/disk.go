@@ -2,6 +2,7 @@ package ppvindex
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -35,9 +36,10 @@ import (
 // Records come first so that DiskWriter can stream an index larger than RAM
 // in one pass, buffering only the 12-byte-per-hub directory; Close appends
 // the directory and the footer. OpenDisk reads the footer, then the
-// directory, and keeps the directory in memory; each Get performs a single
-// positioned read of the record, which models the "one random access to the
-// disk" per fetched hub of Sect. 6.3.1.
+// directory, checks every record once in one sequential pass (checkRecords),
+// and keeps the directory in memory sorted by hub (4 + 8 bytes a hub); each
+// Get performs a single positioned read of the record, which models the "one
+// random access to the disk" per fetched hub of Sect. 6.3.1.
 //
 // FPI1, the previous layout, stored 12-byte (node uint32, score float64)
 // entries. It is not migrated: opening one fails with ErrBadIndexFormat.
@@ -108,11 +110,8 @@ func appendRecord(dst []byte, h graph.NodeID, payload []byte) []byte {
 
 // parseRecord validates a record that arrives from outside the process (an
 // update-log frame) and returns its hub and entry payload, which aliases buf.
-// The count must exactly cover the buffer, node ids must strictly ascend and
-// every score must be finite and non-negative: views are folded and
-// binary-searched as they are, a negative score would break the estimate's
-// lower-bound argument, and a NaN is not bit-stable through float64 (a
-// signalling NaN comes back quiet), so this is the gate.
+// The count must exactly cover the buffer, and the payload must pass
+// checkPayload.
 func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 	if len(buf) < perHubOverheadBytes {
 		return 0, nil, fmt.Errorf("%w: record payload of %d bytes is shorter than its header", ErrBadIndexFormat, len(buf))
@@ -123,18 +122,31 @@ func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 	if count*entryBytes != int64(len(payload)) {
 		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d entries in a %d-byte payload", ErrBadIndexFormat, h, count, len(buf))
 	}
+	if err := checkPayload(h, payload); err != nil {
+		return 0, nil, err
+	}
+	return h, payload, nil
+}
+
+// checkPayload is the gate every record read from a file passes once (an
+// update-log frame on replay, a disk index's records when it opens): node ids
+// must strictly ascend and every score must be finite and non-negative. Views
+// are folded and binary-searched as they are, a negative score would break
+// the estimate's lower-bound argument, and a NaN is not bit-stable through
+// float64 (a signalling NaN comes back quiet).
+func checkPayload(h graph.NodeID, payload []byte) error {
 	var prev graph.NodeID
-	for i := 0; i < int(count); i++ {
+	for i := 0; i < len(payload)/entryBytes; i++ {
 		node, score := sparse.EncodedEntryAt(payload, i)
 		if score < 0 || math.IsNaN(score) || math.IsInf(score, 1) {
-			return 0, nil, fmt.Errorf("%w: record of hub %d holds score %v at node %d (entry %d)", ErrBadIndexFormat, h, score, node, i)
+			return fmt.Errorf("%w: record of hub %d holds score %v at node %d (entry %d)", ErrBadIndexFormat, h, score, node, i)
 		}
 		if i > 0 && node <= prev {
-			return 0, nil, fmt.Errorf("%w: record of hub %d is not in ascending node order (entry %d: node %d after %d)", ErrBadIndexFormat, h, i, node, prev)
+			return fmt.Errorf("%w: record of hub %d is not in ascending node order (entry %d: node %d after %d)", ErrBadIndexFormat, h, i, node, prev)
 		}
 		prev = node
 	}
-	return h, payload, nil
+	return nil
 }
 
 // PutEncoded appends the record of hub h to the index file; payload is copied
@@ -236,10 +248,12 @@ func (d *DiskWriter) Abort() error {
 // use: the directory is immutable after OpenDisk and reads use positioned I/O
 // on a shared file descriptor, or direct slicing of the mapping in mmap mode.
 type DiskIndex struct {
-	f         *os.File
-	directory map[graph.NodeID]uint64
-	hubs      []graph.NodeID
-	size      int64
+	f *os.File
+	// hubs and offsets are the directory, sorted by hub: the record of
+	// hubs[i] starts at byte offsets[i] of the file.
+	hubs    []graph.NodeID
+	offsets []uint64
+	size    int64
 	// data is the read-only memory mapping of the whole file when the index
 	// was opened with DiskOptions.Mmap and the platform supports it; nil in
 	// pread mode. With a mapping, GetView returns record views aliasing it
@@ -321,32 +335,32 @@ func OpenDiskWithOptions(path string, opts DiskOptions) (*DiskIndex, error) {
 		f.Close()
 		return nil, err
 	}
+	entries := make([]dirEntry, hubCount)
+	for i := range entries {
+		entries[i] = dirEntry{
+			hub:    graph.NodeID(binary.LittleEndian.Uint32(dirBuf[i*12:])),
+			offset: binary.LittleEndian.Uint64(dirBuf[i*12+4:]),
+		}
+	}
+	if err := checkRecords(f, entries, dirStart); err != nil {
+		f.Close()
+		return nil, err
+	}
+	slices.SortFunc(entries, func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) })
 	idx := &DiskIndex{
 		f:          f,
-		directory:  make(map[graph.NodeID]uint64, hubCount),
-		hubs:       make([]graph.NodeID, 0, hubCount),
+		hubs:       make([]graph.NodeID, hubCount),
+		offsets:    make([]uint64, hubCount),
 		size:       st.Size(),
 		recordsEnd: dirStart,
 	}
-	for i := 0; i < hubCount; i++ {
-		h := graph.NodeID(binary.LittleEndian.Uint32(dirBuf[i*12:]))
-		off := binary.LittleEndian.Uint64(dirBuf[i*12+4:])
-		// Every record header must lie fully inside the record region; an
-		// offset pointing past it (or wrapping negative) means the directory
-		// is corrupt, and accepting it would turn Get into reads of the
-		// directory/footer bytes reinterpreted as record data.
-		if int64(off) < 0 || int64(off)+8 > dirStart {
+	for i, e := range entries {
+		if i > 0 && e.hub == entries[i-1].hub {
 			f.Close()
-			return nil, fmt.Errorf("%w: directory offset %d of hub %d outside record region [0,%d)", ErrBadIndexFormat, off, h, dirStart)
+			return nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, e.hub)
 		}
-		if _, dup := idx.directory[h]; dup {
-			f.Close()
-			return nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, h)
-		}
-		idx.directory[h] = off
-		idx.hubs = append(idx.hubs, h)
+		idx.hubs[i], idx.offsets[i] = e.hub, e.offset
 	}
-	sort.Slice(idx.hubs, func(i, j int) bool { return idx.hubs[i] < idx.hubs[j] })
 	if opts.Mmap {
 		// Graceful fallback: a platform without mmap support (or a mapping
 		// failure, e.g. vm limits) leaves a fully functional pread index.
@@ -356,6 +370,61 @@ func OpenDiskWithOptions(path string, opts DiskOptions) (*DiskIndex, error) {
 		}
 	}
 	return idx, nil
+}
+
+// checkRecords reads every record the directory entries point at once, in
+// file order, and checks it: the header must name the entry's hub, the record
+// must lie inside the record region [0, recordsEnd) without overlapping
+// another, and its payload must pass checkPayload. Reads of a checked file
+// need not check the scores again. entries is sorted by offset in place.
+func checkRecords(f *os.File, entries []dirEntry, recordsEnd int64) error {
+	slices.SortFunc(entries, func(a, b dirEntry) int { return cmp.Compare(a.offset, b.offset) })
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, recordsEnd), 1<<16)
+	var pos int64 // bytes of the record region consumed so far
+	var header [perHubOverheadBytes]byte
+	var payload []byte
+	for _, e := range entries {
+		// An offset past the region (or wrapping negative) would turn reads
+		// of the directory and footer bytes into record data.
+		if int64(e.offset) < 0 || int64(e.offset) > recordsEnd-perHubOverheadBytes {
+			return fmt.Errorf("%w: directory offset %d of hub %d outside record region [0,%d)", ErrBadIndexFormat, e.offset, e.hub, recordsEnd)
+		}
+		off := int64(e.offset)
+		if off < pos {
+			return fmt.Errorf("%w: record of hub %d at offset %d overlaps the record before it", ErrBadIndexFormat, e.hub, off)
+		}
+		if _, err := r.Discard(int(off - pos)); err != nil {
+			return checkedRead(err)
+		}
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			return checkedRead(err)
+		}
+		if stored := graph.NodeID(binary.LittleEndian.Uint32(header[0:])); stored != e.hub {
+			return fmt.Errorf("%w: record at offset %d is for hub %d, expected %d", ErrBadIndexFormat, off, stored, e.hub)
+		}
+		n := int64(binary.LittleEndian.Uint32(header[4:])) * entryBytes
+		if n > recordsEnd-off-perHubOverheadBytes {
+			return fmt.Errorf("%w: record of hub %d claims %d entries, overrunning the record region", ErrBadIndexFormat, e.hub, n/entryBytes)
+		}
+		payload = slices.Grow(payload[:0], int(n))[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return checkedRead(err)
+		}
+		if err := checkPayload(e.hub, payload); err != nil {
+			return err
+		}
+		pos = off + perHubOverheadBytes + n
+	}
+	return nil
+}
+
+// checkedRead reports a record region that ends before the directory says
+// it should as ErrBadIndexFormat; other read errors pass through.
+func checkedRead(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: record region ends inside a record", ErrBadIndexFormat)
+	}
+	return err
 }
 
 // MmapActive reports whether the index serves records from a memory mapping
@@ -423,15 +492,17 @@ func (d *DiskIndex) recordBounds(h graph.NodeID, off uint64, header []byte) (int
 // the view aliases the mapping and pins this index generation until Release;
 // in pread mode the entries are read into a freshly owned buffer (callers
 // that want pooling across reads should layer a BlockCache on top, which
-// retains these buffers). A record that does not fit inside the file's
-// record region — a truncated file, or a corrupt count that would drive a
-// huge allocation — fails with ErrBadIndexFormat rather than yielding an
-// out-of-bounds or zero-filled view.
+// retains these buffers). The open checked every record; a file changed
+// under the open index so that a record no longer fits inside its record
+// region — truncated, or a count that would drive a huge allocation — fails
+// with ErrBadIndexFormat rather than yielding an out-of-bounds or
+// zero-filled view.
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
-	off, ok := d.directory[h]
-	if !ok {
+	i, ok := slices.BinarySearch(d.hubs, h)
+	if !ok || i >= len(d.offsets) {
 		return HubRecordView{}, false, nil
 	}
+	off := d.offsets[i]
 	if !d.pin() {
 		return HubRecordView{}, false, ErrIndexClosed
 	}
@@ -475,7 +546,7 @@ func (d *DiskIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) { return Ve
 
 // Has reports whether h is indexed.
 func (d *DiskIndex) Has(h graph.NodeID) bool {
-	_, ok := d.directory[h]
+	_, ok := slices.BinarySearch(d.hubs, h)
 	return ok
 }
 

@@ -6,11 +6,18 @@
 // order. The in-memory index, the disk file (Sect. 5.3: one random read per
 // fetched hub), the update log and the block cache all hold those same bytes,
 // and the query loop folds them through a HubRecordView without decoding.
+//
+// Both resident forms find a record through a sorted directory: the hubs in
+// ascending order and a parallel offsets array, searched by bisection. The
+// in-memory index packs every record into one exact-size arena behind it,
+// with the records written since the last pack held beside it in an overlay;
+// the disk index keeps only the directory, and validates every record once
+// when it opens.
 package ppvindex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,40 +65,123 @@ func encodeVector(ppv sparse.Vector) []byte {
 	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
 }
 
-// MemIndex is an in-memory PPV index: one owned payload buffer per hub. A
-// stored buffer is replaced, never written, so views alias it without a pin
-// and outlive a rewrite of their hub. It is safe for concurrent use.
+// MemIndex is an in-memory PPV index in two halves. The packed base holds
+// every record in one exact-size arena behind a sorted directory: hubs in
+// ascending order, and arena[offsets[i]:offsets[i+1]] the record of hubs[i].
+// The overlay maps the hubs written since the last pack to their records and
+// shadows the base. PutEncoded writes the overlay; Pack folds it into a fresh
+// base (the engine packs once, when Precompute returns), and once a packed
+// index's overlay holds more than an eighth of the arena's bytes, the put that
+// crossed the line repacks. Nothing stored is written in place: a put
+// replaces an overlay buffer and a pack builds a new arena, so views alias
+// their record without a pin and outlive a rewrite of their hub or a repack.
+// It is safe for concurrent use.
 type MemIndex struct {
 	mu      sync.RWMutex
-	records map[graph.NodeID][]byte
-	size    int64 // SizeBytes of what records holds
-	// count mirrors len(records) so a probe can answer "empty" without taking
-	// the read lock: as the overlay of a disk store MemIndex is probed once
-	// per record read and is empty except between an update and a compaction.
+	hubs    []graph.NodeID // the packed base's hubs, ascending
+	offsets []int          // len(hubs)+1 bounds of the records in arena
+	arena   []byte
+	overlay map[graph.NodeID][]byte
+	// overlayBytes is the payload held by overlay, against which a packed
+	// index decides to repack.
+	overlayBytes int
+	size         int64 // SizeBytes of the records both halves hold
+	// count is the number of distinct hubs, kept atomic so a probe can answer
+	// "empty" without taking the read lock: as the overlay of a disk store
+	// MemIndex is probed once per record read and is empty except between an
+	// update and a compaction.
 	count atomic.Int64
 }
 
+// repackShare is the share of the arena's bytes past which a packed index's
+// overlay is folded into a fresh base: repacking costs one copy of the index,
+// so it is paid once per eighth of the index rewritten.
+const repackShare = 8
+
 // NewMemIndex returns an empty in-memory index.
-func NewMemIndex() *MemIndex {
-	return &MemIndex{records: make(map[graph.NodeID][]byte)}
-}
+func NewMemIndex() *MemIndex { return &MemIndex{} }
 
 // PutEncoded stores payload as the record of hub h and takes ownership of it.
 func (m *MemIndex) PutEncoded(h graph.NodeID, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.records[h]; ok {
+	if old, ok := m.recordLocked(h); ok {
 		m.size -= perHubOverheadBytes + int64(len(old))
+	} else {
+		m.count.Add(1)
 	}
-	m.records[h] = payload
+	if old, ok := m.overlay[h]; ok {
+		m.overlayBytes -= len(old)
+	}
+	if m.overlay == nil {
+		m.overlay = make(map[graph.NodeID][]byte)
+	}
+	m.overlay[h] = payload
+	m.overlayBytes += len(payload)
 	m.size += perHubOverheadBytes + int64(len(payload))
-	m.count.Store(int64(len(m.records)))
+	if len(m.hubs) > 0 && m.overlayBytes > len(m.arena)/repackShare {
+		m.packLocked()
+	}
 	return nil
 }
 
 // Put encodes ppv and stores it (boundary helper, see encodeVector).
 func (m *MemIndex) Put(h graph.NodeID, ppv sparse.Vector) error {
 	return m.PutEncoded(h, encodeVector(ppv))
+}
+
+// Pack folds the overlay into a fresh packed base: one arena sized to the
+// records it holds, and the sorted directory over it. Views taken before keep
+// reading the buffers they alias.
+func (m *MemIndex) Pack() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.packLocked()
+}
+
+func (m *MemIndex) packLocked() {
+	if len(m.overlay) == 0 {
+		return
+	}
+	hubs := m.hubsLocked()
+	offsets := make([]int, 1, len(hubs)+1)
+	arena := make([]byte, 0, m.size-int64(len(hubs))*perHubOverheadBytes)
+	for _, h := range hubs {
+		rec, _ := m.recordLocked(h)
+		arena = append(arena, rec...)
+		offsets = append(offsets, len(arena))
+	}
+	m.hubs, m.offsets, m.arena = hubs, offsets, arena
+	m.overlay, m.overlayBytes = nil, 0
+}
+
+// hubsLocked returns the hubs of both halves in ascending order, in a fresh
+// slice. Callers hold mu.
+func (m *MemIndex) hubsLocked() []graph.NodeID {
+	out := make([]graph.NodeID, len(m.hubs), m.count.Load())
+	copy(out, m.hubs)
+	//lint:ordered collect-then-sort: hubs are sorted by id below
+	for h := range m.overlay {
+		if _, found := slices.BinarySearch(m.hubs, h); !found {
+			out = append(out, h)
+		}
+	}
+	if len(out) > len(m.hubs) {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// recordLocked returns the record of h, the overlay's first. Callers hold mu.
+func (m *MemIndex) recordLocked(h graph.NodeID) ([]byte, bool) {
+	if rec, ok := m.overlay[h]; ok {
+		return rec, true
+	}
+	i, ok := slices.BinarySearch(m.hubs, h)
+	if !ok || i+1 >= len(m.offsets) {
+		return nil, false
+	}
+	return m.arena[m.offsets[i]:m.offsets[i+1]:m.offsets[i+1]], true
 }
 
 // GetView returns a view of the stored record of h; it allocates nothing, and
@@ -101,7 +191,7 @@ func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return HubRecordView{}, false, nil
 	}
 	m.mu.RLock()
-	rec, ok := m.records[h]
+	rec, ok := m.recordLocked(h)
 	m.mu.RUnlock()
 	if !ok {
 		return HubRecordView{}, false, nil
@@ -118,17 +208,11 @@ func (m *MemIndex) Has(h graph.NodeID) bool {
 	return ok
 }
 
-// Hubs returns the indexed hubs in ascending order.
+// Hubs returns the indexed hubs of both halves in ascending order.
 func (m *MemIndex) Hubs() []graph.NodeID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]graph.NodeID, 0, len(m.records))
-	//lint:ordered collect-then-sort: hubs are sorted by id on the next line
-	for h := range m.records {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.hubsLocked()
 }
 
 // Len returns the number of indexed hubs.

@@ -3,9 +3,12 @@ package ppvindex
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastppv/internal/graph"
@@ -113,6 +116,146 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 	if stats := StatsOf(idx); stats.TotalEntries != 1 {
 		t.Errorf("StatsOf counts %d entries, want 1", stats.TotalEntries)
 	}
+}
+
+// TestMemIndexPackedViewsSurviveRepack: after Pack the records sit in one
+// arena behind a sorted directory, and a rewrite goes to the overlay. A view
+// of the packed record survives the rewrite, and views of both survive the
+// repack that the put past an eighth of the arena's bytes triggers. Hubs,
+// Len and SizeBytes cover both halves throughout, and Hubs is ascending.
+func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
+	idx := NewMemIndex()
+	// Put in descending order so the map order and the id order differ.
+	for h := graph.NodeID(40); h > 0; h-- {
+		if err := idx.PutEncoded(h, rawEntries(h, h+1, h+2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := idx.SizeBytes()
+	idx.Pack()
+	if len(idx.overlay) != 0 || len(idx.hubs) != 40 || len(idx.arena) != 40*3*entryBytes || cap(idx.arena) != len(idx.arena) {
+		t.Fatalf("after Pack: %d overlay records, %d packed hubs, an arena of %d bytes (cap %d); want 0, 40 and an exact %d",
+			len(idx.overlay), len(idx.hubs), len(idx.arena), cap(idx.arena), 40*3*entryBytes)
+	}
+	if idx.SizeBytes() != size || idx.Len() != 40 {
+		t.Fatalf("Pack moved SizeBytes %d -> %d or Len to %d", size, idx.SizeBytes(), idx.Len())
+	}
+	packed, ok, err := idx.GetView(7)
+	if err != nil || !ok || &packed.EntryBytes()[0] != &idx.arena[6*3*entryBytes] {
+		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the arena", ok, err)
+	}
+
+	// A rewrite and a new hub go to the overlay: the arena is 960 bytes, so
+	// up to 120 bytes of overlay stay unpacked.
+	if err := idx.PutEncoded(7, rawEntries(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.PutEncoded(50, rawEntries(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.overlay) != 2 || len(idx.hubs) != 40 {
+		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(idx.overlay), len(idx.hubs))
+	}
+	if packed.Len() != 3 || !packed.Contains(9) || packed.Contains(100) {
+		t.Error("the view of the packed record changed under its holder after a rewrite")
+	}
+	rewritten, _, _ := idx.GetView(7)
+	if rewritten.Len() != 1 || !rewritten.Contains(100) {
+		t.Fatal("GetView after the rewrite does not serve the overlay's record")
+	}
+	wantSize := size - entryBytes*2 + perHubOverheadBytes + 2*entryBytes
+	if idx.Len() != 41 || idx.SizeBytes() != wantSize {
+		t.Errorf("with an overlay: Len = %d, SizeBytes = %d; want 41 and %d", idx.Len(), idx.SizeBytes(), wantSize)
+	}
+	hubs := idx.Hubs()
+	if len(hubs) != 41 || !slices.IsSorted(hubs) || hubs[40] != 50 {
+		t.Errorf("Hubs = %v, want 1..40 and 50 in ascending order", hubs)
+	}
+
+	// Past an eighth of the arena the put repacks: a fresh arena, an empty
+	// overlay, and the old views read what they read before.
+	if err := idx.PutEncoded(60, rawEntries(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.overlay) != 0 || len(idx.hubs) != 42 {
+		t.Fatalf("after the repack the overlay holds %d records and the base %d hubs, want 0 and 42", len(idx.overlay), len(idx.hubs))
+	}
+	if packed.Len() != 3 || !packed.Contains(9) || rewritten.Len() != 1 || !rewritten.Contains(100) {
+		t.Error("a view taken before the repack changed under its holder")
+	}
+	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 13, 8: 3} {
+		if v, ok, _ := idx.GetView(h); !ok || v.Len() != want {
+			t.Errorf("after the repack GetView(%d) has %d entries (ok=%v), want %d", h, v.Len(), ok, want)
+		}
+	}
+	if hubs := idx.Hubs(); len(hubs) != 42 || !slices.IsSorted(hubs) || idx.Len() != 42 {
+		t.Errorf("after the repack Hubs = %v (Len %d), want 42 ascending", hubs, idx.Len())
+	}
+	if idx.Has(61) || !idx.Has(60) || !idx.Has(1) {
+		t.Error("Has is wrong after the repack")
+	}
+}
+
+// TestMemIndexConcurrentRepack reads a packed index from several goroutines
+// while one rewrites its hubs, repacking every few puts: every view read
+// belongs to the hub asked for and stays intact after later repacks, and
+// Hubs and Len never see a hub missing or doubled.
+func TestMemIndexConcurrentRepack(t *testing.T) {
+	const hubs, puts, readers = 64, 2000, 4
+	idx := NewMemIndex()
+	for h := graph.NodeID(0); h < hubs; h++ {
+		if err := idx.PutEncoded(h, rawEntries(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx.Pack()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			var held []HubRecordView
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					for _, v := range held {
+						if first, _ := v.Entry(0); v.Len() != 2 || !v.Contains(first+hubs) {
+							t.Errorf("a view held across repacks changed: %d entries", v.Len())
+						}
+					}
+					return
+				default:
+				}
+				h := graph.NodeID(i % hubs)
+				v, ok, err := idx.GetView(h)
+				if err != nil || !ok {
+					t.Errorf("GetView(%d): ok=%v err=%v", h, ok, err)
+					return
+				}
+				if first, _ := v.Entry(0); first != h {
+					t.Errorf("GetView(%d) served a record starting at node %d", h, first)
+					return
+				}
+				if v.Len() == 2 && len(held) < 64 {
+					held = append(held, v)
+				}
+				if got := idx.Hubs(); len(got) != hubs || !slices.IsSorted(got) || idx.Len() != hubs {
+					t.Errorf("Hubs has %d entries (sorted %v), Len %d; want %d", len(got), slices.IsSorted(got), idx.Len(), hubs)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < puts; i++ {
+		h := graph.NodeID(i % hubs)
+		if err := idx.PutEncoded(h, rawEntries(h, h+hubs)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestHubRecordViewContains(t *testing.T) {
@@ -337,9 +480,11 @@ func TestOpenDiskRejectsDirectoryOffsetOutsideRecords(t *testing.T) {
 
 // TestDiskIndexGetRejectsTruncatedLastRecord crafts an index whose last
 // record claims more entries than the record region holds — the layout a
-// partially flushed writer or a torn copy produces. Get must fail with
-// ErrBadIndexFormat, not decode zero-filled bytes into a silently wrong PPV
-// (the pre-fix behaviour swallowed the short read's io.EOF).
+// partially flushed writer or a torn copy produces. The open checks every
+// record, so it fails with ErrBadIndexFormat in both read modes. A file cut
+// short under an open pread index fails the Get with ErrBadIndexFormat too,
+// rather than decoding zero-filled bytes into a silently wrong PPV (an
+// earlier reader swallowed the short read's io.EOF).
 func TestDiskIndexGetRejectsTruncatedLastRecord(t *testing.T) {
 	var buf []byte
 	record := make([]byte, 8+2*entryBytes) // claims 3 entries, holds 2
@@ -362,35 +507,31 @@ func TestDiskIndexGetRejectsTruncatedLastRecord(t *testing.T) {
 	if err := writeFile(path, buf); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := OpenDisk(path)
+	openFails(t, path)
+
+	valid, _ := buildValidIndex(t, t.TempDir())
+	idx, err := OpenDisk(valid)
 	if err != nil {
-		t.Fatalf("OpenDisk: %v (the directory itself is well-formed)", err)
+		t.Fatal(err)
 	}
 	defer idx.Close()
-	if _, _, err := idx.Get(5); !errors.Is(err, ErrBadIndexFormat) {
-		t.Fatalf("Get on a truncated record = %v, want ErrBadIndexFormat", err)
+	last := slices.Index(idx.offsets, slices.Max(idx.offsets))
+	if err := os.Truncate(valid, int64(idx.offsets[last])+8+entryBytes/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := idx.Get(idx.hubs[last]); !errors.Is(err, ErrBadIndexFormat) {
+		t.Fatalf("Get on a record cut short after the open = %v, want ErrBadIndexFormat", err)
 	}
 }
 
 // TestDiskIndexGetRejectsHugeCount guards the allocation path: a bit flip in
-// a record's count field must not drive a multi-gigabyte allocation.
+// a record's count field must not drive a multi-gigabyte allocation. The open
+// refuses the file; a flip that lands under an open pread index fails that
+// hub's Get, and the other hubs' records stay readable.
 func TestDiskIndexGetRejectsHugeCount(t *testing.T) {
 	dir := t.TempDir()
 	path, data := buildValidIndex(t, dir)
-	idx, err := OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := int64(-1)
-	for h, o := range idx.directory {
-		if h == 3 {
-			off = int64(o)
-		}
-	}
-	idx.Close()
-	if off < 0 {
-		t.Fatal("hub 3 not in directory")
-	}
+	off := recordOffset(t, path, 3)
 
 	corrupt := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint32(corrupt[off+4:], 0x7fffffff)
@@ -398,17 +539,88 @@ func TestDiskIndexGetRejectsHugeCount(t *testing.T) {
 	if err := writeFile(badPath, corrupt); err != nil {
 		t.Fatal(err)
 	}
-	bad, err := OpenDisk(badPath)
+	openFails(t, badPath)
+
+	idx, err := OpenDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bad.Close()
-	if _, _, err := bad.Get(3); !errors.Is(err, ErrBadIndexFormat) {
+	defer idx.Close()
+	writeAt(t, path, off+4, binary.LittleEndian.AppendUint32(nil, 0x7fffffff))
+	if _, _, err := idx.Get(3); !errors.Is(err, ErrBadIndexFormat) {
 		t.Fatalf("Get with corrupt count = %v, want ErrBadIndexFormat", err)
 	}
-	// The other hubs' records are intact and still readable.
-	if _, ok, err := bad.Get(7); !ok || err != nil {
+	if _, ok, err := idx.Get(7); !ok || err != nil {
 		t.Fatalf("Get(7) on intact record = %v, %v", ok, err)
+	}
+}
+
+// TestOpenDiskRejectsUnsoundRecords: the open checks every record's payload
+// by the rules of the update-log gate, so a copy of a valid index with one
+// score's sign bit flipped, a NaN score, or two node ids out of order fails
+// to open with ErrBadIndexFormat in both read modes instead of serving a
+// record that breaks the bound's lower-bound argument.
+func TestOpenDiskRejectsUnsoundRecords(t *testing.T) {
+	dir := t.TempDir()
+	path, data := buildValidIndex(t, dir)
+	payload := recordOffset(t, path, 3) + perHubOverheadBytes // hub 3: {1: 0.5, 2: 0.25, 3: 0.15}
+	for name, corrupt := range map[string]func([]byte){
+		"sign bit flipped": func(b []byte) { b[payload+entryBytes+7] ^= 0x80 },
+		"NaN score": func(b []byte) {
+			binary.LittleEndian.PutUint32(b[payload+4:], math.Float32bits(float32(math.NaN())))
+		},
+		"ids out of order": func(b []byte) { binary.LittleEndian.PutUint32(b[payload+entryBytes:], 9) },
+	} {
+		bad := append([]byte(nil), data...)
+		corrupt(bad)
+		badPath := filepath.Join(dir, "unsound.ppv")
+		if err := writeFile(badPath, bad); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { openFails(t, badPath) })
+	}
+}
+
+// recordOffset is the file offset of hub h's record in the index at path.
+func recordOffset(t *testing.T, path string, h graph.NodeID) int64 {
+	t.Helper()
+	idx, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	i, ok := slices.BinarySearch(idx.hubs, h)
+	if !ok {
+		t.Fatalf("hub %d is not in the directory of %s", h, path)
+	}
+	return int64(idx.offsets[i])
+}
+
+// writeAt overwrites the file at path with b at off, in place.
+func writeAt(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openFails checks that the index at path fails to open with
+// ErrBadIndexFormat in both read modes.
+func openFails(t *testing.T, path string) {
+	t.Helper()
+	for _, mmap := range []bool{false, true} {
+		idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: mmap})
+		if err == nil {
+			idx.Close()
+		}
+		if !errors.Is(err, ErrBadIndexFormat) {
+			t.Errorf("open (mmap=%v) = %v, want ErrBadIndexFormat", mmap, err)
+		}
 	}
 }
 

@@ -46,12 +46,14 @@ func TestMmapMatchesPread(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
-	defer pread.Close()
+	// Cleanups run last-in first-out, so the views the loop registers are
+	// released before these close the indexes.
+	t.Cleanup(func() { pread.Close() })
 	mapped, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true})
 	if err != nil {
 		t.Fatalf("OpenDiskWithOptions: %v", err)
 	}
-	defer mapped.Close()
+	t.Cleanup(func() { mapped.Close() })
 	if pread.MmapActive() {
 		t.Fatal("pread index reports MmapActive")
 	}
@@ -72,6 +74,9 @@ func TestMmapMatchesPread(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("%s GetView(%d): ok=%v err=%v", name, h, ok, err)
 			}
+			// A failure below must not leave the view pinned: the deferred
+			// Close would wait on it instead of reporting.
+			t.Cleanup(view.Release)
 			if view.Len() != want.NonZeros() {
 				t.Fatalf("%s view of %d: len=%d, want %d", name, h, view.Len(), want.NonZeros())
 			}
@@ -86,7 +91,6 @@ func TestMmapMatchesPread(t *testing.T) {
 					t.Fatalf("%s view of %d not sorted: %d then %d", name, h, prev, cur)
 				}
 			}
-			view.Release()
 		}
 	}
 	if _, ok, err := mapped.GetView(9999); ok || err != nil {
@@ -113,33 +117,25 @@ func TestMmapTruncatedFile(t *testing.T) {
 }
 
 // TestMmapCorruptCount corrupts a record's entry count so it overruns the
-// record region; both Get and GetView must answer ErrBadIndexFormat, not
-// slice past the mapping.
+// record region. Written under open indexes, the flip fails Get and GetView
+// with ErrBadIndexFormat in both read modes instead of slicing past the
+// mapping, and leaves the sibling record readable; a reopen refuses the file.
 func TestMmapCorruptCount(t *testing.T) {
 	path := writeSampleIndex(t)
-	idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find hub 3's record offset, then rewrite its count in place.
-	off := idx.directory[graph.NodeID(3)]
-	idx.Close()
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var huge [4]byte
-	binary.LittleEndian.PutUint32(huge[:], 1<<30)
-	if _, err := f.WriteAt(huge[:], int64(off)+4); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
+	off := recordOffset(t, path, 3)
+	var open []*DiskIndex
 	for _, mmap := range []bool{true, false} {
 		idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: mmap})
 		if err != nil {
-			t.Fatalf("reopen (mmap=%v): %v", mmap, err)
+			t.Fatalf("open (mmap=%v): %v", mmap, err)
 		}
+		defer idx.Close()
+		open = append(open, idx)
+	}
+	writeAt(t, path, off+4, binary.LittleEndian.AppendUint32(nil, 1<<30))
+
+	for _, idx := range open {
+		mmap := idx.MmapActive()
 		if _, _, err := idx.Get(3); !errors.Is(err, ErrBadIndexFormat) {
 			t.Fatalf("Get with corrupt count (mmap=%v) = %v, want ErrBadIndexFormat", mmap, err)
 		}
@@ -150,8 +146,8 @@ func TestMmapCorruptCount(t *testing.T) {
 		if v, ok, err := idx.Get(7); err != nil || !ok || v.Get(9) != float64(sparse.StoredScore(0.01)) {
 			t.Fatalf("Get(7) after corruption (mmap=%v) = %v ok=%v err=%v", mmap, v, ok, err)
 		}
-		idx.Close()
 	}
+	openFails(t, path)
 }
 
 // TestMmapViewPinsClose verifies the drain contract: Close blocks until every
@@ -171,6 +167,10 @@ func TestMmapViewPinsClose(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetView: ok=%v err=%v", ok, err)
 	}
+	// Released once, below or when a failure ends the test early, so the
+	// pending Close returns and the failure reports at once.
+	release := sync.OnceFunc(view.Release)
+	defer release()
 	closed := make(chan error, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -188,7 +188,7 @@ func TestMmapViewPinsClose(t *testing.T) {
 	if got := view.Vector(); got.Get(1) != 0.5 {
 		t.Fatalf("pinned view decoded %v", got)
 	}
-	view.Release()
+	release()
 	wg.Wait()
 	if err := <-closed; err != nil {
 		t.Fatalf("Close after release: %v", err)
