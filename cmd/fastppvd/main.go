@@ -10,9 +10,10 @@
 // Sect. 5.3 disk-based configuration, for indexes larger than RAM. An
 // existing index file (e.g. built by `fastppv precompute`) is opened and
 // served immediately without redoing the offline phase; a missing one is
-// precomputed first. Reads go through a byte-budgeted hub-block cache
-// (-block-cache-bytes) whose counters appear under "block_cache" in
-// /v1/stats:
+// precomputed first. The file is served from a read-only memory mapping (a
+// heap copy on platforms without mmap), and reads go through a
+// byte-budgeted hub-block cache (-block-cache-bytes) whose counters appear
+// under "block_cache" in /v1/stats:
 //
 //	fastppvd -graph g.txt -index idx.ppv -block-cache-bytes 134217728
 //
@@ -123,7 +124,6 @@ func run(args []string) error {
 	warmHubs := fs.Int("warm-hubs", 0, "preload this many of the hottest hub blocks into the block cache at startup")
 	indexPath := fs.String("index", "", "serve from this on-disk index file (opened if present, precomputed into it otherwise)")
 	blockCacheBytes := fs.Int64("block-cache-bytes", 0, "hub-block cache budget for -index mode (0 = 64 MiB default, negative disables)")
-	mmap := fs.Bool("mmap", false, "serve the -index file from a memory mapping (zero-copy record views); falls back to pread when the platform cannot map it")
 	updateLog := fs.String("update-log", "", "update log for -index mode: one frame per update batch, its graph mutation and recomputed hub PPVs (empty = <index>.log); replayed on restart")
 	compactThreshold := fs.Int64("compact-threshold-bytes", 0, "auto-compact once the update log holds this many bytes of hub records (0 = 64 MiB default, negative = manual /v1/compact only)")
 	alpha := fs.Float64("alpha", fastppv.DefaultAlpha, "teleporting probability")
@@ -234,7 +234,6 @@ func run(args []string) error {
 		BlockCacheBytes:       *blockCacheBytes,
 		UpdateLogPath:         *updateLog,
 		CompactThresholdBytes: *compactThreshold,
-		Mmap:                  *mmap,
 	}
 	var engine *fastppv.Engine
 	if *indexPath != "" {
@@ -244,20 +243,12 @@ func run(args []string) error {
 			return err
 		}
 		defer closeIndex()
-		mmapActive := false
-		if ma, ok := engine.Index().(interface{ MmapActive() bool }); ok {
-			mmapActive = ma.MmapActive()
-		}
-		if *mmap && !mmapActive {
-			logger.Warn("mmap requested but unavailable; serving via pread")
-		}
 		off := engine.OfflineStats()
 		logger.Info("serving disk index",
 			"hubs", off.Hubs, "index", *indexPath,
 			"index_mb", fmt.Sprintf("%.2f", float64(off.IndexBytes)/(1<<20)),
 			"block_cache", blockCacheDesc(*blockCacheBytes),
 			"update_log", updateLogDesc(*indexPath, dio),
-			"mmap", mmapActive,
 			"epoch", engine.Epoch())
 	} else {
 		engine, err = fastppv.New(g, opts)

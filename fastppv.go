@@ -165,9 +165,11 @@ func New(g *Graph, opts Options) (*Engine, error) { return core.NewEngine(g, nil
 const DefaultCompactThresholdBytes = ppvindex.DefaultCompactThresholdBytes
 
 // DiskIndexOptions tune the durable-update machinery of a disk-backed index
-// (OpenDiskIndexWithOptions): block cache budget, update-log path,
-// compaction threshold and mmap. The zero value logs update batches to
+// (OpenDiskIndexWithOptions): block cache budget, update-log path and
+// compaction threshold. The zero value logs update batches to
 // <index path>.log, with the default compaction threshold and block cache.
+// The index file itself is always served from a read-only memory mapping
+// (one heap copy on platforms without mmap), with no option to choose.
 type DiskIndexOptions = ppvindex.StoreOptions
 
 // graphBinding names the base graph the mutations in a disk store's update
@@ -238,7 +240,7 @@ func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (
 }
 
 // OpenDiskIndexWithOptions is OpenDiskIndex with explicit control over the
-// log path, compaction threshold, block cache and mmap.
+// log path, compaction threshold and block cache.
 //
 // The mutations of the logged batches are replayed onto g before the engine
 // is created, and the engine's index epoch starts at the replayed batch

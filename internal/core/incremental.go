@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -187,7 +188,8 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 //     additions, and is ignored when there is none;
 //   - parallel edges keep their counts, and self loops are dropped;
 //   - the node count grows to the largest NumNodes seen so far, and an added
-//     edge must lie within it;
+//     edge must lie within it; a NumNodes past the NodeID range (2³¹−1) is
+//     refused with graph.ErrNodeOutOfRange before anything is built;
 //   - node labels are kept, and added nodes have none.
 //
 // With no batches it returns g itself.
@@ -204,6 +206,9 @@ func ReplayGraphUpdates(g *graph.Graph, upds ...GraphUpdate) (*graph.Graph, erro
 	live := make(map[graph.Edge]int)
 	var added []graph.Edge
 	for _, upd := range upds {
+		if upd.NumNodes > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: %d nodes, past the NodeID range", graph.ErrNodeOutOfRange, upd.NumNodes)
+		}
 		numNodes = max(numNodes, upd.NumNodes)
 		for _, ed := range upd.RemovedEdges {
 			if key := canonicalEdge(g, ed); live[key] > 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -389,6 +390,18 @@ func TestReplayGraphUpdatesFoldsBatches(t *testing.T) {
 						u, got.Label(graph.NodeID(u)), folded.Label(graph.NodeID(u)))
 				}
 			}
+		}
+	}
+}
+
+// TestReplayGraphUpdatesRefusesNodeCountPastInt32: a node count past the
+// NodeID range is refused before any graph is built, so a logged or library
+// batch cannot make ids past 2^31-1 valid (they would wrap onto real nodes).
+func TestReplayGraphUpdatesRefusesNodeCountPastInt32(t *testing.T) {
+	base := labelledRing(4)
+	for _, n := range []int{math.MaxInt32 + 1, 1<<32 + 10} {
+		if _, err := ReplayGraphUpdates(base, GraphUpdate{NumNodes: 6}, GraphUpdate{NumNodes: n}); !errors.Is(err, graph.ErrNodeOutOfRange) {
+			t.Errorf("NumNodes %d: err = %v, want ErrNodeOutOfRange", n, err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (c *countingIndex) Hubs() []graph.NodeID    { return c.cur.Load().Hubs() }
 func (c *countingIndex) Len() int                { return c.cur.Load().Len() }
 func (c *countingIndex) SizeBytes() int64        { return c.cur.Load().SizeBytes() }
 
-// rewrite publishes a freshly written pread index holding vectors.
+// rewrite publishes a freshly written disk index holding vectors.
 func (c *countingIndex) rewrite(t *testing.T, vectors map[graph.NodeID]sparse.Vector) {
 	t.Helper()
 	idx, err := OpenDisk(writeIndexFile(t, vectors))

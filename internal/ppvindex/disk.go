@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,11 +34,18 @@ import (
 //
 // Records come first so that DiskWriter can stream an index larger than RAM
 // in one pass, buffering only the 12-byte-per-hub directory; Close appends
-// the directory and the footer. OpenDisk reads the footer, then the
-// directory, checks every record once in one sequential pass (checkRecords),
-// and keeps the directory in memory sorted by hub (4 + 8 bytes a hub); each
-// Get performs a single positioned read of the record, which models the "one
-// random access to the disk" per fetched hub of Sect. 6.3.1.
+// the directory and the footer. OpenDisk maps the file read-only (on a
+// platform without mmap it reads it into one heap buffer) and closes the
+// descriptor; it reads the footer, then the directory, checks every record
+// once in one sequential pass (checkRecords), and keeps the directory sorted
+// by hub (4 + 8 bytes a hub). Each GetView is then one read of the mapping at
+// the record's offset, which models the "one random access to the disk" per
+// fetched hub of Sect. 6.3.1.
+//
+// The store never rewrites a published file in place: it writes <path>.tmp
+// and renames it, so an open mapping keeps the old inode. A file truncated
+// under an open index is outside that contract: reads of the lost tail see
+// zeros in the last page or fault past it.
 //
 // FPI1, the previous layout, stored 12-byte (node uint32, score float64)
 // entries. It is not migrated: opening one fails with ErrBadIndexFormat.
@@ -244,199 +250,202 @@ func (d *DiskWriter) Abort() error {
 	return err
 }
 
-// DiskIndex is a read-only disk-backed PPV index. It is safe for concurrent
-// use: the directory is immutable after OpenDisk and reads use positioned I/O
-// on a shared file descriptor, or direct slicing of the mapping in mmap mode.
+// DiskIndex is a read-only disk-backed PPV index. It holds the whole index
+// file as one byte slice — a read-only mapping on unix, one heap buffer
+// elsewhere (fileBytes) — and every record read slices a view out of it. It
+// is safe for concurrent use: the directory and the bytes never change after
+// OpenDisk.
 type DiskIndex struct {
-	f *os.File
 	// hubs and offsets are the directory, sorted by hub: the record of
 	// hubs[i] starts at byte offsets[i] of the file.
 	hubs    []graph.NodeID
 	offsets []uint64
 	size    int64
-	// data is the read-only memory mapping of the whole file when the index
-	// was opened with DiskOptions.Mmap and the platform supports it; nil in
-	// pread mode. With a mapping, GetView returns record views aliasing it
-	// with zero copies.
+	// data is the whole file; views alias it with zero copies. Close drops
+	// it (and unmaps it when mapped) once every view is released.
 	data []byte
-	// recordsEnd is the first byte past the record region (the directory
-	// start); every record, header and payload, must fit below it.
-	recordsEnd int64
+	// mapped is fixed at open: data is a mapping that Close unmaps, not a
+	// heap buffer.
+	mapped bool
+	// records is the record region, data up to the directory start: every
+	// record, header and payload, must lie inside it.
+	records []byte
 	// reads counts the number of record fetches, modelling random disk
-	// accesses during online query processing. Atomic: Get is the hot path
-	// of every cache-missing hub expansion and must not serialize on a lock.
+	// accesses during online query processing. Atomic: GetView is the hot
+	// path of every cache-missing hub expansion and must not serialize on a
+	// lock.
 	reads atomic.Int64
-	// closed flips when Close runs; inflight counts record reads (and
-	// outstanding mmap views) in progress, which Close drains before
-	// releasing the descriptor and mapping, so no positioned read or view
-	// dereference ever races the close. Both are only touched on the
-	// record-read path, never on directory-only lookups.
+	// closed flips when Close runs; inflight counts outstanding views, which
+	// Close drains before releasing the bytes, so no view dereference ever
+	// races the unmap. Both are only touched on the record-read path, never
+	// on directory-only lookups.
 	closed   atomic.Bool
 	inflight atomic.Int64
 	// release is unpin bound once at open: handing a method value to every
-	// mmap view would allocate a fresh closure per GetView on the hot path.
+	// view would allocate a fresh closure per GetView on the hot path.
 	release func()
 }
 
-// DiskOptions configures how an index file is opened for reading.
+// DiskOptions is what OpenDiskWithOptions takes; nothing in it changes how an
+// index is opened.
 type DiskOptions struct {
-	// Mmap memory-maps the index file and serves records as zero-copy views
-	// over the mapping. When the platform or the mapping call does not
-	// cooperate, the index silently falls back to positioned reads; check
-	// MmapActive to see which mode is live.
+	// Mmap is ignored: every index is served from a mapping of its file,
+	// or from one heap copy where the platform cannot map. The field
+	// survives only because the frozen benchmark harness sets it.
 	Mmap bool
 }
 
-// OpenDisk opens an index file written by DiskWriter in positioned-read mode.
+// OpenDisk opens an index file written by DiskWriter. The file's bytes are
+// held (fileBytes) and its descriptor closed before the index is built over
+// them (openBytes).
 func OpenDisk(path string) (*DiskIndex, error) {
-	return OpenDiskWithOptions(path, DiskOptions{})
+	data, mapped, err := readIndexFile(path)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := openBytes(path, data, mapped)
+	if err != nil && mapped {
+		_ = munmapFile(data)
+	}
+	return idx, err
 }
 
-// OpenDiskWithOptions opens an index file written by DiskWriter.
-func OpenDiskWithOptions(path string, opts DiskOptions) (*DiskIndex, error) {
+// OpenDiskWithOptions is OpenDisk; opts is ignored. It survives only because
+// the frozen benchmark harness calls it.
+func OpenDiskWithOptions(path string, opts DiskOptions) (*DiskIndex, error) { return OpenDisk(path) }
+
+// readIndexFile holds the whole file at path and closes its descriptor: a
+// mapping stays valid after the close.
+func readIndexFile(path string) (data []byte, mapped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, err
+		return nil, false, err
 	}
-	if st.Size() < 16 {
-		f.Close()
+	if st.Size() < 16 || st.Size() > math.MaxInt {
+		return nil, false, ErrBadIndexFormat
+	}
+	return fileBytes(f, int(st.Size()))
+}
+
+// openBytes builds an index over data, the whole bytes of the index file at
+// path (which only names it in errors); mapped says Close must unmap them. It
+// reads the footer and the directory and checks every record once
+// (checkRecords). On error the caller still owns data.
+func openBytes(path string, data []byte, mapped bool) (*DiskIndex, error) {
+	size := int64(len(data))
+	if size < 16 {
 		return nil, ErrBadIndexFormat
 	}
-	footer := make([]byte, 16)
-	if _, err := f.ReadAt(footer, st.Size()-16); err != nil {
-		f.Close()
-		return nil, err
-	}
+	footer := data[size-16:]
 	switch binary.LittleEndian.Uint32(footer[0:]) {
 	case diskMagic:
 	case diskMagicV1:
-		f.Close()
 		return nil, fmt.Errorf("%w: %s is an FPI1 index (12-byte entries), which this build no longer reads; rebuild it as FPI2", ErrBadIndexFormat, path)
 	default:
-		f.Close()
 		return nil, ErrBadIndexFormat
 	}
-	hubCount := int(binary.LittleEndian.Uint32(footer[4:]))
+	hubCount := int64(binary.LittleEndian.Uint32(footer[4:]))
 	dirStart := int64(binary.LittleEndian.Uint64(footer[8:]))
 	// Bounds-check with subtraction, not addition: dirStart comes from the
 	// file and dirStart+hubCount*12 could wrap past MaxInt64, slipping a
-	// crafted footer past the check and into a huge directory allocation.
-	if dirStart < 0 || dirStart > st.Size()-16 || int64(hubCount)*12 > st.Size()-16-dirStart {
-		f.Close()
+	// crafted footer past the check.
+	if dirStart < 0 || dirStart > size-16 || hubCount*12 > size-16-dirStart {
 		return nil, ErrBadIndexFormat
 	}
-	dirBuf := make([]byte, hubCount*12)
-	if _, err := f.ReadAt(dirBuf, dirStart); err != nil {
-		f.Close()
-		return nil, err
-	}
+	dir := data[dirStart : dirStart+hubCount*12]
 	entries := make([]dirEntry, hubCount)
 	for i := range entries {
 		entries[i] = dirEntry{
-			hub:    graph.NodeID(binary.LittleEndian.Uint32(dirBuf[i*12:])),
-			offset: binary.LittleEndian.Uint64(dirBuf[i*12+4:]),
+			hub:    graph.NodeID(binary.LittleEndian.Uint32(dir[i*12:])),
+			offset: binary.LittleEndian.Uint64(dir[i*12+4:]),
 		}
 	}
-	if err := checkRecords(f, entries, dirStart); err != nil {
-		f.Close()
+	idx := &DiskIndex{
+		hubs:    make([]graph.NodeID, hubCount),
+		offsets: make([]uint64, hubCount),
+		size:    size,
+		data:    data,
+		mapped:  mapped,
+		records: data[:dirStart],
+	}
+	if err := idx.checkRecords(entries); err != nil {
 		return nil, err
 	}
 	slices.SortFunc(entries, func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) })
-	idx := &DiskIndex{
-		f:          f,
-		hubs:       make([]graph.NodeID, hubCount),
-		offsets:    make([]uint64, hubCount),
-		size:       st.Size(),
-		recordsEnd: dirStart,
-	}
 	for i, e := range entries {
 		if i > 0 && e.hub == entries[i-1].hub {
-			f.Close()
 			return nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, e.hub)
 		}
 		idx.hubs[i], idx.offsets[i] = e.hub, e.offset
 	}
-	if opts.Mmap {
-		// Graceful fallback: a platform without mmap support (or a mapping
-		// failure, e.g. vm limits) leaves a fully functional pread index.
-		if data, merr := mmapFile(f, st.Size()); merr == nil {
-			idx.data = data
-			idx.release = idx.unpin
-		}
-	}
+	idx.release = idx.unpin
 	return idx, nil
 }
 
-// checkRecords reads every record the directory entries point at once, in
-// file order, and checks it: the header must name the entry's hub, the record
-// must lie inside the record region [0, recordsEnd) without overlapping
-// another, and its payload must pass checkPayload. Reads of a checked file
-// need not check the scores again. entries is sorted by offset in place.
-func checkRecords(f *os.File, entries []dirEntry, recordsEnd int64) error {
+// checkRecords checks every record the directory entries point at once, in
+// file order: the record must not overlap the one before it and must pass the
+// checks of record, and its payload must pass checkPayload. Reads of a
+// checked file need not check the scores again. entries is sorted by offset
+// in place.
+func (d *DiskIndex) checkRecords(entries []dirEntry) error {
 	slices.SortFunc(entries, func(a, b dirEntry) int { return cmp.Compare(a.offset, b.offset) })
-	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, recordsEnd), 1<<16)
-	var pos int64 // bytes of the record region consumed so far
-	var header [perHubOverheadBytes]byte
-	var payload []byte
+	var pos int64 // first byte past the last checked record
 	for _, e := range entries {
-		// An offset past the region (or wrapping negative) would turn reads
-		// of the directory and footer bytes into record data.
-		if int64(e.offset) < 0 || int64(e.offset) > recordsEnd-perHubOverheadBytes {
-			return fmt.Errorf("%w: directory offset %d of hub %d outside record region [0,%d)", ErrBadIndexFormat, e.offset, e.hub, recordsEnd)
+		if int64(e.offset) < pos {
+			return fmt.Errorf("%w: record of hub %d at offset %d overlaps the record before it", ErrBadIndexFormat, e.hub, e.offset)
 		}
-		off := int64(e.offset)
-		if off < pos {
-			return fmt.Errorf("%w: record of hub %d at offset %d overlaps the record before it", ErrBadIndexFormat, e.hub, off)
-		}
-		if _, err := r.Discard(int(off - pos)); err != nil {
-			return checkedRead(err)
-		}
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			return checkedRead(err)
-		}
-		if stored := graph.NodeID(binary.LittleEndian.Uint32(header[0:])); stored != e.hub {
-			return fmt.Errorf("%w: record at offset %d is for hub %d, expected %d", ErrBadIndexFormat, off, stored, e.hub)
-		}
-		n := int64(binary.LittleEndian.Uint32(header[4:])) * entryBytes
-		if n > recordsEnd-off-perHubOverheadBytes {
-			return fmt.Errorf("%w: record of hub %d claims %d entries, overrunning the record region", ErrBadIndexFormat, e.hub, n/entryBytes)
-		}
-		payload = slices.Grow(payload[:0], int(n))[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return checkedRead(err)
+		payload, err := d.record(e.hub, e.offset)
+		if err != nil {
+			return err
 		}
 		if err := checkPayload(e.hub, payload); err != nil {
 			return err
 		}
-		pos = off + perHubOverheadBytes + n
+		pos = int64(e.offset) + perHubOverheadBytes + int64(len(payload))
 	}
 	return nil
 }
 
-// checkedRead reports a record region that ends before the directory says
-// it should as ErrBadIndexFormat; other read errors pass through.
-func checkedRead(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("%w: record region ends inside a record", ErrBadIndexFormat)
+// record returns the payload of hub h's record at directory offset off, a
+// slice of the held bytes: the header must lie inside the record region and
+// name h, and its count must keep the payload inside the region too. The open
+// checked every record; the check runs on every read again, so a hub or count
+// rewritten under an open mapping fails with ErrBadIndexFormat instead of
+// slicing past the region.
+func (d *DiskIndex) record(h graph.NodeID, off uint64) ([]byte, error) {
+	region := d.records
+	// An offset past the region (or wrapping negative) would turn reads of
+	// the directory and footer bytes into record data.
+	if int64(off) < 0 || int64(off) > int64(len(region))-perHubOverheadBytes {
+		return nil, fmt.Errorf("%w: directory offset %d of hub %d outside record region [0,%d)", ErrBadIndexFormat, off, h, len(region))
 	}
-	return err
+	header := region[off : off+perHubOverheadBytes]
+	if stored := graph.NodeID(binary.LittleEndian.Uint32(header[0:])); stored != h {
+		return nil, fmt.Errorf("%w: record at offset %d is for hub %d, expected %d", ErrBadIndexFormat, off, stored, h)
+	}
+	start := int64(off) + perHubOverheadBytes
+	n := int64(binary.LittleEndian.Uint32(header[4:])) * entryBytes
+	if n > int64(len(region))-start {
+		return nil, fmt.Errorf("%w: record of hub %d claims %d entries, overrunning the record region", ErrBadIndexFormat, h, n/entryBytes)
+	}
+	return region[start : start+n], nil
 }
 
-// MmapActive reports whether the index serves records from a memory mapping
-// (false when opened without DiskOptions.Mmap or after mmap fallback).
-func (d *DiskIndex) MmapActive() bool { return d.data != nil }
+// MmapActive reports whether the index serves records from a memory mapping:
+// true where the platform maps files (unix), false on the heap copy. It is
+// fixed at open. Nothing outside the frozen benchmark harness calls it.
+func (d *DiskIndex) MmapActive() bool { return d.mapped }
 
-// Close releases the underlying file (and mapping, in mmap mode) after
-// draining in-flight record reads and outstanding views: a Get or GetView
-// that raised inflight before closed flipped completes against the still-open
-// descriptor; one that observes closed afterwards backs off with
-// ErrIndexClosed. Compaction relies on this drain to remap safely: the
-// retired generation's mapping is only torn down once every view into it has
+// Close releases the held bytes (unmapping them when mapped) after draining
+// outstanding views: a GetView that raised inflight before closed flipped
+// hands out a view that stays valid until its Release; one that observes
+// closed afterwards backs off with ErrIndexClosed. Compaction relies on this
+// drain: the retired generation is only unmapped once every view into it has
 // been released. Closing twice is a no-op.
 func (d *DiskIndex) Close() error {
 	if d.closed.Swap(true) {
@@ -445,20 +454,16 @@ func (d *DiskIndex) Close() error {
 	for d.inflight.Load() > 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	if d.data != nil {
-		data := d.data
-		d.data = nil
-		if err := munmapFile(data); err != nil {
-			d.f.Close()
-			return err
-		}
+	data := d.data
+	d.data, d.records = nil, nil
+	if d.mapped {
+		return munmapFile(data)
 	}
-	return d.f.Close()
+	return nil
 }
 
-// pin registers a record read (or a handed-out mmap view) against Close's
-// drain. It fails once the index is closed; a successful pin must be paired
-// with exactly one unpin.
+// pin registers a handed-out view against Close's drain. It fails once the
+// index is closed; a successful pin must be paired with exactly one unpin.
 func (d *DiskIndex) pin() bool {
 	d.inflight.Add(1)
 	if d.closed.Load() {
@@ -470,75 +475,26 @@ func (d *DiskIndex) pin() bool {
 
 func (d *DiskIndex) unpin() { d.inflight.Add(-1) }
 
-// recordBounds validates the directory offset's record header for hub h and
-// returns the payload offset and length. checkedHeader is the 8-byte header
-// already read from offset off.
-func (d *DiskIndex) recordBounds(h graph.NodeID, off uint64, header []byte) (int64, int, error) {
-	if len(header) < 8 {
-		return 0, 0, fmt.Errorf("%w: truncated record header for hub %d at offset %d", ErrBadIndexFormat, h, off)
-	}
-	storedHub := graph.NodeID(binary.LittleEndian.Uint32(header[0:]))
-	count := int(binary.LittleEndian.Uint32(header[4:]))
-	if storedHub != h {
-		return 0, 0, fmt.Errorf("%w: record at offset %d is for hub %d, expected %d", ErrBadIndexFormat, off, storedHub, h)
-	}
-	if count < 0 || int64(off)+8+int64(count)*entryBytes > d.recordsEnd {
-		return 0, 0, fmt.Errorf("%w: record of hub %d claims %d entries, overrunning the record region", ErrBadIndexFormat, h, count)
-	}
-	return int64(off) + 8, count * entryBytes, nil
-}
-
-// GetView returns a zero-copy view of the stored record of h. In mmap mode
-// the view aliases the mapping and pins this index generation until Release;
-// in pread mode the entries are read into a freshly owned buffer (callers
-// that want pooling across reads should layer a BlockCache on top, which
-// retains these buffers). The open checked every record; a file changed
-// under the open index so that a record no longer fits inside its record
-// region — truncated, or a count that would drive a huge allocation — fails
-// with ErrBadIndexFormat rather than yielding an out-of-bounds or
-// zero-filled view.
+// GetView returns a zero-copy view of the stored record of h, sliced out of
+// the held file bytes. The view pins this index generation until Release. A
+// record whose hub or count was rewritten under the open index fails with
+// ErrBadIndexFormat (see record).
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	i, ok := slices.BinarySearch(d.hubs, h)
 	if !ok || i >= len(d.offsets) {
 		return HubRecordView{}, false, nil
 	}
-	off := d.offsets[i]
 	if !d.pin() {
 		return HubRecordView{}, false, ErrIndexClosed
 	}
-	if d.data != nil {
-		payloadOff, payloadLen, err := d.recordBounds(h, off, d.data[off:off+8])
-		if err != nil {
-			d.unpin()
-			return HubRecordView{}, false, err
-		}
-		d.reads.Add(1)
-		// The pin transfers to the view; Release returns it.
-		return NewHubRecordView(d.data[payloadOff:payloadOff+int64(payloadLen)], d.release), true, nil
-	}
-	defer d.unpin()
-	var header [8]byte
-	if _, err := d.f.ReadAt(header[:], int64(off)); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return HubRecordView{}, false, fmt.Errorf("%w: truncated record header of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
-		return HubRecordView{}, false, err
-	}
-	payloadOff, payloadLen, err := d.recordBounds(h, off, header[:])
+	payload, err := d.record(h, d.offsets[i])
 	if err != nil {
-		return HubRecordView{}, false, err
-	}
-	buf := make([]byte, payloadLen)
-	if _, err := d.f.ReadAt(buf, payloadOff); err != nil {
-		// ReadAt returns a non-nil error on every short read; after the
-		// bounds check above, any EOF here means the file shrank under us.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return HubRecordView{}, false, fmt.Errorf("%w: truncated record of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
+		d.unpin()
 		return HubRecordView{}, false, err
 	}
 	d.reads.Add(1)
-	return NewHubRecordView(buf, nil), true, nil
+	// The pin transfers to the view; Release returns it.
+	return NewHubRecordView(payload, d.release), true, nil
 }
 
 // Get reads the record of h and decodes it into a fresh map.

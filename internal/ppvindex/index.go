@@ -11,8 +11,8 @@
 // ascending order and a parallel offsets array, searched by bisection. The
 // in-memory index packs every record into one exact-size arena behind it,
 // with the records written since the last pack held beside it in an overlay;
-// the disk index keeps only the directory, and validates every record once
-// when it opens.
+// the disk index keeps only the directory beside a read-only mapping of its
+// file, and validates every record once when it opens.
 package ppvindex
 
 import (

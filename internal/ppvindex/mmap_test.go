@@ -1,6 +1,7 @@
 package ppvindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -38,38 +39,38 @@ func writeIndexFile(t *testing.T, vectors map[graph.NodeID]sparse.Vector) string
 	return path
 }
 
-// TestMmapMatchesPread opens the same index in both read modes and checks
-// that Get and GetView return identical records.
-func TestMmapMatchesPread(t *testing.T) {
+// TestHeapSourceMatchesMapping builds the sample index over a heap copy of
+// its file, the byte source of platforms without mmap, and checks that every
+// record it serves is byte-equal to the one OpenDisk serves, and decodes to
+// the stored vector in ascending node order.
+func TestHeapSourceMatchesMapping(t *testing.T) {
 	path := writeSampleIndex(t)
-	pread, err := OpenDisk(path)
+	mapped, err := OpenDisk(path)
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
 	// Cleanups run last-in first-out, so the views the loop registers are
 	// released before these close the indexes.
-	t.Cleanup(func() { pread.Close() })
-	mapped, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true})
-	if err != nil {
-		t.Fatalf("OpenDiskWithOptions: %v", err)
-	}
 	t.Cleanup(func() { mapped.Close() })
-	if pread.MmapActive() {
-		t.Fatal("pread index reports MmapActive")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !mapped.MmapActive() {
-		t.Skip("mmap unsupported on this platform; fallback covered by pread tests")
+	heap, err := openBytes(path, raw, false)
+	if err != nil {
+		t.Fatalf("openBytes: %v", err)
+	}
+	t.Cleanup(func() { heap.Close() })
+	if heap.MmapActive() {
+		t.Fatal("the heap-built index reports MmapActive")
+	}
+	if heap.Len() != mapped.Len() || heap.SizeBytes() != mapped.SizeBytes() {
+		t.Fatalf("heap index has %d hubs in %d bytes, mapped %d in %d", heap.Len(), heap.SizeBytes(), mapped.Len(), mapped.SizeBytes())
 	}
 
 	for h, want := range sampleVectors() {
-		for name, idx := range map[string]*DiskIndex{"pread": pread, "mmap": mapped} {
-			got, ok, err := idx.Get(h)
-			if err != nil || !ok {
-				t.Fatalf("%s Get(%d): ok=%v err=%v", name, h, ok, err)
-			}
-			if got.L1Distance(storedVector(want)) != 0 {
-				t.Fatalf("%s Get(%d) = %v, want %v", name, h, got, storedVector(want))
-			}
+		var payloads [][]byte
+		for name, idx := range map[string]*DiskIndex{"mapped": mapped, "heap": heap} {
 			view, ok, err := idx.GetView(h)
 			if err != nil || !ok {
 				t.Fatalf("%s GetView(%d): ok=%v err=%v", name, h, ok, err)
@@ -77,13 +78,10 @@ func TestMmapMatchesPread(t *testing.T) {
 			// A failure below must not leave the view pinned: the deferred
 			// Close would wait on it instead of reporting.
 			t.Cleanup(view.Release)
-			if view.Len() != want.NonZeros() {
-				t.Fatalf("%s view of %d: len=%d, want %d", name, h, view.Len(), want.NonZeros())
-			}
+			payloads = append(payloads, view.EntryBytes())
 			if view.Vector().L1Distance(storedVector(want)) != 0 {
 				t.Fatalf("%s view of %d decodes to %v, want %v", name, h, view.Vector(), storedVector(want))
 			}
-			// Entries are sorted ascending.
 			for i := 1; i < view.Len(); i++ {
 				prev, _ := view.Entry(i - 1)
 				cur, _ := view.Entry(i)
@@ -92,14 +90,19 @@ func TestMmapMatchesPread(t *testing.T) {
 				}
 			}
 		}
+		if !bytes.Equal(payloads[0], payloads[1]) {
+			t.Fatalf("hub %d: the heap and mapped views hold different bytes", h)
+		}
 	}
-	if _, ok, err := mapped.GetView(9999); ok || err != nil {
-		t.Fatalf("GetView(missing) = ok=%v err=%v, want miss", ok, err)
+	for _, idx := range []*DiskIndex{mapped, heap} {
+		if _, ok, err := idx.GetView(9999); ok || err != nil {
+			t.Fatalf("GetView(missing) = ok=%v err=%v, want miss", ok, err)
+		}
 	}
 }
 
-// TestMmapTruncatedFile asserts that a file cut short opens (or reads) as
-// ErrBadIndexFormat in mmap mode instead of faulting.
+// TestMmapTruncatedFile asserts that a file cut short before the open fails
+// it with ErrBadIndexFormat instead of faulting.
 func TestMmapTruncatedFile(t *testing.T) {
 	path := writeSampleIndex(t)
 	raw, err := os.ReadFile(path)
@@ -111,57 +114,50 @@ func TestMmapTruncatedFile(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true}); !errors.Is(err, ErrBadIndexFormat) {
+	if _, err := OpenDisk(path); !errors.Is(err, ErrBadIndexFormat) {
 		t.Fatalf("open of truncated file = %v, want ErrBadIndexFormat", err)
 	}
 }
 
 // TestMmapCorruptCount corrupts a record's entry count so it overruns the
-// record region. Written under open indexes, the flip fails Get and GetView
-// with ErrBadIndexFormat in both read modes instead of slicing past the
-// mapping, and leaves the sibling record readable; a reopen refuses the file.
+// record region. Written under the open index, the flip fails Get and GetView
+// with ErrBadIndexFormat instead of slicing past the mapping, and leaves the
+// sibling record readable; a reopen refuses the file. The write reaches only a
+// mapping, so the test holds for the mapping only.
 func TestMmapCorruptCount(t *testing.T) {
 	path := writeSampleIndex(t)
 	off := recordOffset(t, path, 3)
-	var open []*DiskIndex
-	for _, mmap := range []bool{true, false} {
-		idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatalf("open (mmap=%v): %v", mmap, err)
-		}
-		defer idx.Close()
-		open = append(open, idx)
+	idx, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if !idx.MmapActive() {
+		t.Skip("the index holds a heap copy of the file here, which a write under it does not reach")
 	}
 	writeAt(t, path, off+4, binary.LittleEndian.AppendUint32(nil, 1<<30))
 
-	for _, idx := range open {
-		mmap := idx.MmapActive()
-		if _, _, err := idx.Get(3); !errors.Is(err, ErrBadIndexFormat) {
-			t.Fatalf("Get with corrupt count (mmap=%v) = %v, want ErrBadIndexFormat", mmap, err)
-		}
-		if _, _, err := idx.GetView(3); !errors.Is(err, ErrBadIndexFormat) {
-			t.Fatalf("GetView with corrupt count (mmap=%v) = %v, want ErrBadIndexFormat", mmap, err)
-		}
-		// The sibling record is untouched and still readable.
-		if v, ok, err := idx.Get(7); err != nil || !ok || v.Get(9) != float64(sparse.StoredScore(0.01)) {
-			t.Fatalf("Get(7) after corruption (mmap=%v) = %v ok=%v err=%v", mmap, v, ok, err)
-		}
+	if _, _, err := idx.Get(3); !errors.Is(err, ErrBadIndexFormat) {
+		t.Fatalf("Get with corrupt count = %v, want ErrBadIndexFormat", err)
+	}
+	if _, _, err := idx.GetView(3); !errors.Is(err, ErrBadIndexFormat) {
+		t.Fatalf("GetView with corrupt count = %v, want ErrBadIndexFormat", err)
+	}
+	// The sibling record is untouched and still readable.
+	if v, ok, err := idx.Get(7); err != nil || !ok || v.Get(9) != float64(sparse.StoredScore(0.01)) {
+		t.Fatalf("Get(7) after corruption = %v ok=%v err=%v", v, ok, err)
 	}
 	openFails(t, path)
 }
 
 // TestMmapViewPinsClose verifies the drain contract: Close blocks until every
-// outstanding mmap view is released, and reads arriving after Close observe
+// outstanding view is released, and reads arriving after Close observe
 // ErrIndexClosed instead of a dead mapping.
 func TestMmapViewPinsClose(t *testing.T) {
 	path := writeSampleIndex(t)
-	idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true})
+	idx, err := OpenDisk(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !idx.MmapActive() {
-		idx.Close()
-		t.Skip("mmap unsupported on this platform")
 	}
 	view, ok, err := idx.GetView(3)
 	if err != nil || !ok {
@@ -207,7 +203,7 @@ func TestMmapViewPinsClose(t *testing.T) {
 // generations underneath the serving state).
 func TestBlockCacheViewMode(t *testing.T) {
 	path := writeSampleIndex(t)
-	idx, err := OpenDiskWithOptions(path, DiskOptions{Mmap: true})
+	idx, err := OpenDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}

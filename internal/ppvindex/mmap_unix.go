@@ -3,19 +3,16 @@
 package ppvindex
 
 import (
-	"fmt"
-	"math"
 	"os"
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only and shared. The caller owns the
-// returned slice and must release it with munmapFile.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
-	if size <= 0 || size > int64(math.MaxInt) {
-		return nil, fmt.Errorf("ppvindex: cannot mmap %d-byte index", size)
-	}
-	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+// fileBytes maps size bytes of f read-only and shared; mapped is true, and
+// the bytes must be released with munmapFile. The mapping stays valid after
+// f is closed.
+func fileBytes(f *os.File, size int) (data []byte, mapped bool, err error) {
+	data, err = syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+	return data, err == nil, err
 }
 
 func munmapFile(data []byte) error { return syscall.Munmap(data) }

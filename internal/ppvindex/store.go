@@ -18,8 +18,8 @@ import (
 const DefaultCompactThresholdBytes = 64 << 20
 
 // ErrClosed reports an operation on a Store whose Close (or Abort) has
-// already run; reads fail with it instead of reading a closed file descriptor
-// or serving stale overlay hits.
+// already run; reads fail with it instead of reading an unmapped index or
+// serving stale overlay hits.
 var ErrClosed = errors.New("ppvindex: disk index store is closed")
 
 // StoreOptions tune a Store beyond its index path. The zero value logs
@@ -41,11 +41,6 @@ type StoreOptions struct {
 	// DefaultCompactThresholdBytes, negative disables automatic compaction
 	// (manual Compact still works).
 	CompactThresholdBytes int64
-	// Mmap maps the index file into memory and serves hub records as
-	// zero-copy views instead of pread-ing them into fresh buffers. Falls
-	// back to pread silently when the platform (or the file) cannot be
-	// mapped; MmapActive on the store reports which mode is live.
-	Mmap bool
 }
 
 // withDefaults fills the empty path and the zero threshold.
@@ -77,8 +72,8 @@ func (o StoreOptions) withDefaults(path string) StoreOptions {
 // frame with one fsync.
 //
 // Compact folds the logged records and the overlay into a rewritten base file
-// and rewrites the log down to its mutations; in-flight reads drain on the
-// old file descriptor, new reads move to the freshly published state.
+// and rewrites the log down to its mutations; views into the old mapping
+// drain before it is unmapped, new reads move to the freshly published state.
 type Store struct {
 	path string
 	opts StoreOptions
@@ -116,9 +111,9 @@ type Store struct {
 // storeState is one immutable read-side view of a finalized store. The
 // overlay it carries is mutable (updates shadow base records through it), but
 // src and reader never change; compaction publishes a whole new state instead.
-// A retired state's descriptor is closed by DiskIndex.Close, which drains
-// in-flight record reads first; a straggler that loaded this state before it
-// was unpublished either completes against the still-open descriptor or gets
+// A retired state's mapping is released by DiskIndex.Close, which drains
+// outstanding views first; a straggler that loaded this state before it was
+// unpublished either gets a view that stays valid until its Release or gets
 // ErrIndexClosed and retries on the current state.
 type storeState struct {
 	// src is where reads of hubs the overlay does not shadow come from: the
@@ -128,7 +123,7 @@ type storeState struct {
 	// hubs that are also in the on-disk directory, so membership queries can
 	// keep delegating to src.
 	overlay *MemIndex
-	// reader owns the file descriptor behind src; cache is the block cache
+	// reader owns the mapped file behind src; cache is the block cache
 	// fronting it (nil when caching is disabled).
 	reader *DiskIndex
 	cache  *BlockCache
@@ -252,11 +247,11 @@ func (s *Store) Get(h graph.NodeID) (sparse.Vector, bool, error) { return Vector
 // GetView implements ViewGetter: the overlay's record when an incremental
 // update rewrote the hub since the last compaction — a view of the stale
 // base record must never win over a newer rewrite — and otherwise the base
-// record as a zero-copy (mmap) or single-copy (pread / cached payload) view.
+// record as a zero-copy view of the mapping or of a cached payload.
 func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) { return s.view(h, false) }
 
 // GetViewUncached is GetView past the block cache: the overlay's record,
-// else the base record read straight from the file. The bytes are the same;
+// else the base record straight from the mapping. The bytes are the same;
 // no block is filled or evicted, so a maintenance scan over every hub (the
 // affected-hub test of core.Engine.ApplyUpdate) leaves the blocks the queries
 // are using in place.
@@ -284,14 +279,6 @@ func (s *Store) view(h graph.NodeID, uncached bool) (HubRecordView, bool, error)
 		}
 		return view, ok, err
 	}
-}
-
-// MmapActive reports whether the published read state serves its base index
-// from a memory mapping (false when pread fallback engaged, the store is in
-// write mode, or it is closed).
-func (s *Store) MmapActive() bool {
-	st := s.state.Load()
-	return st != nil && st.reader.MmapActive()
 }
 
 // closedIndex is what a store that cannot be read answers directory questions
@@ -406,7 +393,7 @@ func (s *Store) bindingFor(r *DiskIndex) []byte { return logBinding(r.SizeBytes(
 // log's mutations through replay (nil skips them) and its records into the
 // overlay, and publishes the read state. Callers must hold s.mu.
 func (s *Store) openLocked(replay func(GraphMutation) error) error {
-	r, err := OpenDiskWithOptions(s.path, DiskOptions{Mmap: s.opts.Mmap})
+	r, err := OpenDisk(s.path)
 	if err != nil {
 		return err
 	}
@@ -489,7 +476,7 @@ func (s *Store) Compact() (CompactionResult, error) {
 	defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
 	for _, h := range st.reader.Hubs() {
 		// The overlay's version when there is one; otherwise the base record,
-		// straight from the descriptor and not through the block cache: a
+		// straight from the mapping and not through the block cache: a
 		// full-index sweep would evict the hot set.
 		view, ok, err := st.overlay.GetView(h)
 		if ok {
@@ -514,7 +501,7 @@ func (s *Store) Compact() (CompactionResult, error) {
 	if err := w.Close(); err != nil {
 		return res, fmt.Errorf("ppvindex: compaction finalizing rewritten index: %w", err)
 	}
-	r, err := OpenDiskWithOptions(s.path, DiskOptions{Mmap: s.opts.Mmap})
+	r, err := OpenDisk(s.path)
 	if err != nil {
 		// The old state keeps serving: its overlay still shadows the base
 		// records the rewrite folded in, so answers stay correct, and the
@@ -532,9 +519,8 @@ func (s *Store) Compact() (CompactionResult, error) {
 	}
 	old := s.state.Swap(s.newReadState(r))
 	s.reader = r
-	// DiskIndex.Close drains in-flight record reads before releasing the
-	// descriptor; stragglers still holding the old state retry against the
-	// new one.
+	// DiskIndex.Close drains the old generation's views before unmapping
+	// it; stragglers still holding the old state retry against the new one.
 	old.reader.Close()
 	s.logWedged = false
 	s.compactions.Add(1)
@@ -564,10 +550,10 @@ func (s *Store) rebindLogLocked(r *DiskIndex) error {
 	return nil
 }
 
-// Close releases the underlying file handles. The published read state is
-// cleared first, so late reads fail with ErrClosed instead of reading a
-// closed descriptor or serving stale overlay hits; in-flight reads drain
-// before the descriptor goes away. A store still in write mode is finalized
+// Close releases the mapped index and the log. The published read state is
+// cleared first, so late reads fail with ErrClosed instead of reading an
+// unmapped index or serving stale overlay hits; outstanding views drain
+// before the mapping goes away. A store still in write mode is finalized
 // first (the index file is published, its log started fresh) — use Abort to
 // discard instead.
 func (s *Store) Close() error {

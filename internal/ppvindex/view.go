@@ -9,15 +9,16 @@ import (
 
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
 // the record's entry payload in the flat 8-byte (node uint32, score float32
-// rounded toward zero) encoding, in strictly ascending node order. An mmap view aliases the mapped
-// file, a MemIndex view the immutable buffer the index owns, a pread or
-// cache-retained view an owned heap buffer. No map is materialized — the
-// query inner loop folds the entries straight into a sparse.Accumulator.
+// rounded toward zero) encoding, in strictly ascending node order. A
+// DiskIndex view aliases the mapped file, a MemIndex view the immutable
+// buffer the index owns, a cache-retained view an owned heap buffer. No map
+// is materialized — the query inner loop folds the entries straight into a
+// sparse.Accumulator.
 //
 // Lifetime rules: a view is valid only for the index generation that produced
-// it and must not outlive it. Views that alias an mmap'd index pin the
-// mapping; callers must call Release exactly once, promptly, when done (a
-// leaked view blocks that generation's Close, and with it compaction's swap).
+// it and must not outlive it. Every DiskIndex view pins its generation;
+// callers must call Release exactly once, promptly, when done (a leaked view
+// blocks that generation's Close, and with it compaction's swap).
 // Release on a zero or unpinned view is a no-op. Views must be treated as
 // immutable and must not be retained across calls that may close or compact
 // the index.

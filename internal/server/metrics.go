@@ -165,14 +165,6 @@ func (b engineBackend) collect(e *telemetry.Emitter) {
 			e.Gauge("fastppv_block_cache_bytes", "Bytes resident in the block cache.", float64(st.Bytes))
 		}
 	}
-	if ma, ok := index.(interface{ MmapActive() bool }); ok {
-		active := 0.0
-		if ma.MmapActive() {
-			active = 1
-		}
-		e.Gauge("fastppv_index_mmap_active",
-			"1 when the base index is served from a memory mapping (zero-copy views), 0 on the pread fallback.", active)
-	}
 	if dss, ok := index.(durabilityStatser); ok {
 		if st, enabled := dss.DurabilityStats(); enabled {
 			e.Counter("fastppv_wal_records_total", "Hub records in the index update log.", float64(st.LogRecords))

@@ -909,8 +909,9 @@ type UpdateRequest = api.UpdateRequest
 type UpdateResponse = api.UpdateResponse
 
 // parseEdges validates that every entry is a [from, to] pair with both
-// endpoints inside [0, numNodes). Validating here keeps client mistakes out
-// of ApplyUpdate, so an ApplyUpdate error below is a genuine server-side
+// endpoints inside [0, numNodes) and the NodeID range, so no id wraps onto
+// another node when it is narrowed. Validating here keeps client mistakes
+// out of ApplyUpdate, so an ApplyUpdate error below is a genuine server-side
 // failure.
 func parseEdges(field string, pairs [][]int, numNodes int) ([]graph.Edge, error) {
 	edges := make([]graph.Edge, 0, len(pairs))
@@ -918,7 +919,7 @@ func parseEdges(field string, pairs [][]int, numNodes int) ([]graph.Edge, error)
 		if len(p) != 2 {
 			return nil, badRequest("%s[%d]: edge must be a [from, to] pair, got %d elements", field, i, len(p))
 		}
-		if p[0] < 0 || p[0] >= numNodes || p[1] < 0 || p[1] >= numNodes {
+		if p[0] < 0 || p[0] >= numNodes || p[1] < 0 || p[1] >= numNodes || p[0] > math.MaxInt32 || p[1] > math.MaxInt32 {
 			return nil, badRequest("%s[%d]: edge (%d,%d) outside [0,%d)", field, i, p[0], p[1], numNodes)
 		}
 		edges = append(edges, graph.Edge{From: graph.NodeID(p[0]), To: graph.NodeID(p[1])})
@@ -936,8 +937,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("empty update"))
 		return
 	}
-	if ureq.NumNodes < 0 {
-		writeError(w, badRequest("negative num_nodes"))
+	if ureq.NumNodes < 0 || ureq.NumNodes > math.MaxInt32 {
+		writeError(w, badRequest("num_nodes %d outside [0,%d]", ureq.NumNodes, math.MaxInt32))
 		return
 	}
 	if s.router != nil {

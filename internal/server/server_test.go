@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -782,6 +783,37 @@ func TestServerNodeIDBeyondInt32(t *testing.T) {
 		if status, body := post(t, ts, "/v1/ppv/batch", `{"queries":[{"node":`+node+`}]}`); status != http.StatusBadRequest {
 			t.Errorf("batch node %s: status %d (%s), want 400", node, status, body)
 		}
+	}
+}
+
+// TestServerUpdateIDsBeyondInt32 checks that an update naming a node id or a
+// node count past the NodeID range is refused with 400 instead of wrapping an
+// endpoint onto a valid node (4294967301 is 5 modulo 2^32) or building a graph
+// of billions of nodes, and that the graph is left as it was.
+func TestServerUpdateIDsBeyondInt32(t *testing.T) {
+	if edges, err := parseEdges("added_edges", [][]int{{1<<32 + 5, 1}}, 1<<32+10); err == nil {
+		t.Errorf("parseEdges accepted an endpoint past the NodeID range as %v", edges)
+	}
+	if _, err := parseEdges("added_edges", [][]int{{math.MaxInt32, 1}}, math.MaxInt32+1); err != nil {
+		t.Errorf("parseEdges refused the largest NodeID: %v", err)
+	}
+	srv, err := New(testEngine(t, socialGraph(t, 100), 10), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, update := range []string{
+		`{"num_nodes":4294967306,"added_edges":[[4294967301,1]]}`,
+		`{"num_nodes":2147483648}`,
+		`{"added_edges":[[4294967301,1]]}`,
+	} {
+		if status, body := post(t, ts, "/v1/update", update); status != http.StatusBadRequest {
+			t.Errorf("update %s: status %d (%s), want 400", update, status, body)
+		}
+	}
+	if n, e := srv.engine.Graph().NumNodes(), srv.engine.Epoch(); n != 100 || e != 0 {
+		t.Errorf("after the refused updates the graph has %d nodes at epoch %d, want 100 at 0", n, e)
 	}
 }
 

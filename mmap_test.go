@@ -2,72 +2,10 @@ package fastppv
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 	"sync"
 	"testing"
 )
-
-// TestPublicAPIMmapDifferential is the equivalence bar of the zero-copy read
-// path: the same index opened memory-mapped and pread must answer every query
-// with the identical top-k ranking and bounds that agree to 1e-12.
-func TestPublicAPIMmapDifferential(t *testing.T) {
-	g := buildTestGraph(t, 400, 4, 41)
-	path := filepath.Join(t.TempDir(), "index.ppv")
-	buildDiskIndex(t, g, 40, path)
-
-	open := func(mmap bool) (*Engine, func() error) {
-		t.Helper()
-		engine, closeIndex, err := OpenDiskIndexWithOptions(g, Options{NumHubs: 40}, path, DiskIndexOptions{
-			BlockCacheBytes: 4 << 20,
-			Mmap:            mmap,
-		})
-		if err != nil {
-			t.Fatalf("OpenDiskIndexWithOptions(mmap=%v): %v", mmap, err)
-		}
-		return engine, closeIndex
-	}
-	mapped, closeMapped := open(true)
-	defer closeMapped()
-	pread, closePread := open(false)
-	defer closePread()
-
-	if active, ok := mmapActiveOf(mapped); ok && !active {
-		t.Log("mmap unavailable on this platform; differential degrades to pread vs pread")
-	}
-	if active, ok := mmapActiveOf(pread); !ok || active {
-		t.Fatalf("pread engine reports mmap active=%v ok=%v", active, ok)
-	}
-
-	for q := NodeID(0); q < 25; q++ {
-		a, err := mapped.Query(q, DefaultStop())
-		if err != nil {
-			t.Fatalf("mmap query %d: %v", q, err)
-		}
-		b, err := pread.Query(q, DefaultStop())
-		if err != nil {
-			t.Fatalf("pread query %d: %v", q, err)
-		}
-		if math.Abs(a.L1ErrorBound-b.L1ErrorBound) > 1e-12 {
-			t.Errorf("q=%d: bounds differ: mmap %v pread %v", q, a.L1ErrorBound, b.L1ErrorBound)
-		}
-		ta, tb := a.TopK(20), b.TopK(20)
-		if len(ta) != len(tb) {
-			t.Fatalf("q=%d: top-k lengths differ: %d vs %d", q, len(ta), len(tb))
-		}
-		for i := range ta {
-			if ta[i].Node != tb[i].Node {
-				t.Fatalf("q=%d rank %d: node %d (mmap) vs %d (pread)", q, i, ta[i].Node, tb[i].Node)
-			}
-			if math.Abs(ta[i].Score-tb[i].Score) > 1e-12 {
-				t.Errorf("q=%d rank %d: score %v (mmap) vs %v (pread)", q, i, ta[i].Score, tb[i].Score)
-			}
-		}
-		if d := a.Estimate.L1Distance(b.Estimate); d > 1e-12 {
-			t.Errorf("q=%d: estimates differ by %v between read modes", q, d)
-		}
-	}
-}
 
 // TestPublicAPIMmapCompactionDuringQueries runs concurrent queries against a
 // memory-mapped index while a compaction atomically replaces (and remaps) the
@@ -81,7 +19,6 @@ func TestPublicAPIMmapCompactionDuringQueries(t *testing.T) {
 
 	engine, closeIndex, err := OpenDiskIndexWithOptions(g, Options{NumHubs: 30}, path, DiskIndexOptions{
 		BlockCacheBytes: 4 << 20,
-		Mmap:            true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,19 +75,4 @@ func TestPublicAPIMmapCompactionDuringQueries(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// The freshly published generation is mapped again (on platforms with
-	// mmap support).
-	if active, ok := mmapActiveOf(engine); ok && !active {
-		t.Log("post-compaction generation fell back to pread (mmap unsupported here)")
-	}
-}
-
-// mmapActiveOf reports the index's read mode through the optional MmapActive
-// surface the disk store exposes.
-func mmapActiveOf(e *Engine) (active, ok bool) {
-	m, ok := e.Index().(interface{ MmapActive() bool })
-	if !ok {
-		return false, false
-	}
-	return m.MmapActive(), true
 }

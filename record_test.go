@@ -26,8 +26,8 @@ func recordBytes(t testing.TB, name string, idx ppvindex.ViewGetter, h NodeID) [
 
 // TestHubRecordIsTheSameBytesEverywhere: a hub's prime PPV has one form. The
 // payload Precompute hands the in-memory index is, byte for byte, what the
-// disk file holds and what a pread index, an mmap index and the block cache
-// (miss and hit) serve back.
+// disk file holds and what the disk index and the block cache (miss and hit)
+// serve back.
 func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 	g := buildTestGraph(t, 400, 4, 23)
 	opts := Options{NumHubs: 40}
@@ -41,21 +41,16 @@ func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "index.ppv")
 	buildDiskIndex(t, g, opts.NumHubs, path)
 
-	pread, err := ppvindex.OpenDisk(path)
+	disk, err := ppvindex.OpenDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pread.Close()
-	mapped, err := ppvindex.OpenDiskWithOptions(path, ppvindex.DiskOptions{Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	cache := ppvindex.NewBlockCache(pread, 1<<20, 2)
+	defer disk.Close()
+	cache := ppvindex.NewBlockCache(disk, 1<<20, 2)
 
 	hubs := mem.Index().Hubs()
-	if len(hubs) != opts.NumHubs || pread.Len() != len(hubs) {
-		t.Fatalf("%d hubs in memory, %d on disk, want %d", len(hubs), pread.Len(), opts.NumHubs)
+	if len(hubs) != opts.NumHubs || disk.Len() != len(hubs) {
+		t.Fatalf("%d hubs in memory, %d on disk, want %d", len(hubs), disk.Len(), opts.NumHubs)
 	}
 	for _, h := range hubs {
 		want := recordBytes(t, "mem", mem.Index(), h)
@@ -65,7 +60,7 @@ func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 		for _, src := range []struct {
 			name string
 			idx  ppvindex.ViewGetter
-		}{{"pread", pread}, {"mmap", mapped}, {"blockcache miss", cache}, {"blockcache hit", cache}} {
+		}{{"disk", disk}, {"blockcache miss", cache}, {"blockcache hit", cache}} {
 			if got := recordBytes(t, src.name, src.idx, h); !bytes.Equal(got, want) {
 				t.Fatalf("hub %d: %s serves %d bytes that differ from the in-memory record (%d bytes)", h, src.name, len(got), len(want))
 			}
@@ -123,8 +118,8 @@ func TestHubRecordLayoutSize(t *testing.T) {
 // graph produces.
 func TestRewrittenRecordIsServedAsAView(t *testing.T) {
 	for name, dio := range map[string]DiskIndexOptions{
-		"pread+blockcache": {BlockCacheBytes: 1 << 20},
-		"mmap":             {BlockCacheBytes: -1, Mmap: true},
+		"mmap+blockcache": {BlockCacheBytes: 1 << 20},
+		"mmap":            {BlockCacheBytes: -1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := buildTestGraph(t, 300, 4, 29)
