@@ -9,7 +9,8 @@
 //   - answering online queries with a configurable accuracy/time trade-off
 //     (Engine.Query, Engine.NewQuery with per-iteration stepping),
 //   - ground truth and accuracy metrics for evaluation (ExactPPV, Evaluate),
-//   - maintaining the index as the graph changes (Engine.ApplyUpdate).
+//   - maintaining the index as the graph changes (Engine.ApplyUpdate, one at
+//     a time, while queries go on reading the version they started on).
 //
 // The heavy lifting lives in the internal packages; the exported identifiers
 // here are thin aliases and wrappers so that application code only ever

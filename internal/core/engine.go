@@ -15,10 +15,11 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// IndexStore is the combination of read and write access the engine needs for
-// its PPV index: hub records read as views (GetView) and written as encoded
-// payloads (PutEncoded). ppvindex.MemIndex is one; ppvindex.Store, the
-// durable disk store, is the other. NewEngine defaults to an in-memory index.
+// IndexStore is the access the engine needs to its PPV index: Precompute
+// writes records (PutEncoded), an update commits its batch (Commit), and a
+// query reads a published state (Snapshot). ppvindex.MemIndex is one;
+// ppvindex.Store, the durable disk store, is the other. NewEngine defaults to
+// an in-memory index.
 type IndexStore interface {
 	ppvindex.Index
 	ppvindex.Writer
@@ -48,25 +49,29 @@ type OfflineStats struct {
 
 // Engine is a FastPPV instance bound to one graph: it owns the hub set and
 // the PPV index produced by Precompute and answers online queries against
-// them. An Engine is safe for concurrent queries after Precompute has
-// completed.
+// them. After Precompute, queries are safe for concurrent use with each other
+// and with ApplyUpdate, one update at a time: a query reads the immutable
+// version it loaded when it started, and an update publishes the next one.
 type Engine struct {
-	g     *graph.Graph
 	opts  Options
 	hubs  *hub.Set
 	index IndexStore
 
-	offline     OfflineStats
-	precomputed bool
+	offline OfflineStats
 
-	// epoch counts the graph-update batches folded into the engine's state:
-	// it starts at Options.InitialEpoch (the batches already replayed into the
-	// supplied graph, e.g. from a disk index's update log) and ApplyUpdate bumps it
-	// once per committed batch. Two replicas that applied the same update
-	// sequence report the same epoch, which is what lets a cluster router
-	// detect a replica serving a different graph. Atomic so stats and the
-	// partial-query path can read it without the serving layer's update lock.
-	epoch atomic.Uint64
+	cur atomic.Pointer[version] // the published version
+}
+
+// version is one immutable state the engine serves: a graph, the index state
+// computed on it (nil before Precompute), and the update batches folded into
+// both. The epoch starts at Options.InitialEpoch (batches replayed into the
+// supplied graph, e.g. from a disk index's log) and grows by one per commit,
+// so replicas that applied the same updates report the same epoch, which is
+// what lets a cluster router detect a replica serving a different graph.
+type version struct {
+	g     *graph.Graph
+	epoch uint64
+	index ppvindex.Snapshot
 }
 
 // NewEngine creates an engine over g with the given options, storing prime
@@ -83,8 +88,8 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 	if index == nil {
 		index = ppvindex.NewMemIndex()
 	}
-	e := &Engine{g: g, opts: opts, index: index}
-	e.epoch.Store(opts.InitialEpoch)
+	e := &Engine{opts: opts, index: index}
+	e.cur.Store(&version{g: g, epoch: opts.InitialEpoch})
 	return e, nil
 }
 
@@ -93,7 +98,7 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 // Sect. 5.3, where the offline phase ran in a separate process and the daemon
 // only opens the index file. The hub set is recovered from the index
 // directory, the engine is immediately query-ready (Precomputed reports
-// true), and ApplyUpdate maintains the index through its PutEncoded method.
+// true), and ApplyUpdate commits to the index while queries go on.
 //
 // opts must match the options the index was precomputed with (Alpha in
 // particular — the stored prime PPVs embed it); the index format does not
@@ -148,14 +153,12 @@ func NewServingEngine(base, served *graph.Graph, index IndexStore, opts Options)
 			}
 		}
 	}
-	e := &Engine{
-		g:           served,
-		opts:        opts,
-		hubs:        hubSet,
-		index:       index,
-		precomputed: true,
+	snap, err := index.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	e.epoch.Store(opts.InitialEpoch)
+	e := &Engine{opts: opts, hubs: hubSet, index: index}
+	e.cur.Store(&version{g: served, epoch: opts.InitialEpoch, index: snap})
 	e.offline = OfflineStats{
 		Hubs:         len(hubNodes),
 		IndexBytes:   index.SizeBytes(),
@@ -164,8 +167,14 @@ func NewServingEngine(base, served *graph.Graph, index IndexStore, opts Options)
 	return e, nil
 }
 
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// Graph returns the graph of the published version.
+func (e *Engine) Graph() *graph.Graph { return e.cur.Load().g }
+
+// Version returns the graph and the epoch of the published version, together.
+func (e *Engine) Version() (*graph.Graph, uint64) {
+	v := e.cur.Load()
+	return v.g, v.epoch
+}
 
 // Hubs returns the hub set selected by Precompute (nil before Precompute).
 func (e *Engine) Hubs() *hub.Set { return e.hubs }
@@ -183,14 +192,14 @@ func (e *Engine) Partition() Partition { return e.opts.Partition }
 // Epoch returns the engine's index epoch: the number of graph-update batches
 // folded into the graph and index it serves (including Options.InitialEpoch
 // batches replayed before the engine was created).
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
+func (e *Engine) Epoch() uint64 { return e.cur.Load().epoch }
 
 // OfflineStats returns the statistics of the last Precompute run.
 func (e *Engine) OfflineStats() OfflineStats { return e.offline }
 
 // Precomputed reports whether Precompute has completed, i.e. the engine is
 // ready to answer queries. Long-lived servers use it as their readiness check.
-func (e *Engine) Precomputed() bool { return e.precomputed }
+func (e *Engine) Precomputed() bool { return e.cur.Load().index != nil }
 
 // selectHubs runs hub selection for g under opts. It is deterministic given
 // (graph, options), which sharded serving relies on: every shard and every
@@ -214,16 +223,17 @@ func selectHubs(g *graph.Graph, opts Options) (*hub.Set, error) {
 }
 
 // Precompute runs the offline phase (Algorithm 1): select |H| hubs by the
-// configured policy and compute and store the prime PPV of every hub. It can
-// be called again after the options or graph change; the index is refilled.
+// configured policy and compute and store the prime PPV of every hub. On an
+// in-memory index it can be called again; a disk store is written only once.
 //
 // With a sharded Partition, selection still covers the full hub set but only
 // the prime PPVs of the hubs this shard owns are computed and stored — the
 // per-shard offline cost and index size shrink by the shard count.
 func (e *Engine) Precompute() error {
 	start := time.Now()
+	v := e.cur.Load()
 
-	hubs, err := selectHubs(e.g, e.opts)
+	hubs, err := selectHubs(v.g, e.opts)
 	if err != nil {
 		return err
 	}
@@ -240,15 +250,13 @@ func (e *Engine) Precompute() error {
 		}
 		toCompute = owned
 	}
-	stats, err := e.computeHubPPVs(toCompute)
+	stats, err := e.computeHubPPVs(v.g, toCompute)
 	if err != nil {
 		return err
 	}
-	// The records arrived one by one in the in-memory index's overlay. Pack
-	// them into its arena here, before the engine serves: the first query
-	// must not pay the copy, and the overlay's per-record buffers are freed.
-	if m, ok := e.index.(*ppvindex.MemIndex); ok {
-		m.Pack()
+	snap, err := e.index.Snapshot()
+	if err != nil {
+		return err
 	}
 
 	e.offline = stats
@@ -258,14 +266,17 @@ func (e *Engine) Precompute() error {
 	e.offline.Total = time.Since(start)
 	e.offline.IndexBytes = e.index.SizeBytes()
 	e.offline.IndexEntries = ppvindex.StatsOf(e.index).TotalEntries
-	e.precomputed = true
+	e.cur.Store(&version{g: v.g, epoch: v.epoch, index: snap})
 	return nil
 }
 
 // computeHubPPVs computes and stores the prime PPVs for the given hub nodes
-// using a worker pool; index writes are serialized.
-func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
+// of g using a worker pool; index writes are serialized. An in-memory index
+// takes the records as one batch, which packs them into its arena at once.
+func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID) (OfflineStats, error) {
 	var stats OfflineStats
+	mem, _ := e.index.(*ppvindex.MemIndex)
+	var batch []ppvindex.Record
 
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(hubNodes)))
 
@@ -281,7 +292,7 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 		for h := range jobs {
 			// The push emits the entries that survive the storage clip in
 			// ascending node order; encoded once, they are the stored record.
-			entries, pstats, err := scratch.Push(e.g, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
+			entries, pstats, err := scratch.Push(g, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
 			record := sparse.AppendEncoded(nil, entries)
 			mu.Lock()
 			if err != nil {
@@ -289,7 +300,9 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 					firstErr = fmt.Errorf("core: prime PPV of hub %d: %w", h, err)
 				}
 			} else if firstErr == nil {
-				if err := e.index.PutEncoded(h, record); err != nil && firstErr == nil {
+				if mem != nil {
+					batch = append(batch, ppvindex.Record{Hub: h, Payload: record})
+				} else if err := e.index.PutEncoded(h, record); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: indexing hub %d: %w", h, err)
 				}
 				stats.Pushes += int64(pstats.Pushes)
@@ -307,15 +320,15 @@ func (e *Engine) computeHubPPVs(hubNodes []graph.NodeID) (OfflineStats, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	if firstErr != nil {
-		return stats, firstErr
+	if firstErr == nil && mem != nil {
+		_, firstErr = mem.Commit(GraphUpdate{}, batch)
 	}
-	return stats, nil
+	return stats, firstErr
 }
 
 // ExactPPV computes the exact PPV of q on the engine's graph with the
 // engine's alpha. It is exposed for evaluation and examples; it is orders of
 // magnitude slower than Query on large graphs.
 func (e *Engine) ExactPPV(q graph.NodeID) (sparse.Vector, error) {
-	return pagerank.ExactPPV(e.g, q, pagerank.Options{Alpha: e.opts.Alpha})
+	return pagerank.ExactPPV(e.Graph(), q, pagerank.Options{Alpha: e.opts.Alpha})
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"fastppv/internal/graph"
@@ -37,18 +39,10 @@ type UpdateStats struct {
 	Duration time.Duration
 }
 
-// UpdateCommitter is implemented by index stores that stage incremental
-// update writes durably (ppvindex.Store, behind its update log) and need an
-// explicit commit: ApplyUpdate calls CommitUpdates exactly once, after every
-// staged Put of one update has been handed to the store, with the batch that
-// caused them, so the store can make the recomputed PPVs and the mutation
-// durable in one commit. Reopening such a store replays the
-// logged batches into the graph, so on-the-fly PPVs of non-hub queries do not
-// revert to the original graph after a restart. Stores without durability
-// concerns (the in-memory index) simply don't implement it.
-type UpdateCommitter interface {
-	CommitUpdates(upd GraphUpdate) error
-}
+// ErrCommit marks an ApplyUpdate error from the index's commit, whose durable
+// outcome is unknown: the engine keeps its version, but a restart may replay
+// the batch. Every other ApplyUpdate error leaves nothing written.
+var ErrCommit = errors.New("core: committing the update batch")
 
 // uncachedViewer is implemented by indexes that can read a record past their
 // block cache (ppvindex.Store).
@@ -67,29 +61,30 @@ type uncachedViewer interface {
 // PPVs are clipped, entries below the clip threshold may be missed; callers
 // that require exact maintenance should precompute with Clip disabled or call
 // Precompute for a full rebuild.
+//
+// It scans the published version v and recomputes beside it while queries
+// keep reading v, commits the mutation and every recomputed record to the
+// index in one call, and then publishes the new graph, epoch+1 and the
+// committed index state as the next version. On any error v stays published.
+// Updates must not run concurrently with each other.
 func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	var stats UpdateStats
-	if !e.precomputed {
+	v := e.cur.Load()
+	if v.index == nil {
 		return stats, fmt.Errorf("core: ApplyUpdate before Precompute")
 	}
 	start := time.Now()
 
-	newGraph, err := ReplayGraphUpdates(e.g, upd)
+	newGraph, err := ReplayGraphUpdates(v.g, upd)
 	if err != nil {
 		return stats, err
 	}
 
 	// Identify the nodes whose outgoing transition behaviour changes.
 	touched := make(map[graph.NodeID]struct{})
-	for _, ed := range upd.AddedEdges {
+	for _, ed := range slices.Concat(upd.AddedEdges, upd.RemovedEdges) {
 		touched[ed.From] = struct{}{}
-		if !e.g.Directed() {
-			touched[ed.To] = struct{}{}
-		}
-	}
-	for _, ed := range upd.RemovedEdges {
-		touched[ed.From] = struct{}{}
-		if !e.g.Directed() {
+		if !v.g.Directed() {
 			touched[ed.To] = struct{}{}
 		}
 	}
@@ -97,8 +92,8 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	// The scan reads every owned hub's record once; a store with a block
 	// cache serves it past the cache, so an update does not evict the
 	// records the queries are using.
-	read := e.index.GetView
-	if u, ok := e.index.(uncachedViewer); ok {
+	read := v.index.GetView
+	if u, ok := v.index.(uncachedViewer); ok {
 		read = u.GetViewUncached
 	}
 	var affected []graph.NodeID
@@ -135,45 +130,28 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		}
 	}
 
-	// Stage every recomputation against the new graph before mutating any
-	// engine state, so a failed push leaves the engine fully on the old graph
-	// and old index (the common failure; only an index write error during the
-	// commit below can still leave a partial update).
+	// Recompute against the new graph; nothing is written yet.
 	b := getQueryBufs()
 	defer putQueryBufs(b)
-	staged := make([][]byte, len(affected))
+	records := make([]ppvindex.Record, len(affected))
 	for i, h := range affected {
 		entries, _, err := b.scratch.Push(newGraph, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
 		if err != nil {
 			return stats, fmt.Errorf("core: recomputing prime PPV of hub %d: %w", h, err)
 		}
-		staged[i] = sparse.AppendEncoded(nil, entries)
+		records[i] = ppvindex.Record{Hub: h, Payload: sparse.AppendEncoded(nil, entries)}
 	}
-	for i, h := range affected {
-		if err := e.index.PutEncoded(h, staged[i]); err != nil {
-			return stats, fmt.Errorf("core: re-indexing hub %d: %w", h, err)
-		}
+	// A store that logs updates fsyncs one frame for the whole batch here.
+	snap, err := e.index.Commit(upd, records)
+	if err != nil {
+		return stats, fmt.Errorf("%w: %w", ErrCommit, err)
 	}
-	// Commit the staged writes and the mutation itself as one durable batch
-	// before adopting the new graph: a store that logs updates fsyncs here,
-	// so either the whole batch is durable or the update reports failure (and
-	// the serving layer flips the replica to inconsistent).
-	if c, ok := e.index.(UpdateCommitter); ok {
-		if err := c.CommitUpdates(upd); err != nil {
-			return stats, fmt.Errorf("core: committing index update: %w", err)
-		}
-	}
-	e.g = newGraph
-	stats.Epoch = e.epoch.Add(1)
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	stats.Epoch = v.epoch + 1
+	e.cur.Store(&version{g: newGraph, epoch: stats.Epoch, index: snap})
+	slices.Sort(affected)
 	stats.AffectedHubs = len(affected)
 	stats.Recomputed = affected
-	stats.TouchedNodes = make([]graph.NodeID, 0, len(touched))
-	//lint:ordered collect-then-sort: the slice is sorted by node id on the next line
-	for t := range touched {
-		stats.TouchedNodes = append(stats.TouchedNodes, t)
-	}
-	sort.Slice(stats.TouchedNodes, func(i, j int) bool { return stats.TouchedNodes[i] < stats.TouchedNodes[j] })
+	stats.TouchedNodes = slices.Sorted(maps.Keys(touched))
 	stats.Duration = time.Since(start)
 	return stats, nil
 }

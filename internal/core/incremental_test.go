@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastppv/internal/gen"
@@ -200,35 +202,29 @@ func TestApplyUpdateGrowsNodeSet(t *testing.T) {
 	}
 }
 
-// committingStore wraps a MemIndex and records UpdateCommitter calls: puts
-// since the last commit, how often CommitUpdates ran and the batches it was
-// handed.
+// committingStore wraps a MemIndex and records its Commit calls: how often
+// it ran and the batches and records it was handed.
 type committingStore struct {
 	*ppvindex.MemIndex
-	uncommittedPuts int
-	commits         int
-	committed       []GraphUpdate
-	failCommit      bool
+	commits    int
+	committed  []GraphUpdate
+	records    [][]ppvindex.Record
+	failCommit bool
 }
 
-func (c *committingStore) PutEncoded(h graph.NodeID, payload []byte) error {
-	c.uncommittedPuts++
-	return c.MemIndex.PutEncoded(h, payload)
-}
-
-func (c *committingStore) CommitUpdates(upd GraphUpdate) error {
+func (c *committingStore) Commit(upd GraphUpdate, records []ppvindex.Record) (ppvindex.Snapshot, error) {
 	if c.failCommit {
-		return errors.New("commit failed")
+		return nil, errors.New("commit failed")
 	}
 	c.commits++
 	c.committed = append(c.committed, upd)
-	c.uncommittedPuts = 0
-	return nil
+	c.records = append(c.records, records)
+	return c.MemIndex.Commit(upd, records)
 }
 
-// TestApplyUpdateCommitsStagedWrites: an index store implementing
-// UpdateCommitter must see exactly one CommitUpdates call per ApplyUpdate,
-// after every staged Put of the batch, carrying that batch.
+// TestApplyUpdateCommitsStagedWrites: an update reaches the index as exactly
+// one Commit, carrying the batch and every recomputed hub's record, each the
+// record the engine then serves.
 func TestApplyUpdateCommitsStagedWrites(t *testing.T) {
 	g, err := gen.RandomDirected(60, 3, 9)
 	if err != nil {
@@ -245,7 +241,6 @@ func TestApplyUpdateCommitsStagedWrites(t *testing.T) {
 	if store.commits != 0 {
 		t.Fatalf("Precompute should not commit updates, saw %d commits", store.commits)
 	}
-	store.uncommittedPuts = 0
 
 	upd := GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}, NumNodes: 61}
 	stats, err := e.ApplyUpdate(upd)
@@ -253,19 +248,29 @@ func TestApplyUpdateCommitsStagedWrites(t *testing.T) {
 		t.Fatalf("ApplyUpdate: %v", err)
 	}
 	if store.commits != 1 {
-		t.Errorf("ApplyUpdate ran %d commits, want exactly 1", store.commits)
+		t.Fatalf("ApplyUpdate ran %d commits, want exactly 1", store.commits)
 	}
-	if len(store.committed) != 1 || !reflect.DeepEqual(store.committed[0], upd) {
-		t.Errorf("CommitUpdates received %+v, want the batch %+v", store.committed, upd)
+	if !reflect.DeepEqual(store.committed[0], upd) {
+		t.Errorf("Commit received %+v, want the batch %+v", store.committed[0], upd)
 	}
-	if store.uncommittedPuts != 0 {
-		t.Errorf("%d staged puts left uncommitted after ApplyUpdate (affected %d hubs)",
-			store.uncommittedPuts, stats.AffectedHubs)
+	var hubs []graph.NodeID
+	for _, r := range store.records[0] {
+		hubs = append(hubs, r.Hub)
+		view, ok, err := e.cur.Load().index.GetView(r.Hub)
+		if err != nil || !ok || !bytes.Equal(view.EntryBytes(), r.Payload) {
+			t.Errorf("hub %d: the served record is not the committed one (ok=%v err=%v)", r.Hub, ok, err)
+		}
+	}
+	slices.Sort(hubs)
+	if stats.AffectedHubs == 0 || !reflect.DeepEqual(hubs, stats.Recomputed) {
+		t.Errorf("Commit carried the records of hubs %v, want every recomputed hub %v", hubs, stats.Recomputed)
 	}
 }
 
-// TestApplyUpdateCommitFailureIsReported: a failing commit must surface as an
-// ApplyUpdate error (the serving layer flips the replica to inconsistent).
+// TestApplyUpdateCommitFailureIsReported: a failing commit surfaces as an
+// ApplyUpdate error marked ErrCommit (the serving layer flips the replica to
+// inconsistent), and the engine keeps serving the version before it: its
+// graph, its epoch and every hub's record.
 func TestApplyUpdateCommitFailureIsReported(t *testing.T) {
 	g, err := gen.RandomDirected(60, 3, 10)
 	if err != nil {
@@ -279,9 +284,25 @@ func TestApplyUpdateCommitFailureIsReported(t *testing.T) {
 	if err := e.Precompute(); err != nil {
 		t.Fatalf("Precompute: %v", err)
 	}
+	records := func() map[graph.NodeID][]byte {
+		out := make(map[graph.NodeID][]byte)
+		for _, h := range e.Hubs().Hubs() {
+			if view, ok, err := e.cur.Load().index.GetView(h); err == nil && ok {
+				out[h] = bytes.Clone(view.EntryBytes())
+			}
+		}
+		return out
+	}
+	graphBefore, epochBefore, recordsBefore := e.Graph(), e.Epoch(), records()
 	store.failCommit = true
-	if _, err := e.ApplyUpdate(GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}}); err == nil {
-		t.Error("ApplyUpdate with a failing commit should report the error")
+	if _, err := e.ApplyUpdate(GraphUpdate{AddedEdges: []graph.Edge{{From: 0, To: 30}}}); !errors.Is(err, ErrCommit) {
+		t.Errorf("ApplyUpdate with a failing commit = %v, want an ErrCommit error", err)
+	}
+	if e.Graph() != graphBefore || e.Epoch() != epochBefore {
+		t.Errorf("after the failed commit the engine serves graph %p at epoch %d, want %p at %d", e.Graph(), e.Epoch(), graphBefore, epochBefore)
+	}
+	if after := records(); len(after) != len(recordsBefore) || !reflect.DeepEqual(after, recordsBefore) {
+		t.Error("a hub's record changed under a failed commit")
 	}
 }
 

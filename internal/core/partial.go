@@ -54,6 +54,7 @@ type PartialIncrement struct {
 	// router applies to the frontiers it sums, so a hub the owner's kernel
 	// would skip is never routed. Zero for an expansion.
 	Delta float64
+	Epoch uint64 // of the engine version the step read
 }
 
 // PartialRootSorted performs iteration 0 of a distributed query: the prime PPV
@@ -72,6 +73,7 @@ func (e *Engine) PartialRootSorted(q graph.NodeID) (*PartialIncrement, error) {
 		FromIndex:   !qs.result.QueryPPVComputed,
 		HubsSkipped: qs.src.(*localSource).pruned,
 		Delta:       e.opts.Delta,
+		Epoch:       qs.Epoch(),
 	}
 	out.IncrementNodes, out.IncrementScores = splitEntries(qs.bufs.acc.Entries())
 	out.FrontierNodes, out.FrontierScores = splitEntries(qs.bufs.frontier)
@@ -110,13 +112,14 @@ func (e *Engine) PartialRoot(q graph.NodeID) (*PartialIncrement, error) {
 // the correct recovery, not a local recomputation racing a dying store. A hub
 // merely absent (partially built index) is still recomputed on the fly.
 func (e *Engine) PartialExpand(hubs []graph.NodeID, prefixes []float64) (*PartialIncrement, error) {
-	if !e.precomputed {
+	v := e.cur.Load()
+	if v.index == nil {
 		return nil, fmt.Errorf("core: PartialExpand before Precompute")
 	}
 	if len(hubs) != len(prefixes) {
 		return nil, fmt.Errorf("core: PartialExpand frontier has %d hubs but %d prefixes", len(hubs), len(prefixes))
 	}
-	out := &PartialIncrement{}
+	out := &PartialIncrement{Epoch: v.epoch}
 	b := getQueryBufs()
 	defer putQueryBufs(b)
 	inc := &b.inc
@@ -128,7 +131,7 @@ func (e *Engine) PartialExpand(hubs []graph.NodeID, prefixes []float64) (*Partia
 			out.Unowned = append(out.Unowned, h)
 			continue
 		}
-		ok, err := e.stageHub(b, inc, h, prefixes[i], false)
+		ok, err := e.stageHub(v, b, inc, h, prefixes[i], false)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ func (r *Result) TopK(k int) []sparse.Entry { return sparse.TopKEntries(r.Entrie
 // under the stopping condition stop, assembling PPV increments from the
 // precomputed hub prime PPVs.
 func (e *Engine) Query(q graph.NodeID, stop StopCondition) (*Result, error) {
-	return e.QueryOn(e.g, q, stop)
+	return e.QueryOn(nil, q, stop)
 }
 
 // Source is where a scheduled-approximation query gets its mass from. The loop
@@ -136,9 +136,9 @@ type QueryState struct {
 
 // NewQuery starts incremental query processing for q and performs iteration 0
 // (the prime PPV of the query node, loaded from the index when q is a hub).
-func (e *Engine) NewQuery(q graph.NodeID) (*QueryState, error) {
-	return e.NewQueryOn(e.g, q)
-}
+// The query reads the engine version published when it starts, whatever
+// updates publish while it steps.
+func (e *Engine) NewQuery(q graph.NodeID) (*QueryState, error) { return e.NewQueryOn(nil, q) }
 
 // QueryOn is Query, but prime-subgraph identification for the query node runs
 // against the supplied adjacency view instead of the in-memory graph. The
@@ -154,16 +154,30 @@ func (e *Engine) QueryOn(adj prime.Adjacency, q graph.NodeID, stop StopCondition
 	return qs.Result(), nil
 }
 
-// NewQueryOn is NewQuery over an alternative adjacency view (see QueryOn).
+// NewQueryOn is NewQuery over an alternative adjacency view (see QueryOn); a
+// nil adj is the graph of the version the query reads.
 func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, error) {
-	if !e.precomputed {
+	v := e.cur.Load()
+	if v.index == nil {
 		return nil, fmt.Errorf("core: Query before Precompute")
+	}
+	if adj == nil {
+		adj = v.g
 	}
 	if q < 0 || int(q) >= adj.NumNodes() {
 		return nil, fmt.Errorf("core: %w: query %d", graph.ErrNodeOutOfRange, q)
 	}
 	b := getQueryBufs()
-	return startQuery(q, &localSource{e: e, adj: adj, b: b}, b)
+	return startQuery(q, &localSource{e: e, v: v, adj: adj, b: b}, b)
+}
+
+// Epoch returns the epoch of the engine version the query reads (0 over
+// another Source).
+func (qs *QueryState) Epoch() uint64 {
+	if s, ok := qs.src.(*localSource); ok {
+		return s.v.epoch
+	}
+	return 0
 }
 
 // StartQuery starts a query for q over src and performs iteration 0. It is how
@@ -217,12 +231,13 @@ func (qs *QueryState) makeStats(n int) {
 	}
 }
 
-// localSource is the Source over an engine's own index: iteration 0 is the
-// query node's record (or an on-the-fly push), an expansion is the per-hub
-// kernel over every frontier hub. Its frontier lives in the query's pooled
-// bundle.
+// localSource is the Source over one version of an engine: iteration 0 is
+// the query node's record (or an on-the-fly push), an expansion is the
+// per-hub kernel over every frontier hub. Its frontier lives in the query's
+// pooled bundle.
 type localSource struct {
 	e   *Engine
+	v   *version
 	adj prime.Adjacency
 	b   *queryBufs
 	// pruned counts the border hubs dropped from the held frontier because
@@ -234,7 +249,7 @@ func (s *localSource) Root(q graph.NodeID, estimate *sparse.Accumulator) (bool, 
 	e, b := s.e, s.b
 	// The query node's prime PPV, from its index record when q is an indexed
 	// hub and pushed on the fly otherwise.
-	view, fromIndex, err := e.index.GetView(q)
+	view, fromIndex, err := s.v.index.GetView(q)
 	if err != nil {
 		return false, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
 	}
@@ -265,7 +280,7 @@ func (s *localSource) Expand(_ int, inc *sparse.Accumulator) (expanded, skipped 
 	b := s.b
 	skipped = s.pruned
 	for _, fe := range b.frontier {
-		if ok, _ := s.e.stageHub(b, inc, fe.Node, fe.Score, true); ok {
+		if ok, _ := s.e.stageHub(s.v, b, inc, fe.Node, fe.Score, true); ok {
 			expanded++
 		} else {
 			skipped++
@@ -324,8 +339,9 @@ func (e *Engine) frontierOf(entries []sparse.Entry, self graph.NodeID, dst []spa
 	return dst, pruned
 }
 
-// stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11): prune by
-// delta, then stage prefix/alpha times hub h's extension vector into inc.
+// stageHub is the per-hub expansion kernel (Algorithm 2 lines 8-11) on
+// version v: prune by delta, then stage prefix/alpha times hub h's extension
+// vector into inc.
 // Theorem 4 extends the prefix ending at the hub by its prime PPV, excluding
 // the hub's empty tour (an extension must advance the walk); that
 // self-correction is applied inline by the staging call, with no per-hub clone
@@ -335,12 +351,12 @@ func (e *Engine) frontierOf(entries []sparse.Entry, self graph.NodeID, dst []spa
 // What a failed read does is the caller's policy: with recompute the hub is
 // pushed on the fly too and err is always nil; without it the read error is
 // returned.
-func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, prefix float64, recompute bool) (bool, error) {
+func (e *Engine) stageHub(v *version, b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, prefix float64, recompute bool) (bool, error) {
 	if !e.expandable(prefix) {
 		return false, nil
 	}
 	scale := prefix / e.opts.Alpha
-	view, ok, err := e.index.GetView(h)
+	view, ok, err := v.index.GetView(h)
 	if err != nil && !recompute {
 		return false, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
 	}
@@ -349,7 +365,7 @@ func (e *Engine) stageHub(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID,
 		view.Release()
 		return true, nil
 	}
-	return e.stageRecomputed(b, inc, h, scale), nil
+	return e.stageRecomputed(b, v.g, inc, h, scale), nil
 }
 
 // syncEntries copies the accumulator out as result.Entries if it has advanced
@@ -449,11 +465,11 @@ func (qs *QueryState) Step() IterationStat {
 }
 
 // stageRecomputed is stageHub's fallback for a hub whose record the index
-// could not serve: its prime PPV is pushed on the fly,
-// unclipped, encoded into the bundle's record buffer and staged as a stored
-// record would be. It reports false when the push failed (nothing staged).
-func (e *Engine) stageRecomputed(b *queryBufs, inc *sparse.Accumulator, h graph.NodeID, scale float64) bool {
-	entries, _, err := b.scratch.Push(e.g, h, e.hubs, e.opts.primeOptions(), 0)
+// could not serve: its prime PPV is pushed on the fly on g, unclipped,
+// encoded into the bundle's record buffer and staged as a stored record
+// would be. It reports false when the push failed (nothing staged).
+func (e *Engine) stageRecomputed(b *queryBufs, g *graph.Graph, inc *sparse.Accumulator, h graph.NodeID, scale float64) bool {
+	entries, _, err := b.scratch.Push(g, h, e.hubs, e.opts.primeOptions(), 0)
 	if err != nil {
 		return false
 	}

@@ -13,7 +13,7 @@ import (
 var errRecordRead = errors.New("record read failed")
 
 // failingIndex is a MemIndex whose reads of one hub fail, and are counted,
-// through either read method.
+// through either read method and through every snapshot it hands out.
 type failingIndex struct {
 	*ppvindex.MemIndex
 	bad   graph.NodeID
@@ -21,15 +21,34 @@ type failingIndex struct {
 }
 
 func (f *failingIndex) GetView(h graph.NodeID) (ppvindex.HubRecordView, bool, error) {
-	if h == f.bad {
-		f.reads++
-		return ppvindex.HubRecordView{}, false, errRecordRead
-	}
-	return f.MemIndex.GetView(h)
+	return failingSnapshot{f.MemIndex, f}.GetView(h)
 }
 
 func (f *failingIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
 	return ppvindex.VectorOf(f, h)
+}
+
+func (f *failingIndex) Snapshot() (ppvindex.Snapshot, error) {
+	s, err := f.MemIndex.Snapshot()
+	return failingSnapshot{s, f}, err
+}
+
+func (f *failingIndex) Commit(m ppvindex.GraphMutation, records []ppvindex.Record) (ppvindex.Snapshot, error) {
+	s, err := f.MemIndex.Commit(m, records)
+	return failingSnapshot{s, f}, err
+}
+
+type failingSnapshot struct {
+	ppvindex.ViewGetter
+	f *failingIndex
+}
+
+func (s failingSnapshot) GetView(h graph.NodeID) (ppvindex.HubRecordView, bool, error) {
+	if h == s.f.bad {
+		s.f.reads++
+		return ppvindex.HubRecordView{}, false, errRecordRead
+	}
+	return s.ViewGetter.GetView(h)
 }
 
 // TestFailedRecordReadIsReadOnce: the engine has one read path, so a record

@@ -15,12 +15,11 @@ import (
 // memory under an explicit byte budget, so indexes larger than RAM stay
 // servable.
 //
-// It is an lru.Cache keyed by hub: lookups shard by hub, concurrent reads
-// of one uncached hub share a single disk read (no miss stampede on a hub
-// that just became popular or was just invalidated), and when ApplyUpdate
-// recomputes a hub's prime PPV, Invalidate evicts exactly that hub's block —
-// and detaches a read of it in flight — so the next read sees the fresh
-// record.
+// It is an lru.Cache keyed by hub: lookups shard by hub, and concurrent
+// reads of one uncached hub share a single disk read (no miss stampede on a
+// hub that just became popular). A Store fronts each index file it maps with
+// a cache of its own, and the file never changes, so no block is ever stale:
+// a record an update rewrites is served from the store's overlay instead.
 //
 // Blocks are retained as the raw 8-byte-an-entry encoded payload — the same
 // flat layout as the disk record — and GetView serves cache hits as
@@ -111,20 +110,6 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return HubRecordView{}, false, err
 	}
 	return NewHubRecordView(raw, nil), true, nil
-}
-
-// Invalidate evicts the blocks of the given hubs (typically the hubs an
-// incremental update recomputed) and reports how many cached blocks were
-// dropped. In-flight loads for those hubs are detached so they cannot
-// re-populate the cache with the pre-update record.
-func (c *BlockCache) Invalidate(hubs []graph.NodeID) int {
-	dropped := 0
-	for _, h := range hubs {
-		if c.blocks.Invalidate(h) {
-			dropped++
-		}
-	}
-	return dropped
 }
 
 // Has, Hubs, Len and SizeBytes delegate to the inner index: the cache changes

@@ -14,9 +14,7 @@ import (
 // countingIndex wraps a DiskIndex and counts GetViews — the only inner read
 // a BlockCache performs — with an optional gate that holds loads open so
 // tests can pile up concurrent requests. The record is read before the gate,
-// so a gated load returns what was on disk when it started. rewrite swaps in
-// a new index file, which is what an update plus compaction does to the
-// reader under a live cache.
+// so a gated load returns what was on disk when it started.
 type countingIndex struct {
 	cur   atomic.Pointer[DiskIndex]
 	views atomic.Int64
@@ -40,21 +38,15 @@ func (c *countingIndex) Hubs() []graph.NodeID    { return c.cur.Load().Hubs() }
 func (c *countingIndex) Len() int                { return c.cur.Load().Len() }
 func (c *countingIndex) SizeBytes() int64        { return c.cur.Load().SizeBytes() }
 
-// rewrite publishes a freshly written disk index holding vectors.
-func (c *countingIndex) rewrite(t *testing.T, vectors map[graph.NodeID]sparse.Vector) {
+func countingDiskIndex(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *countingIndex {
 	t.Helper()
 	idx, err := OpenDisk(writeIndexFile(t, vectors))
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	c.cur.Store(idx)
-}
-
-func countingDiskIndex(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *countingIndex {
-	t.Helper()
 	c := &countingIndex{}
-	c.rewrite(t, vectors)
+	c.cur.Store(idx)
 	return c
 }
 
@@ -202,79 +194,6 @@ func TestBlockCacheSingleflight(t *testing.T) {
 		if results[i].Get(9) != results[0].Get(9) {
 			t.Fatalf("caller %d saw a different vector", i)
 		}
-	}
-}
-
-func TestBlockCacheInvalidate(t *testing.T) {
-	inner := countingDiskIndex(t, sampleVectors())
-	bc := NewBlockCache(inner, 1<<20, 4)
-
-	for h := range sampleVectors() {
-		if _, ok, err := bc.Get(h); !ok || err != nil {
-			t.Fatalf("Get(%d) = %v, %v", h, ok, err)
-		}
-	}
-
-	// Simulate ApplyUpdate: hub 3's prime PPV is recomputed, its block must
-	// be dropped so the next Get sees the new record.
-	updated := sampleVectors()
-	updated[3] = sparse.Vector{5: 0.9}
-	inner.rewrite(t, updated)
-	if dropped := bc.Invalidate([]graph.NodeID{3, 12345}); dropped != 1 {
-		t.Errorf("Invalidate dropped %d blocks, want 1", dropped)
-	}
-	v, ok, err := bc.Get(3)
-	if !ok || err != nil {
-		t.Fatalf("Get(3) after invalidate = %v, %v", ok, err)
-	}
-	if v.Get(5) != float64(sparse.StoredScore(0.9)) {
-		t.Errorf("Get(3) returned the stale block: %v", v)
-	}
-	// Untouched hubs stay cached.
-	before := inner.views.Load()
-	if _, ok, _ := bc.Get(7); !ok {
-		t.Fatal("Get(7)")
-	}
-	if inner.views.Load() != before {
-		t.Error("invalidation of hub 3 must not evict hub 7")
-	}
-	if st := bc.Stats(); st.Invalidations != 1 {
-		t.Errorf("Invalidations = %d, want 1", st.Invalidations)
-	}
-}
-
-func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
-	inner := countingDiskIndex(t, sampleVectors())
-	gate := make(chan struct{})
-	inner.gate = gate
-	bc := NewBlockCache(inner, 1<<20, 4)
-
-	done := make(chan sparse.Vector, 1)
-	go func() {
-		v, _, _ := bc.Get(7)
-		done <- v
-	}()
-	for inner.views.Load() == 0 {
-		runtime.Gosched()
-	}
-	// The load of the old record is in flight; the update lands now.
-	updated := sampleVectors()
-	updated[7] = sparse.Vector{8: 0.7}
-	inner.rewrite(t, updated)
-	bc.Invalidate([]graph.NodeID{7})
-	close(gate)
-	if v := <-done; v.Get(8) == float64(sparse.StoredScore(0.7)) {
-		t.Fatalf("the raced load should have read the old record, got %v", v)
-	}
-
-	// The raced load returned the pre-update record; the cache must not
-	// serve it afterwards.
-	v, ok, err := bc.Get(7)
-	if !ok || err != nil {
-		t.Fatalf("Get(7) = %v, %v", ok, err)
-	}
-	if v.Get(8) != float64(sparse.StoredScore(0.7)) {
-		t.Errorf("stale block survived invalidation: %v", v)
 	}
 }
 

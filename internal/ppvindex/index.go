@@ -17,6 +17,7 @@ package ppvindex
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -49,7 +50,24 @@ type Writer interface {
 	// output, strictly ascending node ids, not checked again — as the record
 	// of hub h, replacing any previous one. Ownership passes to the index.
 	PutEncoded(h graph.NodeID, payload []byte) error
+	// Commit takes one update batch whole, its graph mutation and every
+	// record it recomputed (ownership passes): a durable index makes it
+	// durable, then publishes the state that holds the records and returns
+	// it. On error nothing is published.
+	Commit(m GraphMutation, records []Record) (Snapshot, error)
+	// Snapshot returns the published read state.
+	Snapshot() (Snapshot, error)
 }
+
+// Record is one hub's encoded record in an update batch.
+type Record struct {
+	Hub     graph.NodeID
+	Payload []byte
+}
+
+// Snapshot is one published read state of an index. It never changes,
+// whatever is committed, repacked or compacted after it.
+type Snapshot = ViewGetter
 
 // entryBytes is the storage cost per (node, score) pair: a uint32 node id and
 // a float32 score, matching the binary disk layout.
@@ -65,138 +83,149 @@ func encodeVector(ppv sparse.Vector) []byte {
 	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
 }
 
-// MemIndex is an in-memory PPV index in two halves. The packed base holds
-// every record in one exact-size arena behind a sorted directory: hubs in
-// ascending order, and arena[offsets[i]:offsets[i+1]] the record of hubs[i].
-// The overlay maps the hubs written since the last pack to their records and
-// shadows the base. PutEncoded writes the overlay; Pack folds it into a fresh
-// base (the engine packs once, when Precompute returns), and once a packed
-// index's overlay holds more than an eighth of the arena's bytes, the put that
-// crossed the line repacks. Nothing stored is written in place: a put
-// replaces an overlay buffer and a pack builds a new arena, so views alias
-// their record without a pin and outlive a rewrite of their hub or a repack.
-// It is safe for concurrent use.
+// MemIndex is an in-memory PPV index. Its read side is one immutable memState
+// behind an atomic pointer, which a read loads without a lock; a write,
+// serialized on mu, builds the next state beside it and publishes it. Nothing
+// stored is written in place, so a view aliases its record without a pin.
 type MemIndex struct {
-	mu      sync.RWMutex
-	hubs    []graph.NodeID // the packed base's hubs, ascending
-	offsets []int          // len(hubs)+1 bounds of the records in arena
-	arena   []byte
-	overlay map[graph.NodeID][]byte
-	// overlayBytes is the payload held by overlay, against which a packed
-	// index decides to repack.
-	overlayBytes int
-	size         int64 // SizeBytes of the records both halves hold
-	// count is the number of distinct hubs, kept atomic so a probe can answer
-	// "empty" without taking the read lock: as the overlay of a disk store
-	// MemIndex is probed once per record read and is empty except between an
-	// update and a compaction.
-	count atomic.Int64
+	mu    sync.Mutex
+	state atomic.Pointer[memState]
 }
 
-// repackShare is the share of the arena's bytes past which a packed index's
-// overlay is folded into a fresh base: repacking costs one copy of the index,
-// so it is paid once per eighth of the index rewritten.
+// memState is one published state of a MemIndex, in two halves. The packed
+// base holds every record in one exact-size arena behind a sorted directory:
+// hubs in ascending order, and arena[offsets[i]:offsets[i+1]] the record of
+// hubs[i]. The overlay maps the hubs written since the last pack to their
+// records and shadows the base. A write copies the overlay, not the arena;
+// once the overlay holds more than an eighth of the arena's bytes, the write
+// folds both halves into a fresh base.
+type memState struct {
+	hubs         []graph.NodeID
+	offsets      []int
+	arena        []byte
+	overlay      map[graph.NodeID][]byte
+	overlayBytes int   // payload held by overlay
+	size         int64 // SizeBytes of the records both halves hold
+	count        int   // distinct hubs
+}
+
+// repackShare is the share of the arena's bytes past which the overlay is
+// folded into a fresh base: a repack, one copy of the index, is paid once per
+// eighth rewritten, so an index built put by put grows geometrically.
 const repackShare = 8
 
 // NewMemIndex returns an empty in-memory index.
-func NewMemIndex() *MemIndex { return &MemIndex{} }
+func NewMemIndex() *MemIndex {
+	m := &MemIndex{}
+	m.state.Store(&memState{})
+	return m
+}
 
 // PutEncoded stores payload as the record of hub h and takes ownership of it.
 func (m *MemIndex) PutEncoded(h graph.NodeID, payload []byte) error {
+	_, err := m.Commit(GraphMutation{}, []Record{{Hub: h, Payload: payload}})
+	return err
+}
+
+// Commit publishes the state that holds records; an in-memory index keeps no
+// log of m. It never fails.
+func (m *MemIndex) Commit(_ GraphMutation, records []Record) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.recordLocked(h); ok {
-		m.size -= perHubOverheadBytes + int64(len(old))
-	} else {
-		m.count.Add(1)
+	next := m.state.Load().with(records)
+	if next.overlayBytes > len(next.arena)/repackShare {
+		next = next.packed()
 	}
-	if old, ok := m.overlay[h]; ok {
-		m.overlayBytes -= len(old)
-	}
-	if m.overlay == nil {
-		m.overlay = make(map[graph.NodeID][]byte)
-	}
-	m.overlay[h] = payload
-	m.overlayBytes += len(payload)
-	m.size += perHubOverheadBytes + int64(len(payload))
-	if len(m.hubs) > 0 && m.overlayBytes > len(m.arena)/repackShare {
-		m.packLocked()
-	}
-	return nil
+	m.state.Store(next)
+	return next, nil
 }
+
+// Snapshot returns the published state.
+func (m *MemIndex) Snapshot() (Snapshot, error) { return m.state.Load(), nil }
 
 // Put encodes ppv and stores it (boundary helper, see encodeVector).
 func (m *MemIndex) Put(h graph.NodeID, ppv sparse.Vector) error {
 	return m.PutEncoded(h, encodeVector(ppv))
 }
 
-// Pack folds the overlay into a fresh packed base: one arena sized to the
-// records it holds, and the sorted directory over it. Views taken before keep
-// reading the buffers they alias.
-func (m *MemIndex) Pack() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.packLocked()
+// with returns st plus records, in a copy of the overlay.
+func (st *memState) with(records []Record) *memState {
+	next := *st
+	next.overlay = make(map[graph.NodeID][]byte, len(st.overlay)+len(records))
+	maps.Copy(next.overlay, st.overlay)
+	for _, r := range records {
+		if old, ok := next.record(r.Hub); ok {
+			next.size -= perHubOverheadBytes + int64(len(old))
+		} else {
+			next.count++
+		}
+		if old, ok := next.overlay[r.Hub]; ok {
+			next.overlayBytes -= len(old)
+		}
+		next.overlay[r.Hub] = r.Payload
+		next.overlayBytes += len(r.Payload)
+		next.size += perHubOverheadBytes + int64(len(r.Payload))
+	}
+	return &next
 }
 
-func (m *MemIndex) packLocked() {
-	if len(m.overlay) == 0 {
-		return
+// packed returns st with its overlay folded into a fresh base.
+func (st *memState) packed() *memState {
+	if len(st.overlay) == 0 {
+		return st
 	}
-	hubs := m.hubsLocked()
+	hubs := st.allHubs()
 	offsets := make([]int, 1, len(hubs)+1)
-	arena := make([]byte, 0, m.size-int64(len(hubs))*perHubOverheadBytes)
+	arena := make([]byte, 0, st.size-int64(len(hubs))*perHubOverheadBytes)
 	for _, h := range hubs {
-		rec, _ := m.recordLocked(h)
+		rec, _ := st.record(h)
 		arena = append(arena, rec...)
 		offsets = append(offsets, len(arena))
 	}
-	m.hubs, m.offsets, m.arena = hubs, offsets, arena
-	m.overlay, m.overlayBytes = nil, 0
+	return &memState{hubs: hubs, offsets: offsets, arena: arena, size: st.size, count: st.count}
 }
 
-// hubsLocked returns the hubs of both halves in ascending order, in a fresh
-// slice. Callers hold mu.
-func (m *MemIndex) hubsLocked() []graph.NodeID {
-	out := make([]graph.NodeID, len(m.hubs), m.count.Load())
-	copy(out, m.hubs)
+// allHubs returns the hubs of both halves in ascending order, freshly.
+func (st *memState) allHubs() []graph.NodeID {
+	out := make([]graph.NodeID, len(st.hubs), st.count)
+	copy(out, st.hubs)
 	//lint:ordered collect-then-sort: hubs are sorted by id below
-	for h := range m.overlay {
-		if _, found := slices.BinarySearch(m.hubs, h); !found {
+	for h := range st.overlay {
+		if _, found := slices.BinarySearch(st.hubs, h); !found {
 			out = append(out, h)
 		}
 	}
-	if len(out) > len(m.hubs) {
+	if len(out) > len(st.hubs) {
 		slices.Sort(out)
 	}
 	return out
 }
 
-// recordLocked returns the record of h, the overlay's first. Callers hold mu.
-func (m *MemIndex) recordLocked(h graph.NodeID) ([]byte, bool) {
-	if rec, ok := m.overlay[h]; ok {
+// record returns the record of h, the overlay's first.
+func (st *memState) record(h graph.NodeID) ([]byte, bool) {
+	if rec, ok := st.overlay[h]; ok {
 		return rec, true
 	}
-	i, ok := slices.BinarySearch(m.hubs, h)
-	if !ok || i+1 >= len(m.offsets) {
+	i, ok := slices.BinarySearch(st.hubs, h)
+	if !ok || i+1 >= len(st.offsets) {
 		return nil, false
 	}
-	return m.arena[m.offsets[i]:m.offsets[i+1]:m.offsets[i+1]], true
+	return st.arena[st.offsets[i]:st.offsets[i+1]:st.offsets[i+1]], true
 }
 
-// GetView returns a view of the stored record of h; it allocates nothing, and
-// an empty index answers from the atomic count alone.
-func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
-	if m.count.Load() == 0 {
-		return HubRecordView{}, false, nil
-	}
-	m.mu.RLock()
-	rec, ok := m.recordLocked(h)
-	m.mu.RUnlock()
+// GetView returns a view of the record of h in this state, allocating
+// nothing.
+func (st *memState) GetView(h graph.NodeID) (HubRecordView, bool, error) {
+	rec, ok := st.record(h)
 	if !ok {
 		return HubRecordView{}, false, nil
 	}
 	return NewHubRecordView(rec, nil), true, nil
+}
+
+// GetView returns a view of the published record of h.
+func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
+	return m.state.Load().GetView(h)
 }
 
 // Get decodes the stored record of h into a fresh map.
@@ -204,27 +233,16 @@ func (m *MemIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) { return Vec
 
 // Has reports whether h is indexed.
 func (m *MemIndex) Has(h graph.NodeID) bool {
-	_, ok, _ := m.GetView(h)
+	_, ok := m.state.Load().record(h)
 	return ok
 }
 
-// Hubs returns the indexed hubs of both halves in ascending order.
-func (m *MemIndex) Hubs() []graph.NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.hubsLocked()
-}
-
-// Len returns the number of indexed hubs.
-func (m *MemIndex) Len() int { return int(m.count.Load()) }
-
-// SizeBytes returns the size of the records in the binary disk layout, so
-// in-memory and on-disk experiments report comparable space numbers.
-func (m *MemIndex) SizeBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.size
-}
+// Hubs (ascending), Len and SizeBytes answer from the published state.
+// SizeBytes counts the records in the binary disk layout, so in-memory and
+// on-disk experiments report comparable space numbers.
+func (m *MemIndex) Hubs() []graph.NodeID { return m.state.Load().allHubs() }
+func (m *MemIndex) Len() int             { return m.state.Load().count }
+func (m *MemIndex) SizeBytes() int64     { return m.state.Load().size }
 
 // Stats summarizes an index for experiment reports.
 type Stats struct {

@@ -85,9 +85,10 @@ func TestMemIndexPutReplaces(t *testing.T) {
 	}
 }
 
-// TestMemIndexViewsSurviveReplacement: a stored payload is replaced, never
+// TestMemIndexViewsSurviveReplacement: a stored record is replaced, never
 // written, so a view taken before the hub is rewritten keeps reading the old
-// record, and SizeBytes follows the replacement.
+// record, and SizeBytes follows the replacement. (The first put into an empty
+// index packs it: an index built put by put grows its arena geometrically.)
 func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 	idx := NewMemIndex()
 	first := rawEntries(2, 5, 9)
@@ -95,8 +96,8 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, ok, err := idx.GetView(1)
-	if err != nil || !ok || &old.EntryBytes()[0] != &first[0] {
-		t.Fatalf("GetView(1) ok=%v err=%v; the view must alias the stored payload", ok, err)
+	if err != nil || !ok || &old.EntryBytes()[0] != &idx.state.Load().arena[0] {
+		t.Fatalf("GetView(1) ok=%v err=%v; the view must alias the stored record", ok, err)
 	}
 	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+3*entryBytes); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
@@ -132,16 +133,17 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 		}
 	}
 	size := idx.SizeBytes()
-	idx.Pack()
-	if len(idx.overlay) != 0 || len(idx.hubs) != 40 || len(idx.arena) != 40*3*entryBytes || cap(idx.arena) != len(idx.arena) {
+	pack(idx)
+	st := idx.state.Load()
+	if len(st.overlay) != 0 || len(st.hubs) != 40 || len(st.arena) != 40*3*entryBytes || cap(st.arena) != len(st.arena) {
 		t.Fatalf("after Pack: %d overlay records, %d packed hubs, an arena of %d bytes (cap %d); want 0, 40 and an exact %d",
-			len(idx.overlay), len(idx.hubs), len(idx.arena), cap(idx.arena), 40*3*entryBytes)
+			len(st.overlay), len(st.hubs), len(st.arena), cap(st.arena), 40*3*entryBytes)
 	}
 	if idx.SizeBytes() != size || idx.Len() != 40 {
 		t.Fatalf("Pack moved SizeBytes %d -> %d or Len to %d", size, idx.SizeBytes(), idx.Len())
 	}
 	packed, ok, err := idx.GetView(7)
-	if err != nil || !ok || &packed.EntryBytes()[0] != &idx.arena[6*3*entryBytes] {
+	if err != nil || !ok || &packed.EntryBytes()[0] != &st.arena[6*3*entryBytes] {
 		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the arena", ok, err)
 	}
 
@@ -153,8 +155,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if err := idx.PutEncoded(50, rawEntries(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.overlay) != 2 || len(idx.hubs) != 40 {
-		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(idx.overlay), len(idx.hubs))
+	if st := idx.state.Load(); len(st.overlay) != 2 || len(st.hubs) != 40 {
+		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), len(st.hubs))
 	}
 	if packed.Len() != 3 || !packed.Contains(9) || packed.Contains(100) {
 		t.Error("the view of the packed record changed under its holder after a rewrite")
@@ -177,8 +179,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if err := idx.PutEncoded(60, rawEntries(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.overlay) != 0 || len(idx.hubs) != 42 {
-		t.Fatalf("after the repack the overlay holds %d records and the base %d hubs, want 0 and 42", len(idx.overlay), len(idx.hubs))
+	if st := idx.state.Load(); len(st.overlay) != 0 || len(st.hubs) != 42 {
+		t.Fatalf("after the repack the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), len(st.hubs))
 	}
 	if packed.Len() != 3 || !packed.Contains(9) || rewritten.Len() != 1 || !rewritten.Contains(100) {
 		t.Error("a view taken before the repack changed under its holder")
@@ -208,7 +210,7 @@ func TestMemIndexConcurrentRepack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.Pack()
+	pack(idx)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(readers)

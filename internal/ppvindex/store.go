@@ -1,8 +1,10 @@
 package ppvindex
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -64,37 +66,31 @@ func (o StoreOptions) withDefaults(path string) StoreOptions {
 // opened by OpenStore replays the log, each batch's mutation through the
 // caller and its records into the overlay, then serves.
 //
-// Reads optionally go through a BlockCache. Writes after finalization
-// (incremental updates recomputing a hub) are staged in the log and land in
-// an in-memory overlay that shadows the on-disk record, with the hub's cached
-// block invalidated; whichever of the three serves a record, it is the same
-// flat payload behind a HubRecordView. CommitUpdates writes the batch as one
-// frame with one fsync.
-//
-// Compact folds the logged records and the overlay into a rewritten base file
-// and rewrites the log down to its mutations; views into the old mapping
-// drain before it is unmapped, new reads move to the freshly published state.
+// Its read side is one immutable storeState behind an atomic pointer: a
+// generation (the mapped base file and its block cache) and an overlay of the
+// records rewritten since, which shadows the base. Commit writes an update
+// batch as one log frame with one fsync, then publishes the next state, whose
+// overlay is a copy of the old one plus the batch. Compact folds the overlay
+// into a rewritten base file and publishes a state over it with the same
+// records; states still reading the old file follow its retirement.
 type Store struct {
 	path string
 	opts StoreOptions
 	// graph identifies the base graph the logged mutations apply to.
 	graph GraphBinding
 
-	// state is the published read-side view. It is swapped atomically: once
-	// at the writer->reader transition, and again by every compaction. The
-	// read hot path loads it without taking mu, so warm cache hits never
-	// serialize on a store-wide lock.
+	// state is the published read side, nil in write mode and once closed;
+	// commits and compactions publish it under mu, reads take no lock.
 	state atomic.Pointer[storeState]
 
 	mu     sync.Mutex
 	writer *DiskWriter
-	reader *DiskIndex
 	log    *UpdateLog
 	closed bool
 	// logWedged flips when a compaction renamed the rewritten base into
 	// place but failed before re-binding the log to it: records committed
 	// from then on would be bound to the replaced base and skipped on
-	// restart, so Puts fail instead until a retried compaction (which
+	// restart, so commits fail instead until a retried compaction (which
 	// re-binds the log) or a restart recovers.
 	logWedged bool
 
@@ -108,25 +104,29 @@ type Store struct {
 	logBatches atomic.Int64
 }
 
-// storeState is one immutable read-side view of a finalized store. The
-// overlay it carries is mutable (updates shadow base records through it), but
-// src and reader never change; compaction publishes a whole new state instead.
-// A retired state's mapping is released by DiskIndex.Close, which drains
-// outstanding views first; a straggler that loaded this state before it was
-// unpublished either gets a view that stays valid until its Release or gets
-// ErrIndexClosed and retries on the current state.
+// storeState is one published read state of a finalized store. Its overlay
+// holds the hubs rewritten since gen's file was written, all of them in the
+// file's directory, so membership queries can delegate to the generation.
 type storeState struct {
-	// src is where reads of hubs the overlay does not shadow come from: the
-	// block cache when enabled, the raw reader otherwise.
-	src Index
-	// overlay holds hubs rewritten after finalization; it only ever contains
-	// hubs that are also in the on-disk directory, so membership queries can
-	// keep delegating to src.
-	overlay *MemIndex
-	// reader owns the mapped file behind src; cache is the block cache
-	// fronting it (nil when caching is disabled).
-	reader *DiskIndex
-	cache  *BlockCache
+	gen     *generation
+	overlay map[graph.NodeID][]byte
+}
+
+// generation is one base index file: reader maps it, cache (nil when caching
+// is disabled) fronts it. retired is set, before reader closes, when a
+// compaction replaces it or the store closes.
+type generation struct {
+	reader  *DiskIndex
+	cache   *BlockCache
+	retired atomic.Pointer[retirement]
+}
+
+// retirement sends the readers of a retired generation to next, the one its
+// compaction built (nil once the store is closed), which holds the same base
+// records except those in shadowed, copied out before the mapping went.
+type retirement struct {
+	next     *generation
+	shadowed map[graph.NodeID][]byte
 }
 
 // CreateStore creates a store in write mode: records stream to a fresh index
@@ -172,46 +172,26 @@ func (s *Store) mirrorLog() {
 	s.logBatches.Store(s.log.Batches())
 }
 
-// PutEncoded implements Writer; the payload ends up owned by the overlay, or
-// copied into the writer's buffer while the store is being built.
+// PutEncoded implements Writer while the store is being built: the payload is
+// copied into the writer's buffer. A finalized store takes records only in an
+// update batch (Commit), which the log replays as one epoch.
 func (s *Store) PutEncoded(h graph.NodeID, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
+	} else if s.writer == nil {
+		return fmt.Errorf("ppvindex: hub %d written to a finalized store; records reach it only in an update batch", h)
 	}
-	if s.writer != nil {
-		return s.writer.PutEncoded(h, payload)
-	}
-	// Finalized: the rewrite (an incremental update recomputing this hub) is
-	// staged in the log for the batch's commit, then shadows the on-disk
-	// record and evicts the stale cached block. The overlay write below never
-	// errors.
-	if err := s.ensureReaderLocked(); err != nil {
-		return err
-	}
-	if s.logWedged {
-		return fmt.Errorf("ppvindex: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
-	}
-	s.log.AppendEncoded(h, payload)
-	s.mirrorLog()
-	st := s.state.Load()
-	if err := st.overlay.PutEncoded(h, payload); err != nil {
-		return err
-	}
-	if st.cache != nil {
-		st.cache.Invalidate([]graph.NodeID{h})
-	}
-	return nil
+	return s.writer.PutEncoded(h, payload)
 }
 
-// CommitUpdates implements the engine's update-commit hook: it writes the
-// batch's graph mutation and the hub records PutEncoded staged as one log
-// frame and fsyncs it, so the batch is durable whole or not at all, then
-// kicks off a background compaction when the logged records have outgrown
-// their threshold.
-func (s *Store) CommitUpdates(m GraphMutation) error {
-	compact, err := s.commit(m)
+// Commit implements Writer: it writes m and records as one log frame and
+// fsyncs it, so the batch is durable whole or not at all, publishes the state
+// whose overlay adds records, and compacts in the background once the logged
+// records have outgrown their threshold.
+func (s *Store) Commit(m GraphMutation, records []Record) (Snapshot, error) {
+	snap, compact, err := s.commit(m, records)
 	if compact && !s.compacting.Load() {
 		go func() {
 			// Best effort: a failed or concurrent background compaction is
@@ -219,25 +199,47 @@ func (s *Store) CommitUpdates(m GraphMutation) error {
 			_, _ = s.Compact()
 		}()
 	}
-	return err
+	return snap, err
 }
 
-// commit is CommitUpdates under mu; compact reports that the hub records in
-// the log have outgrown the threshold. The mutations are not counted: no
-// compaction folds them away, so a log whose mutations alone pass the
-// threshold must not compact on every commit.
-func (s *Store) commit(m GraphMutation) (compact bool, err error) {
+// commit is Commit under mu; compact reports that the hub records in the log
+// have outgrown the threshold. The mutations are not counted: no compaction
+// folds them away, so a log whose mutations alone pass the threshold must not
+// compact on every commit.
+func (s *Store) commit(m GraphMutation, records []Record) (snap Snapshot, compact bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensureReaderLocked(); err != nil {
-		return false, err
+		return nil, false, err
+	}
+	if s.logWedged {
+		return nil, false, fmt.Errorf("ppvindex: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
+	}
+	for _, r := range records {
+		s.log.AppendEncoded(r.Hub, r.Payload)
 	}
 	err = s.log.CommitBatch(m)
 	s.mirrorLog()
 	if err != nil {
-		return false, fmt.Errorf("ppvindex: committing the update log: %w", err)
+		return nil, false, fmt.Errorf("ppvindex: committing the update log: %w", err)
 	}
-	return s.opts.CompactThresholdBytes > 0 && s.log.recordBytes >= s.opts.CompactThresholdBytes, nil
+	old := s.state.Load()
+	st := &storeState{gen: old.gen, overlay: make(map[graph.NodeID][]byte, len(old.overlay)+len(records))}
+	maps.Copy(st.overlay, old.overlay)
+	for _, r := range records {
+		st.overlay[r.Hub] = r.Payload
+	}
+	s.state.Store(st)
+	return st, s.opts.CompactThresholdBytes > 0 && s.log.recordBytes >= s.opts.CompactThresholdBytes, nil
+}
+
+// Snapshot implements Writer; a store still in write mode is finalized first.
+func (s *Store) Snapshot() (Snapshot, error) {
+	st, err := s.reading()
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Get decodes the record of h into a fresh map (Index's boundary helper; the
@@ -248,37 +250,58 @@ func (s *Store) Get(h graph.NodeID) (sparse.Vector, bool, error) { return Vector
 // update rewrote the hub since the last compaction — a view of the stale
 // base record must never win over a newer rewrite — and otherwise the base
 // record as a zero-copy view of the mapping or of a cached payload.
-func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) { return s.view(h, false) }
+func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) {
+	st, err := s.reading()
+	if err != nil {
+		return HubRecordView{}, false, err
+	}
+	return st.read(h, false)
+}
 
-// GetViewUncached is GetView past the block cache: the overlay's record,
-// else the base record straight from the mapping. The bytes are the same;
-// no block is filled or evicted, so a maintenance scan over every hub (the
+// GetView reads the record of h in this state.
+func (st *storeState) GetView(h graph.NodeID) (HubRecordView, bool, error) { return st.read(h, false) }
+
+// GetViewUncached is GetView past the block cache: the bytes are the same,
+// but no block is filled or evicted, so a maintenance scan over every hub (the
 // affected-hub test of core.Engine.ApplyUpdate) leaves the blocks the queries
 // are using in place.
-func (s *Store) GetViewUncached(h graph.NodeID) (HubRecordView, bool, error) { return s.view(h, true) }
+func (st *storeState) GetViewUncached(h graph.NodeID) (HubRecordView, bool, error) {
+	return st.read(h, true)
+}
 
-func (s *Store) view(h graph.NodeID, uncached bool) (HubRecordView, bool, error) {
-	for {
-		st, err := s.reading()
-		if err != nil {
-			return HubRecordView{}, false, err
+// read serves the record of h in this state: the overlay's, else the base
+// record of its generation, following retirements (also one it races, seen
+// as ErrIndexClosed), or ErrClosed once the store is closed.
+func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, error) {
+	gen, r := st.gen, st.gen.retired.Load()
+	rec, ok := st.overlay[h]
+	for !ok {
+		if r == nil {
+			var src Index = gen.reader
+			if gen.cache != nil && !uncached {
+				src = gen.cache
+			}
+			view, ok, err := src.GetView(h)
+			if errors.Is(err, ErrIndexClosed) {
+				if r = gen.retired.Load(); r != nil {
+					continue
+				}
+			}
+			return view, ok, err
 		}
-		if view, ok, _ := st.overlay.GetView(h); ok {
-			return view, true, nil
+		if r.next == nil {
+			return HubRecordView{}, false, ErrClosed
 		}
-		src := st.src
-		if uncached {
-			src = st.reader
-		}
-		view, ok, err := src.GetView(h)
-		if err != nil && errors.Is(err, ErrIndexClosed) && s.state.Load() != st {
-			// The state was retired under us (compaction swap, or Close);
-			// retry against the current one — reading() reports ErrClosed
-			// when the whole store is gone.
-			continue
-		}
-		return view, ok, err
+		rec, ok = r.shadowed[h]
+		gen, r = r.next, r.next.retired.Load()
 	}
+	// A record held in memory is served unless the store has closed.
+	for ; r != nil; r = r.next.retired.Load() {
+		if r.next == nil {
+			return HubRecordView{}, false, ErrClosed
+		}
+	}
+	return NewHubRecordView(rec, nil), true, nil
 }
 
 // closedIndex is what a store that cannot be read answers directory questions
@@ -289,7 +312,7 @@ var closedIndex = NewMemIndex()
 // overlay only ever shadows hubs of the base, so the base directory suffices.
 func (s *Store) directory() Index {
 	if st, err := s.reading(); err == nil {
-		return st.src
+		return st.gen.reader
 	}
 	return closedIndex
 }
@@ -306,13 +329,13 @@ func (s *Store) SizeBytes() int64        { return s.directory().SizeBytes() }
 // reporting zero. The serving layer drives it via server.Config.WarmHubs.
 func (s *Store) WarmHubs(hubs []graph.NodeID) int {
 	st, err := s.reading()
-	if err != nil || st.cache == nil {
+	if err != nil || st.gen.cache == nil {
 		return 0
 	}
 	warmed := 0
 	for _, h := range hubs {
 		// The cache fill is the wanted side effect; nothing is decoded.
-		if view, ok, err := st.src.GetView(h); err == nil && ok {
+		if view, ok, err := st.gen.cache.GetView(h); err == nil && ok {
 			view.Release()
 			warmed++
 		}
@@ -325,10 +348,10 @@ func (s *Store) WarmHubs(hubs []graph.NodeID) int {
 // Lock-free (state load only), so stats stay responsive during a compaction.
 func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 	st := s.state.Load()
-	if st == nil || st.cache == nil {
+	if st == nil || st.gen.cache == nil {
 		return BlockCacheStats{}, false
 	}
-	return st.cache.Stats(), true
+	return st.gen.cache.Stats(), true
 }
 
 // DurabilityStats reports the log and overlay counters; ok is false while
@@ -341,7 +364,7 @@ func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 		return DurabilityStats{}, false
 	}
 	return DurabilityStats{
-		OverlayHubs: st.overlay.Len(),
+		OverlayHubs: len(st.overlay),
 		LogBytes:    s.logBytes.Load(),
 		LogRecords:  s.logRecords.Load(),
 		LogBatches:  s.logBatches.Load(),
@@ -371,7 +394,7 @@ func (s *Store) ensureReaderLocked() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.reader != nil {
+	if s.state.Load() != nil {
 		return nil
 	}
 	if s.writer != nil {
@@ -397,7 +420,7 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 	if err != nil {
 		return err
 	}
-	st := s.newReadState(r)
+	st := &storeState{gen: s.newGeneration(r), overlay: make(map[graph.NodeID][]byte)}
 	lg, err := openUpdateLog(s.opts.UpdateLogPath, s.bindingFor(r), replay, func(h graph.NodeID, payload []byte) error {
 		// A logged hub missing from the base directory means the log does
 		// not belong to this index file; refusing keeps the overlay
@@ -408,7 +431,8 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 		}
 		// The payload aliases the log's replay buffer, which the next
 		// frame overwrites; the overlay keeps its own copy.
-		return st.overlay.PutEncoded(h, append([]byte(nil), payload...))
+		st.overlay[h] = bytes.Clone(payload)
+		return nil
 	})
 	if err != nil {
 		r.Close()
@@ -416,30 +440,26 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 	}
 	s.log = lg
 	s.mirrorLog()
-	s.reader = r
 	s.state.Store(st)
 	return nil
 }
 
-// newReadState builds a read-side view over r, wiring the block cache when
-// configured. Callers must hold s.mu.
-func (s *Store) newReadState(r *DiskIndex) *storeState {
-	st := &storeState{src: r, overlay: NewMemIndex(), reader: r}
+// newGeneration serves r, wiring the block cache when configured.
+func (s *Store) newGeneration(r *DiskIndex) *generation {
+	g := &generation{reader: r}
 	if s.opts.BlockCacheBytes >= 0 {
-		st.cache = NewBlockCache(r, s.opts.BlockCacheBytes, 0)
-		st.src = st.cache
+		g.cache = NewBlockCache(r, s.opts.BlockCacheBytes, 0)
 	}
-	return st
+	return g
 }
 
 // Compact folds the logged records and overlay into a rewritten base index:
 // every hub record is streamed into <path>.tmp (overlay version when present,
 // base record otherwise), the finished file is fsync'd and atomically renamed
 // over <path>, the log is rewritten down to its mutations, which no file
-// folds, bound to the new base (rewriteLog), and a fresh read state over the
-// new file is published. Queries are served throughout — the hot path keeps
-// reading the old state until its in-flight reads drain — while Puts wait on
-// mu. At most one compaction runs at a time.
+// folds, bound to the new base (rewriteLog), and a state over the new file,
+// with the same records, is published. Queries are served throughout, while
+// commits wait on mu. At most one compaction runs at a time.
 func (s *Store) Compact() (CompactionResult, error) {
 	var res CompactionResult
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -454,17 +474,12 @@ func (s *Store) Compact() (CompactionResult, error) {
 		return res, err
 	}
 	st := s.state.Load()
-	res.TotalHubs = st.reader.Len()
-	// An update batch between its first Put and its CommitUpdates has staged,
-	// undurable records; folding its overlay entries now would make half the
-	// batch durable. Bail and let the trigger retry after the commit.
-	if s.log.stagedRecords > 0 {
-		return res, ErrUpdateInFlight
-	}
+	old := st.gen.reader
+	res.TotalHubs = old.Len()
 	logBytes, logRecords := s.log.SizeBytes(), s.log.Records()
-	if st.overlay.Len() == 0 && logRecords == 0 {
+	if len(st.overlay) == 0 && logRecords == 0 {
 		// Nothing to fold in; report the current file size and return.
-		res.IndexBytes = st.reader.SizeBytes()
+		res.IndexBytes = old.SizeBytes()
 		res.DurationMS = float64(time.Since(start)) / 1e6
 		return res, nil
 	}
@@ -474,21 +489,27 @@ func (s *Store) Compact() (CompactionResult, error) {
 		return res, err
 	}
 	defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
-	for _, h := range st.reader.Hubs() {
-		// The overlay's version when there is one; otherwise the base record,
-		// straight from the mapping and not through the block cache: a
-		// full-index sweep would evict the hot set.
-		view, ok, err := st.overlay.GetView(h)
-		if ok {
-			res.RewrittenHubs++
-		} else if view, ok, err = st.reader.GetView(h); err != nil {
+	// shadowed keeps the base records the fold rewrites (see retirement).
+	shadowed := make(map[graph.NodeID][]byte, len(st.overlay))
+	for _, h := range old.Hubs() {
+		// The base record straight from the mapping, not through the block
+		// cache: a full-index sweep would evict the hot set.
+		view, ok, err := old.GetView(h)
+		if err != nil {
 			return res, fmt.Errorf("ppvindex: compaction reading hub %d: %w", h, err)
 		} else if !ok {
 			return res, fmt.Errorf("ppvindex: compaction: hub %d vanished from the base index", h)
 		}
-		// The record moves as bytes: the writer copies the payload into its
-		// buffer before the view is released.
-		err = w.PutEncoded(h, view.EntryBytes())
+		rec, rewritten := st.overlay[h]
+		if rewritten {
+			res.RewrittenHubs++
+			shadowed[h] = bytes.Clone(view.EntryBytes())
+		} else {
+			rec = view.EntryBytes()
+		}
+		// The writer copies the record into its buffer before the view is
+		// released.
+		err = w.PutEncoded(h, rec)
 		view.Release()
 		if err != nil {
 			return res, fmt.Errorf("ppvindex: compaction writing hub %d: %w", h, err)
@@ -517,11 +538,11 @@ func (s *Store) Compact() (CompactionResult, error) {
 		s.logWedged = true
 		return res, fmt.Errorf("ppvindex: compaction rewriting the update log: %w", err)
 	}
-	old := s.state.Swap(s.newReadState(r))
-	s.reader = r
-	// DiskIndex.Close drains the old generation's views before unmapping
-	// it; stragglers still holding the old state retry against the new one.
-	old.reader.Close()
+	next := s.newGeneration(r)
+	s.state.Store(&storeState{gen: next, overlay: make(map[graph.NodeID][]byte)})
+	st.gen.retired.Store(&retirement{next: next, shadowed: shadowed})
+	// DiskIndex.Close drains the old generation's views before unmapping it.
+	old.Close()
 	s.logWedged = false
 	s.compactions.Add(1)
 
@@ -533,8 +554,8 @@ func (s *Store) Compact() (CompactionResult, error) {
 }
 
 // rebindLogLocked rewrites the update log down to its mutations, bound to
-// the base r, and switches to it. Callers must hold s.mu and have checked
-// that nothing is staged.
+// the base r, and switches to it. Callers must hold s.mu; nothing is staged
+// outside commit.
 func (s *Store) rebindLogLocked(r *DiskIndex) error {
 	bind := s.bindingFor(r)
 	if err := rewriteLog(s.opts.UpdateLogPath, bind); err != nil {
@@ -550,10 +571,10 @@ func (s *Store) rebindLogLocked(r *DiskIndex) error {
 	return nil
 }
 
-// Close releases the mapped index and the log. The published read state is
-// cleared first, so late reads fail with ErrClosed instead of reading an
-// unmapped index or serving stale overlay hits; outstanding views drain
-// before the mapping goes away. A store still in write mode is finalized
+// Close releases the mapped index and the log. The read state is cleared and
+// its generation retired first, so late reads, held snapshots included, fail
+// with ErrClosed instead of reading an unmapped index or serving stale overlay
+// hits; outstanding views drain before the mapping goes away. A store still in write mode is finalized
 // first (the index file is published, its log started fresh) — use Abort to
 // discard instead.
 func (s *Store) Close() error {
@@ -585,14 +606,15 @@ func (s *Store) closeLocked(discard bool) error {
 		}
 	}
 	s.closed = true
-	s.state.Store(nil)
+	st := s.state.Swap(nil)
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if s.reader != nil {
-		keep(s.reader.Close())
+	if st != nil {
+		st.gen.retired.Store(&retirement{})
+		keep(st.gen.reader.Close())
 	}
 	if s.log != nil {
 		keep(s.log.Close())

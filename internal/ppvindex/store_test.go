@@ -41,8 +41,8 @@ func TestStoreGetViewAllocs(t *testing.T) {
 	}
 
 	payload := sparse.AppendEncoded(nil, []sparse.Entry{{Node: 7, Score: 0.2}})
-	if err := s.PutEncoded(rewritten, payload); err != nil {
-		t.Fatalf("PutEncoded: %v", err)
+	if _, err := s.Commit(GraphMutation{}, []Record{{Hub: rewritten, Payload: payload}}); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
 	if ds, _ := s.DurabilityStats(); ds.OverlayHubs != 1 {
 		t.Fatalf("overlay holds %d hubs, want 1", ds.OverlayHubs)
@@ -89,13 +89,9 @@ func crashCopy(t *testing.T, indexPath string, logBytes []byte) string {
 
 // overlayOf returns the overlay's records keyed by hub.
 func overlayOf(s *Store) map[graph.NodeID][]byte {
-	st := s.state.Load()
 	out := make(map[graph.NodeID][]byte)
-	for _, h := range st.src.Hubs() {
-		if view, ok, _ := st.overlay.GetView(h); ok {
-			out[h] = bytes.Clone(view.EntryBytes())
-			view.Release()
-		}
+	for h, rec := range s.state.Load().overlay {
+		out[h] = bytes.Clone(rec)
 	}
 	return out
 }
@@ -110,18 +106,16 @@ func bigPayload(n int) []byte {
 }
 
 // TestStoreUncommittedBatchNeverReplays stages a batch larger than the frame
-// buffer (64 KiB) and never commits it, then opens the log bytes as a kill -9
-// would leave them: nothing of the batch may replay, neither its records nor
-// an epoch.
+// buffer (64 KiB) in the store's log and never commits it, then opens the log
+// bytes as a kill -9 would leave them: nothing of the batch may replay,
+// neither its records nor an epoch.
 func TestStoreUncommittedBatchNeverReplays(t *testing.T) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
 	defer s.Close()
 	payload := bigPayload(1000) // 12 KB a record
 	for i := 0; i < 10; i++ {
-		if err := s.PutEncoded([]graph.NodeID{3, 7, 11}[i%3], payload); err != nil {
-			t.Fatal(err)
-		}
+		s.log.AppendEncoded([]graph.NodeID{3, 7, 11}[i%3], payload)
 	}
 	crashed, err := os.ReadFile(path + ".log")
 	if err != nil {
@@ -144,19 +138,15 @@ func TestStoreTornSecondBatchLandsOnFirst(t *testing.T) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
 	first := sparse.AppendEncoded(nil, []sparse.Entry{{Node: 2, Score: 0.5}})
-	if err := s.PutEncoded(3, first); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitUpdates(GraphMutation{AddedEdges: []graph.Edge{{From: 1, To: 2}}}); err != nil {
+	if _, err := s.Commit(GraphMutation{AddedEdges: []graph.Edge{{From: 1, To: 2}}}, []Record{{Hub: 3, Payload: first}}); err != nil {
 		t.Fatal(err)
 	}
 	ds1, _ := s.DurabilityStats()
+	var second []Record
 	for _, h := range []graph.NodeID{7, 11} {
-		if err := s.PutEncoded(h, sparse.AppendEncoded(nil, []sparse.Entry{{Node: 4, Score: 0.25}, {Node: 5, Score: 0.125}})); err != nil {
-			t.Fatal(err)
-		}
+		second = append(second, Record{Hub: h, Payload: sparse.AppendEncoded(nil, []sparse.Entry{{Node: 4, Score: 0.25}, {Node: 5, Score: 0.125}})})
 	}
-	if err := s.CommitUpdates(GraphMutation{AddedEdges: []graph.Edge{{From: 2, To: 3}}}); err != nil {
+	if _, err := s.Commit(GraphMutation{AddedEdges: []graph.Edge{{From: 2, To: 3}}}, second); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -220,10 +210,7 @@ func TestStoreRejectsVersion1Log(t *testing.T) {
 func TestStoreRejectsVersion2Log(t *testing.T) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
-	if err := s.PutEncoded(3, encodeVector(sparse.Vector{2: 0.5})); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitUpdates(GraphMutation{}); err != nil {
+	if _, err := s.Commit(GraphMutation{}, []Record{{Hub: 3, Payload: encodeVector(sparse.Vector{2: 0.5})}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -259,10 +246,7 @@ func TestStoreCompactThresholdCountsRecords(t *testing.T) {
 	}
 	small := sparse.AppendEncoded(nil, []sparse.Entry{{Node: 1, Score: 0.5}})
 	for i := 0; i < 3; i++ {
-		if err := s.PutEncoded(3, small); err != nil {
-			t.Fatal(err)
-		}
-		compact, err := s.commit(GraphMutation{AddedEdges: edges})
+		_, compact, err := s.commit(GraphMutation{AddedEdges: edges}, []Record{{Hub: 3, Payload: small}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,10 +254,31 @@ func TestStoreCompactThresholdCountsRecords(t *testing.T) {
 			t.Fatalf("commit %d asked for a compaction with %d bytes of records in a %d-byte log", i, s.log.recordBytes, s.log.SizeBytes())
 		}
 	}
-	if err := s.PutEncoded(7, bigPayload(threshold/entryBytes)); err != nil {
-		t.Fatal(err)
-	}
-	if compact, err := s.commit(GraphMutation{}); err != nil || !compact {
+	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / entryBytes)}}); err != nil || !compact {
 		t.Fatalf("records past the threshold did not ask for a compaction (err=%v)", err)
+	}
+}
+
+// TestStoreFinalizedRefusesPutEncoded: a finalized store takes records only
+// in an update batch, which the log replays as one epoch. A record written
+// on its own (a second precompute over a served store) is refused, so the
+// log never holds a batch the engine did not count.
+func TestStoreFinalizedRefusesPutEncoded(t *testing.T) {
+	path := writeIndexFile(t, sampleVectors())
+	s := openTestStore(t, path, StoreOptions{}, nil)
+	if err := s.PutEncoded(3, encodeVector(sparse.Vector{2: 0.5})); err == nil {
+		t.Fatal("PutEncoded on a finalized store succeeded")
+	}
+	if ds, _ := s.DurabilityStats(); ds.LogBatches != 0 || ds.OverlayHubs != 0 {
+		t.Fatalf("the refused record reached the store: %+v", ds)
+	}
+	s.Close()
+	if err := s.PutEncoded(3, encodeVector(sparse.Vector{2: 0.5})); !errors.Is(err, ErrClosed) {
+		t.Errorf("PutEncoded on a closed store = %v, want ErrClosed", err)
+	}
+	batches := 0
+	openTestStore(t, path, StoreOptions{}, &batches).Close()
+	if batches != 0 {
+		t.Errorf("reopen replayed %d batches, want 0", batches)
 	}
 }

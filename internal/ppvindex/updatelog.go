@@ -63,12 +63,6 @@ var updateLogFormat = frame.Format{
 // already running; at most one runs at a time.
 var ErrCompactionInProgress = errors.New("ppvindex: compaction already in progress")
 
-// ErrUpdateInFlight reports that a compaction was requested while an
-// incremental-update batch had staged records but not yet committed them;
-// compacting mid-batch would make half the batch durable, so the caller
-// should retry once the update commits.
-var ErrUpdateInFlight = errors.New("ppvindex: update batch in flight, retry compaction after it commits")
-
 // GraphMutation describes a batch of edge insertions and deletions applied to
 // a graph: what core.ApplyUpdate takes (core.GraphUpdate is this type) and
 // what the front of one update-log frame holds. Node identifiers must already
@@ -301,19 +295,20 @@ func (l *UpdateLog) Append(h graph.NodeID, ppv sparse.Vector) error {
 }
 
 // CommitBatch appends m and the staged records as one frame and makes it
-// durable: one write, one fsync. On failure the records stay staged, so the
-// batch still counts as in flight.
+// durable: one write, one fsync. The staged records go with the batch either
+// way; a failed batch's outcome on disk is unknown.
 func (l *UpdateLog) CommitBatch(m GraphMutation) error {
 	batch := append(appendMutation(make([]byte, 0, mutationHeaderBytes+len(l.staged)), m), l.staged...)
+	records, recordBytes := l.stagedRecords, int64(len(l.staged))
+	l.staged, l.stagedRecords = l.staged[:0], 0
 	if err := l.log.Append(batch); err != nil {
 		return err
 	}
 	if err := l.log.Commit(); err != nil {
 		return err
 	}
-	l.records += l.stagedRecords
-	l.recordBytes += int64(len(l.staged))
-	l.staged, l.stagedRecords = l.staged[:0], 0
+	l.records += records
+	l.recordBytes += recordBytes
 	return nil
 }
 

@@ -30,12 +30,12 @@ type backend interface {
 	// epoch is the index epoch answers are served at: a cached answer is
 	// current only while its own epoch equals it.
 	epoch() uint64
-	// query answers key's query under stop. The answer's result is a
-	// cluster.Result without its estimate — a local engine's answer is the
-	// no-shard case of one — and its ranking of key.Top entries is taken from
-	// the pooled estimate before it is recycled, with the reach list when
-	// reach is set (an engine answer only). The caller holds Server.mu for
-	// reading.
+	// query answers key's query under stop, tagged with the epoch it is
+	// current at. The answer's result is a cluster.Result without its
+	// estimate — a local engine's answer is the no-shard case of one — and
+	// its ranking of key.Top entries is taken from the pooled estimate before
+	// it is recycled, with the reach list when reach is set (an engine answer
+	// only).
 	query(key CacheKey, stop core.StopCondition, traceID string, reach bool) (*cachedAnswer, error)
 	// labelResults fills in node labels where the backend has them.
 	labelResults(results []ScoredNode)
@@ -50,16 +50,12 @@ type backend interface {
 // modeNames renders backend.mode for traces.
 var modeNames = [...]string{querylog.ModeEngine: "engine", querylog.ModeRouter: "router"}
 
-// engineBackend is a local core.Engine, guarded by the server's update lock.
+// engineBackend is a local core.Engine.
 type engineBackend struct{ s *Server }
 
 func (engineBackend) mode() uint8 { return querylog.ModeEngine }
 
-func (b engineBackend) numNodes() int {
-	b.s.mu.RLock()
-	defer b.s.mu.RUnlock()
-	return b.s.engine.Graph().NumNodes()
-}
+func (b engineBackend) numNodes() int { return b.s.engine.Graph().NumNodes() }
 
 func (b engineBackend) epoch() uint64 { return b.s.engine.Epoch() }
 
@@ -78,13 +74,12 @@ func (b engineBackend) query(key CacheKey, stop core.StopCondition, _ string, re
 			ans.reach = appendReach(estimate)
 		}
 	})
-	ans.result = &cluster.Result{Result: *res, Epoch: b.s.engine.Epoch()}
+	ans.result = &cluster.Result{Result: *res, Epoch: qs.Epoch()}
+	ans.epoch.Store(qs.Epoch())
 	return ans, nil
 }
 
 func (b engineBackend) labelResults(results []ScoredNode) {
-	b.s.mu.RLock()
-	defer b.s.mu.RUnlock()
 	g := b.s.engine.Graph()
 	if !g.HasLabels() {
 		return
@@ -98,12 +93,10 @@ func (b engineBackend) labelResults(results []ScoredNode) {
 
 func (b engineBackend) stats(resp *StatsResponse) {
 	s := b.s
-	s.mu.RLock()
-	g := s.engine.Graph()
+	g, epoch := s.engine.Version()
 	off := s.engine.OfflineStats()
 	resp.Graph = GraphInfo{Nodes: g.NumNodes(), Edges: g.NumEdges(), Directed: g.Directed()}
-	resp.Epoch = s.engine.Epoch()
-	s.mu.RUnlock()
+	resp.Epoch = epoch
 	resp.Offline = OfflineInfo{
 		Hubs:           off.Hubs,
 		HubSelectionMS: float64(off.HubSelection) / 1e6,
@@ -156,7 +149,11 @@ func (b routerBackend) epoch() uint64 {
 // query ignores reach: a router's update carries no batch to test it against,
 // so its sweep retires every pre-update answer.
 func (b routerBackend) query(key CacheKey, stop core.StopCondition, traceID string, _ bool) (*cachedAnswer, error) {
+	// The answer is current at the epoch its computation began at, not its
+	// result's: a router answer degraded by a behind root is all any
+	// computation at this epoch gives, so it may be shared.
 	ans := &cachedAnswer{}
+	ans.epoch.Store(b.epoch())
 	res, err := b.rt.QueryTrace(key.Node, stop, traceID, func(estimate []sparse.Entry) {
 		ans.top = sparse.TopKEntries(estimate, key.Top)
 	})

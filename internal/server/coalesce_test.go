@@ -127,16 +127,19 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 
 // TestServerDisabledCacheCoalesces checks the serving path with the result
 // cache off: concurrent identical queries share one computation, and every
-// one of them is reported as a cache bypass. Holding the engine's write lock
-// keeps the leader's computation in flight until every follower has joined.
+// one of them is reported as a cache bypass. Holding the leader's first
+// record read keeps its computation in flight until every follower has
+// joined.
 func TestServerDisabledCacheCoalesces(t *testing.T) {
-	srv, err := New(testEngine(t, socialGraph(t, 300), 30), Config{CacheBytes: -1, MaxConcurrent: 64, QueueWait: -1})
+	engine, idx := hookEngine(t, socialGraph(t, 300), 30)
+	srv, err := New(engine, Config{CacheBytes: -1, MaxConcurrent: 64, QueueWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const callers = 8
 	states := make([]cacheState, callers)
-	srv.mu.Lock()
+	gate := make(chan struct{})
+	idx.readGate.Store(&gate)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -152,7 +155,8 @@ func TestServerDisabledCacheCoalesces(t *testing.T) {
 	for srv.cache.Stats().Coalesced < callers-1 {
 		runtime.Gosched()
 	}
-	srv.mu.Unlock()
+	idx.readGate.Store(nil)
+	close(gate)
 	wg.Wait()
 
 	for i, st := range states {

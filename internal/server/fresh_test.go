@@ -23,8 +23,8 @@ import (
 
 // The tests in this file cover the one freshness rule of the result cache: an
 // answer carries the epoch it is current at, a lookup serves it only at that
-// epoch, and an update's retire sweep, run outside the write lock, moves an
-// answer on one epoch or drops it.
+// epoch, and an update's retire sweep, run after the update publishes, moves
+// an answer on one epoch or drops it.
 
 // fetch is get for goroutines other than the test's own: it reports failure
 // instead of stopping the test.
@@ -73,7 +73,7 @@ func expectCache(t *testing.T, ts, cold *httptest.Server, path, want string) []b
 	return body
 }
 
-// applyOrFail runs the locked half of an engine update.
+// applyOrFail runs the serialized half of an engine update.
 func applyOrFail(t *testing.T, srv *Server, edges ...[]int) core.UpdateStats {
 	t.Helper()
 	stats, err := srv.applyUpdate(UpdateRequest{AddedEdges: edges})
@@ -149,7 +149,7 @@ func TestFreshLookupBeforeSweep(t *testing.T) {
 }
 
 // TestFreshRetireOutOfOrder runs two updates' sweeps in reverse order, as two
-// updates whose handlers race past the write lock can. The later sweep finds
+// updates whose handlers race past applyUpdate can. The later sweep finds
 // the answers two epochs behind, which it cannot check against both batches,
 // and drops them, while it moves on an answer computed between the two
 // commits; the earlier sweep then finds nothing to do. Nothing stale is

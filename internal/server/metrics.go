@@ -142,13 +142,10 @@ func (b engineBackend) collect(e *telemetry.Emitter) {
 	e.Counter("fastppv_stream_partials_total", "Partial sub-requests answered over binary streams.", float64(ss.Partials))
 	e.Counter("fastppv_stream_shed_total", "Stream sub-requests rejected by the admission gate.", float64(ss.Shed))
 	e.Counter("fastppv_stream_decode_errors_total", "Streams torn down on a corrupt or torn frame.", float64(ss.DecodeErrors))
-	s.mu.RLock()
-	g := s.engine.Graph()
+	g, epoch := s.engine.Version()
 	nodes, edges := g.NumNodes(), g.NumEdges()
-	epoch := s.engine.Epoch()
 	off := s.engine.OfflineStats()
 	index := s.engine.Index()
-	s.mu.RUnlock()
 	e.Gauge("fastppv_index_epoch", "Index epoch: graph-update batches folded into the served state.", float64(epoch))
 	e.Gauge("fastppv_graph_nodes", "Nodes in the served graph.", float64(nodes))
 	e.Gauge("fastppv_graph_edges", "Edges in the served graph.", float64(edges))

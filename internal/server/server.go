@@ -182,12 +182,9 @@ type Server struct {
 	adm     *admission
 	streams *streamSet // open binary partial streams (engine mode)
 
-	// mu guards the engine: queries hold the read lock, ApplyUpdate holds the
-	// write lock (it swaps the graph and rewrites index entries in place).
-	// Cache fills happen under the read lock too, so an answer computed before
-	// an update is retained before it commits, for the update's retire sweep
-	// to find. Never write-locked in router mode (no local mutable state).
-	mu sync.RWMutex
+	// updateMu serializes engine updates (applyUpdate); nothing else takes
+	// it, since queries read the engine's published version.
+	updateMu sync.Mutex
 
 	registry *telemetry.Registry
 	metrics  *serverMetrics
@@ -203,9 +200,9 @@ type Server struct {
 	traces    *traceRing
 	sampleCtr atomic.Uint64
 	slo       *sloTracker
-	// inconsistent is set when an ApplyUpdate fails after the point of no
-	// return: the engine may mix old and new state, so health checks flip to
-	// failing until an operator intervenes (restart or full Precompute).
+	// inconsistent is set when an update's commit fails: the engine keeps
+	// its version, but a restart may replay the batch. Health checks fail
+	// until an operator intervenes (restart or full Precompute).
 	inconsistent atomic.Bool
 }
 
@@ -583,10 +580,8 @@ func (s *Server) fresh(ans *cachedAnswer) bool { return ans.epoch.Load() == s.be
 
 // compute runs one query under admission control: admit, ask the backend,
 // observe, capture the trace, end the cache flight (retaining the answer if
-// it is cacheable, tagged with the epoch it began at). A request that
-// gets no slot is shed with 503. The read lock is held from the query to the
-// end of the flight, so an engine answer is retained before any later update
-// commits (in router mode nothing ever write-locks it).
+// it is cacheable, tagged with the epoch the backend says it is current at).
+// A request that gets no slot is shed with 503.
 //
 // A non-empty explicitID makes this an explicit (?trace=1) computation: the
 // id travels to every shard leg, the trace is retained under it whatever the
@@ -604,12 +599,6 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	defer s.adm.release()
 	stop := core.StopCondition{MaxIterations: key.Eta, TargetL1Error: key.TargetError}
 
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// The answer is current at the epoch its computation began at, not its
-	// result's: a router answer degraded by a behind root is all any
-	// computation at this epoch gives, so it may be shared.
-	epoch := s.be.epoch()
 	// Only engine-mode invalidation reads the reach list (a router's sweep
 	// retires every pre-update answer), and only of an answer the cache keeps:
 	// an engine answer is kept unless it was explicitly traced.
@@ -637,7 +626,6 @@ func (s *Server) compute(key CacheKey, end func(*cachedAnswer, int64, bool), exp
 	// The answer keeps what it serves: the shard spans have been traced and
 	// go with the request.
 	res.Spans = nil
-	ans.epoch.Store(epoch)
 	end(ans, ans.sizeBytes(), retain)
 	return ans, rt, nil
 }
@@ -826,12 +814,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // evalPartial evaluates one partial sub-request of the cluster protocol — one
 // iteration-0 root or one frontier expansion restricted to the hubs this
 // shard owns (internal/api.PartialRequest) — for the stream handler
-// (stream.go): validation, the admission gate, then the engine under its read
-// lock, so graph updates never interleave with a sub-query. Errors come back
-// as *httpError, whose code travels in the error frame; a transient index
-// failure (the descriptor closing under a restart or compaction swap) carries
-// the "retry" code, and the router retries once before declaring the shard
-// down.
+// (stream.go): validation, the admission gate, then the engine, whose step
+// reads one published version and reports its epoch. Errors come back as
+// *httpError, whose code travels in the error frame; a transient index
+// failure (the store closing under a restart) carries the "retry" code, and
+// the router retries once before declaring the shard down.
 func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.PartialResponse, error) {
 	if (preq.Query == nil) == (preq.Frontier == nil) {
 		return nil, badRequest("exactly one of query and frontier must be set")
@@ -850,26 +837,23 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 	defer s.adm.release()
 
 	start := time.Now()
-	s.mu.RLock()
 	var (
 		part *core.PartialIncrement
 		err  error
 	)
 	if preq.Query != nil {
+		// Nodes are never removed: in range here, in range in every version.
 		q := *preq.Query
-		if q < 0 || int(q) >= s.engine.Graph().NumNodes() {
-			s.mu.RUnlock()
-			return nil, badRequest("node %d outside [0,%d)", q, s.engine.Graph().NumNodes())
+		if n := s.engine.Graph().NumNodes(); q < 0 || int(q) >= n {
+			return nil, badRequest("node %d outside [0,%d)", q, n)
 		}
 		part, err = s.engine.PartialRootSorted(q)
 	} else {
 		part, err = s.engine.PartialExpand(preq.Frontier.Nodes, preq.Frontier.Scores)
 	}
 	p := s.engine.Partition()
-	epoch := s.engine.Epoch()
-	s.mu.RUnlock()
 	if err != nil {
-		if errors.Is(err, ppvindex.ErrIndexClosed) {
+		if errors.Is(err, ppvindex.ErrClosed) {
 			return nil, &httpError{status: http.StatusServiceUnavailable, code: api.CodeRetry, msg: err.Error()}
 		}
 		return nil, fmt.Errorf("partial query failed: %w", err)
@@ -881,14 +865,14 @@ func (s *Server) evalPartial(preq *api.PartialRequest, traceID string) (*api.Par
 	if traceID != "" {
 		s.logger.Debug("partial served",
 			"trace_id", traceID, "shard", p.Shard, "iteration", preq.Iteration,
-			"epoch", epoch,
+			"epoch", part.Epoch,
 			"hubs_expanded", part.HubsExpanded,
 			"duration_ms", float64(time.Since(start))/1e6)
 	}
 	return &api.PartialResponse{
 		Shard:        p.Shard,
 		Shards:       shards,
-		Epoch:        epoch,
+		Epoch:        part.Epoch,
 		Increment:    api.Vector{Nodes: part.IncrementNodes, Scores: part.IncrementScores},
 		Frontier:     api.Vector{Nodes: part.FrontierNodes, Scores: part.FrontierScores},
 		HubsExpanded: part.HubsExpanded,
@@ -960,27 +944,25 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// applyUpdate is the locked half of an engine update. The retire sweep runs
-// after it, outside the write lock, so readers wait only for ApplyUpdate.
+// applyUpdate is the serialized half of an engine update; queries keep
+// reading the published version throughout. The retire sweep runs after it.
 func (s *Server) applyUpdate(ureq UpdateRequest) (core.UpdateStats, error) {
 	upd := core.GraphUpdate{NumNodes: ureq.NumNodes}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A replica that failed an update past its commit point may mix old and
-	// new state; applying further batches on top would compound the damage
-	// and hand divergent state a newer epoch. Refuse until an operator
-	// restarts (replaying the durable logs) or re-precomputes. Checked under
-	// the write lock: an update queued behind the one that failed must see
-	// the flag it set, not the pre-failure value.
+	s.updateMu.Lock()
+	defer s.updateMu.Unlock()
+	// A replica whose commit failed may hold a batch in its log that its
+	// memory does not serve; refuse to stack newer epochs on that until an
+	// operator restarts (replaying the logs) or re-precomputes.
 	if s.inconsistent.Load() {
 		return core.UpdateStats{}, &httpError{status: http.StatusConflict, code: api.CodeConflict,
 			msg: "engine is inconsistent after a failed update; restart or re-precompute before updating again"}
 	}
-	if epoch := s.engine.Epoch(); ureq.IfEpoch != nil && *ureq.IfEpoch != epoch {
+	g, epoch := s.engine.Version()
+	if ureq.IfEpoch != nil && *ureq.IfEpoch != epoch {
 		return core.UpdateStats{}, &httpError{status: http.StatusConflict, code: api.CodeEpochMismatch,
 			msg: fmt.Sprintf("engine is at epoch %d, not %d", epoch, *ureq.IfEpoch)}
 	}
-	numNodes := max(s.engine.Graph().NumNodes(), ureq.NumNodes)
+	numNodes := max(g.NumNodes(), ureq.NumNodes)
 	var err error
 	if upd.AddedEdges, err = parseEdges("added_edges", ureq.AddedEdges, numNodes); err == nil {
 		upd.RemovedEdges, err = parseEdges("removed_edges", ureq.RemovedEdges, numNodes)
@@ -990,13 +972,12 @@ func (s *Server) applyUpdate(ureq UpdateRequest) (core.UpdateStats, error) {
 	}
 	stats, err := s.engine.ApplyUpdate(upd)
 	if err != nil {
-		// ApplyUpdate stages recomputation before committing, so most errors
-		// leave the engine untouched — but an index write error during the
-		// commit can leave it mixing old and new state. Drop every cached
-		// answer and fail health checks so a load balancer rotates this
-		// replica out instead of serving silently wrong scores.
-		s.inconsistent.Store(true)
-		s.cache.InvalidateFunc(func(CacheKey, *cachedAnswer) bool { return true })
+		// The engine still serves the version before the batch. Only a
+		// failed commit leaves the log's outcome unknown; then health checks
+		// fail, so a load balancer rotates this replica out.
+		if errors.Is(err, core.ErrCommit) {
+			s.inconsistent.Store(true)
+		}
 		return stats, fmt.Errorf("update failed: %w", err)
 	}
 	return stats, nil
@@ -1055,9 +1036,9 @@ func statusForCode(code string) int {
 // for a router's update), and returns how many it dropped. An answer current
 // at e or later stays; one current at e-1 moves on to e unless its reach list
 // holds a node the batch touched (see core.UpdateStats.TouchedNodes for why
-// no other test is needed). The rest are dropped. It runs outside the write
-// lock: an epoch moves only from e-1 to e and lookups serve only the current
-// one, so in any interleaving of sweeps and lookups nothing stale is served.
+// no other test is needed). The rest are dropped. An epoch moves only from
+// e-1 to e and lookups serve only the current one, so in any interleaving of
+// sweeps, fills and lookups nothing stale is served.
 func (s *Server) retire(e uint64, batch *core.UpdateStats) int {
 	return s.cache.InvalidateFunc(func(_ CacheKey, ans *cachedAnswer) bool {
 		tag := ans.epoch.Load()
@@ -1080,8 +1061,8 @@ type compactor interface {
 }
 
 // handleCompact triggers a synchronous compaction of the disk-served index.
-// It does not take the engine lock: compaction serves reads throughout and
-// only incremental updates wait (on the store's own mutex).
+// Compaction serves reads throughout; only a commit waits for it (on the
+// store's own mutex).
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if s.engine == nil {
 		writeError(w, unsupported("compaction runs per shard, not through the router"))
@@ -1098,7 +1079,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.Compact()
 	if err != nil {
-		if errors.Is(err, ppvindex.ErrCompactionInProgress) || errors.Is(err, ppvindex.ErrUpdateInFlight) {
+		if errors.Is(err, ppvindex.ErrCompactionInProgress) {
 			writeError(w, &httpError{status: http.StatusConflict, code: api.CodeConflict, msg: err.Error()})
 			return
 		}

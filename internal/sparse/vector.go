@@ -8,9 +8,9 @@
 package sparse
 
 import (
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"fastppv/internal/graph"
 )
@@ -142,14 +142,8 @@ func (v Vector) Sum() float64 {
 // calls on equal vectors. The accuracy-aware error bound reported to serving
 // clients is computed with it, making query responses byte-reproducible.
 func (v Vector) SumOrdered() float64 {
-	ids := make([]graph.NodeID, 0, len(v))
-	//lint:ordered collect-then-sort: ids are sorted before the ordered fold below
-	for id := range v {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var total float64
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(v)) {
 		total += v[id]
 	}
 	return total
@@ -203,12 +197,9 @@ type Entry struct {
 // AppendSorted appends the entries of v to dst in ascending node order: the
 // one place a map-form PPV becomes the sorted form the rest of the tree uses.
 func (v Vector) AppendSorted(dst []Entry) []Entry {
-	at := len(dst)
-	//lint:ordered collect-then-sort: the appended entries are sorted by node id below
-	for id, s := range v {
-		dst = append(dst, Entry{Node: id, Score: s})
+	for _, id := range slices.Sorted(maps.Keys(v)) {
+		dst = append(dst, Entry{Node: id, Score: v[id]})
 	}
-	sort.Slice(dst[at:], func(i, j int) bool { return dst[at+i].Node < dst[at+j].Node })
 	return dst
 }
 
