@@ -117,6 +117,11 @@ var ErrBadIndexFormat = ppvindex.ErrBadIndexFormat
 // instead of reading a closed file descriptor or serving stale overlay hits.
 var ErrClosed = ppvindex.ErrClosed
 
+// ErrGraphMismatch reports a disk index whose update log is bound to another
+// base graph than the one OpenDiskIndex was given: the open fails and leaves
+// the log as it is.
+var ErrGraphMismatch = ppvindex.ErrGraphMismatch
+
 // ErrCompactionInProgress reports that Compact was called while another
 // compaction of the same index was still running.
 var ErrCompactionInProgress = ppvindex.ErrCompactionInProgress
@@ -247,9 +252,12 @@ func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (
 // is created, and the engine's index epoch starts at the replayed batch
 // count: a restarted daemon serves the same graph, PPVs and epoch as the
 // process that applied the updates live. g itself must be the graph the index
-// was precomputed on: the log is bound to it (beside another graph it is
-// discarded), and a sharded engine recovers its full hub set by selecting on
-// g, because updates never change the hub set.
+// was precomputed on: the log is bound to it, and beside a graph with other
+// counts the open fails with ErrGraphMismatch and leaves the log as it is
+// (the binding holds only the node and edge counts and directedness, so a
+// graph with equal counts still slips through). A sharded engine recovers
+// its full hub set by selecting on g, because updates never change the hub
+// set.
 func OpenDiskIndexWithOptions(g *Graph, opts Options, path string, dio DiskIndexOptions) (*Engine, func() error, error) {
 	var logged []GraphUpdate
 	store, err := ppvindex.OpenStore(path, graphBinding(g), dio, func(upd GraphUpdate) error {

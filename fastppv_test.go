@@ -617,16 +617,22 @@ func TestPublicAPICompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: the base file alone carries the updates now.
+	// Restart: the base file alone carries the records now, and the log the
+	// mutation, so the index reopens beside its base graph, never beside the
+	// updated one, whose counts the log refuses.
 	g2 := graphWithEdge(t, g, Edge{From: from, To: target})
-	engine2, closeIndex2, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 8<<20)
+	if _, _, err := OpenDiskIndex(g2, Options{NumHubs: 30}, path, 8<<20); !errors.Is(err, ErrGraphMismatch) {
+		t.Fatalf("reopen beside the updated graph = %v, want ErrGraphMismatch", err)
+	}
+	engine2, closeIndex2, err := OpenDiskIndex(g, Options{NumHubs: 30}, path, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeIndex2()
 	ds2 := durabilityOf(t, engine2)
-	if ds2.OverlayHubs != 0 || ds2.LogRecords != 0 {
-		t.Errorf("restart after compaction should need no replay, got %+v", ds2)
+	if ds2.OverlayHubs != 0 || ds2.LogRecords != 0 || engine2.Epoch() != 1 || engine2.Graph().NumEdges() != g2.NumEdges() {
+		t.Errorf("restart after compaction: %+v at epoch %d over %d edges, want no record to replay, epoch 1 and %d edges",
+			ds2, engine2.Epoch(), engine2.Graph().NumEdges(), g2.NumEdges())
 	}
 	res3, err := engine2.Query(from, DefaultStop())
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +20,9 @@ import (
 // writes records (PutEncoded), an update commits its batch (Commit), and a
 // query reads a published state (Snapshot). ppvindex.MemIndex is one;
 // ppvindex.Store, the durable disk store, is the other. NewEngine defaults to
-// an in-memory index.
+// an in-memory index. A store that compacts outside a commit
+// (ppvindex.Store) reports each compaction through OnCompact, and the engine
+// publishes its next version (republish).
 type IndexStore interface {
 	ppvindex.Index
 	ppvindex.Writer
@@ -60,6 +63,10 @@ type Engine struct {
 	offline OfflineStats
 
 	cur atomic.Pointer[version] // the published version
+	// pub serializes the publishes that follow an index change, an update's
+	// commit and a compaction's, so a compaction never publishes a version
+	// whose index holds records its graph does not.
+	pub sync.Mutex
 }
 
 // version is one immutable state the engine serves: a graph, the index state
@@ -90,7 +97,30 @@ func NewEngine(g *graph.Graph, index IndexStore, opts Options) (*Engine, error) 
 	}
 	e := &Engine{opts: opts, index: index}
 	e.cur.Store(&version{g: g, epoch: opts.InitialEpoch})
+	e.followCompactions()
 	return e, nil
+}
+
+func (e *Engine) followCompactions() {
+	if c, ok := e.index.(interface{ OnCompact(func()) }); ok {
+		c.OnCompact(e.republish)
+	}
+}
+
+// republish publishes the version after a compaction of the index: the same
+// graph and epoch, over the index's compacted snapshot, so no query reads the
+// retired state. Under pub no update is between its commit and its publish,
+// so the index's snapshot holds exactly the records of the published version.
+func (e *Engine) republish() {
+	e.pub.Lock()
+	defer e.pub.Unlock()
+	v := e.cur.Load()
+	if v.index == nil {
+		return
+	}
+	if snap, err := e.index.Snapshot(); err == nil && snap != v.index {
+		e.cur.Store(&version{g: v.g, epoch: v.epoch, index: snap})
+	}
 }
 
 // NewServingEngine creates an engine that answers queries from an existing,
@@ -159,6 +189,7 @@ func NewServingEngine(base, served *graph.Graph, index IndexStore, opts Options)
 	}
 	e := &Engine{opts: opts, hubs: hubSet, index: index}
 	e.cur.Store(&version{g: served, epoch: opts.InitialEpoch, index: snap})
+	e.followCompactions()
 	e.offline = OfflineStats{
 		Hubs:         len(hubNodes),
 		IndexBytes:   index.SizeBytes(),
@@ -223,8 +254,11 @@ func selectHubs(g *graph.Graph, opts Options) (*hub.Set, error) {
 }
 
 // Precompute runs the offline phase (Algorithm 1): select |H| hubs by the
-// configured policy and compute and store the prime PPV of every hub. On an
-// in-memory index it can be called again; a disk store is written only once.
+// configured policy and compute and store the prime PPV of every hub. The
+// records reach the index in ascending hub order (computeHubPPVs), so a fresh
+// index, in memory or on disk, holds the same bytes whatever the worker
+// count. A disk store is written only once; a second call on an in-memory
+// index commits each record as a batch of its own.
 //
 // With a sharded Partition, selection still covers the full hub set but only
 // the prime PPVs of the hubs this shard owns are computed and stored — the
@@ -270,43 +304,51 @@ func (e *Engine) Precompute() error {
 	return nil
 }
 
-// computeHubPPVs computes and stores the prime PPVs for the given hub nodes
-// of g using a worker pool; index writes are serialized. An in-memory index
-// takes the records as one batch, which packs them into its arena at once.
+// computeHubPPVs computes the prime PPVs of hubNodes on g with a worker pool
+// and writes them to the index with PutEncoded in ascending hub order. The
+// jobs go out in that order with a sequence number; a finished record waits
+// in a small reorder window until every record before it is written, and at
+// most window jobs are out at once, so a precompute larger than RAM still
+// streams.
 func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID) (OfflineStats, error) {
 	var stats OfflineStats
-	mem, _ := e.index.(*ppvindex.MemIndex)
-	var batch []ppvindex.Record
-
+	hubNodes = slices.Sorted(slices.Values(hubNodes))
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(hubNodes)))
 
-	jobs := make(chan graph.NodeID)
+	jobs := make(chan int)
+	window := make(chan struct{}, 4*workers) // a token per job out and not yet written
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex // guards index writes and stats
+		mu       sync.Mutex // guards done, next, stats and firstErr
+		done     = make(map[int][]byte)
+		next     int // the sequence number of the next record to write
 		firstErr error
 	)
 	worker := func() {
 		defer wg.Done()
 		var scratch prime.Scratch // one per worker, reused for every hub it draws
-		for h := range jobs {
+		for seq := range jobs {
+			h := hubNodes[seq]
 			// The push emits the entries that survive the storage clip in
 			// ascending node order; encoded once, they are the stored record.
 			entries, pstats, err := scratch.Push(g, h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
 			record := sparse.AppendEncoded(nil, entries)
 			mu.Lock()
-			if err != nil {
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("core: prime PPV of hub %d: %w", h, err)
+			}
+			stats.Pushes += int64(pstats.Pushes)
+			stats.ClippedEntries += int64(pstats.Clipped)
+			done[seq] = record
+			for rec, ok := done[next]; ok; rec, ok = done[next] {
+				delete(done, next)
 				if firstErr == nil {
-					firstErr = fmt.Errorf("core: prime PPV of hub %d: %w", h, err)
+					if err := e.index.PutEncoded(hubNodes[next], rec); err != nil {
+						firstErr = fmt.Errorf("core: indexing hub %d: %w", hubNodes[next], err)
+					}
 				}
-			} else if firstErr == nil {
-				if mem != nil {
-					batch = append(batch, ppvindex.Record{Hub: h, Payload: record})
-				} else if err := e.index.PutEncoded(h, record); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("core: indexing hub %d: %w", h, err)
-				}
-				stats.Pushes += int64(pstats.Pushes)
-				stats.ClippedEntries += int64(pstats.Clipped)
+				next++
+				<-window
 			}
 			mu.Unlock()
 		}
@@ -315,14 +357,12 @@ func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID) (Offlin
 	for i := 0; i < workers; i++ {
 		go worker()
 	}
-	for _, h := range hubNodes {
-		jobs <- h
+	for seq := range hubNodes {
+		window <- struct{}{}
+		jobs <- seq
 	}
 	close(jobs)
 	wg.Wait()
-	if firstErr == nil && mem != nil {
-		_, firstErr = mem.Commit(GraphUpdate{}, batch)
-	}
 	return stats, firstErr
 }
 

@@ -142,12 +142,17 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		records[i] = ppvindex.Record{Hub: h, Payload: sparse.AppendEncoded(nil, entries)}
 	}
 	// A store that logs updates fsyncs one frame for the whole batch here.
+	// The commit and its publish are one step for a compaction (republish).
+	e.pub.Lock()
 	snap, err := e.index.Commit(upd, records)
+	if err == nil {
+		stats.Epoch = v.epoch + 1
+		e.cur.Store(&version{g: newGraph, epoch: stats.Epoch, index: snap})
+	}
+	e.pub.Unlock()
 	if err != nil {
 		return stats, fmt.Errorf("%w: %w", ErrCommit, err)
 	}
-	stats.Epoch = v.epoch + 1
-	e.cur.Store(&version{g: newGraph, epoch: stats.Epoch, index: snap})
 	slices.Sort(affected)
 	stats.AffectedHubs = len(affected)
 	stats.Recomputed = affected

@@ -37,10 +37,14 @@ import (
 // the directory and the footer. OpenDisk maps the file read-only (on a
 // platform without mmap it reads it into one heap buffer) and closes the
 // descriptor; it reads the footer, then the directory, checks every record
-// once in one sequential pass (checkRecords), and keeps the directory sorted
-// by hub (4 + 8 bytes a hub). Each GetView is then one read of the mapping at
-// the record's offset, which models the "one random access to the disk" per
-// fetched hub of Sect. 6.3.1.
+// once in one sequential pass (checkRecords), and keeps the directory's hubs
+// (4 bytes a hub) to bisect. Each GetView is then one read of the mapping at
+// the offset in the record's directory entry, which models the "one random
+// access to the disk" per fetched hub of Sect. 6.3.1. Precompute and
+// compaction write in ascending hub order, so the directory is sorted and the
+// file byte-reproducible; one written out of hub order is served from a
+// sorted heap copy. The same layout in one heap buffer (openImage) is the
+// base of a MemIndex.
 //
 // The store never rewrites a published file in place: it writes <path>.tmp
 // and renames it, so an open mapping keeps the old inode. A file truncated
@@ -87,6 +91,13 @@ type dirEntry struct {
 	hub    graph.NodeID
 	offset uint64
 }
+
+// dirEntryBytes and footerBytes are the sizes of a directory entry and of
+// the footer.
+const (
+	dirEntryBytes = 12
+	footerBytes   = 16
+)
 
 // CreateDisk creates an index file for writing. Records stream into
 // <path>.tmp; the file appears at path only when Close succeeds.
@@ -156,9 +167,9 @@ func checkPayload(h graph.NodeID, payload []byte) error {
 }
 
 // PutEncoded appends the record of hub h to the index file; payload is copied
-// into the write buffer, not retained. A hub may be written only once: a duplicate would produce a file whose
-// directory OpenDisk rejects as corrupt, so the mistake is reported here, at
-// write time, instead.
+// into the write buffer, not retained. A hub may be written only once: a
+// duplicate would produce a file whose directory OpenDisk rejects as corrupt,
+// so the mistake is reported here, at write time, instead.
 func (d *DiskWriter) PutEncoded(h graph.NodeID, payload []byte) error {
 	if d.closed {
 		return errors.New("ppvindex: Put on closed DiskWriter")
@@ -199,22 +210,9 @@ func (d *DiskWriter) Close() error {
 	if err := d.w.Flush(); err != nil {
 		return fail(err)
 	}
-	// Records were written from the start of the file; now append the
-	// directory and finish with a footer pointing at it.
-	dirStart := d.offset
-	dirBuf := make([]byte, len(d.entries)*12)
-	for i, e := range d.entries {
-		binary.LittleEndian.PutUint32(dirBuf[i*12:], uint32(e.hub))
-		binary.LittleEndian.PutUint64(dirBuf[i*12+4:], e.offset)
-	}
-	if _, err := d.f.Write(dirBuf); err != nil {
-		return fail(err)
-	}
-	footer := make([]byte, 16)
-	binary.LittleEndian.PutUint32(footer[0:], diskMagic)
-	binary.LittleEndian.PutUint32(footer[4:], uint32(len(d.entries)))
-	binary.LittleEndian.PutUint64(footer[8:], dirStart)
-	if _, err := d.f.Write(footer); err != nil {
+	// Records were written from the start of the file; the directory and the
+	// footer follow them.
+	if _, err := d.f.Write(appendTail(nil, d.entries, d.offset)); err != nil {
 		return fail(err)
 	}
 	if err := d.f.Sync(); err != nil {
@@ -235,6 +233,22 @@ func (d *DiskWriter) Close() error {
 	return frame.SyncDir(filepath.Dir(d.path))
 }
 
+// appendTail appends the directory of entries and the footer to dst, for
+// records that end at dirStart.
+func appendTail(dst []byte, entries []dirEntry, dirStart uint64) []byte {
+	for _, e := range entries {
+		dst = appendDirEntry(dst, e)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, diskMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
+	return binary.LittleEndian.AppendUint64(dst, dirStart)
+}
+
+func appendDirEntry(dst []byte, e dirEntry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.hub))
+	return binary.LittleEndian.AppendUint64(dst, e.offset)
+}
+
 // Abort discards the writer without publishing anything: the temporary file
 // is removed and the final path is left untouched. Calling Abort after a
 // successful Close is a no-op.
@@ -252,21 +266,26 @@ func (d *DiskWriter) Abort() error {
 
 // DiskIndex is a read-only disk-backed PPV index. It holds the whole index
 // file as one byte slice — a read-only mapping on unix, one heap buffer
-// elsewhere (fileBytes) — and every record read slices a view out of it. It
-// is safe for concurrent use: the directory and the bytes never change after
-// OpenDisk.
+// elsewhere (fileBytes), or the heap image of an in-memory index — and every
+// record read slices a view out of it. It is safe for concurrent use: the
+// directory and the bytes never change after the open.
 type DiskIndex struct {
-	// hubs and offsets are the directory, sorted by hub: the record of
-	// hubs[i] starts at byte offsets[i] of the file.
-	hubs    []graph.NodeID
-	offsets []uint64
-	size    int64
+	// hubs is the directory's hubs in ascending order, and dir its entries in
+	// the same order: the file's own bytes, or a sorted heap copy of a
+	// directory written out of hub order. The record of hubs[i] starts at
+	// the offset of dir's entry i.
+	hubs []graph.NodeID
+	dir  []byte
+	size int64
 	// data is the whole file; views alias it with zero copies. Close drops
 	// it (and unmaps it when mapped) once every view is released.
 	data []byte
 	// mapped is fixed at open: data is a mapping that Close unmaps, not a
 	// heap buffer.
 	mapped bool
+	// image marks a heap image built in this process (openImage), which the
+	// GC keeps alive while anything reads it: its views need no pin.
+	image bool
 	// records is the record region, data up to the directory start: every
 	// record, header and payload, must lie inside it.
 	records []byte
@@ -282,7 +301,8 @@ type DiskIndex struct {
 	closed   atomic.Bool
 	inflight atomic.Int64
 	// release is unpin bound once at open: handing a method value to every
-	// view would allocate a fresh closure per GetView on the hot path.
+	// view would allocate a fresh closure per GetView on the hot path. It is
+	// nil on a heap image.
 	release func()
 }
 
@@ -337,54 +357,87 @@ func readIndexFile(path string) (data []byte, mapped bool, err error) {
 // reads the footer and the directory and checks every record once
 // (checkRecords). On error the caller still owns data.
 func openBytes(path string, data []byte, mapped bool) (*DiskIndex, error) {
-	size := int64(len(data))
-	if size < 16 {
-		return nil, ErrBadIndexFormat
+	d, entries, err := parseIndex(path, data)
+	if err != nil {
+		return nil, err
 	}
-	footer := data[size-16:]
+	if err := d.checkRecords(entries); err != nil {
+		return nil, err
+	}
+	d.mapped, d.release = mapped, d.unpin
+	return d, nil
+}
+
+// openImage serves records, in ascending hub order, from a heap image: the
+// disk layout in one exact-size buffer, the base of an in-memory index. Its
+// records were never outside the process, so they are not checked again, and
+// its views need no pin: the GC keeps the image alive while they read it.
+func openImage(records []Record) (*DiskIndex, error) {
+	size := footerBytes
+	for _, r := range records {
+		size += perHubOverheadBytes + len(r.Payload) + dirEntryBytes
+	}
+	image := make([]byte, 0, size)
+	entries := make([]dirEntry, len(records))
+	for i, r := range records {
+		entries[i] = dirEntry{hub: r.Hub, offset: uint64(len(image))}
+		image = appendRecord(image, r.Hub, r.Payload)
+	}
+	d, _, err := parseIndex("the heap image", appendTail(image, entries, uint64(len(image))))
+	if err == nil {
+		d.image = true
+	}
+	return d, err
+}
+
+// parseIndex reads the footer and the directory of data, and returns the
+// directory's entries in hub order. A directory out of hub order is served
+// from a sorted copy; a duplicate hub fails.
+func parseIndex(path string, data []byte) (*DiskIndex, []dirEntry, error) {
+	size := int64(len(data))
+	if size < footerBytes {
+		return nil, nil, ErrBadIndexFormat
+	}
+	footer := data[size-footerBytes:]
 	switch binary.LittleEndian.Uint32(footer[0:]) {
 	case diskMagic:
 	case diskMagicV1:
-		return nil, fmt.Errorf("%w: %s is an FPI1 index (12-byte entries), which this build no longer reads; rebuild it as FPI2", ErrBadIndexFormat, path)
+		return nil, nil, fmt.Errorf("%w: %s is an FPI1 index (12-byte entries), which this build no longer reads; rebuild it as FPI2", ErrBadIndexFormat, path)
 	default:
-		return nil, ErrBadIndexFormat
+		return nil, nil, ErrBadIndexFormat
 	}
 	hubCount := int64(binary.LittleEndian.Uint32(footer[4:]))
 	dirStart := int64(binary.LittleEndian.Uint64(footer[8:]))
 	// Bounds-check with subtraction, not addition: dirStart comes from the
 	// file and dirStart+hubCount*12 could wrap past MaxInt64, slipping a
 	// crafted footer past the check.
-	if dirStart < 0 || dirStart > size-16 || hubCount*12 > size-16-dirStart {
-		return nil, ErrBadIndexFormat
+	if dirStart < 0 || dirStart > size-footerBytes || hubCount*dirEntryBytes > size-footerBytes-dirStart {
+		return nil, nil, ErrBadIndexFormat
 	}
-	dir := data[dirStart : dirStart+hubCount*12]
+	dir := data[dirStart : dirStart+hubCount*dirEntryBytes]
 	entries := make([]dirEntry, hubCount)
 	for i := range entries {
 		entries[i] = dirEntry{
-			hub:    graph.NodeID(binary.LittleEndian.Uint32(dir[i*12:])),
-			offset: binary.LittleEndian.Uint64(dir[i*12+4:]),
+			hub:    graph.NodeID(binary.LittleEndian.Uint32(dir[i*dirEntryBytes:])),
+			offset: binary.LittleEndian.Uint64(dir[i*dirEntryBytes+4:]),
 		}
 	}
-	idx := &DiskIndex{
-		hubs:    make([]graph.NodeID, hubCount),
-		offsets: make([]uint64, hubCount),
-		size:    size,
-		data:    data,
-		mapped:  mapped,
-		records: data[:dirStart],
+	d := &DiskIndex{hubs: make([]graph.NodeID, hubCount), dir: dir, size: size, data: data, records: data[:dirStart]}
+	byHub := func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) }
+	if !slices.IsSortedFunc(entries, byHub) {
+		slices.SortFunc(entries, byHub)
+		d.dir = make([]byte, 0, len(d.dir))
+		for _, e := range entries {
+			d.dir = appendDirEntry(d.dir, e)
+		}
 	}
-	if err := idx.checkRecords(entries); err != nil {
-		return nil, err
-	}
-	slices.SortFunc(entries, func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) })
 	for i, e := range entries {
 		if i > 0 && e.hub == entries[i-1].hub {
-			return nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, e.hub)
+			return nil, nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, e.hub)
 		}
-		idx.hubs[i], idx.offsets[i] = e.hub, e.offset
+		d.hubs[i] = e.hub
 	}
-	idx.release = idx.unpin
-	return idx, nil
+	return d, entries, nil
 }
 
 // checkRecords checks every record the directory entries point at once, in
@@ -448,7 +501,7 @@ func (d *DiskIndex) MmapActive() bool { return d.mapped }
 // drain: the retired generation is only unmapped once every view into it has
 // been released. Closing twice is a no-op.
 func (d *DiskIndex) Close() error {
-	if d.closed.Swap(true) {
+	if d.closed.Swap(true) || d.image {
 		return nil
 	}
 	for d.inflight.Load() > 0 {
@@ -462,9 +515,13 @@ func (d *DiskIndex) Close() error {
 	return nil
 }
 
-// pin registers a handed-out view against Close's drain. It fails once the
-// index is closed; a successful pin must be paired with exactly one unpin.
+// pin registers a handed-out view against Close's drain; a heap image needs
+// none. It fails once the index is closed; a successful pin must be paired
+// with exactly one unpin.
 func (d *DiskIndex) pin() bool {
+	if d.image {
+		return true
+	}
 	d.inflight.Add(1)
 	if d.closed.Load() {
 		d.inflight.Add(-1)
@@ -473,7 +530,11 @@ func (d *DiskIndex) pin() bool {
 	return true
 }
 
-func (d *DiskIndex) unpin() { d.inflight.Add(-1) }
+func (d *DiskIndex) unpin() {
+	if !d.image {
+		d.inflight.Add(-1)
+	}
+}
 
 // GetView returns a zero-copy view of the stored record of h, sliced out of
 // the held file bytes. The view pins this index generation until Release. A
@@ -481,13 +542,13 @@ func (d *DiskIndex) unpin() { d.inflight.Add(-1) }
 // ErrBadIndexFormat (see record).
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	i, ok := slices.BinarySearch(d.hubs, h)
-	if !ok || i >= len(d.offsets) {
+	if !ok || (i+1)*dirEntryBytes > len(d.dir) {
 		return HubRecordView{}, false, nil
 	}
 	if !d.pin() {
 		return HubRecordView{}, false, ErrIndexClosed
 	}
-	payload, err := d.record(h, d.offsets[i])
+	payload, err := d.record(h, binary.LittleEndian.Uint64(d.dir[i*dirEntryBytes+4:]))
 	if err != nil {
 		d.unpin()
 		return HubRecordView{}, false, err

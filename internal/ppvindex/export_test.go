@@ -1,5 +1,12 @@
 package ppvindex
 
+import (
+	"encoding/binary"
+	"slices"
+
+	"fastppv/internal/graph"
+)
+
 // Generation returns the disk index the store serves its base records from
 // now (nil before the store is finalized).
 func (s *Store) Generation() *DiskIndex {
@@ -10,8 +17,36 @@ func (s *Store) Generation() *DiskIndex {
 	return st.gen.reader
 }
 
-// pack publishes m's overlay folded into a fresh packed base.
-func pack(m *MemIndex) { m.state.Store(m.state.Load().packed()) }
+// pack compacts m into a fresh heap image.
+func pack(m *MemIndex) {
+	if _, err := m.heapStore.(*Store).Compact(); err != nil {
+		panic(err)
+	}
+}
+
+// memState returns the published state of m, finalizing it first.
+func memState(m *MemIndex) *storeState {
+	st, err := m.heapStore.(*Store).reading()
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// Image returns the heap image m serves its base records from.
+func (m *MemIndex) Image() []byte { return memState(m).gen.reader.data }
+
+// RetirementWalks is how many retirements reads have followed so far.
+func RetirementWalks() int64 { return retirementWalks.Load() }
 
 // InFlight is the number of views of d not yet released.
 func (d *DiskIndex) InFlight() int64 { return d.inflight.Load() }
+
+// find is the offset of hub h's record in d's bytes.
+func (d *DiskIndex) find(h graph.NodeID) (uint64, bool) {
+	i, ok := slices.BinarySearch(d.hubs, h)
+	if !ok {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(d.dir[i*dirEntryBytes+4:]), true
+}

@@ -7,20 +7,17 @@
 // fetched hub), the update log and the block cache all hold those same bytes,
 // and the query loop folds them through a HubRecordView without decoding.
 //
-// Both resident forms find a record through a sorted directory: the hubs in
-// ascending order and a parallel offsets array, searched by bisection. The
-// in-memory index packs every record into one exact-size arena behind it,
-// with the records written since the last pack held beside it in an overlay;
-// the disk index keeps only the directory beside a read-only mapping of its
-// file, and validates every record once when it opens.
+// One state machine serves every index (Store): a base in the disk layout,
+// an overlay of the records committed since, and a compaction that folds the
+// overlay into a fresh base. The base is an index file, mapped read-only and
+// checked once when it opens, behind an update log (CreateStore, OpenStore);
+// or, for the in-memory index (MemIndex), the same layout in one heap buffer
+// with no log. Either way a record is found by bisecting the base's hubs and
+// reading its offset from the base's own directory.
 package ppvindex
 
 import (
 	"fmt"
-	"maps"
-	"slices"
-	"sync"
-	"sync/atomic"
 
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
@@ -83,166 +80,32 @@ func encodeVector(ppv sparse.Vector) []byte {
 	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
 }
 
-// MemIndex is an in-memory PPV index. Its read side is one immutable memState
-// behind an atomic pointer, which a read loads without a lock; a write,
-// serialized on mu, builds the next state beside it and publishes it. Nothing
-// stored is written in place, so a view aliases its record without a pin.
-type MemIndex struct {
-	mu    sync.Mutex
-	state atomic.Pointer[memState]
+// MemIndex is the in-memory PPV index: a Store whose base is an FPI2 image
+// in one heap buffer and which keeps no update log. Records put into a fresh
+// index are collected until the first read lays them out in the image (the
+// last put of a hub wins); later puts and commits go to the overlay, which
+// the store folds into a fresh image past an eighth of the image's bytes
+// (foldDue). Nothing stored is written in place, and the GC keeps an image
+// alive while a view or a snapshot reads it, so views need no pin. It shows
+// the index and writer methods of its store, not the durable ones (Compact,
+// DurabilityStats, BlockCacheStats).
+type MemIndex struct{ heapStore }
+
+// heapStore is what a MemIndex shows of its Store.
+type heapStore interface {
+	Index
+	Writer
 }
 
-// memState is one published state of a MemIndex, in two halves. The packed
-// base holds every record in one exact-size arena behind a sorted directory:
-// hubs in ascending order, and arena[offsets[i]:offsets[i+1]] the record of
-// hubs[i]. The overlay maps the hubs written since the last pack to their
-// records and shadows the base. A write copies the overlay, not the arena;
-// once the overlay holds more than an eighth of the arena's bytes, the write
-// folds both halves into a fresh base.
-type memState struct {
-	hubs         []graph.NodeID
-	offsets      []int
-	arena        []byte
-	overlay      map[graph.NodeID][]byte
-	overlayBytes int   // payload held by overlay
-	size         int64 // SizeBytes of the records both halves hold
-	count        int   // distinct hubs
-}
-
-// repackShare is the share of the arena's bytes past which the overlay is
-// folded into a fresh base: a repack, one copy of the index, is paid once per
-// eighth rewritten, so an index built put by put grows geometrically.
-const repackShare = 8
-
-// NewMemIndex returns an empty in-memory index.
-func NewMemIndex() *MemIndex {
-	m := &MemIndex{}
-	m.state.Store(&memState{})
-	return m
-}
-
-// PutEncoded stores payload as the record of hub h and takes ownership of it.
-func (m *MemIndex) PutEncoded(h graph.NodeID, payload []byte) error {
-	_, err := m.Commit(GraphMutation{}, []Record{{Hub: h, Payload: payload}})
-	return err
-}
-
-// Commit publishes the state that holds records; an in-memory index keeps no
-// log of m. It never fails.
-func (m *MemIndex) Commit(_ GraphMutation, records []Record) (Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := m.state.Load().with(records)
-	if next.overlayBytes > len(next.arena)/repackShare {
-		next = next.packed()
-	}
-	m.state.Store(next)
-	return next, nil
-}
-
-// Snapshot returns the published state.
-func (m *MemIndex) Snapshot() (Snapshot, error) { return m.state.Load(), nil }
+// NewMemIndex returns an empty in-memory index: a store in write mode, with
+// no path and no block cache, whose threshold of 0 folds at an eighth of its
+// image (foldDue).
+func NewMemIndex() *MemIndex { return &MemIndex{&Store{opts: StoreOptions{BlockCacheBytes: -1}}} }
 
 // Put encodes ppv and stores it (boundary helper, see encodeVector).
 func (m *MemIndex) Put(h graph.NodeID, ppv sparse.Vector) error {
 	return m.PutEncoded(h, encodeVector(ppv))
 }
-
-// with returns st plus records, in a copy of the overlay.
-func (st *memState) with(records []Record) *memState {
-	next := *st
-	next.overlay = make(map[graph.NodeID][]byte, len(st.overlay)+len(records))
-	maps.Copy(next.overlay, st.overlay)
-	for _, r := range records {
-		if old, ok := next.record(r.Hub); ok {
-			next.size -= perHubOverheadBytes + int64(len(old))
-		} else {
-			next.count++
-		}
-		if old, ok := next.overlay[r.Hub]; ok {
-			next.overlayBytes -= len(old)
-		}
-		next.overlay[r.Hub] = r.Payload
-		next.overlayBytes += len(r.Payload)
-		next.size += perHubOverheadBytes + int64(len(r.Payload))
-	}
-	return &next
-}
-
-// packed returns st with its overlay folded into a fresh base.
-func (st *memState) packed() *memState {
-	if len(st.overlay) == 0 {
-		return st
-	}
-	hubs := st.allHubs()
-	offsets := make([]int, 1, len(hubs)+1)
-	arena := make([]byte, 0, st.size-int64(len(hubs))*perHubOverheadBytes)
-	for _, h := range hubs {
-		rec, _ := st.record(h)
-		arena = append(arena, rec...)
-		offsets = append(offsets, len(arena))
-	}
-	return &memState{hubs: hubs, offsets: offsets, arena: arena, size: st.size, count: st.count}
-}
-
-// allHubs returns the hubs of both halves in ascending order, freshly.
-func (st *memState) allHubs() []graph.NodeID {
-	out := make([]graph.NodeID, len(st.hubs), st.count)
-	copy(out, st.hubs)
-	//lint:ordered collect-then-sort: hubs are sorted by id below
-	for h := range st.overlay {
-		if _, found := slices.BinarySearch(st.hubs, h); !found {
-			out = append(out, h)
-		}
-	}
-	if len(out) > len(st.hubs) {
-		slices.Sort(out)
-	}
-	return out
-}
-
-// record returns the record of h, the overlay's first.
-func (st *memState) record(h graph.NodeID) ([]byte, bool) {
-	if rec, ok := st.overlay[h]; ok {
-		return rec, true
-	}
-	i, ok := slices.BinarySearch(st.hubs, h)
-	if !ok || i+1 >= len(st.offsets) {
-		return nil, false
-	}
-	return st.arena[st.offsets[i]:st.offsets[i+1]:st.offsets[i+1]], true
-}
-
-// GetView returns a view of the record of h in this state, allocating
-// nothing.
-func (st *memState) GetView(h graph.NodeID) (HubRecordView, bool, error) {
-	rec, ok := st.record(h)
-	if !ok {
-		return HubRecordView{}, false, nil
-	}
-	return NewHubRecordView(rec, nil), true, nil
-}
-
-// GetView returns a view of the published record of h.
-func (m *MemIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
-	return m.state.Load().GetView(h)
-}
-
-// Get decodes the stored record of h into a fresh map.
-func (m *MemIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) { return VectorOf(m, h) }
-
-// Has reports whether h is indexed.
-func (m *MemIndex) Has(h graph.NodeID) bool {
-	_, ok := m.state.Load().record(h)
-	return ok
-}
-
-// Hubs (ascending), Len and SizeBytes answer from the published state.
-// SizeBytes counts the records in the binary disk layout, so in-memory and
-// on-disk experiments report comparable space numbers.
-func (m *MemIndex) Hubs() []graph.NodeID { return m.state.Load().allHubs() }
-func (m *MemIndex) Len() int             { return m.state.Load().count }
-func (m *MemIndex) SizeBytes() int64     { return m.state.Load().size }
 
 // Stats summarizes an index for experiment reports.
 type Stats struct {

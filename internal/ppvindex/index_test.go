@@ -87,8 +87,9 @@ func TestMemIndexPutReplaces(t *testing.T) {
 
 // TestMemIndexViewsSurviveReplacement: a stored record is replaced, never
 // written, so a view taken before the hub is rewritten keeps reading the old
-// record, and SizeBytes follows the replacement. (The first put into an empty
-// index packs it: an index built put by put grows its arena geometrically.)
+// record, and SizeBytes follows the replacement. (The first read publishes
+// the records put so far as the base heap image; the rewrite, past an eighth
+// of that small image, folds into a fresh one.)
 func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 	idx := NewMemIndex()
 	first := rawEntries(2, 5, 9)
@@ -96,7 +97,7 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, ok, err := idx.GetView(1)
-	if err != nil || !ok || &old.EntryBytes()[0] != &idx.state.Load().arena[0] {
+	if err != nil || !ok || &old.EntryBytes()[0] != &idx.Image()[perHubOverheadBytes] {
 		t.Fatalf("GetView(1) ok=%v err=%v; the view must alias the stored record", ok, err)
 	}
 	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+3*entryBytes); got != want {
@@ -119,14 +120,16 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 	}
 }
 
-// TestMemIndexPackedViewsSurviveRepack: after Pack the records sit in one
-// arena behind a sorted directory, and a rewrite goes to the overlay. A view
-// of the packed record survives the rewrite, and views of both survive the
-// repack that the put past an eighth of the arena's bytes triggers. Hubs,
-// Len and SizeBytes cover both halves throughout, and Hubs is ascending.
+// TestMemIndexPackedViewsSurviveRepack: the first read lays the records put
+// so far out in hub order, although the puts came in descending order, in one
+// exact-size heap image behind its directory, and a rewrite goes to the
+// overlay. A view of the image's record survives the rewrite, and views of
+// both survive the compaction that a put past an eighth of the image's bytes
+// triggers. Hubs, Len and SizeBytes cover both halves throughout, and Hubs is
+// ascending.
 func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	idx := NewMemIndex()
-	// Put in descending order so the map order and the id order differ.
+	// Put in descending order so the put order and the id order differ.
 	for h := graph.NodeID(40); h > 0; h-- {
 		if err := idx.PutEncoded(h, rawEntries(h, h+1, h+2)); err != nil {
 			t.Fatal(err)
@@ -134,29 +137,31 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	}
 	size := idx.SizeBytes()
 	pack(idx)
-	st := idx.state.Load()
-	if len(st.overlay) != 0 || len(st.hubs) != 40 || len(st.arena) != 40*3*entryBytes || cap(st.arena) != len(st.arena) {
-		t.Fatalf("after Pack: %d overlay records, %d packed hubs, an arena of %d bytes (cap %d); want 0, 40 and an exact %d",
-			len(st.overlay), len(st.hubs), len(st.arena), cap(st.arena), 40*3*entryBytes)
+	st := memState(idx)
+	const imageBytes = 40*(perHubOverheadBytes+3*entryBytes) + 40*dirEntryBytes + footerBytes
+	if image := idx.Image(); len(st.overlay) != 0 || st.gen.reader.Len() != 40 || len(image) != imageBytes || cap(image) != len(image) {
+		t.Fatalf("after Pack: %d overlay records, %d base hubs, an image of %d bytes (cap %d); want 0, 40 and an exact %d",
+			len(st.overlay), st.gen.reader.Len(), len(image), cap(image), imageBytes)
 	}
 	if idx.SizeBytes() != size || idx.Len() != 40 {
 		t.Fatalf("Pack moved SizeBytes %d -> %d or Len to %d", size, idx.SizeBytes(), idx.Len())
 	}
 	packed, ok, err := idx.GetView(7)
-	if err != nil || !ok || &packed.EntryBytes()[0] != &st.arena[6*3*entryBytes] {
-		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the arena", ok, err)
+	off, _ := st.gen.reader.find(7)
+	if err != nil || !ok || &packed.EntryBytes()[0] != &idx.Image()[off+perHubOverheadBytes] {
+		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the image", ok, err)
 	}
 
-	// A rewrite and a new hub go to the overlay: the arena is 960 bytes, so
-	// up to 120 bytes of overlay stay unpacked.
+	// A rewrite and a new hub go to the overlay: the image is 1 776 bytes,
+	// so up to 222 bytes of committed records stay in the overlay.
 	if err := idx.PutEncoded(7, rawEntries(100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.PutEncoded(50, rawEntries(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if st := idx.state.Load(); len(st.overlay) != 2 || len(st.hubs) != 40 {
-		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), len(st.hubs))
+	if st := memState(idx); len(st.overlay) != 2 || st.gen.reader.Len() != 40 {
+		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), st.gen.reader.Len())
 	}
 	if packed.Len() != 3 || !packed.Contains(9) || packed.Contains(100) {
 		t.Error("the view of the packed record changed under its holder after a rewrite")
@@ -174,27 +179,31 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 		t.Errorf("Hubs = %v, want 1..40 and 50 in ascending order", hubs)
 	}
 
-	// Past an eighth of the arena the put repacks: a fresh arena, an empty
+	// Past an eighth of the image the put compacts: a fresh image, an empty
 	// overlay, and the old views read what they read before.
-	if err := idx.PutEncoded(60, rawEntries(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)); err != nil {
+	big := make([]graph.NodeID, 25)
+	for i := range big {
+		big[i] = graph.NodeID(i + 1)
+	}
+	if err := idx.PutEncoded(60, rawEntries(big...)); err != nil {
 		t.Fatal(err)
 	}
-	if st := idx.state.Load(); len(st.overlay) != 0 || len(st.hubs) != 42 {
-		t.Fatalf("after the repack the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), len(st.hubs))
+	if st := memState(idx); len(st.overlay) != 0 || st.gen.reader.Len() != 42 {
+		t.Fatalf("after the compaction the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), st.gen.reader.Len())
 	}
 	if packed.Len() != 3 || !packed.Contains(9) || rewritten.Len() != 1 || !rewritten.Contains(100) {
-		t.Error("a view taken before the repack changed under its holder")
+		t.Error("a view taken before the compaction changed under its holder")
 	}
-	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 13, 8: 3} {
+	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 25, 8: 3} {
 		if v, ok, _ := idx.GetView(h); !ok || v.Len() != want {
-			t.Errorf("after the repack GetView(%d) has %d entries (ok=%v), want %d", h, v.Len(), ok, want)
+			t.Errorf("after the compaction GetView(%d) has %d entries (ok=%v), want %d", h, v.Len(), ok, want)
 		}
 	}
 	if hubs := idx.Hubs(); len(hubs) != 42 || !slices.IsSorted(hubs) || idx.Len() != 42 {
-		t.Errorf("after the repack Hubs = %v (Len %d), want 42 ascending", hubs, idx.Len())
+		t.Errorf("after the compaction Hubs = %v (Len %d), want 42 ascending", hubs, idx.Len())
 	}
 	if idx.Has(61) || !idx.Has(60) || !idx.Has(1) {
-		t.Error("Has is wrong after the repack")
+		t.Error("Has is wrong after the compaction")
 	}
 }
 
@@ -580,11 +589,11 @@ func recordOffset(t *testing.T, path string, h graph.NodeID) int64 {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	i, ok := slices.BinarySearch(idx.hubs, h)
+	off, ok := idx.find(h)
 	if !ok {
 		t.Fatalf("hub %d is not in the directory of %s", h, path)
 	}
-	return int64(idx.offsets[i])
+	return int64(off)
 }
 
 // writeAt overwrites the file at path with b at off, in place.

@@ -2,10 +2,12 @@ package ppvindex
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,25 +58,26 @@ func (o StoreOptions) withDefaults(path string) StoreOptions {
 	return o
 }
 
-// Store is the durable disk-backed PPV index: the base index file and its
-// update log, one frame per committed update batch (see updatelog.go).
+// Store is the PPV index state machine: a base in the disk layout, an overlay
+// of the records committed since, and a compaction that folds the overlay
+// into a new base. The disk store (CreateStore, OpenStore) keeps its base in
+// an index file and logs every update batch as one frame of its update log
+// (see updatelog.go); an in-memory store (MemIndex) keeps the same bytes in a
+// heap buffer and has no file and no log.
 //
-// A store built by CreateStore starts in write mode: PutEncoded streams to
-// a DiskWriter, and the first read finalizes the writer (guarded by mu —
-// concurrent first reads from parallel queries must not race the
-// transition), publishing the index and starting the log fresh. A store
-// opened by OpenStore replays the log, each batch's mutation through the
-// caller and its records into the overlay, then serves.
+// A store starts in write mode: PutEncoded streams to a DiskWriter, or in
+// memory collects the records, and the first read finalizes it under mu,
+// publishing the base and, on disk, starting the log fresh. OpenStore replays
+// the log instead, each batch's mutation through the caller and its records
+// into the overlay.
 //
-// Its read side is one immutable storeState behind an atomic pointer: a
-// generation (the mapped base file and its block cache) and an overlay of the
-// records rewritten since, which shadows the base. Commit writes an update
-// batch as one log frame with one fsync, then publishes the next state, whose
-// overlay is a copy of the old one plus the batch. Compact folds the overlay
-// into a rewritten base file and publishes a state over it with the same
-// records; states still reading the old file follow its retirement.
+// Its read side is one immutable storeState behind an atomic pointer. Commit
+// makes a batch durable, then publishes a state whose overlay is a copy of
+// the old one plus the batch. Compact publishes a state over the new base
+// with the same records; states still reading a retired file follow its
+// retirement.
 type Store struct {
-	path string
+	path string // empty for an in-memory store
 	opts StoreOptions
 	// graph identifies the base graph the logged mutations apply to.
 	graph GraphBinding
@@ -84,7 +87,8 @@ type Store struct {
 	state atomic.Pointer[storeState]
 
 	mu     sync.Mutex
-	writer *DiskWriter
+	writer *DiskWriter // a disk store's, in write mode
+	built  []Record    // an in-memory store's, in write mode, in put order
 	log    *UpdateLog
 	closed bool
 	// logWedged flips when a compaction renamed the rewritten base into
@@ -93,6 +97,7 @@ type Store struct {
 	// restart, so commits fail instead until a retried compaction (which
 	// re-binds the log) or a restart recovers.
 	logWedged bool
+	compacted func() // see OnCompact
 
 	compacting  atomic.Bool
 	compactions atomic.Int64
@@ -104,17 +109,21 @@ type Store struct {
 	logBatches atomic.Int64
 }
 
-// storeState is one published read state of a finalized store. Its overlay
-// holds the hubs rewritten since gen's file was written, all of them in the
-// file's directory, so membership queries can delegate to the generation.
+// storeState is one published read state of a finalized store.
 type storeState struct {
 	gen     *generation
 	overlay map[graph.NodeID][]byte
+	// added counts the overlay's hubs missing from the base (only an
+	// in-memory store takes new hubs after its base); pending is what the
+	// records committed since the base take in the disk layout, which the
+	// fold rule weighs.
+	added   int
+	pending int64
 }
 
-// generation is one base index file: reader maps it, cache (nil when caching
-// is disabled) fronts it. retired is set, before reader closes, when a
-// compaction replaces it or the store closes.
+// generation is one base: reader serves it, cache (nil without caching)
+// fronts it. retired is set, before a file's reader closes, when a compaction
+// replaces it or the store closes; a heap image never retires.
 type generation struct {
 	reader  *DiskIndex
 	cache   *BlockCache
@@ -127,6 +136,48 @@ type generation struct {
 type retirement struct {
 	next     *generation
 	shadowed map[graph.NodeID][]byte
+}
+
+// retirementWalks counts the retirements reads have followed (a test hook: a
+// compaction publishes the engine's next version, so new reads follow none).
+var retirementWalks atomic.Int64
+
+// with returns st plus records, in a copy of the overlay.
+func (st *storeState) with(records []Record) *storeState {
+	next := *st
+	next.overlay = make(map[graph.NodeID][]byte, len(st.overlay)+len(records))
+	maps.Copy(next.overlay, st.overlay)
+	for _, r := range records {
+		if _, ok := next.overlay[r.Hub]; !ok && !st.gen.reader.Has(r.Hub) {
+			next.added++
+		}
+		next.overlay[r.Hub] = r.Payload
+		next.pending += perHubOverheadBytes + int64(len(r.Payload))
+	}
+	return &next
+}
+
+// has reports whether the state holds a record of h.
+func (st *storeState) has(h graph.NodeID) bool {
+	_, ok := st.overlay[h]
+	return ok || st.gen.reader.Has(h)
+}
+
+// hubs returns the hubs of the state in ascending order.
+func (st *storeState) hubs() []graph.NodeID {
+	hubs := st.gen.reader.Hubs()
+	if st.added == 0 {
+		return hubs
+	}
+	hubs = slices.Clip(hubs) // the base's own slice: appends must copy it
+	//lint:ordered collect-then-sort: hubs are sorted by id below
+	for h := range st.overlay {
+		if !st.gen.reader.Has(h) {
+			hubs = append(hubs, h)
+		}
+	}
+	slices.Sort(hubs)
+	return hubs
 }
 
 // CreateStore creates a store in write mode: records stream to a fresh index
@@ -143,11 +194,15 @@ func CreateStore(path string, graph GraphBinding, opts StoreOptions) (*Store, er
 	return &Store{path: path, opts: opts.withDefaults(path), graph: graph, writer: w}, nil
 }
 
+// inMemory reports whether the store is an in-memory one: no file, no log.
+func (s *Store) inMemory() bool { return s.path == "" }
+
 // OpenStore opens an existing index file in read mode and replays its update
 // log, bound to graph: every batch's mutation through replay, in commit order
 // (the caller owns the graph and applies them), and its records into the
-// overlay. A stale <path>.tmp from a crashed precompute or compaction, and a
-// stale <log>.tmp from a crashed log rewrite, are removed: whatever they held
+// overlay. A log bound to another graph fails the open with ErrGraphMismatch.
+// A stale <path>.tmp from a crashed precompute or compaction, and a stale
+// <log>.tmp from a crashed log rewrite, are removed: whatever they held
 // either never completed or was already renamed into place.
 func OpenStore(path string, graph GraphBinding, opts StoreOptions, replay func(GraphMutation) error) (*Store, error) {
 	s := &Store{path: path, opts: opts.withDefaults(path), graph: graph}
@@ -172,24 +227,33 @@ func (s *Store) mirrorLog() {
 	s.logBatches.Store(s.log.Batches())
 }
 
-// PutEncoded implements Writer while the store is being built: the payload is
-// copied into the writer's buffer. A finalized store takes records only in an
-// update batch (Commit), which the log replays as one epoch.
+// PutEncoded implements Writer. In write mode the record goes to the index
+// file, or to the records an in-memory base is built from (the last put of a
+// hub wins). Once finalized, a disk store takes records only in an update
+// batch (Commit), which the log replays as one epoch, and an in-memory store
+// commits each as a batch of one.
 func (s *Store) PutEncoded(h graph.NodeID, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch {
+	case s.closed:
 		return ErrClosed
-	} else if s.writer == nil {
+	case s.writer != nil:
+		return s.writer.PutEncoded(h, payload)
+	case s.inMemory() && s.state.Load() == nil:
+		s.built = append(s.built, Record{Hub: h, Payload: payload})
+		return nil
+	case !s.inMemory():
 		return fmt.Errorf("ppvindex: hub %d written to a finalized store; records reach it only in an update batch", h)
 	}
-	return s.writer.PutEncoded(h, payload)
+	_, _, err := s.commitLocked(GraphMutation{}, []Record{{Hub: h, Payload: payload}})
+	return err
 }
 
-// Commit implements Writer: it writes m and records as one log frame and
-// fsyncs it, so the batch is durable whole or not at all, publishes the state
-// whose overlay adds records, and compacts in the background once the logged
-// records have outgrown their threshold.
+// Commit implements Writer: a disk store writes m and records as one log
+// frame and fsyncs it, so the batch is durable whole or not at all; then the
+// state whose overlay adds records is published. Once the fold rule is due, a
+// disk store compacts in the background, an in-memory one before it returns.
 func (s *Store) Commit(m GraphMutation, records []Record) (Snapshot, error) {
 	snap, compact, err := s.commit(m, records)
 	if compact && !s.compacting.Load() {
@@ -202,35 +266,56 @@ func (s *Store) Commit(m GraphMutation, records []Record) (Snapshot, error) {
 	return snap, err
 }
 
-// commit is Commit under mu; compact reports that the hub records in the log
-// have outgrown the threshold. The mutations are not counted: no compaction
-// folds them away, so a log whose mutations alone pass the threshold must not
-// compact on every commit.
+// commit is Commit under mu; compact reports that a disk store's fold rule is
+// due.
 func (s *Store) commit(m GraphMutation, records []Record) (snap Snapshot, compact bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.commitLocked(m, records)
+}
+
+func (s *Store) commitLocked(m GraphMutation, records []Record) (Snapshot, bool, error) {
 	if err := s.ensureReaderLocked(); err != nil {
 		return nil, false, err
 	}
-	if s.logWedged {
-		return nil, false, fmt.Errorf("ppvindex: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
+	if s.log != nil {
+		if s.logWedged {
+			return nil, false, fmt.Errorf("ppvindex: update log is out of sync with the rewritten base (a compaction failed after its rename); retry compaction or restart to recover")
+		}
+		for _, r := range records {
+			s.log.AppendEncoded(r.Hub, r.Payload)
+		}
+		err := s.log.CommitBatch(m)
+		s.mirrorLog()
+		if err != nil {
+			return nil, false, fmt.Errorf("ppvindex: committing the update log: %w", err)
+		}
 	}
-	for _, r := range records {
-		s.log.AppendEncoded(r.Hub, r.Payload)
-	}
-	err = s.log.CommitBatch(m)
-	s.mirrorLog()
-	if err != nil {
-		return nil, false, fmt.Errorf("ppvindex: committing the update log: %w", err)
-	}
-	old := s.state.Load()
-	st := &storeState{gen: old.gen, overlay: make(map[graph.NodeID][]byte, len(old.overlay)+len(records))}
-	maps.Copy(st.overlay, old.overlay)
-	for _, r := range records {
-		st.overlay[r.Hub] = r.Payload
-	}
+	st := s.state.Load().with(records)
 	s.state.Store(st)
-	return st, s.opts.CompactThresholdBytes > 0 && s.log.recordBytes >= s.opts.CompactThresholdBytes, nil
+	if !s.foldDue(st) {
+		return st, false, nil
+	}
+	if !s.inMemory() {
+		return st, true, nil
+	}
+	// Folding a heap image is a copy in memory: it runs now.
+	if _, err := s.compactLocked(); err != nil {
+		return nil, false, err
+	}
+	return s.state.Load(), false, nil
+}
+
+// foldDue reports whether the records committed since st's base are due to
+// be folded into a new one: past the threshold (never, when it is negative),
+// or with the in-memory store's threshold of 0, past an eighth of the base,
+// so that an index built put by put grows geometrically. The graph mutations
+// are not counted, as no compaction folds them away.
+func (s *Store) foldDue(st *storeState) bool {
+	if t := s.opts.CompactThresholdBytes; t != 0 {
+		return t > 0 && st.pending >= t
+	}
+	return st.pending >= st.gen.reader.SizeBytes()/8
 }
 
 // Snapshot implements Writer; a store still in write mode is finalized first.
@@ -289,6 +374,7 @@ func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, 
 			}
 			return view, ok, err
 		}
+		retirementWalks.Add(1)
 		if r.next == nil {
 			return HubRecordView{}, false, ErrClosed
 		}
@@ -297,6 +383,7 @@ func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, 
 	}
 	// A record held in memory is served unless the store has closed.
 	for ; r != nil; r = r.next.retired.Load() {
+		retirementWalks.Add(1)
 		if r.next == nil {
 			return HubRecordView{}, false, ErrClosed
 		}
@@ -304,23 +391,40 @@ func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, 
 	return NewHubRecordView(rec, nil), true, nil
 }
 
-// closedIndex is what a store that cannot be read answers directory questions
-// from: no hubs, no bytes.
-var closedIndex = NewMemIndex()
+// Has, Hubs (ascending), Len and SizeBytes answer from the published state,
+// or an empty one once the store is closed. SizeBytes is the base file's size
+// on disk, and 8 bytes a hub plus 8 an entry in memory (what the records take
+// in the disk layout, so in-memory and on-disk experiments compare).
+func (s *Store) Has(h graph.NodeID) bool { return s.directory().has(h) }
+func (s *Store) Hubs() []graph.NodeID    { return s.directory().hubs() }
+func (s *Store) Len() int                { st := s.directory(); return st.gen.reader.Len() + st.added }
 
-// directory returns the index that answers membership and size questions: the
-// overlay only ever shadows hubs of the base, so the base directory suffices.
-func (s *Store) directory() Index {
-	if st, err := s.reading(); err == nil {
-		return st.gen.reader
+func (s *Store) SizeBytes() int64 {
+	st := s.directory()
+	if !s.inMemory() {
+		return st.gen.reader.SizeBytes()
 	}
-	return closedIndex
+	size := int64(len(st.gen.reader.records))
+	//lint:ordered a sum of integer sizes, the same in any order
+	for h, rec := range st.overlay {
+		size += perHubOverheadBytes + int64(len(rec))
+		if view, ok, _ := st.gen.reader.GetView(h); ok {
+			size -= perHubOverheadBytes + int64(len(view.EntryBytes()))
+		}
+	}
+	return size
 }
 
-func (s *Store) Has(h graph.NodeID) bool { return s.directory().Has(h) }
-func (s *Store) Hubs() []graph.NodeID    { return s.directory().Hubs() }
-func (s *Store) Len() int                { return s.directory().Len() }
-func (s *Store) SizeBytes() int64        { return s.directory().SizeBytes() }
+// closedState is what a store that cannot be read answers directory
+// questions from: an empty base.
+var closedState = &storeState{gen: &generation{reader: &DiskIndex{}}}
+
+func (s *Store) directory() *storeState {
+	if st, err := s.reading(); err == nil {
+		return st
+	}
+	return closedState
+}
 
 // WarmHubs preloads the given hubs' records through the block cache and
 // returns how many of them are now cached, so a freshly started shard can
@@ -355,12 +459,13 @@ func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 }
 
 // DurabilityStats reports the log and overlay counters; ok is false while
-// the store is still in write mode (nothing finalized yet) or closed.
+// the store is still in write mode (nothing finalized yet), once it is
+// closed, and for an in-memory store, which keeps no log.
 // Lock-free: the log counters come from mirrored atomics, so /v1/stats does
 // not stall behind a running compaction (which holds mu for its rewrite).
 func (s *Store) DurabilityStats() (DurabilityStats, bool) {
 	st := s.state.Load()
-	if st == nil {
+	if st == nil || s.inMemory() {
 		return DurabilityStats{}, false
 	}
 	return DurabilityStats{
@@ -397,6 +502,19 @@ func (s *Store) ensureReaderLocked() error {
 	if s.state.Load() != nil {
 		return nil
 	}
+	if s.inMemory() {
+		// Newest first, so a stable sort by hub puts each hub's last put
+		// first, and Compact keeps it.
+		slices.Reverse(s.built)
+		slices.SortStableFunc(s.built, func(a, b Record) int { return cmp.Compare(a.Hub, b.Hub) })
+		r, err := openImage(slices.CompactFunc(s.built, func(a, b Record) bool { return a.Hub == b.Hub }))
+		if err != nil {
+			return err
+		}
+		s.built = nil
+		s.state.Store(&storeState{gen: s.newGeneration(r)})
+		return nil
+	}
 	if s.writer != nil {
 		if err := s.writer.Close(); err != nil {
 			return err
@@ -420,7 +538,7 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 	if err != nil {
 		return err
 	}
-	st := &storeState{gen: s.newGeneration(r), overlay: make(map[graph.NodeID][]byte)}
+	var replayed []Record
 	lg, err := openUpdateLog(s.opts.UpdateLogPath, s.bindingFor(r), replay, func(h graph.NodeID, payload []byte) error {
 		// A logged hub missing from the base directory means the log does
 		// not belong to this index file; refusing keeps the overlay
@@ -431,7 +549,7 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 		}
 		// The payload aliases the log's replay buffer, which the next
 		// frame overwrites; the overlay keeps its own copy.
-		st.overlay[h] = bytes.Clone(payload)
+		replayed = append(replayed, Record{Hub: h, Payload: bytes.Clone(payload)})
 		return nil
 	})
 	if err != nil {
@@ -440,7 +558,7 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 	}
 	s.log = lg
 	s.mirrorLog()
-	s.state.Store(st)
+	s.state.Store((&storeState{gen: s.newGeneration(r)}).with(replayed))
 	return nil
 }
 
@@ -453,74 +571,141 @@ func (s *Store) newGeneration(r *DiskIndex) *generation {
 	return g
 }
 
-// Compact folds the logged records and overlay into a rewritten base index:
-// every hub record is streamed into <path>.tmp (overlay version when present,
-// base record otherwise), the finished file is fsync'd and atomically renamed
-// over <path>, the log is rewritten down to its mutations, which no file
-// folds, bound to the new base (rewriteLog), and a state over the new file,
-// with the same records, is published. Queries are served throughout, while
-// commits wait on mu. At most one compaction runs at a time.
-func (s *Store) Compact() (CompactionResult, error) {
-	var res CompactionResult
-	if !s.compacting.CompareAndSwap(false, true) {
-		return res, ErrCompactionInProgress
-	}
-	defer s.compacting.Store(false)
-	start := time.Now()
-
+// OnCompact sets fn to run after every Compact that succeeds, once mu is
+// released: core.Engine publishes its next version from it, so no new query
+// reads the retired state. A fold inside Commit returns its state itself and
+// does not run fn.
+func (s *Store) OnCompact(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.compacted = fn
+}
+
+// Compact folds the logged records and overlay into a new base (see
+// compactLocked). Queries are served throughout, while commits wait on mu.
+// At most one compaction runs at a time.
+func (s *Store) Compact() (CompactionResult, error) {
+	if !s.compacting.CompareAndSwap(false, true) {
+		return CompactionResult{}, ErrCompactionInProgress
+	}
+	defer s.compacting.Store(false)
+	s.mu.Lock()
+	res, err := s.compactLocked()
+	compacted := s.compacted
+	s.mu.Unlock()
+	if err == nil && compacted != nil {
+		compacted()
+	}
+	return res, err
+}
+
+// compactLocked writes every hub record in ascending hub order (the
+// overlay's when present) into a new base and publishes a state over it with
+// the same records. On disk the base is <path>.tmp, fsync'd and renamed over
+// <path>, the log is rewritten down to its mutations, which no file folds,
+// bound to the new base (rewriteLog), and the old generation retires to the
+// new one. In memory the base is a fresh heap image, and the old one lives on
+// while a state reads it. Callers hold mu.
+func (s *Store) compactLocked() (CompactionResult, error) {
+	var res CompactionResult
+	start := time.Now()
 	if err := s.ensureReaderLocked(); err != nil {
 		return res, err
 	}
 	st := s.state.Load()
 	old := st.gen.reader
-	res.TotalHubs = old.Len()
-	logBytes, logRecords := s.log.SizeBytes(), s.log.Records()
+	hubs := st.hubs()
+	res.TotalHubs = len(hubs)
+	var logBytes, logRecords int64
+	if s.log != nil {
+		logBytes, logRecords = s.log.SizeBytes(), s.log.Records()
+	}
 	if len(st.overlay) == 0 && logRecords == 0 {
-		// Nothing to fold in; report the current file size and return.
+		// Nothing to fold in; report the current base size and return.
 		res.IndexBytes = old.SizeBytes()
 		res.DurationMS = float64(time.Since(start)) / 1e6
 		return res, nil
 	}
 
-	w, err := CreateDisk(s.path)
-	if err != nil {
-		return res, err
+	// A disk base streams into <path>.tmp. An in-memory one is laid out from
+	// the records, which alias the old image (kept alive by the GC, so its
+	// views need no release) and the overlay.
+	var records []Record
+	put := func(h graph.NodeID, rec []byte) error {
+		records = append(records, Record{Hub: h, Payload: rec})
+		return nil
 	}
-	defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
+	var w *DiskWriter
 	// shadowed keeps the base records the fold rewrites (see retirement).
-	shadowed := make(map[graph.NodeID][]byte, len(st.overlay))
-	for _, h := range old.Hubs() {
-		// The base record straight from the mapping, not through the block
+	var shadowed map[graph.NodeID][]byte
+	if !s.inMemory() {
+		var err error
+		if w, err = CreateDisk(s.path); err != nil {
+			return res, err
+		}
+		defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
+		put = w.PutEncoded
+		shadowed = make(map[graph.NodeID][]byte, len(st.overlay))
+	}
+	for _, h := range hubs {
+		// The base record straight from the reader, not through the block
 		// cache: a full-index sweep would evict the hot set.
-		view, ok, err := old.GetView(h)
+		view, inBase, err := old.GetView(h)
 		if err != nil {
 			return res, fmt.Errorf("ppvindex: compaction reading hub %d: %w", h, err)
-		} else if !ok {
-			return res, fmt.Errorf("ppvindex: compaction: hub %d vanished from the base index", h)
 		}
 		rec, rewritten := st.overlay[h]
-		if rewritten {
+		switch {
+		case rewritten:
 			res.RewrittenHubs++
-			shadowed[h] = bytes.Clone(view.EntryBytes())
-		} else {
+			if inBase && w != nil {
+				shadowed[h] = bytes.Clone(view.EntryBytes())
+			}
+		case inBase:
 			rec = view.EntryBytes()
+		default:
+			return res, fmt.Errorf("ppvindex: compaction: hub %d vanished from the base index", h)
 		}
-		// The writer copies the record into its buffer before the view is
+		// A file writer copies the record into its buffer before the view is
 		// released.
-		err = w.PutEncoded(h, rec)
+		err = put(h, rec)
 		view.Release()
 		if err != nil {
 			return res, fmt.Errorf("ppvindex: compaction writing hub %d: %w", h, err)
 		}
+	}
+	r, err := s.openBase(w, records)
+	if err != nil {
+		return res, err
+	}
+	next := s.newGeneration(r)
+	s.state.Store(&storeState{gen: next})
+	if w != nil {
+		st.gen.retired.Store(&retirement{next: next, shadowed: shadowed})
+		// DiskIndex.Close drains the old generation's views before unmapping it.
+		old.Close()
+		s.logWedged = false
+		res.LogRecordsFolded = logRecords
+		res.LogBytesFreed = logBytes - s.log.SizeBytes()
+	}
+	s.compactions.Add(1)
+	res.IndexBytes = r.SizeBytes()
+	res.DurationMS = float64(time.Since(start)) / 1e6
+	return res, nil
+}
+
+// openBase opens the base a compaction built: a heap image of records, or
+// the file w wrote, closed here, with the log rebound to it.
+func (s *Store) openBase(w *DiskWriter, records []Record) (*DiskIndex, error) {
+	if w == nil {
+		return openImage(records)
 	}
 	// Close fsyncs the file and its directory, then atomically renames the
 	// rewritten file over s.path. From here the base owns every logged
 	// record; a crash before the log rewrite leaves a log bound to the old
 	// base, which the next open rewrites itself.
 	if err := w.Close(); err != nil {
-		return res, fmt.Errorf("ppvindex: compaction finalizing rewritten index: %w", err)
+		return nil, fmt.Errorf("ppvindex: compaction finalizing rewritten index: %w", err)
 	}
 	r, err := OpenDisk(s.path)
 	if err != nil {
@@ -531,26 +716,14 @@ func (s *Store) Compact() (CompactionResult, error) {
 		// committed now would be skipped on restart — so wedge updates
 		// until a retried compaction re-binds it.
 		s.logWedged = true
-		return res, fmt.Errorf("ppvindex: compaction reopening rewritten index: %w", err)
+		return nil, fmt.Errorf("ppvindex: compaction reopening rewritten index: %w", err)
 	}
 	if err := s.rebindLogLocked(r); err != nil {
 		r.Close()
 		s.logWedged = true
-		return res, fmt.Errorf("ppvindex: compaction rewriting the update log: %w", err)
+		return nil, fmt.Errorf("ppvindex: compaction rewriting the update log: %w", err)
 	}
-	next := s.newGeneration(r)
-	s.state.Store(&storeState{gen: next, overlay: make(map[graph.NodeID][]byte)})
-	st.gen.retired.Store(&retirement{next: next, shadowed: shadowed})
-	// DiskIndex.Close drains the old generation's views before unmapping it.
-	old.Close()
-	s.logWedged = false
-	s.compactions.Add(1)
-
-	res.LogRecordsFolded = logRecords
-	res.LogBytesFreed = logBytes - s.log.SizeBytes()
-	res.IndexBytes = r.SizeBytes()
-	res.DurationMS = float64(time.Since(start)) / 1e6
-	return res, nil
+	return r, nil
 }
 
 // rebindLogLocked rewrites the update log down to its mutations, bound to

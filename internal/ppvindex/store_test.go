@@ -251,7 +251,7 @@ func TestStoreCompactThresholdCountsRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if compact {
-			t.Fatalf("commit %d asked for a compaction with %d bytes of records in a %d-byte log", i, s.log.recordBytes, s.log.SizeBytes())
+			t.Fatalf("commit %d asked for a compaction with %d bytes of records in a %d-byte log", i, s.state.Load().pending, s.log.SizeBytes())
 		}
 	}
 	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / entryBytes)}}); err != nil || !compact {

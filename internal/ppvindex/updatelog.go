@@ -38,10 +38,11 @@ import (
 // is a torn frame, which replay discards. Replaying the frames in order
 // rebuilds the served graph (one epoch a frame) and the overlay.
 //
-// A log bound to another graph is reset on open. One bound to the same graph
-// but another base file is what a compaction leaves when it crashes between
-// renaming the rewritten base into place and rewriting the log: its records
-// already live in the new base and are skipped, its mutations still replay.
+// A log bound to another graph is refused on open (ErrGraphMismatch) and left
+// as it is. One bound to the same graph but another base file is what a
+// compaction leaves when it crashes between renaming the rewritten base into
+// place and rewriting the log: its records already live in the new base and
+// are skipped, its mutations still replay.
 // Older versions are not migrated: opening one fails with ErrBadIndexFormat.
 // Version 1 held one frame per hub record, beside a separate graph-mutation
 // log; version 2 held 12-byte (node uint32, score float64) entries.
@@ -58,6 +59,11 @@ var updateLogFormat = frame.Format{
 	Name: "update log", Magic: logMagic, Version: logVersion,
 	HeaderBytes: logHeaderBytes, BadHeader: ErrBadIndexFormat,
 }
+
+// ErrGraphMismatch reports an update log bound to another base graph than the
+// one the store was opened with. The binding holds only the node and edge
+// counts and directedness, so a graph with equal counts is not told apart.
+var ErrGraphMismatch = errors.New("ppvindex: update log is bound to another base graph")
 
 // ErrCompactionInProgress reports that a compaction of a disk index is
 // already running; at most one runs at a time.
@@ -187,9 +193,9 @@ type UpdateLog struct {
 	// staged holds the encoded records of the batch being built.
 	staged        []byte
 	stagedRecords int64
-	// records and recordBytes count the hub records in committed batches,
-	// what a compaction folds into the base.
-	records, recordBytes int64
+	// records counts the hub records in committed batches, what a
+	// compaction folds into the base.
+	records int64
 }
 
 // OpenUpdateLog opens (or creates) an update log that binds no graph, for
@@ -212,7 +218,10 @@ func openUpdateLog(path string, bind []byte, mutation func(GraphMutation) error,
 	if err != nil {
 		return nil, err
 	}
-	if found != nil && bytes.Equal(found[graphBindingAt:], bind[graphBindingAt:]) && !bytes.Equal(found[:graphBindingAt], bind[:graphBindingAt]) {
+	if found != nil && !bytes.Equal(found[graphBindingAt:], bind[graphBindingAt:]) {
+		return nil, fmt.Errorf("%w: %s", ErrGraphMismatch, path)
+	}
+	if found != nil && !bytes.Equal(found[:graphBindingAt], bind[:graphBindingAt]) {
 		if err := rewriteLog(path, bind); err != nil {
 			return nil, err
 		}
@@ -228,7 +237,6 @@ func openUpdateLog(path string, bind []byte, mutation func(GraphMutation) error,
 				return err
 			}
 		}
-		l.recordBytes += int64(len(records))
 		return eachRecord(records, func(h graph.NodeID, payload []byte) error {
 			l.records++
 			if record == nil {
@@ -299,7 +307,7 @@ func (l *UpdateLog) Append(h graph.NodeID, ppv sparse.Vector) error {
 // way; a failed batch's outcome on disk is unknown.
 func (l *UpdateLog) CommitBatch(m GraphMutation) error {
 	batch := append(appendMutation(make([]byte, 0, mutationHeaderBytes+len(l.staged)), m), l.staged...)
-	records, recordBytes := l.stagedRecords, int64(len(l.staged))
+	records := l.stagedRecords
 	l.staged, l.stagedRecords = l.staged[:0], 0
 	if err := l.log.Append(batch); err != nil {
 		return err
@@ -308,7 +316,6 @@ func (l *UpdateLog) CommitBatch(m GraphMutation) error {
 		return err
 	}
 	l.records += records
-	l.recordBytes += recordBytes
 	return nil
 }
 

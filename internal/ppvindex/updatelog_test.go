@@ -1,6 +1,7 @@
 package ppvindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -647,61 +648,53 @@ func TestGraphLogTornHeader(t *testing.T) {
 	}
 }
 
-// TestGraphLogDiscardsMismatchedBinding: a log whose header binds it to a
-// different base graph (the -graph file was swapped or regenerated) must be
-// reset on open, not replayed onto a graph it does not describe — records
-// included. On the same graph but another base, the mutation still replays.
-func TestGraphLogDiscardsMismatchedBinding(t *testing.T) {
+// TestGraphLogRefusesMismatchedBinding: a log whose header binds it to a
+// different base graph (the -graph file was swapped or regenerated) is
+// refused with ErrGraphMismatch and left byte for byte as it is, neither
+// replayed onto a graph it does not describe nor reset, which would destroy
+// its committed batches. On the same graph but another base, the mutation
+// still replays, without its record.
+func TestGraphLogRefusesMismatchedBinding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.log")
-	commit := func(bind []byte, m GraphMutation) {
-		t.Helper()
-		l, err := openUpdateLog(path, bind, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.AppendEncoded(5, encodeVector(sparse.Vector{1: 0.5}))
-		if err := l.CommitBatch(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+	l, err := openUpdateLog(path, testBind, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	commit(testBind, GraphMutation{AddedEdges: []graph.Edge{{From: 1, To: 2}}})
-
-	var bind []byte
+	l.AppendEncoded(5, encodeVector(sparse.Vector{1: 0.5}))
+	if err := l.CommitBatch(GraphMutation{AddedEdges: []graph.Edge{{From: 1, To: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, g := range []GraphBinding{
 		{Nodes: 101, Edges: 400, Directed: true},
 		{Nodes: 100, Edges: 401, Directed: true},
 		{Nodes: 100, Edges: 400, Directed: false},
 	} {
-		bind = logBinding(1000, 30, g)
-		l, err := openUpdateLog(path, bind, func(GraphMutation) error {
+		_, err := openUpdateLog(path, logBinding(1000, 30, g), func(GraphMutation) error {
 			t.Fatalf("batch replayed despite binding mismatch %+v", g)
 			return nil
 		}, nil)
-		if err != nil {
-			t.Fatalf("openUpdateLog with mismatched binding: %v", err)
+		if !errors.Is(err, ErrGraphMismatch) {
+			t.Errorf("openUpdateLog bound to %+v = %v, want ErrGraphMismatch", g, err)
 		}
-		if l.SizeBytes() != logHeaderBytes || l.Batches() != 0 || l.Records() != 0 {
-			t.Errorf("mismatched log not reset: %d bytes, %d batches, %d records", l.SizeBytes(), l.Batches(), l.Records())
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("the refused log was modified (err=%v)", err)
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Re-seed a committed batch under the mismatching binding so the next
-		// iteration mismatches against non-empty content again.
-		commit(bind, GraphMutation{AddedEdges: []graph.Edge{{From: 9, To: 1}}})
 	}
 	// The same graph on another base replays the mutation, not the record.
-	bind = logBinding(1000, 31, GraphBinding{Nodes: 100, Edges: 400, Directed: false})
 	var replayed []replayedBatch
-	l, err := openCollecting(path, bind, &replayed)
+	l, err = openCollecting(path, logBinding(1000, 31, testGraph), &replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if len(replayed) != 1 || replayed[0].m.AddedEdges[0] != (graph.Edge{From: 9, To: 1}) || len(replayed[0].hubs) != 0 {
-		t.Fatalf("replayed %+v, want the re-bound batch's mutation without its record", replayed)
+	if len(replayed) != 1 || replayed[0].m.AddedEdges[0] != (graph.Edge{From: 1, To: 2}) || len(replayed[0].hubs) != 0 {
+		t.Fatalf("replayed %+v, want the batch's mutation without its record", replayed)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
 // the record's entry payload in the flat 8-byte (node uint32, score float32
 // rounded toward zero) encoding, in strictly ascending node order. A
-// DiskIndex view aliases the mapped file, a MemIndex view the immutable
-// buffer the index owns, a cache-retained view an owned heap buffer. No map
+// DiskIndex view aliases the mapped file, a MemIndex view its immutable heap
+// image or an overlay buffer, a cache-retained view an owned heap buffer. No map
 // is materialized — the query inner loop folds the entries straight into a
 // sparse.Accumulator.
 //
