@@ -46,11 +46,6 @@
 // epoch at query time and folded into the reported error bound instead of
 // contributing answers from a different graph.
 //
-// On a disk-serving shard, -warm-hubs K preloads the K hottest hub blocks
-// (by out-degree) into the block cache at startup, so a cold shard does not
-// serve its first requests at cold-read latency; the result appears under
-// "warming" in /v1/stats.
-//
 // Observability: every mode exposes a Prometheus text-format GET /metrics
 // (the router additionally exports per-shard leg latency and epoch families),
 // ?trace=1 on /v1/ppv returns a per-iteration trace block, logs are
@@ -59,10 +54,8 @@
 //
 // With -query-log PATH every completed query is appended to a persistent,
 // CRC-framed binary log (rotated past -query-log-max-mb, replayed on
-// startup); with -warm-hubs set, a restart warms the block cache from the
-// replayed workload's frequency-decayed top sources instead of the static
-// out-degree heuristic ("warming" in /v1/stats reports which). cmd/ppvlog
-// aggregates or replays a query log offline. Independently, every query's
+// startup to count and validate its records). cmd/ppvlog aggregates or
+// replays a query log offline. Independently, every query's
 // trace is retained after the fact when it was slow (-slow-ms), ended
 // degraded, or landed on the -trace-sample cadence — GET /v1/debug/slow lists
 // the retained ring, GET /v1/debug/trace/{id} fetches one by the id echoed in
@@ -121,7 +114,6 @@ func run(args []string) error {
 	hubs := fs.Int("hubs", 0, "number of hubs (0 = choose automatically)")
 	shardSpec := fs.String("shard", "", "serve one hub partition, as \"i/n\" (shard i of n)")
 	routerTargets := fs.String("router", "", "run as a cluster router over these comma-separated shard URLs (no local engine)")
-	warmHubs := fs.Int("warm-hubs", 0, "preload this many of the hottest hub blocks into the block cache at startup")
 	indexPath := fs.String("index", "", "serve from this on-disk index file (opened if present, precomputed into it otherwise)")
 	blockCacheBytes := fs.Int64("block-cache-bytes", 0, "hub-block cache budget for -index mode (0 = 64 MiB default, negative disables)")
 	updateLog := fs.String("update-log", "", "update log for -index mode: one frame per update batch, its graph mutation and recomputed hub PPVs (empty = <index>.log); replayed on restart")
@@ -132,7 +124,7 @@ func run(args []string) error {
 	cacheMB := fs.Int64("cache-mb", 64, "result cache budget in MiB (0 disables)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrent computations (0 = GOMAXPROCS; with -router, GOMAXPROCS + max(8, 4·GOMAXPROCS))")
 	queueWait := fs.Duration("queue-wait", 25*time.Millisecond, "max wait for a computation slot before shedding with 503")
-	queryLogPath := fs.String("query-log", "", "persistent query log: one binary record per completed query, replayed on startup to drive log-based cache warming (empty disables)")
+	queryLogPath := fs.String("query-log", "", "persistent query log: one binary record per completed query, replayed on startup and read offline by ppvlog (empty disables)")
 	queryLogMaxMB := fs.Int64("query-log-max-mb", 64, "rotate the query log past this size (negative = never rotate)")
 	slowMS := fs.Float64("slow-ms", 250, "compute time past which a query's trace is retained unconditionally in /v1/debug/slow (negative disables)")
 	traceSample := fs.Int("trace-sample", 128, "retain every Nth computed query's trace regardless of latency (negative disables)")
@@ -180,7 +172,6 @@ func run(args []string) error {
 		CacheBytes:       cacheBytes,
 		MaxConcurrent:    *maxConcurrent,
 		QueueWait:        *queueWait,
-		WarmHubs:         *warmHubs,
 		QueryLog:         qlog,
 		SlowThreshold:    time.Duration(*slowMS * float64(time.Millisecond)),
 		TraceSampleEvery: *traceSample,

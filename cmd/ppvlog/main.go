@@ -3,8 +3,8 @@
 //
 // Summary mode aggregates the log offline — record counts by mode and
 // outcome, a latency percentile summary, the frequency-decayed top sources
-// (the exact ranking startup warming uses), and the slow/degraded records
-// with their retained trace ids:
+// (a source's weight halves every 8192 records it goes unqueried), and the
+// slow/degraded records with their retained trace ids:
 //
 //	ppvlog -log queries.qlog
 //	ppvlog -log queries.qlog -top 50 -slow-ms 100 -json
@@ -193,7 +193,7 @@ func summarize(out io.Writer, path string, topN int, slowMS float64, show int, j
 	fmt.Fprintf(out, "latency ms: %v\n", sum.LatencyMS)
 	fmt.Fprintf(out, "error bound: p50=%.4g p99=%.4g max=%.4g\n",
 		sum.ErrorBound.P50, sum.ErrorBound.P99, sum.ErrorBound.Max)
-	fmt.Fprintf(out, "top %d sources (decay-ranked, the warming order):\n", len(sum.TopSources))
+	fmt.Fprintf(out, "top %d sources (decay-ranked, recent queries weigh more):\n", len(sum.TopSources))
 	for i, s := range sum.TopSources {
 		fmt.Fprintf(out, "  %2d. node %-8d %6d queries  %5.1f%%\n", i+1, s.Node, s.Count, 100*s.Share)
 	}

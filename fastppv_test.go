@@ -1268,16 +1268,6 @@ func TestPublicAPIShardedDiskIndex(t *testing.T) {
 		owned := engine.Index().Len()
 		totalOwned += owned
 
-		// Warming through the block cache: every owned hub should land.
-		type warmer interface{ WarmHubs(hubs []NodeID) int }
-		w, ok := engine.Index().(warmer)
-		if !ok {
-			t.Fatalf("disk store does not support warming")
-		}
-		if warmed := w.WarmHubs(engine.Index().Hubs()); warmed != owned {
-			t.Errorf("shard %d warmed %d of %d owned hubs", s, warmed, owned)
-		}
-
 		// A partial expansion over a foreign hub is refused.
 		var foreign NodeID = -1
 		for _, h := range full.Hubs().Hubs() {

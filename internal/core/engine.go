@@ -257,8 +257,10 @@ func selectHubs(g *graph.Graph, opts Options) (*hub.Set, error) {
 // configured policy and compute and store the prime PPV of every hub. The
 // records reach the index in ascending hub order (computeHubPPVs), so a fresh
 // index, in memory or on disk, holds the same bytes whatever the worker
-// count. A disk store is written only once; a second call on an in-memory
-// index commits each record as a batch of its own.
+// count. A disk store is written only once. A second call on an in-memory
+// index writes a fresh one, which replaces it (Index returns it): the call
+// costs what the first did, and no record of a hub this selection dropped
+// stays behind to be served as a query's stale prime PPV.
 //
 // With a sharded Partition, selection still covers the full hub set but only
 // the prime PPVs of the hubs this shard owns are computed and stored — the
@@ -284,13 +286,21 @@ func (e *Engine) Precompute() error {
 		}
 		toCompute = owned
 	}
-	stats, err := e.computeHubPPVs(v.g, toCompute)
+	index := e.index
+	if _, mem := index.(*ppvindex.MemIndex); mem && v.index != nil {
+		index = ppvindex.NewMemIndex()
+	}
+	stats, err := e.computeHubPPVs(v.g, toCompute, index)
 	if err != nil {
 		return err
 	}
-	snap, err := e.index.Snapshot()
+	snap, err := index.Snapshot()
 	if err != nil {
 		return err
+	}
+	if index != e.index {
+		e.index = index
+		e.followCompactions()
 	}
 
 	e.offline = stats
@@ -305,12 +315,11 @@ func (e *Engine) Precompute() error {
 }
 
 // computeHubPPVs computes the prime PPVs of hubNodes on g with a worker pool
-// and writes them to the index with PutEncoded in ascending hub order. The
-// jobs go out in that order with a sequence number; a finished record waits
-// in a small reorder window until every record before it is written, and at
-// most window jobs are out at once, so a precompute larger than RAM still
-// streams.
-func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID) (OfflineStats, error) {
+// and writes them to index in ascending hub order. The jobs go out in that
+// order with a sequence number; a finished record waits in a small reorder
+// window until every record before it is written, and at most window jobs are
+// out at once, so a precompute larger than RAM still streams.
+func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID, index ppvindex.Writer) (OfflineStats, error) {
 	var stats OfflineStats
 	hubNodes = slices.Sorted(slices.Values(hubNodes))
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(hubNodes)))
@@ -343,7 +352,7 @@ func (e *Engine) computeHubPPVs(g *graph.Graph, hubNodes []graph.NodeID) (Offlin
 			for rec, ok := done[next]; ok; rec, ok = done[next] {
 				delete(done, next)
 				if firstErr == nil {
-					if err := e.index.PutEncoded(hubNodes[next], rec); err != nil {
+					if err := index.PutEncoded(hubNodes[next], rec); err != nil {
 						firstErr = fmt.Errorf("core: indexing hub %d: %w", hubNodes[next], err)
 					}
 				}

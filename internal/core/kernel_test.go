@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -371,5 +374,71 @@ func TestNonHubPushCeiling(t *testing.T) {
 	t.Logf("mean pushes per non-hub push: %d", mean)
 	if mean > pushCeiling {
 		t.Errorf("a non-hub push at the default options expands %d nodes on average, ceiling %d", mean, pushCeiling)
+	}
+}
+
+// TestSecondPrecomputeCostsWhatTheFirstDoes: a second Precompute on an
+// in-memory engine, after updates, allocates about what the first did (put by
+// put into the published index, each record copied its overlay) and leaves
+// exactly the hubs and records a fresh engine on the updated graph writes (a
+// hub the new selection dropped kept its stale record).
+func TestSecondPrecomputeCostsWhatTheFirstDoes(t *testing.T) {
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 20000, OutDegreeMean: 6, Attachment: 0.8, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{NumHubs: 2000}
+	precompute := func(e *Engine) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := e.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	e, err := NewEngine(g, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := precompute(e)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		if _, err := e.ApplyUpdate(randomUpdate(rng, e.Graph())); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	second := precompute(e)
+	t.Logf("first Precompute allocated %.1f MB, the second %.1f MB", float64(first)/1e6, float64(second)/1e6)
+	if second > 2*first {
+		t.Errorf("the second Precompute allocated %d bytes, more than twice the first's %d", second, first)
+	}
+
+	fresh, err := NewEngine(e.Graph(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	precompute(fresh)
+	hubs := fresh.Index().Hubs()
+	if got := e.Index().Hubs(); !slices.Equal(got, hubs) {
+		t.Fatalf("the re-precomputed index holds %d hubs, a fresh one %d", len(got), len(hubs))
+	}
+	for _, h := range hubs {
+		got, _, err := e.Index().GetView(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := fresh.Index().GetView(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := bytes.Equal(got.EntryBytes(), want.EntryBytes())
+		got.Release()
+		want.Release()
+		if !same {
+			t.Fatalf("hub %d: the re-precomputed record differs from a fresh engine's", h)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/prime"
+	"fastppv/internal/sparse"
 )
 
 // The push precision rule: unless Epsilon is set, every prime push stops at
@@ -195,5 +197,73 @@ func TestDerivedEpsilonAccuracyCost(t *testing.T) {
 	t.Logf("mean eta=2 bound: %.6f at epsilon 1e-8, %.6f at the default (%+.2f %%)", fine, derived, 100*cost)
 	if math.Abs(cost) > 0.01 {
 		t.Errorf("the default push precision moves the mean eta=2 bound by %+.2f %%, more than 1 %%", 100*cost)
+	}
+}
+
+// TestBoundSoundAfterLongUpdateSequence holds Theorem 2's guarantee after 300
+// single-edge batches at the default clip. ApplyUpdate finds the hubs a batch
+// affects through their clipped records, so a record whose only path to a
+// touched node was clipped away is not recomputed and stays stale; the test
+// logs how many records differ from a fresh push (stale_records) without
+// asserting it, and checks the bound on the graph the engine now serves.
+func TestBoundSoundAfterLongUpdateSequence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("applies 300 update batches")
+	}
+	if raceEnabled {
+		t.Skip("the race detector slows the 300 updates ~10×, and the bound it checks is the same without it")
+	}
+	g, err := gen.RandomDirected(1500, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, nil, Options{NumHubs: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 300; i++ {
+		if _, err := e.ApplyUpdate(singleEdgeUpdate(rng, e.Graph())); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+
+	stale := 0
+	var scratch prime.Scratch
+	for _, h := range e.Hubs().Hubs() {
+		entries, _, err := scratch.Push(e.Graph(), h, e.hubs, e.opts.primeOptions(), e.opts.Clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, ok, err := e.Index().GetView(h)
+		if err != nil || !ok {
+			t.Fatalf("hub %d: record missing (%v)", h, err)
+		}
+		if !bytes.Equal(view.EntryBytes(), sparse.AppendEncoded(nil, entries)) {
+			stale++
+		}
+		view.Release()
+	}
+	t.Logf("stale_records: %d of %d differ from a fresh push after 300 batches", stale, e.Hubs().Size())
+
+	checkSound(t, "after 300 single-edge batches", e, mixedSources(e, 15))
+}
+
+// singleEdgeUpdate returns a batch that adds one absent edge or removes one
+// edge of a node with another out-edge left, each half the time.
+func singleEdgeUpdate(rng *rand.Rand, g *graph.Graph) GraphUpdate {
+	n := g.NumNodes()
+	for {
+		u := graph.NodeID(rng.Intn(n))
+		if rng.Intn(2) == 0 {
+			if v := graph.NodeID(rng.Intn(n)); u != v && !g.HasEdge(u, v) {
+				return GraphUpdate{AddedEdges: []graph.Edge{{From: u, To: v}}}
+			}
+		} else if out := g.OutNeighbors(u); len(out) > 1 {
+			return GraphUpdate{RemovedEdges: []graph.Edge{{From: u, To: out[rng.Intn(len(out))]}}}
+		}
 	}
 }

@@ -14,12 +14,12 @@
 // and the rules every such log shares live here once: a file shorter than its
 // header that starts like one (torn by a crash) gets a fresh one; a foreign
 // magic or version, in a file of any size, is an error that leaves the file
-// untouched; a header bound to something else resets the log instead of
-// replaying it; replay stops at the first short, oversized, CRC-bad or
-// undecodable frame and the torn tail is truncated, so nothing after an
-// invalid frame is ever trusted; appends are buffered and become durable in
-// batches (Commit: one write, one fsync); creating or renaming a file fsyncs
-// its directory before the operation is reported done.
+// untouched; so is a header bound to something else (ErrBindingMismatch);
+// replay stops at the first short, oversized, CRC-bad or undecodable frame
+// and the torn tail is truncated, so nothing after an invalid frame is ever
+// trusted; appends are buffered and become durable in batches (Commit: one
+// write, one fsync); creating or renaming a file fsyncs its directory before
+// the operation is reported done.
 //
 // The unit of atomicity is the frame, not the batch. Close rolls back to the
 // last Commit, but a crash does not: frames written out ahead of Commit (past
@@ -56,6 +56,10 @@ const flushBytes = 1 << 16
 // the frame is treated like a CRC mismatch, ending replay and truncating the
 // file there. Any other error from the callback aborts the replay.
 var ErrTorn = errors.New("frame: undecodable payload")
+
+// ErrBindingMismatch is what Open returns for a log whose header is bound to
+// something other than the binding it was given; the file is left as it is.
+var ErrBindingMismatch = errors.New("frame: log is bound to something else")
 
 var errClosed = errors.New("frame: log is closed")
 
@@ -161,9 +165,9 @@ type Log struct {
 
 // Open opens (or creates) the log at path and streams every valid frame's
 // payload through decode, in append order. The payload slice is reused
-// between calls. A header whose binding differs from binding resets the log
-// to empty instead of replaying it; a torn tail is truncated. The returned
-// log is positioned for appending.
+// between calls. A header whose binding differs from binding is refused with
+// ErrBindingMismatch, leaving the file unchanged; a torn tail is truncated.
+// The returned log is positioned for appending.
 func Open(fs FS, path string, format Format, binding []byte, decode func(payload []byte) error) (*Log, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -197,7 +201,7 @@ func (l *Log) recover(decode func([]byte) error) error {
 		return l.fs.SyncDir(filepath.Dir(l.path))
 	}
 	if !bytes.Equal(bound[:len(l.binding)], l.binding) {
-		return l.writeHeader()
+		return fmt.Errorf("%w: %s %s", ErrBindingMismatch, l.format.Name, l.path)
 	}
 	end, frames, err := l.format.scan(l.f, size, decode)
 	if err != nil {

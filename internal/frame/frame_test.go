@@ -325,8 +325,9 @@ func threeFrameFile(t *testing.T, binding []byte) ([]byte, [][]byte) {
 
 // TestFrameEveryTruncationAndBitFlip opens a three-frame file cut at every
 // byte offset and with a bit flipped in every byte: Open returns the
-// format's structured error with the file untouched, or a valid prefix, and
-// a second Open finds nothing left to repair.
+// format's structured error or ErrBindingMismatch (a flip in the binding)
+// with the file untouched, or a valid prefix, and a second Open finds nothing
+// left to repair.
 func TestFrameEveryTruncationAndBitFlip(t *testing.T) {
 	binding := []byte("bind-one")
 	valid, want := threeFrameFile(t, binding)
@@ -349,7 +350,7 @@ func TestFrameEveryTruncationAndBitFlip(t *testing.T) {
 		var got [][]byte
 		l, err := Open(fs, testPath, testFormat, binding, collect(&got))
 		if err != nil {
-			if !errors.Is(err, errBadHeader) {
+			if !errors.Is(err, errBadHeader) && !errors.Is(err, ErrBindingMismatch) {
 				t.Fatalf("%s: unstructured error %v", name, err)
 			}
 			if !bytes.Equal(fs.files[testPath].data, data) {
@@ -561,5 +562,48 @@ func TestFrameShortForeignFile(t *testing.T) {
 		if !bytes.Equal(fs.files[testPath].data, data) {
 			t.Errorf("%s: the rejected file was modified", name)
 		}
+	}
+}
+
+// TestFrameRefusesAnotherBinding: a log bound to something else is refused
+// and left byte for byte as it was, so reopening it under its own binding
+// still replays every committed frame.
+func TestFrameRefusesAnotherBinding(t *testing.T) {
+	fs := newMemFS()
+	bindA, bindB := []byte("bind-one"), []byte("bind-two")
+	l, err := Open(fs, testPath, testFormat, bindA, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 5; i++ {
+		want = append(want, payload(i))
+		if err := l.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(fs.files[testPath].data)
+
+	if _, err := Open(fs, testPath, testFormat, bindB, nil); !errors.Is(err, ErrBindingMismatch) {
+		t.Fatalf("Open under another binding = %v, want ErrBindingMismatch", err)
+	}
+	if !bytes.Equal(fs.files[testPath].data, before) {
+		t.Fatal("the refused log was modified")
+	}
+
+	var got [][]byte
+	l, err = Open(fs, testPath, testFormat, bindA, collect(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(got) != len(want) || !isPrefix(got, want) {
+		t.Fatalf("reopened under its own binding, replayed %d frames, want all %d", len(got), len(want))
 	}
 }

@@ -426,27 +426,6 @@ func (s *Store) directory() *storeState {
 	return closedState
 }
 
-// WarmHubs preloads the given hubs' records through the block cache and
-// returns how many of them are now cached, so a freshly started shard can
-// front-load its hottest blocks instead of paying a cold random read per
-// first request. Without a block cache (or on a closed store) it is a no-op
-// reporting zero. The serving layer drives it via server.Config.WarmHubs.
-func (s *Store) WarmHubs(hubs []graph.NodeID) int {
-	st, err := s.reading()
-	if err != nil || st.gen.cache == nil {
-		return 0
-	}
-	warmed := 0
-	for _, h := range hubs {
-		// The cache fill is the wanted side effect; nothing is decoded.
-		if view, ok, err := st.gen.cache.GetView(h); err == nil && ok {
-			view.Release()
-			warmed++
-		}
-	}
-	return warmed
-}
-
 // BlockCacheStats reports the hub-block cache counters; ok is false when the
 // store runs without a cache. The serving layer's /v1/stats exposes these.
 // Lock-free (state load only), so stats stay responsive during a compaction.

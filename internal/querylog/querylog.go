@@ -1,9 +1,8 @@
 // Package querylog persists one compact binary record per completed query so
-// the observed workload survives restarts. The log is the input that makes
-// other subsystems adaptive instead of guessed: on startup the server replays
-// it to warm the hub cache with the blocks the real workload actually needs
-// (frequency-decayed top sources → their hub dependencies), and cmd/ppvlog
-// aggregates or replays it offline.
+// the observed workload survives restarts and can be studied offline:
+// cmd/ppvlog aggregates a log (per-source decayed frequencies, latency and
+// bound summaries) or replays it against a live server. The serving process
+// only appends.
 //
 // The file is a framed log (internal/frame), the mechanism of the PPV update
 // log too: a 16-byte header (magic 'F','P','Q','1',
@@ -173,8 +172,6 @@ type Log struct {
 	rotations int64
 	closed    bool
 
-	agg *SourceAggregator
-
 	stop chan struct{}
 	done chan struct{}
 
@@ -183,9 +180,9 @@ type Log struct {
 
 // Open opens (creating if absent) the query log at path, replays the previous
 // generation (<path>.1, if present) and then the active file — truncating a
-// torn tail — and feeds every recovered record to replay (which may be nil)
-// and to the internal source aggregator. A file whose header is not a
-// compatible query log is rejected with ErrBadFormat.
+// torn tail — and feeds every recovered record to replay (which may be nil).
+// A file whose header is not a compatible query log is rejected with
+// ErrBadFormat.
 func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
 	return open(frame.OS{}, path, opts, replay)
 }
@@ -194,12 +191,10 @@ func open(fs frame.FS, path string, opts Options, replay func(Record) error) (*L
 	opts = opts.withDefaults()
 	l := &Log{
 		opts: opts,
-		agg:  NewSourceAggregator(defaultHalfLife),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	feed := decodeInto(func(r Record) error {
-		l.agg.Add(r.Source)
 		l.replayed++
 		if replay != nil {
 			return replay(r)
@@ -334,7 +329,6 @@ func (l *Log) Append(r Record) error {
 		return err
 	}
 	l.appended++
-	l.agg.Add(r.Source)
 	if l.opts.FlushInterval < 0 {
 		return l.log.Commit()
 	}
@@ -391,22 +385,6 @@ func (l *Log) Stats() Stats {
 		Rotations:      l.rotations,
 		TruncatedBytes: l.log.Truncated(),
 	}
-}
-
-// Records returns the total records observed (replayed + appended).
-func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replayed + l.appended
-}
-
-// TopSources returns up to k distinct query sources ordered by
-// frequency-decayed weight (recent queries count more), ties broken by node
-// id. It reflects both replayed and appended records.
-func (l *Log) TopSources(k int) []graph.NodeID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.agg.TopSources(k)
 }
 
 // Replay scans the log at path offline — previous generation first, then the

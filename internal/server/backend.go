@@ -108,10 +108,6 @@ func (b engineBackend) stats(resp *StatsResponse) {
 	if p := s.engine.Partition(); p.Enabled() {
 		resp.Shard = p.String()
 	}
-	if s.cfg.WarmHubs > 0 {
-		warmed := s.warmed
-		resp.Warming = &warmed
-	}
 	if bcs, ok := s.engine.Index().(blockCacheStatser); ok {
 		if st, enabled := bcs.BlockCacheStats(); enabled {
 			resp.BlockCache = &st

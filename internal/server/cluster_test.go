@@ -13,8 +13,6 @@ import (
 	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
-	"fastppv/internal/ppvindex"
-	"fastppv/internal/sparse"
 )
 
 // testShard is one shard daemon under test. Close kills it for real: the
@@ -628,8 +626,9 @@ func TestClusterUpdateSkipsBehindShard(t *testing.T) {
 
 // TestClusterUpdateAddsNodes checks that a router serves the nodes an update
 // fan-out added: its node count follows the update's num_nodes on /v1/stats
-// and /metrics, a query for a new node is answered rather than refused, and a
-// later update naming fewer nodes does not lower the count.
+// and /metrics, a query for a new node is answered rather than refused, a
+// later update naming fewer nodes does not lower the count, and one more than
+// doubling it is refused by the shards and answered 400.
 func TestClusterUpdateAddsNodes(t *testing.T) {
 	routerTS, rt := routerWithRegistry(t, socialGraph(t, 300))
 	if n := rt.NumNodes(); n != 300 {
@@ -652,6 +651,14 @@ func TestClusterUpdateAddsNodes(t *testing.T) {
 		if n := scrapeValue(t, string(metrics), "fastppv_cluster_nodes"); n != 310 {
 			t.Errorf("after %s: fastppv_cluster_nodes %v, want 310", update, n)
 		}
+	}
+	status, out := post(t, routerTS, "/v1/update", `{"num_nodes":3000,"added_edges":[[7,9]]}`)
+	var eresp api.ErrorResponse
+	if status != http.StatusBadRequest || json.Unmarshal(out, &eresp) != nil || eresp.Error.Code != api.CodeBadRequest {
+		t.Errorf("router update to 3000 nodes = %d (%s), want 400 bad_request", status, out)
+	}
+	if st := shardStatsOf(t, routerTS); st.Graph.Nodes != 310 {
+		t.Errorf("after the refused update the router reports %d nodes, want 310", st.Graph.Nodes)
 	}
 }
 
@@ -711,59 +718,5 @@ func TestUpdateIfEpochPrecondition(t *testing.T) {
 	var ur UpdateResponse
 	if err := json.Unmarshal(body, &ur); err != nil || ur.Epoch != 1 {
 		t.Errorf("update response %s, want epoch 1", body)
-	}
-}
-
-// warmableIndex wraps a MemIndex and records warm requests, standing in for
-// the disk store's block cache in warming tests.
-type warmableIndex struct {
-	*ppvindex.MemIndex
-	warmedHubs []graph.NodeID
-}
-
-func (w *warmableIndex) WarmHubs(hubs []graph.NodeID) int {
-	w.warmedHubs = append(w.warmedHubs, hubs...)
-	return len(hubs)
-}
-
-func TestServerWarmsHottestHubs(t *testing.T) {
-	g := socialGraph(t, 300)
-	base := testEngine(t, g, 40)
-	idx := &warmableIndex{MemIndex: ppvindex.NewMemIndex()}
-	for _, h := range base.Index().Hubs() {
-		v, _, err := base.Index().Get(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.Put(h, sparse.Vector(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := core.NewServingEngine(g, g, idx, core.Options{NumHubs: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(e, Config{WarmHubs: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.warmedHubs) != 7 {
-		t.Fatalf("warmed %d hubs, want 7", len(idx.warmedHubs))
-	}
-	// Hottest-first: out-degrees must be non-increasing.
-	for i := 1; i < len(idx.warmedHubs); i++ {
-		if g.OutDegree(idx.warmedHubs[i-1]) < g.OutDegree(idx.warmedHubs[i]) {
-			t.Errorf("warm order not by descending out-degree at %d", i)
-		}
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	_, _, body := get(t, ts, "/v1/stats")
-	var st StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Warming == nil || st.Warming.Warmed != 7 || st.Warming.Requested != 7 {
-		t.Errorf("stats warming = %+v, want 7/7", st.Warming)
 	}
 }

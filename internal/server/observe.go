@@ -7,7 +7,7 @@
 // and GET /v1/debug/trace/{id}, so the trace for last minute's p99 spike is
 // retrievable without anyone having passed ?trace=1. Completed queries are
 // additionally appended to the persistent query log (internal/querylog) when
-// one is configured, which is what startup cache warming replays.
+// one is configured, for cmd/ppvlog to aggregate or replay offline.
 package server
 
 import (

@@ -13,9 +13,6 @@ import (
 
 	"fastppv/internal/api"
 	"fastppv/internal/cluster"
-	"fastppv/internal/core"
-	"fastppv/internal/graph"
-	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
 )
 
@@ -307,42 +304,9 @@ func TestSLOAccounting(t *testing.T) {
 	}
 }
 
-// cachedDiskEngine precomputes g into a disk index and reopens it behind a
-// cold block cache of the default size.
-func cachedDiskEngine(t *testing.T, g *graph.Graph, numHubs int) *core.Engine {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "index.ppv")
-	bind := ppvindex.GraphBinding{Nodes: g.NumNodes(), Edges: g.NumEdges(), Directed: g.Directed()}
-	build, err := ppvindex.CreateStore(path, bind, ppvindex.StoreOptions{BlockCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := core.NewEngine(g, build, core.Options{NumHubs: numHubs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.Precompute(); err != nil {
-		t.Fatal(err)
-	}
-	if err := build.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store, err := ppvindex.OpenStore(path, bind, ppvindex.StoreOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	served, err := core.NewServingEngine(g, g, store, core.Options{NumHubs: numHubs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return served
-}
-
 // TestQueryLogOnServingPath checks the end-to-end loop: served queries land in
 // the log with the right outcome flags, /v1/stats reports the log, and a
-// restart on a disk index with a block cache replays the records so
-// log-driven warming kicks in with source=querylog.
+// restart replays the records and reports them under query_log.replayed.
 func TestQueryLogOnServingPath(t *testing.T) {
 	g := socialGraph(t, 300)
 	engine := testEngine(t, g, 30)
@@ -377,7 +341,7 @@ func TestQueryLogOnServingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: replay the log and let it drive warming.
+	// Restart: replay the log.
 	var replayed []querylog.Record
 	qlog2, err := querylog.Open(path, querylog.Options{}, func(r querylog.Record) error {
 		replayed = append(replayed, r)
@@ -403,7 +367,7 @@ func TestQueryLogOnServingPath(t *testing.T) {
 		t.Errorf("cache-hit records = %d, want 3", hits)
 	}
 
-	srv2, err := New(cachedDiskEngine(t, g, 30), Config{QueryLog: qlog2, WarmHubs: 8})
+	srv2, err := New(engine, Config{QueryLog: qlog2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +378,8 @@ func TestQueryLogOnServingPath(t *testing.T) {
 	if err := json.Unmarshal(body2, &st2); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Warming == nil || st2.Warming.Source != "querylog" {
-		t.Fatalf("warming = %+v, want source=querylog after replay", st2.Warming)
-	}
-	if st2.Warming.Sources == 0 || st2.Warming.Requested == 0 || st2.Warming.Warmed == 0 {
-		t.Errorf("warming = %+v, want replayed sources, block loads and resident blocks", st2.Warming)
+	if st2.QueryLog == nil || st2.QueryLog.Replayed != 5 || st2.QueryLog.Appended != 0 {
+		t.Errorf("stats query_log after restart = %+v, want 5 replayed, 0 appended", st2.QueryLog)
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -61,7 +60,6 @@ import (
 	"fastppv/internal/lru"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/querylog"
-	"fastppv/internal/sparse"
 	"fastppv/internal/telemetry"
 )
 
@@ -92,16 +90,9 @@ type Config struct {
 	// being shed with 503 overloaded; zero means 25ms. Negative means no
 	// waiting.
 	QueueWait time.Duration
-	// WarmHubs, when positive, preloads the prime PPVs of the K hottest hubs
-	// (by out-degree, the cheap popularity proxy available in every mode)
-	// through the index's block cache at startup, so a freshly started
-	// disk-serving shard does not answer its first requests at cold-read
-	// latency. It is a no-op for in-memory indexes and cache-less stores.
-	WarmHubs int
-	// QueryLog optionally receives one record per completed query (and, when
-	// it was opened with replay before the server started, drives log-based
-	// cache warming instead of the out-degree heuristic). The server appends
-	// to it but does not own it: the caller opens and closes the log.
+	// QueryLog optionally receives one record per completed query, for
+	// offline analysis (cmd/ppvlog). The server appends to it but does not
+	// own it: the caller opens and closes the log.
 	QueryLog *querylog.Log
 	// SlowThreshold is the compute duration past which a query's trace is
 	// retained unconditionally in the debug ring (GET /v1/debug/slow); zero
@@ -191,7 +182,6 @@ type Server struct {
 	logger   *slog.Logger
 	started  time.Time
 	updates  atomic.Int64
-	warmed   WarmStats
 
 	// qlog receives one record per completed query; nil when no query log is
 	// configured. traces is the always-on retained-trace ring; sampleCtr
@@ -204,27 +194,6 @@ type Server struct {
 	// its version, but a restart may replay the batch. Health checks fail
 	// until an operator intervenes (restart or full Precompute).
 	inconsistent atomic.Bool
-}
-
-// WarmStats reports the startup block-cache warming pass.
-type WarmStats struct {
-	// Requested is the number of hub blocks warming asked for: in heuristic
-	// mode Config.WarmHubs clamped to the hubs this index actually holds, in
-	// querylog mode the block loads the replayed queries made.
-	Requested int `json:"requested"`
-	// Warmed is how many hub blocks the block cache holds after the pass (in
-	// heuristic mode, of the requested hubs); zero when the index has no
-	// cache to warm (in-memory, or caching disabled).
-	Warmed     int     `json:"warmed"`
-	DurationMS float64 `json:"duration_ms"`
-	// Source says what chose the hubs: "querylog" (frequency-decayed top
-	// sources replayed from the persistent query log and run as queries,
-	// which load the blocks they read) or "heuristic" (hottest hubs by
-	// out-degree — the fallback when no log is configured, the log is empty,
-	// or the index has no block cache to fill).
-	Source string `json:"source,omitempty"`
-	// Sources is how many replayed top sources drove the querylog pass.
-	Sources int `json:"sources,omitempty"`
 }
 
 func newServer(cfg Config) *Server {
@@ -264,7 +233,6 @@ func New(engine *core.Engine, cfg Config) (*Server, error) {
 	s.engine = engine
 	s.be = engineBackend{s}
 	s.registerCollectors(s.registry)
-	s.warm()
 	return s, nil
 }
 
@@ -285,86 +253,6 @@ func NewRouter(rt *cluster.Router, cfg Config) (*Server, error) {
 	s.be = routerBackend{rt}
 	s.registerCollectors(s.registry)
 	return s, nil
-}
-
-// hubWarmer is implemented by index stores that can preload hub blocks into
-// a cache (ppvindex.Store).
-type hubWarmer interface {
-	WarmHubs(hubs []graph.NodeID) int
-}
-
-// warm preloads hub prime PPVs through the index's block cache at startup.
-// When the index has a block cache and a replayed query log is available, the
-// log is the workload oracle: the frequency-decayed top sources are run
-// through the engine (at the default eta), loading exactly the blocks the
-// observed workload reads. Otherwise it falls back to the static heuristic:
-// the Config.WarmHubs hottest hubs by out-degree, ties broken by id for
-// determinism.
-func (s *Server) warm() {
-	if s.cfg.WarmHubs <= 0 {
-		return
-	}
-	start := time.Now()
-	if s.qlog != nil && s.qlog.Records() > 0 {
-		if st, ok := s.warmFromLog(s.qlog.TopSources(s.cfg.WarmHubs)); ok {
-			s.warmed = st
-			s.warmed.DurationMS = float64(time.Since(start)) / 1e6
-			return
-		}
-	}
-	g := s.engine.Graph()
-	hubs := append([]graph.NodeID(nil), s.engine.Index().Hubs()...)
-	sort.Slice(hubs, func(i, j int) bool {
-		di, dj := g.OutDegree(hubs[i]), g.OutDegree(hubs[j])
-		if di != dj {
-			return di > dj
-		}
-		return hubs[i] < hubs[j]
-	})
-	if len(hubs) > s.cfg.WarmHubs {
-		hubs = hubs[:s.cfg.WarmHubs]
-	}
-	s.warmed.Source = "heuristic"
-	s.warmed.Requested = len(hubs)
-	if w, ok := s.engine.Index().(hubWarmer); ok {
-		s.warmed.Warmed = w.WarmHubs(hubs)
-	}
-	s.warmed.DurationMS = float64(time.Since(start)) / 1e6
-}
-
-// warmFromLog runs the top replayed sources as queries, keeping nothing: they
-// pull the blocks the workload reads through the block cache, whose counters
-// then say what the pass did. Returns ok=false when the index has no block
-// cache or no replayed source is still a valid node (e.g. the log belongs to
-// another graph), in which case the caller falls back to the heuristic.
-func (s *Server) warmFromLog(sources []graph.NodeID) (WarmStats, bool) {
-	bcs, ok := s.engine.Index().(blockCacheStatser)
-	if !ok {
-		return WarmStats{}, false
-	}
-	before, enabled := bcs.BlockCacheStats()
-	if !enabled {
-		return WarmStats{}, false
-	}
-	g := s.engine.Graph()
-	ran := 0
-	stop := core.StopCondition{MaxIterations: s.cfg.DefaultEta}
-	for _, src := range sources {
-		if src < 0 || int(src) >= g.NumNodes() {
-			continue
-		}
-		qs, err := s.engine.NewQuery(src)
-		if err != nil {
-			continue
-		}
-		qs.Serve(stop, func([]sparse.Entry) {})
-		ran++
-	}
-	if ran == 0 {
-		return WarmStats{}, false
-	}
-	after, _ := bcs.BlockCacheStats()
-	return WarmStats{Source: "querylog", Sources: ran, Requested: int(after.Loads - before.Loads), Warmed: after.Entries}, true
 }
 
 // Handler returns the HTTP handler exposing the API. GET /metrics and
@@ -962,6 +850,11 @@ func (s *Server) applyUpdate(ureq UpdateRequest) (core.UpdateStats, error) {
 		return core.UpdateStats{}, &httpError{status: http.StatusConflict, code: api.CodeEpochMismatch,
 			msg: fmt.Sprintf("engine is at epoch %d, not %d", epoch, *ureq.IfEpoch)}
 	}
+	// One batch may at most double the graph, so a single request cannot
+	// make the engine allocate billions of nodes.
+	if ureq.NumNodes > 2*g.NumNodes() {
+		return core.UpdateStats{}, badRequest("num_nodes %d is more than twice the %d nodes of the graph", ureq.NumNodes, g.NumNodes())
+	}
 	numNodes := max(g.NumNodes(), ureq.NumNodes)
 	var err error
 	if upd.AddedEdges, err = parseEdges("added_edges", ureq.AddedEdges, numNodes); err == nil {
@@ -1121,10 +1014,7 @@ type StatsResponse struct {
 	Shard string `json:"shard,omitempty"`
 	// Cluster is the router's per-shard health and latency view, present only
 	// in router mode.
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
-	// Warming reports the startup block-cache warming pass (engine mode with
-	// Config.WarmHubs set).
-	Warming    *WarmStats                `json:"warming,omitempty"`
+	Cluster    *cluster.Stats            `json:"cluster,omitempty"`
 	Cache      *CacheStats               `json:"cache,omitempty"`
 	BlockCache *ppvindex.BlockCacheStats `json:"block_cache,omitempty"`
 	Durability *ppvindex.DurabilityStats `json:"durability,omitempty"`

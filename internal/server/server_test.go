@@ -787,9 +787,10 @@ func TestServerNodeIDBeyondInt32(t *testing.T) {
 }
 
 // TestServerUpdateIDsBeyondInt32 checks that an update naming a node id or a
-// node count past the NodeID range is refused with 400 instead of wrapping an
-// endpoint onto a valid node (4294967301 is 5 modulo 2^32) or building a graph
-// of billions of nodes, and that the graph is left as it was.
+// node count past the NodeID range, or more than twice the graph's node count,
+// is refused with 400 instead of wrapping an endpoint onto a valid node
+// (4294967301 is 5 modulo 2^32) or building a graph of billions of nodes, and
+// that the graph is left as it was; twice the node count applies.
 func TestServerUpdateIDsBeyondInt32(t *testing.T) {
 	if edges, err := parseEdges("added_edges", [][]int{{1<<32 + 5, 1}}, 1<<32+10); err == nil {
 		t.Errorf("parseEdges accepted an endpoint past the NodeID range as %v", edges)
@@ -797,7 +798,7 @@ func TestServerUpdateIDsBeyondInt32(t *testing.T) {
 	if _, err := parseEdges("added_edges", [][]int{{math.MaxInt32, 1}}, math.MaxInt32+1); err != nil {
 		t.Errorf("parseEdges refused the largest NodeID: %v", err)
 	}
-	srv, err := New(testEngine(t, socialGraph(t, 100), 10), Config{})
+	srv, err := New(testEngine(t, socialGraph(t, 300), 30), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,13 +808,22 @@ func TestServerUpdateIDsBeyondInt32(t *testing.T) {
 		`{"num_nodes":4294967306,"added_edges":[[4294967301,1]]}`,
 		`{"num_nodes":2147483648}`,
 		`{"added_edges":[[4294967301,1]]}`,
+		`{"num_nodes":3000,"added_edges":[[1,2]]}`,
 	} {
-		if status, body := post(t, ts, "/v1/update", update); status != http.StatusBadRequest {
-			t.Errorf("update %s: status %d (%s), want 400", update, status, body)
+		status, body := post(t, ts, "/v1/update", update)
+		var eresp api.ErrorResponse
+		if status != http.StatusBadRequest || json.Unmarshal(body, &eresp) != nil || eresp.Error.Code != api.CodeBadRequest {
+			t.Errorf("update %s: status %d (%s), want 400 bad_request", update, status, body)
 		}
 	}
-	if n, e := srv.engine.Graph().NumNodes(), srv.engine.Epoch(); n != 100 || e != 0 {
-		t.Errorf("after the refused updates the graph has %d nodes at epoch %d, want 100 at 0", n, e)
+	if n, e := srv.engine.Graph().NumNodes(), srv.engine.Epoch(); n != 300 || e != 0 {
+		t.Errorf("after the refused updates the graph has %d nodes at epoch %d, want 300 at 0", n, e)
+	}
+	if status, body := post(t, ts, "/v1/update", `{"num_nodes":600,"added_edges":[[1,599]]}`); status != http.StatusOK {
+		t.Fatalf("num_nodes 600 on 300 nodes: status %d (%s), want 200", status, body)
+	}
+	if n, e := srv.engine.Graph().NumNodes(), srv.engine.Epoch(); n != 600 || e != 1 {
+		t.Errorf("after doubling the graph has %d nodes at epoch %d, want 600 at 1", n, e)
 	}
 }
 
