@@ -82,9 +82,9 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // OfflineStats reports the cost of Precompute. IndexBytes charges the hub
-// PPVs in FastPPV's record layout (an 8-byte hub header, then
-// sparse.EncodedEntrySize an entry), so that the offline-space figures
-// (13-15) compare the algorithms, not two encodings.
+// PPVs in FastPPV's record layout (an 8-byte hub header, then the payload of
+// sparse.AppendEncoded), so that the offline-space figures (13-15) compare
+// the algorithms, not two encodings.
 type OfflineStats struct {
 	Hubs         int
 	Total        time.Duration
@@ -182,7 +182,7 @@ func (r *Ranker) Precompute() error {
 	}
 	for _, v := range r.hubPPVs {
 		r.offline.IndexEntries += int64(v.NonZeros())
-		r.offline.IndexBytes += 8 + int64(v.NonZeros())*sparse.EncodedEntrySize
+		r.offline.IndexBytes += 8 + int64(len(sparse.AppendEncoded(nil, v.AppendSorted(nil))))
 	}
 	return nil
 }

@@ -187,14 +187,14 @@ func NewServingEngine(base, served *graph.Graph, index IndexStore, opts Options)
 	if err != nil {
 		return nil, err
 	}
+	stats, err := ppvindex.StatsOf(index)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts, hubs: hubSet, index: index}
 	e.cur.Store(&version{g: served, epoch: opts.InitialEpoch, index: snap})
 	e.followCompactions()
-	e.offline = OfflineStats{
-		Hubs:         len(hubNodes),
-		IndexBytes:   index.SizeBytes(),
-		IndexEntries: ppvindex.StatsOf(index).TotalEntries,
-	}
+	e.offline = OfflineStats{Hubs: len(hubNodes), IndexBytes: stats.SizeBytes, IndexEntries: stats.TotalEntries}
 	return e, nil
 }
 
@@ -298,6 +298,10 @@ func (e *Engine) Precompute() error {
 	if err != nil {
 		return err
 	}
+	sizes, err := ppvindex.StatsOf(index)
+	if err != nil {
+		return err
+	}
 	if index != e.index {
 		e.index = index
 		e.followCompactions()
@@ -308,8 +312,7 @@ func (e *Engine) Precompute() error {
 	e.offline.HubSelection = selectionDone.Sub(start)
 	e.offline.PrimePPV = time.Since(selectionDone)
 	e.offline.Total = time.Since(start)
-	e.offline.IndexBytes = e.index.SizeBytes()
-	e.offline.IndexEntries = ppvindex.StatsOf(e.index).TotalEntries
+	e.offline.IndexBytes, e.offline.IndexEntries = sizes.SizeBytes, sizes.TotalEntries
 	e.cur.Store(&version{g: v.g, epoch: v.epoch, index: snap})
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"time"
@@ -80,14 +79,17 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 		return stats, err
 	}
 
-	// Identify the nodes whose outgoing transition behaviour changes.
-	touched := make(map[graph.NodeID]struct{})
+	// Identify the nodes whose outgoing transition behaviour changes, in
+	// ascending order, so one merge pass tests a record against all of them.
+	var touched []graph.NodeID
 	for _, ed := range slices.Concat(upd.AddedEdges, upd.RemovedEdges) {
-		touched[ed.From] = struct{}{}
+		touched = append(touched, ed.From)
 		if !v.g.Directed() {
-			touched[ed.To] = struct{}{}
+			touched = append(touched, ed.To)
 		}
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 
 	// The scan reads every owned hub's record once; a store with a block
 	// cache serves it past the cache, so an update does not evict the
@@ -114,14 +116,8 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 			affected = append(affected, h)
 			continue
 		}
-		hit := false
-		//lint:ordered membership OR over a set; the result is order-free
-		for t := range touched {
-			if t == h || view.Contains(t) {
-				hit = true
-				break
-			}
-		}
+		_, hit := slices.BinarySearch(touched, h)
+		hit = hit || view.ContainsAny(touched)
 		view.Release()
 		if hit {
 			affected = append(affected, h)
@@ -156,7 +152,7 @@ func (e *Engine) ApplyUpdate(upd GraphUpdate) (UpdateStats, error) {
 	slices.Sort(affected)
 	stats.AffectedHubs = len(affected)
 	stats.Recomputed = affected
-	stats.TouchedNodes = slices.Sorted(maps.Keys(touched))
+	stats.TouchedNodes = touched
 	stats.Duration = time.Since(start)
 	return stats, nil
 }

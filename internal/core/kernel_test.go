@@ -298,13 +298,16 @@ func heapAlloc() uint64 {
 
 // TestMemIndexHeapAndViewCost is the gate on what the packed in-memory index
 // buys: after a Precompute on the 5 000-node SocialGraph everything the engine
-// retains — the index's heap image (records, directory and footer) and the
-// directory's hubs above all, plus the hub set and the engine itself — is at
-// most 1.12 times the index's serialized size (1.08 times, measured; 1.06
-// with a payload arena behind a hubs/offsets directory; 1.25 when every
-// record was its own buffer in a map), and reading a record back as a view
-// allocates nothing, whether the record sits in the image or in the overlay a
-// rewrite put it in.
+// retains beyond the index's serialized size (its heap image: records,
+// directory and footer) — the directory's hubs, the hub set and the engine
+// itself — is at most 48 bytes a hub (23–36 B a hub for its 500, measured;
+// the gate allows 24 000 B, what 1.12 times the 202 616-byte index of
+// fixed-width records allowed; every record its own buffer in a map cost
+// 0.25 times the index), and reading a record back as a view allocates
+// nothing, whether the record sits in the image or in the overlay a rewrite
+// put it in. The allowance is a hub's, not a share of the index: the
+// overhead is fixed a hub, and the delta-coded records shrank the index by a
+// third.
 func TestMemIndexHeapAndViewCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are charged to the heap")
@@ -324,9 +327,10 @@ func TestMemIndexHeapAndViewCost(t *testing.T) {
 	after := heapAlloc()
 	retained := int64(after) - int64(before)
 	size := e.Index().SizeBytes()
-	t.Logf("engine retains %d B for an index of %d B (%.2fx)", retained, size, float64(retained)/float64(size))
-	if retained*100 > 112*size {
-		t.Errorf("the precomputed engine retains %d B of heap, more than 1.12 times its index's %d B", retained, size)
+	hubCount := int64(e.Index().Len())
+	t.Logf("engine retains %d B for an index of %d B (%.1f B a hub beyond it)", retained, size, float64(retained-size)/float64(hubCount))
+	if retained-size > 48*hubCount {
+		t.Errorf("the precomputed engine retains %d B of heap, more than its index's %d B plus 48 B for each of %d hubs", retained, size, hubCount)
 	}
 
 	// Rewrite one hub with its own record: it moves to the overlay, far

@@ -20,8 +20,8 @@ import (
 // a cache of its own, and the file never changes, so no block is ever stale:
 // a record an update rewrites is served from the store's overlay instead.
 //
-// Blocks are retained as the raw 8-byte-an-entry encoded payload — the same
-// flat layout as the disk record — and GetView serves cache hits as
+// Blocks are retained as the raw encoded payload — the same delta-coded
+// layout as the disk record — and GetView serves cache hits as
 // zero-copy, zero-allocation views over the retained buffer. The retained
 // buffer is an owned copy, never an alias of the inner index's mapping, so
 // cached views stay valid across compaction swaps and need no pin. Get
@@ -53,8 +53,8 @@ type BlockCacheStats struct {
 	BudgetBytes   int64 `json:"budget_bytes"`
 }
 
-// blockFixedBytes is the per-block overhead charged on top of the flat
-// payload (8 bytes/entry): the cache entry with its LRU links and map slot.
+// blockFixedBytes is the per-block overhead charged on top of the encoded
+// payload: the cache entry with its LRU links and map slot.
 const blockFixedBytes = 128
 
 // NewBlockCache wraps inner with a cache of budgetBytes total budget split

@@ -104,14 +104,15 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 		vectors[h] = sparse.Vector{h: 0.5, h + 100: 0.25}
 	}
 	// A block larger than the whole budget, read last.
-	huge := sparse.New(64)
-	for i := 0; i < 64; i++ {
+	huge := sparse.New(128)
+	for i := 0; i < 128; i++ {
 		huge[graph.NodeID(1000+i)] = 0.001
 	}
 	vectors[200] = huge
 	inner := countingDiskIndex(t, vectors)
 	// One shard so LRU order is global; the budget fits 3 two-entry blocks
-	// (128 fixed + 2*12 = 152 bytes each) and not a fourth.
+	// (128 fixed + 2 entries of a one-byte gap and a score = 138 bytes each)
+	// and not a fourth.
 	const budget = 500
 	bc := NewBlockCache(inner, budget, 1)
 
@@ -125,7 +126,7 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 		t.Errorf("cache holds %d bytes, budget %d", st.Bytes, budget)
 	}
 	if st.Evictions != 5 || st.Entries != 3 {
-		t.Errorf("evictions = %d entries = %d, want 5 and 3 (8 blocks of 152 bytes under %d)", st.Evictions, st.Entries, budget)
+		t.Errorf("evictions = %d entries = %d, want 5 and 3 (8 blocks of 138 bytes under %d)", st.Evictions, st.Entries, budget)
 	}
 
 	// The most recently used hub must still be cached; re-reading it must not
@@ -145,9 +146,9 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 		t.Error("least recently used block should have been evicted")
 	}
 
-	// The oversized block (128 + 64*12 = 896 bytes) is served, not retained.
+	// The oversized block (128 + 128*5 = 768 bytes) is served, not retained.
 	v, ok, err := bc.Get(200)
-	if !ok || err != nil || v.NonZeros() != 64 {
+	if !ok || err != nil || v.NonZeros() != 128 {
 		t.Fatalf("Get(200) = %d entries, %v, %v", v.NonZeros(), ok, err)
 	}
 	if st := bc.Stats(); st.Bytes > budget || st.Entries != 3 {

@@ -21,14 +21,15 @@ import (
 // Disk layout (little endian):
 //
 //	records (one per hub, written first, streamed in Put order):
-//	  hub    uint32
-//	  count  uint32
-//	  count * { node uint32, score float32 }   (sparse.PutEncodedEntry)
-//	directory (hubs entries, appended after the last record):
+//	  hub      uint32
+//	  length   uint32  payload bytes
+//	  payload  entries in ascending node order (sparse.AppendEncoded):
+//	           { gap uvarint (node − previous node − 1), score float32 }
+//	directory (hubs entries in ascending hub order, after the last record):
 //	  hub    uint32
 //	  offset uint64   byte offset of the hub's record from the file start
 //	footer (the final 16 bytes of the file):
-//	  magic    uint32 'F','P','I','2'
+//	  magic    uint32 'F','P','I','3'
 //	  hubs     uint32
 //	  dirStart uint64  byte offset of the directory
 //
@@ -40,23 +41,28 @@ import (
 // once in one sequential pass (checkRecords), and keeps the directory's hubs
 // (4 bytes a hub) to bisect. Each GetView is then one read of the mapping at
 // the offset in the record's directory entry, which models the "one random
-// access to the disk" per fetched hub of Sect. 6.3.1. Precompute and
-// compaction write in ascending hub order, so the directory is sorted and the
-// file byte-reproducible; one written out of hub order is served from a
-// sorted heap copy. The same layout in one heap buffer (openImage) is the
-// base of a MemIndex.
+// access to the disk" per fetched hub of Sect. 6.3.1. Close sorts the
+// directory by hub, whatever order the records came in, and a directory out
+// of hub order is refused as corrupt. Precompute and compaction write records
+// in ascending hub order too, so the file is byte-reproducible. The same
+// layout in one heap buffer (openImage) is the base of a MemIndex.
 //
 // The store never rewrites a published file in place: it writes <path>.tmp
 // and renames it, so an open mapping keeps the old inode. A file truncated
 // under an open index is outside that contract: reads of the lost tail see
 // zeros in the last page or fault past it.
 //
-// FPI1, the previous layout, stored 12-byte (node uint32, score float64)
-// entries. It is not migrated: opening one fails with ErrBadIndexFormat.
-const (
-	diskMagic   = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('2')<<24
-	diskMagicV1 = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('1')<<24
-)
+// Older layouts are not migrated: opening one fails with ErrBadIndexFormat,
+// naming it, and leaves the file as it is. FPI1 stored 12-byte (node uint32,
+// score float64) entries; FPI2 stored 8-byte (node uint32, score float32)
+// entries behind an entry count.
+const diskMagic = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('3')<<24
+
+// oldLayouts names the refused layouts by magic.
+var oldLayouts = map[uint32]string{
+	uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('1')<<24: "FPI1 index (12-byte entries)",
+	uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('2')<<24: "FPI2 index (fixed 8-byte entries)",
+}
 
 // ErrBadIndexFormat reports a corrupt or foreign index file.
 var ErrBadIndexFormat = errors.New("ppvindex: bad index file format")
@@ -116,29 +122,28 @@ func CreateDisk(path string) (*DiskWriter, error) {
 	}, nil
 }
 
-// appendRecord appends one hub record in the shared binary layout (hub, count,
-// payload) to dst. The disk index records and the update-log frames use the
-// same encoding; payload is stored as handed in.
+// appendRecord appends one hub record in the shared binary layout (hub,
+// payload length, payload) to dst. The disk index records and the update-log
+// frames use the same encoding; payload is stored as handed in.
 func appendRecord(dst []byte, h graph.NodeID, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)/entryBytes))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
 }
 
 // parseRecord validates a record that arrives from outside the process (an
 // update-log frame) and returns its hub and entry payload, which aliases buf.
-// The count must exactly cover the buffer, and the payload must pass
-// checkPayload.
+// The header's length must exactly cover the buffer, and the payload must
+// pass checkPayload.
 func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 	if len(buf) < perHubOverheadBytes {
 		return 0, nil, fmt.Errorf("%w: record payload of %d bytes is shorter than its header", ErrBadIndexFormat, len(buf))
 	}
 	h := graph.NodeID(binary.LittleEndian.Uint32(buf[0:]))
-	count := int64(binary.LittleEndian.Uint32(buf[4:]))
-	payload := buf[perHubOverheadBytes:]
-	if count*entryBytes != int64(len(payload)) {
-		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d entries in a %d-byte payload", ErrBadIndexFormat, h, count, len(buf))
+	if n := perHubOverheadBytes + int64(binary.LittleEndian.Uint32(buf[4:])); n != int64(len(buf)) {
+		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d bytes in a %d-byte buffer", ErrBadIndexFormat, h, n, len(buf))
 	}
+	payload := buf[perHubOverheadBytes:]
 	if err := checkPayload(h, payload); err != nil {
 		return 0, nil, err
 	}
@@ -146,22 +151,23 @@ func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 }
 
 // checkPayload is the gate every record read from a file passes once (an
-// update-log frame on replay, a disk index's records when it opens): node ids
-// must strictly ascend and every score must be finite and non-negative. Views
-// are folded and binary-searched as they are, a negative score would break
-// the estimate's lower-bound argument, and a NaN is not bit-stable through
-// float64 (a signalling NaN comes back quiet).
+// update-log frame on replay, a disk index's records when it opens): the
+// payload must decode whole (every gap well formed, every id below 2³¹, no
+// bytes left over; the gaps make ids strictly ascend) and every score must be
+// finite and non-negative. Views are folded as they are, a negative score
+// would break the estimate's lower-bound argument, and a NaN is not
+// bit-stable through float64 (a signalling NaN comes back quiet).
 func checkPayload(h graph.NodeID, payload []byte) error {
-	var prev graph.NodeID
-	for i := 0; i < len(payload)/entryBytes; i++ {
-		node, score := sparse.EncodedEntryAt(payload, i)
+	r := sparse.NewEncodedReader(payload)
+	i := 0
+	for node, score, ok := r.Next(); ok; node, score, ok = r.Next() {
 		if score < 0 || math.IsNaN(score) || math.IsInf(score, 1) {
 			return fmt.Errorf("%w: record of hub %d holds score %v at node %d (entry %d)", ErrBadIndexFormat, h, score, node, i)
 		}
-		if i > 0 && node <= prev {
-			return fmt.Errorf("%w: record of hub %d is not in ascending node order (entry %d: node %d after %d)", ErrBadIndexFormat, h, i, node, prev)
-		}
-		prev = node
+		i++
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: record of hub %d, entry %d: %w", ErrBadIndexFormat, h, i, err)
 	}
 	return nil
 }
@@ -210,8 +216,9 @@ func (d *DiskWriter) Close() error {
 	if err := d.w.Flush(); err != nil {
 		return fail(err)
 	}
-	// Records were written from the start of the file; the directory and the
-	// footer follow them.
+	// Records were written from the start of the file; the directory, in hub
+	// order, and the footer follow them.
+	slices.SortFunc(d.entries, func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) })
 	if _, err := d.f.Write(appendTail(nil, d.entries, d.offset)); err != nil {
 		return fail(err)
 	}
@@ -271,8 +278,7 @@ func (d *DiskWriter) Abort() error {
 // directory and the bytes never change after the open.
 type DiskIndex struct {
 	// hubs is the directory's hubs in ascending order, and dir its entries in
-	// the same order: the file's own bytes, or a sorted heap copy of a
-	// directory written out of hub order. The record of hubs[i] starts at
+	// the same order, the file's own bytes. The record of hubs[i] starts at
 	// the offset of dir's entry i.
 	hubs []graph.NodeID
 	dir  []byte
@@ -391,19 +397,17 @@ func openImage(records []Record) (*DiskIndex, error) {
 }
 
 // parseIndex reads the footer and the directory of data, and returns the
-// directory's entries in hub order. A directory out of hub order is served
-// from a sorted copy; a duplicate hub fails.
+// directory's entries, which must be in strictly ascending hub order.
 func parseIndex(path string, data []byte) (*DiskIndex, []dirEntry, error) {
 	size := int64(len(data))
 	if size < footerBytes {
 		return nil, nil, ErrBadIndexFormat
 	}
 	footer := data[size-footerBytes:]
-	switch binary.LittleEndian.Uint32(footer[0:]) {
-	case diskMagic:
-	case diskMagicV1:
-		return nil, nil, fmt.Errorf("%w: %s is an FPI1 index (12-byte entries), which this build no longer reads; rebuild it as FPI2", ErrBadIndexFormat, path)
-	default:
+	if magic := binary.LittleEndian.Uint32(footer[0:]); magic != diskMagic {
+		if old, ok := oldLayouts[magic]; ok {
+			return nil, nil, fmt.Errorf("%w: %s is an %s, which this build no longer reads; rebuild it as FPI3", ErrBadIndexFormat, path, old)
+		}
 		return nil, nil, ErrBadIndexFormat
 	}
 	hubCount := int64(binary.LittleEndian.Uint32(footer[4:]))
@@ -423,17 +427,9 @@ func parseIndex(path string, data []byte) (*DiskIndex, []dirEntry, error) {
 		}
 	}
 	d := &DiskIndex{hubs: make([]graph.NodeID, hubCount), dir: dir, size: size, data: data, records: data[:dirStart]}
-	byHub := func(a, b dirEntry) int { return cmp.Compare(a.hub, b.hub) }
-	if !slices.IsSortedFunc(entries, byHub) {
-		slices.SortFunc(entries, byHub)
-		d.dir = make([]byte, 0, len(d.dir))
-		for _, e := range entries {
-			d.dir = appendDirEntry(d.dir, e)
-		}
-	}
 	for i, e := range entries {
-		if i > 0 && e.hub == entries[i-1].hub {
-			return nil, nil, fmt.Errorf("%w: duplicate directory entry for hub %d", ErrBadIndexFormat, e.hub)
+		if i > 0 && e.hub <= entries[i-1].hub {
+			return nil, nil, fmt.Errorf("%w: directory entry %d (hub %d) is not above hub %d: out of hub order or a duplicate", ErrBadIndexFormat, i, e.hub, entries[i-1].hub)
 		}
 		d.hubs[i] = e.hub
 	}
@@ -466,10 +462,10 @@ func (d *DiskIndex) checkRecords(entries []dirEntry) error {
 
 // record returns the payload of hub h's record at directory offset off, a
 // slice of the held bytes: the header must lie inside the record region and
-// name h, and its count must keep the payload inside the region too. The open
-// checked every record; the check runs on every read again, so a hub or count
-// rewritten under an open mapping fails with ErrBadIndexFormat instead of
-// slicing past the region.
+// name h, and its length must keep the payload inside the region too. The
+// open checked every record; the check runs on every read again, so a hub or
+// length rewritten under an open mapping fails with ErrBadIndexFormat instead
+// of slicing past the region.
 func (d *DiskIndex) record(h graph.NodeID, off uint64) ([]byte, error) {
 	region := d.records
 	// An offset past the region (or wrapping negative) would turn reads of
@@ -482,9 +478,9 @@ func (d *DiskIndex) record(h graph.NodeID, off uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: record at offset %d is for hub %d, expected %d", ErrBadIndexFormat, off, stored, h)
 	}
 	start := int64(off) + perHubOverheadBytes
-	n := int64(binary.LittleEndian.Uint32(header[4:])) * entryBytes
+	n := int64(binary.LittleEndian.Uint32(header[4:]))
 	if n > int64(len(region))-start {
-		return nil, fmt.Errorf("%w: record of hub %d claims %d entries, overrunning the record region", ErrBadIndexFormat, h, n/entryBytes)
+		return nil, fmt.Errorf("%w: record of hub %d claims %d payload bytes, overrunning the record region", ErrBadIndexFormat, h, n)
 	}
 	return region[start : start+n], nil
 }
@@ -538,7 +534,7 @@ func (d *DiskIndex) unpin() {
 
 // GetView returns a zero-copy view of the stored record of h, sliced out of
 // the held file bytes. The view pins this index generation until Release. A
-// record whose hub or count was rewritten under the open index fails with
+// record whose hub or length was rewritten under the open index fails with
 // ErrBadIndexFormat (see record).
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	i, ok := slices.BinarySearch(d.hubs, h)

@@ -18,38 +18,43 @@ import (
 // foreign.
 var fuzzBind = logBinding(123, 7, GraphBinding{Nodes: 100, Edges: 50, Directed: true})
 
-// encodeRecord is the whole record (hub, count, payload) of a map-form PPV,
+// encodeRecord is the whole record (hub, length, payload) of a map-form PPV,
 // as the disk file and an update-log frame hold it.
 func encodeRecord(h graph.NodeID, ppv sparse.Vector) []byte {
 	return appendRecord(nil, h, encodeVector(ppv))
 }
 
-// rawEntries encodes (node, score) pairs in the order given, sorted or not.
+// rawEntries encodes nodes, scored 1/2, 1/3, ..., in the order given, sorted
+// or not: a node at or below the one before it wraps its gap past int32,
+// which every reader refuses.
 func rawEntries(nodes ...graph.NodeID) []byte {
-	out := make([]byte, len(nodes)*entryBytes)
+	entries := make([]sparse.Entry, len(nodes))
 	for i, n := range nodes {
-		sparse.PutEncodedEntry(out[i*entryBytes:], n, 1/float64(i+2))
+		entries[i] = sparse.Entry{Node: n, Score: 1 / float64(i+2)}
 	}
-	return out
+	return sparse.AppendEncoded(nil, entries)
 }
 
-// strictlyAscending reports whether an entry payload is in the order every
-// reader assumes.
+// strictlyAscending reports whether an entry payload decodes whole, in the
+// order every reader assumes.
 func strictlyAscending(payload []byte) bool {
-	for i := 1; i < len(payload)/entryBytes; i++ {
-		prev, _ := sparse.EncodedEntryAt(payload, i-1)
-		if node, _ := sparse.EncodedEntryAt(payload, i); node <= prev {
+	r := sparse.NewEncodedReader(payload)
+	prev := graph.NodeID(-1)
+	for node, _, ok := r.Next(); ok; node, _, ok = r.Next() {
+		if node <= prev {
 			return false
 		}
+		prev = node
 	}
-	return true
+	return r.Err() == nil
 }
 
 // scoresSound reports whether every score of an entry payload is finite and
 // non-negative: what the lower-bound argument of the stored records needs.
 func scoresSound(payload []byte) bool {
-	for i := 0; i < len(payload)/entryBytes; i++ {
-		if _, s := sparse.EncodedEntryAt(payload, i); s < 0 || math.IsNaN(s) || math.IsInf(s, 1) {
+	r := sparse.NewEncodedReader(payload)
+	for _, s, ok := r.Next(); ok; _, s, ok = r.Next() {
+		if s < 0 || math.IsNaN(s) || math.IsInf(s, 1) {
 			return false
 		}
 	}
@@ -92,7 +97,7 @@ func logBytes(t testing.TB, bind []byte, fill func(*UpdateLog) error) []byte {
 	return data
 }
 
-// fuzzBatch is one replayed batch with its records whole (hub, count,
+// fuzzBatch is one replayed batch with its records whole (hub, length,
 // payload), copied out of the replay buffer.
 type fuzzBatch struct {
 	m       GraphMutation
@@ -100,19 +105,20 @@ type fuzzBatch struct {
 }
 
 // FuzzUpdateLogReplay opens arbitrary bytes as an update log of batch frames.
-// The contract: the open either succeeds (truncating a torn tail, resetting a
-// foreign graph binding, rewriting a foreign base binding down to its
-// mutations) or fails with an error wrapping ErrBadIndexFormat and leaves the
-// file as it was — never a panic — and a file it accepted replays identically
-// on reopen. Every replayed record is strictly ascending with every score
+// The contract: the open either succeeds (truncating a torn tail, rewriting a
+// foreign base binding down to its mutations) or fails with an error wrapping
+// ErrBadIndexFormat, or ErrGraphMismatch for a log bound to another graph,
+// and leaves the file as it was — never a panic — and a file it accepted
+// replays identically on reopen. Every replayed record is strictly ascending with every score
 // finite and non-negative, and committing the replayed batches again through
 // AppendEncoded and CommitBatch reproduces the repaired file's frames byte
 // for byte: nothing is normalized on the way in, so nothing unsorted can hide.
 func FuzzUpdateLogReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FPL1garbage"))
-	// CRC-valid frames that are not batches: descending ids, a repeated id,
-	// a count that does not cover the record. Each follows a good frame.
+	// CRC-valid frames that are not batches: descending ids, a repeated id
+	// (each a gap wrapped past int32), a length that does not cover the
+	// record. Each follows a good frame.
 	good := recordBatch(encodeRecord(3, sparse.Vector{1: 0.5, 8: 0.25}))
 	f.Add(updateLogBytes(f, good, recordBatch(appendRecord(nil, 4, rawEntries(9, 2))), good))
 	f.Add(updateLogBytes(f, good, recordBatch(appendRecord(nil, 4, rawEntries(5, 5)))))
@@ -138,7 +144,7 @@ func FuzzUpdateLogReplay(f *testing.F) {
 			return nil
 		})
 		if err != nil {
-			if !errors.Is(err, ErrBadIndexFormat) {
+			if !errors.Is(err, ErrBadIndexFormat) && !errors.Is(err, ErrGraphMismatch) {
 				t.Fatalf("openUpdateLog returned unstructured error %v", err)
 			}
 			if kept, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(kept, data) {
@@ -194,7 +200,9 @@ func FuzzUpdateLogReplay(f *testing.F) {
 }
 
 // FuzzDiskRecordDecode drives the hub-record validator with arbitrary bytes.
-// Rejections must wrap ErrBadIndexFormat. Whatever is accepted is strictly
+// Rejections — a length that does not cover the buffer, a gap cut off,
+// overlong or carrying the id past int32, a score cut off, a bad score —
+// must wrap ErrBadIndexFormat. Whatever is accepted decodes whole, strictly
 // ascending with every score finite and non-negative, is returned as the very
 // bytes that came in (re-framing them gives the input back), and survives the
 // boundary round trip view -> map -> encoder byte for byte, every score
@@ -223,9 +231,10 @@ func FuzzDiskRecordDecode(f *testing.F) {
 		if !bytes.Equal(appendRecord(nil, h, payload), data) {
 			t.Fatalf("re-framing the accepted record of hub %d does not give the input back", h)
 		}
-		v := NewHubRecordView(payload, nil).Vector()
-		if len(v) != len(payload)/entryBytes {
-			t.Fatalf("decoding %d entries gave a map of %d", len(payload)/entryBytes, len(v))
+		view := NewHubRecordView(payload, nil)
+		v := view.Vector()
+		if len(v) != view.Len() {
+			t.Fatalf("decoding %d entries gave a map of %d", view.Len(), len(v))
 		}
 		if enc := encodeVector(v); !bytes.Equal(enc, payload) {
 			t.Fatalf("record of hub %d does not round-trip through the map form", h)

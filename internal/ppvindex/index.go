@@ -1,11 +1,12 @@
 // Package ppvindex stores the precomputed building blocks of FastPPV's
 // offline phase: the prime PPV of every hub node (Algorithm 1 of the paper).
 // A stored prime PPV has one form, the hub record: its (node, score) entries
-// in the flat 8-byte encoding of package sparse (each score a float32 rounded
-// toward zero, so a stored record never overstates the push), in strictly ascending node
-// order. The in-memory index, the disk file (Sect. 5.3: one random read per
-// fetched hub), the update log and the block cache all hold those same bytes,
-// and the query loop folds them through a HubRecordView without decoding.
+// in strictly ascending node order, in the encoding of package sparse (node
+// ids as uvarint gaps, each score a float32 rounded toward zero, so a stored
+// record never overstates the push), 5 to 9 bytes an entry. The in-memory
+// index, the disk file (Sect. 5.3: one random read per fetched hub), the
+// update log and the block cache all hold those same bytes, and the query
+// loop decodes them front to back straight out of a HubRecordView.
 //
 // One state machine serves every index (Store): a base in the disk layout,
 // an overlay of the records committed since, and a compaction that folds the
@@ -66,12 +67,8 @@ type Record struct {
 // whatever is committed, repacked or compacted after it.
 type Snapshot = ViewGetter
 
-// entryBytes is the storage cost per (node, score) pair: a uint32 node id and
-// a float32 score, matching the binary disk layout.
-const entryBytes = sparse.EncodedEntrySize
-
 // perHubOverheadBytes is the fixed per-hub cost in the binary layout: the hub
-// id and the entry count.
+// id and the payload length.
 const perHubOverheadBytes = 4 + 4
 
 // encodeVector is the boundary encoder behind every Put(h, Vector): sort by
@@ -80,7 +77,7 @@ func encodeVector(ppv sparse.Vector) []byte {
 	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
 }
 
-// MemIndex is the in-memory PPV index: a Store whose base is an FPI2 image
+// MemIndex is the in-memory PPV index: a Store whose base is an FPI3 image
 // in one heap buffer and which keeps no update log. Records put into a fresh
 // index are collected until the first read lays them out in the image (the
 // last put of a hub wins); later puts and commits go to the overlay, which
@@ -114,14 +111,26 @@ type Stats struct {
 	SizeBytes    int64
 }
 
-// StatsOf computes Stats for any Index; the entry count is derived from the
-// payload size.
-func StatsOf(idx Index) Stats {
+// StatsOf computes Stats for any Index; the entries are counted by decoding
+// every record, as their size varies. A Store's records are read past its
+// block cache, so the count fills and evicts no block.
+func StatsOf(idx Index) (Stats, error) {
 	s := Stats{Hubs: idx.Len(), SizeBytes: idx.SizeBytes()}
-	if s.Hubs > 0 {
-		s.TotalEntries = (s.SizeBytes - int64(s.Hubs)*perHubOverheadBytes) / entryBytes
+	read := idx.GetView
+	if st, ok := idx.(*Store); ok {
+		read = st.GetViewUncached
 	}
-	return s
+	for _, h := range idx.Hubs() {
+		view, ok, err := read(h)
+		if err != nil {
+			return s, err
+		}
+		if ok {
+			s.TotalEntries += int64(view.Len())
+			view.Release()
+		}
+	}
+	return s, nil
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,7 @@
 package ppvindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -63,8 +64,8 @@ func TestMemIndexRoundTrip(t *testing.T) {
 	if idx.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")
 	}
-	stats := StatsOf(idx)
-	if stats.Hubs != 3 || stats.TotalEntries != 6 {
+	stats, err := StatsOf(idx)
+	if err != nil || stats.Hubs != 3 || stats.TotalEntries != 6 {
 		t.Errorf("StatsOf = %+v, want 3 hubs and 6 entries", stats)
 	}
 	if stats.String() == "" {
@@ -100,22 +101,22 @@ func TestMemIndexViewsSurviveReplacement(t *testing.T) {
 	if err != nil || !ok || &old.EntryBytes()[0] != &idx.Image()[perHubOverheadBytes] {
 		t.Fatalf("GetView(1) ok=%v err=%v; the view must alias the stored record", ok, err)
 	}
-	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+3*entryBytes); got != want {
+	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+len(first)); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 	if err := idx.PutEncoded(1, rawEntries(4)); err != nil {
 		t.Fatal(err)
 	}
-	if old.Len() != 3 || !old.Contains(9) || old.Contains(4) {
+	if old.Len() != 3 || !has(old, 9) || has(old, 4) {
 		t.Error("the view taken before the rewrite changed under its holder")
 	}
-	if cur, _, _ := idx.GetView(1); cur.Len() != 1 || !cur.Contains(4) {
+	if cur, _, _ := idx.GetView(1); cur.Len() != 1 || !has(cur, 4) {
 		t.Error("GetView after the rewrite does not serve the new record")
 	}
-	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+entryBytes); got != want || idx.Len() != 1 {
+	if got, want := idx.SizeBytes(), int64(perHubOverheadBytes+len(rawEntries(4))); got != want || idx.Len() != 1 {
 		t.Errorf("after the rewrite SizeBytes = %d (want %d), Len = %d (want 1)", got, want, idx.Len())
 	}
-	if stats := StatsOf(idx); stats.TotalEntries != 1 {
+	if stats, err := StatsOf(idx); err != nil || stats.TotalEntries != 1 {
 		t.Errorf("StatsOf counts %d entries, want 1", stats.TotalEntries)
 	}
 }
@@ -138,7 +139,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	size := idx.SizeBytes()
 	pack(idx)
 	st := memState(idx)
-	const imageBytes = 40*(perHubOverheadBytes+3*entryBytes) + 40*dirEntryBytes + footerBytes
+	// Every record is three entries with one-byte gaps: 15 payload bytes.
+	const imageBytes = 40*(perHubOverheadBytes+15) + 40*dirEntryBytes + footerBytes
 	if image := idx.Image(); len(st.overlay) != 0 || st.gen.reader.Len() != 40 || len(image) != imageBytes || cap(image) != len(image) {
 		t.Fatalf("after Pack: %d overlay records, %d base hubs, an image of %d bytes (cap %d); want 0, 40 and an exact %d",
 			len(st.overlay), st.gen.reader.Len(), len(image), cap(image), imageBytes)
@@ -152,8 +154,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the image", ok, err)
 	}
 
-	// A rewrite and a new hub go to the overlay: the image is 1 776 bytes,
-	// so up to 222 bytes of committed records stay in the overlay.
+	// A rewrite and a new hub go to the overlay: the image is 1 416 bytes,
+	// so up to 177 bytes of committed records stay in the overlay.
 	if err := idx.PutEncoded(7, rawEntries(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +165,14 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if st := memState(idx); len(st.overlay) != 2 || st.gen.reader.Len() != 40 {
 		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), st.gen.reader.Len())
 	}
-	if packed.Len() != 3 || !packed.Contains(9) || packed.Contains(100) {
+	if packed.Len() != 3 || !has(packed, 9) || has(packed, 100) {
 		t.Error("the view of the packed record changed under its holder after a rewrite")
 	}
 	rewritten, _, _ := idx.GetView(7)
-	if rewritten.Len() != 1 || !rewritten.Contains(100) {
+	if rewritten.Len() != 1 || !has(rewritten, 100) {
 		t.Fatal("GetView after the rewrite does not serve the overlay's record")
 	}
-	wantSize := size - entryBytes*2 + perHubOverheadBytes + 2*entryBytes
+	wantSize := size - int64(len(rawEntries(7, 8, 9))) + int64(len(rawEntries(100))) + perHubOverheadBytes + int64(len(rawEntries(1, 2)))
 	if idx.Len() != 41 || idx.SizeBytes() != wantSize {
 		t.Errorf("with an overlay: Len = %d, SizeBytes = %d; want 41 and %d", idx.Len(), idx.SizeBytes(), wantSize)
 	}
@@ -181,7 +183,7 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 
 	// Past an eighth of the image the put compacts: a fresh image, an empty
 	// overlay, and the old views read what they read before.
-	big := make([]graph.NodeID, 25)
+	big := make([]graph.NodeID, 35)
 	for i := range big {
 		big[i] = graph.NodeID(i + 1)
 	}
@@ -191,10 +193,10 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if st := memState(idx); len(st.overlay) != 0 || st.gen.reader.Len() != 42 {
 		t.Fatalf("after the compaction the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), st.gen.reader.Len())
 	}
-	if packed.Len() != 3 || !packed.Contains(9) || rewritten.Len() != 1 || !rewritten.Contains(100) {
+	if packed.Len() != 3 || !has(packed, 9) || rewritten.Len() != 1 || !has(rewritten, 100) {
 		t.Error("a view taken before the compaction changed under its holder")
 	}
-	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 25, 8: 3} {
+	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 35, 8: 3} {
 		if v, ok, _ := idx.GetView(h); !ok || v.Len() != want {
 			t.Errorf("after the compaction GetView(%d) has %d entries (ok=%v), want %d", h, v.Len(), ok, want)
 		}
@@ -231,7 +233,7 @@ func TestMemIndexConcurrentRepack(t *testing.T) {
 				select {
 				case <-stop:
 					for _, v := range held {
-						if first, _ := v.Entry(0); v.Len() != 2 || !v.Contains(first+hubs) {
+						if first := firstNode(v); v.Len() != 2 || !has(v, first+hubs) {
 							t.Errorf("a view held across repacks changed: %d entries", v.Len())
 						}
 					}
@@ -244,7 +246,7 @@ func TestMemIndexConcurrentRepack(t *testing.T) {
 					t.Errorf("GetView(%d): ok=%v err=%v", h, ok, err)
 					return
 				}
-				if first, _ := v.Entry(0); first != h {
+				if first := firstNode(v); first != h {
 					t.Errorf("GetView(%d) served a record starting at node %d", h, first)
 					return
 				}
@@ -269,27 +271,43 @@ func TestMemIndexConcurrentRepack(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHubRecordViewContains(t *testing.T) {
-	full := NewHubRecordView(rawEntries(3, 8, 9, 40), nil)
+// has reports whether the record of v holds an entry for id.
+func has(v HubRecordView, id graph.NodeID) bool { return v.ContainsAny([]graph.NodeID{id}) }
+
+// firstNode is the node of v's first entry, -1 for an empty record.
+func firstNode(v HubRecordView) graph.NodeID {
+	r := sparse.NewEncodedReader(v.EntryBytes())
+	if id, _, ok := r.Next(); ok {
+		return id
+	}
+	return -1
+}
+
+func TestHubRecordViewContainsAny(t *testing.T) {
+	full := NewHubRecordView(rawEntries(3, 8, 9, 40, 1000), nil)
 	for _, c := range []struct {
 		name string
 		view HubRecordView
-		id   graph.NodeID
+		ids  []graph.NodeID
 		want bool
 	}{
-		{"empty record", NewHubRecordView(nil, nil), 3, false},
-		{"zero view", HubRecordView{}, 0, false},
-		{"first entry", full, 3, true},
-		{"last entry", full, 40, true},
-		{"middle entry", full, 9, true},
-		{"below the first", full, 2, false},
-		{"absent between two present", full, 10, false},
-		{"above the max", full, 41, false},
-		{"single entry hit", NewHubRecordView(rawEntries(5), nil), 5, true},
-		{"single entry miss", NewHubRecordView(rawEntries(5), nil), 6, false},
+		{"empty record", NewHubRecordView(nil, nil), []graph.NodeID{3}, false},
+		{"zero view", HubRecordView{}, []graph.NodeID{0}, false},
+		{"no ids", full, nil, false},
+		{"first entry", full, []graph.NodeID{3}, true},
+		{"last entry, a two-byte gap", full, []graph.NodeID{1000}, true},
+		{"middle entry", full, []graph.NodeID{9}, true},
+		{"below the first", full, []graph.NodeID{2}, false},
+		{"absent between two present", full, []graph.NodeID{10}, false},
+		{"above the max", full, []graph.NodeID{1001}, false},
+		{"all absent, interleaved", full, []graph.NodeID{0, 4, 10, 41, 999, 5000}, false},
+		{"one present among absent ones", full, []graph.NodeID{0, 4, 10, 40, 5000}, true},
+		{"present after ids past several entries", full, []graph.NodeID{1, 39, 1000}, true},
+		{"single entry hit", NewHubRecordView(rawEntries(5), nil), []graph.NodeID{1, 5}, true},
+		{"single entry miss", NewHubRecordView(rawEntries(5), nil), []graph.NodeID{6}, false},
 	} {
-		if got := c.view.Contains(c.id); got != c.want {
-			t.Errorf("%s: Contains(%d) = %v, want %v", c.name, c.id, got, c.want)
+		if got := c.view.ContainsAny(c.ids); got != c.want {
+			t.Errorf("%s: ContainsAny(%v) = %v, want %v", c.name, c.ids, got, c.want)
 		}
 	}
 }
@@ -410,22 +428,68 @@ func TestOpenDiskRejectsBitFlippedMagic(t *testing.T) {
 	}
 }
 
-// TestOpenDiskRejectsFPI1: a file of the previous layout (FPI1, 12-byte
-// entries with float64 scores) is refused, not migrated, with an error that
-// names its version.
-func TestOpenDiskRejectsFPI1(t *testing.T) {
+// refusesOldLayout writes a valid index under the magic of an older layout
+// and checks that opening it, as a DiskIndex and as a Store, fails with
+// ErrBadIndexFormat naming the layout, and leaves the file byte for byte as
+// it was.
+func refusesOldLayout(t *testing.T, layout string) {
 	dir := t.TempDir()
 	_, data := buildValidIndex(t, dir)
 	old := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(old[len(old)-16:], diskMagicV1)
-	path := filepath.Join(dir, "v1.ppv")
+	copy(old[len(old)-16:], layout)
+	path := filepath.Join(dir, "old.ppv")
 	if err := writeFile(path, old); err != nil {
 		t.Fatal(err)
 	}
 	_, err := OpenDisk(path)
-	if !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "FPI1") {
-		t.Fatalf("OpenDisk on an FPI1 file = %v, want ErrBadIndexFormat naming FPI1", err)
+	if !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), layout) {
+		t.Fatalf("OpenDisk on an %s file = %v, want ErrBadIndexFormat naming %s", layout, err, layout)
 	}
+	if _, err := OpenStore(path, testGraph, StoreOptions{}, nil); !errors.Is(err, ErrBadIndexFormat) {
+		t.Fatalf("OpenStore on an %s file = %v, want ErrBadIndexFormat", layout, err)
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("the refused %s file was modified (err=%v)", layout, err)
+	}
+}
+
+// TestOpenDiskRejectsFPI1: a file of the FPI1 layout (12-byte entries with
+// float64 scores) is refused, not migrated, with an error that names it.
+func TestOpenDiskRejectsFPI1(t *testing.T) { refusesOldLayout(t, "FPI1") }
+
+// TestOpenDiskRejectsFPI2: a file of the previous layout (FPI2, fixed 8-byte
+// entries behind an entry count) is refused the same way.
+func TestOpenDiskRejectsFPI2(t *testing.T) { refusesOldLayout(t, "FPI2") }
+
+// TestOpenDiskRejectsUnsortedDirectory: Close writes the directory in hub
+// order whatever order the records came in, and an FPI3 directory out of hub
+// order is refused as corrupt.
+func TestOpenDiskRejectsUnsortedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	path, data := buildValidIndex(t, dir)
+	idx, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
+	dirStart := int(binary.LittleEndian.Uint64(data[len(data)-8:]))
+	entries := data[dirStart : len(data)-footerBytes]
+	for i := 1; i*dirEntryBytes < len(entries); i++ {
+		if prev, h := binary.LittleEndian.Uint32(entries[(i-1)*dirEntryBytes:]), binary.LittleEndian.Uint32(entries[i*dirEntryBytes:]); h <= prev {
+			t.Fatalf("directory entry %d (hub %d) is not above hub %d", i, h, prev)
+		}
+	}
+	swapped := append([]byte(nil), data...)
+	first := swapped[dirStart : dirStart+dirEntryBytes]
+	second := swapped[dirStart+dirEntryBytes : dirStart+2*dirEntryBytes]
+	tmp := bytes.Clone(first)
+	copy(first, second)
+	copy(second, tmp)
+	badPath := filepath.Join(dir, "unsorted.ppv")
+	if err := writeFile(badPath, swapped); err != nil {
+		t.Fatal(err)
+	}
+	openFails(t, badPath)
 }
 
 func TestOpenDiskRejectsShortDirectory(t *testing.T) {
@@ -490,19 +554,16 @@ func TestOpenDiskRejectsDirectoryOffsetOutsideRecords(t *testing.T) {
 }
 
 // TestDiskIndexGetRejectsTruncatedLastRecord crafts an index whose last
-// record claims more entries than the record region holds — the layout a
-// partially flushed writer or a torn copy produces. The open checks every
+// record claims more payload bytes than the record region holds — the layout
+// a partially flushed writer or a torn copy produces. The open checks every
 // record, so it fails with ErrBadIndexFormat. A file cut short under an open
 // index is outside the index's contract (the store never truncates a
 // published file; see the disk layout comment), so only the open is tested.
 func TestDiskIndexGetRejectsTruncatedLastRecord(t *testing.T) {
-	var buf []byte
-	record := make([]byte, 8+2*entryBytes) // claims 3 entries, holds 2
-	binary.LittleEndian.PutUint32(record[0:], 5)
-	binary.LittleEndian.PutUint32(record[4:], 3)
-	sparse.PutEncodedEntry(record[8:], 10, 0.5)
-	sparse.PutEncodedEntry(record[8+entryBytes:], 11, 0.25)
-	buf = append(buf, record...)
+	payload := rawEntries(10, 11)
+	record := appendRecord(nil, 5, payload)
+	binary.LittleEndian.PutUint32(record[4:], uint32(len(payload)+5)) // claims a third entry
+	buf := record
 	dirStart := uint64(len(buf))
 	dirEntry := make([]byte, 12)
 	binary.LittleEndian.PutUint32(dirEntry[0:], 5)
@@ -521,7 +582,7 @@ func TestDiskIndexGetRejectsTruncatedLastRecord(t *testing.T) {
 }
 
 // TestDiskIndexGetRejectsHugeCount guards the allocation path: a bit flip in
-// a record's count field must not drive a multi-gigabyte allocation. The open
+// a record's length field must not drive a multi-gigabyte allocation. The open
 // refuses the file; a flip that lands under an open index fails that hub's
 // Get, and the other hubs' records stay readable. The write under the open
 // index reaches only a mapping, so that half holds for the mapping only.
@@ -557,22 +618,35 @@ func TestDiskIndexGetRejectsHugeCount(t *testing.T) {
 
 // TestOpenDiskRejectsUnsoundRecords: the open checks every record's payload
 // by the rules of the update-log gate, so a copy of a valid index with one
-// score's sign bit flipped, a NaN score, or two node ids out of order fails
-// to open with ErrBadIndexFormat instead of serving a
-// record that breaks the bound's lower-bound argument.
+// score's sign bit flipped or a NaN score, or an index written with two node
+// ids out of order (the second gap wraps past int32), fails to open with
+// ErrBadIndexFormat instead of serving a record that breaks the bound's
+// lower-bound argument.
 func TestOpenDiskRejectsUnsoundRecords(t *testing.T) {
 	dir := t.TempDir()
 	path, data := buildValidIndex(t, dir)
-	payload := recordOffset(t, path, 3) + perHubOverheadBytes // hub 3: {1: 0.5, 2: 0.25, 3: 0.15}
-	for name, corrupt := range map[string]func([]byte){
-		"sign bit flipped": func(b []byte) { b[payload+entryBytes+7] ^= 0x80 },
-		"NaN score": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[payload+4:], math.Float32bits(float32(math.NaN())))
-		},
-		"ids out of order": func(b []byte) { binary.LittleEndian.PutUint32(b[payload+entryBytes:], 9) },
-	} {
-		bad := append([]byte(nil), data...)
-		corrupt(bad)
+	// Hub 3 is {1: 0.5, 2: 0.25, 3: 0.15}: three 5-byte entries, each a
+	// one-byte gap and a score.
+	payload := recordOffset(t, path, 3) + perHubOverheadBytes
+	flipped := append([]byte(nil), data...)
+	flipped[payload+5+4] ^= 0x80 // the second score's sign bit
+	nan := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(nan[payload+1:], math.Float32bits(float32(math.NaN())))
+	w, err := CreateDisk(filepath.Join(dir, "unsorted.ppv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PutEncoded(3, rawEntries(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unsorted, err := os.ReadFile(filepath.Join(dir, "unsorted.ppv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{"sign bit flipped": flipped, "NaN score": nan, "ids out of order": unsorted} {
 		badPath := filepath.Join(dir, "unsound.ppv")
 		if err := writeFile(badPath, bad); err != nil {
 			t.Fatal(err)

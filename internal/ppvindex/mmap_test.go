@@ -82,12 +82,8 @@ func TestHeapSourceMatchesMapping(t *testing.T) {
 			if view.Vector().L1Distance(storedVector(want)) != 0 {
 				t.Fatalf("%s view of %d decodes to %v, want %v", name, h, view.Vector(), storedVector(want))
 			}
-			for i := 1; i < view.Len(); i++ {
-				prev, _ := view.Entry(i - 1)
-				cur, _ := view.Entry(i)
-				if prev >= cur {
-					t.Fatalf("%s view of %d not sorted: %d then %d", name, h, prev, cur)
-				}
+			if !strictlyAscending(view.EntryBytes()) {
+				t.Fatalf("%s view of %d does not decode whole in ascending node order", name, h)
 			}
 		}
 		if !bytes.Equal(payloads[0], payloads[1]) {

@@ -343,6 +343,16 @@ func (s *Store) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	return st.read(h, false)
 }
 
+// GetViewUncached is GetView past the block cache (see
+// storeState.GetViewUncached).
+func (s *Store) GetViewUncached(h graph.NodeID) (HubRecordView, bool, error) {
+	st, err := s.reading()
+	if err != nil {
+		return HubRecordView{}, false, err
+	}
+	return st.read(h, true)
+}
+
 // GetView reads the record of h in this state.
 func (st *storeState) GetView(h graph.NodeID) (HubRecordView, bool, error) { return st.read(h, false) }
 
@@ -393,8 +403,9 @@ func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, 
 
 // Has, Hubs (ascending), Len and SizeBytes answer from the published state,
 // or an empty one once the store is closed. SizeBytes is the base file's size
-// on disk, and 8 bytes a hub plus 8 an entry in memory (what the records take
-// in the disk layout, so in-memory and on-disk experiments compare).
+// on disk, and in memory what the records take in the disk layout (8 bytes a
+// hub plus the encoded payload), so in-memory and on-disk experiments
+// compare.
 func (s *Store) Has(h graph.NodeID) bool { return s.directory().has(h) }
 func (s *Store) Hubs() []graph.NodeID    { return s.directory().hubs() }
 func (s *Store) Len() int                { st := s.directory(); return st.gen.reader.Len() + st.added }

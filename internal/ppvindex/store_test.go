@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -113,7 +114,7 @@ func TestStoreUncommittedBatchNeverReplays(t *testing.T) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
 	defer s.Close()
-	payload := bigPayload(1000) // 12 KB a record
+	payload := bigPayload(2000) // 10 KB a record: consecutive ids take 5 bytes an entry
 	for i := 0; i < 10; i++ {
 		s.log.AppendEncoded([]graph.NodeID{3, 7, 11}[i%3], payload)
 	}
@@ -207,7 +208,16 @@ func TestStoreRejectsVersion1Log(t *testing.T) {
 // (version 2, 12-byte entries) is not migrated either. Opening a store beside
 // one fails with ErrBadIndexFormat, names the version, and leaves the log as
 // it is.
-func TestStoreRejectsVersion2Log(t *testing.T) {
+func TestStoreRejectsVersion2Log(t *testing.T) { refusesLogVersion(t, 2) }
+
+// TestStoreRejectsVersion3Log: nor is a log of the layout before delta-coded
+// node ids (version 3, fixed 8-byte entries behind an entry count).
+func TestStoreRejectsVersion3Log(t *testing.T) { refusesLogVersion(t, 3) }
+
+// refusesLogVersion commits a batch, stamps the log with an older version
+// and checks that a store refuses to open beside it, naming the version, and
+// leaves the log byte for byte as it was.
+func refusesLogVersion(t *testing.T, version uint32) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
 	if _, err := s.Commit(GraphMutation{}, []Record{{Hub: 3, Payload: encodeVector(sparse.Vector{2: 0.5})}}); err != nil {
@@ -218,16 +228,16 @@ func TestStoreRejectsVersion2Log(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[4:], 2)
+	binary.LittleEndian.PutUint32(data[4:], version)
 	if err := os.WriteFile(path+".log", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenStore(path, testGraph, StoreOptions{}, nil)
-	if !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("OpenStore beside a version-2 log = %v, want ErrBadIndexFormat naming version 2", err)
+	if want := fmt.Sprintf("version %d", version); !errors.Is(err, ErrBadIndexFormat) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore beside a version-%d log = %v, want ErrBadIndexFormat naming %s", version, err, want)
 	}
 	if kept, err := os.ReadFile(path + ".log"); err != nil || !bytes.Equal(kept, data) {
-		t.Errorf("the version-2 log was modified (err=%v)", err)
+		t.Errorf("the version-%d log was modified (err=%v)", version, err)
 	}
 }
 
@@ -254,7 +264,7 @@ func TestStoreCompactThresholdCountsRecords(t *testing.T) {
 			t.Fatalf("commit %d asked for a compaction with %d bytes of records in a %d-byte log", i, s.state.Load().pending, s.log.SizeBytes())
 		}
 	}
-	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / entryBytes)}}); err != nil || !compact {
+	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / 5)}}); err != nil || !compact {
 		t.Fatalf("records past the threshold did not ask for a compaction (err=%v)", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // (internal/frame) whose header is
 //
 //	magic     uint32 'F','P','L','1'
-//	version   uint32 (currently 3)
+//	version   uint32 (currently 4)
 //	baseBytes uint64 size of the base index file the records apply to
 //	baseHubs  uint32 hub count of that base file
 //	flags     uint32 bit 0: the base graph is directed
@@ -32,7 +32,10 @@ import (
 //	removedCount uint32
 //	addedCount   x { from uint32, to uint32 }
 //	removedCount x { from uint32, to uint32 }
-//	records      zero or more { hub uint32, count uint32, count x { node uint32, score float32 } }
+//	records      zero or more { hub uint32, length uint32, length bytes of payload }
+//
+// each record in the disk index's record layout, its payload the entries of
+// sparse.AppendEncoded (uvarint node-id gaps beside float32 scores).
 //
 // One batch is one frame, so a batch torn by a crash, or never acknowledged,
 // is a torn frame, which replay discards. Replaying the frames in order
@@ -43,12 +46,14 @@ import (
 // compaction leaves when it crashes between renaming the rewritten base into
 // place and rewriting the log: its records already live in the new base and
 // are skipped, its mutations still replay.
-// Older versions are not migrated: opening one fails with ErrBadIndexFormat.
-// Version 1 held one frame per hub record, beside a separate graph-mutation
-// log; version 2 held 12-byte (node uint32, score float64) entries.
+// Older versions are not migrated: opening one fails with ErrBadIndexFormat,
+// naming its version, and leaves the file as it is. Version 1 held one frame
+// per hub record, beside a separate graph-mutation log; version 2 held 12-byte
+// (node uint32, score float64) entries and version 3 fixed 8-byte (node
+// uint32, score float32) ones, both behind an entry count.
 const (
 	logMagic            = uint32('F') | uint32('P')<<8 | uint32('L')<<16 | uint32('1')<<24
-	logVersion          = 3
+	logVersion          = 4
 	logHeaderBytes      = 40
 	graphBindingAt      = 12 // where the binding's graph half starts, after baseHubs
 	mutationHeaderBytes = 12 // numNodes + addedCount + removedCount
@@ -158,7 +163,7 @@ func eachRecord(buf []byte, fn func(h graph.NodeID, payload []byte) error) error
 		if len(buf) < perHubOverheadBytes {
 			return fmt.Errorf("%w: %d trailing batch bytes are shorter than a record header", ErrBadIndexFormat, len(buf))
 		}
-		n := perHubOverheadBytes + int64(binary.LittleEndian.Uint32(buf[4:]))*entryBytes
+		n := perHubOverheadBytes + int64(binary.LittleEndian.Uint32(buf[4:]))
 		if n > int64(len(buf)) {
 			return fmt.Errorf("%w: record claims %d bytes, %d left in the batch", ErrBadIndexFormat, n, len(buf))
 		}

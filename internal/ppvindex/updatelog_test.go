@@ -219,10 +219,10 @@ func TestUpdateLogStopsAtCorruptFrame(t *testing.T) {
 }
 
 // TestUpdateLogReplayStopsAtUnsortedRecord: a frame that passes its CRC but
-// does not hold a batch of records — node ids out of order or repeated, a
-// count that does not cover the record, a score that is negative, NaN or
-// infinite, or a bad record behind a good one in the same batch — is a bad
-// frame. Replay stops there, keeps what came before
+// does not hold a batch of records — node ids out of order or repeated (a gap
+// wrapped past int32), a length that does not cover the record, a score that
+// is negative, NaN or infinite, or a bad record behind a good one in the same
+// batch — is a bad frame. Replay stops there, keeps what came before
 // and truncates the rest, as it does for a checksum mismatch; no record of the
 // bad batch replays.
 func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
@@ -231,7 +231,7 @@ func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
 		"descending ids":      recordBatch(appendRecord(nil, 2, rawEntries(9, 5))),
 		"repeated id":         recordBatch(appendRecord(nil, 2, rawEntries(5, 5))),
 		"short count":         recordBatch(append(appendRecord(nil, 2, rawEntries(5, 9)), rawEntries(11)...)),
-		"long count":          recordBatch(appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+entryBytes]),
+		"long count":          recordBatch(appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+5]),
 		"bad behind good one": recordBatch(encodeRecord(3, sparse.Vector{1: 0.5}), appendRecord(nil, 2, rawEntries(9, 5))),
 		"negative score":      recordBatch(encodeRecord(2, sparse.Vector{5: 0.5, 9: -1e-9})),
 		"NaN score":           recordBatch(encodeRecord(2, sparse.Vector{5: math.NaN()})),

@@ -1,19 +1,17 @@
 package ppvindex
 
 import (
-	"sort"
-
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
 
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
-// the record's entry payload in the flat 8-byte (node uint32, score float32
-// rounded toward zero) encoding, in strictly ascending node order. A
-// DiskIndex view aliases the mapped file, a MemIndex view its immutable heap
-// image or an overlay buffer, a cache-retained view an owned heap buffer. No map
-// is materialized — the query inner loop folds the entries straight into a
-// sparse.Accumulator.
+// the record's entry payload in the encoding of package sparse (uvarint node
+// id gaps beside float32 scores rounded toward zero), in strictly ascending
+// node order. A DiskIndex view aliases the mapped file, a MemIndex view its
+// immutable heap image or an overlay buffer, a cache-retained view an owned
+// heap buffer. No map is materialized — the query inner loop decodes the
+// entries front to back straight into a sparse.Accumulator.
 //
 // Lifetime rules: a view is valid only for the index generation that produced
 // it and must not outlive it. Every DiskIndex view pins its generation;
@@ -23,7 +21,7 @@ import (
 // immutable and must not be retained across calls that may close or compact
 // the index.
 type HubRecordView struct {
-	data    []byte // len is a multiple of sparse.EncodedEntrySize
+	data    []byte // a payload of sparse.AppendEncoded
 	release func()
 }
 
@@ -33,40 +31,35 @@ func NewHubRecordView(data []byte, release func()) HubRecordView {
 	return HubRecordView{data: data, release: release}
 }
 
-// Len returns the number of (node, score) entries.
-func (v HubRecordView) Len() int { return len(v.data) / sparse.EncodedEntrySize }
-
-// Entry decodes the i-th entry. Entries are sorted by ascending node id.
-func (v HubRecordView) Entry(i int) (graph.NodeID, float64) {
-	return sparse.EncodedEntryAt(v.data, i)
-}
+// Len returns the number of (node, score) entries, counted by decoding the
+// payload.
+func (v HubRecordView) Len() int { return sparse.EncodedLen(v.data) }
 
 // EntryBytes returns the raw encoded entry payload. The slice aliases the
 // view's backing storage and follows the same lifetime rules as the view.
 func (v HubRecordView) EntryBytes() []byte { return v.data }
 
-// Contains reports whether the record has an entry for id (binary search).
-func (v HubRecordView) Contains(id graph.NodeID) bool {
-	i := sort.Search(v.Len(), func(i int) bool {
-		node, _ := v.Entry(i)
-		return node >= id
-	})
-	if i == v.Len() {
-		return false
+// ContainsAny reports whether the record has an entry for any of ids, which
+// must be in ascending order: one merge pass over both, which stops at the
+// first match or past the last id.
+func (v HubRecordView) ContainsAny(ids []graph.NodeID) bool {
+	r := sparse.NewEncodedReader(v.data)
+	i := 0
+	for node, _, ok := r.Next(); ok && i < len(ids); node, _, ok = r.Next() {
+		for i < len(ids) && ids[i] < node {
+			i++
+		}
+		if i < len(ids) && ids[i] == node {
+			return true
+		}
 	}
-	node, _ := v.Entry(i)
-	return node == id
+	return false
 }
 
 // Vector decodes the view into a freshly allocated map-based Vector: the
 // boundary conversion for callers outside the serving path.
 func (v HubRecordView) Vector() sparse.Vector {
-	out := sparse.New(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		id, s := v.Entry(i)
-		out[id] = s
-	}
-	return out
+	return sparse.FromEntries(sparse.AppendDecoded(nil, v.data))
 }
 
 // Release returns the view's pin on its index generation, if it holds one.

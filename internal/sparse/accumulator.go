@@ -1,69 +1,20 @@
 // accumulator.go implements the flat sorted-slice accumulator of the query
 // inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds scaled
 // prime PPVs into a running estimate. A prime PPV has one stored form, the
-// flat record encoding below (8 bytes an entry, ascending node id, each score
-// a float32 rounded toward zero), written by AppendEncoded; the Accumulator
-// folds such payloads with linear merges into a []Entry sorted by node id. No
-// map is built between the prime push and the estimate; results become a
-// map-based Vector only at the API boundary.
+// record encoding of encoded.go (ascending node ids as uvarint gaps, each
+// score a float32 rounded toward zero), written by AppendEncoded; the
+// Accumulator decodes such payloads sequentially and folds them with linear
+// merges into a []Entry sorted by node id. No map is built between the prime
+// push and the estimate; results become a map-based Vector only at the API
+// boundary.
 package sparse
 
 import (
-	"encoding/binary"
-	"math"
 	"slices"
 	"sort"
 
 	"fastppv/internal/graph"
 )
-
-// EncodedEntrySize is the size of one (node, score) entry in the flat record
-// encoding shared with the on-disk index format: node id as uint32 followed
-// by the IEEE-754 bits of the score as a float32, both little-endian. Entries
-// in an encoded record are sorted by ascending node id.
-const EncodedEntrySize = 8
-
-// StoredScore is the score an encoded entry holds for s: s as a float32,
-// rounded toward zero. For s >= 0 the stored score is never above s, so a
-// fold of stored records stays a pointwise lower bound of the exact PPV and
-// the Theorem 2 bound 1 - sum(estimate) stays sound; re-encoding a stored
-// score gives it back bit for bit. NaN stays NaN.
-func StoredScore(s float64) float32 {
-	f := float32(s)
-	if math.Abs(float64(f)) > math.Abs(s) {
-		f = math.Nextafter32(f, 0)
-	}
-	return f
-}
-
-// PutEncodedEntry writes one encoded entry at the start of b, which must be
-// at least EncodedEntrySize bytes long. The score is stored as StoredScore.
-func PutEncodedEntry(b []byte, id graph.NodeID, score float64) {
-	binary.LittleEndian.PutUint32(b[0:4], uint32(id))
-	binary.LittleEndian.PutUint32(b[4:8], math.Float32bits(StoredScore(score)))
-}
-
-// AppendEncoded appends the flat record encoding of entries to dst: the one
-// encoder of hub-record payloads. Entries must be in strictly ascending node
-// order, as the prime push emits them; they are written as they come.
-func AppendEncoded(dst []byte, entries []Entry) []byte {
-	at := len(dst)
-	dst = slices.Grow(dst, len(entries)*EncodedEntrySize)[:at+len(entries)*EncodedEntrySize]
-	for _, e := range entries {
-		PutEncodedEntry(dst[at:], e.Node, e.Score)
-		at += EncodedEntrySize
-	}
-	return dst
-}
-
-// EncodedEntryAt decodes the i-th entry of an encoded record payload; the
-// score widens to float64 exactly.
-func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
-	off := i * EncodedEntrySize
-	id := graph.NodeID(binary.LittleEndian.Uint32(b[off : off+4]))
-	score := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off+4 : off+8])))
-	return id, score
-}
 
 // extensionEpsilon is the threshold below which the self-loop-corrected score
 // of a hub's own entry is dropped from its extension vector.
@@ -127,19 +78,9 @@ func (a *Accumulator) SetEntries(entries []Entry) {
 }
 
 // SetEncoded replaces the accumulator's contents with the entries of an
-// encoded record payload (len(data) must be a multiple of EncodedEntrySize;
-// entries must be sorted by ascending node id, as written by the index).
-func (a *Accumulator) SetEncoded(data []byte) {
-	n := len(data) / EncodedEntrySize
-	if cap(a.entries) < n {
-		a.entries = make([]Entry, 0, n)
-	}
-	a.entries = a.entries[:0]
-	for i := 0; i < n; i++ {
-		id, s := EncodedEntryAt(data, i)
-		a.entries = append(a.entries, Entry{Node: id, Score: s})
-	}
-}
+// encoded record payload (AppendEncoded), decoded front to back up to the
+// first malformed entry.
+func (a *Accumulator) SetEncoded(data []byte) { a.entries = AppendDecoded(a.entries[:0], data) }
 
 // Sum returns the total mass, accumulating in ascending node order. Because
 // entries are kept sorted, this is the same floating-point result as
@@ -211,16 +152,15 @@ func (a *Accumulator) merge(other []Entry) {
 // falls below a small epsilon.
 //
 // Staging records where each ascending run starts: an entry whose node id is
-// below the one staged before it opens a new run, so a stored record (strictly
-// ascending) extends at most one run, and a corrupt one splits into several.
+// below the one staged before it opens a new run. A record decodes strictly
+// ascending, so it extends at most one run.
 //
 // Callers must stage hubs in ascending owner order and call Combine before
 // reading the accumulator: Combine sums each node's contributions in staging
 // order, and with that order it is bit-identical to the sequential merge.
 func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner graph.NodeID, alpha float64) {
-	n := len(data) / EncodedEntrySize
-	for j := 0; j < n; j++ {
-		node, score := EncodedEntryAt(data, j)
+	r := NewEncodedReader(data)
+	for node, score, ok := r.Next(); ok; node, score, ok = r.Next() {
 		if node == owner {
 			score -= alpha
 			if score <= extensionEpsilon {

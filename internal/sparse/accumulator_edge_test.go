@@ -9,13 +9,7 @@ import (
 
 // encodeEntries builds an encoded record payload from (id, score) entries,
 // which must be given in ascending id order (as the disk index writes them).
-func encodeEntries(entries ...Entry) []byte {
-	buf := make([]byte, len(entries)*EncodedEntrySize)
-	for i, e := range entries {
-		PutEncodedEntry(buf[i*EncodedEntrySize:], e.Node, e.Score)
-	}
-	return buf
-}
+func encodeEntries(entries ...Entry) []byte { return AppendEncoded(nil, entries) }
 
 // foldEncoded folds one record into a by itself: stage it, then Combine. A
 // sequence of foldEncoded calls is the hub-by-hub merge that staging many

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,17 +19,9 @@ func randomVector(rng *rand.Rand, n, entries int) Vector {
 	return v
 }
 
-// encodeVector flattens v into the 8-byte encoded record layout, sorted by
-// ascending node id, the same layout ppvindex writes to disk.
-func encodeVector(v Vector) []byte {
-	acc := &Accumulator{}
-	acc.SetVector(v)
-	buf := make([]byte, len(v)*EncodedEntrySize)
-	for i, e := range acc.Entries() {
-		PutEncodedEntry(buf[i*EncodedEntrySize:], e.Node, e.Score)
-	}
-	return buf
-}
+// encodeVector encodes v as a record payload, sorted by ascending node id,
+// the layout ppvindex writes to disk.
+func encodeVector(v Vector) []byte { return AppendEncoded(nil, v.AppendSorted(nil)) }
 
 // stored is what an encoded entry gives back for x: x as a float32 rounded
 // toward zero, widened again.
@@ -42,15 +36,65 @@ func storedVector(v Vector) Vector {
 	return out
 }
 
+// TestEncodedEntryRoundTrip pins the entry layout: a uvarint gap (the id
+// itself first, then id − previous − 1) and the float32 score bits, and
+// checks that the payload decodes back, the largest id included.
 func TestEncodedEntryRoundTrip(t *testing.T) {
-	buf := make([]byte, 2*EncodedEntrySize)
-	PutEncodedEntry(buf, 7, 0.125)
-	PutEncodedEntry(buf[EncodedEntrySize:], 2_000_000_000, -1.5)
-	if id, s := EncodedEntryAt(buf, 0); id != 7 || s != 0.125 {
-		t.Fatalf("entry 0 = (%d, %v), want (7, 0.125)", id, s)
+	entries := []Entry{{7, 0.125}, {8, 0.5}, {300, 1}, {math.MaxInt32, -1.5}}
+	buf := AppendEncoded(nil, entries)
+	want := []byte{
+		7, 0x00, 0x00, 0x00, 0x3e, // gap 7, 0.125
+		0, 0x00, 0x00, 0x00, 0x3f, // gap 0, 0.5
+		0xa3, 0x02, 0x00, 0x00, 0x80, 0x3f, // gap 291, 1
+		0xd2, 0xfd, 0xff, 0xff, 0x07, 0x00, 0x00, 0xc0, 0xbf, // gap 2³¹−302, −1.5
 	}
-	if id, s := EncodedEntryAt(buf, 1); id != 2_000_000_000 || s != -1.5 {
-		t.Fatalf("entry 1 = (%d, %v), want (4000000000, -1.5)", id, s)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("encoded % x, want % x", buf, want)
+	}
+	if n := EncodedLen(buf); n != len(entries) {
+		t.Fatalf("EncodedLen = %d, want %d", n, len(entries))
+	}
+	r := NewEncodedReader(buf)
+	for i, e := range entries {
+		if id, s, ok := r.Next(); !ok || id != e.Node || s != e.Score {
+			t.Fatalf("entry %d = (%d, %v, %v), want (%d, %v)", i, id, s, ok, e.Node, e.Score)
+		}
+	}
+	if _, _, ok := r.Next(); ok || r.Err() != nil {
+		t.Fatalf("past the last entry: ok %v, err %v", ok, r.Err())
+	}
+}
+
+// TestEncodedReaderRefusesMalformed: every malformed payload stops the reader
+// with an error wrapping ErrBadEncoding, after the entries before it.
+func TestEncodedReaderRefusesMalformed(t *testing.T) {
+	score := []byte{0, 0, 0, 0x3f}
+	for name, c := range map[string]struct {
+		data []byte
+		good int
+	}{
+		"gap cut off":         {[]byte{0x80}, 0},
+		"gap over 5 bytes":    {append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, score...), 0},
+		"gap not minimal":     {append([]byte{0x85, 0x00}, score...), 0},
+		"id past int32":       {append(append([]byte{5}, score...), append([]byte{0xff, 0xff, 0xff, 0xff, 0x07}, score...)...), 1},
+		"id past uint32":      {append([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, score...), 0},
+		"score cut off":       {append(append([]byte{5}, score...), 1, 0, 0), 1},
+		"trailing byte":       {append(append([]byte{5}, score...), 1), 1},
+		"out of order ids":    {encodeEntries(Entry{Node: 9, Score: 1}, Entry{Node: 5, Score: 1}), 1},
+		"repeated id":         {encodeEntries(Entry{Node: 5, Score: 1}, Entry{Node: 5, Score: 1}), 1},
+		"negative first node": {encodeEntries(Entry{Node: -1, Score: 1}), 0},
+	} {
+		r := NewEncodedReader(c.data)
+		n := 0
+		for _, _, ok := r.Next(); ok; _, _, ok = r.Next() {
+			n++
+		}
+		if n != c.good || !errors.Is(r.Err(), ErrBadEncoding) {
+			t.Errorf("%s: %d entries then %v; want %d then ErrBadEncoding", name, n, r.Err(), c.good)
+		}
+		if got := len(AppendDecoded(nil, c.data)); got != c.good {
+			t.Errorf("%s: AppendDecoded kept %d entries, want %d", name, got, c.good)
+		}
 	}
 }
 
@@ -75,9 +119,8 @@ func TestStoredScoreRoundsTowardZero(t *testing.T) {
 		if again := StoredScore(got); math.Float32bits(again) != math.Float32bits(f) {
 			t.Fatalf("re-encoding %v gave %v", got, again)
 		}
-		var b [EncodedEntrySize]byte
-		PutEncodedEntry(b[:], 1, x)
-		if _, s := EncodedEntryAt(b[:], 0); math.Float64bits(s) != math.Float64bits(got) {
+		r := NewEncodedReader(AppendEncoded(nil, []Entry{{Node: 1, Score: x}}))
+		if _, s, _ := r.Next(); math.Float64bits(s) != math.Float64bits(got) {
 			t.Fatalf("entry of %v decodes to %v, want %v", x, s, got)
 		}
 	}

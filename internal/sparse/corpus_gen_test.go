@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -9,22 +10,27 @@ import (
 )
 
 // TestRegenEncodedCorpus writes the committed seed corpus of
-// FuzzEncodedRoundTrip. Gated behind PPV_REGEN_CORPUS=1.
+// FuzzEncodedRoundTrip: well-formed payloads, and each way a payload is
+// malformed after a good entry. Gated behind PPV_REGEN_CORPUS=1.
 func TestRegenEncodedCorpus(t *testing.T) {
 	corpus.SkipUnlessRegen(t)
 	entries := func(pairs ...float64) []byte {
-		buf := make([]byte, (len(pairs)/2)*EncodedEntrySize)
+		var es []Entry
 		for i := 0; i+1 < len(pairs); i += 2 {
-			PutEncodedEntry(buf[(i/2)*EncodedEntrySize:],
-				graph.NodeID(pairs[i]), pairs[i+1])
+			es = append(es, Entry{Node: graph.NodeID(pairs[i]), Score: pairs[i+1]})
 		}
-		return buf
+		return AppendEncoded(nil, es)
 	}
+	good := entries(1, 0.5, 2, 0.25, 300, 0.125) // one- and two-byte gaps
+	score := good[1:5]
 	corpus.Write(t, "FuzzEncodedRoundTrip",
-		entries(1, 0.5, 2, 0.25, 3, 0.125),
-		entries(7, -0.0, 7, 0.0), // duplicate id, signed zero
-		entries(0, math.Inf(1), 4294967295, math.SmallestNonzeroFloat64),
-		entries(5, 1e300, 6, 2.0)[:EncodedEntrySize+3], // ragged tail
+		good,
+		entries(7, -0.0, 8, 0.0, math.MaxInt32, math.SmallestNonzeroFloat64),            // signed zero, the largest id
+		append(bytes.Clone(good), 0x80),                                                 // a gap cut off
+		append(append(bytes.Clone(good), 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), score...), // a gap over 5 bytes
+		append(append(bytes.Clone(good), 0xff, 0xff, 0xff, 0xff, 0x07), score...),       // a gap past int32
+		append(bytes.Clone(good), 0x01, 0, 0),                                           // a score cut off
+		append(append(bytes.Clone(good), 0x81, 0x00), score...),                         // a gap not minimal
 		nil,
 	)
 }
@@ -49,12 +55,12 @@ func TestRegenCombineCorpus(t *testing.T) {
 		// self-correction in the first.
 		join(record(0x80, Entry{Node: 1, Score: 0.15}, Entry{Node: 4, Score: 0.1}),
 			record(0, Entry{Node: 4, Score: 0.3}, Entry{Node: 8, Score: 1e-17})),
-		// A descending record: three runs in one.
-		record(0, Entry{Node: 9, Score: 1}, Entry{Node: 5, Score: 2}, Entry{Node: 1, Score: 3}),
+		// Descending records: three runs.
+		join(record(0, Entry{Node: 9, Score: 1}), record(0, Entry{Node: 5, Score: 2}), record(0, Entry{Node: 1, Score: 3})),
 		// Empty records between, a NaN and a repeated id.
-		join(record(0), record(0, Entry{Node: 3, Score: math.NaN()}, Entry{Node: 3, Score: 1}),
+		join(record(0), record(0, Entry{Node: 3, Score: math.NaN()}), record(0, Entry{Node: 3, Score: 1}),
 			record(0), record(0, Entry{Node: 3, Score: -0.0})),
 		// A header promising more entries than the input holds.
-		record(0, Entry{Node: 2, Score: 0.5})[:EncodedEntrySize-3],
+		record(0, Entry{Node: 2, Score: 0.5})[:3],
 	)
 }

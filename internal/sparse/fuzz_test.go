@@ -1,70 +1,69 @@
 package sparse
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
-
-	"fastppv/internal/graph"
 )
 
-// FuzzEncodedRoundTrip drives the flat (node, score) entry encoding shared
-// with the disk-index record format. The input bytes are chopped into
-// entries (duplicate ids collapse through the map, as they do on a real
-// decode), canonicalized through an Accumulator, encoded, and decoded again:
-// the canonical form must round-trip bit-for-bit. NaN scores are left out:
-// widening a signalling float32 NaN quiets it, so a NaN is not bit-stable,
-// and the index refuses records that hold one. Each 8-byte chunk of the input
-// is also read as a float64 x: its stored score is never farther from zero
-// than x, so for x >= 0 decode(encode(x)) <= x.
+// FuzzEncodedRoundTrip drives the record encoding shared with the disk-index
+// format (uvarint node-id gaps beside float32 scores) with arbitrary bytes.
+// The reader never panics and allocates in proportion to the input: it
+// decodes strictly ascending entries up to the first malformed one — a gap
+// cut off, overlong (more than 5 bytes, or not minimal) or carrying the id
+// past int32, a score cut off — and then reports an error wrapping
+// ErrBadEncoding. Re-encoding the decoded entries gives back the bytes they
+// came from: the whole input when it is well formed. NaN scores are left out
+// of that check: widening a signalling float32 NaN quiets it, so a NaN is
+// not bit-stable, and the index refuses records that hold one. Each 8-byte
+// chunk of the input is also read as a float64 x: its stored score is never
+// farther from zero than x, so for x >= 0 decode(encode(x)) <= x.
 func FuzzEncodedRoundTrip(f *testing.F) {
-	seed := make([]byte, 2*EncodedEntrySize)
-	PutEncodedEntry(seed, 3, 0.5)
-	PutEncodedEntry(seed[EncodedEntrySize:], 9, -1e300)
-	f.Add(seed)
+	f.Add(AppendEncoded(nil, []Entry{{Node: 3, Score: 0.5}, {Node: 900, Score: -1e300}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for at := 0; at+8 <= len(data); at += 8 {
 			x := math.Float64frombits(binary.LittleEndian.Uint64(data[at:]))
-			var b [EncodedEntrySize]byte
-			PutEncodedEntry(b[:], 0, x)
-			if _, s := EncodedEntryAt(b[:], 0); math.Abs(s) > math.Abs(x) || x >= 0 && !(s >= 0 && s <= x) {
+			r := NewEncodedReader(AppendEncoded(nil, []Entry{{Node: 0, Score: x}}))
+			if _, s, _ := r.Next(); math.Abs(s) > math.Abs(x) || x >= 0 && !(s >= 0 && s <= x) {
 				t.Fatalf("%v stored as %v, not toward zero", x, s)
 			}
 		}
-		n := len(data) / EncodedEntrySize
-		v := New(n)
-		for i := 0; i < n; i++ {
-			id, s := EncodedEntryAt(data[:n*EncodedEntrySize], i)
-			if !math.IsNaN(s) {
-				v[id] = s
+		r := NewEncodedReader(data)
+		var entries []Entry
+		nan := false
+		for id, s, ok := r.Next(); ok; id, s, ok = r.Next() {
+			if n := len(entries); n > 0 && id <= entries[n-1].Node || id < 0 {
+				t.Fatalf("entry %d decodes to node %d, not above the one before it", n, id)
 			}
+			entries = append(entries, Entry{Node: id, Score: s})
+			nan = nan || math.IsNaN(s)
+		}
+		if err := r.Err(); err != nil && !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("reader stopped with unstructured error %v", err)
 		}
 		var a Accumulator
-		a.SetVector(v)
-		if a.Len() != len(v) {
-			t.Fatalf("SetVector kept %d of %d entries", a.Len(), len(v))
+		a.SetEncoded(data)
+		sameBits(t, "SetEncoded", a.Entries(), entries)
+		if c := cap(a.entries); c > 2*(len(data)/minEntryBytes)+8 { // size classes round up
+			t.Fatalf("SetEncoded of %d bytes allocated room for %d entries", len(data), c)
 		}
-		enc := make([]byte, a.Len()*EncodedEntrySize)
-		for i, e := range a.Entries() {
-			PutEncodedEntry(enc[i*EncodedEntrySize:], e.Node, e.Score)
+		if n := EncodedLen(data); n != len(entries) {
+			t.Fatalf("EncodedLen = %d, want %d", n, len(entries))
 		}
-		var b Accumulator
-		b.SetEncoded(enc)
-		if b.Len() != a.Len() {
-			t.Fatalf("SetEncoded kept %d of %d entries", b.Len(), a.Len())
+		enc := AppendEncoded(nil, entries)
+		if !nan && !bytes.HasPrefix(data, enc) {
+			t.Fatalf("%d decoded entries re-encode to % x, not the bytes they came from", len(entries), enc)
 		}
-		be := b.Entries()
-		var prev graph.NodeID
-		for i, e := range a.Entries() {
-			if be[i].Node != e.Node || math.Float64bits(be[i].Score) != math.Float64bits(e.Score) {
-				t.Fatalf("entry %d: (%d, %x) round-tripped to (%d, %x)",
-					i, e.Node, math.Float64bits(e.Score), be[i].Node, math.Float64bits(be[i].Score))
-			}
-			if i > 0 && e.Node <= prev {
-				t.Fatalf("canonical entries not strictly ascending at %d: %d after %d", i, e.Node, prev)
-			}
-			prev = e.Node
+		if !nan && r.Err() == nil && len(enc) != len(data) {
+			t.Fatalf("a well-formed payload of %d bytes re-encodes to %d", len(data), len(enc))
+		}
+		if r.Err() == nil && len(enc) == len(data) {
+			var b Accumulator
+			b.SetEncoded(enc)
+			sameBits(t, "round trip", b.Entries(), entries)
 		}
 	})
 }
@@ -73,21 +72,33 @@ func FuzzEncodedRoundTrip(f *testing.F) {
 // the stable-sort-then-left-fold reference, bit for bit. Each record is a
 // header byte — its entry count in the low four bits, and in the high bit
 // whether its first entry's node is the owner hub — followed by that many
-// encoded entries (fewer if the input runs out). Ids and scores are
-// arbitrary, so records may be out of order, repeat ids or hold NaNs.
+// encoded entries; a record that runs out of input or holds a malformed
+// entry takes the rest of it. Ids and scores are arbitrary, so records may
+// go down or repeat ids between them, and hold NaNs.
 func FuzzCombineRuns(f *testing.F) {
 	f.Add([]byte{}) // more seeds: testdata/fuzz, from TestRegenCombineCorpus
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var recs []stagedRecord
 		for len(data) > 0 {
 			head := data[0]
-			n := min(int(head&0x0f)*EncodedEntrySize, (len(data)-1)/EncodedEntrySize*EncodedEntrySize)
-			rec := stagedRecord{data: data[1 : 1+n], scale: 1, owner: -1}
-			if head&0x80 != 0 && n > 0 {
-				rec.owner, _ = EncodedEntryAt(rec.data, 0)
+			r := NewEncodedReader(data[1:])
+			for i := 0; i < int(head&0x0f); i++ {
+				if _, _, ok := r.Next(); !ok {
+					break
+				}
+			}
+			end := len(data) - len(r.data)
+			if r.Err() != nil {
+				end = len(data)
+			}
+			rec := stagedRecord{data: data[1:end], scale: 1, owner: -1}
+			if first := NewEncodedReader(rec.data); head&0x80 != 0 {
+				if id, _, ok := first.Next(); ok {
+					rec.owner = id
+				}
 			}
 			recs = append(recs, rec)
-			data = data[1+n:]
+			data = data[end:]
 		}
 		var a Accumulator
 		stageAll(&a, recs)

@@ -4,7 +4,9 @@
 // node, so nothing here is dense. Vector, a map from node id to score, is the
 // public form: query results, exact PPVs, the baselines and the experiments.
 // The serving path builds one only when its answer is complete: stored prime
-// PPVs are flat payloads sorted by node id, folded as slices (accumulator.go).
+// PPVs are encoded payloads sorted by node id (encoded.go: uvarint node-id
+// gaps beside float32 scores), decoded front to back and folded as slices
+// (accumulator.go).
 package sparse
 
 import (

@@ -2,6 +2,8 @@ package fastppv
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"fastppv/internal/gen"
 	"fastppv/internal/hub"
 	"fastppv/internal/ppvindex"
+	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
@@ -72,9 +75,12 @@ func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 }
 
 // TestHubRecordLayoutSize is the gate on the record layout's size: a record
-// costs 8 bytes (hub id, entry count) plus 8 an entry (a uint32 node id and a
-// float32 score) in memory, and the disk file adds a 12-byte directory slot
-// a hub and the 16-byte footer.
+// costs 8 bytes (hub id, payload length) plus its entries, each a uvarint gap
+// (node − previous node − 1, the first entry's gap its node id) and a 4-byte
+// float32 score, in memory; the disk file adds a 12-byte directory slot a hub
+// and the 16-byte footer. The entries are counted here from the decoded
+// records, independently of the encoder. sparse.EncodedEntrySize stays the
+// fixed-width size, 8, which only the benchmark harness reads.
 func TestHubRecordLayoutSize(t *testing.T) {
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 3000, OutDegreeMean: 6, Attachment: 0.8, Seed: 29})
 	if err != nil {
@@ -89,16 +95,25 @@ func TestHubRecordLayoutSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sparse.EncodedEntrySize != 8 {
-		t.Fatalf("an encoded entry is %d bytes, want 8", sparse.EncodedEntrySize)
+		t.Fatalf("the fixed-width entry size is %d bytes, want 8", sparse.EncodedEntrySize)
 	}
 	hubs := int64(mem.Index().Len())
-	var entries int64
+	var entries, payload int64
 	for _, h := range mem.Index().Hubs() {
-		entries += int64(len(recordBytes(t, "mem", mem.Index(), h)) / sparse.EncodedEntrySize)
+		prev := NodeID(-1)
+		for _, e := range sparse.AppendDecoded(nil, recordBytes(t, "mem", mem.Index(), h)) {
+			gap := uint64(e.Node - prev - 1)
+			payload += 4 + int64(len(binary.AppendUvarint(nil, gap)))
+			prev = e.Node
+			entries++
+		}
 	}
-	want := 8*hubs + 8*entries
+	want := 8*hubs + payload
 	if got := mem.Index().SizeBytes(); hubs != int64(opts.NumHubs) || got != want {
 		t.Fatalf("MemIndex of %d hubs and %d entries is %d bytes, want %d", hubs, entries, got, want)
+	}
+	if payload >= 6*entries {
+		t.Errorf("%d entries take %d payload bytes, %.2f an entry; want under 6", entries, payload, float64(payload)/float64(entries))
 	}
 	path := filepath.Join(t.TempDir(), "index.ppv")
 	buildDiskIndex(t, g, opts.NumHubs, path)
@@ -108,6 +123,84 @@ func TestHubRecordLayoutSize(t *testing.T) {
 	}
 	if got := st.Size(); got != want+12*hubs+16 {
 		t.Fatalf("the index file is %d bytes, want %d", got, want+12*hubs+16)
+	}
+}
+
+// TestIndexSizeIsPinned pins the index of one seeded graph to exact byte
+// counts, in memory (SizeBytes) and on disk (the file), so any change to the
+// record layout or to what precompute stores shows here. Every record must
+// decode to the entries of a fresh prime push passed through StoredScore, and
+// the disk index and the in-memory one must answer 50 sources bit for bit
+// alike.
+func TestIndexSizeIsPinned(t *testing.T) {
+	const memBytes, fileBytes = 76_569, 80_185
+	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 3000, OutDegreeMean: 6, Attachment: 0.8, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{NumHubs: 300}
+	mem, err := New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.ppv")
+	buildDiskIndex(t, g, opts.NumHubs, path)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Index().SizeBytes(); got != memBytes {
+		t.Errorf("the in-memory index is %d bytes, want %d", got, memBytes)
+	}
+	if st.Size() != fileBytes {
+		t.Errorf("the index file is %d bytes, want %d", st.Size(), fileBytes)
+	}
+
+	o := mem.Options()
+	var scratch prime.Scratch
+	for _, h := range mem.Index().Hubs() {
+		pushed, _, err := scratch.Push(g, h, mem.Hubs(), prime.Options{Alpha: o.Alpha, Epsilon: o.Epsilon, MaxPushes: o.MaxPushes}, o.Clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := sparse.AppendDecoded(nil, recordBytes(t, "mem", mem.Index(), h))
+		if len(stored) != len(pushed) {
+			t.Fatalf("hub %d: the record holds %d entries, the push %d", h, len(stored), len(pushed))
+		}
+		for i, e := range pushed {
+			if stored[i].Node != e.Node || math.Float64bits(stored[i].Score) != math.Float64bits(float64(sparse.StoredScore(e.Score))) {
+				t.Fatalf("hub %d entry %d: stored (%d, %v), pushed (%d, %v)", h, i, stored[i].Node, stored[i].Score, e.Node, e.Score)
+			}
+		}
+	}
+
+	disk, closeDisk, err := OpenDiskIndex(g, opts, path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeDisk()
+	for i := 0; i < 50; i++ {
+		q := NodeID(i * 59)
+		want, err := mem.Query(q, DefaultStop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := disk.Query(q, DefaultStop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.L1ErrorBound) != math.Float64bits(want.L1ErrorBound) || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("source %d: the disk index answers %d entries at bound %v, memory %d at %v",
+				q, len(got.Entries), got.L1ErrorBound, len(want.Entries), want.L1ErrorBound)
+		}
+		for j, e := range want.Entries {
+			if got.Entries[j].Node != e.Node || math.Float64bits(got.Entries[j].Score) != math.Float64bits(e.Score) {
+				t.Fatalf("source %d entry %d: disk (%d, %v), memory (%d, %v)", q, j, got.Entries[j].Node, got.Entries[j].Score, e.Node, e.Score)
+			}
+		}
 	}
 }
 
