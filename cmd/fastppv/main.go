@@ -4,9 +4,8 @@
 //	fastppv precompute -graph g.txt -hubs 20000 -index idx.ppv
 //	    select hubs and precompute their prime PPVs into a disk index.
 //
-//	fastppv query -graph g.txt -index idx.ppv -node 42 -eta 2 -top 10
-//	    answer a single query from a precomputed index (or precompute an
-//	    in-memory index on the fly when -index is omitted).
+//	fastppv query -graph g.txt -hubs 20000 -node 42 -eta 2 -top 10
+//	    precompute an in-memory index and answer a single query from it.
 //
 //	fastppv evaluate -graph g.txt -hubs 20000 -queries 50 -eta 2
 //	    precompute, run a random query workload, and report the paper's
@@ -23,7 +22,7 @@ import (
 	"time"
 
 	"fastppv"
-	"fastppv/internal/metrics"
+	"fastppv/internal/accuracy"
 )
 
 func main() {
@@ -55,7 +54,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   fastppv precompute -graph <file> [-hubs N] [-alpha 0.15] [-shard i/n] -index <file>
-  fastppv query      -graph <file> [-index <file>] [-hubs N] -node <id> [-eta 2] [-top 10]
+  fastppv query      -graph <file> [-hubs N] [-alpha 0.15] -node <id> [-eta 2] [-top 10] [-target-error 0]
   fastppv evaluate   -graph <file> [-hubs N] [-queries 50] [-eta 2] [-seed 1]`)
 }
 
@@ -141,7 +140,7 @@ func runQuery(args []string) error {
 	}
 	fmt.Printf("precomputed %d hubs in %v\n", engine.OfflineStats().Hubs, time.Since(start).Round(time.Millisecond))
 
-	res, err := engine.Query(fastppv.NodeID(*node), fastppv.StopCondition{
+	res, err := engine.QueryOn(nil, fastppv.NodeID(*node), fastppv.StopCondition{
 		MaxIterations: *eta,
 		TargetL1Error: *targetErr,
 	})
@@ -187,13 +186,13 @@ func runEvaluate(args []string) error {
 
 	rng := rand.New(rand.NewSource(*seed))
 	var (
-		reports   []metrics.Report
+		reports   []accuracy.Report
 		totalTime time.Duration
 	)
 	for i := 0; i < *queries; i++ {
 		q := fastppv.NodeID(rng.Intn(g.NumNodes()))
 		start := time.Now()
-		res, err := engine.Query(q, fastppv.StopCondition{MaxIterations: *eta})
+		res, err := engine.QueryOn(nil, q, fastppv.StopCondition{MaxIterations: *eta})
 		totalTime += time.Since(start)
 		if err != nil {
 			return err
@@ -202,9 +201,9 @@ func runEvaluate(args []string) error {
 		if err != nil {
 			return err
 		}
-		reports = append(reports, fastppv.Evaluate(exact, res.Estimate, 10))
+		reports = append(reports, fastppv.Evaluate(exact, res.Entries, 10))
 	}
-	avg := metrics.Average(reports)
+	avg := accuracy.Average(reports)
 	fmt.Printf("online (%d queries, eta=%d): %.3f ms/query\n",
 		*queries, *eta, float64(totalTime.Microseconds())/float64(*queries)/1000.0)
 	fmt.Printf("accuracy: kendall=%.4f precision=%.4f rag=%.4f l1sim=%.4f\n",

@@ -47,7 +47,7 @@ func main() {
 	}
 	fmt.Printf("\nquery %s — candidate reviewers (top authors by personalized PageRank):\n", g.Label(query))
 	shown := 0
-	for _, e := range res.Estimate.TopK(200) {
+	for _, e := range res.TopK(200) {
 		if !strings.HasPrefix(g.Label(e.Node), "author/") {
 			continue
 		}

@@ -81,7 +81,7 @@ func recommend(engine *fastppv.Engine, g *fastppv.Graph, query fastppv.NodeID, e
 		already[f] = true
 	}
 	var out []fastppv.Entry
-	for _, e := range res.Estimate.TopK(k + len(already) + 16) {
+	for _, e := range res.TopK(k + len(already) + 16) {
 		if already[e.Node] {
 			continue
 		}

@@ -59,7 +59,7 @@ func main() {
 	for iter := 0; iter <= 3; iter++ {
 		res := qs.Result()
 		fmt.Printf("\nafter iteration %d (L1 error bound %.4f):\n", iter, res.L1ErrorBound)
-		for rank, e := range res.Estimate.TopK(5) {
+		for rank, e := range res.TopK(5) {
 			fmt.Printf("  %d. %-2s %.4f\n", rank+1, g.Label(e.Node), e.Score)
 		}
 		if qs.Exhausted() {
@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := fastppv.Evaluate(exact, qs.Result().Estimate, 5)
+	report := fastppv.Evaluate(exact, qs.Result().Entries, 5)
 	fmt.Printf("\naccuracy vs exact PPV: kendall=%.3f precision=%.3f rag=%.3f l1sim=%.4f\n",
 		report.KendallTau, report.Precision, report.RAG, report.L1Similarity)
 }

@@ -71,7 +71,7 @@ func main() {
 		)
 		for i, query := range queries {
 			start := time.Now()
-			res, err := engine.Query(query, p.stop)
+			res, err := engine.QueryOn(nil, query, p.stop)
 			timeSum += time.Since(start)
 			if err != nil {
 				log.Fatal(err)
@@ -80,7 +80,11 @@ func main() {
 			phiSum += res.L1ErrorBound
 			// The bound is a guarantee: the true error may not exceed it
 			// beyond the exact solver's own convergence tolerance.
-			trueErr := exact[i].L1Distance(res.Estimate)
+			estimate := make(fastppv.Vector, len(res.Entries))
+			for _, e := range res.Entries {
+				estimate[e.Node] = e.Score
+			}
+			trueErr := exact[i].L1Distance(estimate)
 			if trueErr > res.L1ErrorBound+1e-9 {
 				log.Fatalf("%s, query %d: true L1 error %.6f exceeds the bound %.6f", p.name, query, trueErr, res.L1ErrorBound)
 			}

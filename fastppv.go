@@ -34,9 +34,9 @@ import (
 	"fmt"
 	"io"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
-	"fastppv/internal/metrics"
 	"fastppv/internal/pagerank"
 	"fastppv/internal/ppvindex"
 	"fastppv/internal/sparse"
@@ -70,8 +70,8 @@ type (
 	// L1 error bound, and per-iteration statistics.
 	Result = core.Result
 	// QueryState is an in-progress incremental query; Step applies one more
-	// PPV increment. Run returns the estimate as the sorted Result.Entries
-	// only (Result.Estimate is nil); Result builds the map view.
+	// PPV increment. Run and Result return the estimate as the sorted
+	// Result.Entries only (Result.Estimate is nil).
 	QueryState = core.QueryState
 	// IterationStat describes one online iteration.
 	IterationStat = core.IterationStat
@@ -103,7 +103,7 @@ type (
 )
 
 // AccuracyReport bundles the four accuracy metrics of the paper's evaluation.
-type AccuracyReport = metrics.Report
+type AccuracyReport = accuracy.Report
 
 // InvalidNode is returned by lookups that find no node.
 const InvalidNode = graph.InvalidNode
@@ -297,8 +297,9 @@ func GlobalPageRank(g *Graph, alpha float64) ([]float64, error) {
 	return pagerank.Global(g, pagerank.Options{Alpha: alpha})
 }
 
-// Evaluate scores an approximate PPV against the exact one at ranking depth
-// k, returning the paper's four accuracy metrics.
-func Evaluate(exact, approx Vector, k int) AccuracyReport {
-	return metrics.Evaluate(exact, approx, k)
+// Evaluate scores an approximate PPV, as the sorted entries of a Result,
+// against the exact one at ranking depth k, returning the paper's four
+// accuracy metrics.
+func Evaluate(exact Vector, approx []Entry, k int) AccuracyReport {
+	return accuracy.Evaluate(exact, sparse.FromEntries(approx), k)
 }

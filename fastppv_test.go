@@ -60,7 +60,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExactPPV: %v", err)
 	}
-	report := Evaluate(exact, res.Estimate, 10)
+	report := Evaluate(exact, res.Entries, 10)
 	if report.Precision < 0.5 {
 		t.Errorf("precision %.3f unexpectedly low for eta=2 on a small graph", report.Precision)
 	}

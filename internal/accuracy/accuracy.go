@@ -1,9 +1,9 @@
-// Package metrics implements the four accuracy metrics used in the paper's
+// Package accuracy implements the four accuracy metrics used in the paper's
 // evaluation (Sect. 6): Kendall's tau and Precision@K over the top-K ranking,
 // and RAG (relative average goodness) and L1 error/similarity over the scores.
 // All metrics compare an approximate PPV against the exact PPV and, following
 // the paper, focus on the top 10 nodes by default.
-package metrics
+package accuracy
 
 import (
 	"math"

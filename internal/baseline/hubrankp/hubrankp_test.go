@@ -3,9 +3,9 @@ package hubrankp
 import (
 	"testing"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
-	"fastppv/internal/metrics"
 	"fastppv/internal/pagerank"
 )
 
@@ -36,7 +36,7 @@ func TestQueryApproximatesExactPPV(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ExactPPV: %v", err)
 		}
-		rep := metrics.Evaluate(exact, res.Estimate, 10)
+		rep := accuracy.Evaluate(exact, res.Estimate, 10)
 		if rep.Precision < 0.8 {
 			t.Errorf("q=%d: precision %.3f below 0.8 at a tight push threshold", q, rep.Precision)
 		}

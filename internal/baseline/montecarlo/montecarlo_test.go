@@ -3,9 +3,9 @@ package montecarlo
 import (
 	"testing"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
-	"fastppv/internal/metrics"
 	"fastppv/internal/pagerank"
 )
 
@@ -35,7 +35,7 @@ func TestQueryApproximatesExactPPV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Evaluate(exact, res.Estimate, 10)
+	rep := accuracy.Evaluate(exact, res.Estimate, 10)
 	if rep.Precision < 0.6 || rep.RAG < 0.9 {
 		t.Errorf("MonteCarlo with 20k samples is too inaccurate: %+v", rep)
 	}
@@ -130,7 +130,7 @@ func TestHubFingerprintsAreUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Evaluate(exact, res.Estimate, 10)
+	rep := accuracy.Evaluate(exact, res.Estimate, 10)
 	if rep.RAG < 0.85 {
 		t.Errorf("hub fingerprint reuse degraded RAG to %.3f", rep.RAG)
 	}

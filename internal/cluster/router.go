@@ -1,6 +1,6 @@
-// router.go implements the horizontal-sharding half of this package: a
-// scatter-gather router over fastppvd shards that each serve one hub
-// partition of the index (see internal/core.Partition).
+// Package cluster shards the hub index of the FastPPV reproduction across
+// processes: a scatter-gather Router over fastppvd shards that each serve one
+// hub partition of the index (see internal/core.Partition).
 //
 // The scheduled approximation of the paper decomposes a PPV query into
 // per-hub sub-queries aggregated in decreasing order of importance; the

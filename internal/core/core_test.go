@@ -228,11 +228,11 @@ func TestTheorem1MonotonicEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewQuery: %v", err)
 	}
-	prev := qs.Result().Estimate.Clone()
+	prev := sparse.FromEntries(qs.Result().Entries)
 	prevBound := qs.L1ErrorBound()
 	for i := 0; i < 10; i++ {
 		qs.Step()
-		cur := qs.Result().Estimate
+		cur := sparse.FromEntries(qs.Result().Entries)
 		for node, before := range prev {
 			if cur.Get(node) < before-1e-12 {
 				t.Fatalf("iteration %d decreased score of node %d: %.12f -> %.12f", i+1, node, before, cur.Get(node))
@@ -241,7 +241,7 @@ func TestTheorem1MonotonicEstimates(t *testing.T) {
 		if b := qs.L1ErrorBound(); b > prevBound+1e-12 {
 			t.Fatalf("iteration %d increased the L1 error bound: %.12f -> %.12f", i+1, prevBound, b)
 		}
-		prev = cur.Clone()
+		prev = cur
 		prevBound = qs.L1ErrorBound()
 	}
 }
@@ -299,7 +299,7 @@ func TestAccuracyAwareBoundMatchesTrueError(t *testing.T) {
 		t.Fatalf("NewQuery: %v", err)
 	}
 	for k := 0; k < 6; k++ {
-		trueErr := exact.L1Distance(qs.Result().Estimate)
+		trueErr := exact.L1Distance(sparse.FromEntries(qs.Result().Entries))
 		phi := qs.L1ErrorBound()
 		if math.Abs(trueErr-phi) > 1e-6 {
 			t.Errorf("k=%d: computable bound %.8f differs from true L1 error %.8f", k, phi, trueErr)
@@ -604,40 +604,44 @@ func sameEntryBits(a, b []sparse.Entry) bool {
 }
 
 // TestResultEntriesAndEstimate: a result's sorted Entries are the estimate.
-// The public entry points — Engine.Query and QueryState.Result, before and
-// after a Step and after Close — add the map view holding exactly those bits,
-// while Run, the serving path, builds no map.
+// Engine.Query alone adds the map view, holding exactly those bits; QueryOn,
+// Run and QueryState.Result — before and after a Step and after Close —
+// build no map, and their entries are Engine.Query's bits.
 func TestResultEntriesAndEstimate(t *testing.T) {
 	e := socialEngine(t, 1500, 5)
 	stop := StopCondition{MaxIterations: 2}
-	check := func(label string, q graph.NodeID, res *Result) {
-		t.Helper()
-		if res.Estimate == nil || !sameEntryBits(res.Entries, res.Estimate.AppendSorted(nil)) {
-			t.Errorf("q=%d %s: Entries (%d) and Estimate (%d) disagree", q, label, len(res.Entries), len(res.Estimate))
-		}
-	}
 	for _, q := range append(nonHubSources(e, 100, 3), e.Hubs().Hubs()[:2]...) {
 		public, err := e.Query(q, stop)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Engine.Query", q, public)
+		if public.Estimate == nil || !sameEntryBits(public.Entries, public.Estimate.AppendSorted(nil)) {
+			t.Errorf("q=%d: Engine.Query's Entries (%d) and Estimate (%d) disagree", q, len(public.Entries), len(public.Estimate))
+		}
+		check := func(label string, res *Result, want []sparse.Entry) {
+			t.Helper()
+			if res.Estimate != nil {
+				t.Errorf("q=%d %s: built the estimate map", q, label)
+			}
+			if want != nil && !sameEntryBits(res.Entries, want) {
+				t.Errorf("q=%d %s: entries differ from Engine.Query's", q, label)
+			}
+		}
+		on, err := e.QueryOn(nil, q, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("QueryOn", on, public.Entries)
 
 		qs, err := e.NewQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Result at iteration 0", q, qs.Result())
+		check("Result at iteration 0", qs.Result(), nil)
 		qs.Step()
-		check("Result after a Step", q, qs.Result())
-		run := qs.Run(stop)
-		if run.Estimate != nil {
-			t.Errorf("q=%d: Run built the estimate map", q)
-		}
-		if !sameEntryBits(run.Entries, public.Entries) {
-			t.Errorf("q=%d: Run's entries differ from Engine.Query's", q)
-		}
+		check("Result after a Step", qs.Result(), nil)
+		check("Run", qs.Run(stop), public.Entries)
 		qs.Close()
-		check("Result after Close", q, qs.Result())
+		check("Result after Close", qs.Result(), public.Entries)
 	}
 }

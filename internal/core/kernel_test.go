@@ -190,7 +190,9 @@ func totalAlloc() uint64 {
 // allocation cut, and the push precision rule's, in place. The ceilings sit
 // ~25 % above what this commit measures on a 5 000-node SocialGraph with 500
 // hubs: ~41 KB an Engine.Query, which builds the estimate both as sorted
-// entries and as the public map; 0.62 KB a query served the way the server
+// entries and as the public map; ~15.2 KB a QueryOn, which builds the sorted
+// entries only (the ceiling, 20 KB, fails while QueryOn also builds the map);
+// 0.62 KB a query served the way the server
 // runs it (NewQuery, then Serve ranking TopKEntries(10) from the pooled
 // estimate — no copy of it; the ceiling was set at 0.82 KB, when the query
 // also cloned the list of hubs it expanded, and is far below the 15.8 KB of
@@ -203,12 +205,17 @@ func totalAlloc() uint64 {
 // every push at epsilon = 1e-8 rather than Clip/100 the
 // same four measured ~84 KB, 30.3 KB, ~23 KB and 1.09 MB; the map-based push
 // measured 407 KB a query and 147 MB a Precompute.
+//
+// The per-query rows are measured at GOMAXPROCS 1: sync.Pool keeps a pool per
+// P, and under load the measured pass could draw its bundles from another P's
+// pool than the one the warm pass filled (a shard leg read 17.4 KB so).
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled bundles at random under the race detector")
 	}
 	const (
 		queryCeiling      = 52_000    // bytes per non-hub Engine.Query at eta=2
+		queryOnCeiling    = 20_000    // bytes per non-hub QueryOn at eta=2
 		servingCeiling    = 1_200     // bytes per non-hub served query at eta=2
 		partialCeiling    = 16_000    // bytes per non-hub root partial plus one expansion
 		precomputeCeiling = 1_130_000 // bytes per Precompute
@@ -231,7 +238,10 @@ func TestAllocationCeilings(t *testing.T) {
 	stop := StopCondition{MaxIterations: 2}
 	// perQuery runs query over every source twice — once to warm the pooled
 	// bundle — and returns the bytes allocated per query by the second pass.
+	// Both passes run on one P, so the second draws from the pool the first
+	// filled.
 	perQuery := func(query func(q graph.NodeID) error) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		run := func() {
 			for _, q := range srcs {
 				if err := query(q); err != nil {
@@ -249,6 +259,10 @@ func TestAllocationCeilings(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	public := perQuery(func(q graph.NodeID) error {
 		_, err := e.Query(q, stop)
+		return err
+	})
+	queryOn := perQuery(func(q graph.NodeID) error {
+		_, err := e.QueryOn(nil, q, stop)
 		return err
 	})
 	served := perQuery(func(q graph.NodeID) error {
@@ -270,9 +284,12 @@ func TestAllocationCeilings(t *testing.T) {
 		return err
 	})
 
-	t.Logf("non-hub Engine.Query: %d B; served query: %d B; shard leg: %d B; precompute: %d B", public, served, partial, precompute)
+	t.Logf("non-hub Engine.Query: %d B; QueryOn: %d B; served query: %d B; shard leg: %d B; precompute: %d B", public, queryOn, served, partial, precompute)
 	if public > queryCeiling {
 		t.Errorf("a non-hub Engine.Query at eta=2 allocates %d B, ceiling %d B", public, queryCeiling)
+	}
+	if queryOn > queryOnCeiling {
+		t.Errorf("a non-hub QueryOn at eta=2 allocates %d B, ceiling %d B", queryOn, queryOnCeiling)
 	}
 	if served > servingCeiling {
 		t.Errorf("a non-hub served query at eta=2 allocates %d B, ceiling %d B", served, servingCeiling)

@@ -65,8 +65,7 @@ func getQueryBufs() *queryBufs {
 // time (not after Get) drops the bundle's references to query state before it
 // sits in the pool, so the GC can reclaim what the buffers pointed at. The
 // caller must not retain any slice or view of it afterwards; boundary results
-// (Result.Entries and Estimate, PartialIncrement) are always copies, never
-// pooled storage.
+// (Result.Entries, PartialIncrement) are always copies, never pooled storage.
 func putQueryBufs(b *queryBufs) {
 	if b != nil {
 		b.reset()

@@ -42,9 +42,9 @@ type Result struct {
 	// Result and is what TopK ranks. It is nil in what QueryState.Serve
 	// returns: a serving layer ranks the pooled estimate instead.
 	Entries []sparse.Entry
-	// Estimate is the map view of Entries, built only by the public entry
-	// points — Engine.Query/QueryOn, QueryState.Result, cluster.Router.Query —
-	// and nil in what QueryState.Run returns.
+	// Estimate is the map view of Entries. Only Engine.Query and
+	// cluster.Router.Query build it; it is nil everywhere else. A consumer
+	// that needs random access builds its own with sparse.FromEntries.
 	Estimate sparse.Vector
 	// Iterations is the number of PPV increments applied beyond iteration 0.
 	Iterations int
@@ -67,9 +67,15 @@ func (r *Result) TopK(k int) []sparse.Entry { return sparse.TopKEntries(r.Entrie
 
 // Query runs online FastPPV query processing (Algorithm 2) for query node q
 // under the stopping condition stop, assembling PPV increments from the
-// precomputed hub prime PPVs.
+// precomputed hub prime PPVs. It is QueryOn over the in-memory graph, plus
+// the map view Result.Estimate.
 func (e *Engine) Query(q graph.NodeID, stop StopCondition) (*Result, error) {
-	return e.QueryOn(nil, q, stop)
+	res, err := e.QueryOn(nil, q, stop)
+	if err != nil {
+		return nil, err
+	}
+	res.Estimate = sparse.FromEntries(res.Entries)
+	return res, nil
 }
 
 // Source is where a scheduled-approximation query gets its mass from. The loop
@@ -105,12 +111,11 @@ type Source interface {
 //
 // The working state — the running estimate and the per-step increment — lives
 // in a pooled flat-slice bundle, not in maps: increments arrive sorted by node
-// id and fold into the estimate with linear merges. Run and Close copy the
-// estimate out as the sorted Result.Entries; only Result builds the map view
-// Result.Estimate; Serve lends the pooled estimate to its caller and copies
-// nothing. Callers that drive QueryState directly should Close it when done
-// to recycle the bundle; a state that is never Closed is still correct, just
-// not pooled.
+// id and fold into the estimate with linear merges. Run, Result and Close
+// copy the estimate out as the sorted Result.Entries; Serve lends the pooled
+// estimate to its caller and copies nothing. Callers that drive QueryState
+// directly should Close it when done to recycle the bundle; a state that is
+// never Closed is still correct, just not pooled.
 type QueryState struct {
 	src Source
 
@@ -140,8 +145,9 @@ type QueryState struct {
 // updates publish while it steps.
 func (e *Engine) NewQuery(q graph.NodeID) (*QueryState, error) { return e.NewQueryOn(nil, q) }
 
-// QueryOn is Query, but prime-subgraph identification for the query node runs
-// against the supplied adjacency view instead of the in-memory graph. The
+// QueryOn runs a query to stop and returns the estimate as the sorted
+// Result.Entries only. Prime-subgraph identification for the query node runs
+// against the supplied adjacency view (nil is the in-memory graph). The
 // disk-based configuration of Sect. 5.3 passes a diskgraph.View here so that
 // cluster faults are charged to the query.
 func (e *Engine) QueryOn(adj prime.Adjacency, q graph.NodeID, stop StopCondition) (*Result, error) {
@@ -149,9 +155,9 @@ func (e *Engine) QueryOn(adj prime.Adjacency, q graph.NodeID, stop StopCondition
 	if err != nil {
 		return nil, err
 	}
-	qs.Run(stop)
+	res := qs.Run(stop)
 	qs.Close()
-	return qs.Result(), nil
+	return res, nil
 }
 
 // NewQueryOn is NewQuery over an alternative adjacency view (see QueryOn); a
@@ -369,33 +375,21 @@ func (e *Engine) stageHub(v *version, b *queryBufs, inc *sparse.Accumulator, h g
 }
 
 // syncEntries copies the accumulator out as result.Entries if it has advanced
-// since the last copy, retiring the map view built from the old copy. Earlier
-// copies and maps stay valid: each sync makes new ones.
+// since the last copy. Earlier copies stay valid: each sync makes a new one.
 func (qs *QueryState) syncEntries() {
 	if qs.bufs == nil || !qs.entriesDirty {
 		return // Closed (the last sync took the final estimate), or current.
 	}
 	qs.result.Entries = slices.Clone(qs.bufs.acc.Entries())
-	qs.result.Estimate = nil
 	qs.entriesDirty = false
 }
 
-// syncEstimate brings Result.Estimate, the map view of the entries, up to
-// date. It is the one place a query's estimate becomes a map, and only the
-// public entry points reach it.
-func (qs *QueryState) syncEstimate() {
-	qs.syncEntries()
-	if qs.result.Estimate == nil {
-		qs.result.Estimate = sparse.FromEntries(qs.result.Entries)
-	}
-}
-
-// Result returns the current result snapshot, Estimate map included. The
-// estimate is shared with the query state; callers that keep iterating should
-// not modify it.
+// Result returns the current result snapshot, the estimate as the sorted
+// Entries. The result is shared with the query state; callers that keep
+// iterating should not modify it.
 func (qs *QueryState) Result() *Result {
 	qs.makeStats(1)
-	qs.syncEstimate()
+	qs.syncEntries()
 	return qs.result
 }
 
@@ -483,8 +477,7 @@ func (e *Engine) stageRecomputed(b *queryBufs, g *graph.Graph, inc *sparse.Accum
 // Serve and the cluster router's query all end here.
 //
 // The result carries the estimate as the sorted Entries only; its Estimate map
-// is nil (unless Result built one since the last Step). Call Result for the
-// map view.
+// is nil.
 func (qs *QueryState) Run(stop StopCondition) *Result {
 	qs.run(stop)
 	qs.syncEntries()

@@ -1,17 +1,10 @@
-// Package cluster holds the cluster-level machinery of the FastPPV
-// reproduction, in two halves:
-//
-//   - node clustering for the disk-based configuration (this file): following
-//     the technique the paper adopts from Sarkar & Moore (Sect. 5.3), anchor
-//     nodes are chosen at random and every node is assigned to the anchor with
-//     the highest personalized PageRank score, which produces tight clusters
-//     even with random anchors;
-//   - horizontal sharding of the hub index across processes (router.go): a
-//     scatter-gather Router fans PPV queries out to fastppvd shards that each
-//     own one hash partition of the hub set, merges their partial increments
-//     deterministically, and composes the exact accuracy-aware error bound —
-//     degrading to a wider bound, not an error, when shards are lost.
-package cluster
+// cluster.go segments the graph into the clusters a Store keeps on disk:
+// following the technique the paper adopts from Sarkar & Moore (Sect. 5.3),
+// anchor nodes are chosen at random and every node is assigned to the anchor
+// with the highest personalized PageRank score, which produces tight clusters
+// even with random anchors.
+
+package diskgraph
 
 import (
 	"errors"
@@ -23,8 +16,8 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// Options configure the clustering.
-type Options struct {
+// ClusterOptions configure the clustering.
+type ClusterOptions struct {
 	// NumClusters is the number of anchors/clusters to create.
 	NumClusters int
 	// Alpha is the teleporting probability of the anchor PPVs; zero means
@@ -38,21 +31,21 @@ type Options struct {
 	Seed int64
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o ClusterOptions) withDefaults() (ClusterOptions, error) {
 	if o.NumClusters <= 0 {
-		return o, fmt.Errorf("cluster: NumClusters must be positive, got %d", o.NumClusters)
+		return o, fmt.Errorf("diskgraph: NumClusters must be positive, got %d", o.NumClusters)
 	}
 	if o.Alpha == 0 {
 		o.Alpha = pagerank.DefaultAlpha
 	}
 	if o.Alpha <= 0 || o.Alpha >= 1 {
-		return o, fmt.Errorf("cluster: alpha %v outside (0,1)", o.Alpha)
+		return o, fmt.Errorf("diskgraph: alpha %v outside (0,1)", o.Alpha)
 	}
 	if o.PushThreshold == 0 {
 		o.PushThreshold = 1e-6
 	}
 	if o.PushThreshold < 0 {
-		return o, errors.New("cluster: negative PushThreshold")
+		return o, errors.New("diskgraph: negative PushThreshold")
 	}
 	return o, nil
 }
@@ -84,14 +77,14 @@ func (c *Clustering) Members(id int) []graph.NodeID {
 // Partition clusters g around randomly chosen anchors by personalized
 // PageRank affinity. Nodes unreachable from every anchor are distributed
 // round-robin so that every node belongs to exactly one cluster.
-func Partition(g *graph.Graph, opts Options) (*Clustering, error) {
+func Partition(g *graph.Graph, opts ClusterOptions) (*Clustering, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
 	if n == 0 {
-		return nil, errors.New("cluster: empty graph")
+		return nil, errors.New("diskgraph: empty graph")
 	}
 	k := opts.NumClusters
 	if k > n {

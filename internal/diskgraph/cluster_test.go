@@ -1,4 +1,4 @@
-package cluster
+package diskgraph
 
 import (
 	"testing"
@@ -12,7 +12,7 @@ func TestPartitionCoversEveryNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SocialGraph: %v", err)
 	}
-	c, err := Partition(g, Options{NumClusters: 8, Seed: 1})
+	c, err := Partition(g, ClusterOptions{NumClusters: 8, Seed: 1})
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -53,11 +53,11 @@ func TestPartitionDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Partition(g, Options{NumClusters: 5, Seed: 9})
+	a, err := Partition(g, ClusterOptions{NumClusters: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, Options{NumClusters: 5, Seed: 9})
+	b, err := Partition(g, ClusterOptions{NumClusters: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPartitionLocalityOnDisconnectedComponents(t *testing.T) {
 		}
 	}
 	g := b.Finalize()
-	c, err := Partition(g, Options{NumClusters: 2, Seed: 4})
+	c, err := Partition(g, ClusterOptions{NumClusters: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,17 +107,17 @@ func TestPartitionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Partition(g, Options{NumClusters: 0}); err == nil {
+	if _, err := Partition(g, ClusterOptions{NumClusters: 0}); err == nil {
 		t.Error("zero clusters should be rejected")
 	}
-	if _, err := Partition(g, Options{NumClusters: 3, Alpha: 5}); err == nil {
+	if _, err := Partition(g, ClusterOptions{NumClusters: 3, Alpha: 5}); err == nil {
 		t.Error("invalid alpha should be rejected")
 	}
-	if _, err := Partition(graph.NewBuilder(true).Finalize(), Options{NumClusters: 2}); err == nil {
+	if _, err := Partition(graph.NewBuilder(true).Finalize(), ClusterOptions{NumClusters: 2}); err == nil {
 		t.Error("empty graph should be rejected")
 	}
 	// More clusters than nodes clamps to the node count.
-	c, err := Partition(g, Options{NumClusters: 100, Seed: 3})
+	c, err := Partition(g, ClusterOptions{NumClusters: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package diskgraph provides the disk-resident graph view used by the
 // disk-based online query processing experiment (Sect. 5.3 and 6.4.2 of the
-// paper). The graph is segmented into clusters; each cluster's adjacency
-// lists are stored in their own file, and at any time at most one cluster is
-// held in memory. Touching a node outside the resident cluster is a "cluster
+// paper). The graph is segmented into clusters (Partition, cluster.go); each
+// cluster's adjacency lists are stored in their own file, and at any time at
+// most one cluster is held in memory. Touching a node outside the resident cluster is a "cluster
 // fault": the required cluster is swapped in from disk and the fault is
 // counted. An optional fault cap prematurely terminates prime-subgraph growth
 // exactly as the paper describes, trading a little accuracy for query time.
@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"fastppv/internal/cluster"
 	"fastppv/internal/graph"
 )
 
@@ -40,7 +39,7 @@ func clusterFileName(dir string, id int) string {
 // cluster assignment are kept in memory by the returned Store: they are small
 // (a few bytes per node) compared to the adjacency lists and correspond to
 // the metadata a real deployment would pin in memory.
-func Build(g *graph.Graph, clustering *cluster.Clustering, dir string) (*Store, error) {
+func Build(g *graph.Graph, clustering *Clustering, dir string) (*Store, error) {
 	if len(clustering.Assignment) != g.NumNodes() {
 		return nil, fmt.Errorf("diskgraph: clustering covers %d nodes, graph has %d", len(clustering.Assignment), g.NumNodes())
 	}
@@ -111,7 +110,7 @@ func (s *Store) TotalBytes() (int64, error) {
 // Format (little endian): count uint32, then per node: node uint32, degree
 // uint32, degree * target uint32. Cross-cluster targets are included; they
 // are what trigger cluster faults at query time.
-func writeClusterFile(path string, g *graph.Graph, clustering *cluster.Clustering, id int) error {
+func writeClusterFile(path string, g *graph.Graph, clustering *Clustering, id int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"fastppv/internal/cluster"
 	"fastppv/internal/gen"
 	"fastppv/internal/graph"
 	"fastppv/internal/hub"
@@ -18,7 +17,7 @@ func buildStore(t *testing.T, clusters int) (*graph.Graph, *Store) {
 	if err != nil {
 		t.Fatalf("SocialGraph: %v", err)
 	}
-	clustering, err := cluster.Partition(g, cluster.Options{NumClusters: clusters, Seed: 2})
+	clustering, err := Partition(g, ClusterOptions{NumClusters: clusters, Seed: 2})
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -155,7 +154,7 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &cluster.Clustering{Assignment: make([]int32, 10), Anchors: []graph.NodeID{0}}
+	bad := &Clustering{Assignment: make([]int32, 10), Anchors: []graph.NodeID{0}}
 	if _, err := Build(g, bad, t.TempDir()); err == nil {
 		t.Error("mismatched clustering should be rejected")
 	}

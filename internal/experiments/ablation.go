@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/core"
-	"fastppv/internal/metrics"
 	"fastppv/internal/workload"
 )
 
@@ -13,7 +13,7 @@ import (
 type AblationResult struct {
 	Dataset      DatasetName
 	Variant      string
-	Accuracy     metrics.Report
+	Accuracy     accuracy.Report
 	AvgQueryTime time.Duration
 	OfflineTime  time.Duration
 	OfflineBytes int64

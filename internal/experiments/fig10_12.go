@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/core"
-	"fastppv/internal/metrics"
+	"fastppv/internal/sparse"
 	"fastppv/internal/workload"
 )
 
@@ -85,7 +86,7 @@ func Fig11Table(points []HubSweepPoint) *workload.Table {
 type IterationPoint struct {
 	Dataset    DatasetName
 	Iterations int
-	Accuracy   metrics.Report
+	Accuracy   accuracy.Report
 	// AvgL1Bound is the average accuracy-aware error bound phi(eta) reported
 	// by the engine itself, demonstrating the accuracy-aware property.
 	AvgL1Bound   float64
@@ -112,12 +113,12 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 		}
 		for eta := 0; eta <= maxEta; eta++ {
 			point := IterationPoint{Dataset: name, Iterations: eta}
-			reports := make([]metrics.Report, 0, len(d.Queries))
+			reports := make([]accuracy.Report, 0, len(d.Queries))
 			var total time.Duration
 			var boundSum float64
 			for _, q := range d.Queries {
 				start := time.Now()
-				r, err := engine.Query(q, core.StopCondition{MaxIterations: eta})
+				r, err := engine.QueryOn(nil, q, core.StopCondition{MaxIterations: eta})
 				total += time.Since(start)
 				if err != nil {
 					return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
@@ -126,10 +127,10 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 				if err != nil {
 					return nil, err
 				}
-				reports = append(reports, metrics.Evaluate(exact, r.Estimate, metrics.DefaultTopK))
+				reports = append(reports, accuracy.Evaluate(exact, sparse.FromEntries(r.Entries), accuracy.DefaultTopK))
 				boundSum += r.L1ErrorBound
 			}
-			point.Accuracy = metrics.Average(reports)
+			point.Accuracy = accuracy.Average(reports)
 			point.AvgQueryTime = total / time.Duration(len(d.Queries))
 			point.AvgL1Bound = boundSum / float64(len(d.Queries))
 			out = append(out, point)

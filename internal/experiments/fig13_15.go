@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
-	"fastppv/internal/metrics"
 	"fastppv/internal/pagerank"
+	"fastppv/internal/sparse"
 	"fastppv/internal/workload"
 )
 
@@ -80,7 +81,7 @@ func Fig13Table(points []GrowthPoint) *workload.Table {
 type ScalabilityPoint struct {
 	GrowthPoint
 	NumHubs      int
-	Accuracy     metrics.Report
+	Accuracy     accuracy.Report
 	AvgQueryTime time.Duration
 	OfflineTime  time.Duration
 	OfflineBytes int64
@@ -120,11 +121,11 @@ func Scalability(scale Scale) ([]ScalabilityPoint, error) {
 		}
 		var (
 			total   time.Duration
-			reports []metrics.Report
+			reports []accuracy.Report
 		)
 		for _, q := range queries {
 			start := time.Now()
-			r, err := engine.Query(q, core.DefaultStop())
+			r, err := engine.QueryOn(nil, q, core.DefaultStop())
 			total += time.Since(start)
 			if err != nil {
 				return nil, err
@@ -133,13 +134,13 @@ func Scalability(scale Scale) ([]ScalabilityPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			reports = append(reports, metrics.Evaluate(exact, r.Estimate, metrics.DefaultTopK))
+			reports = append(reports, accuracy.Evaluate(exact, sparse.FromEntries(r.Entries), accuracy.DefaultTopK))
 		}
 		off := engine.OfflineStats()
 		out = append(out, ScalabilityPoint{
 			GrowthPoint:  p,
 			NumHubs:      hubs,
-			Accuracy:     metrics.Average(reports),
+			Accuracy:     accuracy.Average(reports),
 			AvgQueryTime: total / time.Duration(len(queries)),
 			OfflineTime:  off.Total,
 			OfflineBytes: off.IndexBytes,

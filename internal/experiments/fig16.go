@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"fastppv/internal/cluster"
 	"fastppv/internal/core"
 	"fastppv/internal/diskgraph"
 	"fastppv/internal/workload"
@@ -57,7 +56,7 @@ func DiskBased(scale Scale, clusterCounts []int) ([]DiskPoint, error) {
 func diskBasedOne(d *Dataset, engine *core.Engine, clusters int) (DiskPoint, error) {
 	point := DiskPoint{Dataset: d.Name, Clusters: clusters}
 
-	clustering, err := cluster.Partition(d.Graph, cluster.Options{NumClusters: clusters, Seed: 31})
+	clustering, err := diskgraph.Partition(d.Graph, diskgraph.ClusterOptions{NumClusters: clusters, Seed: 31})
 	if err != nil {
 		return point, err
 	}

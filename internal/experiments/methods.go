@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"fastppv/internal/accuracy"
 	"fastppv/internal/baseline/hubrankp"
 	"fastppv/internal/baseline/montecarlo"
 	"fastppv/internal/core"
 	"fastppv/internal/graph"
-	"fastppv/internal/metrics"
 	"fastppv/internal/sparse"
 )
 
@@ -18,38 +18,44 @@ import (
 // from.
 type MethodResult struct {
 	Method       string
-	Accuracy     metrics.Report
+	Accuracy     accuracy.Report
 	AvgQueryTime time.Duration
 	OfflineTime  time.Duration
 	OfflineBytes int64
 }
 
-// queryFunc computes an approximate PPV for one query node.
-type queryFunc func(q graph.NodeID) (sparse.Vector, error)
+// queryFunc computes an approximate PPV for one query node in the method's
+// own form: a map (the baselines) or sorted entries (FastPPV).
+type queryFunc func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error)
 
 // evaluate runs fn over the dataset's query workload and scores it against
-// the exact PPVs.
+// the exact PPVs. Only fn is timed: the map the accuracy metrics read is
+// built from entries after the clock stops, so no method is charged for a
+// change of representation.
 func evaluate(d *Dataset, method string, fn queryFunc) (MethodResult, error) {
 	res := MethodResult{Method: method}
 	if len(d.Queries) == 0 {
 		return res, fmt.Errorf("experiments: dataset %s has no queries", d.Name)
 	}
-	reports := make([]metrics.Report, 0, len(d.Queries))
+	reports := make([]accuracy.Report, 0, len(d.Queries))
 	var total time.Duration
 	for _, q := range d.Queries {
 		start := time.Now()
-		approx, err := fn(q)
+		approx, entries, err := fn(q)
 		total += time.Since(start)
 		if err != nil {
 			return res, fmt.Errorf("experiments: %s query %d: %w", method, q, err)
+		}
+		if approx == nil {
+			approx = sparse.FromEntries(entries)
 		}
 		exact, err := d.ExactPPV(q)
 		if err != nil {
 			return res, fmt.Errorf("experiments: exact PPV of %d: %w", q, err)
 		}
-		reports = append(reports, metrics.Evaluate(exact, approx, metrics.DefaultTopK))
+		reports = append(reports, accuracy.Evaluate(exact, approx, accuracy.DefaultTopK))
 	}
-	res.Accuracy = metrics.Average(reports)
+	res.Accuracy = accuracy.Average(reports)
 	res.AvgQueryTime = total / time.Duration(len(d.Queries))
 	return res, nil
 }
@@ -85,12 +91,12 @@ func runFastPPV(d *Dataset, cfg FastPPVConfig) (MethodResult, error) {
 		return MethodResult{}, err
 	}
 	stop := core.StopCondition{MaxIterations: cfg.Iterations}
-	res, err := evaluate(d, "FastPPV", func(q graph.NodeID) (sparse.Vector, error) {
-		r, err := engine.Query(q, stop)
+	res, err := evaluate(d, "FastPPV", func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error) {
+		r, err := engine.QueryOn(nil, q, stop)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return r.Estimate, nil
+		return nil, r.Entries, nil
 	})
 	if err != nil {
 		return res, err
@@ -120,12 +126,12 @@ func runHubRankP(d *Dataset, cfg HubRankPConfig) (MethodResult, error) {
 	if err := ranker.Precompute(); err != nil {
 		return MethodResult{}, err
 	}
-	res, err := evaluate(d, "HubRankP", func(q graph.NodeID) (sparse.Vector, error) {
+	res, err := evaluate(d, "HubRankP", func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error) {
 		r, err := ranker.Query(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return r.Estimate, nil
+		return r.Estimate, nil, nil
 	})
 	if err != nil {
 		return res, err
@@ -156,12 +162,12 @@ func runMonteCarlo(d *Dataset, cfg MonteCarloConfig) (MethodResult, error) {
 	if err := est.Precompute(); err != nil {
 		return MethodResult{}, err
 	}
-	res, err := evaluate(d, "MonteCarlo", func(q graph.NodeID) (sparse.Vector, error) {
+	res, err := evaluate(d, "MonteCarlo", func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error) {
 		r, err := est.Query(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return r.Estimate, nil
+		return r.Estimate, nil, nil
 	})
 	if err != nil {
 		return res, err

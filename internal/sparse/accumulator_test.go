@@ -307,34 +307,9 @@ func TestFromDenseHintAndRoundTrip(t *testing.T) {
 	if v.NonZeros() != 100 {
 		t.Fatalf("FromDense kept %d entries, want 100", v.NonZeros())
 	}
-	back := v.Dense(100)
 	for i := range dense {
-		if back[i] != dense[i] {
-			t.Fatalf("round trip mismatch at %d: %v != %v", i, back[i], dense[i])
+		if got := v.Get(graph.NodeID(i)); got != dense[i] {
+			t.Fatalf("round trip mismatch at %d: %v != %v", i, got, dense[i])
 		}
-	}
-}
-
-func TestDenseTruncation(t *testing.T) {
-	v := Vector{1: 0.1, 5: 0.5, 50: 0.9}
-	out, dropped := v.DenseChecked(10)
-	if len(out) != 10 {
-		t.Fatalf("DenseChecked len = %d, want 10", len(out))
-	}
-	if dropped != 1 {
-		t.Fatalf("DenseChecked dropped = %d, want 1 (node 50)", dropped)
-	}
-	if out[1] != 0.1 || out[5] != 0.5 {
-		t.Fatalf("DenseChecked kept wrong values: %v", out)
-	}
-	// Dense documents the same truncation silently.
-	plain := v.Dense(10)
-	for i := range out {
-		if plain[i] != out[i] {
-			t.Fatalf("Dense and DenseChecked disagree at %d", i)
-		}
-	}
-	if full, dropped := v.DenseChecked(51); dropped != 0 || full[50] != 0.9 {
-		t.Fatalf("DenseChecked(51) dropped=%d full[50]=%v, want 0, 0.9", dropped, full[50])
 	}
 }

@@ -43,31 +43,6 @@ func FromDense(dense []float64) Vector {
 	return v
 }
 
-// Dense converts v into a dense slice of length n. Entries whose node id is
-// >= n are truncated: they do not fit in the requested slice and are silently
-// dropped, so Dense(n) only round-trips vectors defined over nodes [0, n).
-// Callers that need to detect out-of-range ids should use DenseChecked.
-func (v Vector) Dense(n int) []float64 {
-	out, _ := v.DenseChecked(n)
-	return out
-}
-
-// DenseChecked converts v into a dense slice of length n and additionally
-// returns the number of entries dropped because their node id was >= n.
-func (v Vector) DenseChecked(n int) ([]float64, int) {
-	out := make([]float64, n)
-	dropped := 0
-	//lint:ordered per-node writes to distinct dense slots; the dropped count is order-free
-	for id, s := range v {
-		if int(id) < n {
-			out[id] = s
-		} else {
-			dropped++
-		}
-	}
-	return out, dropped
-}
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	out := New(len(v))
@@ -98,14 +73,6 @@ func (v Vector) Add(id graph.NodeID, score float64) {
 	v[id] += score
 }
 
-// AddVector accumulates other into v entry-wise.
-func (v Vector) AddVector(other Vector) {
-	//lint:ordered each node occurs once in other, so every v[id] sees exactly one add regardless of order
-	for id, s := range other {
-		v[id] += s
-	}
-}
-
 // AddScaled accumulates scale*other into v entry-wise. It is the core
 // operation of the tour-assembly model (Theorem 4): extending a PPV increment
 // by a prefix weight times a hub's prime PPV.
@@ -116,14 +83,6 @@ func (v Vector) AddScaled(other Vector, scale float64) {
 	//lint:ordered each node occurs once in other, so every v[id] sees exactly one scaled add regardless of order
 	for id, s := range other {
 		v[id] += scale * s
-	}
-}
-
-// Scale multiplies every entry by factor.
-func (v Vector) Scale(factor float64) {
-	//lint:ordered per-node multiply; nodes are independent
-	for id := range v {
-		v[id] *= factor
 	}
 }
 
