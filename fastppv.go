@@ -195,9 +195,9 @@ func graphBinding(g *Graph) ppvindex.GraphBinding {
 // applies after Precompute are as durable as those of an engine from
 // OpenDiskIndex: a later OpenDiskIndex replays them.
 //
-// The returned close function releases the file handles and must be called
-// when the engine is no longer needed; if Precompute never succeeded it
-// discards the temporary file instead of publishing an incomplete index.
+// The returned close function closes the update log and must be called when
+// the engine is no longer needed; if Precompute never succeeded it discards
+// the temporary file instead of publishing an incomplete index.
 func NewWithDiskIndex(g *Graph, opts Options, path string) (*Engine, func() error, error) {
 	store, err := ppvindex.CreateStore(path, graphBinding(g), DiskIndexOptions{BlockCacheBytes: -1})
 	if err != nil {
@@ -239,8 +239,9 @@ type BlockCacheStats = ppvindex.BlockCacheStats
 // the store's Compact method / the daemon's /v1/compact endpoint). Use
 // OpenDiskIndexWithOptions to tune this.
 //
-// The returned close function releases the file handles; afterwards queries
-// fail with ErrClosed (wrapped).
+// The returned close function closes the update log; afterwards queries fail
+// with ErrClosed (wrapped), those already running included. It never waits
+// for a query: the GC unmaps the index file once nothing reads it.
 func OpenDiskIndex(g *Graph, opts Options, path string, blockCacheBytes int64) (*Engine, func() error, error) {
 	return OpenDiskIndexWithOptions(g, opts, path, DiskIndexOptions{BlockCacheBytes: blockCacheBytes})
 }

@@ -788,9 +788,9 @@ func TestPublicAPICompactionCrashRecovery(t *testing.T) {
 }
 
 // TestPublicAPICompactionDuringQueries compacts while concurrent queries
-// hammer the engine: answers must stay correct throughout (the old read state
-// drains before its descriptor closes) and the log must end up empty. Run
-// with -race this doubles as the swap/drain data-race regression test.
+// hammer the engine: answers must stay correct throughout (a query holding
+// the old read state reads its old mapping) and the log must end up empty.
+// Run with -race this doubles as the swap data-race regression test.
 func TestPublicAPICompactionDuringQueries(t *testing.T) {
 	g := buildTestGraph(t, 300, 4, 14)
 	path := filepath.Join(t.TempDir(), "index.ppv")

@@ -78,7 +78,7 @@ func AblationTable(results []AblationResult) *workload.Table {
 	for _, r := range results {
 		t.AddRow(string(r.Dataset), r.Variant,
 			r.Accuracy.KendallTau, r.Accuracy.Precision, r.Accuracy.L1Similarity,
-			float64(r.AvgQueryTime.Microseconds())/1000.0,
+			ms(r.AvgQueryTime),
 			float64(r.OfflineBytes)/(1<<20),
 			r.OfflineTime.Seconds())
 	}

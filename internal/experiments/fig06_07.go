@@ -105,7 +105,7 @@ func Fig7Table(results []ConfigResult) *workload.Table {
 	for _, r := range results {
 		for _, m := range []MethodResult{r.FastPPV, r.HubRankP, r.MonteCarlo} {
 			t.AddRow(r.Config.ID, m.Method,
-				float64(m.AvgQueryTime.Microseconds())/1000.0,
+				ms(m.AvgQueryTime),
 				float64(m.OfflineBytes)/(1<<20),
 				m.OfflineTime.Seconds())
 		}

@@ -58,7 +58,7 @@ func Fig8Table(results []HubPolicyResult) *workload.Table {
 		t.AddRow(string(r.Dataset), r.Policy.String(),
 			r.Result.Accuracy.KendallTau, r.Result.Accuracy.Precision,
 			r.Result.Accuracy.RAG, r.Result.Accuracy.L1Similarity,
-			float64(r.Result.AvgQueryTime.Microseconds())/1000.0)
+			ms(r.Result.AvgQueryTime))
 	}
 	return t
 }

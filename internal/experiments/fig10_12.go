@@ -63,7 +63,7 @@ func Fig10Table(points []HubSweepPoint) *workload.Table {
 		t.AddRow(string(p.Dataset), p.NumHubs,
 			p.Result.Accuracy.KendallTau, p.Result.Accuracy.Precision,
 			p.Result.Accuracy.RAG, p.Result.Accuracy.L1Similarity,
-			float64(p.Result.AvgQueryTime.Microseconds())/1000.0)
+			ms(p.Result.AvgQueryTime))
 	}
 	return t
 }
@@ -147,7 +147,7 @@ func Fig12Table(points []IterationPoint) *workload.Table {
 	for _, p := range points {
 		t.AddRow(string(p.Dataset), p.Iterations,
 			p.Accuracy.KendallTau, p.Accuracy.Precision, p.Accuracy.RAG, p.Accuracy.L1Similarity,
-			p.AvgL1Bound, float64(p.AvgQueryTime.Microseconds())/1000.0)
+			p.AvgL1Bound, ms(p.AvgQueryTime))
 	}
 	return t
 }

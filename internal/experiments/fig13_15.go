@@ -157,7 +157,7 @@ func Fig14Table(points []ScalabilityPoint) *workload.Table {
 	for _, p := range points {
 		t.AddRow(string(p.Dataset), p.Label, p.NumHubs,
 			p.Accuracy.KendallTau, p.Accuracy.Precision, p.Accuracy.RAG, p.Accuracy.L1Similarity,
-			float64(p.AvgQueryTime.Microseconds())/1000.0)
+			ms(p.AvgQueryTime))
 	}
 	return t
 }

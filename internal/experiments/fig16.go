@@ -111,7 +111,7 @@ func Fig16Table(points []DiskPoint) *workload.Table {
 		"Dataset", "#Clusters", "Faults/query", "Time/query ms", "Memory need %")
 	for _, p := range points {
 		t.AddRow(string(p.Dataset), p.Clusters, p.AvgFaults,
-			float64(p.AvgQueryTime.Microseconds())/1000.0,
+			ms(p.AvgQueryTime),
 			p.MemoryNeedRatio*100)
 	}
 	return t

@@ -24,6 +24,10 @@ type MethodResult struct {
 	OfflineBytes int64
 }
 
+// ms is d in milliseconds, to the nanosecond: the figures' "ms/query"
+// columns.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // queryFunc computes an approximate PPV for one query node in the method's
 // own form: a map (the baselines) or sorted entries (FastPPV).
 type queryFunc func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error)

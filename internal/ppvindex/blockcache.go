@@ -24,9 +24,8 @@ import (
 // layout as the disk record — and GetView serves cache hits as
 // zero-copy, zero-allocation views over the retained buffer. The retained
 // buffer is an owned copy, never an alias of the inner index's mapping, so
-// cached views stay valid across compaction swaps and need no pin. Get
-// decodes the retained payload per call; it is the boundary path, not the
-// query hot loop.
+// cached views hold no generation. Get decodes the retained payload per
+// call; it is the boundary path, not the query hot loop.
 type BlockCache struct {
 	inner Index
 	// blocks holds owned copies of record payloads. A load answers nil when
@@ -94,8 +93,7 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return HubRecordView{}, false, nil
 	}
 	raw, _, err := c.blocks.Do(h, nil, func(end func([]byte, int64, bool)) ([]byte, error) {
-		// The payload is copied while the inner view's pin is held, so it
-		// never dangles into an unmapped generation.
+		// The payload is copied before the inner view is released.
 		view, ok, err := c.inner.GetView(h)
 		if err != nil || !ok {
 			return nil, err
@@ -108,7 +106,7 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	if err != nil || raw == nil {
 		return HubRecordView{}, false, err
 	}
-	return NewHubRecordView(raw, nil), true, nil
+	return NewHubRecordView(raw), true, nil
 }
 
 // Has, Hubs, Len and SizeBytes delegate to the inner index: the cache changes

@@ -9,9 +9,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"fastppv/internal/frame"
 	"fastppv/internal/graph"
@@ -36,10 +36,11 @@ import (
 // Records come first so that DiskWriter can stream an index larger than RAM
 // in one pass, buffering only the 12-byte-per-hub directory; Close appends
 // the directory and the footer. OpenDisk maps the file read-only (on a
-// platform without mmap it reads it into one heap buffer) and closes the
-// descriptor; it reads the footer, then the directory, checks every record
-// once in one sequential pass (checkRecords), and keeps the directory's hubs
-// (4 bytes a hub) to bisect. Each GetView is then one read of the mapping at
+// platform without mmap it reads it into one heap buffer), closes the
+// descriptor and leaves the unmap to the GC: a cleanup on the DiskIndex, run
+// once neither a state nor a view reaches it. It reads the footer, then the
+// directory, checks every record once in one sequential pass (checkRecords),
+// and keeps the directory's hubs (4 bytes a hub) to bisect. Each GetView is then one read of the mapping at
 // the offset in the record's directory entry, which models the "one random
 // access to the disk" per fetched hub of Sect. 6.3.1. Close sorts the
 // directory by hub, whatever order the records came in, and a directory out
@@ -68,8 +69,8 @@ var oldLayouts = map[uint32]string{
 var ErrBadIndexFormat = errors.New("ppvindex: bad index file format")
 
 // ErrIndexClosed reports a record read against a DiskIndex whose Close has
-// run. Readers that hold a retired index (one swapped out by a compaction)
-// see it and retry against the current one.
+// run. A Store never closes the generations it serves: its own closed flag
+// answers its reads.
 var ErrIndexClosed = errors.New("ppvindex: disk index is closed")
 
 // DiskWriter streams prime PPVs into an index file. It buffers only the
@@ -275,7 +276,9 @@ func (d *DiskWriter) Abort() error {
 // file as one byte slice — a read-only mapping on unix, one heap buffer
 // elsewhere (fileBytes), or the heap image of an in-memory index — and every
 // record read slices a view out of it. It is safe for concurrent use: the
-// directory and the bytes never change after the open.
+// directory and the bytes never change after the open. The bytes live as long
+// as the DiskIndex: the GC frees a heap buffer, and unmaps a mapping (unmap),
+// once no state or view reaches the index.
 type DiskIndex struct {
 	// hubs is the directory's hubs in ascending order, and dir its entries in
 	// the same order, the file's own bytes. The record of hubs[i] starts at
@@ -283,15 +286,10 @@ type DiskIndex struct {
 	hubs []graph.NodeID
 	dir  []byte
 	size int64
-	// data is the whole file; views alias it with zero copies. Close drops
-	// it (and unmaps it when mapped) once every view is released.
+	// data is the whole file; views alias it with zero copies.
 	data []byte
-	// mapped is fixed at open: data is a mapping that Close unmaps, not a
-	// heap buffer.
+	// mapped is fixed at open: data is a mapping, not a heap buffer.
 	mapped bool
-	// image marks a heap image built in this process (openImage), which the
-	// GC keeps alive while anything reads it: its views need no pin.
-	image bool
 	// records is the record region, data up to the directory start: every
 	// record, header and payload, must lie inside it.
 	records []byte
@@ -300,16 +298,9 @@ type DiskIndex struct {
 	// path of every cache-missing hub expansion and must not serialize on a
 	// lock.
 	reads atomic.Int64
-	// closed flips when Close runs; inflight counts outstanding views, which
-	// Close drains before releasing the bytes, so no view dereference ever
-	// races the unmap. Both are only touched on the record-read path, never
-	// on directory-only lookups.
-	closed   atomic.Bool
-	inflight atomic.Int64
-	// release is unpin bound once at open: handing a method value to every
-	// view would allocate a fresh closure per GetView on the hot path. It is
-	// nil on a heap image.
-	release func()
+	// closed flips when Close runs; only record reads check it, never
+	// directory-only lookups.
+	closed atomic.Bool
 }
 
 // DiskOptions is what OpenDiskWithOptions takes; nothing in it changes how an
@@ -359,9 +350,10 @@ func readIndexFile(path string) (data []byte, mapped bool, err error) {
 }
 
 // openBytes builds an index over data, the whole bytes of the index file at
-// path (which only names it in errors); mapped says Close must unmap them. It
-// reads the footer and the directory and checks every record once
-// (checkRecords). On error the caller still owns data.
+// path (which only names it in errors); mapped says they are a mapping, which
+// the GC unmaps once the index is unreachable. It reads the footer and the
+// directory and checks every record once (checkRecords). On error the caller
+// still owns data.
 func openBytes(path string, data []byte, mapped bool) (*DiskIndex, error) {
 	d, entries, err := parseIndex(path, data)
 	if err != nil {
@@ -370,14 +362,25 @@ func openBytes(path string, data []byte, mapped bool) (*DiskIndex, error) {
 	if err := d.checkRecords(entries); err != nil {
 		return nil, err
 	}
-	d.mapped, d.release = mapped, d.unpin
+	if d.mapped = mapped; mapped {
+		runtime.AddCleanup(d, unmap, data)
+	}
 	return d, nil
+}
+
+// unmapped counts the mappings unmap has released (a test hook: a retired
+// generation is unmapped once nothing reads it).
+var unmapped atomic.Int64
+
+// unmap releases the mapping of a DiskIndex the GC found unreachable.
+func unmap(data []byte) {
+	_ = munmapFile(data)
+	unmapped.Add(1)
 }
 
 // openImage serves records, in ascending hub order, from a heap image: the
 // disk layout in one exact-size buffer, the base of an in-memory index. Its
-// records were never outside the process, so they are not checked again, and
-// its views need no pin: the GC keeps the image alive while they read it.
+// records were never outside the process, so they are not checked again.
 func openImage(records []Record) (*DiskIndex, error) {
 	size := footerBytes
 	for _, r := range records {
@@ -390,9 +393,6 @@ func openImage(records []Record) (*DiskIndex, error) {
 		image = appendRecord(image, r.Hub, r.Payload)
 	}
 	d, _, err := parseIndex("the heap image", appendTail(image, entries, uint64(len(image))))
-	if err == nil {
-		d.image = true
-	}
 	return d, err
 }
 
@@ -490,68 +490,32 @@ func (d *DiskIndex) record(h graph.NodeID, off uint64) ([]byte, error) {
 // fixed at open. Nothing outside the frozen benchmark harness calls it.
 func (d *DiskIndex) MmapActive() bool { return d.mapped }
 
-// Close releases the held bytes (unmapping them when mapped) after draining
-// outstanding views: a GetView that raised inflight before closed flipped
-// hands out a view that stays valid until its Release; one that observes
-// closed afterwards backs off with ErrIndexClosed. Compaction relies on this
-// drain: the retired generation is only unmapped once every view into it has
-// been released. Closing twice is a no-op.
+// Close marks the index closed: a later GetView fails with ErrIndexClosed.
+// It never waits and never unmaps; views taken before it read on, and the GC
+// releases the bytes once nothing reaches the index. Closing twice is a no-op.
 func (d *DiskIndex) Close() error {
-	if d.closed.Swap(true) || d.image {
-		return nil
-	}
-	for d.inflight.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	data := d.data
-	d.data, d.records = nil, nil
-	if d.mapped {
-		return munmapFile(data)
-	}
+	d.closed.Store(true)
 	return nil
 }
 
-// pin registers a handed-out view against Close's drain; a heap image needs
-// none. It fails once the index is closed; a successful pin must be paired
-// with exactly one unpin.
-func (d *DiskIndex) pin() bool {
-	if d.image {
-		return true
-	}
-	d.inflight.Add(1)
-	if d.closed.Load() {
-		d.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (d *DiskIndex) unpin() {
-	if !d.image {
-		d.inflight.Add(-1)
-	}
-}
-
 // GetView returns a zero-copy view of the stored record of h, sliced out of
-// the held file bytes. The view pins this index generation until Release. A
-// record whose hub or length was rewritten under the open index fails with
+// the held file bytes; the view holds d, so the bytes outlive it. A record
+// whose hub or length was rewritten under the open index fails with
 // ErrBadIndexFormat (see record).
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	i, ok := slices.BinarySearch(d.hubs, h)
 	if !ok || (i+1)*dirEntryBytes > len(d.dir) {
 		return HubRecordView{}, false, nil
 	}
-	if !d.pin() {
+	if d.closed.Load() {
 		return HubRecordView{}, false, ErrIndexClosed
 	}
 	payload, err := d.record(h, binary.LittleEndian.Uint64(d.dir[i*dirEntryBytes+4:]))
 	if err != nil {
-		d.unpin()
 		return HubRecordView{}, false, err
 	}
 	d.reads.Add(1)
-	// The pin transfers to the view; Release returns it.
-	return NewHubRecordView(payload, d.release), true, nil
+	return HubRecordView{data: payload, idx: d}, true, nil
 }
 
 // Get reads the record of h and decodes it into a fresh map.

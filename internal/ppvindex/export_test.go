@@ -14,7 +14,7 @@ func (s *Store) Generation() *DiskIndex {
 	if st == nil {
 		return nil
 	}
-	return st.gen.reader
+	return st.reader
 }
 
 // pack compacts m into a fresh heap image.
@@ -34,13 +34,10 @@ func memState(m *MemIndex) *storeState {
 }
 
 // Image returns the heap image m serves its base records from.
-func (m *MemIndex) Image() []byte { return memState(m).gen.reader.data }
+func (m *MemIndex) Image() []byte { return memState(m).reader.data }
 
-// RetirementWalks is how many retirements reads have followed so far.
-func RetirementWalks() int64 { return retirementWalks.Load() }
-
-// InFlight is the number of views of d not yet released.
-func (d *DiskIndex) InFlight() int64 { return d.inflight.Load() }
+// Unmapped is how many index mappings the GC has released so far.
+func Unmapped() int64 { return unmapped.Load() }
 
 // find is the offset of hub h's record in d's bytes.
 func (d *DiskIndex) find(h graph.NodeID) (uint64, bool) {

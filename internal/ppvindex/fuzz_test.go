@@ -231,7 +231,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 		if !bytes.Equal(appendRecord(nil, h, payload), data) {
 			t.Fatalf("re-framing the accepted record of hub %d does not give the input back", h)
 		}
-		view := NewHubRecordView(payload, nil)
+		view := NewHubRecordView(payload)
 		v := view.Vector()
 		if len(v) != view.Len() {
 			t.Fatalf("decoding %d entries gave a map of %d", view.Len(), len(v))

@@ -83,7 +83,7 @@ func encodeVector(ppv sparse.Vector) []byte {
 // last put of a hub wins); later puts and commits go to the overlay, which
 // the store folds into a fresh image past an eighth of the image's bytes
 // (foldDue). Nothing stored is written in place, and the GC keeps an image
-// alive while a view or a snapshot reads it, so views need no pin. It shows
+// alive while a view or a snapshot reads it, as it does a mapped file. It shows
 // the index and writer methods of its store, not the durable ones (Compact,
 // DurabilityStats, BlockCacheStats).
 type MemIndex struct{ heapStore }

@@ -141,15 +141,15 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	st := memState(idx)
 	// Every record is three entries with one-byte gaps: 15 payload bytes.
 	const imageBytes = 40*(perHubOverheadBytes+15) + 40*dirEntryBytes + footerBytes
-	if image := idx.Image(); len(st.overlay) != 0 || st.gen.reader.Len() != 40 || len(image) != imageBytes || cap(image) != len(image) {
+	if image := idx.Image(); len(st.overlay) != 0 || st.reader.Len() != 40 || len(image) != imageBytes || cap(image) != len(image) {
 		t.Fatalf("after Pack: %d overlay records, %d base hubs, an image of %d bytes (cap %d); want 0, 40 and an exact %d",
-			len(st.overlay), st.gen.reader.Len(), len(image), cap(image), imageBytes)
+			len(st.overlay), st.reader.Len(), len(image), cap(image), imageBytes)
 	}
 	if idx.SizeBytes() != size || idx.Len() != 40 {
 		t.Fatalf("Pack moved SizeBytes %d -> %d or Len to %d", size, idx.SizeBytes(), idx.Len())
 	}
 	packed, ok, err := idx.GetView(7)
-	off, _ := st.gen.reader.find(7)
+	off, _ := st.reader.find(7)
 	if err != nil || !ok || &packed.EntryBytes()[0] != &idx.Image()[off+perHubOverheadBytes] {
 		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the image", ok, err)
 	}
@@ -162,8 +162,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if err := idx.PutEncoded(50, rawEntries(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if st := memState(idx); len(st.overlay) != 2 || st.gen.reader.Len() != 40 {
-		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), st.gen.reader.Len())
+	if st := memState(idx); len(st.overlay) != 2 || st.reader.Len() != 40 {
+		t.Fatalf("the overlay holds %d records and the base %d hubs, want 2 and 40", len(st.overlay), st.reader.Len())
 	}
 	if packed.Len() != 3 || !has(packed, 9) || has(packed, 100) {
 		t.Error("the view of the packed record changed under its holder after a rewrite")
@@ -190,8 +190,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if err := idx.PutEncoded(60, rawEntries(big...)); err != nil {
 		t.Fatal(err)
 	}
-	if st := memState(idx); len(st.overlay) != 0 || st.gen.reader.Len() != 42 {
-		t.Fatalf("after the compaction the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), st.gen.reader.Len())
+	if st := memState(idx); len(st.overlay) != 0 || st.reader.Len() != 42 {
+		t.Fatalf("after the compaction the overlay holds %d records and the base %d hubs, want 0 and 42", len(st.overlay), st.reader.Len())
 	}
 	if packed.Len() != 3 || !has(packed, 9) || rewritten.Len() != 1 || !has(rewritten, 100) {
 		t.Error("a view taken before the compaction changed under its holder")
@@ -284,14 +284,14 @@ func firstNode(v HubRecordView) graph.NodeID {
 }
 
 func TestHubRecordViewContainsAny(t *testing.T) {
-	full := NewHubRecordView(rawEntries(3, 8, 9, 40, 1000), nil)
+	full := NewHubRecordView(rawEntries(3, 8, 9, 40, 1000))
 	for _, c := range []struct {
 		name string
 		view HubRecordView
 		ids  []graph.NodeID
 		want bool
 	}{
-		{"empty record", NewHubRecordView(nil, nil), []graph.NodeID{3}, false},
+		{"empty record", NewHubRecordView(nil), []graph.NodeID{3}, false},
 		{"zero view", HubRecordView{}, []graph.NodeID{0}, false},
 		{"no ids", full, nil, false},
 		{"first entry", full, []graph.NodeID{3}, true},
@@ -303,8 +303,8 @@ func TestHubRecordViewContainsAny(t *testing.T) {
 		{"all absent, interleaved", full, []graph.NodeID{0, 4, 10, 41, 999, 5000}, false},
 		{"one present among absent ones", full, []graph.NodeID{0, 4, 10, 40, 5000}, true},
 		{"present after ids past several entries", full, []graph.NodeID{1, 39, 1000}, true},
-		{"single entry hit", NewHubRecordView(rawEntries(5), nil), []graph.NodeID{1, 5}, true},
-		{"single entry miss", NewHubRecordView(rawEntries(5), nil), []graph.NodeID{6}, false},
+		{"single entry hit", NewHubRecordView(rawEntries(5)), []graph.NodeID{1, 5}, true},
+		{"single entry miss", NewHubRecordView(rawEntries(5)), []graph.NodeID{6}, false},
 	} {
 		if got := c.view.ContainsAny(c.ids); got != c.want {
 			t.Errorf("%s: ContainsAny(%v) = %v, want %v", c.name, c.ids, got, c.want)

@@ -6,8 +6,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"testing"
+	"time"
 
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
@@ -49,8 +50,6 @@ func TestHeapSourceMatchesMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDisk: %v", err)
 	}
-	// Cleanups run last-in first-out, so the views the loop registers are
-	// released before these close the indexes.
 	t.Cleanup(func() { mapped.Close() })
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -75,8 +74,7 @@ func TestHeapSourceMatchesMapping(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("%s GetView(%d): ok=%v err=%v", name, h, ok, err)
 			}
-			// A failure below must not leave the view pinned: the deferred
-			// Close would wait on it instead of reporting.
+			// Released after the last read of its bytes, the comparison below.
 			t.Cleanup(view.Release)
 			payloads = append(payloads, view.EntryBytes())
 			if view.Vector().L1Distance(storedVector(want)) != 0 {
@@ -146,12 +144,12 @@ func TestMmapCorruptCount(t *testing.T) {
 	openFails(t, path)
 }
 
-// TestMmapViewPinsClose verifies the drain contract: Close blocks until every
-// outstanding view is released, and reads arriving after Close observe
-// ErrIndexClosed instead of a dead mapping.
-func TestMmapViewPinsClose(t *testing.T) {
-	path := writeSampleIndex(t)
-	idx, err := OpenDisk(path)
+// TestViewOutlivesClose: Close only marks the index closed. It returns at
+// once with a view outstanding; a GetView or Get after it fails with
+// ErrIndexClosed; and the view, which then holds the only reference to the
+// index, still decodes its record bit-identically after forced GC rounds.
+func TestViewOutlivesClose(t *testing.T) {
+	idx, err := OpenDisk(writeSampleIndex(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,31 +157,13 @@ func TestMmapViewPinsClose(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("GetView: ok=%v err=%v", ok, err)
 	}
-	// Released once, below or when a failure ends the test early, so the
-	// pending Close returns and the failure reports at once.
-	release := sync.OnceFunc(view.Release)
-	defer release()
-	closed := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		closed <- idx.Close()
-	}()
-	// Close must not complete while the view is outstanding.
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned %v with a view outstanding", err)
-	default:
+	want := bytes.Clone(view.EntryBytes())
+	start := time.Now()
+	if err := idx.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	// The view stays readable until released.
-	if got := view.Vector(); got.Get(1) != 0.5 {
-		t.Fatalf("pinned view decoded %v", got)
-	}
-	release()
-	wg.Wait()
-	if err := <-closed; err != nil {
-		t.Fatalf("Close after release: %v", err)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a view outstanding", d)
 	}
 	if _, _, err := idx.GetView(3); !errors.Is(err, ErrIndexClosed) {
 		t.Fatalf("GetView after Close = %v, want ErrIndexClosed", err)
@@ -191,12 +171,20 @@ func TestMmapViewPinsClose(t *testing.T) {
 	if _, _, err := idx.Get(3); !errors.Is(err, ErrIndexClosed) {
 		t.Fatalf("Get after Close = %v, want ErrIndexClosed", err)
 	}
+	idx = nil
+	for range 3 {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // cleanups run on a goroutine of their own
+	}
+	if got := view.EntryBytes(); !bytes.Equal(got, want) {
+		t.Fatalf("the view decodes %v after Close and GC, want %v", got, want)
+	}
+	view.Release()
 }
 
 // TestBlockCacheViewMode exercises the raw-payload cache over a DiskIndex:
 // view hits must not touch the inner index, Get must still decode correctly,
-// and cached views must survive the inner index closing (compaction retires
-// generations underneath the serving state).
+// and cached views must survive the inner index closing.
 func TestBlockCacheViewMode(t *testing.T) {
 	path := writeSampleIndex(t)
 	idx, err := OpenDisk(path)
@@ -237,7 +225,7 @@ func TestBlockCacheViewMode(t *testing.T) {
 		t.Fatalf("stats = %+v, want hits>0 entries=1", st)
 	}
 
-	// Retained payloads are owned copies: close (unmap) the inner index and
+	// Retained payloads are owned copies: close the inner index and
 	// the previously returned view must still decode safely.
 	if err := idx.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -22,8 +22,8 @@ import (
 const DefaultCompactThresholdBytes = 64 << 20
 
 // ErrClosed reports an operation on a Store whose Close (or Abort) has
-// already run; reads fail with it instead of reading an unmapped index or
-// serving stale overlay hits.
+// already run; reads through any of its states, held ones included, fail
+// with it instead of serving a closed store's records.
 var ErrClosed = errors.New("ppvindex: disk index store is closed")
 
 // StoreOptions tune a Store beyond its index path. The zero value logs
@@ -74,8 +74,9 @@ func (o StoreOptions) withDefaults(path string) StoreOptions {
 // Its read side is one immutable storeState behind an atomic pointer. Commit
 // makes a batch durable, then publishes a state whose overlay is a copy of
 // the old one plus the batch. Compact publishes a state over the new base
-// with the same records; states still reading a retired file follow its
-// retirement.
+// with the same records and drops its reference to the old one. A state held
+// elsewhere reads its own base until the GC collects it (see DiskIndex), and
+// every state checks the store's closed flag, so none reads on after Close.
 type Store struct {
 	path string // empty for an in-memory store
 	opts StoreOptions
@@ -90,7 +91,8 @@ type Store struct {
 	writer *DiskWriter // a disk store's, in write mode
 	built  []Record    // an in-memory store's, in write mode, in put order
 	log    *UpdateLog
-	closed bool
+	// closed is set, under mu, by Close and Abort; every state reads it.
+	closed atomic.Bool
 	// logWedged flips when a compaction renamed the rewritten base into
 	// place but failed before re-binding the log to it: records committed
 	// from then on would be bound to the replaced base and skipped on
@@ -109,9 +111,13 @@ type Store struct {
 	logBatches atomic.Int64
 }
 
-// storeState is one published read state of a finalized store.
+// storeState is one published read state of a finalized store: a base,
+// which reader serves and cache (nil without caching) fronts, and the records
+// committed since.
 type storeState struct {
-	gen     *generation
+	reader  *DiskIndex
+	cache   *BlockCache
+	closed  *atomic.Bool // the store's
 	overlay map[graph.NodeID][]byte
 	// added counts the overlay's hubs missing from the base (only an
 	// in-memory store takes new hubs after its base); pending is what the
@@ -121,34 +127,13 @@ type storeState struct {
 	pending int64
 }
 
-// generation is one base: reader serves it, cache (nil without caching)
-// fronts it. retired is set, before a file's reader closes, when a compaction
-// replaces it or the store closes; a heap image never retires.
-type generation struct {
-	reader  *DiskIndex
-	cache   *BlockCache
-	retired atomic.Pointer[retirement]
-}
-
-// retirement sends the readers of a retired generation to next, the one its
-// compaction built (nil once the store is closed), which holds the same base
-// records except those in shadowed, copied out before the mapping went.
-type retirement struct {
-	next     *generation
-	shadowed map[graph.NodeID][]byte
-}
-
-// retirementWalks counts the retirements reads have followed (a test hook: a
-// compaction publishes the engine's next version, so new reads follow none).
-var retirementWalks atomic.Int64
-
 // with returns st plus records, in a copy of the overlay.
 func (st *storeState) with(records []Record) *storeState {
 	next := *st
 	next.overlay = make(map[graph.NodeID][]byte, len(st.overlay)+len(records))
 	maps.Copy(next.overlay, st.overlay)
 	for _, r := range records {
-		if _, ok := next.overlay[r.Hub]; !ok && !st.gen.reader.Has(r.Hub) {
+		if _, ok := next.overlay[r.Hub]; !ok && !st.reader.Has(r.Hub) {
 			next.added++
 		}
 		next.overlay[r.Hub] = r.Payload
@@ -160,19 +145,19 @@ func (st *storeState) with(records []Record) *storeState {
 // has reports whether the state holds a record of h.
 func (st *storeState) has(h graph.NodeID) bool {
 	_, ok := st.overlay[h]
-	return ok || st.gen.reader.Has(h)
+	return ok || st.reader.Has(h)
 }
 
 // hubs returns the hubs of the state in ascending order.
 func (st *storeState) hubs() []graph.NodeID {
-	hubs := st.gen.reader.Hubs()
+	hubs := st.reader.Hubs()
 	if st.added == 0 {
 		return hubs
 	}
 	hubs = slices.Clip(hubs) // the base's own slice: appends must copy it
 	//lint:ordered collect-then-sort: hubs are sorted by id below
 	for h := range st.overlay {
-		if !st.gen.reader.Has(h) {
+		if !st.reader.Has(h) {
 			hubs = append(hubs, h)
 		}
 	}
@@ -236,7 +221,7 @@ func (s *Store) PutEncoded(h graph.NodeID, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.closed:
+	case s.closed.Load():
 		return ErrClosed
 	case s.writer != nil:
 		return s.writer.PutEncoded(h, payload)
@@ -315,7 +300,7 @@ func (s *Store) foldDue(st *storeState) bool {
 	if t := s.opts.CompactThresholdBytes; t != 0 {
 		return t > 0 && st.pending >= t
 	}
-	return st.pending >= st.gen.reader.SizeBytes()/8
+	return st.pending >= st.reader.SizeBytes()/8
 }
 
 // Snapshot implements Writer; a store still in write mode is finalized first.
@@ -365,40 +350,18 @@ func (st *storeState) GetViewUncached(h graph.NodeID) (HubRecordView, bool, erro
 }
 
 // read serves the record of h in this state: the overlay's, else the base
-// record of its generation, following retirements (also one it races, seen
-// as ErrIndexClosed), or ErrClosed once the store is closed.
+// record, or ErrClosed once the store is closed.
 func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, error) {
-	gen, r := st.gen, st.gen.retired.Load()
-	rec, ok := st.overlay[h]
-	for !ok {
-		if r == nil {
-			var src Index = gen.reader
-			if gen.cache != nil && !uncached {
-				src = gen.cache
-			}
-			view, ok, err := src.GetView(h)
-			if errors.Is(err, ErrIndexClosed) {
-				if r = gen.retired.Load(); r != nil {
-					continue
-				}
-			}
-			return view, ok, err
-		}
-		retirementWalks.Add(1)
-		if r.next == nil {
-			return HubRecordView{}, false, ErrClosed
-		}
-		rec, ok = r.shadowed[h]
-		gen, r = r.next, r.next.retired.Load()
+	if st.closed.Load() {
+		return HubRecordView{}, false, ErrClosed
 	}
-	// A record held in memory is served unless the store has closed.
-	for ; r != nil; r = r.next.retired.Load() {
-		retirementWalks.Add(1)
-		if r.next == nil {
-			return HubRecordView{}, false, ErrClosed
-		}
+	if rec, ok := st.overlay[h]; ok {
+		return NewHubRecordView(rec), true, nil
 	}
-	return NewHubRecordView(rec, nil), true, nil
+	if st.cache != nil && !uncached {
+		return st.cache.GetView(h)
+	}
+	return st.reader.GetView(h)
 }
 
 // Has, Hubs (ascending), Len and SizeBytes answer from the published state,
@@ -408,18 +371,18 @@ func (st *storeState) read(h graph.NodeID, uncached bool) (HubRecordView, bool, 
 // compare.
 func (s *Store) Has(h graph.NodeID) bool { return s.directory().has(h) }
 func (s *Store) Hubs() []graph.NodeID    { return s.directory().hubs() }
-func (s *Store) Len() int                { st := s.directory(); return st.gen.reader.Len() + st.added }
+func (s *Store) Len() int                { st := s.directory(); return st.reader.Len() + st.added }
 
 func (s *Store) SizeBytes() int64 {
 	st := s.directory()
 	if !s.inMemory() {
-		return st.gen.reader.SizeBytes()
+		return st.reader.SizeBytes()
 	}
-	size := int64(len(st.gen.reader.records))
+	size := int64(len(st.reader.records))
 	//lint:ordered a sum of integer sizes, the same in any order
 	for h, rec := range st.overlay {
 		size += perHubOverheadBytes + int64(len(rec))
-		if view, ok, _ := st.gen.reader.GetView(h); ok {
+		if view, ok, _ := st.reader.GetView(h); ok {
 			size -= perHubOverheadBytes + int64(len(view.EntryBytes()))
 		}
 	}
@@ -428,7 +391,7 @@ func (s *Store) SizeBytes() int64 {
 
 // closedState is what a store that cannot be read answers directory
 // questions from: an empty base.
-var closedState = &storeState{gen: &generation{reader: &DiskIndex{}}}
+var closedState = &storeState{reader: &DiskIndex{}}
 
 func (s *Store) directory() *storeState {
 	if st, err := s.reading(); err == nil {
@@ -442,10 +405,10 @@ func (s *Store) directory() *storeState {
 // Lock-free (state load only), so stats stay responsive during a compaction.
 func (s *Store) BlockCacheStats() (BlockCacheStats, bool) {
 	st := s.state.Load()
-	if st == nil || st.gen.cache == nil {
+	if st == nil || st.cache == nil {
 		return BlockCacheStats{}, false
 	}
-	return st.gen.cache.Stats(), true
+	return st.cache.Stats(), true
 }
 
 // DurabilityStats reports the log and overlay counters; ok is false while
@@ -486,7 +449,7 @@ func (s *Store) reading() (*storeState, error) {
 // publishes a fresh base: a log from a previous index at this path would
 // replay batches the new PPVs were never computed against, so it is removed.
 func (s *Store) ensureReaderLocked() error {
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if s.state.Load() != nil {
@@ -502,7 +465,7 @@ func (s *Store) ensureReaderLocked() error {
 			return err
 		}
 		s.built = nil
-		s.state.Store(&storeState{gen: s.newGeneration(r)})
+		s.state.Store(s.newState(r))
 		return nil
 	}
 	if s.writer != nil {
@@ -543,27 +506,28 @@ func (s *Store) openLocked(replay func(GraphMutation) error) error {
 		return nil
 	})
 	if err != nil {
-		r.Close()
 		return err
 	}
 	s.log = lg
 	s.mirrorLog()
-	s.state.Store((&storeState{gen: s.newGeneration(r)}).with(replayed))
+	s.state.Store(s.newState(r).with(replayed))
 	return nil
 }
 
-// newGeneration serves r, wiring the block cache when configured.
-func (s *Store) newGeneration(r *DiskIndex) *generation {
-	g := &generation{reader: r}
+// newState is the state of base r with nothing committed since, wiring the
+// block cache when configured.
+func (s *Store) newState(r *DiskIndex) *storeState {
+	st := &storeState{reader: r, closed: &s.closed}
 	if s.opts.BlockCacheBytes >= 0 {
-		g.cache = NewBlockCache(r, s.opts.BlockCacheBytes, 0)
+		st.cache = NewBlockCache(r, s.opts.BlockCacheBytes, 0)
 	}
-	return g
+	return st
 }
 
 // OnCompact sets fn to run after every Compact that succeeds, once mu is
 // released: core.Engine publishes its next version from it, so no new query
-// reads the retired state. A fold inside Commit returns its state itself and
+// reads the old state, and the old base goes once the queries still holding
+// it finish. A fold inside Commit returns its state itself and
 // does not run fn.
 func (s *Store) OnCompact(fn func()) {
 	s.mu.Lock()
@@ -592,10 +556,10 @@ func (s *Store) Compact() (CompactionResult, error) {
 // compactLocked writes every hub record in ascending hub order (the
 // overlay's when present) into a new base and publishes a state over it with
 // the same records. On disk the base is <path>.tmp, fsync'd and renamed over
-// <path>, the log is rewritten down to its mutations, which no file folds,
-// bound to the new base (rewriteLog), and the old generation retires to the
-// new one. In memory the base is a fresh heap image, and the old one lives on
-// while a state reads it. Callers hold mu.
+// <path>, and the log is rewritten down to its mutations, which no file
+// folds, bound to the new base (rewriteLog). In memory the base is a fresh
+// heap image. Either way the old base lives on while a state or a view reads
+// it. Callers hold mu.
 func (s *Store) compactLocked() (CompactionResult, error) {
 	var res CompactionResult
 	start := time.Now()
@@ -603,7 +567,7 @@ func (s *Store) compactLocked() (CompactionResult, error) {
 		return res, err
 	}
 	st := s.state.Load()
-	old := st.gen.reader
+	old := st.reader
 	hubs := st.hubs()
 	res.TotalHubs = len(hubs)
 	var logBytes, logRecords int64
@@ -618,16 +582,13 @@ func (s *Store) compactLocked() (CompactionResult, error) {
 	}
 
 	// A disk base streams into <path>.tmp. An in-memory one is laid out from
-	// the records, which alias the old image (kept alive by the GC, so its
-	// views need no release) and the overlay.
+	// the records, which alias the old image and the overlay.
 	var records []Record
 	put := func(h graph.NodeID, rec []byte) error {
 		records = append(records, Record{Hub: h, Payload: rec})
 		return nil
 	}
 	var w *DiskWriter
-	// shadowed keeps the base records the fold rewrites (see retirement).
-	var shadowed map[graph.NodeID][]byte
 	if !s.inMemory() {
 		var err error
 		if w, err = CreateDisk(s.path); err != nil {
@@ -635,7 +596,6 @@ func (s *Store) compactLocked() (CompactionResult, error) {
 		}
 		defer w.Abort() // discards <path>.tmp on an early return; a no-op after Close
 		put = w.PutEncoded
-		shadowed = make(map[graph.NodeID][]byte, len(st.overlay))
 	}
 	for _, h := range hubs {
 		// The base record straight from the reader, not through the block
@@ -648,9 +608,6 @@ func (s *Store) compactLocked() (CompactionResult, error) {
 		switch {
 		case rewritten:
 			res.RewrittenHubs++
-			if inBase && w != nil {
-				shadowed[h] = bytes.Clone(view.EntryBytes())
-			}
 		case inBase:
 			rec = view.EntryBytes()
 		default:
@@ -668,12 +625,8 @@ func (s *Store) compactLocked() (CompactionResult, error) {
 	if err != nil {
 		return res, err
 	}
-	next := s.newGeneration(r)
-	s.state.Store(&storeState{gen: next})
+	s.state.Store(s.newState(r))
 	if w != nil {
-		st.gen.retired.Store(&retirement{next: next, shadowed: shadowed})
-		// DiskIndex.Close drains the old generation's views before unmapping it.
-		old.Close()
 		s.logWedged = false
 		res.LogRecordsFolded = logRecords
 		res.LogBytesFreed = logBytes - s.log.SizeBytes()
@@ -709,7 +662,6 @@ func (s *Store) openBase(w *DiskWriter, records []Record) (*DiskIndex, error) {
 		return nil, fmt.Errorf("ppvindex: compaction reopening rewritten index: %w", err)
 	}
 	if err := s.rebindLogLocked(r); err != nil {
-		r.Close()
 		s.logWedged = true
 		return nil, fmt.Errorf("ppvindex: compaction rewriting the update log: %w", err)
 	}
@@ -734,12 +686,11 @@ func (s *Store) rebindLogLocked(r *DiskIndex) error {
 	return nil
 }
 
-// Close releases the mapped index and the log. The read state is cleared and
-// its generation retired first, so late reads, held snapshots included, fail
-// with ErrClosed instead of reading an unmapped index or serving stale overlay
-// hits; outstanding views drain before the mapping goes away. A store still in write mode is finalized
-// first (the index file is published, its log started fresh) — use Abort to
-// discard instead.
+// Close closes the log and clears the read state. Late reads, held snapshots
+// included, fail with ErrClosed instead of serving stale overlay hits; the
+// mapped base goes once the GC finds nothing reading it. A store still in
+// write mode is finalized first (the index file is published, its log
+// started fresh) — use Abort to discard instead.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -756,7 +707,7 @@ func (s *Store) Abort() error {
 }
 
 func (s *Store) closeLocked(discard bool) error {
-	if s.closed {
+	if s.closed.Load() {
 		return nil
 	}
 	var firstErr error
@@ -768,19 +719,12 @@ func (s *Store) closeLocked(discard bool) error {
 			firstErr = s.ensureReaderLocked()
 		}
 	}
-	s.closed = true
-	st := s.state.Swap(nil)
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
+	s.closed.Store(true)
+	s.state.Store(nil)
+	if s.log != nil {
+		if err := s.log.Close(); firstErr == nil {
 			firstErr = err
 		}
-	}
-	if st != nil {
-		st.gen.retired.Store(&retirement{})
-		keep(st.gen.reader.Close())
-	}
-	if s.log != nil {
-		keep(s.log.Close())
 	}
 	return firstErr
 }

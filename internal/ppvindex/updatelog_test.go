@@ -61,7 +61,7 @@ func collectReplay(dst *[]struct {
 		*dst = append(*dst, struct {
 			hub graph.NodeID
 			ppv sparse.Vector
-		}{h, NewHubRecordView(payload, nil).Vector()})
+		}{h, NewHubRecordView(payload).Vector()})
 		return nil
 	}
 }

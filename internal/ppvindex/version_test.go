@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"fastppv/internal/core"
 	"fastppv/internal/gen"
@@ -68,10 +69,11 @@ func TestPrecomputeIsByteReproducible(t *testing.T) {
 
 // TestCompactionPublishesTheEngineVersion: a compaction publishes the engine's
 // next version (same graph and epoch, the compacted snapshot), so after it,
-// with no update following, new queries follow no retirement of a retired
-// generation. On a disk engine with and without a block cache, after
-// Store.Compact and after the background compaction a commit starts, and on
-// an in-memory engine after a commit that folds its overlay.
+// with no update following, nothing reads the generation before it, and
+// forced GC rounds unmap it. On a disk engine with and without a block cache,
+// after Store.Compact and after the background compaction a commit starts,
+// and on an in-memory engine after a commit that folds its overlay (whose
+// heap images the GC owns, so only its epoch is checked).
 func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.8, Seed: 31})
 	if err != nil {
@@ -89,6 +91,7 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 		{"disk-background", false, 1 << 20, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			base := settledUnmapped()
 			var idx core.IndexStore
 			var store *ppvindex.Store
 			if c.memory {
@@ -111,9 +114,8 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 			}
 			hubs := engine.Hubs().Hubs()
 			sources := append([]graph.NodeID{0, 1, 2, 3}, hubs[:4]...)
-			query := func() int64 {
+			query := func() {
 				t.Helper()
-				before := ppvindex.RetirementWalks()
 				for eta := 0; eta <= 3; eta++ {
 					for _, q := range sources {
 						if _, err := engine.Query(q, core.StopCondition{MaxIterations: eta}); err != nil {
@@ -121,7 +123,10 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 						}
 					}
 				}
-				return ppvindex.RetirementWalks() - before
+			}
+			var first weak.Pointer[ppvindex.DiskIndex]
+			if store != nil {
+				first = weak.Make(store.Generation())
 			}
 			update := func() {
 				t.Helper()
@@ -155,12 +160,6 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 					update()
 					time.Sleep(time.Millisecond)
 				}
-				for query() != 0 {
-					if time.Now().After(deadline) {
-						t.Fatal("queries still follow a retirement 10s after the compaction")
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
 				// At a threshold of 1 every commit is due, so a later update
 				// may have started another; Compact refuses to run beside one.
 				for _, err := store.Compact(); errors.Is(err, ppvindex.ErrCompactionInProgress); _, err = store.Compact() {
@@ -172,8 +171,9 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 				}
 			}
 			epoch := engine.Epoch()
-			if walks := query(); walks != 0 {
-				t.Errorf("after the compaction new queries followed %d retirements, want 0", walks)
+			query()
+			if store != nil {
+				collect(t, "after the compaction, the generation before it", base, store.Generation().MmapActive(), first)
 			}
 			if c.threshold <= 0 && epoch != 1 {
 				t.Errorf("the compaction moved the engine to epoch %d, want 1", epoch)
@@ -184,8 +184,10 @@ func TestCompactionPublishesTheEngineVersion(t *testing.T) {
 
 // TestCompactionRacesUpdates runs compactions against a stream of updates:
 // whichever publishes last, the engine ends at the last update's epoch over
-// the store's state, and its queries follow no retirement.
+// the store's state, and after its queries forced GC rounds unmap every
+// generation a compaction retired.
 func TestCompactionRacesUpdates(t *testing.T) {
+	base := settledUnmapped()
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 400, OutDegreeMean: 5, Attachment: 0.8, Seed: 37})
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +207,16 @@ func TestCompactionRacesUpdates(t *testing.T) {
 	}
 	hubs := engine.Hubs().Hubs()
 	const updates = 20
+	// gens is every generation the store served, in order; only the one
+	// compacting goroutine at a time appends to it.
+	gens := []weak.Pointer[ppvindex.DiskIndex]{weak.Make(store.Generation())}
+	compact := func() error {
+		_, err := store.Compact()
+		if gen := weak.Make(store.Generation()); err == nil && gen != gens[len(gens)-1] {
+			gens = append(gens, gen)
+		}
+		return err
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -216,7 +228,7 @@ func TestCompactionRacesUpdates(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := store.Compact(); err != nil && err != ppvindex.ErrCompactionInProgress {
+			if err := compact(); err != nil && err != ppvindex.ErrCompactionInProgress {
 				t.Error(err)
 				return
 			}
@@ -230,16 +242,16 @@ func TestCompactionRacesUpdates(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, err := store.Compact(); err != nil {
+	if err := compact(); err != nil {
 		t.Fatal(err)
 	}
-	before := ppvindex.RetirementWalks()
 	for _, q := range append([]graph.NodeID{0, 1}, hubs[:4]...) {
 		if _, err := engine.Query(q, core.StopCondition{MaxIterations: 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if walks := ppvindex.RetirementWalks() - before; walks != 0 || engine.Epoch() != updates {
-		t.Errorf("the engine is at epoch %d and its queries followed %d retirements; want %d and 0", engine.Epoch(), walks, updates)
+	if engine.Epoch() != updates {
+		t.Errorf("the engine is at epoch %d, want %d", engine.Epoch(), updates)
 	}
+	collect(t, "the generations the compactions retired", base, store.Generation().MmapActive(), gens[:len(gens)-1]...)
 }

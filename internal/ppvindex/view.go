@@ -1,6 +1,8 @@
 package ppvindex
 
 import (
+	"runtime"
+
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
 )
@@ -13,23 +15,20 @@ import (
 // heap buffer. No map is materialized — the query inner loop decodes the
 // entries front to back straight into a sparse.Accumulator.
 //
-// Lifetime rules: a view is valid only for the index generation that produced
-// it and must not outlive it. Every DiskIndex view pins its generation;
-// callers must call Release exactly once, promptly, when done (a leaked view
-// blocks that generation's Close, and with it compaction's swap).
-// Release on a zero or unpinned view is a no-op. Views must be treated as
-// immutable and must not be retained across calls that may close or compact
-// the index.
+// Lifetime rule: a generation's bytes live while something reads them. A
+// DiskIndex view holds its index, whose mapping the GC unmaps only once no
+// view or state reaches it; a view of a heap buffer keeps the buffer itself.
+// Call Release after the last read of a view's bytes: it keeps the index
+// reachable up to that point. No Close or compaction waits for a view, so an
+// unreleased one blocks nothing. Views must be treated as immutable.
 type HubRecordView struct {
-	data    []byte // a payload of sparse.AppendEncoded
-	release func()
+	data []byte     // a payload of sparse.AppendEncoded
+	idx  *DiskIndex // the index whose bytes data aliases, or nil
 }
 
-// NewHubRecordView wraps an encoded entry payload as a view. The data slice
-// is aliased, not copied; release (optional) is invoked by Release.
-func NewHubRecordView(data []byte, release func()) HubRecordView {
-	return HubRecordView{data: data, release: release}
-}
+// NewHubRecordView wraps an encoded entry payload held in the heap as a view.
+// The data slice is aliased, not copied.
+func NewHubRecordView(data []byte) HubRecordView { return HubRecordView{data: data} }
 
 // Len returns the number of (node, score) entries, counted by decoding the
 // payload.
@@ -62,14 +61,9 @@ func (v HubRecordView) Vector() sparse.Vector {
 	return sparse.FromEntries(sparse.AppendDecoded(nil, v.data))
 }
 
-// Release returns the view's pin on its index generation, if it holds one.
-// It must be called exactly once per pinned view; calling it on a zero or
-// unpinned view is a no-op.
-func (v HubRecordView) Release() {
-	if v.release != nil {
-		v.release()
-	}
-}
+// Release ends the view's reads: its index, and with it the mapping the view
+// aliases, stays reachable up to this call.
+func (v HubRecordView) Release() { runtime.KeepAlive(v.idx) }
 
 // ViewGetter is the record read of an Index. The boolean is false when h is
 // not indexed; an error means the record exists but could not be read.

@@ -10,8 +10,8 @@ import (
 // TestPublicAPIMmapCompactionDuringQueries runs concurrent queries against a
 // memory-mapped index while a compaction atomically replaces (and remaps) the
 // base file underneath them. Answers must not drift and nothing may fault:
-// retired mappings drain their in-flight views before being unmapped. Run
-// under -race in CI.
+// a retired mapping is unmapped only once nothing reads it. Run under -race
+// in CI.
 func TestPublicAPIMmapCompactionDuringQueries(t *testing.T) {
 	g := buildTestGraph(t, 300, 4, 42)
 	path := filepath.Join(t.TempDir(), "index.ppv")
