@@ -193,8 +193,11 @@ type Result struct {
 	// Pushes is the number of push operations performed online.
 	Pushes int
 	// HubHits is the number of times a precomputed hub PPV was spliced in.
-	HubHits  int
-	Duration time.Duration
+	HubHits int
+	// EntriesMerged is the number of hub-PPV entries those splices added
+	// into the estimate.
+	EntriesMerged int
+	Duration      time.Duration
 }
 
 // Query computes an approximate PPV for q using bookmark-coloring push with
@@ -245,6 +248,7 @@ func (r *Ranker) pushWithStats(src graph.NodeID, threshold float64, stats *Resul
 				estimate.AddScaled(hubPPV, mass)
 				if stats != nil {
 					stats.HubHits++
+					stats.EntriesMerged += len(hubPPV)
 				}
 				continue
 			}

@@ -164,6 +164,8 @@ type Result struct {
 	Estimate sparse.Vector
 	// Walks is the number of online random walks simulated.
 	Walks int
+	// Steps is the number of edges the online walks took.
+	Steps int
 	// HubHits counts walks finished by sampling a precomputed hub fingerprint.
 	HubHits  int
 	Duration time.Duration
@@ -209,6 +211,9 @@ func (e *Estimator) walk(src graph.NodeID, rng *rand.Rand, stats *Result) graph.
 			return graph.InvalidNode // absorbed
 		}
 		next := e.g.OutNeighbors(cur)[rng.Intn(deg)]
+		if stats != nil {
+			stats.Steps++
+		}
 		if next != src {
 			if fp, ok := e.fingerprints[next]; ok && len(fp) > 0 {
 				if stats != nil {

@@ -96,18 +96,19 @@ func Fig6Table(results []ConfigResult) *workload.Table {
 	return t
 }
 
-// Fig7Table renders the cost comparison of Fig. 7: online time per query,
-// offline space, offline time.
+// Fig7Table renders the cost comparison of Fig. 7: online time and work per
+// query, offline space, offline time.
 func Fig7Table(results []ConfigResult) *workload.Table {
 	t := workload.NewTable(
 		"Fig. 7 — online and offline costs under accuracy-moderated configurations",
-		"Config", "Method", "Online ms/query", "Offline space MB", "Offline time s")
+		"Config", "Method", "Online ms/query", "Offline space MB", "Offline time s", "Work/query")
 	for _, r := range results {
 		for _, m := range []MethodResult{r.FastPPV, r.HubRankP, r.MonteCarlo} {
 			t.AddRow(r.Config.ID, m.Method,
 				ms(m.AvgQueryTime),
 				float64(m.OfflineBytes)/(1<<20),
-				m.OfflineTime.Seconds())
+				m.OfflineTime.Seconds(),
+				workString(m.Work))
 		}
 	}
 	return t

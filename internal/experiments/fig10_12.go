@@ -80,8 +80,8 @@ func Fig11Table(points []HubSweepPoint) *workload.Table {
 	return t
 }
 
-// IterationPoint is one point of the eta sweep (Fig. 12): FastPPV accuracy
-// and query time as the number of online iterations grows, on a single
+// IterationPoint is one point of the eta sweep (Fig. 12): FastPPV accuracy,
+// query time and work as the number of online iterations grows, on a single
 // precomputed index.
 type IterationPoint struct {
 	Dataset    DatasetName
@@ -91,6 +91,8 @@ type IterationPoint struct {
 	// by the engine itself, demonstrating the accuracy-aware property.
 	AvgL1Bound   float64
 	AvgQueryTime time.Duration
+	// Work is the online work per query, in fastUnits.
+	Work []Work
 }
 
 // IterationSweep evaluates FastPPV for eta = 0..maxEta on both datasets (E8
@@ -116,12 +118,21 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 			reports := make([]accuracy.Report, 0, len(d.Queries))
 			var total time.Duration
 			var boundSum float64
+			work := make([]int64, len(fastUnits))
+			stop := core.StopCondition{MaxIterations: eta}
 			for _, q := range d.Queries {
 				start := time.Now()
-				r, err := engine.QueryOn(nil, q, core.StopCondition{MaxIterations: eta})
+				r, err := engine.QueryOn(nil, q, stop)
 				total += time.Since(start)
 				if err != nil {
 					return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
+				}
+				counts, err := engine.work(q, stop)
+				if err != nil {
+					return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
+				}
+				for i, c := range counts {
+					work[i] += c
 				}
 				exact, err := d.ExactPPV(q)
 				if err != nil {
@@ -133,6 +144,7 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 			point.Accuracy = accuracy.Average(reports)
 			point.AvgQueryTime = total / time.Duration(len(d.Queries))
 			point.AvgL1Bound = boundSum / float64(len(d.Queries))
+			point.Work = perQuery(fastUnits, work, len(d.Queries))
 			out = append(out, point)
 		}
 	}
@@ -143,11 +155,11 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 func Fig12Table(points []IterationPoint) *workload.Table {
 	t := workload.NewTable(
 		"Fig. 12 — incremental online processing by varying eta",
-		"Dataset", "eta", "Kendall", "Precision", "RAG", "L1 similarity", "phi bound", "Online ms/query")
+		"Dataset", "eta", "Kendall", "Precision", "RAG", "L1 similarity", "phi bound", "Online ms/query", "Work/query")
 	for _, p := range points {
 		t.AddRow(string(p.Dataset), p.Iterations,
 			p.Accuracy.KendallTau, p.Accuracy.Precision, p.Accuracy.RAG, p.Accuracy.L1Similarity,
-			p.AvgL1Bound, ms(p.AvgQueryTime))
+			p.AvgL1Bound, ms(p.AvgQueryTime), workString(p.Work))
 	}
 	return t
 }

@@ -43,7 +43,7 @@ func DiskBased(scale Scale, clusterCounts []int) ([]DiskPoint, error) {
 			return nil, err
 		}
 		for _, k := range clusterCounts {
-			point, err := diskBasedOne(d, engine, k)
+			point, err := diskBasedOne(d, engine.Engine, k)
 			if err != nil {
 				return nil, fmt.Errorf("disk-based %s with %d clusters: %w", name, k, err)
 			}

@@ -14,9 +14,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/figures_golden.txt from the current code")
 
 // figuresGolden holds every accuracy number of Fig. 6, Fig. 12 and Theorem 2
-// at ScaleTiny, one cell a line: a key naming the figure, row and column,
-// then the value. Times are left out: they are the only cells that may move
-// without a change of answers. Regenerate with
+// at ScaleTiny, with the online work per query of Fig. 7 and Fig. 12 and the
+// offline bytes of Fig. 7, one cell a line: a key naming the figure, row and
+// column, then the value. Times are left out: they are the only cells that may
+// move without a change of answers or of work. Regenerate with
 // `go test ./internal/experiments -run TestFiguresGolden -update`.
 const figuresGolden = "testdata/figures_golden.txt"
 
@@ -40,6 +41,15 @@ func figureCells(t *testing.T) []string {
 			add(key+" l1sim", m.Accuracy.L1Similarity)
 		}
 	}
+	for _, r := range configs {
+		for _, m := range []MethodResult{r.FastPPV, r.HubRankP, r.MonteCarlo} {
+			key := "fig7 " + r.Config.ID + " " + m.Method
+			for _, w := range m.Work {
+				add(key+" "+w.Unit, w.PerQuery)
+			}
+			add(key+" offline_bytes", float64(m.OfflineBytes))
+		}
+	}
 	sweep, err := IterationSweep(ScaleTiny, 3)
 	if err != nil {
 		t.Fatalf("IterationSweep: %v", err)
@@ -51,6 +61,9 @@ func figureCells(t *testing.T) []string {
 		add(key+" rag", p.Accuracy.RAG)
 		add(key+" l1sim", p.Accuracy.L1Similarity)
 		add(key+" phi", p.AvgL1Bound)
+		for _, w := range p.Work {
+			add(key+" "+w.Unit, w.PerQuery)
+		}
 	}
 	bound, err := Theorem2(ScaleTiny, 8)
 	if err != nil {
@@ -62,8 +75,8 @@ func figureCells(t *testing.T) []string {
 	return cells
 }
 
-// TestFiguresGolden pins the paper figures' accuracy cells: a change that
-// only moves where a representation is built, or what a method's clock
+// TestFiguresGolden pins the paper figures' accuracy and work cells: a change
+// that only moves where a representation is built, or what a method's clock
 // covers, must leave every one of them as it was. Floats compare to 1e-12
 // relative, because the L1 similarity sums a map in map order and so moves
 // by about 1e-16 from run to run.
