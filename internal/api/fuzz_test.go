@@ -108,8 +108,8 @@ func checkPayloadFixedPoint(t *testing.T, ftype byte, payload []byte) {
 // wireEntrySize is the size of one fuzz-input entry of FuzzVectorRoundTrip:
 // a uint32 node id and the float64 bits of its score, little-endian. The wire
 // carries float64 scores, so the input does too; the hub-record encoding of
-// package sparse keeps only a float32 of each and would never reach the bits
-// below it.
+// package sparse keeps only an 11-bit mantissa of each and would never reach
+// the bits below it.
 const wireEntrySize = 12
 
 // putWireEntry writes one fuzz-input entry at the start of b.

@@ -19,15 +19,15 @@ import (
 // goldenFile holds one FNV-64a hash per (backend, source, stop) answer. It is
 // regenerated (PPV_REGEN_GOLDEN=1 go test -run TestQueryGolden
 // ./internal/cluster) only by a change that moves answers on purpose, last by
-// deriving the push precision from the storage clip; any other change to
+// storing hub-record scores as 16-bit codes; any other change to
 // Engine.Query or Router.Query that moves a single bit of any estimate, bound
 // or iteration count fails here.
 const goldenFile = "testdata/query_golden.txt"
 
 // answerHash folds (Iterations, bits(L1ErrorBound), ascending (node,
 // bits(score))) into one FNV-64a value. Scores are hashed as their full
-// float64 bits, not through the hub-record encoder, which keeps only a
-// float32 of each and so would hide a move below float32 precision.
+// float64 bits, not through the hub-record encoder, which keeps only an
+// 11-bit mantissa of each and so would hide a move below its precision.
 func answerHash(iterations int, bound float64, estimate sparse.Vector) uint64 {
 	h := fnv.New64a()
 	var b [12]byte

@@ -53,7 +53,7 @@ func danglingLoopGraph(t *testing.T, n int, seed int64) *graph.Graph {
 }
 
 // TestStoredRecordsKeepTheBoundSound: hub records hold each score as a
-// float32 rounded toward zero (sparse.StoredScore), never above the pushed
+// 16-bit code rounded toward zero (sparse.StoredScore), never above the pushed
 // one, so every answer stays a pointwise lower bound of the exact PPV and its
 // L1 distance to it stays within the reported bound phi (Theorem 2). It is
 // checked at the default options, storage clip included, on a graph with

@@ -6,7 +6,6 @@ import (
 
 	"fastppv/internal/accuracy"
 	"fastppv/internal/core"
-	"fastppv/internal/sparse"
 	"fastppv/internal/workload"
 )
 
@@ -114,38 +113,19 @@ func IterationSweep(scale Scale, maxEta int) ([]IterationPoint, error) {
 			return nil, err
 		}
 		for eta := 0; eta <= maxEta; eta++ {
-			point := IterationPoint{Dataset: name, Iterations: eta}
-			reports := make([]accuracy.Report, 0, len(d.Queries))
-			var total time.Duration
-			var boundSum float64
-			work := make([]int64, len(fastUnits))
-			stop := core.StopCondition{MaxIterations: eta}
-			for _, q := range d.Queries {
-				start := time.Now()
-				r, err := engine.QueryOn(nil, q, stop)
-				total += time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
-				}
-				counts, err := engine.work(q, stop)
-				if err != nil {
-					return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
-				}
-				for i, c := range counts {
-					work[i] += c
-				}
-				exact, err := d.ExactPPV(q)
-				if err != nil {
-					return nil, err
-				}
-				reports = append(reports, accuracy.Evaluate(exact, sparse.FromEntries(r.Entries), accuracy.DefaultTopK))
-				boundSum += r.L1ErrorBound
+			var bounds float64
+			res, err := evaluate(d, engine.method(core.StopCondition{MaxIterations: eta}, &bounds))
+			if err != nil {
+				return nil, fmt.Errorf("eta=%d on %s: %w", eta, name, err)
 			}
-			point.Accuracy = accuracy.Average(reports)
-			point.AvgQueryTime = total / time.Duration(len(d.Queries))
-			point.AvgL1Bound = boundSum / float64(len(d.Queries))
-			point.Work = perQuery(fastUnits, work, len(d.Queries))
-			out = append(out, point)
+			out = append(out, IterationPoint{
+				Dataset:      name,
+				Iterations:   eta,
+				Accuracy:     res.Accuracy,
+				AvgL1Bound:   bounds / float64(len(d.Queries)),
+				AvgQueryTime: res.AvgQueryTime,
+				Work:         res.Work,
+			})
 		}
 	}
 	return out, nil

@@ -152,6 +152,26 @@ func buildFastPPV(d *Dataset, cfg FastPPVConfig) (fastEngine, error) {
 	return fastEngine{engine, reads}, nil
 }
 
+// method is FastPPV's online phase under stop, as evaluate runs it. When
+// bounds is not nil, each query adds its reported L1 bound to it.
+func (e fastEngine) method(stop core.StopCondition, bounds *float64) method {
+	return method{
+		name: "FastPPV",
+		query: func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error) {
+			r, err := e.QueryOn(nil, q, stop)
+			if err != nil {
+				return nil, nil, err
+			}
+			if bounds != nil {
+				*bounds += r.L1ErrorBound
+			}
+			return nil, r.Entries, nil
+		},
+		units: fastUnits,
+		work:  func(q graph.NodeID) ([]int64, error) { return e.work(q, stop) },
+	}
+}
+
 // work replays the query of q under stop with the record count on and returns
 // its fastUnits. The replay reads what the timed query read, since answers
 // are deterministic.
@@ -216,19 +236,7 @@ func runFastPPV(d *Dataset, cfg FastPPVConfig) (MethodResult, error) {
 	if err != nil {
 		return MethodResult{}, err
 	}
-	stop := core.StopCondition{MaxIterations: cfg.Iterations}
-	res, err := evaluate(d, method{
-		name: "FastPPV",
-		query: func(q graph.NodeID) (sparse.Vector, []sparse.Entry, error) {
-			r, err := engine.QueryOn(nil, q, stop)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nil, r.Entries, nil
-		},
-		units: fastUnits,
-		work:  func(q graph.NodeID) ([]int64, error) { return engine.work(q, stop) },
-	})
+	res, err := evaluate(d, engine.method(core.StopCondition{MaxIterations: cfg.Iterations}, nil))
 	if err != nil {
 		return res, err
 	}

@@ -3,7 +3,6 @@ package ppvindex
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"testing"
 
 	"fastppv/internal/corpus"
@@ -44,12 +43,15 @@ func TestRegenLogCorpora(t *testing.T) {
 	binary.LittleEndian.PutUint32(v1[0:], logMagic)
 	binary.LittleEndian.PutUint32(v1[4:], 1)
 	copy(v1[8:], fuzzBind[:12]) // base size and hub count
-	// The layout before float32 scores: version 2, 12-byte entries; and the
-	// one before delta-coded ids: version 3, fixed 8-byte entries.
+	// The layout before float32 scores: version 2, 12-byte entries; the one
+	// before delta-coded ids: version 3, fixed 8-byte entries; and the one
+	// before score codes: version 4, float32 scores.
 	v2 := append([]byte(nil), both...)
 	binary.LittleEndian.PutUint32(v2[4:], 2)
 	v3 := append([]byte(nil), both...)
 	binary.LittleEndian.PutUint32(v3[4:], 3)
+	v4 := append([]byte(nil), both...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
 	// A CRC-valid batch whose record's payload is cut inside its last gap.
 	cut := appendRecord(nil, 4, append(rawEntries(5, 6), 0x80))
 	corpus.Write(t, "FuzzUpdateLogReplay",
@@ -62,6 +64,7 @@ func TestRegenLogCorpora(t *testing.T) {
 		v1,                                     // a version-1 header, rejected
 		v2,                                     // a version-2 log, rejected
 		v3,                                     // a version-3 log, rejected
+		v4,                                     // a version-4 log, rejected
 		updateLogBytes(t, recordBatch(encodeRecord(3, sparse.Vector{1: 0.5})), recordBatch(cut)), // a gap cut off
 		batch(otherGraph, mutation, true), // bound to another graph: refused, left as it is
 	)
@@ -69,7 +72,7 @@ func TestRegenLogCorpora(t *testing.T) {
 	// Disk hub records: a canonical record, a truncated one, one whose
 	// declared length disagrees with its buffer, scores the gate refuses, and
 	// each way a payload is malformed after a good entry.
-	rec := encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-12, 300: 0.5})
+	rec := encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-9, 300: 0.5})
 	badlength := append([]byte(nil), rec...)
 	badlength[4] ^= 0x01
 	good := rawEntries(3)
@@ -79,13 +82,13 @@ func TestRegenLogCorpora(t *testing.T) {
 		rec[:len(rec)-4],
 		badlength,
 		encodeRecord(0, nil),
-		encodeRecord(7, sparse.Vector{3: 0.25, 9: -0.5}),
-		encodeRecord(7, sparse.Vector{3: math.NaN(), 9: math.Inf(1)}),
+		appendRecord(nil, 7, append(bytes.Clone(good), 0x01, 0x01, 0xf8)),                                     // a code just above 1.0's
+		appendRecord(nil, 7, append(bytes.Clone(good), 0x01, 0xff, 0xff)),                                     // the largest code
 		appendRecord(nil, 7, append(bytes.Clone(good), 0x80)),                                                 // a gap cut off
 		appendRecord(nil, 7, append(append(bytes.Clone(good), 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), score...)), // a gap over 5 bytes
 		appendRecord(nil, 7, append(append(bytes.Clone(good), 0xff, 0xff, 0xff, 0xff, 0x07), score...)),       // a gap past int32
 		appendRecord(nil, 7, append(append(bytes.Clone(good), 0x85, 0x00), score...)),                         // a gap not minimal
-		appendRecord(nil, 7, append(bytes.Clone(good), 1, 0, 0)),                                              // a score cut off
+		appendRecord(nil, 7, append(bytes.Clone(good), 1, 0)),                                                 // a score cut off
 		append(bytes.Clone(rec), 0), // a trailing byte
 	)
 }

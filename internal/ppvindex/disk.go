@@ -24,12 +24,12 @@ import (
 //	  hub      uint32
 //	  length   uint32  payload bytes
 //	  payload  entries in ascending node order (sparse.AppendEncoded):
-//	           { gap uvarint (node − previous node − 1), score float32 }
+//	           { gap uvarint (node − previous node − 1), score uint16 code }
 //	directory (hubs entries in ascending hub order, after the last record):
 //	  hub    uint32
 //	  offset uint64   byte offset of the hub's record from the file start
 //	footer (the final 16 bytes of the file):
-//	  magic    uint32 'F','P','I','3'
+//	  magic    uint32 'F','P','I','4'
 //	  hubs     uint32
 //	  dirStart uint64  byte offset of the directory
 //
@@ -56,13 +56,15 @@ import (
 // Older layouts are not migrated: opening one fails with ErrBadIndexFormat,
 // naming it, and leaves the file as it is. FPI1 stored 12-byte (node uint32,
 // score float64) entries; FPI2 stored 8-byte (node uint32, score float32)
-// entries behind an entry count.
-const diskMagic = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('3')<<24
+// entries behind an entry count; FPI3 stored uvarint gaps beside float32
+// scores.
+const diskMagic = uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('4')<<24
 
 // oldLayouts names the refused layouts by magic.
 var oldLayouts = map[uint32]string{
 	uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('1')<<24: "FPI1 index (12-byte entries)",
 	uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('2')<<24: "FPI2 index (fixed 8-byte entries)",
+	uint32('F') | uint32('P')<<8 | uint32('I')<<16 | uint32('3')<<24: "FPI3 index (float32 scores)",
 }
 
 // ErrBadIndexFormat reports a corrupt or foreign index file.
@@ -154,15 +156,15 @@ func parseRecord(buf []byte) (graph.NodeID, []byte, error) {
 // checkPayload is the gate every record read from a file passes once (an
 // update-log frame on replay, a disk index's records when it opens): the
 // payload must decode whole (every gap well formed, every id below 2³¹, no
-// bytes left over; the gaps make ids strictly ascend) and every score must be
-// finite and non-negative. Views are folded as they are, a negative score
-// would break the estimate's lower-bound argument, and a NaN is not
-// bit-stable through float64 (a signalling NaN comes back quiet).
+// bytes left over; the gaps make ids strictly ascend) and no score may exceed
+// 1, the largest score a code stands for. A code decodes to a finite positive
+// score, and codes sort like their scores, so that one comparison is the
+// whole score check.
 func checkPayload(h graph.NodeID, payload []byte) error {
 	r := sparse.NewEncodedReader(payload)
 	i := 0
 	for node, score, ok := r.Next(); ok; node, score, ok = r.Next() {
-		if score < 0 || math.IsNaN(score) || math.IsInf(score, 1) {
+		if score > 1 {
 			return fmt.Errorf("%w: record of hub %d holds score %v at node %d (entry %d)", ErrBadIndexFormat, h, score, node, i)
 		}
 		i++
@@ -406,7 +408,7 @@ func parseIndex(path string, data []byte) (*DiskIndex, []dirEntry, error) {
 	footer := data[size-footerBytes:]
 	if magic := binary.LittleEndian.Uint32(footer[0:]); magic != diskMagic {
 		if old, ok := oldLayouts[magic]; ok {
-			return nil, nil, fmt.Errorf("%w: %s is an %s, which this build no longer reads; rebuild it as FPI3", ErrBadIndexFormat, path, old)
+			return nil, nil, fmt.Errorf("%w: %s is an %s, which this build no longer reads; rebuild it as FPI4", ErrBadIndexFormat, path, old)
 		}
 		return nil, nil, ErrBadIndexFormat
 	}

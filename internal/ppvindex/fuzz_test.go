@@ -3,7 +3,6 @@ package ppvindex
 import (
 	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,12 +48,12 @@ func strictlyAscending(payload []byte) bool {
 	return r.Err() == nil
 }
 
-// scoresSound reports whether every score of an entry payload is finite and
-// non-negative: what the lower-bound argument of the stored records needs.
+// scoresSound reports whether every score of an entry payload lies in
+// (0, 1]: what the lower-bound argument of the stored records needs.
 func scoresSound(payload []byte) bool {
 	r := sparse.NewEncodedReader(payload)
 	for _, s, ok := r.Next(); ok; _, s, ok = r.Next() {
-		if s < 0 || math.IsNaN(s) || math.IsInf(s, 1) {
+		if !(s > 0 && s <= 1) {
 			return false
 		}
 	}
@@ -110,7 +109,7 @@ type fuzzBatch struct {
 // ErrBadIndexFormat, or ErrGraphMismatch for a log bound to another graph,
 // and leaves the file as it was — never a panic — and a file it accepted
 // replays identically on reopen. Every replayed record is strictly ascending with every score
-// finite and non-negative, and committing the replayed batches again through
+// in (0, 1], and committing the replayed batches again through
 // AppendEncoded and CommitBatch reproduces the repaired file's frames byte
 // for byte: nothing is normalized on the way in, so nothing unsorted can hide.
 func FuzzUpdateLogReplay(f *testing.F) {
@@ -137,7 +136,7 @@ func FuzzUpdateLogReplay(f *testing.F) {
 				t.Fatalf("replay accepted a record of hub %d that is not strictly ascending", h)
 			}
 			if !scoresSound(payload) {
-				t.Fatalf("replay accepted a record of hub %d with a negative, NaN or infinite score", h)
+				t.Fatalf("replay accepted a record of hub %d with a score outside (0, 1]", h)
 			}
 			last := &replayed[len(replayed)-1]
 			last.records = append(last.records, appendRecord(nil, h, payload))
@@ -203,17 +202,17 @@ func FuzzUpdateLogReplay(f *testing.F) {
 // Rejections — a length that does not cover the buffer, a gap cut off,
 // overlong or carrying the id past int32, a score cut off, a bad score —
 // must wrap ErrBadIndexFormat. Whatever is accepted decodes whole, strictly
-// ascending with every score finite and non-negative, is returned as the very
+// ascending with every score in (0, 1], is returned as the very
 // bytes that came in (re-framing them gives the input back), and survives the
 // boundary round trip view -> map -> encoder byte for byte, every score
 // bit-identical.
 func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-12}))
+	f.Add(encodeRecord(7, sparse.Vector{3: 0.25, 9: 1e-9}))
 	f.Add(appendRecord(nil, 7, rawEntries(9, 3)))
 	f.Add(appendRecord(nil, 7, rawEntries(3, 3)))
-	f.Add(encodeRecord(7, sparse.Vector{3: 0.25, 9: -0.5}))
-	f.Add(encodeRecord(7, sparse.Vector{3: math.NaN()}))
+	f.Add(appendRecord(nil, 7, []byte{3, 0x01, 0xf8})) // a code above 1.0's
+	f.Add(appendRecord(nil, 7, []byte{3, 0xff, 0xff})) // the largest code
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := parseRecord(data)
 		if err != nil {
@@ -226,7 +225,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 			t.Fatalf("accepted a record of hub %d that is not strictly ascending", h)
 		}
 		if !scoresSound(payload) {
-			t.Fatalf("accepted a record of hub %d with a negative, NaN or infinite score", h)
+			t.Fatalf("accepted a record of hub %d with a score outside (0, 1]", h)
 		}
 		if !bytes.Equal(appendRecord(nil, h, payload), data) {
 			t.Fatalf("re-framing the accepted record of hub %d does not give the input back", h)

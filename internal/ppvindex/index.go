@@ -2,8 +2,8 @@
 // offline phase: the prime PPV of every hub node (Algorithm 1 of the paper).
 // A stored prime PPV has one form, the hub record: its (node, score) entries
 // in strictly ascending node order, in the encoding of package sparse (node
-// ids as uvarint gaps, each score a float32 rounded toward zero, so a stored
-// record never overstates the push), 5 to 9 bytes an entry. The in-memory
+// ids as uvarint gaps, each score a 16-bit code rounded toward zero, so a
+// stored record never overstates the push), 3 to 7 bytes an entry. The in-memory
 // index, the disk file (Sect. 5.3: one random read per fetched hub), the
 // update log and the block cache all hold those same bytes, and the query
 // loop decodes them front to back straight out of a HubRecordView.
@@ -77,7 +77,7 @@ func encodeVector(ppv sparse.Vector) []byte {
 	return sparse.AppendEncoded(nil, ppv.AppendSorted(make([]sparse.Entry, 0, len(ppv))))
 }
 
-// MemIndex is the in-memory PPV index: a Store whose base is an FPI3 image
+// MemIndex is the in-memory PPV index: a Store whose base is an FPI4 image
 // in one heap buffer and which keeps no update log. Records put into a fresh
 // index are collected until the first read lays them out in the image (the
 // last put of a hub wins); later puts and commits go to the overlay, which

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,12 +23,12 @@ func sampleVectors() map[graph.NodeID]sparse.Vector {
 	}
 }
 
-// storedVector is v as a record gives it back: every score a float32 rounded
-// toward zero (sparse.StoredScore), widened again.
+// storedVector is v as a record gives it back: every score rounded toward
+// zero to its 16-bit code (sparse.StoredScore).
 func storedVector(v sparse.Vector) sparse.Vector {
 	out := sparse.New(len(v))
 	for id, s := range v {
-		out[id] = float64(sparse.StoredScore(s))
+		out[id] = sparse.StoredScore(s)
 	}
 	return out
 }
@@ -139,8 +138,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	size := idx.SizeBytes()
 	pack(idx)
 	st := memState(idx)
-	// Every record is three entries with one-byte gaps: 15 payload bytes.
-	const imageBytes = 40*(perHubOverheadBytes+15) + 40*dirEntryBytes + footerBytes
+	// Every record is three entries with one-byte gaps: 9 payload bytes.
+	const imageBytes = 40*(perHubOverheadBytes+9) + 40*dirEntryBytes + footerBytes
 	if image := idx.Image(); len(st.overlay) != 0 || st.reader.Len() != 40 || len(image) != imageBytes || cap(image) != len(image) {
 		t.Fatalf("after Pack: %d overlay records, %d base hubs, an image of %d bytes (cap %d); want 0, 40 and an exact %d",
 			len(st.overlay), st.reader.Len(), len(image), cap(image), imageBytes)
@@ -154,8 +153,8 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 		t.Fatalf("GetView(7) ok=%v err=%v; the view must alias the image", ok, err)
 	}
 
-	// A rewrite and a new hub go to the overlay: the image is 1 416 bytes,
-	// so up to 177 bytes of committed records stay in the overlay.
+	// A rewrite and a new hub go to the overlay: the image is 1 176 bytes,
+	// so up to 147 bytes of committed records stay in the overlay.
 	if err := idx.PutEncoded(7, rawEntries(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 
 	// Past an eighth of the image the put compacts: a fresh image, an empty
 	// overlay, and the old views read what they read before.
-	big := make([]graph.NodeID, 35)
+	big := make([]graph.NodeID, 45)
 	for i := range big {
 		big[i] = graph.NodeID(i + 1)
 	}
@@ -196,7 +195,7 @@ func TestMemIndexPackedViewsSurviveRepack(t *testing.T) {
 	if packed.Len() != 3 || !has(packed, 9) || rewritten.Len() != 1 || !has(rewritten, 100) {
 		t.Error("a view taken before the compaction changed under its holder")
 	}
-	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 35, 8: 3} {
+	for h, want := range map[graph.NodeID]int{7: 1, 50: 2, 60: 45, 8: 3} {
 		if v, ok, _ := idx.GetView(h); !ok || v.Len() != want {
 			t.Errorf("after the compaction GetView(%d) has %d entries (ok=%v), want %d", h, v.Len(), ok, want)
 		}
@@ -457,12 +456,17 @@ func refusesOldLayout(t *testing.T, layout string) {
 // float64 scores) is refused, not migrated, with an error that names it.
 func TestOpenDiskRejectsFPI1(t *testing.T) { refusesOldLayout(t, "FPI1") }
 
-// TestOpenDiskRejectsFPI2: a file of the previous layout (FPI2, fixed 8-byte
-// entries behind an entry count) is refused the same way.
+// TestOpenDiskRejectsFPI2: a file of the FPI2 layout (fixed 8-byte entries
+// behind an entry count) is refused the same way.
 func TestOpenDiskRejectsFPI2(t *testing.T) { refusesOldLayout(t, "FPI2") }
 
+// TestOpenDiskRejectsFPI3: nor is a file of the previous layout (FPI3,
+// uvarint node-id gaps beside float32 scores) migrated: it is refused the
+// same way and left byte for byte as it was.
+func TestOpenDiskRejectsFPI3(t *testing.T) { refusesOldLayout(t, "FPI3") }
+
 // TestOpenDiskRejectsUnsortedDirectory: Close writes the directory in hub
-// order whatever order the records came in, and an FPI3 directory out of hub
+// order whatever order the records came in, and an FPI4 directory out of hub
 // order is refused as corrupt.
 func TestOpenDiskRejectsUnsortedDirectory(t *testing.T) {
 	dir := t.TempDir()
@@ -618,20 +622,23 @@ func TestDiskIndexGetRejectsHugeCount(t *testing.T) {
 
 // TestOpenDiskRejectsUnsoundRecords: the open checks every record's payload
 // by the rules of the update-log gate, so a copy of a valid index with one
-// score's sign bit flipped or a NaN score, or an index written with two node
-// ids out of order (the second gap wraps past int32), fails to open with
+// score's code flipped above 1.0's, or an index written with two node ids out
+// of order (the second gap wraps past int32), fails to open with
 // ErrBadIndexFormat instead of serving a record that breaks the bound's
 // lower-bound argument.
 func TestOpenDiskRejectsUnsoundRecords(t *testing.T) {
 	dir := t.TempDir()
 	path, data := buildValidIndex(t, dir)
-	// Hub 3 is {1: 0.5, 2: 0.25, 3: 0.15}: three 5-byte entries, each a
-	// one-byte gap and a score.
+	// Hub 3 is {1: 0.5, 2: 0.25, 3: 0.15}: three 3-byte entries, each a
+	// one-byte gap and a little-endian score code.
 	payload := recordOffset(t, path, 3) + perHubOverheadBytes
+	if code := binary.LittleEndian.Uint16(data[payload+1:]); code != 30<<11 {
+		t.Fatalf("the first score's code is %#x, want 0.5's %#x", code, 30<<11)
+	}
 	flipped := append([]byte(nil), data...)
-	flipped[payload+5+4] ^= 0x80 // the second score's sign bit
-	nan := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(nan[payload+1:], math.Float32bits(float32(math.NaN())))
+	flipped[payload+2] ^= 0x0c // 0.5's code 0xf000 becomes 0xfc00, above 1.0's 0xf800
+	largest := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(largest[payload+3+1:], 0xffff)
 	w, err := CreateDisk(filepath.Join(dir, "unsorted.ppv"))
 	if err != nil {
 		t.Fatal(err)
@@ -646,7 +653,7 @@ func TestOpenDiskRejectsUnsoundRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range map[string][]byte{"sign bit flipped": flipped, "NaN score": nan, "ids out of order": unsorted} {
+	for name, bad := range map[string][]byte{"code flipped above 1.0": flipped, "largest code": largest, "ids out of order": unsorted} {
 		badPath := filepath.Join(dir, "unsound.ppv")
 		if err := writeFile(badPath, bad); err != nil {
 			t.Fatal(err)

@@ -114,7 +114,7 @@ func TestStoreUncommittedBatchNeverReplays(t *testing.T) {
 	path := writeIndexFile(t, sampleVectors())
 	s := openTestStore(t, path, StoreOptions{}, nil)
 	defer s.Close()
-	payload := bigPayload(2000) // 10 KB a record: consecutive ids take 5 bytes an entry
+	payload := bigPayload(3500) // 10 KB a record: consecutive ids take 3 bytes an entry
 	for i := 0; i < 10; i++ {
 		s.log.AppendEncoded([]graph.NodeID{3, 7, 11}[i%3], payload)
 	}
@@ -214,6 +214,11 @@ func TestStoreRejectsVersion2Log(t *testing.T) { refusesLogVersion(t, 2) }
 // node ids (version 3, fixed 8-byte entries behind an entry count).
 func TestStoreRejectsVersion3Log(t *testing.T) { refusesLogVersion(t, 3) }
 
+// TestStoreRejectsVersion4Log: nor is a log of the layout before score codes
+// (version 4, uvarint node-id gaps beside float32 scores); the refused log is
+// left byte for byte as it was.
+func TestStoreRejectsVersion4Log(t *testing.T) { refusesLogVersion(t, 4) }
+
 // refusesLogVersion commits a batch, stamps the log with an older version
 // and checks that a store refuses to open beside it, naming the version, and
 // leaves the log byte for byte as it was.
@@ -264,7 +269,9 @@ func TestStoreCompactThresholdCountsRecords(t *testing.T) {
 			t.Fatalf("commit %d asked for a compaction with %d bytes of records in a %d-byte log", i, s.state.Load().pending, s.log.SizeBytes())
 		}
 	}
-	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / 5)}}); err != nil || !compact {
+	// Consecutive ids take 3 bytes an entry, so the record passes the
+	// threshold by its 8-byte header.
+	if _, compact, err := s.commit(GraphMutation{}, []Record{{Hub: 7, Payload: bigPayload(threshold / 3)}}); err != nil || !compact {
 		t.Fatalf("records past the threshold did not ask for a compaction (err=%v)", err)
 	}
 }

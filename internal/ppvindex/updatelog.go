@@ -17,7 +17,7 @@ import (
 // (internal/frame) whose header is
 //
 //	magic     uint32 'F','P','L','1'
-//	version   uint32 (currently 4)
+//	version   uint32 (currently 5)
 //	baseBytes uint64 size of the base index file the records apply to
 //	baseHubs  uint32 hub count of that base file
 //	flags     uint32 bit 0: the base graph is directed
@@ -35,7 +35,7 @@ import (
 //	records      zero or more { hub uint32, length uint32, length bytes of payload }
 //
 // each record in the disk index's record layout, its payload the entries of
-// sparse.AppendEncoded (uvarint node-id gaps beside float32 scores).
+// sparse.AppendEncoded (uvarint node-id gaps beside 16-bit score codes).
 //
 // One batch is one frame, so a batch torn by a crash, or never acknowledged,
 // is a torn frame, which replay discards. Replaying the frames in order
@@ -50,10 +50,11 @@ import (
 // naming its version, and leaves the file as it is. Version 1 held one frame
 // per hub record, beside a separate graph-mutation log; version 2 held 12-byte
 // (node uint32, score float64) entries and version 3 fixed 8-byte (node
-// uint32, score float32) ones, both behind an entry count.
+// uint32, score float32) ones, both behind an entry count; version 4 held
+// uvarint node-id gaps beside float32 scores.
 const (
 	logMagic            = uint32('F') | uint32('P')<<8 | uint32('L')<<16 | uint32('1')<<24
-	logVersion          = 4
+	logVersion          = 5
 	logHeaderBytes      = 40
 	graphBindingAt      = 12 // where the binding's graph half starts, after baseHubs
 	mutationHeaderBytes = 12 // numNodes + addedCount + removedCount

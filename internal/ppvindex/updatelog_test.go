@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -220,22 +219,22 @@ func TestUpdateLogStopsAtCorruptFrame(t *testing.T) {
 
 // TestUpdateLogReplayStopsAtUnsortedRecord: a frame that passes its CRC but
 // does not hold a batch of records — node ids out of order or repeated (a gap
-// wrapped past int32), a length that does not cover the record, a score that
-// is negative, NaN or infinite, or a bad record behind a good one in the same
+// wrapped past int32), a length that does not cover the record, a score code
+// above 1.0's, or a bad record behind a good one in the same
 // batch — is a bad frame. Replay stops there, keeps what came before
 // and truncates the rest, as it does for a checksum mismatch; no record of the
 // bad batch replays.
 func TestUpdateLogReplayStopsAtUnsortedRecord(t *testing.T) {
 	good := encodeRecord(1, sparse.Vector{4: 0.5, 6: 0.25})
 	for name, bad := range map[string][]byte{
-		"descending ids":      recordBatch(appendRecord(nil, 2, rawEntries(9, 5))),
-		"repeated id":         recordBatch(appendRecord(nil, 2, rawEntries(5, 5))),
-		"short count":         recordBatch(append(appendRecord(nil, 2, rawEntries(5, 9)), rawEntries(11)...)),
-		"long count":          recordBatch(appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+5]),
-		"bad behind good one": recordBatch(encodeRecord(3, sparse.Vector{1: 0.5}), appendRecord(nil, 2, rawEntries(9, 5))),
-		"negative score":      recordBatch(encodeRecord(2, sparse.Vector{5: 0.5, 9: -1e-9})),
-		"NaN score":           recordBatch(encodeRecord(2, sparse.Vector{5: math.NaN()})),
-		"infinite score":      recordBatch(encodeRecord(2, sparse.Vector{5: 0.5, 9: math.Inf(1)})),
+		"descending ids":                    recordBatch(appendRecord(nil, 2, rawEntries(9, 5))),
+		"repeated id":                       recordBatch(appendRecord(nil, 2, rawEntries(5, 5))),
+		"short count":                       recordBatch(append(appendRecord(nil, 2, rawEntries(5, 9)), rawEntries(11)...)),
+		"long count":                        recordBatch(appendRecord(nil, 2, rawEntries(5, 9))[:perHubOverheadBytes+5]),
+		"bad behind good one":               recordBatch(encodeRecord(3, sparse.Vector{1: 0.5}), appendRecord(nil, 2, rawEntries(9, 5))),
+		"score above 1":                     recordBatch(appendRecord(nil, 2, []byte{5, 0x01, 0xf8})),
+		"largest score code":                recordBatch(appendRecord(nil, 2, []byte{5, 0xff, 0xff})),
+		"score above 1 behind a good entry": recordBatch(appendRecord(nil, 2, append(rawEntries(5), 3, 0x01, 0xf8))),
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "idx.log")

@@ -9,7 +9,7 @@ import (
 
 // HubRecordView is a zero-copy read-only view of one hub's stored prime PPV:
 // the record's entry payload in the encoding of package sparse (uvarint node
-// id gaps beside float32 scores rounded toward zero), in strictly ascending
+// id gaps beside 16-bit score codes rounded toward zero), in strictly ascending
 // node order. A DiskIndex view aliases the mapped file, a MemIndex view its
 // immutable heap image or an overlay buffer, a cache-retained view an owned
 // heap buffer. No map is materialized — the query inner loop decodes the

@@ -2,7 +2,7 @@
 // inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds scaled
 // prime PPVs into a running estimate. A prime PPV has one stored form, the
 // record encoding of encoded.go (ascending node ids as uvarint gaps, each
-// score a float32 rounded toward zero), written by AppendEncoded; the
+// score a 16-bit code rounded toward zero), written by AppendEncoded; the
 // Accumulator decodes such payloads sequentially and folds them with linear
 // merges into a []Entry sorted by node id. No map is built between the prime
 // push and the estimate; results become a map-based Vector only at the API

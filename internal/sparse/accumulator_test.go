@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastppv/internal/graph"
@@ -23,9 +24,9 @@ func randomVector(rng *rand.Rand, n, entries int) Vector {
 // the layout ppvindex writes to disk.
 func encodeVector(v Vector) []byte { return AppendEncoded(nil, v.AppendSorted(nil)) }
 
-// stored is what an encoded entry gives back for x: x as a float32 rounded
-// toward zero, widened again.
-func stored(x float64) float64 { return float64(StoredScore(x)) }
+// stored is what an encoded entry gives back for x: x with an 11-bit
+// mantissa, rounded toward zero (StoredScore).
+func stored(x float64) float64 { return StoredScore(x) }
 
 // storedVector is v with every score replaced by its stored value.
 func storedVector(v Vector) Vector {
@@ -37,25 +38,27 @@ func storedVector(v Vector) Vector {
 }
 
 // TestEncodedEntryRoundTrip pins the entry layout: a uvarint gap (the id
-// itself first, then id − previous − 1) and the float32 score bits, and
-// checks that the payload decodes back, the largest id included.
+// itself first, then id − previous stored id − 1) and the 16-bit score code,
+// and checks that the payload decodes back, the largest id included, without
+// the entry whose score rounds to zero.
 func TestEncodedEntryRoundTrip(t *testing.T) {
-	entries := []Entry{{7, 0.125}, {8, 0.5}, {300, 1}, {math.MaxInt32, -1.5}}
+	entries := []Entry{{7, 0.125}, {8, 0.5}, {9, 1e-12}, {300, 1}, {math.MaxInt32, 0.75}}
 	buf := AppendEncoded(nil, entries)
 	want := []byte{
-		7, 0x00, 0x00, 0x00, 0x3e, // gap 7, 0.125
-		0, 0x00, 0x00, 0x00, 0x3f, // gap 0, 0.5
-		0xa3, 0x02, 0x00, 0x00, 0x80, 0x3f, // gap 291, 1
-		0xd2, 0xfd, 0xff, 0xff, 0x07, 0x00, 0x00, 0xc0, 0xbf, // gap 2³¹−302, −1.5
+		7, 0x00, 0xe0, // gap 7, 0.125 = 2^(28−31): code 28<<11
+		0, 0x00, 0xf0, // gap 0, 0.5: code 30<<11
+		0xa3, 0x02, 0x00, 0xf8, // gap 291 from node 8 (node 9 is not stored), 1: code 31<<11
+		0xd2, 0xfd, 0xff, 0xff, 0x07, 0x00, 0xf4, // gap 2³¹−302, 0.75: code 30<<11 | 1<<10
 	}
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("encoded % x, want % x", buf, want)
 	}
-	if n := EncodedLen(buf); n != len(entries) {
-		t.Fatalf("EncodedLen = %d, want %d", n, len(entries))
+	kept := slices.Delete(slices.Clone(entries), 2, 3)
+	if n := EncodedLen(buf); n != len(kept) {
+		t.Fatalf("EncodedLen = %d, want %d", n, len(kept))
 	}
 	r := NewEncodedReader(buf)
-	for i, e := range entries {
+	for i, e := range kept {
 		if id, s, ok := r.Next(); !ok || id != e.Node || s != e.Score {
 			t.Fatalf("entry %d = (%d, %v, %v), want (%d, %v)", i, id, s, ok, e.Node, e.Score)
 		}
@@ -68,7 +71,7 @@ func TestEncodedEntryRoundTrip(t *testing.T) {
 // TestEncodedReaderRefusesMalformed: every malformed payload stops the reader
 // with an error wrapping ErrBadEncoding, after the entries before it.
 func TestEncodedReaderRefusesMalformed(t *testing.T) {
-	score := []byte{0, 0, 0, 0x3f}
+	score := []byte{0x00, 0xf0}
 	for name, c := range map[string]struct {
 		data []byte
 		good int
@@ -78,7 +81,8 @@ func TestEncodedReaderRefusesMalformed(t *testing.T) {
 		"gap not minimal":     {append([]byte{0x85, 0x00}, score...), 0},
 		"id past int32":       {append(append([]byte{5}, score...), append([]byte{0xff, 0xff, 0xff, 0xff, 0x07}, score...)...), 1},
 		"id past uint32":      {append([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, score...), 0},
-		"score cut off":       {append(append([]byte{5}, score...), 1, 0, 0), 1},
+		"score cut off":       {append(append([]byte{5}, score...), 1, 0), 1},
+		"two-byte gap cut":    {append(append([]byte{5}, score...), 0x81, 0x01, 0), 1},
 		"trailing byte":       {append(append([]byte{5}, score...), 1), 1},
 		"out of order ids":    {encodeEntries(Entry{Node: 9, Score: 1}, Entry{Node: 5, Score: 1}), 1},
 		"repeated id":         {encodeEntries(Entry{Node: 5, Score: 1}, Entry{Node: 5, Score: 1}), 1},
@@ -99,24 +103,36 @@ func TestEncodedReaderRefusesMalformed(t *testing.T) {
 }
 
 // TestStoredScoreRoundsTowardZero holds the soundness contract of the record
-// encoding: a stored score is never farther from zero than the pushed one,
-// lies within one float32 ulp of it, and re-encoding it is the identity.
+// encoding: a stored score is never above the pushed one and is the largest
+// code's score that is not, so it loses less than 2⁻¹¹ of it; a score of 1 or
+// more is stored as 1, one below 2⁻³¹ (zero, negative or NaN) is not stored;
+// and re-encoding a stored score is the identity.
 func TestStoredScoreRoundsTowardZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	xs := []float64{0, 1, 0.15, 0.1, 1.0 / 3, 1e-300, math.SmallestNonzeroFloat32, math.MaxFloat32, 1e300, math.Inf(1), -0.1, -1e300}
+	xs := []float64{0, 1, 0.15, 0.1, 1.0 / 3, 1e-300, 0x1p-31, math.Nextafter(0x1p-31, 0), 1.5, 1e300, math.Inf(1), -0.1, -1e300, math.NaN()}
 	for i := 0; i < 10000; i++ {
-		xs = append(xs, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(140)))
+		xs = append(xs, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(40)))
 	}
 	for _, x := range xs {
-		f := StoredScore(x)
-		got := float64(f)
-		if math.Abs(got) > math.Abs(x) || math.Signbit(got) != math.Signbit(x) && got != 0 {
-			t.Fatalf("StoredScore(%v) = %v, not toward zero", x, got)
+		got := StoredScore(x)
+		switch {
+		case !(x >= 0x1p-31):
+			if got != 0 || len(AppendEncoded(nil, []Entry{{Node: 1, Score: x}})) != 0 {
+				t.Fatalf("StoredScore(%v) = %v, want it not stored", x, got)
+			}
+			continue
+		case x >= 1:
+			if got != 1 {
+				t.Fatalf("StoredScore(%v) = %v, want 1", x, got)
+			}
+		case got > x || x-got >= x*0x1p-11:
+			t.Fatalf("StoredScore(%v) = %v, not toward zero within 2⁻¹¹ of it", x, got)
 		}
-		if away := math.Nextafter32(f, float32(math.Copysign(math.Inf(1), x))); !math.IsInf(x, 0) && math.Abs(float64(away)) <= math.Abs(x) {
-			t.Fatalf("StoredScore(%v) = %v, but %v is closer and still not above", x, got, away)
+		c, _ := scoreCode(x)
+		if c < maxScoreCode && codeScore(c+1) <= x {
+			t.Fatalf("StoredScore(%v) = %v, but %v is closer and still not above", x, got, codeScore(c+1))
 		}
-		if again := StoredScore(got); math.Float32bits(again) != math.Float32bits(f) {
+		if again := StoredScore(got); again != got {
 			t.Fatalf("re-encoding %v gave %v", got, again)
 		}
 		r := NewEncodedReader(AppendEncoded(nil, []Entry{{Node: 1, Score: x}}))
@@ -124,8 +140,25 @@ func TestStoredScoreRoundsTowardZero(t *testing.T) {
 			t.Fatalf("entry of %v decodes to %v, want %v", x, s, got)
 		}
 	}
-	if !math.IsNaN(float64(StoredScore(math.NaN()))) {
-		t.Fatal("NaN did not stay NaN")
+}
+
+// TestScoreCodesSortLikeScores: every code decodes to a finite positive
+// score, in the order of the codes, and the codes up to 1.0's encode back to
+// themselves.
+func TestScoreCodesSortLikeScores(t *testing.T) {
+	prev := 0.0
+	for c := 0; c <= math.MaxUint16; c++ {
+		s := codeScore(uint16(c))
+		if !(s > prev) || math.IsInf(s, 0) {
+			t.Fatalf("code %#x decodes to %v, not above code %#x's %v", c, s, c-1, prev)
+		}
+		if back, ok := scoreCode(s); c <= maxScoreCode && (!ok || int(back) != c) {
+			t.Fatalf("code %#x decodes to %v, which encodes to %#x", c, s, back)
+		}
+		prev = s
+	}
+	if codeScore(0) != 0x1p-31 || codeScore(maxScoreCode) != 1 {
+		t.Fatalf("codes 0 and %#x decode to %v and %v, want 2⁻³¹ and 1", maxScoreCode, codeScore(0), codeScore(maxScoreCode))
 	}
 }
 

@@ -17,10 +17,16 @@ import (
 // strictly ascending node order, each
 //
 //	gap   uvarint  node − previous node − 1 (the first entry's gap is its node id)
-//	score float32  IEEE-754 bits of StoredScore, little-endian
+//	score uint16   the score's code, little-endian
 //
-// Node ids lie below 2³¹, so a gap takes one to five bytes, and an entry five
-// to nine. Entries vary in size, so a payload is read front to back
+// A code c = E<<11 | m, for E in [0, 31] and m in [0, 2¹¹), stands for the
+// score 2^(E−31)·(1 + m/2¹¹): an unsigned float with an 11-bit mantissa that
+// spans [2⁻³¹, 1]. Codes sort in the order of their scores; a code above
+// 31<<11, a score above 1, is malformed. StoredScore says which code a score
+// gets.
+//
+// Node ids lie below 2³¹, so a gap takes one to five bytes, and an entry three
+// to seven. Entries vary in size, so a payload is read front to back
 // (EncodedReader); nothing indexes into it.
 
 // EncodedEntrySize is the size of an entry in the fixed-width layout that
@@ -34,7 +40,19 @@ const EncodedEntrySize = 8
 // malformed. minEntryBytes is the shortest entry: a one-byte gap and a score.
 const (
 	maxGapBytes   = 5
-	minEntryBytes = 1 + 4
+	scoreBytes    = 2
+	minEntryBytes = 1 + scoreBytes
+)
+
+// A score code's float64 bits are the code shifted into the top 16 bits of
+// the mantissa and exponent, plus codeBias: the exponent 992 − 1023 = −31 of
+// code 0. maxScoreCode is the code of 1.0, the largest score a record holds,
+// and minStored the smallest, the score of code 0.
+const (
+	codeShift    = 52 - 11
+	codeBias     = 992 << 52
+	maxScoreCode = 31 << 11
+	minStored    = 0x1p-31
 )
 
 // ErrBadEncoding reports a payload that is not a well-formed encoded record.
@@ -48,17 +66,36 @@ var (
 	errScoreCut = fmt.Errorf("%w: a score is cut off", ErrBadEncoding)
 )
 
-// StoredScore is the score an encoded entry holds for s: s as a float32,
-// rounded toward zero. For s >= 0 the stored score is never above s, so a
-// fold of stored records stays a pointwise lower bound of the exact PPV and
-// the Theorem 2 bound 1 - sum(estimate) stays sound; re-encoding a stored
-// score gives it back bit for bit. NaN stays NaN.
-func StoredScore(s float64) float32 {
-	f := float32(s)
-	if math.Abs(float64(f)) > math.Abs(s) {
-		f = math.Nextafter32(f, 0)
+// scoreCode is the code of s, rounded toward zero: the code of the largest
+// score not above s. A score of 1 or more gets the code of 1.0. A score below
+// 2⁻³¹ (zero, negative or NaN included) has no code: it rounds to zero, and
+// its entry is not stored.
+func scoreCode(s float64) (uint16, bool) {
+	switch {
+	case !(s >= minStored):
+		return 0, false
+	case s >= 1:
+		return maxScoreCode, true
 	}
-	return f
+	return uint16((math.Float64bits(s) - codeBias) >> codeShift), true
+}
+
+// codeScore is the score of code c, exactly: one shift and one add.
+func codeScore(c uint16) float64 { return math.Float64frombits(uint64(c)<<codeShift + codeBias) }
+
+// StoredScore is the score an encoded entry holds for s: s with its mantissa
+// cut to 11 bits, rounded toward zero, so it loses less than 2⁻¹¹ of itself;
+// 1 for a score of 1 or more, and 0, which means the entry is not stored, for
+// a score below 2⁻³¹. The stored score is never above s, so a fold of stored
+// records stays a pointwise lower bound of the exact PPV and the Theorem 2
+// bound 1 - sum(estimate) stays sound; re-encoding a stored score gives it
+// back bit for bit.
+func StoredScore(s float64) float64 {
+	c, ok := scoreCode(s)
+	if !ok {
+		return 0
+	}
+	return codeScore(c)
 }
 
 // gapBytes is the size of gap as a uvarint.
@@ -66,19 +103,26 @@ func gapBytes(gap uint32) int { return (bits.Len32(gap|1) + 6) / 7 }
 
 // AppendEncoded appends the record encoding of entries to dst: the one
 // encoder of hub-record payloads. Entries must be in strictly ascending node
-// order with non-negative ids, as the prime push emits them; it grows dst to
-// the exact size once.
+// order with non-negative ids, as the prime push emits them; an entry whose
+// score rounds to zero (StoredScore) is left out. It grows dst to the exact
+// size once.
 func AppendEncoded(dst []byte, entries []Entry) []byte {
 	size, next := 0, uint32(0)
 	for _, e := range entries {
-		size += gapBytes(uint32(e.Node)-next) + 4
-		next = uint32(e.Node) + 1
+		if _, ok := scoreCode(e.Score); ok {
+			size += gapBytes(uint32(e.Node)-next) + scoreBytes
+			next = uint32(e.Node) + 1
+		}
 	}
 	dst, next = slices.Grow(dst, size), 0
 	for _, e := range entries {
+		c, ok := scoreCode(e.Score)
+		if !ok {
+			continue
+		}
 		// Out of order ids wrap the gap past 2³¹, which no reader accepts.
 		dst = binary.AppendUvarint(dst, uint64(uint32(e.Node)-next))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(StoredScore(e.Score)))
+		dst = binary.LittleEndian.AppendUint16(dst, c)
 		next = uint32(e.Node) + 1
 	}
 	return dst
@@ -97,20 +141,29 @@ type EncodedReader struct {
 // aliases.
 func NewEncodedReader(data []byte) EncodedReader { return EncodedReader{data: data} }
 
-// Next returns the next entry, its score widened to float64 exactly. ok is
-// false at the end of the payload and at the first malformed entry.
+// Next returns the next entry and its score. ok is false at the end of the
+// payload and at the first malformed entry. A score code above maxScoreCode
+// decodes to a score above 1; the gate of records read from a file
+// (ppvindex's checkPayload) refuses it.
 func (r *EncodedReader) Next() (id graph.NodeID, score float64, ok bool) {
-	if b := r.data; len(b) >= minEntryBytes && b[0] < 0x80 {
-		// A one-byte gap, the common case, inline.
-		if n := r.next + uint64(b[0]); n <= math.MaxInt32 {
-			r.next, r.data = n+1, b[minEntryBytes:]
-			return graph.NodeID(n), float64(math.Float32frombits(binary.LittleEndian.Uint32(b[1:]))), true
+	// A one- or two-byte gap, all but the rarest, inline.
+	if b := r.data; len(b) >= minEntryBytes {
+		gap, n := uint64(b[0]), 1
+		if gap >= 0x80 {
+			if len(b) < minEntryBytes+1 || b[1] == 0 || b[1] >= 0x80 {
+				return r.nextSlow()
+			}
+			gap, n = gap&0x7f|uint64(b[1])<<7, 2
+		}
+		if id := r.next + gap; id <= math.MaxInt32 {
+			r.next, r.data = id+1, b[n+scoreBytes:]
+			return graph.NodeID(id), codeScore(binary.LittleEndian.Uint16(b[n:])), true
 		}
 	}
 	return r.nextSlow()
 }
 
-// nextSlow is Next for a gap of more than one byte, a malformed entry or the
+// nextSlow is Next for a gap of more than two bytes, a malformed entry or the
 // end of the payload.
 func (r *EncodedReader) nextSlow() (graph.NodeID, float64, bool) {
 	b := r.data
@@ -125,12 +178,12 @@ func (r *EncodedReader) nextSlow() (graph.NodeID, float64, bool) {
 		return r.fail(errGapLong)
 	case r.next+gap > math.MaxInt32:
 		return r.fail(errIDRange)
-	case len(b)-n < 4:
+	case len(b)-n < scoreBytes:
 		return r.fail(errScoreCut)
 	}
 	id := r.next + gap
-	r.next, r.data = id+1, b[n+4:]
-	return graph.NodeID(id), float64(math.Float32frombits(binary.LittleEndian.Uint32(b[n:]))), true
+	r.next, r.data = id+1, b[n+scoreBytes:]
+	return graph.NodeID(id), codeScore(binary.LittleEndian.Uint16(b[n:])), true
 }
 
 func (r *EncodedReader) fail(err error) (graph.NodeID, float64, bool) {

@@ -9,37 +9,40 @@ import (
 )
 
 // FuzzEncodedRoundTrip drives the record encoding shared with the disk-index
-// format (uvarint node-id gaps beside float32 scores) with arbitrary bytes.
-// The reader never panics and allocates in proportion to the input: it
+// format (uvarint node-id gaps beside 16-bit score codes) with arbitrary
+// bytes. The reader never panics and allocates in proportion to the input: it
 // decodes strictly ascending entries up to the first malformed one — a gap
 // cut off, overlong (more than 5 bytes, or not minimal) or carrying the id
 // past int32, a score cut off — and then reports an error wrapping
-// ErrBadEncoding. Re-encoding the decoded entries gives back the bytes they
-// came from: the whole input when it is well formed. NaN scores are left out
-// of that check: widening a signalling float32 NaN quiets it, so a NaN is
-// not bit-stable, and the index refuses records that hold one. Each 8-byte
-// chunk of the input is also read as a float64 x: its stored score is never
-// farther from zero than x, so for x >= 0 decode(encode(x)) <= x.
+// ErrBadEncoding. Every score decodes finite and positive. Re-encoding the
+// decoded entries gives back the bytes they came from: the whole input when
+// it is well formed. Scores above 1 are left out of that check: their codes
+// lie above 1.0's, the encoder stores such a score as 1, and the index
+// refuses records that hold one. Each 8-byte chunk of the input is also read
+// as a float64 x: its stored score is never above x, and never negative.
 func FuzzEncodedRoundTrip(f *testing.F) {
-	f.Add(AppendEncoded(nil, []Entry{{Node: 3, Score: 0.5}, {Node: 900, Score: -1e300}}))
+	f.Add(AppendEncoded(nil, []Entry{{Node: 3, Score: 0.5}, {Node: 900, Score: 1e-3}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for at := 0; at+8 <= len(data); at += 8 {
 			x := math.Float64frombits(binary.LittleEndian.Uint64(data[at:]))
 			r := NewEncodedReader(AppendEncoded(nil, []Entry{{Node: 0, Score: x}}))
-			if _, s, _ := r.Next(); math.Abs(s) > math.Abs(x) || x >= 0 && !(s >= 0 && s <= x) {
+			if _, s, _ := r.Next(); s < 0 || s > x {
 				t.Fatalf("%v stored as %v, not toward zero", x, s)
 			}
 		}
 		r := NewEncodedReader(data)
 		var entries []Entry
-		nan := false
+		over := false
 		for id, s, ok := r.Next(); ok; id, s, ok = r.Next() {
 			if n := len(entries); n > 0 && id <= entries[n-1].Node || id < 0 {
 				t.Fatalf("entry %d decodes to node %d, not above the one before it", n, id)
 			}
+			if !(s > 0) || math.IsInf(s, 0) {
+				t.Fatalf("entry %d decodes to score %v", len(entries), s)
+			}
 			entries = append(entries, Entry{Node: id, Score: s})
-			nan = nan || math.IsNaN(s)
+			over = over || s > 1
 		}
 		if err := r.Err(); err != nil && !errors.Is(err, ErrBadEncoding) {
 			t.Fatalf("reader stopped with unstructured error %v", err)
@@ -54,13 +57,13 @@ func FuzzEncodedRoundTrip(f *testing.F) {
 			t.Fatalf("EncodedLen = %d, want %d", n, len(entries))
 		}
 		enc := AppendEncoded(nil, entries)
-		if !nan && !bytes.HasPrefix(data, enc) {
+		if !over && !bytes.HasPrefix(data, enc) {
 			t.Fatalf("%d decoded entries re-encode to % x, not the bytes they came from", len(entries), enc)
 		}
-		if !nan && r.Err() == nil && len(enc) != len(data) {
+		if !over && r.Err() == nil && len(enc) != len(data) {
 			t.Fatalf("a well-formed payload of %d bytes re-encodes to %d", len(data), len(enc))
 		}
-		if r.Err() == nil && len(enc) == len(data) {
+		if !over && r.Err() == nil {
 			var b Accumulator
 			b.SetEncoded(enc)
 			sameBits(t, "round trip", b.Entries(), entries)
@@ -74,7 +77,7 @@ func FuzzEncodedRoundTrip(f *testing.F) {
 // whether its first entry's node is the owner hub — followed by that many
 // encoded entries; a record that runs out of input or holds a malformed
 // entry takes the rest of it. Ids and scores are arbitrary, so records may
-// go down or repeat ids between them, and hold NaNs.
+// go down or repeat ids between them.
 func FuzzCombineRuns(f *testing.F) {
 	f.Add([]byte{}) // more seeds: testdata/fuzz, from TestRegenCombineCorpus
 	f.Fuzz(func(t *testing.T, data []byte) {

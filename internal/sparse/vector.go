@@ -5,7 +5,7 @@
 // public form: query results, exact PPVs, the baselines and the experiments.
 // The serving path builds one only when its answer is complete: stored prime
 // PPVs are encoded payloads sorted by node id (encoded.go: uvarint node-id
-// gaps beside float32 scores), decoded front to back and folded as slices
+// gaps beside 16-bit score codes), decoded front to back and folded as slices
 // (accumulator.go).
 package sparse
 

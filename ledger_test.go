@@ -319,7 +319,9 @@ func ledgerRows(t *testing.T) []ledgerRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Degraded || res.L1ErrorBound != answers[i].L1ErrorBound {
+		// The router adds the shards' increments in another order than the
+		// engine, so its bound may differ from the engine's in the last bits.
+		if res.Degraded || math.Abs(res.L1ErrorBound-answers[i].L1ErrorBound) > 1e-12 {
 			t.Fatalf("q=%d: the router bounds %v (degraded %v), the engine %v", q, res.L1ErrorBound, res.Degraded, answers[i].L1ErrorBound)
 		}
 	}

@@ -76,8 +76,8 @@ func TestHubRecordIsTheSameBytesEverywhere(t *testing.T) {
 
 // TestHubRecordLayoutSize is the gate on the record layout's size: a record
 // costs 8 bytes (hub id, payload length) plus its entries, each a uvarint gap
-// (node − previous node − 1, the first entry's gap its node id) and a 4-byte
-// float32 score, in memory; the disk file adds a 12-byte directory slot a hub
+// (node − previous node − 1, the first entry's gap its node id) and a 2-byte
+// score code, in memory; the disk file adds a 12-byte directory slot a hub
 // and the 16-byte footer. The entries are counted here from the decoded
 // records, independently of the encoder. sparse.EncodedEntrySize stays the
 // fixed-width size, 8, which only the benchmark harness reads.
@@ -103,7 +103,7 @@ func TestHubRecordLayoutSize(t *testing.T) {
 		prev := NodeID(-1)
 		for _, e := range sparse.AppendDecoded(nil, recordBytes(t, "mem", mem.Index(), h)) {
 			gap := uint64(e.Node - prev - 1)
-			payload += 4 + int64(len(binary.AppendUvarint(nil, gap)))
+			payload += 2 + int64(len(binary.AppendUvarint(nil, gap)))
 			prev = e.Node
 			entries++
 		}
@@ -112,8 +112,8 @@ func TestHubRecordLayoutSize(t *testing.T) {
 	if got := mem.Index().SizeBytes(); hubs != int64(opts.NumHubs) || got != want {
 		t.Fatalf("MemIndex of %d hubs and %d entries is %d bytes, want %d", hubs, entries, got, want)
 	}
-	if payload >= 6*entries {
-		t.Errorf("%d entries take %d payload bytes, %.2f an entry; want under 6", entries, payload, float64(payload)/float64(entries))
+	if payload >= 4*entries {
+		t.Errorf("%d entries take %d payload bytes, %.2f an entry; want under 4", entries, payload, float64(payload)/float64(entries))
 	}
 	path := filepath.Join(t.TempDir(), "index.ppv")
 	buildDiskIndex(t, g, opts.NumHubs, path)
@@ -133,7 +133,7 @@ func TestHubRecordLayoutSize(t *testing.T) {
 // the disk index and the in-memory one must answer 50 sources bit for bit
 // alike.
 func TestIndexSizeIsPinned(t *testing.T) {
-	const memBytes, fileBytes = 76_569, 80_185
+	const memBytes, fileBytes = 47_457, 51_073
 	g, err := gen.SocialGraph(gen.SocialConfig{Nodes: 3000, OutDegreeMean: 6, Attachment: 0.8, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestIndexSizeIsPinned(t *testing.T) {
 			t.Fatalf("hub %d: the record holds %d entries, the push %d", h, len(stored), len(pushed))
 		}
 		for i, e := range pushed {
-			if stored[i].Node != e.Node || math.Float64bits(stored[i].Score) != math.Float64bits(float64(sparse.StoredScore(e.Score))) {
+			if stored[i].Node != e.Node || math.Float64bits(stored[i].Score) != math.Float64bits(sparse.StoredScore(e.Score)) {
 				t.Fatalf("hub %d entry %d: stored (%d, %v), pushed (%d, %v)", h, i, stored[i].Node, stored[i].Score, e.Node, e.Score)
 			}
 		}
