@@ -394,9 +394,6 @@ func fileSize(t *testing.T, path string) int64 {
 // exact for every count; a row that moves names the layer whose work, size or
 // accuracy changed.
 func TestLedgerGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the ledger precomputes four indexes")
-	}
 	rows := ledgerRows(t)
 	if *updateLedger {
 		var sb strings.Builder
